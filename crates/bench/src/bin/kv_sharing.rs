@@ -266,7 +266,9 @@ fn main() {
     // discover the sharing on its own. On an aligned prefix the
     // automatic path must match the explicit fast path's prefill
     // exactly — the prefix is computed once, every later stream forks
-    // it from the tree — and the hit accounting is closed-form.
+    // it from the tree — and the hit accounting is closed-form. A
+    // prompt becomes shareable the step its last chunk lands, so the
+    // first request gets one step's head start in both legs.
     let kv = KvPoolConfig {
         storage,
         page_positions: pp,
@@ -286,7 +288,8 @@ fn main() {
         if !auto {
             sched.register_prefix("sys", prefix.clone()).unwrap();
         }
-        for mut r in private_parts(batch, prompt_len, max_new, cfg.vocab) {
+        let parts = private_parts(batch, prompt_len, max_new, cfg.vocab);
+        for (i, mut r) in parts.into_iter().enumerate() {
             if auto {
                 let mut full = prefix.clone();
                 full.extend_from_slice(&r.prompt);
@@ -295,6 +298,9 @@ fn main() {
                 r.prefix = Some("sys".into());
             }
             sched.submit(r).unwrap();
+            if i == 0 {
+                sched.step();
+            }
         }
         let done = sched.run_to_completion();
         assert_eq!(done.len(), batch);

@@ -1,8 +1,8 @@
 //! Serving throughput: aggregate decode tokens/s vs batch width.
 //!
 //! Continuous batching rides the `rayon-lite` pool: each engine iteration
-//! shards the per-stream hidden-state work across one scope for the whole
-//! batch and runs the LM head as one batched dispatch, so wider batches
+//! advances the whole batch through one grouped batched-attention call
+//! and runs the LM head as one batched dispatch, so wider batches
 //! amortize both the pool dispatch and the per-iteration bookkeeping.
 //! Every stream's tokens are bit-identical to its solo `Model::generate`
 //! (enforced by `crates/serve/tests/batched_exact.rs`), so this bench is
@@ -12,12 +12,15 @@
 //! at `--batch 4` than at `--batch 1` on the default synth model (needs
 //! >1 pool thread, of course; the pool is sized by `ANDA_THREADS`).
 //!
-//! A second scenario measures what chunked prefill buys: a short
-//! request is mid-decode when a long prompt arrives, and the short
-//! stream's TTFT and TPOT (p50/p99) are reported for monolithic vs
-//! chunked admission. The chunked leg doubles as a structural check —
-//! the short stream must sample on every step the long prompt is still
-//! prefilling, and `stalled_prefill_tokens` must stay zero.
+//! A second scenario measures what a bounded prefill budget buys: a
+//! short request is mid-decode when a long prompt arrives, and the
+//! short stream's TTFT and TPOT (p50/p99) are reported for the
+//! unbounded budget (`prefill_chunk_tokens: None`, the whole prompt in
+//! one span — the `monolithic` keys) vs a chunk budget (the `chunked`
+//! keys). It is a budget comparison through one code path. The chunked
+//! leg doubles as a structural check — the short stream must sample on
+//! every step the long prompt is still prefilling, and
+//! `stalled_prefill_tokens` must stay zero.
 //!
 //! The third scenario is the SLO harness: mixed-priority requests
 //! arrive on a seeded Poisson schedule and are served through the
@@ -41,8 +44,8 @@ use anda_bench::{arg_val, workload_prompt, BenchReport, Table};
 use anda_llm::zoo::opt_125m_sim;
 use anda_llm::Model;
 use anda_serve::{
-    ArrivalSchedule, Engine, KvPoolConfig, KvStorage, Priority, Replay, Request, RequestState,
-    Scheduler, SchedulerConfig,
+    ArrivalSchedule, Engine, KvPoolConfig, Priority, Replay, Request, RequestState, Scheduler,
+    SchedulerConfig,
 };
 
 /// The benchmark workload: `n` requests with staggered prompts and seeds.
@@ -80,51 +83,13 @@ fn serve_once(model: &Model, reqs: &[Request], max_batch: usize) -> (f64, u64) {
     (elapsed, sched.stats().sampled_tokens)
 }
 
-/// Wall time, sampled tokens and Anda pages decoded for the
-/// shared-prefix scenario: every request rides a registered prefix on
-/// an Anda-compressed pool, served by the grouped batched-attention
-/// path or the per-stream oracle (`grouped_attention: false`).
-fn serve_prefix_once(
-    model: &Model,
-    reqs: &[Request],
-    prefix: &[usize],
-    max_batch: usize,
-    grouped: bool,
-) -> (f64, u64, u64) {
-    let mut sched = Scheduler::new(
-        model,
-        SchedulerConfig {
-            max_batch,
-            kv: KvPoolConfig {
-                storage: KvStorage::Anda { mantissa_bits: 5 },
-                page_positions: 8,
-                max_pages: None,
-            },
-            grouped_attention: grouped,
-            ..SchedulerConfig::default()
-        },
-    );
-    sched.register_prefix("sys", prefix.to_vec()).unwrap();
-    for r in reqs {
-        let mut r = r.clone();
-        r.prefix = Some("sys".into());
-        sched.submit(r).expect("bench workload is servable");
-    }
-    let t = Instant::now();
-    let done = sched.run_to_completion();
-    let elapsed = t.elapsed().as_secs_f64();
-    assert_eq!(done.len(), reqs.len());
-    let stats = sched.stats();
-    (elapsed, stats.sampled_tokens, stats.pages_decoded)
-}
-
 /// Latency scenario: a short request is mid-decode when a long prompt
 /// arrives. Steps the engine by hand, polling
 /// [`Scheduler::generated_len`], and returns the short stream's
 /// per-token completion times (seconds since its submission) plus the
-/// scheduler's stalled-prefill counter. With `chunk` set the long
-/// prompt is worked off as per-step grouped-batch chunks and the short
-/// stream must advance every single step of it — asserted here, so the
+/// scheduler's stalled-prefill counter. With a bounded `chunk` budget
+/// the long prompt is worked off over several steps and the short
+/// stream must advance every single one of them — asserted here, so the
 /// smoke run is a structural no-stall check, not a timing one.
 fn serve_long_arrival(
     model: &Model,
@@ -405,58 +370,11 @@ fn main() {
         report.metric(&format!("batch{b}_tokens_per_s"), tps);
     }
 
-    // Grouped batched attention vs the per-stream oracle on the
-    // workload it targets: a batch of streams forked from one shared
-    // Anda-compressed prefix, where the per-stream walk re-decodes the
-    // prefix pages once per attending stream per step and the grouped
-    // walk decodes them once for the whole batch.
-    let shared_batch = 4usize;
-    let shared_prefix_len = if smoke { 48 } else { 128 };
-    let prefix: Vec<usize> = (0..shared_prefix_len)
-        .map(|i| (i * 29 + 11) % model.config().vocab)
-        .collect();
-    let mut grouped_best = f64::INFINITY;
-    let mut oracle_best = f64::INFINITY;
-    let mut shared_tokens = 0u64;
-    let mut pages_decoded = 0u64;
-    for _ in 0..reps {
-        let (g, tokens, decoded) = serve_prefix_once(&model, &reqs, &prefix, shared_batch, true);
-        let (o, o_tokens, _) = serve_prefix_once(&model, &reqs, &prefix, shared_batch, false);
-        assert_eq!(
-            tokens, o_tokens,
-            "grouped serving must sample the same tokens"
-        );
-        grouped_best = grouped_best.min(g);
-        oracle_best = oracle_best.min(o);
-        shared_tokens = tokens;
-        pages_decoded = decoded;
-    }
-    let grouped_tps = shared_tokens as f64 / grouped_best;
-    let oracle_tps = shared_tokens as f64 / oracle_best;
-    let ratio = grouped_tps / oracle_tps;
-    println!(
-        "shared {shared_prefix_len}-token Anda prefix, batch {shared_batch}: grouped {:.0} tok/s \
-         vs per-stream {:.0} tok/s ({ratio:.2}x, {pages_decoded} pages decoded)",
-        grouped_tps, oracle_tps
-    );
-    report.metric("shared_prefix_grouped_tokens_per_s", grouped_tps);
-    report.metric("shared_prefix_per_stream_tokens_per_s", oracle_tps);
-    report.metric("shared_prefix_grouped_vs_per_stream", ratio);
-    report.metric("shared_prefix_pages_decoded", pages_decoded as f64);
-    // Acceptance: the grouped path must be no worse than the per-stream
-    // baseline on its own workload (generous margin for timer noise on
-    // loaded CI runners).
-    if enforce && ratio < 0.9 {
-        report.write_and_announce();
-        eprintln!("FAIL: grouped batched attention must not regress shared-prefix serving");
-        std::process::exit(1);
-    }
-
     // Long-prompt arrival latency: TTFT and TPOT of a short request
-    // that is already decoding when a long prompt shows up. Monolithic
-    // admission prefills the whole prompt inside one step — the short
-    // stream's inter-token gap spikes by the entire prefill — while
-    // chunked admission works it off at `prefill_chunk_tokens`/step
+    // that is already decoding when a long prompt shows up. The
+    // unbounded budget lands the whole prompt as one span in one step —
+    // the short stream's inter-token gap spikes by the entire prefill —
+    // while a chunk budget works it off at `prefill_chunk_tokens`/step
     // alongside the short stream's decodes.
     let long_len = if smoke { 48 } else { 256 };
     let short_new = if smoke { 12 } else { 48 };
@@ -473,13 +391,13 @@ fn main() {
         mono_times.extend(times.windows(2).map(|w| w[1] - w[0]));
         mono_stalled = stalled;
         let (times, stalled) = serve_long_arrival(&model, long_len, short_new, Some(chunk_budget));
-        assert_eq!(stalled, 0, "chunked admission must never stall");
+        assert_eq!(stalled, 0, "a bounded budget must never stall");
         chunked_ttft = chunked_ttft.min(times[0]);
         chunked_times.extend(times.windows(2).map(|w| w[1] - w[0]));
     }
     assert_eq!(
         mono_stalled, long_len as u64,
-        "monolithic admission must account its stall"
+        "the unbounded budget must account its stall"
     );
     mono_times.sort_by(f64::total_cmp);
     chunked_times.sort_by(f64::total_cmp);

@@ -451,6 +451,9 @@ struct PoolState {
 struct PoolShared {
     cfg: KvPoolConfig,
     state: Mutex<PoolState>,
+    /// Held across a whole [`PagePool::privatize`] (always taken before
+    /// `state`), so co-owners of one page privatize one after another.
+    cow: Mutex<()>,
 }
 
 impl PoolShared {
@@ -562,6 +565,7 @@ impl PagePool {
                     free: Vec::new(),
                     created: 0,
                 }),
+                cow: Mutex::new(()),
             }),
         }
     }
@@ -709,6 +713,11 @@ impl PagePool {
     /// included).
     pub fn privatize(&self, page: SharedPage, rows: usize) -> Page {
         assert!(page.same_pool(self), "privatize of a foreign pool's page");
+        // Two streams appending into the same shared tail in one step
+        // must not both see the other's lease and both copy: the pool
+        // would transiently hold one page more than admission reserved.
+        // Serialized, the second one finds itself the sole lease.
+        let _one_at_a_time = self.shared.cow.lock().expect("a privatizer panicked");
         match Arc::try_unwrap(page.inner) {
             Ok(mut sole) => {
                 let mut page = sole.page.take().expect("present until the last drop");
@@ -896,10 +905,32 @@ impl LayerKv {
         self.len += 1;
     }
 
+    /// Leases table pages `range` for another table: each one is sealed
+    /// into a refcounted [`SharedPage`] (a no-op if already shared) and
+    /// the result holds a [`PagePool::fork_page`] lease per page — no row
+    /// data is copied.
+    fn lease_pages<'a>(
+        &'a mut self,
+        pool: &'a PagePool,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = TablePage> + 'a {
+        self.pages[range].iter_mut().map(move |entry| {
+            if matches!(entry, TablePage::Owned(_)) {
+                let TablePage::Owned(page) = std::mem::replace(entry, TablePage::placeholder())
+                else {
+                    unreachable!("matched above");
+                };
+                *entry = TablePage::Shared(pool.share(page));
+            }
+            let TablePage::Shared(shared) = entry else {
+                unreachable!("sealed above");
+            };
+            TablePage::Shared(pool.fork_page(shared))
+        })
+    }
+
     /// Forks the first `positions` cached positions into a new table that
-    /// *shares* every covered page: each one is sealed into a refcounted
-    /// [`SharedPage`] (a no-op if already shared) and the fork holds a
-    /// [`PagePool::fork_page`] lease — no row data is copied. A partial
+    /// *shares* every covered page ([`LayerKv::lease_pages`]). A partial
     /// tail page is shared too; the first append either side makes into
     /// it copies it out bitwise first (see [`LayerKv::push`]), so the
     /// deep copy of the partial tail is deferred to the write that needs
@@ -914,27 +945,33 @@ impl LayerKv {
             "fork of {positions} positions from a {}-position layer",
             self.len
         );
-        let pp = self.page_positions();
-        let n_pages = positions.div_ceil(pp);
-        let mut pages = Vec::with_capacity(n_pages);
-        for entry in &mut self.pages[..n_pages] {
-            if matches!(entry, TablePage::Owned(_)) {
-                let TablePage::Owned(page) = std::mem::replace(entry, TablePage::placeholder())
-                else {
-                    unreachable!("matched above");
-                };
-                *entry = TablePage::Shared(pool.share(page));
-            }
-            let TablePage::Shared(shared) = entry else {
-                unreachable!("sealed above");
-            };
-            pages.push(TablePage::Shared(pool.fork_page(shared)));
-        }
+        let n_pages = positions.div_ceil(self.page_positions());
         LayerKv {
-            pages,
+            pages: self.lease_pages(pool, 0..n_pages).collect(),
             len: positions,
             idx: self.idx,
         }
+    }
+
+    /// Extends this table — which must end on a page boundary — to
+    /// `positions` by leasing `source`'s pages past `self.len`
+    /// ([`LayerKv::lease_pages`]): a page-table splice, no row copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self.len` is page-aligned and `self.len <=
+    /// positions <= source.len`.
+    fn splice_tail(&mut self, pool: &PagePool, source: &mut LayerKv, positions: usize) {
+        let pp = source.page_positions();
+        assert!(
+            self.len.is_multiple_of(pp) && self.len <= positions && positions <= source.len,
+            "splice of positions {}..{positions} from a {}-position layer ({pp}-position pages)",
+            self.len,
+            source.len
+        );
+        self.pages
+            .extend(source.lease_pages(pool, self.len / pp..positions.div_ceil(pp)));
+        self.len = positions;
     }
 
     /// Decodes the key row at `pos` into `out` (no allocation).
@@ -1692,6 +1729,29 @@ impl KvCache {
         self.fork_prefix(positions)
     }
 
+    /// [`KvCache::fork_prefix`] assembled from two donors: positions
+    /// `0..split` lease **this** cache's pages and `split..positions`
+    /// lease `tail`'s, so the fork pins `tail`'s pages only past the
+    /// split. `split` must be page-aligned (a page belongs to one donor).
+    /// This is how a prefix tree keeps one physical copy of a shared
+    /// path: a new leaf takes the path's pages from its parent and only
+    /// its own edge from the stream that prefilled it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `split` is not page-aligned or exceeds this cache's
+    /// length, if `positions` is outside `split..=tail.len()`, or if the
+    /// caches lease from different pools or cover different layer
+    /// counts.
+    pub fn fork_spliced(&mut self, split: usize, tail: &mut KvCache, positions: usize) -> KvCache {
+        assert_eq!(self.n_layers(), tail.n_layers(), "layer count mismatch");
+        let mut fork = self.fork_prefix(split);
+        for (layer, source) in fork.layers.iter_mut().zip(&mut tail.layers) {
+            layer.splice_tail(&fork.pool, source, positions);
+        }
+        fork
+    }
+
     /// Pages across all layers held as shared (refcounted) leases.
     pub fn shared_pages(&self) -> usize {
         self.layers.iter().map(LayerKv::shared_page_count).sum()
@@ -2046,6 +2106,42 @@ mod tests {
             );
             assert_eq!(key_bits(&parent, 8), parent_bits, "donor unaffected");
         }
+    }
+
+    /// A spliced fork reads like a plain fork of the tail donor but pins
+    /// the tail donor's pages only past the split: dropping the tail
+    /// donor frees its own copy of the prefix.
+    #[test]
+    fn spliced_fork_leases_each_range_from_its_own_donor() {
+        let pool = PagePool::new(KvPoolConfig {
+            storage: KvStorage::Anda { mantissa_bits: 6 },
+            page_positions: 4,
+            max_pages: None,
+        });
+        let data = rows(11, 64, 23);
+        let mut path = pool.new_cache(1);
+        let mut tail = pool.new_cache(1);
+        for (i, r) in data.iter().enumerate() {
+            if i < 8 {
+                path.append_row(0, r, r);
+            }
+            tail.append_row(0, r, r); // an independent copy of 0..8, then 8..11
+        }
+        assert_eq!(pool.pages_in_use(), 2 + 3);
+        let fork = path.fork_spliced(8, &mut tail, 11);
+        assert_eq!(fork.len(), 11);
+        assert_eq!(pool.pages_in_use(), 5, "a splice leases, never copies");
+        assert_eq!(key_bits(&fork, 11), key_bits(&tail, 11));
+        drop(tail);
+        assert_eq!(
+            pool.pages_in_use(),
+            3,
+            "the tail donor's prefix copy is gone"
+        );
+        drop(path);
+        assert_eq!(pool.pages_in_use(), 3, "the fork holds the path's pages");
+        drop(fork);
+        assert_eq!(pool.pages_in_use(), 0);
     }
 
     /// Appending into a fork whose tail page is shared fires

@@ -526,10 +526,11 @@ impl Model {
     /// bits a private prefill would have written (copy-on-write preserves
     /// them on append).
     ///
-    /// The same resumability powers *chunked* prefill
-    /// ([`Model::prefill_chunk`]): any split of `tokens` into consecutive
-    /// chunks, prefilled in order against the same cache, writes the same
-    /// KV rows and produces the same final logits.
+    /// The same resumability powers *chunked* prefill (multi-token
+    /// [`BatchEntry`] spans through [`Model::decode_hidden_batch`]): any
+    /// split of `tokens` into consecutive chunks, prefilled in order
+    /// against the same cache, writes the same KV rows and produces the
+    /// same final hidden state.
     ///
     /// # Panics
     ///
@@ -541,32 +542,6 @@ impl Model {
             self.decode_hidden_impl(tok, start + i, cache, s, true);
         }
         self.lm_head_into(&s.x, &mut s.logits);
-    }
-
-    /// One resumable chunk of a prefill: advances the cache by `tokens`
-    /// consecutive prompt positions (starting at the cache's current
-    /// length — the cursor is the cache itself) and leaves the chunk's
-    /// last final-normed hidden state in [`DecodeScratch::hidden_state`].
-    /// No LM head runs: mid-prompt logits are dead work, and the serving
-    /// layer batches the final chunk's LM head with the rest of its step
-    /// ([`Model::lm_head_batch`]).
-    ///
-    /// Prefilling a prompt as any sequence of chunks is bit-identical to
-    /// [`Model::prefill`] in one call: each position's kernels read only
-    /// the cache rows before it, which are the same however the chunk
-    /// boundaries fall. Kernels run serially (`par = false`), matching
-    /// [`Model::decode_hidden`] — this is the per-stream fallback's chunk
-    /// unit, called from inside a batch-level scope.
-    ///
-    /// # Panics
-    ///
-    /// As [`Model::prefill`].
-    pub fn prefill_chunk(&self, tokens: &[usize], cache: &mut KvCache, s: &mut DecodeScratch) {
-        assert!(!tokens.is_empty(), "prefill chunk must not be empty");
-        let start = cache.len();
-        for (i, &tok) in tokens.iter().enumerate() {
-            self.decode_hidden_impl(tok, start + i, cache, s, false);
-        }
     }
 
     /// One KV-cached decode step: processes `token` at position `pos` and
@@ -1378,17 +1353,6 @@ impl DecodeScratch {
             ..
         } = self;
         sample_logits(logits, temperature, rng, scores, probs)
-    }
-
-    /// Copies `src`'s logits into this scratch, so a stream forked from
-    /// a live donor (`KvCache::fork_full`) can sample its first token via
-    /// [`DecodeScratch::sample_last`] exactly as if it had run the
-    /// donor's prefill itself — the logits of the last prompt position
-    /// are a pure function of the prompt, so every forked sibling starts
-    /// from bit-identical logits.
-    pub fn adopt_logits(&mut self, src: &DecodeScratch) {
-        self.logits.clear();
-        self.logits.extend_from_slice(&src.logits);
     }
 
     /// Samples from caller-provided logits (a [`BatchOutput`] row), with

@@ -353,3 +353,38 @@ fn preallocate_fills_and_binds_to_capacity() {
         pool.release(p);
     }
 }
+
+/// Two co-owners privatizing the same page at once — two sibling
+/// streams appending into their shared tail in one step — must cost one
+/// copy, not two: admission reserves one page per owner, so a pool
+/// holding exactly those two pages must never run dry (regression: both
+/// racers saw the other's lease, both copied, and the third page
+/// panicked a bounded pool).
+#[test]
+fn racing_privatizers_of_one_page_copy_once() {
+    let (rows, dim) = (63, 512);
+    let pool = PagePool::new(KvPoolConfig {
+        storage: KvStorage::Fp32,
+        page_positions: rows + 1,
+        max_pages: Some(2),
+    });
+    let row = vec![1.0f32; dim];
+    for _ in 0..200 {
+        let mut a = pool.new_cache(1);
+        for _ in 0..rows {
+            a.append_row(0, &row, &row);
+        }
+        let mut b = a.fork_full();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|sc| {
+            for cache in [&mut a, &mut b] {
+                let (start, row) = (&start, &row);
+                sc.spawn(move || {
+                    start.wait();
+                    cache.append_row(0, row, row);
+                });
+            }
+        });
+        assert_eq!(pool.pages_in_use(), 2);
+    }
+}

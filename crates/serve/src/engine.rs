@@ -29,8 +29,8 @@
 //! ```text
 //! Pending ──► Prefilling ──► Decoding ──► Finished
 //!                 ▲             │  ▲
-//!                 │ (chunked    ▼  │ (preempted / resumed)
-//!                 │  resume) Suspended
+//!                 │ (resume     ▼  │ (preempted / resumed)
+//!                 │ re-prefills) Suspended
 //! ```
 //!
 //! [`SubmitHandle::state`] reports the current position in that

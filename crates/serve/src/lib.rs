@@ -6,11 +6,13 @@
 //! iteration-level [`Scheduler`] that admits requests (weighted
 //! round-robin across [`Priority`] classes, under page-accounted KV
 //! admission, preempting outranked streams when slots or pages run
-//! out), prefills new arrivals, and then continuous-batches decode —
-//! every iteration advances **all** active streams by one token,
-//! sharding the per-stream hidden-state work across one `rayon-lite`
-//! scope per batch and finishing with a single batched LM-head GEMM
-//! (`Model::lm_head_batch`). The [`Engine`] wraps that loop in a
+//! out) and then continuous-batches prefill and decode through one
+//! path — every iteration moves a span of tokens per stream into its KV
+//! cache with one grouped batched-attention call
+//! (`Model::decode_hidden_batch`: one token for each decoding stream,
+//! a prompt chunk for each stream still prefilling), finishing with a
+//! single batched LM-head GEMM (`Model::lm_head_batch`). The [`Engine`]
+//! wraps that loop in a
 //! handle-based serving front door: [`Engine::submit`] returns a
 //! [`SubmitHandle`] that polls its stream
 //! ([`SubmitHandle::try_next_tokens`]), reports its lifecycle state,
@@ -36,7 +38,7 @@
 //! few-shot header) additionally deduplicate the prefix KV itself:
 //! [`Scheduler::register_prefix`] prefills the prefix once into a
 //! pinned cache, requests carrying the registered key
-//! ([`Request::with_prefix`]) are admitted by *forking* that cache —
+//! ([`RequestBuilder::prefix`]) are admitted by *forking* that cache —
 //! refcounted shared pages, copy-on-write on first divergence — and
 //! admission charges each stream only its unshared pages. Sharing
 //! composes multiplicatively with compression: the prefix is stored
@@ -44,15 +46,15 @@
 //!
 //! Sharing can also be *discovered* instead of declared:
 //! `SchedulerConfig::auto_prefix` inserts every admitted prompt into a
-//! page-granular radix tree ([`radix::RadixTree`]), matches later
-//! prompts against it — forking the longest cached whole-page prefix,
-//! prefilling only the uncovered suffix — and LRU-evicts cold tree
-//! leaves under page pressure. The same fork mechanism, applied
-//! mid-stream, serves multi-sample requests:
-//! [`RequestBuilder::parallel`] / [`RequestBuilder::best_of`] prefill
-//! the prompt once and fork the live cache into `n` sibling streams
-//! whose sample `i` is bit-identical to a standalone request seeded
-//! `seed + i`.
+//! page-granular radix tree ([`radix::RadixTree`]) the step its last
+//! prompt chunk lands, matches later prompts against it — forking the
+//! longest cached whole-page prefix, prefilling only the uncovered
+//! suffix — and LRU-evicts cold tree leaves under page pressure. The
+//! same fork mechanism, applied mid-stream, serves multi-sample
+//! requests: [`RequestBuilder::parallel`] / [`RequestBuilder::best_of`]
+//! prefill the prompt once and fork the live cache into `n` sibling
+//! streams whose sample `i` is bit-identical to a standalone request
+//! seeded `seed + i`.
 //!
 //! # Determinism
 //!

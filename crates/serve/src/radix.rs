@@ -27,19 +27,18 @@
 //! Each node holds a [`KvCache`] covering positions `0..end` of its
 //! prefix. [`RadixTree::resident_pages`] charges each node its own edge
 //! span — the page-accounting total the scheduler adds to its admission
-//! watermark. That per-edge attribution is exact under the scheduler's
-//! insert discipline: a stream's cache prefix up to its matched depth
-//! was *forked from the tree path itself*, so a new leaf's pages below
-//! its edge are physically the path's pages (and an edge split forks
-//! the child's cache, allocating nothing). A standalone caller that
-//! inserts from a cache built independently of the tree keeps duplicate
-//! physical copies of any token-equal prefix pages; the span accounting
-//! deliberately ignores those (they are the source's to account), and
-//! eviction still frees every page the evicted node's cache holds.
-//! While a source stream is still decoding, its prompt pages are
-//! counted by both its reservation and the tree (the tree's lease is a
-//! refcount on the same physical pages) — conservative, never an
-//! undercount of what the tree itself retains.
+//! watermark — and the tree's page leases equal that total whatever
+//! cache an insert sources from: a new leaf leases its **parent path's**
+//! pages for `0..start` and the source's only for its own edge
+//! ([`KvCache::fork_spliced`]), and an edge split forks the child's
+//! cache, allocating nothing. A source that prefilled its own copy of an
+//! already-cached prefix (two same-prefix prompts admitted before either
+//! finished prefilling) keeps that duplicate to itself; it is charged to
+//! the stream's reservation and freed when the stream retires. While a
+//! source stream is still decoding, its prompt pages past the matched
+//! path are counted by both its reservation and the tree (the tree's
+//! lease is a refcount on the same physical pages) — conservative, never
+//! an undercount of what the tree itself retains.
 //!
 //! # Eviction
 //!
@@ -210,7 +209,8 @@ impl RadixTree {
     /// Longest cached prefix of `tokens` usable at page granularity,
     /// capped at `max_depth` tokens (the scheduler passes `prompt_len -
     /// 1` so at least one prompt token is always left to prefill — a
-    /// fresh stream needs the prefill logits of its last prompt token).
+    /// stream's first token comes off the hidden state of its last
+    /// prompt position).
     /// Touches the matched path's LRU stamps. Returns `None` when not
     /// even one whole page matches.
     pub fn lookup(&mut self, tokens: &[usize], max_depth: usize) -> Option<RadixMatch> {
@@ -359,7 +359,9 @@ impl RadixTree {
     }
 
     /// Appends a leaf under `parent` holding `t[depth..]` (whole pages by
-    /// construction), forked from `source`.
+    /// construction). Its cache leases the parent path's pages for
+    /// `0..depth` and `source`'s for the new edge only, so a source
+    /// carrying its own copy of the path adds no hidden residency.
     fn new_leaf(
         &mut self,
         parent: NodeId,
@@ -368,8 +370,11 @@ impl RadixTree {
         source: &mut KvCache,
         stamp: u64,
     ) -> NodeId {
-        debug_assert!(depth < t.len());
-        let cache = source.fork_prefix(t.len());
+        debug_assert!(depth < t.len() && depth == self.node(parent).end());
+        let cache = match self.node_mut(parent).cache.as_mut() {
+            Some(path) => path.fork_spliced(depth, source, t.len()),
+            None => source.fork_prefix(t.len()),
+        };
         let leaf = self.alloc(Node {
             parent,
             edge: t[depth..].to_vec(),
@@ -677,17 +682,16 @@ mod tests {
             8,
             "split is allocation-free; only b's own pages were added"
         );
-        drop(cb); // b's leaf keeps b's pages alive
-        assert_eq!(pool.pages_in_use(), 8);
-        // Accounting counts edge spans: 2 (interior) + 2 (a tail) + 2
-        // (b tail) — exact for scheduler-flow inserts, where b's first
-        // two pages would have been forked *from the tree* and thus be
-        // physically a's; this test's independently built cache keeps
-        // its own copies, the documented standalone-use undercount.
+        // b's leaf leases the interior node's pages for the shared span
+        // and b's only for its own tail, so b's independently built
+        // copies of pages 0–1 die with b's cache and the tree's leases
+        // equal its span accounting: 2 (interior) + 2 (a tail) + 2 (b
+        // tail).
+        drop(cb);
+        assert_eq!(pool.pages_in_use(), 6);
         assert_eq!(tree.resident_pages(), 2 + 2 + 2);
         // The interior node is not a leaf: evicting everything drains
-        // leaves first, then the exposed interior chain, and frees every
-        // physical page even when spans undercount duplicates.
+        // leaves first, then the exposed interior chain.
         assert_eq!(tree.evict_all(), 6);
         assert_eq!(pool.pages_in_use(), 0);
     }

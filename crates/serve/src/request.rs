@@ -3,9 +3,7 @@
 //! Requests are built with the validating [`RequestBuilder`]
 //! ([`Request::builder`]): nonsense configurations — an empty prompt,
 //! `parallel(0)`, `best_of(1)` — are rejected at *build* time with a
-//! [`RequestError`], instead of surfacing later at submit. The old
-//! mutating constructors ([`Request::greedy`] and friends) remain as
-//! deprecated shims for one release.
+//! [`RequestError`], instead of surfacing later at submit.
 
 /// Identifier assigned to a request at submission, unique per
 /// [`Scheduler`](crate::Scheduler).
@@ -236,46 +234,6 @@ impl Request {
             mode: SamplingMode::Single,
             priority: Priority::Normal,
         }
-    }
-
-    /// A greedy request with no EOS and no shared prefix.
-    #[deprecated(note = "use `Request::builder(prompt).max_new(n).build()`")]
-    pub fn greedy(prompt: Vec<usize>, max_new: usize) -> Self {
-        Request {
-            prompt,
-            prefix: None,
-            max_new,
-            eos: None,
-            sampling: SamplingParams::greedy(),
-            mode: SamplingMode::Single,
-            priority: Priority::Normal,
-        }
-    }
-
-    /// This request routed through the shared prefix registered under
-    /// `key` (builder style).
-    #[deprecated(note = "use `RequestBuilder::prefix`")]
-    pub fn with_prefix(mut self, key: impl Into<String>) -> Self {
-        self.prefix = Some(key.into());
-        self
-    }
-
-    /// This request as `n` parallel samples over one shared prompt
-    /// cache (builder style); sample `i` decodes with seed
-    /// `sampling.seed + i`.
-    #[deprecated(note = "use `RequestBuilder::parallel`, which rejects `n = 0` at build time")]
-    pub fn parallel(mut self, n: usize) -> Self {
-        self.mode = SamplingMode::Parallel { n };
-        self
-    }
-
-    /// This request as best-of-`n`: `n` candidates decode over one
-    /// shared prompt cache and only the highest cumulative-logprob
-    /// completion is reported (builder style).
-    #[deprecated(note = "use `RequestBuilder::best_of`, which rejects `n <= 1` at build time")]
-    pub fn best_of(mut self, n: usize) -> Self {
-        self.mode = SamplingMode::BestOf { n };
-        self
     }
 
     /// KV positions the scheduler's page accounting covers for this

@@ -4,15 +4,14 @@
 //! and up to `max_batch` active decode streams, each with its own
 //! pool-leased [`KvCache`], [`DecodeScratch`] and RNG. Every
 //! [`Scheduler::step`] is one engine iteration in the Orca style: admit
-//! what fits under the pool's free-page watermark, prefill new arrivals,
-//! then advance **every** active stream by one token — by default via
-//! grouped variable-length batched attention
-//! ([`Model::decode_hidden_batch`]: one KV-page walk per layer for the
-//! whole batch, each Anda page decoded at most once per step, attend
-//! work fanned by (stream, head)), followed by a single batched LM-head
-//! GEMM. `SchedulerConfig::grouped_attention = false` selects the
-//! bit-identical per-stream fallback (one `decode_hidden` job per
-//! stream in one scope).
+//! what fits under the pool's free-page watermark, then move tokens
+//! into the KV caches through **one** call — grouped variable-length
+//! batched attention ([`Model::decode_hidden_batch`]) over one
+//! [`BatchEntry`] span per stream: a one-token span for every decoding
+//! stream, a multi-token prompt chunk for every stream still
+//! prefilling. One KV-page walk per layer serves the whole batch, each
+//! Anda page decodes at most once per step, attend work fans by
+//! (stream, head), and a single batched LM-head GEMM follows.
 //!
 //! Admission is *page-accounted*: each admitted request reserves its
 //! worst-case page demand (`n_layers · ceil((prompt + max_new) /
@@ -48,19 +47,27 @@
 //! position ([`KvCache::fork_full`]) into `n` sibling streams whose
 //! divergent tails isolate copy-on-write — the prompt's KV is charged
 //! once, and each sample is bit-identical to a standalone request
-//! seeded with `seed + sample_index`.
+//! seeded with `seed + sample_index`. Siblings hold their slots from
+//! admission and fork the step the primary's last chunk lands; each
+//! one's first draw comes off the batched LM head from the primary's
+//! hidden state.
 //!
-//! Prefill itself is schedulable work, not an admission-time stall:
-//! with [`SchedulerConfig::prefill_chunk_tokens`] set, a new prompt is
-//! admitted instantly (slot + page reservation only) and worked off as
-//! multi-token chunks — each step packs up to the budget's worth of
-//! prompt tokens from still-prefilling streams into the *same* grouped
-//! batch as every active stream's one-token decode, so chunk attention
-//! shares the per-step page-decode cache and no decode stream ever
-//! waits on a long prompt. A chunked stream samples nothing until its
-//! final chunk lands (same step: the last prompt position's hidden
-//! state flows straight into the batched LM head), and the tokens it
-//! then produces are bit-identical to monolithic admission.
+//! Prefill is schedulable work, not an admission-time stall: admission
+//! only takes a slot and a page reservation, and the prompt is worked
+//! off as spans — each step grants up to
+//! [`SchedulerConfig::prefill_chunk_tokens`] prompt tokens to
+//! still-prefilling streams (slot order) and packs them into the *same*
+//! grouped batch as every active stream's one-token decode, so chunk
+//! attention shares the per-step page-decode cache. Under a bounded
+//! budget no decode stream ever waits on a long prompt; `None` is the
+//! unbounded budget — every admitted prompt lands whole, in one span,
+//! the step it is admitted. A stream samples nothing until its final
+//! chunk lands; that same step the last prompt position's hidden state
+//! flows straight into the batched LM head, and **the prompt becomes
+//! shareable** — it enters the radix tree under `auto_prefix`, so a
+//! same-prompt request admitted in a later step hits it, while one
+//! admitted in the same step prefills its own copy. The tokens a stream
+//! produces are bit-identical whatever the budget.
 //!
 //! # Priority, fairness and preemption
 //!
@@ -80,15 +87,15 @@
 //! most-page-holding) single-sample stream is unscheduled, its KV pages
 //! are released back to the pool ([`KvCache::release_pages`]), and its
 //! tokens-so-far plus its live RNG are parked as a resumable work item
-//! at the *front* of its class queue. Resume re-prefills the full
-//! generated-so-far sequence into a fresh cache — bit-exact because
-//! prefill and decode write identical KV rows (the chunked-prefill
-//! contract), and the saved RNG continues where it left off, so a
-//! suspended-and-resumed stream emits exactly the tokens of a
-//! never-preempted twin. Multi-sample groups are never preempted
-//! (their shared-page ledger is not suspendable), and a victim is only
-//! chosen if its resume demand fits the pool, so every suspended
-//! stream eventually finishes.
+//! at the *front* of its class queue. Resume *is* admission of a longer
+//! prompt: the full generated-so-far sequence re-prefills into a fresh
+//! cache through the same spans — bit-exact because prefill and decode
+//! write identical KV rows, and the saved RNG continues where it left
+//! off, so a suspended-and-resumed stream emits exactly the tokens of a
+//! never-preempted twin. Multi-sample groups are never preempted (their
+//! shared-page ledger is not suspendable), and a victim is only chosen
+//! if its resume demand fits the pool, so every suspended stream
+//! eventually finishes.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -130,13 +137,6 @@ pub struct SchedulerConfig {
     /// the cache footprint can never outgrow the pool mid-flight.
     /// `None` admits on slots alone.
     pub kv: KvPoolConfig,
-    /// Advance the batch with grouped variable-length batched attention
-    /// ([`Model::decode_hidden_batch`]): one KV-page walk per layer per
-    /// step, each Anda page decoded at most once no matter how many
-    /// streams attend through it. `false` falls back to one
-    /// [`Model::decode_hidden`] job per stream (the bit-identical
-    /// oracle path, kept for A/B tests and benches). Default `true`.
-    pub grouped_attention: bool,
     /// Automatic prefix caching: insert every admitted prompt into a
     /// page-granular radix tree and admit later prompts by forking
     /// their longest cached whole-page prefix — no
@@ -147,23 +147,23 @@ pub struct SchedulerConfig {
     /// so a drained pool intentionally keeps cache-resident pages —
     /// opt-in for workloads with prompt reuse.
     pub auto_prefix: bool,
-    /// Per-step prompt-token budget for *chunked prefill*. `None` (the
-    /// default) prefills each prompt whole at admission — every active
-    /// decode stream stalls for the full prompt. `Some(budget)` admits
-    /// single-sample requests without prefilling: each step packs up to
-    /// `budget` prompt tokens from admitted-but-unprefilled streams
-    /// (slot order, at least one token per step so admission always
-    /// progresses) *alongside* the one-token decode of every active
-    /// stream, all through the same grouped batched step — so a long
-    /// prompt arrival costs co-scheduled streams at most the marginal
-    /// chunk compute per step, never a monolithic stall. A prefilling
-    /// stream occupies its full reserved pages but samples nothing
-    /// until its last chunk lands (that step it joins the batched LM
-    /// head like any decoding stream, and enters the radix tree under
-    /// `auto_prefix`). Multi-sample requests and `max_new == 0`
-    /// requests keep the monolithic path: siblings fork the primary's
-    /// *completed* prefill. Token streams are bit-exact either way; the
-    /// knob only reorders when prompt compute happens.
+    /// Per-step prompt-token budget. Admission never prefills: each step
+    /// packs up to the budget's worth of prompt tokens from
+    /// admitted-but-unprefilled streams (slot order, at least one token
+    /// per step so admission always progresses) *alongside* the
+    /// one-token decode of every active stream, all through the same
+    /// grouped batched step — so under `Some(budget)` a long prompt
+    /// arrival costs co-scheduled streams at most the marginal chunk
+    /// compute per step. `None` (the default) is the unbounded budget:
+    /// every prompt lands whole the step it is admitted, and the prompt
+    /// tokens co-scheduled streams waited on are counted in
+    /// [`SchedulerStats::stalled_prefill_tokens`]. A prefilling stream
+    /// occupies its full reserved pages but samples nothing until its
+    /// last chunk lands (that step it joins the batched LM head like
+    /// any decoding stream, enters the radix tree under `auto_prefix`,
+    /// and — for a multi-sample request — forks its siblings). Token
+    /// streams are bit-exact whatever the budget; the knob only reorders
+    /// when prompt compute happens.
     pub prefill_chunk_tokens: Option<usize>,
     /// Preemption under pressure: when an arrival that *strictly
     /// outranks* an active single-sample stream cannot be admitted (no
@@ -171,8 +171,9 @@ pub struct SchedulerConfig {
     /// eviction), suspend the lowest-priority, most-page-holding victim
     /// — release its KV pages, park its tokens-so-far and RNG — and
     /// resume it later by re-prefilling its full generated-so-far
-    /// sequence (bit-exact; see the module docs). `false` makes a
-    /// blocked arrival wait instead, whatever its class. Default
+    /// sequence through the same spans (bit-exact; see the module
+    /// docs). `false` makes a blocked arrival wait instead, whatever its
+    /// class. Default
     /// `true`; with single-class (all-[`Priority::Normal`]) traffic
     /// preemption never triggers, so uniform workloads behave exactly
     /// as before either way.
@@ -184,7 +185,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_batch: 8,
             kv: KvPoolConfig::default(),
-            grouped_attention: true,
             auto_prefix: false,
             prefill_chunk_tokens: None,
             preemption: true,
@@ -403,8 +403,8 @@ pub enum Cancelled {
 pub enum StreamStatus {
     /// Queued, not yet admitted.
     Pending,
-    /// Admitted and working off its prompt (chunked prefill, or a
-    /// resumed stream re-prefilling its generated-so-far sequence).
+    /// Admitted and working off its prompt (or, for a resumed stream,
+    /// its whole generated-so-far sequence) under the per-step budget.
     Prefilling,
     /// Actively decoding one token per step.
     Decoding,
@@ -484,8 +484,7 @@ pub struct SchedulerStats {
     /// read path, cumulative across steps. Each physical page counts at
     /// most once per layer per step regardless of how many streams attend
     /// through it — the decode-once guarantee the `grouped_attention`
-    /// tests pin. Stays 0 under float policies (pages read in place) and
-    /// on the per-stream fallback path (which has no shared accounting).
+    /// tests pin. Stays 0 under float policies (pages read in place).
     pub pages_decoded: u64,
     /// Prompt positions automatic prefix caching served from the radix
     /// tree instead of prefilling (`auto_prefix` only; explicit-registry
@@ -501,17 +500,15 @@ pub struct SchedulerStats {
     /// position for [`SamplingMode::Parallel`] / [`SamplingMode::BestOf`]
     /// (the primary stream of a group is not counted — it prefilled).
     pub sample_forks: u64,
-    /// Prefill chunks packed into decode steps (one per stream per step
-    /// granted budget), cumulative. Stays 0 without
-    /// [`SchedulerConfig::prefill_chunk_tokens`].
+    /// Prefill chunks packed into steps (one per stream per step granted
+    /// budget), cumulative.
     pub prefill_chunks: u64,
-    /// Prompt tokens prefilled monolithically inside admission while at
-    /// least one other stream was active — each one a token's worth of
-    /// stall imposed on every co-scheduled decode stream. The number
-    /// chunked prefill exists to drive to 0: with
-    /// [`SchedulerConfig::prefill_chunk_tokens`] set, single-sample
-    /// admissions never prefill inline, so only multi-sample groups can
-    /// still add here.
+    /// Prompt tokens granted under an *unbounded* budget
+    /// ([`SchedulerConfig::prefill_chunk_tokens`]` = None`) in a step
+    /// that also carried at least one other active stream — each one a
+    /// token's worth of stall imposed on every co-scheduled stream. A
+    /// bounded budget caps the per-step stall at the budget and keeps
+    /// this at 0.
     pub stalled_prefill_tokens: u64,
     /// Streams suspended by preemption (pages released, parked for
     /// resume), cumulative.
@@ -529,10 +526,18 @@ pub struct SchedulerStats {
     pub cancelled: u64,
 }
 
-/// One active decode stream.
-struct Stream {
+/// What a stream is decoding, independent of where its KV lives:
+/// everything needed to continue bit-exactly except the pages. This is
+/// also the parked form of a preempted stream — the token prefix
+/// (prompt + generated-so-far) is re-prefilled at resume, writing the
+/// identical KV rows decode did, and the live RNG continues, so the
+/// resumed stream's remaining tokens match a never-preempted twin's
+/// exactly.
+struct Sequence {
     id: RequestId,
-    /// Prompt followed by the tokens generated so far.
+    /// Prompt followed by the tokens generated so far (the last one's
+    /// KV row is not yet appended — exactly the state a decode step
+    /// continues from).
     tokens: Vec<usize>,
     prompt_len: usize,
     max_new: usize,
@@ -541,7 +546,14 @@ struct Stream {
     /// Admission class; decides preemption rank (only strictly
     /// lower-priority streams may be suspended for an arrival).
     priority: Priority,
+    /// Mid-stream across a suspend: resume must draw the same samples
+    /// the uninterrupted stream would have.
     rng: Rng,
+}
+
+/// One active stream: a [`Sequence`] holding a slot and KV pages.
+struct Stream {
+    seq: Sequence,
     cache: KvCache,
     scratch: DecodeScratch,
     /// KV pages reserved against the pool for this stream (worst-case
@@ -565,21 +577,21 @@ struct Stream {
     /// in `f64` — the best-of selection score. Only maintained for
     /// grouped streams (singles skip the log-softmax work).
     cum_logprob: f64,
-    /// Admitted this iteration: its first token comes from the prefill
-    /// logits, so it skips the decode phase once. Never set for
-    /// chunked-prefill streams, whose first token comes from the batched
-    /// LM head of their final chunk's step.
-    fresh: bool,
-    /// Chunked-prefill cursor: prompt positions `[0, cursor)` are cached
-    /// (the fork depth at admission, then advanced by each granted
-    /// chunk); `None` once the whole prompt is prefilled — or always,
-    /// for monolithic admissions. A `Some` stream decodes nothing and
-    /// samples nothing; it only consumes granted chunk budget.
+    /// A sampling sibling whose group primary (in this slot) is still
+    /// prefilling: it holds its slot with an empty cache, forks the
+    /// primary's the step the last chunk lands, and draws its first
+    /// token from the primary's hidden state. `None` for every other
+    /// stream, and for siblings once forked.
+    awaits_primary: Option<usize>,
+    /// Prefill cursor: positions `[0, cursor)` of `seq.tokens` are
+    /// cached (the fork depth at admission, then advanced by each
+    /// granted chunk); `None` once `prefill_target` is reached. A `Some`
+    /// stream decodes nothing and samples nothing; it only consumes
+    /// granted chunk budget.
     prefill_cursor: Option<usize>,
-    /// Positions the chunked cursor must reach before this stream
-    /// samples: `prompt_len` for a normal admission, `tokens.len()` at
-    /// resume for a preemption-suspended stream (whose generated-so-far
-    /// suffix re-prefills too, and which must never re-enter the radix
+    /// Positions the cursor must reach before this stream samples:
+    /// `prompt_len` for a new request, the whole generated-so-far
+    /// sequence for a resumed one (which must never re-enter the radix
     /// tree — its "prompt" isn't one).
     prefill_target: usize,
     /// Prompt tokens granted to this stream by the current step's budget
@@ -594,35 +606,12 @@ struct Pending {
     request: Request,
 }
 
-/// A preempted stream parked for resume: everything needed to continue
-/// bit-exactly except its KV pages, which went back to the pool. The
-/// token prefix (prompt + generated-so-far) is re-prefilled at resume —
-/// prefill writes the identical KV rows decode did — and the live RNG
-/// continues, so the resumed stream's remaining tokens match a
-/// never-preempted twin's exactly. Only single-sample streams are ever
-/// suspended, so no group/logprob state is parked.
-struct SuspendedStream {
-    id: RequestId,
-    /// Prompt followed by every token generated before the suspend
-    /// (the last one's KV row was not yet appended — exactly the state
-    /// a decode step resumes from).
-    tokens: Vec<usize>,
-    prompt_len: usize,
-    max_new: usize,
-    eos: Option<usize>,
-    sampling: SamplingParams,
-    priority: Priority,
-    /// The live RNG, mid-stream: resume must draw the same samples the
-    /// uninterrupted stream would have.
-    rng: Rng,
-}
-
 /// One unit of admissible work in a class queue: a not-yet-admitted
 /// request, or a suspended stream awaiting resume (parked at the front
 /// of its class so it is that class's next grant).
 enum WorkItem {
     New(Pending),
-    Resume(SuspendedStream),
+    Resume(Sequence),
 }
 
 impl WorkItem {
@@ -818,7 +807,8 @@ impl<'a> Scheduler<'a> {
         if n <= 1 {
             return primary;
         }
-        primary + (n - 1) * self.member_tail_pages(request, prefix_len)
+        let prompt_len = prefix_len.saturating_add(request.prompt.len());
+        primary + (n - 1) * self.member_tail_pages(prompt_len, request.max_new)
     }
 
     /// Worst-case KV page demand of resuming suspended stream `s`: its
@@ -828,17 +818,16 @@ impl<'a> Scheduler<'a> {
     /// `prompt_len + max_new`, so the demand is fixed at suspend time —
     /// victim selection checks it against the pool capacity up front,
     /// guaranteeing every suspended stream can eventually resume.
-    fn resume_demand(&self, s: &SuspendedStream) -> usize {
+    fn resume_demand(&self, s: &Sequence) -> usize {
         self.model.config().n_layers * self.cfg.kv.pages_for(s.prompt_len + s.max_new)
     }
 
     /// Pages one member of a multi-sample group reserves privately: its
-    /// worst-case pages beyond the prompt's whole (group-shared) pages.
-    fn member_tail_pages(&self, request: &Request, prefix_len: usize) -> usize {
-        let total = prefix_len.saturating_add(request.reserve_tokens());
-        let prompt_whole =
-            prefix_len.saturating_add(request.prompt.len()) / self.cfg.kv.page_positions;
-        self.model.config().n_layers * self.cfg.kv.pages_for(total).saturating_sub(prompt_whole)
+    /// worst-case pages beyond the (effective) prompt's whole,
+    /// group-shared pages.
+    fn member_tail_pages(&self, prompt_len: usize, max_new: usize) -> usize {
+        let total = self.cfg.kv.pages_for(prompt_len.saturating_add(max_new));
+        self.model.config().n_layers * total.saturating_sub(prompt_len / self.cfg.kv.page_positions)
     }
 
     /// Queues a request, validating it is servable under this model,
@@ -973,7 +962,15 @@ impl<'a> Scheduler<'a> {
         }
         let mut cache = self.kv_pool.new_cache(self.model.config().n_layers);
         let mut scratch = self.spare_scratches.pop().unwrap_or_default();
-        self.model.prefill(&tokens, &mut cache, &mut scratch);
+        let mut span = [BatchEntry {
+            tokens: &tokens,
+            pos: 0,
+            cache: &mut cache,
+            scratch: &mut scratch,
+        }];
+        self.model
+            .decode_hidden_batch(&mut span, &mut self.decode_cache, self.pool);
+        self.stats.pages_decoded = self.decode_cache.pages_decoded();
         self.spare_scratches.push(scratch);
         self.stats.prefill_tokens += tokens.len() as u64;
         self.stats.peak_pages_in_use = self
@@ -1040,15 +1037,12 @@ impl<'a> Scheduler<'a> {
         self.prefixes.get(key).map(|e| e.tokens.len())
     }
 
-    /// Runs one engine iteration: admit whatever fits, then advance
-    /// every active stream by one token (a grouped batched decode — or
-    /// the per-stream fallback — for the hidden-state work, then one
-    /// batched LM-head dispatch). With
-    /// [`SchedulerConfig::prefill_chunk_tokens`] set, admitted-but-
-    /// unprefilled streams also advance: up to the budget's worth of
-    /// their prompt tokens ride in the same batch as everyone else's
-    /// decode, so a long prompt never stalls active streams. Returns
-    /// the number of tokens sampled this iteration.
+    /// Runs one engine iteration: admit whatever fits, grant this step's
+    /// prompt-token budget ([`SchedulerConfig::prefill_chunk_tokens`]),
+    /// then advance every stream through one grouped batched call — a
+    /// prompt chunk for each granted prefilling stream, one token for
+    /// each decoding stream — followed by one batched LM-head dispatch.
+    /// Returns the number of tokens sampled this iteration.
     pub fn step(&mut self) -> usize {
         if self.is_idle() {
             return 0;
@@ -1056,206 +1050,143 @@ impl<'a> Scheduler<'a> {
         self.stats.steps += 1;
         self.admit();
 
-        // Chunk-budget packing: grant this step's prompt-token budget
-        // to still-prefilling streams in slot order. The budget is
+        // Budget packing: grant this step's prompt-token budget to
+        // still-prefilling streams in slot order. A bounded budget is
         // clamped to at least 1 so the head of the prefill line always
         // advances; decode streams are untouched — their one-token
-        // entries share the batch (and the page-decode cache) with the
+        // spans share the batch (and the page-decode cache) with the
         // chunks below.
-        let mut chunk_budget = match self.cfg.prefill_chunk_tokens {
-            Some(b) => b.max(1),
-            None => 0,
-        };
+        let mut chunk_budget = self
+            .cfg
+            .prefill_chunk_tokens
+            .map_or(usize::MAX, |b| b.max(1));
         let mut chunk_tokens = 0usize;
         for stream in self.slots.iter_mut().flatten() {
-            stream.step_chunk = 0;
-            if chunk_budget == 0 {
-                continue;
-            }
-            let Some(cursor) = stream.prefill_cursor else {
-                continue;
-            };
-            let take = (stream.prefill_target - cursor).min(chunk_budget);
-            stream.step_chunk = take;
-            chunk_budget -= take;
-            chunk_tokens += take;
+            let cursor = stream.prefill_cursor.unwrap_or(stream.prefill_target);
+            stream.step_chunk = (stream.prefill_target - cursor).min(chunk_budget);
+            chunk_budget -= stream.step_chunk;
+            chunk_tokens += stream.step_chunk;
+        }
+        if self.cfg.prefill_chunk_tokens.is_none() && self.active_len() > 1 {
+            self.stats.stalled_prefill_tokens += chunk_tokens as u64;
         }
 
-        // Decode phase. Grouped (default): one KV-page walk per layer
-        // for the whole batch via `Model::decode_hidden_batch` — each
-        // Anda page decodes at most once per step into the scheduler's
-        // shared arena no matter how many streams attend through it,
-        // with attend work fanned by (stream, head). Fallback: every
-        // non-fresh stream computes its next hidden state as one job
-        // inside a single scope for the whole batch — kernels inside
-        // the jobs run serially (`Model::decode_hidden`), so pool
-        // dispatch happens once per iteration, not per kernel. Both
-        // paths are bit-identical; streams lease KV pages from the
-        // shared pool concurrently either way, with the pool lock taken
-        // only at page boundaries.
-        let model = self.model;
-        if self.cfg.grouped_attention {
-            let mut entries: Vec<BatchEntry<'_>> = self
-                .slots
-                .iter_mut()
-                .flatten()
-                .filter_map(|stream| {
-                    let Stream {
-                        tokens,
-                        cache,
-                        scratch,
-                        prefill_cursor,
-                        step_chunk,
-                        fresh,
-                        ..
-                    } = stream;
-                    if let Some(cursor) = *prefill_cursor {
-                        // Still prefilling: the granted chunk is one
-                        // multi-token entry (span = chunk length).
-                        if *step_chunk == 0 {
-                            return None;
-                        }
-                        return Some(BatchEntry {
-                            tokens: &tokens[cursor..cursor + *step_chunk],
-                            pos: cursor,
-                            cache,
-                            scratch,
-                        });
-                    }
-                    if *fresh {
-                        return None;
-                    }
-                    Some(BatchEntry {
-                        tokens: &tokens[tokens.len() - 1..],
-                        pos: tokens.len() - 1,
-                        cache,
-                        scratch,
-                    })
+        // One span per stream with work this step: the granted chunk of
+        // a prefilling stream, the last sampled token of a decoding one.
+        // Budget-starved streams and unforked siblings sit the step out.
+        let mut entries: Vec<BatchEntry<'_>> = self
+            .slots
+            .iter_mut()
+            .flatten()
+            .filter_map(|stream| {
+                let (pos, span) = match stream.prefill_cursor {
+                    Some(cursor) => (cursor, stream.step_chunk),
+                    None if stream.awaits_primary.is_some() => return None,
+                    None => (stream.seq.tokens.len() - 1, 1),
+                };
+                (span > 0).then_some(BatchEntry {
+                    tokens: &stream.seq.tokens[pos..pos + span],
+                    pos,
+                    cache: &mut stream.cache,
+                    scratch: &mut stream.scratch,
                 })
-                .collect();
-            model.decode_hidden_batch(&mut entries, &mut self.decode_cache, self.pool);
-            self.stats.pages_decoded = self.decode_cache.pages_decoded();
-        } else {
-            self.pool.scope(|sc| {
-                for stream in self.slots.iter_mut().flatten() {
-                    let Stream {
-                        tokens,
-                        cache,
-                        scratch,
-                        prefill_cursor,
-                        step_chunk,
-                        fresh,
-                        ..
-                    } = stream;
-                    if let Some(cursor) = *prefill_cursor {
-                        if *step_chunk == 0 {
-                            continue;
-                        }
-                        let chunk = &tokens[cursor..cursor + *step_chunk];
-                        sc.spawn(move || {
-                            model.prefill_chunk(chunk, cache, scratch);
-                        });
-                        continue;
-                    }
-                    if *fresh {
-                        continue;
-                    }
-                    let token = *tokens.last().expect("stream holds its prompt");
-                    let pos = tokens.len() - 1;
-                    sc.spawn(move || {
-                        model.decode_hidden(token, pos, cache, scratch);
-                    });
-                }
-            });
-        }
+            })
+            .collect();
+        self.model
+            .decode_hidden_batch(&mut entries, &mut self.decode_cache, self.pool);
+        self.stats.pages_decoded = self.decode_cache.pages_decoded();
 
         // Advance the cursors for the chunks just landed. A stream
         // whose final chunk completed flips to decode mode *this step*:
         // its last prompt position's hidden state is already in
         // scratch, so it flows into the batched LM head below and
-        // samples its first token now — once its turn in the budget
-        // comes, chunked admission costs no extra steps versus
-        // monolithic.
+        // samples its first token now.
         for stream in self.slots.iter_mut().flatten() {
-            if stream.step_chunk == 0 {
+            let take = std::mem::take(&mut stream.step_chunk);
+            if take == 0 {
                 continue;
             }
-            let take = stream.step_chunk;
-            stream.step_chunk = 0;
             let cursor = stream
                 .prefill_cursor
                 .expect("granted budget implies a cursor")
                 + take;
             self.stats.prefill_tokens += take as u64;
             self.stats.prefill_chunks += 1;
-            if cursor == stream.prefill_target {
-                stream.prefill_cursor = None;
-                // The completed prompt enters the prefix cache only now
-                // — insert-on-completion mirrors the monolithic path's
-                // insert-after-prefill, so the tree never serves a
-                // partially prefilled prefix. Resumed streams
-                // (`prefill_target > prompt_len`) stay out: their
-                // re-prefilled sequence includes generated tokens,
-                // which are not a prompt.
-                if self.cfg.auto_prefix
-                    && stream.prefix.is_none()
-                    && stream.prefill_target == stream.prompt_len
-                {
-                    self.radix
-                        .insert(&stream.tokens[..stream.prompt_len], &mut stream.cache);
-                }
-            } else {
+            if cursor < stream.prefill_target {
                 stream.prefill_cursor = Some(cursor);
+                continue;
+            }
+            stream.prefill_cursor = None;
+            // The completed prompt enters the prefix cache only now, so
+            // the tree never serves a partially prefilled prefix.
+            // Resumed streams (`prefill_target > prompt_len`) stay out:
+            // their re-prefilled sequence includes generated tokens,
+            // which are not a prompt.
+            let prompt_len = stream.seq.prompt_len;
+            if self.cfg.auto_prefix
+                && stream.prefix.is_none()
+                && stream.prefill_target == prompt_len
+            {
+                self.radix
+                    .insert(&stream.seq.tokens[..prompt_len], &mut stream.cache);
             }
         }
 
-        // Batched LM head: one GEMM-shaped dispatch over all hidden
-        // rows. Still-prefilling streams have no row — their scratch
-        // holds a mid-prompt hidden state that never reaches sampling.
+        // Batched LM head: one GEMM-shaped dispatch over one hidden row
+        // per sampling stream, slot order. Still-prefilling streams have
+        // no row — their scratch holds a mid-prompt hidden state that
+        // never reaches sampling. A sibling whose primary's last chunk
+        // just landed forks here (`fork_full`: every whole prompt page
+        // shared, the partial tail copy-on-write) and takes its first
+        // row from the primary's hidden state, so it decodes exactly
+        // like a standalone request seeded `seed + i`.
         self.batch.clear();
-        for stream in self.slots.iter().flatten() {
-            if !stream.fresh && stream.prefill_cursor.is_none() {
-                self.batch.push_hidden(stream.scratch.hidden_state());
+        for i in 0..self.slots.len() {
+            let Some(stream) = &self.slots[i] else {
+                continue;
+            };
+            let primary = stream.awaits_primary;
+            let source = self.slots[primary.unwrap_or(i)]
+                .as_mut()
+                .expect("a primary outlives its unforked siblings");
+            if source.prefill_cursor.is_some() {
+                continue;
+            }
+            self.batch.push_hidden(source.scratch.hidden_state());
+            if primary.is_some() {
+                let fork = source.cache.fork_full();
+                let sibling = self.slots[i].as_mut().expect("checked above");
+                sibling.cache = fork;
+                sibling.awaits_primary = None;
+                self.stats.sample_forks += 1;
             }
         }
         self.model.lm_head_batch_pool(&mut self.batch, self.pool);
 
-        // Sampling: fresh streams draw from their prefill logits, batched
-        // streams from their LM-head row. Either way the draw (and the
-        // stream-private RNG advance) matches a solo `Model::generate`.
-        let mut row = 0;
-        let mut sampled = 0;
-        for stream in self.slots.iter_mut().flatten() {
-            if stream.prefill_cursor.is_some() {
-                continue;
-            }
-            let temperature = stream.sampling.temperature;
-            let was_fresh = stream.fresh;
-            let next = if was_fresh {
-                stream.fresh = false;
-                stream.scratch.sample_last(temperature, &mut stream.rng)
-            } else {
-                let logits = self.batch.logits_row(row);
-                row += 1;
-                stream.scratch.sample(logits, temperature, &mut stream.rng)
-            };
+        // Sampling: every row's stream draws with its private RNG, so
+        // the draw matches a solo `Model::generate`.
+        let sampled = self.batch.len();
+        let sampling = self
+            .slots
+            .iter_mut()
+            .flatten()
+            .filter(|s| s.prefill_cursor.is_none() && s.awaits_primary.is_none());
+        for (row, stream) in sampling.enumerate() {
+            let logits = self.batch.logits_row(row);
+            let seq = &mut stream.seq;
+            let next = stream
+                .scratch
+                .sample(logits, seq.sampling.temperature, &mut seq.rng);
             if stream.group.is_some() {
                 // Best-of scoring: the log-softmax of the drawn token,
                 // off the same logits the draw used. Grouped streams
                 // only — singles skip the extra vocab pass.
-                let logits = if was_fresh {
-                    stream.scratch.logits()
-                } else {
-                    self.batch.logits_row(row - 1)
-                };
                 stream.cum_logprob += logprob_of(logits, next);
             }
-            stream.tokens.push(next);
-            sampled += 1;
-            let generated = stream.tokens.len() - stream.prompt_len;
-            if stream.eos == Some(next) {
+            seq.tokens.push(next);
+            if seq.eos == Some(next) {
                 stream.done = Some(FinishReason::Eos);
-            } else if generated >= stream.max_new {
+            } else if seq.tokens.len() - seq.prompt_len >= seq.max_new {
                 stream.done = Some(FinishReason::Length);
             }
         }
@@ -1272,7 +1203,23 @@ impl<'a> Scheduler<'a> {
             sampled > 0 || chunk_tokens > 0 || self.is_idle(),
             "scheduler iteration made no progress"
         );
+        self.debug_check_ledger();
         sampled
+    }
+
+    /// The page-ledger invariant, checked every step in debug builds:
+    /// every leased page is covered by a pin, a stream or group
+    /// reservation, or the radix tree's span accounting.
+    fn debug_check_ledger(&self) {
+        debug_assert!(
+            self.kv_pool.pages_in_use()
+                <= self.pinned_pages + self.reserved_pages + self.radix.resident_pages(),
+            "leased pages {} outgrew pinned {} + reserved {} + radix-resident {}",
+            self.kv_pool.pages_in_use(),
+            self.pinned_pages,
+            self.reserved_pages,
+            self.radix.resident_pages()
+        );
     }
 
     /// Drives [`Scheduler::step`] until idle and drains the finished
@@ -1317,14 +1264,13 @@ impl<'a> Scheduler<'a> {
 
     /// Tokens generated so far by the primary (sample 0) stream of
     /// `id`, or `None` while it is neither active nor suspended
-    /// (pending, or already finished). A still-prefilling chunked
-    /// stream reports `Some(0)` — the probe a latency harness needs to
-    /// measure time-to-first-token step by step. A suspended stream
-    /// reports its generated-so-far count.
+    /// (pending, or already finished). A still-prefilling stream
+    /// reports `Some(0)` — the probe a latency harness needs to measure
+    /// time-to-first-token step by step. A suspended stream reports its
+    /// generated-so-far count.
     pub fn generated_len(&self, id: RequestId) -> Option<usize> {
-        self.stream_tokens(id)
-            .zip(self.prompt_len_of(id))
-            .map(|(tokens, prompt)| tokens.len().saturating_sub(prompt))
+        self.live_sequence(id)
+            .map(|seq| seq.tokens.len() - seq.prompt_len)
     }
 
     /// The token sequence (effective prompt + generated so far) of the
@@ -1332,33 +1278,21 @@ impl<'a> Scheduler<'a> {
     /// the poll surface [`Engine`](crate::Engine) handles stream
     /// incremental tokens from.
     pub fn stream_tokens(&self, id: RequestId) -> Option<&[usize]> {
-        self.slots
-            .iter()
-            .flatten()
-            .find(|s| s.id == id && s.sample_index == 0)
-            .map(|s| s.tokens.as_slice())
-            .or_else(|| {
-                self.pending.iter().flatten().find_map(|item| match item {
-                    WorkItem::Resume(s) if s.id == id => Some(s.tokens.as_slice()),
-                    _ => None,
-                })
-            })
+        self.live_sequence(id).map(|seq| seq.tokens.as_slice())
     }
 
-    /// Effective prompt length of the live request `id` (prefix tokens
-    /// included), if it is active or suspended.
-    fn prompt_len_of(&self, id: RequestId) -> Option<usize> {
-        self.slots
-            .iter()
-            .flatten()
-            .find(|s| s.id == id && s.sample_index == 0)
-            .map(|s| s.prompt_len)
-            .or_else(|| {
-                self.pending.iter().flatten().find_map(|item| match item {
-                    WorkItem::Resume(s) if s.id == id => Some(s.prompt_len),
-                    _ => None,
-                })
-            })
+    /// The primary (sample 0) sequence of the live request `id`, whether
+    /// it holds a slot or is parked for resume.
+    fn live_sequence(&self, id: RequestId) -> Option<&Sequence> {
+        let active = self.slots.iter().flatten();
+        active
+            .filter(|s| s.sample_index == 0)
+            .map(|s| &s.seq)
+            .chain(self.pending.iter().flatten().filter_map(|item| match item {
+                WorkItem::Resume(seq) => Some(seq),
+                WorkItem::New(_) => None,
+            }))
+            .find(|seq| seq.id == id)
     }
 
     /// Lifecycle position of the live request `id`: `Pending`,
@@ -1370,7 +1304,7 @@ impl<'a> Scheduler<'a> {
             .slots
             .iter()
             .flatten()
-            .find(|s| s.id == id && s.sample_index == 0)
+            .find(|s| s.seq.id == id && s.sample_index == 0)
         {
             return Some(if s.prefill_cursor.is_some() {
                 StreamStatus::Prefilling
@@ -1472,11 +1406,7 @@ impl<'a> Scheduler<'a> {
             let item = self.pending[class]
                 .pop_front()
                 .expect("WRR picked a non-empty class");
-            let admitted = match item {
-                WorkItem::New(pending) => self.admit_new(class, pending),
-                WorkItem::Resume(suspended) => self.admit_resume(class, suspended),
-            };
-            if !admitted {
+            if !self.admit_item(class, item) {
                 break;
             }
             self.wrr_cursor = (self.wrr_cursor + 1) % WRR_SCHEDULE.len();
@@ -1511,25 +1441,21 @@ impl<'a> Scheduler<'a> {
         if !self.cfg.preemption {
             return false;
         }
-        let n_layers = self.model.config().n_layers;
         let victim = self
             .slots
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
             .filter(|(_, s)| s.done.is_none() && s.group.is_none())
-            .filter(|(_, s)| s.priority.index() > rank)
+            .filter(|(_, s)| s.seq.priority.index() > rank)
             .filter(|(_, s)| match self.kv_pool.capacity() {
                 // A victim must stay resumable: its re-prefill demand
                 // has to fit next to the pinned pages, or suspending it
                 // would strand it forever.
-                Some(cap) => {
-                    n_layers * self.cfg.kv.pages_for(s.prompt_len + s.max_new)
-                        <= cap.saturating_sub(self.pinned_pages)
-                }
+                Some(cap) => self.resume_demand(&s.seq) <= cap.saturating_sub(self.pinned_pages),
                 None => true,
             })
-            .max_by_key(|&(i, s)| (s.priority.index(), s.reserved_pages, i))
+            .max_by_key(|&(i, s)| (s.seq.priority.index(), s.reserved_pages, i))
             .map(|(i, _)| i);
         let Some(slot) = victim else { return false };
         self.suspend(slot);
@@ -1561,17 +1487,8 @@ impl<'a> Scheduler<'a> {
         }
         self.spare_scratches.push(stream.scratch);
         self.stats.preemptions += 1;
-        let class = stream.priority.index();
-        self.pending[class].push_front(WorkItem::Resume(SuspendedStream {
-            id: stream.id,
-            tokens: stream.tokens,
-            prompt_len: stream.prompt_len,
-            max_new: stream.max_new,
-            eos: stream.eos,
-            sampling: stream.sampling,
-            priority: stream.priority,
-            rng: stream.rng,
-        }));
+        let class = stream.seq.priority.index();
+        self.pending[class].push_front(WorkItem::Resume(stream.seq));
     }
 
     /// Makes `demand` pages admissible under the watermark for an
@@ -1603,316 +1520,183 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Re-admits a suspended stream: one slot, undiscounted page
-    /// demand, then a re-prefill of its full token sequence so far —
-    /// monolithic (the stream then samples from the prefill's
-    /// last-position logits like a fresh admission), or chunked when
-    /// the config prefers it (the re-prefill rides the per-step budget
-    /// and the first resumed token comes off the batched LM head).
-    /// Either way the parked RNG continues, so the remaining tokens are
-    /// bit-identical to a twin that was never suspended. Returns
-    /// `false` (work item pushed back) when blocked.
-    fn admit_resume(&mut self, class: usize, suspended: SuspendedStream) -> bool {
-        if self.active_len() + 1 > self.cfg.max_batch {
-            self.pending[class].push_front(WorkItem::Resume(suspended));
-            return false;
-        }
-        let demand = self.resume_demand(&suspended);
-        if !self.ensure_headroom(class, demand) {
-            self.pending[class].push_front(WorkItem::Resume(suspended));
-            return false;
-        }
-        let SuspendedStream {
-            id,
-            tokens,
-            prompt_len,
-            max_new,
-            eos,
-            sampling,
-            priority,
-            rng,
-        } = suspended;
-        let mut scratch = self.spare_scratches.pop().unwrap_or_default();
-        let mut cache = self
-            .spare_caches
-            .pop()
-            .unwrap_or_else(|| self.kv_pool.new_cache(self.model.config().n_layers));
-        debug_assert!(cache.is_empty(), "spare caches are reset at retirement");
-        let chunked = self.cfg.prefill_chunk_tokens.is_some();
-        if !chunked {
-            if self.active_len() > 0 {
-                self.stats.stalled_prefill_tokens += tokens.len() as u64;
-            }
-            self.model.prefill(&tokens, &mut cache, &mut scratch);
-            self.stats.prefill_tokens += tokens.len() as u64;
-        }
-        self.stats.resumes += 1;
-        self.stats.resumed_prefill_tokens += tokens.len() as u64;
-        self.reserved_pages += demand;
-        let prefill_target = tokens.len();
-        let stream = Stream {
-            id,
-            tokens,
-            prompt_len,
-            max_new,
-            eos,
-            sampling,
-            priority,
-            rng,
-            cache,
-            scratch,
-            reserved_pages: demand,
-            prefix: None,
-            radix_node: None,
-            group: None,
-            sample_index: 0,
-            cum_logprob: 0.0,
-            // The next token draws from the re-prefill's last-position
-            // logits — exactly the logits the never-suspended twin
-            // sampled its next token from.
-            fresh: !chunked,
-            prefill_cursor: chunked.then_some(0),
-            prefill_target,
-            step_chunk: 0,
-            done: None,
+    /// Admits one work item: takes its slots and page reservation and
+    /// hands it a cache — nothing is prefilled here; [`Scheduler::step`]
+    /// works the prompt off as spans. A prefix request's cache is forked
+    /// from the registry's pinned cache — the prefix positions arrive as
+    /// refcounted shared pages — and with `auto_prefix` a plain request
+    /// forks its longest cached whole-page prefix from the radix tree
+    /// the same way; the prefill cursor starts past whatever the fork
+    /// covers. A multi-sample request places its `n - 1` siblings now
+    /// (slots held, caches empty) to fork the primary once its prompt
+    /// has landed. A `max_new == 0` request finishes right here.
+    ///
+    /// Resume *is* single-sample admission of a longer prompt: the
+    /// parked sequence re-prefills whole (`prefill_target` is its full
+    /// length) at undiscounted demand, skips the radix tree both ways,
+    /// and keeps its RNG.
+    ///
+    /// Returns `false` (work item pushed back) when blocked on slots or
+    /// pages.
+    fn admit_item(&mut self, class: usize, item: WorkItem) -> bool {
+        let request = match &item {
+            WorkItem::New(p) => Some(&p.request),
+            WorkItem::Resume(_) => None,
         };
-        self.stats.peak_pages_in_use = self
-            .stats
-            .peak_pages_in_use
-            .max(self.kv_pool.pages_in_use());
-        self.place(stream);
-        true
-    }
-
-    /// Admits one new request — the per-item body of the old FIFO
-    /// admission. A prefix request's cache is forked from the
-    /// registry's pinned cache — the prefix positions arrive as
-    /// refcounted shared pages, already prefilled — and only the
-    /// private prompt suffix is prefilled, so the stream can still
-    /// sample its first token this iteration. With `auto_prefix`, a
-    /// plain request is first matched against the radix tree (forking
-    /// its longest cached whole-page prefix the same way) and its full
-    /// prompt is inserted back after prefill. Multi-sample requests
-    /// fork `n - 1` siblings off the primary's just-prefilled cache at
-    /// its live position. Returns `false` (work item pushed back) when
-    /// blocked on slots or pages.
-    fn admit_new(&mut self, class: usize, pending: Pending) -> bool {
-        let n = pending.request.mode.samples();
+        let n = request.map_or(1, |r| r.mode.samples());
         if self.active_len() + n > self.cfg.max_batch {
-            self.pending[class].push_front(WorkItem::New(pending));
+            self.pending[class].push_front(item);
             return false;
         }
-        {
-            let Pending { id, request } = pending;
-            // Match the prompt against the automatic prefix cache. The
-            // lookup is capped one short of the prompt: a fresh stream
-            // samples its first token from the prefill logits of its
-            // last prompt position, so at least that position must be
-            // prefilled. A hit is `acquire`d immediately — the node must
-            // survive the eviction pass below and the stream's decode.
-            let hit = if self.cfg.auto_prefix && request.prefix.is_none() {
-                let hit = self.radix.lookup(&request.prompt, request.prompt.len() - 1);
-                if let Some(m) = hit {
-                    self.radix.acquire(m.node);
-                }
-                hit
-            } else {
-                None
-            };
-            let demand = self.demand_with_hit(&request, hit.map_or(0, |m| m.depth));
-            if !self.ensure_headroom(class, demand) {
-                if let Some(m) = hit {
-                    self.radix.release(m.node);
-                }
-                self.pending[class].push_front(WorkItem::New(Pending { id, request }));
-                return false;
+        // Match the prompt against the automatic prefix cache. The
+        // lookup is capped one short of the prompt: a stream's first
+        // token comes off the hidden state of its last prompt position,
+        // so at least that position must be prefilled. A hit is
+        // `acquire`d immediately — the node must survive the eviction
+        // pass below and the stream's decode.
+        let hit = request
+            .filter(|r| self.cfg.auto_prefix && r.prefix.is_none())
+            .and_then(|r| self.radix.lookup(&r.prompt, r.prompt.len() - 1));
+        if let Some(m) = hit {
+            self.radix.acquire(m.node);
+        }
+        let demand = match &item {
+            WorkItem::New(p) => self.demand_with_hit(&p.request, hit.map_or(0, |m| m.depth)),
+            WorkItem::Resume(s) => self.resume_demand(s),
+        };
+        if !self.ensure_headroom(class, demand) {
+            if let Some(m) = hit {
+                self.radix.release(m.node);
             }
-            let mut scratch = self.spare_scratches.pop().unwrap_or_default();
-            let (mut cache, mut tokens) = match request.prefix.as_deref() {
-                Some(key) => {
-                    let entry = self
-                        .prefixes
-                        .get_mut(key)
-                        .expect("prefix validated at submit, releases refuse while pending");
-                    entry.active += 1;
-                    self.stats.prefix_forks += 1;
-                    (
-                        entry.cache.fork_prefix(entry.tokens.len()),
-                        entry.tokens.clone(),
-                    )
-                }
-                None => match hit {
-                    Some(m) => {
+            self.pending[class].push_front(item);
+            return false;
+        }
+        let (seq, cache, prefix, best_of) = match item {
+            WorkItem::Resume(seq) => {
+                self.stats.resumes += 1;
+                self.stats.resumed_prefill_tokens += seq.tokens.len() as u64;
+                (seq, self.fresh_cache(), None, false)
+            }
+            WorkItem::New(Pending { id, request }) => {
+                let (cache, mut tokens) = match (request.prefix.as_deref(), hit) {
+                    (Some(key), _) => {
+                        let entry = self
+                            .prefixes
+                            .get_mut(key)
+                            .expect("prefix validated at submit, releases refuse while pending");
+                        entry.active += n;
+                        self.stats.prefix_forks += 1;
+                        (
+                            entry.cache.fork_prefix(entry.tokens.len()),
+                            entry.tokens.clone(),
+                        )
+                    }
+                    // A radix hit covers a *prompt prefix* (not extra
+                    // tokens the way a registry prefix is), so the
+                    // cached depth counts toward the prompt itself.
+                    (None, Some(m)) => {
                         self.stats.prefix_forks += 1;
                         self.stats.cache_hit_tokens += m.depth as u64;
                         (self.radix.fork(m.node, m.depth), Vec::new())
                     }
-                    None => {
-                        let cache = self.spare_caches.pop().unwrap_or_else(|| {
-                            self.kv_pool.new_cache(self.model.config().n_layers)
-                        });
-                        debug_assert!(cache.is_empty(), "spare caches are reset at retirement");
-                        (cache, Vec::new())
-                    }
-                },
-            };
-            // A radix hit covers a *prompt prefix* (not extra tokens the
-            // way a registry prefix is), so the cached depth counts
-            // toward the prompt itself.
-            let cached = cache.len();
-            let prefix_len = tokens.len();
-            tokens.extend_from_slice(&request.prompt);
-            debug_assert!(
-                cached >= prefix_len && cached < tokens.len(),
-                "fork covers the shared prefix and leaves prompt to prefill"
-            );
-            // Chunked admission (`prefill_chunk_tokens` set, single
-            // sample, something to generate) defers the prefill to
-            // `step`'s per-step budget: the stream takes its slot and
-            // page reservation now but its prompt is worked off as
-            // grouped-batch chunks, so admission never stalls active
-            // decodes. Sampling groups keep the monolithic path —
-            // siblings fork the fully prefilled cache and adopt its
-            // logits — as do `max_new == 0` requests, which finish
-            // before any step could grant them budget.
-            let chunked = self.cfg.prefill_chunk_tokens.is_some() && n == 1 && request.max_new > 0;
-            if !chunked {
-                // Prefill only what is not already cached — with a
-                // shared (explicit or automatic) prefix that is the
-                // uncovered suffix alone, the latency and compute win
-                // that rides along with the memory one.
-                if self.active_len() > 0 {
-                    // Every prompt token prefilled here ran while the
-                    // active streams sat the step out — the stall
-                    // chunked admission exists to remove.
-                    self.stats.stalled_prefill_tokens += (tokens.len() - cached) as u64;
-                }
-                self.model
-                    .prefill(&tokens[cached..], &mut cache, &mut scratch);
-                self.stats.prefill_tokens += (tokens.len() - cached) as u64;
-                // Feed the full prompt back into the tree (its whole-page
-                // prefix, forked from this stream's pages) so the *next*
-                // prompt can hit deeper.
-                if self.cfg.auto_prefix && request.prefix.is_none() {
-                    self.radix.insert(&tokens, &mut cache);
-                }
-            }
-            self.reserved_pages += demand;
-            let prompt_len = tokens.len();
-            let group_prefix_len = prefix_len;
-            let member_tail = self.member_tail_pages(&request, group_prefix_len);
-            let group = if n > 1 {
-                // The prompt's whole pages are charged once, to the
-                // group, released when the last sibling retires; each
-                // member's own reservation is only its private tail.
-                self.groups.insert(
-                    id.0,
-                    GroupState {
-                        shared_pages: demand - n * member_tail,
-                        remaining: n,
-                        best_of: matches!(request.mode, SamplingMode::BestOf { .. }),
-                        collected: Vec::new(),
-                    },
-                );
-                Some(id.0)
-            } else {
-                None
-            };
-            let member_reserved = if n > 1 { member_tail } else { demand };
-            let done = if request.max_new == 0 {
-                // Nothing to generate: finished before the first sample.
-                Some(FinishReason::Length)
-            } else {
-                None
-            };
-            // Sibling samples fork the primary's live cache at its
-            // decode position (`fork_full`: every whole prompt page
-            // shared, the partial tail copy-on-write) and adopt its
-            // prefill logits, so each decodes exactly like a standalone
-            // request seeded `seed + i`.
-            let mut members = Vec::with_capacity(n);
-            for i in 1..n {
-                let mut sib_scratch = self.spare_scratches.pop().unwrap_or_default();
-                sib_scratch.adopt_logits(&scratch);
-                let sib_cache = cache.fork_full();
-                self.stats.sample_forks += 1;
-                if let Some(key) = request.prefix.as_deref() {
-                    self.prefixes
-                        .get_mut(key)
-                        .expect("prefix held by the primary")
-                        .active += 1;
-                }
-                if let Some(m) = hit {
-                    self.radix.acquire(m.node);
-                }
-                members.push(Stream {
+                    (None, None) => (self.fresh_cache(), Vec::new()),
+                };
+                tokens.extend_from_slice(&request.prompt);
+                let seq = Sequence {
                     id,
-                    tokens: tokens.clone(),
-                    prompt_len,
+                    prompt_len: tokens.len(),
+                    tokens,
                     max_new: request.max_new,
                     eos: request.eos,
                     sampling: request.sampling,
                     priority: request.priority,
-                    rng: Rng::new(request.sampling.seed.wrapping_add(i as u64)),
-                    cache: sib_cache,
-                    scratch: sib_scratch,
-                    reserved_pages: member_reserved,
-                    prefix: request.prefix.clone(),
-                    radix_node: hit.map(|m| m.node),
-                    group,
-                    sample_index: i,
-                    cum_logprob: 0.0,
-                    fresh: true,
-                    prefill_cursor: None,
-                    prefill_target: prompt_len,
-                    step_chunk: 0,
-                    done,
-                });
+                    rng: Rng::new(request.sampling.seed),
+                };
+                let best_of = matches!(request.mode, SamplingMode::BestOf { .. });
+                (seq, cache, request.prefix, best_of)
             }
-            members.push(Stream {
-                id,
-                tokens,
-                prompt_len,
-                max_new: request.max_new,
-                eos: request.eos,
-                sampling: request.sampling,
-                priority: request.priority,
-                rng: Rng::new(request.sampling.seed),
-                cache,
-                scratch,
-                reserved_pages: member_reserved,
-                prefix: request.prefix,
-                radix_node: hit.map(|m| m.node),
-                group,
-                sample_index: 0,
-                cum_logprob: 0.0,
-                // A chunked stream's first token comes from the batched
-                // LM head of its final chunk's step, not from admission
-                // logits — it is never `fresh`.
-                fresh: !chunked,
-                prefill_cursor: chunked.then_some(cached),
-                prefill_target: prompt_len,
-                step_chunk: 0,
-                done,
-            });
-            // Mid-admission peak: the prefill and sibling forks above
-            // are the allocation high-water mark of this admission, and
-            // a `max_new == 0` group retires inside this very loop —
-            // sample before that happens so transient peaks are never
-            // unrecorded.
-            self.stats.peak_pages_in_use = self
-                .stats
-                .peak_pages_in_use
-                .max(self.kv_pool.pages_in_use());
-            for stream in members {
-                if let Some(reason) = stream.done {
-                    self.finish(stream, reason);
-                } else {
-                    self.place(stream);
-                }
+        };
+        let cached = cache.len();
+        debug_assert!(
+            cached < seq.tokens.len(),
+            "the fork leaves at least the last position to prefill"
+        );
+        self.reserved_pages += demand;
+        let (group, member_reserved) = if n > 1 {
+            // The prompt's whole pages are charged once, to the group,
+            // released when the last sibling retires; each member's own
+            // reservation is only its private tail.
+            let member_tail = self.member_tail_pages(seq.prompt_len, seq.max_new);
+            self.groups.insert(
+                seq.id.0,
+                GroupState {
+                    shared_pages: demand - n * member_tail,
+                    remaining: n,
+                    best_of,
+                    collected: Vec::new(),
+                },
+            );
+            (Some(seq.id.0), member_tail)
+        } else {
+            (None, demand)
+        };
+        // Nothing to generate: finished before the first sample.
+        let done = (seq.max_new == 0).then_some(FinishReason::Length);
+        // The primary takes the first free slot, its siblings the next:
+        // the primary's cursor starts past whatever its fork covers, a
+        // sibling has no cursor and waits on the primary's slot.
+        let primary_slot = self.free_slot();
+        let radix_node = hit.map(|m| m.node);
+        let member = |scratch, seq: Sequence, cache, sample_index| Stream {
+            prefill_target: seq.tokens.len(),
+            seq,
+            cache,
+            scratch,
+            reserved_pages: member_reserved,
+            prefix: prefix.clone(),
+            radix_node,
+            group,
+            sample_index,
+            cum_logprob: 0.0,
+            awaits_primary: (sample_index > 0).then_some(primary_slot),
+            prefill_cursor: (sample_index == 0).then_some(cached),
+            step_chunk: 0,
+            done,
+        };
+        let mut siblings = Vec::with_capacity(n - 1);
+        for i in 1..n {
+            if let Some(node) = radix_node {
+                self.radix.acquire(node);
+            }
+            let twin = Sequence {
+                tokens: seq.tokens.clone(),
+                rng: Rng::new(seq.sampling.seed.wrapping_add(i as u64)),
+                ..seq
+            };
+            let empty = self.kv_pool.new_cache(self.model.config().n_layers);
+            let scratch = self.spare_scratches.pop().unwrap_or_default();
+            siblings.push(member(scratch, twin, empty, i));
+        }
+        let scratch = self.spare_scratches.pop().unwrap_or_default();
+        let primary = member(scratch, seq, cache, 0);
+        for stream in std::iter::once(primary).chain(siblings) {
+            match done {
+                Some(reason) => self.finish(stream, reason),
+                None => self.place(stream),
             }
         }
         true
+    }
+
+    /// An empty cache for a non-forking admission: a retired one when
+    /// available (its pages are already back on the free list).
+    fn fresh_cache(&mut self) -> KvCache {
+        let cache = self
+            .spare_caches
+            .pop()
+            .unwrap_or_else(|| self.kv_pool.new_cache(self.model.config().n_layers));
+        debug_assert!(cache.is_empty(), "spare caches are reset at retirement");
+        cache
     }
 
     /// Cancels the request `id` wherever it currently lives, freeing
@@ -1952,7 +1736,7 @@ impl<'a> Scheduler<'a> {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.as_ref().is_some_and(|s| s.id == id))
+            .filter(|(_, s)| s.as_ref().is_some_and(|s| s.seq.id == id))
             .map(|(i, _)| i)
             .collect();
         if !slots.is_empty() {
@@ -1969,6 +1753,7 @@ impl<'a> Scheduler<'a> {
             }
             self.stats.cancelled += 1;
             self.cancelled.insert(id);
+            self.debug_check_ledger();
             return Ok(Cancelled::Active { streams });
         }
         if self.finished.iter().any(|f| f.id == id) {
@@ -2000,14 +1785,23 @@ impl<'a> Scheduler<'a> {
         self.spare_scratches.push(stream.scratch);
     }
 
+    /// The slot the next [`Scheduler::place`] fills: the first free one
+    /// (one past the end when the slot table must grow).
+    fn free_slot(&self) -> usize {
+        self.slots
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or(self.slots.len())
+    }
+
     /// Puts `stream` in the first free slot (growing up to `max_batch`).
     fn place(&mut self, stream: Stream) {
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.is_none()) {
-            *slot = Some(stream);
-        } else {
+        let slot = self.free_slot();
+        if slot == self.slots.len() {
             debug_assert!(self.slots.len() < self.cfg.max_batch);
-            self.slots.push(Some(stream));
+            self.slots.push(None);
         }
+        self.slots[slot] = Some(stream);
     }
 
     /// Moves every done stream out of its slot, releasing its page
@@ -2046,9 +1840,9 @@ impl<'a> Scheduler<'a> {
         }
         self.spare_scratches.push(stream.scratch);
         let result = FinishedRequest {
-            id: stream.id,
-            tokens: stream.tokens,
-            prompt_len: stream.prompt_len,
+            id: stream.seq.id,
+            tokens: stream.seq.tokens,
+            prompt_len: stream.seq.prompt_len,
             reason,
             sample_index: stream.sample_index,
             cumulative_logprob: stream.group.map(|_| stream.cum_logprob),

@@ -6,10 +6,11 @@
 
 use std::sync::OnceLock;
 
-use anda_llm::kv::{KvPoolConfig, KvStorage};
+use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda_llm::zoo::opt_125m_sim;
 use anda_llm::Model;
 use anda_serve::{FinishedRequest, Request, Scheduler, SchedulerConfig};
+use anda_tensor::Rng;
 
 fn model() -> &'static Model {
     static MODEL: OnceLock<Model> = OnceLock::new();
@@ -120,7 +121,8 @@ fn auto_prefix_is_bit_exact_across_storages() {
 /// Exact hit accounting on a repeat prompt: a 17-token prompt aligns
 /// to 16 cached positions (the lookup cap always leaves the last
 /// prompt token to prefill), so the second submission prefills exactly
-/// one token.
+/// one token. A prompt becomes shareable the step its last chunk
+/// lands, so the repeat arrives one step after the original.
 #[test]
 fn repeat_prompt_hit_accounting_is_exact() {
     let prompt: Vec<usize> = (0..17).map(|i| (i * 13 + 2) % 500).collect();
@@ -140,6 +142,7 @@ fn repeat_prompt_hit_accounting_is_exact() {
     sched
         .submit(Request::builder(prompt.clone()).max_new(4).build().unwrap())
         .unwrap();
+    sched.step();
     sched
         .submit(Request::builder(prompt.clone()).max_new(4).build().unwrap())
         .unwrap();
@@ -278,5 +281,131 @@ fn auto_prefix_coexists_with_explicit_registry() {
         assert_eq!(a.id, b.id);
         assert_eq!(a.tokens, b.tokens, "registry/auto mix diverged");
         assert_eq!(a.reason, b.reason);
+    }
+}
+
+/// Concurrent same-prefix prompts under a chunk budget each prefill
+/// their own copy of the prefix before any of them is shareable. The
+/// tree must lease only what it accounts — the first lander's prefix
+/// pages plus every prompt's own edge — so the later landers' private
+/// prefix copies die with their streams (regression: a new leaf used
+/// to lease its source's whole prefix, 54 pages in use against 22
+/// accounted on this shape, and a bounded pool ran dry mid-step).
+#[test]
+fn concurrent_same_prefix_prompts_lease_what_the_tree_accounts() {
+    let n_layers = model().config().n_layers;
+    let shared: Vec<usize> = (0..32).map(|i| (i * 23 + 5) % 500).collect();
+    let prompt = |tag: usize| {
+        let mut p = shared.clone();
+        p.extend((0..5).map(|j| (tag * 41 + j * 3 + 1) % 500));
+        p
+    };
+    let mut sched = Scheduler::new(
+        model(),
+        SchedulerConfig {
+            max_batch: 3,
+            kv: KvPoolConfig {
+                storage: KvStorage::Fp16,
+                page_positions: 4,
+                // Three private worst cases (37 + 4 positions each) and
+                // nothing to spare for unaccounted leases.
+                max_pages: Some(n_layers * 3 * 11),
+            },
+            auto_prefix: true,
+            prefill_chunk_tokens: Some(8),
+            ..SchedulerConfig::default()
+        },
+    );
+    for tag in 0..3 {
+        sched
+            .submit(Request::builder(prompt(tag)).max_new(4).build().unwrap())
+            .unwrap();
+    }
+    let done = sched.run_to_completion();
+    assert_eq!(done.len(), 3);
+    assert_eq!(sched.stats().cache_hit_tokens, 0, "all three miss");
+    // Shared 8 pages once + three 1-page edges, per layer.
+    let resident = sched.pool_snapshot().radix_resident_pages;
+    assert_eq!(resident, n_layers * (8 + 3));
+    assert_eq!(sched.kv_pool().pages_in_use(), resident);
+}
+
+/// The shared-prefix serving shape on a pool bounded to about half its
+/// unbounded page peak: a few multi-page prefixes, unique suffixes,
+/// eight concurrent streams, a chunk budget smaller than the prefix.
+/// Same-prefix prompts prefill concurrently, so the tree sees inserts
+/// from sources carrying their own prefix copies while eviction and
+/// admission run at the watermark. Every request must complete,
+/// bit-equal to solo decode, with the page-ledger invariant — leased
+/// pages never outgrow pins + reservations + tree residency — holding
+/// after every step.
+#[test]
+fn shared_prefix_shape_drains_a_half_sized_pool() {
+    let storage = KvStorage::Anda { mantissa_bits: 8 };
+    let pp = 4usize;
+    let prefixes: Vec<Vec<usize>> = (0..3)
+        .map(|f| (0..48).map(|i| (f * 157 + i * 19 + 3) % 500).collect())
+        .collect();
+    let reqs: Vec<Request> = (0..16)
+        .map(|i| {
+            let mut p = prefixes[i % 3].clone();
+            p.extend((0..3 + i % 5).map(|j| (i * 37 + j * 11 + 7) % 500));
+            Request::builder(p)
+                .max_new(3 + i % 3)
+                .temperature(0.7)
+                .seed(i as u64)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let serve = |max_pages: Option<usize>| {
+        let mut sched = Scheduler::new(
+            model(),
+            SchedulerConfig {
+                max_batch: 8,
+                kv: KvPoolConfig {
+                    storage,
+                    page_positions: pp,
+                    max_pages,
+                },
+                auto_prefix: true,
+                prefill_chunk_tokens: Some(8),
+                ..SchedulerConfig::default()
+            },
+        );
+        for r in &reqs {
+            sched.submit(r.clone()).unwrap();
+        }
+        while !sched.is_idle() {
+            sched.step();
+            let snap = sched.pool_snapshot();
+            assert!(
+                snap.pages_in_use
+                    <= snap.pinned_pages + snap.reserved_pages + snap.radix_resident_pages,
+                "step {}: the pool leases pages nobody accounts: {snap:?}",
+                sched.stats().steps
+            );
+        }
+        (sorted_outputs(sched.take_finished()), sched.stats())
+    };
+    let (_, unbounded) = serve(None);
+    let (done, bounded) = serve(Some(unbounded.peak_pages_in_use / 2));
+    assert!(bounded.radix_evictions > 0, "the bound must bite");
+    assert_eq!(done.len(), reqs.len());
+    for (fin, req) in done.iter().zip(&reqs) {
+        let mut cache = PagePool::new(KvPoolConfig {
+            storage,
+            page_positions: pp,
+            max_pages: None,
+        })
+        .new_cache(model().config().n_layers);
+        let solo = model().generate_with_cache(
+            &req.prompt,
+            req.max_new,
+            req.sampling.temperature,
+            &mut Rng::new(req.sampling.seed),
+            &mut cache,
+        );
+        assert_eq!(fin.tokens, solo, "{} diverged from solo decode", fin.id);
     }
 }

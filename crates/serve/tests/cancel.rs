@@ -11,7 +11,7 @@ use anda_llm::kv::KvPoolConfig;
 use anda_llm::zoo::opt_125m_sim;
 use anda_llm::Model;
 use anda_serve::{
-    CancelError, Cancelled, Priority, Request, RequestId, Scheduler, SchedulerConfig,
+    CancelError, Cancelled, Priority, Request, RequestId, Scheduler, SchedulerConfig, StreamStatus,
 };
 
 fn model() -> &'static Model {
@@ -121,47 +121,63 @@ fn cancel_mid_decode_releases_pages_and_keeps_survivors_exact() {
 
 /// Cancelling a best-of request retires the whole sibling ledger at
 /// once: every candidate stream is torn down in the same call, the
-/// group's shared pages are released, and no winner is ever selected.
+/// group's shared pages are released, and no winner is ever selected —
+/// whether the group is decoding, or its primary is still prefilling
+/// while the siblings hold their slots waiting to fork.
 #[test]
 fn cancel_best_of_group_retires_the_whole_ledger() {
-    let mut sched = Scheduler::new(
-        model(),
-        SchedulerConfig {
-            max_batch: 4,
-            ..SchedulerConfig::default()
-        },
-    );
-    let group = sched
-        .submit(
-            Request::builder(vec![2, 7, 1, 8])
-                .max_new(15)
-                .temperature(0.8)
-                .seed(28)
-                .best_of(3)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    let bystander = sched.submit(req(vec![3, 1, 4], 6)).unwrap();
-    sched.step();
-    sched.step();
-    assert!(sched.pool_snapshot().reserved_pages > 0);
+    for (budget, steps, status) in [
+        (None, 2, StreamStatus::Decoding),
+        (Some(2), 1, StreamStatus::Prefilling),
+    ] {
+        let mut sched = Scheduler::new(
+            model(),
+            SchedulerConfig {
+                max_batch: 4,
+                prefill_chunk_tokens: budget,
+                ..SchedulerConfig::default()
+            },
+        );
+        let group = sched
+            .submit(
+                Request::builder(vec![2, 7, 1, 8])
+                    .max_new(15)
+                    .temperature(0.8)
+                    .seed(28)
+                    .best_of(3)
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+        let bystander = sched.submit(req(vec![3, 1, 4], 6)).unwrap();
+        for _ in 0..steps {
+            sched.step();
+        }
+        assert_eq!(sched.status(group), Some(status));
+        assert_eq!(sched.active_len(), 4, "every sibling holds a slot");
+        assert!(sched.pool_snapshot().reserved_pages > 0);
 
-    assert_eq!(sched.cancel(group), Ok(Cancelled::Active { streams: 3 }));
-    assert_eq!(sched.generated_len(group), None);
+        assert_eq!(sched.cancel(group), Ok(Cancelled::Active { streams: 3 }));
+        assert_eq!(sched.generated_len(group), None);
+        assert_eq!(sched.active_len(), 1, "the held slots are free again");
 
-    let finished = sched.run_to_completion();
-    assert_eq!(
-        finished.iter().map(|f| f.id).collect::<Vec<_>>(),
-        vec![bystander],
-        "no best-of winner may surface after a group cancel"
-    );
-    // With the bystander retired too, every reservation (the group's
-    // shared ledger included) is back.
-    let snap = sched.pool_snapshot();
-    assert_eq!(snap.reserved_pages, 0);
-    assert_eq!(snap.pages_in_use, 0);
-    assert_eq!(sched.stats().cancelled, 1);
+        let finished = sched.run_to_completion();
+        assert_eq!(
+            finished.iter().map(|f| f.id).collect::<Vec<_>>(),
+            vec![bystander],
+            "no best-of winner may surface after a group cancel"
+        );
+        // With the bystander retired too, every reservation (the
+        // group's shared ledger included) is back.
+        let snap = sched.pool_snapshot();
+        assert_eq!(snap.reserved_pages, 0);
+        assert_eq!(snap.pages_in_use, 0);
+        assert_eq!(sched.stats().cancelled, 1);
+        assert_eq!(
+            sched.stats().sample_forks,
+            if budget.is_none() { 2 } else { 0 }
+        );
+    }
 }
 
 /// Cancelling a preempted (suspended) request drops its parked resume

@@ -1,11 +1,11 @@
 //! Chunked prefill: with [`SchedulerConfig::prefill_chunk_tokens`] set,
-//! prompts are worked off as per-step grouped-batch chunks instead of a
-//! monolithic admission-time prefill. The token streams must be
-//! **bit-identical** to monolithic admission across every KV storage
-//! policy, chunk size (including chunks landing mid-page), thread
-//! count, under the automatic prefix cache, and interleaved with live
-//! decodes — and the stall accounting must show the admission stall is
-//! actually gone.
+//! prompts are worked off as per-step grouped-batch chunks; the `None`
+//! budget is unbounded — each prompt lands as one monolithic span the
+//! step it is admitted. The token streams must be **bit-identical**
+//! whatever the budget, across every KV storage policy, chunk size
+//! (including chunks landing mid-page), thread count, under the
+//! automatic prefix cache, and interleaved with live decodes — and the
+//! stall accounting must show a bounded budget removes the stall.
 
 use std::sync::OnceLock;
 
@@ -124,38 +124,14 @@ fn chunked_serving_matches_monolithic() {
 }
 
 /// Same exactness through the LLaMA family (RoPE staging inside chunk
-/// spans) and through the per-stream fallback path
-/// (`grouped_attention: false` routes chunks via `Model::prefill_chunk`).
+/// spans).
 #[test]
-fn chunked_matches_monolithic_for_llama_and_fallback() {
+fn chunked_matches_monolithic_for_llama() {
     let storage = KvStorage::Anda { mantissa_bits: 6 };
     let oracle = run(llama(), storage, 1, None, false);
     for threads in [1, 4] {
         assert_eq!(run(llama(), storage, threads, Some(3), false), oracle);
     }
-
-    let pool = ThreadPool::new(2);
-    let mk = |chunk| SchedulerConfig {
-        max_batch: 4,
-        kv: KvPoolConfig {
-            storage,
-            page_positions: 8,
-            max_pages: None,
-        },
-        grouped_attention: false,
-        prefill_chunk_tokens: chunk,
-        ..SchedulerConfig::default()
-    };
-    let serve = |chunk| {
-        let mut sched = Scheduler::with_pool(model(), mk(chunk), &pool);
-        for r in workload() {
-            sched.submit(r).unwrap();
-        }
-        let mut done = sched.run_to_completion();
-        done.sort_by_key(|r| r.id);
-        done.into_iter().map(|r| r.tokens).collect::<Vec<_>>()
-    };
-    assert_eq!(serve(Some(5)), serve(None), "fallback chunking diverged");
 }
 
 /// Chunked prefill under the automatic prefix cache: tokens stay
@@ -201,10 +177,11 @@ fn chunked_composes_with_auto_prefix() {
     assert_eq!(first[0].tokens, second[0].tokens);
 }
 
-/// Sampling groups keep the monolithic path (siblings fork the fully
-/// prefilled cache), and mixing them with chunked singles stays exact.
+/// Sampling groups prefill their primary through the same chunk budget
+/// (siblings fork once its last chunk lands), and mixing them with
+/// chunked singles stays exact at every budget.
 #[test]
-fn groups_stay_monolithic_alongside_chunked_singles() {
+fn groups_prefill_through_spans_alongside_chunked_singles() {
     let serve = |chunk: Option<usize>| {
         let pool = ThreadPool::new(2);
         let cfg = SchedulerConfig {
@@ -236,7 +213,14 @@ fn groups_stay_monolithic_alongside_chunked_singles() {
         done.sort();
         done
     };
-    assert_eq!(serve(Some(3)), serve(None));
+    let oracle = serve(None);
+    for chunk in [1, 3, 1024] {
+        assert_eq!(
+            serve(Some(chunk)),
+            oracle,
+            "group diverged at budget {chunk}"
+        );
+    }
 }
 
 /// The structural no-stall guarantee: while a long prompt is worked off

@@ -1,16 +1,18 @@
-//! Scheduler-level tests for grouped batched attention: the
-//! `grouped_attention: true` default must serve token streams
-//! bit-identical to the per-stream oracle (`grouped_attention: false`),
-//! and [`SchedulerStats::pages_decoded`] must prove the decode-once
+//! Scheduler-level tests for grouped batched attention: the scheduler's
+//! one step path must serve token streams bit-identical to the
+//! per-stream oracle (each request alone through solo
+//! [`Model::generate_with_cache`] on a same-policy cache), and
+//! [`SchedulerStats::pages_decoded`] must prove the decode-once
 //! guarantee — each physical Anda page decodes exactly once per layer
 //! per step no matter how many forked streams attend through it.
 
 use std::sync::OnceLock;
 
-use anda_llm::kv::{KvPoolConfig, KvStorage};
+use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda_llm::zoo::{opt_125m_sim, sim_model};
 use anda_llm::Model;
 use anda_serve::{Request, Scheduler, SchedulerConfig};
+use anda_tensor::Rng;
 use rayon_lite::ThreadPool;
 
 fn model() -> &'static Model {
@@ -45,31 +47,37 @@ fn workload() -> Vec<Request> {
     ]
 }
 
-/// Runs `workload` (optionally routed through a 16-token registered
-/// prefix) to completion and returns finished requests sorted by id.
+/// The 16-token shared prefix of the `with_prefix` legs.
+fn prefix() -> Vec<usize> {
+    (0..16).map(|i| (i * 29 + 11) % 500).collect()
+}
+
+fn kv(storage: KvStorage, page_positions: usize) -> KvPoolConfig {
+    KvPoolConfig {
+        storage,
+        page_positions,
+        max_pages: None,
+    }
+}
+
+/// Runs `workload` (optionally routed through the registered prefix)
+/// to completion and returns finished requests sorted by id.
 fn run(
     m: &Model,
     storage: KvStorage,
     page_positions: usize,
     threads: usize,
-    grouped: bool,
     with_prefix: bool,
 ) -> Vec<(Vec<usize>, usize)> {
     let pool = ThreadPool::new(threads);
     let cfg = SchedulerConfig {
         max_batch: 4,
-        kv: KvPoolConfig {
-            storage,
-            page_positions,
-            max_pages: None,
-        },
-        grouped_attention: grouped,
+        kv: kv(storage, page_positions),
         ..SchedulerConfig::default()
     };
     let mut sched = Scheduler::with_pool(m, cfg, &pool);
     if with_prefix {
-        let prefix: Vec<usize> = (0..16).map(|i| (i * 29 + 11) % 500).collect();
-        sched.register_prefix("sys", prefix).unwrap();
+        sched.register_prefix("sys", prefix()).unwrap();
     }
     for mut r in workload() {
         if with_prefix {
@@ -82,9 +90,44 @@ fn run(
     done.into_iter().map(|r| (r.tokens, r.prompt_len)).collect()
 }
 
-/// The grouped default serves the same tokens as the per-stream oracle
-/// for every storage policy, page size and thread count, with and
-/// without a shared prefix.
+/// The per-stream oracle: every `workload` request decoded alone by
+/// solo [`Model::generate_with_cache`] on a fresh same-policy cache
+/// (the prefix, if any, simply leads the prompt), truncated at the
+/// first EOS like the scheduler truncates.
+fn oracle(
+    m: &Model,
+    storage: KvStorage,
+    page_positions: usize,
+    with_prefix: bool,
+) -> Vec<(Vec<usize>, usize)> {
+    let lead = if with_prefix { prefix() } else { Vec::new() };
+    workload()
+        .iter()
+        .map(|r| {
+            let prompt = [lead.as_slice(), &r.prompt].concat();
+            let mut cache =
+                PagePool::new(kv(storage, page_positions)).new_cache(m.config().n_layers);
+            let mut tokens = m.generate_with_cache(
+                &prompt,
+                r.max_new,
+                r.sampling.temperature,
+                &mut Rng::new(r.sampling.seed),
+                &mut cache,
+            );
+            let eos = tokens[prompt.len()..]
+                .iter()
+                .position(|&t| Some(t) == r.eos);
+            if let Some(i) = eos {
+                tokens.truncate(prompt.len() + i + 1);
+            }
+            (tokens, prompt.len())
+        })
+        .collect()
+}
+
+/// Grouped serving emits the same tokens as the per-stream oracle for
+/// every storage policy, page size and thread count, with and without
+/// a shared prefix.
 #[test]
 fn grouped_serving_matches_per_stream_oracle() {
     for storage in [
@@ -96,10 +139,10 @@ fn grouped_serving_matches_per_stream_oracle() {
     ] {
         for (threads, page_positions) in [(1, 1), (1, 8), (4, 8)] {
             for with_prefix in [false, true] {
-                let oracle = run(model(), storage, page_positions, 1, false, with_prefix);
-                let grouped = run(model(), storage, page_positions, threads, true, with_prefix);
+                let grouped = run(model(), storage, page_positions, threads, with_prefix);
                 assert_eq!(
-                    grouped, oracle,
+                    grouped,
+                    oracle(model(), storage, page_positions, with_prefix),
                     "grouped serving diverged: {storage:?}, pp {page_positions}, \
                      {threads} threads, prefix {with_prefix}"
                 );
@@ -112,23 +155,24 @@ fn grouped_serving_matches_per_stream_oracle() {
 #[test]
 fn grouped_serving_matches_oracle_for_llama() {
     let storage = KvStorage::Anda { mantissa_bits: 6 };
-    let oracle = run(llama(), storage, 8, 1, false, true);
-    let grouped = run(llama(), storage, 8, 4, true, true);
-    assert_eq!(grouped, oracle);
+    let grouped = run(llama(), storage, 8, 4, true);
+    assert_eq!(grouped, oracle(llama(), storage, 8, true));
 }
 
 /// The decode-once proof: N streams forked from a page-aligned shared
 /// prefix cost its pages **once** per layer per step, not N times.
 ///
 /// With a 16-token prefix on 8-position pages the two prefix pages stay
-/// fully shared (appends open fresh private pages). At decode step `s`
-/// (the first decode is step 2 — step 1 admits and prefills, and fresh
-/// streams sample from prefill logits without decoding), stream `i`
-/// holds `prompt_i + (s - 1)` private rows after the step's KV append,
-/// so the whole batch decodes exactly
+/// fully shared (appends open fresh private pages). Registration
+/// prefills the prefix as one span, decoding its own two pages per
+/// layer. Step 1 then admits every stream and lands its whole prompt as
+/// one span; each later step appends one decoded token. Either way
+/// stream `i` holds `prompt_i + (s - 1)` private rows after step `s`'s
+/// KV append, so the whole batch decodes exactly
 /// `n_layers × (2 + Σ_i ceil((prompt_i + s - 1) / 8))`
 /// pages — against `n_layers × Σ_i (2 + ceil(...))` for a per-stream
-/// walk, which re-decodes the shared pages once per attending stream.
+/// walk, which would re-decode the shared pages once per attending
+/// stream.
 #[test]
 fn shared_prefix_pages_decode_once_per_step() {
     let prompts = [1usize, 3, 5, 8];
@@ -138,16 +182,11 @@ fn shared_prefix_pages_decode_once_per_step() {
     let pool = ThreadPool::new(4);
     let cfg = SchedulerConfig {
         max_batch: 4,
-        kv: KvPoolConfig {
-            storage: KvStorage::Anda { mantissa_bits: 6 },
-            page_positions: pp,
-            max_pages: None,
-        },
+        kv: kv(KvStorage::Anda { mantissa_bits: 6 }, pp),
         ..SchedulerConfig::default()
     };
     let mut sched = Scheduler::with_pool(model(), cfg, &pool);
-    let prefix: Vec<usize> = (0..16).map(|i| (i * 29 + 11) % 500).collect();
-    sched.register_prefix("sys", prefix).unwrap();
+    sched.register_prefix("sys", prefix()).unwrap();
     for (i, &p) in prompts.iter().enumerate() {
         let prompt: Vec<usize> = (0..p).map(|j| (i * 31 + j * 13 + 5) % 500).collect();
         sched
@@ -160,13 +199,10 @@ fn shared_prefix_pages_decode_once_per_step() {
             )
             .unwrap();
     }
+    let mut prev = sched.stats().pages_decoded;
+    assert_eq!(prev, n_layers * 2, "the prefix span decodes its own pages");
 
-    // Step 1: admission + prefill only; fresh streams don't decode.
-    sched.step();
-    assert_eq!(sched.stats().pages_decoded, 0);
-
-    let mut prev = 0;
-    for s in 2..=5u64 {
+    for s in 1..=5u64 {
         sched.step();
         let now = sched.stats().pages_decoded;
         let shared_once: u64 = 2 + prompts
@@ -182,7 +218,7 @@ fn shared_prefix_pages_decode_once_per_step() {
             n_layers * shared_once,
             "step {s}: shared prefix pages must decode once for the batch"
         );
-        // The guarantee is meaningful: the per-stream walk decodes more.
+        // The guarantee is meaningful: a per-stream walk decodes more.
         assert!(shared_once < per_stream);
         prev = now;
     }
@@ -195,35 +231,7 @@ fn float_policy_grouped_serving_decodes_nothing() {
     let pool = ThreadPool::new(2);
     let cfg = SchedulerConfig {
         max_batch: 4,
-        kv: KvPoolConfig {
-            storage: KvStorage::Fp16,
-            page_positions: 8,
-            max_pages: None,
-        },
-        ..SchedulerConfig::default()
-    };
-    let mut sched = Scheduler::with_pool(model(), cfg, &pool);
-    for r in workload() {
-        sched.submit(r).unwrap();
-    }
-    let done = sched.run_to_completion();
-    assert_eq!(done.len(), 4);
-    assert_eq!(sched.stats().pages_decoded, 0);
-}
-
-/// The per-stream fallback never touches the shared decode cache, so
-/// its counter stays zero even under an Anda policy.
-#[test]
-fn per_stream_fallback_reports_zero_pages_decoded() {
-    let pool = ThreadPool::new(2);
-    let cfg = SchedulerConfig {
-        max_batch: 4,
-        kv: KvPoolConfig {
-            storage: KvStorage::Anda { mantissa_bits: 6 },
-            page_positions: 8,
-            max_pages: None,
-        },
-        grouped_attention: false,
+        kv: kv(KvStorage::Fp16, 8),
         ..SchedulerConfig::default()
     };
     let mut sched = Scheduler::with_pool(model(), cfg, &pool);

@@ -65,33 +65,49 @@ fn standalone(storage: KvStorage, req: &Request, n: usize) -> Vec<Vec<usize>> {
     done.into_iter().map(|f| f.tokens).collect()
 }
 
+/// The prefill budgets every group test runs under: unbounded (the
+/// prompt lands in the admission step), a chunk that splits the prompt
+/// over several steps (siblings wait in their slots meanwhile), and a
+/// budget far above the prompt.
+const BUDGETS: [Option<usize>; 3] = [None, Some(3), Some(1024)];
+
+fn budgeted(storage: KvStorage, budget: Option<usize>) -> SchedulerConfig {
+    SchedulerConfig {
+        prefill_chunk_tokens: budget,
+        ..cfg(storage, 4, None, false)
+    }
+}
+
 /// A `Parallel { n }` request yields `n` streams, each bit-identical to
 /// a standalone request seeded `seed + i` — one shared prefill, `n`
 /// forked decodes, no content change. Exercised across float and
-/// Anda-compressed storage.
+/// Anda-compressed storage and every prefill budget.
 #[test]
 fn parallel_samples_match_standalone_requests() {
     for storage in [KvStorage::Fp32, KvStorage::Anda { mantissa_bits: 6 }] {
         let req = request(prompt(1, 11), 8, 42, SamplingMode::Parallel { n: 3 });
-        let mut sched = Scheduler::new(model(), cfg(storage, 4, None, false));
-        let id = sched.submit(req.clone()).unwrap();
-        let mut done = sched.run_to_completion();
-        done.sort_by_key(|f| f.sample_index);
-        assert_eq!(done.len(), 3);
-        assert_eq!(sched.stats().sample_forks, 2, "n - 1 sibling forks");
-
         let twins = standalone(storage, &req, 3);
-        for (i, fin) in done.iter().enumerate() {
-            assert_eq!(fin.id, id);
-            assert_eq!(fin.sample_index, i);
-            assert_eq!(
-                fin.tokens, twins[i],
-                "sample {i} diverged from its standalone twin: {storage:?}"
-            );
-            assert!(
-                fin.cumulative_logprob.is_some(),
-                "grouped samples report their score"
-            );
+        for budget in BUDGETS {
+            let mut sched = Scheduler::new(model(), budgeted(storage, budget));
+            let id = sched.submit(req.clone()).unwrap();
+            let mut done = sched.run_to_completion();
+            done.sort_by_key(|f| f.sample_index);
+            assert_eq!(done.len(), 3);
+            assert_eq!(sched.stats().sample_forks, 2, "n - 1 sibling forks");
+            assert_eq!(sched.stats().prefill_tokens, 11, "one shared prefill");
+
+            for (i, fin) in done.iter().enumerate() {
+                assert_eq!(fin.id, id);
+                assert_eq!(fin.sample_index, i);
+                assert_eq!(
+                    fin.tokens, twins[i],
+                    "sample {i} diverged from its standalone twin: {storage:?}, budget {budget:?}"
+                );
+                assert!(
+                    fin.cumulative_logprob.is_some(),
+                    "grouped samples report their score"
+                );
+            }
         }
         // A Single request reports no score.
         let mut solo = Scheduler::new(model(), cfg(storage, 1, None, false));
@@ -104,17 +120,17 @@ fn parallel_samples_match_standalone_requests() {
 /// `BestOf { n }` returns exactly the `Parallel { n }` member with the
 /// highest cumulative logprob (ties to the lowest sample index), score
 /// included — selection is observable, deterministic, and consistent
-/// between the two modes.
+/// between the two modes and across prefill budgets.
 #[test]
 fn best_of_picks_the_max_logprob_parallel_sample() {
     let storage = KvStorage::Anda { mantissa_bits: 6 };
     let make = |mode| request(prompt(2, 9), 6, 7, mode);
 
     let mut par = Scheduler::new(model(), cfg(storage, 4, None, false));
-    par.submit(make(SamplingMode::Parallel { n: 4 })).unwrap();
+    par.submit(make(SamplingMode::Parallel { n: 3 })).unwrap();
     let mut samples = par.run_to_completion();
     samples.sort_by_key(|f| f.sample_index);
-    assert_eq!(samples.len(), 4);
+    assert_eq!(samples.len(), 3);
     let expect = samples
         .iter()
         .max_by(|a, b| {
@@ -125,19 +141,21 @@ fn best_of_picks_the_max_logprob_parallel_sample() {
         })
         .unwrap();
 
-    let mut best = Scheduler::new(model(), cfg(storage, 4, None, false));
-    best.submit(make(SamplingMode::BestOf { n: 4 })).unwrap();
-    let done = best.run_to_completion();
-    assert_eq!(done.len(), 1, "best-of returns only the winner");
-    assert_eq!(done[0].tokens, expect.tokens);
-    assert_eq!(done[0].sample_index, expect.sample_index);
-    assert_eq!(done[0].cumulative_logprob, expect.cumulative_logprob);
+    for budget in BUDGETS {
+        let mut best = Scheduler::new(model(), budgeted(storage, budget));
+        best.submit(make(SamplingMode::BestOf { n: 3 })).unwrap();
+        let done = best.run_to_completion();
+        assert_eq!(done.len(), 1, "best-of returns only the winner");
+        assert_eq!(done[0].tokens, expect.tokens, "budget {budget:?}");
+        assert_eq!(done[0].sample_index, expect.sample_index);
+        assert_eq!(done[0].cumulative_logprob, expect.cumulative_logprob);
+    }
 
     // The score itself is batch-independent: a serial scheduler
     // reproduces every sample's logprob bit for bit.
     let mut serial = Scheduler::new(model(), cfg(storage, 4, None, false));
     serial
-        .submit(make(SamplingMode::Parallel { n: 4 }))
+        .submit(make(SamplingMode::Parallel { n: 3 }))
         .unwrap();
     let mut again = serial.run_to_completion();
     again.sort_by_key(|f| f.sample_index);

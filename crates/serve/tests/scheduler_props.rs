@@ -643,13 +643,14 @@ fn submit_rejects_unservable_requests() {
     assert_eq!(sched.run_to_completion().len(), 1);
 }
 
-/// A `max_new == 0` request is prefilled and retired inside the
-/// admission loop, so its pages never survive to a step-end sample.
-/// The peak watermark must still record the prefill footprint
-/// (regression: the peak used to be sampled only after the whole
-/// admission wave, missing these transients entirely).
+/// A `max_new == 0` request retires at admission without touching the
+/// model: its tokens are its prompt and no page is ever leased. A
+/// one-token request is prefilled, sampled and retired inside a single
+/// step, so its pages never survive to the next one — the peak
+/// watermark must still record the footprint (it is sampled before the
+/// step retires its finished streams).
 #[test]
-fn peak_watermark_sees_mid_admission_prefill() {
+fn peak_watermark_sees_a_single_step_request() {
     let model = model();
     let pp = 4usize;
     let mut sched = Scheduler::new(
@@ -671,8 +672,14 @@ fn peak_watermark_sees_mid_admission_prefill() {
     let done = sched.run_to_completion();
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].tokens, prompt);
-    // Every page was returned before the first step-end sample could
-    // run; only the in-loop sample can have seen the footprint.
+    assert_eq!(sched.stats().prefill_tokens, 0);
+    assert_eq!(sched.stats().peak_pages_in_use, 0);
+
+    sched
+        .submit(Request::builder(prompt.clone()).max_new(1).build().unwrap())
+        .unwrap();
+    assert_eq!(sched.step(), 1);
+    assert!(sched.is_idle(), "one step serves the whole request");
     assert_eq!(sched.kv_pool().pages_in_use(), 0);
     assert_eq!(
         sched.stats().peak_pages_in_use,
