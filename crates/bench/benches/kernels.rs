@@ -9,8 +9,11 @@
 use anda_format::align::align_group;
 use anda_format::bitplane::BitPlaneGroup;
 use anda_format::dot::{dot_f16_int_reference, dot_group_bit_serial, dot_group_reference};
+use anda_format::rowcodec::{
+    decode_row_into_with_leg, encode_row_into_scalar, groups_per_row, plane_words_per_row,
+};
 use anda_format::{AndaConfig, AndaTensor};
-use anda_fp::{RoundingMode, F16};
+use anda_fp::{available_legs, RoundingMode, F16};
 use anda_quant::gemm::{gemm_anda, gemm_f16, gemm_fake_quant};
 use anda_quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{Matrix, Rng};
@@ -64,6 +67,38 @@ fn bench_conversion(c: &mut Criterion) {
     g.finish();
 }
 
+/// The KV read path's inner kernel: one 256-wide row (the serving
+/// model's `d_model`) decoded on every dispatch leg, at a byte-lane
+/// (`M <= 8`) and a 16-bit-lane (`M > 8`) mantissa width on each side.
+fn bench_decode_row(c: &mut Criterion) {
+    let mut rng = Rng::new(4);
+    let vals: Vec<f32> = (0..256).map(|_| rng.normal_with(0.0, 2.0)).collect();
+    let mut g = c.benchmark_group("decode_row_256");
+    for m in [5u32, 8, 11] {
+        let cfg = AndaConfig::hardware(m).unwrap();
+        let mut signs = vec![0u64; groups_per_row(vals.len(), cfg)];
+        let mut exps = vec![0u16; signs.len()];
+        let mut planes = vec![0u64; plane_words_per_row(vals.len(), cfg)];
+        encode_row_into_scalar(&vals, cfg, &mut signs, &mut exps, &mut planes);
+        let mut out = vec![0.0f32; vals.len()];
+        for leg in available_legs() {
+            g.bench_with_input(BenchmarkId::new(leg.name(), m), &m, |b, _| {
+                b.iter(|| {
+                    decode_row_into_with_leg(
+                        leg,
+                        cfg,
+                        black_box(&signs),
+                        &exps,
+                        &planes,
+                        black_box(&mut out),
+                    )
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_gemm(c: &mut Criterion) {
     let mut rng = Rng::new(3);
     let (m, k, n) = (16, 256, 64);
@@ -91,5 +126,11 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_group_dot, bench_conversion, bench_gemm);
+criterion_group!(
+    benches,
+    bench_group_dot,
+    bench_conversion,
+    bench_decode_row,
+    bench_gemm
+);
 criterion_main!(benches);

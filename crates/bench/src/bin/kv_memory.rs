@@ -80,6 +80,8 @@ fn main() {
         "bits/elem",
         "vs FP16",
     ]);
+    // tokens/s at the longest context, per policy (for the ratio below).
+    let mut longest = Vec::new();
     for &storage in &policies {
         for &context in &contexts {
             assert!(context < cfg.max_seq, "context {context} exceeds max_seq");
@@ -103,6 +105,7 @@ fn main() {
                     &format!("{key}_ctx{context}_tokens_per_s"),
                     context as f64 / elapsed,
                 );
+                longest.push((storage, context as f64 / elapsed));
             }
             table.row_owned(vec![
                 policy_name(storage),
@@ -115,6 +118,15 @@ fn main() {
         }
     }
     println!("{}", table.render());
+    // What decode-on-read costs end to end: Anda M=8 pages against FP16
+    // pages, same model, same (longest) context. 1.0 = free.
+    let rate = |want: KvStorage| {
+        let found = longest.iter().find(|(storage, _)| *storage == want);
+        found.expect("policy benched above").1
+    };
+    let anda_vs_fp16 = rate(KvStorage::Anda { mantissa_bits: 8 }) / rate(KvStorage::Fp16);
+    println!("Anda M=8 vs FP16 tokens/s at the longest context: {anda_vs_fp16:.2}x\n");
+    report.metric("anda_m8_vs_fp16_tokens_per_s", anda_vs_fp16);
 
     // --- Part 2: page-accounted admission at a fixed memory budget ---
     let batch = 4usize;

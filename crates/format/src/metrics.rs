@@ -6,7 +6,9 @@
 //! re-decoded every shared prefix page once per attending stream per
 //! step). This module keeps that class of bug measurable: every row
 //! decoded through [`crate::rowcodec::decode_row_into`] bumps a global
-//! counter that tests and benches can snapshot around a workload.
+//! counter that tests and benches can snapshot around a workload, and
+//! the KV page walk notes each page it decodes through
+//! [`crate::rowcodec::decode_rows_into`] with one add for all its rows.
 //!
 //! The counter is process-global and monotonic (there is deliberately no
 //! reset: concurrent test threads decode too, so the only robust pattern
@@ -17,18 +19,20 @@
 //! `SchedulerStats` instead; this global hook is the cross-check that no
 //! decode path escapes that accounting.
 //!
-//! Overhead is one relaxed atomic add per row — invisible next to the
-//! bit-plane work of the row itself — so the hook is always on, in every
-//! build profile.
+//! Overhead is one relaxed atomic add per row on the single-row path
+//! and one per page on the attention path, so the hook is always on, in
+//! every build profile.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ROWS_DECODED: AtomicU64 = AtomicU64::new(0);
 
-/// Records `rows` rows decoded (called by the row codec itself; callers
-/// outside this crate never need it).
+/// Records `rows` rows decoded. The row codec calls this itself for
+/// every [`crate::rowcodec::decode_row_into`]; a caller of the page-level
+/// [`crate::rowcodec::decode_rows_into`] notes the page's rows once,
+/// however many column slices the page was decoded in.
 #[inline]
-pub(crate) fn note_rows_decoded(rows: u64) {
+pub fn note_rows_decoded(rows: u64) {
     ROWS_DECODED.fetch_add(rows, Ordering::Relaxed);
 }
 

@@ -18,13 +18,26 @@
 //!
 //! The codec is the per-token hot path, so encode and decode carry AVX2
 //! and NEON legs behind [`anda_fp::simd`]'s runtime dispatch. The
-//! bit-plane layout is plane-parallel by construction: a decode spreads
-//! one plane byte across 8 lanes with a compare-against-bit-mask, ORs the
-//! plane's weight into integer magnitudes, and reconstructs the f32 lanes
-//! with one exact `i32→f32` convert, one multiply by the group ULP and a
-//! sign-bit XOR — no per-lane branches. Every vector leg is
-//! `f32::to_bits`-identical to the `*_scalar` twin (its oracle), which
-//! the property suites assert on every available leg.
+//! bit-plane layout is plane-parallel by construction, and decode
+//! transposes planes back into lanes in the narrowest integer lanes
+//! that hold a magnitude: for `M <= 8` a plane's bits are spread over
+//! **byte** lanes (a byte shuffle puts plane byte `j / 8` in lane `j`,
+//! a compare against the per-lane bit turns it into 0 / −1) and the
+//! MSB-first planes fold Horner-style, `mag = 2·mag − hit` — 32 lanes
+//! per op on AVX2, 16 on NEON; `M` 9..=16 does the same in 16-bit
+//! lanes. Only then do the magnitudes widen to 32-bit lanes for one
+//! exact `i32→f32` convert, one multiply by the group ULP and a
+//! sign-bit XOR — no per-lane branches, and ragged tails stay in vector
+//! code. Every vector leg is `f32::to_bits`-identical to the `*_scalar`
+//! twin (its oracle), which the property suites assert on every
+//! available leg, for every `M`, around every step width.
+//!
+//! # Page-level decode
+//!
+//! [`decode_rows_into`] decodes a *column slice* (a range of groups) of
+//! consecutive encoded rows into a row-major tile — what the KV page
+//! walk calls once per page and pass, and what lets parallel readers of
+//! a page split its decode by columns instead of repeating it.
 
 use anda_fp::simd::{active_leg, SimdLeg};
 use anda_fp::F16;
@@ -192,17 +205,81 @@ pub fn decode_row_into_with_leg(
     planes: &[u64],
     out: &mut [f32],
 ) {
-    // Decode-count instrumentation (see `crate::metrics`): one relaxed
-    // atomic add per row keeps redundant-decode regressions measurable.
     crate::metrics::note_rows_decoded(1);
+    decode_row_uncounted(leg, cfg, signs, exps, planes, out);
+}
+
+fn decode_row_uncounted(
+    leg: SimdLeg,
+    cfg: AndaConfig,
+    signs: &[u64],
+    exps: &[u16],
+    planes: &[u64],
+    out: &mut [f32],
+) {
     match leg {
         SimdLeg::Scalar => decode_row_into_scalar(cfg, signs, exps, planes, out),
+        // SAFETY (both legs): the dispatch layer only reports a leg the
+        // CPU supports, and an explicit `leg` is the caller's promise of
+        // the same (`decode_row_into_with_leg`'s contract).
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { avx2::decode_row(cfg, signs, exps, planes, out) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { neon::decode_row(cfg, signs, exps, planes, out) },
         #[allow(unreachable_patterns)]
         other => panic!("SIMD leg {} unavailable on this host", other.name()),
+    }
+}
+
+/// Page-level decode: `signs`/`exps`/`planes` hold consecutive
+/// `row_len`-wide encoded rows (row `r`'s groups start at
+/// `r · groups_per_row`), `tile` is the matching row-major
+/// `rows × row_len` float tile (`rows = tile.len() / row_len`), and only
+/// the columns of groups `groups` of every row are decoded into it —
+/// bit-identical to the same columns of [`decode_row_into`]. Column
+/// slices are what lets parallel readers of one page split its decode
+/// instead of repeating it.
+///
+/// Unlike [`decode_row_into`] this does **not** bump
+/// [`crate::metrics::rows_decoded`]: a page's rows may be decoded in
+/// several column slices, so the caller notes them once per page
+/// ([`crate::metrics::note_rows_decoded`]).
+///
+/// # Panics
+///
+/// Panics if `tile` is not a whole number of rows, `groups` exceeds the
+/// row's groups, or a source slice is shorter than the rows require.
+pub fn decode_rows_into(
+    cfg: AndaConfig,
+    signs: &[u64],
+    exps: &[u16],
+    planes: &[u64],
+    groups: std::ops::Range<usize>,
+    row_len: usize,
+    tile: &mut [f32],
+) {
+    let g = groups_per_row(row_len, cfg);
+    let m = cfg.mantissa_bits() as usize;
+    assert!(
+        tile.len().is_multiple_of(row_len),
+        "tile must hold whole rows"
+    );
+    assert!(
+        groups.start < groups.end && groups.end <= g,
+        "group range {groups:?} outside a {g}-group row"
+    );
+    let leg = active_leg();
+    let cols = groups.start * cfg.group_size()..(groups.end * cfg.group_size()).min(row_len);
+    for (r, row) in tile.chunks_exact_mut(row_len).enumerate() {
+        let (g0, g1) = (r * g + groups.start, r * g + groups.end);
+        decode_row_uncounted(
+            leg,
+            cfg,
+            &signs[g0..g1],
+            &exps[g0..g1],
+            &planes[g0 * m..g1 * m],
+            &mut row[cols.clone()],
+        );
     }
 }
 
@@ -301,45 +378,134 @@ mod avx2 {
     use anda_fp::RoundingMode;
     use core::arch::x86_64::*;
 
-    /// AVX2 leg of [`decode_group_into`]: 8 lanes per step. A plane byte
-    /// is spread across the lanes (compare-against-bit-mask), each hit
-    /// ORs the plane's power-of-two weight into an integer magnitude; the
-    /// `i32→f32` convert is exact (magnitudes < 2^16) and the sign is a
-    /// sign-bit XOR, so every lane matches the scalar oracle bit for bit.
+    /// Spreads bits `32·half..32·half + 32` of a plane word over 32 byte
+    /// lanes: lane `j` is `0xFF` where the bit is set, else 0. The qword
+    /// broadcast puts all eight plane bytes in every 128-bit lane,
+    /// `shuffle_epi8` copies byte `4·half + j / 8` into lane `j`, and the
+    /// `0x8040201008040201` mask picks bit `j % 8`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn byte_hits(word: u64, half: usize) -> __m256i {
+        let spread = _mm256_add_epi8(
+            _mm256_setr_epi8(
+                0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3,
+                3, 3, 3, 3,
+            ),
+            _mm256_set1_epi8(4 * half as i8),
+        );
+        let lane_bits = _mm256_set1_epi64x(0x8040_2010_0804_0201u64 as i64);
+        let bytes = _mm256_shuffle_epi8(_mm256_set1_epi64x(word as i64), spread);
+        _mm256_cmpeq_epi8(_mm256_and_si256(bytes, lane_bits), lane_bits)
+    }
+
+    /// The 16-lane mirror of [`byte_hits`]: 16-bit lane `j` is `0xFFFF`
+    /// where bit `j` of `bits` is set.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn word_hits(bits: u16) -> __m256i {
+        #[rustfmt::skip]
+        let lane_bits = _mm256_setr_epi16(
+            1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, i16::MIN,
+        );
+        let words = _mm256_set1_epi16(bits as i16);
+        _mm256_cmpeq_epi16(_mm256_and_si256(words, lane_bits), lane_bits)
+    }
+
+    /// Dequantizes 8 widened lanes — integer magnitudes in `mags`, the
+    /// sign in bit 0 of `neg` — into `dst` (`<= 8` lanes; a short `dst`
+    /// is a group tail). The `i32→f32` convert is exact (magnitudes
+    /// < 2^16) and the sign is a sign-bit XOR, as in the scalar oracle.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn finish8(mags: __m256i, neg: __m256i, ulp: __m256, dst: &mut [f32]) {
+        let v = _mm256_mul_ps(_mm256_cvtepi32_ps(mags), ulp);
+        let signed = _mm256_xor_ps(v, _mm256_castsi256_ps(_mm256_slli_epi32::<31>(neg)));
+        if dst.len() == 8 {
+            _mm256_storeu_ps(dst.as_mut_ptr(), signed);
+        } else {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), signed);
+            dst.copy_from_slice(&lanes[..dst.len()]);
+        }
+    }
+
+    /// AVX2 leg of [`decode_group_into`]. The plane→lane transpose runs
+    /// in the narrowest integer lanes that hold a magnitude: for `M <= 8`
+    /// a plane's 32 bits become 32 **byte** lanes per step
+    /// ([`byte_hits`]), for `M` 9..=16 a plane's 16 bits become 16
+    /// 16-bit lanes ([`word_hits`]). A hit is all-ones (−1), so the
+    /// MSB-first planes fold Horner-style — `mag = 2·mag − hit` — with no
+    /// per-plane weight constant. Magnitudes then widen to 32-bit lanes
+    /// 8 at a time and dequantize in [`finish8`], so every lane matches
+    /// the scalar oracle bit for bit; a ragged tail stores through a
+    /// stack buffer instead of dropping to scalar code.
     ///
     /// # Safety
     ///
     /// Requires AVX2 (callers go through the dispatch layer, which only
     /// selects this leg when the CPU reports it).
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn decode_group(sign_word: u64, ulp: f32, planes: &[u64], out: &mut [f32]) {
         assert!(out.len() <= LANES, "a group holds at most {LANES} lanes");
-        let m = planes.len();
-        let lane_bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-        let sign_sel = _mm256_set1_epi32(i32::MIN);
+        assert!(planes.len() <= 16, "a magnitude holds at most 16 planes");
         let ulp_v = _mm256_set1_ps(ulp);
-        let full = out.len() / 8;
-        for c in 0..full {
-            let mut mags = _mm256_setzero_si256();
-            for (b, plane) in planes.iter().enumerate() {
-                let byte = _mm256_set1_epi32(((plane >> (c * 8)) & 0xFF) as i32);
-                let hit = _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane_bits), lane_bits);
-                let weight = _mm256_set1_epi32(1 << (m - 1 - b));
-                mags = _mm256_or_si256(mags, _mm256_and_si256(hit, weight));
+        if planes.len() <= 8 {
+            for (c, block) in out.chunks_mut(32).enumerate() {
+                let mut mags = _mm256_setzero_si256();
+                for &plane in planes {
+                    mags = _mm256_sub_epi8(_mm256_add_epi8(mags, mags), byte_hits(plane, c));
+                }
+                let neg = byte_hits(sign_word, c);
+                let halves = [
+                    (_mm256_castsi256_si128(mags), _mm256_castsi256_si128(neg)),
+                    (
+                        _mm256_extracti128_si256::<1>(mags),
+                        _mm256_extracti128_si256::<1>(neg),
+                    ),
+                ];
+                for (half, (m16, n16)) in block.chunks_mut(16).zip(halves) {
+                    let (lo, hi) = half.split_at_mut(half.len().min(8));
+                    finish8(
+                        _mm256_cvtepu8_epi32(m16),
+                        _mm256_cvtepu8_epi32(n16),
+                        ulp_v,
+                        lo,
+                    );
+                    if !hi.is_empty() {
+                        finish8(
+                            _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(m16)),
+                            _mm256_cvtepu8_epi32(_mm_srli_si128::<8>(n16)),
+                            ulp_v,
+                            hi,
+                        );
+                    }
+                }
             }
-            let v = _mm256_mul_ps(_mm256_cvtepi32_ps(mags), ulp_v);
-            let sbyte = _mm256_set1_epi32(((sign_word >> (c * 8)) & 0xFF) as i32);
-            let shit = _mm256_cmpeq_epi32(_mm256_and_si256(sbyte, lane_bits), lane_bits);
-            let signed = _mm256_xor_ps(v, _mm256_castsi256_ps(_mm256_and_si256(shit, sign_sel)));
-            _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), signed);
-        }
-        for (i, slot) in out.iter_mut().enumerate().skip(full * 8) {
-            let mut mag = 0u16;
-            for (b, plane) in planes.iter().enumerate() {
-                mag |= (((plane >> i) & 1) as u16) << (m - 1 - b);
+        } else {
+            for (c, block) in out.chunks_mut(16).enumerate() {
+                let mut mags = _mm256_setzero_si256();
+                for plane in planes {
+                    let hit = word_hits((plane >> (c * 16)) as u16);
+                    mags = _mm256_sub_epi16(_mm256_add_epi16(mags, mags), hit);
+                }
+                let neg = word_hits((sign_word >> (c * 16)) as u16);
+                let (lo, hi) = block.split_at_mut(block.len().min(8));
+                finish8(
+                    _mm256_cvtepu16_epi32(_mm256_castsi256_si128(mags)),
+                    _mm256_cvtepu16_epi32(_mm256_castsi256_si128(neg)),
+                    ulp_v,
+                    lo,
+                );
+                if !hi.is_empty() {
+                    finish8(
+                        _mm256_cvtepu16_epi32(_mm256_extracti128_si256::<1>(mags)),
+                        _mm256_cvtepu16_epi32(_mm256_extracti128_si256::<1>(neg)),
+                        ulp_v,
+                        hi,
+                    );
+                }
             }
-            let v = f32::from(mag) * ulp;
-            *slot = if (sign_word >> i) & 1 == 1 { -v } else { v };
         }
     }
 
@@ -495,45 +661,117 @@ mod neon {
     use anda_fp::RoundingMode;
     use core::arch::aarch64::*;
 
-    /// NEON leg of [`decode_group_into`]: the 4-lane mirror of the AVX2
-    /// leg (plane nibble spread via compare-against-bit-mask, exact
-    /// `u32→f32` convert, sign-bit XOR).
+    /// Spreads 16 plane bits over 16 byte lanes: lane `j` is `0xFF` where
+    /// bit `j` of `bits` is set, else 0 (each plane byte duplicated
+    /// across 8 lanes, then `vtstq_u8` against the per-lane bit).
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn byte_hits(bits: u16) -> uint8x16_t {
+        let lane_bits: [u8; 16] = [1, 2, 4, 8, 16, 32, 64, 128, 1, 2, 4, 8, 16, 32, 64, 128];
+        let bytes = vcombine_u8(vdup_n_u8(bits as u8), vdup_n_u8((bits >> 8) as u8));
+        vtstq_u8(bytes, vld1q_u8(lane_bits.as_ptr()))
+    }
+
+    /// The 8-lane mirror of [`byte_hits`]: 16-bit lane `j` is `0xFFFF`
+    /// where bit `j` of `bits` is set.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn word_hits(bits: u8) -> uint16x8_t {
+        let lane_bits: [u16; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+        vtstq_u16(vdupq_n_u16(u16::from(bits)), vld1q_u16(lane_bits.as_ptr()))
+    }
+
+    /// Dequantizes 4 widened lanes — integer magnitudes in `mags`, the
+    /// sign in bit 0 of `neg` — into `dst` (`<= 4` lanes; a short `dst`
+    /// is a group tail): exact `u32→f32` convert, one multiply by the
+    /// group ULP, sign-bit XOR, as in the scalar oracle.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn finish4(mags: uint32x4_t, neg: uint32x4_t, ulp: float32x4_t, dst: &mut [f32]) {
+        let v = vmulq_f32(vcvtq_f32_u32(mags), ulp);
+        let signed =
+            vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(v), vshlq_n_u32::<31>(neg)));
+        if dst.len() == 4 {
+            vst1q_f32(dst.as_mut_ptr(), signed);
+        } else {
+            let mut lanes = [0.0f32; 4];
+            vst1q_f32(lanes.as_mut_ptr(), signed);
+            dst.copy_from_slice(&lanes[..dst.len()]);
+        }
+    }
+
+    /// [`finish4`] over 8 lanes held as 16-bit magnitudes / sign hits.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn finish8(mags: uint16x8_t, neg: uint16x8_t, ulp: float32x4_t, dst: &mut [f32]) {
+        let (lo, hi) = dst.split_at_mut(dst.len().min(4));
+        finish4(
+            vmovl_u16(vget_low_u16(mags)),
+            vmovl_u16(vget_low_u16(neg)),
+            ulp,
+            lo,
+        );
+        if !hi.is_empty() {
+            finish4(
+                vmovl_u16(vget_high_u16(mags)),
+                vmovl_u16(vget_high_u16(neg)),
+                ulp,
+                hi,
+            );
+        }
+    }
+
+    /// NEON leg of [`decode_group_into`], the 128-bit mirror of the AVX2
+    /// leg: for `M <= 8` a plane's 16 bits become 16 **byte** lanes per
+    /// step ([`byte_hits`]), for `M` 9..=16 a plane byte becomes 8
+    /// 16-bit lanes ([`word_hits`]). A hit is all-ones (−1), so the
+    /// MSB-first planes fold Horner-style — `mag = 2·mag − hit` — and the
+    /// magnitudes widen to 32-bit lanes only for the dequant
+    /// ([`finish4`]); ragged tails store through a stack buffer.
     ///
     /// # Safety
     ///
     /// Requires NEON.
+    #[inline]
     #[target_feature(enable = "neon")]
     pub unsafe fn decode_group(sign_word: u64, ulp: f32, planes: &[u64], out: &mut [f32]) {
         assert!(out.len() <= LANES, "a group holds at most {LANES} lanes");
-        let m = planes.len();
-        let lane_bits = {
-            let bits: [u32; 4] = [1, 2, 4, 8];
-            vld1q_u32(bits.as_ptr())
-        };
-        let sign_sel = vdupq_n_u32(0x8000_0000);
+        assert!(planes.len() <= 16, "a magnitude holds at most 16 planes");
         let ulp_v = vdupq_n_f32(ulp);
-        let full = out.len() / 4;
-        for c in 0..full {
-            let mut mags = vdupq_n_u32(0);
-            for (b, plane) in planes.iter().enumerate() {
-                let nib = vdupq_n_u32(((plane >> (c * 4)) & 0xF) as u32);
-                let hit = vceqq_u32(vandq_u32(nib, lane_bits), lane_bits);
-                let weight = vdupq_n_u32(1 << (m - 1 - b));
-                mags = vorrq_u32(mags, vandq_u32(hit, weight));
+        if planes.len() <= 8 {
+            for (c, block) in out.chunks_mut(16).enumerate() {
+                let mut mags = vdupq_n_u8(0);
+                for plane in planes {
+                    let hit = byte_hits((plane >> (c * 16)) as u16);
+                    mags = vsubq_u8(vaddq_u8(mags, mags), hit);
+                }
+                let neg = byte_hits((sign_word >> (c * 16)) as u16);
+                let (lo, hi) = block.split_at_mut(block.len().min(8));
+                finish8(
+                    vmovl_u8(vget_low_u8(mags)),
+                    vmovl_u8(vget_low_u8(neg)),
+                    ulp_v,
+                    lo,
+                );
+                if !hi.is_empty() {
+                    finish8(
+                        vmovl_u8(vget_high_u8(mags)),
+                        vmovl_u8(vget_high_u8(neg)),
+                        ulp_v,
+                        hi,
+                    );
+                }
             }
-            let v = vmulq_f32(vcvtq_f32_u32(mags), ulp_v);
-            let snib = vdupq_n_u32(((sign_word >> (c * 4)) & 0xF) as u32);
-            let shit = vceqq_u32(vandq_u32(snib, lane_bits), lane_bits);
-            let signed = veorq_u32(vreinterpretq_u32_f32(v), vandq_u32(shit, sign_sel));
-            vst1q_f32(out.as_mut_ptr().add(c * 4), vreinterpretq_f32_u32(signed));
-        }
-        for i in full * 4..out.len() {
-            let mut mag = 0u16;
-            for (b, plane) in planes.iter().enumerate() {
-                mag |= (((plane >> i) & 1) as u16) << (m - 1 - b);
+        } else {
+            for (c, block) in out.chunks_mut(8).enumerate() {
+                let mut mags = vdupq_n_u16(0);
+                for plane in planes {
+                    let hit = word_hits((plane >> (c * 8)) as u8);
+                    mags = vsubq_u16(vaddq_u16(mags, mags), hit);
+                }
+                let neg = word_hits((sign_word >> (c * 8)) as u8);
+                finish8(mags, neg, ulp_v, block);
             }
-            let v = f32::from(mag) * ulp;
-            out[i] = if (sign_word >> i) & 1 == 1 { -v } else { v };
         }
     }
 
@@ -792,74 +1030,122 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn every_leg_matches_the_scalar_oracle() {
-        for leg in available_legs() {
-            for &rounding in &[RoundingMode::Truncate, RoundingMode::NearestEven] {
-                for &(len, m) in &[
-                    (1usize, 1u32),
-                    (3, 4),
-                    (7, 8),
-                    (8, 11),
-                    (9, 16),
-                    (63, 5),
-                    (64, 8),
-                    (65, 8),
-                    (100, 6),
-                    (127, 12),
-                    (128, 3),
-                    (320, 16),
-                ] {
-                    let cfg = AndaConfig::with_rounding(LANES, m, rounding).unwrap();
-                    let data = adversarial_row(len, (len * 131 + m as usize) as u64);
-                    let g = groups_per_row(len, cfg);
-                    let pw = plane_words_per_row(len, cfg);
+    /// Group sizes on both sides of every vector width a leg steps by
+    /// (8, 16 and 32 lanes) plus the hardware's 64.
+    const GROUP_SIZES: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
 
-                    let mut s_signs = vec![0u64; g];
-                    let mut s_exps = vec![0u16; g];
-                    let mut s_planes = vec![0u64; pw];
-                    encode_row_into_scalar(&data, cfg, &mut s_signs, &mut s_exps, &mut s_planes);
-
-                    let mut v_signs = vec![0u64; g];
-                    let mut v_exps = vec![0u16; g];
-                    let mut v_planes = vec![0u64; pw];
-                    encode_row_into_with_leg(
-                        leg,
-                        &data,
-                        cfg,
-                        &mut v_signs,
-                        &mut v_exps,
-                        &mut v_planes,
-                    );
-                    let ctx = format!("leg={} len={len} m={m} {rounding:?}", leg.name());
-                    assert_eq!(s_signs, v_signs, "signs {ctx}");
-                    assert_eq!(s_exps, v_exps, "exps {ctx}");
-                    assert_eq!(s_planes, v_planes, "planes {ctx}");
-
-                    let mut s_out = vec![0.0f32; len];
-                    decode_row_into_scalar(cfg, &s_signs, &s_exps, &s_planes, &mut s_out);
-                    let mut v_out = vec![0.0f32; len];
-                    decode_row_into_with_leg(leg, cfg, &s_signs, &s_exps, &s_planes, &mut v_out);
-                    assert_eq!(bits(&s_out), bits(&v_out), "decode {ctx}");
+    /// Every `M` × group size × row length (one group, whole groups, and
+    /// a partial trailing group where the group size allows one): `M <= 8`
+    /// runs the byte-lane transpose, `M > 8` the 16-bit-lane one, and the
+    /// group sizes put a ragged tail behind every step width.
+    fn sweep(mut case: impl FnMut(AndaConfig, usize)) {
+        for &rounding in &[RoundingMode::Truncate, RoundingMode::NearestEven] {
+            for m in 1..=16 {
+                for gs in GROUP_SIZES {
+                    let cfg = AndaConfig::with_rounding(gs, m, rounding).unwrap();
+                    for len in [gs, 3 * gs, 2 * gs + gs.div_ceil(2)] {
+                        case(cfg, len);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn small_group_sizes_match_on_every_leg() {
-        // Non-64 group sizes exercise ragged in-group tails on each leg.
+    fn every_leg_matches_the_scalar_oracle() {
         for leg in available_legs() {
-            for &gs in &[1usize, 3, 5, 8, 17, 33] {
-                let cfg = AndaConfig::new(gs, 7).unwrap();
-                let data = adversarial_row(61, gs as u64 * 977);
-                let g = groups_per_row(61, cfg);
-                let pw = plane_words_per_row(61, cfg);
+            sweep(|cfg, len| {
+                let m = cfg.mantissa_bits();
+                let data = adversarial_row(len, (len * 131 + m as usize) as u64);
+                let g = groups_per_row(len, cfg);
+                let pw = plane_words_per_row(len, cfg);
                 let mut s = (vec![0u64; g], vec![0u16; g], vec![0u64; pw]);
-                let mut v = (vec![0u64; g], vec![0u16; g], vec![0u64; pw]);
+                let mut v = (vec![!0u64; g], vec![!0u16; g], vec![!0u64; pw]);
                 encode_row_into_scalar(&data, cfg, &mut s.0, &mut s.1, &mut s.2);
                 encode_row_into_with_leg(leg, &data, cfg, &mut v.0, &mut v.1, &mut v.2);
-                assert_eq!(s, v, "leg={} gs={gs}", leg.name());
+                let ctx = format!("leg={} len={len} {cfg:?}", leg.name());
+                assert_eq!(s, v, "encode {ctx}");
+
+                let mut s_out = vec![0.0f32; len];
+                decode_row_into_scalar(cfg, &s.0, &s.1, &s.2, &mut s_out);
+                let mut v_out = vec![1.0f32; len];
+                decode_row_into_with_leg(leg, cfg, &s.0, &s.1, &s.2, &mut v_out);
+                assert_eq!(bits(&s_out), bits(&v_out), "decode {ctx}");
+            });
+        }
+    }
+
+    /// Buffers no encoder input reaches together: all-ones planes (the
+    /// largest magnitude of each lane width, `2^M − 1`, bits set past the
+    /// row's last lane too), all-negative and all-positive sign words,
+    /// and the smallest and largest shared exponents side by side.
+    #[test]
+    fn small_group_sizes_match_on_every_leg() {
+        for leg in available_legs() {
+            sweep(|cfg, len| {
+                let g = groups_per_row(len, cfg);
+                let planes = vec![!0u64; plane_words_per_row(len, cfg)];
+                let exps: Vec<u16> = (0..g).map(|gi| if gi % 2 == 0 { 30 } else { 1 }).collect();
+                for sign_word in [!0u64, 0, 0xA5A5_5A5A_F00F_0FF0] {
+                    let signs = vec![sign_word; g];
+                    let mut s_out = vec![0.0f32; len];
+                    decode_row_into_scalar(cfg, &signs, &exps, &planes, &mut s_out);
+                    let mut v_out = vec![1.0f32; len];
+                    decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut v_out);
+                    assert_eq!(
+                        bits(&s_out),
+                        bits(&v_out),
+                        "leg={} len={len} signs={sign_word:#x} {cfg:?}",
+                        leg.name()
+                    );
+                }
+            });
+        }
+    }
+
+    /// The page-level decode reproduces per-row decodes bit for bit on
+    /// the columns it is asked for and leaves the others alone, without
+    /// touching the row counter's per-row path.
+    #[test]
+    fn page_decode_matches_row_decode_on_its_columns() {
+        for (dim, m) in [(256usize, 8u32), (192, 5), (100, 11)] {
+            let cfg = AndaConfig::hardware(m).unwrap();
+            let (g, pw) = (groups_per_row(dim, cfg), plane_words_per_row(dim, cfg));
+            let rows = 5;
+            let mut page = (
+                vec![0u64; rows * g],
+                vec![0u16; rows * g],
+                vec![0u64; rows * pw],
+            );
+            let mut expect = vec![0.0f32; rows * dim];
+            for r in 0..rows {
+                let (sr, er, pr) = (r * g..(r + 1) * g, r * g..(r + 1) * g, r * pw..(r + 1) * pw);
+                encode_row_into(
+                    &row(dim, (r * 7 + dim) as u64),
+                    cfg,
+                    &mut page.0[sr.clone()],
+                    &mut page.1[er.clone()],
+                    &mut page.2[pr.clone()],
+                );
+                let out = &mut expect[r * dim..(r + 1) * dim];
+                decode_row_into(cfg, &page.0[sr], &page.1[er], &page.2[pr], out);
+            }
+            for groups in [0..g, 0..1, g - 1..g] {
+                let cols = groups.start * LANES..(groups.end * LANES).min(dim);
+                let mut tile = vec![f32::NAN; rows * dim];
+                decode_rows_into(cfg, &page.0, &page.1, &page.2, groups, dim, &mut tile);
+                for (r, (got, want)) in tile.chunks(dim).zip(expect.chunks(dim)).enumerate() {
+                    assert_eq!(
+                        bits(&got[cols.clone()]),
+                        bits(&want[cols.clone()]),
+                        "row {r}"
+                    );
+                    let outside = got[..cols.start].iter().chain(&got[cols.end..]);
+                    assert!(
+                        outside.copied().all(f32::is_nan),
+                        "row {r} wrote outside {cols:?}"
+                    );
+                }
             }
         }
     }

@@ -4,10 +4,13 @@
 //! encoded sign/exponent/plane words `==`-identical, decoded rows
 //! `f32::to_bits`-identical, integer dots exactly equal.
 //!
-//! Row lengths sweep across the 64-lane group boundary (partial
-//! trailing groups included), mantissa widths cover the full 1..=16
-//! range, and inputs include non-finite values (the codec saturates
-//! them like the scalar path must).
+//! Row lengths sweep across the group boundary (partial trailing groups
+//! included), group sizes sit on both sides of every vector step width
+//! (8, 16, 32 lanes) up to the hardware's 64, mantissa widths cover the
+//! full 1..=16 range — the byte-lane (`M <= 8`) and 16-bit-lane decode
+//! transposes both — and inputs include non-finite values (the codec
+//! saturates them like the scalar path must) as well as raw plane, sign
+//! and exponent words no encoder produces together.
 
 use anda_format::dot::{dot_group_int_flat_scalar, dot_group_int_flat_with_leg};
 use anda_format::rowcodec::{
@@ -36,6 +39,9 @@ fn row() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(element, 1..=150)
 }
 
+/// Group sizes around every lane count a vector leg steps by.
+const GROUP_SIZES: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
+
 fn rounding(rne: bool) -> RoundingMode {
     if rne {
         RoundingMode::NearestEven
@@ -54,9 +60,10 @@ proptest! {
     fn rowcodec_matches_scalar_on_all_legs(
         values in row(),
         m in 1u32..=16,
+        gs in 0..GROUP_SIZES.len(),
         rne in any::<bool>(),
     ) {
-        let cfg = AndaConfig::with_rounding(64, m, rounding(rne)).unwrap();
+        let cfg = AndaConfig::with_rounding(GROUP_SIZES[gs], m, rounding(rne)).unwrap();
         let g = groups_per_row(values.len(), cfg);
         let pw = plane_words_per_row(values.len(), cfg);
 
@@ -81,6 +88,47 @@ proptest! {
             for (i, (a, b)) in out.iter().zip(&out0).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(),
                     "leg={} m={m} i={i}: {} vs {}", leg.name(), a, b);
+            }
+        }
+    }
+
+    /// Decode of arbitrary stored words — random planes and signs with
+    /// all-ones planes, all-negative sign words and the smallest/largest
+    /// shared exponents mixed in — matches the scalar decode on every
+    /// leg, for every lane width and every ragged tail.
+    #[test]
+    fn decode_of_raw_words_matches_scalar_on_all_legs(
+        words in prop::collection::vec((any::<u64>(), 0u32..4), 17 * 3),
+        len in 1usize..=150,
+        m in 1u32..=16,
+        gs in 0..GROUP_SIZES.len(),
+    ) {
+        let cfg = AndaConfig::new(GROUP_SIZES[gs], m).unwrap();
+        let len = len.min(3 * GROUP_SIZES[gs]);
+        let g = groups_per_row(len, cfg);
+        let pw = plane_words_per_row(len, cfg);
+        let word = |i: usize| match words[i % words.len()] {
+            (_, 0) => !0u64,
+            (w, _) => w,
+        };
+        let signs: Vec<u64> = (0..g).map(word).collect();
+        let planes: Vec<u64> = (0..pw).map(|i| word(g + i)).collect();
+        let exps: Vec<u16> = (0..g)
+            .map(|i| match words[i % words.len()] {
+                (_, 1) => 1,
+                (_, 2) => 30,
+                (w, _) => 1 + (w % 30) as u16,
+            })
+            .collect();
+
+        let mut out0 = vec![0.0f32; len];
+        decode_row_into_scalar(cfg, &signs, &exps, &planes, &mut out0);
+        for leg in available_legs() {
+            let mut out = vec![1.0f32; len];
+            decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut out);
+            for (i, (a, b)) in out.iter().zip(&out0).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(),
+                    "leg={} m={m} gs={} i={i}: {} vs {}", leg.name(), GROUP_SIZES[gs], a, b);
             }
         }
     }

@@ -10,10 +10,24 @@
 //! page holds raw `f32` rows (the exact-reference policy), FP16-rounded
 //! rows (the paper's §V-A baseline), BF16-rounded rows (same footprint,
 //! full exponent range) — all read in place — or Anda bit-plane rows
-//! (decoded on read into caller scratch via `anda_format::rowcodec`,
-//! with zero per-token allocation). The rounded-policy appends and the
-//! Anda encode/decode all run through the SIMD-dispatched kernels in
-//! `anda_fp::simd` (scalar-oracle bit-exact on every leg).
+//! (decoded on read via `anda_format::rowcodec`, with zero per-token
+//! allocation). The rounded-policy appends and the Anda encode/decode
+//! all run through the SIMD-dispatched kernels in `anda_fp::simd`
+//! (scalar-oracle bit-exact on every leg).
+//!
+//! # One read path
+//!
+//! Attention reads the cache through a single routine, the page walk of
+//! [`PageDecodeCache::attend`]: solo decode, decode batches and prefill
+//! chunk spans all describe their work as [`AttendLane`]s (a query, the
+//! window it attends, where the result goes). The walk goes page by
+//! page, decodes each distinct physical Anda page once into a page-sized
+//! tile that stays in L1 while every lane viewing it consumes it, and
+//! reads float pages where they lie — the compressed operand stays
+//! compressed until it is in L1, and no decoded copy of a context is
+//! ever materialised. [`LayerKv::key_into`] / [`LayerKv::value_into`]
+//! remain as the single-row accessors (and the reference the walk is
+//! tested against).
 //!
 //! Pages move by value between the pool's free list and the caches, so a
 //! page can never be double-freed; retiring a stream ([`KvCache::reset`])
@@ -50,6 +64,7 @@ use std::sync::{Arc, Mutex};
 use anda_format::rowcodec;
 use anda_format::AndaConfig;
 use anda_fp::batch::{saturate_bf16_widen_slice, saturate_f16_widen_slice};
+use rayon_lite::ThreadPool;
 
 /// Storage policy for cached K/V rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -368,36 +383,35 @@ impl Page {
         self.used = rows;
     }
 
-    /// The filled K (or V) rows as one in-place `f32` slice — float
-    /// pages only; Anda pages must decode.
-    fn rows_in_place(&self, want_v: bool) -> &[f32] {
+    /// The page's filled K (or V) rows as a row-major tile of stride
+    /// `dim`, valid in columns `cols`. A float page is its own tile, read
+    /// in place; an Anda page decodes those columns of its rows into
+    /// `scratch` (page-sized, so it stays in L1) — the page walk's one
+    /// decode per page and pass. `cols` must start on a group boundary.
+    fn tile<'a>(
+        &'a self,
+        want_v: bool,
+        cols: &std::ops::Range<usize>,
+        scratch: &'a mut Vec<f32>,
+    ) -> &'a [f32] {
+        let filled = self.used * self.dim;
         match &self.data {
-            PageData::Float { k, v } => {
-                let buf = if want_v { v } else { k };
-                &buf[..self.used * self.dim]
+            PageData::Float { k, v } => &(if want_v { v } else { k })[..filled],
+            PageData::Anda { cfg, k, v } => {
+                let rows = if want_v { v } else { k };
+                let gs = cfg.group_size();
+                scratch.resize(self.positions * self.dim, 0.0);
+                rowcodec::decode_rows_into(
+                    *cfg,
+                    &rows.signs,
+                    &rows.exps,
+                    &rows.planes,
+                    cols.start / gs..cols.end.div_ceil(gs),
+                    self.dim,
+                    &mut scratch[..filled],
+                );
+                &scratch[..filled]
             }
-            PageData::Anda { .. } => {
-                unreachable!("in-place reads are a float-policy path")
-            }
-        }
-    }
-
-    /// Decodes the first `fill` cached rows of an Anda page into
-    /// row-major `fill × dim` K/V planes — the grouped decode path's
-    /// arena fill, bit-identical to `fill` calls of [`Page::row_into`].
-    ///
-    /// # Panics
-    ///
-    /// Unreachable on float-policy pages (they are read in place, never
-    /// staged for decode).
-    pub(crate) fn decode_rows_into(&self, fill: usize, k_dst: &mut [f32], v_dst: &mut [f32]) {
-        let PageData::Anda { cfg, k, v } = &self.data else {
-            unreachable!("float pages are read in place, not decoded")
-        };
-        for slot in 0..fill {
-            let dst = slot * self.dim;
-            k.decode(slot, *cfg, &mut k_dst[dst..dst + self.dim]);
-            v.decode(slot, *cfg, &mut v_dst[dst..dst + self.dim]);
         }
     }
 
@@ -787,6 +801,16 @@ impl TablePage {
         }
     }
 
+    /// The physical page's identity for the duration of one layer's
+    /// attend: every lease of a shared page agrees on the `Arc` pointer,
+    /// and simultaneously live owned pages have distinct addresses.
+    fn identity(&self) -> usize {
+        match self {
+            TablePage::Owned(page) => std::ptr::from_ref(page) as usize,
+            TablePage::Shared(shared) => Arc::as_ptr(&shared.inner) as usize,
+        }
+    }
+
     /// Moment-long placeholder swapped in while an `Owned` page is moved
     /// out for sealing; never observable (replaced in the same call) and
     /// allocation-free (`Vec::new` holds no buffer).
@@ -861,12 +885,6 @@ impl LayerKv {
     fn rows_in_page(&self, i: usize) -> usize {
         let pp = self.page_positions();
         (self.len - i * pp).min(pp)
-    }
-
-    /// The physical page behind table slot `i` — the grouped decode
-    /// executor's resolver for [`PendingDecode`] records.
-    pub(crate) fn page_at(&self, i: usize) -> &Page {
-        self.pages[i].page()
     }
 
     /// Appends one position's key and value rows, leasing a fresh page
@@ -1012,46 +1030,6 @@ impl LayerKv {
         self.pages[pos / pp].page().row_into(pos % pp, want_v, out);
     }
 
-    fn reads_in_place(&self) -> bool {
-        self.pages
-            .first()
-            .is_none_or(|p| p.page().storage.reads_in_place())
-    }
-
-    /// Decodes every cached K and V row into flat `t × dim` scratch
-    /// buffers. Requests exactly `len × dim` capacity, so buffers
-    /// pre-reserved for the maximum context ([`KvReadScratch::reserve`])
-    /// never grow — the zero-allocation decode contract.
-    pub(crate) fn decode_rows(&self, k_out: &mut Vec<f32>, v_out: &mut Vec<f32>) {
-        let dim = self.dim();
-        k_out.clear();
-        v_out.clear();
-        k_out.resize(self.len * dim, 0.0);
-        v_out.resize(self.len * dim, 0.0);
-        let mut written = 0;
-        for (i, entry) in self.pages.iter().enumerate() {
-            let page = entry.page();
-            // Logical rows, not the page's own fill: a shared tail may
-            // physically hold donor rows past this table's fork point.
-            let rows = self.rows_in_page(i);
-            let n = rows * dim;
-            match &page.data {
-                PageData::Float { k, v } => {
-                    k_out[written..written + n].copy_from_slice(&k[..n]);
-                    v_out[written..written + n].copy_from_slice(&v[..n]);
-                }
-                PageData::Anda { cfg, k, v } => {
-                    for slot in 0..rows {
-                        let dst = written + slot * dim;
-                        k.decode(slot, *cfg, &mut k_out[dst..dst + dim]);
-                        v.decode(slot, *cfg, &mut v_out[dst..dst + dim]);
-                    }
-                }
-            }
-            written += n;
-        }
-    }
-
     /// Returns every lease to `pool` (owned pages to the free list,
     /// shared leases dropped — the physical page rejoins the free list
     /// only with its last lease) and empties the layer.
@@ -1084,11 +1062,10 @@ impl LayerKv {
 
     /// Validates that this layer can be attended at all: attention over
     /// zero cached positions is always a caller bug (softmax over an
-    /// empty score row, or a grouped walk indexing past its offsets
-    /// buffer), so every attend entry point rejects it *here*, at the
-    /// API surface, with a message naming the layer and the misuse —
-    /// instead of surfacing as a NaN or a slice panic deep inside the
-    /// head kernel.
+    /// empty score row, or a page walk indexing an empty table), so every
+    /// attend entry point rejects it *here*, at the API surface, with a
+    /// message naming the layer and the misuse — instead of surfacing as
+    /// a NaN or a slice panic deep inside the walk.
     ///
     /// # Panics
     ///
@@ -1103,16 +1080,16 @@ impl LayerKv {
     }
 
     /// Single-query multi-head attention over the cached positions into a
-    /// caller buffer, allocation-free: softmax(q·Kᵀ/√d_head)·V per head,
-    /// heads concatenated. FP16 pages are read in place; Anda pages
-    /// decode into `scratch` once for the whole call.
+    /// caller buffer, allocation-free at steady state:
+    /// softmax(q·Kᵀ/√d_head)·V per head, heads concatenated — one lane of
+    /// the page walk ([`PageDecodeCache`]), serial.
     ///
     /// # Panics
     ///
     /// Panics if the layer is empty (a clear API-surface message naming
     /// the layer — see [`LayerKv::assert_attendable`] — instead of a
-    /// confusing failure deep in the head kernel), `q`/`out` are not
-    /// `dim` wide, or `dim` is not divisible by `n_heads`.
+    /// confusing failure deep in the walk), `q`/`out` are not `dim` wide,
+    /// or `dim` is not divisible by `n_heads`.
     pub fn attend_into(
         &self,
         q: &[f32],
@@ -1121,44 +1098,16 @@ impl LayerKv {
         scratch: &mut KvReadScratch,
     ) {
         self.assert_attendable();
-        let dim = self.dim();
-        assert_eq!(q.len(), dim, "query width");
-        assert_eq!(out.len(), dim, "output width");
-        assert_eq!(dim % n_heads, 0, "head split");
-        let dh = dim / n_heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let t = self.len;
-
-        let KvReadScratch {
-            k,
-            v,
-            scores,
-            probs,
-        } = scratch;
-        let rows = if self.reads_in_place() {
-            KvRows::InPlace(self)
-        } else {
-            self.decode_rows(k, v);
-            KvRows::Decoded { k, v, dim }
+        scratch.scores.clear();
+        scratch.scores.resize(n_heads * self.len, 0.0);
+        let lane = AttendLane {
+            layer: self,
+            t: self.len,
+            q,
+            scores: &mut scratch.scores,
+            out,
         };
-        scores.clear();
-        scores.resize(t, 0.0);
-        probs.clear();
-        probs.resize(t, 0.0);
-        out.fill(0.0);
-        for head in 0..n_heads {
-            let off = head * dh;
-            attend_head(
-                q,
-                rows,
-                head,
-                dh,
-                scale,
-                &mut out[off..off + dh],
-                scores,
-                probs,
-            );
-        }
+        scratch.pages.attend(&mut [lane], n_heads, None);
     }
 
     /// [`LayerKv::attend_into`] with owned scratch and output
@@ -1170,16 +1119,13 @@ impl LayerKv {
     }
 }
 
-/// Reusable buffers for reading compressed KV rows: flat decoded K/V
-/// planes plus score/probability staging. One instance serves any number
-/// of [`LayerKv::attend_into`] calls (or one decode stream) with no
-/// steady-state allocation.
+/// Reusable buffers for [`LayerKv::attend_into`]: the page walk's tile
+/// plus the per-head score lanes. One instance serves any number of
+/// calls with no steady-state allocation.
 #[derive(Clone, Debug, Default)]
 pub struct KvReadScratch {
-    pub(crate) k: Vec<f32>,
-    pub(crate) v: Vec<f32>,
-    pub(crate) scores: Vec<f32>,
-    pub(crate) probs: Vec<f32>,
+    pages: PageDecodeCache,
+    scores: Vec<f32>,
 }
 
 impl KvReadScratch {
@@ -1187,394 +1133,304 @@ impl KvReadScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Pre-reserves the decode buffers for contexts up to `max_len`
-    /// positions of `dim`-wide rows.
-    pub fn reserve(&mut self, max_len: usize, dim: usize) {
-        self.k.reserve(max_len * dim);
-        self.v.reserve(max_len * dim);
-        self.scores.reserve(max_len);
-        self.probs.reserve(max_len);
-    }
 }
 
-/// One contiguous span of a layer's staged KV rows for a grouped attend:
-/// the `rows` *logical* rows of one page, resolved either in place (a
-/// float page, indexed into the layer's own table) or in the shared
-/// decode arena (an Anda page, addressed by its float offset). Segments
-/// are index-based on purpose — carrying no borrow lets a scheduler
-/// stage every stream's segments serially and consume them later from
-/// parallel attend jobs.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct KvSegment {
-    rows: usize,
-    src: SegSrc,
+/// One query attending a layer's first `t` cached positions: the unit of
+/// work of the page walk ([`PageDecodeCache`]). A decode step is one
+/// lane per stream with `t = layer.len()`; lane `j` of a prefill chunk
+/// at `pos` passes `t = pos + j + 1` against a table that already holds
+/// the whole chunk's rows, which is all causal masking takes — rows past
+/// `t` never enter the lane's reduction, so the lane is bit-identical to
+/// a solo decode at that position.
+pub struct AttendLane<'a> {
+    /// The layer whose cached rows are attended.
+    pub layer: &'a LayerKv,
+    /// Attended window, `1..=layer.len()`.
+    pub t: usize,
+    /// The query, `dim` wide.
+    pub q: &'a [f32],
+    /// Per-head score lanes (`n_heads × t`, head-major): scratch for the
+    /// walk, left holding the softmax weights.
+    pub scores: &'a mut [f32],
+    /// The head mix, `dim` wide (overwritten).
+    pub out: &'a mut [f32],
 }
 
-#[derive(Clone, Copy, Debug)]
-enum SegSrc {
-    /// Page-table index of a float page read in place.
-    Page(usize),
-    /// Float offset of a decoded Anda page in the arena.
-    Arena(usize),
-}
+/// Below this many multiply-adds (`2 · t · dim` summed over the lanes,
+/// the score and mix loops together) a walk runs on the calling thread.
+/// Splitting never changes a value: each job owns whole heads and
+/// computes every output element with the same operation order.
+const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
 
-/// Page-identity-keyed decode cache for grouped batched attention: one
-/// per-layer arena of decoded K/V rows shared by every stream in the
-/// batch, so each physical Anda page decodes **at most once per step**
-/// no matter how many streams attend through it (the fix for the N×
-/// redundant decode of shared prefix pages).
-///
-/// Usage per layer per step: [`PageDecodeCache::begin_layer`] once, then
-/// the crate-internal `stage_layer` for every stream's [`LayerKv`]. A
-/// page's identity is its stable address for the duration of the layer
-/// epoch — the `Arc` pointer of a shared lease (the same physical prefix
-/// page yields the same pointer in every forking stream) or the owned
-/// page's own address. Staging decodes a page's full physical fill, not
-/// one table's logical view of it: a truncated fork and its donor share
-/// an identity but view different row counts, and per-row decode is
-/// independent, so the union costs nothing in exactness. Float pages
-/// never enter the arena — they stage as in-place segments.
-///
-/// The arena keeps its capacity across layers and steps (`begin_layer`
-/// only clears the identity index), so steady-state grouped decode
-/// allocates nothing once the deepest layer has been staged.
-#[derive(Debug, Default)]
-pub struct PageDecodeCache {
-    /// Flat decoded key rows, bump-allocated per layer epoch.
-    k: Vec<f32>,
-    /// Flat decoded value rows, same offsets as `k`.
-    v: Vec<f32>,
-    /// Page identity → (float offset, decoded physical rows), valid for
-    /// the current layer epoch only.
-    index: std::collections::HashMap<usize, (usize, usize)>,
-    /// Floats staged in the arena this layer epoch.
-    used: usize,
-    /// Pages staged this layer epoch whose arena ranges still hold
-    /// zeros: staging only *reserves*; the decode itself is deferred so
-    /// the caller can fan independent pages across a thread pool
-    /// ([`PageDecodeCache::pending_split`]).
-    pending: Vec<PendingDecode>,
-    /// Anda pages decoded since construction (monotonic) — the exact,
-    /// per-instance counter behind the scheduler's decode-once test.
+/// One walk job's scratch: a page-sized decode tile and the page-group
+/// sort buffer. Neither scales with context or batch.
+#[derive(Clone, Debug, Default)]
+struct WalkScratch {
+    tile: Vec<f32>,
+    order: Vec<(usize, usize)>,
+    /// Anda pages decoded by this job's K passes (monotonic).
     pages_decoded: u64,
 }
 
-/// One staged-but-not-yet-decoded page: which batch entry's table it
-/// was first seen in, where, and the arena range reserved for it.
-/// Offsets are bump-allocated in staging order, so consecutive pending
-/// entries cover consecutive arena ranges — the decode executor splits
-/// the arena into disjoint `&mut` chunks by walking them in order.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingDecode {
-    /// Index into the batch whose page table first staged this page.
-    pub(crate) entry: usize,
-    /// Page index within that entry's layer table.
-    pub(crate) page: usize,
-    /// Arena float offset reserved for the decoded rows.
-    pub(crate) off: usize,
-    /// Physical rows to decode (the page's full fill).
-    pub(crate) fill: usize,
+/// The one read path into the KV cache: a **page-major attention walk**
+/// over any set of [`AttendLane`]s — a solo decode step, a decode batch,
+/// chunk spans with causal lanes, or a mix.
+///
+/// Per layer the walk visits logical page index `i` ascending, twice
+/// (a K pass, then a V pass after the per-lane softmax). At each index
+/// the lanes are grouped by *physical* page — forks of one prefix lease
+/// the same page at the same index — and each distinct Anda page is
+/// decoded **once** into a page-sized tile that stays in L1 while every
+/// (lane, head) viewing it consumes it; float pages are their own tile,
+/// read in place. So the compressed operand stays compressed until it is
+/// in L1, a page shared by N streams decodes once per pass however many
+/// attend through it, and no buffer scales with context × batch.
+///
+/// A page decodes its full physical fill, not one table's logical view
+/// of it: a truncated fork and its donor share a page but view different
+/// row counts, and per-row decode is independent, so the union costs
+/// nothing in exactness.
+///
+/// Every output element keeps the per-head reference arithmetic — the
+/// left-to-right `q·k` sum, the max-shifted log-softmax, the
+/// position-ascending `p·v` accumulation — so results are
+/// `f32::to_bits`-identical to a scalar loop over
+/// [`LayerKv::key_into`] / [`LayerKv::value_into`], at every thread
+/// count: parallel jobs split the *columns* (whole heads, on Anda group
+/// boundaries), each decoding only its own column groups of every page,
+/// so no decode work is duplicated either.
+#[derive(Clone, Debug, Default)]
+pub struct PageDecodeCache {
+    /// One scratch per parallel job; job 0 owns column 0 and the counts.
+    jobs: Vec<WalkScratch>,
 }
 
 impl PageDecodeCache {
-    /// An empty decode cache; the arena grows to its steady-state size
-    /// during the first step.
+    /// An empty cache; the tiles grow to page size on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Opens a new layer epoch: forgets every staged identity while
-    /// keeping the arena's capacity. Must be called before the first
-    /// `stage_layer` of each layer — identities are
-    /// only stable within one layer's stage-and-attend window (appending
-    /// the *next* layer's rows may move or replace pages).
-    pub fn begin_layer(&mut self) {
-        self.index.clear();
-        self.used = 0;
-        self.pending.clear();
-    }
-
-    /// Total Anda pages decoded through this cache (monotonic across
-    /// steps). Each shared page counts once per layer epoch it was
-    /// staged in, regardless of how many streams attend through it.
+    /// Total Anda pages decoded through this cache (monotonic). Each
+    /// distinct physical page counts once per walk — per layer of a step
+    /// — regardless of how many lanes attend through it, of the K and V
+    /// passes, and of the thread count.
     pub fn pages_decoded(&self) -> u64 {
-        self.pages_decoded
+        self.jobs.first().map_or(0, |job| job.pages_decoded)
     }
 
-    /// Stages one stream's view of `layer` for a grouped attend,
-    /// rewriting `segs` with one segment per page. Float pages stage in
-    /// place; an Anda page *reserves* an arena range only if this layer
-    /// epoch has not seen its identity yet (`entry_idx` records which
-    /// batch entry's table to decode it from) — the decode itself runs
-    /// in the [`PageDecodeCache::pending_split`] pass that follows
-    /// staging, so independent pages can decode in parallel.
+    /// Attends every lane (see the type docs), fanning column ranges
+    /// across `pool` when one is given and the work is large enough.
     ///
     /// # Panics
     ///
-    /// Panics if `layer` is empty (see [`LayerKv::assert_attendable`] —
-    /// an empty layer staged here would otherwise become a silent
-    /// zero-row walk of the segment table).
-    pub(crate) fn stage_layer(
+    /// Panics if a lane's layer is empty ([`LayerKv::assert_attendable`]),
+    /// its window exceeds the layer, its buffers do not match `dim` /
+    /// `n_heads × t`, the lanes' pages differ in policy or geometry, or
+    /// `dim` is not divisible by `n_heads`.
+    pub fn attend(
         &mut self,
-        entry_idx: usize,
-        layer: &LayerKv,
-        segs: &mut Vec<KvSegment>,
+        lanes: &mut [AttendLane<'_>],
+        n_heads: usize,
+        pool: Option<&ThreadPool>,
     ) {
-        layer.assert_attendable();
-        segs.clear();
-        let dim = layer.dim();
-        let in_place = layer.reads_in_place();
-        for (i, entry) in layer.pages.iter().enumerate() {
-            let rows = layer.rows_in_page(i);
-            if in_place {
-                segs.push(KvSegment {
-                    rows,
-                    src: SegSrc::Page(i),
-                });
-                continue;
-            }
-            let identity = match entry {
-                // All staged pages are simultaneously live, so addresses
-                // are unique; shared leases of one physical page agree on
-                // the `Arc` pointer across every stream that forked it.
-                TablePage::Owned(page) => std::ptr::from_ref(page) as usize,
-                TablePage::Shared(shared) => Arc::as_ptr(&shared.inner) as usize,
-            };
-            let (off, fill) = match self.index.get(&identity) {
-                Some(&slot) => slot,
-                None => {
-                    let fill = entry.page().used();
-                    let off = self.used;
-                    self.used += fill * dim;
-                    if self.k.len() < self.used {
-                        self.k.resize(self.used, 0.0);
-                        self.v.resize(self.used, 0.0);
-                    }
-                    // Reserve only: the decode runs once staging has
-                    // walked the whole batch, so independent pages can
-                    // be decoded in parallel (`pending_split`).
-                    self.pending.push(PendingDecode {
-                        entry: entry_idx,
-                        page: i,
-                        off,
-                        fill,
-                    });
-                    self.pages_decoded += 1;
-                    self.index.insert(identity, (off, fill));
-                    (off, fill)
-                }
-            };
-            debug_assert!(
-                rows <= fill,
-                "a staged view of layer {} exceeds its page's decoded fill ({rows} > {fill})",
-                layer.idx
+        let Some(first) = lanes.first() else { return };
+        let d = first.q.len();
+        assert_eq!(d % n_heads, 0, "head split");
+        let dh = d / n_heads;
+        let geometry = |layer: &LayerKv| {
+            let page = layer.pages[0].page();
+            (page.storage, page.positions, page.dim)
+        };
+        for lane in lanes.iter() {
+            lane.layer.assert_attendable();
+            assert_eq!(
+                geometry(lane.layer),
+                geometry(first.layer),
+                "lanes of one walk must share a pool geometry"
             );
-            segs.push(KvSegment {
-                rows,
-                src: SegSrc::Arena(off),
-            });
+            assert_eq!(lane.layer.dim(), d, "query width");
+            assert_eq!(lane.q.len(), d, "query width");
+            assert_eq!(lane.out.len(), d, "output width");
+            assert!(
+                (1..=lane.layer.len).contains(&lane.t),
+                "attended window {} outside layer {}'s {} positions",
+                lane.t,
+                lane.layer.idx,
+                lane.layer.len
+            );
+            assert_eq!(lane.scores.len(), n_heads * lane.t, "score lanes");
         }
-    }
-
-    /// The decoded (K, V) arenas the staged `SegSrc::Arena` offsets
-    /// resolve into, for building [`KvRows::Grouped`] views.
-    pub(crate) fn arenas(&self) -> (&[f32], &[f32]) {
-        (&self.k, &self.v)
-    }
-
-    /// The pages staged but not yet decoded this layer epoch, plus the
-    /// mutable arenas their reserved ranges live in. The caller decodes
-    /// each pending page's rows into its range — in any order, even
-    /// concurrently, since ranges are disjoint and per-row decode is
-    /// independent — and clears the list when done. Attending through a
-    /// segment table before its pending pages are decoded reads zeros.
-    pub(crate) fn pending_split(&mut self) -> (&mut Vec<PendingDecode>, &mut [f32], &mut [f32]) {
-        (&mut self.pending, &mut self.k, &mut self.v)
+        // A job owns whole heads, and on Anda pages whole column groups.
+        let unit = match first.layer.pages[0].page().storage.anda_config() {
+            None => dh,
+            Some(cfg) if dh.is_multiple_of(cfg.group_size()) => dh,
+            Some(cfg) if cfg.group_size().is_multiple_of(dh) => cfg.group_size(),
+            Some(_) => d,
+        };
+        let muladds: usize = lanes.iter().map(|lane| 2 * lane.t * d).sum();
+        let jobs = match pool {
+            Some(pool) if muladds >= ATTN_PAR_MIN_MULADDS => pool.threads().min(d / unit).max(1),
+            _ => 1,
+        };
+        if self.jobs.len() < jobs {
+            self.jobs.resize_with(jobs, WalkScratch::default);
+        }
+        let (Some(pool), true) = (pool, jobs > 1) else {
+            return walk(lanes, 0..d, dh, &mut self.jobs[0]);
+        };
+        let bound = |j: usize| {
+            if j == jobs {
+                d
+            } else {
+                j * (d / unit) / jobs * unit
+            }
+        };
+        let mut parts: Vec<Vec<AttendLane<'_>>> =
+            (0..jobs).map(|_| Vec::with_capacity(lanes.len())).collect();
+        for lane in lanes.iter_mut() {
+            let (mut scores, mut out) = (&mut *lane.scores, &mut *lane.out);
+            for (j, part) in parts.iter_mut().enumerate() {
+                let cols = bound(j)..bound(j + 1);
+                let (scores_j, scores_rest) = scores.split_at_mut(cols.len() / dh * lane.t);
+                let (out_j, out_rest) = out.split_at_mut(cols.len());
+                (scores, out) = (scores_rest, out_rest);
+                part.push(AttendLane {
+                    layer: lane.layer,
+                    t: lane.t,
+                    q: &lane.q[cols],
+                    scores: scores_j,
+                    out: out_j,
+                });
+            }
+        }
+        pool.scope(|sc| {
+            for ((j, part), scratch) in parts.iter_mut().enumerate().zip(&mut self.jobs) {
+                let cols = bound(j)..bound(j + 1);
+                sc.spawn(move || walk(part, cols, dh, scratch));
+            }
+        });
     }
 }
 
-/// A borrowed row-major view of one layer's cached K/V rows: the FP16
-/// pages themselves (read in place), flat decoded scratch, or a grouped
-/// segment view over the shared [`PageDecodeCache`] arena.
-#[derive(Clone, Copy)]
-pub(crate) enum KvRows<'a> {
-    InPlace(&'a LayerKv),
-    Decoded {
-        k: &'a [f32],
-        v: &'a [f32],
-        dim: usize,
-    },
-    /// Grouped-attention view: per-page segments resolving into either
-    /// the layer's own float pages (in place) or the decode arena a
-    /// whole batch shares.
-    Grouped {
-        layer: &'a LayerKv,
-        arena_k: &'a [f32],
-        arena_v: &'a [f32],
-        segs: &'a [KvSegment],
-    },
+/// One job of the page walk: columns `cols` (whole heads of width `dh`)
+/// of every lane, whose `q` / `out` / `scores` are already narrowed to
+/// those columns. See [`PageDecodeCache`] for the traversal and the
+/// exactness argument.
+fn walk(
+    lanes: &mut [AttendLane<'_>],
+    cols: std::ops::Range<usize>,
+    dh: usize,
+    s: &mut WalkScratch,
+) {
+    visit_pages(lanes, false, &cols, dh, s);
+    for lane in lanes.iter_mut() {
+        lane.scores.chunks_exact_mut(lane.t).for_each(softmax);
+        lane.out.fill(0.0);
+    }
+    visit_pages(lanes, true, &cols, dh, s);
 }
 
-impl<'a> KvRows<'a> {
-    pub(crate) fn k_rows(self) -> RowIter<'a> {
-        RowIter::new(self, false)
-    }
-
-    pub(crate) fn v_rows(self) -> RowIter<'a> {
-        RowIter::new(self, true)
-    }
-}
-
-/// Iterates a [`KvRows`] view as one `dim`-wide slice per position,
-/// walking pages (or staged segments) directly — no per-row page-table
-/// arithmetic. Yields exactly the layer's *logical* length: a shared
-/// tail page's physical rows past the fork point are never surfaced,
-/// whether read in place, from per-stream decode scratch, or from the
-/// grouped arena (segments carry the logical row count explicitly).
-pub(crate) struct RowIter<'a> {
-    src: RowSource<'a>,
-    cur: std::slice::ChunksExact<'a, f32>,
+/// One pass of [`walk`] — K (`want_v = false`, fills the score lanes) or
+/// V (accumulates the head mixes): page index ascending, the lanes
+/// reaching each index grouped by physical page, one tile per group.
+fn visit_pages(
+    lanes: &mut [AttendLane<'_>],
     want_v: bool,
-    remaining: usize,
-}
-
-enum RowSource<'a> {
-    /// Float pages walked in place; `remaining` truncates the shared
-    /// tail's physical overhang.
-    Pages(std::slice::Iter<'a, TablePage>),
-    /// One flat pre-decoded buffer; `cur` already spans it all.
-    Flat,
-    /// Grouped segments over a layer's float pages + the shared arena.
-    Segs {
-        layer: &'a LayerKv,
-        arena: &'a [f32],
-        segs: std::slice::Iter<'a, KvSegment>,
-    },
-}
-
-impl<'a> RowIter<'a> {
-    fn new(rows: KvRows<'a>, want_v: bool) -> Self {
-        match rows {
-            KvRows::InPlace(layer) => RowIter {
-                src: RowSource::Pages(layer.pages.iter()),
-                cur: [].chunks_exact(1),
-                want_v,
-                remaining: layer.len,
-            },
-            KvRows::Decoded { k, v, dim } => {
-                let buf = if want_v { v } else { k };
-                RowIter {
-                    src: RowSource::Flat,
-                    cur: buf.chunks_exact(dim),
-                    want_v,
-                    remaining: buf.len() / dim,
-                }
+    cols: &std::ops::Range<usize>,
+    dh: usize,
+    s: &mut WalkScratch,
+) {
+    let scale = 1.0 / (dh as f32).sqrt();
+    let (pp, d) = (lanes[0].layer.page_positions(), lanes[0].layer.dim());
+    let n_pages = lanes.iter().map(|lane| lane.t.div_ceil(pp)).max();
+    for i in 0..n_pages.unwrap_or(0) {
+        let base = i * pp;
+        s.order.clear();
+        s.order.extend(
+            lanes
+                .iter()
+                .enumerate()
+                .filter(|(_, lane)| lane.t > base)
+                .map(|(idx, lane)| (lane.layer.pages[i].identity(), idx)),
+        );
+        s.order.sort_unstable();
+        let mut next = 0;
+        while let Some(&(identity, leader)) = s.order.get(next) {
+            let page = lanes[leader].layer.pages[i].page();
+            // Job 0 counts for all: every job sees the same pages.
+            if !want_v && cols.start == 0 && !page.storage.reads_in_place() {
+                s.pages_decoded += 1;
+                anda_format::metrics::note_rows_decoded(2 * page.used as u64);
             }
-            KvRows::Grouped {
-                layer,
-                arena_k,
-                arena_v,
-                segs,
-            } => RowIter {
-                src: RowSource::Segs {
-                    layer,
-                    arena: if want_v { arena_v } else { arena_k },
-                    segs: segs.iter(),
-                },
-                cur: [].chunks_exact(1),
-                want_v,
-                remaining: layer.len,
-            },
-        }
-    }
-}
-
-impl<'a> Iterator for RowIter<'a> {
-    type Item = &'a [f32];
-
-    fn next(&mut self) -> Option<&'a [f32]> {
-        if self.remaining == 0 {
-            return None;
-        }
-        loop {
-            if let Some(row) = self.cur.next() {
-                self.remaining -= 1;
-                return Some(row);
-            }
-            match &mut self.src {
-                RowSource::Pages(pages) => {
-                    let page = pages.next()?.page();
-                    self.cur = page.rows_in_place(self.want_v).chunks_exact(page.dim);
+            let tile = page.tile(want_v, cols, &mut s.tile);
+            while let Some(&(_, idx)) = s.order.get(next).filter(|(id, _)| *id == identity) {
+                let lane = &mut lanes[idx];
+                let rows = tile.chunks_exact(d).take(lane.t - base);
+                if want_v {
+                    mix_rows(lane, rows, base, cols, dh);
+                } else {
+                    score_rows(lane, rows, base, cols, dh, scale);
                 }
-                RowSource::Flat => return None,
-                RowSource::Segs { layer, arena, segs } => {
-                    let layer: &'a LayerKv = layer;
-                    let arena: &'a [f32] = arena;
-                    let seg = segs.next()?;
-                    let dim = layer.dim();
-                    let span = match seg.src {
-                        // Logical rows only: in-place pages may hold a
-                        // donor's rows past this table's fork point, and
-                        // arena spans may hold a sibling's longer view.
-                        SegSrc::Page(i) => {
-                            &layer.pages[i].page().rows_in_place(self.want_v)[..seg.rows * dim]
-                        }
-                        SegSrc::Arena(off) => &arena[off..off + seg.rows * dim],
-                    };
-                    self.cur = span.chunks_exact(dim);
-                }
+                next += 1;
             }
         }
     }
 }
 
-/// One attention head of a KV-cached decode step: scores over the cached
-/// positions, a log-softmax staged in `probs_h`, then the value mix into
-/// `attn_h` (this head's `d_head`-wide output lane, accumulated with
-/// `+=`; callers zero it). Exactly the serial per-head math, factored out
-/// so heads can run on pool workers; the row iterators walk FP16 pages in
-/// place and decoded Anda scratch identically.
-///
-/// The attended window is `scores_h.len()`, which may be *shorter* than
-/// the KV table behind `rows`: every loop (scores, softmax, value mix)
-/// zips against `scores_h`, so only that many leading rows are read and
-/// later rows never enter the reduction. This truncation contract is
-/// load-bearing for chunked prefill — a chunk's lane for position `p`
-/// passes a `p + 1`-long score lane against a table that already holds
-/// the whole chunk's rows, and gets causal masking (bit-identical to a
-/// solo decode at `p`) without staging a per-lane table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attend_head(
-    q: &[f32],
-    rows: KvRows<'_>,
-    head: usize,
+/// K pass of one (page, lane): the scaled `q·k` score of every viewed
+/// row, per head — one left-to-right sum per score.
+fn score_rows<'t>(
+    lane: &mut AttendLane<'_>,
+    rows: impl Iterator<Item = &'t [f32]> + Clone,
+    base: usize,
+    cols: &std::ops::Range<usize>,
     dh: usize,
     scale: f32,
-    attn_h: &mut [f32],
-    scores_h: &mut [f32],
-    probs_h: &mut [f32],
 ) {
-    let off = head * dh;
-    let qh = &q[off..off + dh];
-    for (score, kj) in scores_h.iter_mut().zip(rows.k_rows()) {
-        let kj = &kj[off..off + dh];
-        *score = qh.iter().zip(kj).map(|(&a, &b)| a * b).sum::<f32>() * scale;
-    }
-    // Same max-shifted log-softmax as `ops::log_softmax_into`, on slices.
-    let max = scores_h.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    let log_sum: f32 = scores_h.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
-    for (p, &score) in probs_h.iter_mut().zip(scores_h.iter()) {
-        *p = score - max - log_sum;
-    }
-    for (score, &l) in scores_h.iter_mut().zip(probs_h.iter()) {
-        *score = l.exp();
-    }
-    for (&p, vj) in scores_h.iter().zip(rows.v_rows()) {
-        let vj = &vj[off..off + dh];
-        for (a, &vv) in attn_h.iter_mut().zip(vj) {
-            *a += p * vv;
+    let heads = lane
+        .q
+        .chunks_exact(dh)
+        .zip(lane.scores.chunks_exact_mut(lane.t));
+    for (h, (qh, scores_h)) in heads.enumerate() {
+        let c = cols.start + h * dh;
+        for (score, row) in scores_h[base..].iter_mut().zip(rows.clone()) {
+            let kh = &row[c..c + dh];
+            *score = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum::<f32>() * scale;
         }
+    }
+}
+
+/// V pass of one (page, lane): `out += p · v` row by row, so every
+/// output element accumulates in position order.
+fn mix_rows<'t>(
+    lane: &mut AttendLane<'_>,
+    rows: impl Iterator<Item = &'t [f32]>,
+    base: usize,
+    cols: &std::ops::Range<usize>,
+    dh: usize,
+) {
+    for (r, row) in rows.enumerate() {
+        let heads = lane
+            .out
+            .chunks_exact_mut(dh)
+            .zip(row[cols.clone()].chunks_exact(dh));
+        for (h, (out_h, vh)) in heads.enumerate() {
+            let p = lane.scores[h * lane.t + base + r];
+            for (a, &vv) in out_h.iter_mut().zip(vh) {
+                *a += p * vv;
+            }
+        }
+    }
+}
+
+/// Max-shifted softmax of one head's score lane in place: the same
+/// log-softmax-then-exp as `ops::log_softmax_into`, on a slice.
+fn softmax(scores: &mut [f32]) {
+    let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let log_sum: f32 = scores.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+    for score in scores.iter_mut() {
+        *score = (*score - max - log_sum).exp();
     }
 }
 
@@ -2036,9 +1892,14 @@ mod tests {
             mantissa_bits: 6,
         }))
         .new_cache(2);
-        let mut decode = PageDecodeCache::new();
-        decode.begin_layer();
-        decode.stage_layer(0, cache.layer(1), &mut Vec::new());
+        let lane = AttendLane {
+            layer: cache.layer(1),
+            t: 1,
+            q: &[0.0; 64],
+            scores: &mut [0.0; 4],
+            out: &mut [0.0; 64],
+        };
+        PageDecodeCache::new().attend(&mut [lane], 4, None);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use anda_tensor::{ops, Matrix, Rng};
 use rayon_lite::ThreadPool;
 
 use crate::config::{Family, ModelConfig};
-use crate::kv::{attend_head, KvReadScratch, KvRows, KvSegment, KvStorage, PageDecodeCache};
+use crate::kv::{AttendLane, PageDecodeCache};
 use crate::modules::CodecAssignment;
 use crate::synth::{boost_columns, dense, norm_bias, norm_gain, SensitivityProfile};
 
@@ -599,39 +599,30 @@ impl Model {
     }
 
     /// Grouped variable-length batched attention: advances every stream
-    /// in `batch` by one hidden-state step (the [`Model::decode_hidden`]
-    /// computation), walking each layer's KV pages **once for the whole
-    /// batch** so a physical Anda page decodes at most once per step no
-    /// matter how many streams attend through it — the fix for the N×
-    /// redundant decode of shared prefix pages.
+    /// in `batch` by its token span (the [`Model::decode_hidden`]
+    /// computation per token), walking each layer's KV pages **once for
+    /// the whole batch** so a physical Anda page decodes once per step
+    /// no matter how many streams attend through it.
     ///
     /// Streams may have different context lengths (the variable
-    /// dimension, in the oneDNN grouped-memory sense): each stream's
-    /// per-head score/prob lanes are sized by its own `t`, and its KV
-    /// view is a table of per-page segments (`KvSegment`) resolving into
-    /// either its own float pages (read in place) or the shared decode
-    /// arena in `decode_cache`.
+    /// dimension, in the oneDNN grouped-memory sense): each lane's
+    /// per-head score lanes are sized by its own window `t`.
     ///
-    /// Per layer the walk runs three phases:
+    /// Per layer:
     ///
     /// 1. **Stage** (one pool job per stream): finish the previous
     ///    layer's post-attention work, then norm → QKV matmul → RoPE →
     ///    KV append, exactly the per-stream op sequence.
-    /// 2. **Decode once** (serial): every stream's page table is staged
-    ///    against `decode_cache`; an Anda page seen by N streams decodes
-    ///    on first sight and is reused by identity thereafter.
-    /// 3. **Attend**, fanned across the pool by (stream, head); when the
-    ///    batch's total attention work is below the parallel threshold
-    ///    (or the pool is single-threaded) the heads run inline instead
-    ///    — the serial fallback.
+    /// 2. **Walk**: every (stream, span token) becomes an
+    ///    [`AttendLane`] of one [`PageDecodeCache::attend`] call — the
+    ///    page-major walk that decodes each distinct physical page once
+    ///    into an L1 tile and serves every lane viewing it, fanning
+    ///    column ranges across `pool` when the work is large enough.
     ///
     /// Every stream's result is bit-identical (`f32::to_bits`) to a solo
-    /// [`Model::decode_hidden`] call at any thread count: phases 1 and 3
-    /// run the same kernels in the same per-stream order, and decoded
-    /// arena rows carry the exact bits per-stream decode scratch would
-    /// (per-row decode is independent, so sharing changes nothing). The
-    /// per-stream path remains the oracle the grouped suites compare
-    /// against.
+    /// [`Model::decode_hidden`] call at any thread count: staging runs
+    /// the same kernels in the same per-stream order, and the solo path
+    /// attends through the same walk with a single lane.
     ///
     /// # Panics
     ///
@@ -673,9 +664,7 @@ impl Model {
             return;
         }
         let d = self.config.d_model;
-        let dh = self.config.d_head();
         let heads = self.config.n_heads;
-        let scale = 1.0 / (dh as f32).sqrt();
         let n_layers = self.layers.len();
 
         for l in 0..n_layers {
@@ -718,139 +707,42 @@ impl Model {
                 }
             });
 
-            // Phase 2 (serial): stage every stream's KV view. Each
-            // physical Anda page *reserves* a shared-arena range at most
-            // once this layer, keyed by page identity — shared prefix
-            // pages land once for the whole batch, and a prefill chunk
-            // attending through a forked prefix reuses the same staging.
-            // Lane j of a span attends its causal window `t_j = pos + j
-            // + 1`, shorter than the table (which already holds the
-            // whole span's rows); `attend_head` reads exactly
-            // `scores_h.len()` leading rows, which is what makes a chunk
-            // lane causal — and bit-identical to the solo decode of
-            // position `pos + j` — for free.
-            decode_cache.begin_layer();
-            let mut batch_muladds = 0usize;
-            for (idx, entry) in batch.iter_mut().enumerate() {
+            // Phase 2: one page walk for the whole batch. Every (entry,
+            // lane) becomes an `AttendLane`; lane j of a span attends its
+            // causal window `t_j = pos + j + 1`, shorter than the table
+            // (which already holds the whole span's rows), so a chunk
+            // lane is bit-identical to the solo decode of position
+            // `pos + j`. The walk decodes each physical Anda page once
+            // for every lane that views it.
+            let mut lanes = Vec::new();
+            for entry in batch.iter_mut() {
                 let span = entry.tokens.len();
                 let kv = entry.cache.layer(l);
                 debug_assert_eq!(kv.len(), entry.pos + span, "phase 1 appended the span");
-                let s = &mut *entry.scratch;
-                decode_cache.stage_layer(idx, kv, &mut s.kv_segs);
+                let DecodeScratch {
+                    q, attn, scores, ..
+                } = &mut *entry.scratch;
                 let lane0 = if last_layer { span - 1 } else { 0 };
-                s.attn.clear();
-                s.attn.resize(span * d, 0.0);
-                let mut lane_floats = 0usize;
-                for j in lane0..span {
-                    let t_j = entry.pos + j + 1;
-                    lane_floats += heads * t_j;
-                    batch_muladds += 2 * heads * t_j * dh;
-                }
-                s.scores.clear();
-                s.scores.resize(lane_floats, 0.0);
-                s.probs.clear();
-                s.probs.resize(lane_floats, 0.0);
-            }
-
-            // Phase 2b: decode the newly staged pages into their
-            // (disjoint, bump-allocated in staging order) arena ranges.
-            // Pages are independent, so the decode fans across the pool
-            // when there is enough of it; the arena is carved inside the
-            // scope directly, so no per-layer job list is allocated.
-            {
-                let (pending, arena_k, arena_v) = decode_cache.pending_split();
-                let decode_elems: usize = pending.iter().map(|p| p.fill * d).sum();
-                let fan_decode =
-                    pool.threads() > 1 && pending.len() > 1 && decode_elems >= DECODE_PAR_MIN_ELEMS;
-                let batch_ref: &[BatchEntry<'_>] = &*batch;
-                let mut k_rest: &mut [f32] = arena_k;
-                let mut v_rest: &mut [f32] = arena_v;
-                let mut cursor = 0usize;
-                pool.scope(|sc| {
-                    for p in pending.iter() {
-                        debug_assert_eq!(p.off, cursor, "pending ranges must be contiguous");
-                        let elems = p.fill * d;
-                        let (k_chunk, k_tail) = std::mem::take(&mut k_rest).split_at_mut(elems);
-                        let (v_chunk, v_tail) = std::mem::take(&mut v_rest).split_at_mut(elems);
-                        k_rest = k_tail;
-                        v_rest = v_tail;
-                        cursor += elems;
-                        let (entry, page, fill) = (p.entry, p.page, p.fill);
-                        let mut job = move || {
-                            batch_ref[entry]
-                                .cache
-                                .layer(l)
-                                .page_at(page)
-                                .decode_rows_into(fill, k_chunk, v_chunk);
-                        };
-                        if fan_decode {
-                            sc.spawn(job);
-                        } else {
-                            job();
-                        }
-                    }
-                });
-                pending.clear();
-            }
-
-            // Phase 3: attend, fanned by (stream, lane, head). Below the
-            // work threshold the heads run inline — the serial fallback
-            // (the decode-once staging above is kept either way).
-            let (arena_k, arena_v) = decode_cache.arenas();
-            let fan_out = pool.threads() > 1 && batch_muladds >= ATTN_PAR_MIN_MULADDS;
-            pool.scope(|sc| {
-                for entry in batch.iter_mut() {
-                    let span = entry.tokens.len();
-                    let pos = entry.pos;
-                    let kv = entry.cache.layer(l);
-                    let DecodeScratch {
-                        q,
-                        attn,
-                        scores,
-                        probs,
-                        kv_segs,
-                        ..
-                    } = &mut *entry.scratch;
-                    let rows = KvRows::Grouped {
+                let windows = entry.pos + lane0 + 1..=entry.pos + span;
+                attn.clear();
+                attn.resize(span * d, 0.0);
+                scores.clear();
+                scores.resize(heads * windows.clone().sum::<usize>(), 0.0);
+                let mut scores_rest: &mut [f32] = scores;
+                let q_out = q.chunks_exact(d).zip(attn.chunks_exact_mut(d)).skip(lane0);
+                for (t, (q_j, out_j)) in windows.zip(q_out) {
+                    let (scores_j, rest) = std::mem::take(&mut scores_rest).split_at_mut(heads * t);
+                    scores_rest = rest;
+                    lanes.push(AttendLane {
                         layer: kv,
-                        arena_k,
-                        arena_v,
-                        segs: kv_segs,
-                    };
-                    let q: &[f32] = q;
-                    let lane0 = if last_layer { span - 1 } else { 0 };
-                    let mut attn_rest: &mut [f32] = &mut attn[lane0 * d..];
-                    let mut scores_rest: &mut [f32] = scores;
-                    let mut probs_rest: &mut [f32] = probs;
-                    for j in lane0..span {
-                        let t_j = pos + j + 1;
-                        let (attn_j, a_tail) = std::mem::take(&mut attn_rest).split_at_mut(d);
-                        let (scores_j, s_tail) =
-                            std::mem::take(&mut scores_rest).split_at_mut(heads * t_j);
-                        let (probs_j, p_tail) =
-                            std::mem::take(&mut probs_rest).split_at_mut(heads * t_j);
-                        attn_rest = a_tail;
-                        scores_rest = s_tail;
-                        probs_rest = p_tail;
-                        let q_j = &q[j * d..(j + 1) * d];
-                        let head_lanes = attn_j
-                            .chunks_mut(dh)
-                            .zip(scores_j.chunks_mut(t_j).zip(probs_j.chunks_mut(t_j)))
-                            .enumerate();
-                        for (head, (attn_h, (scores_h, probs_h))) in head_lanes {
-                            if fan_out {
-                                sc.spawn(move || {
-                                    attend_head(
-                                        q_j, rows, head, dh, scale, attn_h, scores_h, probs_h,
-                                    );
-                                });
-                            } else {
-                                attend_head(q_j, rows, head, dh, scale, attn_h, scores_h, probs_h);
-                            }
-                        }
-                    }
+                        t,
+                        q: q_j,
+                        scores: scores_j,
+                        out: out_j,
+                    });
                 }
-            });
+            }
+            decode_cache.attend(&mut lanes, heads, Some(pool));
         }
 
         // Epilogue: finish the last layer's final lane and apply the
@@ -893,13 +785,10 @@ impl Model {
             self.config.max_seq
         );
         let d = self.config.d_model;
-        let dh = self.config.d_head();
         let heads = self.config.n_heads;
-        let scale = 1.0 / (dh as f32).sqrt();
 
         self.embed_into(token, pos, &mut s.x);
 
-        let storage = cache.storage();
         let (kv_pool, kv_layers) = cache.split_mut();
         for (layer, kv) in self.layers.iter().zip(kv_layers.iter_mut()) {
             // Attention block.
@@ -909,47 +798,18 @@ impl Model {
             let t = kv.len();
             s.attn.clear();
             s.attn.resize(d, 0.0);
-            // Flat per-head score/prob lanes so heads can run concurrently:
-            // head `h` owns `attn[h·dh..]`, `scores[h·t..]`, `probs[h·t..]`.
+            // Flat per-head score lanes: head `h` owns `scores[h·t..]`.
             s.scores.clear();
             s.scores.resize(heads * t, 0.0);
-            s.probs.clear();
-            s.probs.resize(heads * t, 0.0);
-            // Float pages are attended in place; Anda pages decode once
-            // per layer into the read scratch, and every head reads the
-            // same decoded planes.
-            let rows = match storage {
-                KvStorage::Fp32 | KvStorage::Fp16 | KvStorage::Bf16 => KvRows::InPlace(kv),
-                KvStorage::Anda { .. } => {
-                    kv.decode_rows(&mut s.kv_read.k, &mut s.kv_read.v);
-                    KvRows::Decoded {
-                        k: &s.kv_read.k,
-                        v: &s.kv_read.v,
-                        dim: d,
-                    }
-                }
+            let lane = AttendLane {
+                layer: kv,
+                t,
+                q: &s.q,
+                scores: &mut s.scores,
+                out: &mut s.attn,
             };
-            let q = &s.q;
-            let head_lanes = s
-                .attn
-                .chunks_mut(dh)
-                .zip(s.scores.chunks_mut(t).zip(s.probs.chunks_mut(t)))
-                .enumerate();
-            let pool = rayon_lite::global();
-            if par && pool.threads() > 1 && heads > 1 && 2 * heads * t * dh >= ATTN_PAR_MIN_MULADDS
-            {
-                pool.scope(|sc| {
-                    for (head, (attn_h, (scores_h, probs_h))) in head_lanes {
-                        sc.spawn(move || {
-                            attend_head(q, rows, head, dh, scale, attn_h, scores_h, probs_h);
-                        });
-                    }
-                });
-            } else {
-                for (head, (attn_h, (scores_h, probs_h))) in head_lanes {
-                    attend_head(q, rows, head, dh, scale, attn_h, scores_h, probs_h);
-                }
-            }
+            s.pages
+                .attend(&mut [lane], heads, par.then(rayon_lite::global));
             self.finish_layer(layer, s, par);
         }
 
@@ -1272,7 +1132,7 @@ pub struct DecodeScratch {
     /// Per-head attention scores over cached positions (`heads × t`,
     /// head-major lanes).
     scores: Vec<f32>,
-    /// Per-head log-softmax output (`heads × t`, head-major lanes).
+    /// Sampling probability staging (`vocab`).
     probs: Vec<f32>,
     /// Output/down projection result (`d`).
     proj: Vec<f32>,
@@ -1287,11 +1147,8 @@ pub struct DecodeScratch {
     k_row: Vec<f32>,
     /// Staged current-position value row (`d`).
     v_row: Vec<f32>,
-    /// Decoded K/V read planes for compressed caches (`t × d` each).
-    kv_read: KvReadScratch,
-    /// Per-page KV view segments staged for a grouped batched attend
-    /// (one per page; see [`Model::decode_hidden_batch`]).
-    kv_segs: Vec<KvSegment>,
+    /// The solo decode path's page-walk tile (page-sized).
+    pages: PageDecodeCache,
 }
 
 impl DecodeScratch {
@@ -1317,15 +1174,12 @@ impl DecodeScratch {
         self.proj.reserve(d);
         self.gate.reserve(ffn);
         self.hidden.reserve(ffn);
-        // Score/prob lanes double as sampling staging (`vocab` wide).
+        // The score lanes double as sampling staging (`vocab` wide).
         self.scores.reserve(lanes);
-        self.probs.reserve(lanes);
+        self.probs.reserve(config.vocab);
         self.logits.reserve(config.vocab);
         self.k_row.reserve(d);
         self.v_row.reserve(d);
-        self.kv_read.reserve(max_len, d);
-        // One segment per page; pages never outnumber positions.
-        self.kv_segs.reserve(max_len);
     }
 
     /// The next-token logits left by the last [`Model::decode_step`] /
@@ -1453,20 +1307,6 @@ impl BatchOutput {
 /// *columns*; each element still accumulates over k in ascending order,
 /// keeping results bit-identical at every thread count.
 const VEC_PAR_MIN_MULADDS: usize = 256 * 1024;
-
-/// Below this many multiply-adds (`2 · heads · t · d_head`, the score and
-/// mix loops together) the decode attention runs its heads serially.
-/// Head sharding never changes a value: each head owns disjoint
-/// `attn`/`scores`/`probs` lanes and its math is independent of the
-/// sharding, so results stay bit-identical at every thread count.
-const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
-
-/// Below this many arena floats (K-plane elements; each page job also
-/// decodes its V plane) the grouped step decodes pending pages inline
-/// instead of fanning one job per page. Decode order never changes a
-/// bit: every page decodes into its own disjoint arena range and per-row
-/// decode is independent.
-const DECODE_PAR_MIN_ELEMS: usize = 1024;
 
 /// `v(1×k) · m(k×n)` row-vector matmul into a reused buffer.
 ///

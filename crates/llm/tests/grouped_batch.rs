@@ -1,6 +1,8 @@
 //! Bit-exactness and decode-once tests for grouped variable-length
 //! batched attention ([`Model::decode_hidden_batch`]) against the
-//! per-stream oracle ([`Model::decode_hidden`]).
+//! per-stream path ([`Model::decode_hidden`]). Both attend through the
+//! same page walk — a batch of lanes here, a single lane there — whose
+//! arithmetic `page_walk.rs` pins to a scalar reference.
 //!
 //! The serving layer's grouped decode path is only admissible if it is
 //! a pure scheduling change: every stream's hidden state must be
@@ -358,7 +360,7 @@ fn chunk_spans_match_monolithic_prefill() {
 }
 
 /// Float-policy pages are read in place; the grouped path must not
-/// decode (or arena-copy) anything for them.
+/// decode anything for them.
 #[test]
 fn float_policies_never_touch_the_decode_arena() {
     for &storage in &[KvStorage::Fp32, KvStorage::Fp16, KvStorage::Bf16] {

@@ -701,8 +701,8 @@ pub struct Scheduler<'a> {
     /// the pool capacity alongside stream reservations).
     pinned_pages: usize,
     batch: BatchOutput,
-    /// Shared per-layer decode arena for grouped batched attention
-    /// (identity-keyed, so shared prefix pages decode once per step).
+    /// The page walk's tile scratch and decode counter for grouped
+    /// batched attention (shared prefix pages decode once per step).
     decode_cache: PageDecodeCache,
     finished: Vec<FinishedRequest>,
     /// Ids torn down by [`Scheduler::cancel`]: a repeated cancel
