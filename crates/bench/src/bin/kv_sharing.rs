@@ -1,17 +1,18 @@
 //! KV prefix-sharing study: the memory and admission effect of serving
-//! N streams over one shared prompt prefix with copy-on-write pages,
-//! versus the same workload as private full prompts.
+//! N streams over one pinned prompt prefix whose pages every stream
+//! forks, versus the same prompts on private caches.
 //!
 //! Part 1 serves a fixed batch at several prefix lengths on unbounded
 //! pools and reports, for shared vs private, the prefill tokens
-//! actually computed (the prefix is prefilled once when shared) and the
-//! peak physical KV pages leased (shared prefix pages count once).
+//! actually computed (the prefix's whole pages are prefilled once when
+//! pinned; a stream re-prefills only the `P mod page` tokens past them)
+//! and the peak physical KV pages leased (pinned pages count once).
 //!
 //! Part 2 is the admission identity as an executable fact: a pool sized
 //! to exactly `pages(P) + N·pages(private)` compressed pages runs the
-//! shared batch fully concurrently, while the identical workload as
-//! private full prompts — demanding `N·pages(P + private)` — must
-//! serialize behind the free-page watermark. Outputs are asserted
+//! shared batch fully concurrently, while the identical prompts with
+//! nothing pinned — demanding `N·pages(P + private)` — must serialize
+//! behind the free-page watermark. Outputs are asserted
 //! token-identical either way, and the peak page count is asserted to
 //! hit the shared identity exactly, in `--smoke` (CI) and full runs
 //! alike.
@@ -23,11 +24,18 @@ use anda_llm::kv::{KvPoolConfig, KvStorage};
 use anda_llm::zoo::opt_125m_sim;
 use anda_serve::{FinishedRequest, Request, Scheduler, SchedulerConfig};
 
-/// The request-private parts of the workload: distinct prompts, seeds.
-fn private_parts(batch: usize, prompt_len: usize, max_new: usize, vocab: usize) -> Vec<Request> {
+/// The workload: `prefix` followed by a distinct private prompt per
+/// stream, distinct seeds.
+fn requests(
+    prefix: &[usize],
+    batch: usize,
+    prompt_len: usize,
+    max_new: usize,
+    vocab: usize,
+) -> Vec<Request> {
     (0..batch)
         .map(|i| {
-            Request::builder(workload_prompt(i, prompt_len, vocab))
+            Request::builder([prefix, &workload_prompt(i, prompt_len, vocab)].concat())
                 .max_new(max_new)
                 .temperature(0.8)
                 .seed(i as u64)
@@ -54,7 +62,9 @@ fn main() {
             if smoke {
                 vec![48]
             } else {
-                vec![16, 48, 96, 192]
+                // 45 is off the page grid: its row shows the
+                // `N·(P mod page)` tokens streams prefill themselves.
+                vec![16, 45, 48, 96, 192]
             }
         });
 
@@ -98,17 +108,8 @@ fn main() {
                     ..SchedulerConfig::default()
                 },
             );
-            if shared {
-                sched.register_prefix("sys", prefix.clone()).unwrap();
-            }
-            for mut r in private_parts(batch, prompt_len, max_new, cfg.vocab) {
-                if shared {
-                    r.prefix = Some("sys".into());
-                } else {
-                    let mut full = prefix.clone();
-                    full.extend_from_slice(&r.prompt);
-                    r.prompt = full;
-                }
+            let _pin = shared.then(|| sched.pin_prefix(&prefix).unwrap());
+            for r in requests(&prefix, batch, prompt_len, max_new, cfg.vocab) {
                 sched.submit(r).unwrap();
             }
             let done = sched.run_to_completion();
@@ -130,26 +131,19 @@ fn main() {
             shared_out, private_out,
             "shared-prefix serving must be token-identical to private caches"
         );
-        // The prefix is prefilled once instead of `batch` times…
+        // The prefix's whole pages are prefilled once instead of
+        // `batch` times…
+        let whole = prefix_len / pp;
         assert_eq!(
-            shared_stats.prefill_tokens + (batch as u64 - 1) * prefix_len as u64,
+            shared_stats.prefill_tokens + (batch - 1) as u64 * (whole * pp) as u64,
             private_stats.prefill_tokens,
-            "sharing must skip re-prefilling the prefix"
+            "sharing must skip re-prefilling the pinned pages"
         );
-        // …and its whole pages are leased once instead of `batch` times.
-        // A page-misaligned prefix pins one extra page per layer in the
-        // shared run: the registry's partial tail, which every stream
-        // additionally privatizes via copy-on-write.
-        let whole = cfg.n_layers * (prefix_len / pp);
-        let pinned_tail = if prefix_len.is_multiple_of(pp) {
-            0
-        } else {
-            cfg.n_layers
-        };
+        // …and leased once instead of `batch` times.
         assert_eq!(
-            shared_stats.peak_pages_in_use + (batch - 1) * whole,
-            private_stats.peak_pages_in_use + pinned_tail,
-            "shared whole prefix pages must be physically deduplicated"
+            shared_stats.peak_pages_in_use + (batch - 1) * cfg.n_layers * whole,
+            private_stats.peak_pages_in_use,
+            "pinned prefix pages must be physically deduplicated"
         );
     }
     println!("{}", table.render());
@@ -192,18 +186,9 @@ fn main() {
                 ..SchedulerConfig::default()
             },
         );
-        if shared {
-            sched.register_prefix("sys", prefix.clone()).unwrap();
-        }
+        let _pin = shared.then(|| sched.pin_prefix(&prefix).unwrap());
         let mut accepted = 0usize;
-        for mut r in private_parts(batch, prompt_len, max_new, cfg.vocab) {
-            if shared {
-                r.prefix = Some("sys".into());
-            } else {
-                let mut full = prefix.clone();
-                full.extend_from_slice(&r.prompt);
-                r.prompt = full;
-            }
+        for r in requests(&prefix, batch, prompt_len, max_new, cfg.vocab) {
             if sched.submit(r).is_ok() {
                 accepted += 1;
             }
@@ -260,89 +245,8 @@ fn main() {
         shared_stats.peak_active, shared_stats.peak_pages_in_use, private_stats.peak_active
     );
 
-    // --- Part 3: automatic prefix caching vs the explicit registry ---
-    // The same page-aligned prefix workload, but nobody names the
-    // prefix: requests arrive as full prompts and the radix tree must
-    // discover the sharing on its own. On an aligned prefix the
-    // automatic path must match the explicit fast path's prefill
-    // exactly — the prefix is computed once, every later stream forks
-    // it from the tree — and the hit accounting is closed-form. A
-    // prompt becomes shareable the step its last chunk lands, so the
-    // first request gets one step's head start in both legs.
-    let kv = KvPoolConfig {
-        storage,
-        page_positions: pp,
-        max_pages: None,
-    };
-    let mut auto_results = Vec::new();
-    for auto in [false, true] {
-        let mut sched = Scheduler::new(
-            &model,
-            SchedulerConfig {
-                max_batch: batch,
-                kv,
-                auto_prefix: auto,
-                ..SchedulerConfig::default()
-            },
-        );
-        if !auto {
-            sched.register_prefix("sys", prefix.clone()).unwrap();
-        }
-        let parts = private_parts(batch, prompt_len, max_new, cfg.vocab);
-        for (i, mut r) in parts.into_iter().enumerate() {
-            if auto {
-                let mut full = prefix.clone();
-                full.extend_from_slice(&r.prompt);
-                r.prompt = full;
-            } else {
-                r.prefix = Some("sys".into());
-            }
-            sched.submit(r).unwrap();
-            if i == 0 {
-                sched.step();
-            }
-        }
-        let done = sched.run_to_completion();
-        assert_eq!(done.len(), batch);
-        auto_results.push((sorted(done), sched.stats()));
-    }
-    let (explicit_out, explicit_stats) = &auto_results[0];
-    let (auto_out, auto_stats) = &auto_results[1];
-    assert_eq!(
-        auto_out, explicit_out,
-        "automatic prefix caching must be token-identical to the registry"
-    );
-    let auto_hits = (batch as u64 - 1) * prefix_len as u64;
-    assert_eq!(
-        auto_stats.cache_hit_tokens, auto_hits,
-        "every stream after the first must hit the whole aligned prefix"
-    );
-    assert_eq!(
-        auto_stats.prefill_tokens, explicit_stats.prefill_tokens,
-        "on an aligned prefix the automatic path prefills exactly what the registry does"
-    );
-    let prompt_tokens = (batch * (prefix_len + prompt_len)) as u64;
-    let hit_rate = auto_stats.cache_hit_tokens as f64 / prompt_tokens as f64;
-    println!(
-        "\nAutomatic prefix cache, unnamed {prefix_len}-token prefix × {batch} streams: \
-         {} of {prompt_tokens} prompt tokens served from cache ({:.0}% hit rate), \
-         prefill {} vs registry {}",
-        auto_stats.cache_hit_tokens,
-        hit_rate * 100.0,
-        auto_stats.prefill_tokens,
-        explicit_stats.prefill_tokens
-    );
-
-    // Perf trajectory: the admission-gap numbers from part 2 and the
-    // automatic-vs-explicit hit accounting from part 3.
+    // Perf trajectory: the admission-gap numbers from part 2.
     let mut report = BenchReport::new("kv_sharing");
-    report.metric("auto_cache_hit_tokens", auto_stats.cache_hit_tokens as f64);
-    report.metric("auto_hit_rate", hit_rate);
-    report.metric("auto_prefill_tokens", auto_stats.prefill_tokens as f64);
-    report.metric(
-        "explicit_prefill_tokens",
-        explicit_stats.prefill_tokens as f64,
-    );
     report.metric("batch", batch as f64);
     report.metric("prefix_len", prefix_len as f64);
     report.metric("pool_pages", capacity as f64);

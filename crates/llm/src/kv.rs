@@ -1531,18 +1531,6 @@ impl KvCache {
         }
     }
 
-    /// [`KvCache::reset`], reporting how many physical pages actually
-    /// rejoined the pool's free list — exclusive pages count fully,
-    /// shared leases only when this cache was the last co-owner. This is
-    /// the suspend half of a scheduler's preempt/resume cycle: the
-    /// return value is what the pool demonstrably got back, which a
-    /// caller can log or assert against its own reservation accounting.
-    pub fn release_pages(&mut self) -> usize {
-        let before = self.pool.pages_in_use();
-        self.reset();
-        before - self.pool.pages_in_use()
-    }
-
     /// Forks the first `positions` cached positions into a new cache on
     /// the same pool that *shares* every covered page instead of copying
     /// it: only the page tables are cloned ([`PagePool::fork_page`]

@@ -43,7 +43,7 @@ use std::rc::Rc;
 
 use anda_llm::Model;
 
-use crate::request::{FinishedRequest, Request, RequestId, SamplingMode};
+use crate::request::{FinishedRequest, Request, RequestId};
 use crate::scheduler::{
     CancelError, Cancelled, Scheduler, SchedulerConfig, StreamStatus, SubmitError,
 };
@@ -96,18 +96,14 @@ impl EngineCore<'_> {
     fn step(&mut self) {
         self.sched.step();
         self.steps += 1;
+        self.bank();
+    }
+
+    /// Moves the scheduler's finished results into the per-request bank.
+    fn bank(&mut self) {
         for result in self.sched.take_finished() {
             self.results.entry(result.id).or_default().push(result);
         }
-    }
-}
-
-/// How many [`FinishedRequest`] results a request produces: one per
-/// parallel sample, one winner for best-of, one otherwise.
-fn expected_results(mode: SamplingMode) -> usize {
-    match mode {
-        SamplingMode::Parallel { n } => n,
-        SamplingMode::Single | SamplingMode::BestOf { .. } => 1,
     }
 }
 
@@ -152,7 +148,7 @@ impl<'a> Engine<'a> {
     }
 
     /// An engine over an already-configured scheduler (custom thread
-    /// pool, pre-registered prefixes).
+    /// pool, pinned prefixes).
     pub fn over(sched: Scheduler<'a>) -> Self {
         Engine {
             core: Rc::new(RefCell::new(EngineCore {
@@ -166,14 +162,12 @@ impl<'a> Engine<'a> {
     /// Submits `request` and returns the handle that polls, cancels, or
     /// awaits it. Admission control is the scheduler's
     /// ([`SubmitError`] distinguishes a request that can *never* fit
-    /// from one blocked by current registrations).
+    /// from one blocked by currently pinned prefixes).
     pub fn submit(&self, request: Request) -> Result<SubmitHandle<'a>, SubmitError> {
-        let expected = expected_results(request.mode);
         let id = self.core.borrow_mut().sched.submit(request)?;
         Ok(SubmitHandle {
             core: Rc::clone(&self.core),
             id,
-            expected,
             cursor: 0,
             cancelled: false,
         })
@@ -219,7 +213,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs `f` with mutable access to the underlying scheduler
-    /// (prefix registration, manual stepping).
+    /// (pinning prefixes, manual stepping).
     pub fn with_scheduler<R>(&self, f: impl FnOnce(&mut Scheduler<'a>) -> R) -> R {
         f(&mut self.core.borrow_mut().sched)
     }
@@ -232,8 +226,6 @@ impl<'a> Engine<'a> {
 pub struct SubmitHandle<'a> {
     core: Rc<RefCell<EngineCore<'a>>>,
     id: RequestId,
-    /// Results this request will produce (see [`expected_results`]).
-    expected: usize,
     /// Generated tokens already reported by `try_next_tokens`.
     cursor: usize,
     cancelled: bool,
@@ -251,20 +243,14 @@ impl SubmitHandle<'_> {
             return RequestState::Cancelled;
         }
         let core = self.core.borrow();
-        if core
-            .results
-            .get(&self.id)
-            .is_some_and(|r| r.len() >= self.expected)
-        {
-            return RequestState::Finished;
-        }
         match core.sched.status(self.id) {
             Some(StreamStatus::Pending) => RequestState::Pending,
             Some(StreamStatus::Prefilling) => RequestState::Prefilling,
             Some(StreamStatus::Decoding) => RequestState::Decoding,
             Some(StreamStatus::Suspended) => RequestState::Suspended,
             None if core.sched.is_cancelled(self.id) => RequestState::Cancelled,
-            // Collected already (results drained by `await_finished`).
+            // Nothing of it is queued or running any more: every
+            // result is in (banked, or collected already).
             None => RequestState::Finished,
         }
     }
@@ -312,7 +298,9 @@ impl SubmitHandle<'_> {
     /// Drives the engine until this request finishes, then removes and
     /// returns its results: `n` for a parallel request (sample order),
     /// the single winner for best-of, one otherwise. Returns the empty
-    /// vector for a cancelled request. Other requests keep being served
+    /// vector for a cancelled request, and for one whose results were
+    /// already collected (a second await, or a drain that bypassed the
+    /// engine) — without stepping. Other requests keep being served
     /// while this one is awaited — steps advance everyone.
     pub fn await_finished(&mut self) -> Vec<FinishedRequest> {
         loop {
@@ -322,12 +310,12 @@ impl SubmitHandle<'_> {
                 core.results.remove(&self.id);
                 return Vec::new();
             }
-            if core
-                .results
-                .get(&self.id)
-                .is_some_and(|r| r.len() >= self.expected)
-            {
-                let mut results = core.results.remove(&self.id).expect("checked above");
+            // Nothing of it live means every result it will ever have
+            // is in — none at all if they were collected before:
+            // stepping on would spin an idle scheduler forever.
+            if core.sched.status(self.id).is_none() {
+                core.bank();
+                let mut results = core.results.remove(&self.id).unwrap_or_default();
                 results.sort_by_key(|r| r.sample_index);
                 return results;
             }

@@ -35,21 +35,19 @@
 //! long-context batches whose FP16 KV would not fit (§VI).
 //!
 //! Workloads dominated by a shared prompt prefix (system prompt,
-//! few-shot header) additionally deduplicate the prefix KV itself:
-//! [`Scheduler::register_prefix`] prefills the prefix once into a
-//! pinned cache, requests carrying the registered key
-//! ([`RequestBuilder::prefix`]) are admitted by *forking* that cache —
-//! refcounted shared pages, copy-on-write on first divergence — and
-//! admission charges each stream only its unshared pages. Sharing
-//! composes multiplicatively with compression: the prefix is stored
-//! once *and* `16 / (M + 1 + 5/64)` times smaller under `Anda{m}`.
-//!
-//! Sharing can also be *discovered* instead of declared:
-//! `SchedulerConfig::auto_prefix` inserts every admitted prompt into a
-//! page-granular radix tree ([`radix::RadixTree`]) the step its last
-//! prompt chunk lands, matches later prompts against it — forking the
-//! longest cached whole-page prefix, prefilling only the uncovered
-//! suffix — and LRU-evicts cold tree leaves under page pressure. The
+//! few-shot header) additionally deduplicate the prefix KV itself,
+//! through one store: a page-granular radix tree
+//! ([`radix::RadixTree`]) every admission matches its prompt against —
+//! the longest cached whole-page prefix is *forked* (refcounted shared
+//! pages, no row copies), only the uncovered suffix is prefilled, and
+//! admission charges the stream only its unshared pages. A prefix is
+//! *declared* with [`Scheduler::pin_prefix`], which prefills it once
+//! and pins it in the tree until [`Scheduler::unpin_prefix`], or
+//! *discovered*: `SchedulerConfig::auto_prefix` inserts every prompt
+//! the step its last chunk lands and LRU-evicts cold leaves under page
+//! pressure. Sharing composes multiplicatively with compression: the
+//! prefix is stored once *and* `16 / (M + 1 + 5/64)` times smaller
+//! under `Anda{m}`. The
 //! same fork mechanism, applied mid-stream, serves multi-sample
 //! requests: [`RequestBuilder::parallel`] / [`RequestBuilder::best_of`]
 //! prefill the prompt once and fork the live cache into `n` sibling
@@ -85,14 +83,14 @@
 //!     },
 //!     ..SchedulerConfig::default()
 //! });
-//! // A shared few-shot header: prefilled once, forked into every
-//! // stream that references it.
-//! sched.register_prefix("header", vec![11, 12, 13, 14]).unwrap();
+//! // A shared few-shot header, one page long: prefilled once, pinned,
+//! // and forked into every stream whose prompt starts with it.
+//! let header = [11, 12, 13, 14, 15, 16, 17, 18];
+//! let pin = sched.pin_prefix(&header).unwrap();
 //! sched.submit(Request::builder([1, 2, 3]).max_new(4).build().unwrap()).unwrap();
 //! sched.submit(
-//!     Request::builder([7, 8])
+//!     Request::builder([&header[..], &[7, 8]].concat())
 //!         .max_new(3)
-//!         .prefix("header")
 //!         .temperature(0.8)
 //!         .seed(42)
 //!         .priority(Priority::High)
@@ -100,7 +98,7 @@
 //!         .unwrap(),
 //! ).unwrap();
 //! sched.submit(
-//!     Request::builder([9]).max_new(2).prefix("header").build().unwrap(),
+//!     Request::builder([&header[..], &[9]].concat()).max_new(2).build().unwrap(),
 //! ).unwrap();
 //! let done = sched.run_to_completion();
 //! assert_eq!(done.len(), 3);
@@ -108,6 +106,7 @@
 //!     assert_eq!(r.tokens.len(), r.prompt_len + r.generated().len());
 //! }
 //! assert_eq!(sched.stats().prefix_forks, 2);
+//! assert_eq!(pin.pages(), sched.unpin_prefix(pin));
 //! ```
 
 pub mod engine;
@@ -124,7 +123,7 @@ pub use request::{
     SamplingMode, SamplingParams,
 };
 pub use scheduler::{
-    CancelError, Cancelled, PoolSnapshot, PrefixCacheSnapshot, ReleasePrefixError, Scheduler,
+    CancelError, Cancelled, PoolSnapshot, PrefixCacheSnapshot, PrefixPin, Scheduler,
     SchedulerConfig, SchedulerStats, StreamStatus, SubmitError,
 };
 pub use workload::{ArrivalSchedule, Replay};

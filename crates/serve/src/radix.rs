@@ -1,13 +1,14 @@
-//! Page-granular radix tree over token sequences — automatic prefix
-//! caching for the scheduler (the vLLM/SGLang block-trie design).
+//! Page-granular radix tree over token sequences — the scheduler's one
+//! prefix store (the vLLM/SGLang block-trie design).
 //!
-//! PR 5's prefix sharing needs the caller to *name* a shared prefix
-//! ([`Scheduler::register_prefix`](crate::Scheduler::register_prefix)).
-//! This module discovers sharing instead: every admitted prompt is
-//! inserted here, and every later prompt is matched against the tree so
-//! its longest already-cached prefix is [`KvCache::fork_prefix`]-forked
+//! Every prompt the scheduler admits is matched against the tree so its
+//! longest already-cached prefix is [`KvCache::fork_prefix`]-forked
 //! (refcounted page-table clone, no row copies) and only the uncovered
-//! suffix is prefilled.
+//! suffix is prefilled. Prefixes get into the tree two ways: *declared*
+//! — [`Scheduler::pin_prefix`](crate::Scheduler::pin_prefix) prefills a
+//! prefix, inserts it and [`RadixTree::pin`]s its node — or
+//! *discovered* — under `auto_prefix` every prompt is inserted the step
+//! it finishes prefilling.
 //!
 //! # Page granularity
 //!
@@ -16,38 +17,40 @@
 //! at page boundaries, and a lookup's usable depth is the matched length
 //! rounded down to a page multiple. Two prompts that diverge inside
 //! their first uncached page share nothing — exactly the page-granular
-//! sharing the KV layer can express without copy-on-write traffic, so an
-//! automatic hit never seals a *partial* page and an admitted stream's
-//! first private append never triggers CoW against the tree. (The
-//! explicit registry keeps sub-page prefixes; it is the pinned fast
-//! path, not replaced by this tree.)
+//! sharing the KV layer can express without copy-on-write traffic, so a
+//! hit never seals a *partial* page and an admitted stream's first
+//! private append never triggers CoW against the tree.
 //!
 //! # Node caches and physical sharing
 //!
 //! Each node holds a [`KvCache`] covering positions `0..end` of its
-//! prefix. [`RadixTree::resident_pages`] charges each node its own edge
-//! span — the page-accounting total the scheduler adds to its admission
-//! watermark — and the tree's page leases equal that total whatever
-//! cache an insert sources from: a new leaf leases its **parent path's**
-//! pages for `0..start` and the source's only for its own edge
-//! ([`KvCache::fork_spliced`]), and an edge split forks the child's
-//! cache, allocating nothing. A source that prefilled its own copy of an
-//! already-cached prefix (two same-prefix prompts admitted before either
-//! finished prefilling) keeps that duplicate to itself; it is charged to
-//! the stream's reservation and freed when the stream retires. While a
-//! source stream is still decoding, its prompt pages past the matched
-//! path are counted by both its reservation and the tree (the tree's
-//! lease is a refcount on the same physical pages) — conservative, never
-//! an undercount of what the tree itself retains.
+//! prefix. The tree charges each node its own edge span, to exactly one
+//! of two totals the scheduler adds to its admission watermark —
+//! [`RadixTree::pinned_pages`] for edges on a pinned path,
+//! [`RadixTree::resident_pages`] for the evictable rest — and the
+//! tree's page leases equal their sum whatever cache an insert sources
+//! from: a new leaf leases its **parent path's** pages for `0..start`
+//! and the source's only for its own edge ([`KvCache::fork_spliced`]),
+//! and an edge split forks the child's cache, allocating nothing. A
+//! source that prefilled its own copy of an already-cached prefix (two
+//! same-prefix prompts admitted before either finished prefilling)
+//! keeps that duplicate to itself; it is charged to the stream's
+//! reservation and freed when the stream retires. While a source stream
+//! is still decoding, its prompt pages past the matched path are
+//! counted by both its reservation and the tree (the tree's lease is a
+//! refcount on the same physical pages) — conservative, never an
+//! undercount of what the tree itself retains.
 //!
-//! # Eviction
+//! # Eviction and pins
 //!
 //! Under page pressure the scheduler calls [`RadixTree::evict_lru`]:
 //! least-recently-used **leaves** are dropped first (an interior node is
 //! never evictable — its children chain-share its pages), and a leaf is
 //! skipped while it has live forks ([`RadixTree::acquire`]d by an active
-//! stream) or a pin on itself or any ancestor ([`RadixTree::pin`]
-//! protects the subtree below it). Dropping a node's cache releases its
+//! stream) or carries a pin. A [`RadixTree::pin`] therefore protects its
+//! node and, through the interior rule, every ancestor — the pinned
+//! *path* — but nothing below it: prompts that extend a pinned prefix
+//! stay ordinary evictable cache. Dropping a node's cache releases its
 //! leases; pages nobody else co-owns rejoin the pool's free list.
 
 use anda_llm::KvCache;
@@ -69,7 +72,7 @@ pub struct RadixMatch {
     pub depth: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Node {
     parent: NodeId,
     /// Edge tokens from `start` to `start + edge.len()`; always a whole
@@ -86,9 +89,11 @@ struct Node {
     last_used: u64,
     /// Live stream forks of this node's cache (blocks eviction).
     active: usize,
-    /// Pin count; a pinned node protects itself and its whole subtree
-    /// from eviction.
+    /// Pins on this node: it cannot be evicted while any remain.
     pins: usize,
+    /// Pins on this node or any descendant. Non-zero means the edge lies
+    /// on a pinned path and its pages count as pinned, not resident.
+    path_pins: usize,
 }
 
 impl Node {
@@ -97,7 +102,7 @@ impl Node {
     }
 }
 
-/// The automatic prefix cache: a radix tree over token sequences with
+/// The prefix store: a radix tree over token sequences with
 /// per-node [`KvCache`] forks, LRU eviction and page-exact residency
 /// accounting. See the module docs for the design.
 #[derive(Debug)]
@@ -112,10 +117,12 @@ pub struct RadixTree {
     nodes: Vec<Option<Node>>,
     free: Vec<NodeId>,
     clock: u64,
-    /// Σ over nodes of `n_layers · edge_pages` — the distinct physical
-    /// pages attributable to the tree (path forks share pages, so each
-    /// page is counted by exactly one node's edge).
-    resident_pages: usize,
+    /// Σ `n_layers · edge_pages` over all nodes. Path forks share pages,
+    /// so each distinct physical page of the tree is counted by exactly
+    /// one node's edge.
+    tree_pages: usize,
+    /// The same sum over the nodes on pinned paths only.
+    pinned_pages: usize,
     evictions: u64,
 }
 
@@ -132,19 +139,11 @@ impl RadixTree {
         RadixTree {
             page_positions,
             n_layers,
-            nodes: vec![Some(Node {
-                parent: ROOT,
-                edge: Vec::new(),
-                start: 0,
-                cache: None,
-                children: Vec::new(),
-                last_used: 0,
-                active: 0,
-                pins: 0,
-            })],
+            nodes: vec![Some(Node::default())],
             free: Vec::new(),
             clock: 0,
-            resident_pages: 0,
+            tree_pages: 0,
+            pinned_pages: 0,
             evictions: 0,
         }
     }
@@ -168,10 +167,18 @@ impl RadixTree {
         self.n_layers * (tokens / self.page_positions)
     }
 
-    /// Physical KV pages attributable to the tree across all layers —
-    /// what the scheduler charges against its admission watermark.
+    /// Physical KV pages, across all layers, of the edges no pin covers
+    /// — the evictable part of what the scheduler charges against its
+    /// admission watermark.
     pub fn resident_pages(&self) -> usize {
-        self.resident_pages
+        self.tree_pages - self.pinned_pages
+    }
+
+    /// Distinct physical KV pages, across all layers, on pinned paths
+    /// (root to every pinned node; nested pins count their shared pages
+    /// once). Disjoint from [`RadixTree::resident_pages`].
+    pub fn pinned_pages(&self) -> usize {
+        self.pinned_pages
     }
 
     /// Live nodes (the root excluded).
@@ -206,6 +213,27 @@ impl RadixTree {
             .filter(|&(_, k)| k > 0)
     }
 
+    /// Walks from the root along `tokens`: the nodes entered, root first,
+    /// and the tokens matched (the last node possibly mid-edge).
+    /// `pinned_only` stops before the first edge no pin covers.
+    fn descend(&self, tokens: &[usize], pinned_only: bool) -> (Vec<NodeId>, usize) {
+        let mut path = vec![ROOT];
+        let mut depth = 0usize;
+        while let Some((child, k)) =
+            self.best_child(*path.last().expect("non-empty"), &tokens[depth..])
+        {
+            if pinned_only && self.node(child).path_pins == 0 {
+                break;
+            }
+            path.push(child);
+            depth += k;
+            if k < self.node(child).edge.len() {
+                break; // diverged (or ran out of tokens) mid-edge
+            }
+        }
+        (path, depth)
+    }
+
     /// Longest cached prefix of `tokens` usable at page granularity,
     /// capped at `max_depth` tokens (the scheduler passes `prompt_len -
     /// 1` so at least one prompt token is always left to prefill — a
@@ -214,17 +242,7 @@ impl RadixTree {
     /// Touches the matched path's LRU stamps. Returns `None` when not
     /// even one whole page matches.
     pub fn lookup(&mut self, tokens: &[usize], max_depth: usize) -> Option<RadixMatch> {
-        let mut path = vec![ROOT];
-        let mut depth = 0usize;
-        while let Some((child, k)) =
-            self.best_child(*path.last().expect("non-empty"), &tokens[depth..])
-        {
-            path.push(child);
-            depth += k;
-            if k < self.node(child).edge.len() {
-                break; // diverged (or ran out of tokens) mid-edge
-            }
-        }
+        let (path, depth) = self.descend(tokens, false);
         let usable = depth.min(max_depth) / self.page_positions * self.page_positions;
         if usable == 0 {
             return None;
@@ -246,6 +264,18 @@ impl RadixTree {
             node,
             depth: usable,
         })
+    }
+
+    /// The whole-page prefix of `tokens` cached along **pinned** paths,
+    /// capped at `max_depth` like [`RadixTree::lookup`] — the part of a
+    /// match that cannot be evicted before the prompt is admitted, so a
+    /// demand estimate may discount it. Read-only: no LRU stamp moves.
+    pub fn pinned_depth(&self, tokens: &[usize], max_depth: usize) -> usize {
+        if self.pinned_pages == 0 {
+            return 0; // nothing pinned: skip the walk (every submit asks)
+        }
+        let (_, depth) = self.descend(tokens, true);
+        depth.min(max_depth) / self.page_positions * self.page_positions
     }
 
     /// Marks `node` as having one more live stream fork, protecting it
@@ -284,13 +314,18 @@ impl RadixTree {
             .fork_prefix(depth)
     }
 
-    /// Pins `node`: it and every descendant become ineligible for
-    /// eviction until the matching [`RadixTree::unpin`]. Pins nest.
+    /// Pins `node`: it — and with it every ancestor, since interior
+    /// nodes are never evicted — stays cached until the matching
+    /// [`RadixTree::unpin`], and the path's pages count as
+    /// [`RadixTree::pinned_pages`], not [`RadixTree::resident_pages`].
+    /// Descendants stay evictable. Pins nest.
     pub fn pin(&mut self, node: NodeId) {
         self.node_mut(node).pins += 1;
+        self.cover_path(node, true);
     }
 
-    /// Drops one pin placed by [`RadixTree::pin`].
+    /// Drops one pin placed by [`RadixTree::pin`]. Edges no other pin
+    /// covers become resident again; nothing is evicted.
     ///
     /// # Panics
     ///
@@ -299,6 +334,29 @@ impl RadixTree {
         let n = self.node_mut(node);
         assert!(n.pins > 0, "unpin without a matching pin");
         n.pins -= 1;
+        self.cover_path(node, false);
+    }
+
+    /// Adds (`pin`) or removes one pin's coverage along the path from
+    /// `node` to the root; an edge whose coverage starts or ends enters
+    /// or leaves the pinned total.
+    fn cover_path(&mut self, node: NodeId, pin: bool) {
+        let mut id = node;
+        while id != ROOT {
+            let n = self.node_mut(id);
+            if pin {
+                n.path_pins += 1;
+            } else {
+                n.path_pins -= 1;
+            }
+            let (flips, span, parent) = (n.path_pins == usize::from(pin), n.edge.len(), n.parent);
+            match (flips, pin) {
+                (true, true) => self.pinned_pages += self.span_pages(span),
+                (true, false) => self.pinned_pages -= self.span_pages(span),
+                (false, _) => {}
+            }
+            id = parent;
+        }
     }
 
     /// Inserts the whole-page prefix of `tokens` (length rounded down to
@@ -380,23 +438,24 @@ impl RadixTree {
             edge: t[depth..].to_vec(),
             start: depth,
             cache: Some(cache),
-            children: Vec::new(),
             last_used: stamp,
-            active: 0,
-            pins: 0,
+            ..Node::default()
         });
         self.node_mut(parent).children.push(leaf);
-        self.resident_pages += self.span_pages(t.len() - depth);
+        self.tree_pages += self.span_pages(t.len() - depth);
         leaf
     }
 
     /// Splits `child` (a child of `parent`) at `split` tokens into its
     /// edge: a new interior node takes the first `split` tokens (cache
     /// forked from `child`'s, so the pages stay physically shared) and
-    /// `child` keeps the remainder. Residency is unchanged — the pages
-    /// move from `child`'s span to the new node's.
+    /// `child` keeps the remainder, its id, its holds and its pins. Both
+    /// page totals are unchanged — the pages move from `child`'s span to
+    /// the new node's, which every pinned path through `child` also
+    /// crosses.
     fn split_edge(&mut self, parent: NodeId, child: NodeId, split: usize, stamp: u64) -> NodeId {
         let start = self.node(child).start;
+        let path_pins = self.node(child).path_pins;
         let head: Vec<usize> = self.node(child).edge[..split].to_vec();
         let cache = self
             .node_mut(child)
@@ -411,8 +470,8 @@ impl RadixTree {
             cache: Some(cache),
             children: vec![child],
             last_used: stamp,
-            active: 0,
-            pins: 0,
+            path_pins,
+            ..Node::default()
         });
         let c = self.node_mut(child);
         c.edge.drain(..split);
@@ -441,32 +500,19 @@ impl RadixTree {
         }
     }
 
-    /// `true` when `id` or any ancestor carries a pin (pins protect the
-    /// whole subtree below them).
-    fn pinned_path(&self, mut id: NodeId) -> bool {
-        loop {
-            let n = self.node(id);
-            if n.pins > 0 {
-                return true;
-            }
-            if id == ROOT {
-                return false;
-            }
-            id = n.parent;
-        }
+    /// A node eviction may drop: a leaf (interior nodes share their
+    /// pages with descendants) with no live forks and no pin.
+    fn evictable(n: &Node) -> bool {
+        n.children.is_empty() && n.active == 0 && n.pins == 0
     }
 
-    /// The least-recently-used evictable node, if any: a leaf (interior
-    /// nodes share their pages with descendants) with no live forks and
-    /// no pin anywhere on its path.
+    /// The least-recently-used evictable node, if any.
     fn lru_candidate(&self) -> Option<NodeId> {
         self.nodes
             .iter()
             .enumerate()
             .filter_map(|(id, slot)| slot.as_ref().map(|n| (id, n)))
-            .filter(|&(id, n)| {
-                id != ROOT && n.children.is_empty() && n.active == 0 && !self.pinned_path(id)
-            })
+            .filter(|&(id, n)| id != ROOT && Self::evictable(n))
             .min_by_key(|&(_, n)| n.last_used)
             .map(|(id, _)| id)
     }
@@ -492,9 +538,20 @@ impl RadixTree {
     /// Evicts everything evictable (tests, benches, and explicit cache
     /// flushes); returns the pages freed.
     pub fn evict_all(&mut self) -> usize {
+        self.evict_lru(usize::MAX)
+    }
+
+    /// Evicts `node` and then every ancestor that exposes, each while it
+    /// is evictable (a leaf, no live forks, no pin); returns the pages
+    /// freed. Unpinning a prefix calls this so its pages rejoin the pool
+    /// at once unless a live stream or a longer cached prompt still
+    /// reads them — those nodes stay behind as ordinary LRU cache.
+    pub fn evict_path(&mut self, mut node: NodeId) -> usize {
         let mut freed = 0usize;
-        while let Some(id) = self.lru_candidate() {
-            freed += self.evict(id);
+        while node != ROOT && Self::evictable(self.node(node)) {
+            let parent = self.node(node).parent;
+            freed += self.evict(node);
+            node = parent;
         }
         freed
     }
@@ -505,8 +562,9 @@ impl RadixTree {
         let node = self.nodes[id].take().expect("live node id");
         debug_assert!(node.children.is_empty(), "only leaves are evicted");
         debug_assert_eq!(node.active, 0, "a held node must never be evicted");
+        debug_assert_eq!(node.path_pins, 0, "a pinned node must never be evicted");
         let span = self.span_pages(node.edge.len());
-        self.resident_pages -= span;
+        self.tree_pages -= span;
         self.evictions += 1;
         let p = self.node_mut(node.parent);
         p.children.retain(|&c| c != id);

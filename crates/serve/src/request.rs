@@ -188,22 +188,17 @@ impl SamplingMode {
     }
 }
 
-/// A generation request: prompt, generation budget, sampling policy,
-/// and optionally the key of a shared prefix registered with the
-/// scheduler.
+/// A generation request: prompt, generation budget, sampling policy.
 #[derive(Clone, Debug)]
 pub struct Request {
-    /// Prompt token ids (must be non-empty and in-vocab). With a
-    /// `prefix`, this is only the request-private suffix: the effective
-    /// prompt is `prefix tokens ++ prompt`.
+    /// Prompt token ids (must be non-empty and in-vocab) — always the
+    /// full prompt. Whatever leading whole pages of it the scheduler
+    /// already caches (a prefix pinned with
+    /// [`Scheduler::pin_prefix`](crate::Scheduler::pin_prefix), or an
+    /// earlier prompt under `auto_prefix`) are *shared* into this
+    /// stream's cache at admission instead of prefilled again, and the
+    /// stream is charged only its unshared pages.
     pub prompt: Vec<usize>,
-    /// Key of a shared prefix previously registered via
-    /// [`Scheduler::register_prefix`](crate::Scheduler::register_prefix).
-    /// The prefix's KV pages are prefilled once and *shared* into this
-    /// stream's cache at admission (copy-on-write page tables), so the
-    /// stream is charged only its unshared pages and the prefix tokens
-    /// are never re-prefilled. Unknown keys are rejected at submit.
-    pub prefix: Option<String>,
     /// Maximum number of new tokens to generate.
     pub max_new: usize,
     /// Optional end-of-sequence token: generation stops once it is
@@ -222,12 +217,11 @@ pub struct Request {
 impl Request {
     /// Starts building a request around `prompt`. The builder validates
     /// at [`RequestBuilder::build`]; every knob defaults to the benign
-    /// choice (greedy single completion, no EOS, no prefix,
-    /// [`Priority::Normal`], `max_new = 0`).
+    /// choice (greedy single completion, no EOS, [`Priority::Normal`],
+    /// `max_new = 0`).
     pub fn builder(prompt: impl Into<Vec<usize>>) -> RequestBuilder {
         RequestBuilder {
             prompt: prompt.into(),
-            prefix: None,
             max_new: 0,
             eos: None,
             sampling: SamplingParams::greedy(),
@@ -237,12 +231,11 @@ impl Request {
     }
 
     /// KV positions the scheduler's page accounting covers for this
-    /// request *beyond its shared prefix*: the private prompt plus the
-    /// worst-case generation length (the scheduler adds the prefix
-    /// length and discounts fully shared pages, both in one place —
-    /// `pages_needed`). Saturating, so an absurd `max_new` fails the
-    /// submit-time `max_seq`/capacity checks instead of wrapping past
-    /// them.
+    /// request: the prompt plus the worst-case generation length (the
+    /// scheduler discounts pages shared out of its prefix store in one
+    /// place — `pages_needed`). Saturating, so an absurd `max_new`
+    /// fails the submit-time `max_seq`/capacity checks instead of
+    /// wrapping past them.
     pub fn reserve_tokens(&self) -> usize {
         self.prompt.len().saturating_add(self.max_new)
     }
@@ -283,7 +276,6 @@ impl Request {
 #[derive(Clone, Debug)]
 pub struct RequestBuilder {
     prompt: Vec<usize>,
-    prefix: Option<String>,
     max_new: usize,
     eos: Option<usize>,
     sampling: SamplingParams,
@@ -319,15 +311,6 @@ impl RequestBuilder {
     /// Seed of the stream-private RNG.
     pub fn seed(mut self, seed: u64) -> Self {
         self.sampling.seed = seed;
-        self
-    }
-
-    /// Route through the shared prefix registered under `key`
-    /// ([`Scheduler::register_prefix`]).
-    ///
-    /// [`Scheduler::register_prefix`]: crate::Scheduler::register_prefix
-    pub fn prefix(mut self, key: impl Into<String>) -> Self {
-        self.prefix = Some(key.into());
         self
     }
 
@@ -375,7 +358,6 @@ impl RequestBuilder {
         }
         Ok(Request {
             prompt: self.prompt,
-            prefix: self.prefix,
             max_new: self.max_new,
             eos: self.eos,
             sampling: self.sampling,
@@ -401,13 +383,9 @@ pub enum FinishReason {
 pub struct FinishedRequest {
     /// The id [`Scheduler::submit`](crate::Scheduler::submit) returned.
     pub id: RequestId,
-    /// Prompt followed by every generated token. For a request routed
-    /// through a shared prefix, the prompt part is the *effective*
-    /// prompt: the prefix tokens followed by the request's private ones
-    /// — identical to what an unshared submission of the full prompt
-    /// would return.
+    /// Prompt followed by every generated token.
     pub tokens: Vec<usize>,
-    /// Length of the (effective) prompt prefix of `tokens`.
+    /// Length of the prompt prefix of `tokens`.
     pub prompt_len: usize,
     /// Why decoding stopped.
     pub reason: FinishReason,

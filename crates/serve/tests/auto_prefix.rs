@@ -2,7 +2,7 @@
 //! ([`SchedulerConfig::auto_prefix`]): token- and logit-bit-exact
 //! against unshared decodes across every KV storage policy, exact
 //! hit-rate accounting, survival of LRU eviction under page pressure,
-//! and coexistence with the explicit pinned registry.
+//! and coexistence with pinned prefixes.
 
 use std::sync::OnceLock;
 
@@ -237,11 +237,12 @@ fn eviction_under_page_pressure_stays_bit_exact() {
     }
 }
 
-/// The explicit registry stays the pinned fast path: prefix-routed
-/// requests fork the registration (and never enter the tree), plain
-/// requests ride the automatic cache, and both drain cleanly.
+/// Declared and discovered prefixes share one tree: prompts behind a
+/// pinned prefix fork the pin (and, with the cache on, extend it with
+/// evictable nodes of their own), plain prompts ride the automatic
+/// cache, and both drain cleanly.
 #[test]
-fn auto_prefix_coexists_with_explicit_registry() {
+fn auto_prefix_coexists_with_pinned_prefixes() {
     let run_mixed = |auto: bool| -> (Vec<FinishedRequest>, u64) {
         let mut sched = Scheduler::new(
             model(),
@@ -257,29 +258,32 @@ fn auto_prefix_coexists_with_explicit_registry() {
             },
         );
         let prefix: Vec<usize> = (0..16).map(|i| (i * 7 + 3) % 500).collect();
-        sched.register_prefix("sys", prefix).unwrap();
+        let pin = sched.pin_prefix(&prefix).unwrap();
         for r in workload() {
             let mut prefixed = r.clone();
-            prefixed.prefix = Some("sys".into());
+            prefixed.prompt = [&prefix[..], &r.prompt].concat();
             sched.submit(prefixed).unwrap();
             sched.submit(r).unwrap();
         }
         let done = sorted_outputs(sched.run_to_completion());
         let hits = sched.stats().cache_hit_tokens;
-        // The registration releases cleanly; the tree keeps only what
-        // it accounted, and a flush empties the pool.
-        sched.release_prefix("sys").unwrap();
+        // Under pressure only the pinned path survives; once the pin is
+        // dropped too, a flush empties the pool.
+        sched.flush_prefix_cache();
+        assert_eq!(sched.kv_pool().pages_in_use(), pin.pages());
+        sched.unpin_prefix(pin);
         sched.flush_prefix_cache();
         assert_eq!(sched.kv_pool().pages_in_use(), 0);
         (done, hits)
     };
-    let (plain, _) = run_mixed(false);
+    let (plain, pin_hits) = run_mixed(false);
+    assert_eq!(pin_hits, 5 * 16, "every prefixed prompt hits the whole pin");
     let (auto_, hits) = run_mixed(true);
-    assert!(hits > 0, "plain requests must still ride the tree");
+    assert!(hits > pin_hits, "plain requests must still ride the tree");
     assert_eq!(auto_.len(), plain.len());
     for (a, b) in auto_.iter().zip(&plain) {
         assert_eq!(a.id, b.id);
-        assert_eq!(a.tokens, b.tokens, "registry/auto mix diverged");
+        assert_eq!(a.tokens, b.tokens, "pinned/auto mix diverged");
         assert_eq!(a.reason, b.reason);
     }
 }

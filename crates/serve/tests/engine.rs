@@ -118,6 +118,43 @@ fn await_finished_returns_ordered_results() {
     assert!(engine.is_idle());
 }
 
+/// Awaiting a request whose results are already gone returns the empty
+/// vector at once instead of stepping an idle engine forever: a second
+/// await on the same handle, and a first await after the results were
+/// drained past the engine. Another live request is not stepped for it
+/// either.
+#[test]
+fn await_after_collection_returns_empty_without_stepping() {
+    let engine = Engine::new(model(), SchedulerConfig::default());
+    let req = |max_new| {
+        Request::builder(vec![2, 7, 1])
+            .max_new(max_new)
+            .build()
+            .unwrap()
+    };
+    let mut first = engine.submit(req(3)).unwrap();
+    assert_eq!(first.await_finished().len(), 1);
+    let steps = engine.steps();
+    assert!(first.await_finished().is_empty(), "already collected");
+    assert_eq!(engine.steps(), steps, "an idle engine is not stepped");
+    assert_eq!(first.state(), RequestState::Finished);
+
+    let mut drained = engine.submit(req(2)).unwrap();
+    let mut bystander = engine.submit(req(40)).unwrap();
+    let taken = engine.with_scheduler(|sched| {
+        while sched.status(drained.id()).is_some() {
+            sched.step();
+        }
+        sched.take_finished()
+    });
+    assert_eq!(taken.len(), 1, "drained behind the engine's back");
+    let steps = engine.steps();
+    assert!(drained.await_finished().is_empty());
+    assert_eq!(engine.steps(), steps, "nor is a busy one, for a dead id");
+    assert_eq!(bystander.state(), RequestState::Decoding);
+    assert_eq!(bystander.await_finished().len(), 1);
+}
+
 /// The handle walks the documented lifecycle: Pending before a slot
 /// opens, Prefilling while chunking a long prompt, Decoding,
 /// Suspended under preemption, then Finished.

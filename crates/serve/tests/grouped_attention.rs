@@ -60,8 +60,8 @@ fn kv(storage: KvStorage, page_positions: usize) -> KvPoolConfig {
     }
 }
 
-/// Runs `workload` (optionally routed through the registered prefix)
-/// to completion and returns finished requests sorted by id.
+/// Runs `workload` (optionally behind the pinned shared prefix) to
+/// completion and returns finished requests sorted by id.
 fn run(
     m: &Model,
     storage: KvStorage,
@@ -76,12 +76,10 @@ fn run(
         ..SchedulerConfig::default()
     };
     let mut sched = Scheduler::with_pool(m, cfg, &pool);
-    if with_prefix {
-        sched.register_prefix("sys", prefix()).unwrap();
-    }
+    let _pin = with_prefix.then(|| sched.pin_prefix(&prefix()).unwrap());
     for mut r in workload() {
         if with_prefix {
-            r.prefix = Some("sys".into());
+            r.prompt = [prefix(), r.prompt].concat();
         }
         sched.submit(r).unwrap();
     }
@@ -163,9 +161,8 @@ fn grouped_serving_matches_oracle_for_llama() {
 /// prefix cost its pages **once** per layer per step, not N times.
 ///
 /// With a 16-token prefix on 8-position pages the two prefix pages stay
-/// fully shared (appends open fresh private pages). Registration
-/// prefills the prefix as one span, decoding its own two pages per
-/// layer. Step 1 then admits every stream and lands its whole prompt as
+/// fully shared (appends open fresh private pages). Pinning prefills
+/// the prefix as one span, decoding its own two pages per layer. Step 1 then admits every stream and lands its whole prompt as
 /// one span; each later step appends one decoded token. Either way
 /// stream `i` holds `prompt_i + (s - 1)` private rows after step `s`'s
 /// KV append, so the whole batch decodes exactly
@@ -186,17 +183,12 @@ fn shared_prefix_pages_decode_once_per_step() {
         ..SchedulerConfig::default()
     };
     let mut sched = Scheduler::with_pool(model(), cfg, &pool);
-    sched.register_prefix("sys", prefix()).unwrap();
+    let _pin = sched.pin_prefix(&prefix()).unwrap();
     for (i, &p) in prompts.iter().enumerate() {
-        let prompt: Vec<usize> = (0..p).map(|j| (i * 31 + j * 13 + 5) % 500).collect();
+        let private = (0..p).map(|j| (i * 31 + j * 13 + 5) % 500);
+        let prompt: Vec<usize> = prefix().into_iter().chain(private).collect();
         sched
-            .submit(
-                Request::builder(prompt)
-                    .max_new(6)
-                    .prefix("sys")
-                    .build()
-                    .unwrap(),
-            )
+            .submit(Request::builder(prompt).max_new(6).build().unwrap())
             .unwrap();
     }
     let mut prev = sched.stats().pages_decoded;

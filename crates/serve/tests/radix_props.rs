@@ -9,9 +9,13 @@
 //! - **Bit-exact forks**: forking a matched node reproduces the donor
 //!   rows bit for bit.
 //! - **Eviction safety**: eviction never frees a node with live forks
-//!   or a pin anywhere on its path — held paths stay retrievable and
-//!   their forked pages stay readable through arbitrary pressure, and
-//!   once every hold and pin drops the tree drains to zero pages.
+//!   or a pin — held and pinned paths stay retrievable and their forked
+//!   pages stay readable through arbitrary pressure, and once every
+//!   hold and pin drops the tree drains to zero pages.
+//! - **Pins cover paths, not subtrees**: a pin keeps its node and every
+//!   ancestor while everything below evicts under pressure, and
+//!   `pinned_pages()` always equals a from-scratch recount of the
+//!   distinct pages on pinned paths.
 
 use anda_llm::kv::{KvCache, KvPoolConfig, KvStorage, PagePool};
 use anda_serve::RadixTree;
@@ -137,9 +141,9 @@ proptest! {
     }
 
     /// Eviction under unbounded pressure never frees a node with live
-    /// forks or a pin on its path: held/pinned sequences stay
-    /// retrievable and their forked pages stay bit-readable, and once
-    /// the holds and pins drop, the tree drains every page.
+    /// forks or a pin: held/pinned sequences stay retrievable and their
+    /// forked pages stay bit-readable, and once the holds and pins drop,
+    /// the tree drains every page.
     #[test]
     fn eviction_never_frees_held_or_pinned_nodes(
         pp in 1usize..4,
@@ -201,6 +205,78 @@ proptest! {
         tree.evict_all();
         prop_assert_eq!(tree.node_count(), 0);
         prop_assert_eq!(tree.resident_pages(), 0);
+        prop_assert_eq!(pool.pages_in_use(), 0);
+    }
+
+    /// Random insert (splitting edges as sequences diverge) / pin /
+    /// unpin / evict sequences: after every operation `pinned_pages()`
+    /// equals the number of distinct page-prefixes of the pinned
+    /// sequences — unchanged by splits, nested pins counted once — and
+    /// the tree leases exactly what its two totals account. Under
+    /// unbounded pressure exactly the pinned paths survive: every
+    /// pinned sequence still hits at full depth, everything below or
+    /// beside them is gone.
+    #[test]
+    fn pins_cover_paths_and_pinned_pages_matches_a_recount(
+        pp in 1usize..4,
+        ops in prop::collection::vec(
+            (0usize..4, prop::collection::vec(0usize..3, 1..16), 0usize..8),
+            1..24,
+        ),
+    ) {
+        let pool = pool(pp);
+        let mut tree = RadixTree::new(pp, 1);
+        // (node, page-aligned sequence) per live pin.
+        let mut pins: Vec<(usize, Vec<usize>)> = Vec::new();
+        let recount = |pins: &[(usize, Vec<usize>)]| {
+            let mut pages = std::collections::HashSet::new();
+            for (_, s) in pins {
+                pages.extend((1..=s.len() / pp).map(|k| s[..k * pp].to_vec()));
+            }
+            pages.len()
+        };
+        for (op, s, k) in ops {
+            match op {
+                // Insert; an odd `k` pins what was inserted.
+                0 | 1 => {
+                    let mut cache = cache_for(&pool, &s);
+                    if let Some(node) = tree.insert(&s, &mut cache) {
+                        if k % 2 == 1 {
+                            tree.pin(node);
+                            pins.push((node, s[..s.len() / pp * pp].to_vec()));
+                        }
+                    }
+                }
+                2 if !pins.is_empty() => {
+                    let (node, _) = pins.swap_remove(k % pins.len());
+                    tree.unpin(node);
+                }
+                _ => {
+                    tree.evict_lru(k);
+                }
+            }
+            prop_assert_eq!(tree.pinned_pages(), recount(&pins));
+            prop_assert_eq!(
+                tree.pinned_pages() + tree.resident_pages(),
+                pool.pages_in_use(),
+                "the tree leases what it accounts"
+            );
+        }
+
+        tree.evict_lru(usize::MAX);
+        prop_assert_eq!(tree.resident_pages(), 0, "only pinned paths survive pressure");
+        prop_assert_eq!(pool.pages_in_use(), recount(&pins));
+        for (_, s) in &pins {
+            let m = tree.lookup(s, s.len()).expect("pinned path evicted");
+            prop_assert_eq!(m.depth, s.len());
+            prop_assert_eq!(tree.pinned_depth(s, s.len()), s.len());
+        }
+
+        for (node, _) in pins.drain(..) {
+            tree.unpin(node);
+        }
+        prop_assert_eq!(tree.pinned_pages(), 0);
+        tree.evict_all();
         prop_assert_eq!(pool.pages_in_use(), 0);
     }
 }

@@ -45,14 +45,10 @@ fn build_request((prompt, max_new, has_eos, eos, seed): RawReq, hot: bool) -> Re
     builder.build().unwrap()
 }
 
-/// The request as an unshared full-prompt submission: the prefix tokens
-/// (resolved by the caller) prepended to the private prompt.
-fn flatten(req: &Request, prefix: &[usize]) -> Request {
-    let mut full = prefix.to_vec();
-    full.extend_from_slice(&req.prompt);
+/// `req` with `prefix` leading its prompt.
+fn behind(prefix: &[usize], req: &Request) -> Request {
     Request {
-        prompt: full,
-        prefix: None,
+        prompt: [prefix, &req.prompt].concat(),
         ..req.clone()
     }
 }
@@ -70,54 +66,55 @@ fn reference(model: &Model, req: &Request) -> Vec<usize> {
     full
 }
 
+/// The page-accounting invariants that must hold between any two
+/// scheduler calls.
+fn check_accounting(sched: &Scheduler<'_>) {
+    let snap = sched.pool_snapshot();
+    if let Some(cap) = snap.capacity {
+        assert!(
+            snap.reserved_pages <= cap,
+            "reservations {} exceed the pool capacity {cap}",
+            snap.reserved_pages
+        );
+        assert!(
+            snap.pages_created <= cap,
+            "pool created {} pages past its capacity {cap}",
+            snap.pages_created
+        );
+    }
+    assert!(
+        snap.pages_in_use <= snap.reserved_pages + snap.pinned_pages + snap.radix_resident_pages,
+        "leased pages {} outgrew the reservations {} + pinned {} + cache-resident {}",
+        snap.pages_in_use,
+        snap.reserved_pages,
+        snap.pinned_pages,
+        snap.radix_resident_pages
+    );
+    assert!(
+        sched.stats().peak_pages_in_use >= snap.pages_in_use,
+        "peak watermark fell behind the live page count"
+    );
+    assert!(
+        sched.active_len() <= sched.config().max_batch,
+        "slot overflow"
+    );
+}
+
 /// Runs `sched` to completion while checking the per-iteration
 /// invariants, with a hard step cap standing in for "does not starve".
 fn run_checked(sched: &mut Scheduler<'_>) -> Vec<FinishedRequest> {
-    let capacity = sched.kv_pool().capacity();
     let mut steps = 0usize;
     while !sched.is_idle() {
         sched.step();
         steps += 1;
-        if let Some(cap) = capacity {
-            assert!(
-                sched.pool_snapshot().reserved_pages <= cap,
-                "reservations {} exceed the pool capacity {}",
-                sched.pool_snapshot().reserved_pages,
-                cap
-            );
-            assert!(
-                sched.kv_pool().pages_created() <= cap,
-                "pool created {} pages past its capacity {}",
-                sched.kv_pool().pages_created(),
-                cap
-            );
-        }
-        assert!(
-            sched.kv_pool().pages_in_use()
-                <= sched.pool_snapshot().reserved_pages
-                    + sched.pool_snapshot().pinned_pages
-                    + sched.pool_snapshot().radix_resident_pages,
-            "leased pages {} outgrew the reservations {} + pinned {} + cache-resident {}",
-            sched.kv_pool().pages_in_use(),
-            sched.pool_snapshot().reserved_pages,
-            sched.pool_snapshot().pinned_pages,
-            sched.pool_snapshot().radix_resident_pages
-        );
-        assert!(
-            sched.stats().peak_pages_in_use >= sched.kv_pool().pages_in_use(),
-            "peak watermark fell behind the live page count"
-        );
-        assert!(
-            sched.active_len() <= sched.config().max_batch,
-            "slot overflow"
-        );
+        check_accounting(sched);
         assert!(
             steps <= 10_000,
             "scheduler starved: no completion in 10k steps"
         );
     }
-    // Drained: every page not pinned by the registry or retained by the
-    // automatic prefix cache is back on the free list for the next wave.
+    // Drained: every page the radix tree does not hold (pinned or
+    // resident) is back on the free list for the next wave.
     assert_eq!(
         sched.kv_pool().pages_in_use(),
         sched.pool_snapshot().pinned_pages + sched.pool_snapshot().radix_resident_pages,
@@ -270,11 +267,10 @@ proptest! {
         }
     }
 
-    /// Random mixes where a subset of requests routes through one
-    /// registered prefix: the page-accounting invariants hold with the
-    /// pin included, nobody starves, and every completion is
-    /// bit-identical to the same workload flattened into unshared full
-    /// prompts.
+    /// Random mixes where a subset of prompts starts with one pinned
+    /// prefix: the page-accounting invariants hold with the pin
+    /// included, nobody starves, and every completion is bit-identical
+    /// to the same prompts served with nothing pinned.
     #[test]
     fn prefix_routed_mixes_stay_exact_and_account_pinned_pages(
         raw in prop::collection::vec(
@@ -294,11 +290,12 @@ proptest! {
         page_positions in 1usize..6,
     ) {
         let model = model();
+        let n_layers = model.config().n_layers;
         let prefix: Vec<usize> = (0..prefix_len).map(|i| (i * 37 + 3) % 512).collect();
         // Capacity: the prefix pin plus room for a couple of worst-case
         // streams, so admission really has to wait on the watermark.
         let per_layer = (prefix_len + 10).div_ceil(page_positions);
-        let max_pages = model.config().n_layers * (per_layer * 2 + prefix_len.div_ceil(page_positions));
+        let max_pages = n_layers * (per_layer * 2 + prefix_len.div_ceil(page_positions));
         let kv = KvPoolConfig {
             page_positions,
             max_pages: Some(max_pages),
@@ -309,21 +306,14 @@ proptest! {
             SchedulerConfig { max_batch, kv, ..SchedulerConfig::default() },
             rayon_lite::global(),
         );
-        let pinned = match sched.register_prefix("sys", prefix.clone()) {
-            Ok(p) => p,
-            // A tiny pool can be too small for this prefix: nothing
-            // left to check in that draw.
-            Err(SubmitError::ExceedsPoolCapacity { .. }) => return,
-            Err(e) => panic!("unexpected registration failure: {e}"),
-        };
-        prop_assert_eq!(sched.pool_snapshot().pinned_pages, pinned);
+        let pin = sched.pin_prefix(&prefix).unwrap();
+        prop_assert_eq!(pin.pages(), n_layers * (prefix_len / page_positions));
+        prop_assert_eq!(sched.pool_snapshot().pinned_pages, pin.pages());
 
         let mut accepted = Vec::new();
         for (i, r) in raw.into_iter().enumerate() {
-            let mut req = build_request(r, hot);
-            if route[i] {
-                req.prefix = Some("sys".into());
-            }
+            let private = build_request(r, hot);
+            let req = if route[i] { behind(&prefix, &private) } else { private };
             if let Ok(id) = sched.submit(req.clone()) {
                 accepted.push((id, req));
             }
@@ -331,8 +321,8 @@ proptest! {
         let finished = run_checked(&mut sched);
         prop_assert_eq!(finished.len(), accepted.len(), "someone starved");
 
-        // Flattened reference: the same requests as private full
-        // prompts through a serial unbounded scheduler.
+        // Reference: the same prompts through a serial unbounded
+        // scheduler with nothing pinned.
         let mut solo = Scheduler::with_pool(
             model,
             SchedulerConfig { max_batch: 1, kv: KvPoolConfig::default(), ..SchedulerConfig::default() },
@@ -340,12 +330,7 @@ proptest! {
         );
         let mut expect = Vec::new();
         for (id, req) in &accepted {
-            let flat = if req.prefix.is_some() {
-                flatten(req, &prefix)
-            } else {
-                flatten(req, &[])
-            };
-            expect.push((*id, solo.submit(flat).unwrap()));
+            expect.push((*id, solo.submit(req.clone()).unwrap()));
         }
         let mut solo_done = solo.run_to_completion();
         solo_done.sort_by_key(|f| f.id);
@@ -361,9 +346,116 @@ proptest! {
             prop_assert_eq!(s.prompt_len, solo_fin.prompt_len);
         }
 
-        // The registration outlives the wave and releases cleanly.
-        prop_assert!(sched.release_prefix("sys").is_ok());
+        // The pin outlives the wave and unpins cleanly.
+        let pinned = pin.pages();
+        prop_assert_eq!(sched.unpin_prefix(pin), pinned);
         prop_assert_eq!(sched.kv_pool().pages_in_use(), 0);
+    }
+
+    /// Random interleavings of every entry point that moves pages —
+    /// `pin_prefix`, `unpin_prefix`, `submit`, `step`, `cancel`,
+    /// `flush_prefix_cache` — on a bounded pool, prompts drawn from one
+    /// family so pins, discovered cache and streams overlap: the
+    /// accounting invariants hold after every call (and the scheduler's
+    /// own per-step ledger `debug_assert` never fires), every accepted,
+    /// uncancelled request finishes bit-equal to its solo reference,
+    /// and the drained pool holds exactly the tree's pages.
+    #[test]
+    fn op_interleavings_keep_the_ledger_and_stay_exact(
+        ops in prop::collection::vec((0usize..8, 0usize..64, 0u64..100_000), 8..40),
+        auto_prefix in any::<bool>(),
+        max_batch in 1usize..4,
+        page_positions in 1usize..6,
+        capacity_tokens in 24usize..64,
+    ) {
+        let model = model();
+        let family: Vec<usize> = (0..16).map(|i| (i * 37 + 3) % 512).collect();
+        let max_pages = model.config().n_layers * capacity_tokens.div_ceil(page_positions);
+        let kv = KvPoolConfig {
+            page_positions,
+            max_pages: Some(max_pages),
+            ..KvPoolConfig::default()
+        };
+        let mut sched = Scheduler::with_pool(
+            model,
+            SchedulerConfig { max_batch, kv, auto_prefix, ..SchedulerConfig::default() },
+            rayon_lite::global(),
+        );
+        let refusal_is_about_pages = |e: SubmitError| {
+            matches!(
+                e,
+                SubmitError::PoolSaturated { .. } | SubmitError::ExceedsPoolCapacity { .. }
+            )
+        };
+        let prios = [Priority::High, Priority::Normal, Priority::Low];
+        let mut pins = Vec::new();
+        let mut accepted = Vec::new();
+        let mut cancelled = Vec::new();
+        for (op, a, b) in ops {
+            match op {
+                0 => match sched.pin_prefix(&family[..1 + a % 16]) {
+                    Ok(pin) => pins.push(pin),
+                    Err(e) => prop_assert!(refusal_is_about_pages(e), "{e}"),
+                },
+                1 if !pins.is_empty() => {
+                    let pin = pins.swap_remove(a % pins.len());
+                    prop_assert!(sched.unpin_prefix(pin) <= max_pages);
+                }
+                2 | 3 => {
+                    let mut prompt = family[..a % 17].to_vec();
+                    prompt.extend((0..1 + a % 3).map(|j| (b as usize + j * 7) % 512));
+                    let mut req =
+                        build_request((prompt, b as usize % 5, false, 0, b), b % 2 == 0);
+                    req.priority = prios[a % 3];
+                    match sched.submit(req.clone()) {
+                        Ok(id) => accepted.push((id, req)),
+                        Err(e) => prop_assert!(refusal_is_about_pages(e), "{e}"),
+                    }
+                }
+                4 | 5 => {
+                    sched.step();
+                }
+                6 if !accepted.is_empty() => {
+                    let (id, _) = accepted[a % accepted.len()];
+                    if sched.cancel(id).is_ok() {
+                        cancelled.push(id);
+                    }
+                }
+                _ => {
+                    sched.flush_prefix_cache();
+                }
+            }
+            check_accounting(&sched);
+        }
+
+        let finished = run_checked(&mut sched);
+        let mut done_ids: Vec<_> = finished.iter().map(|f| f.id).collect();
+        done_ids.sort();
+        let mut expect_ids: Vec<_> = accepted
+            .iter()
+            .map(|(id, _)| *id)
+            .filter(|id| !cancelled.contains(id))
+            .collect();
+        expect_ids.sort();
+        prop_assert_eq!(done_ids, expect_ids, "accepted work must finish exactly once");
+        for fin in &finished {
+            let (_, req) = accepted
+                .iter()
+                .find(|(id, _)| *id == fin.id)
+                .expect("finished id was accepted");
+            check_termination(model, req, fin);
+        }
+
+        // Dropping every pin and flushing hands the whole pool back.
+        for pin in pins {
+            sched.unpin_prefix(pin);
+        }
+        sched.flush_prefix_cache();
+        let snap = sched.pool_snapshot();
+        prop_assert_eq!(
+            (snap.pages_in_use, snap.pinned_pages, snap.radix_resident_pages),
+            (0, 0, 0)
+        );
     }
 
     /// Random prompt families over an auto-prefix scheduler on a
@@ -577,7 +669,6 @@ fn submit_rejects_unservable_requests() {
     assert_eq!(
         sched.submit(Request {
             prompt: vec![],
-            prefix: None,
             max_new: 4,
             eos: None,
             sampling: SamplingParams::greedy(),
@@ -596,7 +687,6 @@ fn submit_rejects_unservable_requests() {
     assert_eq!(
         sched.submit(Request {
             prompt: vec![1],
-            prefix: None,
             max_new: 2,
             eos: Some(vocab + 7),
             sampling: SamplingParams::greedy(),
@@ -691,8 +781,8 @@ fn peak_watermark_sees_a_single_step_request() {
 /// zero, never underflow it: a fully pinned pool refuses any request
 /// with `PoolSaturated { available: 0 }` — the *transient* refusal,
 /// distinct from `ExceedsPoolCapacity` (which means the raw pool could
-/// never hold the request) — instead of panicking (regression:
-/// `capacity - pinned_pages` was an unchecked subtraction).
+/// never hold the request) — instead of panicking: the headroom
+/// beside the pins is saturating arithmetic.
 #[test]
 fn fully_pinned_pool_rejects_without_underflow() {
     let model = model();
@@ -712,8 +802,8 @@ fn fully_pinned_pool_rejects_without_underflow() {
         },
     );
     let prefix: Vec<usize> = (0..8).map(|i| (i * 37 + 3) % 512).collect();
-    let pinned = sched.register_prefix("sys", prefix).unwrap();
-    assert_eq!(pinned, max_pages);
+    let pin = sched.pin_prefix(&prefix).unwrap();
+    assert_eq!(pin.pages(), max_pages);
     assert_eq!(
         sched.submit(Request::builder(vec![1]).max_new(1).build().unwrap()),
         Err(SubmitError::PoolSaturated {
@@ -721,16 +811,24 @@ fn fully_pinned_pool_rejects_without_underflow() {
             available: 0
         })
     );
-    // Releasing the pin restores the headroom and the request fits.
-    assert_eq!(sched.release_prefix("sys").unwrap(), max_pages);
+    // A second prefix cannot be pinned beside the first either.
+    assert_eq!(
+        sched.pin_prefix(&[9, 9, 9, 9]).unwrap_err(),
+        SubmitError::PoolSaturated {
+            pages: n_layers,
+            available: 0
+        }
+    );
+    // Dropping the pin restores the headroom and the request fits.
+    assert_eq!(sched.unpin_prefix(pin), max_pages);
     assert!(sched
         .submit(Request::builder(vec![1]).max_new(1).build().unwrap())
         .is_ok());
     assert_eq!(sched.run_to_completion().len(), 1);
 }
 
-/// Boundary arithmetic around the page-demand discount: an exactly
-/// page-aligned prefix discounts all of its whole pages without
+/// Boundary arithmetic around the page-demand discount: a pinned,
+/// exactly page-aligned prefix discounts all of its whole pages without
 /// underflow, and a request whose demand is exactly the remaining
 /// headroom is admitted (the watermark is `<=`, not `<`).
 #[test]
@@ -753,12 +851,11 @@ fn aligned_prefix_discount_and_exact_fit_admit() {
         },
     );
     let prefix: Vec<usize> = (0..8).map(|i| (i * 11 + 5) % 512).collect();
-    sched.register_prefix("sys", prefix).unwrap();
+    let _pin = sched.pin_prefix(&prefix).unwrap();
     // prompt 1 + max_new 0 on top of 8 shared positions: pages_for(9)
     // = 3 minus the 2 shared whole pages — exactly one private page.
-    let req = Request::builder(vec![42])
+    let req = Request::builder([&prefix[..], &[42]].concat())
         .max_new(0)
-        .prefix("sys")
         .build()
         .unwrap();
     assert_eq!(sched.pages_needed(&req), n_layers);

@@ -1,14 +1,15 @@
-//! Shared-prefix serving: a scheduler that forks registered prefix
-//! caches into its streams is token/logit bit-exact against fully
+//! Shared-prefix serving: a scheduler whose streams fork a pinned
+//! prefix out of the radix tree is token/logit bit-exact against fully
 //! private caches, charges each stream only its unshared pages, and
-//! returns every page (pinned ones included) when the work drains.
+//! returns every page (pinned ones included) once the pin is dropped
+//! and the work drains.
 
 use std::sync::OnceLock;
 
 use anda_llm::kv::{KvPoolConfig, KvStorage};
 use anda_llm::zoo::{opt_125m_sim, sim_model};
 use anda_llm::Model;
-use anda_serve::{ReleasePrefixError, Request, Scheduler, SchedulerConfig, SubmitError};
+use anda_serve::{FinishedRequest, Request, Scheduler, SchedulerConfig, SubmitError};
 use rayon_lite::ThreadPool;
 
 fn model() -> &'static Model {
@@ -21,8 +22,15 @@ fn llama() -> &'static Model {
     MODEL.get_or_init(|| sim_model("LLaMA-7B").unwrap().build())
 }
 
-/// A batch of requests over one shared prefix: varied private prompts,
-/// budgets, temperatures and one EOS user.
+/// `req` with `prefix` leading its prompt — how every request over a
+/// shared prefix is spelled: the full prompt, no key.
+fn behind(prefix: &[usize], mut req: Request) -> Request {
+    req.prompt = [prefix, &req.prompt].concat();
+    req
+}
+
+/// The private parts of a batch over one shared prefix: varied
+/// prompts, budgets, temperatures and one EOS user.
 fn private_parts() -> Vec<Request> {
     vec![
         Request::builder(vec![1, 2, 3]).max_new(10).build().unwrap(),
@@ -42,16 +50,19 @@ fn private_parts() -> Vec<Request> {
     ]
 }
 
-/// Runs the same workload twice — once routed through a registered
-/// prefix, once as fully private full-prompt requests — and demands
-/// bit-identical completions, for every storage policy and page size
-/// the satellite matrix names, with the prefix deliberately not
-/// page-aligned at page size 8 so copy-on-write fires in the shared
-/// run.
+fn sorted(mut done: Vec<FinishedRequest>) -> Vec<FinishedRequest> {
+    done.sort_by_key(|f| f.id);
+    done
+}
+
+/// Runs the same full-prompt workload twice — once with the prefix
+/// pinned, once on fully private caches — and demands bit-identical
+/// completions, for every storage policy, page size and thread count,
+/// with the prefix deliberately not page-aligned at page size 8: the
+/// pin then covers one page per layer and each stream prefills the
+/// remaining `13 mod 8 = 5` prefix tokens itself.
 #[test]
 fn shared_prefix_serving_is_bit_exact_vs_private_caches() {
-    // 13 tokens: 1-page-misaligned at pp=8 (partial tail page → CoW)
-    // and multi-page at pp=1.
     let prefix: Vec<usize> = (0..13).map(|i| (i * 29 + 11) % 500).collect();
     for m in [model(), llama()] {
         for storage in [
@@ -75,25 +86,26 @@ fn shared_prefix_serving_is_bit_exact_vs_private_caches() {
                 };
 
                 let mut shared = Scheduler::with_pool(m, cfg, &pool);
-                shared.register_prefix("sys", prefix.clone()).unwrap();
-                for mut r in private_parts() {
-                    r.prefix = Some("sys".into());
-                    shared.submit(r).unwrap();
+                let pin = shared.pin_prefix(&prefix).unwrap();
+                let pinned_tokens = prefix.len() / page_positions * page_positions;
+                assert_eq!(
+                    pin.pages(),
+                    m.config().n_layers * (pinned_tokens / page_positions),
+                    "whole pages only"
+                );
+                assert_eq!(shared.pool_snapshot().pinned_pages, pin.pages());
+                for r in private_parts() {
+                    shared.submit(behind(&prefix, r)).unwrap();
                 }
-                let mut shared_done = shared.run_to_completion();
+                let shared_done = sorted(shared.run_to_completion());
                 assert_eq!(shared.stats().prefix_forks, 3);
 
                 let mut private = Scheduler::with_pool(m, cfg, &pool);
-                for mut r in private_parts() {
-                    let mut full = prefix.clone();
-                    full.extend_from_slice(&r.prompt);
-                    r.prompt = full;
-                    private.submit(r).unwrap();
+                for r in private_parts() {
+                    private.submit(behind(&prefix, r)).unwrap();
                 }
-                let mut private_done = private.run_to_completion();
+                let private_done = sorted(private.run_to_completion());
 
-                shared_done.sort_by_key(|f| f.id);
-                private_done.sort_by_key(|f| f.id);
                 for (s, p) in shared_done.iter().zip(&private_done) {
                     assert_eq!(
                         s.tokens, p.tokens,
@@ -101,9 +113,21 @@ fn shared_prefix_serving_is_bit_exact_vs_private_caches() {
                          shared-prefix stream {} diverged from its private twin",
                         s.id
                     );
-                    assert_eq!(s.prompt_len, p.prompt_len, "effective prompt length");
+                    assert_eq!(s.prompt_len, p.prompt_len);
                     assert_eq!(s.reason, p.reason);
                 }
+                // The pinned pages are prefilled once; every stream
+                // skips exactly them and re-prefills the sub-page rest.
+                assert_eq!(
+                    shared.stats().prefill_tokens + 2 * pinned_tokens as u64,
+                    private.stats().prefill_tokens,
+                    "3 streams skip the pinned tokens, the pin prefills them once"
+                );
+                assert_eq!(
+                    shared.stats().cache_hit_tokens,
+                    3 * pinned_tokens as u64,
+                    "pinned hits count like discovered ones"
+                );
                 // The shared run deduplicated real pages: it never
                 // leased more than the private run, and at pp=8 the
                 // whole-page prefix savings are strict.
@@ -115,35 +139,33 @@ fn shared_prefix_serving_is_bit_exact_vs_private_caches() {
                 if page_positions == 8 {
                     assert!(su < pu, "whole-page prefix sharing must save pages");
                 }
+                assert_eq!(
+                    shared.unpin_prefix(pin),
+                    m.config().n_layers * pinned_tokens / page_positions
+                );
+                assert_eq!(shared.kv_pool().pages_in_use(), 0, "all pages drained");
             }
         }
     }
 }
 
-/// The admission discount as an executable fact: on a pool sized for
-/// `pages(prefix) + N·pages(private)`, the shared batch runs fully
-/// concurrently while the same workload as private full prompts cannot
-/// — the watermark serializes it (and a single private request already
-/// over-demands a pool that sharing would have made roomy).
+/// The admission discount as an executable fact, with its numbers
+/// pinned: 4 streams × (8-token private prompt, 16 new) over a
+/// `P`-token prefix at 8-position pages, 2 layers. On a pool of exactly
+/// `pinned + 4·pages(private)` pages the shared batch runs fully
+/// concurrently and peaks at the pool size; the same prompts on private
+/// caches serialize behind the watermark. Aligned `P = 48`: 12 pages
+/// pinned, 80 tokens prefilled (48 + 4·8), 36-page pool, private twin
+/// 224 tokens / 72 pages unbounded / 2 concurrent. Misaligned `P = 45`:
+/// the pin covers 5 pages per layer (10), every stream re-prefills
+/// `45 mod 8 = 5` tokens (92 = 40 + 4·13) and the pool is 42 pages.
+/// Tokens are bit-equal to private caches under every storage policy,
+/// with `auto_prefix` on and off.
 #[test]
 fn admission_charges_only_unshared_pages() {
     let m = model();
-    let n_layers = m.config().n_layers;
-    let batch = 4usize;
-    let pp = 8usize;
-    let prefix_len = 48usize; // page-aligned: 6 shared pages per layer
-    let private_tokens = 8 + 16; // prompt suffix + max_new → 3 pages
-    let prefix: Vec<usize> = (0..prefix_len).map(|i| (i * 7 + 1) % 500).collect();
-
-    let shared_pages = n_layers * (prefix_len / pp);
-    let private_pages = n_layers * ((prefix_len + private_tokens).div_ceil(pp) - prefix_len / pp);
-    let capacity = shared_pages + batch * private_pages;
-
-    let kv = KvPoolConfig {
-        storage: KvStorage::Anda { mantissa_bits: 5 },
-        page_positions: pp,
-        max_pages: Some(capacity),
-    };
+    assert_eq!(m.config().n_layers, 2);
+    let (batch, pp) = (4usize, 8usize);
     let mk_req = |i: usize| {
         Request::builder(
             (0..8)
@@ -156,257 +178,293 @@ fn admission_charges_only_unshared_pages() {
         .build()
         .unwrap()
     };
+    // (P, pinned pages, shared prefill tokens, pool pages)
+    for (prefix_len, pinned, shared_prefill, capacity) in
+        [(48usize, 12usize, 80u64, 36usize), (45, 10, 92, 42)]
+    {
+        let prefix: Vec<usize> = (0..prefix_len).map(|i| (i * 7 + 1) % 500).collect();
+        for storage in [
+            KvStorage::Fp32,
+            KvStorage::Fp16,
+            KvStorage::Bf16,
+            KvStorage::Anda { mantissa_bits: 6 },
+            KvStorage::Anda { mantissa_bits: 11 },
+        ] {
+            let run = |pin: bool, auto: bool, max_pages: Option<usize>| {
+                let mut sched = Scheduler::new(
+                    m,
+                    SchedulerConfig {
+                        max_batch: batch,
+                        kv: KvPoolConfig {
+                            storage,
+                            page_positions: pp,
+                            max_pages,
+                        },
+                        auto_prefix: auto,
+                        ..SchedulerConfig::default()
+                    },
+                );
+                if pin {
+                    let pin = sched.pin_prefix(&prefix).unwrap();
+                    assert_eq!(pin.pages(), pinned);
+                    assert_eq!(sched.pool_snapshot().pinned_pages, pinned);
+                }
+                for i in 0..batch {
+                    let req = behind(&prefix, mk_req(i));
+                    if pin {
+                        // Each stream is charged its pages past the pin.
+                        assert_eq!(sched.pages_needed(&req), (capacity - pinned) / batch);
+                    }
+                    sched.submit(req).unwrap();
+                }
+                let done = sorted(sched.run_to_completion());
+                assert_eq!(done.len(), batch, "serialized at worst, never starved");
+                let tokens: Vec<_> = done.into_iter().map(|f| f.tokens).collect();
+                (tokens, sched.stats())
+            };
 
-    // Shared: everything fits at once.
-    let mut shared = Scheduler::new(
-        m,
-        SchedulerConfig {
-            max_batch: batch,
-            kv,
-            ..SchedulerConfig::default()
-        },
-    );
-    let pinned = shared.register_prefix("sys", prefix.clone()).unwrap();
-    assert_eq!(pinned, shared_pages);
-    for i in 0..batch {
-        let mut prefixed = mk_req(i);
-        prefixed.prefix = Some("sys".into());
-        assert_eq!(shared.pages_needed(&prefixed), private_pages);
-        shared.submit(prefixed).unwrap();
-    }
-    let done = shared.run_to_completion();
-    assert_eq!(done.len(), batch);
-    assert_eq!(
-        shared.stats().peak_active,
-        batch,
-        "the shared batch must run fully concurrently"
-    );
-    // Physical peak: the prefix pages once plus each stream's private
-    // pages — `pages(P) + N·pages(private)`, not `N·pages(P+private)`.
-    assert_eq!(shared.stats().peak_pages_in_use, capacity);
+            let (private_tokens, private) = run(false, false, None);
+            assert_eq!(private.prefill_tokens, (batch * (prefix_len + 8)) as u64);
+            assert_eq!(private.peak_pages_in_use, 72);
+            let (_, private_bounded) = run(false, false, Some(capacity));
+            assert_eq!(private_bounded.peak_active, 2, "private prompts serialize");
 
-    // Private full prompts on the same pool: the watermark must
-    // serialize the batch (each stream now demands its own prefix
-    // pages too).
-    let mut private = Scheduler::new(
-        m,
-        SchedulerConfig {
-            max_batch: batch,
-            kv,
-            ..SchedulerConfig::default()
-        },
-    );
-    for i in 0..batch {
-        let mut r = mk_req(i);
-        let mut full = prefix.clone();
-        full.extend_from_slice(&r.prompt);
-        r.prompt = full;
-        private.submit(r).unwrap();
+            for auto in [false, true] {
+                let (tokens, shared) = run(true, auto, Some(capacity));
+                assert_eq!(
+                    tokens, private_tokens,
+                    "{storage:?} P={prefix_len} auto={auto}"
+                );
+                assert_eq!(shared.prefill_tokens, shared_prefill);
+                assert_eq!(
+                    shared.peak_active, batch,
+                    "the shared batch runs concurrently"
+                );
+                // `pages(P) + N·pages(private)`, not `N·pages(P+private)`.
+                assert_eq!(shared.peak_pages_in_use, capacity);
+                assert_eq!(shared.prefix_forks, batch as u64);
+            }
+        }
     }
-    let done = private.run_to_completion();
-    assert_eq!(done.len(), batch, "serialized, not starved");
-    assert!(
-        private.stats().peak_active < batch,
-        "private full prompts must not fit concurrently on this pool"
-    );
 }
 
-/// Registry lifecycle: duplicate and unknown keys are rejected,
-/// release refuses while streams or queued requests depend on the
-/// prefix, and a drained scheduler hands back every page — pinned ones
-/// exactly when the release succeeds.
+/// Pin lifecycle: validation, page granularity, nesting, and the two
+/// unpins with dependents — while one is queued and while one is
+/// decoding. Both return at once, the dependents finish with the tokens
+/// of an unshared run, and the drained scheduler holds only ordinary
+/// evictable cache.
 #[test]
-fn registry_lifecycle_and_page_drain() {
+fn pin_lifecycle_and_page_drain() {
     let m = model();
-    let mut sched = Scheduler::new(
-        m,
-        SchedulerConfig {
-            max_batch: 2,
-            kv: KvPoolConfig {
-                storage: KvStorage::Fp16,
-                page_positions: 4,
-                max_pages: Some(m.config().n_layers * 40),
-            },
-            ..SchedulerConfig::default()
+    let n_layers = m.config().n_layers;
+    let cfg = SchedulerConfig {
+        max_batch: 2,
+        kv: KvPoolConfig {
+            storage: KvStorage::Fp16,
+            page_positions: 4,
+            max_pages: Some(n_layers * 40),
         },
-    );
+        ..SchedulerConfig::default()
+    };
+    let mut sched = Scheduler::new(m, cfg);
     let vocab = m.config().vocab;
+    assert_eq!(sched.pin_prefix(&[]).unwrap_err(), SubmitError::EmptyPrompt);
     assert_eq!(
-        sched.register_prefix("p", vec![]),
-        Err(SubmitError::EmptyPrompt)
-    );
-    assert_eq!(
-        sched.register_prefix("p", vec![vocab]),
-        Err(SubmitError::TokenOutOfVocab {
+        sched.pin_prefix(&[vocab]).unwrap_err(),
+        SubmitError::TokenOutOfVocab {
             token: vocab,
             vocab
-        })
+        }
     );
-    let pinned = sched.register_prefix("p", vec![5, 6, 7, 8, 9]).unwrap();
-    assert_eq!(pinned, m.config().n_layers * 2, "5 tokens → 2 pages/layer");
-    assert_eq!(sched.pool_snapshot().pinned_pages, pinned);
-    assert_eq!(sched.prefix_len("p"), Some(5));
+    // Shorter than a page: nothing to pin, nothing prefilled.
+    let empty = sched.pin_prefix(&[5, 6, 7]).unwrap();
+    assert_eq!(empty.pages(), 0);
+    assert_eq!(sched.stats().prefill_tokens, 0);
+    assert_eq!(sched.unpin_prefix(empty), 0);
+
+    let prefix = [5, 6, 7, 8, 9];
+    let dependent = |tail: &[usize]| {
+        Request::builder([&prefix[..], tail].concat())
+            .max_new(3)
+            .build()
+            .unwrap()
+    };
+    let pin = sched.pin_prefix(&prefix).unwrap();
+    assert_eq!(pin.pages(), n_layers, "5 tokens → 1 whole page per layer");
+    assert_eq!(sched.pool_snapshot().pinned_pages, n_layers);
+    assert_eq!(sched.kv_pool().pages_in_use(), n_layers);
+    // Pinning the same prefix again nests: no new pages, no prefill.
+    let again = sched.pin_prefix(&prefix).unwrap();
+    assert_eq!(sched.pool_snapshot().pinned_pages, n_layers);
+    assert_eq!(sched.stats().prefill_tokens, 4);
     assert_eq!(
-        sched.register_prefix("p", vec![1]),
-        Err(SubmitError::PrefixAlreadyRegistered)
-    );
-    assert_eq!(
-        sched.submit(
-            Request::builder(vec![1])
-                .max_new(2)
-                .prefix("nope")
-                .build()
-                .unwrap()
-        ),
-        Err(SubmitError::UnknownPrefix)
+        sched.unpin_prefix(again),
+        0,
+        "the first pin still covers it"
     );
 
-    // Queued dependents block release; so do active streams. The error
-    // names the exact blockers either way.
-    let dep = sched
-        .submit(
-            Request::builder(vec![1, 2])
-                .max_new(3)
-                .prefix("p")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    assert_eq!(
-        sched.release_prefix("p"),
-        Err(ReleasePrefixError::InUse {
-            active_forks: 0,
-            pending: vec![dep],
-        }),
-        "pending dependent must block, by id"
-    );
+    // Unpin while the dependent is still queued: nobody reads the
+    // pages, so they go back to the pool at once.
+    let queued = sched.submit(dependent(&[1, 2])).unwrap();
+    assert_eq!(sched.unpin_prefix(pin), n_layers);
+    assert_eq!(sched.pool_snapshot().pinned_pages, 0);
+    assert_eq!(sched.kv_pool().pages_in_use(), 0);
+
+    // Unpin while a dependent decodes on the pages: they stay, as
+    // resident cache, for as long as the stream holds them.
+    let pin = sched.pin_prefix(&prefix).unwrap();
+    let active = sched.submit(dependent(&[3])).unwrap();
     sched.step();
-    assert_eq!(
-        sched.release_prefix("p"),
-        Err(ReleasePrefixError::InUse {
-            active_forks: 1,
-            pending: vec![],
-        }),
-        "active dependent must block, by fork count"
+    assert!(
+        sched.generated_len(active).is_some(),
+        "admitted and decoding"
     );
-    while !sched.is_idle() {
-        sched.step();
+    assert_eq!(sched.unpin_prefix(pin), n_layers);
+    let snap = sched.pool_snapshot();
+    assert_eq!(
+        (snap.pinned_pages, snap.radix_resident_pages),
+        (0, n_layers)
+    );
+
+    let done = sorted(sched.run_to_completion());
+    assert_eq!(done.len(), 2);
+    let mut private = Scheduler::new(m, cfg);
+    private.submit(dependent(&[1, 2])).unwrap();
+    private.submit(dependent(&[3])).unwrap();
+    let reference = sorted(private.run_to_completion());
+    for (s, p) in done.iter().zip(&reference) {
+        assert_eq!(s.tokens, p.tokens, "stream {} diverged", s.id);
     }
-    let done = sched.take_finished();
-    assert_eq!(done.len(), 1);
-    assert_eq!(
-        &done[0].tokens[..5],
-        &[5, 6, 7, 8, 9],
-        "prefix leads the output"
-    );
+    assert_eq!(done[0].id, queued);
     assert_eq!(done[0].prompt_len, 7);
 
-    // Drained: only the pinned pages remain leased, and releasing the
-    // prefix returns those too.
-    assert_eq!(sched.pool_snapshot().reserved_pages, 0);
-    assert_eq!(sched.kv_pool().pages_in_use(), pinned);
-    assert_eq!(
-        sched.release_prefix("ghost"),
-        Err(ReleasePrefixError::UnknownKey)
-    );
-    assert_eq!(sched.release_prefix("p"), Ok(pinned));
-    assert_eq!(sched.pool_snapshot().pinned_pages, 0);
+    // Drained: what is left is evictable cache, and a flush empties it.
+    let snap = sched.pool_snapshot();
+    assert_eq!(snap.reserved_pages, 0);
+    assert_eq!(snap.pages_in_use, snap.radix_resident_pages);
+    sched.flush_prefix_cache();
     assert_eq!(sched.kv_pool().pages_in_use(), 0, "all pages drained");
-    assert_eq!(
-        sched.release_prefix("p"),
-        Err(ReleasePrefixError::UnknownKey),
-        "double release is refused as unknown"
-    );
 }
 
-/// Mixed batches — prefix and non-prefix streams decoding side by side
-/// — stay bit-exact, and two prefixes can be live at once.
+/// A request that fits the pool only thanks to a pin's discount is
+/// accepted and finishes — and still finishes when the pin is dropped
+/// while it waits, because the unpin hands back at least the pages the
+/// discount assumed.
+#[test]
+fn request_admissible_only_through_a_pin_survives_its_unpin() {
+    let m = model();
+    let n_layers = m.config().n_layers;
+    // 3 pages per layer: a 2-page pin and one page beside it.
+    let mk = || {
+        Scheduler::new(
+            m,
+            SchedulerConfig {
+                max_batch: 2,
+                kv: KvPoolConfig {
+                    storage: KvStorage::Fp16,
+                    page_positions: 4,
+                    max_pages: Some(n_layers * 3),
+                },
+                ..SchedulerConfig::default()
+            },
+        )
+    };
+    let prefix: Vec<usize> = (0..8).map(|i| (i * 11 + 5) % 512).collect();
+    // 8 shared + 1 private + 1 new position: 3 pages per layer, 2 of
+    // them the pin's.
+    let req = || {
+        Request::builder([&prefix[..], &[42]].concat())
+            .max_new(1)
+            .build()
+            .unwrap()
+    };
+    for unpin_while_pending in [false, true] {
+        let mut sched = mk();
+        let pin = sched.pin_prefix(&prefix).unwrap();
+        assert_eq!(pin.pages(), n_layers * 2);
+        // Without the discount the request would be refused outright.
+        let stranger = Request::builder((100..109).collect::<Vec<_>>())
+            .max_new(1)
+            .build()
+            .unwrap();
+        assert_eq!(
+            sched.submit(stranger),
+            Err(SubmitError::PoolSaturated {
+                pages: n_layers * 3,
+                available: n_layers
+            })
+        );
+        assert_eq!(sched.pages_needed(&req()), n_layers);
+        sched.submit(req()).unwrap();
+        if unpin_while_pending {
+            assert_eq!(sched.unpin_prefix(pin), n_layers * 2);
+        }
+        let done = sched.run_to_completion();
+        assert_eq!(done.len(), 1, "accepted work always finishes");
+        let mut private = mk();
+        private.submit(req()).unwrap();
+        assert_eq!(done[0].tokens, private.run_to_completion()[0].tokens);
+    }
+}
+
+/// Mixed batches — streams over either of two live pins and one over
+/// neither, decoding side by side — stay bit-exact.
 #[test]
 fn mixed_and_multi_prefix_batches_are_exact() {
     let m = model();
-    let kv = KvPoolConfig {
-        storage: KvStorage::Anda { mantissa_bits: 8 },
-        page_positions: 8,
-        max_pages: None,
+    let cfg = SchedulerConfig {
+        max_batch: 4,
+        kv: KvPoolConfig {
+            storage: KvStorage::Anda { mantissa_bits: 8 },
+            page_positions: 8,
+            max_pages: None,
+        },
+        ..SchedulerConfig::default()
     };
     let prefix_a: Vec<usize> = (0..11).map(|i| (i * 3 + 2) % 500).collect();
     let prefix_b: Vec<usize> = (0..19).map(|i| (i * 13 + 5) % 500).collect();
+    let requests = || {
+        [
+            ([prefix_a.clone(), vec![1, 2]].concat(), 6),
+            ([prefix_b.clone(), vec![3, 4]].concat(), 6),
+            (vec![5, 6], 6),
+            ([prefix_a.clone(), vec![7]].concat(), 5),
+        ]
+        .map(|(prompt, max_new)| Request::builder(prompt).max_new(max_new).build().unwrap())
+    };
 
-    let mut sched = Scheduler::new(
-        m,
-        SchedulerConfig {
-            max_batch: 4,
-            kv,
-            ..SchedulerConfig::default()
-        },
+    let mut sched = Scheduler::new(m, cfg);
+    let pin_a = sched.pin_prefix(&prefix_a).unwrap();
+    let pin_b = sched.pin_prefix(&prefix_b).unwrap();
+    assert_eq!(
+        sched.pool_snapshot().pinned_pages,
+        pin_a.pages() + pin_b.pages()
     );
-    sched.register_prefix("a", prefix_a.clone()).unwrap();
-    sched.register_prefix("b", prefix_b.clone()).unwrap();
-    sched
-        .submit(
-            Request::builder(vec![1, 2])
-                .max_new(6)
-                .prefix("a")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    sched
-        .submit(
-            Request::builder(vec![3, 4])
-                .max_new(6)
-                .prefix("b")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    sched
-        .submit(Request::builder(vec![5, 6]).max_new(6).build().unwrap())
-        .unwrap();
-    sched
-        .submit(
-            Request::builder(vec![7])
-                .max_new(5)
-                .prefix("a")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    let mut done = sched.run_to_completion();
-    done.sort_by_key(|f| f.id);
-
-    let mut reference = Scheduler::new(
-        m,
-        SchedulerConfig {
-            max_batch: 4,
-            kv,
-            ..SchedulerConfig::default()
-        },
-    );
-    for full in [
-        [prefix_a.clone(), vec![1, 2]].concat(),
-        [prefix_b.clone(), vec![3, 4]].concat(),
-        vec![5, 6],
-        [prefix_a.clone(), vec![7]].concat(),
-    ] {
-        let max_new = if full.ends_with(&[7]) { 5 } else { 6 };
-        reference
-            .submit(Request::builder(full).max_new(max_new).build().unwrap())
-            .unwrap();
+    for r in requests() {
+        sched.submit(r).unwrap();
     }
-    let mut ref_done = reference.run_to_completion();
-    ref_done.sort_by_key(|f| f.id);
+    let done = sorted(sched.run_to_completion());
+    assert_eq!(sched.stats().prefix_forks, 3);
+
+    let mut reference = Scheduler::new(m, cfg);
+    for r in requests() {
+        reference.submit(r).unwrap();
+    }
+    let ref_done = sorted(reference.run_to_completion());
     for (s, p) in done.iter().zip(&ref_done) {
         assert_eq!(s.tokens, p.tokens, "stream {} diverged", s.id);
     }
+    sched.unpin_prefix(pin_a);
+    sched.unpin_prefix(pin_b);
+    assert_eq!(sched.kv_pool().pages_in_use(), 0);
 }
 
-/// Registration ordered *after* an accepted submit must not strand it:
-/// a pin that would leave the pending request permanently unadmittable
-/// is rejected, the request still completes, and a pin that genuinely
-/// fits alongside the queue is accepted.
+/// A pin ordered *after* an accepted submit must not strand it: a pin
+/// that would leave the pending request permanently unadmittable is
+/// refused, the request still completes, and the same pin is accepted
+/// once the queue has drained.
 #[test]
-fn late_registration_cannot_strand_accepted_requests() {
+fn late_pin_cannot_strand_accepted_requests() {
     let m = model();
     let n_layers = m.config().n_layers;
     // Capacity: exactly one 4-token request (2 pages/layer at pp=2).
@@ -427,20 +485,26 @@ fn late_registration_cannot_strand_accepted_requests() {
         .unwrap();
     // Pinning even one page/layer now would make the queued request's
     // 2-page demand unadmittable forever — must be refused.
-    let err = sched.register_prefix("sys", vec![5, 6]).unwrap_err();
+    let err = sched.pin_prefix(&[5, 6]).unwrap_err();
     // Transient refusal: the pool *could* hold the pin once the queue
     // drains (shown below), so this is saturation, not a capacity error.
-    assert!(
-        matches!(err, SubmitError::PoolSaturated { .. }),
-        "a pin that strands the queue must be refused: {err}"
+    assert_eq!(
+        err,
+        SubmitError::PoolSaturated {
+            pages: n_layers,
+            available: 0
+        },
+        "a pin that strands the queue must be refused"
     );
     assert_eq!(
         sched.pool_snapshot().pinned_pages,
         0,
-        "rejected pins charge nothing"
+        "refused pins charge nothing"
     );
+    assert_eq!(sched.stats().prefill_tokens, 0, "and prefill nothing");
     let done = sched.run_to_completion();
     assert_eq!(done.len(), 1, "the accepted request still terminates");
-    // With the queue drained the same registration fits.
-    assert!(sched.register_prefix("sys", vec![5, 6]).is_ok());
+    // With the queue drained the same pin fits.
+    let pin = sched.pin_prefix(&[5, 6]).unwrap();
+    assert_eq!(sched.unpin_prefix(pin), n_layers);
 }
