@@ -126,11 +126,36 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
+/// The step-wide projection GEMM per SIMD leg and row count against
+/// `M` passes of the per-token loop it replaced (`gemm_threads` prints
+/// the same sweep as a table).
+fn bench_gemm_m_sweep(c: &mut Criterion) {
+    use anda_bench::msweep::{lhs, per_row_gemv, weights, SERVING_SHAPES, SWEEP_M};
+    for (k, n, sparse) in SERVING_SHAPES {
+        let b = weights(k, n, 11);
+        let mut g = c.benchmark_group(format!("gemm_m_sweep_{k}x{n}"));
+        for m in SWEEP_M {
+            let a = lhs(m, k, sparse, 12);
+            let mut out = Matrix::zeros(m, n);
+            g.bench_with_input(BenchmarkId::new("per_row_gemv", m), &m, |bench, _| {
+                bench.iter(|| per_row_gemv(black_box(&a), black_box(&b), &mut out))
+            });
+            for leg in anda_fp::simd::available_legs() {
+                g.bench_with_input(BenchmarkId::new(leg.name(), m), &m, |bench, _| {
+                    bench.iter(|| black_box(&a).matmul_into_serial_with_leg(&b, &mut out, leg))
+                });
+            }
+        }
+        g.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_group_dot,
     bench_conversion,
     bench_decode_row,
-    bench_gemm
+    bench_gemm,
+    bench_gemm_m_sweep
 );
 criterion_main!(benches);

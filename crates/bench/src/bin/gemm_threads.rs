@@ -204,5 +204,58 @@ fn main() {
     simd_table.print();
     println!("(both legs produce bit-identical outputs — the scalar twin is the oracle)");
 
+    m_sweep(&mut report, reps);
+
     report.write_and_announce();
+}
+
+/// The step-wide projection GEMM against what it replaced: for each
+/// serving shape and SIMD leg, `M` rows through one tiled call versus
+/// `M` passes of the per-token axpy loop, serial. `M = 1` is the small-M
+/// guard (the tiled kernel must not lose to the loop it replaced);
+/// `M ≥ 8` is where cross-row weight reuse has to show. Four weight
+/// copies rotate under the calls so that, as in a model, a weight has
+/// left the L2 by the time it is used again.
+fn m_sweep(report: &mut BenchReport, reps: usize) {
+    use anda_bench::msweep::{lhs, per_row_gemv, weights, SERVING_SHAPES, SWEEP_M};
+
+    println!(
+        "\nM-sweep (serial, 4 rotating weight copies; wdown's lhs is ReLU-sparse): \
+         GFLOP/s of M per-token passes | one tiled GEMM"
+    );
+    let mut header = vec!["leg / k x n".to_string()];
+    header.extend(SWEEP_M.iter().map(|m| format!("M={m}")));
+    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut table = Table::new(&header_refs);
+    for leg in anda_fp::simd::available_legs() {
+        for (k, n, sparse) in SERVING_SHAPES {
+            let copies: Vec<Matrix> = (0..4).map(|c| weights(k, n, 11 + c)).collect();
+            let mut cells = vec![format!("{} {k}x{n}", leg.name())];
+            for m in SWEEP_M {
+                let a = lhs(m, k, sparse, 12);
+                let mut out = Matrix::zeros(m, n);
+                let flops = 2.0 * (m * k * n) as f64;
+                let calls = (64 / m).max(4);
+                let mut time = |f: &dyn Fn(&Matrix, &mut Matrix)| {
+                    best_of(reps * 4, || {
+                        for call in 0..calls {
+                            f(&copies[call % copies.len()], &mut out);
+                        }
+                    }) / calls as f64
+                };
+                let rows = time(&|b, out| per_row_gemv(&a, b, out));
+                let gemm = time(&|b, out| a.matmul_into_serial_with_leg(b, out, leg));
+                cells.push(format!(
+                    "{:.1} | {:.1}",
+                    flops / rows / 1e9,
+                    flops / gemm / 1e9
+                ));
+                if leg == active_leg() {
+                    report.metric(&format!("msweep_{k}x{n}_m{m}_gemm_vs_rows"), rows / gemm);
+                }
+            }
+            table.row_owned(cells);
+        }
+    }
+    table.print();
 }

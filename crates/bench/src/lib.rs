@@ -4,12 +4,14 @@
 //! `src/bin/` (see `DESIGN.md` §5 for the index); this library holds the
 //! shared plumbing:
 //!
+//! - [`msweep`] — inputs and the per-token baseline of the GEMM M-sweep.
 //! - [`table`] — fixed-width console table rendering.
 //! - [`runs`] — memoized construction of models, corpora and searches so
 //!   the experiment binaries stay fast and consistent with each other.
 //! - [`trajectory`] — machine-readable `BENCH_<name>.json` perf reports
 //!   (commit, threads, SIMD leg, metrics) the CI smokes emit.
 
+pub mod msweep;
 pub mod runs;
 pub mod table;
 pub mod trajectory;

@@ -107,10 +107,16 @@ pub fn saturate_f16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f
     assert_eq!(src.len(), dst.len(), "length mismatch");
     match leg {
         SimdLeg::Scalar => saturate_f16_widen_scalar(src, dst),
+        // SAFETY: both slices hold `src.len()` valid elements (asserted
+        // above) and, being `&` and `&mut`, do not overlap.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { saturate_f16_widen_avx2(src, dst) },
+        SimdLeg::Avx2 => unsafe {
+            saturate_f16_widen_avx2(src.as_ptr(), dst.as_mut_ptr(), src.len())
+        },
         #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { saturate_f16_widen_neon(src, dst) },
+        SimdLeg::Neon => unsafe {
+            saturate_f16_widen_neon(src.as_ptr(), dst.as_mut_ptr(), src.len())
+        },
         #[allow(unreachable_patterns)]
         other => panic!("SIMD leg {} unavailable on this host", other.name()),
     }
@@ -120,6 +126,41 @@ pub fn saturate_f16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f
 pub fn saturate_f16_widen_scalar(src: &[f32], dst: &mut [f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = saturate_to_f16(s).to_f32();
+    }
+}
+
+/// [`saturate_f16_widen_slice`] in place: `v[i] =
+/// saturate_to_f16(v[i]).to_f32()` — the FP16 activation rounding
+/// between decode GEMMs — on the active dispatch leg.
+pub fn saturate_f16_widen_in_place(v: &mut [f32]) {
+    saturate_f16_widen_in_place_with_leg(active_leg(), v);
+}
+
+/// [`saturate_f16_widen_in_place`] on an explicit leg.
+///
+/// # Panics
+///
+/// Panics if the leg is unavailable on this host.
+pub fn saturate_f16_widen_in_place_with_leg(leg: SimdLeg, v: &mut [f32]) {
+    let (ptr, len) = (v.as_mut_ptr(), v.len());
+    match leg {
+        SimdLeg::Scalar => saturate_f16_widen_in_place_scalar(v),
+        // SAFETY: source and destination are the same `len` valid
+        // elements, and the kernels read each element (or vector of
+        // elements) before writing it.
+        #[cfg(target_arch = "x86_64")]
+        SimdLeg::Avx2 => unsafe { saturate_f16_widen_avx2(ptr, ptr, len) },
+        #[cfg(target_arch = "aarch64")]
+        SimdLeg::Neon => unsafe { saturate_f16_widen_neon(ptr, ptr, len) },
+        #[allow(unreachable_patterns)]
+        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+    }
+}
+
+/// The scalar oracle of [`saturate_f16_widen_in_place`].
+pub fn saturate_f16_widen_in_place_scalar(v: &mut [f32]) {
+    for x in v.iter_mut() {
+        *x = saturate_to_f16(*x).to_f32();
     }
 }
 
@@ -221,15 +262,20 @@ unsafe fn f16_to_f32_avx2(src: &[F16], dst: &mut [f32]) {
     f16_to_f32_scalar(&src[chunks * 8..], &mut dst[chunks * 8..]);
 }
 
+/// # Safety
+///
+/// Requires AVX2; `src` and `dst` must each be valid for `len` elements
+/// and either be the same pointer or not overlap (every element is read
+/// before its slot is written).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn saturate_f16_widen_avx2(src: &[f32], dst: &mut [f32]) {
+unsafe fn saturate_f16_widen_avx2(src: *const f32, dst: *mut f32, len: usize) {
     use core::arch::x86_64::*;
     let max = _mm256_set1_ps(65504.0);
     let neg_max = _mm256_set1_ps(-65504.0);
-    let chunks = src.len() / 8;
+    let chunks = len / 8;
     for c in 0..chunks {
-        let v = _mm256_loadu_ps(src.as_ptr().add(c * 8));
+        let v = _mm256_loadu_ps(src.add(c * 8));
         // NaN lanes become +0 (the saturation convention); the clamp
         // keeps every remaining lane finite so the f16 conversion can
         // never produce an infinity.
@@ -237,9 +283,11 @@ unsafe fn saturate_f16_widen_avx2(src: &[f32], dst: &mut [f32]) {
         let clamped = _mm256_andnot_ps(nan, _mm256_max_ps(_mm256_min_ps(v, max), neg_max));
         let h = crate::simd::x86::f32x8_to_f16_bits(clamped);
         let w = crate::simd::x86::f16_bits_to_f32x8(h);
-        _mm256_storeu_ps(dst.as_mut_ptr().add(c * 8), w);
+        _mm256_storeu_ps(dst.add(c * 8), w);
     }
-    saturate_f16_widen_scalar(&src[chunks * 8..], &mut dst[chunks * 8..]);
+    for i in chunks * 8..len {
+        *dst.add(i) = saturate_to_f16(*src.add(i)).to_f32();
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -306,15 +354,18 @@ unsafe fn f16_to_f32_neon(src: &[F16], dst: &mut [f32]) {
     f16_to_f32_scalar(&src[chunks * 4..], &mut dst[chunks * 4..]);
 }
 
+/// # Safety
+///
+/// Requires NEON; pointer contract as the AVX2 twin.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn saturate_f16_widen_neon(src: &[f32], dst: &mut [f32]) {
+unsafe fn saturate_f16_widen_neon(src: *const f32, dst: *mut f32, len: usize) {
     use core::arch::aarch64::*;
     let max = vdupq_n_f32(65504.0);
     let neg_max = vdupq_n_f32(-65504.0);
-    let chunks = src.len() / 4;
+    let chunks = len / 4;
     for c in 0..chunks {
-        let v = vld1q_f32(src.as_ptr().add(c * 4));
+        let v = vld1q_f32(src.add(c * 4));
         let nan = vmvnq_u32(vceqq_f32(v, v));
         let clamped = vreinterpretq_f32_u32(vbicq_u32(
             vreinterpretq_u32_f32(vmaxq_f32(vminq_f32(v, max), neg_max)),
@@ -322,9 +373,11 @@ unsafe fn saturate_f16_widen_neon(src: &[f32], dst: &mut [f32]) {
         ));
         let h = crate::simd::neon::f32x4_to_f16_bits(clamped);
         let w = crate::simd::neon::f16_bits_to_f32x4(h);
-        vst1q_f32(dst.as_mut_ptr().add(c * 4), w);
+        vst1q_f32(dst.add(c * 4), w);
     }
-    saturate_f16_widen_scalar(&src[chunks * 4..], &mut dst[chunks * 4..]);
+    for i in chunks * 4..len {
+        *dst.add(i) = saturate_to_f16(*src.add(i)).to_f32();
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -400,6 +453,11 @@ mod tests {
                 saturate_f16_widen_slice_with_leg(leg, src, &mut b);
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.to_bits(), y.to_bits(), "f16 widen leg {}", leg.name());
+                }
+                b.copy_from_slice(src);
+                saturate_f16_widen_in_place_with_leg(leg, &mut b);
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "in-place leg {}", leg.name());
                 }
                 saturate_bf16_widen_scalar(src, &mut a);
                 saturate_bf16_widen_slice_with_leg(leg, src, &mut b);

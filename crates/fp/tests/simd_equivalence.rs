@@ -10,8 +10,9 @@
 
 use anda_fp::batch::{
     f16_to_f32_scalar, f16_to_f32_slice_with_leg, f32_to_f16_scalar, f32_to_f16_slice_with_leg,
-    saturate_bf16_widen_scalar, saturate_bf16_widen_slice_with_leg, saturate_f16_widen_scalar,
-    saturate_f16_widen_slice_with_leg,
+    saturate_bf16_widen_scalar, saturate_bf16_widen_slice_with_leg,
+    saturate_f16_widen_in_place_scalar, saturate_f16_widen_in_place_with_leg,
+    saturate_f16_widen_scalar, saturate_f16_widen_slice_with_leg,
 };
 use anda_fp::{available_legs, F16};
 use proptest::prelude::*;
@@ -64,18 +65,26 @@ proptest! {
     }
 
     /// The saturating FP16 round-trip (the KV `Fp16` policy's append
-    /// kernel) matches its scalar twin on every leg.
+    /// kernel) matches its scalar twin on every leg — into a second
+    /// buffer and in place (the activation rounding between GEMMs).
     #[test]
     fn saturate_f16_widen_matches_scalar_on_all_legs(bits in any_bits_vec()) {
         let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let mut oracle = vec![0.0f32; src.len()];
         saturate_f16_widen_scalar(&src, &mut oracle);
+        let mut oracle_in_place = src.clone();
+        saturate_f16_widen_in_place_scalar(&mut oracle_in_place);
         for leg in available_legs() {
             let mut got = vec![1.0f32; src.len()];
             saturate_f16_widen_slice_with_leg(leg, &src, &mut got);
-            for (i, (a, b)) in got.iter().zip(&oracle).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(),
+            let mut got_in_place = src.clone();
+            saturate_f16_widen_in_place_with_leg(leg, &mut got_in_place);
+            for (i, want) in oracle.iter().enumerate() {
+                prop_assert_eq!(got[i].to_bits(), want.to_bits(),
                     "leg={} i={i} src={:#010x}", leg.name(), bits[i]);
+                prop_assert_eq!(got_in_place[i].to_bits(), want.to_bits(),
+                    "in place: leg={} i={i} src={:#010x}", leg.name(), bits[i]);
+                prop_assert_eq!(oracle_in_place[i].to_bits(), want.to_bits());
             }
         }
     }

@@ -66,6 +66,9 @@ use anda_format::AndaConfig;
 use anda_fp::batch::{saturate_bf16_widen_slice, saturate_f16_widen_slice};
 use rayon_lite::ThreadPool;
 
+use crate::config::ModelConfig;
+use crate::model::StepRows;
+
 /// Storage policy for cached K/V rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KvStorage {
@@ -1203,12 +1206,74 @@ struct WalkScratch {
 pub struct PageDecodeCache {
     /// One scratch per parallel job; job 0 owns column 0 and the counts.
     jobs: Vec<WalkScratch>,
+    /// The step-wide activation rows of the model's row-block step,
+    /// carried here because this scratch already travels with every
+    /// step.
+    pub(crate) rows: StepRows,
+    /// The walk's lane list between steps: empty, capacity kept.
+    lanes: LaneBuf,
+}
+
+/// An empty `Vec<AttendLane>` kept for its capacity. Lanes borrow a
+/// step's caches and buffers, so none outlives its walk.
+#[derive(Default)]
+struct LaneBuf(Vec<AttendLane<'static>>);
+
+impl Clone for LaneBuf {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl core::fmt::Debug for LaneBuf {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "LaneBuf(capacity {})", self.0.capacity())
+    }
 }
 
 impl PageDecodeCache {
     /// An empty cache; the tiles grow to page size on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sizes the step-wide buffers for steps of up to `rows` token rows
+    /// (decode streams plus chunk tokens) whose lanes attend up to
+    /// `max_len` positions, so that after one warm-up step (the walk's
+    /// tile is sized by the first page it meets) a step of
+    /// [`crate::Model::decode_hidden_batch`] allocates nothing on the
+    /// calling thread.
+    pub fn reserve(&mut self, config: &ModelConfig, rows: usize, max_len: usize) {
+        self.rows.reserve(config, rows, max_len);
+        self.lanes.0.reserve(rows);
+        if self.jobs.is_empty() {
+            self.jobs.push(WalkScratch::default());
+        }
+        self.jobs[0].order.reserve(rows);
+    }
+
+    /// Projection GEMMs the model's steps dispatched through this cache
+    /// (monotonic): one per weight per layer per step, however many
+    /// entries and spans a step carries.
+    pub fn gemm_dispatches(&self) -> u64 {
+        self.rows.gemms
+    }
+
+    /// The lane list for one walk: empty, with the capacity earlier
+    /// walks grew.
+    pub(crate) fn take_lanes<'a>(&mut self) -> Vec<AttendLane<'a>> {
+        std::mem::take(&mut self.lanes.0)
+    }
+
+    /// Hands a walk's lane list back. Emptied and re-collected the
+    /// allocation survives (the standard library collects a `Vec`'s own
+    /// iterator in place), while the borrows its lanes held end here.
+    pub(crate) fn recycle_lanes(&mut self, mut lanes: Vec<AttendLane<'_>>) {
+        lanes.clear();
+        self.lanes.0 = lanes
+            .into_iter()
+            .map(|_| -> AttendLane<'static> { unreachable!("cleared above") })
+            .collect();
     }
 
     /// Total Anda pages decoded through this cache (monotonic). Each

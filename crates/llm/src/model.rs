@@ -7,8 +7,17 @@
 //! arithmetic (attention scores, softmax, norms, residuals) stays in
 //! floating point, matching the paper's methodology (§V-A keeps non-GeMM
 //! operators and the KV cache in FP16).
+//!
+//! The KV-cached path — everything served — is one body,
+//! [`Model::decode_hidden_batch`]'s row-block step: the tokens of every
+//! stream in a step (decode spans of one, prefill chunks of many) form
+//! one `rows × d_model` block, each weight multiplies it **once** per
+//! layer, and only RoPE, the K/V append and the page walk see streams.
+//! [`Model::prefill`], [`Model::decode_step`] and
+//! [`Model::decode_hidden`] are that step with a single entry.
 
 use anda_format::bfp::saturate_to_f16;
+use anda_fp::batch::saturate_f16_widen_in_place;
 use anda_quant::{IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{ops, Matrix, Rng};
 use rayon_lite::ThreadPool;
@@ -508,13 +517,14 @@ impl Model {
         tokens
     }
 
-    /// Runs KV-cached prefill: the hidden-state decode pass per token,
-    /// starting at the cache's current length, then **one** LM head over
-    /// the final position. After the call `s` holds the last position's
-    /// next-token logits ([`DecodeScratch::logits`]), ready for the first
-    /// sample — bit-identical to running [`Model::decode_step`] per token
-    /// (which is how this used to be built), minus the intermediate
-    /// positions' LM heads, whose logits nothing ever read.
+    /// Runs KV-cached prefill: `tokens` as **one span** of the row-block
+    /// step ([`Model::decode_hidden_batch`] with a single entry), starting
+    /// at the cache's current length, then one LM head over the final
+    /// position. After the call `s` holds the last position's next-token
+    /// logits ([`DecodeScratch::logits`]), ready for the first sample —
+    /// bit-identical to running [`Model::decode_step`] per token, minus
+    /// the intermediate positions' LM heads, whose logits nothing ever
+    /// read.
     ///
     /// Starting at the cache's length is what makes this the
     /// prefill-into-forked-cache entry point for shared-prefix serving: a
@@ -526,36 +536,32 @@ impl Model {
     /// bits a private prefill would have written (copy-on-write preserves
     /// them on append).
     ///
-    /// The same resumability powers *chunked* prefill (multi-token
-    /// [`BatchEntry`] spans through [`Model::decode_hidden_batch`]): any
-    /// split of `tokens` into consecutive chunks, prefilled in order
-    /// against the same cache, writes the same KV rows and produces the
-    /// same final hidden state.
+    /// The same resumability powers *chunked* prefill: any split of
+    /// `tokens` into consecutive spans, prefilled in order against the
+    /// same cache, writes the same KV rows and produces the same final
+    /// hidden state.
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty or the cache would grow past `max_seq`.
     pub fn prefill(&self, tokens: &[usize], cache: &mut KvCache, s: &mut DecodeScratch) {
         assert!(!tokens.is_empty(), "prompt must not be empty");
-        let start = cache.len();
-        for (i, &tok) in tokens.iter().enumerate() {
-            self.decode_hidden_impl(tok, start + i, cache, s, true);
-        }
-        self.lm_head_into(&s.x, &mut s.logits);
+        let pool = rayon_lite::global();
+        self.decode_span(tokens, cache.len(), cache, s, Some(pool));
+        self.lm_head(&s.x, &mut s.logits, pool);
     }
 
     /// One KV-cached decode step: processes `token` at position `pos` and
     /// leaves the next-token logits in `s` ([`DecodeScratch::logits`]).
     /// Activations stay in FP16 (reference path), matching a full-sequence
-    /// [`Model::forward`] with FP16 codecs. All per-token intermediates
-    /// reuse `s`'s buffers; K/V rows are written straight into the cache's
-    /// tail page (FP16-rounded or Anda-encoded by the cache's policy), so
+    /// [`Model::forward`] with FP16 codecs. K/V rows are written straight
+    /// into the cache's tail page (FP16-rounded or Anda-encoded by the
+    /// cache's policy) and every intermediate lives in `s`, so
     /// steady-state decode allocates nothing — the cache leases a pool
     /// page only every `page_positions` tokens.
     ///
-    /// Kernels auto-dispatch on the global pool (attention heads, the big
-    /// vector matmuls and the LM head shard when the work is large enough);
-    /// results are bit-identical to the serial path at every thread count.
+    /// Kernels auto-dispatch on the global pool; results are
+    /// bit-identical to the serial path at every thread count.
     ///
     /// # Panics
     ///
@@ -568,22 +574,16 @@ impl Model {
         cache: &mut KvCache,
         s: &mut DecodeScratch,
     ) {
-        self.decode_hidden_impl(token, pos, cache, s, true);
-        self.lm_head_into(&s.x, &mut s.logits);
+        let pool = rayon_lite::global();
+        self.decode_span(&[token], pos, cache, s, Some(pool));
+        self.lm_head(&s.x, &mut s.logits, pool);
     }
 
     /// The hidden-state half of [`Model::decode_step`]: identical through
     /// the final norm, but stops before the LM head, leaving the
-    /// final-normed residual in `s` ([`DecodeScratch::hidden_state`]) so a
-    /// serving layer can run the LM head over a whole batch of streams with
-    /// one GEMM ([`Model::lm_head_batch`]).
-    ///
-    /// Kernels run serially: batch schedulers call this from worker jobs
-    /// inside **one pool scope per batch** (one job per stream), which
-    /// amortizes dispatch better than nested per-kernel scopes. Serial and
-    /// pooled kernels are bit-identical, so
-    /// `decode_hidden` + [`Model::lm_head_batch`] reproduces
-    /// [`Model::decode_step`]'s logits bit-for-bit.
+    /// final-normed residual in `s` ([`DecodeScratch::hidden_state`]).
+    /// Runs on the calling thread alone — the per-token solo oracle the
+    /// batched suites compare against, allocation-free once warmed.
     ///
     /// # Panics
     ///
@@ -595,44 +595,89 @@ impl Model {
         cache: &mut KvCache,
         s: &mut DecodeScratch,
     ) {
-        self.decode_hidden_impl(token, pos, cache, s, false);
+        self.decode_span(&[token], pos, cache, s, None);
     }
 
-    /// Grouped variable-length batched attention: advances every stream
-    /// in `batch` by its token span (the [`Model::decode_hidden`]
-    /// computation per token), walking each layer's KV pages **once for
-    /// the whole batch** so a physical Anda page decodes once per step
-    /// no matter how many streams attend through it.
+    /// One stream's span as a step of one entry, on the scratch's own
+    /// step buffers.
+    fn decode_span(
+        &self,
+        tokens: &[usize],
+        pos: usize,
+        cache: &mut KvCache,
+        s: &mut DecodeScratch,
+        pool: Option<&ThreadPool>,
+    ) {
+        let mut step = std::mem::take(&mut s.pages);
+        let entry = BatchEntry {
+            tokens,
+            pos,
+            cache,
+            scratch: s,
+        };
+        self.step_rows(&mut [entry], &mut step, pool);
+        s.pages = step;
+    }
+
+    /// One engine step for every stream in `batch`: each entry advances
+    /// by its token span — one token for a decoding stream, a chunk of
+    /// prompt positions for a prefilling one — and the whole step runs as
+    /// **one row block**.
     ///
-    /// Streams may have different context lengths (the variable
-    /// dimension, in the oneDNN grouped-memory sense): each lane's
-    /// per-head score lanes are sized by its own window `t`.
+    /// Every token of every entry is a row of a `rows × d_model`
+    /// activation block; a cumulative-offsets vector says which rows are
+    /// whose (the oneDNN grouped layout, rows being the variable
+    /// dimension). Per layer:
     ///
-    /// Per layer:
+    /// 1. **Project.** Norm and FP16-round all rows, then **one GEMM per
+    ///    weight for the whole step** — `wqkv` here, `wo`, `wup`
+    ///    (/`wgate`) and `wdown` when the layer is finished — so a weight
+    ///    is streamed from memory once per step, not once per token.
+    /// 2. **Append.** Row `j` of an entry only depends on the previous
+    ///    layer's residual of row `j`, so all rows are projected before
+    ///    any is attended. What is inherently per stream stays per entry,
+    ///    in position order, fanned across `pool` by entry: RoPE and the
+    ///    K/V append (the Anda row encode).
+    /// 3. **Walk.** Every row becomes an [`AttendLane`] of one
+    ///    [`PageDecodeCache::attend`] call — the page-major walk that
+    ///    decodes each distinct physical page once per step however many
+    ///    rows view it; row `j` of a span attends its causal window
+    ///    `pos + j + 1` of a table that already holds the whole span.
     ///
-    /// 1. **Stage** (one pool job per stream): finish the previous
-    ///    layer's post-attention work, then norm → QKV matmul → RoPE →
-    ///    KV append, exactly the per-stream op sequence.
-    /// 2. **Walk**: every (stream, span token) becomes an
-    ///    [`AttendLane`] of one [`PageDecodeCache::attend`] call — the
-    ///    page-major walk that decodes each distinct physical page once
-    ///    into an L1 tile and serves every lane viewing it, fanning
-    ///    column ranges across `pool` when the work is large enough.
+    /// On the last layer only each entry's final row feeds anything
+    /// downstream, so only it is attended and finished.
     ///
-    /// Every stream's result is bit-identical (`f32::to_bits`) to a solo
-    /// [`Model::decode_hidden`] call at any thread count: staging runs
-    /// the same kernels in the same per-stream order, and the solo path
-    /// attends through the same walk with a single lane.
+    /// Every stream's result is bit-identical (`f32::to_bits`) to
+    /// per-token [`Model::decode_hidden`] at any thread count and however
+    /// the step is composed: each GEMM output element is `Σ_k a·b` over
+    /// ascending `k` whatever rows surround it, everything else is
+    /// per-row arithmetic, and the walk's lanes are independent.
+    ///
+    /// The step-wide buffers live in `decode_cache`, so a warmed step
+    /// allocates nothing on the calling thread
+    /// ([`PageDecodeCache::reserve`]).
     ///
     /// # Panics
     ///
-    /// As [`Model::decode_hidden`], per entry; also panics if an entry's
+    /// As [`Model::decode_step`], per entry; also panics if an entry's
     /// cache does not have one layer per model layer.
     pub fn decode_hidden_batch(
         &self,
         batch: &mut [BatchEntry<'_>],
         decode_cache: &mut PageDecodeCache,
         pool: &ThreadPool,
+    ) {
+        self.step_rows(batch, decode_cache, Some(pool));
+    }
+
+    /// The one transformer body of the KV path (see
+    /// [`Model::decode_hidden_batch`]); `pool = None` keeps every kernel
+    /// on the calling thread.
+    fn step_rows(
+        &self,
+        batch: &mut [BatchEntry<'_>],
+        step: &mut PageDecodeCache,
+        pool: Option<&ThreadPool>,
     ) {
         for entry in batch.iter() {
             assert!(
@@ -664,304 +709,183 @@ impl Model {
             return;
         }
         let d = self.config.d_model;
+        let dh = self.config.d_head();
         let heads = self.config.n_heads;
         let n_layers = self.layers.len();
+        // Taken out so the walk can borrow `step` while lanes borrow the
+        // rows; both are moves of empty-or-warm buffers, never copies.
+        let mut r = std::mem::take(&mut step.rows);
 
-        for l in 0..n_layers {
-            let layer = &self.layers[l];
-            let prev = l.checked_sub(1).map(|p| &self.layers[p]);
-            // On the last layer only each entry's final lane feeds
-            // anything downstream: earlier chunk tokens exist to append
-            // their K/V rows, and once those land (phase 1) their
-            // attend/finish would compute dead residuals — so the walk
-            // skips them. A span of one (a decode step) skips nothing.
-            let last_layer = l + 1 == n_layers;
-
-            // Phase 1: per-stream pre-attention staging, entries claimed
-            // one at a time across the pool. Within an entry the span's
-            // tokens run strictly in position order — lane j's staging
-            // reads lane j's residual and appends its K/V row before
-            // lane j+1 stages — which is exactly the solo per-token op
-            // sequence (embed, then per layer: stage → append → attend →
-            // finish); a decode step is simply a span of one.
-            pool.par_chunks_mut(batch, 1, |_, part| {
-                let entry = &mut part[0];
-                let span = entry.tokens.len();
-                let s = &mut *entry.scratch;
-                if prev.is_none() {
-                    s.x.clear();
-                    s.x.resize(span * d, 0.0);
-                    s.q.clear();
-                    s.q.resize(span * d, 0.0);
+        r.offsets.clear();
+        r.positions.clear();
+        for entry in batch.iter() {
+            r.offsets.push(r.positions.len());
+            r.positions
+                .extend(entry.pos..entry.pos + entry.tokens.len());
+        }
+        let rows = r.positions.len();
+        r.offsets.push(rows);
+        r.x.resize(rows, d);
+        let tokens = batch.iter().flat_map(|entry| entry.tokens);
+        let embedded = r.x.as_mut_slice().chunks_exact_mut(d);
+        for ((&token, &pos), x_row) in tokens.zip(&r.positions).zip(embedded) {
+            x_row.copy_from_slice(self.embed.row(token));
+            if let Some(posm) = &self.pos_embed {
+                for (xv, &pv) in x_row.iter_mut().zip(posm.row(pos)) {
+                    *xv += pv;
                 }
-                for (j, &token) in entry.tokens.iter().enumerate() {
-                    match prev {
-                        None => {
-                            self.embed_into_lane(token, entry.pos + j, &mut s.x[j * d..(j + 1) * d])
-                        }
-                        Some(prev) => self.finish_layer_lane(prev, j, s, false),
+            }
+        }
+
+        for (l, layer) in self.layers.iter().enumerate() {
+            if l > 0 {
+                self.finish_rows(&self.layers[l - 1], &mut r, pool);
+            }
+            let StepRows {
+                offsets,
+                positions,
+                x,
+                h,
+                qkv,
+                attn,
+                scores,
+                gemms,
+                ..
+            } = &mut r;
+            self.norm_round_rows(x, h, &layer.attn_gain, &layer.attn_bias);
+            project(h, &layer.wqkv, qkv, pool, gemms);
+            if self.config.family == Family::Llama {
+                for_chunks(pool, qkv.as_mut_slice(), 3 * d, |row, qkv_row| {
+                    for head in qkv_row[..2 * d].chunks_exact_mut(dh) {
+                        rope_in_place(head, positions[row]);
                     }
-                    self.stage_qkv_lane(layer, entry.pos + j, j, s, false);
-                    let (kv_pool, kv_layers) = entry.cache.split_mut();
-                    kv_layers[l].push(kv_pool, &s.k_row, &s.v_row);
+                });
+            }
+            // The cache's tail page encodes the rows under its storage
+            // policy; an entry's rows land in position order.
+            let qkv = &*qkv;
+            for_chunks(pool, batch, 1, |idx, entry| {
+                let (kv_pool, kv_layers) = entry[0].cache.split_mut();
+                for row in offsets[idx]..offsets[idx + 1] {
+                    let (k_row, v_row) = qkv.row(row)[d..].split_at(d);
+                    kv_layers[l].push(kv_pool, k_row, v_row);
                 }
             });
 
-            // Phase 2: one page walk for the whole batch. Every (entry,
-            // lane) becomes an `AttendLane`; lane j of a span attends its
-            // causal window `t_j = pos + j + 1`, shorter than the table
-            // (which already holds the whole span's rows), so a chunk
-            // lane is bit-identical to the solo decode of position
-            // `pos + j`. The walk decodes each physical Anda page once
-            // for every lane that views it.
-            let mut lanes = Vec::new();
-            for entry in batch.iter_mut() {
-                let span = entry.tokens.len();
+            // On the last layer only each entry's final row feeds
+            // anything downstream: earlier span rows exist to append
+            // their K/V, and once those landed their attend/finish would
+            // compute dead residuals. A span of one skips nothing.
+            let last_layer = l + 1 == n_layers;
+            let first_lane = |entry: &BatchEntry<'_>| match last_layer {
+                true => entry.tokens.len() - 1,
+                false => 0,
+            };
+            // Lane `j` of a span attends its causal window `pos + j + 1`.
+            let windows = |entry: &BatchEntry<'_>| {
+                entry.pos + first_lane(entry) + 1..=entry.pos + entry.tokens.len()
+            };
+            attn.resize(rows, d);
+            scores.clear();
+            scores.resize(heads * batch.iter().flat_map(windows).sum::<usize>(), 0.0);
+            let mut scores_rest: &mut [f32] = scores;
+            let mut outs = attn.as_mut_slice().chunks_exact_mut(d);
+            let mut lanes = step.take_lanes();
+            for (entry, &row0) in batch.iter().zip(offsets.iter()) {
                 let kv = entry.cache.layer(l);
-                debug_assert_eq!(kv.len(), entry.pos + span, "phase 1 appended the span");
-                let DecodeScratch {
-                    q, attn, scores, ..
-                } = &mut *entry.scratch;
-                let lane0 = if last_layer { span - 1 } else { 0 };
-                let windows = entry.pos + lane0 + 1..=entry.pos + span;
-                attn.clear();
-                attn.resize(span * d, 0.0);
-                scores.clear();
-                scores.resize(heads * windows.clone().sum::<usize>(), 0.0);
-                let mut scores_rest: &mut [f32] = scores;
-                let q_out = q.chunks_exact(d).zip(attn.chunks_exact_mut(d)).skip(lane0);
-                for (t, (q_j, out_j)) in windows.zip(q_out) {
-                    let (scores_j, rest) = std::mem::take(&mut scores_rest).split_at_mut(heads * t);
+                debug_assert_eq!(kv.len(), entry.pos + entry.tokens.len());
+                let span_outs = outs.by_ref().take(entry.tokens.len());
+                let attended = span_outs.enumerate().skip(first_lane(entry));
+                for ((j, out), t) in attended.zip(windows(entry)) {
+                    let (lane_scores, rest) =
+                        std::mem::take(&mut scores_rest).split_at_mut(heads * t);
                     scores_rest = rest;
                     lanes.push(AttendLane {
                         layer: kv,
                         t,
-                        q: q_j,
-                        scores: scores_j,
-                        out: out_j,
+                        q: &qkv.row(row0 + j)[..d],
+                        scores: lane_scores,
+                        out,
                     });
                 }
             }
-            decode_cache.attend(&mut lanes, heads, Some(pool));
+            step.attend(&mut lanes, heads, pool);
+            step.recycle_lanes(lanes);
         }
 
-        // Epilogue: finish the last layer's final lane and apply the
-        // final norm, entries claimed across the pool; the final lane's
-        // residual is collapsed to the front of `x` so
-        // `hidden_state()` stays `d_model` wide regardless of span.
+        // Epilogue: gather each entry's final row to the front, finish the
+        // last layer on those rows only, final norm, and hand every
+        // stream its hidden state.
+        for (idx, &end) in r.offsets[1..].iter().enumerate() {
+            for m in [&mut r.x, &mut r.attn] {
+                m.as_mut_slice()
+                    .copy_within((end - 1) * d..end * d, idx * d);
+            }
+        }
+        r.x.resize(batch.len(), d);
+        r.attn.resize(batch.len(), d);
         let last = self.layers.last().expect("models have at least one layer");
-        pool.par_chunks_mut(batch, 1, |_, part| {
-            let entry = &mut part[0];
-            let span = entry.tokens.len();
-            let s = &mut *entry.scratch;
-            self.finish_layer_lane(last, span - 1, s, false);
-            if span > 1 {
-                s.x.copy_within((span - 1) * d.., 0);
-            }
-            s.x.truncate(d);
-            self.norm_vec(&mut s.x, &self.final_gain, &self.final_bias);
-        });
-    }
-
-    /// Shared decode body; `par` gates every pool dispatch (the serving
-    /// layer runs with `par = false` inside its own batch-level scope).
-    fn decode_hidden_impl(
-        &self,
-        token: usize,
-        pos: usize,
-        cache: &mut KvCache,
-        s: &mut DecodeScratch,
-        par: bool,
-    ) {
-        assert!(token < self.config.vocab, "token {token} out of vocab");
-        assert_eq!(
-            pos,
-            cache.len(),
-            "decode position must match the cached length"
-        );
-        assert!(
-            pos < self.config.max_seq,
-            "decode position {pos} reaches max_seq {}",
-            self.config.max_seq
-        );
-        let d = self.config.d_model;
-        let heads = self.config.n_heads;
-
-        self.embed_into(token, pos, &mut s.x);
-
-        let (kv_pool, kv_layers) = cache.split_mut();
-        for (layer, kv) in self.layers.iter().zip(kv_layers.iter_mut()) {
-            // Attention block.
-            self.stage_qkv(layer, pos, s, par);
-            kv.push(kv_pool, &s.k_row, &s.v_row);
-
-            let t = kv.len();
-            s.attn.clear();
-            s.attn.resize(d, 0.0);
-            // Flat per-head score lanes: head `h` owns `scores[h·t..]`.
-            s.scores.clear();
-            s.scores.resize(heads * t, 0.0);
-            let lane = AttendLane {
-                layer: kv,
-                t,
-                q: &s.q,
-                scores: &mut s.scores,
-                out: &mut s.attn,
-            };
-            s.pages
-                .attend(&mut [lane], heads, par.then(rayon_lite::global));
-            self.finish_layer(layer, s, par);
+        self.finish_rows(last, &mut r, pool);
+        for (entry, x_row) in batch.iter_mut().zip(r.x.as_mut_slice().chunks_exact_mut(d)) {
+            self.norm_vec(x_row, &self.final_gain, &self.final_bias);
+            entry.scratch.x.resize(1, d);
+            entry.scratch.x.as_mut_slice().copy_from_slice(x_row);
         }
-
-        self.norm_vec(&mut s.x, &self.final_gain, &self.final_bias);
+        step.rows = r;
     }
 
-    /// Embeds `token` (plus the learned position embedding for OPT-style
-    /// models) into the residual buffer `x` — the step every decode pass
-    /// opens with.
-    fn embed_into(&self, token: usize, pos: usize, x: &mut Vec<f32>) {
-        x.clear();
-        x.resize(self.config.d_model, 0.0);
-        self.embed_into_lane(token, pos, x);
-    }
-
-    /// [`Model::embed_into`] targeting one pre-sized `d_model`-wide lane
-    /// of a multi-token residual buffer (prefill chunks keep one lane
-    /// per chunk token).
-    fn embed_into_lane(&self, token: usize, pos: usize, x_lane: &mut [f32]) {
-        x_lane.copy_from_slice(self.embed.row(token));
-        if let Some(posm) = &self.pos_embed {
-            for (xv, &pv) in x_lane.iter_mut().zip(posm.row(pos)) {
-                *xv += pv;
-            }
+    /// `h = f16(norm(x))`, row by row: the GEMM input of a block.
+    fn norm_round_rows(&self, x: &Matrix, h: &mut Matrix, gain: &[f32], bias: &[f32]) {
+        h.copy_from(x);
+        for row in h.as_mut_slice().chunks_exact_mut(x.cols().max(1)) {
+            self.norm_vec(row, gain, bias);
         }
+        saturate_f16_widen_in_place(h.as_mut_slice());
     }
 
-    /// Pre-attention half of one decode layer: residual norm, FP16
-    /// rounding, the fused QKV matmul, the head split and RoPE. Leaves
-    /// the current-position query in `s.q` and the staged (post-RoPE)
-    /// K/V rows in `s.k_row`/`s.v_row`, ready for the cache append.
-    /// Shared verbatim by the per-stream and grouped decode paths, so
-    /// the two cannot drift numerically.
-    fn stage_qkv(&self, layer: &Layer, pos: usize, s: &mut DecodeScratch, par: bool) {
-        s.q.clear();
-        s.q.resize(self.config.d_model, 0.0);
-        self.stage_qkv_lane(layer, pos, 0, s, par);
-    }
-
-    /// [`Model::stage_qkv`] for lane `lane` of a multi-token span: reads
-    /// the residual from `s.x`'s lane, writes the query into `s.q`'s
-    /// lane (both pre-sized `span × d`), and stages the K/V rows in the
-    /// shared `s.k_row`/`s.v_row` temporaries — span tokens run
-    /// sequentially within a batch entry, so the staged rows are
-    /// consumed (cache-appended) before the next lane overwrites them.
-    fn stage_qkv_lane(
-        &self,
-        layer: &Layer,
-        pos: usize,
-        lane: usize,
-        s: &mut DecodeScratch,
-        par: bool,
-    ) {
-        let d = self.config.d_model;
-        let dh = self.config.d_head();
-        let heads = self.config.n_heads;
-        let DecodeScratch {
-            x,
-            h,
-            qkv,
-            q,
-            k_row,
-            v_row,
-            ..
-        } = s;
-        h.clear();
-        h.extend_from_slice(&x[lane * d..(lane + 1) * d]);
-        self.norm_vec(h, &layer.attn_gain, &layer.attn_bias);
-        round_to_f16(h);
-        vec_matmul_into(h, &layer.wqkv, qkv, par);
-        let q_lane = &mut q[lane * d..(lane + 1) * d];
-        q_lane.copy_from_slice(&qkv[..d]);
-        // Stage the K/V rows in scratch; the cache's tail page encodes
-        // them under its storage policy (no per-token allocation).
-        k_row.clear();
-        k_row.extend_from_slice(&qkv[d..2 * d]);
-        v_row.clear();
-        v_row.extend_from_slice(&qkv[2 * d..]);
-        if self.config.family == Family::Llama {
-            for head in 0..heads {
-                rope_in_place(&mut q_lane[head * dh..(head + 1) * dh], pos);
-                rope_in_place(&mut k_row[head * dh..(head + 1) * dh], pos);
-            }
-        }
-    }
-
-    /// Post-attention half of one decode layer: FP16-rounds the head
-    /// mix, output projection + residual, then the FFN block + residual.
-    /// Shared verbatim by the per-stream and grouped decode paths.
-    fn finish_layer(&self, layer: &Layer, s: &mut DecodeScratch, par: bool) {
-        self.finish_layer_lane(layer, 0, s, par);
-    }
-
-    /// [`Model::finish_layer`] for lane `lane` of a multi-token span:
-    /// reads the head mix from `s.attn`'s lane and updates `s.x`'s lane
-    /// in place; the GeMM temporaries (`h`, `gate`, `hidden`, `proj`)
-    /// are shared across lanes, sequential within a batch entry.
-    fn finish_layer_lane(&self, layer: &Layer, lane: usize, s: &mut DecodeScratch, par: bool) {
-        let d = self.config.d_model;
-        let DecodeScratch {
+    /// Post-attention half of one layer over every row of `r.x` /
+    /// `r.attn`: FP16-round the head mix, output projection + residual,
+    /// then the FFN block + residual.
+    fn finish_rows(&self, layer: &Layer, r: &mut StepRows, pool: Option<&ThreadPool>) {
+        let StepRows {
             x,
             h,
             attn,
             proj,
             gate,
             hidden,
+            gemms,
             ..
-        } = s;
-        let x_lane = &mut x[lane * d..(lane + 1) * d];
-        let attn_lane = &mut attn[lane * d..(lane + 1) * d];
-        round_to_f16(attn_lane);
-        vec_matmul_into(attn_lane, &layer.wo, proj, par);
-        for (xv, ov) in x_lane.iter_mut().zip(&*proj) {
-            *xv += ov;
-        }
+        } = r;
+        saturate_f16_widen_in_place(attn.as_mut_slice());
+        project(attn, &layer.wo, proj, pool, gemms);
+        x.add_inplace(proj);
 
-        // FFN block.
-        h.clear();
-        h.extend_from_slice(x_lane);
-        self.norm_vec(h, &layer.ffn_gain, &layer.ffn_bias);
-        round_to_f16(h);
+        self.norm_round_rows(x, h, &layer.ffn_gain, &layer.ffn_bias);
+        project(h, &layer.wup, hidden, pool, gemms);
         match (&layer.wgate, self.config.family) {
             (Some(wgate), Family::Llama) => {
-                vec_matmul_into(h, wgate, gate, par);
-                vec_matmul_into(h, &layer.wup, hidden, par);
-                for (u, &g) in hidden.iter_mut().zip(&*gate) {
+                project(h, wgate, gate, pool, gemms);
+                for (u, &g) in hidden.as_mut_slice().iter_mut().zip(gate.as_slice()) {
                     *u *= ops::silu(g);
                 }
             }
-            _ => {
-                vec_matmul_into(h, &layer.wup, hidden, par);
-                for u in hidden.iter_mut() {
-                    *u = ops::relu(*u);
-                }
-            }
+            _ => hidden.map_inplace(ops::relu),
         }
-        round_to_f16(hidden);
-        vec_matmul_into(hidden, &layer.wdown, proj, par);
-        for (xv, dv) in x_lane.iter_mut().zip(&*proj) {
-            *xv += dv;
-        }
+        saturate_f16_widen_in_place(hidden.as_mut_slice());
+        project(hidden, &layer.wdown, proj, pool, gemms);
+        x.add_inplace(proj);
     }
 
     /// Runs the tied LM head over a whole batch of decode hidden states
-    /// with one GEMM-shaped dispatch: every `B × vocab` output element is
-    /// the same ascending-`k` dot [`Model::decode_step`] computes, so row
-    /// `i` of [`BatchOutput::logits_row`] is bit-identical to the logits a
-    /// solo `decode_step` would have produced for stream `i` — batching
-    /// only amortizes the pool dispatch, it never changes a value.
+    /// as one `B × d · (vocab × d)ᵀ` GEMM on the global pool: row `i` of
+    /// [`BatchOutput::logits_row`] is bit-identical to the logits a solo
+    /// [`Model::decode_step`] would have produced for stream `i` — both
+    /// run the same kernel, whose every output element is one
+    /// ascending-`k` dot whatever rows surround it.
     ///
-    /// Uses the global pool; see [`Model::lm_head_batch_pool`] for an
-    /// explicit pool (tests pin thread counts with it).
+    /// See [`Model::lm_head_batch_pool`] for an explicit pool (tests pin
+    /// thread counts with it).
     ///
     /// # Panics
     ///
@@ -972,75 +896,28 @@ impl Model {
 
     /// [`Model::lm_head_batch`] on an explicit pool.
     pub fn lm_head_batch_pool(&self, batch: &mut BatchOutput, pool: &ThreadPool) {
-        let d = self.config.d_model;
-        let vocab = self.config.vocab;
-        let b = batch.len();
-        if b > 0 {
-            assert_eq!(batch.dim, d, "hidden width must be d_model");
+        if !batch.is_empty() {
+            assert_eq!(
+                batch.hidden.cols(),
+                self.config.d_model,
+                "hidden width must be d_model"
+            );
         }
-        batch.logits.resize(b, vocab);
-        if b == 0 {
-            return;
-        }
-        let hidden = &batch.hidden;
-        // Element f of the flat B × vocab output, computed exactly like
-        // `lm_head_into`'s per-token dot (ascending k, one accumulator).
-        let elem = |f: usize| -> f32 {
-            let (row, tok) = (f / vocab, f % vocab);
-            let x = &hidden[row * d..(row + 1) * d];
-            let dot: f32 = self
-                .embed
-                .row(tok)
-                .iter()
-                .zip(x.iter())
-                .map(|(&e, &xv)| e * xv)
-                .sum();
-            dot * self.logit_scale
-        };
-        let total = b * vocab;
-        let out = &mut batch.logits.as_mut_slice()[..total];
-        if pool.threads() > 1 && total * d >= VEC_PAR_MIN_MULADDS && total > 1 {
-            let chunk = total.div_ceil(pool.threads()).max(1);
-            pool.par_chunks_mut(out, chunk, |idx, part| {
-                for (off, o) in part.iter_mut().enumerate() {
-                    *o = elem(idx * chunk + off);
-                }
-            });
-        } else {
-            for (f, o) in out.iter_mut().enumerate() {
-                *o = elem(f);
-            }
-        }
+        self.lm_head(&batch.hidden, &mut batch.logits, pool);
     }
 
-    /// Tied LM head for one position: `logits[tok] = embed[tok] · x` times
-    /// the logit scale. Vocab rows are sharded across the global pool when
-    /// large enough; each logit is one sequential dot either way, so the
-    /// parallel result is bit-identical to the serial one.
-    fn lm_head_into(&self, x: &[f32], logits: &mut Vec<f32>) {
-        let vocab = self.config.vocab;
-        let row_logit = |tok: usize| -> f32 {
-            let dot: f32 = self
-                .embed
-                .row(tok)
-                .iter()
-                .zip(x.iter())
-                .map(|(&e, &xv)| e * xv)
-                .sum();
-            dot * self.logit_scale
-        };
-        logits.clear();
-        let pool = rayon_lite::global();
-        if pool.threads() > 1 && vocab * x.len() >= VEC_PAR_MIN_MULADDS && vocab > 1 {
-            logits.resize(vocab, 0.0);
-            let toks_per_chunk = vocab.div_ceil(pool.threads()).max(1);
-            pool.par_chunks_mut(&mut logits[..], toks_per_chunk, |idx, chunk| {
-                for (off, l) in chunk.iter_mut().enumerate() {
-                    *l = row_logit(idx * toks_per_chunk + off);
-                }
-            });
-        } else {
-            logits.extend((0..vocab).map(row_logit));
+    /// Tied LM head, `logits = hidden · embedᵀ` times the logit scale
+    /// (kept in FP, like the paper's non-GeMM operators), through
+    /// [`Matrix::matmul_transposed_into_pool`] — the kernel
+    /// [`Model::forward`]'s LM head runs.
+    fn lm_head(&self, hidden: &Matrix, logits: &mut Matrix, pool: &ThreadPool) {
+        logits.resize(hidden.rows(), self.config.vocab);
+        if hidden.rows() == 0 {
+            return;
+        }
+        hidden.matmul_transposed_into_pool(&self.embed, logits, pool);
+        if self.logit_scale != 1.0 {
+            logits.scale(self.logit_scale);
         }
     }
 
@@ -1112,42 +989,25 @@ struct AttnScratch {
     out: Matrix,
 }
 
-/// Reusable buffers for KV-cached decode steps; one instance serves a
-/// whole generation loop (or one serving-layer stream), so per-token work
-/// allocates nothing at steady state (pair with [`DecodeScratch::reserve`]
-/// and [`crate::kv::PagePool::preallocate`] for a hard zero).
+/// One stream's reusable decode state: the hidden state and logits its
+/// last step left, sampling staging, and — for the solo entry points —
+/// the step buffers and page-walk tile ([`PageDecodeCache`]). One
+/// instance serves a whole generation loop (or one serving-layer
+/// stream), so per-token work allocates nothing at steady state (pair
+/// with [`DecodeScratch::reserve`] and
+/// [`crate::kv::PagePool::preallocate`] for a hard zero).
 #[derive(Clone, Debug, Default)]
 pub struct DecodeScratch {
-    /// Residual stream (`d`); after a decode pass, the final-normed hidden
-    /// state ([`DecodeScratch::hidden_state`]).
-    x: Vec<f32>,
-    /// Normalized GeMM input.
-    h: Vec<f32>,
-    /// Fused QKV output (`3d`).
-    qkv: Vec<f32>,
-    /// Current-position query (`d`).
-    q: Vec<f32>,
-    /// Attention mix output (`d`).
-    attn: Vec<f32>,
-    /// Per-head attention scores over cached positions (`heads × t`,
-    /// head-major lanes).
-    scores: Vec<f32>,
-    /// Sampling probability staging (`vocab`).
+    /// The final-normed hidden state of the last decoded position
+    /// (`1 × d`; [`DecodeScratch::hidden_state`]).
+    x: Matrix,
+    /// Next-token logits (`1 × vocab`).
+    logits: Matrix,
+    /// Sampling staging: temperature-scaled logits (`vocab`).
+    scaled: Vec<f32>,
+    /// Sampling staging: probabilities (`vocab`).
     probs: Vec<f32>,
-    /// Output/down projection result (`d`).
-    proj: Vec<f32>,
-    /// SwiGLU gate (`ffn`).
-    gate: Vec<f32>,
-    /// FFN hidden activations (`ffn`).
-    hidden: Vec<f32>,
-    /// Next-token logits (`vocab`).
-    logits: Vec<f32>,
-    /// Staged current-position key row (`d`, post-RoPE) awaiting the
-    /// cache append.
-    k_row: Vec<f32>,
-    /// Staged current-position value row (`d`).
-    v_row: Vec<f32>,
-    /// The solo decode path's page-walk tile (page-sized).
+    /// The solo decode path's step buffers and page-walk tile.
     pages: PageDecodeCache,
 }
 
@@ -1158,61 +1018,125 @@ impl DecodeScratch {
     }
 
     /// Pre-reserves every decode buffer for `config`-shaped models at
-    /// contexts up to `max_len` positions, so no later decode step ever
-    /// grows a buffer. With the cache's pool preallocated and its page
-    /// tables reserved, decoding is then allocation-free per token (the
-    /// `kv_alloc` counting-allocator suite enforces this).
+    /// contexts up to `max_len` positions, so no later solo decode step
+    /// ever grows a buffer. With the cache's pool preallocated and its
+    /// page tables reserved, decoding is then allocation-free per token
+    /// (the `kv_alloc` counting-allocator suite enforces this).
     pub fn reserve(&mut self, config: &ModelConfig, max_len: usize) {
-        let d = config.d_model;
-        let ffn = config.d_ffn;
-        let lanes = (config.n_heads * max_len).max(config.vocab);
-        self.x.reserve(d);
-        self.h.reserve(d);
-        self.qkv.reserve(3 * d);
-        self.q.reserve(d);
-        self.attn.reserve(d);
-        self.proj.reserve(d);
-        self.gate.reserve(ffn);
-        self.hidden.reserve(ffn);
-        // The score lanes double as sampling staging (`vocab` wide).
-        self.scores.reserve(lanes);
+        self.x.reserve(1, config.d_model);
+        self.logits.reserve(1, config.vocab);
+        self.scaled.reserve(config.vocab);
         self.probs.reserve(config.vocab);
-        self.logits.reserve(config.vocab);
-        self.k_row.reserve(d);
-        self.v_row.reserve(d);
+        self.pages.reserve(config, 1, max_len);
     }
 
     /// The next-token logits left by the last [`Model::decode_step`] /
     /// [`Model::prefill`] (empty before the first step).
     pub fn logits(&self) -> &[f32] {
-        &self.logits
+        self.logits.as_slice()
     }
 
     /// The final-normed hidden state left by the last decode pass
     /// (`d_model` wide), the row [`BatchOutput::push_hidden`] gathers.
-    /// (This is the residual-stream buffer, distinct from the FFN's
-    /// internal `hidden` activations.)
     pub fn hidden_state(&self) -> &[f32] {
-        &self.x
+        self.x.as_slice()
     }
 
-    /// Samples from the scratch's own logits (the last decoded position),
-    /// staging in the idle score/prob buffers. Greedy argmax when
-    /// `temperature <= 0` (no RNG draw).
+    /// Samples from the scratch's own logits (the last decoded position).
+    /// Greedy argmax when `temperature <= 0` (no RNG draw).
     pub fn sample_last(&mut self, temperature: f32, rng: &mut Rng) -> usize {
         let DecodeScratch {
             logits,
-            scores,
+            scaled,
             probs,
             ..
         } = self;
-        sample_logits(logits, temperature, rng, scores, probs)
+        sample_logits(logits.as_slice(), temperature, rng, scaled, probs)
     }
 
     /// Samples from caller-provided logits (a [`BatchOutput`] row), with
     /// the same staging reuse as [`DecodeScratch::sample_last`].
     pub fn sample(&mut self, logits: &[f32], temperature: f32, rng: &mut Rng) -> usize {
-        sample_logits(logits, temperature, rng, &mut self.scores, &mut self.probs)
+        sample_logits(logits, temperature, rng, &mut self.scaled, &mut self.probs)
+    }
+}
+
+/// The step-wide row block of [`Model::decode_hidden_batch`]: every
+/// token of every entry is one row of each buffer, entry after entry in
+/// batch order. It travels inside [`PageDecodeCache`], the scratch that
+/// already accompanies every step.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct StepRows {
+    /// Row of each entry's first token, then the row count: the
+    /// cumulative-offsets vector of the grouped layout.
+    offsets: Vec<usize>,
+    /// Sequence position of every row.
+    positions: Vec<usize>,
+    /// Residual stream (`rows × d`).
+    x: Matrix,
+    /// Normed, FP16-rounded GEMM input (`rows × d`).
+    h: Matrix,
+    /// Fused QKV projection (`rows × 3d`): a row's query, then its
+    /// (post-RoPE) key and value as appended to the cache.
+    qkv: Matrix,
+    /// Attention head mix (`rows × d`).
+    attn: Matrix,
+    /// Output/down projection (`rows × d`).
+    proj: Matrix,
+    /// SwiGLU gate (`rows × ffn`).
+    gate: Matrix,
+    /// FFN hidden activations (`rows × ffn`).
+    hidden: Matrix,
+    /// Every lane's per-head score lanes, back to back.
+    scores: Vec<f32>,
+    /// Projection GEMMs dispatched (monotonic).
+    pub(crate) gemms: u64,
+}
+
+impl StepRows {
+    /// Sizes every buffer for steps of up to `rows` rows whose lanes
+    /// attend up to `max_len` positions each.
+    pub(crate) fn reserve(&mut self, config: &ModelConfig, rows: usize, max_len: usize) {
+        let (d, ffn) = (config.d_model, config.d_ffn);
+        self.offsets.reserve(rows + 1);
+        self.positions.reserve(rows);
+        for (m, cols) in [
+            (&mut self.x, d),
+            (&mut self.h, d),
+            (&mut self.qkv, 3 * d),
+            (&mut self.attn, d),
+            (&mut self.proj, d),
+            (&mut self.gate, ffn),
+            (&mut self.hidden, ffn),
+        ] {
+            m.reserve(rows, cols);
+        }
+        self.scores.reserve(config.n_heads * rows * max_len);
+    }
+}
+
+/// `out = a · w` across `pool` (on the calling thread without one),
+/// counted: the one place a step dispatches a projection GEMM.
+fn project(a: &Matrix, w: &Matrix, out: &mut Matrix, pool: Option<&ThreadPool>, gemms: &mut u64) {
+    out.resize(a.rows(), w.cols());
+    a.matmul_into_on(w, out, pool);
+    *gemms += 1;
+}
+
+/// `f(index, chunk)` over the `chunk_len`-element chunks of `data`:
+/// claimed across `pool`, or in order on the calling thread without one.
+fn for_chunks<T: Send>(
+    pool: Option<&ThreadPool>,
+    data: &mut [T],
+    chunk_len: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    match pool {
+        Some(pool) => pool.par_chunks_mut(data, chunk_len, f),
+        None => data
+            .chunks_mut(chunk_len)
+            .enumerate()
+            .for_each(|(idx, chunk)| f(idx, chunk)),
     }
 }
 
@@ -1249,10 +1173,9 @@ pub struct BatchEntry<'s> {
 /// empties the batch without releasing capacity.
 #[derive(Clone, Debug, Default)]
 pub struct BatchOutput {
-    /// Gathered hidden rows, row-major (`B × d`).
-    hidden: Vec<f32>,
-    /// Hidden row width (set by the first push after a clear).
-    dim: usize,
+    /// Gathered hidden rows (`B × d`; the width is set by the first push
+    /// after a clear).
+    hidden: Matrix,
     /// Batch logits (`B × vocab`).
     logits: Matrix,
 }
@@ -1265,18 +1188,17 @@ impl BatchOutput {
 
     /// Rows currently gathered.
     pub fn len(&self) -> usize {
-        self.hidden.len().checked_div(self.dim).unwrap_or(0)
+        self.hidden.rows()
     }
 
     /// `true` when no rows are gathered.
     pub fn is_empty(&self) -> bool {
-        self.hidden.is_empty()
+        self.hidden.rows() == 0
     }
 
     /// Empties the batch, keeping allocations for the next iteration.
     pub fn clear(&mut self) {
-        self.hidden.clear();
-        self.dim = 0;
+        self.hidden.resize(0, 0);
     }
 
     /// Appends one stream's hidden state ([`DecodeScratch::hidden_state`]).
@@ -1286,72 +1208,21 @@ impl BatchOutput {
     /// Panics if `h` is empty or its width differs from earlier rows.
     pub fn push_hidden(&mut self, h: &[f32]) {
         assert!(!h.is_empty(), "hidden row must not be empty");
-        if self.hidden.is_empty() {
-            self.dim = h.len();
-        } else {
-            assert_eq!(h.len(), self.dim, "hidden rows must share one width");
+        let rows = self.hidden.rows();
+        if rows > 0 {
+            assert_eq!(
+                h.len(),
+                self.hidden.cols(),
+                "hidden rows must share one width"
+            );
         }
-        self.hidden.extend_from_slice(h);
+        self.hidden.resize(rows + 1, h.len());
+        self.hidden.row_mut(rows).copy_from_slice(h);
     }
 
     /// Row `i` of the batch logits computed by [`Model::lm_head_batch`].
     pub fn logits_row(&self, i: usize) -> &[f32] {
         self.logits.row(i)
-    }
-}
-
-/// Below this many multiply-adds the decode-path vector kernels run
-/// serially even when the global pool has threads (dispatch overhead
-/// would dominate). Unlike the prefill GeMMs, which shard output rows,
-/// decode works on a single token, so these kernels shard output
-/// *columns*; each element still accumulates over k in ascending order,
-/// keeping results bit-identical at every thread count.
-const VEC_PAR_MIN_MULADDS: usize = 256 * 1024;
-
-/// `v(1×k) · m(k×n)` row-vector matmul into a reused buffer.
-///
-/// With `par`, output columns are sharded across the global pool when the
-/// product is large enough; each chunk walks k in the same ascending order
-/// (with the same `a == 0` skip) as the serial loop, so the parallel
-/// result is bit-identical.
-/// Rounds every lane through saturating FP16 — the reference activation
-/// precision between decode kernels (§V-A keeps non-GeMM operators in
-/// FP16).
-fn round_to_f16(v: &mut [f32]) {
-    for x in v.iter_mut() {
-        *x = saturate_to_f16(*x).to_f32();
-    }
-}
-
-fn vec_matmul_into(v: &[f32], m: &Matrix, out: &mut Vec<f32>, par: bool) {
-    assert_eq!(v.len(), m.rows(), "vec_matmul shape mismatch");
-    let n = m.cols();
-    out.clear();
-    out.resize(n, 0.0);
-    let pool = rayon_lite::global();
-    if par && pool.threads() > 1 && v.len() * n >= VEC_PAR_MIN_MULADDS && n > 1 {
-        let cols_per_chunk = n.div_ceil(pool.threads()).max(1);
-        pool.par_chunks_mut(&mut out[..], cols_per_chunk, |idx, chunk| {
-            let c0 = idx * cols_per_chunk;
-            for (kidx, &a) in v.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_cols = &m.row(kidx)[c0..c0 + chunk.len()];
-                for (o, &b) in chunk.iter_mut().zip(b_cols) {
-                    *o += a * b;
-                }
-            }
-        });
-    } else {
-        for (kidx, &a) in v.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &b) in out.iter_mut().zip(m.row(kidx)) {
-                *o += a * b;
-            }
-        }
     }
 }
 
@@ -1510,6 +1381,66 @@ mod tests {
         let spec = tiny_spec();
         let model = spec.build();
         let _ = model.forward(&[999_999], &CodecAssignment::fp16());
+    }
+
+    /// The LM head's oracle: one scalar `.zip().map().sum()` dot per
+    /// logit.
+    fn dot_logit(model: &Model, tok: usize, x: &[f32]) -> f32 {
+        let dot: f32 = model
+            .embed
+            .row(tok)
+            .iter()
+            .zip(x)
+            .map(|(&e, &xv)| e * xv)
+            .sum();
+        dot * model.logit_scale
+    }
+
+    #[test]
+    fn lm_head_gemm_matches_the_per_element_dot_on_the_tied_embed() {
+        let mut model = tiny_spec().build();
+        model.logit_scale = 0.85;
+        let (d, vocab) = (model.config.d_model, model.config.vocab);
+        let mut rng = Rng::new(11);
+        for rows in [1usize, 2, 3, 4, 7, 9] {
+            let mut batch = BatchOutput::new();
+            let mut row = vec![0.0f32; d];
+            for _ in 0..rows {
+                rng.fill_normal(&mut row, 1.5);
+                batch.push_hidden(&row);
+            }
+            for threads in [1usize, 2, 4] {
+                model.lm_head_batch_pool(&mut batch, &ThreadPool::new(threads));
+                for i in 0..rows {
+                    for tok in 0..vocab {
+                        let want = dot_logit(&model, tok, batch.hidden.row(i));
+                        let got = batch.logits_row(i)[tok];
+                        assert_eq!(got.to_bits(), want.to_bits(), "row {i} tok {tok}");
+                    }
+                }
+            }
+        }
+
+        // The one corner where the two differ, in the sign of a zero:
+        // `f32`'s `Sum` folds from -0.0, the kernel's accumulators from
+        // +0.0, so a logit whose every product is -0.0 was -0.0 and is
+        // now +0.0. One other product of any value makes both sums that
+        // value, and no consumer (argmax, softmax) tells the zeros apart.
+        let tok = 3;
+        let against: Vec<f32> = model
+            .embed
+            .row(tok)
+            .iter()
+            .map(|e| -0.0 * e.signum())
+            .collect();
+        assert_eq!(
+            dot_logit(&model, tok, &against).to_bits(),
+            (-0.0f32).to_bits()
+        );
+        let mut batch = BatchOutput::new();
+        batch.push_hidden(&against);
+        model.lm_head_batch(&mut batch);
+        assert_eq!(batch.logits_row(0)[tok].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

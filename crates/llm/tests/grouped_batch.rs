@@ -359,6 +359,151 @@ fn chunk_spans_match_monolithic_prefill() {
     }
 }
 
+/// One ragged step — decode spans beside prefill chunks of several
+/// sizes — followed by one decode step per stream (which attends every
+/// K/V row the ragged step appended, at every layer). Returns each
+/// stream's hidden bits after both steps and the projection GEMMs the
+/// ragged step dispatched (0 on the oracle path, which advances every
+/// stream token by token with solo [`Model::decode_hidden`]).
+fn ragged_step(
+    model: &Model,
+    storage: KvStorage,
+    threads: usize,
+    grouped: bool,
+) -> (Vec<Vec<u32>>, u64) {
+    /// `(cached context, span)` per stream: two plain decodes, a full
+    /// chunk opening a prompt, a short chunk continuing one, a decode
+    /// deep in its context.
+    const STREAMS: [(usize, usize); 5] = [(9, 1), (16, 1), (0, 64), (5, 7), (33, 1)];
+    let vocab = model.config().vocab;
+    let pool = PagePool::new(KvPoolConfig {
+        storage,
+        page_positions: 8,
+        max_pages: None,
+    });
+    let tokens: Vec<Vec<usize>> = STREAMS
+        .iter()
+        .enumerate()
+        .map(|(i, &(ctx, span))| (0..ctx + span + 1).map(|j| tok(i, j, vocab)).collect())
+        .collect();
+    let mut caches: Vec<KvCache> = Vec::new();
+    let mut scratches: Vec<DecodeScratch> = Vec::new();
+    for (toks, &(ctx, _)) in tokens.iter().zip(&STREAMS) {
+        let mut cache = pool.new_cache(model.config().n_layers);
+        let mut s = DecodeScratch::new();
+        for (pos, &token) in toks[..ctx].iter().enumerate() {
+            model.decode_hidden(token, pos, &mut cache, &mut s);
+        }
+        caches.push(cache);
+        scratches.push(s);
+    }
+
+    let mut gemms = 0;
+    if grouped {
+        let workers = ThreadPool::new(threads);
+        let mut decode_cache = PageDecodeCache::new();
+        for second in [false, true] {
+            let mut entries: Vec<BatchEntry<'_>> = caches
+                .iter_mut()
+                .zip(scratches.iter_mut())
+                .zip(tokens.iter().zip(&STREAMS))
+                .map(|((cache, scratch), (toks, &(ctx, span)))| {
+                    let span = if second {
+                        ctx + span..ctx + span + 1
+                    } else {
+                        ctx..ctx + span
+                    };
+                    BatchEntry {
+                        pos: span.start,
+                        tokens: &toks[span],
+                        cache,
+                        scratch,
+                    }
+                })
+                .collect();
+            model.decode_hidden_batch(&mut entries, &mut decode_cache, &workers);
+            if !second {
+                gemms = decode_cache.gemm_dispatches();
+            }
+        }
+    } else {
+        for ((cache, s), (toks, &(ctx, _))) in caches
+            .iter_mut()
+            .zip(scratches.iter_mut())
+            .zip(tokens.iter().zip(&STREAMS))
+        {
+            for (pos, &token) in toks.iter().enumerate().skip(ctx) {
+                model.decode_hidden(token, pos, cache, s);
+            }
+        }
+    }
+    let hidden = scratches.iter().map(|s| bits(s.hidden_state())).collect();
+    (hidden, gemms)
+}
+
+/// Spans {1, 1, 64, 7, 1} in one call are bit-identical to per-token
+/// solo decode on both families, float and Anda pages, at every pool
+/// width — and the step dispatches exactly one GEMM per weight per
+/// layer however many entries and spans it carries.
+#[test]
+fn ragged_steps_match_per_token_solo_decode() {
+    for (name, model, weights) in [("opt", model(), 4), ("llama", llama(), 5)] {
+        for storage in [KvStorage::Fp16, KvStorage::Anda { mantissa_bits: 8 }] {
+            let (want, _) = ragged_step(model, storage, 1, false);
+            for threads in [1usize, 2, 4] {
+                let (got, gemms) = ragged_step(model, storage, threads, true);
+                assert_eq!(got, want, "{name} {storage:?} {threads} threads");
+                assert_eq!(
+                    gemms,
+                    weights * model.config().n_layers as u64,
+                    "{name}: one GEMM per weight per layer per step"
+                );
+            }
+        }
+    }
+}
+
+/// The GEMM count does not depend on the step's composition: one
+/// stream or five, spans of one or sixty-four.
+#[test]
+fn a_step_dispatches_one_gemm_per_weight_whatever_it_carries() {
+    let model = model();
+    let n_layers = model.config().n_layers;
+    let workers = ThreadPool::new(2);
+    let mut decode_cache = PageDecodeCache::new();
+    let mut before = 0;
+    for spans in [
+        &[1usize][..],
+        &[3, 1],
+        &[1, 1, 1, 1, 1, 1, 1, 1],
+        &[40, 2, 1],
+    ] {
+        let mut caches: Vec<KvCache> = spans.iter().map(|_| KvCache::new(n_layers)).collect();
+        let mut scratches: Vec<DecodeScratch> =
+            spans.iter().map(|_| DecodeScratch::new()).collect();
+        let tokens: Vec<Vec<usize>> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, &span)| (0..span).map(|j| tok(i, j, model.config().vocab)).collect())
+            .collect();
+        let mut entries: Vec<BatchEntry<'_>> = caches
+            .iter_mut()
+            .zip(scratches.iter_mut())
+            .zip(&tokens)
+            .map(|((cache, scratch), tokens)| BatchEntry {
+                tokens,
+                pos: 0,
+                cache,
+                scratch,
+            })
+            .collect();
+        model.decode_hidden_batch(&mut entries, &mut decode_cache, &workers);
+        let after = decode_cache.gemm_dispatches();
+        assert_eq!(after - before, 4 * n_layers as u64, "spans {spans:?}");
+        before = after;
+    }
+}
+
 /// Float-policy pages are read in place; the grouped path must not
 /// decode anything for them.
 #[test]

@@ -6,16 +6,21 @@
 //! allocation at all: K/V rows are written straight into the tail page
 //! (FP16-rounded or Anda bit-plane-encoded in place), page leases pop
 //! the pool's free list, and compressed reads decode into the reserved
-//! scratch. This file is its own test binary so the allocation counter
-//! sees only this suite's traffic, and the one test runs the policies
-//! sequentially on a single thread.
+//! scratch. The same holds for a **batched** step
+//! (`Model::decode_hidden_batch` on a one-thread pool, decode-only or
+//! chunk + decode) once `PageDecodeCache::reserve` has sized the
+//! step-wide row block. This file is its own test binary so the
+//! allocation counter sees only this suite's traffic, and each test
+//! counts its own thread only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
+use anda_llm::model::BatchEntry;
 use anda_llm::zoo::opt_125m_sim;
-use anda_llm::DecodeScratch;
+use anda_llm::{DecodeScratch, KvCache, PageDecodeCache};
+use rayon_lite::ThreadPool;
 
 /// Counts every allocation (fresh and growing) the *current thread*
 /// passes to the system allocator. Per-thread counting keeps the
@@ -113,5 +118,134 @@ fn warmed_decode_steps_allocate_zero_kv_path_heap() {
             !cache.len().is_multiple_of(page_positions),
             "the run must end inside a partial page"
         );
+    }
+}
+
+/// One batched step over four streams: stream 0 advances by
+/// `tokens[0]` (a chunk when longer than one), the others by one token.
+fn batched_step(
+    model: &anda_llm::Model,
+    tokens: [&[usize]; 4],
+    caches: &mut [KvCache; 4],
+    scratches: &mut [DecodeScratch; 4],
+    decode_cache: &mut PageDecodeCache,
+    workers: &ThreadPool,
+) {
+    let [c0, c1, c2, c3] = caches;
+    let [s0, s1, s2, s3] = scratches;
+    fn entry<'s>(
+        tokens: &'s [usize],
+        cache: &'s mut KvCache,
+        scratch: &'s mut DecodeScratch,
+    ) -> BatchEntry<'s> {
+        BatchEntry {
+            tokens,
+            pos: cache.len(),
+            cache,
+            scratch,
+        }
+    }
+    let mut entries = [
+        entry(tokens[0], c0, s0),
+        entry(tokens[1], c1, s1),
+        entry(tokens[2], c2, s2),
+        entry(tokens[3], c3, s3),
+    ];
+    model.decode_hidden_batch(&mut entries, decode_cache, workers);
+}
+
+#[test]
+fn warmed_batched_steps_allocate_zero() {
+    let model = opt_125m_sim().build();
+    let cfg = model.config().clone();
+    const CHUNK: usize = 16;
+    let max_len: usize = 61;
+    let page_positions: usize = 4;
+    // A one-thread pool runs every job inline: what is counted is the
+    // step's own buffers, not the pool's job boxes.
+    let workers = ThreadPool::new(1);
+    let toks: Vec<usize> = (0..max_len).map(|i| (i * 29 + 7) % cfg.vocab).collect();
+
+    for storage in [KvStorage::Fp16, KvStorage::Anda { mantissa_bits: 8 }] {
+        let pool = PagePool::new(KvPoolConfig {
+            storage,
+            page_positions,
+            max_pages: None,
+        });
+        pool.preallocate(
+            4 * cfg.n_layers * max_len.div_ceil(page_positions),
+            cfg.d_model,
+        );
+        let mut caches: [KvCache; 4] = std::array::from_fn(|_| {
+            let mut cache = pool.new_cache(cfg.n_layers);
+            cache.reserve(max_len);
+            cache
+        });
+        let mut scratches: [DecodeScratch; 4] = std::array::from_fn(|_| {
+            let mut s = DecodeScratch::new();
+            s.reserve(&cfg, max_len);
+            s
+        });
+        let mut decode_cache = PageDecodeCache::new();
+        decode_cache.reserve(&cfg, CHUNK + 3, max_len);
+
+        // Warm-up: one step of each kind (the walk's tile is sized by
+        // the first page it decodes).
+        let ones = |at: usize| [&toks[at..at + 1]; 4];
+        batched_step(
+            &model,
+            ones(0),
+            &mut caches,
+            &mut scratches,
+            &mut decode_cache,
+            &workers,
+        );
+        let mut mixed = ones(1);
+        mixed[0] = &toks[1..1 + CHUNK];
+        batched_step(
+            &model,
+            mixed,
+            &mut caches,
+            &mut scratches,
+            &mut decode_cache,
+            &workers,
+        );
+
+        // Measured: two more chunk + decode steps, then decode-only
+        // steps across several page boundaries.
+        let before = thread_allocs();
+        for _ in 0..2 {
+            let at = caches[0].len();
+            let mut mixed = ones(caches[1].len());
+            mixed[0] = &toks[at..at + CHUNK];
+            batched_step(
+                &model,
+                mixed,
+                &mut caches,
+                &mut scratches,
+                &mut decode_cache,
+                &workers,
+            );
+        }
+        for _ in 0..11 {
+            let at = caches[1].len();
+            batched_step(
+                &model,
+                ones(at),
+                &mut caches,
+                &mut scratches,
+                &mut decode_cache,
+                &workers,
+            );
+        }
+        let after = thread_allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "{storage:?}: batched steps allocated {} times",
+            after - before
+        );
+        assert_eq!(caches[0].len(), 1 + 3 * CHUNK + 11);
+        assert!(!caches[1].len().is_multiple_of(page_positions));
     }
 }

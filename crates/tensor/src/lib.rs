@@ -18,6 +18,7 @@
 pub mod matrix;
 pub mod ops;
 pub mod rng;
+mod tile;
 
 pub use matrix::Matrix;
 pub use rng::Rng;

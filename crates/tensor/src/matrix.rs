@@ -1,11 +1,14 @@
 //! Row-major `f32` matrices.
 //!
 //! The GeMM kernels carry AVX2/NEON legs behind [`anda_fp::simd`]'s
-//! runtime dispatch. Vectorization is across output columns — each
-//! vector lane owns one output element and accumulates over k in the
-//! same ascending order as the scalar kernel, with separate multiply
+//! runtime dispatch. `matmul_into`'s legs are an output-stationary
+//! register tile (4 rows × 16 columns of accumulators walked over `k`,
+//! `rhs` column strips packed contiguous — `tile.rs`); the transposed
+//! kernel's transpose 8×8 (4×4) blocks of `rhs` in registers. In both,
+//! each vector lane owns one output element and accumulates over `k` in
+//! the same ascending order as the scalar kernel, with separate multiply
 //! and add (no FMA contraction) — so every leg is `f32::to_bits`-
-//! identical to the scalar oracle on any input, preserving the
+//! identical to the scalar oracle for finite operands, preserving the
 //! bit-exactness invariant the serving stack is built on.
 
 use core::fmt;
@@ -14,11 +17,14 @@ use core::ops::{Index, IndexMut};
 use anda_fp::simd::{active_leg, SimdLeg};
 use rayon_lite::ThreadPool;
 
+use crate::tile::{self, OutBlock, TILE_COLS, TILE_ROWS};
+
 /// Below this many multiply-adds a GeMM runs serially even when the
-/// global pool has threads: dispatch overhead (a mutex push plus a condvar
-/// wakeup per chunk) would exceed the compute. Results are unaffected —
-/// the parallel kernels are bit-identical to the serial ones.
-const PAR_MIN_MULADDS: usize = 128 * 1024;
+/// pool has threads: dispatch overhead (a mutex push plus a condvar
+/// wakeup per chunk) would exceed the compute — the bound is about
+/// 20 µs of the tiled kernel. Results are unaffected — the parallel
+/// kernels are bit-identical to the serial ones.
+const PAR_MIN_MULADDS: usize = 512 * 1024;
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -191,24 +197,34 @@ impl Matrix {
         out
     }
 
-    /// Matrix multiplication writing into a preallocated output.
-    ///
-    /// Large products are sharded by output rows across the global
-    /// [`rayon_lite`] pool (sized by `ANDA_THREADS`); small ones run the
-    /// serial kernel directly. Both paths execute the identical blocked
-    /// kernel per output row, so results are bit-identical to
-    /// [`Matrix::matmul_into_serial`] at every thread count.
+    /// Matrix multiplication writing into a preallocated output, on the
+    /// global [`rayon_lite`] pool (sized by `ANDA_THREADS`); see
+    /// [`Matrix::matmul_into_on`].
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        let pool = rayon_lite::global();
+        self.matmul_into_on(rhs, out, Some(rayon_lite::global()));
+    }
+
+    /// [`Matrix::matmul_into`] on the caller's pool: large products are
+    /// sharded across it ([`Matrix::matmul_into_pool`]), small ones — and
+    /// everything when `pool` is `None` — run the serial kernel. Every
+    /// output element accumulates over k in the same order either way,
+    /// so results are bit-identical to [`Matrix::matmul_into_serial`] at
+    /// every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: Option<&ThreadPool>) {
         let muladds = self.rows * self.cols * rhs.cols;
-        if pool.threads() > 1 && self.rows > 1 && muladds >= PAR_MIN_MULADDS {
-            self.matmul_into_pool(rhs, out, pool);
-        } else {
-            self.matmul_into_serial(rhs, out);
+        match pool {
+            Some(pool) if pool.threads() > 1 && muladds >= PAR_MIN_MULADDS => {
+                self.matmul_into_pool(rhs, out, pool)
+            }
+            _ => self.matmul_into_serial(rhs, out),
         }
     }
 
@@ -244,10 +260,14 @@ impl Matrix {
         self.matmul_rows_leg(rhs, &mut out.data, 0, leg);
     }
 
-    /// [`Matrix::matmul_into`] on an explicit pool, always sharding the
-    /// output rows across its threads (used by the cross-thread-count
-    /// bit-exactness tests and the threading bench; production code calls
-    /// [`Matrix::matmul_into`], which picks the global pool).
+    /// [`Matrix::matmul_into`] on an explicit pool, always sharding
+    /// across its threads (the cross-thread-count bit-exactness tests
+    /// and the threading bench call it directly). With at least one
+    /// register tile of rows per thread the output is split into row
+    /// ranges on tile boundaries; with fewer rows — a decode step — the
+    /// vector legs split it into column-strip ranges instead, so every
+    /// thread streams its own share of `rhs` once. Both are bit-identical
+    /// to the serial kernel.
     ///
     /// # Panics
     ///
@@ -258,9 +278,30 @@ impl Matrix {
         if n == 0 {
             return;
         }
-        let rows_per_chunk = self.rows.div_ceil(pool.threads()).max(1);
-        pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
-            self.matmul_rows(rhs, chunk, idx * rows_per_chunk);
+        let leg = active_leg();
+        let threads = pool.threads();
+        if leg == SimdLeg::Scalar || self.rows >= TILE_ROWS * threads {
+            let rows_per_chunk = self.rows.div_ceil(threads).next_multiple_of(TILE_ROWS);
+            pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
+                self.matmul_rows_leg(rhs, chunk, idx * rows_per_chunk, leg);
+            });
+            return;
+        }
+        let cols_per_job = n.div_ceil(threads).next_multiple_of(TILE_COLS);
+        let ptr = out.data.as_mut_ptr();
+        pool.scope(|s| {
+            for c0 in (0..n).step_by(cols_per_job) {
+                let block = OutBlock {
+                    ptr,
+                    row0: 0,
+                    rows: self.rows,
+                    cols: c0..(c0 + cols_per_job).min(n),
+                };
+                // SAFETY: `out` is exclusively borrowed until the scope
+                // joins, holds `rows` rows of `n`, and the jobs' column
+                // ranges are disjoint.
+                s.spawn(move || unsafe { self.matmul_block_leg(rhs, &block, leg) });
+            }
         });
     }
 
@@ -277,27 +318,59 @@ impl Matrix {
         );
     }
 
-    /// The blocked ikj kernel over output rows `[row0, row0 + rows_here)`,
-    /// where `rows_here = out_rows.len() / rhs.cols`. Each output element
-    /// accumulates over k in ascending order regardless of `row0` or the
-    /// tile boundaries, which is what makes any row sharding bit-identical
-    /// to the full-range serial call.
-    fn matmul_rows(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        self.matmul_rows_leg(rhs, out_rows, row0, active_leg());
+    /// Output rows `[row0, row0 + rows_here)`, where `rows_here =
+    /// out_rows.len() / rhs.cols`, on `leg`. Each output element
+    /// accumulates over k in ascending order regardless of `row0`, the
+    /// leg or any tile boundary, which is what makes every sharding
+    /// bit-identical to the full-range serial call.
+    fn matmul_rows_leg(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize, leg: SimdLeg) {
+        if leg == SimdLeg::Scalar {
+            return self.matmul_rows_scalar(rhs, out_rows, row0);
+        }
+        let block = OutBlock {
+            ptr: out_rows.as_mut_ptr(),
+            row0,
+            rows: out_rows.len() / rhs.cols,
+            cols: 0..rhs.cols,
+        };
+        // SAFETY: `out_rows` is exclusively borrowed and holds exactly
+        // `rows` full output rows, so the block covers memory this call
+        // owns.
+        unsafe { self.matmul_block_leg(rhs, &block, leg) }
     }
 
-    fn matmul_rows_leg(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize, leg: SimdLeg) {
+    /// Runs the register-tiled kernel of a vector leg over `block`.
+    ///
+    /// # Safety
+    ///
+    /// `block.ptr` must be valid for writes of `block.rows` rows of
+    /// `rhs.cols` elements, and nothing else may access the block's
+    /// columns of those rows during the call.
+    unsafe fn matmul_block_leg(&self, rhs: &Matrix, block: &OutBlock, leg: SimdLeg) {
         match leg {
-            SimdLeg::Scalar => self.matmul_rows_scalar(rhs, out_rows, row0),
             #[cfg(target_arch = "x86_64")]
-            SimdLeg::Avx2 => unsafe { self.matmul_rows_avx2(rhs, out_rows, row0) },
+            SimdLeg::Avx2 => {
+                <tile::Avx2 as tile::Leg>::block(&self.data, self.cols, &rhs.data, rhs.cols, block)
+            }
             #[cfg(target_arch = "aarch64")]
-            SimdLeg::Neon => unsafe { self.matmul_rows_neon(rhs, out_rows, row0) },
+            SimdLeg::Neon => {
+                <tile::Neon as tile::Leg>::block(&self.data, self.cols, &rhs.data, rhs.cols, block)
+            }
             #[allow(unreachable_patterns)]
-            other => panic!("SIMD leg {} unavailable on this host", other.name()),
+            other => panic!("SIMD leg {} has no tiled kernel on this host", other.name()),
         }
     }
 
+    /// The scalar oracle every vector leg is pinned to: a blocked ikj
+    /// axpy walk, `out[i][j] += a[i][k] · b[k][j]` for ascending `k`,
+    /// one rounding per multiply and per add.
+    ///
+    /// It skips `a == 0`. That is an optimisation, not part of the
+    /// contract the legs share: an accumulator that starts at `+0.0`
+    /// never becomes `-0.0` under round-to-nearest (a sum is `-0.0` only
+    /// when both addends are), so adding `0 · b = ±0` is the identity
+    /// for every finite `rhs` and a kernel that does not skip produces
+    /// the same bits.
     fn matmul_rows_scalar(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
         // Tile sizes: an i-tile of output rows shares one pass over a
         // KB-row panel of rhs (≈ KB·cols f32 ≤ a few hundred KiB, L2-sized).
@@ -320,103 +393,6 @@ impl Matrix {
                             continue;
                         }
                         for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// AVX2 leg of the blocked ikj kernel: identical blocking, but the
-    /// inner j-loop broadcasts `a` and updates 8 output columns per step
-    /// with separate multiply and add. Each output element still
-    /// accumulates over k in ascending order with one rounding per
-    /// multiply and per add, so the result is bit-identical to
-    /// [`Matrix::matmul_rows_scalar`]. The `a == 0` skip is preserved
-    /// (adding `0·b` would be bit-identical too, but skipping keeps the
-    /// scalar kernel's sparsity win).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (callers go through the dispatch layer).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn matmul_rows_avx2(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        use core::arch::x86_64::*;
-        const IB: usize = 32;
-        const KB: usize = 256;
-        let n = rhs.cols;
-        let nv = n - n % 8;
-        let rows_here = out_rows.len() / n;
-        out_rows.fill(0.0);
-        for li0 in (0..rows_here).step_by(IB) {
-            let li1 = (li0 + IB).min(rows_here);
-            for k0 in (0..self.cols).step_by(KB) {
-                let k1 = (k0 + KB).min(self.cols);
-                for li in li0..li1 {
-                    let i = row0 + li;
-                    let a_row = &self.data[i * self.cols + k0..i * self.cols + k1];
-                    let out_row = &mut out_rows[li * n..(li + 1) * n];
-                    let b_panel = rhs.data[k0 * n..k1 * n].chunks_exact(n);
-                    for (&a, b_row) in a_row.iter().zip(b_panel) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let av = _mm256_set1_ps(a);
-                        for j in (0..nv).step_by(8) {
-                            let o = _mm256_loadu_ps(out_row.as_ptr().add(j));
-                            let b = _mm256_loadu_ps(b_row.as_ptr().add(j));
-                            let sum = _mm256_add_ps(o, _mm256_mul_ps(av, b));
-                            _mm256_storeu_ps(out_row.as_mut_ptr().add(j), sum);
-                        }
-                        for (o, &b) in out_row[nv..].iter_mut().zip(&b_row[nv..]) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// NEON leg of the blocked ikj kernel: the 4-lane mirror of the AVX2
-    /// leg.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON.
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn matmul_rows_neon(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        use core::arch::aarch64::*;
-        const IB: usize = 32;
-        const KB: usize = 256;
-        let n = rhs.cols;
-        let nv = n - n % 4;
-        let rows_here = out_rows.len() / n;
-        out_rows.fill(0.0);
-        for li0 in (0..rows_here).step_by(IB) {
-            let li1 = (li0 + IB).min(rows_here);
-            for k0 in (0..self.cols).step_by(KB) {
-                let k1 = (k0 + KB).min(self.cols);
-                for li in li0..li1 {
-                    let i = row0 + li;
-                    let a_row = &self.data[i * self.cols + k0..i * self.cols + k1];
-                    let out_row = &mut out_rows[li * n..(li + 1) * n];
-                    let b_panel = rhs.data[k0 * n..k1 * n].chunks_exact(n);
-                    for (&a, b_row) in a_row.iter().zip(b_panel) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let av = vdupq_n_f32(a);
-                        for j in (0..nv).step_by(4) {
-                            let o = vld1q_f32(out_row.as_ptr().add(j));
-                            let b = vld1q_f32(b_row.as_ptr().add(j));
-                            // vaddq+vmulq, not vfmaq: the scalar kernel
-                            // rounds the product before the add.
-                            vst1q_f32(out_row.as_mut_ptr().add(j), vaddq_f32(o, vmulq_f32(av, b)));
-                        }
-                        for (o, &b) in out_row[nv..].iter_mut().zip(&b_row[nv..]) {
                             *o += a * b;
                         }
                     }
@@ -605,13 +581,16 @@ impl Matrix {
         }
     }
 
-    /// AVX2 leg of the transposed kernel: 4 output rows × 8 output
-    /// columns of vector accumulators. Per 8-wide k-tile the 8×8 block
+    /// AVX2 leg of the transposed kernel: up to 4 output rows × 8 output
+    /// columns of vector accumulators (the last one to three rows of a
+    /// range run the same tile at their own height, so an LM head over a
+    /// handful of streams never leaves the vector path). Per 8-wide
+    /// k-tile the 8×8 block
     /// of `rhs` is loaded row-wise and transposed in registers, after
     /// which lane `j` of every accumulator walks k in ascending order
     /// with separate multiply and add — the same per-element operation
-    /// sequence as the scalar kernel, hence bit-identical. Ragged rows,
-    /// columns and k-tails fall back to the scalar edge dot.
+    /// sequence as the scalar kernel, hence bit-identical. Ragged
+    /// columns fall back to the scalar edge dot.
     ///
     /// # Safety
     ///
@@ -651,17 +630,22 @@ impl Matrix {
             r[7] = _mm256_permute2f128_ps::<0x31>(s3, s7);
         }
 
-        const TI: usize = 4;
-        let k = self.cols;
-        let n = rhs.rows;
-        let rows_here = out_rows.len() / n;
-        let mi = rows_here - rows_here % TI;
-        let nj = n - n % 8;
-        let kb = k - k % 8;
-        for li0 in (0..mi).step_by(TI) {
-            let i0 = row0 + li0;
+        /// `R` output rows × every whole 8-column block.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn row_tile<const R: usize>(
+            lhs: &Matrix,
+            rhs: &Matrix,
+            out_rows: &mut [f32],
+            li0: usize,
+            i0: usize,
+        ) {
+            let k = lhs.cols;
+            let n = rhs.rows;
+            let nj = n - n % 8;
+            let kb = k - k % 8;
             for j0 in (0..nj).step_by(8) {
-                let mut acc = [_mm256_setzero_ps(); TI];
+                let mut acc = [_mm256_setzero_ps(); R];
                 for k0 in (0..kb).step_by(8) {
                     let mut bt = [
                         _mm256_loadu_ps(rhs.data.as_ptr().add(j0 * k + k0)),
@@ -676,7 +660,7 @@ impl Matrix {
                     transpose8(&mut bt);
                     for (t, &bv) in bt.iter().enumerate() {
                         for (di, accv) in acc.iter_mut().enumerate() {
-                            let a = self.data[(i0 + di) * k + k0 + t];
+                            let a = lhs.data[(i0 + di) * k + k0 + t];
                             *accv = _mm256_add_ps(*accv, _mm256_mul_ps(_mm256_set1_ps(a), bv));
                         }
                     }
@@ -693,7 +677,7 @@ impl Matrix {
                         rhs.data[(j0 + 7) * k + kk],
                     );
                     for (di, accv) in acc.iter_mut().enumerate() {
-                        let a = self.data[(i0 + di) * k + kk];
+                        let a = lhs.data[(i0 + di) * k + kk];
                         *accv = _mm256_add_ps(*accv, _mm256_mul_ps(_mm256_set1_ps(a), bv));
                     }
                 }
@@ -702,22 +686,32 @@ impl Matrix {
                 }
             }
         }
-        let edge_dot = |i: usize, j: usize| -> f32 {
-            let mut acc = 0.0f32;
-            for (&x, &y) in self.row(i).iter().zip(rhs.row(j)) {
-                acc += x * y;
+
+        let n = rhs.rows;
+        let rows_here = out_rows.len() / n;
+        for li0 in (0..rows_here).step_by(4) {
+            let i0 = row0 + li0;
+            match rows_here - li0 {
+                1 => row_tile::<1>(self, rhs, out_rows, li0, i0),
+                2 => row_tile::<2>(self, rhs, out_rows, li0, i0),
+                3 => row_tile::<3>(self, rhs, out_rows, li0, i0),
+                _ => row_tile::<4>(self, rhs, out_rows, li0, i0),
             }
-            acc
-        };
+        }
+        // The ragged column tail is plain sequential dots (same
+        // accumulation order as the tiles).
         for li in 0..rows_here {
-            let j_start = if li < mi { nj } else { 0 };
-            for j in j_start..n {
-                out_rows[li * n + j] = edge_dot(row0 + li, j);
+            for j in n - n % 8..n {
+                let mut acc = 0.0f32;
+                for (&x, &y) in self.row(row0 + li).iter().zip(rhs.row(j)) {
+                    acc += x * y;
+                }
+                out_rows[li * n + j] = acc;
             }
         }
     }
 
-    /// NEON leg of the transposed kernel: 4 output rows × 4 output
+    /// NEON leg of the transposed kernel: up to 4 output rows × 4 output
     /// columns of vector accumulators with an in-register 4×4 `rhs`
     /// transpose per k-tile; same ascending-k multiply-then-add order as
     /// the scalar kernel.
@@ -729,17 +723,23 @@ impl Matrix {
     #[target_feature(enable = "neon")]
     unsafe fn matmul_transposed_rows_neon(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
         use core::arch::aarch64::*;
-        const TI: usize = 4;
-        let k = self.cols;
-        let n = rhs.rows;
-        let rows_here = out_rows.len() / n;
-        let mi = rows_here - rows_here % TI;
-        let nj = n - n % 4;
-        let kb = k - k % 4;
-        for li0 in (0..mi).step_by(TI) {
-            let i0 = row0 + li0;
+
+        /// `R` output rows × every whole 4-column block.
+        #[inline]
+        #[target_feature(enable = "neon")]
+        unsafe fn row_tile<const R: usize>(
+            lhs: &Matrix,
+            rhs: &Matrix,
+            out_rows: &mut [f32],
+            li0: usize,
+            i0: usize,
+        ) {
+            let k = lhs.cols;
+            let n = rhs.rows;
+            let nj = n - n % 4;
+            let kb = k - k % 4;
             for j0 in (0..nj).step_by(4) {
-                let mut acc = [vdupq_n_f32(0.0); TI];
+                let mut acc = [vdupq_n_f32(0.0); R];
                 for k0 in (0..kb).step_by(4) {
                     let r0 = vld1q_f32(rhs.data.as_ptr().add(j0 * k + k0));
                     let r1 = vld1q_f32(rhs.data.as_ptr().add((j0 + 1) * k + k0));
@@ -755,7 +755,7 @@ impl Matrix {
                     ];
                     for (t, &bv) in bt.iter().enumerate() {
                         for (di, accv) in acc.iter_mut().enumerate() {
-                            let a = self.data[(i0 + di) * k + k0 + t];
+                            let a = lhs.data[(i0 + di) * k + k0 + t];
                             // vaddq+vmulq, not vfmaq: match scalar rounding.
                             *accv = vaddq_f32(*accv, vmulq_f32(vdupq_n_f32(a), bv));
                         }
@@ -770,7 +770,7 @@ impl Matrix {
                     ];
                     let bv = vld1q_f32(b.as_ptr());
                     for (di, accv) in acc.iter_mut().enumerate() {
-                        let a = self.data[(i0 + di) * k + kk];
+                        let a = lhs.data[(i0 + di) * k + kk];
                         *accv = vaddq_f32(*accv, vmulq_f32(vdupq_n_f32(a), bv));
                     }
                 }
@@ -779,17 +779,25 @@ impl Matrix {
                 }
             }
         }
-        let edge_dot = |i: usize, j: usize| -> f32 {
-            let mut acc = 0.0f32;
-            for (&x, &y) in self.row(i).iter().zip(rhs.row(j)) {
-                acc += x * y;
+
+        let n = rhs.rows;
+        let rows_here = out_rows.len() / n;
+        for li0 in (0..rows_here).step_by(4) {
+            let i0 = row0 + li0;
+            match rows_here - li0 {
+                1 => row_tile::<1>(self, rhs, out_rows, li0, i0),
+                2 => row_tile::<2>(self, rhs, out_rows, li0, i0),
+                3 => row_tile::<3>(self, rhs, out_rows, li0, i0),
+                _ => row_tile::<4>(self, rhs, out_rows, li0, i0),
             }
-            acc
-        };
+        }
         for li in 0..rows_here {
-            let j_start = if li < mi { nj } else { 0 };
-            for j in j_start..n {
-                out_rows[li * n + j] = edge_dot(row0 + li, j);
+            for j in n - n % 4..n {
+                let mut acc = 0.0f32;
+                for (&x, &y) in self.row(row0 + li).iter().zip(rhs.row(j)) {
+                    acc += x * y;
+                }
+                out_rows[li * n + j] = acc;
             }
         }
     }
@@ -802,6 +810,14 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Grows the allocation so that a later [`Matrix::resize`] to
+    /// `rows × cols` (or anything smaller) does not allocate. Shape and
+    /// contents are untouched.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        self.data
+            .reserve((rows * cols).saturating_sub(self.data.len()));
     }
 
     /// Copies `src` into `self`, adopting its shape and reusing the
@@ -1141,6 +1157,49 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(same_t, "matmul_t leg={} shape {m}x{k}x{n}", leg.name());
             }
+        }
+    }
+
+    #[test]
+    fn multiplying_by_a_zero_equals_skipping_it() {
+        // The scalar oracle skips `a == 0`; the register tiles (four or
+        // more rows) multiply through. Accumulators start at +0.0 and can
+        // never become -0.0, so `acc + 0·b` is `acc` for every finite
+        // `b`: all-zero rows of either sign give +0.0 everywhere, and
+        // zeros scattered through a dense row change nothing.
+        use anda_fp::simd::available_legs;
+        let (m, k, n) = (6, 40, 33);
+        let mut a = Matrix::from_vec(
+            m,
+            k,
+            (0..m * k)
+                .map(|i| match (i / k, i % 3) {
+                    (0, _) => 0.0,
+                    (1, _) => -0.0,
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    _ => (i as f32 * 0.7).cos(),
+                })
+                .collect(),
+        );
+        a.row_mut(5).iter_mut().for_each(|x| *x = x.abs() + 0.5);
+        let b = Matrix::from_vec(
+            k,
+            n,
+            (0..k * n).map(|i| (i as f32 * 0.3).sin() * 1e3).collect(),
+        );
+        let mut oracle = Matrix::zeros(m, n);
+        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
+        assert!(oracle.as_slice()[..2 * n].iter().all(|x| x.to_bits() == 0));
+        for leg in available_legs() {
+            let mut out = Matrix::zeros(m, n);
+            a.matmul_into_serial_with_leg(&b, &mut out, leg);
+            let same = out
+                .as_slice()
+                .iter()
+                .zip(oracle.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "leg {}", leg.name());
         }
     }
 

@@ -1,0 +1,405 @@
+//! The register-tiled GEMM kernel behind [`crate::Matrix::matmul_into`]'s
+//! vector legs.
+//!
+//! Output-stationary: a tile of [`TILE_ROWS`]` × `[`TILE_COLS`] output
+//! elements lives in vector registers while `k` walks a panel, so every
+//! `rhs` vector loaded feeds four rows and every `lhs` scalar sixteen
+//! columns, and the output is touched once per panel instead of once per
+//! `k`. A strip's panel is first packed contiguous: in place it strides by
+//! a whole `rhs` row — one cache line per `k`, each in a different page,
+//! evicting itself from a power-of-two-strided L1 set — whereas the
+//! packing loop is nothing but independent loads. `rhs` is streamed from
+//! memory exactly once per call however many rows there are; with the
+//! weights of a whole model cycling through a step that, not the
+//! arithmetic, is what a small batch is bound by, so the panel walk comes
+//! in two orders:
+//!
+//! * **Few rows** (below [`DEEP_MIN_ROWS`], a decode batch): k panel →
+//!   column strip → row tile over [`KC_SHALLOW`]-deep panels. A panel is
+//!   eight whole `rhs` rows swept left to right — eight ascending address
+//!   streams the hardware prefetchers follow, helped by a software
+//!   prefetch [`PREFETCH_STRIPS`] strips ahead (eight lines per strip: a
+//!   deeper panel overflows the L1 set a power-of-two row stride maps a
+//!   strip's lines to). With one or two row tiles per strip there is no
+//!   arithmetic to hide a strided fetch behind: walked the deep way, a
+//!   cold 8-row GEMM ran at 0.45 of the tile's L1-resident speed and most
+//!   of a decode step was memory stall, whose length does not follow the
+//!   core's clock; this way it runs at 0.75, cold or hot.
+//! * **Many rows** (a prefill chunk): column strip → k panel → row tile
+//!   over [`KC`]-deep panels, so the output block — too big for the L1 by
+//!   now — is loaded and stored once per 256 `k` instead of once per 8,
+//!   and eight or more row tiles of arithmetic per packed panel cover the
+//!   strided fetch (0.8–0.85 of L1-resident speed at 64 rows; the shallow
+//!   order reads 0.6–0.7 there).
+//!
+//! Fewer than [`TILE_ROWS`] rows take the single-row axpy walk instead:
+//! it streams `rhs` rows contiguously, which one to three rows of
+//! arithmetic cannot beat by packing first, and it skips the zeros a
+//! post-ReLU row is half made of.
+//!
+//! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
+//! accumulated in ascending `k` from `+0.0`, multiply then add, never
+//! fused — the operation sequence of the scalar oracle
+//! (`Matrix::matmul_rows_scalar`), so every leg, tile boundary, panel
+//! order and sharding is `f32::to_bits`-identical to it for finite `rhs`
+//! (a panel boundary only parks the accumulators in the output, an exact
+//! `f32` round trip). The oracle's `a == 0` skip is not part of that
+//! contract (see its docs); the tiles do not skip, the axpy walk does.
+
+use core::ops::Range;
+
+/// Output rows per register tile.
+pub(crate) const TILE_ROWS: usize = 4;
+/// Output columns per register tile (two AVX2 / four NEON vectors).
+pub(crate) const TILE_COLS: usize = 16;
+/// Depth of one k panel of the many-rows order: a packed strip panel is
+/// `KC × TILE_COLS` f32 (16 KiB, L1-resident).
+const KC: usize = 256;
+/// Depth of one k panel of the few-rows order.
+const KC_SHALLOW: usize = 8;
+/// Row count from which the many-rows order is used.
+const DEEP_MIN_ROWS: usize = 32;
+/// How many strips ahead of the one being packed the few-rows order
+/// prefetches.
+const PREFETCH_STRIPS: usize = 4;
+
+/// A `rows × cols` block of a row-major output with `n`-element rows,
+/// addressed through a raw pointer so pool jobs can own disjoint column
+/// ranges of the same rows.
+pub(crate) struct OutBlock {
+    /// Element `(row0, 0)` of the output.
+    pub ptr: *mut f32,
+    /// The `lhs` row the block's first row is computed from.
+    pub row0: usize,
+    pub rows: usize,
+    pub cols: Range<usize>,
+}
+
+// SAFETY: an `OutBlock` is only a description; the `unsafe` contract of
+// `matmul_block` makes whoever builds one responsible for exclusive
+// access to the elements it names.
+unsafe impl Send for OutBlock {}
+unsafe impl Sync for OutBlock {}
+
+/// One vector leg: its two inner loops, its prefetch hint and the entry
+/// point compiled with its CPU feature.
+pub(crate) trait Leg {
+    /// `c[r][0..16] (+)= Σ_kk a[r][kk] · b[kk][0..16]` for `r < rows`
+    /// (`1..=TILE_ROWS`) and `kk < kc`, ascending; accumulators start at
+    /// `+0.0` when `first`, else at `c`'s current contents.
+    ///
+    /// # Safety
+    ///
+    /// Needs the leg's CPU feature; `a` must be readable at
+    /// `r · lda + kk`, `b` (a packed panel) at `kk · 16 + 0..16`, and `c`
+    /// readable and writable at `r · ldc + 0..16`.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile(
+        rows: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        first: bool,
+    );
+
+    /// `c[j] = Σ_kk a[kk] · b[kk · ldb + j]` for `j < width`: one output
+    /// row over contiguous `rhs` rows, skipping `a[kk] == 0`.
+    ///
+    /// # Safety
+    ///
+    /// Needs the leg's CPU feature; `b` must be readable at
+    /// `kk · ldb + 0..width` for `kk < a.len()` and `c` writable at
+    /// `0..width`.
+    unsafe fn axpy_row(a: &[f32], b: *const f32, ldb: usize, c: *mut f32, width: usize);
+
+    /// Hints that the cache line at `p` is about to be read. `p` need not
+    /// be readable: a prefetch never faults. The default does nothing and
+    /// leaves the stream to the hardware prefetchers.
+    #[inline(always)]
+    fn prefetch(_p: *const f32) {}
+
+    /// [`matmul_block`] compiled with the leg's CPU feature enabled, so
+    /// that the tile and the axpy walk inline into the panel loops (a
+    /// shallow panel is eight `k` steps per tile call).
+    ///
+    /// # Safety
+    ///
+    /// [`matmul_block`]'s contract, and the CPU must support the leg.
+    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock);
+}
+
+/// Computes `block` of `lhs(· × k) · rhs(k × n)`; see the module docs.
+/// Called through [`Leg::block`].
+///
+/// # Safety
+///
+/// `block.ptr` must be valid for writes of `block.rows` rows of `n`
+/// elements and nothing else may access `block.cols` of those rows during
+/// the call. `lhs` must hold rows `block.row0 .. block.row0 + block.rows`
+/// and `rhs` `k` rows of `n`.
+#[inline(always)]
+unsafe fn matmul_block<L: Leg>(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock) {
+    let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
+    debug_assert!(lhs.len() >= (row0 + rows) * k && rhs.len() >= k * n && cols.end <= n);
+    let a = lhs.as_ptr().add(row0 * k);
+    let b = rhs.as_ptr();
+    let axpy_rows = |rows: Range<usize>, cols: Range<usize>| {
+        for i in rows {
+            let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
+            let c = out.add(i * n + cols.start);
+            // `wrapping_add`: with `k == 0` there is no `rhs` to point into.
+            L::axpy_row(a_row, b.wrapping_add(cols.start), n, c, cols.len());
+        }
+    };
+    if rows < TILE_ROWS || k == 0 {
+        return axpy_rows(0..rows, cols.clone());
+    }
+
+    let strips_end = cols.end - cols.len() % TILE_COLS;
+    let mut panel = [0.0f32; KC * TILE_COLS];
+    // Packs panel `k0..k0 + kc` of strip `j0` and runs every row tile over
+    // it; `ahead` is the strip to prefetch meanwhile, line for line.
+    let mut strip_panel = |j0: usize, k0: usize, kc: usize, ahead: Option<*const f32>| {
+        let strip = b.add(k0 * n + j0);
+        for kk in 0..kc {
+            if let Some(ahead) = ahead {
+                L::prefetch(ahead.wrapping_add(kk * n));
+            }
+            let dst = panel.as_mut_ptr().add(kk * TILE_COLS);
+            core::ptr::copy_nonoverlapping(strip.add(kk * n), dst, TILE_COLS);
+        }
+        for i0 in (0..rows).step_by(TILE_ROWS) {
+            let r = TILE_ROWS.min(rows - i0);
+            let c = out.add(i0 * n + j0);
+            L::tile(r, a.add(i0 * k + k0), k, panel.as_ptr(), kc, c, n, k0 == 0);
+        }
+    };
+    if rows < DEEP_MIN_ROWS {
+        let width = strips_end - cols.start;
+        for k0 in (0..k).step_by(KC_SHALLOW) {
+            let kc = KC_SHALLOW.min(k - k0);
+            for j0 in (cols.start..strips_end).step_by(TILE_COLS) {
+                // The strip `PREFETCH_STRIPS` further on in the sweep,
+                // which past the block's last strip continues at the first
+                // strips of the next panel. That panel may be short of
+                // `kc` rows: the hint is free to miss.
+                let at = j0 - cols.start + PREFETCH_STRIPS * TILE_COLS;
+                let k_ahead = k0 + at / width * KC_SHALLOW;
+                let ahead =
+                    (k_ahead < k).then(|| b.wrapping_add(k_ahead * n + cols.start + at % width));
+                strip_panel(j0, k0, kc, ahead);
+            }
+        }
+    } else {
+        for j0 in (cols.start..strips_end).step_by(TILE_COLS) {
+            for k0 in (0..k).step_by(KC) {
+                strip_panel(j0, k0, KC.min(k - k0), None);
+            }
+        }
+    }
+    if strips_end < cols.end {
+        axpy_rows(0..rows, strips_end..cols.end);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct Avx2;
+
+#[cfg(target_arch = "x86_64")]
+impl Leg for Avx2 {
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile(
+        rows: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        first: bool,
+    ) {
+        use core::arch::x86_64::*;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn rows_n<const R: usize>(
+            a: *const f32,
+            lda: usize,
+            b: *const f32,
+            kc: usize,
+            c: *mut f32,
+            ldc: usize,
+            first: bool,
+        ) {
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            if !first {
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    acc_r[0] = _mm256_loadu_ps(c.add(r * ldc));
+                    acc_r[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
+                }
+            }
+            for kk in 0..kc {
+                let b0 = _mm256_loadu_ps(b.add(kk * TILE_COLS));
+                let b1 = _mm256_loadu_ps(b.add(kk * TILE_COLS + 8));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    // mul then add, never fused: the scalar oracle
+                    // rounds the product before the sum.
+                    let av = _mm256_set1_ps(*a.add(r * lda + kk));
+                    acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(av, b0));
+                    acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(av, b1));
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                _mm256_storeu_ps(c.add(r * ldc), acc_r[0]);
+                _mm256_storeu_ps(c.add(r * ldc + 8), acc_r[1]);
+            }
+        }
+
+        match rows {
+            4 => rows_n::<4>(a, lda, b, kc, c, ldc, first),
+            3 => rows_n::<3>(a, lda, b, kc, c, ldc, first),
+            2 => rows_n::<2>(a, lda, b, kc, c, ldc, first),
+            _ => rows_n::<1>(a, lda, b, kc, c, ldc, first),
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn axpy_row(a: &[f32], b: *const f32, ldb: usize, c: *mut f32, width: usize) {
+        use core::arch::x86_64::*;
+        let wv = width - width % 8;
+        core::ptr::write_bytes(c, 0, width);
+        for (kk, &av) in a.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let b_row = b.add(kk * ldb);
+            let avv = _mm256_set1_ps(av);
+            for j in (0..wv).step_by(8) {
+                let o = _mm256_loadu_ps(c.add(j));
+                let bv = _mm256_loadu_ps(b_row.add(j));
+                _mm256_storeu_ps(c.add(j), _mm256_add_ps(o, _mm256_mul_ps(avv, bv)));
+            }
+            for j in wv..width {
+                *c.add(j) += av * *b_row.add(j);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn prefetch(p: *const f32) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: SSE is part of the x86_64 baseline and a prefetch has
+        // no architectural effect whatever the address.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock) {
+        matmul_block::<Self>(lhs, k, rhs, n, block)
+    }
+}
+
+#[cfg(target_arch = "aarch64")]
+pub(crate) struct Neon;
+
+/// The 4-lane mirror of [`Avx2`]: four vectors per tile row. It keeps the
+/// default (empty) `prefetch`: stable Rust has no aarch64 prefetch
+/// intrinsic, and the shallow panel order is already the address order the
+/// hardware prefetchers follow.
+#[cfg(target_arch = "aarch64")]
+impl Leg for Neon {
+    #[target_feature(enable = "neon")]
+    unsafe fn tile(
+        rows: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        first: bool,
+    ) {
+        use core::arch::aarch64::*;
+
+        #[inline]
+        #[target_feature(enable = "neon")]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn rows_n<const R: usize>(
+            a: *const f32,
+            lda: usize,
+            b: *const f32,
+            kc: usize,
+            c: *mut f32,
+            ldc: usize,
+            first: bool,
+        ) {
+            let mut acc = [[vdupq_n_f32(0.0); 4]; R];
+            if !first {
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    for (v, acc_v) in acc_r.iter_mut().enumerate() {
+                        *acc_v = vld1q_f32(c.add(r * ldc + 4 * v));
+                    }
+                }
+            }
+            for kk in 0..kc {
+                let bv = [
+                    vld1q_f32(b.add(kk * TILE_COLS)),
+                    vld1q_f32(b.add(kk * TILE_COLS + 4)),
+                    vld1q_f32(b.add(kk * TILE_COLS + 8)),
+                    vld1q_f32(b.add(kk * TILE_COLS + 12)),
+                ];
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    // vaddq + vmulq, not vfmaq: the scalar oracle rounds
+                    // the product before the sum.
+                    let av = vdupq_n_f32(*a.add(r * lda + kk));
+                    for (acc_v, &b_v) in acc_r.iter_mut().zip(&bv) {
+                        *acc_v = vaddq_f32(*acc_v, vmulq_f32(av, b_v));
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                for (v, &acc_v) in acc_r.iter().enumerate() {
+                    vst1q_f32(c.add(r * ldc + 4 * v), acc_v);
+                }
+            }
+        }
+
+        match rows {
+            4 => rows_n::<4>(a, lda, b, kc, c, ldc, first),
+            3 => rows_n::<3>(a, lda, b, kc, c, ldc, first),
+            2 => rows_n::<2>(a, lda, b, kc, c, ldc, first),
+            _ => rows_n::<1>(a, lda, b, kc, c, ldc, first),
+        }
+    }
+
+    #[target_feature(enable = "neon")]
+    unsafe fn axpy_row(a: &[f32], b: *const f32, ldb: usize, c: *mut f32, width: usize) {
+        use core::arch::aarch64::*;
+        let wv = width - width % 4;
+        core::ptr::write_bytes(c, 0, width);
+        for (kk, &av) in a.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let b_row = b.add(kk * ldb);
+            let avv = vdupq_n_f32(av);
+            for j in (0..wv).step_by(4) {
+                let o = vld1q_f32(c.add(j));
+                let bv = vld1q_f32(b_row.add(j));
+                vst1q_f32(c.add(j), vaddq_f32(o, vmulq_f32(avv, bv)));
+            }
+            for j in wv..width {
+                *c.add(j) += av * *b_row.add(j);
+            }
+        }
+    }
+
+    #[target_feature(enable = "neon")]
+    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock) {
+        matmul_block::<Self>(lhs, k, rhs, n, block)
+    }
+}

@@ -139,6 +139,101 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
     }
 }
 
+/// A hostile `m × k` lhs and finite `k × n` rhs for the tiled kernel,
+/// drawn from `seed`. Row `i` of the lhs is one of: dense; zero-heavy
+/// (nine in ten exact zeros of either sign — the oracle skips them, the
+/// tiles multiply them); subnormal-scaled; or *cancelling* — `+x` and
+/// `-x` against two identical rhs rows and zeros elsewhere, so the exact
+/// result is `+0.0` in every column. The rhs mixes magnitudes, both
+/// zeros and subnormals.
+fn hostile_operands(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut value = move || {
+        let r = next();
+        let v = ((r >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 10.0f32.powi((r % 7) as i32 - 3);
+        match r % 23 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(1 + (r >> 50) as u32),
+            3 => -f32::MIN_POSITIVE * 0.5,
+            _ => v,
+        }
+    };
+    let mut b = Matrix::zeros(k, n);
+    b.as_mut_slice().iter_mut().for_each(|x| *x = value());
+    // Rows 0 and k-1 of the rhs are identical, for the cancelling rows.
+    let first: Vec<f32> = b.row(0).to_vec();
+    b.row_mut(k - 1).copy_from_slice(&first);
+    let mut a = Matrix::zeros(m, k);
+    for i in 0..m {
+        let kind = (seed >> (i % 60)) as usize % 4 + i % 2;
+        for (kk, x) in a.row_mut(i).iter_mut().enumerate() {
+            *x = match kind {
+                0 => value(),
+                1 | 4 => match value() {
+                    v if kk % 10 == 3 => v,
+                    v if v < 0.0 => -0.0,
+                    _ => 0.0,
+                },
+                2 => value() * 1e-38,
+                _ => 0.0,
+            };
+        }
+        if kind == 3 && k > 1 {
+            a.row_mut(i)[0] = 1.75;
+            a.row_mut(i)[k - 1] = -1.75;
+        }
+    }
+    (a, b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The register-tiled GEMM against the scalar oracle: every
+    /// available leg of the serial kernel and every pool width, over row
+    /// counts on both sides of the tile height, of `4 × threads` and of
+    /// the 32 rows where the panel order switches (so tile interiors, the
+    /// partial last tile, the sub-tile axpy walk, the shallow and the
+    /// deep panel walk, row sharding and column-strip sharding all run),
+    /// `k` across the 8- and 256-deep panel boundaries, and column counts
+    /// with every kind of strip tail, wide enough for the shallow walk's
+    /// prefetch to stay in the row as well as to wrap into the next
+    /// panel.
+    #[test]
+    fn tiled_matmul_matches_the_scalar_oracle(
+        m in 1usize..=70,
+        k in 1usize..=300,
+        strips in 0usize..=6,
+        tail in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let n = (16 * strips + [0, 1, 8, 15][tail]).max(1);
+        let (a, b) = hostile_operands(m, k, n, seed);
+        let mut oracle = Matrix::zeros(m, n);
+        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
+        for leg in anda_fp::simd::available_legs() {
+            let mut out = Matrix::zeros(m, n);
+            out.as_mut_slice().fill(f32::NAN);
+            a.matmul_into_serial_with_leg(&b, &mut out, leg);
+            assert_bits_eq(&out, &oracle, &format!("{m}x{k}x{n} leg {}", leg.name()));
+        }
+        for threads in 1..=4 {
+            let pool = ThreadPool::new(threads);
+            let mut out = Matrix::zeros(m, n);
+            out.as_mut_slice().fill(f32::NAN);
+            a.matmul_into_pool(&b, &mut out, &pool);
+            assert_bits_eq(&out, &oracle, &format!("{m}x{k}x{n} @ {threads}t"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
