@@ -1,5 +1,6 @@
-//! Ablations of the design choices called out in `DESIGN.md` §6 and the
-//! paper's §IV/§VI discussions:
+//! Ablations of the design choices behind the format and KV crates
+//! (README, "Crate map" and "KV memory model") and the paper's §IV/§VI
+//! discussions:
 //!
 //! 1. **BPC on/off** — storage/energy effect of compressing MXU outputs at
 //!    runtime versus writing FP16 back to memory.

@@ -1,7 +1,7 @@
 //! Experiment harness for the Anda reproduction.
 //!
 //! Each table and figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (see `DESIGN.md` §5 for the index); this library holds the
+//! `src/bin/` (README, "Paper figure / table index"); this library holds the
 //! shared plumbing:
 //!
 //! - [`msweep`] — inputs and the per-token baseline of the GEMM M-sweep.

@@ -205,39 +205,27 @@ pub fn fake_quantize_f32(values: &[f32], config: BfpConfig) -> Vec<f32> {
     BfpTensor::from_f32_saturating(values, config).to_f32()
 }
 
-/// [`fake_quantize_f32`] writing into a caller-provided buffer, for hot
-/// paths (per-layer activation codecs) that must not reallocate.
+/// [`fake_quantize_f32`] in place — the per-layer activation codecs' hot
+/// path.
 ///
 /// This streams group by group with **no heap allocation**: the shared
 /// exponent comes from a first pass over the group, each element is then
-/// aligned and dequantized directly into `out`. The saturating FP16 cast
+/// aligned and dequantized where it lies. The saturating FP16 cast
 /// runs twice per element, trading a little redundant bit math for zero
 /// allocations; results are bit-identical to the [`BfpTensor`] path.
-///
-/// # Panics
-///
-/// Panics if `out.len() != values.len()`.
-pub fn fake_quantize_f32_into(values: &[f32], config: BfpConfig, out: &mut [f32]) {
-    assert_eq!(
-        out.len(),
-        values.len(),
-        "fake_quantize_f32_into length mismatch"
-    );
+pub fn fake_quantize_f32_in_place(values: &mut [f32], config: BfpConfig) {
     let m = config.mantissa_bits;
-    for (chunk, out_chunk) in values
-        .chunks(config.group_size)
-        .zip(out.chunks_mut(config.group_size))
-    {
+    for chunk in values.chunks_mut(config.group_size) {
         let shared_exp = chunk
             .iter()
             .map(|&v| saturate_to_f16(v).significand().biased_exp)
             .max()
             .unwrap_or(1);
         let ulp = crate::align::exp2f(i32::from(shared_exp) - 14 - m as i32);
-        for (&v, slot) in chunk.iter().zip(out_chunk) {
-            let sig = saturate_to_f16(v).significand();
+        for v in chunk {
+            let sig = saturate_to_f16(*v).significand();
             let e = crate::align::align_element(sig, shared_exp, m, config.rounding);
-            *slot = e.dequantize(ulp);
+            *v = e.dequantize(ulp);
         }
     }
 }
@@ -263,8 +251,8 @@ mod tests {
         for (gs, m) in [(64usize, 4u32), (64, 8), (3, 1), (7, 16), (128, 11)] {
             let cfg = BfpConfig::new(gs, m).unwrap();
             let via_tensor = fake_quantize_f32(&vals, cfg);
-            let mut streamed = vec![0.0f32; vals.len()];
-            fake_quantize_f32_into(&vals, cfg, &mut streamed);
+            let mut streamed = vals.clone();
+            fake_quantize_f32_in_place(&mut streamed, cfg);
             for (i, (&a, &b)) in via_tensor.iter().zip(&streamed).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "gs={gs} m={m} i={i}: {a} vs {b}");
             }

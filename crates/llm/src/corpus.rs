@@ -4,7 +4,7 @@
 //! temperature sampling. The reference model is therefore near-optimal on
 //! its own corpus, and any activation-format degradation raises perplexity
 //! smoothly — the same monotone response the paper measures on real
-//! datasets (see `DESIGN.md`, substitutions). The three corpora differ in
+//! datasets (see the crate docs, [`crate`]). The three corpora differ in
 //! sampling temperature and seed, giving each model three distinct
 //! perplexity baselines, analogous to the dataset spread in Table II.
 

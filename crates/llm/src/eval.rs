@@ -15,6 +15,11 @@ pub const DEFAULT_WINDOW: usize = 256;
 /// within each window every position predicts its successor (teacher
 /// forcing with causal attention). Returns `exp(mean NLL)` in nats.
 ///
+/// Each window is one [`Model::forward`], i.e. one span of the served
+/// step body: under FP16 codecs the result is `f64::to_bits`-equal to
+/// the NLL of a teacher-forced [`Model::prefill`] / [`Model::decode_step`]
+/// loop (`kv_api.rs::perplexity_equals_the_teacher_forced_kv_loop`).
+///
 /// # Panics
 ///
 /// Panics if `window < 2` or fewer than 2 tokens are supplied.
@@ -27,8 +32,8 @@ pub fn perplexity(model: &Model, codecs: &CodecAssignment, tokens: &[usize], win
 
 /// [`perplexity`] with a caller-provided [`ForwardScratch`]: across many
 /// evaluations (a calibration grid, a precision search, a surrogate fit)
-/// every per-layer forward buffer — including the `T × vocab` logits — is
-/// allocated once and reused.
+/// the private cache's pages, the step's row block and the `T × vocab`
+/// logits are allocated once and reused.
 ///
 /// # Panics
 ///

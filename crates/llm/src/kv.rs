@@ -18,8 +18,9 @@
 //! # One read path
 //!
 //! Attention reads the cache through a single routine, the page walk of
-//! [`PageDecodeCache::attend`]: solo decode, decode batches and prefill
-//! chunk spans all describe their work as [`AttendLane`]s (a query, the
+//! [`PageDecodeCache::attend`]: solo decode, decode batches, prefill
+//! chunk spans and the full-sequence `Model::forward` (one span, every
+//! row a lane) all describe their work as [`AttendLane`]s (a query, the
 //! window it attends, where the result goes). The walk goes page by
 //! page, decodes each distinct physical Anda page once into a page-sized
 //! tile that stays in L1 while every lane viewing it consumes it, and

@@ -1,8 +1,9 @@
 //! Transformer inference substrate for the Anda reproduction.
 //!
 //! The paper evaluates Anda on OPT/LLaMA/LLaMA-2 checkpoints via PyTorch.
-//! Those weights are unavailable here, so this crate implements the
-//! *structural* substitute documented in `DESIGN.md`:
+//! Those weights are unavailable here, so this crate implements a
+//! *structural* substitute (README, "Crate map"; the modules below are
+//! the substitution itself):
 //!
 //! - [`config`] — model architecture descriptions for both families
 //!   (OPT-style: LayerNorm + ReLU FFN + learned positions; LLaMA-style:
@@ -15,9 +16,13 @@
 //!   `A_u`, `A_d`) and per-module codec assignments.
 //! - [`synth`] — deterministic weight synthesis with controllable outlier
 //!   channels (the mechanism behind the paper's observed sensitivities).
-//! - [`model`] — the inference engine: full-sequence forward passes with
-//!   per-module activation codecs, causal attention, and KV-cached
-//!   generation.
+//! - [`model`] — the inference engine: **one** transformer body, the
+//!   KV-cached row-block step, applying a per-module activation codec
+//!   assignment. KV-cached generation and serving run it under FP16
+//!   codecs; the full-sequence [`Model::forward`] (perplexity, the
+//!   precision search, the figure binaries) is one span of the same step
+//!   under the caller's assignment, bit-identical to decode under FP16
+//!   codecs.
 //! - [`corpus`] — synthetic evaluation corpora generated *by the reference
 //!   model itself* (three corpora standing in for WikiText-2/PTB/C4).
 //! - [`eval`] — perplexity and relative-accuracy measurement.

@@ -2,22 +2,26 @@
 //!
 //! [`Model`] holds effective (`f32`) weights plus, in [`WeightMode::Int4`]
 //! mode, the quantized [`IntWeightMatrix`] handles the hardware simulator
-//! and storage accounting use. Forward passes apply a per-module
-//! [`CodecAssignment`] to the four FP-INT GeMM activations — all other
-//! arithmetic (attention scores, softmax, norms, residuals) stays in
-//! floating point, matching the paper's methodology (§V-A keeps non-GeMM
-//! operators and the KV cache in FP16).
+//! and storage accounting use. A per-module [`CodecAssignment`] is applied
+//! to the four FP-INT GeMM activations — all other arithmetic (attention
+//! scores, softmax, norms, residuals) stays in floating point, matching
+//! the paper's methodology (§V-A keeps non-GeMM operators and the KV
+//! cache in FP16; here the cache's storage policy is its pool's, and
+//! [`Model::forward`]'s private cache keeps raw `f32` rows).
 //!
-//! The KV-cached path — everything served — is one body,
-//! [`Model::decode_hidden_batch`]'s row-block step: the tokens of every
-//! stream in a step (decode spans of one, prefill chunks of many) form
-//! one `rows × d_model` block, each weight multiplies it **once** per
-//! layer, and only RoPE, the K/V append and the page walk see streams.
+//! There is **one** transformer body, the row-block step behind
+//! [`Model::decode_hidden_batch`]: the tokens of every stream in a step
+//! (decode spans of one, prefill chunks of many) form one
+//! `rows × d_model` block, each weight multiplies it **once** per layer,
+//! and only RoPE, the K/V append and the page walk see streams.
 //! [`Model::prefill`], [`Model::decode_step`] and
-//! [`Model::decode_hidden`] are that step with a single entry.
+//! [`Model::decode_hidden`] are that step with a single entry under FP16
+//! codecs, and [`Model::forward`] is that step with a single entry under
+//! the caller's assignment, finishing every row instead of the last — so
+//! perplexity, the precision search and the figure binaries measure the
+//! code requests run.
 
 use anda_format::bfp::saturate_to_f16;
-use anda_fp::batch::saturate_f16_widen_in_place;
 use anda_quant::{IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{ops, Matrix, Rng};
 use rayon_lite::ThreadPool;
@@ -272,6 +276,17 @@ impl Model {
     /// Returns the `T × vocab` logit matrix. The four GeMM-module
     /// activations pass through `codecs`.
     ///
+    /// This is `tokens` as **one span** of the row-block step
+    /// ([`Model::decode_hidden_batch`]'s body) at position 0 of an empty
+    /// [`KvCache::new`] cache, with every row finished instead of the
+    /// last, then one LM head over the `T` rows. Under
+    /// [`CodecAssignment::fp16`] row `i` is bit-identical to
+    /// [`Model::decode_step`]'s logits at position `i` and the last row
+    /// to [`Model::prefill`]'s (pinned in `kv_api.rs` by
+    /// `forward_rows_equal_the_decode_step_loop_and_prefill`); under any
+    /// assignment row `i` equals the last row of a forward over
+    /// `tokens[..=i]`.
+    ///
     /// Allocates a fresh [`ForwardScratch`] per call; callers evaluating
     /// many sequences (perplexity windows, calibration sweeps) should hold
     /// one scratch and use [`Model::forward_with_scratch`].
@@ -286,89 +301,44 @@ impl Model {
         scratch.logits
     }
 
-    /// [`Model::forward`] with caller-provided buffers: the whole pass —
-    /// including the `T × vocab` logit matrix — lives in `scratch`, so no
-    /// allocation happens at steady state. Returns a borrow of
-    /// `scratch`'s logits.
+    /// [`Model::forward`] with caller-provided buffers: the cache, the
+    /// step's row block and the `T × vocab` logit matrix live in
+    /// `scratch`. At steady state — after two passes at the longest
+    /// length: the first sizes the buffers, the second's reset grows the
+    /// pool's free list to hold the pages — a pass allocates nothing on
+    /// the calling thread when the global pool has one thread (wider
+    /// pools box the jobs they dispatch;
+    /// `kv_alloc.rs::warmed_forward_allocates_zero_on_a_one_thread_pool`).
+    /// Returns a borrow of `scratch`'s logits.
     pub fn forward_with_scratch<'s>(
         &self,
         tokens: &[usize],
         codecs: &CodecAssignment,
         scratch: &'s mut ForwardScratch,
     ) -> &'s Matrix {
-        let t = tokens.len();
-        assert!(t > 0, "empty token sequence");
-        assert!(
-            t <= self.config.max_seq,
-            "sequence length {t} exceeds max_seq {}",
-            self.config.max_seq
-        );
-        let d = self.config.d_model;
-        let s = scratch;
-
-        // Embedding (+ learned positions for OPT).
-        let x = &mut s.x;
-        x.resize(t, d);
-        for (i, &tok) in tokens.iter().enumerate() {
-            assert!(tok < self.config.vocab, "token {tok} out of vocab");
-            x.row_mut(i).copy_from_slice(self.embed.row(tok));
-            if let Some(pos) = &self.pos_embed {
-                for (xv, &pv) in x.row_mut(i).iter_mut().zip(pos.row(i)) {
-                    *xv += pv;
-                }
-            }
-        }
-
-        for layer in &self.layers {
-            // Attention block.
-            s.h.copy_from(x);
-            self.apply_norm(&mut s.h, &layer.attn_gain, &layer.attn_bias);
-            codecs.qkv.apply_matrix_into(&s.h, &mut s.act);
-            s.qkv.resize(t, layer.wqkv.cols());
-            s.act.matmul_into(&layer.wqkv, &mut s.qkv);
-            self.attention_into(&s.qkv, t, &mut s.attn);
-            codecs.o.apply_matrix_into(&s.attn.out, &mut s.act);
-            s.proj.resize(t, d);
-            s.act.matmul_into(&layer.wo, &mut s.proj);
-            x.add_inplace(&s.proj);
-
-            // FFN block.
-            s.h.copy_from(x);
-            self.apply_norm(&mut s.h, &layer.ffn_gain, &layer.ffn_bias);
-            codecs.u.apply_matrix_into(&s.h, &mut s.act);
-            let hidden = match (&layer.wgate, self.config.family) {
-                (Some(wgate), Family::Llama) => {
-                    s.gate.resize(t, wgate.cols());
-                    s.act.matmul_into(wgate, &mut s.gate);
-                    s.hidden.resize(t, layer.wup.cols());
-                    s.act.matmul_into(&layer.wup, &mut s.hidden);
-                    for (u, &g) in s.hidden.as_mut_slice().iter_mut().zip(s.gate.as_slice()) {
-                        *u *= ops::silu(g);
-                    }
-                    &s.hidden
-                }
-                _ => {
-                    s.hidden.resize(t, layer.wup.cols());
-                    s.act.matmul_into(&layer.wup, &mut s.hidden);
-                    s.hidden.map_inplace(ops::relu);
-                    &s.hidden
-                }
-            };
-            codecs.d.apply_matrix_into(hidden, &mut s.act);
-            s.proj.resize(t, d);
-            s.act.matmul_into(&layer.wdown, &mut s.proj);
-            x.add_inplace(&s.proj);
-        }
-
-        self.apply_norm(x, &self.final_gain, &self.final_bias);
-        // Tied LM head: logits = x · Eᵀ (kept in FP, like the paper's
-        // non-GeMM operators).
-        s.logits.resize(t, self.embed.rows());
-        x.matmul_transposed_into(&self.embed, &mut s.logits);
-        if self.logit_scale != 1.0 {
-            s.logits.scale(self.logit_scale);
-        }
-        &s.logits
+        let ForwardScratch {
+            cache,
+            step,
+            logits,
+        } = scratch;
+        let n_layers = self.layers.len();
+        let cache = match cache {
+            Some(cache) if cache.n_layers() == n_layers => cache,
+            slot => slot.insert(KvCache::new(n_layers)),
+        };
+        cache.reset();
+        let pool = rayon_lite::global();
+        let mut block = std::mem::take(&mut step.pages);
+        let span = BatchEntry {
+            tokens,
+            pos: 0,
+            cache,
+            scratch: step,
+        };
+        self.step_rows(&mut [span], &mut block, Some(pool), codecs, Finish::AllRows);
+        self.lm_head(&block.rows.x, logits, pool);
+        step.pages = block;
+        logits
     }
 
     /// The current logit temperature scale.
@@ -402,67 +372,10 @@ impl Model {
         best.1
     }
 
-    fn apply_norm(&self, m: &mut Matrix, gain: &[f32], bias: &[f32]) {
-        match self.config.family {
-            Family::Opt => ops::layer_norm(m, gain, bias, NORM_EPS),
-            Family::Llama => ops::rms_norm(m, gain, NORM_EPS),
-        }
-    }
-
-    /// Multi-head causal attention over a fused `T × 3d` QKV matrix,
-    /// writing the result to `s.out`. All per-head intermediates reuse the
-    /// scratch buffers.
-    fn attention_into(&self, qkv: &Matrix, t: usize, s: &mut AttnScratch) {
-        let d = self.config.d_model;
-        let dh = self.config.d_head();
-        let scale = 1.0 / (dh as f32).sqrt();
-        s.out.resize(t, d);
-        // Heads normally tile the full width; if a hand-built config has
-        // d_model % n_heads != 0, zero the buffer so the uncovered tail
-        // columns stay deterministically 0.0 instead of holding stale data.
-        if self.config.n_heads * dh != d {
-            s.out.as_mut_slice().fill(0.0);
-        }
-
-        for head in 0..self.config.n_heads {
-            let off = head * dh;
-            // Gather per-head q, k, v (t × dh), applying RoPE if LLaMA.
-            s.q.resize(t, dh);
-            s.k.resize(t, dh);
-            s.v.resize(t, dh);
-            for i in 0..t {
-                for c in 0..dh {
-                    s.q[(i, c)] = qkv[(i, off + c)];
-                    s.k[(i, c)] = qkv[(i, d + off + c)];
-                    s.v[(i, c)] = qkv[(i, 2 * d + off + c)];
-                }
-                if self.config.family == Family::Llama {
-                    rope_in_place(s.q.row_mut(i), i);
-                    rope_in_place(s.k.row_mut(i), i);
-                }
-            }
-
-            // scores = q·kᵀ with causal mask, softmax, then ·v.
-            s.scores.resize(t, t);
-            s.q.matmul_transposed_into(&s.k, &mut s.scores);
-            s.scores.scale(scale);
-            for i in 0..t {
-                for j in (i + 1)..t {
-                    s.scores[(i, j)] = f32::NEG_INFINITY;
-                }
-            }
-            ops::softmax_rows(&mut s.scores);
-            s.head_out.resize(t, dh);
-            s.scores.matmul_into(&s.v, &mut s.head_out);
-            for i in 0..t {
-                s.out.row_mut(i)[off..off + dh].copy_from_slice(s.head_out.row(i));
-            }
-        }
-    }
-
     /// Greedy/temperature sampling generation with a KV cache, always using
     /// FP16 reference activations (corpus synthesis path). The cache is a
-    /// private paged FP16-policy store ([`KvCache::new`]).
+    /// private paged exact-reference store ([`KvCache::new`]: raw `f32`
+    /// rows), the one [`Model::forward`] runs on.
     ///
     /// Returns `prompt.len() + n_new` tokens (prompt included).
     ///
@@ -553,8 +466,11 @@ impl Model {
 
     /// One KV-cached decode step: processes `token` at position `pos` and
     /// leaves the next-token logits in `s` ([`DecodeScratch::logits`]).
-    /// Activations stay in FP16 (reference path), matching a full-sequence
-    /// [`Model::forward`] with FP16 codecs. K/V rows are written straight
+    /// Activations stay in FP16 (reference path): on a [`KvCache::new`]
+    /// cache the logits are row `pos` of a full-sequence
+    /// [`Model::forward`] under [`CodecAssignment::fp16`], bit for bit
+    /// (`kv_api.rs::forward_rows_equal_the_decode_step_loop_and_prefill`)
+    /// — both are the same step body. K/V rows are written straight
     /// into the cache's tail page (FP16-rounded or Anda-encoded by the
     /// cache's policy) and every intermediate lives in `s`, so
     /// steady-state decode allocates nothing — the cache leases a pool
@@ -598,8 +514,8 @@ impl Model {
         self.decode_span(&[token], pos, cache, s, None);
     }
 
-    /// One stream's span as a step of one entry, on the scratch's own
-    /// step buffers.
+    /// One stream's served span as a step of one entry, on the scratch's
+    /// own step buffers.
     fn decode_span(
         &self,
         tokens: &[usize],
@@ -615,7 +531,8 @@ impl Model {
             cache,
             scratch: s,
         };
-        self.step_rows(&mut [entry], &mut step, pool);
+        let fp16 = CodecAssignment::fp16();
+        self.step_rows(&mut [entry], &mut step, pool, &fp16, Finish::LastRows);
         s.pages = step;
     }
 
@@ -629,7 +546,8 @@ impl Model {
     /// whose (the oneDNN grouped layout, rows being the variable
     /// dimension). Per layer:
     ///
-    /// 1. **Project.** Norm and FP16-round all rows, then **one GEMM per
+    /// 1. **Project.** Norm all rows and round them through the `A_qkv`
+    ///    codec (FP16 on every served step), then **one GEMM per
     ///    weight for the whole step** — `wqkv` here, `wo`, `wup`
     ///    (/`wgate`) and `wdown` when the layer is finished — so a weight
     ///    is streamed from memory once per step, not once per token.
@@ -645,7 +563,9 @@ impl Model {
     ///    `pos + j + 1` of a table that already holds the whole span.
     ///
     /// On the last layer only each entry's final row feeds anything
-    /// downstream, so only it is attended and finished.
+    /// downstream, so only it is attended and finished
+    /// ([`Model::forward`], which reads every row's logits, is the same
+    /// body finishing all of them).
     ///
     /// Every stream's result is bit-identical (`f32::to_bits`) to
     /// per-token [`Model::decode_hidden`] at any thread count and however
@@ -667,17 +587,22 @@ impl Model {
         decode_cache: &mut PageDecodeCache,
         pool: &ThreadPool,
     ) {
-        self.step_rows(batch, decode_cache, Some(pool));
+        let fp16 = CodecAssignment::fp16();
+        self.step_rows(batch, decode_cache, Some(pool), &fp16, Finish::LastRows);
     }
 
-    /// The one transformer body of the KV path (see
-    /// [`Model::decode_hidden_batch`]); `pool = None` keeps every kernel
-    /// on the calling thread.
+    /// The one transformer body (see [`Model::decode_hidden_batch`]);
+    /// `pool = None` keeps every kernel on the calling thread. `codecs`
+    /// round the four GeMM inputs and `finish` says which rows the last
+    /// layer completes; the finished, final-normed rows are left in
+    /// `step.rows.x` and each entry's last one in its scratch.
     fn step_rows(
         &self,
         batch: &mut [BatchEntry<'_>],
         step: &mut PageDecodeCache,
         pool: Option<&ThreadPool>,
+        codecs: &CodecAssignment,
+        finish: Finish,
     ) {
         for entry in batch.iter() {
             assert!(
@@ -739,7 +664,7 @@ impl Model {
 
         for (l, layer) in self.layers.iter().enumerate() {
             if l > 0 {
-                self.finish_rows(&self.layers[l - 1], &mut r, pool);
+                self.finish_rows(&self.layers[l - 1], &mut r, pool, codecs);
             }
             let StepRows {
                 offsets,
@@ -752,7 +677,10 @@ impl Model {
                 gemms,
                 ..
             } = &mut r;
-            self.norm_round_rows(x, h, &layer.attn_gain, &layer.attn_bias);
+            // `h = codec(norm(x))`, row by row: the GEMM input of a block.
+            h.copy_from(x);
+            self.norm_rows(h, &layer.attn_gain, &layer.attn_bias);
+            codecs.qkv.apply_matrix_in_place(h);
             project(h, &layer.wqkv, qkv, pool, gemms);
             if self.config.family == Family::Llama {
                 for_chunks(pool, qkv.as_mut_slice(), 3 * d, |row, qkv_row| {
@@ -772,12 +700,12 @@ impl Model {
                 }
             });
 
-            // On the last layer only each entry's final row feeds
-            // anything downstream: earlier span rows exist to append
+            // On a served step's last layer only each entry's final row
+            // feeds anything downstream: earlier span rows exist to append
             // their K/V, and once those landed their attend/finish would
             // compute dead residuals. A span of one skips nothing.
-            let last_layer = l + 1 == n_layers;
-            let first_lane = |entry: &BatchEntry<'_>| match last_layer {
+            let last_only = finish == Finish::LastRows && l + 1 == n_layers;
+            let first_lane = |entry: &BatchEntry<'_>| match last_only {
                 true => entry.tokens.len() - 1,
                 false => 0,
             };
@@ -813,40 +741,50 @@ impl Model {
             step.recycle_lanes(lanes);
         }
 
-        // Epilogue: gather each entry's final row to the front, finish the
-        // last layer on those rows only, final norm, and hand every
-        // stream its hidden state.
-        for (idx, &end) in r.offsets[1..].iter().enumerate() {
-            for m in [&mut r.x, &mut r.attn] {
-                m.as_mut_slice()
-                    .copy_within((end - 1) * d..end * d, idx * d);
+        // Epilogue: finish the last layer on the rows that feed something
+        // (a served step first gathers each entry's final row to the
+        // front and points `offsets` at the gathered block), final norm,
+        // and hand every stream its last hidden state.
+        if finish == Finish::LastRows {
+            for idx in 0..batch.len() {
+                let end = r.offsets[idx + 1];
+                for m in [&mut r.x, &mut r.attn] {
+                    m.as_mut_slice()
+                        .copy_within((end - 1) * d..end * d, idx * d);
+                }
+                r.offsets[idx + 1] = idx + 1;
             }
+            r.x.resize(batch.len(), d);
+            r.attn.resize(batch.len(), d);
         }
-        r.x.resize(batch.len(), d);
-        r.attn.resize(batch.len(), d);
         let last = self.layers.last().expect("models have at least one layer");
-        self.finish_rows(last, &mut r, pool);
-        for (entry, x_row) in batch.iter_mut().zip(r.x.as_mut_slice().chunks_exact_mut(d)) {
-            self.norm_vec(x_row, &self.final_gain, &self.final_bias);
-            entry.scratch.x.resize(1, d);
-            entry.scratch.x.as_mut_slice().copy_from_slice(x_row);
+        self.finish_rows(last, &mut r, pool, codecs);
+        self.norm_rows(&mut r.x, &self.final_gain, &self.final_bias);
+        for (entry, &end) in batch.iter_mut().zip(&r.offsets[1..]) {
+            let hidden = &mut entry.scratch.x;
+            hidden.resize(1, d);
+            hidden.as_mut_slice().copy_from_slice(r.x.row(end - 1));
         }
         step.rows = r;
     }
 
-    /// `h = f16(norm(x))`, row by row: the GEMM input of a block.
-    fn norm_round_rows(&self, x: &Matrix, h: &mut Matrix, gain: &[f32], bias: &[f32]) {
-        h.copy_from(x);
-        for row in h.as_mut_slice().chunks_exact_mut(x.cols().max(1)) {
-            self.norm_vec(row, gain, bias);
+    fn norm_rows(&self, m: &mut Matrix, gain: &[f32], bias: &[f32]) {
+        match self.config.family {
+            Family::Opt => ops::layer_norm(m, gain, bias, NORM_EPS),
+            Family::Llama => ops::rms_norm(m, gain, NORM_EPS),
         }
-        saturate_f16_widen_in_place(h.as_mut_slice());
     }
 
     /// Post-attention half of one layer over every row of `r.x` /
-    /// `r.attn`: FP16-round the head mix, output projection + residual,
-    /// then the FFN block + residual.
-    fn finish_rows(&self, layer: &Layer, r: &mut StepRows, pool: Option<&ThreadPool>) {
+    /// `r.attn`: round the head mix (`A_o`), output projection +
+    /// residual, then the FFN block (`A_u`, `A_d`) + residual.
+    fn finish_rows(
+        &self,
+        layer: &Layer,
+        r: &mut StepRows,
+        pool: Option<&ThreadPool>,
+        codecs: &CodecAssignment,
+    ) {
         let StepRows {
             x,
             h,
@@ -857,11 +795,13 @@ impl Model {
             gemms,
             ..
         } = r;
-        saturate_f16_widen_in_place(attn.as_mut_slice());
+        codecs.o.apply_matrix_in_place(attn);
         project(attn, &layer.wo, proj, pool, gemms);
         x.add_inplace(proj);
 
-        self.norm_round_rows(x, h, &layer.ffn_gain, &layer.ffn_bias);
+        h.copy_from(x);
+        self.norm_rows(h, &layer.ffn_gain, &layer.ffn_bias);
+        codecs.u.apply_matrix_in_place(h);
         project(h, &layer.wup, hidden, pool, gemms);
         match (&layer.wgate, self.config.family) {
             (Some(wgate), Family::Llama) => {
@@ -872,7 +812,7 @@ impl Model {
             }
             _ => hidden.map_inplace(ops::relu),
         }
-        saturate_f16_widen_in_place(hidden.as_mut_slice());
+        codecs.d.apply_matrix_in_place(hidden);
         project(hidden, &layer.wdown, proj, pool, gemms);
         x.add_inplace(proj);
     }
@@ -908,8 +848,8 @@ impl Model {
 
     /// Tied LM head, `logits = hidden · embedᵀ` times the logit scale
     /// (kept in FP, like the paper's non-GeMM operators), through
-    /// [`Matrix::matmul_transposed_into_pool`] — the kernel
-    /// [`Model::forward`]'s LM head runs.
+    /// [`Matrix::matmul_transposed_into_pool`]: the one LM head of
+    /// [`Model::forward`], the solo entry points and the batched one.
     fn lm_head(&self, hidden: &Matrix, logits: &mut Matrix, pool: &ThreadPool) {
         logits.resize(hidden.rows(), self.config.vocab);
         if hidden.rows() == 0 {
@@ -920,53 +860,20 @@ impl Model {
             logits.scale(self.logit_scale);
         }
     }
-
-    fn norm_vec(&self, v: &mut [f32], gain: &[f32], bias: &[f32]) {
-        let n = v.len() as f32;
-        match self.config.family {
-            Family::Opt => {
-                let mean = v.iter().sum::<f32>() / n;
-                let var = v.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n;
-                let inv = 1.0 / (var + NORM_EPS).sqrt();
-                for ((x, &g), &b) in v.iter_mut().zip(gain).zip(bias) {
-                    *x = (*x - mean) * inv * g + b;
-                }
-            }
-            Family::Llama => {
-                let ms = v.iter().map(|&x| x * x).sum::<f32>() / n;
-                let inv = 1.0 / (ms + NORM_EPS).sqrt();
-                for (x, &g) in v.iter_mut().zip(gain) {
-                    *x = *x * inv * g;
-                }
-            }
-        }
-    }
 }
 
-/// Reusable buffers for [`Model::forward_with_scratch`].
+/// Reusable state for [`Model::forward_with_scratch`]: the private cache
+/// the span is appended to ([`KvCache::new`], built on first use and
+/// reset — pages recycled — per pass), the step's row block, and the
+/// `T × vocab` logits.
 ///
 /// Holding one scratch across calls (perplexity windows, calibration
-/// sweeps, codec comparisons) removes every per-layer allocation from the
-/// forward pass; buffers are resized in place as sequence length and layer
-/// widths require.
-#[derive(Clone, Debug, Default)]
+/// sweeps, codec comparisons) removes every allocation from the forward
+/// pass once the longest sequence has been seen.
+#[derive(Debug, Default)]
 pub struct ForwardScratch {
-    /// Residual stream (`t × d`).
-    x: Matrix,
-    /// Normalized residual input to a GeMM block.
-    h: Matrix,
-    /// Codec-processed activations.
-    act: Matrix,
-    /// Fused QKV projection output (`t × 3d`).
-    qkv: Matrix,
-    /// Attention/FFN output projection (`t × d`).
-    proj: Matrix,
-    /// SwiGLU gate projection (`t × ffn`), LLaMA family only.
-    gate: Matrix,
-    /// FFN hidden activations (`t × ffn`).
-    hidden: Matrix,
-    /// Attention working set.
-    attn: AttnScratch,
+    cache: Option<KvCache>,
+    step: DecodeScratch,
     /// Output logits (`t × vocab`), the pass's return value.
     logits: Matrix,
 }
@@ -977,16 +884,14 @@ impl ForwardScratch {
     }
 }
 
-/// Per-head attention buffers (part of [`ForwardScratch`]).
-#[derive(Clone, Debug, Default)]
-struct AttnScratch {
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    scores: Matrix,
-    head_out: Matrix,
-    /// Concatenated head outputs (`t × d`).
-    out: Matrix,
+/// Which rows of its spans a step's last layer finishes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Finish {
+    /// Each entry's final row: all a served step reads.
+    LastRows,
+    /// Every row: [`Model::forward`], whose caller reads all `T` logit
+    /// rows.
+    AllRows,
 }
 
 /// One stream's reusable decode state: the hidden state and logits its
@@ -1068,13 +973,15 @@ impl DecodeScratch {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct StepRows {
     /// Row of each entry's first token, then the row count: the
-    /// cumulative-offsets vector of the grouped layout.
+    /// cumulative-offsets vector of the grouped layout (re-pointed at the
+    /// gathered final rows by a served step's epilogue).
     offsets: Vec<usize>,
     /// Sequence position of every row.
     positions: Vec<usize>,
-    /// Residual stream (`rows × d`).
+    /// Residual stream (`rows × d`); after a step, its finished,
+    /// final-normed rows.
     x: Matrix,
-    /// Normed, FP16-rounded GEMM input (`rows × d`).
+    /// Normed, codec-rounded GEMM input (`rows × d`).
     h: Matrix,
     /// Fused QKV projection (`rows × 3d`): a row's query, then its
     /// (post-RoPE) key and value as appended to the cache.
@@ -1291,17 +1198,106 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn causal_masking_prefix_invariance() {
-        // Logits at position i must not depend on later tokens.
+        // Logits at position i must not depend on later tokens — not in
+        // one bit: a row's lane attends only its causal window.
         let spec = tiny_spec();
         let model = spec.build();
         let codecs = CodecAssignment::fp16();
         let a = model.forward(&[7, 8, 9, 10], &codecs);
         let b = model.forward(&[7, 8, 9, 450], &codecs);
-        for c in 0..model.config().vocab {
-            assert!((a[(1, c)] - b[(1, c)]).abs() < 1e-4);
-            assert!((a[(2, c)] - b[(2, c)]).abs() < 1e-4);
+        for row in 0..3 {
+            assert_eq!(bits(a.row(row)), bits(b.row(row)), "row {row}");
+        }
+        assert_ne!(bits(a.row(3)), bits(b.row(3)));
+    }
+
+    #[test]
+    fn forward_row_equals_the_last_row_of_the_prefix_forward() {
+        // Grouped codecs quantize per row, so under any assignment row
+        // `i` of a forward is the forward of `tokens[..=i]`'s last row.
+        let llama = zoo::sim_models()
+            .into_iter()
+            .find(|s| s.sim.family == Family::Llama)
+            .unwrap();
+        let tokens: Vec<usize> = (0..21).map(|i| (i * 53 + 11) % 512).collect();
+        for spec in [tiny_spec(), llama] {
+            let model = spec.build().quantize_weights(WeightQuantConfig::w4_g128());
+            for codecs in [
+                CodecAssignment::fp16(),
+                CodecAssignment::from_combo(crate::PrecisionCombo([8, 6, 7, 5])),
+            ] {
+                let full = model.forward(&tokens, &codecs);
+                let mut scratch = ForwardScratch::new();
+                for i in [0, 1, 15, 16, 19] {
+                    let prefix = model.forward_with_scratch(&tokens[..=i], &codecs, &mut scratch);
+                    assert_eq!(
+                        bits(prefix.row(i)),
+                        bits(full.row(i)),
+                        "{} row {i} under {codecs:?}",
+                        spec.sim.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every row's final-normed hidden state of `tokens` run as
+    /// consecutive spans of `chunk` tokens, all rows finished, on a cache
+    /// of `storage` pages.
+    fn all_rows_hidden(
+        model: &Model,
+        tokens: &[usize],
+        chunk: usize,
+        codecs: &CodecAssignment,
+        storage: crate::kv::KvStorage,
+    ) -> Vec<u32> {
+        let pool = crate::kv::PagePool::new(crate::kv::KvPoolConfig::unbounded(storage));
+        let mut cache = pool.new_cache(model.layers.len());
+        let (mut scratch, mut step) = (DecodeScratch::new(), PageDecodeCache::new());
+        let mut hidden = Vec::new();
+        for span in tokens.chunks(chunk) {
+            let entry = BatchEntry {
+                tokens: span,
+                pos: cache.len(),
+                cache: &mut cache,
+                scratch: &mut scratch,
+            };
+            model.step_rows(&mut [entry], &mut step, None, codecs, Finish::AllRows);
+            assert_eq!(step.rows.x.rows(), span.len());
+            hidden.extend(bits(step.rows.x.as_slice()));
+            // The entry's scratch still receives the span's last row.
+            let d = model.config.d_model;
+            assert_eq!(bits(scratch.hidden_state()), hidden[hidden.len() - d..]);
+        }
+        hidden
+    }
+
+    #[test]
+    fn split_spans_leave_the_rows_of_one_span_under_any_assignment() {
+        use crate::kv::KvStorage;
+        let model = tiny_spec().build();
+        let tokens: Vec<usize> = (0..70).map(|i| (i * 29 + 7) % 512).collect();
+        for codecs in [
+            CodecAssignment::fp16(),
+            CodecAssignment::uniform(anda_quant::ActivationCodec::anda(8)),
+            CodecAssignment::from_combo(crate::PrecisionCombo([8, 6, 7, 5])),
+        ] {
+            for storage in [KvStorage::Fp16, KvStorage::Anda { mantissa_bits: 8 }] {
+                let one = all_rows_hidden(&model, &tokens, tokens.len(), &codecs, storage);
+                for chunk in [1, 3, 64] {
+                    let split = all_rows_hidden(&model, &tokens, chunk, &codecs, storage);
+                    assert!(
+                        split == one,
+                        "chunk {chunk} under {codecs:?} on {storage:?}"
+                    );
+                }
+            }
         }
     }
 

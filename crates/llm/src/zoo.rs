@@ -1,6 +1,7 @@
 //! The model catalog.
 //!
-//! Two parallel catalogs, per the substitution documented in `DESIGN.md`:
+//! Two parallel catalogs, per the substitution the crate docs describe
+//! ([`crate`]; README, "Crate map"):
 //!
 //! - [`real_models`] — the *true* architecture dimensions of the paper's
 //!   nine benchmark LLMs (plus OPT-125M used by Fig. 9). These parameterize

@@ -9,9 +9,11 @@
 //! scratch. The same holds for a **batched** step
 //! (`Model::decode_hidden_batch` on a one-thread pool, decode-only or
 //! chunk + decode) once `PageDecodeCache::reserve` has sized the
-//! step-wide row block. This file is its own test binary so the
-//! allocation counter sees only this suite's traffic, and each test
-//! counts its own thread only.
+//! step-wide row block, and for a full-sequence
+//! `Model::forward_with_scratch` — the same step body — at a length its
+//! scratch has seen, when the global pool has one thread. This file is
+//! its own test binary so the allocation counter sees only this suite's
+//! traffic, and each test counts its own thread only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,7 +21,8 @@ use std::cell::Cell;
 use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda_llm::model::BatchEntry;
 use anda_llm::zoo::opt_125m_sim;
-use anda_llm::{DecodeScratch, KvCache, PageDecodeCache};
+use anda_llm::PrecisionCombo;
+use anda_llm::{CodecAssignment, DecodeScratch, ForwardScratch, KvCache, PageDecodeCache};
 use rayon_lite::ThreadPool;
 
 /// Counts every allocation (fresh and growing) the *current thread*
@@ -247,5 +250,43 @@ fn warmed_batched_steps_allocate_zero() {
         );
         assert_eq!(caches[0].len(), 1 + 3 * CHUNK + 11);
         assert!(!caches[1].len().is_multiple_of(page_positions));
+    }
+}
+
+#[test]
+fn warmed_forward_allocates_zero_on_a_one_thread_pool() {
+    let model = opt_125m_sim().build();
+    let tokens: Vec<usize> = (0..70)
+        .map(|i| (i * 31 + 9) % model.config().vocab)
+        .collect();
+    let mut scratch = ForwardScratch::new();
+    for codecs in [
+        CodecAssignment::fp16(),
+        CodecAssignment::from_combo(PrecisionCombo([8, 6, 7, 5])),
+    ] {
+        // Warm-up: the longest pass sizes the row block, the logits and
+        // the private cache's page tables; the next pass's reset grows
+        // the pool's free list to hold those pages.
+        for _ in 0..2 {
+            model.forward_with_scratch(&tokens, &codecs, &mut scratch);
+        }
+
+        let before = thread_allocs();
+        model.forward_with_scratch(&tokens, &codecs, &mut scratch);
+        model.forward_with_scratch(&tokens[..23], &codecs, &mut scratch);
+        let logits = model.forward_with_scratch(&tokens, &codecs, &mut scratch);
+        assert_eq!(logits.shape(), (tokens.len(), model.config().vocab));
+        let after = thread_allocs();
+        // `forward` runs on the global pool, and a pool of several
+        // threads boxes every job it dispatches: the zero holds where
+        // dispatch is inline (CI's `ANDA_THREADS=1` leg).
+        if rayon_lite::global().threads() == 1 {
+            assert_eq!(
+                after - before,
+                0,
+                "{codecs:?}: warmed forward passes allocated {} times",
+                after - before
+            );
+        }
     }
 }

@@ -14,14 +14,19 @@
 //!    pool size;
 //! 3. a `reset` cache behaves exactly like a fresh one, for every policy;
 //! 4. page size is pure layout: decoding on pools of page size 1 or 4
-//!    (or any other) never moves a bit.
+//!    (or any other) never moves a bit;
+//! 5. [`Model::forward`] under FP16 codecs *is* that decode: row `i` is
+//!    `decode_step`'s logits at position `i`, the last row `prefill`'s,
+//!    and `eval::perplexity` the teacher-forced NLL of the KV loop.
 
 use std::sync::OnceLock;
 
 use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda_llm::model::BatchOutput;
 use anda_llm::zoo::{opt_125m_sim, sim_model};
-use anda_llm::{DecodeScratch, KvCache, Model};
+use anda_llm::{perplexity, CodecAssignment, DecodeScratch, KvCache, Model};
+use anda_quant::WeightQuantConfig;
+use anda_tensor::ops::log_softmax;
 use anda_tensor::Rng;
 use rayon_lite::ThreadPool;
 
@@ -510,5 +515,61 @@ fn prefill_into_forked_cache_matches_contiguous_prefill() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn forward_rows_equal_the_decode_step_loop_and_prefill() {
+    let tokens: Vec<usize> = (0..40).map(|i| (i * 61 + 5) % 512).collect();
+    for fp16_weights in [model(), llama()] {
+        let w4 = fp16_weights.quantize_weights(WeightQuantConfig::w4_g128());
+        for m in [fp16_weights, &w4] {
+            let name = format!("{} {:?}", m.config().name, m.mode());
+            let forward = m.forward(&tokens, &CodecAssignment::fp16());
+            assert_eq!(forward.rows(), tokens.len());
+
+            let mut cache = KvCache::new(m.config().n_layers);
+            let mut scratch = DecodeScratch::new();
+            for (pos, &token) in tokens.iter().enumerate() {
+                m.decode_step(token, pos, &mut cache, &mut scratch);
+                assert_eq!(
+                    bits(scratch.logits()),
+                    bits(forward.row(pos)),
+                    "{name}: forward row {pos} vs decode_step"
+                );
+            }
+
+            cache.reset();
+            m.prefill(&tokens, &mut cache, &mut scratch);
+            assert_eq!(
+                bits(scratch.logits()),
+                bits(forward.row(tokens.len() - 1)),
+                "{name}: forward's last row vs prefill"
+            );
+        }
+    }
+}
+
+#[test]
+fn perplexity_equals_the_teacher_forced_kv_loop() {
+    const WINDOW: usize = 24;
+    // Two full windows and a short one.
+    let tokens: Vec<usize> = (0..2 * WINDOW + 9).map(|i| (i * 37 + 13) % 512).collect();
+    for m in [model(), llama()] {
+        let mut cache = KvCache::new(m.config().n_layers);
+        let mut scratch = DecodeScratch::new();
+        let (mut nll, mut count) = (0.0f64, 0usize);
+        for window in tokens.chunks(WINDOW) {
+            cache.reset();
+            m.prefill(&window[..1], &mut cache, &mut scratch);
+            for (pos, &next) in window.iter().enumerate().skip(1) {
+                nll -= f64::from(log_softmax(scratch.logits())[next]);
+                count += 1;
+                m.decode_step(next, pos, &mut cache, &mut scratch);
+            }
+        }
+        let served = (nll / count as f64).exp();
+        let evaluated = perplexity(m, &CodecAssignment::fp16(), &tokens, WINDOW);
+        assert_eq!(evaluated.to_bits(), served.to_bits(), "{}", m.config().name);
     }
 }

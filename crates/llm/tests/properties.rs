@@ -19,21 +19,30 @@ fn tokens(len: usize) -> impl Strategy<Value = Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Causality: logits at position i never depend on tokens after i.
+    /// Causality: logits at position i never depend on tokens after i —
+    /// not in one bit, under FP16 and Anda assignments alike.
     #[test]
-    fn causal_masking(prefix in tokens(8), a in 0usize..512, b in 0usize..512) {
+    fn causal_masking(
+        prefix in tokens(8),
+        a in 0usize..512,
+        b in 0usize..512,
+        anda in any::<bool>(),
+    ) {
         let model = model();
         let mut seq_a = prefix.clone();
         seq_a.push(a);
         let mut seq_b = prefix.clone();
         seq_b.push(b);
-        let codecs = CodecAssignment::fp16();
+        let codecs = match anda {
+            true => CodecAssignment::from_combo(PrecisionCombo([8, 6, 7, 5])),
+            false => CodecAssignment::fp16(),
+        };
         let la = model.forward(&seq_a, &codecs);
         let lb = model.forward(&seq_b, &codecs);
         for i in 0..prefix.len() {
             for c in 0..512 {
-                prop_assert!((la[(i, c)] - lb[(i, c)]).abs() < 1e-4,
-                    "position {i} class {c} depends on future token");
+                prop_assert_eq!(la[(i, c)].to_bits(), lb[(i, c)].to_bits(),
+                    "position {} class {} depends on future token", i, c);
             }
         }
     }

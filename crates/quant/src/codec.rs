@@ -6,7 +6,8 @@
 //! hardware datapath computes.
 
 use anda_format::anda::AndaConfig;
-use anda_format::bfp::{fake_quantize_f32, fake_quantize_f32_into, saturate_to_f16, BfpConfig};
+use anda_format::bfp::{fake_quantize_f32_in_place, BfpConfig};
+use anda_fp::batch::saturate_f16_widen_in_place;
 use anda_tensor::Matrix;
 
 /// Hardware group size shared by all grouped codecs (paper §V-A sets the
@@ -42,7 +43,15 @@ pub enum ActivationCodec {
 
 impl ActivationCodec {
     /// The Anda codec at mantissa length `m` with the 64-lane hardware group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is outside `1..=16`.
     pub fn anda(m: u32) -> Self {
+        assert!(
+            (1..=16).contains(&m),
+            "Anda mantissa length {m} outside 1..=16"
+        );
         ActivationCodec::Grouped {
             mantissa_bits: m,
             group_size: GROUP_SIZE,
@@ -83,22 +92,14 @@ impl ActivationCodec {
     }
 
     /// Applies the codec to a flat slice (quantize → dequantize).
+    ///
+    /// # Panics
+    ///
+    /// As [`ActivationCodec::apply_matrix_in_place`].
     pub fn apply(&self, values: &[f32]) -> Vec<f32> {
-        match self {
-            ActivationCodec::Exact => values.to_vec(),
-            ActivationCodec::Fp16 => values
-                .iter()
-                .map(|&v| saturate_to_f16(v).to_f32())
-                .collect(),
-            ActivationCodec::Grouped {
-                mantissa_bits,
-                group_size,
-            } => {
-                let cfg = BfpConfig::new(*group_size, *mantissa_bits)
-                    .expect("codec parameters validated at construction");
-                fake_quantize_f32(values, cfg)
-            }
-        }
+        let mut out = values.to_vec();
+        self.apply_rows_in_place(&mut out, values.len());
+        out
     }
 
     /// [`ActivationCodec::apply`] into a caller-provided buffer.
@@ -108,47 +109,58 @@ impl ActivationCodec {
     /// Panics if `out.len() != values.len()`.
     pub fn apply_into(&self, values: &[f32], out: &mut [f32]) {
         assert_eq!(out.len(), values.len(), "apply_into length mismatch");
-        match self {
-            ActivationCodec::Exact => out.copy_from_slice(values),
-            ActivationCodec::Fp16 => {
-                for (slot, &v) in out.iter_mut().zip(values) {
-                    *slot = saturate_to_f16(v).to_f32();
-                }
-            }
-            ActivationCodec::Grouped {
-                mantissa_bits,
-                group_size,
-            } => {
-                let cfg = BfpConfig::new(*group_size, *mantissa_bits)
-                    .expect("codec parameters validated at construction");
-                fake_quantize_f32_into(values, cfg, out);
-            }
-        }
+        out.copy_from_slice(values);
+        self.apply_rows_in_place(out, values.len());
     }
 
     /// Applies the codec independently to every row of a matrix (groups
     /// never straddle rows: activation rows are separate dot-product
     /// operands).
     pub fn apply_matrix(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), x.cols());
-        self.apply_matrix_into(x, &mut out);
+        let mut out = x.clone();
+        self.apply_matrix_in_place(&mut out);
         out
     }
 
     /// [`ActivationCodec::apply_matrix`] into a caller-provided matrix,
     /// resizing it to `x`'s shape while reusing its allocation.
     pub fn apply_matrix_into(&self, x: &Matrix, out: &mut Matrix) {
-        out.resize(x.rows(), x.cols());
-        match self {
-            // Elementwise codecs are row-agnostic: one flat pass.
-            ActivationCodec::Exact | ActivationCodec::Fp16 => {
-                self.apply_into(x.as_slice(), out.as_mut_slice());
-            }
-            // Grouped codecs quantize per row so shared exponents never
-            // straddle activation rows.
-            ActivationCodec::Grouped { .. } => {
-                for r in 0..x.rows() {
-                    self.apply_into(x.row(r), out.row_mut(r));
+        out.copy_from(x);
+        self.apply_matrix_in_place(out);
+    }
+
+    /// [`ActivationCodec::apply_matrix`] where the rows lie — what the
+    /// transformer step runs on each GeMM input block. No heap
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`ActivationCodec::Grouped`] codec was built with
+    /// `mantissa_bits` outside `1..=16` or a zero `group_size`.
+    pub fn apply_matrix_in_place(&self, x: &mut Matrix) {
+        let cols = x.cols();
+        self.apply_rows_in_place(x.as_mut_slice(), cols);
+    }
+
+    /// The one application: `block` is row-major, `cols` wide.
+    fn apply_rows_in_place(&self, block: &mut [f32], cols: usize) {
+        match *self {
+            ActivationCodec::Exact => {}
+            // Elementwise, so row-agnostic: one flat SIMD pass.
+            ActivationCodec::Fp16 => saturate_f16_widen_in_place(block),
+            // Per row, so shared exponents never straddle activation rows.
+            ActivationCodec::Grouped {
+                mantissa_bits,
+                group_size,
+            } => {
+                let cfg = BfpConfig::new(group_size, mantissa_bits).unwrap_or_else(|_| {
+                    panic!(
+                        "grouped codec needs mantissa_bits in 1..=16 and a non-zero \
+                         group_size (got mantissa_bits {mantissa_bits}, group_size {group_size})"
+                    )
+                });
+                for row in block.chunks_mut(cols.max(1)) {
+                    fake_quantize_f32_in_place(row, cfg);
                 }
             }
         }
@@ -170,6 +182,7 @@ impl ActivationCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anda_format::bfp::fake_quantize_f32;
 
     #[test]
     fn exact_is_identity() {
@@ -190,6 +203,52 @@ mod tests {
         let codec = ActivationCodec::anda(6);
         let direct = fake_quantize_f32(&vals, BfpConfig::new(64, 6).unwrap());
         assert_eq!(codec.apply(&vals), direct);
+        let mut into = vec![0.0; vals.len()];
+        codec.apply_into(&vals, &mut into);
+        assert_eq!(into, direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "Anda mantissa length 0 outside 1..=16")]
+    fn anda_rejects_a_zero_mantissa() {
+        let _ = ActivationCodec::anda(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Anda mantissa length 17 outside 1..=16")]
+    fn anda_rejects_a_mantissa_past_sixteen() {
+        let _ = ActivationCodec::anda(17);
+    }
+
+    #[test]
+    #[should_panic(expected = "got mantissa_bits 17, group_size 0")]
+    fn apply_names_the_offending_grouped_fields() {
+        let codec = ActivationCodec::Grouped {
+            mantissa_bits: 17,
+            group_size: 0,
+        };
+        let _ = codec.apply(&[1.0]);
+    }
+
+    #[test]
+    fn in_place_rows_match_the_copying_form() {
+        // Rows of 96 lanes: a full group and a partial one per row.
+        let vals: Vec<f32> = (0..3 * 96).map(|i| (i as f32 - 150.0) * 0.31).collect();
+        let x = Matrix::from_vec(3, 96, vals);
+        for codec in [
+            ActivationCodec::Exact,
+            ActivationCodec::Fp16,
+            ActivationCodec::anda(5),
+        ] {
+            let mut in_place = x.clone();
+            codec.apply_matrix_in_place(&mut in_place);
+            for r in 0..x.rows() {
+                assert_eq!(in_place.row(r), codec.apply(x.row(r)), "{codec:?} row {r}");
+            }
+            let mut into = Matrix::zeros(1, 1);
+            codec.apply_matrix_into(&x, &mut into);
+            assert_eq!(into, in_place);
+        }
     }
 
     #[test]

@@ -14,6 +14,43 @@ fn acts(m: usize, k: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-20.0f32..20.0, m * k).prop_map(move |v| Matrix::from_vec(m, k, v))
 }
 
+/// `Fp16` runs the SIMD batch rounding; it must equal the scalar
+/// expression it replaced on every class of input, through every entry
+/// point.
+#[test]
+fn fp16_codec_equals_the_scalar_rounding() {
+    use anda_fp::f16::saturate_to_f16;
+    let mut vals = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    // Subnormal halves (and the f32 values around the smallest of them).
+    vals.extend([5.96e-8, -5.96e-8, 2.9e-8, 3.1e-8, 6.09e-5, -6.1e-5, 1e-40]);
+    // The ±65504 neighbourhood: last finite half, the rounding boundary
+    // at 65520, and past it.
+    for v in [65503.0f32, 65504.0, 65505.0, 65519.0, 65520.0, 65521.0, 7e4] {
+        vals.extend([v, -v]);
+    }
+    // Ordinary values, enough of them to fill whole SIMD vectors and
+    // leave a tail.
+    vals.extend((0..203).map(|i| (i as f32 - 101.0) * 0.3371));
+    let want: Vec<u32> = vals
+        .iter()
+        .map(|&v| saturate_to_f16(v).to_f32().to_bits())
+        .collect();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+
+    let codec = ActivationCodec::Fp16;
+    assert_eq!(bits(&codec.apply(&vals)), want);
+    let mut into = vec![1.0f32; vals.len()];
+    codec.apply_into(&vals, &mut into);
+    assert_eq!(bits(&into), want);
+    let x = Matrix::from_vec(1, vals.len(), vals);
+    let mut out = Matrix::zeros(0, 0);
+    codec.apply_matrix_into(&x, &mut out);
+    assert_eq!(bits(out.as_slice()), want);
+    let mut in_place = x.clone();
+    codec.apply_matrix_in_place(&mut in_place);
+    assert_eq!(bits(in_place.as_slice()), want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -2,27 +2,6 @@
 
 use crate::Matrix;
 
-/// Numerically-stable softmax applied to each row in place.
-pub fn softmax_rows(m: &mut Matrix) {
-    let cols = m.cols();
-    if cols == 0 {
-        return;
-    }
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut sum = 0.0f32;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        let inv = 1.0 / sum;
-        for x in row.iter_mut() {
-            *x *= inv;
-        }
-    }
-}
-
 /// Numerically-stable log-softmax of a single row, into a new vector.
 pub fn log_softmax(row: &[f32]) -> Vec<f32> {
     let mut out = Vec::new();
@@ -145,37 +124,40 @@ mod tests {
         assert!((a - b).abs() <= tol, "{a} vs {b}");
     }
 
+    /// The softmax the workspace runs: `exp` of [`log_softmax`] (sampling,
+    /// and the same form as the KV page walk's).
+    fn softmax(row: &[f32]) -> Vec<f32> {
+        log_softmax(row).into_iter().map(f32::exp).collect()
+    }
+
     #[test]
     fn softmax_rows_sum_to_one() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[-5.0, 0.0, 5.0]]);
-        softmax_rows(&mut m);
-        for r in 0..m.rows() {
-            let s: f32 = m.row(r).iter().sum();
-            assert_close(s, 1.0, 1e-6);
+        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[-5.0, 0.0, 5.0]]);
+        for row in m.rows_iter() {
+            assert_close(softmax(row).iter().sum(), 1.0, 1e-6);
         }
         // Monotone: larger logit → larger probability.
-        assert!(m[(0, 2)] > m[(0, 1)] && m[(0, 1)] > m[(0, 0)]);
+        let p = softmax(m.row(0));
+        assert!(p[2] > p[1] && p[1] > p[0]);
     }
 
     #[test]
     fn softmax_is_shift_invariant() {
-        let mut a = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let mut b = Matrix::from_rows(&[&[101.0, 102.0, 103.0]]);
-        softmax_rows(&mut a);
-        softmax_rows(&mut b);
+        let a = softmax(&[1.0, 2.0, 3.0]);
+        let b = softmax(&[101.0, 102.0, 103.0]);
         for c in 0..3 {
-            assert_close(a[(0, c)], b[(0, c)], 1e-6);
+            assert_close(a[c], b[c], 1e-6);
         }
     }
 
     #[test]
     fn log_softmax_matches_softmax_log() {
+        // The textbook form: exponentials over their sum.
         let row = [0.5f32, -1.0, 2.0];
+        let sum: f32 = row.iter().map(|x| x.exp()).sum();
         let ls = log_softmax(&row);
-        let mut m = Matrix::from_rows(&[&row]);
-        softmax_rows(&mut m);
         for c in 0..3 {
-            assert_close(ls[c], m[(0, c)].ln(), 1e-5);
+            assert_close(ls[c], (row[c].exp() / sum).ln(), 1e-5);
         }
     }
 

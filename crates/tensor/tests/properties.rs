@@ -41,19 +41,22 @@ proptest! {
         }
     }
 
-    /// Softmax rows are probability distributions, invariant to shifts.
+    /// Softmax rows (`exp` of the log-softmax) are probability
+    /// distributions, invariant to shifts.
     #[test]
-    fn softmax_distribution(mut rows in matrix(4, 7), shift in -50.0f32..50.0) {
-        let mut shifted = rows.clone();
-        shifted.map_inplace(|x| x + shift);
-        ops::softmax_rows(&mut rows);
-        ops::softmax_rows(&mut shifted);
+    fn softmax_distribution(rows in matrix(4, 7), shift in -50.0f32..50.0) {
+        let softmax = |row: &[f32]| -> Vec<f32> {
+            ops::log_softmax(row).into_iter().map(f32::exp).collect()
+        };
         for r in 0..4 {
-            let sum: f32 = rows.row(r).iter().sum();
+            let p = softmax(rows.row(r));
+            let shifted: Vec<f32> = rows.row(r).iter().map(|x| x + shift).collect();
+            let q = softmax(&shifted);
+            let sum: f32 = p.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-5);
             for c in 0..7 {
-                prop_assert!(rows[(r, c)] >= 0.0);
-                prop_assert!((rows[(r, c)] - shifted[(r, c)]).abs() < 1e-4);
+                prop_assert!(p[c] >= 0.0);
+                prop_assert!((p[c] - q[c]).abs() < 1e-4);
             }
         }
     }

@@ -1,0 +1,11 @@
+#!/bin/sh
+# Non-comment, non-blank Rust lines outside `#[cfg(test)]` modules — the
+# count ROADMAP aim 2 is gated on. Informational: prints, never fails.
+# `tools/loc.sh [checkout]` counts another checkout (a parent commit's).
+cd "${1:-$(dirname "$0")/..}" || exit 1
+loc() { awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*(\/\/|$)/ { n++ } END { print n + 0 }' "$1"; }
+total=0
+for f in crates/llm/src/model.rs crates/llm/src/kv.rs $(find crates/serve/src -name '*.rs' | sort); do
+    n=$(loc "$f"); total=$((total + n)); printf '%6d  %s\n' "$n" "$f"
+done
+printf '%6d  total\n' "$total"
