@@ -9,14 +9,14 @@
 //! 4 threads on 512×512×512 (needs ≥4 physical cores, of course). A
 //! second table pits the dispatched SIMD leg against the forced-scalar
 //! oracle on the serial kernels (identical bits, different wall time),
-//! and the run ends by writing a `BENCH_gemm_threads.json` perf
-//! trajectory (see `anda_bench::trajectory`).
+//! and the M-sweep ends the run. Everything is printed; nothing is
+//! written.
 //!
 //! Usage: `gemm_threads [--quick] [--threads A,B,…]`
 
 use std::time::Instant;
 
-use anda_bench::{BenchReport, Table};
+use anda_bench::Table;
 use anda_fp::{active_leg, cpu_features, SimdLeg};
 use anda_quant::{gemm_anda_into_pool, IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{Matrix, Rng};
@@ -60,8 +60,6 @@ fn main() {
         active_leg().name(),
         cpu_features()
     );
-    let mut report = BenchReport::new("gemm_threads");
-    report.set_threads(threads.iter().copied().max().unwrap_or(1));
 
     // (m, k, n): square hot-path shape, the acceptance shape, a wide
     // activation panel (prefill-like), and a tall skinny one (LM head).
@@ -90,13 +88,9 @@ fn main() {
         let bt = random(n, k, 3, 1.0);
         let mut out = Matrix::zeros(m, n);
         let flops = 2.0 * (m * k * n) as f64;
-        let acceptance_shape = (m, k, n) == (512, 512, 512);
 
         // Dense matmul.
         let serial = best_of(reps, || a.matmul_into_serial(&b, &mut out));
-        if acceptance_shape {
-            report.metric("matmul_512_serial_gflops", flops / serial / 1e9);
-        }
         let mut cells = vec![
             format!("matmul {m}x{k}x{n}"),
             format!("{:.2}", flops / serial / 1e9),
@@ -104,9 +98,6 @@ fn main() {
         for &t in &threads {
             let pool = ThreadPool::new(t);
             let par = best_of(reps, || a.matmul_into_pool(&b, &mut out, &pool));
-            if acceptance_shape {
-                report.metric(&format!("matmul_512_{t}t_gflops"), flops / par / 1e9);
-            }
             cells.push(format!("{:.2}", flops / par / 1e9));
             cells.push(format!("{:.2}x", serial / par));
         }
@@ -114,9 +105,6 @@ fn main() {
 
         // Transposed matmul (attention scores / LM head shape).
         let serial = best_of(reps, || a.matmul_transposed_into_serial(&bt, &mut out));
-        if acceptance_shape {
-            report.metric("matmul_t_512_serial_gflops", flops / serial / 1e9);
-        }
         let mut cells = vec![
             format!("matmul_t {m}x{k}x{n}"),
             format!("{:.2}", flops / serial / 1e9),
@@ -137,10 +125,10 @@ fn main() {
     let wq = IntWeightMatrix::quantize(&random(k, n, 5, 0.05), WeightQuantConfig::rtn(4, 128));
     let mut out = Matrix::zeros(m, n);
     let flops = 2.0 * (m * k * n) as f64;
-    let serial = best_of(reps, || {
-        gemm_anda_into_pool(&x, &wq, 8, &mut out, &ThreadPool::new(1))
-    });
-    report.metric("gemm_anda_serial_gflops", flops / serial / 1e9);
+    // The one-thread pool is built outside the timed closure: every
+    // speed-up in this row divides by this time.
+    let one = ThreadPool::new(1);
+    let serial = best_of(reps, || gemm_anda_into_pool(&x, &wq, 8, &mut out, &one));
     let mut cells = vec![
         format!("gemm_anda {m}x{k}x{n} M8"),
         format!("{:.2}", flops / serial / 1e9),
@@ -178,19 +166,15 @@ fn main() {
     );
     let mut simd_table = Table::new(&["kernel", "scalar GF/s", "simd GF/s", "simd speedup"]);
     type Kernel<'a> = &'a dyn Fn(SimdLeg, &mut Matrix);
-    let kernels: [(&str, &str, Kernel); 2] = [
-        (
-            "matmul",
-            "matmul_512_simd_speedup",
-            &|l: SimdLeg, o: &mut Matrix| a.matmul_into_serial_with_leg(&b, o, l),
-        ),
-        (
-            "matmul_t",
-            "matmul_t_512_simd_speedup",
-            &|l: SimdLeg, o: &mut Matrix| a.matmul_transposed_into_serial_with_leg(&bt, o, l),
-        ),
+    let kernels: [(&str, Kernel); 2] = [
+        ("matmul", &|l: SimdLeg, o: &mut Matrix| {
+            a.matmul_into_serial_with_leg(&b, o, l)
+        }),
+        ("matmul_t", &|l: SimdLeg, o: &mut Matrix| {
+            a.matmul_transposed_into_serial_with_leg(&bt, o, l)
+        }),
     ];
-    for (label, key, run) in kernels {
+    for (label, run) in kernels {
         let scalar = best_of(reps, || run(SimdLeg::Scalar, &mut out));
         let vector = best_of(reps, || run(leg, &mut out));
         simd_table.row_owned(vec![
@@ -199,14 +183,11 @@ fn main() {
             format!("{:.2}", flops / vector / 1e9),
             format!("{:.2}x", scalar / vector),
         ]);
-        report.metric(key, scalar / vector);
     }
     simd_table.print();
     println!("(both legs produce bit-identical outputs — the scalar twin is the oracle)");
 
-    m_sweep(&mut report, reps);
-
-    report.write_and_announce();
+    m_sweep(reps);
 }
 
 /// The step-wide projection GEMM against what it replaced: for each
@@ -216,7 +197,7 @@ fn main() {
 /// `M ≥ 8` is where cross-row weight reuse has to show. Four weight
 /// copies rotate under the calls so that, as in a model, a weight has
 /// left the L2 by the time it is used again.
-fn m_sweep(report: &mut BenchReport, reps: usize) {
+fn m_sweep(reps: usize) {
     use anda_bench::msweep::{lhs, per_row_gemv, weights, SERVING_SHAPES, SWEEP_M};
 
     println!(
@@ -250,9 +231,6 @@ fn m_sweep(report: &mut BenchReport, reps: usize) {
                     flops / rows / 1e9,
                     flops / gemm / 1e9
                 ));
-                if leg == active_leg() {
-                    report.metric(&format!("msweep_{k}x{n}_m{m}_gemm_vs_rows"), rows / gemm);
-                }
             }
             table.row_owned(cells);
         }

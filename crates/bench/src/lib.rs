@@ -8,30 +8,13 @@
 //! - [`table`] — fixed-width console table rendering.
 //! - [`runs`] — memoized construction of models, corpora and searches so
 //!   the experiment binaries stay fast and consistent with each other.
-//! - [`trajectory`] — machine-readable `BENCH_<name>.json` perf reports
-//!   (commit, threads, SIMD leg, metrics) the CI smokes emit.
+//!
+//! Everything here prints; nothing is written to disk. The repo's one
+//! measuring system is the `anda_perf/` package, whose exact counts
+//! `tools/perf_exact.sh` diffs against a tracked baseline.
 
 pub mod msweep;
 pub mod runs;
 pub mod table;
-pub mod trajectory;
 
 pub use table::Table;
-pub use trajectory::BenchReport;
-
-/// The value following `flag` in a binary's argument list, if present
-/// (shared flag parsing for the `src/bin/` experiment binaries).
-pub fn arg_val(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// The deterministic per-stream prompt the serving benches share:
-/// distinct across streams, stable across runs, always in-vocab.
-pub fn workload_prompt(stream: usize, len: usize, vocab: usize) -> Vec<usize> {
-    (0..len)
-        .map(|j| (stream * 131 + j * 17 + 1) % vocab)
-        .collect()
-}

@@ -39,7 +39,8 @@
 //! fit, replacing worst-case token budgeting with real memory accounting.
 //! Anda pages are `16 / (M + 1 + 5/64)` times smaller than FP16 pages, so
 //! the same memory budget holds proportionally more pages — the
-//! long-context headroom quantified by the `kv_memory` bench.
+//! long-context headroom `anda-serve`'s
+//! `paged_kv.rs::anda_pool_admits_a_batch_fp32_accounting_rejects` pins.
 //!
 //! # Prefix sharing and copy-on-write
 //!
@@ -56,9 +57,10 @@
 //! mutation, so every stream's decode stays bit-exact while whole prefix
 //! pages stay deduplicated. A shared page returns to the free list
 //! exactly when its last lease drops; a sole-owner privatize reclaims
-//! the page without copying. The `kv_sharing` bench quantifies the
-//! resulting admission headroom: N streams over a P-position prefix pin
-//! `pages(P) + N·pages(private)` pages, not `N·pages(P + private)`.
+//! the page without copying. The resulting admission headroom — N
+//! streams over a P-position prefix pin `pages(P) + N·pages(private)`
+//! pages, not `N·pages(P + private)` — is pinned by `anda-serve`'s
+//! `shared_prefix.rs::admission_charges_only_unshared_pages`.
 
 use std::sync::{Arc, Mutex};
 
@@ -442,16 +444,6 @@ impl Page {
 
     fn row_bits(&self) -> usize {
         self.storage.row_bits(self.dim)
-    }
-
-    /// Bits occupied by the filled rows (K and V).
-    pub fn used_bits(&self) -> usize {
-        2 * self.used * self.row_bits()
-    }
-
-    /// Bits the whole page pins while leased, filled or not (K and V).
-    pub fn capacity_bits(&self) -> usize {
-        2 * self.positions * self.row_bits()
     }
 }
 
@@ -1054,14 +1046,6 @@ impl LayerKv {
             return 0;
         }
         2 * self.len * self.pages[0].page().row_bits()
-    }
-
-    /// Bits the layer's leased pages pin, filled or not — what the pool
-    /// accounts for. Shared pages count fully in *every* table leasing
-    /// them; the deduplicated pool-level footprint is
-    /// `PagePool::pages_in_use() × page_bits`.
-    pub fn resident_bits(&self) -> usize {
-        self.pages.iter().map(|p| p.page().capacity_bits()).sum()
     }
 
     /// Validates that this layer can be attended at all: attention over
@@ -1682,12 +1666,6 @@ impl KvCache {
         self.layers.iter().map(LayerKv::storage_bits).sum()
     }
 
-    /// Bits pinned by all leased pages (page-granular, what admission
-    /// accounts for).
-    pub fn resident_bits(&self) -> usize {
-        self.layers.iter().map(LayerKv::resident_bits).sum()
-    }
-
     /// Compression ratio of the cached rows versus an FP16 cache of the
     /// same shape (1.0 when empty).
     pub fn compression_vs_fp16(&self) -> f64 {
@@ -1795,8 +1773,21 @@ mod tests {
         // 5-bit mantissa: ≈ 6.08 bits/element vs 16.
         let expect = 16.0 / (5.0 + 1.0 + 5.0 / 64.0);
         assert!((cache.compression_vs_fp16() - expect).abs() < 1e-9);
-        // One full page leased: resident == logical here.
-        assert_eq!(cache.resident_bits(), cache.storage_bits());
+
+        // Stored bits per element, as the README's policy table quotes
+        // them: sign + M mantissa bits, plus a 5-bit exponent per 64.
+        for (storage, bits) in [
+            (KvStorage::Fp16, 16.0),
+            (KvStorage::Anda { mantissa_bits: 8 }, 9.078125),
+            (KvStorage::Anda { mantissa_bits: 5 }, 6.078125),
+        ] {
+            let mut cache = cache_with(storage, 8);
+            for r in &data {
+                cache.append_row(0, r, r);
+            }
+            let elems = 2 * data.len() * 64;
+            assert_eq!(cache.storage_bits() as f64 / elems as f64, bits);
+        }
     }
 
     #[test]

@@ -188,8 +188,9 @@ impl Default for SchedulerConfig {
 
 /// Why [`Scheduler::submit`] rejected a request up front. Rejecting
 /// unservable requests at submission (rather than queuing them) is what
-/// makes FIFO admission starvation-free: an admitted queue head always
-/// fits once enough earlier streams finish.
+/// keeps admission — weighted round-robin over the priority classes,
+/// FIFO within a class — starvation-bounded: a class head that blocks
+/// the loop always fits once enough earlier streams finish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SubmitError {
@@ -406,8 +407,6 @@ pub struct SchedulerStats {
     pub prefill_tokens: u64,
     /// Most streams ever active in one iteration.
     pub peak_active: usize,
-    /// Most KV positions ever cached at once across active streams.
-    pub peak_cached_tokens: usize,
     /// Most KV pages ever leased from the pool at once. Physical,
     /// deduplicated pages: a prefix page shared by N streams counts
     /// once, which is exactly the memory win prefix sharing buys.
@@ -575,12 +574,15 @@ impl PrefixPin {
 /// Continuous-batching request scheduler over [`Model::decode_step`]-style
 /// incremental inference with pool-paged KV storage.
 ///
-/// Admission is FIFO with completed-stream slot and page reuse: only the
-/// queue head is ever admitted (no overtaking, hence no starvation), into
-/// the first free slot, reusing a retired stream's
-/// `KvCache`/`DecodeScratch` allocations and recycled pages. Decode is
-/// iteration-level: every active stream advances one token per
-/// [`Scheduler::step`].
+/// Admission is weighted round-robin over the [`Priority`] classes and
+/// FIFO within a class (see the module docs): only a class's queue head
+/// is ever admitted — no overtaking inside a class, a bounded wait
+/// between classes — into the first free slot, reusing a retired
+/// stream's `KvCache`/`DecodeScratch` allocations and recycled pages; a
+/// head that strictly outranks an active stream may suspend it instead
+/// of waiting. Every [`Scheduler::step`] is one iteration: each decoding
+/// stream advances one token and each stream still prefilling takes its
+/// share of the step's prompt-token budget.
 ///
 /// # Determinism
 ///
@@ -1051,7 +1053,6 @@ impl<'a> Scheduler<'a> {
         }
         self.stats.sampled_tokens += sampled as u64;
         self.stats.peak_active = self.stats.peak_active.max(self.active_len());
-        self.stats.peak_cached_tokens = self.stats.peak_cached_tokens.max(self.cached_tokens());
         self.stats.peak_pages_in_use = self
             .stats
             .peak_pages_in_use

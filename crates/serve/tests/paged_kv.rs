@@ -114,9 +114,10 @@ fn compressed_serving_matches_same_policy_solo_generate() {
 
 /// The §VI long-context headroom, as an admission fact: a batch of
 /// streams whose summed worst-case FP32 KV exceeds a memory budget — so
-/// FP32 page accounting rejects some of them outright — fits entirely in
-/// an Anda pool of the *same* budget, which then actually serves the
-/// whole batch concurrently within its page capacity.
+/// an FP32 pool rejects them outright or serves them queued behind its
+/// watermark — fits entirely in an Anda pool of the *same* budget, which
+/// then actually serves the whole batch concurrently within its page
+/// capacity.
 #[test]
 fn anda_pool_admits_a_batch_fp32_accounting_rejects() {
     let model = model();
@@ -196,6 +197,29 @@ fn anda_pool_admits_a_batch_fp32_accounting_rejects() {
     assert!(
         fp32_budget_cfg.max_pages.unwrap() < batch * pages_per_req,
         "the scenario must be out of reach for FP32 accounting"
+    );
+    // Served, not just counted: whatever the FP32 pool accepts finishes,
+    // but queued behind the watermark — never the whole batch at once.
+    let mut fp32_served = Scheduler::new(
+        model,
+        SchedulerConfig {
+            max_batch: batch,
+            kv: fp32_budget_cfg,
+            ..SchedulerConfig::default()
+        },
+    );
+    let mut accepted = 0;
+    for r in &reqs {
+        match fp32_served.submit(r.clone()) {
+            Ok(_) => accepted += 1,
+            Err(SubmitError::ExceedsPoolCapacity { .. }) => {}
+            Err(e) => panic!("unexpected rejection: {e}"),
+        }
+    }
+    assert_eq!(fp32_served.run_to_completion().len(), accepted);
+    assert!(
+        fp32_served.stats().peak_active < batch,
+        "scenario too easy: the FP32 pool held the whole batch concurrently"
     );
 
     let mut sched = Scheduler::new(

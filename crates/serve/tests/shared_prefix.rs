@@ -159,12 +159,16 @@ fn shared_prefix_serving_is_bit_exact_vs_private_caches() {
 /// 224 tokens / 72 pages unbounded / 2 concurrent. Misaligned `P = 45`:
 /// the pin covers 5 pages per layer (10), every stream re-prefills
 /// `45 mod 8 = 5` tokens (92 = 40 + 4·13) and the pool is 42 pages.
+/// At every length from 16 to 192 tokens (2 to 24 whole pages per
+/// layer), what sharing saves is exactly the `N − 1` further copies of
+/// the prefix's whole pages, in prefill tokens and in physical pages.
 /// Tokens are bit-equal to private caches under every storage policy,
 /// with `auto_prefix` on and off.
 #[test]
 fn admission_charges_only_unshared_pages() {
     let m = model();
-    assert_eq!(m.config().n_layers, 2);
+    let n_layers = m.config().n_layers;
+    assert_eq!(n_layers, 2);
     let (batch, pp) = (4usize, 8usize);
     let mk_req = |i: usize| {
         Request::builder(
@@ -178,10 +182,16 @@ fn admission_charges_only_unshared_pages() {
         .build()
         .unwrap()
     };
-    // (P, pinned pages, shared prefill tokens, pool pages)
-    for (prefix_len, pinned, shared_prefill, capacity) in
-        [(48usize, 12usize, 80u64, 36usize), (45, 10, 92, 42)]
-    {
+    // (P, pinned pages, shared prefill tokens, pool pages, private
+    // streams that pool holds at once)
+    for (prefix_len, pinned, shared_prefill, capacity, private_concurrent) in [
+        (16usize, 4usize, 48u64, 28usize, 2usize),
+        (45, 10, 92, 42, 2),
+        (48, 12, 80, 36, 2),
+        (96, 24, 128, 48, 1),
+        (192, 48, 224, 72, 1),
+    ] {
+        let whole = prefix_len / pp;
         let prefix: Vec<usize> = (0..prefix_len).map(|i| (i * 7 + 1) % 500).collect();
         for storage in [
             KvStorage::Fp32,
@@ -225,9 +235,15 @@ fn admission_charges_only_unshared_pages() {
 
             let (private_tokens, private) = run(false, false, None);
             assert_eq!(private.prefill_tokens, (batch * (prefix_len + 8)) as u64);
-            assert_eq!(private.peak_pages_in_use, 72);
+            assert_eq!(
+                private.peak_pages_in_use,
+                batch * n_layers * (prefix_len + 8 + 16).div_ceil(pp)
+            );
             let (_, private_bounded) = run(false, false, Some(capacity));
-            assert_eq!(private_bounded.peak_active, 2, "private prompts serialize");
+            assert_eq!(
+                private_bounded.peak_active, private_concurrent,
+                "private prompts serialize"
+            );
 
             for auto in [false, true] {
                 let (tokens, shared) = run(true, auto, Some(capacity));
@@ -243,6 +259,16 @@ fn admission_charges_only_unshared_pages() {
                 // `pages(P) + N·pages(private)`, not `N·pages(P+private)`.
                 assert_eq!(shared.peak_pages_in_use, capacity);
                 assert_eq!(shared.prefix_forks, batch as u64);
+                // The prefix's whole pages are prefilled once instead
+                // of N times, and leased once instead of N times.
+                assert_eq!(
+                    shared.prefill_tokens + ((batch - 1) * whole * pp) as u64,
+                    private.prefill_tokens
+                );
+                assert_eq!(
+                    shared.peak_pages_in_use + (batch - 1) * n_layers * whole,
+                    private.peak_pages_in_use
+                );
             }
         }
     }
