@@ -62,7 +62,7 @@ fn main() {
     );
 
     // (m, k, n): square hot-path shape, the acceptance shape, a wide
-    // activation panel (prefill-like), and a tall skinny one (LM head).
+    // activation panel (prefill-like), and a tall skinny one.
     let shapes: &[(usize, usize, usize)] = if quick {
         &[(256, 256, 256), (512, 512, 512)]
     } else {
@@ -103,7 +103,8 @@ fn main() {
         }
         table.row_owned(cells);
 
-        // Transposed matmul (attention scores / LM head shape).
+        // The same product with `rhs` held transposed (the LM head's
+        // form): the gap to the row above is the transposing pack.
         let serial = best_of(reps, || a.matmul_transposed_into_serial(&bt, &mut out));
         let mut cells = vec![
             format!("matmul_t {m}x{k}x{n}"),
@@ -190,28 +191,41 @@ fn main() {
     m_sweep(reps);
 }
 
-/// The step-wide projection GEMM against what it replaced: for each
-/// serving shape and SIMD leg, `M` rows through one tiled call versus
-/// `M` passes of the per-token axpy loop, serial. `M = 1` is the small-M
-/// guard (the tiled kernel must not lose to the loop it replaced);
-/// `M ≥ 8` is where cross-row weight reuse has to show. Four weight
-/// copies rotate under the calls so that, as in a model, a weight has
-/// left the L2 by the time it is used again.
+/// The step-wide GEMMs against one pass per row: for each serving
+/// projection shape, then the LM head (`rhs` held `n × k`, the same tile
+/// through the transposing pack), and each SIMD leg, `M` rows through one
+/// tiled call versus `M` passes of the per-row loop (axpy / plain dots),
+/// serial. `M = 1` is the small-M guard (a solo decode step: the
+/// row-major kernel must not lose to the loop it replaced, and the
+/// transposed one pays a whole pack for one row of arithmetic — this is
+/// where that cost is printed); `M ≥ 8` is where cross-row weight reuse
+/// has to show. Four weight copies rotate under the calls so that, as in
+/// a model, a weight has left the L2 by the time it is used again.
 fn m_sweep(reps: usize) {
-    use anda_bench::msweep::{lhs, per_row_gemv, weights, SERVING_SHAPES, SWEEP_M};
+    use anda_bench::msweep::{
+        lhs, per_row_dots, per_row_gemv, weights, LM_HEAD_SHAPE, SERVING_SHAPES, SWEEP_M,
+    };
 
     println!(
-        "\nM-sweep (serial, 4 rotating weight copies; wdown's lhs is ReLU-sparse): \
-         GFLOP/s of M per-token passes | one tiled GEMM"
+        "\nM-sweep (serial, 4 rotating weight copies; wdown's lhs is ReLU-sparse; \
+         `lm_head` multiplies by the transpose of an n x k rhs): \
+         GFLOP/s of M per-row passes | one tiled GEMM"
     );
     let mut header = vec!["leg / k x n".to_string()];
     header.extend(SWEEP_M.iter().map(|m| format!("M={m}")));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(&header_refs);
+    let shapes: Vec<(usize, usize, bool, bool)> = SERVING_SHAPES
+        .iter()
+        .map(|&(k, n, sparse)| (k, n, sparse, false))
+        .chain([(LM_HEAD_SHAPE.0, LM_HEAD_SHAPE.1, false, true)])
+        .collect();
     for leg in anda_fp::simd::available_legs() {
-        for (k, n, sparse) in SERVING_SHAPES {
-            let copies: Vec<Matrix> = (0..4).map(|c| weights(k, n, 11 + c)).collect();
-            let mut cells = vec![format!("{} {k}x{n}", leg.name())];
+        for &(k, n, sparse, transposed) in &shapes {
+            let (w_rows, w_cols) = if transposed { (n, k) } else { (k, n) };
+            let copies: Vec<Matrix> = (0..4).map(|c| weights(w_rows, w_cols, 11 + c)).collect();
+            let kind = if transposed { " lm_head" } else { "" };
+            let mut cells = vec![format!("{} {k}x{n}{kind}", leg.name())];
             for m in SWEEP_M {
                 let a = lhs(m, k, sparse, 12);
                 let mut out = Matrix::zeros(m, n);
@@ -224,8 +238,17 @@ fn m_sweep(reps: usize) {
                         }
                     }) / calls as f64
                 };
-                let rows = time(&|b, out| per_row_gemv(&a, b, out));
-                let gemm = time(&|b, out| a.matmul_into_serial_with_leg(b, out, leg));
+                let (rows, gemm) = if transposed {
+                    (
+                        time(&|b, out| per_row_dots(&a, b, out)),
+                        time(&|b, out| a.matmul_transposed_into_serial_with_leg(b, out, leg)),
+                    )
+                } else {
+                    (
+                        time(&|b, out| per_row_gemv(&a, b, out)),
+                        time(&|b, out| a.matmul_into_serial_with_leg(b, out, leg)),
+                    )
+                };
                 cells.push(format!(
                     "{:.1} | {:.1}",
                     flops / rows / 1e9,

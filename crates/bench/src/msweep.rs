@@ -1,6 +1,7 @@
 //! Shared inputs of the GEMM M-sweep (`gemm_threads` and the `kernels`
-//! criterion bench): the serving projection shapes at the row counts a
-//! step carries, against the per-token loop they replaced.
+//! criterion bench): the serving projection shapes and the LM head at
+//! the row counts a step carries, each against one pass per row of the
+//! loop a kernel-free implementation would run.
 
 use anda_tensor::{Matrix, Rng};
 
@@ -13,6 +14,10 @@ pub const SWEEP_M: [usize; 6] = [1, 2, 4, 8, 16, 64];
 /// `wdown` reads the post-ReLU block.
 pub const SERVING_SHAPES: [(usize, usize, bool); 3] =
     [(256, 768, false), (256, 1024, false), (1024, 256, true)];
+
+/// `(k, n)` of the serving model's tied LM head, whose `rhs` — the
+/// embedding table — is held `n × k`.
+pub const LM_HEAD_SHAPE: (usize, usize) = (256, 512);
 
 /// Normal weights (`k × n`).
 pub fn weights(k: usize, n: usize, seed: u64) -> Matrix {
@@ -33,9 +38,9 @@ pub fn lhs(m: usize, k: usize, relu_sparse: bool, seed: u64) -> Matrix {
     a
 }
 
-/// The baseline: one pass of the single-row axpy loop the serving path
-/// ran per token before the step-wide GEMM (`vec_matmul_into`, serial
-/// branch) for each row of `lhs` — every row re-streams all of `rhs`.
+/// The row-major baseline: one pass of the single-row axpy loop per row
+/// of `lhs` — what the serving path ran per token before the step-wide
+/// GEMM — so every row re-streams all of `rhs`.
 pub fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
     for i in 0..lhs.rows() {
         let out_row = out.row_mut(i);
@@ -47,6 +52,21 @@ pub fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
             for (o, &b) in out_row.iter_mut().zip(rhs.row(kidx)) {
                 *o += a * b;
             }
+        }
+    }
+}
+
+/// The transposed baseline (`rhs_t` held `n × k`): one plain
+/// ascending-`k` dot per output element, row by row — the scalar oracle
+/// of `matmul_transposed`.
+pub fn per_row_dots(lhs: &Matrix, rhs_t: &Matrix, out: &mut Matrix) {
+    for i in 0..lhs.rows() {
+        for (o, b_row) in out.row_mut(i).iter_mut().zip(rhs_t.rows_iter()) {
+            let mut acc = 0.0f32;
+            for (&a, &b) in lhs.row(i).iter().zip(b_row) {
+                acc += a * b;
+            }
+            *o = acc;
         }
     }
 }

@@ -112,7 +112,7 @@ pub fn dot_group_bit_serial(group: &BitPlaneGroup, weights: &[i8]) -> (i64, BitS
 ///
 /// Panics if `weights` holds more than [`crate::bitplane::LANES`] lanes.
 pub fn dot_group_int_flat(sign_word: u64, planes: &[u64], weights: &[i8]) -> i64 {
-    dot_group_int_flat_with_leg(anda_fp::simd::active_leg(), sign_word, planes, weights)
+    dot_group_int_flat_on(anda_fp::simd::active_leg(), sign_word, planes, weights)
 }
 
 /// [`dot_group_int_flat`] on an explicit leg (oracle tests and benches).
@@ -126,15 +126,30 @@ pub fn dot_group_int_flat_with_leg(
     planes: &[u64],
     weights: &[i8],
 ) -> i64 {
+    leg.assert_available();
+    dot_group_int_flat_on(leg, sign_word, planes, weights)
+}
+
+/// The dispatch of [`dot_group_int_flat_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn dot_group_int_flat_on(
+    leg: anda_fp::simd::SimdLeg,
+    sign_word: u64,
+    planes: &[u64],
+    weights: &[i8],
+) -> i64 {
     use anda_fp::simd::SimdLeg;
     match leg {
         SimdLeg::Scalar => dot_group_int_flat_scalar(sign_word, planes, weights),
+        // SAFETY (both legs): the CPU runs `leg` — this function's
+        // precondition.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { dot_group_int_flat_avx2(sign_word, planes, weights) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { dot_group_int_flat_neon(sign_word, planes, weights) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 

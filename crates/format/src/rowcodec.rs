@@ -86,7 +86,7 @@ pub fn encode_row_into(
     exps: &mut [u16],
     planes: &mut [u64],
 ) {
-    encode_row_into_with_leg(active_leg(), values, cfg, signs, exps, planes);
+    encode_row_on(active_leg(), values, cfg, signs, exps, planes);
 }
 
 /// [`encode_row_into`] on an explicit leg (oracle tests and benches).
@@ -102,14 +102,31 @@ pub fn encode_row_into_with_leg(
     exps: &mut [u16],
     planes: &mut [u64],
 ) {
+    leg.assert_available();
+    encode_row_on(leg, values, cfg, signs, exps, planes)
+}
+
+/// The dispatch of [`encode_row_into_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn encode_row_on(
+    leg: SimdLeg,
+    values: &[f32],
+    cfg: AndaConfig,
+    signs: &mut [u64],
+    exps: &mut [u16],
+    planes: &mut [u64],
+) {
     match leg {
         SimdLeg::Scalar => encode_row_into_scalar(values, cfg, signs, exps, planes),
+        // SAFETY (both legs): the CPU runs `leg` — this function's
+        // precondition.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { avx2::encode_row(values, cfg, signs, exps, planes) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { neon::encode_row(values, cfg, signs, exps, planes) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -189,7 +206,8 @@ pub fn decode_row_into(
     planes: &[u64],
     out: &mut [f32],
 ) {
-    decode_row_into_with_leg(active_leg(), cfg, signs, exps, planes, out);
+    crate::metrics::note_rows_decoded(1);
+    decode_row_uncounted(active_leg(), cfg, signs, exps, planes, out);
 }
 
 /// [`decode_row_into`] on an explicit leg (oracle tests and benches).
@@ -205,10 +223,14 @@ pub fn decode_row_into_with_leg(
     planes: &[u64],
     out: &mut [f32],
 ) {
+    leg.assert_available();
     crate::metrics::note_rows_decoded(1);
     decode_row_uncounted(leg, cfg, signs, exps, planes, out);
 }
 
+/// The dispatch of [`decode_row_into_with_leg`], not counted. `leg` must
+/// be available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
 fn decode_row_uncounted(
     leg: SimdLeg,
     cfg: AndaConfig,
@@ -219,15 +241,14 @@ fn decode_row_uncounted(
 ) {
     match leg {
         SimdLeg::Scalar => decode_row_into_scalar(cfg, signs, exps, planes, out),
-        // SAFETY (both legs): the dispatch layer only reports a leg the
-        // CPU supports, and an explicit `leg` is the caller's promise of
-        // the same (`decode_row_into_with_leg`'s contract).
+        // SAFETY (both legs): the CPU runs `leg` — this function's
+        // precondition.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { avx2::decode_row(cfg, signs, exps, planes, out) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { neon::decode_row(cfg, signs, exps, planes, out) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -327,7 +348,7 @@ fn check_decode_buffers(cfg: AndaConfig, signs: &[u64], exps: &[u16], planes: &[
 ///
 /// Panics if `out` holds more than [`LANES`] elements.
 pub fn decode_group_into(sign_word: u64, ulp: f32, planes: &[u64], out: &mut [f32]) {
-    decode_group_into_with_leg(active_leg(), sign_word, ulp, planes, out);
+    decode_group_on(active_leg(), sign_word, ulp, planes, out);
 }
 
 /// [`decode_group_into`] on an explicit leg (oracle tests and benches).
@@ -342,14 +363,24 @@ pub fn decode_group_into_with_leg(
     planes: &[u64],
     out: &mut [f32],
 ) {
+    leg.assert_available();
+    decode_group_on(leg, sign_word, ulp, planes, out)
+}
+
+/// The dispatch of [`decode_group_into_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn decode_group_on(leg: SimdLeg, sign_word: u64, ulp: f32, planes: &[u64], out: &mut [f32]) {
     match leg {
         SimdLeg::Scalar => decode_group_into_scalar(sign_word, ulp, planes, out),
+        // SAFETY (both legs): the CPU runs `leg` — this function's
+        // precondition.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { avx2::decode_group(sign_word, ulp, planes, out) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { neon::decode_group(sign_word, ulp, planes, out) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -915,6 +946,43 @@ mod tests {
     use crate::AndaTensor;
     use anda_fp::simd::available_legs;
     use anda_fp::RoundingMode;
+
+    #[test]
+    fn every_with_leg_entry_refuses_an_unavailable_leg() {
+        // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
+        // without it, where a missing check would be an illegal
+        // instruction from safe code. Covers the crate: this module's
+        // three entries and `dot`'s one.
+        let leg = [SimdLeg::Avx2, SimdLeg::Neon]
+            .into_iter()
+            .find(|leg| !leg.is_available())
+            .expect("no host runs both vector legs");
+        let want = format!("SIMD leg {} unavailable on this host", leg.name());
+        let cfg = AndaConfig::new(LANES, 8).unwrap();
+        let values = row(LANES, 1);
+        let (signs, exps, planes) = ([0u64; 1], [0u16; 1], [0u64; 8]);
+        type Entry<'a> = (&'a str, &'a dyn Fn());
+        let entries: [Entry; 4] = [
+            ("encode_row_into_with_leg", &|| {
+                let (mut s, mut e, mut p) = (signs, exps, planes);
+                encode_row_into_with_leg(leg, &values, cfg, &mut s, &mut e, &mut p)
+            }),
+            ("decode_row_into_with_leg", &|| {
+                decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut values.clone())
+            }),
+            ("decode_group_into_with_leg", &|| {
+                decode_group_into_with_leg(leg, 0, 1.0, &planes, &mut values.clone())
+            }),
+            ("dot_group_int_flat_with_leg", &|| {
+                crate::dot::dot_group_int_flat_with_leg(leg, 0, &planes, &[1i8; LANES]);
+            }),
+        ];
+        for (name, entry) in entries {
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry)).expect_err(name);
+            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{name}");
+        }
+    }
 
     fn row(len: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

@@ -21,7 +21,7 @@ use crate::simd::{active_leg, SimdLeg};
 ///
 /// Panics if the slice lengths differ.
 pub fn f32_to_f16_slice(src: &[f32], dst: &mut [F16]) {
-    f32_to_f16_slice_with_leg(active_leg(), src, dst);
+    f32_to_f16_on(active_leg(), src, dst);
 }
 
 /// [`f32_to_f16_slice`] on an explicit leg (oracle tests and benches).
@@ -31,15 +31,25 @@ pub fn f32_to_f16_slice(src: &[f32], dst: &mut [F16]) {
 /// Panics if the slice lengths differ or the leg is unavailable on this
 /// host.
 pub fn f32_to_f16_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [F16]) {
+    leg.assert_available();
+    f32_to_f16_on(leg, src, dst)
+}
+
+/// The dispatch of [`f32_to_f16_slice_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn f32_to_f16_on(leg: SimdLeg, src: &[f32], dst: &mut [F16]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
     match leg {
         SimdLeg::Scalar => f32_to_f16_scalar(src, dst),
+        // SAFETY (both legs): the CPU runs `leg` — this function's
+        // precondition.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { f32_to_f16_avx2(src, dst) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { f32_to_f16_neon(src, dst) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -57,7 +67,7 @@ pub fn f32_to_f16_scalar(src: &[f32], dst: &mut [F16]) {
 ///
 /// Panics if the slice lengths differ.
 pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
-    f16_to_f32_slice_with_leg(active_leg(), src, dst);
+    f16_to_f32_on(active_leg(), src, dst);
 }
 
 /// [`f16_to_f32_slice`] on an explicit leg (oracle tests and benches).
@@ -67,15 +77,25 @@ pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
 /// Panics if the slice lengths differ or the leg is unavailable on this
 /// host.
 pub fn f16_to_f32_slice_with_leg(leg: SimdLeg, src: &[F16], dst: &mut [f32]) {
+    leg.assert_available();
+    f16_to_f32_on(leg, src, dst)
+}
+
+/// The dispatch of [`f16_to_f32_slice_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn f16_to_f32_on(leg: SimdLeg, src: &[F16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
     match leg {
         SimdLeg::Scalar => f16_to_f32_scalar(src, dst),
+        // SAFETY (both legs): the CPU runs `leg` — this function's
+        // precondition.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { f16_to_f32_avx2(src, dst) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { f16_to_f32_neon(src, dst) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -94,7 +114,7 @@ pub fn f16_to_f32_scalar(src: &[F16], dst: &mut [f32]) {
 ///
 /// Panics if the slice lengths differ.
 pub fn saturate_f16_widen_slice(src: &[f32], dst: &mut [f32]) {
-    saturate_f16_widen_slice_with_leg(active_leg(), src, dst);
+    saturate_f16_widen_on(active_leg(), src, dst);
 }
 
 /// [`saturate_f16_widen_slice`] on an explicit leg.
@@ -104,11 +124,20 @@ pub fn saturate_f16_widen_slice(src: &[f32], dst: &mut [f32]) {
 /// Panics if the slice lengths differ or the leg is unavailable on this
 /// host.
 pub fn saturate_f16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
+    leg.assert_available();
+    saturate_f16_widen_on(leg, src, dst)
+}
+
+/// The dispatch of [`saturate_f16_widen_slice_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn saturate_f16_widen_on(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
     match leg {
         SimdLeg::Scalar => saturate_f16_widen_scalar(src, dst),
-        // SAFETY: both slices hold `src.len()` valid elements (asserted
-        // above) and, being `&` and `&mut`, do not overlap.
+        // SAFETY: the CPU runs `leg` (this function's precondition); both
+        // slices hold `src.len()` valid elements (asserted above) and,
+        // being `&` and `&mut`, do not overlap.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe {
             saturate_f16_widen_avx2(src.as_ptr(), dst.as_mut_ptr(), src.len())
@@ -118,7 +147,7 @@ pub fn saturate_f16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f
             saturate_f16_widen_neon(src.as_ptr(), dst.as_mut_ptr(), src.len())
         },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -133,7 +162,7 @@ pub fn saturate_f16_widen_scalar(src: &[f32], dst: &mut [f32]) {
 /// saturate_to_f16(v[i]).to_f32()` — the FP16 activation rounding
 /// between decode GEMMs — on the active dispatch leg.
 pub fn saturate_f16_widen_in_place(v: &mut [f32]) {
-    saturate_f16_widen_in_place_with_leg(active_leg(), v);
+    saturate_f16_widen_in_place_on(active_leg(), v);
 }
 
 /// [`saturate_f16_widen_in_place`] on an explicit leg.
@@ -142,18 +171,27 @@ pub fn saturate_f16_widen_in_place(v: &mut [f32]) {
 ///
 /// Panics if the leg is unavailable on this host.
 pub fn saturate_f16_widen_in_place_with_leg(leg: SimdLeg, v: &mut [f32]) {
+    leg.assert_available();
+    saturate_f16_widen_in_place_on(leg, v)
+}
+
+/// The dispatch of [`saturate_f16_widen_in_place_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn saturate_f16_widen_in_place_on(leg: SimdLeg, v: &mut [f32]) {
     let (ptr, len) = (v.as_mut_ptr(), v.len());
     match leg {
         SimdLeg::Scalar => saturate_f16_widen_in_place_scalar(v),
-        // SAFETY: source and destination are the same `len` valid
-        // elements, and the kernels read each element (or vector of
-        // elements) before writing it.
+        // SAFETY: the CPU runs `leg` (this function's precondition);
+        // source and destination are the same `len` valid elements, and
+        // the kernels read each element (or vector of elements) before
+        // writing it.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { saturate_f16_widen_avx2(ptr, ptr, len) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { saturate_f16_widen_neon(ptr, ptr, len) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -172,7 +210,7 @@ pub fn saturate_f16_widen_in_place_scalar(v: &mut [f32]) {
 ///
 /// Panics if the slice lengths differ.
 pub fn saturate_bf16_widen_slice(src: &[f32], dst: &mut [f32]) {
-    saturate_bf16_widen_slice_with_leg(active_leg(), src, dst);
+    saturate_bf16_widen_on(active_leg(), src, dst);
 }
 
 /// [`saturate_bf16_widen_slice`] on an explicit leg.
@@ -182,15 +220,25 @@ pub fn saturate_bf16_widen_slice(src: &[f32], dst: &mut [f32]) {
 /// Panics if the slice lengths differ or the leg is unavailable on this
 /// host.
 pub fn saturate_bf16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
+    leg.assert_available();
+    saturate_bf16_widen_on(leg, src, dst)
+}
+
+/// The dispatch of [`saturate_bf16_widen_slice_with_leg`]. `leg` must be
+/// available on this host: it is `active_leg()`, or the entry above
+/// asserted it.
+fn saturate_bf16_widen_on(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
     match leg {
         SimdLeg::Scalar => saturate_bf16_widen_scalar(src, dst),
+        // SAFETY (both legs): the CPU runs `leg` — this function's
+        // precondition.
         #[cfg(target_arch = "x86_64")]
         SimdLeg::Avx2 => unsafe { saturate_bf16_widen_avx2(src, dst) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { saturate_bf16_widen_neon(src, dst) },
         #[allow(unreachable_patterns)]
-        other => panic!("SIMD leg {} unavailable on this host", other.name()),
+        other => unreachable!("SIMD leg {} was not checked", other.name()),
     }
 }
 
@@ -409,6 +457,43 @@ unsafe fn saturate_bf16_widen_neon(src: &[f32], dst: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::simd::available_legs;
+
+    #[test]
+    fn every_with_leg_entry_refuses_an_unavailable_leg() {
+        // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
+        // without it, where a missing check would be an illegal
+        // instruction from safe code.
+        let leg = [SimdLeg::Avx2, SimdLeg::Neon]
+            .into_iter()
+            .find(|leg| !leg.is_available())
+            .expect("no host runs both vector legs");
+        let want = format!("SIMD leg {} unavailable on this host", leg.name());
+        let src = [1.0f32; 16];
+        let half = [F16::from_bits(0); 16];
+        type Entry<'a> = (&'a str, &'a dyn Fn());
+        let entries: [Entry; 5] = [
+            ("f32_to_f16_slice_with_leg", &|| {
+                f32_to_f16_slice_with_leg(leg, &src, &mut half.clone())
+            }),
+            ("f16_to_f32_slice_with_leg", &|| {
+                f16_to_f32_slice_with_leg(leg, &half, &mut src.clone())
+            }),
+            ("saturate_f16_widen_slice_with_leg", &|| {
+                saturate_f16_widen_slice_with_leg(leg, &src, &mut src.clone())
+            }),
+            ("saturate_f16_widen_in_place_with_leg", &|| {
+                saturate_f16_widen_in_place_with_leg(leg, &mut src.clone())
+            }),
+            ("saturate_bf16_widen_slice_with_leg", &|| {
+                saturate_bf16_widen_slice_with_leg(leg, &src, &mut src.clone())
+            }),
+        ];
+        for (name, entry) in entries {
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry)).expect_err(name);
+            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{name}");
+        }
+    }
 
     fn adversarial_values() -> Vec<f32> {
         let mut v: Vec<f32> = vec![

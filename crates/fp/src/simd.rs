@@ -53,6 +53,22 @@ impl SimdLeg {
             SimdLeg::Neon => neon_available(),
         }
     }
+
+    /// The check every public `*_with_leg` kernel entry makes before it
+    /// dispatches: a vector leg's kernels are `unsafe` to run on a CPU
+    /// without its feature, and the entries are safe functions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the current host cannot execute this leg.
+    #[inline]
+    pub fn assert_available(self) {
+        assert!(
+            self.is_available(),
+            "SIMD leg {} unavailable on this host",
+            self.name()
+        );
+    }
 }
 
 fn avx2_available() -> bool {
@@ -103,7 +119,10 @@ pub fn available_legs() -> Vec<SimdLeg> {
 
 /// The leg every dispatched kernel runs, decided once per process from
 /// CPU feature detection and the `ANDA_SIMD` override (see the module
-/// docs for the override grammar and fallback rules).
+/// docs for the override grammar and fallback rules). Inlined into the
+/// other crates' dispatchers: after the first call it is one load and a
+/// branch, which a per-group caller (`anda_quant::gemm`) pays per group.
+#[inline]
 pub fn active_leg() -> SimdLeg {
     static ACTIVE: OnceLock<SimdLeg> = OnceLock::new();
     *ACTIVE.get_or_init(choose_leg)

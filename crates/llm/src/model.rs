@@ -848,14 +848,16 @@ impl Model {
 
     /// Tied LM head, `logits = hidden · embedᵀ` times the logit scale
     /// (kept in FP, like the paper's non-GeMM operators), through
-    /// [`Matrix::matmul_transposed_into_pool`]: the one LM head of
-    /// [`Model::forward`], the solo entry points and the batched one.
+    /// [`Matrix::matmul_transposed_into_on`] — sharded across `pool` only
+    /// when the product is large enough to repay a dispatch, like every
+    /// projection: the one LM head of [`Model::forward`], the solo entry
+    /// points and the batched one.
     fn lm_head(&self, hidden: &Matrix, logits: &mut Matrix, pool: &ThreadPool) {
         logits.resize(hidden.rows(), self.config.vocab);
         if hidden.rows() == 0 {
             return;
         }
-        hidden.matmul_transposed_into_pool(&self.embed, logits, pool);
+        hidden.matmul_transposed_into_on(&self.embed, logits, Some(pool));
         if self.logit_scale != 1.0 {
             logits.scale(self.logit_scale);
         }
@@ -1398,14 +1400,19 @@ mod tests {
         model.logit_scale = 0.85;
         let (d, vocab) = (model.config.d_model, model.config.vocab);
         let mut rng = Rng::new(11);
-        for rows in [1usize, 2, 3, 4, 7, 9] {
+        // One to three rows run the tile at their own height and, like
+        // everything under 8 rows of this 128 × 512 head, stay below the
+        // pool threshold; 8 rows (a decode batch) reach it and shard by
+        // rows on two threads and by column strips on three and four;
+        // 128 (a `forward` window) shard by rows on every pool.
+        for rows in [1usize, 2, 3, 4, 7, 8, 9, 128] {
             let mut batch = BatchOutput::new();
             let mut row = vec![0.0f32; d];
             for _ in 0..rows {
                 rng.fill_normal(&mut row, 1.5);
                 batch.push_hidden(&row);
             }
-            for threads in [1usize, 2, 4] {
+            for threads in [1usize, 2, 3, 4] {
                 model.lm_head_batch_pool(&mut batch, &ThreadPool::new(threads));
                 for i in 0..rows {
                     for tok in 0..vocab {

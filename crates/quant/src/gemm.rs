@@ -16,7 +16,7 @@
 //!   integer path for the Anda codec and used by the accuracy sweeps.
 
 use anda_format::anda::AndaConfig;
-use anda_format::dot::{dot_group_int_flat_with_leg, rescale_int_dot};
+use anda_format::dot::{dot_group_int_flat, rescale_int_dot};
 use anda_format::rowcodec::{encode_row_into, groups_per_row, plane_words_per_row};
 use anda_tensor::Matrix;
 use rayon_lite::ThreadPool;
@@ -229,7 +229,6 @@ fn anda_rows(x: &Matrix, w: &IntWeightMatrix, cfg: &AndaConfig, out_rows: &mut [
     let mut exps = vec![0u16; g];
     let mut planes = vec![0u64; plane_words_per_row(k, *cfg)];
     let mut weights: Vec<i8> = Vec::with_capacity(lanes);
-    let leg = anda_fp::simd::active_leg();
 
     for li in 0..rows_here {
         let row = row0 + li;
@@ -242,12 +241,8 @@ fn anda_rows(x: &Matrix, w: &IntWeightMatrix, cfg: &AndaConfig, out_rows: &mut [
                 let k_end = (k_start + lanes).min(k);
                 weights.clear();
                 weights.extend((k_start..k_end).map(|r| w.value(r, col)));
-                let int_dot = dot_group_int_flat_with_leg(
-                    leg,
-                    signs[gi],
-                    &planes[gi * m..(gi + 1) * m],
-                    &weights,
-                );
+                let int_dot =
+                    dot_group_int_flat(signs[gi], &planes[gi * m..(gi + 1) * m], &weights);
                 let scale = w.scale_at(k_start, col);
                 acc += rescale_int_dot(int_dot, exps[gi], cfg.mantissa_bits(), scale);
             }

@@ -1,15 +1,17 @@
 //! Row-major `f32` matrices.
 //!
-//! The GeMM kernels carry AVX2/NEON legs behind [`anda_fp::simd`]'s
-//! runtime dispatch. `matmul_into`'s legs are an output-stationary
-//! register tile (4 rows × 16 columns of accumulators walked over `k`,
-//! `rhs` column strips packed contiguous — `tile.rs`); the transposed
-//! kernel's transpose 8×8 (4×4) blocks of `rhs` in registers. In both,
-//! each vector lane owns one output element and accumulates over `k` in
-//! the same ascending order as the scalar kernel, with separate multiply
-//! and add (no FMA contraction) — so every leg is `f32::to_bits`-
-//! identical to the scalar oracle for finite operands, preserving the
-//! bit-exactness invariant the serving stack is built on.
+//! Both products, `lhs · rhs` and `lhs · rhsᵀ`, run one kernel behind
+//! [`anda_fp::simd`]'s runtime dispatch: on the AVX2/NEON legs an
+//! output-stationary register tile (4 rows × 16 columns of accumulators
+//! walked over `k`, `rhs` column strips packed contiguous — `tile.rs`,
+//! whose pack is the only code that knows which way `rhs` is held), on
+//! the scalar leg the oracles at the end of the `impl`. One sharding rule
+//! and one auto-dispatch threshold serve both. Each vector lane owns one
+//! output element and accumulates over `k` in the same ascending order as
+//! the scalar kernel, with separate multiply and add (no FMA
+//! contraction) — so every leg is `f32::to_bits`-identical to the scalar
+//! oracle (row-major: for finite `rhs`; transposed: always), preserving
+//! the bit-exactness invariant the serving stack is built on.
 
 use core::fmt;
 use core::ops::{Index, IndexMut};
@@ -17,7 +19,7 @@ use core::ops::{Index, IndexMut};
 use anda_fp::simd::{active_leg, SimdLeg};
 use rayon_lite::ThreadPool;
 
-use crate::tile::{self, OutBlock, TILE_COLS, TILE_ROWS};
+use crate::tile::{self, Layout, OutBlock, TILE_COLS, TILE_ROWS};
 
 /// Below this many multiply-adds a GeMM runs serially even when the
 /// pool has threads: dispatch overhead (a mutex push plus a condvar
@@ -219,28 +221,20 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: Option<&ThreadPool>) {
-        let muladds = self.rows * self.cols * rhs.cols;
-        match pool {
-            Some(pool) if pool.threads() > 1 && muladds >= PAR_MIN_MULADDS => {
-                self.matmul_into_pool(rhs, out, pool)
-            }
-            _ => self.matmul_into_serial(rhs, out),
-        }
+        self.product_on(rhs, Layout::RowMajor, out, pool);
     }
 
-    /// The serial blocked GeMM kernel behind [`Matrix::matmul_into`].
-    ///
-    /// Blocked ikj loop order: `rhs` row panels stay cache-resident across
-    /// an i-tile instead of being re-streamed for every output row. The
-    /// per-element accumulation order over k is unchanged from the naive
-    /// ikj kernel, so results are bit-identical to [`Matrix::matmul`] on
-    /// any input.
+    /// The serial kernel behind [`Matrix::matmul_into`]: the register
+    /// tile of `tile.rs` on a vector leg, a blocked ikj axpy walk on the
+    /// scalar one. Every output element accumulates over `k` in ascending
+    /// order, so results are bit-identical to the naive ikj kernel for
+    /// finite `rhs`.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_serial(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into_serial_with_leg(rhs, out, active_leg());
+        self.product_serial(rhs, Layout::RowMajor, out, active_leg());
     }
 
     /// [`Matrix::matmul_into_serial`] on an explicit SIMD leg (oracle
@@ -251,13 +245,8 @@ impl Matrix {
     /// Panics on any shape mismatch, or if the leg is unavailable on
     /// this host.
     pub fn matmul_into_serial_with_leg(&self, rhs: &Matrix, out: &mut Matrix, leg: SimdLeg) {
-        self.matmul_check_shapes(rhs, out);
-        if rhs.cols == 0 {
-            // Degenerate m×0 output: nothing to accumulate (and the
-            // kernel's chunks_exact requires a non-zero width).
-            return;
-        }
-        self.matmul_rows_leg(rhs, &mut out.data, 0, leg);
+        leg.assert_available();
+        self.product_serial(rhs, Layout::RowMajor, out, leg);
     }
 
     /// [`Matrix::matmul_into`] on an explicit pool, always sharding
@@ -273,8 +262,150 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.matmul_check_shapes(rhs, out);
-        let n = rhs.cols;
+        self.product_pool(rhs, Layout::RowMajor, out, pool);
+    }
+
+    /// Multiplication by the transpose of `rhs`: `self · rhsᵀ`, for a
+    /// weight matrix stored output-major — the tied LM head's embedding
+    /// table.
+    ///
+    /// It is the same kernel as [`Matrix::matmul`] with a transposing
+    /// panel pack, and nothing in it skips a zero: every output element is
+    /// the plain ascending-`k` dot `Σ_k self[i][k] · rhs[j][k]` from
+    /// `+0.0`, bit for bit, on every input — non-finite `rhs` included —
+    /// at every SIMD leg and thread count.
+    pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        self.matmul_transposed_into(rhs, &mut out);
+        out
+    }
+
+    /// `self · rhsᵀ` writing into a preallocated output, on the global
+    /// [`rayon_lite`] pool; see [`Matrix::matmul_transposed_into_on`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_transposed_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.matmul_transposed_into_on(rhs, out, Some(rayon_lite::global()));
+    }
+
+    /// [`Matrix::matmul_transposed_into`] on the caller's pool, under
+    /// [`Matrix::matmul_into_on`]'s rule: large products are sharded
+    /// ([`Matrix::matmul_transposed_into_pool`]), small ones — a one-row
+    /// LM head over a 512-token vocabulary — and everything when `pool`
+    /// is `None` run serially. Bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_transposed_into_on(
+        &self,
+        rhs: &Matrix,
+        out: &mut Matrix,
+        pool: Option<&ThreadPool>,
+    ) {
+        self.product_on(rhs, Layout::Transposed, out, pool);
+    }
+
+    /// The serial kernel behind [`Matrix::matmul_transposed_into`]: the
+    /// register tile over transposing panel packs on a vector leg, plain
+    /// per-element dots on the scalar one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_transposed_into_serial(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.product_serial(rhs, Layout::Transposed, out, active_leg());
+    }
+
+    /// [`Matrix::matmul_transposed_into_serial`] on an explicit SIMD leg
+    /// (oracle tests and benches).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch, or if the leg is unavailable on
+    /// this host.
+    pub fn matmul_transposed_into_serial_with_leg(
+        &self,
+        rhs: &Matrix,
+        out: &mut Matrix,
+        leg: SimdLeg,
+    ) {
+        leg.assert_available();
+        self.product_serial(rhs, Layout::Transposed, out, leg);
+    }
+
+    /// [`Matrix::matmul_transposed_into`] on an explicit pool, always
+    /// sharding across its threads the way [`Matrix::matmul_into_pool`]
+    /// does (bit-exactness tests and the threading bench).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_transposed_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
+        self.product_pool(rhs, Layout::Transposed, out, pool);
+    }
+
+    /// `(k, n)` of `self` as the `rhs` of a product, read through `layout`.
+    fn rhs_shape(&self, layout: Layout) -> (usize, usize) {
+        match layout {
+            Layout::RowMajor => (self.rows, self.cols),
+            Layout::Transposed => (self.cols, self.rows),
+        }
+    }
+
+    /// Checks the shapes of `out = self · rhs` and returns the output
+    /// width `n`.
+    fn product_check_shapes(&self, rhs: &Matrix, layout: Layout, out: &Matrix) -> usize {
+        let (k, n) = rhs.rhs_shape(layout);
+        let (name, t) = match layout {
+            Layout::RowMajor => ("matmul", ""),
+            Layout::Transposed => ("matmul_transposed", "ᵀ"),
+        };
+        assert_eq!(
+            self.cols, k,
+            "{name} shape mismatch: {}x{} · ({}x{}){t}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, n),
+            "{name} output shape mismatch"
+        );
+        n
+    }
+
+    /// The one auto-dispatch rule of both layouts.
+    fn product_on(
+        &self,
+        rhs: &Matrix,
+        layout: Layout,
+        out: &mut Matrix,
+        pool: Option<&ThreadPool>,
+    ) {
+        let muladds = self.len() * out.cols;
+        match pool {
+            Some(pool) if pool.threads() > 1 && muladds >= PAR_MIN_MULADDS => {
+                self.product_pool(rhs, layout, out, pool)
+            }
+            _ => self.product_serial(rhs, layout, out, active_leg()),
+        }
+    }
+
+    fn product_serial(&self, rhs: &Matrix, layout: Layout, out: &mut Matrix, leg: SimdLeg) {
+        if self.product_check_shapes(rhs, layout, out) == 0 {
+            // Degenerate m×0 output: nothing to accumulate (and the
+            // kernels divide by the width).
+            return;
+        }
+        self.product_rows(rhs, layout, &mut out.data, 0, leg);
+    }
+
+    /// The one sharding rule of both layouts; see
+    /// [`Matrix::matmul_into_pool`].
+    fn product_pool(&self, rhs: &Matrix, layout: Layout, out: &mut Matrix, pool: &ThreadPool) {
+        let n = self.product_check_shapes(rhs, layout, out);
         if n == 0 {
             return;
         }
@@ -283,7 +414,7 @@ impl Matrix {
         if leg == SimdLeg::Scalar || self.rows >= TILE_ROWS * threads {
             let rows_per_chunk = self.rows.div_ceil(threads).next_multiple_of(TILE_ROWS);
             pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
-                self.matmul_rows_leg(rhs, chunk, idx * rows_per_chunk, leg);
+                self.product_rows(rhs, layout, chunk, idx * rows_per_chunk, leg);
             });
             return;
         }
@@ -298,72 +429,77 @@ impl Matrix {
                     cols: c0..(c0 + cols_per_job).min(n),
                 };
                 // SAFETY: `out` is exclusively borrowed until the scope
-                // joins, holds `rows` rows of `n`, and the jobs' column
-                // ranges are disjoint.
-                s.spawn(move || unsafe { self.matmul_block_leg(rhs, &block, leg) });
+                // joins, holds `rows` rows of `n` (shapes checked above),
+                // and the jobs' column ranges are disjoint; `leg` is the
+                // active one, which the CPU runs.
+                s.spawn(move || unsafe { self.product_block_leg(rhs, layout, n, &block, leg) });
             }
         });
     }
 
-    fn matmul_check_shapes(&self, rhs: &Matrix, out: &Matrix) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "matmul output shape mismatch"
-        );
-    }
-
-    /// Output rows `[row0, row0 + rows_here)`, where `rows_here =
-    /// out_rows.len() / rhs.cols`, on `leg`. Each output element
-    /// accumulates over k in ascending order regardless of `row0`, the
-    /// leg or any tile boundary, which is what makes every sharding
-    /// bit-identical to the full-range serial call.
-    fn matmul_rows_leg(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize, leg: SimdLeg) {
+    /// Output rows `[row0, row0 + out_rows.len() / n)` on `leg`, `n` being
+    /// the output width `layout` gives. Each output element accumulates
+    /// over k in ascending order regardless of `row0`, the leg or any
+    /// tile boundary, which is what makes every sharding bit-identical to
+    /// the full-range serial call.
+    fn product_rows(
+        &self,
+        rhs: &Matrix,
+        layout: Layout,
+        out_rows: &mut [f32],
+        row0: usize,
+        leg: SimdLeg,
+    ) {
+        let (_, n) = rhs.rhs_shape(layout);
         if leg == SimdLeg::Scalar {
-            return self.matmul_rows_scalar(rhs, out_rows, row0);
+            return match layout {
+                Layout::RowMajor => self.matmul_rows_scalar(rhs, out_rows, row0),
+                Layout::Transposed => self.matmul_transposed_rows_scalar(rhs, out_rows, row0),
+            };
         }
         let block = OutBlock {
             ptr: out_rows.as_mut_ptr(),
             row0,
-            rows: out_rows.len() / rhs.cols,
-            cols: 0..rhs.cols,
+            rows: out_rows.len() / n,
+            cols: 0..n,
         };
         // SAFETY: `out_rows` is exclusively borrowed and holds exactly
         // `rows` full output rows, so the block covers memory this call
-        // owns.
-        unsafe { self.matmul_block_leg(rhs, &block, leg) }
+        // owns; the callers checked the shapes, and pass `active_leg()`
+        // or a leg a `_with_leg` entry asserted available.
+        unsafe { self.product_block_leg(rhs, layout, n, &block, leg) }
     }
 
     /// Runs the register-tiled kernel of a vector leg over `block`.
     ///
     /// # Safety
     ///
-    /// `block.ptr` must be valid for writes of `block.rows` rows of
-    /// `rhs.cols` elements, and nothing else may access the block's
-    /// columns of those rows during the call.
-    unsafe fn matmul_block_leg(&self, rhs: &Matrix, block: &OutBlock, leg: SimdLeg) {
+    /// `self · rhs` (through `layout`) must be `· × n`, `block.ptr` must
+    /// be valid for writes of `block.rows` rows of `n` elements, nothing
+    /// else may access the block's columns of those rows during the call,
+    /// and the CPU must run `leg`.
+    unsafe fn product_block_leg(
+        &self,
+        rhs: &Matrix,
+        layout: Layout,
+        n: usize,
+        block: &OutBlock,
+        leg: SimdLeg,
+    ) {
+        let (lhs, k, rhs) = (&self.data[..], self.cols, &rhs.data[..]);
         match leg {
             #[cfg(target_arch = "x86_64")]
-            SimdLeg::Avx2 => {
-                <tile::Avx2 as tile::Leg>::block(&self.data, self.cols, &rhs.data, rhs.cols, block)
-            }
+            SimdLeg::Avx2 => <tile::Avx2 as tile::Leg>::block(lhs, k, rhs, n, layout, block),
             #[cfg(target_arch = "aarch64")]
-            SimdLeg::Neon => {
-                <tile::Neon as tile::Leg>::block(&self.data, self.cols, &rhs.data, rhs.cols, block)
-            }
+            SimdLeg::Neon => <tile::Neon as tile::Leg>::block(lhs, k, rhs, n, layout, block),
             #[allow(unreachable_patterns)]
             other => panic!("SIMD leg {} has no tiled kernel on this host", other.name()),
         }
     }
 
-    /// The scalar oracle every vector leg is pinned to: a blocked ikj
-    /// axpy walk, `out[i][j] += a[i][k] · b[k][j]` for ascending `k`,
-    /// one rounding per multiply and per add.
+    /// The scalar oracle every vector leg of the row-major product is
+    /// pinned to: a blocked ikj axpy walk, `out[i][j] += a[i][k] · b[k][j]`
+    /// for ascending `k`, one rounding per multiply and per add.
     ///
     /// It skips `a == 0`. That is an optimisation, not part of the
     /// contract the legs share: an accumulator that starts at `+0.0`
@@ -401,403 +537,13 @@ impl Matrix {
         }
     }
 
-    /// Multiplication by the transpose of `rhs`: `self · rhsᵀ`.
-    ///
-    /// Useful for weight matrices stored output-major, and for attention
-    /// scores `Q · Kᵀ`.
-    pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_transposed_into(rhs, &mut out);
-        out
-    }
-
-    /// `self · rhsᵀ` writing into a preallocated output.
-    ///
-    /// Large products are sharded by output rows across the global
-    /// [`rayon_lite`] pool; small ones run serially. Both paths are
-    /// bit-identical to [`Matrix::matmul_transposed_into_serial`] because
-    /// every output element is a plain sequential dot over k whichever
-    /// rows a thread owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        let pool = rayon_lite::global();
-        let muladds = self.rows * self.cols * rhs.rows;
-        if pool.threads() > 1 && self.rows > 1 && muladds >= PAR_MIN_MULADDS {
-            self.matmul_transposed_into_pool(rhs, out, pool);
-        } else {
-            self.matmul_transposed_into_serial(rhs, out);
-        }
-    }
-
-    /// The serial kernel behind [`Matrix::matmul_transposed_into`].
-    ///
-    /// Blocked dot-product kernel: output is computed in 4×4 register
-    /// tiles so each loaded `self`/`rhs` row participates in four dots per
-    /// pass. Every output element keeps its own accumulator walked over k
-    /// in order, so results match the naive per-element dot product
-    /// bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into_serial(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_transposed_into_serial_with_leg(rhs, out, active_leg());
-    }
-
-    /// [`Matrix::matmul_transposed_into_serial`] on an explicit SIMD leg
-    /// (oracle tests and benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch, or if the leg is unavailable on
-    /// this host.
-    pub fn matmul_transposed_into_serial_with_leg(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        leg: SimdLeg,
-    ) {
-        self.matmul_transposed_check_shapes(rhs, out);
-        if rhs.rows == 0 {
-            return;
-        }
-        self.matmul_transposed_rows_leg(rhs, &mut out.data, 0, leg);
-    }
-
-    /// [`Matrix::matmul_transposed_into`] on an explicit pool, always
-    /// sharding the output rows across its threads (bit-exactness tests
-    /// and the threading bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.matmul_transposed_check_shapes(rhs, out);
-        let n = rhs.rows;
-        if n == 0 {
-            return;
-        }
-        let rows_per_chunk = self.rows.div_ceil(pool.threads()).max(1);
-        pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
-            self.matmul_transposed_rows(rhs, chunk, idx * rows_per_chunk);
-        });
-    }
-
-    fn matmul_transposed_check_shapes(&self, rhs: &Matrix, out: &Matrix) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_transposed shape mismatch: {}x{} · ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.rows),
-            "matmul_transposed output shape mismatch"
-        );
-    }
-
-    /// The 4×4-tiled dot-product kernel over output rows
-    /// `[row0, row0 + out_rows.len() / rhs.rows)`. Each output element is
-    /// one accumulator walked over k in ascending order — in the tiles and
-    /// in the edge fallback alike — so where the 4×4 tile boundaries fall
-    /// within a shard cannot change any value, and row sharding is
-    /// bit-identical to the full-range serial call.
-    fn matmul_transposed_rows(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        self.matmul_transposed_rows_leg(rhs, out_rows, row0, active_leg());
-    }
-
-    fn matmul_transposed_rows_leg(
-        &self,
-        rhs: &Matrix,
-        out_rows: &mut [f32],
-        row0: usize,
-        leg: SimdLeg,
-    ) {
-        match leg {
-            SimdLeg::Scalar => self.matmul_transposed_rows_scalar(rhs, out_rows, row0),
-            #[cfg(target_arch = "x86_64")]
-            SimdLeg::Avx2 => unsafe { self.matmul_transposed_rows_avx2(rhs, out_rows, row0) },
-            #[cfg(target_arch = "aarch64")]
-            SimdLeg::Neon => unsafe { self.matmul_transposed_rows_neon(rhs, out_rows, row0) },
-            #[allow(unreachable_patterns)]
-            other => panic!("SIMD leg {} unavailable on this host", other.name()),
-        }
-    }
-
+    /// The scalar oracle of the transposed product: one plain
+    /// ascending-`k` dot per output element.
     fn matmul_transposed_rows_scalar(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        const T: usize = 4;
-        let k = self.cols;
-        let n = rhs.rows;
-        let rows_here = out_rows.len() / n;
-        let mi = rows_here - rows_here % T;
-        let nj = n - n % T;
-        for li0 in (0..mi).step_by(T) {
-            let i0 = row0 + li0;
-            for j0 in (0..nj).step_by(T) {
-                let mut acc = [[0.0f32; T]; T];
-                let a = [
-                    self.row(i0),
-                    self.row(i0 + 1),
-                    self.row(i0 + 2),
-                    self.row(i0 + 3),
-                ];
-                let b = [
-                    rhs.row(j0),
-                    rhs.row(j0 + 1),
-                    rhs.row(j0 + 2),
-                    rhs.row(j0 + 3),
-                ];
-                for kk in 0..k {
-                    let av = [a[0][kk], a[1][kk], a[2][kk], a[3][kk]];
-                    let bv = [b[0][kk], b[1][kk], b[2][kk], b[3][kk]];
-                    for (accr, &ai) in acc.iter_mut().zip(&av) {
-                        for (accv, &bj) in accr.iter_mut().zip(&bv) {
-                            *accv += ai * bj;
-                        }
-                    }
-                }
-                for (di, accr) in acc.iter().enumerate() {
-                    out_rows[(li0 + di) * n + j0..(li0 + di) * n + j0 + T].copy_from_slice(accr);
-                }
-            }
-        }
-        // Edge rows/columns fall back to plain sequential dots (same
-        // accumulation order as the tiles).
-        let edge_dot = |i: usize, j: usize| -> f32 {
-            let mut acc = 0.0f32;
-            for (&x, &y) in self.row(i).iter().zip(rhs.row(j)) {
-                acc += x * y;
-            }
-            acc
-        };
-        for li in 0..rows_here {
-            let j_start = if li < mi { nj } else { 0 };
-            for j in j_start..n {
-                out_rows[li * n + j] = edge_dot(row0 + li, j);
-            }
-        }
-    }
-
-    /// AVX2 leg of the transposed kernel: up to 4 output rows × 8 output
-    /// columns of vector accumulators (the last one to three rows of a
-    /// range run the same tile at their own height, so an LM head over a
-    /// handful of streams never leaves the vector path). Per 8-wide
-    /// k-tile the 8×8 block
-    /// of `rhs` is loaded row-wise and transposed in registers, after
-    /// which lane `j` of every accumulator walks k in ascending order
-    /// with separate multiply and add — the same per-element operation
-    /// sequence as the scalar kernel, hence bit-identical. Ragged
-    /// columns fall back to the scalar edge dot.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (callers go through the dispatch layer).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn matmul_transposed_rows_avx2(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        use core::arch::x86_64::*;
-
-        /// In-register 8×8 f32 transpose (unpack/shuffle/permute ladder).
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn transpose8(r: &mut [__m256; 8]) {
-            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
-            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
-            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
-            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
-            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
-            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
-            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
-            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
-            let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-            let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-            let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-            let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-            let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-            let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-            let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-            let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-            r[0] = _mm256_permute2f128_ps::<0x20>(s0, s4);
-            r[1] = _mm256_permute2f128_ps::<0x20>(s1, s5);
-            r[2] = _mm256_permute2f128_ps::<0x20>(s2, s6);
-            r[3] = _mm256_permute2f128_ps::<0x20>(s3, s7);
-            r[4] = _mm256_permute2f128_ps::<0x31>(s0, s4);
-            r[5] = _mm256_permute2f128_ps::<0x31>(s1, s5);
-            r[6] = _mm256_permute2f128_ps::<0x31>(s2, s6);
-            r[7] = _mm256_permute2f128_ps::<0x31>(s3, s7);
-        }
-
-        /// `R` output rows × every whole 8-column block.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn row_tile<const R: usize>(
-            lhs: &Matrix,
-            rhs: &Matrix,
-            out_rows: &mut [f32],
-            li0: usize,
-            i0: usize,
-        ) {
-            let k = lhs.cols;
-            let n = rhs.rows;
-            let nj = n - n % 8;
-            let kb = k - k % 8;
-            for j0 in (0..nj).step_by(8) {
-                let mut acc = [_mm256_setzero_ps(); R];
-                for k0 in (0..kb).step_by(8) {
-                    let mut bt = [
-                        _mm256_loadu_ps(rhs.data.as_ptr().add(j0 * k + k0)),
-                        _mm256_loadu_ps(rhs.data.as_ptr().add((j0 + 1) * k + k0)),
-                        _mm256_loadu_ps(rhs.data.as_ptr().add((j0 + 2) * k + k0)),
-                        _mm256_loadu_ps(rhs.data.as_ptr().add((j0 + 3) * k + k0)),
-                        _mm256_loadu_ps(rhs.data.as_ptr().add((j0 + 4) * k + k0)),
-                        _mm256_loadu_ps(rhs.data.as_ptr().add((j0 + 5) * k + k0)),
-                        _mm256_loadu_ps(rhs.data.as_ptr().add((j0 + 6) * k + k0)),
-                        _mm256_loadu_ps(rhs.data.as_ptr().add((j0 + 7) * k + k0)),
-                    ];
-                    transpose8(&mut bt);
-                    for (t, &bv) in bt.iter().enumerate() {
-                        for (di, accv) in acc.iter_mut().enumerate() {
-                            let a = lhs.data[(i0 + di) * k + k0 + t];
-                            *accv = _mm256_add_ps(*accv, _mm256_mul_ps(_mm256_set1_ps(a), bv));
-                        }
-                    }
-                }
-                for kk in kb..k {
-                    let bv = _mm256_setr_ps(
-                        rhs.data[j0 * k + kk],
-                        rhs.data[(j0 + 1) * k + kk],
-                        rhs.data[(j0 + 2) * k + kk],
-                        rhs.data[(j0 + 3) * k + kk],
-                        rhs.data[(j0 + 4) * k + kk],
-                        rhs.data[(j0 + 5) * k + kk],
-                        rhs.data[(j0 + 6) * k + kk],
-                        rhs.data[(j0 + 7) * k + kk],
-                    );
-                    for (di, accv) in acc.iter_mut().enumerate() {
-                        let a = lhs.data[(i0 + di) * k + kk];
-                        *accv = _mm256_add_ps(*accv, _mm256_mul_ps(_mm256_set1_ps(a), bv));
-                    }
-                }
-                for (di, &accv) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(out_rows.as_mut_ptr().add((li0 + di) * n + j0), accv);
-                }
-            }
-        }
-
-        let n = rhs.rows;
-        let rows_here = out_rows.len() / n;
-        for li0 in (0..rows_here).step_by(4) {
-            let i0 = row0 + li0;
-            match rows_here - li0 {
-                1 => row_tile::<1>(self, rhs, out_rows, li0, i0),
-                2 => row_tile::<2>(self, rhs, out_rows, li0, i0),
-                3 => row_tile::<3>(self, rhs, out_rows, li0, i0),
-                _ => row_tile::<4>(self, rhs, out_rows, li0, i0),
-            }
-        }
-        // The ragged column tail is plain sequential dots (same
-        // accumulation order as the tiles).
-        for li in 0..rows_here {
-            for j in n - n % 8..n {
-                let mut acc = 0.0f32;
-                for (&x, &y) in self.row(row0 + li).iter().zip(rhs.row(j)) {
-                    acc += x * y;
-                }
-                out_rows[li * n + j] = acc;
-            }
-        }
-    }
-
-    /// NEON leg of the transposed kernel: up to 4 output rows × 4 output
-    /// columns of vector accumulators with an in-register 4×4 `rhs`
-    /// transpose per k-tile; same ascending-k multiply-then-add order as
-    /// the scalar kernel.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON.
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn matmul_transposed_rows_neon(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        use core::arch::aarch64::*;
-
-        /// `R` output rows × every whole 4-column block.
-        #[inline]
-        #[target_feature(enable = "neon")]
-        unsafe fn row_tile<const R: usize>(
-            lhs: &Matrix,
-            rhs: &Matrix,
-            out_rows: &mut [f32],
-            li0: usize,
-            i0: usize,
-        ) {
-            let k = lhs.cols;
-            let n = rhs.rows;
-            let nj = n - n % 4;
-            let kb = k - k % 4;
-            for j0 in (0..nj).step_by(4) {
-                let mut acc = [vdupq_n_f32(0.0); R];
-                for k0 in (0..kb).step_by(4) {
-                    let r0 = vld1q_f32(rhs.data.as_ptr().add(j0 * k + k0));
-                    let r1 = vld1q_f32(rhs.data.as_ptr().add((j0 + 1) * k + k0));
-                    let r2 = vld1q_f32(rhs.data.as_ptr().add((j0 + 2) * k + k0));
-                    let r3 = vld1q_f32(rhs.data.as_ptr().add((j0 + 3) * k + k0));
-                    let t01 = vtrnq_f32(r0, r1);
-                    let t23 = vtrnq_f32(r2, r3);
-                    let bt = [
-                        vcombine_f32(vget_low_f32(t01.0), vget_low_f32(t23.0)),
-                        vcombine_f32(vget_low_f32(t01.1), vget_low_f32(t23.1)),
-                        vcombine_f32(vget_high_f32(t01.0), vget_high_f32(t23.0)),
-                        vcombine_f32(vget_high_f32(t01.1), vget_high_f32(t23.1)),
-                    ];
-                    for (t, &bv) in bt.iter().enumerate() {
-                        for (di, accv) in acc.iter_mut().enumerate() {
-                            let a = lhs.data[(i0 + di) * k + k0 + t];
-                            // vaddq+vmulq, not vfmaq: match scalar rounding.
-                            *accv = vaddq_f32(*accv, vmulq_f32(vdupq_n_f32(a), bv));
-                        }
-                    }
-                }
-                for kk in kb..k {
-                    let b: [f32; 4] = [
-                        rhs.data[j0 * k + kk],
-                        rhs.data[(j0 + 1) * k + kk],
-                        rhs.data[(j0 + 2) * k + kk],
-                        rhs.data[(j0 + 3) * k + kk],
-                    ];
-                    let bv = vld1q_f32(b.as_ptr());
-                    for (di, accv) in acc.iter_mut().enumerate() {
-                        let a = lhs.data[(i0 + di) * k + kk];
-                        *accv = vaddq_f32(*accv, vmulq_f32(vdupq_n_f32(a), bv));
-                    }
-                }
-                for (di, &accv) in acc.iter().enumerate() {
-                    vst1q_f32(out_rows.as_mut_ptr().add((li0 + di) * n + j0), accv);
-                }
-            }
-        }
-
-        let n = rhs.rows;
-        let rows_here = out_rows.len() / n;
-        for li0 in (0..rows_here).step_by(4) {
-            let i0 = row0 + li0;
-            match rows_here - li0 {
-                1 => row_tile::<1>(self, rhs, out_rows, li0, i0),
-                2 => row_tile::<2>(self, rhs, out_rows, li0, i0),
-                3 => row_tile::<3>(self, rhs, out_rows, li0, i0),
-                _ => row_tile::<4>(self, rhs, out_rows, li0, i0),
-            }
-        }
-        for li in 0..rows_here {
-            for j in n - n % 4..n {
-                let mut acc = 0.0f32;
-                for (&x, &y) in self.row(row0 + li).iter().zip(rhs.row(j)) {
-                    acc += x * y;
-                }
-                out_rows[li * n + j] = acc;
+        for (li, out_row) in out_rows.chunks_exact_mut(rhs.rows).enumerate() {
+            let a_row = self.row(row0 + li);
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o = tile::dot(a_row, rhs.row(j));
             }
         }
     }
@@ -1129,15 +875,26 @@ mod tests {
                 a.as_mut_slice()[i] = 0.0;
             }
             let b = Matrix::from_vec(k, n, (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect());
-            let bt = Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.23).sin()).collect());
+            // The transposed form's oracle is the per-element dot, on
+            // every input: it skips no zero, so a non-finite `rhs` is
+            // within its contract (0 · ∞ is NaN in kernel and oracle).
+            let mut bt =
+                Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.23).sin()).collect());
+            bt[(0, 0)] = f32::INFINITY;
+            bt[(n / 2, k - 1)] = f32::NAN;
+            bt[(n - 1, k / 2)] = f32::NEG_INFINITY;
             let mut reference = Matrix::zeros(m, n);
             a.matmul_into_serial_with_leg(&b, &mut reference, anda_fp::SimdLeg::Scalar);
             let mut reference_t = Matrix::zeros(m, n);
-            a.matmul_transposed_into_serial_with_leg(
-                &bt,
-                &mut reference_t,
-                anda_fp::SimdLeg::Scalar,
-            );
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for (&x, &y) in a.row(i).iter().zip(bt.row(j)) {
+                        acc += x * y;
+                    }
+                    reference_t[(i, j)] = acc;
+                }
+            }
             for leg in available_legs() {
                 let mut out = Matrix::zeros(m, n);
                 a.matmul_into_serial_with_leg(&b, &mut out, leg);
@@ -1157,6 +914,33 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(same_t, "matmul_t leg={} shape {m}x{k}x{n}", leg.name());
             }
+        }
+    }
+
+    #[test]
+    fn every_with_leg_entry_refuses_an_unavailable_leg() {
+        // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
+        // without it, where a missing check would be an illegal
+        // instruction from safe code.
+        let leg = [SimdLeg::Avx2, SimdLeg::Neon]
+            .into_iter()
+            .find(|leg| !leg.is_available())
+            .expect("no host runs both vector legs");
+        let want = format!("SIMD leg {} unavailable on this host", leg.name());
+        let a = Matrix::identity(4);
+        type Entry<'a> = (&'a str, &'a dyn Fn());
+        let entries: [Entry; 2] = [
+            ("matmul_into_serial_with_leg", &|| {
+                a.matmul_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
+            }),
+            ("matmul_transposed_into_serial_with_leg", &|| {
+                a.matmul_transposed_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
+            }),
+        ];
+        for (name, entry) in entries {
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry)).expect_err(name);
+            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{name}");
         }
     }
 

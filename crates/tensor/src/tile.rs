@@ -1,23 +1,35 @@
-//! The register-tiled GEMM kernel behind [`crate::Matrix::matmul_into`]'s
-//! vector legs.
+//! The register-tiled GEMM kernel behind the vector legs of every
+//! [`crate::Matrix`] product, `lhs · rhs` and `lhs · rhsᵀ` alike.
 //!
 //! Output-stationary: a tile of [`TILE_ROWS`]` × `[`TILE_COLS`] output
 //! elements lives in vector registers while `k` walks a panel, so every
 //! `rhs` vector loaded feeds four rows and every `lhs` scalar sixteen
 //! columns, and the output is touched once per panel instead of once per
-//! `k`. A strip's panel is first packed contiguous: in place it strides by
-//! a whole `rhs` row — one cache line per `k`, each in a different page,
-//! evicting itself from a power-of-two-strided L1 set — whereas the
-//! packing loop is nothing but independent loads. `rhs` is streamed from
-//! memory exactly once per call however many rows there are; with the
-//! weights of a whole model cycling through a step that, not the
-//! arithmetic, is what a small batch is bound by, so the panel walk comes
-//! in two orders:
+//! `k`. A strip's panel is first packed contiguous, `panel[kk · 16 + j] =
+//! b[k0 + kk][j0 + j]`, and **the pack is the only code that knows how
+//! `rhs` lies in memory** ([`Layout`], monomorphised into the panel
+//! loops, which exist once):
 //!
-//! * **Few rows** (below [`DEEP_MIN_ROWS`], a decode batch): k panel →
-//!   column strip → row tile over [`KC_SHALLOW`]-deep panels. A panel is
-//!   eight whole `rhs` rows swept left to right — eight ascending address
-//!   streams the hardware prefetchers follow, helped by a software
+//! * [`Layout::RowMajor`], `rhs` held `k × n`: a panel row is sixteen
+//!   contiguous floats of one `rhs` row. In place the panel would stride
+//!   by a whole `rhs` row — one cache line per `k`, each in a different
+//!   page, evicting itself from a power-of-two-strided L1 set — whereas
+//!   the packing loop is nothing but independent loads.
+//! * [`Layout::Transposed`], `rhs` held `n × k` (the tied LM head's
+//!   embedding table): a strip is sixteen `rhs` rows, each a contiguous
+//!   stream along `k`, and the pack transposes them
+//!   ([`Leg::pack_transposed`]: 8×4 blocks in registers on AVX2, a
+//!   portable loop elsewhere).
+//!
+//! `rhs` is streamed from memory exactly once per call however many rows
+//! there are; with the weights of a whole model cycling through a step
+//! that, not the arithmetic, is what a small batch is bound by, so the
+//! panel walk comes in two orders:
+//!
+//! * **Few row-major rows** (below [`DEEP_MIN_ROWS`], a decode batch): k
+//!   panel → column strip → row tile over [`KC_SHALLOW`]-deep panels. A
+//!   panel is eight whole `rhs` rows swept left to right — eight ascending
+//!   address streams the hardware prefetchers follow, helped by a software
 //!   prefetch [`PREFETCH_STRIPS`] strips ahead (eight lines per strip: a
 //!   deeper panel overflows the L1 set a power-of-two row stride maps a
 //!   strip's lines to). With one or two row tiles per strip there is no
@@ -25,26 +37,38 @@
 //!   cold 8-row GEMM ran at 0.45 of the tile's L1-resident speed and most
 //!   of a decode step was memory stall, whose length does not follow the
 //!   core's clock; this way it runs at 0.75, cold or hot.
-//! * **Many rows** (a prefill chunk): column strip → k panel → row tile
-//!   over [`KC`]-deep panels, so the output block — too big for the L1 by
+//! * **Many rows** (a prefill chunk), **and the transposed layout at
+//!   every row count**: column strip → k panel → row tile over
+//!   [`KC`]-deep panels, so the output block — too big for the L1 by
 //!   now — is loaded and stored once per 256 `k` instead of once per 8,
 //!   and eight or more row tiles of arithmetic per packed panel cover the
 //!   strided fetch (0.8–0.85 of L1-resident speed at 64 rows; the shallow
-//!   order reads 0.6–0.7 there).
+//!   order reads 0.6–0.7 there). A transposed strip walked this way *is*
+//!   the address order — sixteen ascending streams read end to end —
+//!   while a shallow panel would touch 32 bytes of each of `n` rows per
+//!   sweep: walked k-panel-major a cold 8 × 256 × 2048 transposed product
+//!   took 630–730 µs against 300–340 µs strip-major.
 //!
-//! Fewer than [`TILE_ROWS`] rows take the single-row axpy walk instead:
-//! it streams `rhs` rows contiguously, which one to three rows of
-//! arithmetic cannot beat by packing first, and it skips the zeros a
-//! post-ReLU row is half made of.
+//! Fewer than [`TILE_ROWS`] row-major rows, and a row-major block's
+//! ragged columns, take the single-row axpy walk instead: it streams
+//! `rhs` rows contiguously, which one to three rows of arithmetic cannot
+//! beat by packing first, and it skips the zeros a post-ReLU row is half
+//! made of. The transposed layout has no contiguous `rhs` row to stream:
+//! its one to three rows run the tile at their own height — the pack is
+//! then most of the cost, which is why AVX2 has a vector one (through the
+//! portable loop a cold one-row 256 × 512 product took 57–79 µs against
+//! 25–48) — and its ragged columns are plain ascending-`k` dots.
 //!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0`, multiply then add, never
-//! fused — the operation sequence of the scalar oracle
-//! (`Matrix::matmul_rows_scalar`), so every leg, tile boundary, panel
-//! order and sharding is `f32::to_bits`-identical to it for finite `rhs`
-//! (a panel boundary only parks the accumulators in the output, an exact
-//! `f32` round trip). The oracle's `a == 0` skip is not part of that
-//! contract (see its docs); the tiles do not skip, the axpy walk does.
+//! fused — the operation sequence of the scalar oracles
+//! (`Matrix::matmul_rows_scalar`, `Matrix::matmul_transposed_rows_scalar`),
+//! so every leg, layout, tile boundary, panel order and sharding is
+//! `f32::to_bits`-identical to them (a panel boundary only parks the
+//! accumulators in the output, an exact `f32` round trip). Row-major,
+//! that holds for finite `rhs`: the oracle's `a == 0` skip is not part of
+//! the contract (see its docs); the tiles do not skip, the axpy walk
+//! does. Transposed, nothing skips, so it holds on every input.
 
 use core::ops::Range;
 
@@ -62,6 +86,17 @@ const DEEP_MIN_ROWS: usize = 32;
 /// How many strips ahead of the one being packed the few-rows order
 /// prefetches.
 const PREFETCH_STRIPS: usize = 4;
+
+/// How the `rhs` of a product lies in memory. Only the strip-panel pack
+/// reads `rhs`, so only the pack (and the walk chosen to suit it) differs
+/// between the two.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `k` rows of `n`: `lhs · rhs`.
+    RowMajor,
+    /// `n` rows of `k`: `lhs · rhsᵀ`.
+    Transposed,
+}
 
 /// A `rows × cols` block of a row-major output with `n`-element rows,
 /// addressed through a raw pointer so pool jobs can own disjoint column
@@ -81,8 +116,8 @@ pub(crate) struct OutBlock {
 unsafe impl Send for OutBlock {}
 unsafe impl Sync for OutBlock {}
 
-/// One vector leg: its two inner loops, its prefetch hint and the entry
-/// point compiled with its CPU feature.
+/// One vector leg: its two inner loops, its prefetch hint, its
+/// transposing pack and the entry point compiled with its CPU feature.
 pub(crate) trait Leg {
     /// `c[r][0..16] (+)= Σ_kk a[r][kk] · b[kk][0..16]` for `r < rows`
     /// (`1..=TILE_ROWS`) and `kk < kc`, ascending; accumulators start at
@@ -121,55 +156,105 @@ pub(crate) trait Leg {
     #[inline(always)]
     fn prefetch(_p: *const f32) {}
 
-    /// [`matmul_block`] compiled with the leg's CPU feature enabled, so
-    /// that the tile and the axpy walk inline into the panel loops (a
-    /// shallow panel is eight `k` steps per tile call).
+    /// Packs a strip panel of a transposed `rhs`: `panel[kk · 16 + j] =
+    /// b[j · ldb + kk]` for `j < 16` and `kk < kc`. The default is the
+    /// portable loop.
+    ///
+    /// # Safety
+    ///
+    /// Needs the leg's CPU feature; `b` must be readable at
+    /// `j · ldb + 0..kc` for `j < 16` and `panel` writable at
+    /// `0..kc · 16`.
+    #[inline(always)]
+    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
+        pack_transposed_portable(b, ldb, 0..kc, panel)
+    }
+
+    /// [`matmul_block`], monomorphised for `layout` and compiled with the
+    /// leg's CPU feature enabled, so that the pack, the tile and the axpy
+    /// walk inline into the panel loops (a shallow panel is eight `k`
+    /// steps per tile call).
     ///
     /// # Safety
     ///
     /// [`matmul_block`]'s contract, and the CPU must support the leg.
-    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock);
+    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, layout: Layout, block: &OutBlock);
 }
 
-/// Computes `block` of `lhs(· × k) · rhs(k × n)`; see the module docs.
-/// Called through [`Leg::block`].
+/// Rows `kks` of [`Leg::pack_transposed`]'s panel, one `rhs` row (a
+/// contiguous stream) at a time.
+///
+/// # Safety
+///
+/// As [`Leg::pack_transposed`], for `kk` in `kks`.
+#[inline(always)]
+unsafe fn pack_transposed_portable(b: *const f32, ldb: usize, kks: Range<usize>, panel: *mut f32) {
+    for j in 0..TILE_COLS {
+        for kk in kks.clone() {
+            *panel.add(kk * TILE_COLS + j) = *b.add(j * ldb + kk);
+        }
+    }
+}
+
+/// Computes `block` of `lhs(· × k) · rhs`, where `rhs` is `k × n`, or
+/// `n × k` when `TRANSPOSED`; see the module docs. Called through
+/// [`Leg::block`].
 ///
 /// # Safety
 ///
 /// `block.ptr` must be valid for writes of `block.rows` rows of `n`
 /// elements and nothing else may access `block.cols` of those rows during
 /// the call. `lhs` must hold rows `block.row0 .. block.row0 + block.rows`
-/// and `rhs` `k` rows of `n`.
+/// and `rhs` `k · n` elements.
 #[inline(always)]
-unsafe fn matmul_block<L: Leg>(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock) {
+unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(
+    lhs: &[f32],
+    k: usize,
+    rhs: &[f32],
+    n: usize,
+    block: &OutBlock,
+) {
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
     debug_assert!(lhs.len() >= (row0 + rows) * k && rhs.len() >= k * n && cols.end <= n);
     let a = lhs.as_ptr().add(row0 * k);
     let b = rhs.as_ptr();
-    let axpy_rows = |rows: Range<usize>, cols: Range<usize>| {
-        for i in rows {
+    // What the tiles leave over: sub-tile row counts and ragged columns.
+    let untiled = |cols: Range<usize>| {
+        for i in 0..rows {
             let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
             let c = out.add(i * n + cols.start);
-            // `wrapping_add`: with `k == 0` there is no `rhs` to point into.
-            L::axpy_row(a_row, b.wrapping_add(cols.start), n, c, cols.len());
+            if TRANSPOSED {
+                for (jj, j) in cols.clone().enumerate() {
+                    *c.add(jj) = dot(a_row, &rhs[j * k..(j + 1) * k]);
+                }
+            } else {
+                // `wrapping_add`: with `k == 0` there is no `rhs` to point
+                // into.
+                L::axpy_row(a_row, b.wrapping_add(cols.start), n, c, cols.len());
+            }
         }
     };
-    if rows < TILE_ROWS || k == 0 {
-        return axpy_rows(0..rows, cols.clone());
+    if k == 0 || (!TRANSPOSED && rows < TILE_ROWS) {
+        return untiled(cols.clone());
     }
 
     let strips_end = cols.end - cols.len() % TILE_COLS;
     let mut panel = [0.0f32; KC * TILE_COLS];
     // Packs panel `k0..k0 + kc` of strip `j0` and runs every row tile over
-    // it; `ahead` is the strip to prefetch meanwhile, line for line.
+    // it; `ahead` is the row-major strip to prefetch meanwhile, line for
+    // line.
     let mut strip_panel = |j0: usize, k0: usize, kc: usize, ahead: Option<*const f32>| {
-        let strip = b.add(k0 * n + j0);
-        for kk in 0..kc {
-            if let Some(ahead) = ahead {
-                L::prefetch(ahead.wrapping_add(kk * n));
+        if TRANSPOSED {
+            L::pack_transposed(b.add(j0 * k + k0), k, kc, panel.as_mut_ptr());
+        } else {
+            let strip = b.add(k0 * n + j0);
+            for kk in 0..kc {
+                if let Some(ahead) = ahead {
+                    L::prefetch(ahead.wrapping_add(kk * n));
+                }
+                let dst = panel.as_mut_ptr().add(kk * TILE_COLS);
+                core::ptr::copy_nonoverlapping(strip.add(kk * n), dst, TILE_COLS);
             }
-            let dst = panel.as_mut_ptr().add(kk * TILE_COLS);
-            core::ptr::copy_nonoverlapping(strip.add(kk * n), dst, TILE_COLS);
         }
         for i0 in (0..rows).step_by(TILE_ROWS) {
             let r = TILE_ROWS.min(rows - i0);
@@ -177,7 +262,7 @@ unsafe fn matmul_block<L: Leg>(lhs: &[f32], k: usize, rhs: &[f32], n: usize, blo
             L::tile(r, a.add(i0 * k + k0), k, panel.as_ptr(), kc, c, n, k0 == 0);
         }
     };
-    if rows < DEEP_MIN_ROWS {
+    if !TRANSPOSED && rows < DEEP_MIN_ROWS {
         let width = strips_end - cols.start;
         for k0 in (0..k).step_by(KC_SHALLOW) {
             let kc = KC_SHALLOW.min(k - k0);
@@ -201,8 +286,19 @@ unsafe fn matmul_block<L: Leg>(lhs: &[f32], k: usize, rhs: &[f32], n: usize, blo
         }
     }
     if strips_end < cols.end {
-        axpy_rows(0..rows, strips_end..cols.end);
+        untiled(strips_end..cols.end);
     }
+}
+
+/// `Σ_k a[k] · b[k]` in ascending `k` from `+0.0`, multiply then add: one
+/// output element of either layout, as every kernel accumulates it.
+#[inline(always)]
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&x, &y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -297,9 +393,64 @@ impl Leg for Avx2 {
         unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
     }
 
+    /// Four `k` of the strip's sixteen rows at a time, transposed in
+    /// registers as two 8×4 blocks: a vector is loaded as four `k` of row
+    /// `j` in its low lane and of row `j + 4` in its high lane, so the
+    /// in-lane unpack/shuffle ladder already leaves eight columns of one
+    /// `k` in every vector and no cross-lane permute follows. The `kc % 4`
+    /// tail is the portable loop. Meanwhile the next strip is prefetched: a
+    /// strip's rows are sixteen streams of `k` floats each — too short for
+    /// the hardware prefetchers to run ahead on — and under one to three
+    /// rows there is no arithmetic to hide the fetch behind (without the
+    /// hint a cold one-row 256 × 512 product took 1.06–1.9× as long, in
+    /// seven of seven alternating rounds).
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock) {
-        matmul_block::<Self>(lhs, k, rhs, n, block)
+    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
+        use core::arch::x86_64::*;
+        let blocks_end = kc - kc % 4;
+        for kk in (0..blocks_end).step_by(4) {
+            for j0 in [0, 8] {
+                let src = b.add(j0 * ldb + kk);
+                if kk % 16 == 0 {
+                    // The same cache line of every row of the next strip.
+                    for j in 0..8 {
+                        Self::prefetch(src.wrapping_add((TILE_COLS + j) * ldb));
+                    }
+                }
+                let rows = |j: usize| {
+                    let lo = _mm_loadu_ps(src.add(j * ldb));
+                    let hi = _mm_loadu_ps(src.add((j + 4) * ldb));
+                    _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
+                };
+                let (r0, r1, r2, r3) = (rows(0), rows(1), rows(2), rows(3));
+                let t0 = _mm256_unpacklo_ps(r0, r1);
+                let t1 = _mm256_unpackhi_ps(r0, r1);
+                let t2 = _mm256_unpacklo_ps(r2, r3);
+                let t3 = _mm256_unpackhi_ps(r2, r3);
+                let dst = panel.add(kk * TILE_COLS + j0);
+                _mm256_storeu_ps(dst, _mm256_shuffle_ps::<0x44>(t0, t2));
+                _mm256_storeu_ps(dst.add(TILE_COLS), _mm256_shuffle_ps::<0xEE>(t0, t2));
+                _mm256_storeu_ps(dst.add(2 * TILE_COLS), _mm256_shuffle_ps::<0x44>(t1, t3));
+                _mm256_storeu_ps(dst.add(3 * TILE_COLS), _mm256_shuffle_ps::<0xEE>(t1, t3));
+            }
+        }
+        pack_transposed_portable(b, ldb, blocks_end..kc, panel);
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn block(
+        lhs: &[f32],
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        layout: Layout,
+        block: &OutBlock,
+    ) {
+        match layout {
+            Layout::RowMajor => matmul_block::<Self, false>(lhs, k, rhs, n, block),
+            Layout::Transposed => matmul_block::<Self, true>(lhs, k, rhs, n, block),
+        }
     }
 }
 
@@ -309,7 +460,8 @@ pub(crate) struct Neon;
 /// The 4-lane mirror of [`Avx2`]: four vectors per tile row. It keeps the
 /// default (empty) `prefetch`: stable Rust has no aarch64 prefetch
 /// intrinsic, and the shallow panel order is already the address order the
-/// hardware prefetchers follow.
+/// hardware prefetchers follow. It also keeps the default (portable)
+/// `pack_transposed`.
 #[cfg(target_arch = "aarch64")]
 impl Leg for Neon {
     #[target_feature(enable = "neon")]
@@ -399,7 +551,17 @@ impl Leg for Neon {
     }
 
     #[target_feature(enable = "neon")]
-    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, block: &OutBlock) {
-        matmul_block::<Self>(lhs, k, rhs, n, block)
+    unsafe fn block(
+        lhs: &[f32],
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        layout: Layout,
+        block: &OutBlock,
+    ) {
+        match layout {
+            Layout::RowMajor => matmul_block::<Self, false>(lhs, k, rhs, n, block),
+            Layout::Transposed => matmul_block::<Self, true>(lhs, k, rhs, n, block),
+        }
     }
 }

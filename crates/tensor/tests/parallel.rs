@@ -1,9 +1,10 @@
 //! Cross-thread-count bit-exactness suite for the parallel GeMM kernels.
 //!
 //! The threading contract (see the repo README and vendor/rayon-lite):
-//! sharding output rows across any number of threads must leave every
-//! `f32` output bit identical to the serial kernel, because each output
-//! element keeps its own accumulator walked over k in a fixed order.
+//! sharding the output — by row ranges or by column strips — across any
+//! number of threads must leave every `f32` output bit identical to the
+//! serial kernel, because each output element keeps its own accumulator
+//! walked over k in a fixed order.
 //! These tests compare raw bits (`f32::to_bits`), not `==`, so even a
 //! `-0.0` vs `+0.0` divergence fails.
 
@@ -17,8 +18,12 @@ const THREADS: [usize; 4] = [1, 2, 3, 7];
 
 /// Adversarial shapes `(m, k, n)`: single row, single column, single
 /// element, sizes around the i-tile (32) and k-tile (256) boundaries, and
-/// sizes not divisible by any tested thread count.
-const SHAPES: [(usize, usize, usize); 10] = [
+/// sizes not divisible by any tested thread count; then the LM-head shape
+/// and what the transposed pack adds — whole strips under one to three
+/// rows, a second k panel accumulating onto a whole strip (`k > 256`), a
+/// `k` of whole 4-wide transpose blocks, off them and below one, and
+/// `k = 0`.
+const SHAPES: [(usize, usize, usize); 17] = [
     (1, 64, 5),
     (5, 64, 1),
     (1, 1, 1),
@@ -29,6 +34,13 @@ const SHAPES: [(usize, usize, usize); 10] = [
     (7, 7, 7),
     (2, 513, 3),
     (64, 5, 29),
+    (8, 256, 512),
+    (1, 300, 48),
+    (5, 513, 40),
+    (3, 8, 16),
+    (2, 7, 33),
+    (2, 3, 16),
+    (4, 0, 16),
 ];
 
 fn deterministic(rows: usize, cols: usize, seed: u32) -> Matrix {
@@ -193,6 +205,22 @@ fn hostile_operands(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix)
     (a, b)
 }
 
+/// The oracle of the transposed product: element `(i, j)` is the plain
+/// ascending-`k` dot of `a`'s row `i` and `bt`'s row `j`.
+fn per_element_dots(a: &Matrix, bt: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), bt.rows());
+    for i in 0..a.rows() {
+        for j in 0..bt.rows() {
+            let mut acc = 0.0f32;
+            for (&x, &y) in a.row(i).iter().zip(bt.row(j)) {
+                acc += x * y;
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -206,6 +234,12 @@ proptest! {
     /// with every kind of strip tail, wide enough for the shallow walk's
     /// prefetch to stay in the row as well as to wrap into the next
     /// panel.
+    ///
+    /// The transposed product takes the same operands (`rhs` held
+    /// `n × k`) with an infinity or a NaN in every third `rhs` row: it
+    /// skips no zero, so it must equal the per-element dot on every
+    /// input — a zero `lhs` row against an infinity is NaN in both —
+    /// where the row-major contract stops at finite `rhs`.
     #[test]
     fn tiled_matmul_matches_the_scalar_oracle(
         m in 1usize..=70,
@@ -230,6 +264,28 @@ proptest! {
             out.as_mut_slice().fill(f32::NAN);
             a.matmul_into_pool(&b, &mut out, &pool);
             assert_bits_eq(&out, &oracle, &format!("{m}x{k}x{n} @ {threads}t"));
+        }
+
+        // One non-finite element in every third `rhs` row (output column);
+        // the columns between stay finite and are compared bit for bit.
+        let mut bt = b.transposed();
+        for j in (seed as usize % 3..n).step_by(3) {
+            let at = (seed >> 8) as usize % k;
+            bt.row_mut(j)[(at + j) % k] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j / 3 % 3];
+        }
+        let oracle_t = per_element_dots(&a, &bt);
+        for leg in anda_fp::simd::available_legs() {
+            let mut out = Matrix::zeros(m, n);
+            out.as_mut_slice().fill(1.0);
+            a.matmul_transposed_into_serial_with_leg(&bt, &mut out, leg);
+            assert_bits_eq(&out, &oracle_t, &format!("t {m}x{k}x{n} leg {}", leg.name()));
+        }
+        for threads in 1..=4 {
+            let pool = ThreadPool::new(threads);
+            let mut out = Matrix::zeros(m, n);
+            out.as_mut_slice().fill(1.0);
+            a.matmul_transposed_into_pool(&bt, &mut out, &pool);
+            assert_bits_eq(&out, &oracle_t, &format!("t {m}x{k}x{n} @ {threads}t"));
         }
     }
 }

@@ -4,8 +4,13 @@
 # `tools/loc.sh [checkout]` counts another checkout (a parent commit's).
 cd "${1:-$(dirname "$0")/..}" || exit 1
 loc() { awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*(\/\/|$)/ { n++ } END { print n + 0 }' "$1"; }
-total=0
-for f in crates/llm/src/model.rs crates/llm/src/kv.rs $(find crates/serve/src -name '*.rs' | sort); do
-    n=$(loc "$f"); total=$((total + n)); printf '%6d  %s\n' "$n" "$f"
-done
-printf '%6d  total\n' "$total"
+block() {
+    total=0
+    for f in "$@"; do
+        n=$(loc "$f"); total=$((total + n)); printf '%6d  %s\n' "$n" "$f"
+    done
+    printf '%6d  total\n' "$total"
+}
+block crates/llm/src/model.rs crates/llm/src/kv.rs $(find crates/serve/src -name '*.rs' | sort)
+# The GEMM kernel layer, one level below what the first block counts.
+block crates/tensor/src/matrix.rs crates/tensor/src/tile.rs
