@@ -150,12 +150,95 @@ fn bench_gemm_m_sweep(c: &mut Criterion) {
     }
 }
 
+/// The attention page walk on every SIMD leg at the serving model's
+/// shape (256 wide, four heads, 16-position pages), one row per lane set
+/// the benchmark's workloads are made of: a solo decode lane deep in a
+/// context on float and on Anda pages (`decode_steady` /
+/// `decode_longctx`), a 64-token chunk span at position 256 and four
+/// forks one token past a shared 256-position prefix (`prefill_shared`).
+fn bench_attend(c: &mut Criterion) {
+    use anda_llm::kv::{AttendLane, KvPoolConfig, KvStorage};
+    use anda_llm::{KvCache, PageDecodeCache, PagePool};
+    let (dim, n_heads) = (256, 4);
+    let mut rng = Rng::new(13);
+    let mut append = |cache: &mut KvCache, positions: usize| {
+        let mut row = vec![0.0f32; 2 * dim];
+        for _ in 0..positions {
+            rng.fill_normal(&mut row, 1.0);
+            cache.append_row(0, &row[..dim], &row[dim..]);
+        }
+    };
+    let anda8 = KvStorage::Anda { mantissa_bits: 8 };
+    let pool = |storage| PagePool::new(KvPoolConfig::unbounded(storage));
+    // `(name, caches, one (cache, window) per lane)`.
+    type Scene = (&'static str, Vec<KvCache>, Vec<(usize, usize)>);
+    let mut scenes: Vec<Scene> = Vec::new();
+    for (name, storage) in [
+        ("decode_528_fp16", KvStorage::Fp16),
+        ("decode_528_anda8", anda8),
+    ] {
+        let mut cache = pool(storage).new_cache(1);
+        append(&mut cache, 528);
+        scenes.push((name, vec![cache], vec![(0, 528)]));
+    }
+    let mut chunked = pool(anda8).new_cache(1);
+    append(&mut chunked, 320);
+    scenes.push((
+        "chunk_64_at_256_anda8",
+        vec![chunked],
+        (257..=320).map(|t| (0, t)).collect(),
+    ));
+    let mut donor = pool(anda8).new_cache(1);
+    append(&mut donor, 256);
+    let forks: Vec<KvCache> = (0..4)
+        .map(|_| {
+            let mut fork = donor.fork_prefix(256);
+            append(&mut fork, 1);
+            fork
+        })
+        .collect();
+    scenes.push((
+        "forks_4_past_256_anda8",
+        forks,
+        (0..4).map(|i| (i, 257)).collect(),
+    ));
+
+    let mut g = c.benchmark_group("attend_256x4");
+    for (name, caches, views) in &scenes {
+        let q: Vec<f32> = (0..dim).map(|_| rng.normal_with(0.0, 1.0)).collect();
+        let mut outs = vec![vec![0.0f32; dim]; views.len()];
+        let mut scores: Vec<Vec<f32>> =
+            views.iter().map(|&(_, t)| vec![0.0; n_heads * t]).collect();
+        let mut walk = PageDecodeCache::new();
+        for leg in available_legs() {
+            g.bench_function(BenchmarkId::new(leg.name(), name), |b| {
+                b.iter(|| {
+                    let mut lanes: Vec<AttendLane<'_>> = views
+                        .iter()
+                        .zip(outs.iter_mut().zip(scores.iter_mut()))
+                        .map(|(&(cache, t), (out, scores))| AttendLane {
+                            layer: caches[cache].layer(0),
+                            t,
+                            q: black_box(&q),
+                            scores,
+                            out,
+                        })
+                        .collect();
+                    walk.attend_with_leg(&mut lanes, n_heads, None, leg)
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_group_dot,
     bench_conversion,
     bench_decode_row,
     bench_gemm,
-    bench_gemm_m_sweep
+    bench_gemm_m_sweep,
+    bench_attend
 );
 criterion_main!(benches);

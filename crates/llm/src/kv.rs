@@ -26,9 +26,11 @@
 //! tile that stays in L1 while every lane viewing it consumes it, and
 //! reads float pages where they lie — the compressed operand stays
 //! compressed until it is in L1, and no decoded copy of a context is
-//! ever materialised. [`LayerKv::key_into`] / [`LayerKv::value_into`]
-//! remain as the single-row accessors (and the reference the walk is
-//! tested against).
+//! ever materialised. What consumes a tile is the GEMM register tile
+//! (`anda_tensor::Strided`): per head, the lanes viewing a page are the
+//! rows of one `q · Kᵀ` and one `p · V` product against it.
+//! [`LayerKv::key_into`] / [`LayerKv::value_into`] remain as the
+//! single-row accessors (and the reference the walk is tested against).
 //!
 //! Pages move by value between the pool's free list and the caches, so a
 //! page can never be double-freed; retiring a stream ([`KvCache::reset`])
@@ -67,6 +69,8 @@ use std::sync::{Arc, Mutex};
 use anda_format::rowcodec;
 use anda_format::AndaConfig;
 use anda_fp::batch::{saturate_bf16_widen_slice, saturate_f16_widen_slice};
+use anda_fp::simd::{active_leg, SimdLeg};
+use anda_tensor::Strided;
 use rayon_lite::ThreadPool;
 
 use crate::config::ModelConfig;
@@ -1086,13 +1090,15 @@ impl LayerKv {
         scratch: &mut KvReadScratch,
     ) {
         self.assert_attendable();
-        scratch.scores.clear();
-        scratch.scores.resize(n_heads * self.len, 0.0);
+        let n_scores = n_heads * self.len;
+        if scratch.scores.len() < n_scores {
+            scratch.scores.resize(n_scores, 0.0);
+        }
         let lane = AttendLane {
             layer: self,
             t: self.len,
             q,
-            scores: &mut scratch.scores,
+            scores: &mut scratch.scores[..n_scores],
             out,
         };
         scratch.pages.attend(&mut [lane], n_heads, None);
@@ -1128,8 +1134,9 @@ impl KvReadScratch {
 /// lane per stream with `t = layer.len()`; lane `j` of a prefill chunk
 /// at `pos` passes `t = pos + j + 1` against a table that already holds
 /// the whole chunk's rows, which is all causal masking takes — rows past
-/// `t` never enter the lane's reduction, so the lane is bit-identical to
-/// a solo decode at that position.
+/// `t` never enter the lane's reduction (its sums end at `t`; they are not
+/// multiplied by zero), so the lane is bit-identical to a solo decode at
+/// that position, whichever lanes share its pages' products.
 pub struct AttendLane<'a> {
     /// The layer whose cached rows are attended.
     pub layer: &'a LayerKv,
@@ -1145,19 +1152,39 @@ pub struct AttendLane<'a> {
 }
 
 /// Below this many multiply-adds (`2 · t · dim` summed over the lanes,
-/// the score and mix loops together) a walk runs on the calling thread.
+/// the score and mix products together) a walk runs on the calling thread.
 /// Splitting never changes a value: each job owns whole heads and
 /// computes every output element with the same operation order.
 const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
 
-/// One walk job's scratch: a page-sized decode tile and the page-group
-/// sort buffer. Neither scales with context or batch.
+/// One walk job's scratch: a page-sized decode tile, the page-group sort
+/// buffer and the lane blocks of one group's products. None scales with
+/// context.
 #[derive(Clone, Debug, Default)]
 struct WalkScratch {
     tile: Vec<f32>,
-    order: Vec<(usize, usize)>,
+    order: Vec<Viewer>,
+    /// The gathered left operand of a group's products: its lanes'
+    /// queries (K pass) or softmax weights (V pass), one row per lane.
+    lhs: Vec<f32>,
+    /// Their output block: one head's raw scores (K pass), the lanes'
+    /// head mixes (V pass).
+    acc: Vec<f32>,
     /// Anda pages decoded by this job's K passes (monotonic).
     pages_decoded: u64,
+}
+
+/// One lane reaching the page index a pass is at. Sorted, the lanes of one
+/// physical page are adjacent, and within them the lanes viewing equally
+/// many of its rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Viewer {
+    /// [`TablePage::identity`] of the page the lane's table holds there.
+    page: usize,
+    /// Rows of it inside the lane's window.
+    rows: usize,
+    /// The lane's index.
+    lane: usize,
 }
 
 /// The one read path into the KV cache: a **page-major attention walk**
@@ -1179,14 +1206,29 @@ struct WalkScratch {
 /// row counts, and per-row decode is independent, so the union costs
 /// nothing in exactness.
 ///
+/// The lanes of a group are then one block product per head and pass, on
+/// the register tile every GEMM of a step runs on: the K pass multiplies
+/// the lanes' queries by the page's keys transposed, so the tile's
+/// sixteen columns are sixteen *positions* and a page's keys are packed
+/// once for all its lanes; the V pass accumulates `weights · values` onto
+/// the lanes' head mixes, a head's output columns staying in registers
+/// across the page's rows. Masking is structural: a lane's sums run over
+/// exactly the rows its window reaches (lanes viewing equally many rows of
+/// a page share a V product; surplus K scores are computed and dropped),
+/// never over a masked row times zero.
+///
 /// Every output element keeps the per-head reference arithmetic — the
-/// left-to-right `q·k` sum, the max-shifted log-softmax, the
-/// position-ascending `p·v` accumulation — so results are
+/// ascending-`c` `q·k` sum (vectorised across positions, never within a
+/// sum), the max-shifted log-softmax, the position-ascending `p·v`
+/// accumulation, multiply then add, nothing skipped — so results are
 /// `f32::to_bits`-identical to a scalar loop over
-/// [`LayerKv::key_into`] / [`LayerKv::value_into`], at every thread
-/// count: parallel jobs split the *columns* (whole heads, on Anda group
-/// boundaries), each decoding only its own column groups of every page,
-/// so no decode work is duplicated either.
+/// [`LayerKv::key_into`] / [`LayerKv::value_into`], on every SIMD leg and
+/// at every thread count: parallel jobs split the *columns* (whole heads,
+/// on Anda group boundaries), each decoding only its own column groups of
+/// every page, so no decode work is duplicated either. (One bit is
+/// representational: a score sums from `+0.0`, where `Iterator::sum`
+/// starts at `-0.0`, so a score whose every product is `-0.0` is `+0.0`
+/// here — which the max-shifted softmax maps to the same weight.)
 #[derive(Clone, Debug, Default)]
 pub struct PageDecodeCache {
     /// One scratch per parallel job; job 0 owns column 0 and the counts.
@@ -1234,7 +1276,12 @@ impl PageDecodeCache {
         if self.jobs.is_empty() {
             self.jobs.push(WalkScratch::default());
         }
-        self.jobs[0].order.reserve(rows);
+        let job = &mut self.jobs[0];
+        job.order.reserve(rows);
+        // Pages deeper than a head is wide grow these once more, on the
+        // first walk that meets them.
+        job.lhs.reserve(rows * config.d_model);
+        job.acc.reserve(rows * config.d_model);
     }
 
     /// Projection GEMMs the model's steps dispatched through this cache
@@ -1284,6 +1331,25 @@ impl PageDecodeCache {
         n_heads: usize,
         pool: Option<&ThreadPool>,
     ) {
+        self.attend_with_leg(lanes, n_heads, pool, active_leg());
+    }
+
+    /// [`PageDecodeCache::attend`] with the walk's products on an explicit
+    /// SIMD leg (oracle tests and benches; the row decoder keeps the
+    /// active leg).
+    ///
+    /// # Panics
+    ///
+    /// As [`PageDecodeCache::attend`], or if the leg is unavailable on
+    /// this host.
+    pub fn attend_with_leg(
+        &mut self,
+        lanes: &mut [AttendLane<'_>],
+        n_heads: usize,
+        pool: Option<&ThreadPool>,
+        leg: SimdLeg,
+    ) {
+        leg.assert_available();
         let Some(first) = lanes.first() else { return };
         let d = first.q.len();
         assert_eq!(d % n_heads, 0, "head split");
@@ -1327,7 +1393,7 @@ impl PageDecodeCache {
             self.jobs.resize_with(jobs, WalkScratch::default);
         }
         let (Some(pool), true) = (pool, jobs > 1) else {
-            return walk(lanes, 0..d, dh, &mut self.jobs[0]);
+            return walk(lanes, 0..d, dh, &mut self.jobs[0], leg);
         };
         let bound = |j: usize| {
             if j == jobs {
@@ -1357,7 +1423,7 @@ impl PageDecodeCache {
         pool.scope(|sc| {
             for ((j, part), scratch) in parts.iter_mut().enumerate().zip(&mut self.jobs) {
                 let cols = bound(j)..bound(j + 1);
-                sc.spawn(move || walk(part, cols, dh, scratch));
+                sc.spawn(move || walk(part, cols, dh, scratch, leg));
             }
         });
     }
@@ -1372,13 +1438,14 @@ fn walk(
     cols: std::ops::Range<usize>,
     dh: usize,
     s: &mut WalkScratch,
+    leg: SimdLeg,
 ) {
-    visit_pages(lanes, false, &cols, dh, s);
+    visit_pages(lanes, false, &cols, dh, s, leg);
     for lane in lanes.iter_mut() {
         lane.scores.chunks_exact_mut(lane.t).for_each(softmax);
         lane.out.fill(0.0);
     }
-    visit_pages(lanes, true, &cols, dh, s);
+    visit_pages(lanes, true, &cols, dh, s, leg);
 }
 
 /// One pass of [`walk`] — K (`want_v = false`, fills the score lanes) or
@@ -1390,9 +1457,9 @@ fn visit_pages(
     cols: &std::ops::Range<usize>,
     dh: usize,
     s: &mut WalkScratch,
+    leg: SimdLeg,
 ) {
-    let scale = 1.0 / (dh as f32).sqrt();
-    let (pp, d) = (lanes[0].layer.page_positions(), lanes[0].layer.dim());
+    let pp = lanes[0].layer.page_positions();
     let n_pages = lanes.iter().map(|lane| lane.t.div_ceil(pp)).max();
     for i in 0..n_pages.unwrap_or(0) {
         let base = i * pp;
@@ -1402,74 +1469,138 @@ fn visit_pages(
                 .iter()
                 .enumerate()
                 .filter(|(_, lane)| lane.t > base)
-                .map(|(idx, lane)| (lane.layer.pages[i].identity(), idx)),
+                .map(|(idx, lane)| Viewer {
+                    page: lane.layer.pages[i].identity(),
+                    rows: (lane.t - base).min(pp),
+                    lane: idx,
+                }),
         );
         s.order.sort_unstable();
-        let mut next = 0;
-        while let Some(&(identity, leader)) = s.order.get(next) {
-            let page = lanes[leader].layer.pages[i].page();
+        for viewers in s.order.chunk_by(|a, b| a.page == b.page) {
+            let page = lanes[viewers[0].lane].layer.pages[i].page();
             // Job 0 counts for all: every job sees the same pages.
             if !want_v && cols.start == 0 && !page.storage.reads_in_place() {
                 s.pages_decoded += 1;
                 anda_format::metrics::note_rows_decoded(2 * page.used as u64);
             }
-            let tile = page.tile(want_v, cols, &mut s.tile);
-            while let Some(&(_, idx)) = s.order.get(next).filter(|(id, _)| *id == identity) {
-                let lane = &mut lanes[idx];
-                let rows = tile.chunks_exact(d).take(lane.t - base);
-                if want_v {
-                    mix_rows(lane, rows, base, cols, dh);
-                } else {
-                    score_rows(lane, rows, base, cols, dh, scale);
+            let group = PageGroup {
+                tile: page.tile(want_v, cols, &mut s.tile),
+                d: page.dim,
+                base,
+                cols,
+                dh,
+                leg,
+            };
+            if !want_v {
+                group.score(lanes, viewers, &mut s.lhs, &mut s.acc);
+                continue;
+            }
+            // A sum must end where its lane's window does, so only lanes
+            // viewing equally many rows share a V product.
+            for run in viewers.chunk_by(|a, b| a.rows == b.rows) {
+                group.mix(lanes, run, &mut s.lhs, &mut s.acc);
+            }
+        }
+    }
+}
+
+/// One physical page of a pass and what its lanes' products need to know.
+struct PageGroup<'a> {
+    /// The page's decoded K (or V) rows, `d` apart ([`Page::tile`]).
+    tile: &'a [f32],
+    d: usize,
+    /// Position of the page's first row.
+    base: usize,
+    cols: &'a std::ops::Range<usize>,
+    dh: usize,
+    leg: SimdLeg,
+}
+
+impl PageGroup<'_> {
+    /// Head `h`'s columns of the first `rows` rows of the tile.
+    fn head(&self, h: usize, rows: usize) -> Strided<'_> {
+        Strided::new(
+            &self.tile[self.cols.start + h * self.dh..],
+            rows,
+            self.dh,
+            self.d,
+        )
+    }
+
+    /// K pass: per head, `lanes × dh` queries times the page's keys
+    /// transposed — the page's rows are the product's columns, so the
+    /// register tile runs sixteen positions side by side and packs the
+    /// keys once for every lane — each raw score then scaled into its
+    /// lane. `viewers` ascend in `rows`; what a lane's window does not
+    /// reach is computed and dropped.
+    fn score(
+        &self,
+        lanes: &mut [AttendLane<'_>],
+        viewers: &[Viewer],
+        lhs: &mut Vec<f32>,
+        acc: &mut Vec<f32>,
+    ) {
+        let (w, dh) = (self.cols.len(), self.dh);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let n = viewers[viewers.len() - 1].rows;
+        lhs.clear();
+        for v in viewers {
+            lhs.extend_from_slice(lanes[v.lane].q);
+        }
+        acc.clear();
+        acc.resize(viewers.len() * n, 0.0);
+        for h in 0..w / dh {
+            Strided::new(&lhs[h * dh..], viewers.len(), dh, w).matmul_transposed_into(
+                self.head(h, n),
+                acc,
+                n,
+                false,
+                self.leg,
+            );
+            for (v, raw) in viewers.iter().zip(acc.chunks_exact(n)) {
+                let lane = &mut lanes[v.lane];
+                let scores = &mut lane.scores[h * lane.t + self.base..][..v.rows];
+                for (score, &raw) in scores.iter_mut().zip(raw) {
+                    *score = raw * scale;
                 }
-                next += 1;
             }
         }
     }
-}
 
-/// K pass of one (page, lane): the scaled `q·k` score of every viewed
-/// row, per head — one left-to-right sum per score.
-fn score_rows<'t>(
-    lane: &mut AttendLane<'_>,
-    rows: impl Iterator<Item = &'t [f32]> + Clone,
-    base: usize,
-    cols: &std::ops::Range<usize>,
-    dh: usize,
-    scale: f32,
-) {
-    let heads = lane
-        .q
-        .chunks_exact(dh)
-        .zip(lane.scores.chunks_exact_mut(lane.t));
-    for (h, (qh, scores_h)) in heads.enumerate() {
-        let c = cols.start + h * dh;
-        for (score, row) in scores_h[base..].iter_mut().zip(rows.clone()) {
-            let kh = &row[c..c + dh];
-            *score = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum::<f32>() * scale;
-        }
-    }
-}
-
-/// V pass of one (page, lane): `out += p · v` row by row, so every
-/// output element accumulates in position order.
-fn mix_rows<'t>(
-    lane: &mut AttendLane<'_>,
-    rows: impl Iterator<Item = &'t [f32]>,
-    base: usize,
-    cols: &std::ops::Range<usize>,
-    dh: usize,
-) {
-    for (r, row) in rows.enumerate() {
-        let heads = lane
-            .out
-            .chunks_exact_mut(dh)
-            .zip(row[cols.clone()].chunks_exact(dh));
-        for (h, (out_h, vh)) in heads.enumerate() {
-            let p = lane.scores[h * lane.t + base + r];
-            for (a, &vv) in out_h.iter_mut().zip(vh) {
-                *a += p * vv;
+    /// V pass over lanes that all view `rows` rows: per head, `out +=
+    /// p · v` as the product of the lanes' weights and the page's values,
+    /// accumulated onto the mixes of the pages before — so every output
+    /// element still adds its `p · v` in position order, and a weight of
+    /// zero still multiplies.
+    fn mix(
+        &self,
+        lanes: &mut [AttendLane<'_>],
+        viewers: &[Viewer],
+        lhs: &mut Vec<f32>,
+        acc: &mut Vec<f32>,
+    ) {
+        let (w, dh) = (self.cols.len(), self.dh);
+        let (heads, rows) = (w / dh, viewers[0].rows);
+        lhs.clear();
+        acc.clear();
+        for v in viewers {
+            let lane = &lanes[v.lane];
+            for h in 0..heads {
+                lhs.extend_from_slice(&lane.scores[h * lane.t + self.base..][..rows]);
             }
+            acc.extend_from_slice(lane.out);
+        }
+        for h in 0..heads {
+            Strided::new(&lhs[h * rows..], viewers.len(), rows, heads * rows).matmul_into(
+                self.head(h, rows),
+                &mut acc[h * dh..],
+                w,
+                true,
+                self.leg,
+            );
+        }
+        for (v, mixed) in viewers.iter().zip(acc.chunks_exact(w)) {
+            lanes[v.lane].out.copy_from_slice(mixed);
         }
     }
 }

@@ -714,9 +714,13 @@ impl Model {
                 entry.pos + first_lane(entry) + 1..=entry.pos + entry.tokens.len()
             };
             attn.resize(rows, d);
-            scores.clear();
-            scores.resize(heads * batch.iter().flat_map(windows).sum::<usize>(), 0.0);
-            let mut scores_rest: &mut [f32] = scores;
+            // Grown, never refilled: the walk's K pass writes every score
+            // before the softmax reads it.
+            let n_scores = heads * batch.iter().flat_map(windows).sum::<usize>();
+            if scores.len() < n_scores {
+                scores.resize(n_scores, 0.0);
+            }
+            let mut scores_rest = &mut scores[..n_scores];
             let mut outs = attn.as_mut_slice().chunks_exact_mut(d);
             let mut lanes = step.take_lanes();
             for (entry, &row0) in batch.iter().zip(offsets.iter()) {

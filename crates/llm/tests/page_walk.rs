@@ -1,14 +1,17 @@
 //! The page walk ([`PageDecodeCache::attend`]) against a scalar reference
 //! built from nothing but [`LayerKv::key_into`] / [`LayerKv::value_into`]
 //! and the per-head operation order the walk promises to keep: one
-//! left-to-right `q·k` sum per score, the max-shifted log-softmax, then
-//! `out += p·v` in position order.
+//! ascending-`c` `q·k` sum per score, the max-shifted log-softmax, then
+//! `out += p·v` in position order. The walk runs those sums side by side
+//! on the GEMM register tile — sixteen positions of a page, four lanes of
+//! a group — and that must never show.
 //!
 //! Every lane of every scenario must come out `f32::to_bits`-identical,
-//! under every storage policy, page size and thread count — private
-//! caches, `fork_prefix` siblings sharing pages, a truncated fork masking
-//! a shared tail, a `fork_spliced` page table, and chunk spans whose
-//! lanes attend causal windows shorter than the table. On top of that
+//! under every storage policy, page size, thread count and SIMD leg —
+//! private caches, `fork_prefix` siblings sharing pages, a truncated fork
+//! masking a shared tail, a `fork_spliced` page table, chunk spans whose
+//! lanes attend causal windows shorter than the table, and random mixes
+//! of all of them at head widths ragged against the tile. On top of that
 //! the walk must deliver what it exists for: each distinct physical Anda
 //! page decodes once per walk, however many lanes view it and however
 //! many threads walk it, and a warmed walk allocates nothing.
@@ -17,9 +20,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use anda_format::metrics::rows_decoded;
+use anda_fp::simd::available_legs;
+use anda_llm::config::{Family, ModelConfig};
 use anda_llm::kv::{AttendLane, KvPoolConfig, KvReadScratch, KvStorage, LayerKv, PagePool};
 use anda_llm::{KvCache, PageDecodeCache};
 use anda_tensor::Rng;
+use proptest::prelude::*;
 use rayon_lite::ThreadPool;
 
 /// Counts the allocations of the *current thread* (as `kv_alloc.rs`
@@ -69,8 +75,12 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// and heads four to a group (two).
 const SHAPES: [(usize, usize); 2] = [(256, 4), (128, 8)];
 
+/// Bit patterns, every NaN as one: which payload survives the sum of two
+/// different NaNs is the compiler's choice of operand order, in the
+/// reference too.
 fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
+    let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x }.to_bits();
+    v.iter().map(canonical).collect()
 }
 
 fn floats(rng: &mut Rng, n: usize) -> Vec<f32> {
@@ -125,21 +135,34 @@ fn reference(layer: &LayerKv, t: usize, q: &[f32], n_heads: usize) -> Vec<f32> {
 }
 
 /// Walks `views` — `(layer, window)` pairs, each with its own random
-/// query — serially and on every pool width, checks every lane against
-/// the reference, and returns the Anda pages each walk decoded (which
-/// must not depend on the width).
+/// query — serially and on every pool width, on every SIMD leg the host
+/// runs, checks every lane against the reference, and returns the Anda
+/// pages each walk decoded (which must depend on neither).
 fn check_walk(views: &[(&LayerKv, usize)], n_heads: usize, rng: &mut Rng, ctx: &str) -> u64 {
     let dim = views[0].0.dim();
     let queries: Vec<Vec<f32>> = views.iter().map(|_| floats(rng, dim)).collect();
+    check_walk_on(views, &queries, n_heads, &THREADS, ctx)
+}
+
+/// [`check_walk`] with the lanes' queries and the pool widths given.
+fn check_walk_on(
+    views: &[(&LayerKv, usize)],
+    queries: &[Vec<f32>],
+    n_heads: usize,
+    threads: &[usize],
+    ctx: &str,
+) -> u64 {
+    let dim = views[0].0.dim();
     let expect: Vec<Vec<u32>> = views
         .iter()
-        .zip(&queries)
+        .zip(queries)
         .map(|(&(layer, t), q)| bits(&reference(layer, t, q, n_heads)))
         .collect();
 
-    let pools: Vec<ThreadPool> = THREADS.iter().map(|&n| ThreadPool::new(n)).collect();
+    let pools: Vec<ThreadPool> = threads.iter().map(|&n| ThreadPool::new(n)).collect();
+    let widths = std::iter::once(None).chain(pools.iter().map(Some));
     let mut per_walk = None;
-    for workers in std::iter::once(None).chain(pools.iter().map(Some)) {
+    for (workers, leg) in widths.flat_map(|w| available_legs().into_iter().map(move |l| (w, l))) {
         let mut walk = PageDecodeCache::new();
         // Stale garbage in the outputs and score lanes must not matter.
         let mut outs: Vec<Vec<f32>> = views.iter().map(|_| vec![f32::NAN; dim]).collect();
@@ -149,7 +172,7 @@ fn check_walk(views: &[(&LayerKv, usize)], n_heads: usize, rng: &mut Rng, ctx: &
             .collect();
         let mut lanes: Vec<AttendLane<'_>> = views
             .iter()
-            .zip(&queries)
+            .zip(queries)
             .zip(outs.iter_mut().zip(scores.iter_mut()))
             .map(|((&(layer, t), q), (out, scores))| AttendLane {
                 layer,
@@ -160,16 +183,20 @@ fn check_walk(views: &[(&LayerKv, usize)], n_heads: usize, rng: &mut Rng, ctx: &
             })
             .collect();
         let rows_before = rows_decoded();
-        walk.attend(&mut lanes, n_heads, workers);
-        let threads = workers.map_or(0, ThreadPool::threads);
+        walk.attend_with_leg(&mut lanes, n_heads, workers, leg);
+        let at = format!(
+            "{} threads, leg {}",
+            workers.map_or(0, ThreadPool::threads),
+            leg.name()
+        );
         for (i, (out, want)) in outs.iter().zip(&expect).enumerate() {
-            assert_eq!(&bits(out), want, "{ctx}: lane {i}, {threads} threads");
+            assert_eq!(&bits(out), want, "{ctx}: lane {i}, {at}");
         }
         let decoded = walk.pages_decoded();
         assert_eq!(
             *per_walk.get_or_insert(decoded),
             decoded,
-            "{ctx}: pages decoded must not depend on the thread count ({threads})"
+            "{ctx}: pages decoded must not depend on the thread count or the leg ({at})"
         );
         // The global row counter saw at least K and V of one row per
         // decoded page (`>=`: it is shared with concurrent tests).
@@ -369,6 +396,42 @@ fn warmed_walks_allocate_nothing() {
                 assert_eq!(thread_allocs() - before, 0, "{storage:?}: warmed walk");
             }
         }
+
+        // A chunk span: `reserve` sizes the lane blocks of a page group's
+        // products for as many rows as a step may carry, so once a small
+        // walk has sized the tile a twelve-lane span allocates nothing.
+        let config = ModelConfig {
+            name: "walk".into(),
+            family: Family::Opt,
+            d_model: dim,
+            n_layers: 1,
+            n_heads,
+            d_ffn: dim,
+            vocab: 1,
+            max_seq: 40,
+        };
+        let mut walk = PageDecodeCache::new();
+        walk.reserve(&config, 12, 40);
+        let mut outs = vec![vec![0.0f32; dim]; 12];
+        let mut scores: Vec<Vec<f32>> = (29..=40).map(|t| vec![0.0; n_heads * t]).collect();
+        for span in [1, 12] {
+            let mut lanes: Vec<AttendLane<'_>> = (29..=40)
+                .zip(outs.iter_mut().zip(scores.iter_mut()))
+                .take(span)
+                .map(|(t, (out, scores))| AttendLane {
+                    layer: a.layer(0),
+                    t,
+                    q: &q,
+                    scores,
+                    out,
+                })
+                .collect();
+            let before = thread_allocs();
+            walk.attend(&mut lanes, n_heads, None);
+            if span == 12 {
+                assert_eq!(thread_allocs() - before, 0, "{storage:?}: warmed span");
+            }
+        }
     }
 }
 
@@ -386,4 +449,170 @@ fn a_window_past_the_layer_is_refused() {
         out: &mut [0.0; 64],
     };
     PageDecodeCache::new().attend(&mut [lane], 4, None);
+}
+
+/// Page sizes below, at and off the tile's sixteen columns; head widths
+/// below one strip, off the pack's four-`k` blocks and at the served 64.
+const RAGGED_PAGE_SIZES: [usize; 4] = [1, 5, 8, 16];
+const RAGGED_HEAD_WIDTHS: [usize; 4] = [4, 8, 24, 64];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random lane mixes over one pool: a donor stream, forks of it cut at
+    /// random depths (so one physical page is viewed at several — some
+    /// forks then append, copying the shared tail out), a spliced fork,
+    /// and chunk spans whose causal windows end mid-page over a table with
+    /// a part-filled tail.
+    #[test]
+    fn random_lane_mixes_match_the_reference(seed in any::<u64>()) {
+        for storage in POLICIES {
+            for pp in RAGGED_PAGE_SIZES {
+                for dh in RAGGED_HEAD_WIDTHS {
+                    let mut rng = Rng::new(seed ^ (pp * 131 + dh) as u64);
+                    let n_heads = 1 + rng.below(256 / dh).min(15);
+                    let dim = dh * n_heads;
+                    let ctx = format!("{storage:?} page {pp} dh {dh} heads {n_heads} seed {seed}");
+                    let pool = pool(storage, pp);
+                    let reach = 3 * pp.max(6);
+
+                    let mut donor = pool.new_cache(1);
+                    let len = 1 + rng.below(reach);
+                    append(&mut donor, &mut rng, len, dim);
+                    let mut caches: Vec<KvCache> = Vec::new();
+                    // `(cache, first window, last window)`; the donor is
+                    // `usize::MAX`.
+                    let mut spans = vec![(usize::MAX, donor.len(), donor.len())];
+                    for _ in 0..rng.below(4) {
+                        let depth = 1 + rng.below(donor.len());
+                        let mut fork = donor.fork_prefix(depth);
+                        let chunk = rng.below(2) * rng.below(pp + 3);
+                        append(&mut fork, &mut rng, chunk, dim);
+                        spans.push((caches.len(), depth + chunk.min(1), depth + chunk));
+                        caches.push(fork);
+                    }
+                    if donor.len() >= pp {
+                        let split = pp * (1 + rng.below(donor.len() / pp));
+                        let mut tail = pool.new_cache(1);
+                        let len = split + 1 + rng.below(2 * pp);
+                        append(&mut tail, &mut rng, len, dim);
+                        let depth = split + 1 + rng.below(tail.len() - split);
+                        let fork = donor.fork_spliced(split, &mut tail, depth);
+                        spans.push((caches.len(), tail.len(), tail.len()));
+                        spans.push((caches.len() + 1, depth, depth));
+                        caches.extend([tail, fork]);
+                    }
+                    let mut chunked = pool.new_cache(1);
+                    let (at, chunk) = (rng.below(reach), 1 + rng.below(2 * pp + 2));
+                    append(&mut chunked, &mut rng, at + chunk, dim);
+                    spans.push((caches.len(), at + 1, at + chunk));
+                    caches.push(chunked);
+
+                    let views: Vec<(&LayerKv, usize)> = spans
+                        .iter()
+                        .flat_map(|&(cache, first, last)| {
+                            let layer = caches.get(cache).unwrap_or(&donor).layer(0);
+                            (first..=last).map(move |t| (layer, t))
+                        })
+                        .collect();
+                    let queries: Vec<Vec<f32>> =
+                        views.iter().map(|_| floats(&mut rng, dim)).collect();
+                    check_walk_on(&views, &queries, n_heads, &[1, 2, 3], &ctx);
+                }
+            }
+        }
+    }
+}
+
+/// Raw `f32` pages keep what the rounding policies would saturate away.
+fn fp32_rows(rows: &[(Vec<f32>, Vec<f32>)], pp: usize) -> KvCache {
+    let mut cache = pool(KvStorage::Fp32, pp).new_cache(1);
+    for (k, v) in rows {
+        cache.append_row(0, k, v);
+    }
+    cache
+}
+
+#[test]
+fn rows_past_a_window_never_reach_its_lane() {
+    // Masking is structural: the rows a lane's window does not reach are
+    // in the page tile its group's products run over — here every one of
+    // them is ±inf or NaN, K and V — and take no part in any of its sums.
+    // Multiplied by a zero weight instead they would poison the mix.
+    let (dim, n_heads) = (48, 2);
+    for pp in [5, 16] {
+        let mut rng = Rng::new(18);
+        let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let rows: Vec<_> = (0..23)
+            .map(|pos| match pos < 18 {
+                true => (floats(&mut rng, dim), floats(&mut rng, dim)),
+                false => (vec![poison[pos % 3]; dim], vec![poison[(pos + 1) % 3]; dim]),
+            })
+            .collect();
+        let mut cache = fp32_rows(&rows, pp);
+        let fork = cache.fork_prefix(17);
+        // Span lanes ending before the poison, mid-page and on a page
+        // boundary, next to a fork that shares those pages.
+        let mut views: Vec<_> = (11..=18).map(|t| (cache.layer(0), t)).collect();
+        views.push((fork.layer(0), 17));
+        let queries: Vec<Vec<f32>> = views.iter().map(|_| floats(&mut rng, dim)).collect();
+        for (&(layer, t), q) in views.iter().zip(&queries) {
+            assert!(reference(layer, t, q, n_heads)
+                .iter()
+                .all(|x| x.is_finite()));
+        }
+        check_walk_on(&views, &queries, n_heads, &THREADS, &format!("page {pp}"));
+    }
+}
+
+#[test]
+fn a_zero_weight_still_multiplies_its_value_row() {
+    // Inside the window nothing is skipped either: a softmax weight that
+    // underflowed to exactly 0 against an infinite V element is a NaN in
+    // the reference's `out += p * v`, so it is one in the walk — the GEMM
+    // kernels' zero-skipping row walk is not the one attention runs.
+    let (dim, n_heads) = (8, 1);
+    let key = |x: f32| [vec![x], vec![0.0; dim - 1]].concat();
+    let mut v1 = vec![1.0; dim];
+    (v1[0], v1[3]) = (f32::INFINITY, f32::NEG_INFINITY);
+    let cache = fp32_rows(&[(key(20.0), vec![0.5; dim]), (key(-20.0), v1)], 4);
+    let q = key(20.0);
+    let out = reference(cache.layer(0), 2, &q, n_heads);
+    assert!(
+        out[0].is_nan() && out[3].is_nan() && out[1] == 0.5,
+        "{out:?}"
+    );
+    check_walk_on(
+        &[(cache.layer(0), 2)],
+        &[q],
+        n_heads,
+        &THREADS,
+        "zero weight",
+    );
+}
+
+#[test]
+fn the_sign_of_an_all_zero_score_is_erased_by_the_softmax() {
+    // The one representational difference between the walk and the
+    // reference: `Iterator::sum` starts at -0.0, the register tile at
+    // +0.0, so a score whose every product is -0.0 is -0.0 there and +0.0
+    // here. The max-shifted softmax maps both to the same weight.
+    let (dim, n_heads) = (64, 1);
+    let mut rng = Rng::new(19);
+    let k = vec![-0.0f32; dim];
+    let q = vec![0.0f32; dim];
+    let summed: f32 = q.iter().zip(&k).map(|(&a, &b)| a * b).sum();
+    assert!(summed == 0.0 && summed.is_sign_negative());
+    for t in [1, 3] {
+        let rows: Vec<_> = (0..t).map(|_| (k.clone(), floats(&mut rng, dim))).collect();
+        let cache = fp32_rows(&rows, 16);
+        let ctx = format!("-0.0 scores, t = {t}");
+        check_walk_on(
+            &[(cache.layer(0), t)],
+            std::slice::from_ref(&q),
+            n_heads,
+            &THREADS,
+            &ctx,
+        );
+    }
 }

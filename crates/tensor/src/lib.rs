@@ -20,5 +20,5 @@ pub mod ops;
 pub mod rng;
 mod tile;
 
-pub use matrix::Matrix;
+pub use matrix::{Matrix, Strided};
 pub use rng::Rng;

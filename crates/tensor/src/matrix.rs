@@ -12,6 +12,10 @@
 //! contraction) — so every leg is `f32::to_bits`-identical to the scalar
 //! oracle (row-major: for finite `rhs`; transposed: always), preserving
 //! the bit-exactness invariant the serving stack is built on.
+//!
+//! [`Strided`] runs the same kernel over windows of buffers a caller owns
+//! for other reasons, with explicit row strides and an accumulate flag:
+//! the attention page walk's per-head `q · Kᵀ` and `p · V` blocks.
 
 use core::fmt;
 use core::ops::{Index, IndexMut};
@@ -19,7 +23,7 @@ use core::ops::{Index, IndexMut};
 use anda_fp::simd::{active_leg, SimdLeg};
 use rayon_lite::ThreadPool;
 
-use crate::tile::{self, Layout, OutBlock, TILE_COLS, TILE_ROWS};
+use crate::tile::{self, Layout, Operands, OutBlock, TILE_COLS, TILE_ROWS};
 
 /// Below this many multiply-adds a GeMM runs serially even when the
 /// pool has threads: dispatch overhead (a mutex push plus a condvar
@@ -420,6 +424,7 @@ impl Matrix {
         }
         let cols_per_job = n.div_ceil(threads).next_multiple_of(TILE_COLS);
         let ptr = out.data.as_mut_ptr();
+        let ops = &self.operands(rhs, layout);
         pool.scope(|s| {
             for c0 in (0..n).step_by(cols_per_job) {
                 let block = OutBlock {
@@ -432,7 +437,7 @@ impl Matrix {
                 // joins, holds `rows` rows of `n` (shapes checked above),
                 // and the jobs' column ranges are disjoint; `leg` is the
                 // active one, which the CPU runs.
-                s.spawn(move || unsafe { self.product_block_leg(rhs, layout, n, &block, leg) });
+                s.spawn(move || unsafe { block_on_leg(ops, &block, leg) });
             }
         });
     }
@@ -467,33 +472,23 @@ impl Matrix {
         // `rows` full output rows, so the block covers memory this call
         // owns; the callers checked the shapes, and pass `active_leg()`
         // or a leg a `_with_leg` entry asserted available.
-        unsafe { self.product_block_leg(rhs, layout, n, &block, leg) }
+        unsafe { block_on_leg(&self.operands(rhs, layout), &block, leg) }
     }
 
-    /// Runs the register-tiled kernel of a vector leg over `block`.
-    ///
-    /// # Safety
-    ///
-    /// `self · rhs` (through `layout`) must be `· × n`, `block.ptr` must
-    /// be valid for writes of `block.rows` rows of `n` elements, nothing
-    /// else may access the block's columns of those rows during the call,
-    /// and the CPU must run `leg`.
-    unsafe fn product_block_leg(
-        &self,
-        rhs: &Matrix,
-        layout: Layout,
-        n: usize,
-        block: &OutBlock,
-        leg: SimdLeg,
-    ) {
-        let (lhs, k, rhs) = (&self.data[..], self.cols, &rhs.data[..]);
-        match leg {
-            #[cfg(target_arch = "x86_64")]
-            SimdLeg::Avx2 => <tile::Avx2 as tile::Leg>::block(lhs, k, rhs, n, layout, block),
-            #[cfg(target_arch = "aarch64")]
-            SimdLeg::Neon => <tile::Neon as tile::Leg>::block(lhs, k, rhs, n, layout, block),
-            #[allow(unreachable_patterns)]
-            other => panic!("SIMD leg {} has no tiled kernel on this host", other.name()),
+    /// `self · rhs` (through `layout`) as the kernel takes it: every stride
+    /// is the width of its matrix, every sum starts at `+0.0`, and `rhs`
+    /// streams from memory.
+    fn operands<'a>(&'a self, rhs: &'a Matrix, layout: Layout) -> Operands<'a> {
+        Operands {
+            lhs: &self.data,
+            lda: self.cols,
+            rhs: &rhs.data,
+            ldb: rhs.cols,
+            layout,
+            k: self.cols,
+            ldc: rhs.rhs_shape(layout).1,
+            accumulate: false,
+            resident: false,
         }
     }
 
@@ -543,7 +538,7 @@ impl Matrix {
         for (li, out_row) in out_rows.chunks_exact_mut(rhs.rows).enumerate() {
             let a_row = self.row(row0 + li);
             for (j, o) in out_row.iter_mut().enumerate() {
-                *o = tile::dot(a_row, rhs.row(j));
+                *o = tile::dot(0.0, a_row, rhs.row(j));
             }
         }
     }
@@ -700,6 +695,158 @@ impl Matrix {
         } else {
             self.data.iter().sum::<f32>() / self.data.len() as f32
         }
+    }
+}
+
+/// Runs the register-tiled kernel of a vector leg over `block`.
+///
+/// # Safety
+///
+/// [`tile::Leg::block`]'s contract — `ops` and `block` must describe
+/// memory the caller may read and exclusively write — and the CPU must run
+/// `leg`.
+unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
+    match leg {
+        #[cfg(target_arch = "x86_64")]
+        SimdLeg::Avx2 => <tile::Avx2 as tile::Leg>::block(ops, block),
+        #[cfg(target_arch = "aarch64")]
+        SimdLeg::Neon => <tile::Neon as tile::Leg>::block(ops, block),
+        #[allow(unreachable_patterns)]
+        other => panic!("SIMD leg {} has no tiled kernel on this host", other.name()),
+    }
+}
+
+/// A `rows × cols` row-major window of a longer buffer: row `r` is
+/// `data[r · ld ..][.. cols]`. The operand type of the products a caller
+/// runs over pieces of buffers it owns for other reasons — the attention
+/// page walk multiplies one head's columns of a block of queries by one
+/// head's columns of a cached page — where the window is small and
+/// cache-resident and the call count is high.
+///
+/// Both products run the register tile of every [`Matrix`] product
+/// (`tile.rs`) at every row count, on one thread, and skip nothing: output
+/// element `(i, j)` is the ascending-`k` sum of `lhs[i][k] · rhs[k][j]`,
+/// multiply then add, started from `+0.0` or — accumulating — from the
+/// element's current value, `f32::to_bits`-identical on every leg **and
+/// every input**, non-finite ones included. Output columns past the
+/// product's width are never written.
+#[derive(Clone, Copy, Debug)]
+pub struct Strided<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    ld: usize,
+}
+
+/// Elements from the first of a `rows × cols` window of stride `ld` to its
+/// last.
+fn strided_span(rows: usize, cols: usize, ld: usize) -> usize {
+    match rows.min(cols) {
+        0 => 0,
+        _ => (rows - 1) * ld + cols,
+    }
+}
+
+impl<'a> Strided<'a> {
+    /// The window of `data` starting at its first element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols > ld` or the window runs past `data`.
+    pub fn new(data: &'a [f32], rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(
+            cols <= ld && strided_span(rows, cols, ld) <= data.len(),
+            "a {rows}x{cols} window of stride {ld} does not fit {} elements",
+            data.len()
+        );
+        Strided {
+            data,
+            rows,
+            cols,
+            ld,
+        }
+    }
+
+    /// `out (+)= self · rhs` on `leg`, `out`'s rows `ldc` apart; sums start
+    /// from `out`'s contents when `accumulate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch, if `out` cannot hold the product, or if
+    /// `leg` is unavailable on this host.
+    pub fn matmul_into(
+        &self,
+        rhs: Strided<'_>,
+        out: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        leg: SimdLeg,
+    ) {
+        self.product(rhs, Layout::RowMajor, out, ldc, accumulate, leg);
+    }
+
+    /// `out (+)= self · rhsᵀ`; see [`Strided::matmul_into`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Strided::matmul_into`].
+    pub fn matmul_transposed_into(
+        &self,
+        rhs: Strided<'_>,
+        out: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        leg: SimdLeg,
+    ) {
+        self.product(rhs, Layout::Transposed, out, ldc, accumulate, leg);
+    }
+
+    fn product(
+        &self,
+        rhs: Strided<'_>,
+        layout: Layout,
+        out: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        leg: SimdLeg,
+    ) {
+        let (k, n) = match layout {
+            Layout::RowMajor => (rhs.rows, rhs.cols),
+            Layout::Transposed => (rhs.cols, rhs.rows),
+        };
+        assert_eq!(self.cols, k, "strided product shape mismatch");
+        assert!(
+            n <= ldc && strided_span(self.rows, n, ldc) <= out.len(),
+            "a {}x{n} product of stride {ldc} does not fit {} elements",
+            self.rows,
+            out.len()
+        );
+        leg.assert_available();
+        let ops = Operands {
+            lhs: self.data,
+            lda: self.ld,
+            rhs: rhs.data,
+            ldb: rhs.ld,
+            layout,
+            k,
+            ldc,
+            accumulate,
+            resident: true,
+        };
+        if leg == SimdLeg::Scalar {
+            return tile::resident_block_scalar(&ops, self.rows, n, out);
+        }
+        let block = OutBlock {
+            ptr: out.as_mut_ptr(),
+            row0: 0,
+            rows: self.rows,
+            cols: 0..n,
+        };
+        // SAFETY: `out` is exclusively borrowed and, as asserted, holds
+        // the block's rows at stride `ldc`; `Strided::new` checked that
+        // both windows lie inside their buffers, and the shapes agree;
+        // `leg` was asserted available.
+        unsafe { block_on_leg(&ops, &block, leg) }
     }
 }
 
@@ -913,6 +1060,91 @@ mod tests {
                     .zip(reference_t.as_slice())
                     .all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(same_t, "matmul_t leg={} shape {m}x{k}x{n}", leg.name());
+            }
+        }
+    }
+
+    #[test]
+    fn every_simd_leg_of_the_strided_products_matches_the_scalar_loops() {
+        use anda_fp::simd::available_legs;
+        // Windows of wider buffers (every stride exceeds its width), every
+        // tile height and its remainders, `k` off the pack's 4-blocks,
+        // widths around one strip, sums started from `+0.0` and from a
+        // non-zero `out`. Nothing may skip: a zero `lhs` element against a
+        // non-finite `rhs` one is a NaN in the loops and in every leg, and
+        // what lies between the windows' rows must never be read as data
+        // nor written. (NaNs compare as one value: which payload survives
+        // the sum of two different NaNs depends on the operand order the
+        // compiler picked for a commutative add, in the loops too.)
+        let wave = |len: usize, f: f32| -> Vec<f32> {
+            (0..len).map(|i| (i as f32 * f).sin() * 2.0).collect()
+        };
+        let bits = |v: &[f32]| -> Vec<u32> {
+            let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x }.to_bits();
+            v.iter().map(canonical).collect()
+        };
+        for m in 1..=9usize {
+            for (k, n) in [
+                (1usize, 1usize),
+                (5, 7),
+                (16, 64),
+                (7, 16),
+                (13, 24),
+                (22, 37),
+            ] {
+                let (lda, ldb_rm, ldb_t, ldc) = (k + 3, n + 5, k + 2, n + 1);
+                let mut a = wave(m * lda, 0.37);
+                a.iter_mut().step_by(3).for_each(|x| *x = 0.0);
+                let mut b_rm = wave(k * ldb_rm, 0.11);
+                let mut b_t = wave(n * ldb_t, 0.23);
+                for b in [&mut b_rm, &mut b_t] {
+                    let len = b.len();
+                    b[0] = f32::INFINITY;
+                    b[len / 2] = f32::NAN;
+                }
+                let lhs = Strided::new(&a, m, k, lda);
+                for transposed in [false, true] {
+                    let rhs = match transposed {
+                        false => Strided::new(&b_rm, k, n, ldb_rm),
+                        true => Strided::new(&b_t, n, k, ldb_t),
+                    };
+                    for accumulate in [false, true] {
+                        let run = |leg: SimdLeg| {
+                            let mut out = wave(m * ldc, 0.71);
+                            match transposed {
+                                false => lhs.matmul_into(rhs, &mut out, ldc, accumulate, leg),
+                                true => {
+                                    lhs.matmul_transposed_into(rhs, &mut out, ldc, accumulate, leg)
+                                }
+                            }
+                            bits(&out)
+                        };
+                        // The loops themselves, spelled out once more.
+                        let mut want = wave(m * ldc, 0.71);
+                        for i in 0..m {
+                            for j in 0..n {
+                                let mut acc = if accumulate { want[i * ldc + j] } else { 0.0 };
+                                for kk in 0..k {
+                                    let b = match transposed {
+                                        false => b_rm[kk * ldb_rm + j],
+                                        true => b_t[j * ldb_t + kk],
+                                    };
+                                    acc += a[i * lda + kk] * b;
+                                }
+                                want[i * ldc + j] = acc;
+                            }
+                        }
+                        let want = bits(&want);
+                        for leg in available_legs() {
+                            assert_eq!(
+                                run(leg),
+                                want,
+                                "leg={} {m}x{k}x{n} transposed={transposed} accumulate={accumulate}",
+                                leg.name()
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,5 +1,7 @@
 //! The register-tiled GEMM kernel behind the vector legs of every
-//! [`crate::Matrix`] product, `lhs · rhs` and `lhs · rhsᵀ` alike.
+//! [`crate::Matrix`] product, `lhs · rhs` and `lhs · rhsᵀ` alike, and of
+//! the [`crate::Strided`] view products the attention page walk is made
+//! of.
 //!
 //! Output-stationary: a tile of [`TILE_ROWS`]` × `[`TILE_COLS`] output
 //! elements lives in vector registers while `k` walks a panel, so every
@@ -57,18 +59,35 @@
 //! its one to three rows run the tile at their own height — the pack is
 //! then most of the cost, which is why AVX2 has a vector one (through the
 //! portable loop a cold one-row 256 × 512 product took 57–79 µs against
-//! 25–48) — and its ragged columns are plain ascending-`k` dots.
+//! 25–48) — and its ragged columns run it over a zero-padded panel into a
+//! sixteen-wide edge buffer, from which only the strip's own columns are
+//! copied out.
+//!
+//! All of that is shaped around a `rhs` that streams from memory. A
+//! **resident** product ([`Operands::resident`], what a [`crate::Strided`]
+//! view runs) multiplies by a window of a tile that is already in the L1 —
+//! one head's columns of a KV page, sixteen positions by 64 — thousands
+//! of times a step, so nothing in it is: the tile runs at every height
+//! (strip → k panel → row tile, ragged columns through the edge buffer),
+//! full row-major strips are read where they lie (the tile takes the
+//! `rhs` row stride; a pack would copy each `p·v` operand once per use),
+//! and the only pack left is the transposing one, which is what turns a
+//! page's key rows into sixteen positions side by side. It can also
+//! **accumulate**: its sums start from the output's contents, which is
+//! how attention's `out += p · v` crosses a page boundary.
 //!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
-//! accumulated in ascending `k` from `+0.0`, multiply then add, never
-//! fused — the operation sequence of the scalar oracles
-//! (`Matrix::matmul_rows_scalar`, `Matrix::matmul_transposed_rows_scalar`),
-//! so every leg, layout, tile boundary, panel order and sharding is
+//! accumulated in ascending `k` from `+0.0` (or the output's value),
+//! multiply then add, never fused — the operation sequence of the scalar
+//! oracles (`Matrix::matmul_rows_scalar`,
+//! `Matrix::matmul_transposed_rows_scalar`, [`resident_block_scalar`]), so
+//! every leg, layout, tile boundary, panel order and sharding is
 //! `f32::to_bits`-identical to them (a panel boundary only parks the
-//! accumulators in the output, an exact `f32` round trip). Row-major,
-//! that holds for finite `rhs`: the oracle's `a == 0` skip is not part of
-//! the contract (see its docs); the tiles do not skip, the axpy walk
-//! does. Transposed, nothing skips, so it holds on every input.
+//! accumulators in the output, an exact `f32` round trip). For a streamed
+//! row-major `rhs` that holds for finite `rhs`: the oracle's `a == 0` skip
+//! is not part of the contract (see its docs); the tiles do not skip, the
+//! axpy walk does. Transposed or resident, nothing skips, so it holds on
+//! every input.
 
 use core::ops::Range;
 
@@ -98,9 +117,32 @@ pub(crate) enum Layout {
     Transposed,
 }
 
-/// A `rows × cols` block of a row-major output with `n`-element rows,
-/// addressed through a raw pointer so pool jobs can own disjoint column
-/// ranges of the same rows.
+/// The inputs of one product and how all three operands lie in memory:
+/// row `i` of `lhs` starts at `i · lda`, row `r` of `rhs` (a `k` row, or an
+/// `n` row when transposed) at `r · ldb`, output row `i` at `i · ldc`. A
+/// [`crate::Matrix`] passes its widths; a [`crate::Strided`] view passes
+/// the strides of the buffer it is a window of.
+pub(crate) struct Operands<'a> {
+    pub lhs: &'a [f32],
+    pub lda: usize,
+    pub rhs: &'a [f32],
+    pub ldb: usize,
+    pub layout: Layout,
+    pub k: usize,
+    pub ldc: usize,
+    /// Every sum starts from the output's current contents instead of
+    /// `+0.0`.
+    pub accumulate: bool,
+    /// `rhs` is a window of a cache-resident tile rather than a weight
+    /// matrix streaming from memory: nothing of the product is shaped
+    /// around the stream — no axpy walk (so nothing skips a zero), no
+    /// shallow prefetched panels, and full row-major strips are read where
+    /// they lie instead of being packed.
+    pub resident: bool,
+}
+
+/// A `rows × cols` block of a row-major output, addressed through a raw
+/// pointer so pool jobs can own disjoint column ranges of the same rows.
 pub(crate) struct OutBlock {
     /// Element `(row0, 0)` of the output.
     pub ptr: *mut f32,
@@ -126,14 +168,16 @@ pub(crate) trait Leg {
     /// # Safety
     ///
     /// Needs the leg's CPU feature; `a` must be readable at
-    /// `r · lda + kk`, `b` (a packed panel) at `kk · 16 + 0..16`, and `c`
-    /// readable and writable at `r · ldc + 0..16`.
+    /// `r · lda + kk`, `b` (a packed panel, `ldb = 16`, or sixteen columns
+    /// of resident `rhs` rows) at `kk · ldb + 0..16`, and `c` readable and
+    /// writable at `r · ldc + 0..16`.
     #[allow(clippy::too_many_arguments)]
     unsafe fn tile(
         rows: usize,
         a: *const f32,
         lda: usize,
         b: *const f32,
+        ldb: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -167,102 +211,148 @@ pub(crate) trait Leg {
     /// `0..kc · 16`.
     #[inline(always)]
     unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
-        pack_transposed_portable(b, ldb, 0..kc, panel)
+        pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel)
     }
 
-    /// [`matmul_block`], monomorphised for `layout` and compiled with the
-    /// leg's CPU feature enabled, so that the pack, the tile and the axpy
-    /// walk inline into the panel loops (a shallow panel is eight `k`
+    /// [`matmul_block`], monomorphised for `ops.layout` and compiled with
+    /// the leg's CPU feature enabled, so that the pack, the tile and the
+    /// axpy walk inline into the panel loops (a shallow panel is eight `k`
     /// steps per tile call).
     ///
     /// # Safety
     ///
     /// [`matmul_block`]'s contract, and the CPU must support the leg.
-    unsafe fn block(lhs: &[f32], k: usize, rhs: &[f32], n: usize, layout: Layout, block: &OutBlock);
+    unsafe fn block(ops: &Operands, block: &OutBlock);
 }
 
-/// Rows `kks` of [`Leg::pack_transposed`]'s panel, one `rhs` row (a
-/// contiguous stream) at a time.
+/// Rows `kks` of [`Leg::pack_transposed`]'s panel for the strip's first
+/// `width` columns, one `rhs` row (a contiguous stream) at a time.
 ///
 /// # Safety
 ///
-/// As [`Leg::pack_transposed`], for `kk` in `kks`.
+/// As [`Leg::pack_transposed`], for `j < width` and `kk` in `kks`.
 #[inline(always)]
-unsafe fn pack_transposed_portable(b: *const f32, ldb: usize, kks: Range<usize>, panel: *mut f32) {
-    for j in 0..TILE_COLS {
+unsafe fn pack_transposed_portable(
+    b: *const f32,
+    ldb: usize,
+    width: usize,
+    kks: Range<usize>,
+    panel: *mut f32,
+) {
+    for j in 0..width {
         for kk in kks.clone() {
             *panel.add(kk * TILE_COLS + j) = *b.add(j * ldb + kk);
         }
     }
 }
 
-/// Computes `block` of `lhs(· × k) · rhs`, where `rhs` is `k × n`, or
-/// `n × k` when `TRANSPOSED`; see the module docs. Called through
-/// [`Leg::block`].
+/// Computes `block` of `ops.lhs · ops.rhs` (`rhs` read through
+/// `ops.layout`, which `TRANSPOSED` repeats); see the module docs. Called
+/// through [`Leg::block`].
 ///
 /// # Safety
 ///
-/// `block.ptr` must be valid for writes of `block.rows` rows of `n`
-/// elements and nothing else may access `block.cols` of those rows during
-/// the call. `lhs` must hold rows `block.row0 .. block.row0 + block.rows`
-/// and `rhs` `k · n` elements.
+/// `block.ptr` must be valid for reads and writes of `block.cols` of
+/// `block.rows` rows `ops.ldc` apart, and nothing else may access those
+/// elements during the call. `ops.lhs` must hold `ops.k` elements of rows
+/// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`, and
+/// `ops.rhs` its `k × block.cols.end` (transposed: `block.cols.end × k`)
+/// elements at stride `ops.ldb`.
 #[inline(always)]
-unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(
-    lhs: &[f32],
-    k: usize,
-    rhs: &[f32],
-    n: usize,
-    block: &OutBlock,
-) {
+unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(ops: &Operands, block: &OutBlock) {
+    let &Operands {
+        lhs,
+        lda,
+        rhs,
+        ldb,
+        k,
+        ldc,
+        accumulate,
+        resident,
+        ..
+    } = ops;
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
-    debug_assert!(lhs.len() >= (row0 + rows) * k && rhs.len() >= k * n && cols.end <= n);
-    let a = lhs.as_ptr().add(row0 * k);
+    let a = lhs.as_ptr().add(row0 * lda);
     let b = rhs.as_ptr();
-    // What the tiles leave over: sub-tile row counts and ragged columns.
-    let untiled = |cols: Range<usize>| {
+    if k == 0 {
+        // An empty sum is the value it starts from.
+        for i in 0..if accumulate { 0 } else { rows } {
+            core::ptr::write_bytes(out.add(i * ldc + cols.start), 0, cols.len());
+        }
+        return;
+    }
+    // The single-row walk over a streamed row-major `rhs`: sub-tile row
+    // counts and ragged columns.
+    let axpy = !TRANSPOSED && !resident;
+    debug_assert!(!(axpy && accumulate), "the axpy walk overwrites its output");
+    let axpy_cols = |cols: Range<usize>| {
         for i in 0..rows {
-            let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
-            let c = out.add(i * n + cols.start);
-            if TRANSPOSED {
-                for (jj, j) in cols.clone().enumerate() {
-                    *c.add(jj) = dot(a_row, &rhs[j * k..(j + 1) * k]);
-                }
-            } else {
-                // `wrapping_add`: with `k == 0` there is no `rhs` to point
-                // into.
-                L::axpy_row(a_row, b.wrapping_add(cols.start), n, c, cols.len());
-            }
+            let a_row = &lhs[(row0 + i) * lda..][..k];
+            L::axpy_row(
+                a_row,
+                b.add(cols.start),
+                ldb,
+                out.add(i * ldc + cols.start),
+                cols.len(),
+            );
         }
     };
-    if k == 0 || (!TRANSPOSED && rows < TILE_ROWS) {
-        return untiled(cols.clone());
+    if axpy && rows < TILE_ROWS {
+        return axpy_cols(cols.clone());
     }
 
     let strips_end = cols.end - cols.len() % TILE_COLS;
-    let mut panel = [0.0f32; KC * TILE_COLS];
-    // Packs panel `k0..k0 + kc` of strip `j0` and runs every row tile over
-    // it; `ahead` is the row-major strip to prefetch meanwhile, line for
-    // line.
-    let mut strip_panel = |j0: usize, k0: usize, kc: usize, ahead: Option<*const f32>| {
-        if TRANSPOSED {
-            L::pack_transposed(b.add(j0 * k + k0), k, kc, panel.as_mut_ptr());
-        } else {
-            let strip = b.add(k0 * n + j0);
-            for kk in 0..kc {
-                if let Some(ahead) = ahead {
-                    L::prefetch(ahead.wrapping_add(kk * n));
+    // Every element a tile reads was packed earlier in the same call.
+    let mut panel = core::mem::MaybeUninit::<[f32; KC * TILE_COLS]>::uninit();
+    let panel: *mut f32 = panel.as_mut_ptr().cast();
+    // A ragged strip's tiles compute into here, sixteen wide, and only the
+    // strip's own columns are copied back.
+    let mut edge = [0.0f32; TILE_ROWS * TILE_COLS];
+    // Runs every row tile over panel `k0..k0 + kc` of the `width`-column
+    // strip at `j0`, packing it first unless it is read in place; `ahead`
+    // is the row-major strip to prefetch meanwhile, line for line.
+    let mut strip_panel =
+        |j0: usize, width: usize, k0: usize, kc: usize, ahead: Option<*const f32>| {
+            let full = width == TILE_COLS;
+            let (mut tile_b, mut tile_ldb) = (panel.cast_const(), TILE_COLS);
+            if TRANSPOSED && full {
+                L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel);
+            } else if TRANSPOSED {
+                core::ptr::write_bytes(panel, 0, kc * TILE_COLS);
+                pack_transposed_portable(b.add(j0 * ldb + k0), ldb, width, 0..kc, panel);
+            } else if resident && full {
+                (tile_b, tile_ldb) = (b.add(k0 * ldb + j0), ldb);
+            } else {
+                let strip = b.add(k0 * ldb + j0);
+                for kk in 0..kc {
+                    if let Some(ahead) = ahead {
+                        L::prefetch(ahead.wrapping_add(kk * ldb));
+                    }
+                    let dst = panel.add(kk * TILE_COLS);
+                    core::ptr::copy_nonoverlapping(strip.add(kk * ldb), dst, width);
+                    core::ptr::write_bytes(dst.add(width), 0, TILE_COLS - width);
                 }
-                let dst = panel.as_mut_ptr().add(kk * TILE_COLS);
-                core::ptr::copy_nonoverlapping(strip.add(kk * n), dst, TILE_COLS);
             }
-        }
-        for i0 in (0..rows).step_by(TILE_ROWS) {
-            let r = TILE_ROWS.min(rows - i0);
-            let c = out.add(i0 * n + j0);
-            L::tile(r, a.add(i0 * k + k0), k, panel.as_ptr(), kc, c, n, k0 == 0);
-        }
-    };
-    if !TRANSPOSED && rows < DEEP_MIN_ROWS {
+            let first = k0 == 0 && !accumulate;
+            for i0 in (0..rows).step_by(TILE_ROWS) {
+                let r = TILE_ROWS.min(rows - i0);
+                let a = a.add(i0 * lda + k0);
+                let c = out.add(i0 * ldc + j0);
+                if full {
+                    L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first);
+                    continue;
+                }
+                let edge = edge.as_mut_ptr();
+                for i in 0..if first { 0 } else { r } {
+                    core::ptr::copy_nonoverlapping(c.add(i * ldc), edge.add(i * TILE_COLS), width);
+                }
+                L::tile(r, a, lda, tile_b, tile_ldb, kc, edge, TILE_COLS, first);
+                for i in 0..r {
+                    core::ptr::copy_nonoverlapping(edge.add(i * TILE_COLS), c.add(i * ldc), width);
+                }
+            }
+        };
+    if axpy && rows < DEEP_MIN_ROWS {
         let width = strips_end - cols.start;
         for k0 in (0..k).step_by(KC_SHALLOW) {
             let kc = KC_SHALLOW.min(k - k0);
@@ -274,31 +364,64 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(
                 let at = j0 - cols.start + PREFETCH_STRIPS * TILE_COLS;
                 let k_ahead = k0 + at / width * KC_SHALLOW;
                 let ahead =
-                    (k_ahead < k).then(|| b.wrapping_add(k_ahead * n + cols.start + at % width));
-                strip_panel(j0, k0, kc, ahead);
+                    (k_ahead < k).then(|| b.wrapping_add(k_ahead * ldb + cols.start + at % width));
+                strip_panel(j0, TILE_COLS, k0, kc, ahead);
             }
         }
     } else {
         for j0 in (cols.start..strips_end).step_by(TILE_COLS) {
             for k0 in (0..k).step_by(KC) {
-                strip_panel(j0, k0, KC.min(k - k0), None);
+                strip_panel(j0, TILE_COLS, k0, KC.min(k - k0), None);
             }
         }
     }
-    if strips_end < cols.end {
-        untiled(strips_end..cols.end);
+    if strips_end < cols.end && axpy {
+        axpy_cols(strips_end..cols.end);
+    } else if strips_end < cols.end {
+        for k0 in (0..k).step_by(KC) {
+            strip_panel(strips_end, cols.end - strips_end, k0, KC.min(k - k0), None);
+        }
     }
 }
 
-/// `Σ_k a[k] · b[k]` in ascending `k` from `+0.0`, multiply then add: one
-/// output element of either layout, as every kernel accumulates it.
+/// `acc + Σ_k a[k] · b[k]` in ascending `k`, multiply then add: one output
+/// element of either layout, as every kernel accumulates it (from `+0.0`
+/// unless the product accumulates).
 #[inline(always)]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
+pub(crate) fn dot(mut acc: f32, a: &[f32], b: &[f32]) -> f32 {
     for (&x, &y) in a.iter().zip(b) {
         acc += x * y;
     }
     acc
+}
+
+/// The scalar oracle of a resident product ([`Operands::resident`]) — the
+/// loops every vector leg of [`crate::Strided`]'s products is pinned to,
+/// on every input: a transposed `rhs` gives one [`dot`] per output
+/// element, a row-major one `out[i][j] += a[i][kk] · b[kk][j]` for
+/// ascending `kk`, skipping nothing.
+pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: &mut [f32]) {
+    for i in 0..rows {
+        let a_row = &ops.lhs[i * ops.lda..][..ops.k];
+        let out_row = &mut out[i * ops.ldc..][..n];
+        if !ops.accumulate {
+            out_row.fill(0.0);
+        }
+        match ops.layout {
+            Layout::Transposed => {
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o = dot(*o, a_row, &ops.rhs[j * ops.ldb..][..ops.k]);
+                }
+            }
+            Layout::RowMajor => {
+                for (kk, &av) in a_row.iter().enumerate() {
+                    for (o, &bv) in out_row.iter_mut().zip(&ops.rhs[kk * ops.ldb..][..n]) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -312,6 +435,7 @@ impl Leg for Avx2 {
         a: *const f32,
         lda: usize,
         b: *const f32,
+        ldb: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -326,6 +450,7 @@ impl Leg for Avx2 {
             a: *const f32,
             lda: usize,
             b: *const f32,
+            ldb: usize,
             kc: usize,
             c: *mut f32,
             ldc: usize,
@@ -339,8 +464,8 @@ impl Leg for Avx2 {
                 }
             }
             for kk in 0..kc {
-                let b0 = _mm256_loadu_ps(b.add(kk * TILE_COLS));
-                let b1 = _mm256_loadu_ps(b.add(kk * TILE_COLS + 8));
+                let b0 = _mm256_loadu_ps(b.add(kk * ldb));
+                let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     // mul then add, never fused: the scalar oracle
                     // rounds the product before the sum.
@@ -356,10 +481,10 @@ impl Leg for Avx2 {
         }
 
         match rows {
-            4 => rows_n::<4>(a, lda, b, kc, c, ldc, first),
-            3 => rows_n::<3>(a, lda, b, kc, c, ldc, first),
-            2 => rows_n::<2>(a, lda, b, kc, c, ldc, first),
-            _ => rows_n::<1>(a, lda, b, kc, c, ldc, first),
+            4 => rows_n::<4>(a, lda, b, ldb, kc, c, ldc, first),
+            3 => rows_n::<3>(a, lda, b, ldb, kc, c, ldc, first),
+            2 => rows_n::<2>(a, lda, b, ldb, kc, c, ldc, first),
+            _ => rows_n::<1>(a, lda, b, ldb, kc, c, ldc, first),
         }
     }
 
@@ -435,21 +560,14 @@ impl Leg for Avx2 {
                 _mm256_storeu_ps(dst.add(3 * TILE_COLS), _mm256_shuffle_ps::<0xEE>(t1, t3));
             }
         }
-        pack_transposed_portable(b, ldb, blocks_end..kc, panel);
+        pack_transposed_portable(b, ldb, TILE_COLS, blocks_end..kc, panel);
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn block(
-        lhs: &[f32],
-        k: usize,
-        rhs: &[f32],
-        n: usize,
-        layout: Layout,
-        block: &OutBlock,
-    ) {
-        match layout {
-            Layout::RowMajor => matmul_block::<Self, false>(lhs, k, rhs, n, block),
-            Layout::Transposed => matmul_block::<Self, true>(lhs, k, rhs, n, block),
+    unsafe fn block(ops: &Operands, block: &OutBlock) {
+        match ops.layout {
+            Layout::RowMajor => matmul_block::<Self, false>(ops, block),
+            Layout::Transposed => matmul_block::<Self, true>(ops, block),
         }
     }
 }
@@ -470,6 +588,7 @@ impl Leg for Neon {
         a: *const f32,
         lda: usize,
         b: *const f32,
+        ldb: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -484,6 +603,7 @@ impl Leg for Neon {
             a: *const f32,
             lda: usize,
             b: *const f32,
+            ldb: usize,
             kc: usize,
             c: *mut f32,
             ldc: usize,
@@ -499,10 +619,10 @@ impl Leg for Neon {
             }
             for kk in 0..kc {
                 let bv = [
-                    vld1q_f32(b.add(kk * TILE_COLS)),
-                    vld1q_f32(b.add(kk * TILE_COLS + 4)),
-                    vld1q_f32(b.add(kk * TILE_COLS + 8)),
-                    vld1q_f32(b.add(kk * TILE_COLS + 12)),
+                    vld1q_f32(b.add(kk * ldb)),
+                    vld1q_f32(b.add(kk * ldb + 4)),
+                    vld1q_f32(b.add(kk * ldb + 8)),
+                    vld1q_f32(b.add(kk * ldb + 12)),
                 ];
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     // vaddq + vmulq, not vfmaq: the scalar oracle rounds
@@ -521,10 +641,10 @@ impl Leg for Neon {
         }
 
         match rows {
-            4 => rows_n::<4>(a, lda, b, kc, c, ldc, first),
-            3 => rows_n::<3>(a, lda, b, kc, c, ldc, first),
-            2 => rows_n::<2>(a, lda, b, kc, c, ldc, first),
-            _ => rows_n::<1>(a, lda, b, kc, c, ldc, first),
+            4 => rows_n::<4>(a, lda, b, ldb, kc, c, ldc, first),
+            3 => rows_n::<3>(a, lda, b, ldb, kc, c, ldc, first),
+            2 => rows_n::<2>(a, lda, b, ldb, kc, c, ldc, first),
+            _ => rows_n::<1>(a, lda, b, ldb, kc, c, ldc, first),
         }
     }
 
@@ -551,17 +671,10 @@ impl Leg for Neon {
     }
 
     #[target_feature(enable = "neon")]
-    unsafe fn block(
-        lhs: &[f32],
-        k: usize,
-        rhs: &[f32],
-        n: usize,
-        layout: Layout,
-        block: &OutBlock,
-    ) {
-        match layout {
-            Layout::RowMajor => matmul_block::<Self, false>(lhs, k, rhs, n, block),
-            Layout::Transposed => matmul_block::<Self, true>(lhs, k, rhs, n, block),
+    unsafe fn block(ops: &Operands, block: &OutBlock) {
+        match ops.layout {
+            Layout::RowMajor => matmul_block::<Self, false>(ops, block),
+            Layout::Transposed => matmul_block::<Self, true>(ops, block),
         }
     }
 }
