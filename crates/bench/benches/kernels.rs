@@ -14,7 +14,7 @@ use anda_format::rowcodec::{
 };
 use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::{available_legs, RoundingMode, F16};
-use anda_quant::gemm::{gemm_anda, gemm_f16, gemm_fake_quant};
+use anda_quant::gemm::{gemm_anda, gemm_fake_quant};
 use anda_quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{Matrix, Rng};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -110,7 +110,7 @@ fn bench_gemm(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("fp_int_gemm_16x256x64");
     g.bench_function("fp16_path", |b| {
-        b.iter(|| gemm_f16(black_box(&x), black_box(&wq)))
+        b.iter(|| gemm_fake_quant(black_box(&x), black_box(&wq), &ActivationCodec::Fp16))
     });
     g.bench_function("fake_quant_anda8", |b| {
         let codec = ActivationCodec::anda(8);
@@ -124,30 +124,6 @@ fn bench_gemm(c: &mut Criterion) {
         );
     }
     g.finish();
-}
-
-/// The step-wide projection GEMM per SIMD leg and row count against
-/// `M` passes of the per-token loop it replaced (`gemm_threads` prints
-/// the same sweep as a table).
-fn bench_gemm_m_sweep(c: &mut Criterion) {
-    use anda_bench::msweep::{lhs, per_row_gemv, weights, SERVING_SHAPES, SWEEP_M};
-    for (k, n, sparse) in SERVING_SHAPES {
-        let b = weights(k, n, 11);
-        let mut g = c.benchmark_group(format!("gemm_m_sweep_{k}x{n}"));
-        for m in SWEEP_M {
-            let a = lhs(m, k, sparse, 12);
-            let mut out = Matrix::zeros(m, n);
-            g.bench_with_input(BenchmarkId::new("per_row_gemv", m), &m, |bench, _| {
-                bench.iter(|| per_row_gemv(black_box(&a), black_box(&b), &mut out))
-            });
-            for leg in anda_fp::simd::available_legs() {
-                g.bench_with_input(BenchmarkId::new(leg.name(), m), &m, |bench, _| {
-                    bench.iter(|| black_box(&a).matmul_into_serial_with_leg(&b, &mut out, leg))
-                });
-            }
-        }
-        g.finish();
-    }
 }
 
 /// The attention page walk on every SIMD leg at the serving model's
@@ -238,7 +214,6 @@ criterion_group!(
     bench_conversion,
     bench_decode_row,
     bench_gemm,
-    bench_gemm_m_sweep,
     bench_attend
 );
 criterion_main!(benches);

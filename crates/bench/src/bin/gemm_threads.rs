@@ -79,8 +79,7 @@ fn main() {
         header.push(format!("{t}t GF/s"));
         header.push(format!("{t}t speedup"));
     }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(&header_refs);
+    let mut table = Table::new(header);
 
     for &(m, k, n) in shapes {
         let a = random(m, k, 1, 1.0);
@@ -101,7 +100,7 @@ fn main() {
             cells.push(format!("{:.2}", flops / par / 1e9));
             cells.push(format!("{:.2}x", serial / par));
         }
-        table.row_owned(cells);
+        table.row(cells);
 
         // The same product with `rhs` held transposed (the LM head's
         // form): the gap to the row above is the transposing pack.
@@ -116,7 +115,7 @@ fn main() {
             cells.push(format!("{:.2}", flops / par / 1e9));
             cells.push(format!("{:.2}x", serial / par));
         }
-        table.row_owned(cells);
+        table.row(cells);
     }
 
     // The integer Anda GeMM (bit-serial group dots) on a smaller shape —
@@ -140,7 +139,7 @@ fn main() {
         cells.push(format!("{:.2}", flops / par / 1e9));
         cells.push(format!("{:.2}x", serial / par));
     }
-    table.row_owned(cells);
+    table.row(cells);
 
     table.print();
     println!(
@@ -178,7 +177,7 @@ fn main() {
     for (label, run) in kernels {
         let scalar = best_of(reps, || run(SimdLeg::Scalar, &mut out));
         let vector = best_of(reps, || run(leg, &mut out));
-        simd_table.row_owned(vec![
+        simd_table.row([
             label.to_string(),
             format!("{:.2}", flops / scalar / 1e9),
             format!("{:.2}", flops / vector / 1e9),
@@ -189,6 +188,39 @@ fn main() {
     println!("(both legs produce bit-identical outputs — the scalar twin is the oracle)");
 
     m_sweep(reps);
+}
+
+/// Row counts of a step: solo decode, small decode batches, a full
+/// decode batch, a prefill chunk.
+const SWEEP_M: [usize; 6] = [1, 2, 4, 8, 16, 64];
+
+/// `(k, n, relu_sparse, transposed)` of the serving model's projections —
+/// `wqkv`, `wup`, `wdown`; only `wdown` reads the post-ReLU block, the
+/// other two read normed (dense) activations — and of its tied LM head,
+/// whose `rhs` (the embedding table) is held `n × k`.
+const SWEEP_SHAPES: [(usize, usize, bool, bool); 4] = [
+    (256, 768, false, false),
+    (256, 1024, false, false),
+    (1024, 256, true, false),
+    (256, 512, false, true),
+];
+
+/// The row-major baseline: one pass of the single-row axpy loop per row
+/// of `lhs` — what the serving path ran per token before the step-wide
+/// GEMM — so every row re-streams all of `rhs`.
+fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
+    for i in 0..lhs.rows() {
+        let out_row = out.row_mut(i);
+        out_row.fill(0.0);
+        for (kidx, &a) in lhs.row(i).iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in out_row.iter_mut().zip(rhs.row(kidx)) {
+                *o += a * b;
+            }
+        }
+    }
 }
 
 /// The step-wide GEMMs against one pass per row: for each serving
@@ -202,10 +234,6 @@ fn main() {
 /// has to show. Four weight copies rotate under the calls so that, as in
 /// a model, a weight has left the L2 by the time it is used again.
 fn m_sweep(reps: usize) {
-    use anda_bench::msweep::{
-        lhs, per_row_dots, per_row_gemv, weights, LM_HEAD_SHAPE, SERVING_SHAPES, SWEEP_M,
-    };
-
     println!(
         "\nM-sweep (serial, 4 rotating weight copies; wdown's lhs is ReLU-sparse; \
          `lm_head` multiplies by the transpose of an n x k rhs): \
@@ -213,21 +241,23 @@ fn m_sweep(reps: usize) {
     );
     let mut header = vec!["leg / k x n".to_string()];
     header.extend(SWEEP_M.iter().map(|m| format!("M={m}")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(&header_refs);
-    let shapes: Vec<(usize, usize, bool, bool)> = SERVING_SHAPES
-        .iter()
-        .map(|&(k, n, sparse)| (k, n, sparse, false))
-        .chain([(LM_HEAD_SHAPE.0, LM_HEAD_SHAPE.1, false, true)])
-        .collect();
+    let mut table = Table::new(header);
     for leg in anda_fp::simd::available_legs() {
-        for &(k, n, sparse, transposed) in &shapes {
+        for (k, n, sparse, transposed) in SWEEP_SHAPES {
             let (w_rows, w_cols) = if transposed { (n, k) } else { (k, n) };
-            let copies: Vec<Matrix> = (0..4).map(|c| weights(w_rows, w_cols, 11 + c)).collect();
+            let copies: Vec<Matrix> = (0..4)
+                .map(|c| random(w_rows, w_cols, 11 + c, 0.05))
+                .collect();
             let kind = if transposed { " lm_head" } else { "" };
             let mut cells = vec![format!("{} {k}x{n}{kind}", leg.name())];
             for m in SWEEP_M {
-                let a = lhs(m, k, sparse, 12);
+                // With `sparse` the negative half is zeroed — the sparsity
+                // the `a == 0` skip of the per-row loop feeds on and a
+                // register tile cannot use.
+                let mut a = random(m, k, 12, 1.0);
+                if sparse {
+                    a.map_inplace(|v| v.max(0.0));
+                }
                 let mut out = Matrix::zeros(m, n);
                 let flops = 2.0 * (m * k * n) as f64;
                 let calls = (64 / m).max(4);
@@ -240,7 +270,11 @@ fn m_sweep(reps: usize) {
                 };
                 let (rows, gemm) = if transposed {
                     (
-                        time(&|b, out| per_row_dots(&a, b, out)),
+                        // One plain ascending-`k` dot per output element, row
+                        // by row: the scalar leg of `matmul_transposed`.
+                        time(&|b, out| {
+                            a.matmul_transposed_into_serial_with_leg(b, out, SimdLeg::Scalar)
+                        }),
                         time(&|b, out| a.matmul_transposed_into_serial_with_leg(b, out, leg)),
                     )
                 } else {
@@ -255,7 +289,7 @@ fn m_sweep(reps: usize) {
                     flops / gemm / 1e9
                 ));
             }
-            table.row_owned(cells);
+            table.row(cells);
         }
     }
     table.print();

@@ -1,20 +1,26 @@
 //! Experiment harness for the Anda reproduction.
 //!
-//! Each table and figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (README, "Paper figure / table index"); this library holds the
-//! shared plumbing:
+//! Every table and figure of the paper's evaluation is an entry of one
+//! registry, [`FIGURES`] (README, "Paper figure / table index"): a name,
+//! the artefact it regenerates, and a function from the shared context to
+//! the [`Report`] — captions, [`Table`]s, the paper-reference trailer —
+//! that the `figures` binary prints. The modules:
 //!
-//! - [`msweep`] — inputs and the per-token baseline of the GEMM M-sweep.
+//! - [`runs`] — the (model, corpus) experiment context [`runs::Prepared`]
+//!   and [`Ctx`], which memoises contexts, searches and calibration
+//!   perplexities so that `figures all` builds each once.
 //! - [`table`] — fixed-width console table rendering.
-//! - [`runs`] — memoized construction of models, corpora and searches so
-//!   the experiment binaries stay fast and consistent with each other.
 //!
-//! Everything here prints; nothing is written to disk. The repo's one
-//! measuring system is the `anda_perf/` package, whose exact counts
-//! `tools/perf_exact.sh` diffs against a tracked baseline.
+//! Everything here prints; nothing is written to disk. The reproduction is
+//! seeded and deterministic: `tools/figures_quick.sh` diffs `figures all
+//! --quick` against a tracked file. The repo's one *measuring* system is
+//! the `anda_perf/` package, whose exact counts `tools/perf_exact.sh`
+//! diffs against a tracked baseline.
 
-pub mod msweep;
+mod figures;
 pub mod runs;
 pub mod table;
 
+pub use figures::{list, parse, Block, Command, Figure, Report, FIGURES, USAGE};
+pub use runs::Ctx;
 pub use table::Table;

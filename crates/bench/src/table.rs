@@ -20,9 +20,13 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
+    pub fn new<I>(headers: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
         Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.into_iter().map(|s| s.as_ref().into()).collect(),
             rows: Vec::new(),
         }
     }
@@ -31,8 +35,13 @@ impl Table {
     ///
     /// # Panics
     ///
-    /// Panics if `cells.len()` differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) {
+    /// Panics if the number of cells differs from the header count.
+    pub fn row<I>(&mut self, cells: I)
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        let cells: Vec<String> = cells.into_iter().map(|s| s.as_ref().into()).collect();
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -40,13 +49,6 @@ impl Table {
             cells.len(),
             self.headers.len()
         );
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
-    /// Appends a row of owned strings.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
     }
 

@@ -1,5 +1,7 @@
 //! Model architecture configuration.
 
+use crate::modules::ModuleKind;
+
 /// Transformer family: determines norms, FFN shape and position encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Family {
@@ -48,30 +50,42 @@ impl ModelConfig {
         self.d_model / self.n_heads
     }
 
+    /// The FP-INT GeMM that `kind`'s activation feeds, as `(k, n,
+    /// instances per layer)` of `x(·×k) · W(k×n)` — the one statement of
+    /// the four shapes; the MAC counts below, [`crate::opcount`] and the
+    /// simulator's workload extraction all derive from it.
+    pub fn fp_int_gemm_shape(&self, kind: ModuleKind) -> (usize, usize, usize) {
+        let (d, ffn) = (self.d_model, self.d_ffn);
+        match kind {
+            ModuleKind::Qkv => (d, 3 * d, 1),
+            ModuleKind::OutProj => (d, d, 1),
+            ModuleKind::Up => match self.family {
+                Family::Opt => (d, ffn, 1),
+                // LLaMA's gate and up projections share the A_u activation.
+                Family::Llama => (d, ffn, 2),
+            },
+            ModuleKind::Down => (ffn, d, 1),
+        }
+    }
+
     /// Total parameter count of the dense weights (embeddings + blocks),
-    /// used for sanity checks on the real-dimension catalog.
+    /// used for sanity checks on the real-dimension catalog. A token
+    /// meets every block weight in exactly one MAC, so the blocks hold
+    /// [`ModelConfig::fp_int_macs_per_token`] parameters.
     pub fn param_count(&self) -> u64 {
-        let d = self.d_model as u64;
-        let ffn = self.d_ffn as u64;
-        let per_block = match self.family {
-            // Wqkv (d×3d) + Wo (d×d) + FFN up (d×ffn) + down (ffn×d)
-            Family::Opt => 3 * d * d + d * d + 2 * d * ffn,
-            // Wqkv + Wo + gate/up/down
-            Family::Llama => 3 * d * d + d * d + 3 * d * ffn,
-        };
-        let embed = self.vocab as u64 * d;
-        embed + self.n_layers as u64 * per_block
+        (self.vocab * self.d_model) as u64 + self.fp_int_macs_per_token()
     }
 
     /// FP-INT GeMM MAC count for one token passing through all blocks
     /// (the four quantized module types only).
     pub fn fp_int_macs_per_token(&self) -> u64 {
-        let d = self.d_model as u64;
-        let ffn = self.d_ffn as u64;
-        let per_block = match self.family {
-            Family::Opt => d * 3 * d + d * d + d * ffn + ffn * d,
-            Family::Llama => d * 3 * d + d * d + 2 * d * ffn + ffn * d,
-        };
+        let per_block: u64 = ModuleKind::ALL
+            .iter()
+            .map(|&kind| {
+                let (k, n, count) = self.fp_int_gemm_shape(kind);
+                (k * n * count) as u64
+            })
+            .sum();
         self.n_layers as u64 * per_block
     }
 

@@ -47,18 +47,8 @@ impl OpBreakdown {
 
 /// MACs of one token through one instance of the given module type.
 pub fn module_macs_per_token(cfg: &ModelConfig, kind: ModuleKind) -> u64 {
-    let d = cfg.d_model as u64;
-    let ffn = cfg.d_ffn as u64;
-    match kind {
-        ModuleKind::Qkv => d * 3 * d,
-        ModuleKind::OutProj => d * d,
-        ModuleKind::Up => match cfg.family {
-            crate::config::Family::Opt => d * ffn,
-            // LLaMA's gate and up projections share the A_u activation.
-            crate::config::Family::Llama => 2 * d * ffn,
-        },
-        ModuleKind::Down => ffn * d,
-    }
+    let (k, n, count) = cfg.fp_int_gemm_shape(kind);
+    (k * n * count) as u64
 }
 
 /// MACs of one token through all layers of the given module type.

@@ -1,19 +1,18 @@
 //! FP-INT GeMM operators (paper Fig. 8).
 //!
-//! All operators compute `x(m×k) · W(k×n)` where `W` is an
+//! Both operators compute `x(m×k) · W(k×n)` where `W` is an
 //! [`IntWeightMatrix`]. They differ in how the FP activations are treated:
 //!
-//! - [`gemm_reference`] — exact `f32` activations against dequantized
-//!   weights: the accuracy ceiling of the W4A16 model (Omniquant baseline).
-//! - [`gemm_f16`] — activations rounded to FP16 element-wise, then `f32`
-//!   math: the GPU FP-FP path of Fig. 8(a).
+//! - [`gemm_fake_quant`] — activations passed through any codec
+//!   (quantize→dequantize), then `f32` math against dequantized weights.
+//!   [`ActivationCodec::Exact`] is the accuracy ceiling of the W4A16 model
+//!   (the Omniquant baseline), [`ActivationCodec::Fp16`] the GPU FP-FP
+//!   path of Fig. 8(a); for the Anda codec it is numerically equivalent
+//!   to the integer path and is what the accuracy sweeps run.
 //! - [`gemm_anda`] — the Anda path of Fig. 8(d): activations converted to
 //!   64-lane Anda groups along k, integer group dots (bit-serial schedule),
 //!   rescale by shared exponent × weight scale, FP32 accumulation across
 //!   groups.
-//! - [`gemm_fake_quant`] — activations passed through any codec
-//!   (quantize→dequantize), then `f32` math; numerically equivalent to the
-//!   integer path for the Anda codec and used by the accuracy sweeps.
 
 use anda_format::anda::AndaConfig;
 use anda_format::dot::{dot_group_int_flat, rescale_int_dot};
@@ -37,7 +36,7 @@ const ANDA_PAR_MIN_WORK: usize = 16 * 1024;
 /// pass holds one scratch and stops reallocating per layer.
 #[derive(Clone, Debug, Default)]
 pub struct GemmScratch {
-    /// Codec-processed (or FP16-rounded) activations.
+    /// Codec-processed activations.
     act: Matrix,
     /// Dequantized weight panel.
     dequant: Matrix,
@@ -49,48 +48,11 @@ impl GemmScratch {
     }
 }
 
-/// Exact-activation reference GeMM (the W4A16 accuracy ceiling).
+/// Fake-quantized GeMM: activations pass through `codec`, then `f32` math.
 ///
 /// # Panics
 ///
 /// Panics if `x.cols() != w.k()`.
-pub fn gemm_reference(x: &Matrix, w: &IntWeightMatrix) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), w.n());
-    gemm_reference_into(x, w, &mut GemmScratch::new(), &mut out);
-    out
-}
-
-/// [`gemm_reference`] writing into a preallocated output via `scratch`.
-///
-/// # Panics
-///
-/// Panics if `x.cols() != w.k()` or `out` is not `x.rows() × w.n()`.
-pub fn gemm_reference_into(
-    x: &Matrix,
-    w: &IntWeightMatrix,
-    scratch: &mut GemmScratch,
-    out: &mut Matrix,
-) {
-    assert_eq!(x.cols(), w.k(), "gemm shape mismatch");
-    w.dequantize_into(&mut scratch.dequant);
-    x.matmul_into(&scratch.dequant, out);
-}
-
-/// FP16-activation GeMM: the GPU FP-FP path.
-pub fn gemm_f16(x: &Matrix, w: &IntWeightMatrix) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), w.n());
-    gemm_f16_into(x, w, &mut GemmScratch::new(), &mut out);
-    out
-}
-
-/// [`gemm_f16`] writing into a preallocated output via `scratch`. The FP16
-/// path is the fake-quant path with the FP16 codec — one definition of the
-/// element-wise rounding lives in [`ActivationCodec`].
-pub fn gemm_f16_into(x: &Matrix, w: &IntWeightMatrix, scratch: &mut GemmScratch, out: &mut Matrix) {
-    gemm_fake_quant_into(x, w, &ActivationCodec::Fp16, scratch, out);
-}
-
-/// Fake-quantized GeMM: activations pass through `codec`, then `f32` math.
 pub fn gemm_fake_quant(x: &Matrix, w: &IntWeightMatrix, codec: &ActivationCodec) -> Matrix {
     let mut out = Matrix::zeros(x.rows(), w.n());
     gemm_fake_quant_into(x, w, codec, &mut GemmScratch::new(), &mut out);
@@ -98,6 +60,10 @@ pub fn gemm_fake_quant(x: &Matrix, w: &IntWeightMatrix, codec: &ActivationCodec)
 }
 
 /// [`gemm_fake_quant`] writing into a preallocated output via `scratch`.
+///
+/// # Panics
+///
+/// Panics if `x.cols() != w.k()` or `out` is not `x.rows() × w.n()`.
 pub fn gemm_fake_quant_into(
     x: &Matrix,
     w: &IntWeightMatrix,
@@ -289,7 +255,7 @@ mod tests {
     #[test]
     fn wide_mantissa_approaches_f16_reference() {
         let (x, w) = random_case(2, 128, 4, 11);
-        let f16_ref = gemm_f16(&x, &w);
+        let f16_ref = gemm_fake_quant(&x, &w, &ActivationCodec::Fp16);
         let anda = gemm_anda(&x, &w, 16);
         for i in 0..2 {
             for j in 0..4 {
@@ -305,7 +271,7 @@ mod tests {
     #[test]
     fn narrow_mantissa_increases_output_error() {
         let (x, w) = random_case(4, 256, 8, 12);
-        let reference = gemm_reference(&x, &w);
+        let reference = gemm_fake_quant(&x, &w, &ActivationCodec::Exact);
         let err = |m_bits: u32| {
             let out = gemm_anda(&x, &w, m_bits);
             let mut total = 0.0f64;
@@ -356,21 +322,20 @@ mod tests {
         // way a layer loop does; every result must equal the allocating
         // path bit-for-bit.
         let mut scratch = GemmScratch::new();
-        let codec = ActivationCodec::anda(8);
+        let codecs = [
+            ActivationCodec::Exact,
+            ActivationCodec::Fp16,
+            ActivationCodec::anda(8),
+        ];
         for (shape_seed, (m, k, n)) in
             [(20u64, (3, 256, 5)), (21, (2, 128, 9)), (22, (5, 64, 2))].into_iter()
         {
             let (x, w) = random_case(m, k, n, shape_seed);
             let mut out = Matrix::zeros(m, n);
-
-            gemm_reference_into(&x, &w, &mut scratch, &mut out);
-            assert_eq!(out, gemm_reference(&x, &w));
-
-            gemm_f16_into(&x, &w, &mut scratch, &mut out);
-            assert_eq!(out, gemm_f16(&x, &w));
-
-            gemm_fake_quant_into(&x, &w, &codec, &mut scratch, &mut out);
-            assert_eq!(out, gemm_fake_quant(&x, &w, &codec));
+            for codec in &codecs {
+                gemm_fake_quant_into(&x, &w, codec, &mut scratch, &mut out);
+                assert_eq!(out, gemm_fake_quant(&x, &w, codec));
+            }
         }
     }
 
@@ -444,8 +409,8 @@ mod tests {
     #[test]
     fn f16_path_differs_from_reference_only_by_rounding() {
         let (x, w) = random_case(2, 128, 2, 15);
-        let a = gemm_reference(&x, &w);
-        let b = gemm_f16(&x, &w);
+        let a = gemm_fake_quant(&x, &w, &ActivationCodec::Exact);
+        let b = gemm_fake_quant(&x, &w, &ActivationCodec::Fp16);
         for i in 0..2 {
             for j in 0..2 {
                 assert!((a[(i, j)] - b[(i, j)]).abs() < a[(i, j)].abs() * 0.01 + 0.05);

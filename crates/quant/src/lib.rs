@@ -6,9 +6,10 @@
 //!
 //! - [`weights`] — the [`IntWeightMatrix`] container plus round-to-nearest
 //!   and clip-search ("omniquant-lite") group-wise quantizers.
-//! - [`gemm`] — the FP-INT GeMM operators of Fig. 8: the FP-FP reference
-//!   path, the Anda integer path (bit-serial group dots + FP32 cross-group
-//!   accumulation), and fake-quantization paths for accuracy sweeps.
+//! - [`gemm`] — the FP-INT GeMM operators of Fig. 8: the fake-quantization
+//!   path under any activation codec (exact and FP16 activations are two
+//!   of its codecs) and the Anda integer path (bit-serial group dots +
+//!   FP32 cross-group accumulation).
 //! - [`codec`] — activation codecs implementing the comparison baselines of
 //!   Table II: FP16 passthrough, FIGNA-style wide-mantissa BFP, VS-Quant
 //!   4-bit BFP, and the Anda format at any mantissa length.
@@ -25,7 +26,7 @@ pub mod weights;
 
 pub use codec::ActivationCodec;
 pub use gemm::{
-    gemm_anda, gemm_anda_into, gemm_anda_into_pool, gemm_f16, gemm_f16_into, gemm_fake_quant,
-    gemm_fake_quant_into, gemm_reference, gemm_reference_into, GemmScratch,
+    gemm_anda, gemm_anda_into, gemm_anda_into_pool, gemm_fake_quant, gemm_fake_quant_into,
+    GemmScratch,
 };
 pub use weights::{IntWeightMatrix, WeightQuantConfig};

@@ -1,13 +1,14 @@
 //! Cross-thread-count bit-exactness suite for the parallel FP-INT GeMMs.
 //!
 //! `gemm_anda` shards output rows across the pool with per-shard
-//! conversion buffers; `gemm_*_into` ride on the parallel `matmul_into`.
+//! conversion buffers; `gemm_fake_quant_into` rides on the parallel
+//! `matmul_into`.
 //! In both cases every output element must be bit-identical
 //! (`f32::to_bits`) to the serial kernel at every thread count.
 
 use anda_quant::gemm::{
     gemm_anda, gemm_anda_into, gemm_anda_into_pool, gemm_fake_quant, gemm_fake_quant_into,
-    gemm_reference, gemm_reference_into, GemmScratch,
+    GemmScratch,
 };
 use anda_quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{Matrix, Rng};
@@ -90,24 +91,21 @@ fn gemm_anda_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
 
 #[test]
 fn gemm_into_variants_match_allocating_paths_at_every_thread_count() {
-    // The fake-quant/reference/f16 paths parallelize through matmul_into;
-    // their results must stay bit-identical to the allocating wrappers
-    // regardless of scratch reuse.
-    let codec = ActivationCodec::anda(8);
+    // The fake-quant path parallelizes through matmul_into under every
+    // codec; its results must stay bit-identical to the allocating
+    // wrapper regardless of scratch reuse.
     for (m, k, n) in SHAPES {
         let (x, w) = random_case(m, k, n, 200 + (m + k + n) as u64);
         let mut scratch = GemmScratch::new();
         let mut out = Matrix::zeros(m, n);
-
-        gemm_reference_into(&x, &w, &mut scratch, &mut out);
-        assert_bits_eq(&out, &gemm_reference(&x, &w), &format!("ref {m}x{k}x{n}"));
-
-        gemm_fake_quant_into(&x, &w, &codec, &mut scratch, &mut out);
-        assert_bits_eq(
-            &out,
-            &gemm_fake_quant(&x, &w, &codec),
-            &format!("fake {m}x{k}x{n}"),
-        );
+        for codec in [ActivationCodec::Exact, ActivationCodec::anda(8)] {
+            gemm_fake_quant_into(&x, &w, &codec, &mut scratch, &mut out);
+            assert_bits_eq(
+                &out,
+                &gemm_fake_quant(&x, &w, &codec),
+                &format!("{codec:?} {m}x{k}x{n}"),
+            );
+        }
     }
 }
 

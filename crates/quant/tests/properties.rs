@@ -1,6 +1,6 @@
 //! Property-based tests for weight quantization and FP-INT GeMM operators.
 
-use anda_quant::gemm::{gemm_anda, gemm_fake_quant, gemm_reference};
+use anda_quant::gemm::{gemm_anda, gemm_fake_quant};
 use anda_quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::Matrix;
 use proptest::prelude::*;
@@ -130,7 +130,7 @@ proptest! {
     #[test]
     fn exact_codec_is_identity(x in acts(2, 64), w in weights(64, 2)) {
         let wq = IntWeightMatrix::quantize(&w, WeightQuantConfig::rtn(4, 64));
-        let a = gemm_reference(&x, &wq);
+        let a = x.matmul(&wq.dequantize());
         let b = gemm_fake_quant(&x, &wq, &ActivationCodec::Exact);
         prop_assert_eq!(a, b);
     }

@@ -5,7 +5,7 @@
 //! FP-INT GeMMs are timed (non-GeMM operators and the KV cache stay FP16 on
 //! the shared vector unit and are identical across all compared systems).
 
-use anda_llm::config::{Family, ModelConfig};
+use anda_llm::config::ModelConfig;
 use anda_llm::modules::ModuleKind;
 
 /// One FP-INT GeMM: `x(m×k) · W(k×n)` with INT4 weights.
@@ -38,51 +38,18 @@ impl Gemm {
 
 /// The FP-INT GeMMs of one full inference over `seq` tokens (prefill).
 pub fn llm_gemms(cfg: &ModelConfig, seq: usize) -> Vec<Gemm> {
-    let d = cfg.d_model;
-    let ffn = cfg.d_ffn;
-    let l = cfg.n_layers;
-    let mut gemms = vec![
-        Gemm {
-            module: ModuleKind::Qkv,
-            m: seq,
-            k: d,
-            n: 3 * d,
-            count: l,
-        },
-        Gemm {
-            module: ModuleKind::OutProj,
-            m: seq,
-            k: d,
-            n: d,
-            count: l,
-        },
-        Gemm {
-            module: ModuleKind::Down,
-            m: seq,
-            k: ffn,
-            n: d,
-            count: l,
-        },
-    ];
-    let up = match cfg.family {
-        Family::Opt => Gemm {
-            module: ModuleKind::Up,
-            m: seq,
-            k: d,
-            n: ffn,
-            count: l,
-        },
-        // Gate and up projections both read A_u.
-        Family::Llama => Gemm {
-            module: ModuleKind::Up,
-            m: seq,
-            k: d,
-            n: ffn,
-            count: 2 * l,
-        },
-    };
-    gemms.insert(2, up);
-    gemms
+    ModuleKind::ALL
+        .map(|module| {
+            let (k, n, per_layer) = cfg.fp_int_gemm_shape(module);
+            Gemm {
+                module,
+                m: seq,
+                k,
+                n,
+                count: per_layer * cfg.n_layers,
+            }
+        })
+        .to_vec()
 }
 
 /// Total FP-INT MACs of one inference (sanity anchor against

@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example functional_hardware`
 
-use anda::quant::gemm::gemm_reference;
-use anda::quant::{IntWeightMatrix, WeightQuantConfig};
+use anda::quant::gemm::gemm_fake_quant;
+use anda::quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda::sim::functional::MxuExecutor;
 use anda::tensor::{Matrix, Rng};
 
@@ -17,7 +17,7 @@ fn main() {
     let mut w = Matrix::zeros(256, 48);
     rng.fill_normal(w.as_mut_slice(), 0.05);
     let wq = IntWeightMatrix::quantize(&w, WeightQuantConfig::rtn(4, 64));
-    let exact = gemm_reference(&x, &wq);
+    let exact = gemm_fake_quant(&x, &wq, &ActivationCodec::Exact);
 
     println!("== functional execution of a 32x256x48 FP-INT GeMM ==\n");
     println!(

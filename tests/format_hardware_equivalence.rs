@@ -5,7 +5,7 @@
 
 use anda::format::compressor::BitPlaneCompressor;
 use anda::format::{AndaConfig, AndaTensor};
-use anda::quant::gemm::{gemm_anda, gemm_fake_quant, gemm_reference};
+use anda::quant::gemm::{gemm_anda, gemm_fake_quant};
 use anda::quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda::tensor::{Matrix, Rng};
 
@@ -58,7 +58,7 @@ fn compressor_tensor_dequantizes_identically_to_direct_tensor() {
 #[test]
 fn wide_mantissa_gemm_converges_to_reference() {
     let (x, w) = random_case(3, 192, 4, 7);
-    let exact = gemm_reference(&x, &w);
+    let exact = gemm_fake_quant(&x, &w, &ActivationCodec::Exact);
     let wide = gemm_anda(&x, &w, 16);
     for i in 0..3 {
         for j in 0..4 {

@@ -14,3 +14,5 @@ block() {
 block crates/llm/src/model.rs crates/llm/src/kv.rs $(find crates/serve/src -name '*.rs' | sort)
 # The GEMM kernel layer, one level below what the first block counts.
 block crates/tensor/src/matrix.rs crates/tensor/src/tile.rs
+# The reproduction harness: the `figures` registry, its context, the CLI.
+block $(find crates/bench/src -name '*.rs' | sort)
