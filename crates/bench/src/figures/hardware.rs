@@ -7,6 +7,7 @@ use anda_llm::config::ModelConfig;
 use anda_llm::modules::{ModuleKind, PrecisionCombo};
 use anda_llm::opcount::generation_ops;
 use anda_llm::zoo::{real_model, real_models};
+use anda_quant::ActivationCodec;
 use anda_search::bops::uniform_bops_saving;
 use anda_sim::floorplan::{anda_total_area_mm2, anda_total_power_mw, ANDA_COMPONENTS};
 use anda_sim::pe::PeKind;
@@ -74,7 +75,8 @@ pub(super) fn fig08_workflows(_: &mut Ctx) -> Report {
         .expect("every model has a QKV GeMM");
     let (m, k, n) = (gemm.m as f64, gemm.k as f64, gemm.n as f64);
     let macs = m * k * n;
-    let anda_m = 6.0; // a representative searched mantissa length
+    let anda_m = 6; // a representative searched mantissa length
+    let anda_bits = ActivationCodec::anda(anda_m).storage_bits_per_element();
     let fp16_traffic = m * k * 16.0 + m * n * 16.0;
 
     // How many times activations are re-read during the GeMM (output
@@ -100,8 +102,8 @@ pub(super) fn fig08_workflows(_: &mut Ctx) -> Report {
         (
             "(d) Anda",
             m * n,
-            macs * 4.0 * anda_m,
-            m * k * (anda_m + 1.0 + 5.0 / 64.0) + m * n * (anda_m + 1.0 + 5.0 / 64.0),
+            macs * 4.0 * f64::from(anda_m),
+            m * k * anda_bits + m * n * anda_bits,
         ),
     ];
 

@@ -13,9 +13,11 @@
 //!
 //! Everything here prints; nothing is written to disk. The reproduction is
 //! seeded and deterministic: `tools/figures_quick.sh` diffs `figures all
-//! --quick` against a tracked file. The repo's one *measuring* system is
-//! the `anda_perf/` package, whose exact counts `tools/perf_exact.sh`
-//! diffs against a tracked baseline.
+//! --quick` against a tracked file. Wall time is measured in two places:
+//! the `anda_perf/` package is the ledger (end to end and per layer; its
+//! exact counts `tools/perf_exact.sh` diffs against a tracked baseline),
+//! and this crate's `kernels` binary is the print-only scratchpad — one
+//! table per kernel, a row per SIMD leg, mantissa length or lane set.
 
 mod figures;
 pub mod runs;

@@ -26,13 +26,6 @@ pub enum FormatError {
         /// Index of the offending element in the input slice.
         index: usize,
     },
-    /// A buffer length did not match the expected element count.
-    LengthMismatch {
-        /// Expected element count.
-        expected: usize,
-        /// Actual element count.
-        actual: usize,
-    },
 }
 
 impl fmt::Display for FormatError {
@@ -52,9 +45,6 @@ impl fmt::Display for FormatError {
                 "input element {index} is NaN or infinite; block floating point \
                  requires finite values"
             ),
-            FormatError::LengthMismatch { expected, actual } => {
-                write!(f, "length mismatch: expected {expected}, got {actual}")
-            }
         }
     }
 }

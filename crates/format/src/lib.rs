@@ -25,8 +25,6 @@
 //! - [`metrics`] — decode-count instrumentation: a global rows-decoded
 //!   counter bumped by every row decode, so redundant-decode regressions
 //!   on shared KV pages stay measurable.
-//! - [`serialize`] — the byte-exact memory image of an Anda tensor
-//!   (header + per-group sign/exponent/plane records).
 //! - [`stats`] — quantization-error metrics shared by the experiments.
 //!
 //! # Quickstart
@@ -56,7 +54,6 @@ pub mod dot;
 pub mod error;
 pub mod metrics;
 pub mod rowcodec;
-pub mod serialize;
 pub mod stats;
 
 pub use anda::{AndaConfig, AndaGroup, AndaTensor};

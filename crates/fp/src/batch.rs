@@ -1,110 +1,18 @@
-//! Batched FP16/BF16 row conversions with runtime SIMD dispatch.
+//! Batched FP16/BF16 rounding of `f32` rows with runtime SIMD dispatch.
 //!
 //! The KV cache's rounded row policies (`Fp16`, `Bf16` in `anda-llm`)
-//! convert whole `d_model`-wide rows per cached position, and the Anda
-//! row codec stages every group through FP16 — per-element calls into
-//! the branchy scalar converters dominate those paths. The slice kernels
-//! here process 8 (AVX2) or 4 (NEON) lanes per step using branchless
-//! bit manipulation (masked selects instead of per-element branches on
-//! subnormals/NaN), and every kernel is `to_bits`-identical to its
-//! scalar twin — the twin *is* the oracle, enforced by the property
-//! suites on every available [`SimdLeg`].
+//! round whole `d_model`-wide rows per cached position, and the FP16
+//! activation codec rounds every block between GEMMs — per-element calls
+//! into the branchy scalar converters dominate those paths. The slice
+//! kernels here process 8 (AVX2) or 4 (NEON) lanes per step using
+//! branchless bit manipulation (masked selects instead of per-element
+//! branches on subnormals/NaN), and every kernel is `to_bits`-identical
+//! to its scalar twin — the twin *is* the oracle, enforced by the
+//! property suites on every available [`SimdLeg`].
 
-use crate::bf16::{saturate_to_bf16, BF16};
-use crate::f16::{saturate_to_f16, F16};
+use crate::bf16::saturate_to_bf16;
+use crate::f16::saturate_to_f16;
 use crate::simd::{active_leg, SimdLeg};
-
-/// Converts `src` to binary16 with round-to-nearest-even, element-wise
-/// identical to [`F16::from_f32`], on the active dispatch leg.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn f32_to_f16_slice(src: &[f32], dst: &mut [F16]) {
-    f32_to_f16_on(active_leg(), src, dst);
-}
-
-/// [`f32_to_f16_slice`] on an explicit leg (oracle tests and benches).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ or the leg is unavailable on this
-/// host.
-pub fn f32_to_f16_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [F16]) {
-    leg.assert_available();
-    f32_to_f16_on(leg, src, dst)
-}
-
-/// The dispatch of [`f32_to_f16_slice_with_leg`]. `leg` must be
-/// available on this host: it is `active_leg()`, or the entry above
-/// asserted it.
-fn f32_to_f16_on(leg: SimdLeg, src: &[f32], dst: &mut [F16]) {
-    assert_eq!(src.len(), dst.len(), "length mismatch");
-    match leg {
-        SimdLeg::Scalar => f32_to_f16_scalar(src, dst),
-        // SAFETY (both legs): the CPU runs `leg` — this function's
-        // precondition.
-        #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { f32_to_f16_avx2(src, dst) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { f32_to_f16_neon(src, dst) },
-        #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
-    }
-}
-
-/// The scalar oracle of [`f32_to_f16_slice`].
-pub fn f32_to_f16_scalar(src: &[f32], dst: &mut [F16]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = F16::from_f32(s);
-    }
-}
-
-/// Widens binary16 values to `f32` exactly, element-wise identical to
-/// [`F16::to_f32`], on the active dispatch leg.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
-    f16_to_f32_on(active_leg(), src, dst);
-}
-
-/// [`f16_to_f32_slice`] on an explicit leg (oracle tests and benches).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ or the leg is unavailable on this
-/// host.
-pub fn f16_to_f32_slice_with_leg(leg: SimdLeg, src: &[F16], dst: &mut [f32]) {
-    leg.assert_available();
-    f16_to_f32_on(leg, src, dst)
-}
-
-/// The dispatch of [`f16_to_f32_slice_with_leg`]. `leg` must be
-/// available on this host: it is `active_leg()`, or the entry above
-/// asserted it.
-fn f16_to_f32_on(leg: SimdLeg, src: &[F16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "length mismatch");
-    match leg {
-        SimdLeg::Scalar => f16_to_f32_scalar(src, dst),
-        // SAFETY (both legs): the CPU runs `leg` — this function's
-        // precondition.
-        #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { f16_to_f32_avx2(src, dst) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { f16_to_f32_neon(src, dst) },
-        #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
-    }
-}
-
-/// The scalar oracle of [`f16_to_f32_slice`].
-pub fn f16_to_f32_scalar(src: &[F16], dst: &mut [f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s.to_f32();
-    }
-}
 
 /// Rounds every element through saturating binary16 and widens it back:
 /// `dst[i] = saturate_to_f16(src[i]).to_f32()` — the `Fp16` KV row
@@ -249,67 +157,6 @@ pub fn saturate_bf16_widen_scalar(src: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Converts `src` to bfloat16 with round-to-nearest-even, element-wise
-/// identical to [`BF16::from_f32`]. The scalar conversion is already
-/// branchless (see [`crate::bf16::f32_to_bf16_bits`]), so this has no
-/// vector legs — it exists for API symmetry with [`f32_to_f16_slice`].
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn f32_to_bf16_slice(src: &[f32], dst: &mut [BF16]) {
-    assert_eq!(src.len(), dst.len(), "length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = BF16::from_f32(s);
-    }
-}
-
-/// Widens bfloat16 values to `f32` exactly (a 16-bit shift per element).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn bf16_to_f32_slice(src: &[BF16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s.to_f32();
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn f32_to_f16_avx2(src: &[f32], dst: &mut [F16]) {
-    use core::arch::x86_64::*;
-    let chunks = src.len() / 8;
-    for c in 0..chunks {
-        let v = _mm256_loadu_ps(src.as_ptr().add(c * 8));
-        let h = crate::simd::x86::f32x8_to_f16_bits(v);
-        let mut lanes = [0u32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), h);
-        for (i, &lane) in lanes.iter().enumerate() {
-            dst[c * 8 + i] = F16::from_bits(lane as u16);
-        }
-    }
-    f32_to_f16_scalar(&src[chunks * 8..], &mut dst[chunks * 8..]);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn f16_to_f32_avx2(src: &[F16], dst: &mut [f32]) {
-    use core::arch::x86_64::*;
-    let chunks = src.len() / 8;
-    for c in 0..chunks {
-        let mut lanes = [0u32; 8];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = u32::from(src[c * 8 + i].to_bits());
-        }
-        let h = _mm256_loadu_si256(lanes.as_ptr().cast());
-        let w = crate::simd::x86::f16_bits_to_f32x8(h);
-        _mm256_storeu_ps(dst.as_mut_ptr().add(c * 8), w);
-    }
-    f16_to_f32_scalar(&src[chunks * 8..], &mut dst[chunks * 8..]);
-}
-
 /// # Safety
 ///
 /// Requires AVX2; `src` and `dst` must each be valid for `len` elements
@@ -366,40 +213,6 @@ unsafe fn saturate_bf16_widen_avx2(src: &[f32], dst: &mut [f32]) {
         _mm256_storeu_ps(dst.as_mut_ptr().add(c * 8), _mm256_castsi256_ps(res));
     }
     saturate_bf16_widen_scalar(&src[chunks * 8..], &mut dst[chunks * 8..]);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn f32_to_f16_neon(src: &[f32], dst: &mut [F16]) {
-    use core::arch::aarch64::*;
-    let chunks = src.len() / 4;
-    for c in 0..chunks {
-        let v = vld1q_f32(src.as_ptr().add(c * 4));
-        let h = crate::simd::neon::f32x4_to_f16_bits(v);
-        let mut lanes = [0u32; 4];
-        vst1q_u32(lanes.as_mut_ptr(), h);
-        for (i, &lane) in lanes.iter().enumerate() {
-            dst[c * 4 + i] = F16::from_bits(lane as u16);
-        }
-    }
-    f32_to_f16_scalar(&src[chunks * 4..], &mut dst[chunks * 4..]);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn f16_to_f32_neon(src: &[F16], dst: &mut [f32]) {
-    use core::arch::aarch64::*;
-    let chunks = src.len() / 4;
-    for c in 0..chunks {
-        let mut lanes = [0u32; 4];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = u32::from(src[c * 4 + i].to_bits());
-        }
-        let h = vld1q_u32(lanes.as_ptr());
-        let w = crate::simd::neon::f16_bits_to_f32x4(h);
-        vst1q_f32(dst.as_mut_ptr().add(c * 4), w);
-    }
-    f16_to_f32_scalar(&src[chunks * 4..], &mut dst[chunks * 4..]);
 }
 
 /// # Safety
@@ -469,15 +282,8 @@ mod tests {
             .expect("no host runs both vector legs");
         let want = format!("SIMD leg {} unavailable on this host", leg.name());
         let src = [1.0f32; 16];
-        let half = [F16::from_bits(0); 16];
         type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 5] = [
-            ("f32_to_f16_slice_with_leg", &|| {
-                f32_to_f16_slice_with_leg(leg, &src, &mut half.clone())
-            }),
-            ("f16_to_f32_slice_with_leg", &|| {
-                f16_to_f32_slice_with_leg(leg, &half, &mut src.clone())
-            }),
+        let entries: [Entry; 3] = [
             ("saturate_f16_widen_slice_with_leg", &|| {
                 saturate_f16_widen_slice_with_leg(leg, &src, &mut src.clone())
             }),
@@ -549,23 +355,6 @@ mod tests {
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.to_bits(), y.to_bits(), "bf16 widen leg {}", leg.name());
                 }
-
-                let mut ha = vec![F16::ZERO; src.len()];
-                let mut hb = vec![F16::ZERO; src.len()];
-                f32_to_f16_scalar(src, &mut ha);
-                f32_to_f16_slice_with_leg(leg, src, &mut hb);
-                for (x, y) in ha.iter().zip(&hb) {
-                    if x.is_nan() {
-                        assert!(y.is_nan());
-                    } else {
-                        assert_eq!(x.to_bits(), y.to_bits(), "narrow leg {}", leg.name());
-                    }
-                }
-                f16_to_f32_scalar(&ha, &mut a);
-                f16_to_f32_slice_with_leg(leg, &ha, &mut b);
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "widen leg {}", leg.name());
-                }
             }
         }
     }
@@ -579,15 +368,5 @@ mod tests {
         assert_eq!(out[2], 0.0);
         saturate_bf16_widen_slice(&src, &mut out);
         assert_eq!(out[1], -2.5);
-        let mut h = [F16::ZERO; 4];
-        f32_to_f16_slice(&src, &mut h);
-        let mut back = [0.0f32; 4];
-        f16_to_f32_slice(&h, &mut back);
-        assert_eq!(back[0], 1.0);
-        let mut bh = [BF16::ZERO; 4];
-        f32_to_bf16_slice(&src, &mut bh);
-        let mut bb = [0.0f32; 4];
-        bf16_to_f32_slice(&bh, &mut bb);
-        assert_eq!(bb[1], -2.5);
     }
 }

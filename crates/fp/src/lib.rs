@@ -15,8 +15,9 @@
 //! - [`simd`] — the runtime SIMD dispatch layer ([`SimdLeg`], feature
 //!   detection, the `ANDA_SIMD` override) plus the AVX2/NEON f16↔f32 lane
 //!   conversion primitives shared by every vector kernel in the workspace.
-//! - [`batch`] — dispatched whole-slice f32↔f16/bf16 conversions used by the
-//!   KV row policies, each with a scalar twin as its bit-exactness oracle.
+//! - [`batch`] — dispatched whole-slice rounding of `f32` rows through
+//!   FP16/BF16 (the KV row policies, the FP16 activation codec), each with
+//!   a scalar twin as its bit-exactness oracle.
 //!
 //! # Example
 //!
@@ -30,7 +31,6 @@
 
 pub mod batch;
 pub mod bf16;
-pub mod bits;
 pub mod f16;
 pub mod rounding;
 pub mod simd;

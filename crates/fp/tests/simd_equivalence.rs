@@ -8,13 +8,12 @@
 //! exercised, and values include the hard cases: NaN, infinities,
 //! subnormals, signed zero, and the FP16 saturation boundary.
 
+use anda_fp::available_legs;
 use anda_fp::batch::{
-    f16_to_f32_scalar, f16_to_f32_slice_with_leg, f32_to_f16_scalar, f32_to_f16_slice_with_leg,
     saturate_bf16_widen_scalar, saturate_bf16_widen_slice_with_leg,
     saturate_f16_widen_in_place_scalar, saturate_f16_widen_in_place_with_leg,
     saturate_f16_widen_scalar, saturate_f16_widen_slice_with_leg,
 };
-use anda_fp::{available_legs, F16};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary f32 bit patterns (covers NaN payloads, infs,
@@ -27,42 +26,6 @@ fn any_bits_vec() -> impl Strategy<Value = Vec<u32>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// `f32 -> F16` narrowing matches the scalar oracle bit-for-bit on
-    /// every available leg.
-    #[test]
-    fn f32_to_f16_matches_scalar_on_all_legs(bits in any_bits_vec()) {
-        let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let mut oracle = vec![F16::ZERO; src.len()];
-        f32_to_f16_scalar(&src, &mut oracle);
-        for leg in available_legs() {
-            let mut got = vec![F16::ONE; src.len()];
-            f32_to_f16_slice_with_leg(leg, &src, &mut got);
-            for (i, (a, b)) in got.iter().zip(&oracle).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(),
-                    "leg={} i={i} src={:#010x}", leg.name(), bits[i]);
-            }
-        }
-    }
-
-    /// `F16 -> f32` widening matches the scalar oracle bit-for-bit on
-    /// every available leg, for every possible f16 bit pattern.
-    #[test]
-    fn f16_to_f32_matches_scalar_on_all_legs(
-        hbits in prop::collection::vec(any::<u16>(), 0..40),
-    ) {
-        let src: Vec<F16> = hbits.iter().map(|&b| F16::from_bits(b)).collect();
-        let mut oracle = vec![0.0f32; src.len()];
-        f16_to_f32_scalar(&src, &mut oracle);
-        for leg in available_legs() {
-            let mut got = vec![1.0f32; src.len()];
-            f16_to_f32_slice_with_leg(leg, &src, &mut got);
-            for (i, (a, b)) in got.iter().zip(&oracle).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(),
-                    "leg={} i={i} src={:#06x}", leg.name(), hbits[i]);
-            }
-        }
-    }
 
     /// The saturating FP16 round-trip (the KV `Fp16` policy's append
     /// kernel) matches its scalar twin on every leg — into a second

@@ -79,7 +79,11 @@ impl ActivationCodec {
         }
     }
 
-    /// Storage bits per activation element in memory.
+    /// Storage bits per activation element in memory: for a grouped
+    /// codec the mantissa, a sign bit and the group's share of its 5-bit
+    /// shared exponent. This is the one definition of Anda's storage cost;
+    /// the simulator's activation and KV traffic and Fig. 8's memory row
+    /// call it.
     pub fn storage_bits_per_element(&self) -> f64 {
         match self {
             ActivationCodec::Exact => 32.0,

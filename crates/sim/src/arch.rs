@@ -4,6 +4,8 @@
 //! on-chip memory capacity; they differ only in PE type and activation
 //! storage format. DRAM is HBM2 modeled at 3.9 pJ/bit and 256 GB/s.
 
+use anda_quant::ActivationCodec;
+
 use crate::pe::PeKind;
 
 /// An accelerator instance under the paper's normalization.
@@ -61,7 +63,11 @@ impl Accelerator {
     /// given Anda mantissa length (baselines always store FP16).
     pub fn act_bits_per_element(&self, mantissa_bits: u32) -> f64 {
         if self.kind.stores_anda_activations() {
-            f64::from(mantissa_bits) + 1.0 + 5.0 / self.lanes as f64
+            ActivationCodec::Grouped {
+                mantissa_bits,
+                group_size: self.lanes,
+            }
+            .storage_bits_per_element()
         } else {
             16.0
         }

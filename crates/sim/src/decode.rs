@@ -10,6 +10,7 @@
 
 use anda_llm::config::ModelConfig;
 use anda_llm::modules::PrecisionCombo;
+use anda_quant::ActivationCodec;
 
 use crate::arch::Accelerator;
 use crate::engine::{simulate_gemm, GemmReport};
@@ -33,7 +34,9 @@ impl KvPolicy {
     pub fn bits_per_element(self) -> f64 {
         match self {
             KvPolicy::Fp16 => 16.0,
-            KvPolicy::Anda { mantissa_bits } => f64::from(mantissa_bits) + 1.0 + 5.0 / 64.0,
+            KvPolicy::Anda { mantissa_bits } => {
+                ActivationCodec::anda(mantissa_bits).storage_bits_per_element()
+            }
         }
     }
 }

@@ -218,8 +218,7 @@ impl Matrix {
     /// sharded across it ([`Matrix::matmul_into_pool`]), small ones — and
     /// everything when `pool` is `None` — run the serial kernel. Every
     /// output element accumulates over k in the same order either way,
-    /// so results are bit-identical to [`Matrix::matmul_into_serial`] at
-    /// every thread count.
+    /// so results are bit-identical at every thread count.
     ///
     /// # Panics
     ///
@@ -228,21 +227,12 @@ impl Matrix {
         self.product_on(rhs, Layout::RowMajor, out, pool);
     }
 
-    /// The serial kernel behind [`Matrix::matmul_into`]: the register
-    /// tile of `tile.rs` on a vector leg, a blocked ikj axpy walk on the
-    /// scalar one. Every output element accumulates over `k` in ascending
-    /// order, so results are bit-identical to the naive ikj kernel for
-    /// finite `rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_into_serial(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.product_serial(rhs, Layout::RowMajor, out, active_leg());
-    }
-
-    /// [`Matrix::matmul_into_serial`] on an explicit SIMD leg (oracle
-    /// tests and benches; production code lets the dispatch layer pick).
+    /// The serial kernel behind [`Matrix::matmul_into`] on an explicit
+    /// SIMD leg (oracle tests and the `kernels` bin; production code lets
+    /// the dispatch layer pick): the register tile of `tile.rs` on a
+    /// vector leg, a blocked ikj axpy walk on the scalar one. Every output
+    /// element accumulates over `k` in ascending order, so results are
+    /// bit-identical to the naive ikj kernel for finite `rhs`.
     ///
     /// # Panics
     ///
@@ -255,7 +245,7 @@ impl Matrix {
 
     /// [`Matrix::matmul_into`] on an explicit pool, always sharding
     /// across its threads (the cross-thread-count bit-exactness tests
-    /// and the threading bench call it directly). With at least one
+    /// and the `kernels` bin call it directly). With at least one
     /// register tile of rows per thread the output is split into row
     /// ranges on tile boundaries; with fewer rows — a decode step — the
     /// vector legs split it into column-strip ranges instead, so every
@@ -312,19 +302,10 @@ impl Matrix {
         self.product_on(rhs, Layout::Transposed, out, pool);
     }
 
-    /// The serial kernel behind [`Matrix::matmul_transposed_into`]: the
+    /// The serial kernel behind [`Matrix::matmul_transposed_into`] on an
+    /// explicit SIMD leg (oracle tests and the `kernels` bin): the
     /// register tile over transposing panel packs on a vector leg, plain
     /// per-element dots on the scalar one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into_serial(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.product_serial(rhs, Layout::Transposed, out, active_leg());
-    }
-
-    /// [`Matrix::matmul_transposed_into_serial`] on an explicit SIMD leg
-    /// (oracle tests and benches).
     ///
     /// # Panics
     ///
@@ -342,7 +323,7 @@ impl Matrix {
 
     /// [`Matrix::matmul_transposed_into`] on an explicit pool, always
     /// sharding across its threads the way [`Matrix::matmul_into_pool`]
-    /// does (bit-exactness tests and the threading bench).
+    /// does (bit-exactness tests and the `kernels` bin).
     ///
     /// # Panics
     ///

@@ -78,7 +78,7 @@ fn matmul_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
         let a = deterministic(m, k, 1);
         let b = deterministic(k, n, 2);
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_into_serial(&b, &mut serial);
+        a.matmul_into_on(&b, &mut serial, None);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);
@@ -95,7 +95,7 @@ fn matmul_transposed_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
         let a = deterministic(m, k, 3);
         let b = deterministic(n, k, 4);
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_transposed_into_serial(&b, &mut serial);
+        a.matmul_transposed_into_on(&b, &mut serial, None);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);
@@ -121,14 +121,14 @@ fn auto_dispatch_matches_serial_above_and_below_the_threshold() {
         let mut auto = Matrix::zeros(m, n);
         a.matmul_into(&b, &mut auto);
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_into_serial(&b, &mut serial);
+        a.matmul_into_on(&b, &mut serial, None);
         assert_bits_eq(&auto, &serial, &format!("auto matmul {m}x{k}x{n}"));
 
         let bt = deterministic(n, k, 7);
         let mut auto_t = Matrix::zeros(m, n);
         a.matmul_transposed_into(&bt, &mut auto_t);
         let mut serial_t = Matrix::zeros(m, n);
-        a.matmul_transposed_into_serial(&bt, &mut serial_t);
+        a.matmul_transposed_into_on(&bt, &mut serial_t, None);
         assert_bits_eq(&auto_t, &serial_t, &format!("auto matmul_t {m}x{k}x{n}"));
     }
 }
@@ -305,7 +305,7 @@ proptest! {
         let a = deterministic(m, k, seed);
         let b = deterministic(k, n, seed.wrapping_add(1));
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_into_serial(&b, &mut serial);
+        a.matmul_into_on(&b, &mut serial, None);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);
@@ -325,7 +325,7 @@ proptest! {
         let a = deterministic(m, k, seed);
         let b = deterministic(n, k, seed.wrapping_add(2));
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_transposed_into_serial(&b, &mut serial);
+        a.matmul_transposed_into_on(&b, &mut serial, None);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);

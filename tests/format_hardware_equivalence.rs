@@ -4,9 +4,13 @@
 //! accumulation) must hold end to end.
 
 use anda::format::compressor::BitPlaneCompressor;
+use anda::format::rowcodec::row_storage_bits;
 use anda::format::{AndaConfig, AndaTensor};
 use anda::quant::gemm::{gemm_anda, gemm_fake_quant};
 use anda::quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
+use anda::sim::arch::Accelerator;
+use anda::sim::decode::KvPolicy;
+use anda::sim::pe::PeKind;
 use anda::tensor::{Matrix, Rng};
 
 fn random_case(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, IntWeightMatrix) {
@@ -86,5 +90,17 @@ fn storage_accounting_consistent_across_crates() {
             (per_elem - codec).abs() < 1e-9,
             "m={m}: {per_elem} vs {codec}"
         );
+    }
+    // The codec's cost is the definition: exactly the row codec's bits for
+    // a 64-lane group, and the simulator's activation and KV traffic read
+    // it bit for bit.
+    for m in 1..=16 {
+        let codec = ActivationCodec::anda(m).storage_bits_per_element();
+        let row = row_storage_bits(64, AndaConfig::hardware(m).unwrap());
+        assert_eq!(codec * 64.0, row as f64, "m={m}");
+        let act = Accelerator::paper(PeKind::Anda).act_bits_per_element(m);
+        assert_eq!(act.to_bits(), codec.to_bits(), "m={m}");
+        let kv = KvPolicy::Anda { mantissa_bits: m }.bits_per_element();
+        assert_eq!(kv.to_bits(), codec.to_bits(), "m={m}");
     }
 }
