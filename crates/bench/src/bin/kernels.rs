@@ -30,7 +30,7 @@ use anda_format::rowcodec::{
     decode_row_into_with_leg, encode_row_into_scalar, groups_per_row, plane_words_per_row,
 };
 use anda_format::{AndaConfig, AndaTensor};
-use anda_fp::{active_leg, available_legs, cpu_features, RoundingMode, SimdLeg, F16};
+use anda_fp::{active_leg, available_legs, cpu_features, SimdLeg, F16};
 use anda_llm::kv::{AttendLane, KvPoolConfig, KvStorage};
 use anda_llm::{KvCache, PageDecodeCache, PagePool};
 use anda_quant::{
@@ -491,7 +491,7 @@ fn group_dot(o: &Opts) -> Table {
     let fp16 = o.time(|| dot_f16_int_reference(black_box(&acts), black_box(&weights), 0.01));
     table.row(["FP16".to_string(), ns(fp16), "-".to_string()]);
     for m in [4u32, 8, 13, 16] {
-        let aligned = align_group(&acts, m, RoundingMode::Truncate).expect("finite activations");
+        let aligned = align_group(&acts, m).expect("finite activations");
         let planes = BitPlaneGroup::from_aligned(&aligned);
         let reference = o.time(|| dot_group_reference(black_box(&aligned), black_box(&weights)));
         let serial = o.time(|| dot_group_bit_serial(black_box(&planes), black_box(&weights)));

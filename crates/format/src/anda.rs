@@ -8,10 +8,9 @@
 //! "variable-length" property distinguishing Anda from uni-length formats
 //! like VS-Quant/FIGNA and multi-length formats like FAST/DaCapo (Table I).
 
-use anda_fp::{RoundingMode, F16};
+use anda_fp::{saturate_to_f16, F16};
 
-use crate::align::{align_group, AlignedGroup};
-use crate::bfp::saturate_to_f16;
+use crate::align::align_group;
 use crate::bitplane::{BitPlaneGroup, LANES};
 use crate::error::FormatError;
 
@@ -31,30 +30,17 @@ use crate::error::FormatError;
 pub struct AndaConfig {
     group_size: usize,
     mantissa_bits: u32,
-    rounding: RoundingMode,
 }
 
 impl AndaConfig {
-    /// Creates a configuration with truncation rounding (the paper's mode).
+    /// Creates a configuration: `group_size` lanes share an exponent and
+    /// every mantissa is truncated to `mantissa_bits`.
     ///
     /// # Errors
     ///
     /// Returns an error when `group_size` is 0 or exceeds the 64-lane
     /// hardware word, or when `mantissa_bits` is outside 1..=16.
     pub fn new(group_size: usize, mantissa_bits: u32) -> Result<Self, FormatError> {
-        Self::with_rounding(group_size, mantissa_bits, RoundingMode::Truncate)
-    }
-
-    /// Creates a configuration with an explicit rounding mode.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AndaConfig::new`].
-    pub fn with_rounding(
-        group_size: usize,
-        mantissa_bits: u32,
-        rounding: RoundingMode,
-    ) -> Result<Self, FormatError> {
         if group_size == 0 || group_size > LANES {
             return Err(FormatError::InvalidGroupSize {
                 requested: group_size,
@@ -70,7 +56,6 @@ impl AndaConfig {
         Ok(AndaConfig {
             group_size,
             mantissa_bits,
-            rounding,
         })
     }
 
@@ -93,12 +78,6 @@ impl AndaConfig {
     #[inline]
     pub fn mantissa_bits(&self) -> u32 {
         self.mantissa_bits
-    }
-
-    /// Rounding mode applied during alignment.
-    #[inline]
-    pub fn rounding(&self) -> RoundingMode {
-        self.rounding
     }
 }
 
@@ -143,7 +122,7 @@ impl AndaTensor {
             .chunks(config.group_size)
             .filter(|c| !c.is_empty())
             .map(|chunk| {
-                let aligned = align_group(chunk, config.mantissa_bits, config.rounding)
+                let aligned = align_group(chunk, config.mantissa_bits)
                     .expect("saturated finite inputs cannot fail alignment");
                 BitPlaneGroup::from_aligned(&aligned)
             })
@@ -202,11 +181,6 @@ impl AndaTensor {
             let chunk = chunks.next().expect("group/len consistency");
             g.decode_into(chunk);
         }
-    }
-
-    /// Element-major (aligned) view of every group.
-    pub fn to_aligned_groups(&self) -> Vec<AlignedGroup> {
-        self.groups.iter().map(BitPlaneGroup::to_aligned).collect()
     }
 
     /// Total storage footprint in bits.
@@ -287,11 +261,11 @@ mod tests {
 
     #[test]
     fn matches_bfp_semantics_at_same_parameters() {
-        use crate::bfp::{fake_quantize_f32, BfpConfig};
         let vals: Vec<f32> = (0..128).map(|i| (i as f32 - 64.0) * 0.05).collect();
         let anda = AndaTensor::from_f32(&vals, AndaConfig::new(64, 6).unwrap()).to_f32();
-        let bfp = fake_quantize_f32(&vals, BfpConfig::new(64, 6).unwrap());
-        assert_eq!(anda, bfp, "Anda is BFP + layout; values must agree");
+        let mut streamed = vals;
+        crate::align::fake_quantize_in_place(&mut streamed, 64, 6);
+        assert_eq!(anda, streamed, "Anda is BFP + layout; values must agree");
     }
 
     #[test]

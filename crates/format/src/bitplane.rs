@@ -158,11 +158,11 @@ impl BitPlaneGroup {
 mod tests {
     use super::*;
     use crate::align::align_group;
-    use anda_fp::{RoundingMode, F16};
+    use anda_fp::F16;
 
     fn aligned(vals: &[f32], m: u32) -> AlignedGroup {
         let f16s: Vec<F16> = vals.iter().map(|&v| F16::from_f32(v)).collect();
-        align_group(&f16s, m, RoundingMode::Truncate).unwrap()
+        align_group(&f16s, m).unwrap()
     }
 
     #[test]

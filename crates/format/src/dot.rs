@@ -273,19 +273,6 @@ unsafe fn dot_group_int_flat_neon(sign_word: u64, planes: &[u64], weights: &[i8]
     acc
 }
 
-/// Full APU result for one group: integer dot product rescaled to `f32`.
-///
-/// `weight_scale` is the INT-weight group's dequantization scale.
-pub fn dot_group_f32(group: &BitPlaneGroup, weights: &[i8], weight_scale: f32) -> f32 {
-    let (int_dot, _) = dot_group_bit_serial(group, weights);
-    rescale_int_dot(
-        int_dot,
-        group.shared_exp(),
-        group.mantissa_bits(),
-        weight_scale,
-    )
-}
-
 /// Applies the Anda output scaling: `dot · 2^(E - 14 - M) · weight_scale`.
 #[inline]
 pub fn rescale_int_dot(
@@ -356,13 +343,20 @@ pub fn reduction_costs(m: u32, lanes: u32, weight_bits: u32) -> ReductionCosts {
 mod tests {
     use super::*;
     use crate::align::align_group;
-    use anda_fp::{RoundingMode, F16};
+    use anda_fp::F16;
 
     fn group_of(vals: &[f32], m: u32) -> (AlignedGroup, BitPlaneGroup) {
         let f16s: Vec<F16> = vals.iter().map(|&v| F16::from_f32(v)).collect();
-        let g = align_group(&f16s, m, RoundingMode::Truncate).unwrap();
+        let g = align_group(&f16s, m).unwrap();
         let bp = BitPlaneGroup::from_aligned(&g);
         (g, bp)
+    }
+
+    /// The APU's result for one group, composed as `gemm_anda` does:
+    /// the bit-serial integer dot, rescaled.
+    fn dot_group_f32(bp: &BitPlaneGroup, weights: &[i8], weight_scale: f32) -> f32 {
+        let (int_dot, _) = dot_group_bit_serial(bp, weights);
+        rescale_int_dot(int_dot, bp.shared_exp(), bp.mantissa_bits(), weight_scale)
     }
 
     #[test]

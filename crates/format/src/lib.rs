@@ -1,13 +1,13 @@
-//! Block-floating-point and Anda activation data formats.
+//! The Anda activation data format: grouped shared-exponent quantisation.
 //!
 //! This crate implements the paper's primary contribution:
 //!
-//! - [`bfp`] — classic block floating point with arbitrary group size and
-//!   mantissa length (the design space of §II-B/§II-C, used by the
-//!   sensitivity studies of Figs. 5–7).
-//! - [`align`] — the shared exponent-alignment math: every finite FP16 value
+//! - [`align`] — the one shared-exponent quantiser: every finite FP16 value
 //!   is decomposed into sign/significand/exponent, aligned to the group's
-//!   maximum exponent, and truncated to an M-bit mantissa.
+//!   maximum exponent, and truncated to an M-bit mantissa. Any group size
+//!   (the block-floating-point design space of §II-B/§II-C, Figs. 5–7), as
+//!   an owning group ([`align::align_group`]) or streaming in place
+//!   ([`align::fake_quantize_in_place`], the activation codecs' path).
 //! - [`anda`] — the Anda format proper (§III): fixed hardware group size of
 //!   up to 64 lanes, variable mantissa length 1..=16, with conversion to and
 //!   from the transposed *bit-plane* memory layout of Fig. 10.
@@ -47,7 +47,6 @@
 
 pub mod align;
 pub mod anda;
-pub mod bfp;
 pub mod bitplane;
 pub mod compressor;
 pub mod dot;
@@ -57,7 +56,6 @@ pub mod rowcodec;
 pub mod stats;
 
 pub use anda::{AndaConfig, AndaGroup, AndaTensor};
-pub use bfp::{BfpConfig, BfpGroup, BfpTensor};
 pub use bitplane::BitPlaneGroup;
 pub use compressor::{BitPlaneCompressor, CompressorReport};
 pub use error::FormatError;

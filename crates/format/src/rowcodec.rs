@@ -40,11 +40,10 @@
 //! a page split its decode by columns instead of repeating it.
 
 use anda_fp::simd::{active_leg, SimdLeg};
-use anda_fp::F16;
+use anda_fp::{saturate_to_f16, F16};
 
 use crate::align::{align_element, exp2f};
 use crate::anda::AndaConfig;
-use crate::bfp::saturate_to_f16;
 use crate::bitplane::LANES;
 
 /// Number of shared-exponent groups in a `len`-element row under `cfg`.
@@ -161,7 +160,7 @@ pub fn encode_row_into_scalar(
         group_planes.fill(0);
         let mut sign_word = 0u64;
         for (i, v) in staged.iter().enumerate() {
-            let e = align_element(v.significand(), shared_exp, m, cfg.rounding());
+            let e = align_element(v.significand(), shared_exp, m);
             if e.negative {
                 sign_word |= 1 << i;
             }
@@ -406,7 +405,6 @@ pub fn decode_group_into_scalar(sign_word: u64, ulp: f32, planes: &[u64], out: &
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
-    use anda_fp::RoundingMode;
     use core::arch::x86_64::*;
 
     /// Spreads bits `32·half..32·half + 32` of a plane word over 32 byte
@@ -572,11 +570,10 @@ mod avx2 {
     /// `saturate_to_f16`), decomposes the f16 bits into explicit-hidden-bit
     /// magnitudes and effective biased exponents with masked selects, and
     /// keeps a running vector max for the shared exponent. Pass 2 replays
-    /// `align_element` branchlessly: the variable right-shift-with-rounding
-    /// uses `_mm256_srlv_epi32` with the shift clamped to 28 (magnitudes
-    /// are < 2^27, so every shift ≥ 28 yields 0 under both rounding modes
-    /// and the nearest-even adjustment stays within i32), then scatters
-    /// mantissa bits into the MSB-first planes via sign-bit movemasks.
+    /// `align_element` branchlessly: the variable truncating right shift is
+    /// `_mm256_srlv_epi32` with the shift clamped to 28 (magnitudes are
+    /// < 2^27, so every shift ≥ 28 yields 0), then scatters mantissa bits
+    /// into the MSB-first planes via sign-bit movemasks.
     ///
     /// # Safety
     ///
@@ -595,7 +592,6 @@ mod avx2 {
         let min_f16 = _mm256_set1_ps(-65504.0);
         let one = _mm256_set1_epi32(1);
         let m_v = _mm256_set1_epi32(m as i32);
-        let max_mag_v = _mm256_set1_epi32(((1u32 << m) - 1) as i32);
         for (gi, chunk) in values.chunks(cfg.group_size()).enumerate() {
             let full = chunk.len() / 8;
             let mut mags = [0i32; LANES];
@@ -648,19 +644,7 @@ mod avx2 {
                     _mm256_add_epi32(_mm256_set1_epi32(11), _mm256_sub_epi32(shared_v, be)),
                     _mm256_set1_epi32(28),
                 );
-                let value = _mm256_sllv_epi32(mag, m_v);
-                let truncated = _mm256_srlv_epi32(value, shift);
-                let shifted = match cfg.rounding() {
-                    RoundingMode::Truncate => truncated,
-                    RoundingMode::NearestEven => {
-                        // (v + 2^(s-1) - 1 + ((v>>s)&1)) >> s == RNE(v >> s)
-                        let half = _mm256_sllv_epi32(one, _mm256_sub_epi32(shift, one));
-                        let lsb = _mm256_and_si256(truncated, one);
-                        let bump = _mm256_add_epi32(_mm256_sub_epi32(half, one), lsb);
-                        _mm256_srlv_epi32(_mm256_add_epi32(value, bump), shift)
-                    }
-                };
-                let aligned = _mm256_min_epi32(shifted, max_mag_v);
+                let aligned = _mm256_srlv_epi32(_mm256_sllv_epi32(mag, m_v), shift);
                 for b in 0..m {
                     // Move mantissa bit (m-1-b) to lane bit 31, movemask it.
                     let shifted_up =
@@ -669,12 +653,9 @@ mod avx2 {
                     group_planes[b as usize] |= byte << (c * 8);
                 }
             }
-            let max_mag = ((1u32 << m) - 1) as u16;
             for i in full * 8..chunk.len() {
                 let shift = (11 + (shared - lane_exps[i])) as u32;
-                let shifted =
-                    anda_fp::shift_right_round((mags[i] as u64) << m, shift, cfg.rounding());
-                let aligned = (shifted as u16).min(max_mag);
+                let aligned = (((mags[i] as u64) << m) >> shift) as u16;
                 for b in 0..m {
                     let bit = (aligned >> (m - 1 - b)) & 1;
                     group_planes[b as usize] |= u64::from(bit) << i;
@@ -689,7 +670,6 @@ mod avx2 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::*;
-    use anda_fp::RoundingMode;
     use core::arch::aarch64::*;
 
     /// Spreads 16 plane bits over 16 byte lanes: lane `j` is `0xFF` where
@@ -905,17 +885,7 @@ mod neon {
                 );
                 let value = vshlq_u32(mag, vdupq_n_s32(m as i32));
                 let neg_shift = vnegq_s32(vreinterpretq_s32_u32(shift));
-                let truncated = vshlq_u32(value, neg_shift);
-                let shifted = match cfg.rounding() {
-                    RoundingMode::Truncate => truncated,
-                    RoundingMode::NearestEven => {
-                        let half = vshlq_u32(one, vreinterpretq_s32_u32(vsubq_u32(shift, one)));
-                        let lsb = vandq_u32(truncated, one);
-                        let bump = vaddq_u32(vsubq_u32(half, one), lsb);
-                        vshlq_u32(vaddq_u32(value, bump), neg_shift)
-                    }
-                };
-                let aligned = vminq_u32(shifted, vdupq_n_u32((1u32 << m) - 1));
+                let aligned = vshlq_u32(value, neg_shift);
                 for b in 0..m {
                     let bit =
                         vandq_u32(vshlq_u32(aligned, vdupq_n_s32(-((m - 1 - b) as i32))), one);
@@ -923,12 +893,9 @@ mod neon {
                     group_planes[b as usize] |= nib << (c * 4);
                 }
             }
-            let max_mag = ((1u32 << m) - 1) as u16;
             for i in full * 4..chunk.len() {
                 let shift = 11 + (shared - lane_exps[i]);
-                let shifted =
-                    anda_fp::shift_right_round(u64::from(mags[i]) << m, shift, cfg.rounding());
-                let aligned = (shifted as u16).min(max_mag);
+                let aligned = ((u64::from(mags[i]) << m) >> shift) as u16;
                 for b in 0..m {
                     let bit = (aligned >> (m - 1 - b)) & 1;
                     group_planes[b as usize] |= u64::from(bit) << i;
@@ -945,7 +912,6 @@ mod tests {
     use super::*;
     use crate::AndaTensor;
     use anda_fp::simd::available_legs;
-    use anda_fp::RoundingMode;
 
     #[test]
     fn every_with_leg_entry_refuses_an_unavailable_leg() {
@@ -1107,13 +1073,11 @@ mod tests {
     /// runs the byte-lane transpose, `M > 8` the 16-bit-lane one, and the
     /// group sizes put a ragged tail behind every step width.
     fn sweep(mut case: impl FnMut(AndaConfig, usize)) {
-        for &rounding in &[RoundingMode::Truncate, RoundingMode::NearestEven] {
-            for m in 1..=16 {
-                for gs in GROUP_SIZES {
-                    let cfg = AndaConfig::with_rounding(gs, m, rounding).unwrap();
-                    for len in [gs, 3 * gs, 2 * gs + gs.div_ceil(2)] {
-                        case(cfg, len);
-                    }
+        for m in 1..=16 {
+            for gs in GROUP_SIZES {
+                let cfg = AndaConfig::new(gs, m).unwrap();
+                for len in [gs, 3 * gs, 2 * gs + gs.div_ceil(2)] {
+                    case(cfg, len);
                 }
             }
         }

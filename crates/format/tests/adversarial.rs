@@ -6,14 +6,14 @@ use anda_format::bitplane::BitPlaneGroup;
 use anda_format::compressor::BitPlaneCompressor;
 use anda_format::dot::{dot_group_bit_serial, dot_group_reference};
 use anda_format::{AndaConfig, AndaTensor};
-use anda_fp::{RoundingMode, F16};
+use anda_fp::F16;
 
 fn f16s(vals: &[f32]) -> Vec<F16> {
     vals.iter().map(|&v| F16::from_f32(v)).collect()
 }
 
 fn check_dot_equivalence(vals: &[f32], weights: &[i8], m: u32) {
-    let g = align_group(&f16s(vals), m, RoundingMode::Truncate).unwrap();
+    let g = align_group(&f16s(vals), m).unwrap();
     let bp = BitPlaneGroup::from_aligned(&g);
     assert_eq!(
         dot_group_bit_serial(&bp, weights).0,
@@ -67,7 +67,7 @@ fn all_ones_mantissa_patterns() {
 #[test]
 fn negative_zero_inputs() {
     let vals = vec![-0.0f32, 0.0, -0.0, 1.0];
-    let g = align_group(&f16s(&vals), 8, RoundingMode::Truncate).unwrap();
+    let g = align_group(&f16s(&vals), 8).unwrap();
     assert_eq!(g.dequantize(0), 0.0);
     assert_eq!(g.dequantize(1), 0.0);
     // Sign-magnitude zero contributes nothing to dots regardless of sign bit.

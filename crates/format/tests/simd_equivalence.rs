@@ -18,7 +18,7 @@ use anda_format::rowcodec::{
     encode_row_into_with_leg, groups_per_row, plane_words_per_row,
 };
 use anda_format::AndaConfig;
-use anda_fp::{available_legs, RoundingMode};
+use anda_fp::available_legs;
 use proptest::prelude::*;
 
 /// Strategy: a row of f32 values from a mix of scales, with occasional
@@ -42,14 +42,6 @@ fn row() -> impl Strategy<Value = Vec<f32>> {
 /// Group sizes around every lane count a vector leg steps by.
 const GROUP_SIZES: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
 
-fn rounding(rne: bool) -> RoundingMode {
-    if rne {
-        RoundingMode::NearestEven
-    } else {
-        RoundingMode::Truncate
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -61,9 +53,8 @@ proptest! {
         values in row(),
         m in 1u32..=16,
         gs in 0..GROUP_SIZES.len(),
-        rne in any::<bool>(),
     ) {
-        let cfg = AndaConfig::with_rounding(GROUP_SIZES[gs], m, rounding(rne)).unwrap();
+        let cfg = AndaConfig::new(GROUP_SIZES[gs], m).unwrap();
         let g = groups_per_row(values.len(), cfg);
         let pw = plane_words_per_row(values.len(), cfg);
 

@@ -1,8 +1,8 @@
-//! Batched FP16/BF16 rounding of `f32` rows with runtime SIMD dispatch.
+//! Batched FP16 rounding of `f32` rows with runtime SIMD dispatch.
 //!
-//! The KV cache's rounded row policies (`Fp16`, `Bf16` in `anda-llm`)
-//! round whole `d_model`-wide rows per cached position, and the FP16
-//! activation codec rounds every block between GEMMs — per-element calls
+//! The KV cache's rounded row policy (`Fp16` in `anda-llm`) rounds whole
+//! `d_model`-wide rows per cached position, and the FP16 activation
+//! codec rounds every block between GEMMs — per-element calls
 //! into the branchy scalar converters dominate those paths. The slice
 //! kernels here process 8 (AVX2) or 4 (NEON) lanes per step using
 //! branchless bit manipulation (masked selects instead of per-element
@@ -10,7 +10,6 @@
 //! to its scalar twin — the twin *is* the oracle, enforced by the
 //! property suites on every available [`SimdLeg`].
 
-use crate::bf16::saturate_to_bf16;
 use crate::f16::saturate_to_f16;
 use crate::simd::{active_leg, SimdLeg};
 
@@ -110,53 +109,6 @@ pub fn saturate_f16_widen_in_place_scalar(v: &mut [f32]) {
     }
 }
 
-/// Rounds every element through saturating bfloat16 and widens it back:
-/// `dst[i] = saturate_to_bf16(src[i]).to_f32()` — the `Bf16` KV row
-/// policy's push-path kernel — on the active dispatch leg.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn saturate_bf16_widen_slice(src: &[f32], dst: &mut [f32]) {
-    saturate_bf16_widen_on(active_leg(), src, dst);
-}
-
-/// [`saturate_bf16_widen_slice`] on an explicit leg.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ or the leg is unavailable on this
-/// host.
-pub fn saturate_bf16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
-    leg.assert_available();
-    saturate_bf16_widen_on(leg, src, dst)
-}
-
-/// The dispatch of [`saturate_bf16_widen_slice_with_leg`]. `leg` must be
-/// available on this host: it is `active_leg()`, or the entry above
-/// asserted it.
-fn saturate_bf16_widen_on(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "length mismatch");
-    match leg {
-        SimdLeg::Scalar => saturate_bf16_widen_scalar(src, dst),
-        // SAFETY (both legs): the CPU runs `leg` — this function's
-        // precondition.
-        #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { saturate_bf16_widen_avx2(src, dst) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { saturate_bf16_widen_neon(src, dst) },
-        #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
-    }
-}
-
-/// The scalar oracle of [`saturate_bf16_widen_slice`].
-pub fn saturate_bf16_widen_scalar(src: &[f32], dst: &mut [f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = saturate_to_bf16(s).to_f32();
-    }
-}
-
 /// # Safety
 ///
 /// Requires AVX2; `src` and `dst` must each be valid for `len` elements
@@ -185,36 +137,6 @@ unsafe fn saturate_f16_widen_avx2(src: *const f32, dst: *mut f32, len: usize) {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn saturate_bf16_widen_avx2(src: &[f32], dst: &mut [f32]) {
-    use core::arch::x86_64::*;
-    let chunks = src.len() / 8;
-    for c in 0..chunks {
-        let v = _mm256_loadu_ps(src.as_ptr().add(c * 8));
-        let bits = _mm256_castps_si256(v);
-        // Branchless RNE to the upper half-word, then zero the low half:
-        // the widened bfloat16 bit pattern in place.
-        let lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(1));
-        let rounded = _mm256_add_epi32(bits, _mm256_add_epi32(_mm256_set1_epi32(0x7FFF), lsb));
-        // -65536 == 0xFFFF_0000: keep the upper half-word.
-        let mut res = _mm256_and_si256(rounded, _mm256_set1_epi32(-65536));
-        // NaN → +0.
-        let nan = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
-        res = _mm256_andnot_si256(nan, res);
-        // Post-round infinities clamp to ±MAX (widened 0x7F7F_0000).
-        let exp_mask = _mm256_set1_epi32(0x7F80_0000u32 as i32);
-        let inf = _mm256_cmpeq_epi32(_mm256_and_si256(res, exp_mask), exp_mask);
-        let sat = _mm256_or_si256(
-            _mm256_and_si256(res, _mm256_set1_epi32(i32::MIN)),
-            _mm256_set1_epi32(0x7F7F_0000),
-        );
-        res = _mm256_blendv_epi8(res, sat, inf);
-        _mm256_storeu_ps(dst.as_mut_ptr().add(c * 8), _mm256_castsi256_ps(res));
-    }
-    saturate_bf16_widen_scalar(&src[chunks * 8..], &mut dst[chunks * 8..]);
-}
-
 /// # Safety
 ///
 /// Requires NEON; pointer contract as the AVX2 twin.
@@ -241,31 +163,6 @@ unsafe fn saturate_f16_widen_neon(src: *const f32, dst: *mut f32, len: usize) {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn saturate_bf16_widen_neon(src: &[f32], dst: &mut [f32]) {
-    use core::arch::aarch64::*;
-    let chunks = src.len() / 4;
-    for c in 0..chunks {
-        let v = vld1q_f32(src.as_ptr().add(c * 4));
-        let bits = vreinterpretq_u32_f32(v);
-        let lsb = vandq_u32(vshrq_n_u32(bits, 16), vdupq_n_u32(1));
-        let rounded = vaddq_u32(bits, vaddq_u32(vdupq_n_u32(0x7FFF), lsb));
-        let mut res = vandq_u32(rounded, vdupq_n_u32(0xFFFF_0000));
-        let nan = vmvnq_u32(vceqq_f32(v, v));
-        res = vbicq_u32(res, nan);
-        let exp_mask = vdupq_n_u32(0x7F80_0000);
-        let inf = vceqq_u32(vandq_u32(res, exp_mask), exp_mask);
-        let sat = vorrq_u32(
-            vandq_u32(res, vdupq_n_u32(0x8000_0000)),
-            vdupq_n_u32(0x7F7F_0000),
-        );
-        res = vbslq_u32(inf, sat, res);
-        vst1q_f32(dst.as_mut_ptr().add(c * 4), vreinterpretq_f32_u32(res));
-    }
-    saturate_bf16_widen_scalar(&src[chunks * 4..], &mut dst[chunks * 4..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,15 +180,12 @@ mod tests {
         let want = format!("SIMD leg {} unavailable on this host", leg.name());
         let src = [1.0f32; 16];
         type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 3] = [
+        let entries: [Entry; 2] = [
             ("saturate_f16_widen_slice_with_leg", &|| {
                 saturate_f16_widen_slice_with_leg(leg, &src, &mut src.clone())
             }),
             ("saturate_f16_widen_in_place_with_leg", &|| {
                 saturate_f16_widen_in_place_with_leg(leg, &mut src.clone())
-            }),
-            ("saturate_bf16_widen_slice_with_leg", &|| {
-                saturate_bf16_widen_slice_with_leg(leg, &src, &mut src.clone())
             }),
         ];
         for (name, entry) in entries {
@@ -350,11 +244,6 @@ mod tests {
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.to_bits(), y.to_bits(), "in-place leg {}", leg.name());
                 }
-                saturate_bf16_widen_scalar(src, &mut a);
-                saturate_bf16_widen_slice_with_leg(leg, src, &mut b);
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "bf16 widen leg {}", leg.name());
-                }
             }
         }
     }
@@ -366,7 +255,6 @@ mod tests {
         saturate_f16_widen_slice(&src, &mut out);
         assert_eq!(out[0], 1.0);
         assert_eq!(out[2], 0.0);
-        saturate_bf16_widen_slice(&src, &mut out);
-        assert_eq!(out[1], -2.5);
+        assert_eq!(out[3], 65504.0);
     }
 }

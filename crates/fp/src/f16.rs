@@ -4,6 +4,8 @@ use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, Div, Mul, Neg, Sub};
 
+use crate::rounding::{shift_right_round, RoundingMode};
+
 /// Number of explicit fraction (mantissa-field) bits in binary16.
 pub const FRAC_BITS: u32 = 10;
 /// Number of significand bits including the hidden bit.
@@ -88,11 +90,6 @@ impl F16 {
     /// Converts this value to `f32` exactly (binary16 ⊂ binary32).
     pub fn to_f32(self) -> f32 {
         f16_bits_to_f32(self.0)
-    }
-
-    /// Converts an `f64` to `F16` (through `f32`, both steps RNE).
-    pub fn from_f64(value: f64) -> Self {
-        Self::from_f32(value as f32)
     }
 
     /// Converts this value to `f64` exactly.
@@ -312,7 +309,7 @@ fn f32_to_f16_bits(value: f32) -> u16 {
         // that bit 0 has weight 2^-24.
         let sig = if exp == 0 { frac } else { frac | 0x0080_0000 };
         let shift = (14 - e16) as u32; // 14..=24
-        let rounded = round_shift_rne(u64::from(sig), shift);
+        let rounded = shift_right_round(u64::from(sig), shift, RoundingMode::NearestEven);
         return sign | (rounded as u16);
     }
 
@@ -321,7 +318,7 @@ fn f32_to_f16_bits(value: f32) -> u16 {
     // the exponent and fraction fields are adjacent.
     let base = (u32::from(sign) << 16) as u64;
     let joined = ((e16 as u64) << 23) | u64::from(frac);
-    let rounded = round_shift_rne(joined, 13);
+    let rounded = shift_right_round(joined, 13, RoundingMode::NearestEven);
     (base >> 16) as u16 | (rounded as u16)
 }
 
@@ -347,25 +344,6 @@ fn f16_bits_to_f32(bits: u16) -> f32 {
     }
     let e32 = u32::from(exp) + 127 - 15;
     f32::from_bits(sign | (e32 << 23) | (frac << 13))
-}
-
-/// Shifts `value` right by `shift` bits, rounding to nearest-even.
-#[inline]
-fn round_shift_rne(value: u64, shift: u32) -> u64 {
-    if shift == 0 {
-        return value;
-    }
-    if shift >= 64 {
-        return 0;
-    }
-    let truncated = value >> shift;
-    let rem = value & ((1u64 << shift) - 1);
-    let half = 1u64 << (shift - 1);
-    match rem.cmp(&half) {
-        Ordering::Less => truncated,
-        Ordering::Greater => truncated + 1,
-        Ordering::Equal => truncated + (truncated & 1),
-    }
 }
 
 impl From<f32> for F16 {
@@ -549,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_matches_f32_with_rounding() {
+    fn arithmetic_is_f32_arithmetic_rounded_to_f16() {
         let a = F16::from_f32(1.0 / 3.0);
         let b = F16::from_f32(2.0 / 3.0);
         let sum = a + b;

@@ -6,17 +6,15 @@
 //!
 //! - [`F16`] — a bit-exact IEEE 754 binary16 value with round-to-nearest-even
 //!   conversions from/to `f32`, full subnormal and special-value handling.
-//! - [`BF16`] — a bit-exact bfloat16 value (the high half of binary32) with a
-//!   branchless round-to-nearest-even conversion.
 //! - [`Significand`] — the fixed-point view (hidden bit made explicit) used by
 //!   block-floating-point conversion in the `anda-format` crate.
-//! - [`rounding`] — shift-right-with-rounding primitives shared by the format
-//!   kernels.
+//! - [`rounding`] — shift-right-with-rounding primitives: [`F16`] narrowing
+//!   rounds to nearest-even through them.
 //! - [`simd`] — the runtime SIMD dispatch layer ([`SimdLeg`], feature
 //!   detection, the `ANDA_SIMD` override) plus the AVX2/NEON f16↔f32 lane
 //!   conversion primitives shared by every vector kernel in the workspace.
 //! - [`batch`] — dispatched whole-slice rounding of `f32` rows through
-//!   FP16/BF16 (the KV row policies, the FP16 activation codec), each with
+//!   FP16 (the `Fp16` KV row policy, the FP16 activation codec), each with
 //!   a scalar twin as its bit-exactness oracle.
 //!
 //! # Example
@@ -30,12 +28,10 @@
 //! ```
 
 pub mod batch;
-pub mod bf16;
 pub mod f16;
 pub mod rounding;
 pub mod simd;
 
-pub use bf16::{f32_to_bf16_bits, saturate_to_bf16, BF16};
 pub use f16::{saturate_to_f16, Significand, F16};
 pub use rounding::{shift_right_round, RoundingMode};
 pub use simd::{active_leg, available_legs, cpu_features, SimdLeg};

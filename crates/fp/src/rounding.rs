@@ -1,17 +1,22 @@
-//! Shift-right-with-rounding primitives shared by the format kernels.
+//! Shift-right-with-rounding primitives.
 
 /// How to dispose of bits shifted out of a fixed-point value.
 ///
-/// Block-floating-point conversion in the paper truncates ("bits exceeding
-/// the specified mantissa length are truncated", §II-B); the FP16 codec uses
-/// round-to-nearest-even. Both are exposed so ablations can compare them.
+/// [`RoundingMode::NearestEven`] is what narrowing `f32` to [`crate::F16`]
+/// uses (both the normal and the subnormal case of `F16::from_f32`).
+/// [`RoundingMode::Truncate`] is the reference for the mode the paper
+/// specifies for grouped conversion ("bits exceeding the specified mantissa
+/// length are truncated", §II-B): `anda-format` aligns with a plain shift
+/// and offers no other mode, and this crate's property tests check that
+/// the two modes bracket the exact quotient.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RoundingMode {
-    /// Drop the shifted-out bits (round toward zero on magnitudes). This is
-    /// the mode the Anda paper specifies for BFP conversion.
+    /// Drop the shifted-out bits (round toward zero on magnitudes) — what
+    /// the Anda format's mantissa alignment does.
     #[default]
     Truncate,
-    /// Round to nearest, ties to even — IEEE default rounding.
+    /// Round to nearest, ties to even — IEEE default rounding, used by the
+    /// `f32` → FP16 conversion.
     NearestEven,
 }
 

@@ -1,7 +1,7 @@
 //! Runtime SIMD dispatch for the workspace's vector kernels.
 //!
 //! Every hot-path kernel in the workspace (the `anda-format` row codec,
-//! the batch FP16/BF16 conversions in this crate, the GeMM inner loops in
+//! the batch FP16 conversions in this crate, the GeMM inner loops in
 //! `anda-tensor`/`anda-quant`) exists in two or three *legs*: a scalar
 //! reference implementation and `std::arch` vector implementations for
 //! AVX2 (x86-64) and NEON (aarch64). This module is the single place that

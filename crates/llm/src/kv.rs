@@ -8,10 +8,9 @@
 //! rows), every [`KvCache`] is a per-layer page table over pages leased
 //! from a pool, and the storage policy ([`KvStorage`]) decides whether a
 //! page holds raw `f32` rows (the exact-reference policy), FP16-rounded
-//! rows (the paper's §V-A baseline), BF16-rounded rows (same footprint,
-//! full exponent range) — all read in place — or Anda bit-plane rows
-//! (decoded on read via `anda_format::rowcodec`, with zero per-token
-//! allocation). The rounded-policy appends and the Anda encode/decode
+//! rows (the paper's §V-A baseline) — both read in place — or Anda
+//! bit-plane rows (decoded on read via `anda_format::rowcodec`, with zero
+//! per-token allocation). The FP16 append and the Anda encode/decode
 //! all run through the SIMD-dispatched kernels in `anda_fp::simd`
 //! (scalar-oracle bit-exact on every leg).
 //!
@@ -68,7 +67,7 @@ use std::sync::{Arc, Mutex};
 
 use anda_format::rowcodec;
 use anda_format::AndaConfig;
-use anda_fp::batch::{saturate_bf16_widen_slice, saturate_f16_widen_slice};
+use anda_fp::batch::saturate_f16_widen_slice;
 use anda_fp::simd::{active_leg, SimdLeg};
 use anda_tensor::Strided;
 use rayon_lite::ThreadPool;
@@ -85,11 +84,6 @@ pub enum KvStorage {
     Fp32,
     /// FP16-rounded rows (the paper's §V-A baseline), read in place.
     Fp16,
-    /// BF16-rounded rows, read in place — same 16-bit footprint as FP16
-    /// but trading mantissa for the full `f32` exponent range (no
-    /// saturation below ±3.4e38), matching accelerators that keep KV in
-    /// bfloat16.
-    Bf16,
     /// Anda-format rows with the given mantissa length, decoded on read.
     Anda {
         /// Mantissa length (1..=16).
@@ -106,7 +100,7 @@ impl KvStorage {
     /// Panics if an Anda policy has mantissa bits outside 1..=16.
     fn anda_config(self) -> Option<AndaConfig> {
         match self {
-            KvStorage::Fp32 | KvStorage::Fp16 | KvStorage::Bf16 => None,
+            KvStorage::Fp32 | KvStorage::Fp16 => None,
             KvStorage::Anda { mantissa_bits } => {
                 Some(AndaConfig::hardware(mantissa_bits).expect("mantissa bits must be 1..=16"))
             }
@@ -118,7 +112,7 @@ impl KvStorage {
     pub fn row_bits(self, dim: usize) -> usize {
         match self {
             KvStorage::Fp32 => dim * 32,
-            KvStorage::Fp16 | KvStorage::Bf16 => dim * 16,
+            KvStorage::Fp16 => dim * 16,
             KvStorage::Anda { .. } => {
                 rowcodec::row_storage_bits(dim, self.anda_config().expect("anda policy"))
             }
@@ -128,7 +122,7 @@ impl KvStorage {
     /// `true` when rows are stored as plain `f32` words the attention
     /// kernel can read in place (no decode step).
     pub fn reads_in_place(self) -> bool {
-        matches!(self, KvStorage::Fp32 | KvStorage::Fp16 | KvStorage::Bf16)
+        matches!(self, KvStorage::Fp32 | KvStorage::Fp16)
     }
 }
 
@@ -208,7 +202,7 @@ pub struct Page {
 #[derive(Debug)]
 enum PageData {
     /// `positions × dim` plain `f32` words (raw for [`KvStorage::Fp32`],
-    /// rounded then widened for [`KvStorage::Fp16`] / [`KvStorage::Bf16`]).
+    /// rounded then widened for [`KvStorage::Fp16`]).
     Float { k: Vec<f32>, v: Vec<f32> },
     Anda {
         cfg: AndaConfig,
@@ -336,10 +330,6 @@ impl Page {
                         // element-wise `saturate_to_f16(x).to_f32()`).
                         saturate_f16_widen_slice(key, kd);
                         saturate_f16_widen_slice(value, vd);
-                    }
-                    KvStorage::Bf16 => {
-                        saturate_bf16_widen_slice(key, kd);
-                        saturate_bf16_widen_slice(value, vd);
                     }
                     KvStorage::Anda { .. } => {
                         unreachable!("float page under an Anda policy")
@@ -1819,7 +1809,7 @@ impl Drop for KvCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anda_format::bfp::saturate_to_f16;
+    use anda_fp::saturate_to_f16;
     use anda_tensor::Rng;
 
     fn rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -1851,25 +1841,6 @@ mod tests {
             for (a, &b) in cache.layer(0).key(i).iter().zip(r) {
                 assert!((a - b).abs() < 1e-3);
                 assert_eq!(a.to_bits(), saturate_to_f16(b).to_f32().to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_store_round_trips_to_bf16_precision() {
-        use anda_fp::saturate_to_bf16;
-        let mut cache = cache_with(KvStorage::Bf16, 2);
-        let k = rows(3, 64, 1);
-        for r in &k {
-            cache.append_row(0, r, r);
-        }
-        assert_eq!(cache.len(), 3);
-        // Same 16-bit row accounting as FP16.
-        assert_eq!(KvStorage::Bf16.row_bits(64), KvStorage::Fp16.row_bits(64));
-        for (i, r) in k.iter().enumerate() {
-            for (a, &b) in cache.layer(0).key(i).iter().zip(r) {
-                assert!((a - b).abs() < 1e-2 * b.abs().max(1.0));
-                assert_eq!(a.to_bits(), saturate_to_bf16(b).to_f32().to_bits());
             }
         }
     }
@@ -2110,11 +2081,7 @@ mod tests {
     /// sides, and resetting the fork keeps the donor's pages alive.
     #[test]
     fn fork_prefix_shares_pages_without_copying() {
-        for storage in [
-            KvStorage::Fp16,
-            KvStorage::Bf16,
-            KvStorage::Anda { mantissa_bits: 6 },
-        ] {
+        for storage in [KvStorage::Fp16, KvStorage::Anda { mantissa_bits: 6 }] {
             let pool = PagePool::new(KvPoolConfig {
                 storage,
                 page_positions: 4,
@@ -2190,7 +2157,6 @@ mod tests {
         for storage in [
             KvStorage::Fp32,
             KvStorage::Fp16,
-            KvStorage::Bf16,
             KvStorage::Anda { mantissa_bits: 6 },
         ] {
             let pool = PagePool::new(KvPoolConfig {

@@ -21,7 +21,7 @@
 //! perplexity, the precision search and the figure binaries measure the
 //! code requests run.
 
-use anda_format::bfp::saturate_to_f16;
+use anda_fp::saturate_to_f16;
 use anda_quant::{IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{ops, Matrix, Rng};
 use rayon_lite::ThreadPool;

@@ -38,10 +38,9 @@ fn bits<V: AsRef<[f32]>>(v: V) -> Vec<u32> {
 
 /// Every storage policy the pool supports, spanning in-place float
 /// pages and decode-on-read Anda pages at two mantissa widths.
-const POLICIES: [KvStorage; 5] = [
+const POLICIES: [KvStorage; 4] = [
     KvStorage::Fp32,
     KvStorage::Fp16,
-    KvStorage::Bf16,
     KvStorage::Anda { mantissa_bits: 6 },
     KvStorage::Anda { mantissa_bits: 11 },
 ];
@@ -508,7 +507,7 @@ fn a_step_dispatches_one_gemm_per_weight_whatever_it_carries() {
 /// decode anything for them.
 #[test]
 fn float_policies_never_touch_the_decode_arena() {
-    for &storage in &[KvStorage::Fp32, KvStorage::Fp16, KvStorage::Bf16] {
+    for &storage in &[KvStorage::Fp32, KvStorage::Fp16] {
         let (_, decoded) = step_hidden_forked(model(), storage, 8, 4, 16, &[0, 3, 5, 8], true);
         assert_eq!(decoded, 0, "{storage:?} pages must be read in place");
     }
@@ -521,7 +520,7 @@ proptest! {
     /// combination is bit-identical to the per-stream oracle.
     #[test]
     fn grouped_step_is_bit_identical_prop(
-        policy in 0usize..5,
+        policy in 0usize..POLICIES.len(),
         pp_idx in 0usize..3,
         threads_idx in 0usize..2,
         lens in prop::collection::vec(1usize..24, 1..5),

@@ -77,7 +77,6 @@ fn warmed_decode_steps_allocate_zero_kv_path_heap() {
     for storage in [
         KvStorage::Fp32,
         KvStorage::Fp16,
-        KvStorage::Bf16,
         KvStorage::Anda { mantissa_bits: 6 },
     ] {
         let pool = PagePool::new(KvPoolConfig {

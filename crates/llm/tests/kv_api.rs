@@ -268,10 +268,9 @@ fn cache_for(model: &Model, storage: KvStorage, page_positions: usize) -> KvCach
 }
 
 /// Every storage policy the paged backend supports, exercised broadly.
-const POLICIES: [KvStorage; 5] = [
+const POLICIES: [KvStorage; 4] = [
     KvStorage::Fp32,
     KvStorage::Fp16,
-    KvStorage::Bf16,
     KvStorage::Anda { mantissa_bits: 6 },
     KvStorage::Anda { mantissa_bits: 12 },
 ];
@@ -325,7 +324,7 @@ fn fp16_policy_rows_are_f16_rounded_fp32_rows() {
             let (raw_row, rounded_row) = pair;
             let expect: Vec<u32> = raw_row
                 .iter()
-                .map(|&x| anda_format::bfp::saturate_to_f16(x).to_f32().to_bits())
+                .map(|&x| anda_fp::saturate_to_f16(x).to_f32().to_bits())
                 .collect();
             assert_eq!(bits(rounded_row), expect, "layer {l} {which}");
         }

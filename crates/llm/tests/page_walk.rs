@@ -62,9 +62,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const POLICIES: [KvStorage; 5] = [
+const POLICIES: [KvStorage; 4] = [
     KvStorage::Fp16,
-    KvStorage::Bf16,
     KvStorage::Anda { mantissa_bits: 5 },
     KvStorage::Anda { mantissa_bits: 8 },
     KvStorage::Anda { mantissa_bits: 11 },

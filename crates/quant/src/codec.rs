@@ -5,8 +5,8 @@
 //! ("fake quantization"), which is numerically what the corresponding
 //! hardware datapath computes.
 
+use anda_format::align::fake_quantize_in_place;
 use anda_format::anda::AndaConfig;
-use anda_format::bfp::{fake_quantize_f32_in_place, BfpConfig};
 use anda_fp::batch::saturate_f16_widen_in_place;
 use anda_tensor::Matrix;
 
@@ -140,7 +140,8 @@ impl ActivationCodec {
     /// # Panics
     ///
     /// Panics if a [`ActivationCodec::Grouped`] codec was built with
-    /// `mantissa_bits` outside `1..=16` or a zero `group_size`.
+    /// `mantissa_bits` outside `1..=16` or a zero `group_size` (the
+    /// format quantiser checks both on every row).
     pub fn apply_matrix_in_place(&self, x: &mut Matrix) {
         let cols = x.cols();
         self.apply_rows_in_place(x.as_mut_slice(), cols);
@@ -157,14 +158,8 @@ impl ActivationCodec {
                 mantissa_bits,
                 group_size,
             } => {
-                let cfg = BfpConfig::new(group_size, mantissa_bits).unwrap_or_else(|_| {
-                    panic!(
-                        "grouped codec needs mantissa_bits in 1..=16 and a non-zero \
-                         group_size (got mantissa_bits {mantissa_bits}, group_size {group_size})"
-                    )
-                });
                 for row in block.chunks_mut(cols.max(1)) {
-                    fake_quantize_f32_in_place(row, cfg);
+                    fake_quantize_in_place(row, group_size, mantissa_bits);
                 }
             }
         }
@@ -186,7 +181,6 @@ impl ActivationCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anda_format::bfp::fake_quantize_f32;
 
     #[test]
     fn exact_is_identity() {
@@ -205,7 +199,8 @@ mod tests {
     fn grouped_matches_bfp() {
         let vals: Vec<f32> = (0..130).map(|i| (i as f32 - 65.0) * 0.07).collect();
         let codec = ActivationCodec::anda(6);
-        let direct = fake_quantize_f32(&vals, BfpConfig::new(64, 6).unwrap());
+        let mut direct = vals.clone();
+        fake_quantize_in_place(&mut direct, 64, 6);
         assert_eq!(codec.apply(&vals), direct);
         let mut into = vec![0.0; vals.len()];
         codec.apply_into(&vals, &mut into);

@@ -349,7 +349,7 @@ mod tests {
         use anda_format::align::align_group;
         use anda_format::bitplane::BitPlaneGroup;
         use anda_format::dot::dot_group_bit_serial;
-        use anda_fp::{saturate_to_f16, RoundingMode};
+        use anda_fp::saturate_to_f16;
 
         for (seed, (rows, k, n)) in [
             (30u64, (1, 64, 1)),
@@ -367,8 +367,7 @@ mod tests {
                     let groups: Vec<BitPlaneGroup> = acts
                         .chunks(ANDA_LANES)
                         .map(|chunk| {
-                            let aligned =
-                                align_group(chunk, m_bits, RoundingMode::Truncate).expect("finite");
+                            let aligned = align_group(chunk, m_bits).expect("finite");
                             BitPlaneGroup::from_aligned(&aligned)
                         })
                         .collect();

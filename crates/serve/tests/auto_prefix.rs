@@ -97,7 +97,6 @@ fn auto_prefix_is_bit_exact_across_storages() {
     for storage in [
         KvStorage::Fp32,
         KvStorage::Fp16,
-        KvStorage::Bf16,
         KvStorage::Anda { mantissa_bits: 6 },
         KvStorage::Anda { mantissa_bits: 11 },
     ] {

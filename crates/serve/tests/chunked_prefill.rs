@@ -25,10 +25,9 @@ fn llama() -> &'static Model {
     MODEL.get_or_init(|| sim_model("LLaMA-7B").unwrap().build())
 }
 
-const POLICIES: [KvStorage; 5] = [
+const POLICIES: [KvStorage; 4] = [
     KvStorage::Fp32,
     KvStorage::Fp16,
-    KvStorage::Bf16,
     KvStorage::Anda { mantissa_bits: 6 },
     KvStorage::Anda { mantissa_bits: 11 },
 ];

@@ -131,7 +131,6 @@ fn grouped_serving_matches_per_stream_oracle() {
     for storage in [
         KvStorage::Fp32,
         KvStorage::Fp16,
-        KvStorage::Bf16,
         KvStorage::Anda { mantissa_bits: 6 },
         KvStorage::Anda { mantissa_bits: 11 },
     ] {

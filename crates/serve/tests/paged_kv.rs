@@ -71,7 +71,6 @@ fn compressed_serving_matches_same_policy_solo_generate() {
     for m in [model(), llama()] {
         for storage in [
             KvStorage::Fp16,
-            KvStorage::Bf16,
             KvStorage::Anda { mantissa_bits: 6 },
             KvStorage::Anda { mantissa_bits: 11 },
         ] {

@@ -21,10 +21,9 @@ fn model() -> &'static Model {
     MODEL.get_or_init(|| opt_125m_sim().build())
 }
 
-const POLICIES: [KvStorage; 5] = [
+const POLICIES: [KvStorage; 4] = [
     KvStorage::Fp32,
     KvStorage::Fp16,
-    KvStorage::Bf16,
     KvStorage::Anda { mantissa_bits: 6 },
     KvStorage::Anda { mantissa_bits: 11 },
 ];

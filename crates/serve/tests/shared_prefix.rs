@@ -68,7 +68,6 @@ fn shared_prefix_serving_is_bit_exact_vs_private_caches() {
         for storage in [
             KvStorage::Fp32,
             KvStorage::Fp16,
-            KvStorage::Bf16,
             KvStorage::Anda { mantissa_bits: 6 },
             KvStorage::Anda { mantissa_bits: 11 },
         ] {
@@ -196,7 +195,6 @@ fn admission_charges_only_unshared_pages() {
         for storage in [
             KvStorage::Fp32,
             KvStorage::Fp16,
-            KvStorage::Bf16,
             KvStorage::Anda { mantissa_bits: 6 },
             KvStorage::Anda { mantissa_bits: 11 },
         ] {

@@ -85,11 +85,6 @@ impl ActivationBuffer {
         self.words.len()
     }
 
-    /// Number of stored groups.
-    pub fn group_count(&self) -> usize {
-        self.directory.len()
-    }
-
     /// Reads one word.
     pub fn read_word(&self, addr: usize) -> Word {
         self.words[addr]

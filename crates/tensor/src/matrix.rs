@@ -146,11 +146,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics

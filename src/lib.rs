@@ -7,9 +7,9 @@
 //!
 //! | Re-export | Contents |
 //! |---|---|
-//! | [`fp`] | software IEEE binary16 ([`fp::F16`]), rounding, bit utilities |
+//! | [`fp`] | software IEEE binary16 ([`fp::F16`]), SIMD dispatch, batch FP16 rounding |
 //! | [`tensor`] | dense tensors, matmul, softmax, normalization |
-//! | [`format`](mod@format) | BFP + Anda formats, bit-plane layout, compressor, kernels |
+//! | [`format`](mod@format) | the Anda format: shared-exponent quantiser, bit-plane layout, compressor, kernels |
 //! | [`quant`] | weight-only INT quantization and baseline activation codecs |
 //! | [`llm`] | transformer inference engine, model zoo, perplexity eval |
 //! | [`serve`] | continuous-batching request scheduler over incremental decode |

@@ -4,8 +4,8 @@
 //! end-to-end value flow. Compile failure here means a re-export or a
 //! crate dependency edge broke.
 
-use anda::format::{AndaConfig, AndaTensor, BfpConfig, BfpTensor, BitPlaneGroup};
-use anda::fp::{RoundingMode, F16};
+use anda::format::{AndaConfig, AndaTensor, BitPlaneGroup};
+use anda::fp::F16;
 use anda::llm::modules::PrecisionCombo;
 use anda::llm::zoo::sim_models;
 use anda::quant::{gemm_anda, ActivationCodec, GemmScratch, IntWeightMatrix, WeightQuantConfig};
@@ -23,10 +23,11 @@ fn umbrella_reexports_resolve_and_interoperate() {
     let packed = AndaTensor::from_f16(&acts, cfg);
     assert_eq!(packed.to_f32().len(), acts.len());
 
-    // format: BFP and bit-plane layers are reachable too.
-    let bfp = BfpTensor::from_f32_saturating(&[1.0, 2.0, 3.0], BfpConfig::new(64, 8).unwrap());
-    assert_eq!(bfp.len(), 3);
-    let aligned = anda::format::align::align_group(&acts[..64], 8, RoundingMode::Truncate).unwrap();
+    // format: the streaming quantiser and bit-plane layers are reachable too.
+    let mut streamed = [1.0f32, 2.0, 3.0];
+    anda::format::align::fake_quantize_in_place(&mut streamed, 64, 8);
+    assert_eq!(streamed, [1.0, 2.0, 3.0]);
+    let aligned = anda::format::align::align_group(&acts[..64], 8).unwrap();
     let plane = BitPlaneGroup::from_aligned(&aligned);
     assert_eq!(plane.len(), 64);
 

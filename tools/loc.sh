@@ -16,3 +16,5 @@ block crates/llm/src/model.rs crates/llm/src/kv.rs $(find crates/serve/src -name
 block crates/tensor/src/matrix.rs crates/tensor/src/tile.rs
 # The reproduction harness: the `figures` registry, its context, the CLI.
 block $(find crates/bench/src -name '*.rs' | sort)
+# The number formats and codecs everything above is built on.
+block $(find crates/format/src crates/quant/src crates/fp/src -name '*.rs' | sort)
