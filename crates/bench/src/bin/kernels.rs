@@ -83,7 +83,8 @@ const SECTIONS: [Section; 8] = [
     ),
     (
         "fp_int_gemm",
-        "us per 16x256x64 FP-INT GeMM (W4, groups of 128)",
+        "us per 16x256x64 FP-INT GeMM (W4, groups of 128), and per 256x1024 W4 weight \
+         quantisation (the set-up clip search, groups of 64)",
         fp_int_gemm,
     ),
 ];
@@ -533,21 +534,29 @@ fn conversion(o: &Opts) -> Table {
 fn fp_int_gemm(o: &Opts) -> Table {
     let (x, wq) = (random(16, 256, 3, 1.0), int4_weights(256, 64, 9));
     let mut table = Table::new(["path", "us"]);
-    let mut row = |path: &str, run: &dyn Fn() -> Matrix| {
-        table.row([path.to_string(), format!("{:.1}", o.time(run) * 1e6)]);
+    let mut row = |path: &str, seconds: f64| {
+        table.row([path.to_string(), format!("{:.1}", seconds * 1e6)]);
     };
     for (path, codec) in [
         ("fp16_path", ActivationCodec::Fp16),
         ("fake_quant_anda8", ActivationCodec::anda(8)),
     ] {
-        row(path, &|| {
-            gemm_fake_quant(black_box(&x), black_box(&wq), &codec)
-        });
+        row(
+            path,
+            o.time(|| gemm_fake_quant(black_box(&x), black_box(&wq), &codec)),
+        );
     }
     for m in [4u32, 8] {
-        row(&format!("integer_bit_serial M={m}"), &|| {
-            gemm_anda(black_box(&x), black_box(&wq), m)
-        });
+        row(
+            &format!("integer_bit_serial M={m}"),
+            o.time(|| gemm_anda(black_box(&x), black_box(&wq), m)),
+        );
     }
+    // The offline W4 step itself, under the config a model's set-up uses.
+    let w = random(256, 1024, 9, 0.05);
+    row(
+        "w4_quantize 256x1024",
+        o.time(|| IntWeightMatrix::quantize(black_box(&w), WeightQuantConfig::w4_sim())),
+    );
     table
 }

@@ -518,10 +518,11 @@ mod avx2 {
 
     /// AVX2 leg of [`encode_row_into`]: two passes of 8 lanes per step.
     ///
-    /// Pass 1 saturates to FP16 (NaN→0, clamp to ±65504 — matching
-    /// `saturate_to_f16`), decomposes the f16 bits into explicit-hidden-bit
-    /// magnitudes and effective biased exponents with masked selects, and
-    /// keeps a running vector max for the shared exponent. Pass 2 replays
+    /// Pass 1 saturates to FP16 on F16C (`anda_fp`'s saturating lane
+    /// primitive — `saturate_to_f16`'s bits), decomposes the f16 bits into
+    /// explicit-hidden-bit magnitudes and effective biased exponents with
+    /// masked selects, and keeps a running vector max for the shared
+    /// exponent. Pass 2 replays
     /// `align_element` branchlessly: the variable truncating right shift is
     /// `_mm256_srlv_epi32` with the shift clamped to 28 (magnitudes are
     /// < 2^27, so every shift ≥ 28 yields 0), then scatters mantissa bits
@@ -529,8 +530,8 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
+    /// Requires AVX2 and F16C.
+    #[target_feature(enable = "avx2,f16c")]
     pub unsafe fn encode_row(
         values: &[f32],
         cfg: AndaConfig,
@@ -540,8 +541,6 @@ mod avx2 {
     ) {
         check_encode_buffers(values, cfg, signs, exps, planes);
         let m = cfg.mantissa_bits();
-        let max_f16 = _mm256_set1_ps(65504.0);
-        let min_f16 = _mm256_set1_ps(-65504.0);
         let one = _mm256_set1_epi32(1);
         let m_v = _mm256_set1_epi32(m as i32);
         for (gi, chunk) in values.chunks(cfg.group_size()).enumerate() {
@@ -553,10 +552,7 @@ mod avx2 {
             // Pass 1: saturate → f16 bits → (magnitude, effective exponent).
             for c in 0..full {
                 let v = _mm256_loadu_ps(chunk.as_ptr().add(c * 8));
-                let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
-                let clamped =
-                    _mm256_andnot_ps(nan, _mm256_max_ps(_mm256_min_ps(v, max_f16), min_f16));
-                let h = anda_fp::simd::x86::f32x8_to_f16_bits(clamped);
+                let h = _mm256_cvtepu16_epi32(anda_fp::simd::x86::saturate_f32x8_to_f16(v));
                 // f16 sign bit 15 → lane bit 31 → movemask byte.
                 let neg = _mm256_slli_epi32(h, 16);
                 let smask = _mm256_movemask_ps(_mm256_castsi256_ps(neg)) as u64;

@@ -2,13 +2,16 @@
 //!
 //! The KV cache's rounded row policy (`Fp16` in `anda-llm`) rounds whole
 //! `d_model`-wide rows per cached position, and the FP16 activation
-//! codec rounds every block between GEMMs — per-element calls
-//! into the branchy scalar converters dominate those paths. The slice
-//! kernels here process 8 (AVX2) or 4 (NEON) lanes per step using
-//! branchless bit manipulation (masked selects instead of per-element
-//! branches on subnormals/NaN), and every kernel is `to_bits`-identical
-//! to its scalar twin — the twin *is* the oracle, enforced by the
-//! property suites on every available [`SimdLeg`].
+//! codec rounds every block between GEMMs, and model synthesis rounds
+//! every GEMM weight once — per-element calls into the branchy scalar
+//! converters dominate those paths. The slice kernels here process 8
+//! (AVX2) or 4 (NEON) lanes per step. The AVX2 leg is F16C and
+//! saturating: NaN lanes are zeroed and the rest clamped to ±65504 before
+//! `vcvtps2ph` narrows them, so `vcvtph2ps` never widens a NaN (it would
+//! quieten a signalling one). The NEON leg converts with branchless bit
+//! manipulation. Every kernel is `to_bits`-identical to its scalar twin —
+//! the twin *is* the oracle, enforced by the property suites on every
+//! available [`SimdLeg`].
 
 use crate::f16::saturate_to_f16;
 use crate::simd::{active_leg, SimdLeg};
@@ -111,26 +114,17 @@ pub fn saturate_f16_widen_in_place_scalar(v: &mut [f32]) {
 
 /// # Safety
 ///
-/// Requires AVX2; `src` and `dst` must each be valid for `len` elements
-/// and either be the same pointer or not overlap (every element is read
-/// before its slot is written).
+/// Requires AVX2 and F16C; `src` and `dst` must each be valid for `len`
+/// elements and either be the same pointer or not overlap (every element
+/// is read before its slot is written).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,f16c")]
 unsafe fn saturate_f16_widen_avx2(src: *const f32, dst: *mut f32, len: usize) {
     use core::arch::x86_64::*;
-    let max = _mm256_set1_ps(65504.0);
-    let neg_max = _mm256_set1_ps(-65504.0);
     let chunks = len / 8;
     for c in 0..chunks {
-        let v = _mm256_loadu_ps(src.add(c * 8));
-        // NaN lanes become +0 (the saturation convention); the clamp
-        // keeps every remaining lane finite so the f16 conversion can
-        // never produce an infinity.
-        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
-        let clamped = _mm256_andnot_ps(nan, _mm256_max_ps(_mm256_min_ps(v, max), neg_max));
-        let h = crate::simd::x86::f32x8_to_f16_bits(clamped);
-        let w = crate::simd::x86::f16_bits_to_f32x8(h);
-        _mm256_storeu_ps(dst.add(c * 8), w);
+        let h = crate::simd::x86::saturate_f32x8_to_f16(_mm256_loadu_ps(src.add(c * 8)));
+        _mm256_storeu_ps(dst.add(c * 8), _mm256_cvtph_ps(h));
     }
     for i in chunks * 8..len {
         *dst.add(i) = saturate_to_f16(*src.add(i)).to_f32();

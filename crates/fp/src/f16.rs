@@ -4,7 +4,7 @@ use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, Div, Mul, Neg, Sub};
 
-use crate::rounding::{shift_right_round, RoundingMode};
+use crate::rounding::shift_right_round;
 
 /// Number of explicit fraction (mantissa-field) bits in binary16.
 pub const FRAC_BITS: u32 = 10;
@@ -309,7 +309,7 @@ fn f32_to_f16_bits(value: f32) -> u16 {
         // that bit 0 has weight 2^-24.
         let sig = if exp == 0 { frac } else { frac | 0x0080_0000 };
         let shift = (14 - e16) as u32; // 14..=24
-        let rounded = shift_right_round(u64::from(sig), shift, RoundingMode::NearestEven);
+        let rounded = shift_right_round(u64::from(sig), shift);
         return sign | (rounded as u16);
     }
 
@@ -318,7 +318,7 @@ fn f32_to_f16_bits(value: f32) -> u16 {
     // the exponent and fraction fields are adjacent.
     let base = (u32::from(sign) << 16) as u64;
     let joined = ((e16 as u64) << 23) | u64::from(frac);
-    let rounded = shift_right_round(joined, 13, RoundingMode::NearestEven);
+    let rounded = shift_right_round(joined, 13);
     (base >> 16) as u16 | (rounded as u16)
 }
 

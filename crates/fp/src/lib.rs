@@ -8,11 +8,12 @@
 //!   conversions from/to `f32`, full subnormal and special-value handling.
 //! - [`Significand`] — the fixed-point view (hidden bit made explicit) used by
 //!   block-floating-point conversion in the `anda-format` crate.
-//! - [`rounding`] — shift-right-with-rounding primitives: [`F16`] narrowing
-//!   rounds to nearest-even through them.
+//! - [`rounding`] — the nearest-even right shift [`F16`] narrowing rounds
+//!   with.
 //! - [`simd`] — the runtime SIMD dispatch layer ([`SimdLeg`], feature
-//!   detection, the `ANDA_SIMD` override) plus the AVX2/NEON f16↔f32 lane
-//!   conversion primitives shared by every vector kernel in the workspace.
+//!   detection, the `ANDA_SIMD` override) plus the FP16 lane primitives
+//!   shared by every vector kernel in the workspace (F16C on the AVX2
+//!   leg, software on NEON).
 //! - [`batch`] — dispatched whole-slice rounding of `f32` rows through
 //!   FP16 (the `Fp16` KV row policy, the FP16 activation codec), each with
 //!   a scalar twin as its bit-exactness oracle.
@@ -33,5 +34,4 @@ pub mod rounding;
 pub mod simd;
 
 pub use f16::{saturate_to_f16, Significand, F16};
-pub use rounding::{shift_right_round, RoundingMode};
 pub use simd::{active_leg, available_legs, cpu_features, SimdLeg};

@@ -4,8 +4,11 @@
 //! the batch FP16 conversions in this crate, the GeMM inner loops in
 //! `anda-tensor`/`anda-quant`) exists in two or three *legs*: a scalar
 //! reference implementation and `std::arch` vector implementations for
-//! AVX2 (x86-64) and NEON (aarch64). This module is the single place that
-//! decides which leg runs:
+//! AVX2 (x86-64) and NEON (aarch64). The AVX2 leg also requires F16C: its
+//! FP16 lane primitive (`x86::saturate_f32x8_to_f16`) narrows on F16C
+//! and is saturating, so the F16C widen never sees a NaN. NEON converts
+//! FP16 in software. This module is the single place that decides which
+//! leg runs:
 //!
 //! - CPU features are detected once per process (`is_x86_feature_detected!`
 //!   / `is_aarch64_feature_detected!`).
@@ -29,7 +32,7 @@ use std::sync::OnceLock;
 pub enum SimdLeg {
     /// Portable scalar Rust — the bit-exactness oracle, always available.
     Scalar,
-    /// 256-bit AVX2 integer/float vectors (x86-64).
+    /// 256-bit AVX2 integer/float vectors plus F16C conversions (x86-64).
     Avx2,
     /// 128-bit NEON vectors (aarch64).
     Neon,
@@ -71,10 +74,12 @@ impl SimdLeg {
     }
 }
 
+/// The AVX2 leg is AVX2 plus F16C (its FP16 conversions are `vcvtps2ph` /
+/// `vcvtph2ps`), so one check covers every instruction its kernels use.
 fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("f16c")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -190,127 +195,37 @@ pub fn cpu_features() -> String {
     }
 }
 
-/// AVX2 lane primitives shared by this crate's batch conversions and the
-/// `anda-format` row codec. All functions here compile with the `avx2`
-/// target feature and must only be called after runtime detection.
+/// The AVX2 leg's FP16 lane primitive, shared by this crate's batch
+/// conversion and the `anda-format` row codec. It compiles with the
+/// `avx2` and `f16c` target features — [`SimdLeg::Avx2`] requires both —
+/// and must only be called after runtime detection.
 #[cfg(target_arch = "x86_64")]
 pub mod x86 {
     use core::arch::x86_64::*;
 
-    /// Converts 8 `f32` lanes to binary16 bit patterns (in the low 16 bits
-    /// of each `i32` lane), bit-identical to [`crate::F16::from_f32`] for
-    /// every input including subnormals, infinities and NaN payloads.
+    /// Rounds 8 `f32` lanes through saturating binary16: lane `i` of the
+    /// result is `saturate_to_f16(v[i]).to_bits()` (NaN lanes become +0,
+    /// the rest are clamped to ±65504, then F16C narrows them with
+    /// nearest-even). Widen with `_mm256_cvtph_ps`, which is then exact:
+    /// the saturation is what makes it so, since F16C quietens the
+    /// signalling NaNs the scalar widen keeps, and no NaN gets this far.
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn f32x8_to_f16_bits(v: __m256) -> __m256i {
-        let bits = _mm256_castps_si256(v);
-        let zero = _mm256_setzero_si256();
-        let sign = _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(0x8000));
-        let exp = _mm256_and_si256(_mm256_srli_epi32(bits, 23), _mm256_set1_epi32(0xFF));
-        let frac = _mm256_and_si256(bits, _mm256_set1_epi32(0x007F_FFFF));
-        // Target binary16 biased exponent: e16 = exp - 127 + 15.
-        let e16 = _mm256_sub_epi32(exp, _mm256_set1_epi32(112));
-
-        // Normal path (1 <= e16 <= 30): round the adjacent exponent|fraction
-        // word right by 13 with nearest-even, exactly `round_shift_rne`:
-        // (joined + 0xFFF + lsb) >> 13. A fraction carry bumps the exponent
-        // (possibly to infinity) because the fields are adjacent.
-        let joined = _mm256_or_si256(_mm256_slli_epi32(e16, 23), frac);
-        let lsb = _mm256_and_si256(_mm256_srli_epi32(joined, 13), _mm256_set1_epi32(1));
-        let normal = _mm256_srli_epi32(
-            _mm256_add_epi32(joined, _mm256_add_epi32(_mm256_set1_epi32(0xFFF), lsb)),
-            13,
+    /// The caller must have verified AVX2 and F16C support at runtime.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn saturate_f32x8_to_f16(v: __m256) -> __m128i {
+        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+        let clamped = _mm256_max_ps(
+            _mm256_min_ps(v, _mm256_set1_ps(65504.0)),
+            _mm256_set1_ps(-65504.0),
         );
-
-        // Subnormal path (-10 <= e16 <= 0): shift the 24-bit significand
-        // (hidden bit explicit for normals) right by 14 - e16 with RNE.
-        let hidden = _mm256_andnot_si256(
-            _mm256_cmpeq_epi32(exp, zero),
-            _mm256_set1_epi32(0x0080_0000),
-        );
-        let sig = _mm256_or_si256(frac, hidden);
-        let shift = _mm256_sub_epi32(_mm256_set1_epi32(14), e16); // 14..=24 where selected
-        let half_m1 = _mm256_sub_epi32(
-            _mm256_sllv_epi32(
-                _mm256_set1_epi32(1),
-                _mm256_sub_epi32(shift, _mm256_set1_epi32(1)),
-            ),
-            _mm256_set1_epi32(1),
-        );
-        let sub_lsb = _mm256_and_si256(_mm256_srlv_epi32(sig, shift), _mm256_set1_epi32(1));
-        let subnormal = _mm256_srlv_epi32(
-            _mm256_add_epi32(sig, _mm256_add_epi32(half_m1, sub_lsb)),
-            shift,
-        );
-
-        // Special path (exp == 0xFF): infinity keeps a zero fraction, NaN
-        // keeps its payload's top bits and a set quiet bit.
-        let frac_nz = _mm256_xor_si256(_mm256_cmpeq_epi32(frac, zero), _mm256_set1_epi32(-1));
-        let nan_bits = _mm256_and_si256(
-            frac_nz,
-            _mm256_or_si256(
-                _mm256_set1_epi32(0x0200),
-                _mm256_and_si256(_mm256_srli_epi32(frac, 13), _mm256_set1_epi32(0x03FF)),
-            ),
-        );
-        let special = _mm256_or_si256(_mm256_set1_epi32(0x7C00), nan_bits);
-
-        // Select: underflow-to-zero default, then subnormal, normal,
-        // overflow-to-infinity, and specials (exp == 0xFF also satisfies
-        // e16 > 30, so the special blend must come last).
-        let ge1 = _mm256_cmpgt_epi32(e16, zero);
-        let ge_m10 = _mm256_cmpgt_epi32(e16, _mm256_set1_epi32(-11));
-        let gt30 = _mm256_cmpgt_epi32(e16, _mm256_set1_epi32(30));
-        let mut h = zero;
-        h = _mm256_blendv_epi8(h, subnormal, _mm256_andnot_si256(ge1, ge_m10));
-        h = _mm256_blendv_epi8(h, normal, _mm256_andnot_si256(gt30, ge1));
-        h = _mm256_blendv_epi8(h, _mm256_set1_epi32(0x7C00), gt30);
-        h = _mm256_blendv_epi8(h, special, _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(0xFF)));
-        _mm256_or_si256(h, sign)
-    }
-
-    /// Converts 8 binary16 bit patterns (low 16 bits of each `i32` lane)
-    /// to `f32` lanes, bit-identical to [`crate::F16::to_f32`].
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn f16_bits_to_f32x8(h: __m256i) -> __m256 {
-        let zero = _mm256_setzero_si256();
-        let sign = _mm256_slli_epi32(_mm256_and_si256(h, _mm256_set1_epi32(0x8000)), 16);
-        let exp = _mm256_and_si256(_mm256_srli_epi32(h, 10), _mm256_set1_epi32(0x1F));
-        let frac = _mm256_and_si256(h, _mm256_set1_epi32(0x03FF));
-        let frac13 = _mm256_slli_epi32(frac, 13);
-
-        // Normal: rebase the exponent. Special: force exponent 0xFF.
-        let normal = _mm256_or_si256(
-            _mm256_slli_epi32(_mm256_add_epi32(exp, _mm256_set1_epi32(112)), 23),
-            frac13,
-        );
-        let special = _mm256_or_si256(_mm256_set1_epi32(0x7F80_0000), frac13);
-        // Subnormal (or zero): the value is exactly frac · 2^-24, and both
-        // the i32→f32 convert and the power-of-two multiply are exact.
-        let subnormal = _mm256_castps_si256(_mm256_mul_ps(
-            _mm256_cvtepi32_ps(frac),
-            _mm256_set1_ps(f32::from_bits((127 - 24) << 23)),
-        ));
-
-        let mut out = normal;
-        out = _mm256_blendv_epi8(out, subnormal, _mm256_cmpeq_epi32(exp, zero));
-        out = _mm256_blendv_epi8(
-            out,
-            special,
-            _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(0x1F)),
-        );
-        _mm256_castsi256_ps(_mm256_or_si256(out, sign))
+        _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_andnot_ps(nan, clamped))
     }
 }
 
-/// NEON lane primitives, mirroring [`x86`] at 128-bit width.
+/// NEON lane primitives: the FP16 conversions in software, 4 lanes wide,
+/// bit-identical to the scalar [`crate::F16`] converters on every input.
 #[cfg(target_arch = "aarch64")]
 pub mod neon {
     use core::arch::aarch64::*;
@@ -429,33 +344,57 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
+    fn the_avx2_leg_requires_f16c() {
+        if SimdLeg::Avx2.is_available() {
+            assert!(std::arch::is_x86_feature_detected!("f16c"));
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
     fn avx2_f16_conversion_lanes_match_scalar() {
         if !SimdLeg::Avx2.is_available() {
             return;
         }
+        use crate::{saturate_to_f16, F16};
         use core::arch::x86_64::*;
-        // Every binary16 bit pattern widens identically, and converting
-        // the widened value back reproduces the scalar round trip.
-        for base in (0..=u16::MAX).step_by(8) {
-            let mut h = [0u32; 8];
-            for (i, hi) in h.iter_mut().enumerate() {
-                *hi = u32::from(base.wrapping_add(i as u16));
-            }
+        // Every finite binary16 value, every midpoint of two adjacent ones
+        // and its ±1-ulp f32 neighbours, the overflow edge, infinities,
+        // NaN payloads and f32 subnormals — each with both signs.
+        let mut inputs = vec![65504.0, 65520.0, f32::INFINITY, f32::MAX];
+        for bits in 0..0x7C00u16 {
+            let x = F16::from_bits(bits).to_f32();
+            inputs.push(x);
+            let mid = (x + F16::from_bits(bits + 1).to_f32()) * 0.5;
+            inputs.extend([mid, mid.next_down(), mid.next_up()]);
+        }
+        for payload in [1, 0x1FFF, 0x2000, 0x0040_0000, 0x0040_0001, 0x007F_FFFF] {
+            inputs.push(f32::from_bits(0x7F80_0000 | payload));
+        }
+        for sub in [1, 2, 0x1000, 0x0040_0000, 0x007F_FFFF] {
+            inputs.push(f32::from_bits(sub));
+        }
+        inputs.extend(inputs.clone().into_iter().map(|x| -x));
+        for lanes in inputs.chunks(8) {
+            let mut v = [0f32; 8];
+            v[..lanes.len()].copy_from_slice(lanes);
+            let (mut narrow, mut wide) = ([0u16; 8], [0f32; 8]);
+            // SAFETY: the AVX2 leg (so AVX2 and F16C) is available; the
+            // loads and stores cover 8-lane local arrays.
             unsafe {
-                let hv = _mm256_loadu_si256(h.as_ptr().cast());
-                let wide = x86::f16_bits_to_f32x8(hv);
-                let mut w = [0f32; 8];
-                _mm256_storeu_ps(w.as_mut_ptr(), wide);
-                let back = x86::f32x8_to_f16_bits(wide);
-                let mut b = [0u32; 8];
-                _mm256_storeu_si256(b.as_mut_ptr().cast(), back);
-                for i in 0..8 {
-                    let bits = h[i] as u16;
-                    let scalar_wide = crate::F16::from_bits(bits).to_f32();
-                    assert_eq!(w[i].to_bits(), scalar_wide.to_bits(), "widen {bits:#06x}");
-                    let scalar_back = crate::F16::from_f32(scalar_wide).to_bits();
-                    assert_eq!(b[i] as u16, scalar_back, "narrow {bits:#06x}");
-                }
+                let h = x86::saturate_f32x8_to_f16(_mm256_loadu_ps(v.as_ptr()));
+                _mm_storeu_si128(narrow.as_mut_ptr().cast(), h);
+                _mm256_storeu_ps(wide.as_mut_ptr(), _mm256_cvtph_ps(h));
+            }
+            for i in 0..8 {
+                let scalar = saturate_to_f16(v[i]);
+                let x = v[i].to_bits();
+                assert_eq!(narrow[i], scalar.to_bits(), "narrow {x:#010x}");
+                assert_eq!(
+                    wide[i].to_bits(),
+                    scalar.to_f32().to_bits(),
+                    "round trip {x:#010x}"
+                );
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Property-based tests for the software FP16 implementation.
 
-use anda_fp::{shift_right_round, RoundingMode, F16};
+use anda_fp::rounding::shift_right_round;
+use anda_fp::F16;
 use proptest::prelude::*;
 
 proptest! {
@@ -64,13 +65,17 @@ proptest! {
         prop_assert_eq!(x.total_cmp(&y), y.total_cmp(&x).reverse());
     }
 
-    /// Truncating shift never exceeds RNE shift, and both are within 1.
+    /// The nearest-even shift is the exact quotient `value / 2^shift`
+    /// rounded: within half of it, and on an exact half, the even one.
     #[test]
-    fn rounding_modes_bracket(value in any::<u32>(), shift in 0u32..40) {
-        let t = shift_right_round(u64::from(value), shift, RoundingMode::Truncate);
-        let r = shift_right_round(u64::from(value), shift, RoundingMode::NearestEven);
-        prop_assert!(t <= r);
-        prop_assert!(r - t <= 1);
+    fn nearest_even_shift_brackets_the_exact_quotient(value in any::<u32>(), shift in 0u32..40) {
+        let r = shift_right_round(u64::from(value), shift);
+        // Twice |r - value / 2^shift|, in units of 2^-shift: exact in u128.
+        let twice_dist = (u128::from(r) << shift).abs_diff(u128::from(value)) * 2;
+        prop_assert!(twice_dist <= 1u128 << shift, "value {value} shift {shift} -> {r}");
+        if twice_dist == 1u128 << shift {
+            prop_assert_eq!(r % 2, 0, "tie of {} >> {} not even", value, shift);
+        }
     }
 
     /// Arithmetic through f32 is commutative for add/mul on finite values.

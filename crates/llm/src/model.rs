@@ -21,7 +21,7 @@
 //! perplexity, the precision search and the figure binaries measure the
 //! code requests run.
 
-use anda_fp::saturate_to_f16;
+use anda_fp::batch::saturate_f16_widen_in_place;
 use anda_quant::{IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{ops, Matrix, Rng};
 use rayon_lite::ThreadPool;
@@ -208,9 +208,11 @@ impl Model {
         model
     }
 
-    /// Rounds all GeMM weights to FP16 values (the FP16 storage baseline).
+    /// Rounds all GeMM weights to FP16 values (the FP16 storage baseline):
+    /// `saturate_to_f16(v).to_f32()` per weight, on the dispatched slice
+    /// kernel (`to_bits`-equal to that scalar expression on every leg).
     fn round_weights_to_f16(&mut self) {
-        let round = |m: &mut Matrix| m.map_inplace(|v| saturate_to_f16(v).to_f32());
+        let round = |m: &mut Matrix| saturate_f16_widen_in_place(m.as_mut_slice());
         for layer in &mut self.layers {
             round(&mut layer.wqkv);
             round(&mut layer.wo);
@@ -224,36 +226,45 @@ impl Model {
 
     /// Produces the weight-only quantized (W4A16-style) version of this
     /// model: GeMM weights are group-wise INT4; effective weights become the
-    /// dequantized values; quantized handles are retained.
+    /// dequantized values; quantized handles are retained. Built from
+    /// `&self` without copying the `f32` weights it replaces.
     pub fn quantize_weights(&self, qcfg: WeightQuantConfig) -> Model {
-        let mut out = self.clone();
-        out.mode = WeightMode::Int4;
-        for layer in &mut out.layers {
-            let qqkv = IntWeightMatrix::quantize(&layer.wqkv, qcfg);
-            let qo = IntWeightMatrix::quantize(&layer.wo, qcfg);
-            let qgate = layer
-                .wgate
-                .as_ref()
-                .map(|g| IntWeightMatrix::quantize(g, qcfg));
-            let qup = IntWeightMatrix::quantize(&layer.wup, qcfg);
-            let qdown = IntWeightMatrix::quantize(&layer.wdown, qcfg);
-
-            layer.wqkv = qqkv.dequantize();
-            layer.wo = qo.dequantize();
-            if let Some(g) = &qgate {
-                layer.wgate = Some(g.dequantize());
-            }
-            layer.wup = qup.dequantize();
-            layer.wdown = qdown.dequantize();
-            layer.quantized = Some(LayerQuant {
-                wqkv: qqkv,
-                wo: qo,
-                wgate: qgate,
-                wup: qup,
-                wdown: qdown,
-            });
+        let quantize = |w: &Matrix| IntWeightMatrix::quantize(w, qcfg);
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| {
+                let q = LayerQuant {
+                    wqkv: quantize(&layer.wqkv),
+                    wo: quantize(&layer.wo),
+                    wgate: layer.wgate.as_ref().map(quantize),
+                    wup: quantize(&layer.wup),
+                    wdown: quantize(&layer.wdown),
+                };
+                Layer {
+                    attn_gain: layer.attn_gain.clone(),
+                    attn_bias: layer.attn_bias.clone(),
+                    ffn_gain: layer.ffn_gain.clone(),
+                    ffn_bias: layer.ffn_bias.clone(),
+                    wqkv: q.wqkv.dequantize(),
+                    wo: q.wo.dequantize(),
+                    wgate: q.wgate.as_ref().map(IntWeightMatrix::dequantize),
+                    wup: q.wup.dequantize(),
+                    wdown: q.wdown.dequantize(),
+                    quantized: Some(q),
+                }
+            })
+            .collect();
+        Model {
+            config: self.config.clone(),
+            mode: WeightMode::Int4,
+            embed: self.embed.clone(),
+            pos_embed: self.pos_embed.clone(),
+            layers,
+            final_gain: self.final_gain.clone(),
+            final_bias: self.final_bias.clone(),
+            logit_scale: self.logit_scale,
         }
-        out
     }
 
     /// The architecture configuration.
