@@ -4,11 +4,10 @@
 use anda_format::dot::reduction_costs;
 use anda_llm::config::ModelConfig;
 use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
-use anda_llm::modules::{ModuleKind, PrecisionCombo};
+use anda_llm::modules::PrecisionCombo;
 use anda_llm::zoo::real_model;
-use anda_sim::arch::Accelerator;
-use anda_sim::decode::{simulate_decode, simulate_decode_baseline, KvPolicy};
-use anda_sim::engine::{simulate_gemm_opts, GemmReport};
+use anda_sim::decode::{simulate_decode, simulate_decode_baseline};
+use anda_sim::engine::{simulate_gemms, GemmReport};
 use anda_sim::pe::{bit_parallel, PeKind};
 use anda_sim::workload::llm_gemms;
 use anda_tensor::Rng;
@@ -45,8 +44,8 @@ pub(super) fn decode_phase(_: &mut Ctx) -> Report {
     for context in [1024usize, 2048, 4096, 8192, 16384] {
         let base = simulate_decode_baseline(&cfg, context, n_new);
         let anda = |kv| simulate_decode(&cfg, context, n_new, PeKind::Anda, combo, kv);
-        let anda_fp16kv = anda(KvPolicy::Fp16);
-        let anda_andakv = anda(KvPolicy::Anda { mantissa_bits: 6 });
+        let anda_fp16kv = anda(KvStorage::Fp16);
+        let anda_andakv = anda(KvStorage::Anda { mantissa_bits: 6 });
         table.row([
             context.to_string(),
             format!("{:.1}", base.time_s * 1e3),
@@ -79,18 +78,9 @@ pub(super) fn ablation_extensions(_: &mut Ctx) -> Report {
 }
 
 /// The Anda accelerator's totals over the FP-INT GeMMs of a 2048-token
-/// prefill, each module's activations at `mantissa_of` bits.
-fn anda_totals(
-    cfg: &ModelConfig,
-    mantissa_of: impl Fn(ModuleKind) -> u32,
-    bpc: bool,
-) -> GemmReport {
-    let arch = Accelerator::paper(PeKind::Anda);
-    let mut totals = GemmReport::default();
-    for g in llm_gemms(cfg, 2048) {
-        totals.accumulate(&simulate_gemm_opts(&g, &arch, mantissa_of(g.module), bpc));
-    }
-    totals
+/// prefill, each module's activations at `combo`'s mantissa length.
+fn anda_totals(cfg: &ModelConfig, combo: PrecisionCombo, bpc: bool) -> GemmReport {
+    simulate_gemms(&llm_gemms(cfg, 2048), PeKind::Anda, combo, bpc)
 }
 
 /// **BPC on/off** — storage/energy effect of compressing MXU outputs at
@@ -105,8 +95,8 @@ fn ablate_bpc(report: &mut Report) {
         "energy ratio",
     ]);
     for m in [4u32, 6, 8, 11] {
-        let on = anda_totals(&cfg, |_| m, true);
-        let off = anda_totals(&cfg, |_| m, false);
+        let on = anda_totals(&cfg, PrecisionCombo::uniform(m), true);
+        let off = anda_totals(&cfg, PrecisionCombo::uniform(m), false);
         table.row([
             m.to_string(),
             format!("{:.1}", on.dram_bits() / 1e9),
@@ -225,7 +215,7 @@ fn ablate_module_routing(report: &mut Report) {
     let combos = [PrecisionCombo([6, 4, 5, 4]), PrecisionCombo::uniform(5)];
     let mut table = Table::new(["combo", "compute cycles (G)", "DRAM Gbit"]);
     for combo in combos {
-        let totals = anda_totals(&cfg, |module| combo.mantissa_for(module), true);
+        let totals = anda_totals(&cfg, combo, true);
         table.row([
             combo.to_string(),
             format!("{:.2}", totals.compute_cycles / 1e9),

@@ -8,7 +8,7 @@ use anda_llm::modules::{ModuleKind, PrecisionCombo};
 use anda_llm::opcount::generation_ops;
 use anda_llm::zoo::{real_model, real_models};
 use anda_quant::ActivationCodec;
-use anda_search::bops::uniform_bops_saving;
+use anda_search::bops::{bops_per_mac, uniform_bops_saving, BOPS_PER_FP16_INT4_MAC};
 use anda_sim::floorplan::{anda_total_area_mm2, anda_total_power_mw, ANDA_COMPONENTS};
 use anda_sim::pe::PeKind;
 use anda_sim::system::{geo_mean, simulate_baseline, simulate_model, SystemReport};
@@ -85,24 +85,25 @@ pub(super) fn fig08_workflows(_: &mut Ctx) -> Report {
 
     // (scheme, element conversions, compute BOPs, activation bits moved
     // to/from memory), per GeMM.
+    let fp16_bops = macs * BOPS_PER_FP16_INT4_MAC as f64;
     let schemes = [
         // INT4 weights expanded to FP16 once per weight element use.
-        ("(a) GPU FP-FP", k * n, macs * 64.0, fp16_traffic),
+        ("(a) GPU FP-FP", k * n, fp16_bops, fp16_traffic),
         // FP-INT units still pay alignment/normalization per MAC: model
         // as the full FP16 datapath width.
-        ("(b) GPU + FP-INT units", 0.0, macs * 64.0, fp16_traffic),
+        ("(b) GPU + FP-INT units", 0.0, fp16_bops, fp16_traffic),
         // FP16→BFP conversion repeated on every activation re-read.
         (
             "(c) FIGNA",
             m * k * reuse_passes,
-            macs * 4.0 * 13.0,
+            macs * bops_per_mac(13) as f64,
             fp16_traffic,
         ),
         // One output conversion through the BPC; inputs stay in Anda.
         (
             "(d) Anda",
             m * n,
-            macs * 4.0 * f64::from(anda_m),
+            macs * bops_per_mac(anda_m) as f64,
             m * k * anda_bits + m * n * anda_bits,
         ),
     ];

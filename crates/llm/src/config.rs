@@ -1,6 +1,7 @@
 //! Model architecture configuration.
 
 use crate::modules::ModuleKind;
+use crate::opcount::module_macs_all_layers;
 
 /// Transformer family: determines norms, FFN shape and position encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -52,8 +53,8 @@ impl ModelConfig {
 
     /// The FP-INT GeMM that `kind`'s activation feeds, as `(k, n,
     /// instances per layer)` of `x(·×k) · W(k×n)` — the one statement of
-    /// the four shapes; the MAC counts below, [`crate::opcount`] and the
-    /// simulator's workload extraction all derive from it.
+    /// the four shapes; [`crate::opcount`]'s per-module MACs (and so the
+    /// sum below) and the simulator's workload extraction derive from it.
     pub fn fp_int_gemm_shape(&self, kind: ModuleKind) -> (usize, usize, usize) {
         let (d, ffn) = (self.d_model, self.d_ffn);
         match kind {
@@ -77,16 +78,14 @@ impl ModelConfig {
     }
 
     /// FP-INT GeMM MAC count for one token passing through all blocks
-    /// (the four quantized module types only).
+    /// (the four quantized module types only) — the one sum of
+    /// [`module_macs_all_layers`] over [`ModuleKind::ALL`], which
+    /// [`crate::opcount::decode_ops`] and [`ModelConfig::param_count`] read.
     pub fn fp_int_macs_per_token(&self) -> u64 {
-        let per_block: u64 = ModuleKind::ALL
+        ModuleKind::ALL
             .iter()
-            .map(|&kind| {
-                let (k, n, count) = self.fp_int_gemm_shape(kind);
-                (k * n * count) as u64
-            })
-            .sum();
-        self.n_layers as u64 * per_block
+            .map(|&kind| module_macs_all_layers(self, kind))
+            .sum()
     }
 
     /// Attention (activation-activation, non-quantized) MAC count for one

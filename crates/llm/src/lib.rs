@@ -26,7 +26,8 @@
 //! - [`corpus`] — synthetic evaluation corpora generated *by the reference
 //!   model itself* (three corpora standing in for WikiText-2/PTB/C4).
 //! - [`eval`] — perplexity and relative-accuracy measurement.
-//! - [`opcount`] — analytical operation counting (Fig. 2).
+//! - [`opcount`] — analytical operation counting (Fig. 2): the one place
+//!   per-token work is derived (FP-INT MACs, attended positions).
 //! - [`kv`] — the §VI extension: the paged KV subsystem — a block-pool
 //!   page allocator with FP16 or Anda-compressed pages, refcounted
 //!   prefix sharing with copy-on-write, shared by solo decode and the

@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda_llm::model::BatchEntry;
 use anda_llm::zoo::{opt_125m_sim, sim_model};
-use anda_llm::{DecodeScratch, KvCache, Model, PageDecodeCache};
+use anda_llm::{DecodeScratch, KvCache, Model, ModuleKind, PageDecodeCache};
 use proptest::prelude::*;
 use rayon_lite::ThreadPool;
 
@@ -44,6 +44,17 @@ const POLICIES: [KvStorage; 4] = [
     KvStorage::Anda { mantissa_bits: 6 },
     KvStorage::Anda { mantissa_bits: 11 },
 ];
+
+/// GEMMs one step dispatches by the cost model: one per weight instance
+/// per layer, as [`anda_llm::ModelConfig::fp_int_gemm_shape`] counts them.
+fn ledger_gemms(model: &Model) -> u64 {
+    let cfg = model.config();
+    let per_layer: usize = ModuleKind::ALL
+        .iter()
+        .map(|&kind| cfg.fp_int_gemm_shape(kind).2)
+        .sum();
+    (per_layer * cfg.n_layers) as u64
+}
 
 /// Deterministic per-stream token pattern so streams differ from each
 /// other but runs are reproducible.
@@ -446,7 +457,7 @@ fn ragged_step(
 /// layer however many entries and spans it carries.
 #[test]
 fn ragged_steps_match_per_token_solo_decode() {
-    for (name, model, weights) in [("opt", model(), 4), ("llama", llama(), 5)] {
+    for (name, model) in [("opt", model()), ("llama", llama())] {
         for storage in [KvStorage::Fp16, KvStorage::Anda { mantissa_bits: 8 }] {
             let (want, _) = ragged_step(model, storage, 1, false);
             for threads in [1usize, 2, 4] {
@@ -454,7 +465,7 @@ fn ragged_steps_match_per_token_solo_decode() {
                 assert_eq!(got, want, "{name} {storage:?} {threads} threads");
                 assert_eq!(
                     gemms,
-                    weights * model.config().n_layers as u64,
+                    ledger_gemms(model),
                     "{name}: one GEMM per weight per layer per step"
                 );
             }
@@ -498,7 +509,7 @@ fn a_step_dispatches_one_gemm_per_weight_whatever_it_carries() {
             .collect();
         model.decode_hidden_batch(&mut entries, &mut decode_cache, &workers);
         let after = decode_cache.gemm_dispatches();
-        assert_eq!(after - before, 4 * n_layers as u64, "spans {spans:?}");
+        assert_eq!(after - before, ledger_gemms(model), "spans {spans:?}");
         before = after;
     }
 }

@@ -30,19 +30,11 @@ pub fn bops_per_token(cfg: &ModelConfig, combo: PrecisionCombo) -> u64 {
         .sum()
 }
 
-/// Total FP-INT GeMM BOPs for one token with FP16 activations (the
-/// Omniquant/GPU baseline).
-pub fn bops_per_token_fp16(cfg: &ModelConfig) -> u64 {
-    ModuleKind::ALL
-        .iter()
-        .map(|&k| module_macs_all_layers(cfg, k) * BOPS_PER_FP16_INT4_MAC)
-        .sum()
-}
-
 /// BOPs saving factor versus the FP16-activation baseline (Table II green
-/// numbers): `baseline / combo`.
+/// numbers): `baseline / combo`, the baseline being the uniform 16-bit
+/// combination (the Omniquant/GPU W4A16 setting).
 pub fn bops_saving(cfg: &ModelConfig, combo: PrecisionCombo) -> f64 {
-    bops_per_token_fp16(cfg) as f64 / bops_per_token(cfg, combo) as f64
+    bops_per_token(cfg, PrecisionCombo::uniform(16)) as f64 / bops_per_token(cfg, combo) as f64
 }
 
 /// BOPs saving of a *uniform* mantissa length (the FIGNA/VS-Quant rows).
@@ -61,6 +53,7 @@ mod tests {
         assert!((uniform_bops_saving(13) - 1.2308).abs() < 1e-3);
         assert!((uniform_bops_saving(4) - 4.0).abs() < 1e-12);
         assert!((uniform_bops_saving(16) - 1.0).abs() < 1e-12);
+        assert_eq!(bops_per_mac(16), BOPS_PER_FP16_INT4_MAC);
     }
 
     #[test]

@@ -6,40 +6,19 @@
 //! bound on weight streaming, plus attention reads over the growing KV
 //! cache. This module simulates that phase, including the §VI extension:
 //! storing the KV cache in the Anda format shrinks its DRAM traffic by
-//! `16 / (M_kv + 1 + 5/64)`.
+//! `16 / (M_kv + 1 + 5/64)`. The KV stream is priced per row by the
+//! engine's own page policy, [`KvStorage`], so a simulated decode streams
+//! exactly the bits a prefilled `anda_llm` cache holds.
 
 use anda_llm::config::ModelConfig;
+use anda_llm::kv::KvStorage;
 use anda_llm::modules::PrecisionCombo;
-use anda_quant::ActivationCodec;
+use anda_llm::opcount::attended_positions;
 
 use crate::arch::Accelerator;
-use crate::engine::{simulate_gemm, GemmReport};
+use crate::engine::{simulate_gemms, GemmReport};
 use crate::pe::PeKind;
 use crate::workload::llm_gemms;
-
-/// KV-cache storage policy for decode simulation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KvPolicy {
-    /// FP16 cache (the paper's §V configuration).
-    Fp16,
-    /// Anda-compressed cache at the given mantissa length (§VI extension).
-    Anda {
-        /// Mantissa length (1..=16).
-        mantissa_bits: u32,
-    },
-}
-
-impl KvPolicy {
-    /// Stored bits per cached element.
-    pub fn bits_per_element(self) -> f64 {
-        match self {
-            KvPolicy::Fp16 => 16.0,
-            KvPolicy::Anda { mantissa_bits } => {
-                ActivationCodec::anda(mantissa_bits).storage_bits_per_element()
-            }
-        }
-    }
-}
 
 /// Aggregate result of a decode-phase simulation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,55 +54,46 @@ impl DecodeReport {
 /// cache on the given architecture.
 ///
 /// Per generated token, the four FP-INT projection GeMVs run at the
-/// per-module mantissa lengths of `combo`; attention reads the full K and V
-/// caches (all layers) from memory under `kv_policy`.
+/// per-module mantissa lengths of `combo`; attention reads the K and V
+/// rows of every attended position ([`attended_positions`]) in every layer
+/// from memory, stored as the engine's `kv` policy stores them
+/// ([`KvStorage::row_bits`]) on Anda hardware and as FP16 on the
+/// baselines, which have no BPC.
 pub fn simulate_decode(
     cfg: &ModelConfig,
     context: usize,
     n_new: usize,
     kind: PeKind,
     combo: PrecisionCombo,
-    kv_policy: KvPolicy,
+    kv: KvStorage,
 ) -> DecodeReport {
     assert!(n_new > 0, "must decode at least one token");
     let arch = Accelerator::paper(kind);
 
     // Projection GeMVs: one token at a time → m = 1, n_new repetitions.
-    let mut gemm_totals = GemmReport::default();
-    let mut gemm_time = 0.0f64;
-    for mut g in llm_gemms(cfg, 1) {
+    let mut gemms = llm_gemms(cfg, 1);
+    for g in &mut gemms {
         g.count *= n_new;
-        let m_bits = match kind.datapath_mantissa_bits() {
-            Some(m) => m,
-            None => combo.mantissa_for(g.module),
-        };
-        let r = simulate_gemm(&g, &arch, m_bits);
-        gemm_time += r.time_s;
-        gemm_totals.accumulate(&r);
     }
-    gemm_totals.time_s = gemm_time;
+    let gemm = simulate_gemms(&gemms, kind, combo, true);
 
-    // KV-cache streaming: token i reads K and V for (context + i) positions
-    // across every layer; baselines use FP16, the §VI extension uses Anda.
-    let kv_bits_per_elem = match kind {
-        PeKind::Anda => kv_policy.bits_per_element(),
-        _ => 16.0,
+    // K and V rows of every attended position in every layer.
+    let kv = if kind == PeKind::Anda {
+        kv
+    } else {
+        KvStorage::Fp16
     };
-    let d = cfg.d_model as f64;
-    let layers = cfg.n_layers as f64;
-    let mut positions_read = 0.0f64;
-    for i in 0..n_new {
-        positions_read += (context + i) as f64;
-    }
-    let kv_dram_bits = 2.0 * d * layers * positions_read * kv_bits_per_elem;
+    let positions = attended_positions(context as u64, n_new as u64);
+    let row_bits = kv.row_bits(cfg.d_model) as u64;
+    let kv_dram_bits = (2 * cfg.n_layers as u64 * positions * row_bits) as f64;
     let kv_energy_pj = kv_dram_bits * arch.dram_pj_per_bit;
     let kv_time = kv_dram_bits / arch.dram_bits_per_s;
 
     DecodeReport {
-        gemm: gemm_totals,
+        gemm,
         kv_dram_bits,
         kv_energy_pj,
-        time_s: gemm_totals.time_s + kv_time,
+        time_s: gemm.time_s + kv_time,
     }
 }
 
@@ -135,7 +105,7 @@ pub fn simulate_decode_baseline(cfg: &ModelConfig, context: usize, n_new: usize)
         n_new,
         PeKind::FpFp,
         PrecisionCombo::uniform(16),
-        KvPolicy::Fp16,
+        KvStorage::Fp16,
     )
 }
 
@@ -168,7 +138,7 @@ mod tests {
             16,
             PeKind::Anda,
             PrecisionCombo::uniform(6),
-            KvPolicy::Fp16,
+            KvStorage::Fp16,
         );
         let s = anda.speedup_vs(&base);
         assert!(s > 1.0 && s < 2.0, "decode speedup {s}");
@@ -179,14 +149,14 @@ mod tests {
         // §VI synergy: at long contexts the KV stream grows linearly, and
         // compressing it buys real decode time.
         let combo = PrecisionCombo::uniform(6);
-        let fp16_kv = simulate_decode(&cfg(), 16384, 32, PeKind::Anda, combo, KvPolicy::Fp16);
+        let fp16_kv = simulate_decode(&cfg(), 16384, 32, PeKind::Anda, combo, KvStorage::Fp16);
         let anda_kv = simulate_decode(
             &cfg(),
             16384,
             32,
             PeKind::Anda,
             combo,
-            KvPolicy::Anda { mantissa_bits: 6 },
+            KvStorage::Anda { mantissa_bits: 6 },
         );
         assert!(anda_kv.kv_dram_bits < 0.5 * fp16_kv.kv_dram_bits);
         assert!(anda_kv.time_s < fp16_kv.time_s);
@@ -211,7 +181,7 @@ mod tests {
             8,
             PeKind::Figna,
             PrecisionCombo::uniform(16),
-            KvPolicy::Fp16,
+            KvStorage::Fp16,
         );
         let b = simulate_decode(
             &cfg(),
@@ -219,15 +189,27 @@ mod tests {
             8,
             PeKind::Figna,
             PrecisionCombo::uniform(16),
-            KvPolicy::Anda { mantissa_bits: 4 },
+            KvStorage::Anda { mantissa_bits: 4 },
         );
         assert_eq!(a.kv_dram_bits, b.kv_dram_bits);
     }
 
     #[test]
     fn bits_per_element_accounting() {
-        assert_eq!(KvPolicy::Fp16.bits_per_element(), 16.0);
-        let m5 = KvPolicy::Anda { mantissa_bits: 5 }.bits_per_element();
-        assert!((m5 - (6.0 + 5.0 / 64.0)).abs() < 1e-12);
+        // K and V of every layer at 2048 + 8·7/2 positions for 8 tokens.
+        let elements = 2.0 * 5120.0 * 40.0 * (8.0 * 2048.0 + 28.0);
+        let bits = |kv| {
+            simulate_decode(
+                &cfg(),
+                2048,
+                8,
+                PeKind::Anda,
+                PrecisionCombo::uniform(6),
+                kv,
+            )
+        };
+        assert_eq!(bits(KvStorage::Fp16).kv_dram_bits / elements, 16.0);
+        let m5 = bits(KvStorage::Anda { mantissa_bits: 5 }).kv_dram_bits / elements;
+        assert_eq!(m5, 6.0 + 5.0 / 64.0);
     }
 }

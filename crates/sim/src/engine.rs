@@ -17,6 +17,8 @@
 //! DRAM bit is staged through SRAM and re-read `SRAM_READS_PER_DRAM_BIT`
 //! times on average under the MXU's row/column broadcast reuse).
 
+use anda_llm::modules::PrecisionCombo;
+
 use crate::arch::Accelerator;
 use crate::pe::{fpfp_pj_per_mac, PeKind};
 use crate::workload::Gemm;
@@ -203,6 +205,33 @@ pub fn simulate_gemm_opts(
         energy_dram_pj,
         time_s,
     }
+}
+
+/// Simulates `gemms` on the paper's `kind` accelerator and sums the
+/// reports in order — the one simulate-and-sum loop the prefill, decode
+/// and ablation studies share. Each GeMM's activations are carried at
+/// `combo`'s mantissa length for its module; a fixed-width PE ignores the
+/// combination and runs at its datapath width.
+pub fn simulate_gemms(
+    gemms: &[Gemm],
+    kind: PeKind,
+    combo: PrecisionCombo,
+    compress_outputs: bool,
+) -> GemmReport {
+    let arch = Accelerator::paper(kind);
+    let mut totals = GemmReport::default();
+    for gemm in gemms {
+        let mantissa_bits = kind
+            .datapath_mantissa_bits()
+            .unwrap_or_else(|| combo.mantissa_for(gemm.module));
+        totals.accumulate(&simulate_gemm_opts(
+            gemm,
+            &arch,
+            mantissa_bits,
+            compress_outputs,
+        ));
+    }
+    totals
 }
 
 #[cfg(test)]

@@ -15,12 +15,14 @@
 //!   maximum-sequence prefill, per the paper's system-level setup).
 //! - [`engine`] — the per-GeMM timing/traffic/energy model: output-
 //!   stationary dataflow, buffer-capacity-driven DRAM re-streaming,
-//!   bit-serial group timing for Anda, BPC output compression.
+//!   bit-serial group timing for Anda, BPC output compression; and
+//!   `simulate_gemms`, the one simulate-and-sum loop over a GeMM list.
 //! - [`system`] — whole-model aggregation: speedup, area efficiency and
 //!   energy efficiency versus the FP-FP baseline (Figs. 16–18).
 //! - [`floorplan`] — the Anda component area/power breakdown (Table III).
-//! - [`decode`] — token-by-token decode-phase simulation with optional
-//!   Anda-compressed KV cache (the §VI long-context synergy).
+//! - [`decode`] — decode-phase simulation (the §VI long-context synergy):
+//!   the KV stream is priced per row by the engine's own
+//!   `anda_llm::kv::KvStorage` policy, over `opcount`'s attended positions.
 //! - [`functional`] — a word-by-word functional executor of the Fig. 13
 //!   datapath (buffers, address generation, APU array, BPC write-back),
 //!   verified bit-identical to the `anda-quant` integer GeMM.

@@ -4,8 +4,7 @@
 use anda_llm::config::ModelConfig;
 use anda_llm::modules::PrecisionCombo;
 
-use crate::arch::Accelerator;
-use crate::engine::{simulate_gemm, GemmReport};
+use crate::engine::{simulate_gemms, GemmReport};
 use crate::floorplan;
 use crate::pe::PeKind;
 use crate::workload::llm_gemms;
@@ -67,22 +66,9 @@ pub fn simulate_model(
     kind: PeKind,
     combo: PrecisionCombo,
 ) -> SystemReport {
-    let arch = Accelerator::paper(kind);
-    let mut totals = GemmReport::default();
-    let mut time = 0.0f64;
-    for gemm in llm_gemms(cfg, seq) {
-        let m_bits = match kind.datapath_mantissa_bits() {
-            Some(m) => m,
-            None => combo.mantissa_for(gemm.module),
-        };
-        let r = simulate_gemm(&gemm, &arch, m_bits);
-        time += r.time_s;
-        totals.accumulate(&r);
-    }
-    totals.time_s = time;
     SystemReport {
         kind,
-        totals,
+        totals: simulate_gemms(&llm_gemms(cfg, seq), kind, combo, true),
         area_mm2: floorplan::total_area_mm2(kind),
     }
 }

@@ -52,12 +52,6 @@ pub fn llm_gemms(cfg: &ModelConfig, seq: usize) -> Vec<Gemm> {
         .to_vec()
 }
 
-/// Total FP-INT MACs of one inference (sanity anchor against
-/// [`ModelConfig::fp_int_macs_per_token`]).
-pub fn total_macs(cfg: &ModelConfig, seq: usize) -> u64 {
-    llm_gemms(cfg, seq).iter().map(Gemm::total_macs).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,8 +61,9 @@ mod tests {
     fn gemm_macs_match_opcount_model() {
         for cfg in zoo::real_models() {
             let seq = 2048;
+            let total: u64 = llm_gemms(&cfg, seq).iter().map(Gemm::total_macs).sum();
             assert_eq!(
-                total_macs(&cfg, seq),
+                total,
                 cfg.fp_int_macs_per_token() * seq as u64,
                 "{}",
                 cfg.name

@@ -6,7 +6,7 @@
 use anda::llm::kv::{KvPoolConfig, KvReadScratch, KvStorage, PagePool};
 use anda::llm::modules::PrecisionCombo;
 use anda::llm::zoo::real_model;
-use anda::sim::decode::{simulate_decode, simulate_decode_baseline, KvPolicy};
+use anda::sim::decode::{simulate_decode, simulate_decode_baseline};
 use anda::sim::pe::PeKind;
 use anda::tensor::Rng;
 
@@ -72,7 +72,7 @@ fn main() {
             64,
             PeKind::Anda,
             combo,
-            KvPolicy::Anda { mantissa_bits: 6 },
+            KvStorage::Anda { mantissa_bits: 6 },
         );
         println!(
             "  context {context:>6}: {:.2}x faster, {:.2}x energy efficiency",

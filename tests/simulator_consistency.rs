@@ -1,12 +1,16 @@
 //! Cross-crate integration: hardware simulator results must be consistent
 //! with the search's BOPs cost model and the paper's headline claims.
 
+use anda::llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda::llm::modules::{ModuleKind, PrecisionCombo};
-use anda::llm::zoo::{real_model, real_models};
-use anda::search::bops::{bops_per_token, bops_per_token_fp16};
+use anda::llm::opcount::decode_ops;
+use anda::llm::zoo::{real_model, real_models, sim_model};
+use anda::llm::DecodeScratch;
+use anda::search::bops::bops_saving;
+use anda::sim::decode::simulate_decode;
 use anda::sim::pe::PeKind;
 use anda::sim::system::{geo_mean, simulate_baseline, simulate_model};
-use anda::sim::workload::{llm_gemms, total_macs};
+use anda::sim::workload::{llm_gemms, Gemm};
 
 #[test]
 fn compute_cycles_track_bops_for_compute_bound_prefill() {
@@ -18,11 +22,11 @@ fn compute_cycles_track_bops_for_compute_bound_prefill() {
     for combo in [PrecisionCombo::uniform(7), PrecisionCombo([8, 6, 5, 5])] {
         let r = simulate_model(&cfg, 2048, PeKind::Anda, combo);
         let speedup = r.speedup_vs(&base);
-        let bops_saving = bops_per_token_fp16(&cfg) as f64 / bops_per_token(&cfg, combo) as f64;
+        let saving = bops_saving(&cfg, combo);
         // Bit-serial setup costs one extra cycle per group: speedup is a
         // bounded fraction of the BOPs saving.
-        assert!(speedup < bops_saving, "{speedup} vs {bops_saving}");
-        assert!(speedup > 0.7 * bops_saving, "{speedup} vs {bops_saving}");
+        assert!(speedup < saving, "{speedup} vs {saving}");
+        assert!(speedup > 0.7 * saving, "{speedup} vs {saving}");
     }
 }
 
@@ -56,10 +60,8 @@ fn paper_headline_averages_hold() {
 fn workload_macs_agree_with_opcount_crate() {
     for cfg in real_models() {
         let seq = 1024;
-        assert_eq!(
-            total_macs(&cfg, seq),
-            cfg.fp_int_macs_per_token() * seq as u64
-        );
+        let total: u64 = llm_gemms(&cfg, seq).iter().map(Gemm::total_macs).sum();
+        assert_eq!(total, cfg.fp_int_macs_per_token() * seq as u64);
         // Every GeMM's k dimension is a multiple of 64 (Anda lanes).
         for g in llm_gemms(&cfg, seq) {
             assert_eq!(g.k % 64, 0, "{}: {:?}", cfg.name, g.module);
@@ -107,5 +109,49 @@ fn energy_efficiency_improves_as_tolerance_relaxes() {
         let e = simulate_model(&cfg, 2048, PeKind::Anda, combo).energy_efficiency_vs(&base);
         assert!(e > prev, "combo {combo}: {e} vs {prev}");
         prev = e;
+    }
+}
+
+#[test]
+fn the_cost_model_counts_what_the_engine_holds() {
+    // No clock: the weights a zoo model holds, the GeMM instances the
+    // simulator runs and the KV bits its decode study streams are the
+    // engine's own, `==`.
+    let t = 21;
+    for name in ["OPT-1.3B", "LLaMA-7B"] {
+        let model = sim_model(name).unwrap().build();
+        let cfg = model.config();
+        // A token meets every block weight in exactly one MAC.
+        let (mut weights, mut matrices) = (0u64, 0usize);
+        for layer in model.layers() {
+            let projections = [&layer.wqkv, &layer.wo, &layer.wup, &layer.wdown];
+            for w in projections.into_iter().chain(&layer.wgate) {
+                weights += (w.rows() * w.cols()) as u64;
+                matrices += 1;
+            }
+        }
+        assert_eq!(weights, cfg.fp_int_macs_per_token(), "{name}");
+        assert_eq!(
+            decode_ops(cfg, t as u64, 1).fp_int_gemm / 2,
+            weights,
+            "{name}"
+        );
+        // One GeMM instance per weight matrix.
+        let instances: usize = llm_gemms(cfg, 1).iter().map(|g| g.count).sum();
+        assert_eq!(instances, matrices, "{name}");
+        // Decoding one token after `t` streams exactly the cached K and V.
+        let tokens: Vec<usize> = (0..t).map(|j| (j * 11 + 3) % cfg.vocab).collect();
+        for storage in [KvStorage::Fp16, KvStorage::Anda { mantissa_bits: 6 }] {
+            let pool = PagePool::new(KvPoolConfig::unbounded(storage));
+            let mut cache = pool.new_cache(cfg.n_layers);
+            model.prefill(&tokens, &mut cache, &mut DecodeScratch::new());
+            let combo = PrecisionCombo::uniform(6);
+            let sim = simulate_decode(cfg, t, 1, PeKind::Anda, combo, storage);
+            assert_eq!(
+                sim.kv_dram_bits,
+                cache.storage_bits() as f64,
+                "{name} {storage:?}"
+            );
+        }
     }
 }

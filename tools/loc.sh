@@ -18,3 +18,7 @@ block crates/tensor/src/matrix.rs crates/tensor/src/tile.rs
 block $(find crates/bench/src -name '*.rs' | sort)
 # The number formats and codecs everything above is built on.
 block $(find crates/format/src crates/quant/src crates/fp/src -name '*.rs' | sort)
+# The cost model: op counts, BOPs, and the simulator's GeMM and KV traffic.
+block crates/llm/src/opcount.rs crates/llm/src/config.rs crates/sim/src/workload.rs \
+    crates/sim/src/decode.rs crates/sim/src/system.rs crates/sim/src/engine.rs \
+    crates/search/src/bops.rs
