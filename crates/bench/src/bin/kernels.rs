@@ -407,9 +407,10 @@ fn decode_row(o: &Opts) -> Table {
 /// The attention page walk at the serving model's shape (256 wide, four
 /// heads, 16-position pages), one row per lane set the benchmark's
 /// workloads are made of: a solo decode lane deep in a context on float
-/// and on Anda pages (`decode_steady` / `decode_longctx`), a 64-token
-/// chunk span at position 256 and four forks one token past a shared
-/// 256-position prefix (`prefill_shared`).
+/// and on Anda pages (`decode_longctx`), a batch of eight private streams
+/// at `decode_steady`'s ladder context, a 64-token chunk span at position
+/// 256 and four forks one token past a shared 256-position prefix
+/// (`prefill_shared`).
 fn attend(o: &Opts) -> Table {
     let (dim, n_heads) = (256, 4);
     let mut rng = Rng::new(13);
@@ -433,6 +434,16 @@ fn attend(o: &Opts) -> Table {
         append(&mut cache, 528);
         scenes.push((name, vec![cache], vec![(0, 528)]));
     }
+    let fp16 = pool(KvStorage::Fp16);
+    let streams: Vec<KvCache> = (0..8)
+        .map(|_| {
+            let mut cache = fp16.new_cache(1);
+            append(&mut cache, 112);
+            cache
+        })
+        .collect();
+    let solo_lanes = (0..8).map(|i| (i, 112)).collect();
+    scenes.push(("decode_8x112_fp16", streams, solo_lanes));
     let mut chunked = pool(anda8).new_cache(1);
     append(&mut chunked, 320);
     let chunk = (257..=320).map(|t| (0, t)).collect();

@@ -25,9 +25,15 @@
 //! tile that stays in L1 while every lane viewing it consumes it, and
 //! reads float pages where they lie — the compressed operand stays
 //! compressed until it is in L1, and no decoded copy of a context is
-//! ever materialised. What consumes a tile is the GEMM register tile
-//! (`anda_tensor::Strided`): per head, the lanes viewing a page are the
-//! rows of one `q · Kᵀ` and one `p · V` product against it.
+//! ever materialised. Every tile is held in the order its product reads
+//! it: V row-major, K position-minor (`dim × positions`, so a page's
+//! positions lie side by side — float pages store K that way, an Anda
+//! page's decoded keys are transposed once per page). What consumes a
+//! tile is the GEMM register tile (`anda_tensor::Strided`), reading it in
+//! place: a page one lane views alone — every page of an unshared decode
+//! stream — is one head-batched product per pass, the lane's heads the
+//! rows; a page several lanes view (chunk spans, forks of a prefix) is,
+//! per head, one product with those lanes as the rows.
 //! [`LayerKv::key_into`] / [`LayerKv::value_into`] remain as the
 //! single-row accessors (and the reference the walk is tested against).
 //!
@@ -201,8 +207,10 @@ pub struct Page {
 
 #[derive(Debug)]
 enum PageData {
-    /// `positions × dim` plain `f32` words (raw for [`KvStorage::Fp32`],
-    /// rounded then widened for [`KvStorage::Fp16`]).
+    /// Plain `f32` words (raw for [`KvStorage::Fp32`], rounded then
+    /// widened for [`KvStorage::Fp16`]), each in the order the walk's
+    /// products read it: V row-major, `positions × dim`; K position-minor,
+    /// `dim × positions` (lane `c` of position `p` at `c · positions + p`).
     Float { k: Vec<f32>, v: Vec<f32> },
     /// `positions × dim` Anda rows.
     Anda { k: AndaTensor, v: AndaTensor },
@@ -254,7 +262,9 @@ impl Page {
     }
 
     /// Appends one position (K and V rows), encoding under the page's
-    /// policy without allocating.
+    /// policy without allocating. On a float page the value becomes a row
+    /// and the key a column (K is held position-minor), each written once
+    /// and read in place by every later step.
     ///
     /// # Panics
     ///
@@ -268,18 +278,25 @@ impl Page {
         let slot = self.used;
         match &mut self.data {
             PageData::Float { k, v } => {
-                let kd = &mut k[slot * self.dim..(slot + 1) * self.dim];
+                // The key is one column of the position-minor K.
+                let mut kd = k[slot..].iter_mut().step_by(self.positions);
                 let vd = &mut v[slot * self.dim..(slot + 1) * self.dim];
                 match self.storage {
                     KvStorage::Fp32 => {
-                        kd.copy_from_slice(key);
+                        key.iter().zip(kd).for_each(|(&x, dst)| *dst = x);
                         vd.copy_from_slice(value);
                     }
                     KvStorage::Fp16 => {
                         // Batch round-trip through the SIMD-dispatched
                         // conversion kernels (bit-identical to the
-                        // element-wise `saturate_to_f16(x).to_f32()`).
-                        saturate_f16_widen_slice(key, kd);
+                        // element-wise `saturate_to_f16(x).to_f32()`), the
+                        // key a stack buffer at a time.
+                        let mut rounded = [0.0f32; 64];
+                        for part in key.chunks(rounded.len()) {
+                            let rounded = &mut rounded[..part.len()];
+                            saturate_f16_widen_slice(part, rounded);
+                            rounded.iter().zip(&mut kd).for_each(|(&x, dst)| *dst = x);
+                        }
                         saturate_f16_widen_slice(value, vd);
                     }
                     KvStorage::Anda { .. } => {
@@ -316,8 +333,11 @@ impl Page {
         );
         match (&mut self.data, &src.data) {
             (PageData::Float { k, v }, PageData::Float { k: sk, v: sv }) => {
+                let columns = k.chunks_exact_mut(self.positions);
+                for (lane, src_lane) in columns.zip(sk.chunks_exact(self.positions)) {
+                    lane[..rows].copy_from_slice(&src_lane[..rows]);
+                }
                 let n = rows * self.dim;
-                k[..n].copy_from_slice(&sk[..n]);
                 v[..n].copy_from_slice(&sv[..n]);
             }
             (PageData::Anda { k, v }, PageData::Anda { k: sk, v: sv }) => {
@@ -329,29 +349,46 @@ impl Page {
         self.used = rows;
     }
 
-    /// The page's filled K (or V) rows as a row-major tile of stride
-    /// `dim`, valid in columns `cols`. A float page is its own tile, read
-    /// in place; an Anda page decodes those columns of its rows into
-    /// `scratch` (page-sized, so it stays in L1) — the page walk's one
-    /// decode per page and pass. `cols` must start on a group boundary.
+    /// The page's K (or V) in columns `cols` as the walk's products read
+    /// it, starting at column `cols.start`, and its row stride: V
+    /// row-major (position `p`, column `c` at `p · dim + c`), K
+    /// position-minor (at `c · positions + p`). Only the first `used`
+    /// positions are data. A float page's V rows are their own tile, and
+    /// so is its K, which [`Page::push_row`] stored position-minor: both
+    /// read in place. An Anda page decodes those columns of its rows into
+    /// `rows` (page-sized, so it stays in L1) and, for K, transposes them
+    /// into `keys` — the page walk's one decode and one transpose per page
+    /// and pass. `cols` must start on a group boundary.
     fn tile<'a>(
         &'a self,
         want_v: bool,
         cols: &std::ops::Range<usize>,
-        scratch: &'a mut Vec<f32>,
-    ) -> &'a [f32] {
+        scratch: &'a mut PageScratch,
+        leg: SimdLeg,
+    ) -> (&'a [f32], usize) {
         let filled = self.used * self.dim;
         match &self.data {
-            PageData::Float { k, v } => &(if want_v { v } else { k })[..filled],
+            PageData::Float { v, .. } if want_v => (&v[cols.start..filled], self.dim),
+            PageData::Float { k, .. } => (&k[cols.start * self.positions..], self.positions),
             PageData::Anda { k, v } => {
-                let rows = if want_v { v } else { k };
-                let gs = rows.config().group_size();
-                scratch.resize(self.positions * self.dim, 0.0);
-                rows.decode_rows_into(
-                    cols.start / gs..cols.end.div_ceil(gs),
-                    &mut scratch[..filled],
+                let encoded = if want_v { v } else { k };
+                let gs = encoded.config().group_size();
+                let rows = &mut scratch.rows;
+                rows.resize(self.positions * self.dim, 0.0);
+                encoded
+                    .decode_rows_into(cols.start / gs..cols.end.div_ceil(gs), &mut rows[..filled]);
+                let rows = &rows[cols.start..filled];
+                if want_v {
+                    return (rows, self.dim);
+                }
+                let keys = &mut scratch.keys;
+                keys.resize(self.positions * self.dim, 0.0);
+                Strided::new(rows, self.used, cols.len(), self.dim).transpose_into(
+                    keys,
+                    self.positions,
+                    leg,
                 );
-                &scratch[..filled]
+                (keys, self.positions)
             }
         }
     }
@@ -361,9 +398,12 @@ impl Page {
         assert!(slot < self.used, "row {slot} not written");
         assert_eq!(out.len(), self.dim, "row width");
         match &self.data {
-            PageData::Float { k, v } => {
-                let buf = if want_v { v } else { k };
-                out.copy_from_slice(&buf[slot * self.dim..(slot + 1) * self.dim]);
+            PageData::Float { v, .. } if want_v => {
+                out.copy_from_slice(&v[slot * self.dim..(slot + 1) * self.dim]);
+            }
+            PageData::Float { k, .. } => {
+                let lane = k[slot..].iter().step_by(self.positions);
+                out.iter_mut().zip(lane).for_each(|(dst, &x)| *dst = x);
             }
             PageData::Anda { k, v } => (if want_v { v } else { k }).decode_row_into(slot, out),
         }
@@ -1085,12 +1125,19 @@ pub struct AttendLane<'a> {
 /// computes every output element with the same operation order.
 const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
 
-/// One walk job's scratch: a page-sized decode tile, the page-group sort
-/// buffer and the lane blocks of one group's products. None scales with
-/// context.
+/// An Anda page's tiles ([`Page::tile`]): its rows as decoded, and its
+/// keys turned position-minor. Page-sized, so both stay in L1.
+#[derive(Clone, Debug, Default)]
+struct PageScratch {
+    rows: Vec<f32>,
+    keys: Vec<f32>,
+}
+
+/// One walk job's scratch: the page tiles, the page-group sort buffer and
+/// the lane blocks of a shared group's products. None scales with context.
 #[derive(Clone, Debug, Default)]
 struct WalkScratch {
-    tile: Vec<f32>,
+    tiles: PageScratch,
     order: Vec<Viewer>,
     /// The gathered left operand of a group's products: its lanes'
     /// queries (K pass) or softmax weights (V pass), one row per lane.
@@ -1124,26 +1171,40 @@ struct Viewer {
 /// the lanes are grouped by *physical* page — forks of one prefix lease
 /// the same page at the same index — and each distinct Anda page is
 /// decoded **once** into a page-sized tile that stays in L1 while every
-/// (lane, head) viewing it consumes it; float pages are their own tile,
-/// read in place. So the compressed operand stays compressed until it is
-/// in L1, a page shared by N streams decodes once per pass however many
-/// attend through it, and no buffer scales with context × batch.
+/// (lane, head) viewing it consumes it, its keys then transposed
+/// position-minor once; a float page's V rows and position-minor K are
+/// their own tiles, read in place. So the compressed operand stays
+/// compressed until it is in L1, a page shared by N streams decodes once
+/// per pass however many attend through it, and no buffer scales with
+/// context × batch.
 ///
 /// A page decodes its full physical fill, not one table's logical view
 /// of it: a truncated fork and its donor share a page but view different
 /// row counts, and per-row decode is independent, so the union costs
 /// nothing in exactness.
 ///
-/// The lanes of a group are then one block product per head and pass, on
-/// the register tile every GEMM of a step runs on: the K pass multiplies
-/// the lanes' queries by the page's keys transposed, so the tile's
-/// sixteen columns are sixteen *positions* and a page's keys are packed
-/// once for all its lanes; the V pass accumulates `weights · values` onto
-/// the lanes' head mixes, a head's output columns staying in registers
-/// across the page's rows. Masking is structural: a lane's sums run over
-/// exactly the rows its window reaches (lanes viewing equally many rows of
-/// a page share a V product; surplus K scores are computed and dropped),
-/// never over a masked row times zero.
+/// The products run on the register tile every GEMM of a step runs on,
+/// over the tiles where they lie — nothing in the walk packs. The K pass
+/// multiplies queries by the position-minor keys, so the tile's sixteen
+/// columns are sixteen *positions*; the V pass accumulates `weights ·
+/// values` onto the head mixes, a head's output columns staying in
+/// registers across the page's rows. Which lanes are the rows follows
+/// from the group's viewer count alone:
+///
+/// * **One viewer** (every page of an unshared decode stream): the lane's
+///   heads are the rows of one batched product per pass — row `h` against
+///   head `h`'s own keys or values — so four heads × sixteen positions are
+///   eight independent accumulator chains, and scores and mixes are
+///   written straight into the lane.
+/// * **Several viewers** (chunk spans, forks of a prefix): per head, the
+///   lanes are the rows — gathered queries or weights against the head's
+///   keys or values, shared by every lane.
+///
+/// Masking is structural: a lane's sums run over exactly the rows its
+/// window reaches (lanes viewing equally many rows of a page share a V
+/// product; surplus K scores of a shared page are computed and dropped),
+/// never over a masked row times zero, and never over a slot past a
+/// page's fill.
 ///
 /// Every output element keeps the per-head reference arithmetic — the
 /// ascending-`c` `q·k` sum (vectorised across positions, never within a
@@ -1411,22 +1472,26 @@ fn visit_pages(
                 s.pages_decoded += 1;
                 anda_format::metrics::note_rows_decoded(2 * page.used as u64);
             }
+            let (tile, ld) = page.tile(want_v, cols, &mut s.tiles, leg);
             let group = PageGroup {
-                tile: page.tile(want_v, cols, &mut s.tile),
-                d: page.dim,
+                tile,
+                ld,
                 base,
-                cols,
+                heads: cols.len() / dh,
                 dh,
                 leg,
             };
-            if !want_v {
-                group.score(lanes, viewers, &mut s.lhs, &mut s.acc);
-                continue;
-            }
-            // A sum must end where its lane's window does, so only lanes
-            // viewing equally many rows share a V product.
-            for run in viewers.chunk_by(|a, b| a.rows == b.rows) {
-                group.mix(lanes, run, &mut s.lhs, &mut s.acc);
+            match (want_v, viewers) {
+                (false, [solo]) => group.score_solo(&mut lanes[solo.lane], solo.rows),
+                (false, _) => group.score(lanes, viewers, &mut s.lhs, &mut s.acc),
+                (true, [solo]) => group.mix_solo(&mut lanes[solo.lane], solo.rows),
+                // A sum must end where its lane's window does, so only
+                // lanes viewing equally many rows share a V product.
+                (true, _) => {
+                    for run in viewers.chunk_by(|a, b| a.rows == b.rows) {
+                        group.mix(lanes, run, &mut s.lhs, &mut s.acc);
+                    }
+                }
             }
         }
     }
@@ -1434,33 +1499,58 @@ fn visit_pages(
 
 /// One physical page of a pass and what its lanes' products need to know.
 struct PageGroup<'a> {
-    /// The page's decoded K (or V) rows, `d` apart ([`Page::tile`]).
+    /// The page's K (or V) in the job's columns, rows `ld` apart
+    /// ([`Page::tile`]): V row-major, K position-minor.
     tile: &'a [f32],
-    d: usize,
+    ld: usize,
     /// Position of the page's first row.
     base: usize,
-    cols: &'a std::ops::Range<usize>,
+    /// Heads in the job's columns, each `dh` wide.
+    heads: usize,
     dh: usize,
     leg: SimdLeg,
 }
 
 impl PageGroup<'_> {
-    /// Head `h`'s columns of the first `rows` rows of the tile.
-    fn head(&self, h: usize, rows: usize) -> Strided<'_> {
-        Strided::new(
-            &self.tile[self.cols.start + h * self.dh..],
-            rows,
-            self.dh,
-            self.d,
-        )
+    /// Head `h`'s keys of the first `n` positions: `dh × n`, one row per
+    /// lane of the key.
+    fn keys(&self, h: usize, n: usize) -> Strided<'_> {
+        Strided::new(&self.tile[h * self.dh * self.ld..], self.dh, n, self.ld)
     }
 
-    /// K pass: per head, `lanes × dh` queries times the page's keys
-    /// transposed — the page's rows are the product's columns, so the
-    /// register tile runs sixteen positions side by side and packs the
-    /// keys once for every lane — each raw score then scaled into its
-    /// lane. `viewers` ascend in `rows`; what a lane's window does not
-    /// reach is computed and dropped.
+    /// Head `h`'s values of the first `rows` positions: `rows × dh`.
+    fn values(&self, h: usize, rows: usize) -> Strided<'_> {
+        Strided::new(&self.tile[h * self.dh..], rows, self.dh, self.ld)
+    }
+
+    /// K pass of a page only `lane` views, its first `rows` positions:
+    /// every head's scores in one batched product — the query's heads are
+    /// the rows, each against its own keys, so the register tile runs
+    /// four heads × sixteen positions of independent sums — written
+    /// straight into the lane's score rows and scaled there.
+    fn score_solo(&self, lane: &mut AttendLane<'_>, rows: usize) {
+        let (t, dh) = (lane.t, self.dh);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let scores = &mut lane.scores[self.base..];
+        Strided::new(lane.q, self.heads, dh, dh).matmul_batched_into(
+            self.keys(0, rows),
+            dh * self.ld,
+            scores,
+            t,
+            false,
+            self.leg,
+        );
+        for head in scores.chunks_mut(t) {
+            head[..rows].iter_mut().for_each(|score| *score *= scale);
+        }
+    }
+
+    /// K pass of a shared page: per head, `lanes × dh` queries times the
+    /// page's keys, whose positions are the product's columns — the
+    /// register tile runs sixteen positions side by side, reading the
+    /// keys where they lie — each raw score then scaled into its lane.
+    /// `viewers` ascend in `rows`; what a lane's window does not reach is
+    /// computed and dropped.
     fn score(
         &self,
         lanes: &mut [AttendLane<'_>],
@@ -1468,7 +1558,7 @@ impl PageGroup<'_> {
         lhs: &mut Vec<f32>,
         acc: &mut Vec<f32>,
     ) {
-        let (w, dh) = (self.cols.len(), self.dh);
+        let (w, dh) = (self.heads * self.dh, self.dh);
         let scale = 1.0 / (dh as f32).sqrt();
         let n = viewers[viewers.len() - 1].rows;
         lhs.clear();
@@ -1477,9 +1567,9 @@ impl PageGroup<'_> {
         }
         acc.clear();
         acc.resize(viewers.len() * n, 0.0);
-        for h in 0..w / dh {
-            Strided::new(&lhs[h * dh..], viewers.len(), dh, w).matmul_transposed_into(
-                self.head(h, n),
+        for h in 0..self.heads {
+            Strided::new(&lhs[h * dh..], viewers.len(), dh, w).matmul_into(
+                self.keys(h, n),
                 acc,
                 n,
                 false,
@@ -1495,11 +1585,27 @@ impl PageGroup<'_> {
         }
     }
 
-    /// V pass over lanes that all view `rows` rows: per head, `out +=
-    /// p · v` as the product of the lanes' weights and the page's values,
-    /// accumulated onto the mixes of the pages before — so every output
-    /// element still adds its `p · v` in position order, and a weight of
-    /// zero still multiplies.
+    /// V pass of a page only `lane` views, its first `rows` positions:
+    /// `out += p · v` for every head in one batched product — head `h`'s
+    /// weights times its own values, accumulated straight onto the lane's
+    /// mix of the pages before.
+    fn mix_solo(&self, lane: &mut AttendLane<'_>, rows: usize) {
+        let weights = Strided::new(&lane.scores[self.base..], self.heads, rows, lane.t);
+        weights.matmul_batched_into(
+            self.values(0, rows),
+            self.dh,
+            lane.out,
+            self.dh,
+            true,
+            self.leg,
+        );
+    }
+
+    /// V pass over shared-page lanes that all view `rows` rows: per head,
+    /// `out += p · v` as the product of the lanes' weights and the page's
+    /// values, accumulated onto the mixes of the pages before — so every
+    /// output element still adds its `p · v` in position order, and a
+    /// weight of zero still multiplies.
     fn mix(
         &self,
         lanes: &mut [AttendLane<'_>],
@@ -1507,8 +1613,8 @@ impl PageGroup<'_> {
         lhs: &mut Vec<f32>,
         acc: &mut Vec<f32>,
     ) {
-        let (w, dh) = (self.cols.len(), self.dh);
-        let (heads, rows) = (w / dh, viewers[0].rows);
+        let (heads, dh, rows) = (self.heads, self.dh, viewers[0].rows);
+        let w = heads * dh;
         lhs.clear();
         acc.clear();
         for v in viewers {
@@ -1520,7 +1626,7 @@ impl PageGroup<'_> {
         }
         for h in 0..heads {
             Strided::new(&lhs[h * rows..], viewers.len(), rows, heads * rows).matmul_into(
-                self.head(h, rows),
+                self.values(h, rows),
                 &mut acc[h * dh..],
                 w,
                 true,

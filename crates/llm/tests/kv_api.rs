@@ -17,7 +17,10 @@
 //!    (or any other) never moves a bit;
 //! 5. [`Model::forward`] under FP16 codecs *is* that decode: row `i` is
 //!    `decode_step`'s logits at position `i`, the last row `prefill`'s,
-//!    and `eval::perplexity` the teacher-forced NLL of the KV loop.
+//!    and `eval::perplexity` the teacher-forced NLL of the KV loop;
+//! 6. a float page's layout (K position-minor, V row-major) never shows:
+//!    every row reads back as it was appended, through forks, copy-on-write
+//!    and recycling.
 
 use std::sync::OnceLock;
 
@@ -328,6 +331,79 @@ fn fp16_policy_rows_are_f16_rounded_fp32_rows() {
                 .collect();
             assert_eq!(bits(rounded_row), expect, "layer {l} {which}");
         }
+    }
+}
+
+/// Float pages hold K position-minor (a key is a column of its page) and V
+/// row-major; neither shows through the single-row accessors. On `Fp32`
+/// and `Fp16` pages every appended row reads back bit for bit as stored
+/// (raw, or FP16-rounded) after appends across a page boundary, after a
+/// mid-page fork whose first append copies the shared tail out, and on
+/// pages a reset recycled.
+#[test]
+fn float_pages_read_back_every_row_they_were_given() {
+    let (dim, pp) = (40, 4);
+    let mut rng = Rng::new(29);
+    let mut rows = |n: usize| -> Vec<(Vec<f32>, Vec<f32>)> {
+        let mut row = || (0..dim).map(|_| rng.normal_with(0.0, 3.0)).collect();
+        (0..n).map(|_| (row(), row())).collect()
+    };
+    for storage in [KvStorage::Fp32, KvStorage::Fp16] {
+        let stored = |x: &[f32]| match storage {
+            KvStorage::Fp16 => bits(
+                x.iter()
+                    .map(|&v| anda_fp::saturate_to_f16(v).to_f32())
+                    .collect::<Vec<_>>(),
+            ),
+            _ => bits(x),
+        };
+        let reads_back = |cache: &KvCache, rows: &[(Vec<f32>, Vec<f32>)], ctx: &str| {
+            let (mut k, mut v) = (vec![0.0; dim], vec![0.0; dim]);
+            assert_eq!(cache.len(), rows.len(), "{storage:?} {ctx}");
+            for (pos, (key, value)) in rows.iter().enumerate() {
+                cache.layer(0).key_into(pos, &mut k);
+                cache.layer(0).value_into(pos, &mut v);
+                assert_eq!(bits(&k), stored(key), "{storage:?} {ctx}: key {pos}");
+                assert_eq!(bits(&v), stored(value), "{storage:?} {ctx}: value {pos}");
+            }
+        };
+        let pool = PagePool::new(KvPoolConfig {
+            storage,
+            page_positions: pp,
+            max_pages: None,
+        });
+        let mut donor = pool.new_cache(1);
+        let written = rows(6);
+        for (k, v) in &written {
+            donor.append_row(0, k, v);
+        }
+        reads_back(&donor, &written, "appends across a page boundary");
+
+        // The fork views one of the shared tail page's two rows; its first
+        // append copies that row out before writing its own.
+        let mut fork = donor.fork_prefix(5);
+        let in_use = pool.pages_in_use();
+        let mut forked = written[..5].to_vec();
+        forked.extend(rows(1));
+        fork.append_row(0, &forked[5].0, &forked[5].1);
+        assert_eq!(
+            pool.pages_in_use(),
+            in_use + 1,
+            "{storage:?}: copy-on-write"
+        );
+        reads_back(&fork, &forked, "fork at 5, then an append");
+        reads_back(&donor, &written, "the donor after the fork's append");
+
+        drop(fork);
+        donor.reset();
+        let created = pool.pages_created();
+        let mut recycled = pool.new_cache(1);
+        let again = rows(7);
+        for (k, v) in &again {
+            recycled.append_row(0, k, v);
+        }
+        assert_eq!(pool.pages_created(), created, "{storage:?}: pages recycled");
+        reads_back(&recycled, &again, "recycled pages");
     }
 }
 

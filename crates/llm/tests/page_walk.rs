@@ -523,6 +523,61 @@ proptest! {
     }
 }
 
+/// Head counts off the batched tile's four rows and job splits that hand a
+/// job an odd number of heads.
+const SOLO_HEADS: [usize; 6] = [1, 2, 3, 4, 5, 8];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Private streams only, so every page group has exactly one viewer and
+    /// every product is the head-batched one. The pages are recycled from a
+    /// stream that filled every slot with ±inf and NaN (raw on `Fp32`
+    /// pages, saturated by the others), and each stream ends in a partial
+    /// tail page: slots past `used` must never reach a sum.
+    #[test]
+    fn lanes_viewing_their_pages_alone_match_the_reference(seed in any::<u64>()) {
+        for storage in [KvStorage::Fp32, POLICIES[0], POLICIES[1], POLICIES[3]] {
+            for pp in RAGGED_PAGE_SIZES {
+                for dh in RAGGED_HEAD_WIDTHS {
+                    let mut rng = Rng::new(seed ^ (pp * 131 + dh) as u64);
+                    let n_heads = SOLO_HEADS[rng.below(SOLO_HEADS.len())];
+                    let dim = dh * n_heads;
+                    let ctx = format!("{storage:?} page {pp} dh {dh} heads {n_heads} seed {seed}");
+                    let pool = pool(storage, pp);
+                    // Full pages, then a tail of 1..pp rows (or one row on
+                    // one-position pages).
+                    let lens: Vec<usize> = (0..1 + rng.below(3))
+                        .map(|_| pp * rng.below(80 / pp + 1) + 1 + rng.below(pp.max(2) - 1))
+                        .collect();
+                    let pages: usize = lens.iter().map(|&len| pool.pages_for(len)).sum();
+                    let mut poisoned = pool.new_cache(1);
+                    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+                    for pos in 0..pages * pp {
+                        let (k, v) = (vec![poison[pos % 3]; dim], vec![poison[(pos + 1) % 3]; dim]);
+                        poisoned.append_row(0, &k, &v);
+                    }
+                    drop(poisoned);
+                    let created = pool.pages_created();
+                    let caches: Vec<KvCache> = lens
+                        .iter()
+                        .map(|&len| {
+                            let mut cache = pool.new_cache(1);
+                            append(&mut cache, &mut rng, len, dim);
+                            cache
+                        })
+                        .collect();
+                    prop_assert_eq!(pool.pages_created(), created, "{} recycles", &ctx);
+                    let views: Vec<_> = caches.iter().map(|c| (c.layer(0), c.len())).collect();
+                    let queries: Vec<Vec<f32>> = views.iter().map(|_| floats(&mut rng, dim)).collect();
+                    let decoded = check_walk_on(&views, &queries, n_heads, &[1, 2, 3], &ctx);
+                    prop_assert_eq!(decoded, leased_anda_pages(&pool), "{}", &ctx);
+                }
+            }
+        }
+    }
+}
+
 /// Raw `f32` pages keep what the rounding policies would saturate away.
 fn fp32_rows(rows: &[(Vec<f32>, Vec<f32>)], pp: usize) -> KvCache {
     let mut cache = pool(KvStorage::Fp32, pp).new_cache(1);

@@ -14,8 +14,10 @@
 //! the bit-exactness invariant the serving stack is built on.
 //!
 //! [`Strided`] runs the same kernel over windows of buffers a caller owns
-//! for other reasons, with explicit row strides and an accumulate flag:
-//! the attention page walk's per-head `q · Kᵀ` and `p · V` blocks.
+//! for other reasons, with explicit row strides, an accumulate flag and a
+//! batch stride: the attention page walk's `q · K` and `p · V` blocks
+//! over position-minor keys and row-major values, per head or every head
+//! of a lane at once.
 
 use core::fmt;
 use core::ops::{Index, IndexMut};
@@ -465,6 +467,7 @@ impl Matrix {
             ldc: rhs.rhs_shape(layout).1,
             accumulate: false,
             resident: false,
+            rhs_stride: 0,
         }
     }
 
@@ -695,12 +698,13 @@ unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
 /// A `rows × cols` row-major window of a longer buffer: row `r` is
 /// `data[r · ld ..][.. cols]`. The operand type of the products a caller
 /// runs over pieces of buffers it owns for other reasons — the attention
-/// page walk multiplies one head's columns of a block of queries by one
-/// head's columns of a cached page — where the window is small and
-/// cache-resident and the call count is high.
+/// page walk multiplies a block of queries by one head's keys of a cached
+/// page, or a query's heads each by its own — where the window is small
+/// and cache-resident and the call count is high.
 ///
-/// Both products run the register tile of every [`Matrix`] product
-/// (`tile.rs`) at every row count, on one thread, and skip nothing: output
+/// Both products, plain and batched, run the register tile of every
+/// [`Matrix`] product (`tile.rs`) at every row count, on one thread, with
+/// `rhs` read in place, and skip nothing: output
 /// element `(i, j)` is the ascending-`k` sum of `lhs[i][k] · rhs[k][j]`,
 /// multiply then add, started from `+0.0` or — accumulating — from the
 /// element's current value, `f32::to_bits`-identical on every leg **and
@@ -758,38 +762,73 @@ impl<'a> Strided<'a> {
         accumulate: bool,
         leg: SimdLeg,
     ) {
-        self.product(rhs, Layout::RowMajor, out, ldc, accumulate, leg);
+        self.product(rhs, 0, out, ldc, accumulate, leg);
     }
 
-    /// `out (+)= self · rhsᵀ`; see [`Strided::matmul_into`].
+    /// A batch of one-row products: row `r` of `self` times the window
+    /// `rhs` describes moved `r · rhs_stride` elements further on, into
+    /// row `r` of `out` — say one query's heads against their own columns
+    /// of a page. The rows run side by side on the register tile, each
+    /// element summed as [`Strided::matmul_into`] sums it.
     ///
     /// # Panics
     ///
-    /// As [`Strided::matmul_into`].
-    pub fn matmul_transposed_into(
+    /// As [`Strided::matmul_into`], or if the last row's window runs past
+    /// `rhs`'s buffer.
+    pub fn matmul_batched_into(
         &self,
         rhs: Strided<'_>,
+        rhs_stride: usize,
         out: &mut [f32],
         ldc: usize,
         accumulate: bool,
         leg: SimdLeg,
     ) {
-        self.product(rhs, Layout::Transposed, out, ldc, accumulate, leg);
+        self.product(rhs, rhs_stride, out, ldc, accumulate, leg);
+    }
+
+    /// Writes the window transposed: `out[c · ldo + r] = self[r][c]`, on
+    /// the transposing pack of `leg` (bit-for-bit a copy on every leg).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` cannot hold `cols` rows of `rows` at stride `ldo`, or
+    /// if `leg` is unavailable on this host.
+    pub fn transpose_into(&self, out: &mut [f32], ldo: usize, leg: SimdLeg) {
+        assert!(
+            self.rows <= ldo && strided_span(self.cols, self.rows, ldo) <= out.len(),
+            "a {}x{} transpose of stride {ldo} does not fit {} elements",
+            self.cols,
+            self.rows,
+            out.len()
+        );
+        leg.assert_available();
+        let (src, dst) = (self.data.as_ptr(), out.as_mut_ptr());
+        let (rows, cols, ld) = (self.rows, self.cols, self.ld);
+        // SAFETY: `Strided::new` checked that the window lies inside
+        // `data`, the assert above that `out` holds its transpose, and the
+        // two are distinct borrows; `leg` was asserted available.
+        unsafe {
+            match leg {
+                #[cfg(target_arch = "x86_64")]
+                SimdLeg::Avx2 => tile::transpose::<tile::Avx2>(src, ld, rows, cols, dst, ldo),
+                #[cfg(target_arch = "aarch64")]
+                SimdLeg::Neon => tile::transpose::<tile::Neon>(src, ld, rows, cols, dst, ldo),
+                _ => tile::pack_transposed_portable(src, ld, rows, 0..cols, dst, ldo),
+            }
+        }
     }
 
     fn product(
         &self,
         rhs: Strided<'_>,
-        layout: Layout,
+        rhs_stride: usize,
         out: &mut [f32],
         ldc: usize,
         accumulate: bool,
         leg: SimdLeg,
     ) {
-        let (k, n) = match layout {
-            Layout::RowMajor => (rhs.rows, rhs.cols),
-            Layout::Transposed => (rhs.cols, rhs.rows),
-        };
+        let (k, n) = (rhs.rows, rhs.cols);
         assert_eq!(self.cols, k, "strided product shape mismatch");
         assert!(
             n <= ldc && strided_span(self.rows, n, ldc) <= out.len(),
@@ -797,17 +836,25 @@ impl<'a> Strided<'a> {
             self.rows,
             out.len()
         );
+        let last_window = self.rows.saturating_sub(1) * rhs_stride;
+        assert!(
+            last_window + strided_span(k, n, rhs.ld) <= rhs.data.len(),
+            "a batch of {} windows {rhs_stride} apart does not fit {} elements",
+            self.rows,
+            rhs.data.len()
+        );
         leg.assert_available();
         let ops = Operands {
             lhs: self.data,
             lda: self.ld,
             rhs: rhs.data,
             ldb: rhs.ld,
-            layout,
+            layout: Layout::RowMajor,
             k,
             ldc,
             accumulate,
             resident: true,
+            rhs_stride,
         };
         if leg == SimdLeg::Scalar {
             return tile::resident_block_scalar(&ops, self.rows, n, out);
@@ -1044,14 +1091,16 @@ mod tests {
     fn every_simd_leg_of_the_strided_products_matches_the_scalar_loops() {
         use anda_fp::simd::available_legs;
         // Windows of wider buffers (every stride exceeds its width), every
-        // tile height and its remainders, `k` off the pack's 4-blocks,
-        // widths around one strip, sums started from `+0.0` and from a
-        // non-zero `out`. Nothing may skip: a zero `lhs` element against a
-        // non-finite `rhs` one is a NaN in the loops and in every leg, and
-        // what lies between the windows' rows must never be read as data
-        // nor written. (NaNs compare as one value: which payload survives
-        // the sum of two different NaNs depends on the operand order the
-        // compiler picked for a commutative add, in the loops too.)
+        // tile height and its remainders, `k` off the 4-blocks of the
+        // transposing pack and past a batched panel's depth, widths around
+        // one strip, sums started from `+0.0` and from a non-zero `out`, and
+        // each row of a batch on its own window, further apart than wide.
+        // Nothing may skip: a zero `lhs` element against a non-finite `rhs`
+        // one is a NaN in the loops and in every leg, and what lies between
+        // the windows' rows must never be read as data nor written. (NaNs
+        // compare as one value: which payload survives the sum of two
+        // different NaNs depends on the operand order the compiler picked
+        // for a commutative add, in the loops too.)
         let wave = |len: usize, f: f32| -> Vec<f32> {
             (0..len).map(|i| (i as f32 * f).sin() * 2.0).collect()
         };
@@ -1067,30 +1116,25 @@ mod tests {
                 (7, 16),
                 (13, 24),
                 (22, 37),
+                (70, 19),
             ] {
-                let (lda, ldb_rm, ldb_t, ldc) = (k + 3, n + 5, k + 2, n + 1);
+                let (lda, ldb, ldc) = (k + 3, n + 5, n + 1);
                 let mut a = wave(m * lda, 0.37);
                 a.iter_mut().step_by(3).for_each(|x| *x = 0.0);
-                let mut b_rm = wave(k * ldb_rm, 0.11);
-                let mut b_t = wave(n * ldb_t, 0.23);
-                for b in [&mut b_rm, &mut b_t] {
+                for batch_stride in [0, k * ldb + 9] {
+                    let mut b = wave((m - 1) * batch_stride + k * ldb, 0.11);
                     let len = b.len();
-                    b[0] = f32::INFINITY;
-                    b[len / 2] = f32::NAN;
-                }
-                let lhs = Strided::new(&a, m, k, lda);
-                for transposed in [false, true] {
-                    let rhs = match transposed {
-                        false => Strided::new(&b_rm, k, n, ldb_rm),
-                        true => Strided::new(&b_t, n, k, ldb_t),
-                    };
+                    for at in [0, len / 2, len - 1] {
+                        b[at] = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][at % 3];
+                    }
+                    let (lhs, rhs) = (Strided::new(&a, m, k, lda), Strided::new(&b, k, n, ldb));
                     for accumulate in [false, true] {
                         let run = |leg: SimdLeg| {
                             let mut out = wave(m * ldc, 0.71);
-                            match transposed {
-                                false => lhs.matmul_into(rhs, &mut out, ldc, accumulate, leg),
-                                true => {
-                                    lhs.matmul_transposed_into(rhs, &mut out, ldc, accumulate, leg)
+                            match batch_stride {
+                                0 => lhs.matmul_into(rhs, &mut out, ldc, accumulate, leg),
+                                s => {
+                                    lhs.matmul_batched_into(rhs, s, &mut out, ldc, accumulate, leg)
                                 }
                             }
                             bits(&out)
@@ -1101,11 +1145,7 @@ mod tests {
                             for j in 0..n {
                                 let mut acc = if accumulate { want[i * ldc + j] } else { 0.0 };
                                 for kk in 0..k {
-                                    let b = match transposed {
-                                        false => b_rm[kk * ldb_rm + j],
-                                        true => b_t[j * ldb_t + kk],
-                                    };
-                                    acc += a[i * lda + kk] * b;
+                                    acc += a[i * lda + kk] * b[i * batch_stride + kk * ldb + j];
                                 }
                                 want[i * ldc + j] = acc;
                             }
@@ -1115,10 +1155,27 @@ mod tests {
                             assert_eq!(
                                 run(leg),
                                 want,
-                                "leg={} {m}x{k}x{n} transposed={transposed} accumulate={accumulate}",
+                                "leg={} {m}x{k}x{n} batch stride {batch_stride} accumulate={accumulate}",
                                 leg.name()
                             );
                         }
+                    }
+                }
+                // The transposing copy — ragged, one whole sixteen-row
+                // strip and more — into a buffer whose rows are wider than
+                // the window is tall: what lies between them stays.
+                for rows in [m, m + 16] {
+                    let src = wave(rows * lda, 0.29);
+                    let ldo = rows + 2;
+                    let mut want = wave(k * ldo, 0.53);
+                    for (r, c) in (0..rows).flat_map(|r| (0..k).map(move |c| (r, c))) {
+                        want[c * ldo + r] = src[r * lda + c];
+                    }
+                    for leg in available_legs() {
+                        let mut out = wave(k * ldo, 0.53);
+                        Strided::new(&src, rows, k, lda).transpose_into(&mut out, ldo, leg);
+                        let at = format!("transpose leg={} {rows}x{k}", leg.name());
+                        assert_eq!(bits(&out), bits(&want), "{at}");
                     }
                 }
             }
@@ -1136,13 +1193,27 @@ mod tests {
             .expect("no host runs both vector legs");
         let want = format!("SIMD leg {} unavailable on this host", leg.name());
         let a = Matrix::identity(4);
+        let view = Strided::new(a.as_slice(), 4, 4, 4);
         type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 2] = [
+        let entries: [Entry; 5] = [
             ("matmul_into_serial_with_leg", &|| {
                 a.matmul_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
             }),
             ("matmul_transposed_into_serial_with_leg", &|| {
                 a.matmul_transposed_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
+            }),
+            ("Strided::matmul_into", &|| {
+                view.matmul_into(view, &mut [0.0; 16], 4, false, leg)
+            }),
+            ("Strided::matmul_batched_into", &|| {
+                let (lhs, rhs) = (
+                    Strided::new(a.as_slice(), 4, 1, 4),
+                    Strided::new(a.as_slice(), 1, 4, 4),
+                );
+                lhs.matmul_batched_into(rhs, 4, &mut [0.0; 16], 4, false, leg)
+            }),
+            ("Strided::transpose_into", &|| {
+                view.transpose_into(&mut [0.0; 16], 4, leg)
             }),
         ];
         for (name, entry) in entries {

@@ -66,15 +66,23 @@
 //! All of that is shaped around a `rhs` that streams from memory. A
 //! **resident** product ([`Operands::resident`], what a [`crate::Strided`]
 //! view runs) multiplies by a window of a tile that is already in the L1 —
-//! one head's columns of a KV page, sixteen positions by 64 — thousands
-//! of times a step, so nothing in it is: the tile runs at every height
-//! (strip → k panel → row tile, ragged columns through the edge buffer),
-//! full row-major strips are read where they lie (the tile takes the
-//! `rhs` row stride; a pack would copy each `p·v` operand once per use),
-//! and the only pack left is the transposing one, which is what turns a
-//! page's key rows into sixteen positions side by side. It can also
-//! **accumulate**: its sums start from the output's contents, which is
-//! how attention's `out += p · v` crosses a page boundary.
+//! one head's keys or values of a KV page, sixteen positions by 64 —
+//! thousands of times a step, so nothing in it is: the tile runs at every
+//! height (strip → k panel → row tile, ragged columns through the edge
+//! buffer), and its `rhs` is row-major and read where it lies (the tile
+//! takes the `rhs` row stride; a pack would copy each operand once per
+//! use). Attention stores its operands that way — a page's keys
+//! position-minor, so sixteen positions sit side by side — and so packs
+//! nothing; the transposing pack serves the streamed transposed layout,
+//! and, through [`transpose`], turns an Anda page's decoded keys
+//! position-minor once per page. A resident product can also
+//! **accumulate** (its sums start from the output's contents, which is
+//! how attention's `out += p · v` crosses a page boundary) and be
+//! **batched** ([`Operands::rhs_stride`]): each row then multiplies its
+//! own window — a decode lane's heads, each against its own keys — and a
+//! row tile is four independent products ([`Leg::tile_batched`]), whose
+//! accumulator chains hide the add latency a one-row product stalls on.
+//! Its ragged strips pack each row's window into a quarter of the panel.
 //!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
@@ -139,6 +147,10 @@ pub(crate) struct Operands<'a> {
     /// shallow prefetched panels, and full row-major strips are read where
     /// they lie instead of being packed.
     pub resident: bool,
+    /// Resident, row-major only: `lhs` row `i` multiplies its own `rhs`
+    /// window, `i · rhs_stride` elements after the first (0: one `rhs` for
+    /// every row).
+    pub rhs_stride: usize,
 }
 
 /// A `rows × cols` block of a row-major output, addressed through a raw
@@ -184,6 +196,41 @@ pub(crate) trait Leg {
         first: bool,
     );
 
+    /// [`Leg::tile`] with row `r` reading its own `b`, `r · bs` further
+    /// on: `c[r][0..16] (+)= Σ_kk a[r][kk] · b[r · bs + kk · ldb][0..16]`.
+    /// The rows of a tile are then independent products, each with its
+    /// own two (AVX2) or four (NEON) accumulator chains. The default is
+    /// the portable loop, in the same operation order.
+    ///
+    /// # Safety
+    ///
+    /// As [`Leg::tile`], with `b` readable at `r · bs + kk · ldb + 0..16`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn tile_batched(
+        rows: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        bs: usize,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        first: bool,
+    ) {
+        for r in 0..rows {
+            let (a, b, c) = (a.add(r * lda), b.add(r * bs), c.add(r * ldc));
+            for j in 0..TILE_COLS {
+                let mut acc = if first { 0.0 } else { *c.add(j) };
+                for kk in 0..kc {
+                    acc += *a.add(kk) * *b.add(kk * ldb + j);
+                }
+                *c.add(j) = acc;
+            }
+        }
+    }
+
     /// `c[j] = Σ_kk a[kk] · b[kk · ldb + j]` for `j < width`: one output
     /// row over contiguous `rhs` rows, skipping `a[kk] == 0`.
     ///
@@ -200,24 +247,28 @@ pub(crate) trait Leg {
     #[inline(always)]
     fn prefetch(_p: *const f32) {}
 
-    /// Packs a strip panel of a transposed `rhs`: `panel[kk · 16 + j] =
-    /// b[j · ldb + kk]` for `j < 16` and `kk < kc`. The default is the
-    /// portable loop.
+    /// Transposes sixteen rows of `b` into `panel`: `panel[kk · ldp + j] =
+    /// b[j · ldb + kk]` for `j < 16` and `kk < kc` — a strip panel of a
+    /// transposed `rhs` (`ldp = 16`), or sixteen positions of a page's keys
+    /// turned position-minor ([`transpose`]). The default is the portable
+    /// loop.
     ///
     /// # Safety
     ///
     /// Needs the leg's CPU feature; `b` must be readable at
     /// `j · ldb + 0..kc` for `j < 16` and `panel` writable at
-    /// `0..kc · 16`.
+    /// `kk · ldp + 0..16` for `kk < kc`.
     #[inline(always)]
-    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
-        pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel)
+    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32, ldp: usize) {
+        pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel, ldp)
     }
 
-    /// [`matmul_block`], monomorphised for `ops.layout` and compiled with
-    /// the leg's CPU feature enabled, so that the pack, the tile and the
-    /// axpy walk inline into the panel loops (a shallow panel is eight `k`
-    /// steps per tile call).
+    /// [`matmul_block`], monomorphised for `ops.layout` and for a batched
+    /// `rhs` and compiled with the leg's CPU feature enabled, so that the
+    /// pack, the tile and the axpy walk inline into the panel loops (a
+    /// shallow panel is eight `k` steps per tile call; with the batched
+    /// branches in them the panel loops no longer inlined, and a shallow
+    /// 4-row GEMM ran at a third of its speed).
     ///
     /// # Safety
     ///
@@ -232,23 +283,52 @@ pub(crate) trait Leg {
 ///
 /// As [`Leg::pack_transposed`], for `j < width` and `kk` in `kks`.
 #[inline(always)]
-unsafe fn pack_transposed_portable(
+pub(crate) unsafe fn pack_transposed_portable(
     b: *const f32,
     ldb: usize,
     width: usize,
     kks: Range<usize>,
     panel: *mut f32,
+    ldp: usize,
 ) {
     for j in 0..width {
         for kk in kks.clone() {
-            *panel.add(kk * TILE_COLS + j) = *b.add(j * ldb + kk);
+            *panel.add(kk * ldp + j) = *b.add(j * ldb + kk);
+        }
+    }
+}
+
+/// `dst[c · ldd + r] = src[r · lds + c]` for `r < rows` and `c < cols`:
+/// [`Leg::pack_transposed`] over every whole sixteen-row strip, its
+/// portable loop over a ragged last one.
+///
+/// # Safety
+///
+/// Needs the leg's CPU feature; `src` must be readable at `r · lds +
+/// 0..cols` and `dst` writable at `c · ldd + 0..rows`, and the two must not
+/// overlap.
+pub(crate) unsafe fn transpose<L: Leg>(
+    src: *const f32,
+    lds: usize,
+    rows: usize,
+    cols: usize,
+    dst: *mut f32,
+    ldd: usize,
+) {
+    for r0 in (0..rows).step_by(TILE_COLS) {
+        let (src, dst) = (src.add(r0 * lds), dst.add(r0));
+        match rows - r0 {
+            TILE_COLS.. => L::pack_transposed(src, lds, cols, dst, ldd),
+            width => pack_transposed_portable(src, lds, width, 0..cols, dst, ldd),
         }
     }
 }
 
 /// Computes `block` of `ops.lhs · ops.rhs` (`rhs` read through
-/// `ops.layout`, which `TRANSPOSED` repeats); see the module docs. Called
-/// through [`Leg::block`].
+/// `ops.layout`, which `TRANSPOSED` repeats, and batched when `BATCHED`,
+/// which `ops.rhs_stride != 0` repeats); see the module docs. Called
+/// through [`Leg::block`], which picks the instance: the batched branches
+/// are then compiled out of every other product.
 ///
 /// # Safety
 ///
@@ -257,9 +337,13 @@ unsafe fn pack_transposed_portable(
 /// elements during the call. `ops.lhs` must hold `ops.k` elements of rows
 /// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`, and
 /// `ops.rhs` its `k × block.cols.end` (transposed: `block.cols.end × k`)
-/// elements at stride `ops.ldb`.
+/// elements at stride `ops.ldb` — per row, `ops.rhs_stride` apart, for a
+/// batched product.
 #[inline(always)]
-unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(ops: &Operands, block: &OutBlock) {
+unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
+    ops: &Operands,
+    block: &OutBlock,
+) {
     let &Operands {
         lhs,
         lda,
@@ -271,9 +355,12 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(ops: &Operands, block: &O
         resident,
         ..
     } = ops;
+    let bs = if BATCHED { ops.rhs_stride } else { 0 };
+    debug_assert!(resident || !BATCHED, "only a resident product is batched");
+    debug_assert!(!(resident && TRANSPOSED), "a resident rhs is row-major");
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
     let a = lhs.as_ptr().add(row0 * lda);
-    let b = rhs.as_ptr();
+    let b = rhs.as_ptr().add(row0 * bs);
     if k == 0 {
         // An empty sum is the value it starts from.
         for i in 0..if accumulate { 0 } else { rows } {
@@ -305,48 +392,75 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(ops: &Operands, block: &O
     // Every element a tile reads was packed earlier in the same call.
     let mut panel = core::mem::MaybeUninit::<[f32; KC * TILE_COLS]>::uninit();
     let panel: *mut f32 = panel.as_mut_ptr().cast();
+    // A batched product packs a ragged strip per row — a tile's rows each
+    // own a panel — so its k panels are a quarter as deep.
+    let kc_max = if BATCHED { KC / TILE_ROWS } else { KC };
+    // Copies `kc` rows of the `width`-column strip at `src` into a panel,
+    // zero-padded to sixteen columns; `ahead` is the row-major strip to
+    // prefetch meanwhile, line for line.
+    let copy_strip = |src: *const f32, width, kc, dst: *mut f32, ahead: Option<*const f32>| {
+        for kk in 0..kc {
+            if let Some(ahead) = ahead {
+                L::prefetch(ahead.wrapping_add(kk * ldb));
+            }
+            let dst = dst.add(kk * TILE_COLS);
+            core::ptr::copy_nonoverlapping(src.add(kk * ldb), dst, width);
+            core::ptr::write_bytes(dst.add(width), 0, TILE_COLS - width);
+        }
+    };
     // A ragged strip's tiles compute into here, sixteen wide, and only the
     // strip's own columns are copied back.
     let mut edge = [0.0f32; TILE_ROWS * TILE_COLS];
     // Runs every row tile over panel `k0..k0 + kc` of the `width`-column
-    // strip at `j0`, packing it first unless it is read in place; `ahead`
-    // is the row-major strip to prefetch meanwhile, line for line.
+    // strip at `j0`, packing it first unless it is read in place.
     let mut strip_panel =
         |j0: usize, width: usize, k0: usize, kc: usize, ahead: Option<*const f32>| {
             let full = width == TILE_COLS;
+            let strip = b.add(k0 * ldb + j0);
             let (mut tile_b, mut tile_ldb) = (panel.cast_const(), TILE_COLS);
             if TRANSPOSED && full {
-                L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel);
+                L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel, TILE_COLS);
             } else if TRANSPOSED {
                 core::ptr::write_bytes(panel, 0, kc * TILE_COLS);
-                pack_transposed_portable(b.add(j0 * ldb + k0), ldb, width, 0..kc, panel);
+                let b = b.add(j0 * ldb + k0);
+                pack_transposed_portable(b, ldb, width, 0..kc, panel, TILE_COLS);
             } else if resident && full {
-                (tile_b, tile_ldb) = (b.add(k0 * ldb + j0), ldb);
-            } else {
-                let strip = b.add(k0 * ldb + j0);
-                for kk in 0..kc {
-                    if let Some(ahead) = ahead {
-                        L::prefetch(ahead.wrapping_add(kk * ldb));
-                    }
-                    let dst = panel.add(kk * TILE_COLS);
-                    core::ptr::copy_nonoverlapping(strip.add(kk * ldb), dst, width);
-                    core::ptr::write_bytes(dst.add(width), 0, TILE_COLS - width);
-                }
+                (tile_b, tile_ldb) = (strip, ldb);
+            } else if !BATCHED {
+                copy_strip(strip, width, kc, panel, ahead);
             }
             let first = k0 == 0 && !accumulate;
             for i0 in (0..rows).step_by(TILE_ROWS) {
                 let r = TILE_ROWS.min(rows - i0);
                 let a = a.add(i0 * lda + k0);
                 let c = out.add(i0 * ldc + j0);
+                // This row tile's `rhs` windows and how far apart they lie.
+                let (tile_b, tile_bs) = match (BATCHED, full) {
+                    (false, _) => (tile_b, 0),
+                    (true, true) => (tile_b.add(i0 * bs), bs),
+                    (true, false) => {
+                        for i in 0..r {
+                            let dst = panel.add(i * kc * TILE_COLS);
+                            copy_strip(strip.add((i0 + i) * bs), width, kc, dst, None);
+                        }
+                        (panel.cast_const(), kc * TILE_COLS)
+                    }
+                };
+                let run = |c: *mut f32, ldc: usize| match BATCHED {
+                    false => L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first),
+                    true => {
+                        L::tile_batched(r, a, lda, tile_b, tile_ldb, tile_bs, kc, c, ldc, first)
+                    }
+                };
                 if full {
-                    L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first);
+                    run(c, ldc);
                     continue;
                 }
                 let edge = edge.as_mut_ptr();
                 for i in 0..if first { 0 } else { r } {
                     core::ptr::copy_nonoverlapping(c.add(i * ldc), edge.add(i * TILE_COLS), width);
                 }
-                L::tile(r, a, lda, tile_b, tile_ldb, kc, edge, TILE_COLS, first);
+                run(edge, TILE_COLS);
                 for i in 0..r {
                     core::ptr::copy_nonoverlapping(edge.add(i * TILE_COLS), c.add(i * ldc), width);
                 }
@@ -370,16 +484,17 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool>(ops: &Operands, block: &O
         }
     } else {
         for j0 in (cols.start..strips_end).step_by(TILE_COLS) {
-            for k0 in (0..k).step_by(KC) {
-                strip_panel(j0, TILE_COLS, k0, KC.min(k - k0), None);
+            for k0 in (0..k).step_by(kc_max) {
+                strip_panel(j0, TILE_COLS, k0, kc_max.min(k - k0), None);
             }
         }
     }
     if strips_end < cols.end && axpy {
         axpy_cols(strips_end..cols.end);
     } else if strips_end < cols.end {
-        for k0 in (0..k).step_by(KC) {
-            strip_panel(strips_end, cols.end - strips_end, k0, KC.min(k - k0), None);
+        let width = cols.end - strips_end;
+        for k0 in (0..k).step_by(kc_max) {
+            strip_panel(strips_end, width, k0, kc_max.min(k - k0), None);
         }
     }
 }
@@ -397,28 +512,23 @@ pub(crate) fn dot(mut acc: f32, a: &[f32], b: &[f32]) -> f32 {
 
 /// The scalar oracle of a resident product ([`Operands::resident`]) — the
 /// loops every vector leg of [`crate::Strided`]'s products is pinned to,
-/// on every input: a transposed `rhs` gives one [`dot`] per output
-/// element, a row-major one `out[i][j] += a[i][kk] · b[kk][j]` for
-/// ascending `kk`, skipping nothing.
+/// on every input: `out[i][j] += a[i][kk] · b[kk][j]` for ascending `kk`,
+/// skipping nothing, row `i` reading `b` from `i · rhs_stride` on.
 pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: &mut [f32]) {
+    debug_assert!(
+        ops.layout == Layout::RowMajor,
+        "a resident rhs is row-major"
+    );
     for i in 0..rows {
         let a_row = &ops.lhs[i * ops.lda..][..ops.k];
+        let b = &ops.rhs[i * ops.rhs_stride..];
         let out_row = &mut out[i * ops.ldc..][..n];
         if !ops.accumulate {
             out_row.fill(0.0);
         }
-        match ops.layout {
-            Layout::Transposed => {
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = dot(*o, a_row, &ops.rhs[j * ops.ldb..][..ops.k]);
-                }
-            }
-            Layout::RowMajor => {
-                for (kk, &av) in a_row.iter().enumerate() {
-                    for (o, &bv) in out_row.iter_mut().zip(&ops.rhs[kk * ops.ldb..][..n]) {
-                        *o += av * bv;
-                    }
-                }
+        for (kk, &av) in a_row.iter().enumerate() {
+            for (o, &bv) in out_row.iter_mut().zip(&b[kk * ops.ldb..][..n]) {
+                *o += av * bv;
             }
         }
     }
@@ -426,6 +536,59 @@ pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: 
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) struct Avx2;
+
+/// [`Avx2`]'s tile body for `R` rows: [`Leg::tile`] with every row reading
+/// one `b` (`BATCHED` false, `bs` ignored), or [`Leg::tile_batched`].
+///
+/// # Safety
+///
+/// The contract of the one it implements.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn avx2_rows<const R: usize, const BATCHED: bool>(
+    a: *const f32,
+    lda: usize,
+    b: *const f32,
+    ldb: usize,
+    bs: usize,
+    kc: usize,
+    c: *mut f32,
+    ldc: usize,
+    first: bool,
+) {
+    use core::arch::x86_64::*;
+    let mut acc = [[_mm256_setzero_ps(); 2]; R];
+    if !first {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            acc_r[0] = _mm256_loadu_ps(c.add(r * ldc));
+            acc_r[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
+        }
+    }
+    for kk in 0..kc {
+        let b_kk = b.add(kk * ldb);
+        let shared = (_mm256_loadu_ps(b_kk), _mm256_loadu_ps(b_kk.add(8)));
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let (b0, b1) = match BATCHED {
+                false => shared,
+                true => {
+                    let b_r = b_kk.add(r * bs);
+                    (_mm256_loadu_ps(b_r), _mm256_loadu_ps(b_r.add(8)))
+                }
+            };
+            // mul then add, never fused: the scalar oracle rounds the
+            // product before the sum.
+            let av = _mm256_set1_ps(*a.add(r * lda + kk));
+            acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(av, b0));
+            acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(av, b1));
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        _mm256_storeu_ps(c.add(r * ldc), acc_r[0]);
+        _mm256_storeu_ps(c.add(r * ldc + 8), acc_r[1]);
+    }
+}
 
 #[cfg(target_arch = "x86_64")]
 impl Leg for Avx2 {
@@ -441,50 +604,32 @@ impl Leg for Avx2 {
         ldc: usize,
         first: bool,
     ) {
-        use core::arch::x86_64::*;
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn rows_n<const R: usize>(
-            a: *const f32,
-            lda: usize,
-            b: *const f32,
-            ldb: usize,
-            kc: usize,
-            c: *mut f32,
-            ldc: usize,
-            first: bool,
-        ) {
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            if !first {
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    acc_r[0] = _mm256_loadu_ps(c.add(r * ldc));
-                    acc_r[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
-                }
-            }
-            for kk in 0..kc {
-                let b0 = _mm256_loadu_ps(b.add(kk * ldb));
-                let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    // mul then add, never fused: the scalar oracle
-                    // rounds the product before the sum.
-                    let av = _mm256_set1_ps(*a.add(r * lda + kk));
-                    acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(av, b0));
-                    acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(av, b1));
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(c.add(r * ldc), acc_r[0]);
-                _mm256_storeu_ps(c.add(r * ldc + 8), acc_r[1]);
-            }
-        }
-
         match rows {
-            4 => rows_n::<4>(a, lda, b, ldb, kc, c, ldc, first),
-            3 => rows_n::<3>(a, lda, b, ldb, kc, c, ldc, first),
-            2 => rows_n::<2>(a, lda, b, ldb, kc, c, ldc, first),
-            _ => rows_n::<1>(a, lda, b, ldb, kc, c, ldc, first),
+            4 => avx2_rows::<4, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
+            3 => avx2_rows::<3, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
+            2 => avx2_rows::<2, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
+            _ => avx2_rows::<1, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile_batched(
+        rows: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        bs: usize,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        first: bool,
+    ) {
+        match rows {
+            4 => avx2_rows::<4, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
+            3 => avx2_rows::<3, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
+            2 => avx2_rows::<2, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
+            _ => avx2_rows::<1, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
         }
     }
 
@@ -531,7 +676,7 @@ impl Leg for Avx2 {
     /// seven of seven alternating rounds).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
+    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32, ldp: usize) {
         use core::arch::x86_64::*;
         let blocks_end = kc - kc % 4;
         for kk in (0..blocks_end).step_by(4) {
@@ -553,21 +698,22 @@ impl Leg for Avx2 {
                 let t1 = _mm256_unpackhi_ps(r0, r1);
                 let t2 = _mm256_unpacklo_ps(r2, r3);
                 let t3 = _mm256_unpackhi_ps(r2, r3);
-                let dst = panel.add(kk * TILE_COLS + j0);
+                let dst = panel.add(kk * ldp + j0);
                 _mm256_storeu_ps(dst, _mm256_shuffle_ps::<0x44>(t0, t2));
-                _mm256_storeu_ps(dst.add(TILE_COLS), _mm256_shuffle_ps::<0xEE>(t0, t2));
-                _mm256_storeu_ps(dst.add(2 * TILE_COLS), _mm256_shuffle_ps::<0x44>(t1, t3));
-                _mm256_storeu_ps(dst.add(3 * TILE_COLS), _mm256_shuffle_ps::<0xEE>(t1, t3));
+                _mm256_storeu_ps(dst.add(ldp), _mm256_shuffle_ps::<0xEE>(t0, t2));
+                _mm256_storeu_ps(dst.add(2 * ldp), _mm256_shuffle_ps::<0x44>(t1, t3));
+                _mm256_storeu_ps(dst.add(3 * ldp), _mm256_shuffle_ps::<0xEE>(t1, t3));
             }
         }
-        pack_transposed_portable(b, ldb, TILE_COLS, blocks_end..kc, panel);
+        pack_transposed_portable(b, ldb, TILE_COLS, blocks_end..kc, panel, ldp);
     }
 
     #[target_feature(enable = "avx2")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
-        match ops.layout {
-            Layout::RowMajor => matmul_block::<Self, false>(ops, block),
-            Layout::Transposed => matmul_block::<Self, true>(ops, block),
+        match (ops.layout, ops.rhs_stride) {
+            (Layout::RowMajor, 0) => matmul_block::<Self, false, false>(ops, block),
+            (Layout::RowMajor, _) => matmul_block::<Self, false, true>(ops, block),
+            (Layout::Transposed, _) => matmul_block::<Self, true, false>(ops, block),
         }
     }
 }
@@ -579,7 +725,7 @@ pub(crate) struct Neon;
 /// default (empty) `prefetch`: stable Rust has no aarch64 prefetch
 /// intrinsic, and the shallow panel order is already the address order the
 /// hardware prefetchers follow. It also keeps the default (portable)
-/// `pack_transposed`.
+/// `pack_transposed` and `tile_batched`.
 #[cfg(target_arch = "aarch64")]
 impl Leg for Neon {
     #[target_feature(enable = "neon")]
@@ -672,9 +818,10 @@ impl Leg for Neon {
 
     #[target_feature(enable = "neon")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
-        match ops.layout {
-            Layout::RowMajor => matmul_block::<Self, false>(ops, block),
-            Layout::Transposed => matmul_block::<Self, true>(ops, block),
+        match (ops.layout, ops.rhs_stride) {
+            (Layout::RowMajor, 0) => matmul_block::<Self, false, false>(ops, block),
+            (Layout::RowMajor, _) => matmul_block::<Self, false, true>(ops, block),
+            (Layout::Transposed, _) => matmul_block::<Self, true, false>(ops, block),
         }
     }
 }
