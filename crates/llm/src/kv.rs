@@ -30,10 +30,9 @@
 //! positions lie side by side — float pages store K that way, an Anda
 //! page's decoded keys are transposed once per page). What consumes a
 //! tile is the GEMM register tile (`anda_tensor::Strided`), reading it in
-//! place: a page one lane views alone — every page of an unshared decode
-//! stream — is one head-batched product per pass, the lane's heads the
-//! rows; a page several lanes view (chunk spans, forks of a prefix) is,
-//! per head, one product with those lanes as the rows.
+//! place: each lane viewing a page runs one head-batched product on it per
+//! pass, the lane's heads the rows — however many lanes share the tile
+//! (chunk spans, forks of a prefix).
 //! [`LayerKv::key_into`] / [`LayerKv::value_into`] remain as the
 //! single-row accessors (and the reference the walk is tested against).
 //!
@@ -1134,24 +1133,18 @@ struct PageScratch {
 }
 
 /// One walk job's scratch: the page tiles, the page-group sort buffer and
-/// the lane blocks of a shared group's products. None scales with context.
+/// a lane's raw scores of one page. None scales with context.
 #[derive(Clone, Debug, Default)]
 struct WalkScratch {
     tiles: PageScratch,
     order: Vec<Viewer>,
-    /// The gathered left operand of a group's products: its lanes'
-    /// queries (K pass) or softmax weights (V pass), one row per lane.
-    lhs: Vec<f32>,
-    /// Their output block: one head's raw scores (K pass), the lanes'
-    /// head mixes (V pass).
-    acc: Vec<f32>,
+    raw: Vec<f32>,
     /// Anda pages decoded by this job's K passes (monotonic).
     pages_decoded: u64,
 }
 
 /// One lane reaching the page index a pass is at. Sorted, the lanes of one
-/// physical page are adjacent, and within them the lanes viewing equally
-/// many of its rows.
+/// physical page are adjacent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Viewer {
     /// [`TablePage::identity`] of the page the lane's table holds there.
@@ -1184,27 +1177,23 @@ struct Viewer {
 /// nothing in exactness.
 ///
 /// The products run on the register tile every GEMM of a step runs on,
-/// over the tiles where they lie — nothing in the walk packs. The K pass
-/// multiplies queries by the position-minor keys, so the tile's sixteen
-/// columns are sixteen *positions*; the V pass accumulates `weights ·
-/// values` onto the head mixes, a head's output columns staying in
-/// registers across the page's rows. Which lanes are the rows follows
-/// from the group's viewer count alone:
-///
-/// * **One viewer** (every page of an unshared decode stream): the lane's
-///   heads are the rows of one batched product per pass — row `h` against
-///   head `h`'s own keys or values — so four heads × sixteen positions are
-///   eight independent accumulator chains, and scores and mixes are
-///   written straight into the lane.
-/// * **Several viewers** (chunk spans, forks of a prefix): per head, the
-///   lanes are the rows — gathered queries or weights against the head's
-///   keys or values, shared by every lane.
+/// over the tiles where they lie — nothing in the walk packs. Each lane
+/// viewing the page runs one head-batched product per pass, its heads
+/// the rows, row `h` against head `h`'s own keys or values: the K pass
+/// multiplies the query by the position-minor keys, so the tile's sixteen
+/// columns are sixteen *positions* and four heads × sixteen positions are
+/// eight independent accumulator chains; the V pass accumulates `weights ·
+/// values` straight onto the lane's head mixes, a head's output columns
+/// staying in registers across the page's rows. Lanes sharing a page share
+/// its decode and its tile, not a product: a product with those lanes as
+/// its rows reuses each key load across four lanes but must gather their
+/// queries and weights, and it served no benchmark workload more than 2 %
+/// faster.
 ///
 /// Masking is structural: a lane's sums run over exactly the rows its
-/// window reaches (lanes viewing equally many rows of a page share a V
-/// product; surplus K scores of a shared page are computed and dropped),
-/// never over a masked row times zero, and never over a slot past a
-/// page's fill.
+/// window reaches, never over a masked row times zero, and never over a
+/// slot past a page's fill (a K product computes the scores of a page's
+/// every slot, each its own sum, and drops those past the window).
 ///
 /// Every output element keeps the per-head reference arithmetic — the
 /// ascending-`c` `q·k` sum (vectorised across positions, never within a
@@ -1265,12 +1254,7 @@ impl PageDecodeCache {
         if self.jobs.is_empty() {
             self.jobs.push(WalkScratch::default());
         }
-        let job = &mut self.jobs[0];
-        job.order.reserve(rows);
-        // Pages deeper than a head is wide grow these once more, on the
-        // first walk that meets them.
-        job.lhs.reserve(rows * config.d_model);
-        job.acc.reserve(rows * config.d_model);
+        self.jobs[0].order.reserve(rows);
     }
 
     /// Projection GEMMs the model's steps dispatched through this cache
@@ -1481,16 +1465,10 @@ fn visit_pages(
                 dh,
                 leg,
             };
-            match (want_v, viewers) {
-                (false, [solo]) => group.score_solo(&mut lanes[solo.lane], solo.rows),
-                (false, _) => group.score(lanes, viewers, &mut s.lhs, &mut s.acc),
-                (true, [solo]) => group.mix_solo(&mut lanes[solo.lane], solo.rows),
-                // A sum must end where its lane's window does, so only
-                // lanes viewing equally many rows share a V product.
-                (true, _) => {
-                    for run in viewers.chunk_by(|a, b| a.rows == b.rows) {
-                        group.mix(lanes, run, &mut s.lhs, &mut s.acc);
-                    }
+            for v in viewers {
+                match want_v {
+                    false => group.score(&mut lanes[v.lane], v.rows, &mut s.raw),
+                    true => group.mix(&mut lanes[v.lane], v.rows),
                 }
             }
         }
@@ -1512,130 +1490,50 @@ struct PageGroup<'a> {
 }
 
 impl PageGroup<'_> {
-    /// Head `h`'s keys of the first `n` positions: `dh × n`, one row per
-    /// lane of the key.
-    fn keys(&self, h: usize, n: usize) -> Strided<'_> {
-        Strided::new(&self.tile[h * self.dh * self.ld..], self.dh, n, self.ld)
-    }
-
-    /// Head `h`'s values of the first `rows` positions: `rows × dh`.
-    fn values(&self, h: usize, rows: usize) -> Strided<'_> {
-        Strided::new(&self.tile[h * self.dh..], rows, self.dh, self.ld)
-    }
-
-    /// K pass of a page only `lane` views, its first `rows` positions:
-    /// every head's scores in one batched product — the query's heads are
-    /// the rows, each against its own keys, so the register tile runs
-    /// four heads × sixteen positions of independent sums — written
-    /// straight into the lane's score rows and scaled there.
-    fn score_solo(&self, lane: &mut AttendLane<'_>, rows: usize) {
-        let (t, dh) = (lane.t, self.dh);
+    /// K pass of `lane` over the first `rows` positions it views: every
+    /// head's scores in one batched product — the query's heads are the
+    /// rows, each against its own keys, so the register tile runs four
+    /// heads × sixteen positions of independent sums — then scaled into
+    /// the lane's score rows. The product spans the page's every slot
+    /// (`ld` positions) into `raw`: on the page a lane's window ends in,
+    /// whole strips read in place cost less than packing each head's
+    /// ragged one, and the scores past `rows`, stale slots included, are
+    /// dropped.
+    fn score(&self, lane: &mut AttendLane<'_>, rows: usize, raw: &mut Vec<f32>) {
+        let (n, dh) = (self.ld, self.dh);
         let scale = 1.0 / (dh as f32).sqrt();
-        let scores = &mut lane.scores[self.base..];
+        raw.resize(self.heads * n, 0.0);
         Strided::new(lane.q, self.heads, dh, dh).matmul_batched_into(
-            self.keys(0, rows),
-            dh * self.ld,
-            scores,
-            t,
+            Strided::new(self.tile, dh, n, n),
+            dh * n,
+            raw,
+            n,
             false,
             self.leg,
         );
-        for head in scores.chunks_mut(t) {
-            head[..rows].iter_mut().for_each(|score| *score *= scale);
-        }
-    }
-
-    /// K pass of a shared page: per head, `lanes × dh` queries times the
-    /// page's keys, whose positions are the product's columns — the
-    /// register tile runs sixteen positions side by side, reading the
-    /// keys where they lie — each raw score then scaled into its lane.
-    /// `viewers` ascend in `rows`; what a lane's window does not reach is
-    /// computed and dropped.
-    fn score(
-        &self,
-        lanes: &mut [AttendLane<'_>],
-        viewers: &[Viewer],
-        lhs: &mut Vec<f32>,
-        acc: &mut Vec<f32>,
-    ) {
-        let (w, dh) = (self.heads * self.dh, self.dh);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let n = viewers[viewers.len() - 1].rows;
-        lhs.clear();
-        for v in viewers {
-            lhs.extend_from_slice(lanes[v.lane].q);
-        }
-        acc.clear();
-        acc.resize(viewers.len() * n, 0.0);
-        for h in 0..self.heads {
-            Strided::new(&lhs[h * dh..], viewers.len(), dh, w).matmul_into(
-                self.keys(h, n),
-                acc,
-                n,
-                false,
-                self.leg,
-            );
-            for (v, raw) in viewers.iter().zip(acc.chunks_exact(n)) {
-                let lane = &mut lanes[v.lane];
-                let scores = &mut lane.scores[h * lane.t + self.base..][..v.rows];
-                for (score, &raw) in scores.iter_mut().zip(raw) {
-                    *score = raw * scale;
-                }
+        let scores = lane.scores[self.base..].chunks_mut(lane.t);
+        for (head, raw) in scores.zip(raw.chunks_exact(n)) {
+            for (score, &raw) in head[..rows].iter_mut().zip(raw) {
+                *score = raw * scale;
             }
         }
     }
 
-    /// V pass of a page only `lane` views, its first `rows` positions:
-    /// `out += p · v` for every head in one batched product — head `h`'s
-    /// weights times its own values, accumulated straight onto the lane's
-    /// mix of the pages before.
-    fn mix_solo(&self, lane: &mut AttendLane<'_>, rows: usize) {
+    /// V pass of `lane` over the first `rows` positions it views: `out +=
+    /// p · v` for every head in one batched product — head `h`'s weights
+    /// times its own `rows × dh` values, accumulated straight onto the
+    /// lane's mix of the pages before, so every output element adds its
+    /// `p · v` in position order and a weight of zero still multiplies.
+    fn mix(&self, lane: &mut AttendLane<'_>, rows: usize) {
         let weights = Strided::new(&lane.scores[self.base..], self.heads, rows, lane.t);
         weights.matmul_batched_into(
-            self.values(0, rows),
+            Strided::new(self.tile, rows, self.dh, self.ld),
             self.dh,
             lane.out,
             self.dh,
             true,
             self.leg,
         );
-    }
-
-    /// V pass over shared-page lanes that all view `rows` rows: per head,
-    /// `out += p · v` as the product of the lanes' weights and the page's
-    /// values, accumulated onto the mixes of the pages before — so every
-    /// output element still adds its `p · v` in position order, and a
-    /// weight of zero still multiplies.
-    fn mix(
-        &self,
-        lanes: &mut [AttendLane<'_>],
-        viewers: &[Viewer],
-        lhs: &mut Vec<f32>,
-        acc: &mut Vec<f32>,
-    ) {
-        let (heads, dh, rows) = (self.heads, self.dh, viewers[0].rows);
-        let w = heads * dh;
-        lhs.clear();
-        acc.clear();
-        for v in viewers {
-            let lane = &lanes[v.lane];
-            for h in 0..heads {
-                lhs.extend_from_slice(&lane.scores[h * lane.t + self.base..][..rows]);
-            }
-            acc.extend_from_slice(lane.out);
-        }
-        for h in 0..heads {
-            Strided::new(&lhs[h * rows..], viewers.len(), rows, heads * rows).matmul_into(
-                self.values(h, rows),
-                &mut acc[h * dh..],
-                w,
-                true,
-                self.leg,
-            );
-        }
-        for (v, mixed) in viewers.iter().zip(acc.chunks_exact(w)) {
-            lanes[v.lane].out.copy_from_slice(mixed);
-        }
     }
 }
 

@@ -530,11 +530,12 @@ const SOLO_HEADS: [usize; 6] = [1, 2, 3, 4, 5, 8];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Private streams only, so every page group has exactly one viewer and
-    /// every product is the head-batched one. The pages are recycled from a
-    /// stream that filled every slot with ±inf and NaN (raw on `Fp32`
-    /// pages, saturated by the others), and each stream ends in a partial
-    /// tail page: slots past `used` must never reach a sum.
+    /// Private streams only, so every page has exactly one viewer — a
+    /// decode batch's shape — at head counts off the batched tile's four
+    /// rows. The pages are recycled from a stream that filled every slot
+    /// with ±inf and NaN (raw on `Fp32` pages, saturated by the others),
+    /// and each stream ends in a partial tail page: slots past `used` must
+    /// never reach a sum.
     #[test]
     fn lanes_viewing_their_pages_alone_match_the_reference(seed in any::<u64>()) {
         for storage in [KvStorage::Fp32, POLICIES[0], POLICIES[1], POLICIES[3]] {

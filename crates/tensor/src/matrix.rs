@@ -698,18 +698,18 @@ unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
 /// A `rows × cols` row-major window of a longer buffer: row `r` is
 /// `data[r · ld ..][.. cols]`. The operand type of the products a caller
 /// runs over pieces of buffers it owns for other reasons — the attention
-/// page walk multiplies a block of queries by one head's keys of a cached
-/// page, or a query's heads each by its own — where the window is small
-/// and cache-resident and the call count is high.
+/// page walk multiplies a query's heads each by its own keys or values of
+/// a cached page — where the window is small and cache-resident and the
+/// call count is high.
 ///
-/// Both products, plain and batched, run the register tile of every
-/// [`Matrix`] product (`tile.rs`) at every row count, on one thread, with
-/// `rhs` read in place, and skip nothing: output
-/// element `(i, j)` is the ascending-`k` sum of `lhs[i][k] · rhs[k][j]`,
-/// multiply then add, started from `+0.0` or — accumulating — from the
-/// element's current value, `f32::to_bits`-identical on every leg **and
-/// every input**, non-finite ones included. Output columns past the
-/// product's width are never written.
+/// The product runs the register tile of every [`Matrix`] product
+/// (`tile.rs`) at every row count, on one thread, with `rhs` read in
+/// place, and skips nothing: output element `(i, j)` is the ascending-`k`
+/// sum of `lhs[i][k] · rhs_i[k][j]`, multiply then add, started from
+/// `+0.0` or — accumulating — from the element's current value,
+/// `f32::to_bits`-identical on every leg **and every input**, non-finite
+/// ones included. Output columns past the product's width are never
+/// written.
 #[derive(Clone, Copy, Debug)]
 pub struct Strided<'a> {
     data: &'a [f32],
@@ -747,79 +747,19 @@ impl<'a> Strided<'a> {
         }
     }
 
-    /// `out (+)= self · rhs` on `leg`, `out`'s rows `ldc` apart; sums start
-    /// from `out`'s contents when `accumulate`.
+    /// A batch of one-row products, `out (+)= self · rhs` row by row: row
+    /// `r` of `self` times the window `rhs` describes moved `r ·
+    /// rhs_stride` elements further on (0: the same window for every row),
+    /// into row `r` of `out` — say one query's heads against their own
+    /// columns of a page. `out`'s rows lie `ldc` apart; sums start from
+    /// `out`'s contents when `accumulate`.
     ///
     /// # Panics
     ///
-    /// Panics on a shape mismatch, if `out` cannot hold the product, or if
-    /// `leg` is unavailable on this host.
-    pub fn matmul_into(
-        &self,
-        rhs: Strided<'_>,
-        out: &mut [f32],
-        ldc: usize,
-        accumulate: bool,
-        leg: SimdLeg,
-    ) {
-        self.product(rhs, 0, out, ldc, accumulate, leg);
-    }
-
-    /// A batch of one-row products: row `r` of `self` times the window
-    /// `rhs` describes moved `r · rhs_stride` elements further on, into
-    /// row `r` of `out` — say one query's heads against their own columns
-    /// of a page. The rows run side by side on the register tile, each
-    /// element summed as [`Strided::matmul_into`] sums it.
-    ///
-    /// # Panics
-    ///
-    /// As [`Strided::matmul_into`], or if the last row's window runs past
-    /// `rhs`'s buffer.
+    /// Panics on a shape mismatch, if `out` cannot hold the product, if the
+    /// last row's window runs past `rhs`'s buffer, or if `leg` is
+    /// unavailable on this host.
     pub fn matmul_batched_into(
-        &self,
-        rhs: Strided<'_>,
-        rhs_stride: usize,
-        out: &mut [f32],
-        ldc: usize,
-        accumulate: bool,
-        leg: SimdLeg,
-    ) {
-        self.product(rhs, rhs_stride, out, ldc, accumulate, leg);
-    }
-
-    /// Writes the window transposed: `out[c · ldo + r] = self[r][c]`, on
-    /// the transposing pack of `leg` (bit-for-bit a copy on every leg).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` cannot hold `cols` rows of `rows` at stride `ldo`, or
-    /// if `leg` is unavailable on this host.
-    pub fn transpose_into(&self, out: &mut [f32], ldo: usize, leg: SimdLeg) {
-        assert!(
-            self.rows <= ldo && strided_span(self.cols, self.rows, ldo) <= out.len(),
-            "a {}x{} transpose of stride {ldo} does not fit {} elements",
-            self.cols,
-            self.rows,
-            out.len()
-        );
-        leg.assert_available();
-        let (src, dst) = (self.data.as_ptr(), out.as_mut_ptr());
-        let (rows, cols, ld) = (self.rows, self.cols, self.ld);
-        // SAFETY: `Strided::new` checked that the window lies inside
-        // `data`, the assert above that `out` holds its transpose, and the
-        // two are distinct borrows; `leg` was asserted available.
-        unsafe {
-            match leg {
-                #[cfg(target_arch = "x86_64")]
-                SimdLeg::Avx2 => tile::transpose::<tile::Avx2>(src, ld, rows, cols, dst, ldo),
-                #[cfg(target_arch = "aarch64")]
-                SimdLeg::Neon => tile::transpose::<tile::Neon>(src, ld, rows, cols, dst, ldo),
-                _ => tile::pack_transposed_portable(src, ld, rows, 0..cols, dst, ldo),
-            }
-        }
-    }
-
-    fn product(
         &self,
         rhs: Strided<'_>,
         rhs_stride: usize,
@@ -870,6 +810,38 @@ impl<'a> Strided<'a> {
         // both windows lie inside their buffers, and the shapes agree;
         // `leg` was asserted available.
         unsafe { block_on_leg(&ops, &block, leg) }
+    }
+
+    /// Writes the window transposed: `out[c · ldo + r] = self[r][c]`, on
+    /// the transposing pack of `leg` (bit-for-bit a copy on every leg).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` cannot hold `cols` rows of `rows` at stride `ldo`, or
+    /// if `leg` is unavailable on this host.
+    pub fn transpose_into(&self, out: &mut [f32], ldo: usize, leg: SimdLeg) {
+        assert!(
+            self.rows <= ldo && strided_span(self.cols, self.rows, ldo) <= out.len(),
+            "a {}x{} transpose of stride {ldo} does not fit {} elements",
+            self.cols,
+            self.rows,
+            out.len()
+        );
+        leg.assert_available();
+        let (src, dst) = (self.data.as_ptr(), out.as_mut_ptr());
+        let (rows, cols, ld) = (self.rows, self.cols, self.ld);
+        // SAFETY: `Strided::new` checked that the window lies inside
+        // `data`, the assert above that `out` holds its transpose, and the
+        // two are distinct borrows; `leg` was asserted available.
+        unsafe {
+            match leg {
+                #[cfg(target_arch = "x86_64")]
+                SimdLeg::Avx2 => tile::transpose::<tile::Avx2>(src, ld, rows, cols, dst, ldo),
+                #[cfg(target_arch = "aarch64")]
+                SimdLeg::Neon => tile::transpose::<tile::Neon>(src, ld, rows, cols, dst, ldo),
+                _ => tile::pack_transposed_portable(src, ld, rows, 0..cols, dst, ldo),
+            }
+        }
     }
 }
 
@@ -1094,7 +1066,8 @@ mod tests {
         // tile height and its remainders, `k` off the 4-blocks of the
         // transposing pack and past a batched panel's depth, widths around
         // one strip, sums started from `+0.0` and from a non-zero `out`, and
-        // each row of a batch on its own window, further apart than wide.
+        // every row on one window or each on its own, further apart than
+        // wide.
         // Nothing may skip: a zero `lhs` element against a non-finite `rhs`
         // one is a NaN in the loops and in every leg, and what lies between
         // the windows' rows must never be read as data nor written. (NaNs
@@ -1121,8 +1094,8 @@ mod tests {
                 let (lda, ldb, ldc) = (k + 3, n + 5, n + 1);
                 let mut a = wave(m * lda, 0.37);
                 a.iter_mut().step_by(3).for_each(|x| *x = 0.0);
-                for batch_stride in [0, k * ldb + 9] {
-                    let mut b = wave((m - 1) * batch_stride + k * ldb, 0.11);
+                for stride in [0, k * ldb + 9] {
+                    let mut b = wave((m - 1) * stride + k * ldb, 0.11);
                     let len = b.len();
                     for at in [0, len / 2, len - 1] {
                         b[at] = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][at % 3];
@@ -1131,12 +1104,7 @@ mod tests {
                     for accumulate in [false, true] {
                         let run = |leg: SimdLeg| {
                             let mut out = wave(m * ldc, 0.71);
-                            match batch_stride {
-                                0 => lhs.matmul_into(rhs, &mut out, ldc, accumulate, leg),
-                                s => {
-                                    lhs.matmul_batched_into(rhs, s, &mut out, ldc, accumulate, leg)
-                                }
-                            }
+                            lhs.matmul_batched_into(rhs, stride, &mut out, ldc, accumulate, leg);
                             bits(&out)
                         };
                         // The loops themselves, spelled out once more.
@@ -1145,7 +1113,7 @@ mod tests {
                             for j in 0..n {
                                 let mut acc = if accumulate { want[i * ldc + j] } else { 0.0 };
                                 for kk in 0..k {
-                                    acc += a[i * lda + kk] * b[i * batch_stride + kk * ldb + j];
+                                    acc += a[i * lda + kk] * b[i * stride + kk * ldb + j];
                                 }
                                 want[i * ldc + j] = acc;
                             }
@@ -1155,7 +1123,7 @@ mod tests {
                             assert_eq!(
                                 run(leg),
                                 want,
-                                "leg={} {m}x{k}x{n} batch stride {batch_stride} accumulate={accumulate}",
+                                "leg={} {m}x{k}x{n} batch stride {stride} accumulate={accumulate}",
                                 leg.name()
                             );
                         }
@@ -1195,15 +1163,12 @@ mod tests {
         let a = Matrix::identity(4);
         let view = Strided::new(a.as_slice(), 4, 4, 4);
         type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 5] = [
+        let entries: [Entry; 4] = [
             ("matmul_into_serial_with_leg", &|| {
                 a.matmul_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
             }),
             ("matmul_transposed_into_serial_with_leg", &|| {
                 a.matmul_transposed_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
-            }),
-            ("Strided::matmul_into", &|| {
-                view.matmul_into(view, &mut [0.0; 16], 4, false, leg)
             }),
             ("Strided::matmul_batched_into", &|| {
                 let (lhs, rhs) = (

@@ -77,12 +77,12 @@
 //! and, through [`transpose`], turns an Anda page's decoded keys
 //! position-minor once per page. A resident product can also
 //! **accumulate** (its sums start from the output's contents, which is
-//! how attention's `out += p · v` crosses a page boundary) and be
-//! **batched** ([`Operands::rhs_stride`]): each row then multiplies its
-//! own window — a decode lane's heads, each against its own keys — and a
-//! row tile is four independent products ([`Leg::tile_batched`]), whose
-//! accumulator chains hide the add latency a one-row product stalls on.
-//! Its ragged strips pack each row's window into a quarter of the panel.
+//! how attention's `out += p · v` crosses a page boundary), and it is
+//! **batched** ([`Operands::rhs_stride`]): each row multiplies its own
+//! window — a lane's heads, each against its own keys — and a row tile is
+//! four independent products ([`Leg::tile_batched`]), whose accumulator
+//! chains hide the add latency a one-row product stalls on. Its ragged
+//! strips pack each row's window into a quarter of the panel.
 //!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
@@ -145,11 +145,11 @@ pub(crate) struct Operands<'a> {
     /// matrix streaming from memory: nothing of the product is shaped
     /// around the stream — no axpy walk (so nothing skips a zero), no
     /// shallow prefetched panels, and full row-major strips are read where
-    /// they lie instead of being packed.
+    /// they lie instead of being packed. A resident product is batched.
     pub resident: bool,
     /// Resident, row-major only: `lhs` row `i` multiplies its own `rhs`
     /// window, `i · rhs_stride` elements after the first (0: one `rhs` for
-    /// every row).
+    /// every row; ignored by a streamed product).
     pub rhs_stride: usize,
 }
 
@@ -263,7 +263,7 @@ pub(crate) trait Leg {
         pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel, ldp)
     }
 
-    /// [`matmul_block`], monomorphised for `ops.layout` and for a batched
+    /// [`matmul_block`], monomorphised for `ops.layout` and for a resident
     /// `rhs` and compiled with the leg's CPU feature enabled, so that the
     /// pack, the tile and the axpy walk inline into the panel loops (a
     /// shallow panel is eight `k` steps per tile call; with the batched
@@ -325,10 +325,10 @@ pub(crate) unsafe fn transpose<L: Leg>(
 }
 
 /// Computes `block` of `ops.lhs · ops.rhs` (`rhs` read through
-/// `ops.layout`, which `TRANSPOSED` repeats, and batched when `BATCHED`,
-/// which `ops.rhs_stride != 0` repeats); see the module docs. Called
+/// `ops.layout`, which `TRANSPOSED` repeats, and resident and batched when
+/// `RESIDENT`, which `ops.resident` repeats); see the module docs. Called
 /// through [`Leg::block`], which picks the instance: the batched branches
-/// are then compiled out of every other product.
+/// are then compiled out of every streamed product.
 ///
 /// # Safety
 ///
@@ -338,9 +338,9 @@ pub(crate) unsafe fn transpose<L: Leg>(
 /// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`, and
 /// `ops.rhs` its `k × block.cols.end` (transposed: `block.cols.end × k`)
 /// elements at stride `ops.ldb` — per row, `ops.rhs_stride` apart, for a
-/// batched product.
+/// resident product.
 #[inline(always)]
-unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
+unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const RESIDENT: bool>(
     ops: &Operands,
     block: &OutBlock,
 ) {
@@ -352,12 +352,10 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
         k,
         ldc,
         accumulate,
-        resident,
         ..
     } = ops;
-    let bs = if BATCHED { ops.rhs_stride } else { 0 };
-    debug_assert!(resident || !BATCHED, "only a resident product is batched");
-    debug_assert!(!(resident && TRANSPOSED), "a resident rhs is row-major");
+    let bs = if RESIDENT { ops.rhs_stride } else { 0 };
+    debug_assert!(!(RESIDENT && TRANSPOSED), "a resident rhs is row-major");
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
     let a = lhs.as_ptr().add(row0 * lda);
     let b = rhs.as_ptr().add(row0 * bs);
@@ -370,7 +368,7 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
     }
     // The single-row walk over a streamed row-major `rhs`: sub-tile row
     // counts and ragged columns.
-    let axpy = !TRANSPOSED && !resident;
+    let axpy = !TRANSPOSED && !RESIDENT;
     debug_assert!(!(axpy && accumulate), "the axpy walk overwrites its output");
     let axpy_cols = |cols: Range<usize>| {
         for i in 0..rows {
@@ -394,7 +392,7 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
     let panel: *mut f32 = panel.as_mut_ptr().cast();
     // A batched product packs a ragged strip per row — a tile's rows each
     // own a panel — so its k panels are a quarter as deep.
-    let kc_max = if BATCHED { KC / TILE_ROWS } else { KC };
+    let kc_max = if RESIDENT { KC / TILE_ROWS } else { KC };
     // Copies `kc` rows of the `width`-column strip at `src` into a panel,
     // zero-padded to sixteen columns; `ahead` is the row-major strip to
     // prefetch meanwhile, line for line.
@@ -424,9 +422,9 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
                 core::ptr::write_bytes(panel, 0, kc * TILE_COLS);
                 let b = b.add(j0 * ldb + k0);
                 pack_transposed_portable(b, ldb, width, 0..kc, panel, TILE_COLS);
-            } else if resident && full {
+            } else if RESIDENT && full {
                 (tile_b, tile_ldb) = (strip, ldb);
-            } else if !BATCHED {
+            } else if !RESIDENT {
                 copy_strip(strip, width, kc, panel, ahead);
             }
             let first = k0 == 0 && !accumulate;
@@ -435,7 +433,7 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
                 let a = a.add(i0 * lda + k0);
                 let c = out.add(i0 * ldc + j0);
                 // This row tile's `rhs` windows and how far apart they lie.
-                let (tile_b, tile_bs) = match (BATCHED, full) {
+                let (tile_b, tile_bs) = match (RESIDENT, full) {
                     (false, _) => (tile_b, 0),
                     (true, true) => (tile_b.add(i0 * bs), bs),
                     (true, false) => {
@@ -446,7 +444,7 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const BATCHED: bool>(
                         (panel.cast_const(), kc * TILE_COLS)
                     }
                 };
-                let run = |c: *mut f32, ldc: usize| match BATCHED {
+                let run = |c: *mut f32, ldc: usize| match RESIDENT {
                     false => L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first),
                     true => {
                         L::tile_batched(r, a, lda, tile_b, tile_ldb, tile_bs, kc, c, ldc, first)
@@ -710,9 +708,9 @@ impl Leg for Avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
-        match (ops.layout, ops.rhs_stride) {
-            (Layout::RowMajor, 0) => matmul_block::<Self, false, false>(ops, block),
-            (Layout::RowMajor, _) => matmul_block::<Self, false, true>(ops, block),
+        match (ops.layout, ops.resident) {
+            (Layout::RowMajor, false) => matmul_block::<Self, false, false>(ops, block),
+            (Layout::RowMajor, true) => matmul_block::<Self, false, true>(ops, block),
             (Layout::Transposed, _) => matmul_block::<Self, true, false>(ops, block),
         }
     }
@@ -818,9 +816,9 @@ impl Leg for Neon {
 
     #[target_feature(enable = "neon")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
-        match (ops.layout, ops.rhs_stride) {
-            (Layout::RowMajor, 0) => matmul_block::<Self, false, false>(ops, block),
-            (Layout::RowMajor, _) => matmul_block::<Self, false, true>(ops, block),
+        match (ops.layout, ops.resident) {
+            (Layout::RowMajor, false) => matmul_block::<Self, false, false>(ops, block),
+            (Layout::RowMajor, true) => matmul_block::<Self, false, true>(ops, block),
             (Layout::Transposed, _) => matmul_block::<Self, true, false>(ops, block),
         }
     }
