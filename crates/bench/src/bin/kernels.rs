@@ -36,7 +36,7 @@ use anda_quant::{
     gemm_anda, gemm_anda_into_pool, gemm_fake_quant, ActivationCodec, IntWeightMatrix,
     WeightQuantConfig,
 };
-use anda_tensor::{Matrix, Rng};
+use anda_tensor::{Matrix, PackedMatrix, Rng};
 use rayon_lite::ThreadPool;
 
 const USAGE: &str = "usage: kernels [--quick] [--threads A,B,...] [section...]";
@@ -57,8 +57,9 @@ const SECTIONS: [Section; 8] = [
     ),
     (
         "m_sweep",
-        "GFLOP/s of M per-row passes | one tiled GEMM (serial, 4 rotating weight copies; \
-         wdown's lhs is ReLU-sparse; lm_head's rhs is held n x k)",
+        "GFLOP/s of M per-row passes | one tiled GEMM | the same over the weight packed as a \
+         model's Layer holds it (serial, 4 rotating weight copies; wdown's lhs is ReLU-sparse; \
+         lm_head's rhs is held n x k and has no packed form)",
         m_sweep,
     ),
     (
@@ -320,14 +321,16 @@ fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 /// projection shape, then the LM head (the same tile through the
 /// transposing pack), and each SIMD leg, `M` rows through one tiled call
 /// versus `M` passes of the per-row loop (axpy; for the LM head plain
-/// ascending-`k` dots, the scalar leg of `matmul_transposed`). `M = 1` is
-/// the small-M guard (a solo decode step: the row-major kernel must not
-/// lose to the loop it replaced, and the transposed one pays a whole pack
-/// for one row of arithmetic — this is where that cost is printed);
-/// `M ≥ 8` is where cross-row weight reuse has to show. Four weight copies
-/// rotate under the calls so that, as in a model, a weight has left the L2
-/// by the time it is used again: a single hot matrix ranks packing
-/// strategies the wrong way round.
+/// ascending-`k` dots, the scalar leg of `matmul_transposed`). A
+/// projection's third number is the walk a served step runs: the same tile
+/// reading a [`PackedMatrix`] in place, where the middle one copies every
+/// panel out of a row-major `rhs` first. `M = 1` is the small-M guard (a
+/// solo decode step; the transposed LM head pays a whole pack for one row
+/// of arithmetic — this is where that cost is printed); `M ≥ 8` is where
+/// cross-row weight reuse has to show. Four weight copies rotate under the
+/// calls so that, as in a model, a weight has left the L2 by the time it
+/// is used again: a single hot matrix ranks packing strategies the wrong
+/// way round.
 fn m_sweep(o: &Opts) -> Table {
     let mut table = columns("leg / k x n", SWEEP_M.map(|m| format!("M={m}")));
     for leg in available_legs() {
@@ -336,6 +339,10 @@ fn m_sweep(o: &Opts) -> Table {
             let copies: Vec<Matrix> = (0..4)
                 .map(|c| random(w_rows, w_cols, 11 + c, 0.05))
                 .collect();
+            let packed: Vec<PackedMatrix> = match transposed {
+                false => copies.iter().map(PackedMatrix::pack).collect(),
+                true => Vec::new(),
+            };
             let kind = if transposed { " lm_head" } else { "" };
             let mut cells = vec![format!("{} {k}x{n}{kind}", leg.name())];
             for m in SWEEP_M {
@@ -348,28 +355,31 @@ fn m_sweep(o: &Opts) -> Table {
                 }
                 let mut out = Matrix::zeros(m, n);
                 let calls = (64 / m).max(4);
-                let mut time = |f: &dyn Fn(&Matrix, &mut Matrix)| {
+                // `f(copy, out)` over the rotating copies.
+                let mut time = |f: &dyn Fn(usize, &mut Matrix)| {
                     let rotation = o.time(|| {
                         for call in 0..calls {
-                            f(&copies[call % copies.len()], &mut out);
+                            f(call % copies.len(), &mut out);
                         }
                     });
                     gflops(m, k, n, rotation / calls as f64)
                 };
-                let (rows, gemm) = if transposed {
-                    (
-                        time(&|b, out| {
-                            a.matmul_transposed_into_serial_with_leg(b, out, SimdLeg::Scalar)
-                        }),
-                        time(&|b, out| a.matmul_transposed_into_serial_with_leg(b, out, leg)),
-                    )
+                let cell = if transposed {
+                    let rows = time(&|c, out| {
+                        a.matmul_transposed_into_serial_with_leg(&copies[c], out, SimdLeg::Scalar)
+                    });
+                    let gemm = time(&|c, out| {
+                        a.matmul_transposed_into_serial_with_leg(&copies[c], out, leg)
+                    });
+                    format!("{rows:.1} | {gemm:.1}")
                 } else {
-                    (
-                        time(&|b, out| per_row_gemv(&a, b, out)),
-                        time(&|b, out| a.matmul_into_serial_with_leg(b, out, leg)),
-                    )
+                    let rows = time(&|c, out| per_row_gemv(&a, &copies[c], out));
+                    let gemm = time(&|c, out| a.matmul_into_serial_with_leg(&copies[c], out, leg));
+                    let in_place =
+                        time(&|c, out| a.matmul_packed_into_serial_with_leg(&packed[c], out, leg));
+                    format!("{rows:.1} | {gemm:.1} | {in_place:.1}")
                 };
-                cells.push(format!("{rows:.1} | {gemm:.1}"));
+                cells.push(cell);
             }
             table.row(cells);
         }

@@ -8,7 +8,8 @@
 //! rows), every [`KvCache`] is a per-layer page table over pages leased
 //! from a pool, and the storage policy ([`KvStorage`]) decides whether a
 //! page holds raw `f32` rows (the exact-reference policy), FP16-rounded
-//! rows (the paper's §V-A baseline) — both read in place — or Anda
+//! rows (the paper's §V-A baseline, kept as `f32` words) — both read in
+//! place — or Anda
 //! bit-plane rows (one `anda_format::AndaTensor` each for K and V,
 //! decoded on read with zero per-token allocation). The FP16 append and
 //! the Anda encode/decode all run through the SIMD-dispatched kernels in
@@ -87,7 +88,11 @@ pub enum KvStorage {
     /// solo `generate` has always cached) and the accounting baseline
     /// the compressed policies are measured against.
     Fp32,
-    /// FP16-rounded rows (the paper's §V-A baseline), read in place.
+    /// FP16-rounded rows (the paper's §V-A baseline), read in place. A
+    /// page keeps each rounded value widened to an `f32` word, so it holds
+    /// twice the bytes [`KvStorage::row_bits`] — and with it every page
+    /// and pool budget, `kv_peak_mib` included — accounts: the accounting
+    /// prices the FP16 storage the policy models, not this layout.
     Fp16,
     /// Anda-format rows with the given mantissa length, decoded on read.
     Anda {
@@ -207,7 +212,8 @@ pub struct Page {
 #[derive(Debug)]
 enum PageData {
     /// Plain `f32` words (raw for [`KvStorage::Fp32`], rounded then
-    /// widened for [`KvStorage::Fp16`]), each in the order the walk's
+    /// widened for [`KvStorage::Fp16`] — 32 bits resident per element
+    /// where [`KvStorage::row_bits`] accounts 16), each in the order the walk's
     /// products read it: V row-major, `positions × dim`; K position-minor,
     /// `dim × positions` (lane `c` of position `p` at `c · positions + p`).
     Float { k: Vec<f32>, v: Vec<f32> },

@@ -1,9 +1,10 @@
 //! The transformer inference engine.
 //!
-//! [`Model`] holds effective (`f32`) weights plus, in [`WeightMode::Int4`]
-//! mode, the quantized [`IntWeightMatrix`] handles the hardware simulator
-//! and storage accounting use. A per-module [`CodecAssignment`] is applied
-//! to the four FP-INT GeMM activations — all other arithmetic (attention
+//! [`Model`] holds effective (`f32`) weights — each projection once, as
+//! the [`PackedMatrix`] its GEMM reads in place — plus, in
+//! [`WeightMode::Int4`] mode, the quantized [`IntWeightMatrix`] handles the
+//! hardware simulator and storage accounting use. A per-module
+//! [`CodecAssignment`] is applied to the four FP-INT GeMM activations — all other arithmetic (attention
 //! scores, softmax, norms, residuals) stays in floating point, matching
 //! the paper's methodology (§V-A keeps non-GeMM operators and the KV
 //! cache in FP16; here the cache's storage policy is its pool's, and
@@ -23,13 +24,15 @@
 
 use anda_fp::batch::saturate_f16_widen_in_place;
 use anda_quant::{IntWeightMatrix, WeightQuantConfig};
-use anda_tensor::{ops, Matrix, Rng};
+use anda_tensor::{ops, Matrix, PackedMatrix, Rng};
 use rayon_lite::ThreadPool;
 
 use crate::config::{Family, ModelConfig};
 use crate::kv::{AttendLane, PageDecodeCache};
 use crate::modules::CodecAssignment;
-use crate::synth::{boost_columns, dense, norm_bias, norm_gain, SensitivityProfile};
+use crate::synth::{
+    boost_columns, dense, dense_into, norm_bias, norm_gain, OutlierSpec, SensitivityProfile,
+};
 
 pub use crate::kv::{KvCache, LayerKv};
 
@@ -42,7 +45,9 @@ pub enum WeightMode {
     Int4,
 }
 
-/// One transformer block's weights.
+/// One transformer block's weights. Each projection is held once, packed
+/// the way its GEMM reads it ([`PackedMatrix`], packed once while the model
+/// is built and never again); nothing holds a row-major copy.
 #[derive(Clone, Debug)]
 pub struct Layer {
     /// Pre-attention norm gain.
@@ -54,15 +59,15 @@ pub struct Layer {
     /// Pre-FFN norm bias.
     pub ffn_bias: Vec<f32>,
     /// Fused Q/K/V projection, `d × 3d`.
-    pub wqkv: Matrix,
+    pub wqkv: PackedMatrix,
     /// Output projection, `d × d`.
-    pub wo: Matrix,
+    pub wo: PackedMatrix,
     /// Gate projection (`d × ffn`), LLaMA family only.
-    pub wgate: Option<Matrix>,
+    pub wgate: Option<PackedMatrix>,
     /// Up projection, `d × ffn`.
-    pub wup: Matrix,
+    pub wup: PackedMatrix,
     /// Down projection, `ffn × d`.
-    pub wdown: Matrix,
+    pub wdown: PackedMatrix,
     /// Quantized handles (Int4 mode only), in module order
     /// `[wqkv, wo, wgate?, wup, wdown]`.
     pub quantized: Option<LayerQuant>,
@@ -139,6 +144,14 @@ impl Model {
             Family::Llama => None,
         };
 
+        // Every weight is sampled row-major into one reused buffer and
+        // packed from it: the buffer is paged in once per model, not once
+        // per weight.
+        let mut sampled = Matrix::default();
+        let mut weight = |rows, cols, rng: &mut Rng| {
+            dense_into(&mut sampled, rows, cols, profile.weight_std, rng);
+            PackedMatrix::pack(&sampled)
+        };
         let layers = (0..config.n_layers)
             .map(|_| {
                 let attn_gain = norm_gain(d, profile.qkv, &mut rng);
@@ -151,29 +164,28 @@ impl Model {
                     Family::Opt => norm_bias(d, &mut rng),
                     Family::Llama => vec![0.0; d],
                 };
-                let wqkv = dense(d, 3 * d, profile.weight_std, &mut rng);
-                let mut wo = dense(d, d, profile.weight_std, &mut rng);
-                boost_columns(&mut wo, crate::synth::OutlierSpec::NONE, &mut rng);
-                let wgate = match config.family {
-                    Family::Llama => Some(dense(d, ffn, profile.weight_std, &mut rng)),
+                let mut wqkv = weight(d, 3 * d, &mut rng);
+                let mut wo = weight(d, d, &mut rng);
+                boost_columns(&mut wo, 0..d, OutlierSpec::NONE, &mut rng);
+                let mut wgate = match config.family {
+                    Family::Llama => Some(weight(d, ffn, &mut rng)),
                     Family::Opt => None,
                 };
-                let mut wup = dense(d, ffn, profile.weight_std, &mut rng);
+                let mut wup = weight(d, ffn, &mut rng);
                 // Outlier columns in the up projection widen A_d's range.
-                boost_columns(&mut wup, profile.d, &mut rng);
-                let wdown = dense(ffn, d, profile.weight_std, &mut rng);
+                boost_columns(&mut wup, 0..ffn, profile.d, &mut rng);
+                let mut wdown = weight(ffn, d, &mut rng);
 
                 // Outlier columns in the value third of wqkv widen A_o's
                 // range (attention output inherits V's channel structure).
-                let mut wqkv = wqkv;
-                if profile.o.count > 0 {
-                    let mut vpart = wqkv.slice_cols(2 * d, d);
-                    boost_columns(&mut vpart, profile.o, &mut rng);
-                    for r in 0..d {
-                        for c in 0..d {
-                            wqkv[(r, 2 * d + c)] = vpart[(r, c)];
-                        }
-                    }
+                boost_columns(&mut wqkv, 2 * d..3 * d, profile.o, &mut rng);
+
+                // The FP16 storage baseline: `saturate_to_f16(v).to_f32()`
+                // per weight, on the dispatched slice kernel (`to_bits`-equal
+                // to that scalar expression on every leg).
+                let weights = [&mut wqkv, &mut wo, &mut wup, &mut wdown];
+                for w in weights.into_iter().chain(wgate.as_mut()) {
+                    saturate_f16_widen_in_place(w.as_mut_slice());
                 }
 
                 Layer {
@@ -194,7 +206,7 @@ impl Model {
         let final_gain = norm_gain(d, crate::synth::OutlierSpec::NONE, &mut rng);
         let final_bias = vec![0.0; d];
 
-        let mut model = Model {
+        Model {
             config,
             mode: WeightMode::Fp16,
             embed,
@@ -203,58 +215,48 @@ impl Model {
             final_gain,
             final_bias,
             logit_scale: 1.0,
-        };
-        model.round_weights_to_f16();
-        model
-    }
-
-    /// Rounds all GeMM weights to FP16 values (the FP16 storage baseline):
-    /// `saturate_to_f16(v).to_f32()` per weight, on the dispatched slice
-    /// kernel (`to_bits`-equal to that scalar expression on every leg).
-    fn round_weights_to_f16(&mut self) {
-        let round = |m: &mut Matrix| saturate_f16_widen_in_place(m.as_mut_slice());
-        for layer in &mut self.layers {
-            round(&mut layer.wqkv);
-            round(&mut layer.wo);
-            if let Some(g) = &mut layer.wgate {
-                round(g);
-            }
-            round(&mut layer.wup);
-            round(&mut layer.wdown);
         }
     }
 
     /// Produces the weight-only quantized (W4A16-style) version of this
     /// model: GeMM weights are group-wise INT4; effective weights become the
-    /// dequantized values; quantized handles are retained. Built from
-    /// `&self` without copying the `f32` weights it replaces.
+    /// dequantized values, packed as they are dequantized; quantized
+    /// handles are retained. Built from `&self` without copying the `f32`
+    /// weights it replaces.
     pub fn quantize_weights(&self, qcfg: WeightQuantConfig) -> Model {
-        let quantize = |w: &Matrix| IntWeightMatrix::quantize(w, qcfg);
-        let layers = self
-            .layers
-            .iter()
-            .map(|layer| {
-                let q = LayerQuant {
-                    wqkv: quantize(&layer.wqkv),
-                    wo: quantize(&layer.wo),
-                    wgate: layer.wgate.as_ref().map(quantize),
-                    wup: quantize(&layer.wup),
-                    wdown: quantize(&layer.wdown),
-                };
-                Layer {
-                    attn_gain: layer.attn_gain.clone(),
-                    attn_bias: layer.attn_bias.clone(),
-                    ffn_gain: layer.ffn_gain.clone(),
-                    ffn_bias: layer.ffn_bias.clone(),
-                    wqkv: q.wqkv.dequantize(),
-                    wo: q.wo.dequantize(),
-                    wgate: q.wgate.as_ref().map(IntWeightMatrix::dequantize),
-                    wup: q.wup.dequantize(),
-                    wdown: q.wdown.dequantize(),
-                    quantized: Some(q),
-                }
-            })
-            .collect();
+        // One row-major buffer carries every weight: unpacked for the
+        // quantiser, then dequantised and packed.
+        let mut rows = Matrix::default();
+        let mut layers = Vec::with_capacity(self.layers.len());
+        for layer in &self.layers {
+            let mut quantize = |w: &PackedMatrix| {
+                w.to_matrix_into(&mut rows);
+                IntWeightMatrix::quantize(&rows, qcfg)
+            };
+            let q = LayerQuant {
+                wqkv: quantize(&layer.wqkv),
+                wo: quantize(&layer.wo),
+                wgate: layer.wgate.as_ref().map(&mut quantize),
+                wup: quantize(&layer.wup),
+                wdown: quantize(&layer.wdown),
+            };
+            let mut dequantize = |q: &IntWeightMatrix| {
+                q.dequantize_into(&mut rows);
+                PackedMatrix::pack(&rows)
+            };
+            layers.push(Layer {
+                attn_gain: layer.attn_gain.clone(),
+                attn_bias: layer.attn_bias.clone(),
+                ffn_gain: layer.ffn_gain.clone(),
+                ffn_bias: layer.ffn_bias.clone(),
+                wqkv: dequantize(&q.wqkv),
+                wo: dequantize(&q.wo),
+                wgate: q.wgate.as_ref().map(&mut dequantize),
+                wup: dequantize(&q.wup),
+                wdown: dequantize(&q.wdown),
+                quantized: Some(q),
+            });
+        }
         Model {
             config: self.config.clone(),
             mode: WeightMode::Int4,
@@ -1041,9 +1043,15 @@ impl StepRows {
 
 /// `out = a · w` across `pool` (on the calling thread without one),
 /// counted: the one place a step dispatches a projection GEMM.
-fn project(a: &Matrix, w: &Matrix, out: &mut Matrix, pool: Option<&ThreadPool>, gemms: &mut u64) {
+fn project(
+    a: &Matrix,
+    w: &PackedMatrix,
+    out: &mut Matrix,
+    pool: Option<&ThreadPool>,
+    gemms: &mut u64,
+) {
     out.resize(a.rows(), w.cols());
-    a.matmul_into_on(w, out, pool);
+    a.matmul_packed_into_on(w, out, pool);
     *gemms += 1;
 }
 

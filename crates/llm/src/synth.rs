@@ -12,7 +12,9 @@
 //! family-level orderings reported by the paper (OPT more tolerant than
 //! LLaMA; `A_qkv` most sensitive) emerge from the same mechanism.
 
-use anda_tensor::{Matrix, Rng};
+use core::ops::Range;
+
+use anda_tensor::{Matrix, PackedMatrix, Rng};
 
 /// Outlier-channel specification: `count` channels get their magnitude
 /// multiplied by `gain`.
@@ -83,23 +85,25 @@ pub fn norm_bias(dim: usize, rng: &mut Rng) -> Vec<f32> {
 /// preserving fan-in scaling).
 pub fn dense(rows: usize, cols: usize, std: f32, rng: &mut Rng) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
-    let scaled = std / (rows as f32).sqrt();
-    rng.fill_normal(m.as_mut_slice(), scaled);
+    dense_into(&mut m, rows, cols, std, rng);
     m
 }
 
-/// Boosts `spec.count` output columns of a weight matrix by `spec.gain`
-/// (creates outlier channels in that projection's *output* activation).
-pub fn boost_columns(m: &mut Matrix, spec: OutlierSpec, rng: &mut Rng) {
-    if spec.count == 0 {
-        return;
-    }
-    let cols = m.cols();
+/// [`dense`] into `m`, reshaped to `rows × cols` and reusing its
+/// allocation.
+pub fn dense_into(m: &mut Matrix, rows: usize, cols: usize, std: f32, rng: &mut Rng) {
+    m.resize(rows, cols);
+    let scaled = std / (rows as f32).sqrt();
+    rng.fill_normal(m.as_mut_slice(), scaled);
+}
+
+/// Boosts `spec.count` output columns of a weight matrix, drawn from
+/// `cols`, by `spec.gain` (creates outlier channels in that projection's
+/// *output* activation).
+pub fn boost_columns(m: &mut PackedMatrix, cols: Range<usize>, spec: OutlierSpec, rng: &mut Rng) {
     for _ in 0..spec.count {
-        let c = rng.below(cols);
-        for r in 0..m.rows() {
-            m[(r, c)] *= spec.gain;
-        }
+        let c = cols.start + rng.below(cols.len());
+        m.col_mut(c).for_each(|w| *w *= spec.gain);
     }
 }
 
@@ -151,17 +155,17 @@ mod tests {
     #[test]
     fn boost_columns_scales_whole_columns() {
         let mut rng = Rng::new(6);
-        let mut m = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        boost_columns(&mut m, OutlierSpec::new(1, 5.0), &mut rng);
-        // Exactly one column is 5.0s (or both if the same column drawn — not
-        // possible with count 1).
-        let c0 = m[(0, 0)];
-        let c1 = m[(0, 1)];
-        assert!(
-            (c0 == 5.0 && c1 == 1.0) || (c0 == 1.0 && c1 == 5.0),
-            "{c0} {c1}"
-        );
-        assert_eq!(m[(0, 0)], m[(1, 0)]);
+        // Three rows of 34 columns, the last two in a strip of their own;
+        // the boost draws from those two.
+        let mut m = PackedMatrix::pack(&Matrix::from_vec(3, 34, vec![1.0; 102]));
+        boost_columns(&mut m, 32..34, OutlierSpec::new(1, 5.0), &mut rng);
+        // Exactly one column is 5.0s, every other one 1.0s.
+        let m = m.to_matrix();
+        let boosted: Vec<usize> = (0..34).filter(|&c| m[(0, c)] == 5.0).collect();
+        assert!(boosted == [32] || boosted == [33], "{boosted:?}");
+        for c in 0..34 {
+            assert!(m.col(c).iter().all(|&x| x == m[(0, c)]), "column {c}");
+        }
     }
 
     #[test]

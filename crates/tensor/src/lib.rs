@@ -5,6 +5,8 @@
 //!
 //! - [`Matrix`] — a row-major `f32` matrix with matmul, transpose and
 //!   element-wise combinators.
+//! - [`PackedMatrix`] — a `k × n` weight held as the GEMM kernel reads it,
+//!   sixteen-column strips back to back, multiplied by in place.
 //! - [`ops`] — row-wise softmax/log-softmax, LayerNorm, RMSNorm, activation
 //!   functions (ReLU, SiLU, GELU) and cross-entropy.
 //! - [`rng`] — a deterministic pseudo-random source (xoshiro256**) with
@@ -20,5 +22,5 @@ pub mod ops;
 pub mod rng;
 mod tile;
 
-pub use matrix::{Matrix, Strided};
+pub use matrix::{Matrix, PackedMatrix, Strided};
 pub use rng::Rng;

@@ -1,17 +1,20 @@
-//! Row-major `f32` matrices.
+//! Row-major `f32` matrices, and the [`PackedMatrix`] a weight is held as.
 //!
-//! Both products, `lhs · rhs` and `lhs · rhsᵀ`, run one kernel behind
+//! Every product — `lhs · rhs` over a row-major [`Matrix`] or a
+//! [`PackedMatrix`], and `lhs · rhsᵀ` — runs one kernel behind
 //! [`anda_fp::simd`]'s runtime dispatch: on the AVX2/NEON legs an
 //! output-stationary register tile (4 rows × 16 columns of accumulators
-//! walked over `k`, `rhs` column strips packed contiguous — `tile.rs`,
-//! whose pack is the only code that knows which way `rhs` is held), on
-//! the scalar leg the oracles at the end of the `impl`. One sharding rule
-//! and one auto-dispatch threshold serve both. Each vector lane owns one
-//! output element and accumulates over `k` in the same ascending order as
-//! the scalar kernel, with separate multiply and add (no FMA
-//! contraction) — so every leg is `f32::to_bits`-identical to the scalar
-//! oracle (row-major: for finite `rhs`; transposed: always), preserving
-//! the bit-exactness invariant the serving stack is built on.
+//! walked over `k`, one walk order over `rhs` column-strip panels —
+//! `tile.rs`, whose panel source is the only code that knows how `rhs` is
+//! held: read in place when packed, copied or transposed per panel
+//! otherwise), on the scalar leg the oracles at the end of the `impl`. One
+//! sharding rule and one auto-dispatch threshold serve all three. Each
+//! vector lane owns one output element and accumulates over `k` in the
+//! same ascending order as the scalar kernel, with separate multiply and
+//! add (no FMA contraction) — so every leg is `f32::to_bits`-identical to
+//! the scalar oracle (row-major and packed: for finite `rhs`; transposed:
+//! always), preserving the bit-exactness invariant the serving stack is
+//! built on.
 //!
 //! [`Strided`] runs the same kernel over windows of buffers a caller owns
 //! for other reasons, with explicit row strides, an accumulate flag and a
@@ -221,15 +224,16 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: Option<&ThreadPool>) {
-        self.product_on(rhs, Layout::RowMajor, out, pool);
+        self.product_on(rhs.as_rhs(Layout::RowMajor), out, pool);
     }
 
     /// The serial kernel behind [`Matrix::matmul_into`] on an explicit
     /// SIMD leg (oracle tests and the `kernels` bin; production code lets
-    /// the dispatch layer pick): the register tile of `tile.rs` on a
-    /// vector leg, a blocked ikj axpy walk on the scalar one. Every output
-    /// element accumulates over `k` in ascending order, so results are
-    /// bit-identical to the naive ikj kernel for finite `rhs`.
+    /// the dispatch layer pick): the register tile of `tile.rs` over
+    /// panels copied contiguous on a vector leg, a blocked ikj axpy walk
+    /// on the scalar one. Every output element accumulates over `k` in
+    /// ascending order, so results are bit-identical to the naive ikj
+    /// kernel for finite `rhs`.
     ///
     /// # Panics
     ///
@@ -237,7 +241,7 @@ impl Matrix {
     /// this host.
     pub fn matmul_into_serial_with_leg(&self, rhs: &Matrix, out: &mut Matrix, leg: SimdLeg) {
         leg.assert_available();
-        self.product_serial(rhs, Layout::RowMajor, out, leg);
+        self.product_serial(rhs.as_rhs(Layout::RowMajor), out, leg);
     }
 
     /// [`Matrix::matmul_into`] on an explicit pool, always sharding
@@ -253,7 +257,58 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_pool(rhs, Layout::RowMajor, out, pool);
+        self.product_pool(rhs.as_rhs(Layout::RowMajor), out, pool);
+    }
+
+    /// `self · rhs` over a weight held packed, writing into a
+    /// preallocated output on the caller's pool under
+    /// [`Matrix::matmul_into_on`]'s rule — the product a model's
+    /// projections run. The tile reads `rhs`'s strips where they lie, so
+    /// nothing is packed per call; every output element is the same
+    /// ascending-`k` sum as [`Matrix::matmul_into`] over
+    /// [`PackedMatrix::to_matrix`], bit for bit for finite `rhs`, at every
+    /// SIMD leg and thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_packed_into_on(
+        &self,
+        rhs: &PackedMatrix,
+        out: &mut Matrix,
+        pool: Option<&ThreadPool>,
+    ) {
+        self.product_on(rhs.as_rhs(), out, pool);
+    }
+
+    /// The serial kernel behind [`Matrix::matmul_packed_into_on`] on an
+    /// explicit SIMD leg (oracle tests and the `kernels` bin): the register
+    /// tile over the strips in place on a vector leg, an axpy walk over
+    /// the strips on the scalar one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch, or if the leg is unavailable on
+    /// this host.
+    pub fn matmul_packed_into_serial_with_leg(
+        &self,
+        rhs: &PackedMatrix,
+        out: &mut Matrix,
+        leg: SimdLeg,
+    ) {
+        leg.assert_available();
+        self.product_serial(rhs.as_rhs(), out, leg);
+    }
+
+    /// [`Matrix::matmul_packed_into_on`] on an explicit pool, always
+    /// sharding across its threads the way [`Matrix::matmul_into_pool`]
+    /// does — column ranges on strip boundaries — (bit-exactness tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_packed_into_pool(&self, rhs: &PackedMatrix, out: &mut Matrix, pool: &ThreadPool) {
+        self.product_pool(rhs.as_rhs(), out, pool);
     }
 
     /// Multiplication by the transpose of `rhs`: `self · rhsᵀ`, for a
@@ -296,7 +351,7 @@ impl Matrix {
         out: &mut Matrix,
         pool: Option<&ThreadPool>,
     ) {
-        self.product_on(rhs, Layout::Transposed, out, pool);
+        self.product_on(rhs.as_rhs(Layout::Transposed), out, pool);
     }
 
     /// The serial kernel behind [`Matrix::matmul_transposed_into`] on an
@@ -315,7 +370,7 @@ impl Matrix {
         leg: SimdLeg,
     ) {
         leg.assert_available();
-        self.product_serial(rhs, Layout::Transposed, out, leg);
+        self.product_serial(rhs.as_rhs(Layout::Transposed), out, leg);
     }
 
     /// [`Matrix::matmul_transposed_into`] on an explicit pool, always
@@ -326,29 +381,39 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_transposed_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_pool(rhs, Layout::Transposed, out, pool);
+        self.product_pool(rhs.as_rhs(Layout::Transposed), out, pool);
     }
 
-    /// `(k, n)` of `self` as the `rhs` of a product, read through `layout`.
-    fn rhs_shape(&self, layout: Layout) -> (usize, usize) {
-        match layout {
-            Layout::RowMajor => (self.rows, self.cols),
+    /// `self` as the `rhs` of a product, read through `layout`.
+    fn as_rhs(&self, layout: Layout) -> Rhs<'_> {
+        let (k, n) = match layout {
             Layout::Transposed => (self.cols, self.rows),
+            _ => (self.rows, self.cols),
+        };
+        Rhs {
+            data: &self.data,
+            ld: self.cols,
+            k,
+            n,
+            layout,
         }
     }
 
     /// Checks the shapes of `out = self · rhs` and returns the output
     /// width `n`.
-    fn product_check_shapes(&self, rhs: &Matrix, layout: Layout, out: &Matrix) -> usize {
-        let (k, n) = rhs.rhs_shape(layout);
-        let (name, t) = match layout {
-            Layout::RowMajor => ("matmul", ""),
-            Layout::Transposed => ("matmul_transposed", "ᵀ"),
+    fn product_check_shapes(&self, rhs: Rhs, out: &Matrix) -> usize {
+        let (k, n) = (rhs.k, rhs.n);
+        // Formatted only on a mismatch: a served step checks its shapes
+        // without allocating.
+        let (name, shown) = match rhs.layout {
+            Layout::RowMajor => ("matmul", format_args!("{k}x{n}")),
+            Layout::Transposed => ("matmul_transposed", format_args!("({n}x{k})ᵀ")),
+            Layout::Packed => ("matmul_packed", format_args!("{k}x{n} packed")),
         };
         assert_eq!(
             self.cols, k,
-            "{name} shape mismatch: {}x{} · ({}x{}){t}",
-            self.rows, self.cols, rhs.rows, rhs.cols
+            "{name} shape mismatch: {}x{} · {shown}",
+            self.rows, self.cols
         );
         assert_eq!(
             (out.rows, out.cols),
@@ -358,36 +423,30 @@ impl Matrix {
         n
     }
 
-    /// The one auto-dispatch rule of both layouts.
-    fn product_on(
-        &self,
-        rhs: &Matrix,
-        layout: Layout,
-        out: &mut Matrix,
-        pool: Option<&ThreadPool>,
-    ) {
+    /// The one auto-dispatch rule of every layout.
+    fn product_on(&self, rhs: Rhs, out: &mut Matrix, pool: Option<&ThreadPool>) {
         let muladds = self.len() * out.cols;
         match pool {
             Some(pool) if pool.threads() > 1 && muladds >= PAR_MIN_MULADDS => {
-                self.product_pool(rhs, layout, out, pool)
+                self.product_pool(rhs, out, pool)
             }
-            _ => self.product_serial(rhs, layout, out, active_leg()),
+            _ => self.product_serial(rhs, out, active_leg()),
         }
     }
 
-    fn product_serial(&self, rhs: &Matrix, layout: Layout, out: &mut Matrix, leg: SimdLeg) {
-        if self.product_check_shapes(rhs, layout, out) == 0 {
+    fn product_serial(&self, rhs: Rhs, out: &mut Matrix, leg: SimdLeg) {
+        if self.product_check_shapes(rhs, out) == 0 {
             // Degenerate m×0 output: nothing to accumulate (and the
             // kernels divide by the width).
             return;
         }
-        self.product_rows(rhs, layout, &mut out.data, 0, leg);
+        self.product_rows(rhs, &mut out.data, 0, leg);
     }
 
-    /// The one sharding rule of both layouts; see
+    /// The one sharding rule of every layout; see
     /// [`Matrix::matmul_into_pool`].
-    fn product_pool(&self, rhs: &Matrix, layout: Layout, out: &mut Matrix, pool: &ThreadPool) {
-        let n = self.product_check_shapes(rhs, layout, out);
+    fn product_pool(&self, rhs: Rhs, out: &mut Matrix, pool: &ThreadPool) {
+        let n = self.product_check_shapes(rhs, out);
         if n == 0 {
             return;
         }
@@ -396,13 +455,13 @@ impl Matrix {
         if leg == SimdLeg::Scalar || self.rows >= TILE_ROWS * threads {
             let rows_per_chunk = self.rows.div_ceil(threads).next_multiple_of(TILE_ROWS);
             pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
-                self.product_rows(rhs, layout, chunk, idx * rows_per_chunk, leg);
+                self.product_rows(rhs, chunk, idx * rows_per_chunk, leg);
             });
             return;
         }
         let cols_per_job = n.div_ceil(threads).next_multiple_of(TILE_COLS);
         let ptr = out.data.as_mut_ptr();
-        let ops = &self.operands(rhs, layout);
+        let ops = &self.operands(rhs);
         pool.scope(|s| {
             for c0 in (0..n).step_by(cols_per_job) {
                 let block = OutBlock {
@@ -413,58 +472,51 @@ impl Matrix {
                 };
                 // SAFETY: `out` is exclusively borrowed until the scope
                 // joins, holds `rows` rows of `n` (shapes checked above),
-                // and the jobs' column ranges are disjoint; `leg` is the
-                // active one, which the CPU runs.
+                // and the jobs' column ranges are disjoint and start on
+                // strip boundaries; `leg` is the active one, which the CPU
+                // runs.
                 s.spawn(move || unsafe { block_on_leg(ops, &block, leg) });
             }
         });
     }
 
     /// Output rows `[row0, row0 + out_rows.len() / n)` on `leg`, `n` being
-    /// the output width `layout` gives. Each output element accumulates
-    /// over k in ascending order regardless of `row0`, the leg or any
-    /// tile boundary, which is what makes every sharding bit-identical to
-    /// the full-range serial call.
-    fn product_rows(
-        &self,
-        rhs: &Matrix,
-        layout: Layout,
-        out_rows: &mut [f32],
-        row0: usize,
-        leg: SimdLeg,
-    ) {
-        let (_, n) = rhs.rhs_shape(layout);
+    /// `rhs`'s width. Each output element accumulates over k in ascending
+    /// order regardless of `row0`, the leg or any tile boundary, which is
+    /// what makes every sharding bit-identical to the full-range serial
+    /// call.
+    fn product_rows(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize, leg: SimdLeg) {
         if leg == SimdLeg::Scalar {
-            return match layout {
+            return match rhs.layout {
                 Layout::RowMajor => self.matmul_rows_scalar(rhs, out_rows, row0),
                 Layout::Transposed => self.matmul_transposed_rows_scalar(rhs, out_rows, row0),
+                Layout::Packed => self.matmul_packed_rows_scalar(rhs, out_rows, row0),
             };
         }
         let block = OutBlock {
             ptr: out_rows.as_mut_ptr(),
             row0,
-            rows: out_rows.len() / n,
-            cols: 0..n,
+            rows: out_rows.len() / rhs.n,
+            cols: 0..rhs.n,
         };
         // SAFETY: `out_rows` is exclusively borrowed and holds exactly
         // `rows` full output rows, so the block covers memory this call
         // owns; the callers checked the shapes, and pass `active_leg()`
         // or a leg a `_with_leg` entry asserted available.
-        unsafe { block_on_leg(&self.operands(rhs, layout), &block, leg) }
+        unsafe { block_on_leg(&self.operands(rhs), &block, leg) }
     }
 
-    /// `self · rhs` (through `layout`) as the kernel takes it: every stride
-    /// is the width of its matrix, every sum starts at `+0.0`, and `rhs`
-    /// streams from memory.
-    fn operands<'a>(&'a self, rhs: &'a Matrix, layout: Layout) -> Operands<'a> {
+    /// `self · rhs` as the kernel takes it: `self`'s stride is its width,
+    /// every sum starts at `+0.0`, and `rhs` streams from memory.
+    fn operands<'a>(&'a self, rhs: Rhs<'a>) -> Operands<'a> {
         Operands {
             lhs: &self.data,
             lda: self.cols,
-            rhs: &rhs.data,
-            ldb: rhs.cols,
-            layout,
+            rhs: rhs.data,
+            ldb: rhs.ld,
+            layout: rhs.layout,
             k: self.cols,
-            ldc: rhs.rhs_shape(layout).1,
+            ldc: rhs.n,
             accumulate: false,
             resident: false,
             rhs_stride: 0,
@@ -481,12 +533,12 @@ impl Matrix {
     /// when both addends are), so adding `0 · b = ±0` is the identity
     /// for every finite `rhs` and a kernel that does not skip produces
     /// the same bits.
-    fn matmul_rows_scalar(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
+    fn matmul_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
         // Tile sizes: an i-tile of output rows shares one pass over a
         // KB-row panel of rhs (≈ KB·cols f32 ≤ a few hundred KiB, L2-sized).
         const IB: usize = 32;
         const KB: usize = 256;
-        let n = rhs.cols;
+        let n = rhs.n;
         let rows_here = out_rows.len() / n;
         out_rows.fill(0.0);
         for li0 in (0..rows_here).step_by(IB) {
@@ -511,13 +563,36 @@ impl Matrix {
         }
     }
 
+    /// The scalar leg of the packed product: the oracle's axpy walk, `a ==
+    /// 0` skip included, one strip at a time — the same operations on
+    /// every output element as [`Matrix::matmul_rows_scalar`] over the
+    /// unpacked matrix, so the two agree on every input.
+    fn matmul_packed_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
+        let k = rhs.k;
+        for (li, out_row) in out_rows.chunks_exact_mut(rhs.n).enumerate() {
+            let a_row = self.row(row0 + li);
+            for (s, out_strip) in out_row.chunks_mut(TILE_COLS).enumerate() {
+                let strip = &rhs.data[s * k * TILE_COLS..][..k * TILE_COLS];
+                out_strip.fill(0.0);
+                for (&a, b_row) in a_row.iter().zip(strip.chunks_exact(TILE_COLS)) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in out_strip.iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+    }
+
     /// The scalar oracle of the transposed product: one plain
     /// ascending-`k` dot per output element.
-    fn matmul_transposed_rows_scalar(&self, rhs: &Matrix, out_rows: &mut [f32], row0: usize) {
-        for (li, out_row) in out_rows.chunks_exact_mut(rhs.rows).enumerate() {
+    fn matmul_transposed_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
+        for (li, out_row) in out_rows.chunks_exact_mut(rhs.n).enumerate() {
             let a_row = self.row(row0 + li);
             for (j, o) in out_row.iter_mut().enumerate() {
-                *o = tile::dot(0.0, a_row, rhs.row(j));
+                *o = tile::dot(0.0, a_row, &rhs.data[j * rhs.k..][..rhs.k]);
             }
         }
     }
@@ -675,6 +750,149 @@ impl Matrix {
             self.data.iter().sum::<f32>() / self.data.len() as f32
         }
     }
+}
+
+/// A `k × n` matrix held the way the register tile reads a `rhs`: ⌈n/16⌉
+/// strips of `k × 16` back to back, strip `s` holding columns `16s ..
+/// 16s + 16` row by row (`m[r][16s + j]` at `(s · k + r) · 16 + j`), the
+/// last strip zero-padded past column `n`.
+///
+/// It is the one `f32` copy of every projection weight a model holds: each
+/// is sampled or dequantised row-major into a reused buffer and packed from
+/// it once, and every product over it ([`Matrix::matmul_packed_into_on`])
+/// reads its panels where they lie, walking the matrix front to back.
+///
+/// # Example
+///
+/// ```
+/// use anda_tensor::{Matrix, PackedMatrix};
+///
+/// let w = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+/// let packed = PackedMatrix::pack(&w);
+/// assert_eq!(packed.to_matrix(), w);
+/// let x = Matrix::from_rows(&[&[1.0, -1.0]]);
+/// let mut y = Matrix::zeros(1, 3);
+/// x.matmul_packed_into_on(&packed, &mut y, None);
+/// assert_eq!(y, x.matmul(&w));
+/// ```
+#[derive(Clone, PartialEq)]
+pub struct PackedMatrix {
+    k: usize,
+    n: usize,
+    data: Vec<f32>,
+}
+
+impl PackedMatrix {
+    /// Packs a row-major `k × n` matrix, writing the strips in memory order.
+    pub fn pack(m: &Matrix) -> Self {
+        let (k, n) = m.shape();
+        let mut data = Vec::with_capacity(n.div_ceil(TILE_COLS) * k * TILE_COLS);
+        for j0 in (0..n).step_by(TILE_COLS) {
+            let width = TILE_COLS.min(n - j0);
+            for row in m.data[j0..].chunks(n) {
+                data.extend_from_slice(&row[..width]);
+                data.extend_from_slice(&[0.0; TILE_COLS][width..]);
+            }
+        }
+        PackedMatrix { k, n, data }
+    }
+
+    /// Number of rows, `k`.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Number of columns, `n`.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// `(rows, cols)`.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// Floats held, the last strip's padding included: `k · 16 · ⌈n/16⌉`.
+    #[inline]
+    pub fn stored_len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Every stored value in packed order, the zero padding included: for
+    /// element-wise updates, which the layout does not change.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// Column `c`, top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c >= cols`.
+    pub fn col_mut(&mut self, c: usize) -> impl Iterator<Item = &mut f32> {
+        assert!(c < self.n, "col {c} out of bounds for {} cols", self.n);
+        let first = c / TILE_COLS * self.k * TILE_COLS + c % TILE_COLS;
+        let rows = self.k;
+        self.data
+            .iter_mut()
+            .skip(first)
+            .step_by(TILE_COLS)
+            .take(rows)
+    }
+
+    /// The row-major matrix this one packs, bit for bit.
+    pub fn to_matrix(&self) -> Matrix {
+        let mut m = Matrix::default();
+        self.to_matrix_into(&mut m);
+        m
+    }
+
+    /// [`PackedMatrix::to_matrix`] into `out`, reshaped to `k × n` and
+    /// reusing its allocation; the strips are read in memory order.
+    pub fn to_matrix_into(&self, out: &mut Matrix) {
+        let (k, n) = self.shape();
+        out.resize(k, n);
+        for (s, strip) in self.data.chunks_exact(k.max(1) * TILE_COLS).enumerate() {
+            let j0 = s * TILE_COLS;
+            let width = TILE_COLS.min(n - j0);
+            let rows = out.data[j0..].chunks_mut(n);
+            for (dst, src) in rows.zip(strip.chunks_exact(TILE_COLS)) {
+                dst[..width].copy_from_slice(&src[..width]);
+            }
+        }
+    }
+
+    /// `self` as the `rhs` of a product: panel rows lie sixteen apart.
+    fn as_rhs(&self) -> Rhs<'_> {
+        Rhs {
+            data: &self.data,
+            ld: TILE_COLS,
+            k: self.k,
+            n: self.n,
+            layout: Layout::Packed,
+        }
+    }
+}
+
+impl fmt::Debug for PackedMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PackedMatrix {}x{}", self.k, self.n)
+    }
+}
+
+/// The `rhs` of a [`Matrix`] product as the kernels read it: a `k × n`
+/// operand held in `data` through `layout`, rows `ld` apart.
+#[derive(Clone, Copy)]
+struct Rhs<'a> {
+    data: &'a [f32],
+    ld: usize,
+    k: usize,
+    n: usize,
+    layout: Layout,
 }
 
 /// Runs the register-tiled kernel of a vector leg over `block`.
@@ -996,7 +1214,14 @@ mod tests {
         use anda_fp::simd::available_legs;
         // Adversarial shapes: below one vector width, exact multiples,
         // ragged tails in every dimension, and a zero-heavy A (exercises
-        // the sparsity skip).
+        // the sparsity skip). The row-major `rhs` also runs packed, and
+        // packs and unpacks bit for bit.
+        let same_bits = |x: &Matrix, y: &Matrix| {
+            x.shape() == y.shape()
+                && (x.as_slice().iter())
+                    .zip(y.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+        };
         for (m, k, n) in [
             (1usize, 1usize, 1usize),
             (3, 5, 7),
@@ -1017,6 +1242,11 @@ mod tests {
                 a.as_mut_slice()[i] = 0.0;
             }
             let b = Matrix::from_vec(k, n, (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect());
+            let packed = PackedMatrix::pack(&b);
+            assert!(
+                same_bits(&packed.to_matrix(), &b),
+                "pack round trip {k}x{n}"
+            );
             // The transposed form's oracle is the per-element dot, on
             // every input: it skips no zero, so a non-finite `rhs` is
             // within its contract (0 · ∞ is NaN in kernel and oracle).
@@ -1040,21 +1270,21 @@ mod tests {
             for leg in available_legs() {
                 let mut out = Matrix::zeros(m, n);
                 a.matmul_into_serial_with_leg(&b, &mut out, leg);
-                let same = out
-                    .as_slice()
-                    .iter()
-                    .zip(reference.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "matmul leg={} shape {m}x{k}x{n}", leg.name());
+                assert!(
+                    same_bits(&out, &reference),
+                    "matmul leg={} shape {m}x{k}x{n}",
+                    leg.name()
+                );
+
+                let mut out_p = Matrix::zeros(m, n);
+                a.matmul_packed_into_serial_with_leg(&packed, &mut out_p, leg);
+                let at = format!("matmul_packed leg={} shape {m}x{k}x{n}", leg.name());
+                assert!(same_bits(&out_p, &reference), "{at}");
 
                 let mut out_t = Matrix::zeros(m, n);
                 a.matmul_transposed_into_serial_with_leg(&bt, &mut out_t, leg);
-                let same_t = out_t
-                    .as_slice()
-                    .iter()
-                    .zip(reference_t.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same_t, "matmul_t leg={} shape {m}x{k}x{n}", leg.name());
+                let at = format!("matmul_t leg={} shape {m}x{k}x{n}", leg.name());
+                assert!(same_bits(&out_t, &reference_t), "{at}");
             }
         }
     }
@@ -1163,9 +1393,13 @@ mod tests {
         let a = Matrix::identity(4);
         let view = Strided::new(a.as_slice(), 4, 4, 4);
         type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 4] = [
+        let packed = PackedMatrix::pack(&a);
+        let entries: [Entry; 5] = [
             ("matmul_into_serial_with_leg", &|| {
                 a.matmul_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
+            }),
+            ("matmul_packed_into_serial_with_leg", &|| {
+                a.matmul_packed_into_serial_with_leg(&packed, &mut Matrix::zeros(4, 4), leg)
             }),
             ("matmul_transposed_into_serial_with_leg", &|| {
                 a.matmul_transposed_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
@@ -1190,11 +1424,12 @@ mod tests {
 
     #[test]
     fn multiplying_by_a_zero_equals_skipping_it() {
-        // The scalar oracle skips `a == 0`; the register tiles (four or
-        // more rows) multiply through. Accumulators start at +0.0 and can
-        // never become -0.0, so `acc + 0·b` is `acc` for every finite
-        // `b`: all-zero rows of either sign give +0.0 everywhere, and
-        // zeros scattered through a dense row change nothing.
+        // The scalar oracle skips `a == 0`; the register tiles multiply
+        // through, over a row-major or a packed `rhs`. Accumulators start
+        // at +0.0 and can never become -0.0, so `acc + 0·b` is `acc` for
+        // every finite `b`: all-zero rows of either sign give +0.0
+        // everywhere, and zeros scattered through a dense row change
+        // nothing.
         use anda_fp::simd::available_legs;
         let (m, k, n) = (6, 40, 33);
         let mut a = Matrix::from_vec(
@@ -1219,15 +1454,19 @@ mod tests {
         let mut oracle = Matrix::zeros(m, n);
         a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
         assert!(oracle.as_slice()[..2 * n].iter().all(|x| x.to_bits() == 0));
+        let packed = PackedMatrix::pack(&b);
         for leg in available_legs() {
-            let mut out = Matrix::zeros(m, n);
+            let (mut out, mut out_p) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
             a.matmul_into_serial_with_leg(&b, &mut out, leg);
-            let same = out
-                .as_slice()
-                .iter()
-                .zip(oracle.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "leg {}", leg.name());
+            a.matmul_packed_into_serial_with_leg(&packed, &mut out_p, leg);
+            for (name, out) in [("row-major", out), ("packed", out_p)] {
+                let same = out
+                    .as_slice()
+                    .iter()
+                    .zip(oracle.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{name} leg {}", leg.name());
+            }
         }
     }
 
@@ -1271,6 +1510,15 @@ mod tests {
         assert_eq!(a.matmul_transposed(&Matrix::zeros(0, 3)).shape(), (2, 0));
         let empty_k = Matrix::zeros(2, 0);
         assert_eq!(empty_k.matmul(&Matrix::zeros(0, 4)), Matrix::zeros(2, 4));
+        // Packed: no strips, strips of no rows, no lhs rows.
+        for (m, k, n) in [(2, 3, 0), (2, 0, 4), (0, 3, 4)] {
+            let packed = PackedMatrix::pack(&Matrix::zeros(k, n));
+            assert_eq!(packed.to_matrix(), Matrix::zeros(k, n));
+            let mut out = Matrix::zeros(m, n);
+            out.as_mut_slice().fill(1.0);
+            Matrix::zeros(m, k).matmul_packed_into_on(&packed, &mut out, None);
+            assert_eq!(out, Matrix::zeros(m, n), "{m}x{k}x{n}");
+        }
         assert_eq!(
             empty_k.matmul_transposed(&Matrix::zeros(5, 0)),
             Matrix::zeros(2, 5)

@@ -1,135 +1,121 @@
 //! The register-tiled GEMM kernel behind the vector legs of every
-//! [`crate::Matrix`] product, `lhs · rhs` and `lhs · rhsᵀ` alike, and of
-//! the [`crate::Strided`] view products the attention page walk is made
-//! of.
+//! [`crate::Matrix`] product — `lhs · rhs` over a row-major `rhs` or a
+//! [`crate::PackedMatrix`], and `lhs · rhsᵀ` — and of the
+//! [`crate::Strided`] view products the attention page walk is made of.
 //!
 //! Output-stationary: a tile of [`TILE_ROWS`]` × `[`TILE_COLS`] output
 //! elements lives in vector registers while `k` walks a panel, so every
 //! `rhs` vector loaded feeds four rows and every `lhs` scalar sixteen
 //! columns, and the output is touched once per panel instead of once per
-//! `k`. A strip's panel is first packed contiguous, `panel[kk · 16 + j] =
-//! b[k0 + kk][j0 + j]`, and **the pack is the only code that knows how
-//! `rhs` lies in memory** ([`Layout`], monomorphised into the panel
-//! loops, which exist once):
+//! `k`. A panel is [`KC`] rows of one sixteen-column strip of `rhs`,
+//! `panel[kk · ldb + j] = b[k0 + kk][j0 + j]`.
 //!
-//! * [`Layout::RowMajor`], `rhs` held `k × n`: a panel row is sixteen
-//!   contiguous floats of one `rhs` row. In place the panel would stride
-//!   by a whole `rhs` row — one cache line per `k`, each in a different
-//!   page, evicting itself from a power-of-two-strided L1 set — whereas
-//!   the packing loop is nothing but independent loads.
-//! * [`Layout::Transposed`], `rhs` held `n × k` (the tied LM head's
-//!   embedding table): a strip is sixteen `rhs` rows, each a contiguous
-//!   stream along `k`, and the pack transposes them
-//!   ([`Leg::pack_transposed`]: 8×4 blocks in registers on AVX2, a
-//!   portable loop elsewhere).
+//! There is **one walk order**, at every row count and for every `rhs`:
+//! column strip → `KC`-deep k panel → row tile. The output block is loaded
+//! and stored once per 256 `k`, and a panel, once in the L1, feeds every
+//! row tile of the block. A row tile runs at its own height (one to four
+//! rows), and a ragged last strip computes into a sixteen-wide edge buffer
+//! from which only the strip's own columns are copied out. What differs
+//! between products is only **where a panel comes from** ([`Layout`],
+//! monomorphised into the walk, which exists once):
 //!
-//! `rhs` is streamed from memory exactly once per call however many rows
-//! there are; with the weights of a whole model cycling through a step
-//! that, not the arithmetic, is what a small batch is bound by, so the
-//! panel walk comes in two orders:
+//! * **In place**, [`Layout::Packed`]: a [`crate::PackedMatrix`] holds `rhs`
+//!   as ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded, so a
+//!   panel *is* `KC` consecutive sixteen-float rows and the walk reads the
+//!   matrix front to back. Every projection weight of a model is held so,
+//!   packed once when the model is built, and a served step packs nothing.
+//!   A few-row product has too little arithmetic to hide a miss behind, so
+//!   the first row tile of every panel prefetches [`PREFETCH_LINES`] cache
+//!   lines ahead of the panel row it reads — one line per `k`, across
+//!   panel and strip boundaries; the row tiles after it read the panel
+//!   from the L1. Without the hint a 4-row walk over the serving model's
+//!   sixteen projections (one thread, AVX2, weights in the L3) ran at
+//!   0.69–0.77 of its speed, a 64-row one at 0.88–0.93; 32 to 128 lines
+//!   ahead read alike, 256 a little slower.
+//! * **Row-major pack**, [`Layout::RowMajor`], `rhs` a [`crate::Matrix`]
+//!   held `k × n`: each panel is first copied contiguous, sixteen floats of
+//!   each of its rows, zero-padded past a ragged strip. In place the panel
+//!   would stride by a whole `rhs` row — one cache line per `k`, each in a
+//!   different page, evicting itself from a power-of-two-strided L1 set —
+//!   whereas the copy is nothing but independent loads.
+//! * **Transposing pack**, [`Layout::Transposed`], `rhs` held `n × k` (the
+//!   tied LM head's embedding table, which is also the embedding lookup
+//!   and so is not held a second time): a strip is sixteen `rhs` rows, each
+//!   a contiguous stream along `k`, and the pack transposes them
+//!   ([`Leg::pack_transposed`]: 8×4 blocks in registers on AVX2, a portable
+//!   loop elsewhere). Walked strip-major that is the address order,
+//!   sixteen ascending streams read end to end. For one to three rows the
+//!   pack is most of the cost, which is why AVX2 has a vector one (through
+//!   the portable loop a cold one-row 256 × 512 product took 57–79 µs
+//!   against 25–48).
 //!
-//! * **Few row-major rows** (below [`DEEP_MIN_ROWS`], a decode batch): k
-//!   panel → column strip → row tile over [`KC_SHALLOW`]-deep panels. A
-//!   panel is eight whole `rhs` rows swept left to right — eight ascending
-//!   address streams the hardware prefetchers follow, helped by a software
-//!   prefetch [`PREFETCH_STRIPS`] strips ahead (eight lines per strip: a
-//!   deeper panel overflows the L1 set a power-of-two row stride maps a
-//!   strip's lines to). With one or two row tiles per strip there is no
-//!   arithmetic to hide a strided fetch behind: walked the deep way, a
-//!   cold 8-row GEMM ran at 0.45 of the tile's L1-resident speed and most
-//!   of a decode step was memory stall, whose length does not follow the
-//!   core's clock; this way it runs at 0.75, cold or hot.
-//! * **Many rows** (a prefill chunk), **and the transposed layout at
-//!   every row count**: column strip → k panel → row tile over
-//!   [`KC`]-deep panels, so the output block — too big for the L1 by
-//!   now — is loaded and stored once per 256 `k` instead of once per 8,
-//!   and eight or more row tiles of arithmetic per packed panel cover the
-//!   strided fetch (0.8–0.85 of L1-resident speed at 64 rows; the shallow
-//!   order reads 0.6–0.7 there). A transposed strip walked this way *is*
-//!   the address order — sixteen ascending streams read end to end —
-//!   while a shallow panel would touch 32 bytes of each of `n` rows per
-//!   sweep: walked k-panel-major a cold 8 × 256 × 2048 transposed product
-//!   took 630–730 µs against 300–340 µs strip-major.
-//!
-//! Fewer than [`TILE_ROWS`] row-major rows, and a row-major block's
-//! ragged columns, take the single-row axpy walk instead: it streams
-//! `rhs` rows contiguously, which one to three rows of arithmetic cannot
-//! beat by packing first, and it skips the zeros a post-ReLU row is half
-//! made of. The transposed layout has no contiguous `rhs` row to stream:
-//! its one to three rows run the tile at their own height — the pack is
-//! then most of the cost, which is why AVX2 has a vector one (through the
-//! portable loop a cold one-row 256 × 512 product took 57–79 µs against
-//! 25–48) — and its ragged columns run it over a zero-padded panel into a
-//! sixteen-wide edge buffer, from which only the strip's own columns are
-//! copied out.
-//!
-//! All of that is shaped around a `rhs` that streams from memory. A
-//! **resident** product ([`Operands::resident`], what a [`crate::Strided`]
-//! view runs) multiplies by a window of a tile that is already in the L1 —
-//! one head's keys or values of a KV page, sixteen positions by 64 —
-//! thousands of times a step, so nothing in it is: the tile runs at every
-//! height (strip → k panel → row tile, ragged columns through the edge
-//! buffer), and its `rhs` is row-major and read where it lies (the tile
-//! takes the `rhs` row stride; a pack would copy each operand once per
-//! use). Attention stores its operands that way — a page's keys
-//! position-minor, so sixteen positions sit side by side — and so packs
-//! nothing; the transposing pack serves the streamed transposed layout,
-//! and, through [`transpose`], turns an Anda page's decoded keys
-//! position-minor once per page. A resident product can also
-//! **accumulate** (its sums start from the output's contents, which is
-//! how attention's `out += p · v` crosses a page boundary), and it is
-//! **batched** ([`Operands::rhs_stride`]): each row multiplies its own
-//! window — a lane's heads, each against its own keys — and a row tile is
-//! four independent products ([`Leg::tile_batched`]), whose accumulator
-//! chains hide the add latency a one-row product stalls on. Its ragged
-//! strips pack each row's window into a quarter of the panel.
+//! A **resident** product ([`Operands::resident`], what a
+//! [`crate::Strided`] view runs) multiplies by a window of a tile that is
+//! already in the L1 — one head's keys or values of a KV page, sixteen
+//! positions by 64 — thousands of times a step. Its `rhs` is row-major and
+//! read in place like a packed one (the tile takes the `rhs` row stride; a
+//! pack would copy each operand once per use), and nothing prefetches.
+//! Attention stores its operands that way — a page's keys position-minor,
+//! so sixteen positions sit side by side — and so packs nothing; the
+//! transposing pack serves the LM head and, through [`transpose`], turns
+//! an Anda page's decoded keys position-minor once per page. A resident
+//! product can also **accumulate** (its sums start from the output's
+//! contents, which is how attention's `out += p · v` crosses a page
+//! boundary), and it is **batched** ([`Operands::rhs_stride`]): each row
+//! multiplies its own window — a lane's heads, each against its own keys —
+//! and a row tile is four independent products ([`Leg::tile_batched`]),
+//! whose accumulator chains hide the add latency a one-row product stalls
+//! on. Its ragged strips pack each row's window into a quarter of the
+//! panel.
 //!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
 //! multiply then add, never fused — the operation sequence of the scalar
 //! oracles (`Matrix::matmul_rows_scalar`,
 //! `Matrix::matmul_transposed_rows_scalar`, [`resident_block_scalar`]), so
-//! every leg, layout, tile boundary, panel order and sharding is
+//! every leg, layout, tile boundary, panel and sharding is
 //! `f32::to_bits`-identical to them (a panel boundary only parks the
-//! accumulators in the output, an exact `f32` round trip). For a streamed
-//! row-major `rhs` that holds for finite `rhs`: the oracle's `a == 0` skip
-//! is not part of the contract (see its docs); the tiles do not skip, the
-//! axpy walk does. Transposed or resident, nothing skips, so it holds on
-//! every input.
+//! accumulators in the output, an exact `f32` round trip). For a row-major
+//! or packed `rhs` that holds for finite `rhs`: the oracle's `a == 0` skip
+//! is not part of the contract (see its docs) and the tiles do not skip.
+//! Transposed or resident, nothing skips, so it holds on every input.
 
 use core::ops::Range;
 
 /// Output rows per register tile.
 pub(crate) const TILE_ROWS: usize = 4;
-/// Output columns per register tile (two AVX2 / four NEON vectors).
+/// Output columns per register tile (two AVX2 / four NEON vectors), the
+/// width of a strip.
 pub(crate) const TILE_COLS: usize = 16;
-/// Depth of one k panel of the many-rows order: a packed strip panel is
-/// `KC × TILE_COLS` f32 (16 KiB, L1-resident).
+/// Depth of one k panel: a packed strip panel is `KC × TILE_COLS` f32
+/// (16 KiB, L1-resident).
 const KC: usize = 256;
-/// Depth of one k panel of the few-rows order.
-const KC_SHALLOW: usize = 8;
-/// Row count from which the many-rows order is used.
-const DEEP_MIN_ROWS: usize = 32;
-/// How many strips ahead of the one being packed the few-rows order
-/// prefetches.
-const PREFETCH_STRIPS: usize = 4;
+/// How far ahead of the panel row it reads the first row tile of a packed
+/// panel prefetches, in panel rows: a panel row is sixteen floats, one
+/// 64-byte cache line, so 8 KiB ahead.
+const PREFETCH_LINES: usize = 128;
 
-/// How the `rhs` of a product lies in memory. Only the strip-panel pack
-/// reads `rhs`, so only the pack (and the walk chosen to suit it) differs
-/// between the two.
+/// How the `rhs` of a product lies in memory, and so where the walk's
+/// panels come from. Only the panel source reads `rhs`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Layout {
-    /// `k` rows of `n`: `lhs · rhs`.
+    /// `k` rows of `n`: `lhs · rhs`, each panel copied contiguous (or, for
+    /// a resident product, read in place).
     RowMajor,
-    /// `n` rows of `k`: `lhs · rhsᵀ`.
+    /// `n` rows of `k`: `lhs · rhsᵀ`, each panel transposed.
     Transposed,
+    /// ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded:
+    /// `lhs · rhs` with every panel read in place.
+    Packed,
 }
 
 /// The inputs of one product and how all three operands lie in memory:
 /// row `i` of `lhs` starts at `i · lda`, row `r` of `rhs` (a `k` row, or an
 /// `n` row when transposed) at `r · ldb`, output row `i` at `i · ldc`. A
 /// [`crate::Matrix`] passes its widths; a [`crate::Strided`] view passes
-/// the strides of the buffer it is a window of.
+/// the strides of the buffer it is a window of. A packed `rhs` has no row
+/// stride of its own: strip `s` starts at `s · 16 · k` and its rows lie
+/// sixteen apart.
 pub(crate) struct Operands<'a> {
     pub lhs: &'a [f32],
     pub lda: usize,
@@ -141,20 +127,20 @@ pub(crate) struct Operands<'a> {
     /// Every sum starts from the output's current contents instead of
     /// `+0.0`.
     pub accumulate: bool,
-    /// `rhs` is a window of a cache-resident tile rather than a weight
-    /// matrix streaming from memory: nothing of the product is shaped
-    /// around the stream — no axpy walk (so nothing skips a zero), no
-    /// shallow prefetched panels, and full row-major strips are read where
-    /// they lie instead of being packed. A resident product is batched.
+    /// Row-major only: `rhs` is a window of a cache-resident tile rather
+    /// than a weight matrix streaming from memory, so full strips are read
+    /// where they lie instead of being copied, and nothing is prefetched.
+    /// A resident product is batched.
     pub resident: bool,
-    /// Resident, row-major only: `lhs` row `i` multiplies its own `rhs`
-    /// window, `i · rhs_stride` elements after the first (0: one `rhs` for
-    /// every row; ignored by a streamed product).
+    /// Resident only: `lhs` row `i` multiplies its own `rhs` window,
+    /// `i · rhs_stride` elements after the first (0: one `rhs` for every
+    /// row; ignored by a streamed product).
     pub rhs_stride: usize,
 }
 
 /// A `rows × cols` block of a row-major output, addressed through a raw
 /// pointer so pool jobs can own disjoint column ranges of the same rows.
+/// A block of a packed product starts on a strip boundary.
 pub(crate) struct OutBlock {
     /// Element `(row0, 0)` of the output.
     pub ptr: *mut f32,
@@ -175,14 +161,15 @@ unsafe impl Sync for OutBlock {}
 pub(crate) trait Leg {
     /// `c[r][0..16] (+)= Σ_kk a[r][kk] · b[kk][0..16]` for `r < rows`
     /// (`1..=TILE_ROWS`) and `kk < kc`, ascending; accumulators start at
-    /// `+0.0` when `first`, else at `c`'s current contents.
+    /// `+0.0` when `first`, else at `c`'s current contents. With `ahead`
+    /// non-zero, each `k` step also prefetches `b + kk · ldb + ahead`.
     ///
     /// # Safety
     ///
     /// Needs the leg's CPU feature; `a` must be readable at
-    /// `r · lda + kk`, `b` (a packed panel, `ldb = 16`, or sixteen columns
-    /// of resident `rhs` rows) at `kk · ldb + 0..16`, and `c` readable and
-    /// writable at `r · ldc + 0..16`.
+    /// `r · lda + kk`, `b` (a panel row every `ldb` floats) at
+    /// `kk · ldb + 0..16`, and `c` readable and writable at
+    /// `r · ldc + 0..16`. The prefetched addresses need not be readable.
     #[allow(clippy::too_many_arguments)]
     unsafe fn tile(
         rows: usize,
@@ -194,6 +181,7 @@ pub(crate) trait Leg {
         c: *mut f32,
         ldc: usize,
         first: bool,
+        ahead: usize,
     );
 
     /// [`Leg::tile`] with row `r` reading its own `b`, `r · bs` further
@@ -231,16 +219,6 @@ pub(crate) trait Leg {
         }
     }
 
-    /// `c[j] = Σ_kk a[kk] · b[kk · ldb + j]` for `j < width`: one output
-    /// row over contiguous `rhs` rows, skipping `a[kk] == 0`.
-    ///
-    /// # Safety
-    ///
-    /// Needs the leg's CPU feature; `b` must be readable at
-    /// `kk · ldb + 0..width` for `kk < a.len()` and `c` writable at
-    /// `0..width`.
-    unsafe fn axpy_row(a: &[f32], b: *const f32, ldb: usize, c: *mut f32, width: usize);
-
     /// Hints that the cache line at `p` is about to be read. `p` need not
     /// be readable: a prefetch never faults. The default does nothing and
     /// leaves the stream to the hardware prefetchers.
@@ -265,10 +243,8 @@ pub(crate) trait Leg {
 
     /// [`matmul_block`], monomorphised for `ops.layout` and for a resident
     /// `rhs` and compiled with the leg's CPU feature enabled, so that the
-    /// pack, the tile and the axpy walk inline into the panel loops (a
-    /// shallow panel is eight `k` steps per tile call; with the batched
-    /// branches in them the panel loops no longer inlined, and a shallow
-    /// 4-row GEMM ran at a third of its speed).
+    /// panel source and the tile inline into the walk and the batched
+    /// branches are compiled out of every streamed product.
     ///
     /// # Safety
     ///
@@ -324,11 +300,10 @@ pub(crate) unsafe fn transpose<L: Leg>(
     }
 }
 
-/// Computes `block` of `ops.lhs · ops.rhs` (`rhs` read through
-/// `ops.layout`, which `TRANSPOSED` repeats, and resident and batched when
-/// `RESIDENT`, which `ops.resident` repeats); see the module docs. Called
-/// through [`Leg::block`], which picks the instance: the batched branches
-/// are then compiled out of every streamed product.
+/// Computes `block` of `ops.lhs · ops.rhs` (`rhs` read through `LAYOUT`,
+/// `ops.layout as u8`, and resident and batched when `RESIDENT`, which
+/// `ops.resident` repeats); see the module docs. Called through
+/// [`Leg::block`], which picks the instance.
 ///
 /// # Safety
 ///
@@ -338,9 +313,10 @@ pub(crate) unsafe fn transpose<L: Leg>(
 /// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`, and
 /// `ops.rhs` its `k × block.cols.end` (transposed: `block.cols.end × k`)
 /// elements at stride `ops.ldb` — per row, `ops.rhs_stride` apart, for a
-/// resident product.
+/// resident product; packed, the strips covering `block.cols`, which
+/// starts on a strip boundary.
 #[inline(always)]
-unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const RESIDENT: bool>(
+unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
     ops: &Operands,
     block: &OutBlock,
 ) {
@@ -354,9 +330,18 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const RESIDENT: bool>(
         accumulate,
         ..
     } = ops;
+    let transposed = LAYOUT == Layout::Transposed as u8;
+    let packed = LAYOUT == Layout::Packed as u8;
     let bs = if RESIDENT { ops.rhs_stride } else { 0 };
-    debug_assert!(!(RESIDENT && TRANSPOSED), "a resident rhs is row-major");
+    debug_assert!(
+        !RESIDENT || LAYOUT == Layout::RowMajor as u8,
+        "a resident rhs is row-major"
+    );
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
+    debug_assert!(
+        !packed || cols.start % TILE_COLS == 0,
+        "packed blocks start on a strip"
+    );
     let a = lhs.as_ptr().add(row0 * lda);
     let b = rhs.as_ptr().add(row0 * bs);
     if k == 0 {
@@ -366,41 +351,18 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const RESIDENT: bool>(
         }
         return;
     }
-    // The single-row walk over a streamed row-major `rhs`: sub-tile row
-    // counts and ragged columns.
-    let axpy = !TRANSPOSED && !RESIDENT;
-    debug_assert!(!(axpy && accumulate), "the axpy walk overwrites its output");
-    let axpy_cols = |cols: Range<usize>| {
-        for i in 0..rows {
-            let a_row = &lhs[(row0 + i) * lda..][..k];
-            L::axpy_row(
-                a_row,
-                b.add(cols.start),
-                ldb,
-                out.add(i * ldc + cols.start),
-                cols.len(),
-            );
-        }
-    };
-    if axpy && rows < TILE_ROWS {
-        return axpy_cols(cols.clone());
-    }
 
-    let strips_end = cols.end - cols.len() % TILE_COLS;
-    // Every element a tile reads was packed earlier in the same call.
+    // Every element a tile reads from the panel was packed into it earlier
+    // in the same call.
     let mut panel = core::mem::MaybeUninit::<[f32; KC * TILE_COLS]>::uninit();
     let panel: *mut f32 = panel.as_mut_ptr().cast();
     // A batched product packs a ragged strip per row — a tile's rows each
     // own a panel — so its k panels are a quarter as deep.
     let kc_max = if RESIDENT { KC / TILE_ROWS } else { KC };
-    // Copies `kc` rows of the `width`-column strip at `src` into a panel,
-    // zero-padded to sixteen columns; `ahead` is the row-major strip to
-    // prefetch meanwhile, line for line.
-    let copy_strip = |src: *const f32, width, kc, dst: *mut f32, ahead: Option<*const f32>| {
+    // Copies `kc` rows of the `width`-column row-major strip at `src` into
+    // a panel at `dst`, zero-padded to sixteen columns.
+    let copy_strip = |src: *const f32, width, kc, dst: *mut f32| {
         for kk in 0..kc {
-            if let Some(ahead) = ahead {
-                L::prefetch(ahead.wrapping_add(kk * ldb));
-            }
             let dst = dst.add(kk * TILE_COLS);
             core::ptr::copy_nonoverlapping(src.add(kk * ldb), dst, width);
             core::ptr::write_bytes(dst.add(width), 0, TILE_COLS - width);
@@ -409,43 +371,55 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const RESIDENT: bool>(
     // A ragged strip's tiles compute into here, sixteen wide, and only the
     // strip's own columns are copied back.
     let mut edge = [0.0f32; TILE_ROWS * TILE_COLS];
-    // Runs every row tile over panel `k0..k0 + kc` of the `width`-column
-    // strip at `j0`, packing it first unless it is read in place.
-    let mut strip_panel =
-        |j0: usize, width: usize, k0: usize, kc: usize, ahead: Option<*const f32>| {
-            let full = width == TILE_COLS;
-            let strip = b.add(k0 * ldb + j0);
-            let (mut tile_b, mut tile_ldb) = (panel.cast_const(), TILE_COLS);
-            if TRANSPOSED && full {
+    for j0 in cols.clone().step_by(TILE_COLS) {
+        let width = TILE_COLS.min(cols.end - j0);
+        let full = width == TILE_COLS;
+        for k0 in (0..k).step_by(kc_max) {
+            let kc = kc_max.min(k - k0);
+            // Where the tiles read this panel, and how far apart its rows
+            // lie (a resident ragged strip is packed per row tile below).
+            let (tile_b, tile_ldb) = if packed {
+                (b.add(j0 * k + k0 * TILE_COLS), TILE_COLS)
+            } else if RESIDENT {
+                (b.add(k0 * ldb + j0), ldb)
+            } else if transposed && full {
                 L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel, TILE_COLS);
-            } else if TRANSPOSED {
+                (panel.cast_const(), TILE_COLS)
+            } else if transposed {
                 core::ptr::write_bytes(panel, 0, kc * TILE_COLS);
                 let b = b.add(j0 * ldb + k0);
                 pack_transposed_portable(b, ldb, width, 0..kc, panel, TILE_COLS);
-            } else if RESIDENT && full {
-                (tile_b, tile_ldb) = (strip, ldb);
-            } else if !RESIDENT {
-                copy_strip(strip, width, kc, panel, ahead);
-            }
+                (panel.cast_const(), TILE_COLS)
+            } else {
+                copy_strip(b.add(k0 * ldb + j0), width, kc, panel);
+                (panel.cast_const(), TILE_COLS)
+            };
             let first = k0 == 0 && !accumulate;
             for i0 in (0..rows).step_by(TILE_ROWS) {
                 let r = TILE_ROWS.min(rows - i0);
                 let a = a.add(i0 * lda + k0);
                 let c = out.add(i0 * ldc + j0);
+                // The first row tile streams the panel in; the rest find
+                // it in the L1.
+                let ahead = if packed && i0 == 0 {
+                    PREFETCH_LINES * TILE_COLS
+                } else {
+                    0
+                };
                 // This row tile's `rhs` windows and how far apart they lie.
-                let (tile_b, tile_bs) = match (RESIDENT, full) {
-                    (false, _) => (tile_b, 0),
-                    (true, true) => (tile_b.add(i0 * bs), bs),
+                let (tile_b, tile_ldb, tile_bs) = match (RESIDENT, full) {
+                    (false, _) => (tile_b, tile_ldb, 0),
+                    (true, true) => (tile_b.add(i0 * bs), tile_ldb, bs),
                     (true, false) => {
                         for i in 0..r {
                             let dst = panel.add(i * kc * TILE_COLS);
-                            copy_strip(strip.add((i0 + i) * bs), width, kc, dst, None);
+                            copy_strip(tile_b.add((i0 + i) * bs), width, kc, dst);
                         }
-                        (panel.cast_const(), kc * TILE_COLS)
+                        (panel.cast_const(), TILE_COLS, kc * TILE_COLS)
                     }
                 };
                 let run = |c: *mut f32, ldc: usize| match RESIDENT {
-                    false => L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first),
+                    false => L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first, ahead),
                     true => {
                         L::tile_batched(r, a, lda, tile_b, tile_ldb, tile_bs, kc, c, ldc, first)
                     }
@@ -463,36 +437,6 @@ unsafe fn matmul_block<L: Leg, const TRANSPOSED: bool, const RESIDENT: bool>(
                     core::ptr::copy_nonoverlapping(edge.add(i * TILE_COLS), c.add(i * ldc), width);
                 }
             }
-        };
-    if axpy && rows < DEEP_MIN_ROWS {
-        let width = strips_end - cols.start;
-        for k0 in (0..k).step_by(KC_SHALLOW) {
-            let kc = KC_SHALLOW.min(k - k0);
-            for j0 in (cols.start..strips_end).step_by(TILE_COLS) {
-                // The strip `PREFETCH_STRIPS` further on in the sweep,
-                // which past the block's last strip continues at the first
-                // strips of the next panel. That panel may be short of
-                // `kc` rows: the hint is free to miss.
-                let at = j0 - cols.start + PREFETCH_STRIPS * TILE_COLS;
-                let k_ahead = k0 + at / width * KC_SHALLOW;
-                let ahead =
-                    (k_ahead < k).then(|| b.wrapping_add(k_ahead * ldb + cols.start + at % width));
-                strip_panel(j0, TILE_COLS, k0, kc, ahead);
-            }
-        }
-    } else {
-        for j0 in (cols.start..strips_end).step_by(TILE_COLS) {
-            for k0 in (0..k).step_by(kc_max) {
-                strip_panel(j0, TILE_COLS, k0, kc_max.min(k - k0), None);
-            }
-        }
-    }
-    if strips_end < cols.end && axpy {
-        axpy_cols(strips_end..cols.end);
-    } else if strips_end < cols.end {
-        let width = cols.end - strips_end;
-        for k0 in (0..k).step_by(kc_max) {
-            strip_panel(strips_end, width, k0, kc_max.min(k - k0), None);
         }
     }
 }
@@ -536,7 +480,8 @@ pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: 
 pub(crate) struct Avx2;
 
 /// [`Avx2`]'s tile body for `R` rows: [`Leg::tile`] with every row reading
-/// one `b` (`BATCHED` false, `bs` ignored), or [`Leg::tile_batched`].
+/// one `b` (`BATCHED` false, `bs` ignored; prefetching `ahead` when
+/// `PREFETCH`), or [`Leg::tile_batched`].
 ///
 /// # Safety
 ///
@@ -545,7 +490,7 @@ pub(crate) struct Avx2;
 #[inline]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx2_rows<const R: usize, const BATCHED: bool>(
+unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>(
     a: *const f32,
     lda: usize,
     b: *const f32,
@@ -555,6 +500,7 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool>(
     c: *mut f32,
     ldc: usize,
     first: bool,
+    ahead: usize,
 ) {
     use core::arch::x86_64::*;
     let mut acc = [[_mm256_setzero_ps(); 2]; R];
@@ -566,6 +512,9 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool>(
     }
     for kk in 0..kc {
         let b_kk = b.add(kk * ldb);
+        if PREFETCH {
+            <Avx2 as Leg>::prefetch(b_kk.wrapping_add(ahead));
+        }
         let shared = (_mm256_loadu_ps(b_kk), _mm256_loadu_ps(b_kk.add(8)));
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let (b0, b1) = match BATCHED {
@@ -601,12 +550,17 @@ impl Leg for Avx2 {
         c: *mut f32,
         ldc: usize,
         first: bool,
+        ahead: usize,
     ) {
-        match rows {
-            4 => avx2_rows::<4, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
-            3 => avx2_rows::<3, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
-            2 => avx2_rows::<2, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
-            _ => avx2_rows::<1, false>(a, lda, b, ldb, 0, kc, c, ldc, first),
+        match (rows, ahead != 0) {
+            (4, false) => avx2_rows::<4, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (3, false) => avx2_rows::<3, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (2, false) => avx2_rows::<2, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (_, false) => avx2_rows::<1, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (4, true) => avx2_rows::<4, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
+            (3, true) => avx2_rows::<3, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
+            (2, true) => avx2_rows::<2, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
+            (_, true) => avx2_rows::<1, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
         }
     }
 
@@ -624,32 +578,10 @@ impl Leg for Avx2 {
         first: bool,
     ) {
         match rows {
-            4 => avx2_rows::<4, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
-            3 => avx2_rows::<3, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
-            2 => avx2_rows::<2, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
-            _ => avx2_rows::<1, true>(a, lda, b, ldb, bs, kc, c, ldc, first),
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_row(a: &[f32], b: *const f32, ldb: usize, c: *mut f32, width: usize) {
-        use core::arch::x86_64::*;
-        let wv = width - width % 8;
-        core::ptr::write_bytes(c, 0, width);
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = b.add(kk * ldb);
-            let avv = _mm256_set1_ps(av);
-            for j in (0..wv).step_by(8) {
-                let o = _mm256_loadu_ps(c.add(j));
-                let bv = _mm256_loadu_ps(b_row.add(j));
-                _mm256_storeu_ps(c.add(j), _mm256_add_ps(o, _mm256_mul_ps(avv, bv)));
-            }
-            for j in wv..width {
-                *c.add(j) += av * *b_row.add(j);
-            }
+            4 => avx2_rows::<4, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            3 => avx2_rows::<3, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            2 => avx2_rows::<2, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            _ => avx2_rows::<1, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
         }
     }
 
@@ -708,10 +640,14 @@ impl Leg for Avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
+        const ROW_MAJOR: u8 = Layout::RowMajor as u8;
+        const TRANSPOSED: u8 = Layout::Transposed as u8;
+        const PACKED: u8 = Layout::Packed as u8;
         match (ops.layout, ops.resident) {
-            (Layout::RowMajor, false) => matmul_block::<Self, false, false>(ops, block),
-            (Layout::RowMajor, true) => matmul_block::<Self, false, true>(ops, block),
-            (Layout::Transposed, _) => matmul_block::<Self, true, false>(ops, block),
+            (Layout::RowMajor, false) => matmul_block::<Self, ROW_MAJOR, false>(ops, block),
+            (Layout::RowMajor, true) => matmul_block::<Self, ROW_MAJOR, true>(ops, block),
+            (Layout::Transposed, _) => matmul_block::<Self, TRANSPOSED, false>(ops, block),
+            (Layout::Packed, _) => matmul_block::<Self, PACKED, false>(ops, block),
         }
     }
 }
@@ -720,9 +656,9 @@ impl Leg for Avx2 {
 pub(crate) struct Neon;
 
 /// The 4-lane mirror of [`Avx2`]: four vectors per tile row. It keeps the
-/// default (empty) `prefetch`: stable Rust has no aarch64 prefetch
-/// intrinsic, and the shallow panel order is already the address order the
-/// hardware prefetchers follow. It also keeps the default (portable)
+/// default (empty) `prefetch` — stable Rust has no aarch64 prefetch
+/// intrinsic, so a packed walk's `ahead` goes unused and the stream is left
+/// to the hardware prefetchers — and the default (portable)
 /// `pack_transposed` and `tile_batched`.
 #[cfg(target_arch = "aarch64")]
 impl Leg for Neon {
@@ -737,6 +673,7 @@ impl Leg for Neon {
         c: *mut f32,
         ldc: usize,
         first: bool,
+        _ahead: usize,
     ) {
         use core::arch::aarch64::*;
 
@@ -793,33 +730,15 @@ impl Leg for Neon {
     }
 
     #[target_feature(enable = "neon")]
-    unsafe fn axpy_row(a: &[f32], b: *const f32, ldb: usize, c: *mut f32, width: usize) {
-        use core::arch::aarch64::*;
-        let wv = width - width % 4;
-        core::ptr::write_bytes(c, 0, width);
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = b.add(kk * ldb);
-            let avv = vdupq_n_f32(av);
-            for j in (0..wv).step_by(4) {
-                let o = vld1q_f32(c.add(j));
-                let bv = vld1q_f32(b_row.add(j));
-                vst1q_f32(c.add(j), vaddq_f32(o, vmulq_f32(avv, bv)));
-            }
-            for j in wv..width {
-                *c.add(j) += av * *b_row.add(j);
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
+        const ROW_MAJOR: u8 = Layout::RowMajor as u8;
+        const TRANSPOSED: u8 = Layout::Transposed as u8;
+        const PACKED: u8 = Layout::Packed as u8;
         match (ops.layout, ops.resident) {
-            (Layout::RowMajor, false) => matmul_block::<Self, false, false>(ops, block),
-            (Layout::RowMajor, true) => matmul_block::<Self, false, true>(ops, block),
-            (Layout::Transposed, _) => matmul_block::<Self, true, false>(ops, block),
+            (Layout::RowMajor, false) => matmul_block::<Self, ROW_MAJOR, false>(ops, block),
+            (Layout::RowMajor, true) => matmul_block::<Self, ROW_MAJOR, true>(ops, block),
+            (Layout::Transposed, _) => matmul_block::<Self, TRANSPOSED, false>(ops, block),
+            (Layout::Packed, _) => matmul_block::<Self, PACKED, false>(ops, block),
         }
     }
 }

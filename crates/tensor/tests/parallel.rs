@@ -8,7 +8,7 @@
 //! These tests compare raw bits (`f32::to_bits`), not `==`, so even a
 //! `-0.0` vs `+0.0` divergence fails.
 
-use anda_tensor::Matrix;
+use anda_tensor::{Matrix, PackedMatrix};
 use proptest::prelude::*;
 use rayon_lite::ThreadPool;
 
@@ -148,6 +148,52 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
         let mut out = Matrix::zeros(2, 4);
         empty_k.matmul_into_pool(&Matrix::zeros(0, 4), &mut out, &pool);
         assert_eq!(out, Matrix::zeros(2, 4), "threads {threads}");
+        out.as_mut_slice().fill(1.0);
+        let packed = PackedMatrix::pack(&Matrix::zeros(0, 4));
+        empty_k.matmul_packed_into_pool(&packed, &mut out, &pool);
+        assert_eq!(out, Matrix::zeros(2, 4), "packed, threads {threads}");
+        let mut out = Matrix::zeros(2, 0);
+        a.matmul_packed_into_pool(&PackedMatrix::pack(&Matrix::zeros(3, 0)), &mut out, &pool);
+    }
+}
+
+/// The packed product — the walk every projection of a served step runs —
+/// against the scalar oracle on the unpacked matrix, on every leg and
+/// every pool width: row counts on both sides of the tile height, of the
+/// thread counts' tile multiples and of 32 and 64 (so tile interiors, one
+/// to three-row tiles, row sharding and strip sharding all run), widths
+/// with no, one and fifteen columns past the last whole strip (the
+/// zero-padded strip read in place), and `k` below the prefetch distance,
+/// around one 256-deep panel and four panels deep. The lhs is
+/// ReLU-sparse, as the down projection's is.
+#[test]
+fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
+    let pools: Vec<ThreadPool> = THREADS.iter().map(|&t| ThreadPool::new(t)).collect();
+    for k in [1usize, 7, 255, 256, 257, 1024] {
+        for n in [32usize, 33, 47] {
+            let b = deterministic(k, n, 8);
+            let packed = PackedMatrix::pack(&b);
+            assert_bits_eq(&packed.to_matrix(), &b, &format!("pack round trip {k}x{n}"));
+            for m in [1usize, 2, 3, 4, 5, 8, 9, 31, 32, 33, 64, 65] {
+                let mut a = deterministic(m, k, 9);
+                a.map_inplace(|x| x.max(0.0));
+                let mut oracle = Matrix::zeros(m, n);
+                a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
+                for leg in anda_fp::simd::available_legs() {
+                    let mut out = Matrix::zeros(m, n);
+                    out.as_mut_slice().fill(f32::NAN);
+                    a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg);
+                    let at = format!("packed {m}x{k}x{n} leg {}", leg.name());
+                    assert_bits_eq(&out, &oracle, &at);
+                }
+                for (threads, pool) in THREADS.iter().zip(&pools) {
+                    let mut out = Matrix::zeros(m, n);
+                    out.as_mut_slice().fill(f32::NAN);
+                    a.matmul_packed_into_pool(&packed, &mut out, pool);
+                    assert_bits_eq(&out, &oracle, &format!("packed {m}x{k}x{n} @ {threads}t"));
+                }
+            }
+        }
     }
 }
 
@@ -226,14 +272,12 @@ proptest! {
 
     /// The register-tiled GEMM against the scalar oracle: every
     /// available leg of the serial kernel and every pool width, over row
-    /// counts on both sides of the tile height, of `4 × threads` and of
-    /// the 32 rows where the panel order switches (so tile interiors, the
-    /// partial last tile, the sub-tile axpy walk, the shallow and the
-    /// deep panel walk, row sharding and column-strip sharding all run),
-    /// `k` across the 8- and 256-deep panel boundaries, and column counts
-    /// with every kind of strip tail, wide enough for the shallow walk's
-    /// prefetch to stay in the row as well as to wrap into the next
-    /// panel.
+    /// counts on both sides of the tile height and of `4 × threads` (so
+    /// tile interiors, the partial last tile, one- to three-row tiles, row
+    /// sharding and column-strip sharding all run), `k` across the
+    /// 256-deep panel boundary, and column counts with every kind of strip
+    /// tail — with `rhs` held row-major (each panel copied) and packed
+    /// (read in place).
     ///
     /// The transposed product takes the same operands (`rhs` held
     /// `n × k`) with an infinity or a NaN in every third `rhs` row: it
@@ -258,12 +302,22 @@ proptest! {
             a.matmul_into_serial_with_leg(&b, &mut out, leg);
             assert_bits_eq(&out, &oracle, &format!("{m}x{k}x{n} leg {}", leg.name()));
         }
+        let packed = PackedMatrix::pack(&b);
+        for leg in anda_fp::simd::available_legs() {
+            let mut out = Matrix::zeros(m, n);
+            out.as_mut_slice().fill(f32::NAN);
+            a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg);
+            assert_bits_eq(&out, &oracle, &format!("packed {m}x{k}x{n} leg {}", leg.name()));
+        }
         for threads in 1..=4 {
             let pool = ThreadPool::new(threads);
             let mut out = Matrix::zeros(m, n);
             out.as_mut_slice().fill(f32::NAN);
             a.matmul_into_pool(&b, &mut out, &pool);
             assert_bits_eq(&out, &oracle, &format!("{m}x{k}x{n} @ {threads}t"));
+            out.as_mut_slice().fill(f32::NAN);
+            a.matmul_packed_into_pool(&packed, &mut out, &pool);
+            assert_bits_eq(&out, &oracle, &format!("packed {m}x{k}x{n} @ {threads}t"));
         }
 
         // One non-finite element in every third `rhs` row (output column);

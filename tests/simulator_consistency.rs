@@ -2,6 +2,7 @@
 //! with the search's BOPs cost model and the paper's headline claims.
 
 use anda::llm::kv::{KvPoolConfig, KvStorage, PagePool};
+use anda::llm::model::Layer;
 use anda::llm::modules::{ModuleKind, PrecisionCombo};
 use anda::llm::opcount::decode_ops;
 use anda::llm::zoo::{real_model, real_models, sim_model};
@@ -121,12 +122,27 @@ fn the_cost_model_counts_what_the_engine_holds() {
     for name in ["OPT-1.3B", "LLaMA-7B"] {
         let model = sim_model(name).unwrap().build();
         let cfg = model.config();
-        // A token meets every block weight in exactly one MAC.
+        // A token meets every block weight in exactly one MAC, and the
+        // engine holds every projection once: the floats a layer keeps
+        // resident for them are those MACs. The pattern names every field
+        // of `Layer`, so a second copy of a weight cannot come back
+        // without this count seeing it.
         let (mut weights, mut matrices) = (0u64, 0usize);
         for layer in model.layers() {
-            let projections = [&layer.wqkv, &layer.wo, &layer.wup, &layer.wdown];
-            for w in projections.into_iter().chain(&layer.wgate) {
-                weights += (w.rows() * w.cols()) as u64;
+            let Layer {
+                attn_gain: _,
+                attn_bias: _,
+                ffn_gain: _,
+                ffn_bias: _,
+                wqkv,
+                wo,
+                wgate,
+                wup,
+                wdown,
+                quantized: _,
+            } = layer;
+            for w in [wqkv, wo, wup, wdown].into_iter().chain(wgate) {
+                weights += w.stored_len() as u64;
                 matrices += 1;
             }
         }
