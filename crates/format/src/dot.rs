@@ -87,10 +87,12 @@ fn dot_group_int_flat_on(
     use anda_fp::simd::SimdLeg;
     match leg {
         SimdLeg::Scalar => dot_group_int_flat_scalar(sign_word, planes, weights),
-        // SAFETY (both legs): the CPU runs `leg` — this function's
-        // precondition.
+        // SAFETY (every leg): the CPU runs `leg` — this function's
+        // precondition — and a CPU that runs `Avx512` runs `Avx2`.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { dot_group_int_flat_avx2(sign_word, planes, weights) },
+        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe {
+            dot_group_int_flat_avx2(sign_word, planes, weights)
+        },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { dot_group_int_flat_neon(sign_word, planes, weights) },
         #[allow(unreachable_patterns)]

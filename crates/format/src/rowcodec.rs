@@ -23,7 +23,23 @@
 //! lanes. Only then do the magnitudes widen to 32-bit lanes for one
 //! exact `i32→f32` convert, one multiply by the group ULP and a
 //! sign-bit XOR — no per-lane branches, and ragged tails stay in vector
-//! code. Every vector leg is `f32::to_bits`-identical to the `*_scalar`
+//! code.
+//!
+//! Decode at `M <= 8` is an 8×8 bit-matrix transpose per lane byte, which
+//! GFNI does in one instruction, so the AVX-512 leg (AVX2 + AVX-512
+//! F/BW/VBMI + GFNI) has a body of its own there: a masked load of the
+//! group's `M` plane words, one `vpermb` that gathers byte `j` of every
+//! plane into qword `j` (zero-padded so that plane 0 lands as bit
+//! `M − 1`), and one `vgf2p8affineqb` against the unit bytes
+//! `0x8040201008040201` turn the planes into 64 magnitude bytes in lane
+//! order; then per 16 lanes one widen, convert, multiply by the ULP,
+//! masked sign-bit XOR and (on a ragged group) masked store. On that leg
+//! [`decode_rows_into`] dispatches once per call into a page loop
+//! compiled with the leg's features, and [`decode_row_into`] is that loop
+//! over one row. Everything else (encode, and decode at `M` 9..=16) runs
+//! the AVX2 body under the AVX-512 leg.
+//!
+//! Every vector leg is `f32::to_bits`-identical to the `*_scalar`
 //! twin (its oracle), which the property suites assert on every
 //! available leg, for every `M`, around every step width.
 //!
@@ -113,10 +129,12 @@ fn encode_row_on(
 ) {
     match leg {
         SimdLeg::Scalar => encode_row_into_scalar(values, cfg, signs, exps, planes),
-        // SAFETY (both legs): the CPU runs `leg` — this function's
-        // precondition.
+        // SAFETY (every leg): the CPU runs `leg` — this function's
+        // precondition — and a CPU that runs `Avx512` runs `Avx2`.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { avx2::encode_row(values, cfg, signs, exps, planes) },
+        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe {
+            avx2::encode_row(values, cfg, signs, exps, planes)
+        },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { neon::encode_row(values, cfg, signs, exps, planes) },
         #[allow(unreachable_patterns)]
@@ -235,10 +253,16 @@ fn decode_row_uncounted(
 ) {
     match leg {
         SimdLeg::Scalar => decode_row_into_scalar(cfg, signs, exps, planes, out),
-        // SAFETY (both legs): the CPU runs `leg` — this function's
-        // precondition.
+        // SAFETY (every leg): the CPU runs `leg` — this function's
+        // precondition — and a CPU that runs `Avx512` runs `Avx2`.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { avx2::decode_row(cfg, signs, exps, planes, out) },
+        SimdLeg::Avx512 if cfg.mantissa_bits() <= 8 => unsafe {
+            avx512::decode_row(cfg, signs, exps, planes, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe {
+            avx2::decode_row(cfg, signs, exps, planes, out)
+        },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { neon::decode_row(cfg, signs, exps, planes, out) },
         #[allow(unreachable_patterns)]
@@ -273,6 +297,51 @@ pub fn decode_rows_into(
     row_len: usize,
     tile: &mut [f32],
 ) {
+    decode_rows_on(
+        active_leg(),
+        cfg,
+        signs,
+        exps,
+        planes,
+        groups,
+        row_len,
+        tile,
+    );
+}
+
+/// [`decode_rows_into`] on an explicit leg (oracle tests and benches).
+///
+/// # Panics
+///
+/// As [`decode_rows_into`], or if the leg is unavailable on this host.
+#[allow(clippy::too_many_arguments)]
+pub fn decode_rows_into_with_leg(
+    leg: SimdLeg,
+    cfg: AndaConfig,
+    signs: &[u64],
+    exps: &[u16],
+    planes: &[u64],
+    groups: std::ops::Range<usize>,
+    row_len: usize,
+    tile: &mut [f32],
+) {
+    leg.assert_available();
+    decode_rows_on(leg, cfg, signs, exps, planes, groups, row_len, tile);
+}
+
+/// The dispatch of [`decode_rows_into_with_leg`]. `leg` must be available
+/// on this host: it is `active_leg()`, or the entry above asserted it.
+#[allow(clippy::too_many_arguments)]
+fn decode_rows_on(
+    leg: SimdLeg,
+    cfg: AndaConfig,
+    signs: &[u64],
+    exps: &[u16],
+    planes: &[u64],
+    groups: std::ops::Range<usize>,
+    row_len: usize,
+    tile: &mut [f32],
+) {
     let g = groups_per_row(row_len, cfg);
     let m = cfg.mantissa_bits() as usize;
     assert!(
@@ -283,7 +352,11 @@ pub fn decode_rows_into(
         groups.start < groups.end && groups.end <= g,
         "group range {groups:?} outside a {g}-group row"
     );
-    let leg = active_leg();
+    #[cfg(target_arch = "x86_64")]
+    if leg == SimdLeg::Avx512 && m <= 8 {
+        // SAFETY: the CPU runs `leg` — this function's precondition.
+        return unsafe { avx512::decode_rows(cfg, signs, exps, planes, groups, row_len, tile) };
+    }
     let cols = groups.start * cfg.group_size()..(groups.end * cfg.group_size()).min(row_len);
     for (r, row) in tile.chunks_exact_mut(row_len).enumerate() {
         let (g0, g1) = (r * g + groups.start, r * g + groups.end);
@@ -615,6 +688,153 @@ mod avx2 {
     }
 }
 
+/// The AVX-512 leg's one body: the `M <= 8` decode as a GF(2) bit-matrix
+/// transpose (see the module docs).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    use core::arch::x86_64::*;
+
+    /// `vpermb` indices per `M` (row `M − 1`): byte `b` of qword `j` of
+    /// the gathered vector is byte `j` of plane `b − (8 − M)`, so the
+    /// transpose puts plane 0 at magnitude bit `M − 1`; the `8 − M` low
+    /// bytes read byte 63, in qword 7, which the masked load zeroed.
+    const GATHER: [[u8; 64]; 8] = {
+        let mut table = [[63u8; 64]; 8];
+        let mut m = 1;
+        while m <= 8 {
+            let mut i = 0;
+            while i < 64 {
+                let (j, b) = (i / 8, i % 8);
+                if b + m >= 8 {
+                    table[m - 1][i] = (8 * (b + m - 8) + j) as u8;
+                }
+                i += 1;
+            }
+            m += 1;
+        }
+        table
+    };
+
+    /// One group: `words` are the group's `M <= 8` plane words (MSB
+    /// first), `gather` is `GATHER[M − 1]`, `out` holds at most 64 lanes.
+    /// `vgf2p8affineqb` with the unit bytes `0x8040201008040201` as its
+    /// byte operand and the gathered planes as its matrix sets bit `i` of
+    /// result byte `k` of qword `j` to bit `k` of matrix byte `7 − i`: the
+    /// magnitude of lane `8j + k`. Per 16 lanes: widen, exact `i32→f32`
+    /// convert, multiply by the ULP, and a masked sign-bit XOR (so a zero
+    /// magnitude under a set sign bit is −0.0, as the scalar negation
+    /// gives); a masked store writes only `out`'s lanes.
+    ///
+    /// # Safety
+    ///
+    /// As [`decode_rows`]; `words` must hold 1..=8 words (memory is only
+    /// touched through `words` and `out`).
+    #[inline]
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    unsafe fn decode_group(
+        sign_word: u64,
+        ulp: f32,
+        words: &[u64],
+        gather: __m512i,
+        out: &mut [f32],
+    ) {
+        // The mask reads `words.len()` words, all of them inside `words`.
+        let planes = _mm512_maskz_loadu_epi64(u8::MAX >> (8 - words.len()), words.as_ptr().cast());
+        let unit = _mm512_set1_epi64(0x8040_2010_0804_0201u64 as i64);
+        let mags =
+            _mm512_gf2p8affine_epi64_epi8::<0>(unit, _mm512_permutexvar_epi8(gather, planes));
+        let blocks = [
+            _mm512_castsi512_si128(mags),
+            _mm512_extracti32x4_epi32::<1>(mags),
+            _mm512_extracti32x4_epi32::<2>(mags),
+            _mm512_extracti32x4_epi32::<3>(mags),
+        ];
+        let (ulp, sign_bit) = (_mm512_set1_ps(ulp), _mm512_set1_epi32(i32::MIN));
+        let keep = match out.len() {
+            n @ 0..64 => (1u64 << n) - 1,
+            _ => u64::MAX,
+        };
+        for (c, block) in blocks.into_iter().enumerate() {
+            let lanes = (keep >> (16 * c)) as u16;
+            if lanes == 0 {
+                break;
+            }
+            let v = _mm512_castps_si512(_mm512_mul_ps(
+                _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(block)),
+                ulp,
+            ));
+            let signed = _mm512_mask_xor_epi32(v, (sign_word >> (16 * c)) as u16, v, sign_bit);
+            // Lane 16·c is inside `out`, and the mask stops at its end.
+            _mm512_mask_storeu_ps(
+                out.as_mut_ptr().add(16 * c),
+                lanes,
+                _mm512_castsi512_ps(signed),
+            );
+        }
+    }
+
+    /// AVX-512 leg of [`decode_rows_into`] at `M <= 8`, after its checks:
+    /// the whole page loop is compiled with the leg's features, so
+    /// [`decode_group`] inlines into it.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, AVX-512 F/BW/VBMI and GFNI.
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    pub unsafe fn decode_rows(
+        cfg: AndaConfig,
+        signs: &[u64],
+        exps: &[u16],
+        planes: &[u64],
+        groups: std::ops::Range<usize>,
+        row_len: usize,
+        tile: &mut [f32],
+    ) {
+        let (g, gs, m) = (
+            groups_per_row(row_len, cfg),
+            cfg.group_size(),
+            cfg.mantissa_bits() as usize,
+        );
+        assert!(m <= 8, "the transpose holds at most 8 planes");
+        let gather = _mm512_loadu_si512(GATHER[m - 1].as_ptr().cast());
+        let cols = groups.start * gs..(groups.end * gs).min(row_len);
+        let n = groups.len();
+        // Index arithmetic rather than `chunks`: their lengths cost two
+        // divisions per row, measured at a third of this loop's time.
+        for (r, row) in tile.chunks_exact_mut(row_len).enumerate() {
+            let g0 = r * g + groups.start;
+            let (signs, exps) = (&signs[g0..g0 + n], &exps[g0..g0 + n]);
+            let words = &planes[g0 * m..(g0 + n) * m];
+            let row = &mut row[cols.clone()];
+            for k in 0..n {
+                let out = &mut row[k * gs..((k + 1) * gs).min(cols.len())];
+                let ulp = exp2f(i32::from(exps[k]) - 14 - m as i32);
+                decode_group(signs[k], ulp, &words[k * m..(k + 1) * m], gather, out);
+            }
+        }
+    }
+
+    /// AVX-512 leg of [`decode_row_into`] at `M <= 8`: the page loop over
+    /// one row.
+    ///
+    /// # Safety
+    ///
+    /// As [`decode_rows`].
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    pub unsafe fn decode_row(
+        cfg: AndaConfig,
+        signs: &[u64],
+        exps: &[u16],
+        planes: &[u64],
+        out: &mut [f32],
+    ) {
+        check_decode_buffers(cfg, signs, exps, planes, out);
+        let g = groups_per_row(out.len(), cfg);
+        decode_rows(cfg, signs, exps, planes, 0..g, out.len(), out);
+    }
+}
+
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::*;
@@ -866,7 +1086,7 @@ mod tests {
         // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
         // without it, where a missing check would be an illegal
         // instruction from safe code. Covers the crate: this module's
-        // two entries and `dot`'s one.
+        // three entries and `dot`'s one.
         let leg = [SimdLeg::Avx2, SimdLeg::Neon]
             .into_iter()
             .find(|leg| !leg.is_available())
@@ -876,13 +1096,17 @@ mod tests {
         let values = row(LANES, 1);
         let (signs, exps, planes) = ([0u64; 1], [0u16; 1], [0u64; 8]);
         type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 3] = [
+        let entries: [Entry; 4] = [
             ("encode_row_into_with_leg", &|| {
                 let (mut s, mut e, mut p) = (signs, exps, planes);
                 encode_row_into_with_leg(leg, &values, cfg, &mut s, &mut e, &mut p)
             }),
             ("decode_row_into_with_leg", &|| {
                 decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut values.clone())
+            }),
+            ("decode_rows_into_with_leg", &|| {
+                let tile = &mut values.clone();
+                decode_rows_into_with_leg(leg, cfg, &signs, &exps, &planes, 0..1, LANES, tile)
             }),
             ("dot_group_int_flat_with_leg", &|| {
                 crate::dot::dot_group_int_flat_with_leg(leg, 0, &planes, &[1i8; LANES]);
@@ -1014,15 +1238,22 @@ mod tests {
     /// (8, 16 and 32 lanes) plus the hardware's 64.
     const GROUP_SIZES: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
 
-    /// Every `M` × group size × row length (one group, whole groups, and
-    /// a partial trailing group where the group size allows one): `M <= 8`
-    /// runs the byte-lane transpose, `M > 8` the 16-bit-lane one, and the
+    /// Row widths every group size meets: one lane, a ragged 16-lane step,
+    /// one lane short of and past a 64-lane group, a partial second group
+    /// and the serving model's `d_model`.
+    const ROW_WIDTHS: [usize; 6] = [1, 17, 63, 65, 100, 256];
+
+    /// Every `M` × group size × row length (one group, whole groups, a
+    /// partial trailing group where the group size allows one, and
+    /// [`ROW_WIDTHS`]): `M <= 8` runs the byte-lane transpose (the GF(2)
+    /// one on the AVX-512 leg), `M > 8` the 16-bit-lane one, and the
     /// group sizes put a ragged tail behind every step width.
     fn sweep(mut case: impl FnMut(AndaConfig, usize)) {
         for m in 1..=16 {
             for gs in GROUP_SIZES {
                 let cfg = AndaConfig::new(gs, m).unwrap();
-                for len in [gs, 3 * gs, 2 * gs + gs.div_ceil(2)] {
+                let lens = [gs, 3 * gs, 2 * gs + gs.div_ceil(2)];
+                for len in lens.into_iter().chain(ROW_WIDTHS) {
                     case(cfg, len);
                 }
             }
@@ -1055,39 +1286,52 @@ mod tests {
 
     /// Buffers no encoder input reaches together: all-ones planes (the
     /// largest magnitude of each lane width, `2^M − 1`, bits set past the
-    /// row's last lane too), all-negative and all-positive sign words,
-    /// and the smallest and largest shared exponents side by side.
+    /// row's last lane too) and all-zero planes (every lane under a set
+    /// sign bit is −0.0), all-negative and all-positive sign words, and
+    /// the smallest and largest shared exponents side by side.
     #[test]
     fn small_group_sizes_match_on_every_leg() {
         for leg in available_legs() {
             sweep(|cfg, len| {
                 let g = groups_per_row(len, cfg);
-                let planes = vec![!0u64; plane_words_per_row(len, cfg)];
                 let exps: Vec<u16> = (0..g).map(|gi| if gi % 2 == 0 { 30 } else { 1 }).collect();
-                for sign_word in [!0u64, 0, 0xA5A5_5A5A_F00F_0FF0] {
-                    let signs = vec![sign_word; g];
-                    let mut s_out = vec![0.0f32; len];
-                    decode_row_into_scalar(cfg, &signs, &exps, &planes, &mut s_out);
-                    let mut v_out = vec![1.0f32; len];
-                    decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut v_out);
-                    assert_eq!(
-                        bits(&s_out),
-                        bits(&v_out),
-                        "leg={} len={len} signs={sign_word:#x} {cfg:?}",
-                        leg.name()
-                    );
+                for plane_word in [!0u64, 0] {
+                    let planes = vec![plane_word; plane_words_per_row(len, cfg)];
+                    for sign_word in [!0u64, 0, 0xA5A5_5A5A_F00F_0FF0] {
+                        let signs = vec![sign_word; g];
+                        let mut s_out = vec![0.0f32; len];
+                        decode_row_into_scalar(cfg, &signs, &exps, &planes, &mut s_out);
+                        let mut v_out = vec![1.0f32; len];
+                        decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut v_out);
+                        assert_eq!(
+                            bits(&s_out),
+                            bits(&v_out),
+                            "leg={} len={len} planes={plane_word:#x} signs={sign_word:#x} \
+                             {cfg:?}",
+                            leg.name()
+                        );
+                    }
                 }
             });
         }
     }
 
-    /// The page-level decode reproduces per-row decodes bit for bit on
-    /// the columns it is asked for and leaves the others alone, without
-    /// touching the row counter's per-row path.
+    /// The page-level decode reproduces the scalar row decode bit for bit
+    /// on every leg, on the columns it is asked for — group ranges from
+    /// the first group or from mid-row, over a full or a partly filled
+    /// page — and leaves the others alone.
     #[test]
     fn page_decode_matches_row_decode_on_its_columns() {
-        for (dim, m) in [(256usize, 8u32), (192, 5), (100, 11)] {
-            let cfg = AndaConfig::hardware(m).unwrap();
+        let shapes = [
+            (256usize, 64usize, 8u32),
+            (192, 64, 5),
+            (100, 64, 11),
+            (100, 33, 1),
+            (65, 9, 7),
+            (17, 7, 16),
+        ];
+        for (dim, gs, m) in shapes {
+            let cfg = AndaConfig::new(gs, m).unwrap();
             let (g, pw) = (groups_per_row(dim, cfg), plane_words_per_row(dim, cfg));
             let rows = 5;
             let mut page = (
@@ -1098,31 +1342,33 @@ mod tests {
             let mut expect = vec![0.0f32; rows * dim];
             for r in 0..rows {
                 let (sr, er, pr) = (r * g..(r + 1) * g, r * g..(r + 1) * g, r * pw..(r + 1) * pw);
-                encode_row_into(
-                    &row(dim, (r * 7 + dim) as u64),
+                encode_row_into_scalar(
+                    &adversarial_row(dim, (r * 7 + dim) as u64),
                     cfg,
                     &mut page.0[sr.clone()],
                     &mut page.1[er.clone()],
                     &mut page.2[pr.clone()],
                 );
                 let out = &mut expect[r * dim..(r + 1) * dim];
-                decode_row_into(cfg, &page.0[sr], &page.1[er], &page.2[pr], out);
+                decode_row_into_scalar(cfg, &page.0[sr], &page.1[er], &page.2[pr], out);
             }
-            for groups in [0..g, 0..1, g - 1..g] {
-                let cols = groups.start * LANES..(groups.end * LANES).min(dim);
-                let mut tile = vec![f32::NAN; rows * dim];
-                decode_rows_into(cfg, &page.0, &page.1, &page.2, groups, dim, &mut tile);
-                for (r, (got, want)) in tile.chunks(dim).zip(expect.chunks(dim)).enumerate() {
-                    assert_eq!(
-                        bits(&got[cols.clone()]),
-                        bits(&want[cols.clone()]),
-                        "row {r}"
+            let ranges = [0..g, 0..1, g - 1..g, g / 2..g, g / 2..g / 2 + 1];
+            for leg in available_legs() {
+                for (groups, filled) in ranges.iter().flat_map(|gr| [(gr, rows), (gr, 2)]) {
+                    let cols = groups.start * gs..(groups.end * gs).min(dim);
+                    let ctx = format!("leg={} {groups:?} filled={filled} {cfg:?}", leg.name());
+                    let mut tile = vec![f32::NAN; filled * dim];
+                    let (signs, exps, planes) = (&page.0, &page.1, &page.2);
+                    let groups = groups.clone();
+                    decode_rows_into_with_leg(
+                        leg, cfg, signs, exps, planes, groups, dim, &mut tile,
                     );
-                    let outside = got[..cols.start].iter().chain(&got[cols.end..]);
-                    assert!(
-                        outside.copied().all(f32::is_nan),
-                        "row {r} wrote outside {cols:?}"
-                    );
+                    for (r, (got, want)) in tile.chunks(dim).zip(expect.chunks(dim)).enumerate() {
+                        let (got_cols, want_cols) = (&got[cols.clone()], &want[cols.clone()]);
+                        assert_eq!(bits(got_cols), bits(want_cols), "row {r} {ctx}");
+                        let outside = got[..cols.start].iter().chain(&got[cols.end..]);
+                        assert!(outside.copied().all(f32::is_nan), "row {r} outside, {ctx}");
+                    }
                 }
             }
         }

@@ -159,7 +159,7 @@ proptest! {
         blank_a_group(&mut full, 64, seed);
         for m in 1..=16u32 {
             let cfg = AndaConfig::hardware(m).unwrap();
-            for width in [1usize, 7, 8, 9, 63, 64, 65, 130, 256] {
+            for width in [1usize, 7, 8, 9, 17, 63, 64, 65, 100, 130, 256] {
                 let row = &full[..width];
                 let mut streamed = row.to_vec();
                 fake_quantize_in_place(&mut streamed, 64, m);

@@ -8,14 +8,16 @@
 //! included), group sizes sit on both sides of every vector step width
 //! (8, 16, 32 lanes) up to the hardware's 64, mantissa widths cover the
 //! full 1..=16 range — the byte-lane (`M <= 8`) and 16-bit-lane decode
-//! transposes both — and inputs include non-finite values (the codec
-//! saturates them like the scalar path must) as well as raw plane, sign
-//! and exponent words no encoder produces together.
+//! transposes both, and the AVX-512 leg's GF(2) one — and inputs include
+//! non-finite values (the codec saturates them like the scalar path must)
+//! as well as raw plane, sign and exponent words no encoder produces
+//! together. The page-level decode is held to the same oracle on
+//! multi-row pages, partly filled, over group ranges starting mid-row.
 
 use anda_format::dot::{dot_group_int_flat_scalar, dot_group_int_flat_with_leg};
 use anda_format::rowcodec::{
-    decode_row_into_scalar, decode_row_into_with_leg, encode_row_into_scalar,
-    encode_row_into_with_leg, groups_per_row, plane_words_per_row,
+    decode_row_into_scalar, decode_row_into_with_leg, decode_rows_into_with_leg,
+    encode_row_into_scalar, encode_row_into_with_leg, groups_per_row, plane_words_per_row,
 };
 use anda_format::AndaConfig;
 use anda_fp::available_legs;
@@ -41,6 +43,11 @@ fn row() -> impl Strategy<Value = Vec<f32>> {
 
 /// Group sizes around every lane count a vector leg steps by.
 const GROUP_SIZES: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
+
+/// Row widths every group size meets: one lane, a ragged 16-lane step,
+/// one lane short of and past a 64-lane group, a partial second group and
+/// the serving model's `d_model`.
+const ROW_WIDTHS: [usize; 6] = [1, 17, 63, 65, 100, 256];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -84,27 +91,34 @@ proptest! {
     }
 
     /// Decode of arbitrary stored words — random planes and signs with
-    /// all-ones planes, all-negative sign words and the smallest/largest
+    /// all-ones and all-zero words (zero magnitudes under set sign bits
+    /// decode to −0.0), all-negative sign words and the smallest/largest
     /// shared exponents mixed in — matches the scalar decode on every
-    /// leg, for every lane width and every ragged tail.
+    /// leg, for every lane width and every ragged tail. The same words as
+    /// a page of `rows` rows, `filled` of them decoded over a group range
+    /// that may start mid-row, match the scalar decode of those columns.
     #[test]
     fn decode_of_raw_words_matches_scalar_on_all_legs(
-        words in prop::collection::vec((any::<u64>(), 0u32..4), 17 * 3),
+        words in prop::collection::vec((any::<u64>(), 0u32..5), 17 * 3),
         len in 1usize..=150,
+        width in 0..ROW_WIDTHS.len() + 1,
         m in 1u32..=16,
         gs in 0..GROUP_SIZES.len(),
+        page in (1usize..=4, 1usize..=4, any::<u64>()),
     ) {
         let cfg = AndaConfig::new(GROUP_SIZES[gs], m).unwrap();
-        let len = len.min(3 * GROUP_SIZES[gs]);
+        let len = ROW_WIDTHS.get(width).copied().unwrap_or(len.min(3 * GROUP_SIZES[gs]));
+        let (rows, filled, range_seed) = (page.0, page.0.min(page.1), page.2);
         let g = groups_per_row(len, cfg);
         let pw = plane_words_per_row(len, cfg);
         let word = |i: usize| match words[i % words.len()] {
             (_, 0) => !0u64,
+            (_, 3) => 0,
             (w, _) => w,
         };
-        let signs: Vec<u64> = (0..g).map(word).collect();
-        let planes: Vec<u64> = (0..pw).map(|i| word(g + i)).collect();
-        let exps: Vec<u16> = (0..g)
+        let signs: Vec<u64> = (0..rows * g).map(word).collect();
+        let planes: Vec<u64> = (0..rows * pw).map(|i| word(rows * g + i)).collect();
+        let exps: Vec<u16> = (0..rows * g)
             .map(|i| match words[i % words.len()] {
                 (_, 1) => 1,
                 (_, 2) => 30,
@@ -112,14 +126,33 @@ proptest! {
             })
             .collect();
 
-        let mut out0 = vec![0.0f32; len];
-        decode_row_into_scalar(cfg, &signs, &exps, &planes, &mut out0);
+        let mut page0 = vec![0.0f32; rows * len];
+        for (r, out0) in page0.chunks_mut(len).enumerate() {
+            let (gr, pr) = (r * g..(r + 1) * g, r * pw..(r + 1) * pw);
+            decode_row_into_scalar(cfg, &signs[gr.clone()], &exps[gr], &planes[pr], out0);
+        }
+        let out0 = &page0[..len];
+        let start = (range_seed % g as u64) as usize;
+        let end = start + 1 + ((range_seed >> 32) % (g - start) as u64) as usize;
+        let cols = start * GROUP_SIZES[gs]..(end * GROUP_SIZES[gs]).min(len);
         for leg in available_legs() {
             let mut out = vec![1.0f32; len];
             decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut out);
-            for (i, (a, b)) in out.iter().zip(&out0).enumerate() {
+            for (i, (a, b)) in out.iter().zip(out0).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(),
                     "leg={} m={m} gs={} i={i}: {} vs {}", leg.name(), GROUP_SIZES[gs], a, b);
+            }
+
+            let mut tile = vec![f32::NAN; filled * len];
+            decode_rows_into_with_leg(leg, cfg, &signs, &exps, &planes, start..end, len, &mut tile);
+            for (r, (got, want)) in tile.chunks(len).zip(page0.chunks(len)).enumerate() {
+                for i in cols.clone() {
+                    prop_assert_eq!(got[i].to_bits(), want[i].to_bits(),
+                        "leg={} m={m} gs={} groups {start}..{end} row {r} i={i}",
+                        leg.name(), GROUP_SIZES[gs]);
+                }
+                let outside = got[..cols.start].iter().chain(&got[cols.end..]);
+                prop_assert!(outside.copied().all(f32::is_nan), "row {r} outside {cols:?}");
             }
         }
     }

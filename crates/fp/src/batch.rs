@@ -45,11 +45,12 @@ fn saturate_f16_widen_on(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
     match leg {
         SimdLeg::Scalar => saturate_f16_widen_scalar(src, dst),
-        // SAFETY: the CPU runs `leg` (this function's precondition); both
-        // slices hold `src.len()` valid elements (asserted above) and,
-        // being `&` and `&mut`, do not overlap.
+        // SAFETY: the CPU runs `leg` (this function's precondition; a CPU
+        // that runs `Avx512` runs `Avx2`); both slices hold `src.len()`
+        // valid elements (asserted above) and, being `&` and `&mut`, do
+        // not overlap.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe {
+        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe {
             saturate_f16_widen_avx2(src.as_ptr(), dst.as_mut_ptr(), src.len())
         },
         #[cfg(target_arch = "aarch64")]
@@ -92,12 +93,13 @@ fn saturate_f16_widen_in_place_on(leg: SimdLeg, v: &mut [f32]) {
     let (ptr, len) = (v.as_mut_ptr(), v.len());
     match leg {
         SimdLeg::Scalar => saturate_f16_widen_in_place_scalar(v),
-        // SAFETY: the CPU runs `leg` (this function's precondition);
-        // source and destination are the same `len` valid elements, and
+        // SAFETY: the CPU runs `leg` (this function's precondition; a CPU
+        // that runs `Avx512` runs `Avx2`); source and destination are the
+        // same `len` valid elements, and
         // the kernels read each element (or vector of elements) before
         // writing it.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => unsafe { saturate_f16_widen_avx2(ptr, ptr, len) },
+        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe { saturate_f16_widen_avx2(ptr, ptr, len) },
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => unsafe { saturate_f16_widen_neon(ptr, ptr, len) },
         #[allow(unreachable_patterns)]

@@ -7,16 +7,25 @@
 //! AVX2 (x86-64) and NEON (aarch64). The AVX2 leg also requires F16C: its
 //! FP16 lane primitive (`x86::saturate_f32x8_to_f16`) narrows on F16C
 //! and is saturating, so the F16C widen never sees a NaN. NEON converts
-//! FP16 in software. This module is the single place that decides which
-//! leg runs:
+//! FP16 in software.
+//!
+//! A fourth leg, [`SimdLeg::Avx512`], is the AVX2 leg plus AVX-512
+//! F/BW/VBMI and GFNI. It owns one kernel body: the `anda-format` row
+//! decode at `M <= 8`, where one `vpermb` and one `vgf2p8affineqb`
+//! transpose a group's bit planes into 64 magnitude bytes. Every other
+//! dispatch site runs its AVX2 body under it, in the same match arm, so a
+//! host without VBMI + GFNI runs exactly the AVX2 leg's code.
+//!
+//! This module is the single place that decides which leg runs:
 //!
 //! - CPU features are detected once per process (`is_x86_feature_detected!`
 //!   / `is_aarch64_feature_detected!`).
 //! - The `ANDA_SIMD` environment variable overrides the choice:
-//!   `auto` (default), `avx2`, `neon` or `scalar`. Requesting a leg the
-//!   host cannot run falls back to `scalar` with a warning — it never
-//!   silently runs the wrong instructions. The variable is read once;
-//!   set it before the first kernel call.
+//!   `auto` (default; the fastest leg the host runs), `avx512`, `avx2`,
+//!   `neon` or `scalar`. Requesting a leg the host cannot run falls back
+//!   to `scalar` with a warning — it never silently runs the wrong
+//!   instructions; an unknown value warns and means `auto`. The variable
+//!   is read once; set it before the first kernel call.
 //!
 //! The scalar leg is not a degraded mode: it is the *oracle*. Every
 //! vector kernel is required to produce `f32::to_bits`-identical results
@@ -34,16 +43,29 @@ pub enum SimdLeg {
     Scalar,
     /// 256-bit AVX2 integer/float vectors plus F16C conversions (x86-64).
     Avx2,
+    /// The AVX2 leg plus AVX-512 F/BW/VBMI and GFNI (x86-64): its own body
+    /// is the `M <= 8` row decode, every other kernel is the AVX2 one.
+    Avx512,
     /// 128-bit NEON vectors (aarch64).
     Neon,
 }
 
 impl SimdLeg {
+    /// Every leg, each architecture's slowest first: `auto` picks the last
+    /// one the host runs.
+    const ALL: [SimdLeg; 4] = [
+        SimdLeg::Scalar,
+        SimdLeg::Avx2,
+        SimdLeg::Avx512,
+        SimdLeg::Neon,
+    ];
+
     /// The name used by `ANDA_SIMD` and printed by benches/CI logs.
     pub fn name(self) -> &'static str {
         match self {
             SimdLeg::Scalar => "scalar",
             SimdLeg::Avx2 => "avx2",
+            SimdLeg::Avx512 => "avx512",
             SimdLeg::Neon => "neon",
         }
     }
@@ -53,6 +75,7 @@ impl SimdLeg {
         match self {
             SimdLeg::Scalar => true,
             SimdLeg::Avx2 => avx2_available(),
+            SimdLeg::Avx512 => avx512_available(),
             SimdLeg::Neon => neon_available(),
         }
     }
@@ -87,6 +110,24 @@ fn avx2_available() -> bool {
     }
 }
 
+/// The AVX-512 leg runs the AVX2 leg's bodies too, so it needs everything
+/// that leg does, plus `vpermb` (VBMI, on BW's byte masks) and
+/// `vgf2p8affineqb` (GFNI) for its decode.
+fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_available()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi")
+            && std::arch::is_x86_feature_detected!("gfni")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 fn neon_available() -> bool {
     #[cfg(target_arch = "aarch64")]
     {
@@ -100,26 +141,25 @@ fn neon_available() -> bool {
 
 /// The fastest leg the host supports (what `ANDA_SIMD=auto` picks).
 pub fn best_available_leg() -> SimdLeg {
-    if avx2_available() {
-        SimdLeg::Avx2
-    } else if neon_available() {
-        SimdLeg::Neon
-    } else {
-        SimdLeg::Scalar
-    }
+    best_leg(SimdLeg::is_available)
+}
+
+/// The fastest leg `runs` admits.
+fn best_leg(runs: impl Fn(SimdLeg) -> bool) -> SimdLeg {
+    SimdLeg::ALL
+        .into_iter()
+        .rev()
+        .find(|&leg| runs(leg))
+        .unwrap_or(SimdLeg::Scalar)
 }
 
 /// Every leg the host can execute, scalar first. Property suites iterate
 /// this list so the vector legs are exercised wherever they exist.
 pub fn available_legs() -> Vec<SimdLeg> {
-    let mut legs = vec![SimdLeg::Scalar];
-    if avx2_available() {
-        legs.push(SimdLeg::Avx2);
-    }
-    if neon_available() {
-        legs.push(SimdLeg::Neon);
-    }
-    legs
+    SimdLeg::ALL
+        .into_iter()
+        .filter(|leg| leg.is_available())
+        .collect()
 }
 
 /// The leg every dispatched kernel runs, decided once per process from
@@ -133,30 +173,44 @@ pub fn active_leg() -> SimdLeg {
     *ACTIVE.get_or_init(choose_leg)
 }
 
+/// Reads `ANDA_SIMD` (once: [`active_leg`] caches the result) and prints
+/// the parse's warning, if any.
 fn choose_leg() -> SimdLeg {
     let requested = std::env::var("ANDA_SIMD").ok();
-    match requested.as_deref() {
-        None | Some("") | Some("auto") => best_available_leg(),
-        Some("scalar") => SimdLeg::Scalar,
-        Some("avx2") => {
-            if avx2_available() {
-                SimdLeg::Avx2
-            } else {
-                eprintln!("ANDA_SIMD=avx2 requested but AVX2 is unavailable; using scalar");
-                SimdLeg::Scalar
-            }
-        }
-        Some("neon") => {
-            if neon_available() {
-                SimdLeg::Neon
-            } else {
-                eprintln!("ANDA_SIMD=neon requested but NEON is unavailable; using scalar");
-                SimdLeg::Scalar
-            }
-        }
-        Some(other) => {
-            eprintln!("unrecognized ANDA_SIMD={other:?} (want auto|avx2|neon|scalar); using auto");
-            best_available_leg()
+    let (leg, warning) = parse_leg(requested.as_deref(), SimdLeg::is_available);
+    if let Some(warning) = warning {
+        eprintln!("{warning}");
+    }
+    leg
+}
+
+/// The leg an `ANDA_SIMD` value selects on a host that runs the legs
+/// `runs` admits, and the warning to print when the value is not honoured
+/// as written: unset, empty or `auto` is the fastest leg; a leg's
+/// [`SimdLeg::name`] is that leg, or `scalar` if the host lacks it; any
+/// other value is `auto`.
+fn parse_leg(value: Option<&str>, runs: impl Fn(SimdLeg) -> bool) -> (SimdLeg, Option<String>) {
+    let name = match value {
+        None | Some("") | Some("auto") => return (best_leg(runs), None),
+        Some(name) => name,
+    };
+    match SimdLeg::ALL.into_iter().find(|leg| leg.name() == name) {
+        Some(leg) if runs(leg) => (leg, None),
+        Some(_) => (
+            SimdLeg::Scalar,
+            Some(format!(
+                "ANDA_SIMD={name} requested but this host cannot run it; using scalar"
+            )),
+        ),
+        None => {
+            let names: Vec<_> = SimdLeg::ALL.iter().map(|leg| leg.name()).collect();
+            let want = names.join("|");
+            (
+                best_leg(runs),
+                Some(format!(
+                    "unrecognized ANDA_SIMD={name:?} (want auto|{want}); using auto"
+                )),
+            )
         }
     }
 }
@@ -174,11 +228,13 @@ pub fn cpu_features() -> String {
     #[cfg(target_arch = "x86_64")]
     {
         format!(
-            "x86_64 (avx2={} fma={} f16c={} avx512f={})",
+            "x86_64 (avx2={} fma={} f16c={} avx512f={} avx512vbmi={} gfni={})",
             yn(std::arch::is_x86_feature_detected!("avx2")),
             yn(std::arch::is_x86_feature_detected!("fma")),
             yn(std::arch::is_x86_feature_detected!("f16c")),
             yn(std::arch::is_x86_feature_detected!("avx512f")),
+            yn(std::arch::is_x86_feature_detected!("avx512vbmi")),
+            yn(std::arch::is_x86_feature_detected!("gfni")),
         )
     }
     #[cfg(target_arch = "aarch64")]
@@ -331,8 +387,55 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for leg in [SimdLeg::Scalar, SimdLeg::Avx2, SimdLeg::Neon] {
-            assert!(!leg.name().is_empty());
+        for leg in available_legs() {
+            assert_eq!(
+                parse_leg(Some(leg.name()), SimdLeg::is_available),
+                (leg, None)
+            );
+        }
+    }
+
+    #[test]
+    fn a_leg_the_host_lacks_falls_back_to_scalar_with_a_warning() {
+        // A host that runs only the oracle lacks every vector leg,
+        // `avx512` included; this host lacks at least one.
+        let scalar_only = |leg: SimdLeg| leg == SimdLeg::Scalar;
+        let hosts: [&dyn Fn(SimdLeg) -> bool; 2] = [&scalar_only, &SimdLeg::is_available];
+        for runs in hosts {
+            for leg in SimdLeg::ALL.into_iter().filter(|&leg| !runs(leg)) {
+                let (chosen, warning) = parse_leg(Some(leg.name()), runs);
+                assert_eq!(chosen, SimdLeg::Scalar, "{}", leg.name());
+                let want = format!("ANDA_SIMD={} requested", leg.name());
+                assert!(
+                    warning.is_some_and(|w| w.starts_with(&want)),
+                    "{}",
+                    leg.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unknown_or_empty_value_selects_auto() {
+        let auto = best_available_leg();
+        for value in [None, Some(""), Some("auto")] {
+            assert_eq!(parse_leg(value, SimdLeg::is_available), (auto, None));
+        }
+        for value in ["avx-512", "AVX2", "sse4"] {
+            let (chosen, warning) = parse_leg(Some(value), SimdLeg::is_available);
+            assert_eq!(chosen, auto, "{value}");
+            assert!(warning.is_some_and(|w| w.contains("want auto|scalar|avx2|avx512|neon")));
+        }
+        let scalar_only = |leg: SimdLeg| leg == SimdLeg::Scalar;
+        assert_eq!(parse_leg(Some("auto"), scalar_only).0, SimdLeg::Scalar);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_avx512_leg_requires_the_avx2_leg() {
+        if SimdLeg::Avx512.is_available() {
+            assert!(SimdLeg::Avx2.is_available());
+            assert_eq!(best_available_leg(), SimdLeg::Avx512);
         }
     }
 

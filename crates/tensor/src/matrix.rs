@@ -905,7 +905,7 @@ struct Rhs<'a> {
 unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
     match leg {
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => <tile::Avx2 as tile::Leg>::block(ops, block),
+        SimdLeg::Avx2 | SimdLeg::Avx512 => <tile::Avx2 as tile::Leg>::block(ops, block),
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => <tile::Neon as tile::Leg>::block(ops, block),
         #[allow(unreachable_patterns)]
@@ -1054,7 +1054,9 @@ impl<'a> Strided<'a> {
         unsafe {
             match leg {
                 #[cfg(target_arch = "x86_64")]
-                SimdLeg::Avx2 => tile::transpose::<tile::Avx2>(src, ld, rows, cols, dst, ldo),
+                SimdLeg::Avx2 | SimdLeg::Avx512 => {
+                    tile::transpose::<tile::Avx2>(src, ld, rows, cols, dst, ldo)
+                }
                 #[cfg(target_arch = "aarch64")]
                 SimdLeg::Neon => tile::transpose::<tile::Neon>(src, ld, rows, cols, dst, ldo),
                 _ => tile::pack_transposed_portable(src, ld, rows, 0..cols, dst, ldo),

@@ -7,8 +7,10 @@
 # `"exact": true`, and diffs them against the tracked tools/perf_exact.txt.
 # No wall-clock number, commit id or CPU string is kept, so the file must
 # be the same at every thread count and on every SIMD leg; CI checks
-# that on its three x86 legs. `ANDA_THREADS` (capped at the machine's
-# processors) and `ANDA_SIMD` are taken from the environment.
+# that on its three x86 matrix entries (avx2 serial, auto at 4 threads —
+# avx512 on a runner with VBMI + GFNI — and scalar). `ANDA_THREADS`
+# (capped at the machine's processors) and `ANDA_SIMD` are taken from the
+# environment.
 #
 #   tools/perf_exact.sh            exit 1 and print the diff on drift
 #   tools/perf_exact.sh --update   adopt the fresh extract as the baseline
