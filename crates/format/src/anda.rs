@@ -146,6 +146,13 @@ impl AndaTensor {
         self.len() == 0
     }
 
+    /// Heap bytes of the sign, exponent and plane buffers. Each group's
+    /// exponent is held in a `u16`: 11 bits past the 5 that
+    /// [`rowcodec::row_storage_bits`] accounts.
+    pub fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.signs) + size_of_val(&*self.exps) + size_of_val(&*self.planes)
+    }
+
     /// Groups per row.
     fn row_groups(&self) -> usize {
         rowcodec::groups_per_row(self.width, self.config)

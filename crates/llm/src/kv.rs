@@ -7,13 +7,14 @@
 //! fixed-size pages (`page_positions` positions × `dim` lanes of K *and* V
 //! rows), every [`KvCache`] is a per-layer page table over pages leased
 //! from a pool, and the storage policy ([`KvStorage`]) decides whether a
-//! page holds raw `f32` rows (the exact-reference policy), FP16-rounded
-//! rows (the paper's §V-A baseline, kept as `f32` words) — both read in
-//! place — or Anda
-//! bit-plane rows (one `anda_format::AndaTensor` each for K and V,
-//! decoded on read with zero per-token allocation). The FP16 append and
-//! the Anda encode/decode all run through the SIMD-dispatched kernels in
-//! `anda_fp::simd` (scalar-oracle bit-exact on every leg).
+//! page holds raw `f32` rows (the exact-reference policy, read in place),
+//! binary16 words (the paper's §V-A FP16 baseline, widened on read) or
+//! Anda bit-plane rows (one `anda_format::AndaTensor` each for K and V,
+//! decoded on read). Either way a page holds the bytes
+//! [`KvStorage::row_bits`] accounts, and reads allocate nothing per
+//! token. The FP16 narrow/widen and the Anda encode/decode all run
+//! through SIMD-dispatched kernels (`anda_fp::batch`, the row codec;
+//! scalar-oracle bit-exact on every leg).
 //!
 //! # One read path
 //!
@@ -22,14 +23,14 @@
 //! chunk spans and the full-sequence `Model::forward` (one span, every
 //! row a lane) all describe their work as [`AttendLane`]s (a query, the
 //! window it attends, where the result goes). The walk goes page by
-//! page, decodes each distinct physical Anda page once into a page-sized
-//! tile that stays in L1 while every lane viewing it consumes it, and
-//! reads float pages where they lie — the compressed operand stays
-//! compressed until it is in L1, and no decoded copy of a context is
-//! ever materialised. Every tile is held in the order its product reads
-//! it: V row-major, K position-minor (`dim × positions`, so a page's
-//! positions lie side by side — float pages store K that way, an Anda
-//! page's decoded keys are transposed once per page). What consumes a
+//! page, decodes each distinct physical FP16 or Anda page once into a
+//! page-sized tile that stays in L1 while every lane viewing it consumes
+//! it, and reads `f32` pages where they lie — the stored operand stays
+//! narrow until it is in L1, and no decoded copy of a context is ever
+//! materialised. Every tile is held in the order its product reads it:
+//! V row-major, K position-minor (`dim × positions`, so a page's
+//! positions lie side by side — `f32` and FP16 pages store K that way,
+//! an Anda page's decoded keys are transposed once per page). What consumes a
 //! tile is the GEMM register tile (`anda_tensor::Strided`), reading it in
 //! place: each lane viewing a page runs one head-batched product on it per
 //! pass, the lane's heads the rows — however many lanes share the tile
@@ -73,8 +74,9 @@ use std::sync::{Arc, Mutex};
 
 use anda_format::rowcodec;
 use anda_format::{AndaConfig, AndaTensor};
-use anda_fp::batch::saturate_f16_widen_slice;
+use anda_fp::batch::{narrow, widen, widen_with_leg};
 use anda_fp::simd::{active_leg, SimdLeg};
+use anda_fp::F16;
 use anda_tensor::Strided;
 use rayon_lite::ThreadPool;
 
@@ -88,11 +90,9 @@ pub enum KvStorage {
     /// solo `generate` has always cached) and the accounting baseline
     /// the compressed policies are measured against.
     Fp32,
-    /// FP16-rounded rows (the paper's §V-A baseline), read in place. A
-    /// page keeps each rounded value widened to an `f32` word, so it holds
-    /// twice the bytes [`KvStorage::row_bits`] — and with it every page
-    /// and pool budget, `kv_peak_mib` included — accounts: the accounting
-    /// prices the FP16 storage the policy models, not this layout.
+    /// FP16 rows (the paper's §V-A baseline): each value saturated to a
+    /// binary16 word on append, 16 bits resident, and widened into the
+    /// page walk's scratch on read.
     Fp16,
     /// Anda-format rows with the given mantissa length, decoded on read.
     Anda {
@@ -102,8 +102,8 @@ pub enum KvStorage {
 }
 
 impl KvStorage {
-    /// The Anda conversion config for this policy (`None` for the
-    /// in-place float policies).
+    /// The Anda conversion config for this policy (`None` for the float
+    /// policies).
     ///
     /// # Panics
     ///
@@ -127,12 +127,6 @@ impl KvStorage {
                 rowcodec::row_storage_bits(dim, self.anda_config().expect("anda policy"))
             }
         }
-    }
-
-    /// `true` when rows are stored as plain `f32` words the attention
-    /// kernel can read in place (no decode step).
-    pub fn reads_in_place(self) -> bool {
-        matches!(self, KvStorage::Fp32 | KvStorage::Fp16)
     }
 }
 
@@ -209,30 +203,42 @@ pub struct Page {
     data: PageData,
 }
 
+/// A page's K and V, each holding the bits [`KvStorage::row_bits`]
+/// accounts per row (an Anda group keeps its 5-bit exponent in a `u16`).
+/// The float variants lie in the order the walk's products read them: V
+/// row-major, `positions × dim`; K position-minor, `dim × positions`
+/// (lane `c` of position `p` at `c · positions + p`).
 #[derive(Debug)]
 enum PageData {
-    /// Plain `f32` words (raw for [`KvStorage::Fp32`], rounded then
-    /// widened for [`KvStorage::Fp16`] — 32 bits resident per element
-    /// where [`KvStorage::row_bits`] accounts 16), each in the order the walk's
-    /// products read it: V row-major, `positions × dim`; K position-minor,
-    /// `dim × positions` (lane `c` of position `p` at `c · positions + p`).
-    Float { k: Vec<f32>, v: Vec<f32> },
+    /// [`KvStorage::Fp32`]: raw `f32` words, read in place.
+    F32 { k: Vec<f32>, v: Vec<f32> },
+    /// [`KvStorage::Fp16`]: saturated binary16 words ([`narrow`]'s
+    /// output), widened into the walk's scratch. A slot holds `narrow`
+    /// output or the zeros it was created with, never a NaN pattern.
+    F16 { k: Vec<u16>, v: Vec<u16> },
     /// `positions × dim` Anda rows.
     Anda { k: AndaTensor, v: AndaTensor },
 }
 
 impl Page {
     fn new(cfg: &KvPoolConfig, dim: usize) -> Self {
-        let positions = cfg.page_positions;
-        let data = match cfg.storage.anda_config() {
-            None => PageData::Float {
-                k: vec![0.0; positions * dim],
-                v: vec![0.0; positions * dim],
+        let (positions, n) = (cfg.page_positions, cfg.page_positions * dim);
+        let data = match cfg.storage {
+            KvStorage::Fp32 => PageData::F32 {
+                k: vec![0.0; n],
+                v: vec![0.0; n],
             },
-            Some(anda) => PageData::Anda {
-                k: AndaTensor::zeros(positions, dim, anda),
-                v: AndaTensor::zeros(positions, dim, anda),
+            KvStorage::Fp16 => PageData::F16 {
+                k: vec![0; n],
+                v: vec![0; n],
             },
+            KvStorage::Anda { .. } => {
+                let anda = cfg.storage.anda_config().expect("anda policy");
+                PageData::Anda {
+                    k: AndaTensor::zeros(positions, dim, anda),
+                    v: AndaTensor::zeros(positions, dim, anda),
+                }
+            }
         };
         Page {
             dim,
@@ -268,8 +274,9 @@ impl Page {
 
     /// Appends one position (K and V rows), encoding under the page's
     /// policy without allocating. On a float page the value becomes a row
-    /// and the key a column (K is held position-minor), each written once
-    /// and read in place by every later step.
+    /// and the key a column (K is held position-minor), each written once;
+    /// an FP16 page narrows both to binary16, the key a stack buffer at a
+    /// time.
     ///
     /// # Panics
     ///
@@ -281,33 +288,22 @@ impl Page {
         assert_eq!(key.len(), self.dim, "key width");
         assert_eq!(value.len(), self.dim, "value width");
         let slot = self.used;
+        let row = slot * self.dim..(slot + 1) * self.dim;
         match &mut self.data {
-            PageData::Float { k, v } => {
-                // The key is one column of the position-minor K.
-                let mut kd = k[slot..].iter_mut().step_by(self.positions);
-                let vd = &mut v[slot * self.dim..(slot + 1) * self.dim];
-                match self.storage {
-                    KvStorage::Fp32 => {
-                        key.iter().zip(kd).for_each(|(&x, dst)| *dst = x);
-                        vd.copy_from_slice(value);
-                    }
-                    KvStorage::Fp16 => {
-                        // Batch round-trip through the SIMD-dispatched
-                        // conversion kernels (bit-identical to the
-                        // element-wise `saturate_to_f16(x).to_f32()`), the
-                        // key a stack buffer at a time.
-                        let mut rounded = [0.0f32; 64];
-                        for part in key.chunks(rounded.len()) {
-                            let rounded = &mut rounded[..part.len()];
-                            saturate_f16_widen_slice(part, rounded);
-                            rounded.iter().zip(&mut kd).for_each(|(&x, dst)| *dst = x);
-                        }
-                        saturate_f16_widen_slice(value, vd);
-                    }
-                    KvStorage::Anda { .. } => {
-                        unreachable!("float page under an Anda policy")
-                    }
+            PageData::F32 { k, v } => {
+                let column = k[slot..].iter_mut().step_by(self.positions);
+                key.iter().zip(column).for_each(|(&x, dst)| *dst = x);
+                v[row].copy_from_slice(value);
+            }
+            PageData::F16 { k, v } => {
+                let mut column = k[slot..].iter_mut().step_by(self.positions);
+                let mut bits = [0u16; 64];
+                for part in key.chunks(bits.len()) {
+                    let bits = &mut bits[..part.len()];
+                    narrow(part, bits);
+                    bits.iter().zip(&mut column).for_each(|(&h, dst)| *dst = h);
                 }
+                narrow(value, &mut v[row]);
             }
             PageData::Anda { k, v } => {
                 k.encode_row(slot, key);
@@ -336,14 +332,22 @@ impl Page {
             "copying {rows} rows from a page with {} filled",
             src.used
         );
+        /// The first `rows` positions of a float page: K a prefix of each
+        /// position-minor lane, V a prefix of the row-major rows.
+        fn copy<T: Copy>(dst: (&mut [T], &mut [T]), src: (&[T], &[T]), pp: usize, rows: usize) {
+            for (lane, src_lane) in dst.0.chunks_exact_mut(pp).zip(src.0.chunks_exact(pp)) {
+                lane[..rows].copy_from_slice(&src_lane[..rows]);
+            }
+            let n = rows * dst.1.len() / pp;
+            dst.1[..n].copy_from_slice(&src.1[..n]);
+        }
+        let pp = self.positions;
         match (&mut self.data, &src.data) {
-            (PageData::Float { k, v }, PageData::Float { k: sk, v: sv }) => {
-                let columns = k.chunks_exact_mut(self.positions);
-                for (lane, src_lane) in columns.zip(sk.chunks_exact(self.positions)) {
-                    lane[..rows].copy_from_slice(&src_lane[..rows]);
-                }
-                let n = rows * self.dim;
-                v[..n].copy_from_slice(&sv[..n]);
+            (PageData::F32 { k, v }, PageData::F32 { k: sk, v: sv }) => {
+                copy((k, v), (sk, sv), pp, rows)
+            }
+            (PageData::F16 { k, v }, PageData::F16 { k: sk, v: sv }) => {
+                copy((k, v), (sk, sv), pp, rows)
             }
             (PageData::Anda { k, v }, PageData::Anda { k: sk, v: sv }) => {
                 k.copy_rows_from(sk, rows);
@@ -358,12 +362,15 @@ impl Page {
     /// it, starting at column `cols.start`, and its row stride: V
     /// row-major (position `p`, column `c` at `p · dim + c`), K
     /// position-minor (at `c · positions + p`). Only the first `used`
-    /// positions are data. A float page's V rows are their own tile, and
-    /// so is its K, which [`Page::push_row`] stored position-minor: both
-    /// read in place. An Anda page decodes those columns of its rows into
-    /// `rows` (page-sized, so it stays in L1) and, for K, transposes them
-    /// into `keys` — the page walk's one decode and one transpose per page
-    /// and pass. `cols` must start on a group boundary.
+    /// positions are data. An `f32` page is its own tile, read in place:
+    /// [`Page::push_row`] stored its K position-minor. Any other page
+    /// decodes into `scratch` (page-sized, so it stays in L1), once per
+    /// page and pass. An FP16 page widens those columns of its filled V
+    /// rows into `rows`, or the one position-minor run of its K columns
+    /// into `keys` — every slot, a stale one holding earlier `narrow`
+    /// output or zeros. An Anda page decodes those columns of its rows
+    /// into `rows` and, for K, transposes them into `keys`; `cols` must
+    /// start on its group boundary.
     fn tile<'a>(
         &'a self,
         want_v: bool,
@@ -371,29 +378,38 @@ impl Page {
         scratch: &'a mut PageScratch,
         leg: SimdLeg,
     ) -> (&'a [f32], usize) {
-        let filled = self.used * self.dim;
+        let (dim, pp, filled) = (self.dim, self.positions, self.used * self.dim);
+        let PageScratch { rows, keys } = scratch;
         match &self.data {
-            PageData::Float { v, .. } if want_v => (&v[cols.start..filled], self.dim),
-            PageData::Float { k, .. } => (&k[cols.start * self.positions..], self.positions),
+            PageData::F32 { v, .. } if want_v => (&v[cols.start..filled], dim),
+            PageData::F32 { k, .. } => (&k[cols.start * pp..], pp),
+            PageData::F16 { v, .. } if want_v => {
+                rows.resize(pp * dim, 0.0);
+                for row in (0..filled).step_by(dim) {
+                    let run = row + cols.start..row + cols.end;
+                    widen_with_leg(leg, &v[run.clone()], &mut rows[run]);
+                }
+                (&rows[cols.start..filled], dim)
+            }
+            PageData::F16 { k, .. } => {
+                let run = cols.start * pp..cols.end * pp;
+                keys.resize(pp * dim, 0.0);
+                widen_with_leg(leg, &k[run.clone()], &mut keys[run.clone()]);
+                (&keys[run], pp)
+            }
             PageData::Anda { k, v } => {
                 let encoded = if want_v { v } else { k };
                 let gs = encoded.config().group_size();
-                let rows = &mut scratch.rows;
-                rows.resize(self.positions * self.dim, 0.0);
+                rows.resize(pp * dim, 0.0);
                 encoded
                     .decode_rows_into(cols.start / gs..cols.end.div_ceil(gs), &mut rows[..filled]);
                 let rows = &rows[cols.start..filled];
                 if want_v {
-                    return (rows, self.dim);
+                    return (rows, dim);
                 }
-                let keys = &mut scratch.keys;
-                keys.resize(self.positions * self.dim, 0.0);
-                Strided::new(rows, self.used, cols.len(), self.dim).transpose_into(
-                    keys,
-                    self.positions,
-                    leg,
-                );
-                (keys, self.positions)
+                keys.resize(pp * dim, 0.0);
+                Strided::new(rows, self.used, cols.len(), dim).transpose_into(keys, pp, leg);
+                (keys, pp)
             }
         }
     }
@@ -402,13 +418,19 @@ impl Page {
     fn row_into(&self, slot: usize, want_v: bool, out: &mut [f32]) {
         assert!(slot < self.used, "row {slot} not written");
         assert_eq!(out.len(), self.dim, "row width");
+        let row = slot * self.dim..(slot + 1) * self.dim;
         match &self.data {
-            PageData::Float { v, .. } if want_v => {
-                out.copy_from_slice(&v[slot * self.dim..(slot + 1) * self.dim]);
-            }
-            PageData::Float { k, .. } => {
+            PageData::F32 { v, .. } if want_v => out.copy_from_slice(&v[row]),
+            PageData::F32 { k, .. } => {
                 let lane = k[slot..].iter().step_by(self.positions);
                 out.iter_mut().zip(lane).for_each(|(dst, &x)| *dst = x);
+            }
+            PageData::F16 { v, .. } if want_v => widen(&v[row], out),
+            PageData::F16 { k, .. } => {
+                let lane = k[slot..].iter().step_by(self.positions);
+                out.iter_mut()
+                    .zip(lane)
+                    .for_each(|(dst, &h)| *dst = F16::from_bits(h).to_f32());
             }
             PageData::Anda { k, v } => (if want_v { v } else { k }).decode_row_into(slot, out),
         }
@@ -444,21 +466,33 @@ struct PoolShared {
 }
 
 impl PoolShared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
+        self.state.lock().expect("a pool lock holder panicked")
+    }
+
+    /// Locks the pool for a page coming back, checking that the page has
+    /// this pool's geometry and policy (it was leased here).
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the lock released, if the page is foreign; `verb` says
+    /// what was done with it.
+    fn lock_for_native(&self, page: &Page, verb: &str) -> std::sync::MutexGuard<'_, PoolState> {
+        let st = self.lock();
+        let native = (self.cfg.page_positions, self.cfg.storage, st.dim);
+        if (page.positions, page.storage, page.dim) != native {
+            drop(st);
+            panic!("page {verb} a foreign pool");
+        }
+        st
+    }
+
     /// Returns a leased page to the free list (cleared, buffers kept) —
     /// the single recycling point behind [`PagePool::release`],
     /// [`PagePool::release_page`] and the last-lease drop of a
     /// [`SharedPage`].
     fn recycle(&self, mut page: Page) {
-        assert_eq!(
-            page.positions, self.cfg.page_positions,
-            "page returned to a foreign pool"
-        );
-        assert_eq!(
-            page.storage, self.cfg.storage,
-            "page returned to a foreign pool"
-        );
-        let mut st = self.state.lock().expect("a pool lock holder panicked");
-        assert_eq!(page.dim, st.dim, "page returned to a foreign pool");
+        let mut st = self.lock_for_native(&page, "returned to");
         debug_assert!(
             st.free.len() < st.created,
             "more pages released than created"
@@ -580,17 +614,17 @@ impl PagePool {
     /// Pages ever created. Stays flat while the free list feeds
     /// allocations — the "reuse before growth" invariant.
     pub fn pages_created(&self) -> usize {
-        self.lock().created
+        self.shared.lock().created
     }
 
     /// Recycled pages currently waiting on the free list.
     pub fn pages_free(&self) -> usize {
-        self.lock().free.len()
+        self.shared.lock().free.len()
     }
 
     /// Pages currently leased to caches.
     pub fn pages_in_use(&self) -> usize {
-        let st = self.lock();
+        let st = self.shared.lock();
         st.created - st.free.len()
     }
 
@@ -602,25 +636,8 @@ impl PagePool {
     ///
     /// Panics if `dim` is zero or differs from the bound width.
     pub fn try_alloc(&self, dim: usize) -> Option<Page> {
-        assert!(dim > 0, "row width must be positive");
-        let mut st = self.lock();
-        if st.dim == 0 {
-            st.dim = dim;
-        }
-        assert_eq!(st.dim, dim, "page pool is bound to one row width");
-        if let Some(page) = st.free.pop() {
-            return Some(page);
-        }
-        if self
-            .shared
-            .cfg
-            .max_pages
-            .is_some_and(|cap| st.created >= cap)
-        {
-            return None;
-        }
-        st.created += 1;
-        Some(Page::new(&self.shared.cfg, dim))
+        let mut st = self.lock_for_width(dim);
+        st.free.pop().or_else(|| self.create(&mut st))
     }
 
     /// Returns a leased page to the free list (cleared, buffers kept).
@@ -642,15 +659,7 @@ impl PagePool {
     ///
     /// Panics if the page's geometry does not match this pool.
     pub fn share(&self, page: Page) -> SharedPage {
-        assert_eq!(
-            page.positions, self.shared.cfg.page_positions,
-            "page shared into a foreign pool"
-        );
-        assert_eq!(
-            page.storage, self.shared.cfg.storage,
-            "page shared into a foreign pool"
-        );
-        assert_eq!(page.dim, self.lock().dim, "page shared into a foreign pool");
+        drop(self.shared.lock_for_native(&page, "shared into"));
         SharedPage {
             inner: Arc::new(SharedInner {
                 page: Some(page),
@@ -727,32 +736,40 @@ impl PagePool {
     /// so subsequent leases allocate nothing — the warm-up knob behind
     /// the zero-allocation decode guarantee.
     pub fn preallocate(&self, n: usize, dim: usize) {
-        assert!(dim > 0, "row width must be positive");
-        let mut st = self.lock();
-        if st.dim == 0 {
-            st.dim = dim;
-        }
-        assert_eq!(st.dim, dim, "page pool is bound to one row width");
+        let mut st = self.lock_for_width(dim);
         for _ in 0..n {
-            if self
-                .shared
-                .cfg
-                .max_pages
-                .is_some_and(|cap| st.created >= cap)
-            {
+            let Some(page) = self.create(&mut st) else {
                 break;
-            }
-            st.created += 1;
-            let page = Page::new(&self.shared.cfg, dim);
+            };
             st.free.push(page);
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.shared
-            .state
-            .lock()
-            .expect("a pool lock holder panicked")
+    /// Locks the pool for `dim`-wide pages, binding its row width on the
+    /// first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is zero or differs from the bound width.
+    fn lock_for_width(&self, dim: usize) -> std::sync::MutexGuard<'_, PoolState> {
+        assert!(dim > 0, "row width must be positive");
+        let mut st = self.shared.lock();
+        if st.dim == 0 {
+            st.dim = dim;
+        }
+        assert_eq!(st.dim, dim, "page pool is bound to one row width");
+        st
+    }
+
+    /// Creates one page of the bound width, the only place pages come
+    /// from; `None` when the pool is at capacity.
+    fn create(&self, st: &mut PoolState) -> Option<Page> {
+        let cfg = &self.shared.cfg;
+        if cfg.max_pages.is_some_and(|cap| st.created >= cap) {
+            return None;
+        }
+        st.created += 1;
+        Some(Page::new(cfg, st.dim))
     }
 }
 
@@ -786,18 +803,9 @@ impl TablePage {
 
     /// Moment-long placeholder swapped in while an `Owned` page is moved
     /// out for sealing; never observable (replaced in the same call) and
-    /// allocation-free (`Vec::new` holds no buffer).
+    /// allocation-free (a zero-width `f32` page holds no buffer).
     fn placeholder() -> Self {
-        TablePage::Owned(Page {
-            dim: 0,
-            positions: 0,
-            used: 0,
-            storage: KvStorage::Fp32,
-            data: PageData::Float {
-                k: Vec::new(),
-                v: Vec::new(),
-            },
-        })
+        TablePage::Owned(Page::new(&KvPoolConfig::default(), 0))
     }
 }
 
@@ -1130,8 +1138,10 @@ pub struct AttendLane<'a> {
 /// computes every output element with the same operation order.
 const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
 
-/// An Anda page's tiles ([`Page::tile`]): its rows as decoded, and its
-/// keys turned position-minor. Page-sized, so both stay in L1.
+/// A decoded page's tiles ([`Page::tile`]): an FP16 or Anda page's rows
+/// as decoded, and its keys position-minor. Page-sized, so both stay in
+/// L1; sized by the first page decoded, so a warmed walk allocates
+/// nothing.
 #[derive(Clone, Debug, Default)]
 struct PageScratch {
     rows: Vec<f32>,
@@ -1168,14 +1178,15 @@ struct Viewer {
 /// Per layer the walk visits logical page index `i` ascending, twice
 /// (a K pass, then a V pass after the per-lane softmax). At each index
 /// the lanes are grouped by *physical* page — forks of one prefix lease
-/// the same page at the same index — and each distinct Anda page is
-/// decoded **once** into a page-sized tile that stays in L1 while every
-/// (lane, head) viewing it consumes it, its keys then transposed
-/// position-minor once; a float page's V rows and position-minor K are
-/// their own tiles, read in place. So the compressed operand stays
-/// compressed until it is in L1, a page shared by N streams decodes once
-/// per pass however many attend through it, and no buffer scales with
-/// context × batch.
+/// the same page at the same index — and each distinct FP16 or Anda page
+/// is decoded **once** per pass into a page-sized tile that stays in L1
+/// while every (lane, head) viewing it consumes it (`Page::tile`: an
+/// FP16 page's binary16 words widen, K already position-minor; an Anda
+/// page's rows decode and its keys are then transposed position-minor);
+/// an `f32` page's V rows and position-minor K are their own tiles, read
+/// in place. So the stored operand stays narrow until it is in L1, a page
+/// shared by N streams decodes once per pass however many attend through
+/// it, and no buffer scales with context × batch.
 ///
 /// A page decodes its full physical fill, not one table's logical view
 /// of it: a truncated fork and its donor share a page but view different
@@ -1287,10 +1298,10 @@ impl PageDecodeCache {
             .collect();
     }
 
-    /// Total Anda pages decoded through this cache (monotonic). Each
-    /// distinct physical page counts once per walk — per layer of a step
-    /// — regardless of how many lanes attend through it, of the K and V
-    /// passes, and of the thread count.
+    /// Total Anda pages decoded through this cache (monotonic; an FP16
+    /// page's widen is not counted). Each distinct physical page counts
+    /// once per walk — per layer of a step — regardless of how many lanes
+    /// attend through it, of the K and V passes, and of the thread count.
     pub fn pages_decoded(&self) -> u64 {
         self.jobs.first().map_or(0, |job| job.pages_decoded)
     }
@@ -1458,7 +1469,7 @@ fn visit_pages(
         for viewers in s.order.chunk_by(|a, b| a.page == b.page) {
             let page = lanes[viewers[0].lane].layer.pages[i].page();
             // Job 0 counts for all: every job sees the same pages.
-            if !want_v && cols.start == 0 && !page.storage.reads_in_place() {
+            if !want_v && cols.start == 0 && matches!(page.data, PageData::Anda { .. }) {
                 s.pages_decoded += 1;
                 anda_format::metrics::note_rows_decoded(2 * page.used as u64);
             }
@@ -1789,6 +1800,43 @@ mod tests {
             for (a, &b) in cache.layer(0).key(i).iter().zip(r) {
                 assert!((a - b).abs() < 1e-3);
                 assert_eq!(a.to_bits(), saturate_to_f16(b).to_f32().to_bits());
+            }
+        }
+    }
+
+    /// The first `==` between the engine's bytes and the accounting: a
+    /// page's row buffers hold exactly [`KvPoolConfig::page_bits`] (and so
+    /// exactly what `row_bits`, pool budgets and `kv_peak_mib` count),
+    /// except for one stated gap — an Anda group's 5-bit exponent sits in
+    /// a `u16`, 11 bits more per group of each K and V row.
+    #[test]
+    fn a_page_holds_the_bits_its_policy_accounts() {
+        let dim = 200; // four 64-lane Anda groups, the last one partial
+        for storage in [
+            KvStorage::Fp32,
+            KvStorage::Fp16,
+            KvStorage::Anda { mantissa_bits: 5 },
+            KvStorage::Anda { mantissa_bits: 8 },
+        ] {
+            for page_positions in [1, 5, 16] {
+                let cfg = KvPoolConfig {
+                    storage,
+                    page_positions,
+                    max_pages: None,
+                };
+                let page = PagePool::new(cfg).try_alloc(dim).unwrap();
+                let (held, gap) = match &page.data {
+                    PageData::F32 { k, v } => (size_of_val(&k[..]) + size_of_val(&v[..]), 0),
+                    PageData::F16 { k, v } => (size_of_val(&k[..]) + size_of_val(&v[..]), 0),
+                    PageData::Anda { k, v } => {
+                        (k.heap_bytes() + v.heap_bytes(), 2 * page_positions * 4 * 11)
+                    }
+                };
+                assert_eq!(
+                    8 * held,
+                    cfg.page_bits(dim) + gap,
+                    "{storage:?} page {page_positions}"
+                );
             }
         }
     }

@@ -2,8 +2,11 @@
 //!
 //! [`Model`] holds effective (`f32`) weights — each projection once, as
 //! the [`PackedMatrix`] its GEMM reads in place — plus, in
-//! [`WeightMode::Int4`] mode, the quantized [`IntWeightMatrix`] handles the
-//! hardware simulator and storage accounting use. A per-module
+//! [`WeightMode::Int4`] mode, the quantized [`IntWeightMatrix`] handles.
+//! Nothing in the workspace reads those handles: the served and
+//! `forward` GEMMs run on the dequantised packed weights, and the
+//! simulator and storage accounting count from shapes. Their one reader
+//! is the benchmark's `quant.gemm_anda_gmacs` probe. A per-module
 //! [`CodecAssignment`] is applied to the four FP-INT GeMM activations — all other arithmetic (attention
 //! scores, softmax, norms, residuals) stays in floating point, matching
 //! the paper's methodology (§V-A keeps non-GeMM operators and the KV
@@ -69,7 +72,10 @@ pub struct Layer {
     /// Down projection, `ffn × d`.
     pub wdown: PackedMatrix,
     /// Quantized handles (Int4 mode only), in module order
-    /// `[wqkv, wo, wgate?, wup, wdown]`.
+    /// `[wqkv, wo, wgate?, wup, wdown]`. No GEMM, simulator or accounting
+    /// in the workspace reads them; the benchmark's
+    /// `quant.gemm_anda_gmacs` probe does, so they stay until that probe
+    /// quantises its own weight.
     pub quantized: Option<LayerQuant>,
 }
 

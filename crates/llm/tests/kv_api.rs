@@ -337,15 +337,50 @@ fn fp16_policy_rows_are_f16_rounded_fp32_rows() {
 /// Float pages hold K position-minor (a key is a column of its page) and V
 /// row-major; neither shows through the single-row accessors. On `Fp32`
 /// and `Fp16` pages every appended row reads back bit for bit as stored
-/// (raw, or FP16-rounded) after appends across a page boundary, after a
-/// mid-page fork whose first append copies the shared tail out, and on
-/// pages a reset recycled.
+/// (raw, or `saturate_to_f16(x).to_f32()` out of a binary16 word) after
+/// appends across a page boundary, after a mid-page fork whose first
+/// append copies the shared tail out, and on pages a reset recycled. Every
+/// row carries the saturation cases, each in a different lane per row:
+/// NaN (quiet and signalling), ±inf, ±65520, the binary16 subnormal/normal
+/// boundary, −0.0 and binary16 midpoints ±1 ulp.
 #[test]
 fn float_pages_read_back_every_row_they_were_given() {
     let (dim, pp) = (40, 4);
+    let min_normal = 2f32.powi(-14);
+    let largest_subnormal = min_normal - 2f32.powi(-24);
+    let mut specials = vec![
+        f32::NAN,
+        f32::from_bits(0x7F80_0001),
+        f32::INFINITY,
+        65520.0,
+        65520f32.next_down(),
+        65504.0,
+        min_normal,
+        largest_subnormal,
+        0.0,
+    ];
+    // Midpoints of adjacent binary16 values (ties to an even and to an odd
+    // neighbour, and across the subnormal/normal boundary) and ±1 ulp.
+    for mid in [
+        1.0 + 2f32.powi(-11),
+        1.0 + 3.0 * 2f32.powi(-11),
+        largest_subnormal + 2f32.powi(-25),
+    ] {
+        specials.extend([mid, mid.next_down(), mid.next_up()]);
+    }
+    specials.extend(specials.clone().into_iter().map(|x| -x));
+    assert!(specials.len() <= dim);
     let mut rng = Rng::new(29);
+    let mut planted = 0;
     let mut rows = |n: usize| -> Vec<(Vec<f32>, Vec<f32>)> {
-        let mut row = || (0..dim).map(|_| rng.normal_with(0.0, 3.0)).collect();
+        let mut row = || {
+            let mut row: Vec<f32> = (0..dim).map(|_| rng.normal_with(0.0, 3.0)).collect();
+            planted += 1;
+            for (i, &x) in specials.iter().enumerate() {
+                row[(i + planted) % dim] = x;
+            }
+            row
+        };
         (0..n).map(|_| (row(), row())).collect()
     };
     for storage in [KvStorage::Fp32, KvStorage::Fp16] {

@@ -208,10 +208,9 @@ fn check_walk_on(
 /// Holds when the pool is single-layer and every live cache is attended
 /// through a window that reaches its last page.
 fn leased_anda_pages(pool: &PagePool) -> u64 {
-    if pool.config().storage.reads_in_place() {
-        0
-    } else {
-        pool.pages_in_use() as u64
+    match pool.config().storage {
+        KvStorage::Anda { .. } => pool.pages_in_use() as u64,
+        KvStorage::Fp32 | KvStorage::Fp16 => 0,
     }
 }
 

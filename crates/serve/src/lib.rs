@@ -24,9 +24,9 @@
 //!
 //! Every stream's `KvCache` leases fixed-size pages from the scheduler's
 //! shared [`PagePool`] (`anda_llm::kv`). The pool's storage policy
-//! ([`KvStorage`]) decides whether pages hold FP16 rows (read in place)
-//! or Anda-compressed bit-plane rows (decoded on read, `16 / (M + 1 +
-//! 5/64)` times smaller). Admission reserves each request's worst-case
+//! ([`KvStorage`]) decides whether pages hold FP16 rows (binary16 words,
+//! widened on read) or Anda-compressed bit-plane rows (decoded on read,
+//! `16 / (M + 1 + 5/64)` times smaller). Admission reserves each request's worst-case
 //! page demand against the pool's `max_pages`, so a bounded pool is real
 //! memory accounting: requests that could never fit are rejected at
 //! submit time, admitted streams can never exhaust the pool mid-flight,
