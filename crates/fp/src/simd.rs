@@ -31,8 +31,8 @@
 //! vector kernel is required to produce `f32::to_bits`-identical results
 //! to its scalar twin on every input (the property suites enforce this),
 //! because bit-exact decode under every KV policy is the invariant the
-//! serving stack's copy-on-write sharing and batched-vs-sequential
-//! equality are built on.
+//! serving stack's prefix sharing and batched-vs-sequential equality are
+//! built on.
 
 use std::sync::OnceLock;
 

@@ -50,24 +50,23 @@
 //! long-context headroom `anda-serve`'s
 //! `paged_kv.rs::anda_pool_admits_a_batch_fp32_accounting_rejects` pins.
 //!
-//! # Prefix sharing and copy-on-write
+//! # Prefix sharing
 //!
 //! Streams that open with the same prompt prefix (a system prompt, a
 //! few-shot header) cache bit-identical K/V rows, so full pages can be
-//! *shared* instead of duplicated. [`KvCache::fork_prefix`] clones only
-//! the page table: every page covering the prefix becomes a refcounted
+//! *shared* instead of duplicated. [`KvCache::fork_prefix`] clones the
+//! page table: every whole page covering the prefix becomes a refcounted
 //! [`SharedPage`] lease ([`PagePool::fork_page`] /
 //! [`PagePool::release_page`]), counted once by the pool's ledger no
-//! matter how many caches reference it. Shared pages are immutable; the
-//! first append a forked stream makes into a shared (partial) tail page
-//! triggers copy-on-write ([`PagePool::privatize`]) — the encoded rows
-//! are copied *bitwise* into a freshly leased private page before the
-//! mutation, so every stream's decode stays bit-exact while whole prefix
-//! pages stay deduplicated. A shared page returns to the free list
-//! exactly when its last lease drops; a sole-owner privatize reclaims
-//! the page without copying. The resulting admission headroom — N
-//! streams over a P-position prefix pin `pages(P) + N·pages(private)`
-//! pages, not `N·pages(P + private)` — is pinned by `anda-serve`'s
+//! matter how many caches reference it. A page is shared only when it is
+//! whole, so no append ever lands in one: a fork ending mid-page copies
+//! that partial page's rows *bitwise* into a page of its own when it is
+//! taken, and the donor keeps appending into its own tail in place.
+//! Every stream's decode stays bit-exact while whole prefix pages stay
+//! deduplicated, and a shared page returns to the free list exactly when
+//! its last lease drops. The resulting admission headroom — N streams
+//! over a P-position prefix pin `pages(P) + N·pages(private)` pages, not
+//! `N·pages(P + private)` — is pinned by `anda-serve`'s
 //! `shared_prefix.rs::admission_charges_only_unshared_pages`.
 
 use std::sync::{Arc, Mutex};
@@ -315,9 +314,9 @@ impl Page {
 
     /// Copies the first `rows` positions of `src` into this page as a
     /// *bitwise* copy of the encoded representation (float words or Anda
-    /// rows) — the copy-on-write primitive. No decode/re-encode round
-    /// trip happens, so the copied rows read back `f32::to_bits`-identical
-    /// to the source under every policy.
+    /// rows) — how a fork takes a partial tail page. No decode/re-encode
+    /// round trip happens, so the copied rows read back
+    /// `f32::to_bits`-identical to the source under every policy.
     ///
     /// # Panics
     ///
@@ -460,9 +459,6 @@ struct PoolState {
 struct PoolShared {
     cfg: KvPoolConfig,
     state: Mutex<PoolState>,
-    /// Held across a whole [`PagePool::privatize`] (always taken before
-    /// `state`), so co-owners of one page privatize one after another.
-    cow: Mutex<()>,
 }
 
 impl PoolShared {
@@ -513,10 +509,8 @@ impl PoolShared {
 /// recycles), so the "double free" and "leak" halves of the ledger are
 /// both closed by construction.
 ///
-/// Shared pages are immutable. A cache that must append into one first
-/// privatizes it ([`PagePool::privatize`]): a bitwise copy-on-write into
-/// a fresh page — or a zero-copy reclaim when the handle turns out to be
-/// the last one.
+/// Only a full page is ever shared, so a shared page is immutable with
+/// no guard: no table appends into a page it cannot add a row to.
 #[derive(Debug)]
 pub struct SharedPage {
     inner: Arc<SharedInner>,
@@ -586,7 +580,6 @@ impl PagePool {
                     free: Vec::new(),
                     created: 0,
                 }),
-                cow: Mutex::new(()),
             }),
         }
     }
@@ -651,8 +644,8 @@ impl PagePool {
     }
 
     /// Converts an exclusively owned page into a refcount-1 shared lease
-    /// — the sealing step [`KvCache::fork_prefix`] applies to every page
-    /// covering the forked prefix. The page stays on the pool's in-use
+    /// — the sealing step [`KvCache::fork_prefix`] applies to every whole
+    /// page covering the forked prefix. The page stays on the pool's in-use
     /// ledger (it is leased, just co-owned from now on).
     ///
     /// # Panics
@@ -693,43 +686,6 @@ impl PagePool {
     pub fn release_page(&self, page: SharedPage) {
         assert!(page.same_pool(self), "release of a foreign pool's page");
         drop(page);
-    }
-
-    /// Copy-on-write: turns a shared lease into an exclusively owned page
-    /// holding the first `rows` positions, bit-identical to the source.
-    /// When the handle is the sole lease the page is reclaimed in place
-    /// (no copy, no allocation); otherwise a fresh page is leased and the
-    /// encoded rows are copied bitwise, and the shared lease is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is from a different pool, `rows` exceeds its
-    /// filled positions, or the pool is exhausted when a copy is needed
-    /// (admission must reserve the worst-case private pages, the CoW tail
-    /// included).
-    pub fn privatize(&self, page: SharedPage, rows: usize) -> Page {
-        assert!(page.same_pool(self), "privatize of a foreign pool's page");
-        // Two streams appending into the same shared tail in one step
-        // must not both see the other's lease and both copy: the pool
-        // would transiently hold one page more than admission reserved.
-        // Serialized, the second one finds itself the sole lease.
-        let _one_at_a_time = self.shared.cow.lock().expect("a privatizer panicked");
-        match Arc::try_unwrap(page.inner) {
-            Ok(mut sole) => {
-                let mut page = sole.page.take().expect("present until the last drop");
-                assert!(rows <= page.used, "privatize past the filled rows");
-                page.used = rows;
-                page
-            }
-            Err(inner) => {
-                let shared = SharedPage { inner };
-                let mut fresh = self
-                    .try_alloc(shared.page().dim)
-                    .expect("KV page pool exhausted (admission must reserve worst-case pages)");
-                fresh.copy_rows_from(shared.page(), rows);
-                fresh
-            }
-        }
     }
 
     /// Creates up to `n` pages onto the free list (bounded by capacity),
@@ -775,8 +731,8 @@ impl PagePool {
 
 /// One slot of a layer's page table: a page either exclusively owned by
 /// this cache (mutable — the only kind plain decoding creates) or a
-/// refcounted [`SharedPage`] lease of a prefix page (immutable — a write
-/// must privatize first).
+/// refcounted [`SharedPage`] lease of a whole prefix page (immutable, and
+/// never the target of an append: a full page takes no more rows).
 #[derive(Debug)]
 enum TablePage {
     Owned(Page),
@@ -800,24 +756,16 @@ impl TablePage {
             TablePage::Shared(shared) => Arc::as_ptr(&shared.inner) as usize,
         }
     }
-
-    /// Moment-long placeholder swapped in while an `Owned` page is moved
-    /// out for sealing; never observable (replaced in the same call) and
-    /// allocation-free (a zero-width `f32` page holds no buffer).
-    fn placeholder() -> Self {
-        TablePage::Owned(Page::new(&KvPoolConfig::default(), 0))
-    }
 }
 
 /// One layer's cached key/value rows (post-RoPE for LLaMA-family models):
 /// a page table over pool-leased pages in position order.
 ///
 /// Entries are table pages: exclusively owned pages plus refcounted
-/// [`SharedPage`] leases installed by [`KvCache::fork_prefix`]. `len` is
-/// the *logical* position count; a shared tail page may physically hold
-/// more rows than this table views (the donor cached past the fork
-/// point), so every read path derives its row count from `len`, never
-/// from the page's own fill.
+/// [`SharedPage`] leases installed by [`KvCache::fork_prefix`]. A table
+/// views every row of every page it holds: every page but the last is
+/// full, and the last holds the `len` positions past them. Only whole
+/// pages are shared, so a partial tail is always owned.
 #[derive(Debug, Default)]
 pub struct LayerKv {
     pages: Vec<TablePage>,
@@ -861,18 +809,9 @@ impl LayerKv {
         self.pages.first().map_or(0, |p| p.page().dim())
     }
 
-    /// Logical rows the table views in page `i` (`<=` the page's own
-    /// fill, which a shared tail may exceed past the fork point).
-    fn rows_in_page(&self, i: usize) -> usize {
-        let pp = self.page_positions();
-        (self.len - i * pp).min(pp)
-    }
-
     /// Appends one position's key and value rows, leasing a fresh page
-    /// from `pool` when the tail page is (logically) full. A write that
-    /// lands in a *shared* tail page first privatizes it — the
-    /// copy-on-write guard: shared pages are never mutated, so sibling
-    /// streams (and the prefix donor) keep reading their exact bits.
+    /// from `pool` when the tail page is full. A tail with room is always
+    /// owned (only whole pages are shared), so the row lands in place.
     ///
     /// # Panics
     ///
@@ -880,96 +819,72 @@ impl LayerKv {
     /// (bounded pools are protected by admission-time reservation).
     pub(crate) fn push(&mut self, pool: &PagePool, key: &[f32], value: &[f32]) {
         assert_eq!(key.len(), value.len(), "key/value width mismatch");
-        let tail_full = self.len == self.pages.len() * self.page_positions();
-        if self.pages.is_empty() || tail_full {
+        if self.len == self.pages.len() * self.page_positions() {
             let page = pool
                 .try_alloc(key.len())
                 .expect("KV page pool exhausted (admission must reserve worst-case pages)");
             self.pages.push(TablePage::Owned(page));
-        } else if matches!(self.pages.last(), Some(TablePage::Shared(_))) {
-            // Copy-on-write before the mutation: replace the shared tail
-            // with a private page holding a bitwise copy of the rows this
-            // table views (or reclaim it copy-free as the sole lease).
-            let rows = self.rows_in_page(self.pages.len() - 1);
-            let Some(TablePage::Shared(shared)) = self.pages.pop() else {
-                unreachable!("matched above");
-            };
-            self.pages
-                .push(TablePage::Owned(pool.privatize(shared, rows)));
         }
         let Some(TablePage::Owned(tail)) = self.pages.last_mut() else {
-            unreachable!("tail is owned: leased fresh or just privatized");
+            unreachable!("a shared page is full, so a tail with room is owned");
         };
         tail.push_row(key, value);
+        let used = tail.used;
         self.len += 1;
-    }
-
-    /// Leases table pages `range` for another table: each one is sealed
-    /// into a refcounted [`SharedPage`] (a no-op if already shared) and
-    /// the result holds a [`PagePool::fork_page`] lease per page — no row
-    /// data is copied.
-    fn lease_pages<'a>(
-        &'a mut self,
-        pool: &'a PagePool,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = TablePage> + 'a {
-        self.pages[range].iter_mut().map(move |entry| {
-            if matches!(entry, TablePage::Owned(_)) {
-                let TablePage::Owned(page) = std::mem::replace(entry, TablePage::placeholder())
-                else {
-                    unreachable!("matched above");
-                };
-                *entry = TablePage::Shared(pool.share(page));
-            }
-            let TablePage::Shared(shared) = entry else {
-                unreachable!("sealed above");
-            };
-            TablePage::Shared(pool.fork_page(shared))
-        })
-    }
-
-    /// Forks the first `positions` cached positions into a new table that
-    /// *shares* every covered page ([`LayerKv::lease_pages`]). A partial
-    /// tail page is shared too; the first append either side makes into
-    /// it copies it out bitwise first (see [`LayerKv::push`]), so the
-    /// deep copy of the partial tail is deferred to the write that needs
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `positions > len`.
-    pub(crate) fn fork_prefix(&mut self, pool: &PagePool, positions: usize) -> LayerKv {
-        assert!(
-            positions <= self.len,
-            "fork of {positions} positions from a {}-position layer",
-            self.len
+        debug_assert_eq!(
+            used,
+            self.len - (self.pages.len() - 1) * self.page_positions(),
+            "a table views every row of its tail page"
         );
-        let n_pages = positions.div_ceil(self.page_positions());
-        LayerKv {
-            pages: self.lease_pages(pool, 0..n_pages).collect(),
-            len: positions,
-            idx: self.idx,
-        }
     }
 
     /// Extends this table — which must end on a page boundary — to
-    /// `positions` by leasing `source`'s pages past `self.len`
-    /// ([`LayerKv::lease_pages`]): a page-table splice, no row copies.
+    /// `positions` from `source`: the one fork primitive. Each of
+    /// `source`'s whole pages past `self.len` is sealed into a refcounted
+    /// [`SharedPage`] (a no-op if already shared) and leased
+    /// ([`PagePool::fork_page`]), no rows copied. A partial last page's
+    /// rows are copied bitwise into a page leased from `pool`
+    /// ([`Page::copy_rows_from`]), so a shared page is always whole and
+    /// `source` keeps appending into its own tail in place.
     ///
     /// # Panics
     ///
     /// Panics unless `self.len` is page-aligned and `self.len <=
-    /// positions <= source.len`.
+    /// positions <= source.len`, or if the pool is exhausted when a
+    /// partial page must be copied (admission reserves it among the
+    /// fork's private pages).
     fn splice_tail(&mut self, pool: &PagePool, source: &mut LayerKv, positions: usize) {
-        let pp = source.page_positions();
+        let pp = pool.config().page_positions;
         assert!(
             self.len.is_multiple_of(pp) && self.len <= positions && positions <= source.len,
-            "splice of positions {}..{positions} from a {}-position layer ({pp}-position pages)",
+            "fork of positions {}..{positions} from a {}-position layer ({pp}-position pages)",
             self.len,
             source.len
         );
+        let whole = positions / pp;
+        // One `extend` over the range, not a loop of pushes: a fork of 88
+        // pages (4 layers × 22) and its drop took 1.6× as long with the
+        // loop on a 2-vCPU Xeon.
         self.pages
-            .extend(source.lease_pages(pool, self.len / pp..positions.div_ceil(pp)));
+            .extend(source.pages[self.len / pp..whole].iter_mut().map(|entry| {
+                if let TablePage::Owned(page) = entry {
+                    // A zero-width page holds no buffer: the swap allocates nothing.
+                    let page = std::mem::replace(page, Page::new(&KvPoolConfig::default(), 0));
+                    *entry = TablePage::Shared(pool.share(page));
+                }
+                let TablePage::Shared(shared) = entry else {
+                    unreachable!("sealed above");
+                };
+                debug_assert!(shared.page().is_full(), "only whole pages are shared");
+                TablePage::Shared(pool.fork_page(shared))
+            }));
+        if positions > whole * pp {
+            let mut page = pool
+                .try_alloc(source.dim())
+                .expect("KV page pool exhausted (admission must reserve worst-case pages)");
+            page.copy_rows_from(source.pages[whole].page(), positions - whole * pp);
+            self.pages.push(TablePage::Owned(page));
+        }
         self.len = positions;
     }
 
@@ -1188,10 +1103,9 @@ struct Viewer {
 /// shared by N streams decodes once per pass however many attend through
 /// it, and no buffer scales with context × batch.
 ///
-/// A page decodes its full physical fill, not one table's logical view
-/// of it: a truncated fork and its donor share a page but view different
-/// row counts, and per-row decode is independent, so the union costs
-/// nothing in exactness.
+/// A page decodes its full fill, not one lane's window of it: the lanes
+/// of a chunk span view different row counts of one page, and per-row
+/// decode is independent, so the union costs nothing in exactness.
 ///
 /// The products run on the register tile every GEMM of a step runs on,
 /// over the tiles where they lie — nothing in the walk packs. Each lane
@@ -1662,45 +1576,28 @@ impl KvCache {
     }
 
     /// Forks the first `positions` cached positions into a new cache on
-    /// the same pool that *shares* every covered page instead of copying
-    /// it: only the page tables are cloned ([`PagePool::fork_page`]
+    /// the same pool that *shares* every whole page they cover instead of
+    /// copying it: the page tables are cloned ([`PagePool::fork_page`]
     /// leases per page), so N forks of a P-position prefix pin
     /// `pages(P)` physical pages, not `N·pages(P)`. Takes `&mut self`
     /// because covered pages this cache still owns exclusively are first
     /// sealed into shared leases ([`PagePool::share`]) — a no-op on
     /// repeat forks.
     ///
-    /// Shared pages are immutable. Decoding continues bit-exactly on
-    /// both sides: the first append either cache makes into a shared
-    /// partial tail page copies it out bitwise first (copy-on-write, see
-    /// `LayerKv::push`'s guard and [`PagePool::privatize`]), while
-    /// whole prefix pages stay deduplicated for the streams' lifetimes.
+    /// A page is shared only when it is whole. When `positions` ends
+    /// mid-page, the fork copies that page's first `positions % pp` rows
+    /// bitwise into a page of its own as it is taken, and this cache
+    /// keeps appending into its tail in place; both sides decode on
+    /// bit-exactly.
     ///
     /// # Panics
     ///
-    /// Panics if `positions` exceeds the cached length.
+    /// Panics if `positions` exceeds the cached length, or if the pool is
+    /// exhausted when a partial page must be copied.
     pub fn fork_prefix(&mut self, positions: usize) -> KvCache {
-        let pool = self.pool.clone();
-        let layers = self
-            .layers
-            .iter_mut()
-            .map(|layer| layer.fork_prefix(&pool, positions))
-            .collect();
-        KvCache { pool, layers }
-    }
-
-    /// Forks the *entire* live cache — every currently cached position —
-    /// sharing all covered pages copy-on-write: the mid-stream fork
-    /// behind `anda-serve`'s parallel-sampling modes, which fork a
-    /// stream's cache at its live decode position so `n` sibling
-    /// completions share one physical prompt. Equivalent to
-    /// `fork_prefix(self.len())`; see [`KvCache::fork_prefix`] for the
-    /// sharing and copy-on-write semantics. A partial tail page is
-    /// sealed shared too — whichever side appends next privatizes it
-    /// bitwise, so both sides keep decoding bit-exactly.
-    pub fn fork_full(&mut self) -> KvCache {
-        let positions = self.len();
-        self.fork_prefix(positions)
+        let mut fork = self.pool.new_cache(self.n_layers());
+        fork.splice_from(self, positions);
+        fork
     }
 
     /// [`KvCache::fork_prefix`] assembled from two donors: positions
@@ -1718,12 +1615,22 @@ impl KvCache {
     /// caches lease from different pools or cover different layer
     /// counts.
     pub fn fork_spliced(&mut self, split: usize, tail: &mut KvCache, positions: usize) -> KvCache {
+        assert!(
+            Arc::ptr_eq(&self.pool.shared, &tail.pool.shared),
+            "spliced fork of caches on different pools"
+        );
         assert_eq!(self.n_layers(), tail.n_layers(), "layer count mismatch");
         let mut fork = self.fork_prefix(split);
-        for (layer, source) in fork.layers.iter_mut().zip(&mut tail.layers) {
-            layer.splice_tail(&fork.pool, source, positions);
-        }
+        fork.splice_from(tail, positions);
         fork
+    }
+
+    /// Extends every layer of this cache to `positions` from `source`'s
+    /// ([`LayerKv::splice_tail`]).
+    fn splice_from(&mut self, source: &mut KvCache, positions: usize) {
+        for (layer, from) in self.layers.iter_mut().zip(&mut source.layers) {
+            layer.splice_tail(&self.pool, from, positions);
+        }
     }
 
     /// Pages across all layers held as shared (refcounted) leases.
@@ -2109,8 +2016,9 @@ mod tests {
     }
 
     /// A spliced fork reads like a plain fork of the tail donor but pins
-    /// the tail donor's pages only past the split: dropping the tail
-    /// donor frees its own copy of the prefix.
+    /// the tail donor's whole pages only past the split, and copies a
+    /// partial last page: dropping the tail donor frees its own copy of
+    /// the prefix.
     #[test]
     fn spliced_fork_leases_each_range_from_its_own_donor() {
         let pool = PagePool::new(KvPoolConfig {
@@ -2130,7 +2038,11 @@ mod tests {
         assert_eq!(pool.pages_in_use(), 2 + 3);
         let fork = path.fork_spliced(8, &mut tail, 11);
         assert_eq!(fork.len(), 11);
-        assert_eq!(pool.pages_in_use(), 5, "a splice leases, never copies");
+        assert_eq!(
+            pool.pages_in_use(),
+            6,
+            "a splice leases whole pages and copies the partial one"
+        );
         assert_eq!(key_bits(&fork, 11), key_bits(&tail, 11));
         drop(tail);
         assert_eq!(
@@ -2144,10 +2056,10 @@ mod tests {
         assert_eq!(pool.pages_in_use(), 0);
     }
 
-    /// Appending into a fork whose tail page is shared fires
-    /// copy-on-write: the fork gets a private page whose prefix rows are
-    /// a bitwise copy of the donor's, the donor's rows never change, and
-    /// the two caches diverge only past the fork point.
+    /// A fork ending mid-page takes a private copy of that page as it is
+    /// forked: its rows are a bitwise copy of the donor's, either side
+    /// appends into its own tail without leasing, the donor's rows never
+    /// change, and the two caches diverge only past the fork point.
     #[test]
     fn copy_on_write_preserves_bits_and_isolates_streams() {
         for storage in [
@@ -2167,21 +2079,27 @@ mod tests {
             }
             let parent_bits = key_bits(&parent, 6);
 
-            let mut child = parent.fork_prefix(6);
             let in_use = pool.pages_in_use();
-            let fresh = rows(2, 64, 23);
-            child.append_row(0, &fresh[0], &fresh[0]); // CoW: tail copies out
+            let mut child = parent.fork_prefix(6);
             assert_eq!(
                 pool.pages_in_use(),
                 in_use + 1,
-                "CoW leases exactly one private page"
+                "the fork copies its partial tail page"
             );
+            assert_eq!(child.shared_pages(), 1, "only the whole page is shared");
             assert_eq!(
                 key_bits(&child, 6),
                 parent_bits,
-                "{storage:?}: CoW page must be a bitwise copy of its parent at fork time"
+                "{storage:?}: the copied page must be a bitwise copy of its parent"
             );
-            parent.append_row(0, &fresh[1], &fresh[1]); // donor CoWs its side too
+            let fresh = rows(2, 64, 23);
+            child.append_row(0, &fresh[0], &fresh[0]);
+            parent.append_row(0, &fresh[1], &fresh[1]);
+            assert_eq!(
+                pool.pages_in_use(),
+                in_use + 1,
+                "both sides append into their own tails"
+            );
             assert_eq!(key_bits(&parent, 6), parent_bits, "donor prefix unchanged");
             assert_ne!(
                 child.layer(0).key(6),
@@ -2191,39 +2109,11 @@ mod tests {
         }
     }
 
-    /// When the fork is the last lease standing, privatize reclaims the
-    /// shared page in place: no copy, no new page, creation stays flat.
+    /// A fork truncated mid-page holds a copy of only its prefix of the
+    /// donor's tail page: reads, attention and storage accounting see
+    /// its length, never the donor's rows past it.
     #[test]
-    fn sole_lease_privatize_reclaims_without_copying() {
-        let pool = PagePool::new(KvPoolConfig {
-            storage: KvStorage::Fp16,
-            page_positions: 4,
-            max_pages: None,
-        });
-        let mut parent = pool.new_cache(1);
-        let data = rows(6, 32, 24);
-        for r in &data {
-            parent.append_row(0, r, r);
-        }
-        let mut child = parent.fork_prefix(6);
-        let expect = key_bits(&parent, 6);
-        parent.reset(); // child is now the sole lease of both pages
-        let created = pool.pages_created();
-        let extra = rows(1, 32, 25);
-        child.append_row(0, &extra[0], &extra[0]);
-        assert_eq!(
-            pool.pages_created(),
-            created,
-            "sole-lease CoW must reclaim, not copy"
-        );
-        assert_eq!(key_bits(&child, 6), expect, "reclaimed rows read exactly");
-    }
-
-    /// A fork truncated mid-page views only its prefix of the shared
-    /// tail: reads, attention row iteration and storage accounting all
-    /// follow the logical length, not the page fill.
-    #[test]
-    fn truncated_fork_masks_the_shared_tail() {
+    fn truncated_fork_reads_only_its_prefix() {
         let pool = PagePool::new(KvPoolConfig {
             storage: KvStorage::Anda { mantissa_bits: 8 },
             page_positions: 4,
@@ -2234,7 +2124,7 @@ mod tests {
         for r in &data {
             parent.append_row(0, r, r);
         }
-        let mut child = parent.fork_prefix(5); // page 1 shared, 1 logical row
+        let mut child = parent.fork_prefix(5); // page 0 shared, 1 row of page 1 copied
         assert_eq!(child.len(), 5);
         assert_eq!(child.layer(0).storage_bits(), {
             let full = parent.layer(0).storage_bits();
@@ -2252,15 +2142,15 @@ mod tests {
             a.iter().map(|x| x.to_bits()).collect(),
             b.iter().map(|x| x.to_bits()).collect(),
         );
-        assert_eq!(abits, bbits, "masked tail must not leak donor rows");
-        // Appending at position 5 CoWs the tail and continues exactly.
+        assert_eq!(abits, bbits, "the copied tail must not leak donor rows");
+        // Appending at position 5 lands in the copied tail and continues exactly.
         child.append_row(0, &data[5], &data[5]);
         private.append_row(0, &data[5], &data[5]);
         assert_eq!(key_bits(&child, 6), key_bits(&private, 6));
     }
 
     #[test]
-    #[should_panic(expected = "fork of 9 positions")]
+    #[should_panic(expected = "fork of positions 0..9")]
     fn fork_past_len_panics() {
         let mut cache = cache_with(KvStorage::Fp16, 4);
         let data = rows(3, 32, 28);
@@ -2278,5 +2168,22 @@ mod tests {
         let page = pool_a.try_alloc(64).unwrap();
         let shared = pool_a.share(page);
         let _ = pool_b.fork_page(&shared);
+    }
+
+    /// Two pools of one geometry pass every page check, so the splice
+    /// names the pools: sealed under the wrong one, the tail donor's
+    /// pages would panic as foreign when they come back.
+    #[test]
+    #[should_panic(expected = "different pools")]
+    fn foreign_pool_spliced_fork_panics() {
+        let (mut path, mut tail) = (
+            cache_with(KvStorage::Fp16, 4),
+            cache_with(KvStorage::Fp16, 4),
+        );
+        for r in &rows(8, 32, 29) {
+            path.append_row(0, r, r);
+            tail.append_row(0, r, r);
+        }
+        let _ = path.fork_spliced(4, &mut tail, 8);
     }
 }

@@ -30,8 +30,8 @@
 //!   per-token work is derived (FP-INT MACs, attended positions).
 //! - [`kv`] — the §VI extension: the paged KV subsystem — a block-pool
 //!   page allocator with FP16 or Anda-compressed pages, refcounted
-//!   prefix sharing with copy-on-write, shared by solo decode and the
-//!   serving layer.
+//!   whole-page prefix sharing, shared by solo decode and the serving
+//!   layer.
 
 pub mod config;
 pub mod corpus;

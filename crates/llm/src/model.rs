@@ -465,8 +465,8 @@ impl Model {
     /// at the right positions and is bit-identical to prefilling
     /// `prefix ++ suffix` contiguously into a fresh cache — decode steps
     /// depend only on the cached rows, and shared pages hold exactly the
-    /// bits a private prefill would have written (copy-on-write preserves
-    /// them on append).
+    /// bits a private prefill would have written (a fork's copied tail
+    /// page holds them bitwise).
     ///
     /// The same resumability powers *chunked* prefill: any split of
     /// `tokens` into consecutive spans, prefilled in order against the

@@ -19,8 +19,8 @@
 //!    `decode_step`'s logits at position `i`, the last row `prefill`'s,
 //!    and `eval::perplexity` the teacher-forced NLL of the KV loop;
 //! 6. a float page's layout (K position-minor, V row-major) never shows:
-//!    every row reads back as it was appended, through forks, copy-on-write
-//!    and recycling.
+//!    every row reads back as it was appended, through forks, a fork's
+//!    copied tail page and recycling.
 
 use std::sync::OnceLock;
 
@@ -338,8 +338,8 @@ fn fp16_policy_rows_are_f16_rounded_fp32_rows() {
 /// row-major; neither shows through the single-row accessors. On `Fp32`
 /// and `Fp16` pages every appended row reads back bit for bit as stored
 /// (raw, or `saturate_to_f16(x).to_f32()` out of a binary16 word) after
-/// appends across a page boundary, after a mid-page fork whose first
-/// append copies the shared tail out, and on pages a reset recycled. Every
+/// appends across a page boundary, after a mid-page fork that copies its
+/// tail page as it is taken, and on pages a reset recycled. Every
 /// row carries the saturation cases, each in a different lane per row:
 /// NaN (quiet and signalling), ±inf, ±65520, the binary16 subnormal/normal
 /// boundary, −0.0 and binary16 midpoints ±1 ulp.
@@ -414,18 +414,16 @@ fn float_pages_read_back_every_row_they_were_given() {
         }
         reads_back(&donor, &written, "appends across a page boundary");
 
-        // The fork views one of the shared tail page's two rows; its first
-        // append copies that row out before writing its own.
-        let mut fork = donor.fork_prefix(5);
+        // The fork takes one of the donor's tail page's two rows: it copies
+        // that row into a page of its own when it is forked, and its first
+        // append lands beside it.
         let in_use = pool.pages_in_use();
+        let mut fork = donor.fork_prefix(5);
+        assert_eq!(pool.pages_in_use(), in_use + 1, "{storage:?}: tail copy");
         let mut forked = written[..5].to_vec();
         forked.extend(rows(1));
         fork.append_row(0, &forked[5].0, &forked[5].1);
-        assert_eq!(
-            pool.pages_in_use(),
-            in_use + 1,
-            "{storage:?}: copy-on-write"
-        );
+        assert_eq!(pool.pages_in_use(), in_use + 1, "{storage:?}: in place");
         reads_back(&fork, &forked, "fork at 5, then an append");
         reads_back(&donor, &written, "the donor after the fork's append");
 

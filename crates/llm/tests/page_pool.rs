@@ -13,9 +13,9 @@
 //!   one (rows written after recycling read back identically).
 //! - **Refcount ledger**: sharing and forking pages never changes the
 //!   in-use count (a page shared N ways is one page), a refcounted page
-//!   never re-enters the free list before its last lease drops, and the
-//!   copy-on-write page a fork privatizes is a bitwise copy of its
-//!   parent at fork time.
+//!   never re-enters the free list before its last lease drops, only
+//!   whole pages are shared, and the partial tail page a fork copies is a
+//!   bitwise copy of its parent at fork time.
 
 use anda_llm::kv::{KvPoolConfig, KvStorage, Page, PagePool, SharedPage};
 use anda_tensor::Rng;
@@ -281,12 +281,13 @@ proptest! {
         prop_assert_eq!(pool.pages_free(), pool.pages_created());
     }
 
-    /// Copy-on-write through the cache API: whatever prefix length and
-    /// page geometry a fork is taken at, the first append privatizes the
-    /// shared tail into a bitwise copy of the parent's rows at fork
-    /// time — under the float policies and Anda alike.
+    /// Forks through the cache API: whatever prefix length and page
+    /// geometry a fork is taken at, it shares the whole pages, copies a
+    /// partial tail into one fresh page that is a bitwise copy of the
+    /// parent's rows, and leases on its first append only when it ended
+    /// on a page boundary — under the float policies and Anda alike.
     #[test]
-    fn cow_page_is_a_bitwise_copy_of_its_parent(
+    fn a_fork_is_a_bitwise_copy_of_its_parent(
         page_positions in 1usize..6,
         fill in 1usize..12,
         fork_at in 1usize..12,
@@ -323,12 +324,23 @@ proptest! {
                 .collect()
         };
         let parent_bits = bits(&parent, fork_at);
+        let partial = fork_at % page_positions != 0;
+        let in_use = pool.pages_in_use();
         let mut child = parent.fork_prefix(fork_at);
-        // The append that triggers CoW whenever the tail is shared.
+        prop_assert_eq!(
+            pool.pages_in_use(), in_use + usize::from(partial),
+            "a fork leases one page exactly when it ends mid-page"
+        );
+        prop_assert_eq!(child.shared_pages(), fork_at / page_positions);
+        let in_use = pool.pages_in_use();
         child.append_row(0, &rows[fill], &rows[fill]);
         prop_assert_eq!(
+            pool.pages_in_use(), in_use + usize::from(!partial),
+            "the first append leases a page exactly when the fork is page-aligned"
+        );
+        prop_assert_eq!(
             bits(&child, fork_at), parent_bits.clone(),
-            "CoW must preserve the parent's bits at fork time"
+            "a fork must preserve the parent's bits at fork time"
         );
         prop_assert_eq!(bits(&parent, fork_at), parent_bits, "parent untouched");
     }
@@ -354,14 +366,12 @@ fn preallocate_fills_and_binds_to_capacity() {
     }
 }
 
-/// Two co-owners privatizing the same page at once — two sibling
-/// streams appending into their shared tail in one step — must cost one
-/// copy, not two: admission reserves one page per owner, so a pool
-/// holding exactly those two pages must never run dry (regression: both
-/// racers saw the other's lease, both copied, and the third page
-/// panicked a bounded pool).
+/// A fork and its donor appending at once on two threads — a sibling
+/// stream and its primary in one step — stay within the two pages they
+/// hold after a mid-page fork: each tail is its own, so a pool holding
+/// exactly those two pages never runs dry.
 #[test]
-fn racing_privatizers_of_one_page_copy_once() {
+fn a_fork_and_its_donor_append_concurrently_within_their_pages() {
     let (rows, dim) = (63, 512);
     let pool = PagePool::new(KvPoolConfig {
         storage: KvStorage::Fp32,
@@ -374,7 +384,8 @@ fn racing_privatizers_of_one_page_copy_once() {
         for _ in 0..rows {
             a.append_row(0, &row, &row);
         }
-        let mut b = a.fork_full();
+        let mut b = a.fork_prefix(rows);
+        assert_eq!(pool.pages_in_use(), 2, "the fork copies the donor's tail");
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|sc| {
             for cache in [&mut a, &mut b] {

@@ -9,9 +9,10 @@
 //! Every lane of every scenario must come out `f32::to_bits`-identical,
 //! under every storage policy, page size, thread count and SIMD leg —
 //! private caches, `fork_prefix` siblings sharing pages, a truncated fork
-//! masking a shared tail, a `fork_spliced` page table, chunk spans whose
-//! lanes attend causal windows shorter than the table, and random mixes
-//! of all of them at head widths ragged against the tile. On top of that
+//! holding a copy of its partial tail, a `fork_spliced` page table,
+//! chunk spans whose lanes attend causal windows shorter than the table,
+//! and random mixes of all of them at head widths ragged against the
+//! tile. On top of that
 //! the walk must deliver what it exists for: each distinct physical Anda
 //! page decodes once per walk, however many lanes view it and however
 //! many threads walk it, and a warmed walk allocates nothing.
@@ -253,9 +254,9 @@ fn fork_prefix_siblings_decode_each_shared_page_once() {
         let mut rng = Rng::new(12);
         let mut donor = pool.new_cache(1);
         append(&mut donor, &mut rng, 35, dim);
-        // Siblings fork the whole prefix (its partial tail page included)
-        // and diverge: the first append copies the tail out, the prefix's
-        // full pages stay shared. One sibling decodes right at the fork.
+        // Siblings fork the whole prefix and diverge: each takes a copy of
+        // the partial tail page as it forks, the prefix's full pages stay
+        // shared. One sibling decodes right at the fork.
         let mut siblings: Vec<KvCache> = (0..3).map(|_| donor.fork_prefix(35)).collect();
         for (sibling, extra) in siblings.iter_mut().zip([0usize, 1, 9]) {
             append(sibling, &mut rng, extra, dim);
@@ -274,15 +275,16 @@ fn fork_prefix_siblings_decode_each_shared_page_once() {
 }
 
 #[test]
-fn truncated_fork_masks_the_shared_tail() {
+fn truncated_fork_reads_only_its_prefix() {
     for_each_config(|storage, pp, dim, n_heads, ctx| {
         let pool = pool(storage, pp);
         let mut rng = Rng::new(13);
         let mut donor = pool.new_cache(1);
         append(&mut donor, &mut rng, 23, dim);
-        // The fork views two rows fewer than the tail page it shares
-        // physically holds; donor rows past the fork point must not leak
-        // into its lane, alone or walked together with the donor.
+        // The fork views two rows fewer than its donor: it shares the
+        // donor's whole pages and, where 21 ends mid-page, holds a copy of
+        // that page's first rows. Donor rows past the fork point must not
+        // leak into its lane, alone or walked together with the donor.
         let child = donor.fork_prefix(21);
         let alone = check_walk(&[(child.layer(0), 21)], n_heads, &mut rng, ctx);
         let both = [(donor.layer(0), 23), (child.layer(0), 21)];
@@ -292,7 +294,7 @@ fn truncated_fork_masks_the_shared_tail() {
         assert_eq!(
             alone,
             together.min(child_pages),
-            "{ctx}: the child leases donor pages"
+            "{ctx}: the child decodes its own pages"
         );
     });
 }
@@ -458,10 +460,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random lane mixes over one pool: a donor stream, forks of it cut at
-    /// random depths (so one physical page is viewed at several — some
-    /// forks then append, copying the shared tail out), a spliced fork,
-    /// and chunk spans whose causal windows end mid-page over a table with
-    /// a part-filled tail.
+    /// random depths (so one physical page is viewed by several tables,
+    /// and a fork cut mid-page holds a copy of its tail, into which some
+    /// forks then append), a spliced fork, and chunk spans whose causal
+    /// windows end mid-page over a table with a part-filled tail.
     #[test]
     fn random_lane_mixes_match_the_reference(seed in any::<u64>()) {
         for storage in POLICIES {

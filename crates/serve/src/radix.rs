@@ -16,10 +16,10 @@
 //! (`page_positions` tokens): edges span whole pages, splits happen only
 //! at page boundaries, and a lookup's usable depth is the matched length
 //! rounded down to a page multiple. Two prompts that diverge inside
-//! their first uncached page share nothing — exactly the page-granular
-//! sharing the KV layer can express without copy-on-write traffic, so a
-//! hit never seals a *partial* page and an admitted stream's first
-//! private append never triggers CoW against the tree.
+//! their first uncached page share nothing — exactly the sharing the KV
+//! layer expresses, since it shares whole pages only: a hit or an insert
+//! forks on a page boundary and so never copies a partial page, and an
+//! admitted stream appends into pages of its own.
 //!
 //! # Node caches and physical sharing
 //!

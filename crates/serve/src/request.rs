@@ -150,12 +150,12 @@ impl Default for SamplingParams {
 ///
 /// Multi-sample modes are served by *mid-stream cache forking*: the
 /// prompt is prefilled once, then the live cache is forked at its decode
-/// position (`KvCache::fork_full`) into `n` sibling streams sharing every
-/// prompt page copy-on-write — the same refcount ledger behind prefix
-/// sharing, so the prompt's KV is charged once, not `n` times. Sibling
-/// `i` seeds its RNG with `seed.wrapping_add(i)` (sample 0 uses `seed`
-/// verbatim), making each sample bit-identical to a standalone request
-/// with that derived seed.
+/// position (`KvCache::fork_prefix`) into `n` sibling streams sharing every
+/// whole prompt page, each with its own copy of a partial last page — the
+/// same refcount ledger behind prefix sharing, so the prompt's KV is
+/// charged once, not `n` times. Sibling `i` seeds its RNG with
+/// `seed.wrapping_add(i)` (sample 0 uses `seed` verbatim), making each
+/// sample bit-identical to a standalone request with that derived seed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SamplingMode {
     /// One completion (the default; greedy or sampled per

@@ -51,10 +51,12 @@
 //! [`Parallel`](crate::SamplingMode::Parallel) /
 //! [`BestOf`](crate::SamplingMode::BestOf) requests prefill their
 //! prompt once, then fork the live cache at its decode position
-//! ([`KvCache::fork_full`]) into `n` sibling streams whose divergent
-//! tails isolate copy-on-write — the prompt's KV is charged once, and
-//! each sample is bit-identical to a standalone request seeded with
-//! `seed + sample_index`. Siblings hold their slots from admission and
+//! ([`KvCache::fork_prefix`] of its whole length) into `n` sibling
+//! streams: each shares the prompt's whole pages and takes its own copy
+//! of a partial last page, inside the private tail its reservation
+//! already holds — the prompt's KV is charged once, and each sample is
+//! bit-identical to a standalone request seeded with `seed +
+//! sample_index`. Siblings hold their slots from admission and
 //! fork the step the primary's last chunk lands; each one's first draw
 //! comes off the batched LM head from the primary's hidden state.
 //!
@@ -999,10 +1001,10 @@ impl<'a> Scheduler<'a> {
         // per sampling stream, slot order. Still-prefilling streams have
         // no row — their scratch holds a mid-prompt hidden state that
         // never reaches sampling. A sibling whose primary's last chunk
-        // just landed forks here (`fork_full`: every whole prompt page
-        // shared, the partial tail copy-on-write) and takes its first
-        // row from the primary's hidden state, so it decodes exactly
-        // like a standalone request seeded `seed + i`.
+        // just landed forks here (every whole prompt page shared, a
+        // partial last page copied into one of the sibling's own) and
+        // takes its first row from the primary's hidden state, so it
+        // decodes exactly like a standalone request seeded `seed + i`.
         self.batch.clear();
         for i in 0..self.slots.len() {
             let Some(stream) = &self.slots[i] else {
@@ -1017,7 +1019,7 @@ impl<'a> Scheduler<'a> {
             }
             self.batch.push_hidden(source.scratch.hidden_state());
             if primary.is_some() {
-                let fork = source.cache.fork_full();
+                let fork = source.cache.fork_prefix(source.cache.len());
                 let sibling = self.slots[i].as_mut().expect("checked above");
                 sibling.cache = fork;
                 sibling.awaits_primary = None;

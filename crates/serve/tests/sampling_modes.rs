@@ -117,6 +117,77 @@ fn parallel_samples_match_standalone_requests() {
     }
 }
 
+/// Siblings fork the step the primary's last chunk lands, and each takes
+/// a copy of the prompt's partial last page as it forks: 11 prompt tokens
+/// on 8-position pages leave the group one shared page and three tail
+/// pages per layer before any member appends.
+#[test]
+fn sibling_forks_copy_the_partial_prompt_page_when_taken() {
+    let n_layers = model().config().n_layers;
+    for budget in BUDGETS {
+        let storage = KvStorage::Anda { mantissa_bits: 6 };
+        let mut sched = Scheduler::new(model(), budgeted(storage, budget));
+        let req = request(prompt(1, 11), 8, 42, SamplingMode::Parallel { n: 3 });
+        sched.submit(req).unwrap();
+        while sched.stats().sample_forks < 2 {
+            sched.step();
+        }
+        assert_eq!(
+            sched.kv_pool().pages_in_use(),
+            n_layers * (11 / 8 + 3),
+            "budget {budget:?}"
+        );
+    }
+}
+
+/// A group on a pool holding exactly its reservation: the tail pages
+/// siblings copy as they fork fit inside the private tails every member
+/// reserves, so the group runs to the same tokens as on an unbounded pool
+/// and fills the pool at its peak — but for the page a reservation holds
+/// for each member's last token, which is sampled and never cached.
+#[test]
+fn a_sibling_group_fits_a_pool_of_exactly_its_reservation() {
+    let n_layers = model().config().n_layers;
+    let (prompt_len, max_new, n) = (11, 8, 3);
+    let mut req = request(
+        prompt(1, prompt_len),
+        max_new,
+        42,
+        SamplingMode::Parallel { n },
+    );
+    req.eos = None;
+    for page_positions in [1, 8] {
+        for storage in [KvStorage::Fp32, KvStorage::Anda { mantissa_bits: 6 }] {
+            for budget in [None, Some(3)] {
+                let at = |max_pages| SchedulerConfig {
+                    max_batch: 4,
+                    prefill_chunk_tokens: budget,
+                    kv: KvPoolConfig {
+                        storage,
+                        page_positions,
+                        max_pages,
+                    },
+                    ..SchedulerConfig::default()
+                };
+                let run = |sched: &mut Scheduler| {
+                    sched.submit(req.clone()).unwrap();
+                    let mut done = sched.run_to_completion();
+                    done.sort_by_key(|f| f.sample_index);
+                    done.into_iter().map(|f| f.tokens).collect::<Vec<_>>()
+                };
+                let mut unbounded = Scheduler::new(model(), at(None));
+                let capacity = unbounded.pages_needed(&req);
+                let mut exact = Scheduler::new(model(), at(Some(capacity)));
+                let ctx = format!("{storage:?}, page {page_positions}, budget {budget:?}");
+                assert_eq!(run(&mut exact), run(&mut unbounded), "{ctx}");
+                let last_alone = (prompt_len + max_new - 1) % page_positions == 0;
+                let unused = if last_alone { n * n_layers } else { 0 };
+                assert_eq!(exact.stats().peak_pages_in_use, capacity - unused, "{ctx}");
+            }
+        }
+    }
+}
+
 /// `BestOf { n }` returns exactly the `Parallel { n }` member with the
 /// highest cumulative logprob (ties to the lowest sample index), score
 /// included — selection is observable, deterministic, and consistent
