@@ -79,6 +79,8 @@ use anda_fp::F16;
 use anda_tensor::Strided;
 use rayon_lite::ThreadPool;
 
+use crate::phase::{Phase, PhaseLedger, Stamp};
+
 use crate::config::ModelConfig;
 use crate::model::StepRows;
 
@@ -1072,6 +1074,8 @@ struct WalkScratch {
     raw: Vec<f32>,
     /// Anda pages decoded by this job's K passes (monotonic).
     pages_decoded: u64,
+    /// The walk's phase spans; job 0's are the ones read.
+    phases: PhaseLedger,
 }
 
 /// One lane reaching the page index a pass is at. Sorted, the lanes of one
@@ -1148,6 +1152,8 @@ pub struct PageDecodeCache {
     pub(crate) rows: StepRows,
     /// The walk's lane list between steps: empty, capacity kept.
     lanes: LaneBuf,
+    /// The step's phase spans outside the walk (the walk's are job 0's).
+    phases: PhaseLedger,
 }
 
 /// An empty `Vec<AttendLane>` kept for its capacity. Lanes borrow a
@@ -1218,6 +1224,23 @@ impl PageDecodeCache {
     /// attend through it, of the K and V passes, and of the thread count.
     pub fn pages_decoded(&self) -> u64 {
         self.jobs.first().map_or(0, |job| job.pages_decoded)
+    }
+
+    /// A snapshot of the phase spans of every step run through this
+    /// cache (monotonic; see [`crate::phase`]).
+    pub fn phases(&self) -> PhaseLedger {
+        match self.jobs.first() {
+            Some(job) => self.phases.plus(&job.phases),
+            None => self.phases,
+        }
+    }
+
+    /// Charges a step phase outside the walk ([`PhaseLedger::lap`]): the
+    /// model's projections, the scheduler's admission, LM head, sampling
+    /// and retirement.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase, since: Stamp, count: u64) -> Stamp {
+        self.phases.lap(phase, since, count)
     }
 
     /// Attends every lane (see the type docs), fanning column ranges
@@ -1345,16 +1368,22 @@ fn walk(
     leg: SimdLeg,
 ) {
     visit_pages(lanes, false, &cols, dh, s, leg);
+    let start = Stamp::now();
+    let mut scores = 0;
     for lane in lanes.iter_mut() {
         lane.scores.chunks_exact_mut(lane.t).for_each(softmax);
         lane.out.fill(0.0);
+        scores += lane.layer.dim() / dh * lane.t;
     }
+    s.phases.lap(Phase::Softmax, start, scores as u64);
     visit_pages(lanes, true, &cols, dh, s, leg);
 }
 
 /// One pass of [`walk`] — K (`want_v = false`, fills the score lanes) or
 /// V (accumulates the head mixes): page index ascending, the lanes
-/// reaching each index grouped by physical page, one tile per group.
+/// reaching each index grouped by physical page, one tile per group. Its
+/// tiles and products are lapped into the pass's two phases, counted for
+/// every job's columns.
 fn visit_pages(
     lanes: &mut [AttendLane<'_>],
     want_v: bool,
@@ -1363,7 +1392,11 @@ fn visit_pages(
     s: &mut WalkScratch,
     leg: SimdLeg,
 ) {
-    let pp = lanes[0].layer.page_positions();
+    let (pp, d) = (lanes[0].layer.page_positions(), lanes[0].layer.dim());
+    let (tile_phase, product_phase) = match want_v {
+        false => (Phase::KTile, Phase::KProduct),
+        true => (Phase::VTile, Phase::VProduct),
+    };
     let n_pages = lanes.iter().map(|lane| lane.t.div_ceil(pp)).max();
     for i in 0..n_pages.unwrap_or(0) {
         let base = i * pp;
@@ -1380,6 +1413,7 @@ fn visit_pages(
                 }),
         );
         s.order.sort_unstable();
+        let mut lap = Stamp::now();
         for viewers in s.order.chunk_by(|a, b| a.page == b.page) {
             let page = lanes[viewers[0].lane].layer.pages[i].page();
             // Job 0 counts for all: every job sees the same pages.
@@ -1388,6 +1422,11 @@ fn visit_pages(
                 anda_format::metrics::note_rows_decoded(2 * page.used as u64);
             }
             let (tile, ld) = page.tile(want_v, cols, &mut s.tiles, leg);
+            let ready = match page.data {
+                PageData::F32 { .. } => 0,
+                _ => page.used as u64,
+            };
+            lap = s.phases.lap(tile_phase, lap, ready);
             let group = PageGroup {
                 tile,
                 ld,
@@ -1402,6 +1441,8 @@ fn visit_pages(
                     true => group.mix(&mut lanes[v.lane], v.rows),
                 }
             }
+            let muladds = viewers.iter().map(|v| v.rows * d).sum::<usize>();
+            lap = s.phases.lap(product_phase, lap, muladds as u64);
         }
     }
 }

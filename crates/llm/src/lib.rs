@@ -32,6 +32,8 @@
 //!   page allocator with FP16 or Anda-compressed pages, refcounted
 //!   whole-page prefix sharing, shared by solo decode and the serving
 //!   layer.
+//! - [`phase`] — the step's phase spans: wall time, calls and an exact
+//!   work count per phase, carried by the walk's [`PageDecodeCache`].
 
 pub mod config;
 pub mod corpus;
@@ -40,6 +42,7 @@ pub mod kv;
 pub mod model;
 pub mod modules;
 pub mod opcount;
+pub mod phase;
 pub mod synth;
 pub mod zoo;
 
@@ -50,4 +53,5 @@ pub use kv::{
 };
 pub use model::{BatchEntry, BatchOutput, DecodeScratch, ForwardScratch, Model, WeightMode};
 pub use modules::{CodecAssignment, ModuleKind, PrecisionCombo};
+pub use phase::{Phase, PhaseLedger, PhaseSpan, Stamp};
 pub use zoo::SimModelSpec;

@@ -33,6 +33,7 @@ use rayon_lite::ThreadPool;
 use crate::config::{Family, ModelConfig};
 use crate::kv::{AttendLane, PageDecodeCache};
 use crate::modules::CodecAssignment;
+use crate::phase::{Phase, Stamp};
 use crate::synth::{
     boost_columns, dense, dense_into, norm_bias, norm_gain, OutlierSpec, SensitivityProfile,
 };
@@ -681,9 +682,11 @@ impl Model {
             }
         }
 
+        let mut lap = Stamp::now();
         for (l, layer) in self.layers.iter().enumerate() {
             if l > 0 {
                 self.finish_rows(&self.layers[l - 1], &mut r, pool, codecs);
+                lap = step.lap(Phase::Finish, lap, rows as u64);
             }
             let StepRows {
                 offsets,
@@ -718,6 +721,7 @@ impl Model {
                     kv_layers[l].push(kv_pool, k_row, v_row);
                 }
             });
+            step.lap(Phase::Qkv, lap, rows as u64);
 
             // On a served step's last layer only each entry's final row
             // feeds anything downstream: earlier span rows exist to append
@@ -762,6 +766,7 @@ impl Model {
             }
             step.attend(&mut lanes, heads, pool);
             step.recycle_lanes(lanes);
+            lap = Stamp::now();
         }
 
         // Epilogue: finish the last layer on the rows that feed something
@@ -782,6 +787,7 @@ impl Model {
         }
         let last = self.layers.last().expect("models have at least one layer");
         self.finish_rows(last, &mut r, pool, codecs);
+        step.lap(Phase::Finish, lap, r.x.rows() as u64);
         self.norm_rows(&mut r.x, &self.final_gain, &self.final_bias);
         for (entry, &end) in batch.iter_mut().zip(&r.offsets[1..]) {
             let hidden = &mut entry.scratch.x;

@@ -117,13 +117,18 @@ impl Scheduler<'_> {
     /// with [`SchedulerConfig::preemption`](super::SchedulerConfig::preemption)
     /// on, victims the arrival strictly outranks are suspended and the
     /// watermark retried before giving up.
-    pub(super) fn admit(&mut self) {
+    ///
+    /// Returns the work items admitted.
+    pub(super) fn admit(&mut self) -> u64 {
+        let mut admitted = 0;
         while let Some(item) = self.pending.pop_next() {
             if !self.admit_item(item) {
                 break;
             }
             self.pending.grant();
+            admitted += 1;
         }
+        admitted
     }
 
     /// Suspends the best preemption victim for a blocked arrival of

@@ -112,6 +112,7 @@ use std::collections::{HashMap, HashSet};
 
 use anda_llm::kv::{KvPoolConfig, PageDecodeCache, PagePool};
 use anda_llm::model::{BatchEntry, BatchOutput};
+use anda_llm::phase::{Phase, PhaseLedger, Stamp};
 use anda_llm::{DecodeScratch, KvCache, Model};
 use anda_tensor::Rng;
 use rayon_lite::ThreadPool;
@@ -917,7 +918,9 @@ impl<'a> Scheduler<'a> {
             return 0;
         }
         self.stats.steps += 1;
-        self.admit();
+        let lap = Stamp::now();
+        let admitted = self.admit();
+        self.decode_cache.lap(Phase::Admission, lap, admitted);
 
         // Budget packing: grant this step's prompt-token budget to
         // still-prefilling streams in slot order. A bounded budget is
@@ -1026,11 +1029,13 @@ impl<'a> Scheduler<'a> {
                 self.stats.sample_forks += 1;
             }
         }
+        let lap = Stamp::now();
         self.model.lm_head_batch_pool(&mut self.batch, self.pool);
+        let sampled = self.batch.len();
+        let lap = self.decode_cache.lap(Phase::LmHead, lap, sampled as u64);
 
         // Sampling: every row's stream draws with its private RNG, so
         // the draw matches a solo `Model::generate`.
-        let sampled = self.batch.len();
         let sampling = self
             .slots
             .iter_mut()
@@ -1055,6 +1060,7 @@ impl<'a> Scheduler<'a> {
                 stream.done = Some(FinishReason::Length);
             }
         }
+        let lap = self.decode_cache.lap(Phase::Sampling, lap, sampled as u64);
         self.stats.sampled_tokens += sampled as u64;
         self.stats.peak_active = self.stats.peak_active.max(self.active_len());
         self.stats.peak_pages_in_use = self
@@ -1062,7 +1068,8 @@ impl<'a> Scheduler<'a> {
             .peak_pages_in_use
             .max(self.kv_pool.pages_in_use());
 
-        self.retire();
+        let retired = self.retire();
+        self.decode_cache.lap(Phase::Retire, lap, retired);
         assert!(
             sampled > 0 || chunk_tokens > 0 || self.is_idle(),
             "scheduler iteration made no progress"
@@ -1210,6 +1217,13 @@ impl<'a> Scheduler<'a> {
         &self.kv_pool
     }
 
+    /// The phase spans of every step run so far ([`anda_llm::phase`]):
+    /// admission, LM head, sampling and retirement here, the layer
+    /// phases and the page walk's inside the model's step.
+    pub fn phases(&self) -> PhaseLedger {
+        self.decode_cache.phases()
+    }
+
     /// Aggregate counters.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
@@ -1282,13 +1296,17 @@ impl<'a> Scheduler<'a> {
 
     /// Moves every done stream out of its slot, releasing its page
     /// reservation and recycling its pages and cache/scratch allocations.
-    fn retire(&mut self) {
+    /// Returns the streams retired.
+    fn retire(&mut self) -> u64 {
+        let mut retired = 0;
         for i in 0..self.slots.len() {
             if let Some(stream) = self.slots[i].take_if(|s| s.done.is_some()) {
                 let reason = stream.done.expect("checked above");
                 self.finish(stream, reason);
+                retired += 1;
             }
         }
+        retired
     }
 
     /// Gives back everything `stream` holds except its sequence — the

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda_llm::zoo::{opt_125m_sim, sim_model};
-use anda_llm::Model;
+use anda_llm::{Model, Phase};
 use anda_serve::{Request, Scheduler, SchedulerConfig};
 use anda_tensor::Rng;
 use rayon_lite::ThreadPool;
@@ -213,6 +213,98 @@ fn shared_prefix_pages_decode_once_per_step() {
         assert!(shared_once < per_stream);
         prev = now;
     }
+}
+
+/// The phase ledger counts what each step did, `==`: on the schedule
+/// above (four streams behind a pinned 16-token prefix, Anda pages of 8
+/// positions, a walk split over two jobs), per step the K tiles are the
+/// pages decoded, the K and V tiles together hold the rows decoded —
+/// the two shared prefix pages once plus every stream's private rows —
+/// the K and V products sum the walk's `2 · t · d` multiply-adds over
+/// every lane, and the step phases count the rows, streams and tokens
+/// the scheduler reports.
+#[test]
+fn the_phase_ledger_counts_what_each_step_did() {
+    let prompts = [1usize, 3, 5, 8];
+    let cfg = model().config();
+    let (d, heads, n_layers) = (cfg.d_model as u64, cfg.n_heads as u64, cfg.n_layers as u64);
+
+    let pool = ThreadPool::new(4);
+    let sched_cfg = SchedulerConfig {
+        max_batch: 4,
+        kv: kv(KvStorage::Anda { mantissa_bits: 6 }, 8),
+        ..SchedulerConfig::default()
+    };
+    let mut sched = Scheduler::with_pool(model(), sched_cfg, &pool);
+    let _pin = sched.pin_prefix(&prefix()).unwrap();
+    for (i, &p) in prompts.iter().enumerate() {
+        let private = (0..p).map(|j| (i * 31 + j * 13 + 5) % 500);
+        let prompt: Vec<usize> = prefix().into_iter().chain(private).collect();
+        sched
+            .submit(Request::builder(prompt).max_new(6).build().unwrap())
+            .unwrap();
+    }
+    for s in 1..=6u64 {
+        let (before, stats) = (sched.phases(), sched.stats());
+        let sampled = sched.step() as u64;
+        let step = sched.phases().since(&before);
+        let span = |phase| step.span(phase);
+        // Step 1 lands every private prompt as one span, row `j` of
+        // stream `i` attending `17 + j` positions, and only each span's
+        // last row reaches the last layer; later steps append one row.
+        let windows = |last_layer: bool| -> Vec<u64> {
+            let spans = prompts.iter().map(|&p| match s {
+                1 if last_layer => 16 + p as u64..=16 + p as u64,
+                1 => 17..=16 + p as u64,
+                _ => 16 + p as u64 + s - 1..=16 + p as u64 + s - 1,
+            });
+            spans.flatten().collect()
+        };
+        let lanes: Vec<u64> = (0..n_layers)
+            .flat_map(|l| windows(l + 1 == n_layers))
+            .collect();
+        let rows = windows(false).len() as u64;
+        let attended: u64 = lanes.iter().sum();
+        let private_rows: u64 = prompts.iter().map(|&p| p as u64 + s - 1).sum();
+        let ctx = format!("step {s}");
+
+        let decoded = sched.stats().pages_decoded - stats.pages_decoded;
+        assert_eq!(span(Phase::KTile).calls, decoded, "{ctx}");
+        assert_eq!(span(Phase::VTile).calls, decoded, "{ctx}");
+        for tile in [Phase::KTile, Phase::VTile] {
+            assert_eq!(span(tile).count, n_layers * (16 + private_rows), "{ctx}");
+        }
+        assert_eq!(
+            span(Phase::KProduct).count + span(Phase::VProduct).count,
+            2 * attended * d,
+            "{ctx}"
+        );
+        assert_eq!(span(Phase::Softmax).count, heads * attended, "{ctx}");
+        assert_eq!(span(Phase::Softmax).calls, n_layers, "{ctx}");
+        assert_eq!(span(Phase::Qkv).count, n_layers * rows, "{ctx}");
+        assert_eq!(
+            span(Phase::Finish).count,
+            (n_layers - 1) * rows + prompts.len() as u64,
+            "{ctx}"
+        );
+        assert_eq!(span(Phase::Admission).count, if s == 1 { 4 } else { 0 });
+        assert_eq!(span(Phase::LmHead).count, sampled, "{ctx}");
+        assert_eq!(span(Phase::Sampling).count, sampled, "{ctx}");
+        let retired = if s == 6 { 4 } else { 0 };
+        assert_eq!(span(Phase::Retire).count, retired, "{ctx}");
+        for phase in [
+            Phase::Admission,
+            Phase::LmHead,
+            Phase::Sampling,
+            Phase::Retire,
+        ] {
+            assert_eq!(span(phase).calls, 1, "{ctx} {}", phase.name());
+        }
+    }
+    assert!(sched.is_idle());
+    let total = sched.phases();
+    assert!(Phase::ALL.iter().all(|&phase| total.span(phase).calls > 0));
+    assert!(total.span(Phase::KTile).wall_ns > 0);
 }
 
 /// Float-policy pages are read in place: a grouped scheduler over FP16
