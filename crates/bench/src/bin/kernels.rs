@@ -26,7 +26,8 @@ use anda_bench::Table;
 use anda_format::align::align_group;
 use anda_format::dot::{dot_f16_int_reference, dot_group_int_flat_with_leg, dot_group_reference};
 use anda_format::rowcodec::{
-    decode_row_into_with_leg, encode_row_into_scalar, groups_per_row, plane_words_per_row,
+    decode_row_into_with_leg, decode_rows_transposed_into_with_leg, encode_row_into_scalar,
+    groups_per_row, plane_words_per_row,
 };
 use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::{active_leg, available_legs, cpu_features, SimdLeg, F16};
@@ -64,7 +65,8 @@ const SECTIONS: [Section; 8] = [
     ),
     (
         "decode_row",
-        "ns to decode one 256-wide Anda row, per leg and mantissa length",
+        "ns to decode one 256-wide Anda row, and one 16 x 256 K page to position-minor keys, \
+         per leg and mantissa length",
         decode_row,
     ),
     (
@@ -387,29 +389,55 @@ fn m_sweep(o: &Opts) -> Table {
     table
 }
 
-/// The KV read path's inner kernel: one 256-wide row (the serving
-/// model's `d_model`) at a byte-lane (`M <= 8`) and a 16-bit-lane
-/// (`M > 8`) mantissa width on each side.
+/// The KV read path's inner kernels: one 256-wide row (the serving
+/// model's `d_model`), and one 16-position page of them decoded
+/// position-minor as the walk's K tile, at a byte-lane (`M <= 8`) and a
+/// 16-bit-lane (`M > 8`) mantissa width on each side.
 fn decode_row(o: &Opts) -> Table {
     const MANTISSAS: [u32; 3] = [5, 8, 11];
-    let vals = normals(256, 4, 2.0);
-    let mut table = columns("leg", MANTISSAS.map(|m| format!("M={m}")));
+    const DIM: usize = 256;
+    const POSITIONS: usize = 16;
+    let vals = normals(POSITIONS * DIM, 4, 2.0);
+    let headings = MANTISSAS.map(|m| format!("M={m}"));
+    let k_page = MANTISSAS.map(|m| format!("K page M={m}"));
+    let mut table = columns("leg", headings.into_iter().chain(k_page));
     for leg in available_legs() {
-        let mut cells = vec![leg.name().to_string()];
+        let (mut rows, mut pages) = (vec![leg.name().to_string()], Vec::new());
         for m in MANTISSAS {
             let cfg = AndaConfig::hardware(m).expect("a hardware mantissa length");
-            let mut signs = vec![0u64; groups_per_row(vals.len(), cfg)];
+            let (g, pw) = (groups_per_row(DIM, cfg), plane_words_per_row(DIM, cfg));
+            let mut signs = vec![0u64; POSITIONS * g];
             let mut exps = vec![0u16; signs.len()];
-            let mut planes = vec![0u64; plane_words_per_row(vals.len(), cfg)];
-            encode_row_into_scalar(&vals, cfg, &mut signs, &mut exps, &mut planes);
-            let mut out = vec![0.0f32; vals.len()];
+            let mut planes = vec![0u64; POSITIONS * pw];
+            for (p, row) in vals.chunks(DIM).enumerate() {
+                let (s, e) = (&mut signs[p * g..], &mut exps[p * g..]);
+                encode_row_into_scalar(row, cfg, s, e, &mut planes[p * pw..]);
+            }
+            let mut out = vec![0.0f32; DIM];
             let s = o.time(|| {
                 let out = black_box(&mut out);
                 decode_row_into_with_leg(leg, cfg, black_box(&signs), &exps, &planes, out)
             });
-            cells.push(format!("{:.1}", s * 1e9));
+            rows.push(format!("{:.1}", s * 1e9));
+            let mut keys = vec![0.0f32; POSITIONS * DIM];
+            let s = o.time(|| {
+                let (signs, keys) = (black_box(&signs), black_box(&mut keys));
+                decode_rows_transposed_into_with_leg(
+                    leg,
+                    cfg,
+                    signs,
+                    &exps,
+                    &planes,
+                    0..g,
+                    DIM,
+                    POSITIONS,
+                    keys,
+                    POSITIONS,
+                )
+            });
+            pages.push(format!("{:.0}", s * 1e9));
         }
-        table.row(cells);
+        table.row(rows.into_iter().chain(pages));
     }
     table
 }

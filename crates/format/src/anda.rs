@@ -11,6 +11,7 @@
 //! "variable-length" property distinguishing Anda from uni-length formats
 //! like VS-Quant/FIGNA and multi-length formats like FAST/DaCapo (Table I).
 
+use anda_fp::simd::SimdLeg;
 use anda_fp::F16;
 
 use crate::bitplane::{BitPlaneGroup, LANES};
@@ -218,6 +219,36 @@ impl AndaTensor {
             groups,
             self.width,
             tile,
+        );
+    }
+
+    /// Decodes the columns of groups `groups` of the first `rows` rows
+    /// position-minor on `leg`: column `c` of row `p` at
+    /// `keys[(c − first column) · ld + p]`
+    /// ([`rowcodec::decode_rows_transposed_into_with_leg`]; not counted).
+    ///
+    /// # Panics
+    ///
+    /// As [`rowcodec::decode_rows_transposed_into_with_leg`].
+    pub fn decode_rows_transposed_into(
+        &self,
+        leg: SimdLeg,
+        groups: std::ops::Range<usize>,
+        rows: usize,
+        keys: &mut [f32],
+        ld: usize,
+    ) {
+        rowcodec::decode_rows_transposed_into_with_leg(
+            leg,
+            self.config,
+            &self.signs,
+            &self.exps,
+            &self.planes,
+            groups,
+            self.width,
+            rows,
+            keys,
+            ld,
         );
     }
 

@@ -46,9 +46,23 @@
 //! # Page-level decode
 //!
 //! [`decode_rows_into`] decodes a *column slice* (a range of groups) of
-//! consecutive encoded rows into a row-major tile — what the KV page
-//! walk calls once per page and pass, and what lets parallel readers of
-//! a page split its decode by columns instead of repeating it.
+//! consecutive encoded rows into a row-major tile — the KV page walk's
+//! V tile, once per page and pass — and lets parallel readers of a page
+//! split its decode by columns instead of repeating it.
+//! [`decode_rows_transposed_into_with_leg`] decodes the same slice
+//! *position-minor* (column `c` of row `p` at `c · ld + p`), the order
+//! the walk's K product reads keys in, so no transpose follows it. At
+//! `M <= 8` its AVX2 and AVX-512 bodies decode sixteen positions of a
+//! group at a time as magnitude bytes (the byte fold, or the GF(2)
+//! transpose), transpose those bytes in registers — four rounds of
+//! unpacks leave one column's sixteen positions per 128-bit lane — and
+//! only then widen: per column a convert and a multiply by the
+//! positions' ULPs (on the AVX-512 leg one `vpermb` into the mantissas of
+//! `2^23` and one fused multiply-subtract, exact alike), a sign-bit XOR
+//! and a store of sixteen keys. A block short of sixteen positions
+//! stores through a mask. Every other leg and
+//! `M` decodes each group on its row body and puts the values in place,
+//! which is also why its oracle is [`decode_rows_into`] permuted.
 
 use anda_fp::simd::{active_leg, SimdLeg};
 use anda_fp::{saturate_to_f16, F16};
@@ -371,6 +385,88 @@ fn decode_rows_on(
     }
 }
 
+/// Position-minor page decode on `leg`: [`decode_rows_into`] over the
+/// first `rows` encoded rows, written transposed — column `c` of row `p`
+/// lands at `keys[(c − cols.start) · ld + p]`, `cols` being the columns
+/// of groups `groups`. That is the order the KV page walk reads a page's
+/// keys in, so the walk's K tile is decoded straight into it. Each
+/// column's slots `rows..ld` are left alone. The values are
+/// [`decode_rows_into`]'s, bit for bit: only where they land differs.
+/// Not counted, like [`decode_rows_into`]. At `M <= 8` the AVX2 and
+/// AVX-512 legs decode sixteen positions at a time and transpose their
+/// magnitude bytes before they widen; everything else is the portable
+/// loop.
+///
+/// # Panics
+///
+/// Panics if the leg is unavailable on this host, `rows` exceeds `ld`,
+/// `groups` exceeds the row's groups, `keys` cannot hold the columns'
+/// runs, or a source slice is shorter than the rows require.
+#[allow(clippy::too_many_arguments)]
+pub fn decode_rows_transposed_into_with_leg(
+    leg: SimdLeg,
+    cfg: AndaConfig,
+    signs: &[u64],
+    exps: &[u16],
+    planes: &[u64],
+    groups: std::ops::Range<usize>,
+    row_len: usize,
+    rows: usize,
+    keys: &mut [f32],
+    ld: usize,
+) {
+    leg.assert_available();
+    let (g, gs) = (groups_per_row(row_len, cfg), cfg.group_size());
+    assert!(
+        groups.start < groups.end && groups.end <= g,
+        "group range {groups:?} outside a {g}-group row"
+    );
+    let n_cols = (groups.end * gs).min(row_len) - groups.start * gs;
+    assert!(
+        rows <= ld && (rows == 0 || (n_cols - 1) * ld + rows <= keys.len()),
+        "{n_cols} columns of {rows} positions at stride {ld} do not fit {} elements",
+        keys.len()
+    );
+    let last = rows.saturating_sub(1) * g + groups.end;
+    let m = cfg.mantissa_bits() as usize;
+    assert!(
+        rows == 0 || (signs.len() >= last && exps.len() >= last && planes.len() >= last * m),
+        "source slices shorter than {rows} rows"
+    );
+    match leg {
+        // SAFETY (both legs): the CPU runs `leg`, as asserted, and a CPU
+        // that runs `Avx512` runs `Avx2`; the asserts above are the
+        // bodies' bounds.
+        #[cfg(target_arch = "x86_64")]
+        SimdLeg::Avx512 if m <= 8 => unsafe {
+            avx512::decode_rows_transposed(
+                cfg, signs, exps, planes, groups, row_len, rows, keys, ld,
+            )
+        },
+        #[cfg(target_arch = "x86_64")]
+        SimdLeg::Avx2 | SimdLeg::Avx512 if m <= 8 => unsafe {
+            avx2::decode_rows_transposed(cfg, signs, exps, planes, groups, row_len, rows, keys, ld)
+        },
+        _ => {
+            // Each group of each row decoded on the leg's row body, then
+            // put in place: a permutation of `decode_rows_into`'s tile.
+            let mut lanes = [0.0f32; LANES];
+            for p in 0..rows {
+                for (k, col0) in groups.clone().zip((0..).step_by(gs)) {
+                    let gi = p * g + k;
+                    let out = &mut lanes[..(n_cols - col0).min(gs)];
+                    let (sign, exp) = (&signs[gi..gi + 1], &exps[gi..gi + 1]);
+                    let words = &planes[gi * m..(gi + 1) * m];
+                    decode_row_uncounted(leg, cfg, sign, exp, words, out);
+                    for (c, &x) in out.iter().enumerate() {
+                        keys[(col0 + c) * ld + p] = x;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The scalar oracle of [`decode_row_into`].
 ///
 /// # Panics
@@ -425,6 +521,40 @@ pub fn decode_group_into_scalar(sign_word: u64, ulp: f32, planes: &[u64], out: &
         let v = f32::from(mag) * ulp;
         *o = if (sign_word >> i) & 1 == 1 { -v } else { v };
     }
+}
+
+/// The in-lane 16 × 16 byte transpose of the position-minor decodes:
+/// `$x[p]` holds position `p`'s magnitude bytes, one per column, and
+/// afterwards `$x[c]` holds in its 128-bit lane `L` the bytes of column
+/// `16·L + c`, positions 0 to 15. Four rounds of sixteen interleaves —
+/// bytes, words, dwords, qwords — each halving the runs still apart;
+/// the idents name the leg's low and high unpack of each width.
+#[cfg(target_arch = "x86_64")]
+macro_rules! transpose_lanes {
+    ($x:ident, $lo8:ident, $hi8:ident, $lo16:ident, $hi16:ident,
+     $lo32:ident, $hi32:ident, $lo64:ident, $hi64:ident) => {{
+        let mut t = $x;
+        for i in 0..8 {
+            t[i] = $lo8($x[2 * i], $x[2 * i + 1]);
+            t[i + 8] = $hi8($x[2 * i], $x[2 * i + 1]);
+        }
+        for i in 0..4 {
+            for o in [0, 8] {
+                $x[o + i] = $lo16(t[o + 2 * i], t[o + 2 * i + 1]);
+                $x[o + i + 4] = $hi16(t[o + 2 * i], t[o + 2 * i + 1]);
+            }
+        }
+        for b in (0..16).step_by(4) {
+            t[b] = $lo32($x[b], $x[b + 1]);
+            t[b + 1] = $lo32($x[b + 2], $x[b + 3]);
+            t[b + 2] = $hi32($x[b], $x[b + 1]);
+            t[b + 3] = $hi32($x[b + 2], $x[b + 3]);
+        }
+        for b in (0..16).step_by(2) {
+            $x[b] = $lo64(t[b], t[b + 1]);
+            $x[b + 1] = $hi64(t[b], t[b + 1]);
+        }
+    }};
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -589,6 +719,117 @@ mod avx2 {
         }
     }
 
+    /// AVX2 leg of [`decode_rows_transposed_into_with_leg`] at `M <= 8`,
+    /// after its checks. Per group, 32 columns and sixteen positions: each
+    /// position's magnitudes fold into 32 bytes as in [`decode_group`],
+    /// [`transpose_lanes!`] turns the sixteen vectors into one lane of
+    /// sixteen positions per column, and each column's lane widens eight
+    /// positions at a time, converts, multiplies by those positions' ULPs
+    /// and flips sign bits: the column's bit of the positions' sign words,
+    /// shifted to bit 31. A block short of sixteen positions stores
+    /// through a lane mask.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; the caller checked the bounds.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn decode_rows_transposed(
+        cfg: AndaConfig,
+        signs: &[u64],
+        exps: &[u16],
+        planes: &[u64],
+        groups: std::ops::Range<usize>,
+        row_len: usize,
+        rows: usize,
+        keys: &mut [f32],
+        ld: usize,
+    ) {
+        let (g, gs, m) = (
+            groups_per_row(row_len, cfg),
+            cfg.group_size(),
+            cfg.mantissa_bits() as usize,
+        );
+        let n_cols = (groups.end * gs).min(row_len) - groups.start * gs;
+        let sign_bit = _mm256_set1_epi32(i32::MIN);
+        for (k, col0) in groups.zip((0..).step_by(gs)) {
+            let width = (n_cols - col0).min(gs);
+            for p0 in (0..rows).step_by(16) {
+                let n = (rows - p0).min(16);
+                let (mut ulps, mut keep) = ([0.0f32; 16], [0i32; 16]);
+                for p in 0..n {
+                    ulps[p] = exp2f(i32::from(exps[(p0 + p) * g + k]) - 14 - m as i32);
+                    keep[p] = -1;
+                }
+                let ulp = [
+                    _mm256_loadu_ps(ulps.as_ptr()),
+                    _mm256_loadu_ps(ulps[8..].as_ptr()),
+                ];
+                let keep = [
+                    _mm256_loadu_si256(keep.as_ptr().cast()),
+                    _mm256_loadu_si256(keep[8..].as_ptr().cast()),
+                ];
+                for half in 0..width.div_ceil(32) {
+                    let mut mags = [_mm256_setzero_si256(); 16];
+                    let mut words = [0u32; 16];
+                    for p in 0..n {
+                        let gi = (p0 + p) * g + k;
+                        for &plane in &planes[gi * m..(gi + 1) * m] {
+                            let hit = byte_hits(plane, half);
+                            mags[p] = _mm256_sub_epi8(_mm256_add_epi8(mags[p], mags[p]), hit);
+                        }
+                        words[p] = (signs[gi] >> (32 * half)) as u32;
+                    }
+                    #[rustfmt::skip]
+                    transpose_lanes!(
+                        mags,
+                        _mm256_unpacklo_epi8, _mm256_unpackhi_epi8,
+                        _mm256_unpacklo_epi16, _mm256_unpackhi_epi16,
+                        _mm256_unpacklo_epi32, _mm256_unpackhi_epi32,
+                        _mm256_unpacklo_epi64, _mm256_unpackhi_epi64
+                    );
+                    let words = [
+                        _mm256_loadu_si256(words.as_ptr().cast()),
+                        _mm256_loadu_si256(words[8..].as_ptr().cast()),
+                    ];
+                    let mut bytes = [[0u8; 32]; 16];
+                    for (lanes, mags) in bytes.iter_mut().zip(mags) {
+                        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), mags);
+                    }
+                    for (cc, lanes) in bytes.iter().enumerate() {
+                        for (lane, column) in lanes.chunks_exact(16).enumerate() {
+                            let c = 16 * lane + cc;
+                            if 32 * half + c >= width {
+                                break;
+                            }
+                            let shift = _mm_cvtsi32_si128(31 - c as i32);
+                            let dst = keys.as_mut_ptr().add((col0 + 32 * half + c) * ld + p0);
+                            for i in 0..2 {
+                                if 8 * i >= n {
+                                    break;
+                                }
+                                let mags = _mm_loadl_epi64(column[8 * i..].as_ptr().cast());
+                                let v = _mm256_mul_ps(
+                                    _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(mags)),
+                                    ulp[i],
+                                );
+                                let sign =
+                                    _mm256_and_si256(_mm256_sll_epi32(words[i], shift), sign_bit);
+                                let signed = _mm256_xor_ps(v, _mm256_castsi256_ps(sign));
+                                // `8·i < n`: the lane's first position is in
+                                // the column's run; the mask stops at `n`.
+                                match n {
+                                    16 => _mm256_storeu_ps(dst.add(8 * i), signed),
+                                    _ => _mm256_maskstore_ps(dst.add(8 * i), keep[i], signed),
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// AVX2 leg of [`encode_row_into`]: two passes of 8 lanes per step.
     ///
     /// Pass 1 saturates to FP16 on F16C (`anda_fp`'s saturating lane
@@ -716,20 +957,115 @@ mod avx512 {
         table
     };
 
-    /// One group: `words` are the group's `M <= 8` plane words (MSB
-    /// first), `gather` is `GATHER[M − 1]`, `out` holds at most 64 lanes.
-    /// `vgf2p8affineqb` with the unit bytes `0x8040201008040201` as its
-    /// byte operand and the gathered planes as its matrix sets bit `i` of
-    /// result byte `k` of qword `j` to bit `k` of matrix byte `7 − i`: the
-    /// magnitude of lane `8j + k`. Per 16 lanes: widen, exact `i32→f32`
-    /// convert, multiply by the ULP, and a masked sign-bit XOR (so a zero
-    /// magnitude under a set sign bit is −0.0, as the scalar negation
-    /// gives); a masked store writes only `out`'s lanes.
+    /// `vpermb` indices that put byte `j` of word `7 − b` at byte `8j + b`:
+    /// eight sign words laid out as [`sign_masks`]' GF(2) transpose wants
+    /// its matrix.
+    const SIGN_GATHER: [u8; 64] = {
+        let mut table = [0u8; 64];
+        let mut i = 0;
+        while i < 64 {
+            table[i] = (8 * (7 - i % 8) + i / 8) as u8;
+            i += 1;
+        }
+        table
+    };
+
+    /// `vpermt2b` indices interleaving two vectors' bytes into 16-bit
+    /// lanes, low byte from the first: lanes 0..32, then lanes 32..64.
+    const ZIP: [[u8; 64]; 2] = {
+        let mut table = [[0u8; 64]; 2];
+        let mut i = 0;
+        while i < 64 {
+            table[0][i] = (i / 2 + 64 * (i % 2)) as u8;
+            table[1][i] = table[0][i] + 32;
+            i += 1;
+        }
+        table
+    };
+
+    /// `vpermb` indices that put byte `16·L + i` of a vector in the low
+    /// byte of dword `i`: with [`WIDEN_BYTES`] as the write mask, lane `L`
+    /// of sixteen magnitude bytes widens into the mantissa of `2^23`.
+    const WIDEN: [[u8; 64]; 4] = {
+        let mut table = [[0u8; 64]; 4];
+        let mut i = 0;
+        while i < 256 {
+            table[i / 64][i % 64] = (16 * (i / 64) + i % 64 / 4) as u8;
+            i += 1;
+        }
+        table
+    };
+
+    /// The low byte of every dword.
+    const WIDEN_BYTES: u64 = 0x1111_1111_1111_1111;
+
+    /// `2^23`: an integer below it, written into its mantissa, reads as
+    /// `2^23` plus that integer.
+    const TWO_23: f32 = 8_388_608.0;
+
+    /// The unit bytes `0x8040201008040201`: as the byte operand of
+    /// `vgf2p8affineqb`, they make it an 8 × 8 bit-matrix transpose per
+    /// qword — bit `i` of result byte `k` is bit `k` of matrix byte
+    /// `7 − i`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn unit() -> __m512i {
+        _mm512_set1_epi64(0x8040_2010_0804_0201u64 as i64)
+    }
+
+    /// One group's magnitudes as bytes, lane `j` in byte `j`: `words` are
+    /// its `M <= 8` plane words (MSB first), `gather` is `GATHER[M − 1]`,
+    /// and the transpose puts bit `k` of plane byte `j`'s qword in
+    /// magnitude byte `8j + k`.
     ///
     /// # Safety
     ///
     /// As [`decode_rows`]; `words` must hold 1..=8 words (memory is only
-    /// touched through `words` and `out`).
+    /// touched through `words`).
+    #[inline]
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    unsafe fn magnitudes(words: &[u64], gather: __m512i) -> __m512i {
+        // The mask reads `words.len()` words, all of them inside `words`.
+        let planes = _mm512_maskz_loadu_epi64(u8::MAX >> (8 - words.len()), words.as_ptr().cast());
+        _mm512_gf2p8affine_epi64_epi8::<0>(unit(), _mm512_permutexvar_epi8(gather, planes))
+    }
+
+    /// Sixteen positions' sign words as one mask per lane: bit `p` of
+    /// `masks[c]` is bit `c` of `words[p]`. Each half of the words is one
+    /// GF(2) transpose per qword (byte `c` of the result holds the eight
+    /// positions' bits of lane `c`), and the halves interleave into
+    /// 16-bit lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/BW/VBMI and GFNI.
+    #[inline]
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    unsafe fn sign_masks(words: &[u64; 16]) -> [u16; 64] {
+        let gather = _mm512_loadu_si512(SIGN_GATHER.as_ptr().cast());
+        let lo = _mm512_loadu_si512(words.as_ptr().cast());
+        let hi = _mm512_loadu_si512(words[8..].as_ptr().cast());
+        let lo = _mm512_gf2p8affine_epi64_epi8::<0>(unit(), _mm512_permutexvar_epi8(gather, lo));
+        let hi = _mm512_gf2p8affine_epi64_epi8::<0>(unit(), _mm512_permutexvar_epi8(gather, hi));
+        let mut masks = [0u16; 64];
+        for (half, zip) in ZIP.iter().enumerate() {
+            let lanes = _mm512_permutex2var_epi8(lo, _mm512_loadu_si512(zip.as_ptr().cast()), hi);
+            _mm512_storeu_si512(masks[32 * half..].as_mut_ptr().cast(), lanes);
+        }
+        masks
+    }
+
+    /// One group: `words` are the group's `M <= 8` plane words, `gather`
+    /// is `GATHER[M − 1]`, `out` holds at most 64 lanes. Per 16 lanes of
+    /// its [`magnitudes`]: widen, exact `i32→f32` convert, multiply by the
+    /// ULP, and a masked sign-bit XOR (so a zero magnitude under a set
+    /// sign bit is −0.0, as the scalar negation gives); a masked store
+    /// writes only `out`'s lanes.
+    ///
+    /// # Safety
+    ///
+    /// As [`magnitudes`] (memory is only touched through `words` and
+    /// `out`).
     #[inline]
     #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
     unsafe fn decode_group(
@@ -739,11 +1075,7 @@ mod avx512 {
         gather: __m512i,
         out: &mut [f32],
     ) {
-        // The mask reads `words.len()` words, all of them inside `words`.
-        let planes = _mm512_maskz_loadu_epi64(u8::MAX >> (8 - words.len()), words.as_ptr().cast());
-        let unit = _mm512_set1_epi64(0x8040_2010_0804_0201u64 as i64);
-        let mags =
-            _mm512_gf2p8affine_epi64_epi8::<0>(unit, _mm512_permutexvar_epi8(gather, planes));
+        let mags = magnitudes(words, gather);
         let blocks = [
             _mm512_castsi512_si128(mags),
             _mm512_extracti32x4_epi32::<1>(mags),
@@ -811,6 +1143,96 @@ mod avx512 {
                 let out = &mut row[k * gs..((k + 1) * gs).min(cols.len())];
                 let ulp = exp2f(i32::from(exps[k]) - 14 - m as i32);
                 decode_group(signs[k], ulp, &words[k * m..(k + 1) * m], gather, out);
+            }
+        }
+    }
+
+    /// AVX-512 leg of [`decode_rows_transposed_into_with_leg`] at
+    /// `M <= 8`, after its checks. Per group and sixteen positions: each
+    /// position's [`magnitudes`], [`transpose_lanes!`] so that each
+    /// 128-bit lane holds one column's sixteen positions, the sign words
+    /// as one mask per column ([`sign_masks`]) and the positions' ULPs as
+    /// one vector; then per column one merge-masked `vpermb` writes its
+    /// sixteen bytes into the mantissas of `2^23` ([`WIDEN`]), one
+    /// `vfmsub` takes `(2^23 + mag)·ulp − 2^23·ulp` — the exact `mag·ulp`
+    /// the convert-and-multiply gives, `+0.0` for a zero magnitude — and a
+    /// masked sign-bit XOR and a store masked to the block's positions
+    /// finish it.
+    ///
+    /// # Safety
+    ///
+    /// As [`decode_rows`]; the caller checked the bounds.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    pub unsafe fn decode_rows_transposed(
+        cfg: AndaConfig,
+        signs: &[u64],
+        exps: &[u16],
+        planes: &[u64],
+        groups: std::ops::Range<usize>,
+        row_len: usize,
+        rows: usize,
+        keys: &mut [f32],
+        ld: usize,
+    ) {
+        let (g, gs, m) = (
+            groups_per_row(row_len, cfg),
+            cfg.group_size(),
+            cfg.mantissa_bits() as usize,
+        );
+        assert!(m <= 8, "the transpose holds at most 8 planes");
+        let gather = _mm512_loadu_si512(GATHER[m - 1].as_ptr().cast());
+        let widen = WIDEN.map(|lane| _mm512_loadu_si512(lane.as_ptr().cast()));
+        let magic = _mm512_set1_epi32(TWO_23.to_bits() as i32);
+        let n_cols = (groups.end * gs).min(row_len) - groups.start * gs;
+        let sign_bit = _mm512_set1_epi32(i32::MIN);
+        for (k, col0) in groups.zip((0..).step_by(gs)) {
+            let width = (n_cols - col0).min(gs);
+            for p0 in (0..rows).step_by(16) {
+                let n = (rows - p0).min(16);
+                let mut mags = [_mm512_setzero_si512(); 16];
+                let (mut ulps, mut words) = ([0.0f32; 16], [0u64; 16]);
+                for p in 0..n {
+                    // SAFETY: `gi` is a group of a row below `rows`, which
+                    // the caller checked every source slice holds.
+                    let gi = (p0 + p) * g + k;
+                    mags[p] = magnitudes(planes.get_unchecked(gi * m..(gi + 1) * m), gather);
+                    ulps[p] = exp2f(i32::from(*exps.get_unchecked(gi)) - 14 - m as i32);
+                    words[p] = *signs.get_unchecked(gi);
+                }
+                let masks = sign_masks(&words);
+                #[rustfmt::skip]
+                transpose_lanes!(
+                    mags,
+                    _mm512_unpacklo_epi8, _mm512_unpackhi_epi8,
+                    _mm512_unpacklo_epi16, _mm512_unpackhi_epi16,
+                    _mm512_unpacklo_epi32, _mm512_unpackhi_epi32,
+                    _mm512_unpacklo_epi64, _mm512_unpackhi_epi64
+                );
+                let keep = (u32::MAX >> (32 - n)) as u16;
+                let ulp = _mm512_loadu_ps(ulps.as_ptr());
+                let bias = _mm512_mul_ps(ulp, _mm512_set1_ps(TWO_23));
+                for (cc, &lanes) in mags.iter().enumerate() {
+                    for (lane, widen) in widen.iter().enumerate() {
+                        let c = 16 * lane + cc;
+                        if c >= width {
+                            break;
+                        }
+                        // `2^23 + mag` as floats, then `(2^23 + mag)·ulp −
+                        // 2^23·ulp`: one rounding of the exact `mag·ulp`.
+                        let x = _mm512_mask_permutexvar_epi8(magic, WIDEN_BYTES, *widen, lanes);
+                        let v = _mm512_fmsub_ps(_mm512_castsi512_ps(x), ulp, bias);
+                        let v = _mm512_castps_si512(v);
+                        let signed = _mm512_mask_xor_epi32(v, masks[c], v, sign_bit);
+                        // Position `p0` of column `col0 + c` is in `keys`
+                        // (the caller's bounds), and the mask stops at `n`.
+                        _mm512_mask_storeu_ps(
+                            keys.as_mut_ptr().add((col0 + c) * ld + p0),
+                            keep,
+                            _mm512_castsi512_ps(signed),
+                        );
+                    }
+                }
             }
         }
     }
@@ -1086,7 +1508,7 @@ mod tests {
         // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
         // without it, where a missing check would be an illegal
         // instruction from safe code. Covers the crate: this module's
-        // three entries and `dot`'s one.
+        // four entries and `dot`'s one.
         let leg = [SimdLeg::Avx2, SimdLeg::Neon]
             .into_iter()
             .find(|leg| !leg.is_available())
@@ -1096,7 +1518,7 @@ mod tests {
         let values = row(LANES, 1);
         let (signs, exps, planes) = ([0u64; 1], [0u16; 1], [0u64; 8]);
         type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 4] = [
+        let entries: [Entry; 5] = [
             ("encode_row_into_with_leg", &|| {
                 let (mut s, mut e, mut p) = (signs, exps, planes);
                 encode_row_into_with_leg(leg, &values, cfg, &mut s, &mut e, &mut p)
@@ -1107,6 +1529,13 @@ mod tests {
             ("decode_rows_into_with_leg", &|| {
                 let tile = &mut values.clone();
                 decode_rows_into_with_leg(leg, cfg, &signs, &exps, &planes, 0..1, LANES, tile)
+            }),
+            ("decode_rows_transposed_into_with_leg", &|| {
+                let keys = &mut values.clone();
+                let (groups, rows) = (0..1, 1);
+                decode_rows_transposed_into_with_leg(
+                    leg, cfg, &signs, &exps, &planes, groups, LANES, rows, keys, LANES,
+                )
             }),
             ("dot_group_int_flat_with_leg", &|| {
                 crate::dot::dot_group_int_flat_with_leg(leg, 0, &planes, &[1i8; LANES]);
@@ -1316,43 +1745,63 @@ mod tests {
         }
     }
 
+    /// `(row width, group size, M)` of the page-decode tests: the serving
+    /// width at the served `M`, ragged last groups, group sizes off every
+    /// vector width, and `M` on both sides of the byte-lane bodies.
+    const PAGE_SHAPES: [(usize, usize, u32); 6] = [
+        (256, 64, 8),
+        (192, 64, 5),
+        (100, 64, 11),
+        (100, 33, 1),
+        (65, 9, 7),
+        (17, 7, 16),
+    ];
+
+    /// A page's sign, exponent and plane words.
+    type Words = (Vec<u64>, Vec<u16>, Vec<u64>);
+
+    /// `rows` adversarial rows of `dim` encoded back to back, as a page
+    /// holds them, and their scalar row decode (row-major).
+    fn page(dim: usize, cfg: AndaConfig, rows: usize) -> (Words, Vec<f32>) {
+        let (g, pw) = (groups_per_row(dim, cfg), plane_words_per_row(dim, cfg));
+        let mut page = (
+            vec![0u64; rows * g],
+            vec![0u16; rows * g],
+            vec![0u64; rows * pw],
+        );
+        let mut expect = vec![0.0f32; rows * dim];
+        for r in 0..rows {
+            let (sr, er, pr) = (r * g..(r + 1) * g, r * g..(r + 1) * g, r * pw..(r + 1) * pw);
+            encode_row_into_scalar(
+                &adversarial_row(dim, (r * 7 + dim) as u64),
+                cfg,
+                &mut page.0[sr.clone()],
+                &mut page.1[er.clone()],
+                &mut page.2[pr.clone()],
+            );
+            let out = &mut expect[r * dim..(r + 1) * dim];
+            decode_row_into_scalar(cfg, &page.0[sr], &page.1[er], &page.2[pr], out);
+        }
+        (page, expect)
+    }
+
+    /// Group ranges from the first group, the last, and mid-row, as the
+    /// walk's column split asks for them.
+    fn group_ranges(g: usize) -> [std::ops::Range<usize>; 5] {
+        [0..g, 0..1, g - 1..g, g / 2..g, g / 2..g / 2 + 1]
+    }
+
     /// The page-level decode reproduces the scalar row decode bit for bit
     /// on every leg, on the columns it is asked for — group ranges from
     /// the first group or from mid-row, over a full or a partly filled
     /// page — and leaves the others alone.
     #[test]
     fn page_decode_matches_row_decode_on_its_columns() {
-        let shapes = [
-            (256usize, 64usize, 8u32),
-            (192, 64, 5),
-            (100, 64, 11),
-            (100, 33, 1),
-            (65, 9, 7),
-            (17, 7, 16),
-        ];
-        for (dim, gs, m) in shapes {
+        for (dim, gs, m) in PAGE_SHAPES {
             let cfg = AndaConfig::new(gs, m).unwrap();
-            let (g, pw) = (groups_per_row(dim, cfg), plane_words_per_row(dim, cfg));
             let rows = 5;
-            let mut page = (
-                vec![0u64; rows * g],
-                vec![0u16; rows * g],
-                vec![0u64; rows * pw],
-            );
-            let mut expect = vec![0.0f32; rows * dim];
-            for r in 0..rows {
-                let (sr, er, pr) = (r * g..(r + 1) * g, r * g..(r + 1) * g, r * pw..(r + 1) * pw);
-                encode_row_into_scalar(
-                    &adversarial_row(dim, (r * 7 + dim) as u64),
-                    cfg,
-                    &mut page.0[sr.clone()],
-                    &mut page.1[er.clone()],
-                    &mut page.2[pr.clone()],
-                );
-                let out = &mut expect[r * dim..(r + 1) * dim];
-                decode_row_into_scalar(cfg, &page.0[sr], &page.1[er], &page.2[pr], out);
-            }
-            let ranges = [0..g, 0..1, g - 1..g, g / 2..g, g / 2..g / 2 + 1];
+            let (page, expect) = page(dim, cfg, rows);
+            let ranges = group_ranges(groups_per_row(dim, cfg));
             for leg in available_legs() {
                 for (groups, filled) in ranges.iter().flat_map(|gr| [(gr, rows), (gr, 2)]) {
                     let cols = groups.start * gs..(groups.end * gs).min(dim);
@@ -1368,6 +1817,59 @@ mod tests {
                         assert_eq!(bits(got_cols), bits(want_cols), "row {r} {ctx}");
                         let outside = got[..cols.start].iter().chain(&got[cols.end..]);
                         assert!(outside.copied().all(f32::is_nan), "row {r} outside, {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The position-minor twin of the test above: on every leg, over the
+    /// same shapes and group ranges, at page sizes 16 and 32 filled with
+    /// 1, 3, 8, 15, 16 or 17 positions (short of, at and past a block of
+    /// sixteen), each column's run holds the scalar row decode's column
+    /// bit for bit, and the slots past the fill and past the columns stay
+    /// untouched.
+    #[test]
+    fn position_minor_page_decode_is_the_row_decode_transposed() {
+        for (dim, gs, m) in PAGE_SHAPES {
+            let cfg = AndaConfig::new(gs, m).unwrap();
+            let (page, expect) = page(dim, cfg, 32);
+            let (signs, exps, planes) = (&page.0, &page.1, &page.2);
+            for leg in available_legs() {
+                for groups in group_ranges(groups_per_row(dim, cfg)) {
+                    let cols = groups.start * gs..(groups.end * gs).min(dim);
+                    for (ld, rows) in [16, 32].into_iter().flat_map(|ld| {
+                        [1, 3, 8, 15, 16, 17]
+                            .into_iter()
+                            .filter(move |&r| r <= ld)
+                            .map(move |r| (ld, r))
+                    }) {
+                        let ctx = format!("leg={} {groups:?} {rows}/{ld} {cfg:?}", leg.name());
+                        let mut keys = vec![f32::NAN; (cols.len() + 1) * ld];
+                        decode_rows_transposed_into_with_leg(
+                            leg,
+                            cfg,
+                            signs,
+                            exps,
+                            planes,
+                            groups.clone(),
+                            dim,
+                            rows,
+                            &mut keys,
+                            ld,
+                        );
+                        for (i, run) in keys.chunks(ld).enumerate() {
+                            let Some(c) = cols.clone().nth(i) else {
+                                assert!(run.iter().all(|x| x.is_nan()), "past the columns, {ctx}");
+                                continue;
+                            };
+                            let want: Vec<f32> = (0..rows).map(|p| expect[p * dim + c]).collect();
+                            assert_eq!(bits(&run[..rows]), bits(&want), "column {c} {ctx}");
+                            assert!(
+                                run[rows..].iter().all(|x| x.is_nan()),
+                                "column {c} past the fill, {ctx}"
+                            );
+                        }
                     }
                 }
             }

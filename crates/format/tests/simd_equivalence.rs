@@ -11,13 +11,15 @@
 //! transposes both, and the AVX-512 leg's GF(2) one — and inputs include
 //! non-finite values (the codec saturates them like the scalar path must)
 //! as well as raw plane, sign and exponent words no encoder produces
-//! together. The page-level decode is held to the same oracle on
-//! multi-row pages, partly filled, over group ranges starting mid-row.
+//! together. The page-level decodes, row-major and position-minor, are
+//! held to the same oracle on multi-row pages, partly filled, over group
+//! ranges starting mid-row.
 
 use anda_format::dot::{dot_group_int_flat_scalar, dot_group_int_flat_with_leg};
 use anda_format::rowcodec::{
     decode_row_into_scalar, decode_row_into_with_leg, decode_rows_into_with_leg,
-    encode_row_into_scalar, encode_row_into_with_leg, groups_per_row, plane_words_per_row,
+    decode_rows_transposed_into_with_leg, encode_row_into_scalar, encode_row_into_with_leg,
+    groups_per_row, plane_words_per_row,
 };
 use anda_format::AndaConfig;
 use anda_fp::available_legs;
@@ -96,7 +98,9 @@ proptest! {
     /// shared exponents mixed in — matches the scalar decode on every
     /// leg, for every lane width and every ragged tail. The same words as
     /// a page of `rows` rows, `filled` of them decoded over a group range
-    /// that may start mid-row, match the scalar decode of those columns.
+    /// that may start mid-row, match the scalar decode of those columns,
+    /// row-major and position-minor (on a stride one past the fill, whose
+    /// last slot stays untouched).
     #[test]
     fn decode_of_raw_words_matches_scalar_on_all_legs(
         words in prop::collection::vec((any::<u64>(), 0u32..5), 17 * 3),
@@ -104,7 +108,7 @@ proptest! {
         width in 0..ROW_WIDTHS.len() + 1,
         m in 1u32..=16,
         gs in 0..GROUP_SIZES.len(),
-        page in (1usize..=4, 1usize..=4, any::<u64>()),
+        page in (1usize..=17, 1usize..=17, any::<u64>()),
     ) {
         let cfg = AndaConfig::new(GROUP_SIZES[gs], m).unwrap();
         let len = ROW_WIDTHS.get(width).copied().unwrap_or(len.min(3 * GROUP_SIZES[gs]));
@@ -153,6 +157,20 @@ proptest! {
                 }
                 let outside = got[..cols.start].iter().chain(&got[cols.end..]);
                 prop_assert!(outside.copied().all(f32::is_nan), "row {r} outside {cols:?}");
+            }
+
+            let ld = filled + 1;
+            let mut keys = vec![f32::NAN; cols.len() * ld];
+            decode_rows_transposed_into_with_leg(
+                leg, cfg, &signs, &exps, &planes, start..end, len, filled, &mut keys, ld,
+            );
+            for (run, c) in keys.chunks(ld).zip(cols.clone()) {
+                for (p, got) in run[..filled].iter().enumerate() {
+                    prop_assert_eq!(got.to_bits(), page0[p * len + c].to_bits(),
+                        "position-minor leg={} m={m} gs={} groups {start}..{end} row {p} i={c}",
+                        leg.name(), GROUP_SIZES[gs]);
+                }
+                prop_assert!(run[filled].is_nan(), "column {c} past the fill");
             }
         }
     }

@@ -30,7 +30,7 @@
 //! materialised. Every tile is held in the order its product reads it:
 //! V row-major, K position-minor (`dim × positions`, so a page's
 //! positions lie side by side — `f32` and FP16 pages store K that way,
-//! an Anda page's decoded keys are transposed once per page). What consumes a
+//! and an Anda page decodes its keys straight into it). What consumes a
 //! tile is the GEMM register tile (`anda_tensor::Strided`), reading it in
 //! place: each lane viewing a page runs one head-batched product on it per
 //! pass, the lane's heads the rows — however many lanes share the tile
@@ -79,10 +79,9 @@ use anda_fp::F16;
 use anda_tensor::Strided;
 use rayon_lite::ThreadPool;
 
-use crate::phase::{Phase, PhaseLedger, Stamp};
-
 use crate::config::ModelConfig;
 use crate::model::StepRows;
+use crate::phase::{Phase, PhaseLedger, Stamp};
 
 /// Storage policy for cached K/V rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -369,9 +368,12 @@ impl Page {
     /// page and pass. An FP16 page widens those columns of its filled V
     /// rows into `rows`, or the one position-minor run of its K columns
     /// into `keys` — every slot, a stale one holding earlier `narrow`
-    /// output or zeros. An Anda page decodes those columns of its rows
-    /// into `rows` and, for K, transposes them into `keys`; `cols` must
-    /// start on its group boundary.
+    /// output or zeros. An Anda page decodes those columns of its V rows
+    /// into `rows`, or of its K rows position-minor into `keys` on `leg`
+    /// (`rowcodec::decode_rows_transposed_into_with_leg`), where a slot past
+    /// `used` keeps what an earlier page of the walk left there, or zero
+    /// (the K product's scores there are dropped); `cols` must start on
+    /// its group boundary.
     fn tile<'a>(
         &'a self,
         want_v: bool,
@@ -399,17 +401,15 @@ impl Page {
                 (&keys[run], pp)
             }
             PageData::Anda { k, v } => {
-                let encoded = if want_v { v } else { k };
-                let gs = encoded.config().group_size();
-                rows.resize(pp * dim, 0.0);
-                encoded
-                    .decode_rows_into(cols.start / gs..cols.end.div_ceil(gs), &mut rows[..filled]);
-                let rows = &rows[cols.start..filled];
+                let gs = k.config().group_size();
+                let groups = cols.start / gs..cols.end.div_ceil(gs);
                 if want_v {
-                    return (rows, dim);
+                    rows.resize(pp * dim, 0.0);
+                    v.decode_rows_into(groups, &mut rows[..filled]);
+                    return (&rows[cols.start..filled], dim);
                 }
                 keys.resize(pp * dim, 0.0);
-                Strided::new(rows, self.used, cols.len(), dim).transpose_into(keys, pp, leg);
+                k.decode_rows_transposed_into(leg, groups, self.used, keys, pp);
                 (keys, pp)
             }
         }
@@ -1101,7 +1101,8 @@ struct Viewer {
 /// is decoded **once** per pass into a page-sized tile that stays in L1
 /// while every (lane, head) viewing it consumes it (`Page::tile`: an
 /// FP16 page's binary16 words widen, K already position-minor; an Anda
-/// page's rows decode and its keys are then transposed position-minor);
+/// page's V rows decode row-major and its K rows straight to
+/// position-minor);
 /// an `f32` page's V rows and position-minor K are their own tiles, read
 /// in place. So the stored operand stays narrow until it is in L1, a page
 /// shared by N streams decodes once per pass however many attend through
@@ -1261,9 +1262,9 @@ impl PageDecodeCache {
         self.attend_with_leg(lanes, n_heads, pool, active_leg());
     }
 
-    /// [`PageDecodeCache::attend`] with the walk's products on an explicit
-    /// SIMD leg (oracle tests and benches; the row decoder keeps the
-    /// active leg).
+    /// [`PageDecodeCache::attend`] with the walk's products, FP16 widens
+    /// and Anda K decodes on an explicit SIMD leg (oracle tests and
+    /// benches; an Anda page's V rows decode on the active leg).
     ///
     /// # Panics
     ///
@@ -1367,23 +1368,23 @@ fn walk(
     s: &mut WalkScratch,
     leg: SimdLeg,
 ) {
-    visit_pages(lanes, false, &cols, dh, s, leg);
-    let start = Stamp::now();
+    let lap = visit_pages(lanes, false, &cols, dh, s, leg, Stamp::now());
     let mut scores = 0;
     for lane in lanes.iter_mut() {
         lane.scores.chunks_exact_mut(lane.t).for_each(softmax);
         lane.out.fill(0.0);
         scores += lane.layer.dim() / dh * lane.t;
     }
-    s.phases.lap(Phase::Softmax, start, scores as u64);
-    visit_pages(lanes, true, &cols, dh, s, leg);
+    let lap = s.phases.lap(Phase::Softmax, lap, scores as u64);
+    visit_pages(lanes, true, &cols, dh, s, leg, lap);
 }
 
 /// One pass of [`walk`] — K (`want_v = false`, fills the score lanes) or
 /// V (accumulates the head mixes): page index ascending, the lanes
 /// reaching each index grouped by physical page, one tile per group. Its
-/// tiles and products are lapped into the pass's two phases, counted for
-/// every job's columns.
+/// tiles (each with the grouping before it) and products are lapped into
+/// the pass's two phases from `lap` on, counted for every job's columns;
+/// returns the last lap.
 fn visit_pages(
     lanes: &mut [AttendLane<'_>],
     want_v: bool,
@@ -1391,7 +1392,8 @@ fn visit_pages(
     dh: usize,
     s: &mut WalkScratch,
     leg: SimdLeg,
-) {
+    mut lap: Stamp,
+) -> Stamp {
     let (pp, d) = (lanes[0].layer.page_positions(), lanes[0].layer.dim());
     let (tile_phase, product_phase) = match want_v {
         false => (Phase::KTile, Phase::KProduct),
@@ -1413,7 +1415,6 @@ fn visit_pages(
                 }),
         );
         s.order.sort_unstable();
-        let mut lap = Stamp::now();
         for viewers in s.order.chunk_by(|a, b| a.page == b.page) {
             let page = lanes[viewers[0].lane].layer.pages[i].page();
             // Job 0 counts for all: every job sees the same pages.
@@ -1445,6 +1446,7 @@ fn visit_pages(
             lap = s.phases.lap(product_phase, lap, muladds as u64);
         }
     }
+    lap
 }
 
 /// One physical page of a pass and what its lanes' products need to know.

@@ -69,7 +69,8 @@ const POLICIES: [KvStorage; 4] = [
     KvStorage::Anda { mantissa_bits: 8 },
     KvStorage::Anda { mantissa_bits: 11 },
 ];
-const PAGE_SIZES: [usize; 3] = [1, 3, 16];
+/// Page sizes below, at and one past a block of sixteen positions.
+const PAGE_SIZES: [usize; 4] = [1, 3, 16, 17];
 const THREADS: [usize; 3] = [1, 2, 4];
 /// `(dim, n_heads)`: heads as wide as an Anda group (four column jobs)
 /// and heads four to a group (two).

@@ -1029,40 +1029,6 @@ impl<'a> Strided<'a> {
         // `leg` was asserted available.
         unsafe { block_on_leg(&ops, &block, leg) }
     }
-
-    /// Writes the window transposed: `out[c · ldo + r] = self[r][c]`, on
-    /// the transposing pack of `leg` (bit-for-bit a copy on every leg).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` cannot hold `cols` rows of `rows` at stride `ldo`, or
-    /// if `leg` is unavailable on this host.
-    pub fn transpose_into(&self, out: &mut [f32], ldo: usize, leg: SimdLeg) {
-        assert!(
-            self.rows <= ldo && strided_span(self.cols, self.rows, ldo) <= out.len(),
-            "a {}x{} transpose of stride {ldo} does not fit {} elements",
-            self.cols,
-            self.rows,
-            out.len()
-        );
-        leg.assert_available();
-        let (src, dst) = (self.data.as_ptr(), out.as_mut_ptr());
-        let (rows, cols, ld) = (self.rows, self.cols, self.ld);
-        // SAFETY: `Strided::new` checked that the window lies inside
-        // `data`, the assert above that `out` holds its transpose, and the
-        // two are distinct borrows; `leg` was asserted available.
-        unsafe {
-            match leg {
-                #[cfg(target_arch = "x86_64")]
-                SimdLeg::Avx2 | SimdLeg::Avx512 => {
-                    tile::transpose::<tile::Avx2>(src, ld, rows, cols, dst, ldo)
-                }
-                #[cfg(target_arch = "aarch64")]
-                SimdLeg::Neon => tile::transpose::<tile::Neon>(src, ld, rows, cols, dst, ldo),
-                _ => tile::pack_transposed_portable(src, ld, rows, 0..cols, dst, ldo),
-            }
-        }
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -1295,8 +1261,8 @@ mod tests {
     fn every_simd_leg_of_the_strided_products_matches_the_scalar_loops() {
         use anda_fp::simd::available_legs;
         // Windows of wider buffers (every stride exceeds its width), every
-        // tile height and its remainders, `k` off the 4-blocks of the
-        // transposing pack and past a batched panel's depth, widths around
+        // tile height and its remainders, `k` off 4-blocks and past a
+        // batched panel's depth, widths around
         // one strip, sums started from `+0.0` and from a non-zero `out`, and
         // every row on one window or each on its own, further apart than
         // wide.
@@ -1361,23 +1327,6 @@ mod tests {
                         }
                     }
                 }
-                // The transposing copy — ragged, one whole sixteen-row
-                // strip and more — into a buffer whose rows are wider than
-                // the window is tall: what lies between them stays.
-                for rows in [m, m + 16] {
-                    let src = wave(rows * lda, 0.29);
-                    let ldo = rows + 2;
-                    let mut want = wave(k * ldo, 0.53);
-                    for (r, c) in (0..rows).flat_map(|r| (0..k).map(move |c| (r, c))) {
-                        want[c * ldo + r] = src[r * lda + c];
-                    }
-                    for leg in available_legs() {
-                        let mut out = wave(k * ldo, 0.53);
-                        Strided::new(&src, rows, k, lda).transpose_into(&mut out, ldo, leg);
-                        let at = format!("transpose leg={} {rows}x{k}", leg.name());
-                        assert_eq!(bits(&out), bits(&want), "{at}");
-                    }
-                }
             }
         }
     }
@@ -1393,10 +1342,9 @@ mod tests {
             .expect("no host runs both vector legs");
         let want = format!("SIMD leg {} unavailable on this host", leg.name());
         let a = Matrix::identity(4);
-        let view = Strided::new(a.as_slice(), 4, 4, 4);
         type Entry<'a> = (&'a str, &'a dyn Fn());
         let packed = PackedMatrix::pack(&a);
-        let entries: [Entry; 5] = [
+        let entries: [Entry; 4] = [
             ("matmul_into_serial_with_leg", &|| {
                 a.matmul_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
             }),
@@ -1412,9 +1360,6 @@ mod tests {
                     Strided::new(a.as_slice(), 1, 4, 4),
                 );
                 lhs.matmul_batched_into(rhs, 4, &mut [0.0; 16], 4, false, leg)
-            }),
-            ("Strided::transpose_into", &|| {
-                view.transpose_into(&mut [0.0; 16], 4, leg)
             }),
         ];
         for (name, entry) in entries {

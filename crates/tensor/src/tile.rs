@@ -56,9 +56,9 @@
 //! read in place like a packed one (the tile takes the `rhs` row stride; a
 //! pack would copy each operand once per use), and nothing prefetches.
 //! Attention stores its operands that way — a page's keys position-minor,
-//! so sixteen positions sit side by side — and so packs nothing; the
-//! transposing pack serves the LM head and, through [`transpose`], turns
-//! an Anda page's decoded keys position-minor once per page. A resident
+//! so sixteen positions sit side by side, whether a float page holds them
+//! so or an Anda page decodes them so — and so packs nothing; the
+//! transposing pack serves the LM head alone. A resident
 //! product can also **accumulate** (its sums start from the output's
 //! contents, which is how attention's `out += p · v` crosses a page
 //! boundary), and it is **batched** ([`Operands::rhs_stride`]): each row
@@ -225,20 +225,18 @@ pub(crate) trait Leg {
     #[inline(always)]
     fn prefetch(_p: *const f32) {}
 
-    /// Transposes sixteen rows of `b` into `panel`: `panel[kk · ldp + j] =
+    /// Transposes sixteen rows of `b` into `panel`: `panel[kk · 16 + j] =
     /// b[j · ldb + kk]` for `j < 16` and `kk < kc` — a strip panel of a
-    /// transposed `rhs` (`ldp = 16`), or sixteen positions of a page's keys
-    /// turned position-minor ([`transpose`]). The default is the portable
-    /// loop.
+    /// transposed `rhs`. The default is the portable loop.
     ///
     /// # Safety
     ///
     /// Needs the leg's CPU feature; `b` must be readable at
     /// `j · ldb + 0..kc` for `j < 16` and `panel` writable at
-    /// `kk · ldp + 0..16` for `kk < kc`.
+    /// `0..kc · 16`.
     #[inline(always)]
-    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32, ldp: usize) {
-        pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel, ldp)
+    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
+        pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel)
     }
 
     /// [`matmul_block`], monomorphised for `ops.layout` and for a resident
@@ -259,43 +257,16 @@ pub(crate) trait Leg {
 ///
 /// As [`Leg::pack_transposed`], for `j < width` and `kk` in `kks`.
 #[inline(always)]
-pub(crate) unsafe fn pack_transposed_portable(
+unsafe fn pack_transposed_portable(
     b: *const f32,
     ldb: usize,
     width: usize,
     kks: Range<usize>,
     panel: *mut f32,
-    ldp: usize,
 ) {
     for j in 0..width {
         for kk in kks.clone() {
-            *panel.add(kk * ldp + j) = *b.add(j * ldb + kk);
-        }
-    }
-}
-
-/// `dst[c · ldd + r] = src[r · lds + c]` for `r < rows` and `c < cols`:
-/// [`Leg::pack_transposed`] over every whole sixteen-row strip, its
-/// portable loop over a ragged last one.
-///
-/// # Safety
-///
-/// Needs the leg's CPU feature; `src` must be readable at `r · lds +
-/// 0..cols` and `dst` writable at `c · ldd + 0..rows`, and the two must not
-/// overlap.
-pub(crate) unsafe fn transpose<L: Leg>(
-    src: *const f32,
-    lds: usize,
-    rows: usize,
-    cols: usize,
-    dst: *mut f32,
-    ldd: usize,
-) {
-    for r0 in (0..rows).step_by(TILE_COLS) {
-        let (src, dst) = (src.add(r0 * lds), dst.add(r0));
-        match rows - r0 {
-            TILE_COLS.. => L::pack_transposed(src, lds, cols, dst, ldd),
-            width => pack_transposed_portable(src, lds, width, 0..cols, dst, ldd),
+            *panel.add(kk * TILE_COLS + j) = *b.add(j * ldb + kk);
         }
     }
 }
@@ -383,12 +354,12 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
             } else if RESIDENT {
                 (b.add(k0 * ldb + j0), ldb)
             } else if transposed && full {
-                L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel, TILE_COLS);
+                L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel);
                 (panel.cast_const(), TILE_COLS)
             } else if transposed {
                 core::ptr::write_bytes(panel, 0, kc * TILE_COLS);
                 let b = b.add(j0 * ldb + k0);
-                pack_transposed_portable(b, ldb, width, 0..kc, panel, TILE_COLS);
+                pack_transposed_portable(b, ldb, width, 0..kc, panel);
                 (panel.cast_const(), TILE_COLS)
             } else {
                 copy_strip(b.add(k0 * ldb + j0), width, kc, panel);
@@ -606,7 +577,7 @@ impl Leg for Avx2 {
     /// seven of seven alternating rounds).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32, ldp: usize) {
+    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
         use core::arch::x86_64::*;
         let blocks_end = kc - kc % 4;
         for kk in (0..blocks_end).step_by(4) {
@@ -628,14 +599,14 @@ impl Leg for Avx2 {
                 let t1 = _mm256_unpackhi_ps(r0, r1);
                 let t2 = _mm256_unpacklo_ps(r2, r3);
                 let t3 = _mm256_unpackhi_ps(r2, r3);
-                let dst = panel.add(kk * ldp + j0);
+                let dst = panel.add(kk * TILE_COLS + j0);
                 _mm256_storeu_ps(dst, _mm256_shuffle_ps::<0x44>(t0, t2));
-                _mm256_storeu_ps(dst.add(ldp), _mm256_shuffle_ps::<0xEE>(t0, t2));
-                _mm256_storeu_ps(dst.add(2 * ldp), _mm256_shuffle_ps::<0x44>(t1, t3));
-                _mm256_storeu_ps(dst.add(3 * ldp), _mm256_shuffle_ps::<0xEE>(t1, t3));
+                _mm256_storeu_ps(dst.add(TILE_COLS), _mm256_shuffle_ps::<0xEE>(t0, t2));
+                _mm256_storeu_ps(dst.add(2 * TILE_COLS), _mm256_shuffle_ps::<0x44>(t1, t3));
+                _mm256_storeu_ps(dst.add(3 * TILE_COLS), _mm256_shuffle_ps::<0xEE>(t1, t3));
             }
         }
-        pack_transposed_portable(b, ldb, TILE_COLS, blocks_end..kc, panel, ldp);
+        pack_transposed_portable(b, ldb, TILE_COLS, blocks_end..kc, panel);
     }
 
     #[target_feature(enable = "avx2")]
