@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 /// One phase of a served step. The walk's phases are timed on its first
 /// job (the one holding column 0) and counted for all jobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// `Scheduler::step`'s admission; counts work items admitted.
     Admission,
@@ -70,28 +70,11 @@ impl Phase {
         Phase::Sampling,
         Phase::Retire,
     ];
-
-    /// A short stable name (report columns, test messages).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Admission => "admission",
-            Phase::Qkv => "qkv",
-            Phase::KTile => "k_tile",
-            Phase::KProduct => "k_product",
-            Phase::Softmax => "softmax",
-            Phase::VTile => "v_tile",
-            Phase::VProduct => "v_product",
-            Phase::Finish => "finish",
-            Phase::LmHead => "lm_head",
-            Phase::Sampling => "sampling",
-            Phase::Retire => "retire",
-        }
-    }
 }
 
 /// A clock reading that laps end and start on: time-stamp counter ticks
 /// on x86-64, nanoseconds since the first reading elsewhere.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug)]
 pub struct Stamp(u64);
 
 impl Stamp {

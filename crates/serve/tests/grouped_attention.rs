@@ -298,7 +298,7 @@ fn the_phase_ledger_counts_what_each_step_did() {
             Phase::Sampling,
             Phase::Retire,
         ] {
-            assert_eq!(span(phase).calls, 1, "{ctx} {}", phase.name());
+            assert_eq!(span(phase).calls, 1, "{ctx} {phase:?}");
         }
     }
     assert!(sched.is_idle());
