@@ -32,7 +32,11 @@ use anda_format::rowcodec::{
 use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::{active_leg, available_legs, cpu_features, SimdLeg, F16};
 use anda_llm::kv::{AttendLane, KvPoolConfig, KvStorage};
-use anda_llm::{KvCache, PageDecodeCache, PagePool};
+use anda_llm::zoo::opt_125m_sim;
+use anda_llm::{
+    BatchEntry, DecodeScratch, Family, KvCache, Model, ModelConfig, PageDecodeCache, PagePool,
+    Phase,
+};
 use anda_quant::{
     gemm_anda, gemm_anda_into_pool, gemm_fake_quant, ActivationCodec, IntWeightMatrix,
     WeightQuantConfig,
@@ -45,7 +49,7 @@ const USAGE: &str = "usage: kernels [--quick] [--threads A,B,...] [section...]";
 /// `(name, what the table holds and in which unit, the section)`.
 type Section = (&'static str, &'static str, fn(&Opts) -> Table);
 
-const SECTIONS: [Section; 8] = [
+const SECTIONS: [Section; 9] = [
     (
         "threads",
         "GEMM GFLOP/s, serial vs sharded over a rayon-lite pool (matmul_t: rhs held n x k)",
@@ -73,6 +77,13 @@ const SECTIONS: [Section; 8] = [
         "attend",
         "us per page walk at 256 wide x 4 heads, per lane set and leg",
         attend,
+    ),
+    (
+        "step",
+        "ns, calls and exact count per decode_hidden_batch step and phase: 8 FP16-page streams \
+         from 112 positions, d 256 x 4 layers x 4 heads, FFN 1024, vocab 512 (1 thread, the \
+         dispatched leg)",
+        step,
     ),
     (
         "group_dot",
@@ -526,6 +537,115 @@ fn attend(o: &Opts) -> Table {
         }
         table.row(cells);
     }
+    table
+}
+
+/// The serving model's shape, as `anda_perf` builds it: 256 wide, four
+/// layers of four heads, FFN 1024, vocab 512.
+const STEP_MODEL: (usize, usize, usize, usize, usize) = (256, 4, 4, 1024, 512);
+/// Streams of a step and the context each is prefilled to:
+/// `decode_steady`'s batch at its ladder context.
+const STEP_STREAMS: usize = 8;
+const STEP_CONTEXT: usize = 112;
+
+/// The phase ledger of a served decode step, outside the scheduler: eight
+/// FP16-page streams are prefilled to 112 positions once, then each round
+/// forks them there and times eight `Model::decode_hidden_batch` steps
+/// (contexts 112–119) on one thread and the dispatched leg. A row per
+/// phase the step charges — `Qkv` and `Finish` are the projection GEMMs
+/// with their per-row work, the walk's tiles and products are attention —
+/// with its wall ns, calls and exact count per step
+/// (`PageDecodeCache::phases().since(..)`), and last the step's own wall
+/// time, whose gap to the phases' sum is what no span covers. The LM head
+/// and sampling belong to the scheduler and are not run.
+fn step(o: &Opts) -> Table {
+    const STEPS: usize = 8;
+    let (d_model, n_layers, n_heads, d_ffn, vocab) = STEP_MODEL;
+    let config = ModelConfig {
+        name: "step".into(),
+        family: Family::Opt,
+        d_model,
+        n_layers,
+        n_heads,
+        d_ffn,
+        vocab,
+        max_seq: STEP_CONTEXT + STEPS,
+    };
+    let model = Model::synthesize(config, &opt_125m_sim().profile, 4242);
+    let pool = ThreadPool::new(1);
+    let pages = PagePool::new(KvPoolConfig::unbounded(KvStorage::Fp16));
+    let mut rng = Rng::new(15);
+    let mut scratch: Vec<DecodeScratch> = (0..STEP_STREAMS).map(|_| DecodeScratch::new()).collect();
+    let mut walk = PageDecodeCache::new();
+    let mut donors: Vec<KvCache> = (0..STEP_STREAMS)
+        .map(|_| pages.new_cache(n_layers))
+        .collect();
+    for (cache, scratch) in donors.iter_mut().zip(&mut scratch) {
+        let prompt: Vec<usize> = (0..STEP_CONTEXT).map(|_| rng.below(vocab)).collect();
+        let entry = BatchEntry {
+            tokens: &prompt,
+            pos: 0,
+            cache,
+            scratch,
+        };
+        model.decode_hidden_batch(&mut [entry], &mut walk, &pool);
+    }
+    let tokens: Vec<[usize; 1]> = (0..STEP_STREAMS).map(|_| [rng.below(vocab)]).collect();
+    // One round: fork the donors, then `STEPS` steps; returns its wall
+    // seconds.
+    let mut round = |walk: &mut PageDecodeCache| {
+        let mut caches: Vec<KvCache> = donors
+            .iter_mut()
+            .map(|donor| donor.fork_prefix(STEP_CONTEXT))
+            .collect();
+        let start = Instant::now();
+        for s in 0..STEPS {
+            let mut batch: Vec<BatchEntry<'_>> = caches
+                .iter_mut()
+                .zip(&mut scratch)
+                .zip(&tokens)
+                .map(|((cache, scratch), token)| BatchEntry {
+                    tokens: token,
+                    pos: STEP_CONTEXT + s,
+                    cache,
+                    scratch,
+                })
+                .collect();
+            model.decode_hidden_batch(&mut batch, walk, &pool);
+        }
+        start.elapsed().as_secs_f64()
+    };
+    round(&mut walk);
+    let before = walk.phases();
+    let rounds = if o.quick { 2 } else { 32 };
+    let wall: f64 = (0..rounds).map(|_| round(&mut walk)).sum();
+    let spans = walk.phases().since(&before);
+    let steps = (rounds * STEPS) as f64;
+
+    let mut table = Table::new(["phase", "ns/step", "calls/step", "count/step", "share"]);
+    let per_step = |v: u64| v as f64 / steps;
+    for phase in Phase::ALL {
+        let span = spans.span(phase);
+        if span.calls == 0 {
+            continue;
+        }
+        let ns = per_step(span.wall_ns);
+        table.row([
+            format!("{phase:?}"),
+            format!("{ns:.0}"),
+            per_step(span.calls).to_string(),
+            per_step(span.count).to_string(),
+            format!("{:.1}%", 100.0 * ns / (wall / steps * 1e9)),
+        ]);
+    }
+    let dashes = || "-".to_string();
+    table.row([
+        "step".to_string(),
+        format!("{:.0}", wall / steps * 1e9),
+        dashes(),
+        dashes(),
+        "100%".to_string(),
+    ]);
     table
 }
 

@@ -3,12 +3,13 @@
 
 use std::process::{Command, Output};
 
-const SECTIONS: [&str; 8] = [
+const SECTIONS: [&str; 9] = [
     "threads",
     "simd",
     "m_sweep",
     "decode_row",
     "attend",
+    "step",
     "group_dot",
     "conversion",
     "fp_int_gemm",
