@@ -10,11 +10,14 @@
 //! FP16 in software.
 //!
 //! A fourth leg, [`SimdLeg::Avx512`], is the AVX2 leg plus AVX-512
-//! F/BW/VBMI and GFNI. It owns one kernel body: the `anda-format` row
+//! F/BW/VBMI and GFNI. It owns three kernel bodies: the `anda-format` row
 //! decode at `M <= 8`, where one `vpermb` and one `vgf2p8affineqb`
-//! transpose a group's bit planes into 64 magnitude bytes. Every other
-//! dispatch site runs its AVX2 body under it, in the same match arm, so a
-//! host without VBMI + GFNI runs exactly the AVX2 leg's code.
+//! transpose a group's bit planes into 64 magnitude bytes; the
+//! position-minor K-page decode at the same `M`; and the `anda-tensor`
+//! register tile, eight rows of one 512-bit vector each, that every GEMM
+//! and attention product runs on. Every other dispatch site runs its AVX2
+//! body under it, in the same match arm, and a host without VBMI + GFNI
+//! runs exactly the AVX2 leg's code.
 //!
 //! This module is the single place that decides which leg runs:
 //!
@@ -43,8 +46,9 @@ pub enum SimdLeg {
     Scalar,
     /// 256-bit AVX2 integer/float vectors plus F16C conversions (x86-64).
     Avx2,
-    /// The AVX2 leg plus AVX-512 F/BW/VBMI and GFNI (x86-64): its own body
-    /// is the `M <= 8` row decode, every other kernel is the AVX2 one.
+    /// The AVX2 leg plus AVX-512 F/BW/VBMI and GFNI (x86-64): its own
+    /// bodies are the `M <= 8` row and position-minor K-page decodes and
+    /// the eight-row register tile; every other kernel is the AVX2 one.
     Avx512,
     /// 128-bit NEON vectors (aarch64).
     Neon,

@@ -452,8 +452,9 @@ impl Matrix {
         }
         let leg = active_leg();
         let threads = pool.threads();
-        if leg == SimdLeg::Scalar || self.rows >= TILE_ROWS * threads {
-            let rows_per_chunk = self.rows.div_ceil(threads).next_multiple_of(TILE_ROWS);
+        let tile_rows = streamed_tile_rows(leg);
+        if leg == SimdLeg::Scalar || self.rows >= tile_rows * threads {
+            let rows_per_chunk = self.rows.div_ceil(threads).next_multiple_of(tile_rows);
             pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
                 self.product_rows(rhs, chunk, idx * rows_per_chunk, leg);
             });
@@ -895,6 +896,16 @@ struct Rhs<'a> {
     layout: Layout,
 }
 
+/// Rows of `leg`'s streamed register tile ([`tile::Leg::ROWS`]; the
+/// scalar loops shard in [`TILE_ROWS`] too).
+fn streamed_tile_rows(leg: SimdLeg) -> usize {
+    match leg {
+        #[cfg(target_arch = "x86_64")]
+        SimdLeg::Avx512 => <tile::Avx512 as tile::Leg>::ROWS,
+        _ => TILE_ROWS,
+    }
+}
+
 /// Runs the register-tiled kernel of a vector leg over `block`.
 ///
 /// # Safety
@@ -905,7 +916,9 @@ struct Rhs<'a> {
 unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
     match leg {
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 | SimdLeg::Avx512 => <tile::Avx2 as tile::Leg>::block(ops, block),
+        SimdLeg::Avx2 => <tile::Avx2 as tile::Leg>::block(ops, block),
+        #[cfg(target_arch = "x86_64")]
+        SimdLeg::Avx512 => <tile::Avx512 as tile::Leg>::block(ops, block),
         #[cfg(target_arch = "aarch64")]
         SimdLeg::Neon => <tile::Neon as tile::Leg>::block(ops, block),
         #[allow(unreachable_patterns)]
@@ -1333,13 +1346,13 @@ mod tests {
 
     #[test]
     fn every_with_leg_entry_refuses_an_unavailable_leg() {
-        // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
-        // without it, where a missing check would be an illegal
-        // instruction from safe code.
-        let leg = [SimdLeg::Avx2, SimdLeg::Neon]
+        // Neon on x86-64, Avx512 on aarch64 or on an x86-64 CPU without
+        // AVX-512 — where a missing check would be an illegal instruction
+        // from safe code — and Avx2 on one without that either.
+        let leg = [SimdLeg::Avx512, SimdLeg::Avx2, SimdLeg::Neon]
             .into_iter()
             .find(|leg| !leg.is_available())
-            .expect("no host runs both vector legs");
+            .expect("no host runs every vector leg");
         let want = format!("SIMD leg {} unavailable on this host", leg.name());
         let a = Matrix::identity(4);
         type Entry<'a> = (&'a str, &'a dyn Fn());

@@ -3,18 +3,21 @@
 //! [`crate::PackedMatrix`], and `lhs · rhsᵀ` — and of the
 //! [`crate::Strided`] view products the attention page walk is made of.
 //!
-//! Output-stationary: a tile of [`TILE_ROWS`]` × `[`TILE_COLS`] output
+//! Output-stationary: a tile of [`Leg::ROWS`]` × `[`TILE_COLS`] output
 //! elements lives in vector registers while `k` walks a panel, so every
-//! `rhs` vector loaded feeds four rows and every `lhs` scalar sixteen
-//! columns, and the output is touched once per panel instead of once per
-//! `k`. A panel is [`KC`] rows of one sixteen-column strip of `rhs`,
+//! `rhs` vector loaded feeds every row of the tile and every `lhs` scalar
+//! sixteen columns, and the output is touched once per panel instead of
+//! once per `k`. The tile is four rows of two AVX2 / four NEON vectors, or
+//! eight rows of one AVX-512 vector: eight or sixteen independent add
+//! chains either way, the AVX-512 one in half the instructions. A panel is
+//! [`KC`] rows of one sixteen-column strip of `rhs`,
 //! `panel[kk · ldb + j] = b[k0 + kk][j0 + j]`.
 //!
 //! There is **one walk order**, at every row count and for every `rhs`:
 //! column strip → `KC`-deep k panel → row tile. The output block is loaded
 //! and stored once per 256 `k`, and a panel, once in the L1, feeds every
-//! row tile of the block. A row tile runs at its own height (one to four
-//! rows), and a ragged last strip computes into a sixteen-wide edge buffer
+//! row tile of the block. A row tile runs at its own height (one row to
+//! the leg's `ROWS`), and a ragged last strip computes into a sixteen-wide edge buffer
 //! from which only the strip's own columns are copied out. What differs
 //! between products is only **where a panel comes from** ([`Layout`],
 //! monomorphised into the walk, which exists once):
@@ -63,7 +66,8 @@
 //! contents, which is how attention's `out += p · v` crosses a page
 //! boundary), and it is **batched** ([`Operands::rhs_stride`]): each row
 //! multiplies its own window — a lane's heads, each against its own keys —
-//! and a row tile is four independent products ([`Leg::tile_batched`]),
+//! and a row tile is four independent products on every leg
+//! ([`Leg::tile_batched`]),
 //! whose accumulator chains hide the add latency a one-row product stalls
 //! on. Its ragged strips pack each row's window into a quarter of the
 //! panel.
@@ -82,10 +86,14 @@
 
 use core::ops::Range;
 
-/// Output rows per register tile.
+/// Output rows per register tile: a resident product's on every leg, and a
+/// streamed product's unless the leg says otherwise ([`Leg::ROWS`]).
 pub(crate) const TILE_ROWS: usize = 4;
-/// Output columns per register tile (two AVX2 / four NEON vectors), the
-/// width of a strip.
+/// The tallest streamed tile of any leg (AVX-512's), which sizes the
+/// walk's edge buffer.
+const MAX_TILE_ROWS: usize = 8;
+/// Output columns per register tile (two AVX2 / four NEON / one AVX-512
+/// vector), the width of a strip.
 pub(crate) const TILE_COLS: usize = 16;
 /// Depth of one k panel: a packed strip panel is `KC × TILE_COLS` f32
 /// (16 KiB, L1-resident).
@@ -156,11 +164,16 @@ pub(crate) struct OutBlock {
 unsafe impl Send for OutBlock {}
 unsafe impl Sync for OutBlock {}
 
-/// One vector leg: its two inner loops, its prefetch hint, its
-/// transposing pack and the entry point compiled with its CPU feature.
+/// One vector leg: its two inner loops, its streamed tile height, its
+/// prefetch hint, its transposing pack and the entry point compiled with
+/// its CPU feature.
 pub(crate) trait Leg {
+    /// Rows of a streamed tile ([`Leg::tile`]): the walk's row step, and
+    /// the multiple a pool shards a product's rows in.
+    const ROWS: usize = TILE_ROWS;
+
     /// `c[r][0..16] (+)= Σ_kk a[r][kk] · b[kk][0..16]` for `r < rows`
-    /// (`1..=TILE_ROWS`) and `kk < kc`, ascending; accumulators start at
+    /// (`1..=Self::ROWS`) and `kk < kc`, ascending; accumulators start at
     /// `+0.0` when `first`, else at `c`'s current contents. With `ahead`
     /// non-zero, each `k` step also prefetches `b + kk · ldb + ahead`.
     ///
@@ -185,10 +198,11 @@ pub(crate) trait Leg {
     );
 
     /// [`Leg::tile`] with row `r` reading its own `b`, `r · bs` further
-    /// on: `c[r][0..16] (+)= Σ_kk a[r][kk] · b[r · bs + kk · ldb][0..16]`.
-    /// The rows of a tile are then independent products, each with its
-    /// own two (AVX2) or four (NEON) accumulator chains. The default is
-    /// the portable loop, in the same operation order.
+    /// on: `c[r][0..16] (+)= Σ_kk a[r][kk] · b[r · bs + kk · ldb][0..16]`,
+    /// for `r < rows` (`1..=TILE_ROWS` on every leg). The rows of a tile
+    /// are then independent products, each with its own two (AVX2), four
+    /// (NEON) or one (AVX-512) accumulator chains. The default is the
+    /// portable loop, in the same operation order.
     ///
     /// # Safety
     ///
@@ -339,9 +353,12 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
             core::ptr::write_bytes(dst.add(width), 0, TILE_COLS - width);
         }
     };
+    // A batched product keeps four rows a tile on every leg.
+    let tile_rows = if RESIDENT { TILE_ROWS } else { L::ROWS };
+    const { assert!(L::ROWS <= MAX_TILE_ROWS) };
     // A ragged strip's tiles compute into here, sixteen wide, and only the
     // strip's own columns are copied back.
-    let mut edge = [0.0f32; TILE_ROWS * TILE_COLS];
+    let mut edge = [0.0f32; MAX_TILE_ROWS * TILE_COLS];
     for j0 in cols.clone().step_by(TILE_COLS) {
         let width = TILE_COLS.min(cols.end - j0);
         let full = width == TILE_COLS;
@@ -366,8 +383,8 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
                 (panel.cast_const(), TILE_COLS)
             };
             let first = k0 == 0 && !accumulate;
-            for i0 in (0..rows).step_by(TILE_ROWS) {
-                let r = TILE_ROWS.min(rows - i0);
+            for i0 in (0..rows).step_by(tile_rows) {
+                let r = tile_rows.min(rows - i0);
                 let a = a.add(i0 * lda + k0);
                 let c = out.add(i0 * ldc + j0);
                 // The first row tile streams the panel in; the rest find
@@ -610,6 +627,165 @@ impl Leg for Avx2 {
     }
 
     #[target_feature(enable = "avx2")]
+    unsafe fn block(ops: &Operands, block: &OutBlock) {
+        const ROW_MAJOR: u8 = Layout::RowMajor as u8;
+        const TRANSPOSED: u8 = Layout::Transposed as u8;
+        const PACKED: u8 = Layout::Packed as u8;
+        match (ops.layout, ops.resident) {
+            (Layout::RowMajor, false) => matmul_block::<Self, ROW_MAJOR, false>(ops, block),
+            (Layout::RowMajor, true) => matmul_block::<Self, ROW_MAJOR, true>(ops, block),
+            (Layout::Transposed, _) => matmul_block::<Self, TRANSPOSED, false>(ops, block),
+            (Layout::Packed, _) => matmul_block::<Self, PACKED, false>(ops, block),
+        }
+    }
+}
+
+/// The AVX-512 leg: a streamed tile is up to eight rows of one sixteen-wide
+/// vector each — eight independent add chains, as many as [`Avx2`]'s four
+/// rows of two, in half the instructions. A batched tile keeps four rows.
+/// The prefetch hint and the transposing pack are [`Avx2`]'s.
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct Avx512;
+
+/// [`Avx512`]'s tile body for `R` rows, as [`avx2_rows`] is [`Avx2`]'s.
+///
+/// # Safety
+///
+/// The contract of the one it implements.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>(
+    a: *const f32,
+    lda: usize,
+    b: *const f32,
+    ldb: usize,
+    bs: usize,
+    kc: usize,
+    c: *mut f32,
+    ldc: usize,
+    first: bool,
+    ahead: usize,
+) {
+    use core::arch::x86_64::*;
+    let mut acc = [_mm512_setzero_ps(); R];
+    if !first {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            *acc_r = _mm512_loadu_ps(c.add(r * ldc));
+        }
+    }
+    for kk in 0..kc {
+        let b_kk = b.add(kk * ldb);
+        if PREFETCH {
+            <Avx2 as Leg>::prefetch(b_kk.wrapping_add(ahead));
+        }
+        let shared = _mm512_loadu_ps(b_kk);
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let bv = match BATCHED {
+                false => shared,
+                true => _mm512_loadu_ps(b_kk.add(r * bs)),
+            };
+            // mul then add, never fused: the scalar oracle rounds the
+            // product before the sum.
+            let av = _mm512_set1_ps(*a.add(r * lda + kk));
+            *acc_r = _mm512_add_ps(*acc_r, _mm512_mul_ps(av, bv));
+        }
+    }
+    for (r, &acc_r) in acc.iter().enumerate() {
+        _mm512_storeu_ps(c.add(r * ldc), acc_r);
+    }
+}
+
+/// [`avx512_rows`] for a streamed tile of `R` rows, prefetching `ahead`
+/// when it is non-zero.
+///
+/// # Safety
+///
+/// [`Leg::tile`]'s contract.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn avx512_streamed<const R: usize>(
+    a: *const f32,
+    lda: usize,
+    b: *const f32,
+    ldb: usize,
+    kc: usize,
+    c: *mut f32,
+    ldc: usize,
+    first: bool,
+    ahead: usize,
+) {
+    match ahead {
+        0 => avx512_rows::<R, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+        _ => avx512_rows::<R, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Leg for Avx512 {
+    const ROWS: usize = MAX_TILE_ROWS;
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile(
+        rows: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        first: bool,
+        ahead: usize,
+    ) {
+        match rows {
+            8 => avx512_streamed::<8>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            7 => avx512_streamed::<7>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            6 => avx512_streamed::<6>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            5 => avx512_streamed::<5>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            4 => avx512_streamed::<4>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            3 => avx512_streamed::<3>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            2 => avx512_streamed::<2>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            _ => avx512_streamed::<1>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile_batched(
+        rows: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        bs: usize,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        first: bool,
+    ) {
+        match rows {
+            4 => avx512_rows::<4, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            3 => avx512_rows::<3, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            2 => avx512_rows::<2, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            _ => avx512_rows::<1, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+        }
+    }
+
+    #[inline(always)]
+    fn prefetch(p: *const f32) {
+        <Avx2 as Leg>::prefetch(p)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
+        <Avx2 as Leg>::pack_transposed(b, ldb, kc, panel)
+    }
+
+    #[target_feature(enable = "avx512f")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
         const ROW_MAJOR: u8 = Layout::RowMajor as u8;
         const TRANSPOSED: u8 = Layout::Transposed as u8;

@@ -21,9 +21,9 @@ const THREADS: [usize; 4] = [1, 2, 3, 7];
 /// sizes not divisible by any tested thread count; then the LM-head shape
 /// and what the transposed pack adds — whole strips under one to three
 /// rows, a second k panel accumulating onto a whole strip (`k > 256`), a
-/// `k` of whole 4-wide transpose blocks, off them and below one, and
-/// `k = 0`.
-const SHAPES: [(usize, usize, usize); 17] = [
+/// `k` of whole 4-wide transpose blocks, off them and below one, `k = 0`,
+/// and a tile of seven rows over a ragged strip across a second k panel.
+const SHAPES: [(usize, usize, usize); 18] = [
     (1, 64, 5),
     (5, 64, 1),
     (1, 1, 1),
@@ -41,6 +41,7 @@ const SHAPES: [(usize, usize, usize); 17] = [
     (2, 7, 33),
     (2, 3, 16),
     (4, 0, 16),
+    (7, 300, 40),
 ];
 
 fn deterministic(rows: usize, cols: usize, seed: u32) -> Matrix {
@@ -159,9 +160,11 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
 
 /// The packed product — the walk every projection of a served step runs —
 /// against the scalar oracle on the unpacked matrix, on every leg and
-/// every pool width: row counts on both sides of the tile height, of the
-/// thread counts' tile multiples and of 32 and 64 (so tile interiors, one
-/// to three-row tiles, row sharding and strip sharding all run), widths
+/// every pool width: every tile height from one row to eight (so every
+/// tile of the four-row and the eight-row legs), a full tile of either
+/// followed by a ragged one, and row counts on both sides of the thread
+/// counts' tile multiples and of 32 and 64 (so row sharding and strip
+/// sharding both run), widths
 /// with no, one and fifteen columns past the last whole strip (the
 /// zero-padded strip read in place), and `k` below the prefetch distance,
 /// around one 256-deep panel and four panels deep. The lhs is
@@ -174,7 +177,7 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
             let b = deterministic(k, n, 8);
             let packed = PackedMatrix::pack(&b);
             assert_bits_eq(&packed.to_matrix(), &b, &format!("pack round trip {k}x{n}"));
-            for m in [1usize, 2, 3, 4, 5, 8, 9, 31, 32, 33, 64, 65] {
+            for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33, 64, 65] {
                 let mut a = deterministic(m, k, 9);
                 a.map_inplace(|x| x.max(0.0));
                 let mut oracle = Matrix::zeros(m, n);
