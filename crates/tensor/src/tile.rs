@@ -8,19 +8,19 @@
 //! `rhs` vector loaded feeds every row of the tile and every `lhs` scalar
 //! sixteen columns, and the output is touched once per panel instead of
 //! once per `k`. The tile is four rows of two AVX2 / four NEON vectors, or
-//! eight rows of one AVX-512 vector: eight or sixteen independent add
-//! chains either way, the AVX-512 one in half the instructions. A panel is
-//! [`KC`] rows of one sixteen-column strip of `rhs`,
-//! `panel[kk · ldb + j] = b[k0 + kk][j0 + j]`.
+//! eight rows of one AVX-512 vector: eight independent add chains on AVX2
+//! and on AVX-512 (sixteen on NEON), the AVX-512 ones in half AVX2's
+//! instructions. A panel is [`KC`] rows of one sixteen-column strip of
+//! `rhs`, `panel[kk · ldb + j] = b[k0 + kk][j0 + j]`.
 //!
 //! There is **one walk order**, at every row count and for every `rhs`:
 //! column strip → `KC`-deep k panel → row tile. The output block is loaded
 //! and stored once per 256 `k`, and a panel, once in the L1, feeds every
 //! row tile of the block. A row tile runs at its own height (one row to
-//! the leg's `ROWS`), and a ragged last strip computes into a sixteen-wide edge buffer
-//! from which only the strip's own columns are copied out. What differs
-//! between products is only **where a panel comes from** ([`Layout`],
-//! monomorphised into the walk, which exists once):
+//! the leg's `ROWS`), and a ragged last strip computes into a sixteen-wide
+//! edge buffer from which only the strip's own columns are copied out.
+//! What differs between products is only **where a panel comes from**
+//! ([`Layout`], monomorphised into the walk, which exists once):
 //!
 //! * **In place**, [`Layout::Packed`]: a [`crate::PackedMatrix`] holds `rhs`
 //!   as ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded, so a
