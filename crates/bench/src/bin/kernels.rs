@@ -638,13 +638,12 @@ fn step(o: &Opts) -> Table {
             format!("{:.1}%", 100.0 * ns / (wall / steps * 1e9)),
         ]);
     }
-    let dashes = || "-".to_string();
     table.row([
         "step".to_string(),
         format!("{:.0}", wall / steps * 1e9),
-        dashes(),
-        dashes(),
-        "100%".to_string(),
+        "-".into(),
+        "-".into(),
+        "100%".into(),
     ]);
     table
 }

@@ -1346,9 +1346,9 @@ mod tests {
 
     #[test]
     fn every_with_leg_entry_refuses_an_unavailable_leg() {
-        // Neon on x86-64, Avx512 on aarch64 or on an x86-64 CPU without
-        // AVX-512 — where a missing check would be an illegal instruction
-        // from safe code — and Avx2 on one without that either.
+        // The first leg the host lacks: Avx512 on aarch64 or on an x86-64
+        // CPU without it — where a missing check would be an illegal
+        // instruction from safe code — else Neon.
         let leg = [SimdLeg::Avx512, SimdLeg::Avx2, SimdLeg::Neon]
             .into_iter()
             .find(|leg| !leg.is_available())
