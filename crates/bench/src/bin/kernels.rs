@@ -286,7 +286,7 @@ fn simd(o: &Opts) -> Table {
                 true => a.matmul_transposed_into_serial_with_leg(rhs, &mut out, leg),
             })
         };
-        let (scalar, vector) = (run(SimdLeg::Scalar), run(leg));
+        let (scalar, vector) = (run(SimdLeg::SCALAR), run(leg));
         table.row([
             kernel.to_string(),
             format!("{:.2}", gflops(n, n, n, scalar)),
@@ -379,7 +379,7 @@ fn m_sweep(o: &Opts) -> Table {
                 };
                 let cell = if transposed {
                     let rows = time(&|c, out| {
-                        a.matmul_transposed_into_serial_with_leg(&copies[c], out, SimdLeg::Scalar)
+                        a.matmul_transposed_into_serial_with_leg(&copies[c], out, SimdLeg::SCALAR)
                     });
                     let gemm = time(&|c, out| {
                         a.matmul_transposed_into_serial_with_leg(&copies[c], out, leg)

@@ -11,7 +11,7 @@
 //! "variable-length" property distinguishing Anda from uni-length formats
 //! like VS-Quant/FIGNA and multi-length formats like FAST/DaCapo (Table I).
 
-use anda_fp::simd::SimdLeg;
+use anda_fp::simd::{active_leg, SimdLeg};
 use anda_fp::F16;
 
 use crate::bitplane::{BitPlaneGroup, LANES};
@@ -203,15 +203,16 @@ impl AndaTensor {
     }
 
     /// Decodes the columns of groups `groups` of the first
-    /// `tile.len() / width` rows into the row-major `tile`
-    /// ([`rowcodec::decode_rows_into`]; not counted — the caller notes a
-    /// page once, however many column slices read it).
+    /// `tile.len() / width` rows into the row-major `tile` on `leg`
+    /// ([`rowcodec::decode_rows_into_with_leg`]; not counted — the caller
+    /// notes a page once, however many column slices read it).
     ///
     /// # Panics
     ///
     /// As [`rowcodec::decode_rows_into`].
-    pub fn decode_rows_into(&self, groups: std::ops::Range<usize>, tile: &mut [f32]) {
-        rowcodec::decode_rows_into(
+    pub fn decode_rows_into(&self, leg: SimdLeg, groups: std::ops::Range<usize>, tile: &mut [f32]) {
+        rowcodec::decode_rows_into_with_leg(
+            leg,
             self.config,
             &self.signs,
             &self.exps,
@@ -314,7 +315,7 @@ impl AndaTensor {
     pub fn decode_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.len(), "decode width mismatch");
         if !self.is_empty() {
-            self.decode_rows_into(0..self.row_groups(), out);
+            self.decode_rows_into(active_leg(), 0..self.row_groups(), out);
         }
     }
 
@@ -499,7 +500,7 @@ mod tests {
                     let cols = start * gs..(end * gs).min(width);
                     for rows in 1..=4 {
                         let mut tile = vec![f32::NAN; rows * width];
-                        t.decode_rows_into(start..end, &mut tile);
+                        t.decode_rows_into(active_leg(), start..end, &mut tile);
                         for (r, got) in tile.chunks(width).enumerate() {
                             t.decode_row_into(r, &mut row);
                             let ctx = format!("width={width} groups {start}..{end} row {r}");

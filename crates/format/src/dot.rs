@@ -57,46 +57,33 @@ pub fn dot_group_reference(group: &AlignedGroup, weights: &[i8]) -> i64 {
 ///
 /// Panics if `weights` holds more than [`crate::bitplane::LANES`] lanes.
 pub fn dot_group_int_flat(sign_word: u64, planes: &[u64], weights: &[i8]) -> i64 {
-    dot_group_int_flat_on(anda_fp::simd::active_leg(), sign_word, planes, weights)
+    dot_group_int_flat_with_leg(anda_fp::simd::active_leg(), sign_word, planes, weights)
 }
 
 /// [`dot_group_int_flat`] on an explicit leg (oracle tests and benches).
 ///
 /// # Panics
 ///
-/// As [`dot_group_int_flat`], or if the leg is unavailable on this host.
+/// As [`dot_group_int_flat`].
 pub fn dot_group_int_flat_with_leg(
     leg: anda_fp::simd::SimdLeg,
     sign_word: u64,
     planes: &[u64],
     weights: &[i8],
 ) -> i64 {
-    leg.assert_available();
-    dot_group_int_flat_on(leg, sign_word, planes, weights)
-}
-
-/// The dispatch of [`dot_group_int_flat_with_leg`]. `leg` must be
-/// available on this host: it is `active_leg()`, or the entry above
-/// asserted it.
-fn dot_group_int_flat_on(
-    leg: anda_fp::simd::SimdLeg,
-    sign_word: u64,
-    planes: &[u64],
-    weights: &[i8],
-) -> i64 {
-    use anda_fp::simd::SimdLeg;
-    match leg {
-        SimdLeg::Scalar => dot_group_int_flat_scalar(sign_word, planes, weights),
-        // SAFETY (every leg): the CPU runs `leg` — this function's
-        // precondition — and a CPU that runs `Avx512` runs `Avx2`.
+    use anda_fp::simd::LegKind;
+    match leg.kind() {
+        LegKind::Scalar => dot_group_int_flat_scalar(sign_word, planes, weights),
+        // SAFETY (every leg): the CPU runs `leg` — a `SimdLeg` is that
+        // proof — and a CPU that runs `Avx512` runs `Avx2`.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe {
+        LegKind::Avx2 | LegKind::Avx512 => unsafe {
             dot_group_int_flat_avx2(sign_word, planes, weights)
         },
         #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { dot_group_int_flat_neon(sign_word, planes, weights) },
+        LegKind::Neon => unsafe { dot_group_int_flat_neon(sign_word, planes, weights) },
         #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
+        other => unreachable!("no host runs SIMD leg {}", other.name()),
     }
 }
 

@@ -64,7 +64,7 @@
 //! `M` decodes each group on its row body and puts the values in place,
 //! which is also why its oracle is [`decode_rows_into`] permuted.
 
-use anda_fp::simd::{active_leg, SimdLeg};
+use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use anda_fp::{saturate_to_f16, F16};
 
 use crate::align::{align_element, exp2f};
@@ -110,14 +110,14 @@ pub fn encode_row_into(
     exps: &mut [u16],
     planes: &mut [u64],
 ) {
-    encode_row_on(active_leg(), values, cfg, signs, exps, planes);
+    encode_row_into_with_leg(active_leg(), values, cfg, signs, exps, planes);
 }
 
 /// [`encode_row_into`] on an explicit leg (oracle tests and benches).
 ///
 /// # Panics
 ///
-/// As [`encode_row_into`], or if the leg is unavailable on this host.
+/// As [`encode_row_into`].
 pub fn encode_row_into_with_leg(
     leg: SimdLeg,
     values: &[f32],
@@ -126,33 +126,18 @@ pub fn encode_row_into_with_leg(
     exps: &mut [u16],
     planes: &mut [u64],
 ) {
-    leg.assert_available();
-    encode_row_on(leg, values, cfg, signs, exps, planes)
-}
-
-/// The dispatch of [`encode_row_into_with_leg`]. `leg` must be
-/// available on this host: it is `active_leg()`, or the entry above
-/// asserted it.
-fn encode_row_on(
-    leg: SimdLeg,
-    values: &[f32],
-    cfg: AndaConfig,
-    signs: &mut [u64],
-    exps: &mut [u16],
-    planes: &mut [u64],
-) {
-    match leg {
-        SimdLeg::Scalar => encode_row_into_scalar(values, cfg, signs, exps, planes),
-        // SAFETY (every leg): the CPU runs `leg` — this function's
-        // precondition — and a CPU that runs `Avx512` runs `Avx2`.
+    match leg.kind() {
+        LegKind::Scalar => encode_row_into_scalar(values, cfg, signs, exps, planes),
+        // SAFETY (every leg): the CPU runs `leg` — a `SimdLeg` is that
+        // proof — and a CPU that runs `Avx512` runs `Avx2`.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe {
+        LegKind::Avx2 | LegKind::Avx512 => unsafe {
             avx2::encode_row(values, cfg, signs, exps, planes)
         },
         #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { neon::encode_row(values, cfg, signs, exps, planes) },
+        LegKind::Neon => unsafe { neon::encode_row(values, cfg, signs, exps, planes) },
         #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
+        other => unreachable!("no host runs SIMD leg {}", other.name()),
     }
 }
 
@@ -240,7 +225,7 @@ pub fn decode_row_into(
 ///
 /// # Panics
 ///
-/// As [`decode_row_into`], or if the leg is unavailable on this host.
+/// As [`decode_row_into`].
 pub fn decode_row_into_with_leg(
     leg: SimdLeg,
     cfg: AndaConfig,
@@ -249,14 +234,12 @@ pub fn decode_row_into_with_leg(
     planes: &[u64],
     out: &mut [f32],
 ) {
-    leg.assert_available();
     crate::metrics::note_rows_decoded(1);
     decode_row_uncounted(leg, cfg, signs, exps, planes, out);
 }
 
-/// The dispatch of [`decode_row_into_with_leg`], not counted. `leg` must
-/// be available on this host: it is `active_leg()`, or the entry above
-/// asserted it.
+/// The dispatch of [`decode_row_into_with_leg`], not counted (the page
+/// decodes' per-row fallback).
 fn decode_row_uncounted(
     leg: SimdLeg,
     cfg: AndaConfig,
@@ -265,22 +248,22 @@ fn decode_row_uncounted(
     planes: &[u64],
     out: &mut [f32],
 ) {
-    match leg {
-        SimdLeg::Scalar => decode_row_into_scalar(cfg, signs, exps, planes, out),
-        // SAFETY (every leg): the CPU runs `leg` — this function's
-        // precondition — and a CPU that runs `Avx512` runs `Avx2`.
+    match leg.kind() {
+        LegKind::Scalar => decode_row_into_scalar(cfg, signs, exps, planes, out),
+        // SAFETY (every leg): the CPU runs `leg` — a `SimdLeg` is that
+        // proof — and a CPU that runs `Avx512` runs `Avx2`.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx512 if cfg.mantissa_bits() <= 8 => unsafe {
+        LegKind::Avx512 if cfg.mantissa_bits() <= 8 => unsafe {
             avx512::decode_row(cfg, signs, exps, planes, out)
         },
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe {
+        LegKind::Avx2 | LegKind::Avx512 => unsafe {
             avx2::decode_row(cfg, signs, exps, planes, out)
         },
         #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { neon::decode_row(cfg, signs, exps, planes, out) },
+        LegKind::Neon => unsafe { neon::decode_row(cfg, signs, exps, planes, out) },
         #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
+        other => unreachable!("no host runs SIMD leg {}", other.name()),
     }
 }
 
@@ -311,7 +294,7 @@ pub fn decode_rows_into(
     row_len: usize,
     tile: &mut [f32],
 ) {
-    decode_rows_on(
+    decode_rows_into_with_leg(
         active_leg(),
         cfg,
         signs,
@@ -323,30 +306,14 @@ pub fn decode_rows_into(
     );
 }
 
-/// [`decode_rows_into`] on an explicit leg (oracle tests and benches).
+/// [`decode_rows_into`] on an explicit leg: the KV page walk's V decode,
+/// oracle tests and benches.
 ///
 /// # Panics
 ///
-/// As [`decode_rows_into`], or if the leg is unavailable on this host.
+/// As [`decode_rows_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn decode_rows_into_with_leg(
-    leg: SimdLeg,
-    cfg: AndaConfig,
-    signs: &[u64],
-    exps: &[u16],
-    planes: &[u64],
-    groups: std::ops::Range<usize>,
-    row_len: usize,
-    tile: &mut [f32],
-) {
-    leg.assert_available();
-    decode_rows_on(leg, cfg, signs, exps, planes, groups, row_len, tile);
-}
-
-/// The dispatch of [`decode_rows_into_with_leg`]. `leg` must be available
-/// on this host: it is `active_leg()`, or the entry above asserted it.
-#[allow(clippy::too_many_arguments)]
-fn decode_rows_on(
     leg: SimdLeg,
     cfg: AndaConfig,
     signs: &[u64],
@@ -367,8 +334,8 @@ fn decode_rows_on(
         "group range {groups:?} outside a {g}-group row"
     );
     #[cfg(target_arch = "x86_64")]
-    if leg == SimdLeg::Avx512 && m <= 8 {
-        // SAFETY: the CPU runs `leg` — this function's precondition.
+    if leg.kind() == LegKind::Avx512 && m <= 8 {
+        // SAFETY: the CPU runs `leg`, as a `SimdLeg` proves.
         return unsafe { avx512::decode_rows(cfg, signs, exps, planes, groups, row_len, tile) };
     }
     let cols = groups.start * cfg.group_size()..(groups.end * cfg.group_size()).min(row_len);
@@ -399,9 +366,9 @@ fn decode_rows_on(
 ///
 /// # Panics
 ///
-/// Panics if the leg is unavailable on this host, `rows` exceeds `ld`,
-/// `groups` exceeds the row's groups, `keys` cannot hold the columns'
-/// runs, or a source slice is shorter than the rows require.
+/// Panics if `rows` exceeds `ld`, `groups` exceeds the row's groups,
+/// `keys` cannot hold the columns' runs, or a source slice is shorter
+/// than the rows require.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_rows_transposed_into_with_leg(
     leg: SimdLeg,
@@ -415,7 +382,6 @@ pub fn decode_rows_transposed_into_with_leg(
     keys: &mut [f32],
     ld: usize,
 ) {
-    leg.assert_available();
     let (g, gs) = (groups_per_row(row_len, cfg), cfg.group_size());
     assert!(
         groups.start < groups.end && groups.end <= g,
@@ -433,18 +399,18 @@ pub fn decode_rows_transposed_into_with_leg(
         rows == 0 || (signs.len() >= last && exps.len() >= last && planes.len() >= last * m),
         "source slices shorter than {rows} rows"
     );
-    match leg {
-        // SAFETY (both legs): the CPU runs `leg`, as asserted, and a CPU
-        // that runs `Avx512` runs `Avx2`; the asserts above are the
-        // bodies' bounds.
+    match leg.kind() {
+        // SAFETY (both legs): the CPU runs `leg`, as a `SimdLeg` proves,
+        // and a CPU that runs `Avx512` runs `Avx2`; the asserts above are
+        // the bodies' bounds.
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx512 if m <= 8 => unsafe {
+        LegKind::Avx512 if m <= 8 => unsafe {
             avx512::decode_rows_transposed(
                 cfg, signs, exps, planes, groups, row_len, rows, keys, ld,
             )
         },
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 | SimdLeg::Avx512 if m <= 8 => unsafe {
+        LegKind::Avx2 | LegKind::Avx512 if m <= 8 => unsafe {
             avx2::decode_rows_transposed(cfg, signs, exps, planes, groups, row_len, rows, keys, ld)
         },
         _ => {
@@ -626,8 +592,8 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (callers go through the dispatch layer, which only
-    /// selects this leg when the CPU reports it).
+    /// Requires AVX2 (callers run on a `SimdLeg` of kind `Avx2` or
+    /// `Avx512`, which proves it).
     #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn decode_group(sign_word: u64, ulp: f32, planes: &[u64], out: &mut [f32]) {
@@ -1502,51 +1468,6 @@ mod tests {
     use super::*;
     use crate::AndaTensor;
     use anda_fp::simd::available_legs;
-
-    #[test]
-    fn every_with_leg_entry_refuses_an_unavailable_leg() {
-        // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
-        // without it, where a missing check would be an illegal
-        // instruction from safe code. Covers the crate: this module's
-        // four entries and `dot`'s one.
-        let leg = [SimdLeg::Avx2, SimdLeg::Neon]
-            .into_iter()
-            .find(|leg| !leg.is_available())
-            .expect("no host runs both vector legs");
-        let want = format!("SIMD leg {} unavailable on this host", leg.name());
-        let cfg = AndaConfig::new(LANES, 8).unwrap();
-        let values = row(LANES, 1);
-        let (signs, exps, planes) = ([0u64; 1], [0u16; 1], [0u64; 8]);
-        type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 5] = [
-            ("encode_row_into_with_leg", &|| {
-                let (mut s, mut e, mut p) = (signs, exps, planes);
-                encode_row_into_with_leg(leg, &values, cfg, &mut s, &mut e, &mut p)
-            }),
-            ("decode_row_into_with_leg", &|| {
-                decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut values.clone())
-            }),
-            ("decode_rows_into_with_leg", &|| {
-                let tile = &mut values.clone();
-                decode_rows_into_with_leg(leg, cfg, &signs, &exps, &planes, 0..1, LANES, tile)
-            }),
-            ("decode_rows_transposed_into_with_leg", &|| {
-                let keys = &mut values.clone();
-                let (groups, rows) = (0..1, 1);
-                decode_rows_transposed_into_with_leg(
-                    leg, cfg, &signs, &exps, &planes, groups, LANES, rows, keys, LANES,
-                )
-            }),
-            ("dot_group_int_flat_with_leg", &|| {
-                crate::dot::dot_group_int_flat_with_leg(leg, 0, &planes, &[1i8; LANES]);
-            }),
-        ];
-        for (name, entry) in entries {
-            let panic =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry)).expect_err(name);
-            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{name}");
-        }
-    }
 
     fn row(len: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

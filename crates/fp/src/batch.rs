@@ -16,7 +16,7 @@
 //! available [`SimdLeg`].
 
 use crate::f16::{saturate_to_f16, F16};
-use crate::simd::{active_leg, SimdLeg};
+use crate::simd::{active_leg, LegKind, SimdLeg};
 
 /// Rounds every element to saturating binary16 bits: `dst[i] =
 /// saturate_to_f16(src[i]).to_bits()` (NaN becomes +0, the rest clamps
@@ -27,36 +27,28 @@ use crate::simd::{active_leg, SimdLeg};
 ///
 /// Panics if the slice lengths differ.
 pub fn narrow(src: &[f32], dst: &mut [u16]) {
-    narrow_on(active_leg(), src, dst);
+    narrow_with_leg(active_leg(), src, dst);
 }
 
 /// [`narrow`] on an explicit leg.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ or the leg is unavailable on this
-/// host.
+/// Panics if the slice lengths differ.
 pub fn narrow_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [u16]) {
-    leg.assert_available();
-    narrow_on(leg, src, dst)
-}
-
-/// The dispatch of [`narrow_with_leg`]. `leg` must be available on this
-/// host: it is `active_leg()`, or the entry above asserted it.
-fn narrow_on(leg: SimdLeg, src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
-    match leg {
-        SimdLeg::Scalar => narrow_scalar(src, dst),
-        // SAFETY: the CPU runs `leg` (this function's precondition; a CPU
+    match leg.kind() {
+        LegKind::Scalar => narrow_scalar(src, dst),
+        // SAFETY: the CPU runs `leg` (a `SimdLeg` is that proof; a CPU
         // that runs `Avx512` runs `Avx2`); `dst` is as long as `src`
         // (asserted above).
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe { narrow_avx2(src, dst) },
+        LegKind::Avx2 | LegKind::Avx512 => unsafe { narrow_avx2(src, dst) },
         // SAFETY: as above, for NEON.
         #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { narrow_neon(src, dst) },
+        LegKind::Neon => unsafe { narrow_neon(src, dst) },
         #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
+        other => unreachable!("no host runs SIMD leg {}", other.name()),
     }
 }
 
@@ -79,36 +71,28 @@ pub fn narrow_scalar(src: &[f32], dst: &mut [u16]) {
 ///
 /// Panics if the slice lengths differ.
 pub fn widen(src: &[u16], dst: &mut [f32]) {
-    widen_on(active_leg(), src, dst);
+    widen_with_leg(active_leg(), src, dst);
 }
 
 /// [`widen`] on an explicit leg (same input contract).
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ or the leg is unavailable on this
-/// host.
+/// Panics if the slice lengths differ.
 pub fn widen_with_leg(leg: SimdLeg, src: &[u16], dst: &mut [f32]) {
-    leg.assert_available();
-    widen_on(leg, src, dst)
-}
-
-/// The dispatch of [`widen_with_leg`]. `leg` must be available on this
-/// host: it is `active_leg()`, or the entry above asserted it.
-fn widen_on(leg: SimdLeg, src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
-    match leg {
-        SimdLeg::Scalar => widen_scalar(src, dst),
-        // SAFETY: the CPU runs `leg` (this function's precondition; a CPU
+    match leg.kind() {
+        LegKind::Scalar => widen_scalar(src, dst),
+        // SAFETY: the CPU runs `leg` (a `SimdLeg` is that proof; a CPU
         // that runs `Avx512` runs `Avx2`); `dst` is as long as `src`
         // (asserted above).
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 | SimdLeg::Avx512 => unsafe { widen_avx2(src, dst) },
+        LegKind::Avx2 | LegKind::Avx512 => unsafe { widen_avx2(src, dst) },
         // SAFETY: as above, for NEON.
         #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => unsafe { widen_neon(src, dst) },
+        LegKind::Neon => unsafe { widen_neon(src, dst) },
         #[allow(unreachable_patterns)]
-        other => unreachable!("SIMD leg {} was not checked", other.name()),
+        other => unreachable!("no host runs SIMD leg {}", other.name()),
     }
 }
 
@@ -131,29 +115,21 @@ const ROUND_LANES: usize = 64;
 ///
 /// Panics if the slice lengths differ.
 pub fn saturate_f16_widen_slice(src: &[f32], dst: &mut [f32]) {
-    saturate_f16_widen_on(active_leg(), src, dst);
+    saturate_f16_widen_slice_with_leg(active_leg(), src, dst);
 }
 
 /// [`saturate_f16_widen_slice`] on an explicit leg.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ or the leg is unavailable on this
-/// host.
+/// Panics if the slice lengths differ.
 pub fn saturate_f16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
-    leg.assert_available();
-    saturate_f16_widen_on(leg, src, dst)
-}
-
-/// The loop of [`saturate_f16_widen_slice_with_leg`]. `leg` must be
-/// available on this host.
-fn saturate_f16_widen_on(leg: SimdLeg, src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
     let mut bits = [0u16; ROUND_LANES];
     for (src, dst) in src.chunks(ROUND_LANES).zip(dst.chunks_mut(ROUND_LANES)) {
         let bits = &mut bits[..src.len()];
-        narrow_on(leg, src, bits);
-        widen_on(leg, bits, dst);
+        narrow_with_leg(leg, src, bits);
+        widen_with_leg(leg, bits, dst);
     }
 }
 
@@ -168,27 +144,16 @@ pub fn saturate_f16_widen_scalar(src: &[f32], dst: &mut [f32]) {
 /// saturate_to_f16(v[i]).to_f32()` — the FP16 activation rounding
 /// between decode GEMMs — on the active dispatch leg.
 pub fn saturate_f16_widen_in_place(v: &mut [f32]) {
-    saturate_f16_widen_in_place_on(active_leg(), v);
+    saturate_f16_widen_in_place_with_leg(active_leg(), v);
 }
 
 /// [`saturate_f16_widen_in_place`] on an explicit leg.
-///
-/// # Panics
-///
-/// Panics if the leg is unavailable on this host.
 pub fn saturate_f16_widen_in_place_with_leg(leg: SimdLeg, v: &mut [f32]) {
-    leg.assert_available();
-    saturate_f16_widen_in_place_on(leg, v)
-}
-
-/// The loop of [`saturate_f16_widen_in_place_with_leg`]. `leg` must be
-/// available on this host.
-fn saturate_f16_widen_in_place_on(leg: SimdLeg, v: &mut [f32]) {
     let mut bits = [0u16; ROUND_LANES];
     for v in v.chunks_mut(ROUND_LANES) {
         let bits = &mut bits[..v.len()];
-        narrow_on(leg, v, bits);
-        widen_on(leg, bits, v);
+        narrow_with_leg(leg, v, bits);
+        widen_with_leg(leg, bits, v);
     }
 }
 
@@ -274,39 +239,6 @@ unsafe fn widen_neon(src: &[u16], dst: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::simd::available_legs;
-
-    #[test]
-    fn every_with_leg_entry_refuses_an_unavailable_leg() {
-        // Neon on x86-64, Avx2 on aarch64 — or Avx2 on an x86-64 CPU
-        // without it, where a missing check would be an illegal
-        // instruction from safe code.
-        let leg = [SimdLeg::Avx2, SimdLeg::Neon]
-            .into_iter()
-            .find(|leg| !leg.is_available())
-            .expect("no host runs both vector legs");
-        let want = format!("SIMD leg {} unavailable on this host", leg.name());
-        let src = [1.0f32; 16];
-        type Entry<'a> = (&'a str, &'a dyn Fn());
-        let entries: [Entry; 4] = [
-            ("saturate_f16_widen_slice_with_leg", &|| {
-                saturate_f16_widen_slice_with_leg(leg, &src, &mut src.clone())
-            }),
-            ("saturate_f16_widen_in_place_with_leg", &|| {
-                saturate_f16_widen_in_place_with_leg(leg, &mut src.clone())
-            }),
-            ("narrow_with_leg", &|| {
-                narrow_with_leg(leg, &src, &mut [0; 16])
-            }),
-            ("widen_with_leg", &|| {
-                widen_with_leg(leg, &[0; 16], &mut src.clone())
-            }),
-        ];
-        for (name, entry) in entries {
-            let panic =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry)).expect_err(name);
-            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{name}");
-        }
-    }
 
     fn adversarial_values() -> Vec<f32> {
         let mut v: Vec<f32> = vec![

@@ -10,10 +10,12 @@
 //!   block-floating-point conversion in the `anda-format` crate.
 //! - [`rounding`] — the nearest-even right shift [`F16`] narrowing rounds
 //!   with.
-//! - [`simd`] — the runtime SIMD dispatch layer ([`SimdLeg`], feature
-//!   detection, the `ANDA_SIMD` override) plus the FP16 lane primitives
-//!   shared by every vector kernel in the workspace (F16C on the AVX2
-//!   leg, software on NEON).
+//! - [`simd`] — the runtime SIMD dispatch layer ([`SimdLeg`], a leg this
+//!   host is known to run, so every `*_with_leg` kernel entry can take one
+//!   without checking; [`LegKind`], its name; feature detection, the
+//!   `ANDA_SIMD` override) plus the FP16 lane primitives shared by every
+//!   vector kernel in the workspace (F16C on the AVX2 leg, software on
+//!   NEON).
 //! - [`batch`] — dispatched whole-slice rounding of `f32` rows through
 //!   FP16 (the `Fp16` KV row policy, the FP16 activation codec), each with
 //!   a scalar twin as its bit-exactness oracle.
@@ -34,4 +36,4 @@ pub mod rounding;
 pub mod simd;
 
 pub use f16::{saturate_to_f16, Significand, F16};
-pub use simd::{active_leg, available_legs, cpu_features, SimdLeg};
+pub use simd::{active_leg, available_legs, cpu_features, LegKind, SimdLeg};

@@ -9,7 +9,7 @@
 //! and is saturating, so the F16C widen never sees a NaN. NEON converts
 //! FP16 in software.
 //!
-//! A fourth leg, [`SimdLeg::Avx512`], is the AVX2 leg plus AVX-512
+//! A fourth leg, [`LegKind::Avx512`], is the AVX2 leg plus AVX-512
 //! F/BW/VBMI and GFNI. It owns three kernel bodies: the `anda-format` row
 //! decode at `M <= 8`, where one `vpermb` and one `vgf2p8affineqb`
 //! transpose a group's bit planes into 64 magnitude bytes; the
@@ -21,6 +21,12 @@
 //!
 //! This module is the single place that decides which leg runs:
 //!
+//! - A leg is a [`SimdLeg`]: a proof that the current host runs it. The
+//!   four names are a [`LegKind`], and only [`LegKind::available`] (which
+//!   asks the CPU), [`available_legs`], [`active_leg`] and
+//!   [`SimdLeg::SCALAR`] hand out a leg, so a kernel given one runs its
+//!   bodies without checking the CPU again. A dispatch site matches on
+//!   [`SimdLeg::kind`].
 //! - CPU features are detected once per process (`is_x86_feature_detected!`
 //!   / `is_aarch64_feature_detected!`).
 //! - The `ANDA_SIMD` environment variable overrides the choice:
@@ -39,9 +45,13 @@
 
 use std::sync::OnceLock;
 
-/// One dispatchable kernel implementation family.
+/// The four dispatchable kernel implementation families, by name: what
+/// `ANDA_SIMD` parses and what a dispatch site matches on
+/// ([`SimdLeg::kind`]). Naming a kind proves nothing about the host; a
+/// kernel runs only a [`SimdLeg`], which [`LegKind::available`] hands out
+/// for the kinds this CPU runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimdLeg {
+pub enum LegKind {
     /// Portable scalar Rust — the bit-exactness oracle, always available.
     Scalar,
     /// 256-bit AVX2 integer/float vectors plus F16C conversions (x86-64).
@@ -54,50 +64,70 @@ pub enum SimdLeg {
     Neon,
 }
 
-impl SimdLeg {
-    /// Every leg, each architecture's slowest first: `auto` picks the last
-    /// one the host runs.
-    const ALL: [SimdLeg; 4] = [
-        SimdLeg::Scalar,
-        SimdLeg::Avx2,
-        SimdLeg::Avx512,
-        SimdLeg::Neon,
+impl LegKind {
+    /// Every kind, each architecture's slowest first: `auto` picks the
+    /// last one the host runs.
+    const ALL: [LegKind; 4] = [
+        LegKind::Scalar,
+        LegKind::Avx2,
+        LegKind::Avx512,
+        LegKind::Neon,
     ];
 
     /// The name used by `ANDA_SIMD` and printed by benches/CI logs.
     pub fn name(self) -> &'static str {
         match self {
-            SimdLeg::Scalar => "scalar",
-            SimdLeg::Avx2 => "avx2",
-            SimdLeg::Avx512 => "avx512",
-            SimdLeg::Neon => "neon",
+            LegKind::Scalar => "scalar",
+            LegKind::Avx2 => "avx2",
+            LegKind::Avx512 => "avx512",
+            LegKind::Neon => "neon",
         }
     }
 
-    /// `true` when the current host can execute this leg.
-    pub fn is_available(self) -> bool {
-        match self {
-            SimdLeg::Scalar => true,
-            SimdLeg::Avx2 => avx2_available(),
-            SimdLeg::Avx512 => avx512_available(),
-            SimdLeg::Neon => neon_available(),
-        }
+    /// This kind as a leg the kernels may run, or `None` when the current
+    /// host lacks a feature it needs — the one place a [`SimdLeg`] other
+    /// than [`SimdLeg::SCALAR`] is made.
+    pub fn available(self) -> Option<SimdLeg> {
+        let runs = match self {
+            LegKind::Scalar => true,
+            LegKind::Avx2 => avx2_available(),
+            LegKind::Avx512 => avx512_available(),
+            LegKind::Neon => neon_available(),
+        };
+        runs.then_some(SimdLeg(self))
     }
+}
 
-    /// The check every public `*_with_leg` kernel entry makes before it
-    /// dispatches: a vector leg's kernels are `unsafe` to run on a CPU
-    /// without its feature, and the entries are safe functions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the current host cannot execute this leg.
+/// A kernel implementation family **the current host runs**. The field is
+/// private, so a value is a proof: outside this module one comes only from
+/// [`active_leg`], [`available_legs`], [`SimdLeg::SCALAR`] (which every
+/// CPU runs) or [`LegKind::available`], which asks the CPU. That is what
+/// makes the workspace's safe `*_with_leg` kernel entries sound without a
+/// check of their own: a vector leg's bodies are `unsafe` to run on a CPU
+/// without its features, and no caller can name such a leg.
+///
+/// ```compile_fail,E0423
+/// use anda_fp::simd::{LegKind, SimdLeg};
+///
+/// // A kind is not a leg: only `LegKind::available` turns one into it.
+/// let leg = SimdLeg(LegKind::Avx512);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SimdLeg(LegKind);
+
+impl SimdLeg {
+    /// The scalar leg, which every host runs.
+    pub const SCALAR: SimdLeg = SimdLeg(LegKind::Scalar);
+
+    /// Which family this leg is: what a dispatch site matches on.
     #[inline]
-    pub fn assert_available(self) {
-        assert!(
-            self.is_available(),
-            "SIMD leg {} unavailable on this host",
-            self.name()
-        );
+    pub fn kind(self) -> LegKind {
+        self.0
+    }
+
+    /// The name used by `ANDA_SIMD` and printed by benches/CI logs.
+    pub fn name(self) -> &'static str {
+        self.0.name()
     }
 }
 
@@ -143,26 +173,26 @@ fn neon_available() -> bool {
     }
 }
 
-/// The fastest leg the host supports (what `ANDA_SIMD=auto` picks).
-pub fn best_available_leg() -> SimdLeg {
-    best_leg(SimdLeg::is_available)
+/// Whether the host runs `kind`: the `runs` of [`choose_leg`]'s parse.
+fn runs_here(kind: LegKind) -> bool {
+    kind.available().is_some()
 }
 
-/// The fastest leg `runs` admits.
-fn best_leg(runs: impl Fn(SimdLeg) -> bool) -> SimdLeg {
-    SimdLeg::ALL
+/// The fastest kind `runs` admits.
+fn best_leg(runs: impl Fn(LegKind) -> bool) -> LegKind {
+    LegKind::ALL
         .into_iter()
         .rev()
-        .find(|&leg| runs(leg))
-        .unwrap_or(SimdLeg::Scalar)
+        .find(|&kind| runs(kind))
+        .unwrap_or(LegKind::Scalar)
 }
 
 /// Every leg the host can execute, scalar first. Property suites iterate
 /// this list so the vector legs are exercised wherever they exist.
 pub fn available_legs() -> Vec<SimdLeg> {
-    SimdLeg::ALL
+    LegKind::ALL
         .into_iter()
-        .filter(|leg| leg.is_available())
+        .filter_map(LegKind::available)
         .collect()
 }
 
@@ -177,37 +207,37 @@ pub fn active_leg() -> SimdLeg {
     *ACTIVE.get_or_init(choose_leg)
 }
 
-/// Reads `ANDA_SIMD` (once: [`active_leg`] caches the result) and prints
-/// the parse's warning, if any.
+/// Reads `ANDA_SIMD` (once: [`active_leg`] caches the result), prints
+/// the parse's warning, if any, and turns the kind it picked into a leg.
 fn choose_leg() -> SimdLeg {
     let requested = std::env::var("ANDA_SIMD").ok();
-    let (leg, warning) = parse_leg(requested.as_deref(), SimdLeg::is_available);
+    let (kind, warning) = parse_leg(requested.as_deref(), runs_here);
     if let Some(warning) = warning {
         eprintln!("{warning}");
     }
-    leg
+    kind.available().unwrap_or(SimdLeg::SCALAR)
 }
 
-/// The leg an `ANDA_SIMD` value selects on a host that runs the legs
+/// The kind an `ANDA_SIMD` value selects on a host that runs the kinds
 /// `runs` admits, and the warning to print when the value is not honoured
-/// as written: unset, empty or `auto` is the fastest leg; a leg's
-/// [`SimdLeg::name`] is that leg, or `scalar` if the host lacks it; any
+/// as written: unset, empty or `auto` is the fastest kind; a kind's
+/// [`LegKind::name`] is that kind, or `scalar` if the host lacks it; any
 /// other value is `auto`.
-fn parse_leg(value: Option<&str>, runs: impl Fn(SimdLeg) -> bool) -> (SimdLeg, Option<String>) {
+fn parse_leg(value: Option<&str>, runs: impl Fn(LegKind) -> bool) -> (LegKind, Option<String>) {
     let name = match value {
         None | Some("") | Some("auto") => return (best_leg(runs), None),
         Some(name) => name,
     };
-    match SimdLeg::ALL.into_iter().find(|leg| leg.name() == name) {
-        Some(leg) if runs(leg) => (leg, None),
+    match LegKind::ALL.into_iter().find(|kind| kind.name() == name) {
+        Some(kind) if runs(kind) => (kind, None),
         Some(_) => (
-            SimdLeg::Scalar,
+            LegKind::Scalar,
             Some(format!(
                 "ANDA_SIMD={name} requested but this host cannot run it; using scalar"
             )),
         ),
         None => {
-            let names: Vec<_> = SimdLeg::ALL.iter().map(|leg| leg.name()).collect();
+            let names: Vec<_> = LegKind::ALL.iter().map(|kind| kind.name()).collect();
             let want = names.join("|");
             (
                 best_leg(runs),
@@ -257,8 +287,9 @@ pub fn cpu_features() -> String {
 
 /// The AVX2 leg's FP16 lane primitive, shared by this crate's batch
 /// conversion and the `anda-format` row codec. It compiles with the
-/// `avx2` and `f16c` target features — [`SimdLeg::Avx2`] requires both —
-/// and must only be called after runtime detection.
+/// `avx2` and `f16c` target features — [`LegKind::Avx2`] requires both —
+/// and must only be called on that leg: holding a [`SimdLeg`] of kind
+/// `Avx2` or `Avx512` is the proof the CPU has them.
 #[cfg(target_arch = "x86_64")]
 pub mod x86 {
     use core::arch::x86_64::*;
@@ -272,7 +303,8 @@ pub mod x86 {
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX2 and F16C support at runtime.
+    /// The CPU must support AVX2 and F16C (a [`SimdLeg`](crate::SimdLeg)
+    /// of kind `Avx2` or `Avx512` proves it).
     #[target_feature(enable = "avx2,f16c")]
     pub unsafe fn saturate_f32x8_to_f16(v: __m256) -> __m128i {
         let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
@@ -295,7 +327,8 @@ pub mod neon {
     ///
     /// # Safety
     ///
-    /// The caller must have verified NEON support at runtime.
+    /// The CPU must support NEON (a [`SimdLeg`](crate::SimdLeg) of kind
+    /// `Neon` proves it).
     #[target_feature(enable = "neon")]
     pub unsafe fn f32x4_to_f16_bits(v: float32x4_t) -> uint32x4_t {
         let bits = vreinterpretq_u32_f32(v);
@@ -352,7 +385,8 @@ pub mod neon {
     ///
     /// # Safety
     ///
-    /// The caller must have verified NEON support at runtime.
+    /// The CPU must support NEON (a [`SimdLeg`](crate::SimdLeg) of kind
+    /// `Neon` proves it).
     #[target_feature(enable = "neon")]
     pub unsafe fn f16_bits_to_f32x4(h: uint32x4_t) -> float32x4_t {
         let sign = vshlq_n_u32(vandq_u32(h, vdupq_n_u32(0x8000)), 16);
@@ -380,22 +414,63 @@ mod tests {
 
     #[test]
     fn scalar_is_always_available() {
-        assert!(SimdLeg::Scalar.is_available());
-        assert_eq!(available_legs()[0], SimdLeg::Scalar);
+        assert_eq!(LegKind::Scalar.available(), Some(SimdLeg::SCALAR));
+        assert_eq!(available_legs()[0], SimdLeg::SCALAR);
     }
 
+    /// The contract every `*_with_leg` kernel entry relies on: a kind
+    /// becomes a leg exactly when the host reports the features its
+    /// bodies use, asked here of the CPU directly.
     #[test]
-    fn active_leg_is_available() {
-        assert!(active_leg().is_available());
+    fn a_kind_is_a_leg_exactly_when_the_host_reports_its_features() {
+        #[cfg(target_arch = "x86_64")]
+        let reports = |kind: LegKind| {
+            use std::arch::is_x86_feature_detected as has;
+            let avx2 = has!("avx2") && has!("f16c");
+            match kind {
+                LegKind::Scalar => true,
+                LegKind::Avx2 => avx2,
+                LegKind::Avx512 => {
+                    avx2 && has!("avx512f")
+                        && has!("avx512bw")
+                        && has!("avx512vbmi")
+                        && has!("gfni")
+                }
+                LegKind::Neon => false,
+            }
+        };
+        #[cfg(target_arch = "aarch64")]
+        let reports = |kind: LegKind| match kind {
+            LegKind::Scalar => true,
+            LegKind::Neon => std::arch::is_aarch64_feature_detected!("neon"),
+            LegKind::Avx2 | LegKind::Avx512 => false,
+        };
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        let reports = |kind: LegKind| kind == LegKind::Scalar;
+
+        // Slowest first, architecture by architecture.
+        let order = [
+            LegKind::Scalar,
+            LegKind::Avx2,
+            LegKind::Avx512,
+            LegKind::Neon,
+        ];
+        for kind in order {
+            let leg = kind.available();
+            assert_eq!(leg.is_some(), reports(kind), "{}", kind.name());
+            assert!(leg.is_none_or(|leg| leg.kind() == kind), "{}", kind.name());
+        }
+        let listed: Vec<_> = available_legs().iter().map(|leg| leg.kind()).collect();
+        let want: Vec<_> = order.into_iter().filter(|&kind| reports(kind)).collect();
+        assert_eq!(listed, want);
+        assert_eq!(listed[0], LegKind::Scalar);
+        assert!(available_legs().contains(&active_leg()));
     }
 
     #[test]
     fn names_round_trip() {
         for leg in available_legs() {
-            assert_eq!(
-                parse_leg(Some(leg.name()), SimdLeg::is_available),
-                (leg, None)
-            );
+            assert_eq!(parse_leg(Some(leg.name()), runs_here), (leg.kind(), None));
         }
     }
 
@@ -403,17 +478,17 @@ mod tests {
     fn a_leg_the_host_lacks_falls_back_to_scalar_with_a_warning() {
         // A host that runs only the oracle lacks every vector leg,
         // `avx512` included; this host lacks at least one.
-        let scalar_only = |leg: SimdLeg| leg == SimdLeg::Scalar;
-        let hosts: [&dyn Fn(SimdLeg) -> bool; 2] = [&scalar_only, &SimdLeg::is_available];
+        let scalar_only = |kind: LegKind| kind == LegKind::Scalar;
+        let hosts: [&dyn Fn(LegKind) -> bool; 2] = [&scalar_only, &runs_here];
         for runs in hosts {
-            for leg in SimdLeg::ALL.into_iter().filter(|&leg| !runs(leg)) {
-                let (chosen, warning) = parse_leg(Some(leg.name()), runs);
-                assert_eq!(chosen, SimdLeg::Scalar, "{}", leg.name());
-                let want = format!("ANDA_SIMD={} requested", leg.name());
+            for kind in LegKind::ALL.into_iter().filter(|&kind| !runs(kind)) {
+                let (chosen, warning) = parse_leg(Some(kind.name()), runs);
+                assert_eq!(chosen, LegKind::Scalar, "{}", kind.name());
+                let want = format!("ANDA_SIMD={} requested", kind.name());
                 assert!(
                     warning.is_some_and(|w| w.starts_with(&want)),
                     "{}",
-                    leg.name()
+                    kind.name()
                 );
             }
         }
@@ -421,25 +496,25 @@ mod tests {
 
     #[test]
     fn an_unknown_or_empty_value_selects_auto() {
-        let auto = best_available_leg();
+        let auto = best_leg(runs_here);
         for value in [None, Some(""), Some("auto")] {
-            assert_eq!(parse_leg(value, SimdLeg::is_available), (auto, None));
+            assert_eq!(parse_leg(value, runs_here), (auto, None));
         }
         for value in ["avx-512", "AVX2", "sse4"] {
-            let (chosen, warning) = parse_leg(Some(value), SimdLeg::is_available);
+            let (chosen, warning) = parse_leg(Some(value), runs_here);
             assert_eq!(chosen, auto, "{value}");
             assert!(warning.is_some_and(|w| w.contains("want auto|scalar|avx2|avx512|neon")));
         }
-        let scalar_only = |leg: SimdLeg| leg == SimdLeg::Scalar;
-        assert_eq!(parse_leg(Some("auto"), scalar_only).0, SimdLeg::Scalar);
+        let scalar_only = |kind: LegKind| kind == LegKind::Scalar;
+        assert_eq!(parse_leg(Some("auto"), scalar_only).0, LegKind::Scalar);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn the_avx512_leg_requires_the_avx2_leg() {
-        if SimdLeg::Avx512.is_available() {
-            assert!(SimdLeg::Avx2.is_available());
-            assert_eq!(best_available_leg(), SimdLeg::Avx512);
+        if LegKind::Avx512.available().is_some() {
+            assert!(LegKind::Avx2.available().is_some());
+            assert_eq!(best_leg(runs_here), LegKind::Avx512);
         }
     }
 
@@ -452,7 +527,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn the_avx2_leg_requires_f16c() {
-        if SimdLeg::Avx2.is_available() {
+        if LegKind::Avx2.available().is_some() {
             assert!(std::arch::is_x86_feature_detected!("f16c"));
         }
     }
@@ -460,7 +535,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_f16_conversion_lanes_match_scalar() {
-        if !SimdLeg::Avx2.is_available() {
+        if LegKind::Avx2.available().is_none() {
             return;
         }
         use crate::{saturate_to_f16, F16};
@@ -486,7 +561,7 @@ mod tests {
             let mut v = [0f32; 8];
             v[..lanes.len()].copy_from_slice(lanes);
             let (mut narrow, mut wide) = ([0u16; 8], [0f32; 8]);
-            // SAFETY: the AVX2 leg (so AVX2 and F16C) is available; the
+            // SAFETY: the host runs the AVX2 leg (so AVX2 and F16C); the
             // loads and stores cover 8-lane local arrays.
             unsafe {
                 let h = x86::saturate_f32x8_to_f16(_mm256_loadu_ps(v.as_ptr()));

@@ -369,8 +369,9 @@ impl Page {
     /// rows into `rows`, or the one position-minor run of its K columns
     /// into `keys` — every slot, a stale one holding earlier `narrow`
     /// output or zeros. An Anda page decodes those columns of its V rows
-    /// into `rows`, or of its K rows position-minor into `keys` on `leg`
-    /// (`rowcodec::decode_rows_transposed_into_with_leg`), where a slot past
+    /// into `rows`, or of its K rows position-minor into `keys`, both on
+    /// `leg` (`rowcodec::decode_rows_into_with_leg` /
+    /// `rowcodec::decode_rows_transposed_into_with_leg`), where a K slot past
     /// `used` keeps what an earlier page of the walk left there, or zero
     /// (the K product's scores there are dropped); `cols` must start on
     /// its group boundary.
@@ -405,7 +406,7 @@ impl Page {
                 let groups = cols.start / gs..cols.end.div_ceil(gs);
                 if want_v {
                     rows.resize(pp * dim, 0.0);
-                    v.decode_rows_into(groups, &mut rows[..filled]);
+                    v.decode_rows_into(leg, groups, &mut rows[..filled]);
                     return (&rows[cols.start..filled], dim);
                 }
                 keys.resize(pp * dim, 0.0);
@@ -1263,13 +1264,12 @@ impl PageDecodeCache {
     }
 
     /// [`PageDecodeCache::attend`] with the walk's products, FP16 widens
-    /// and Anda K decodes on an explicit SIMD leg (oracle tests and
-    /// benches; an Anda page's V rows decode on the active leg).
+    /// and Anda decodes on an explicit SIMD leg (oracle tests and
+    /// benches).
     ///
     /// # Panics
     ///
-    /// As [`PageDecodeCache::attend`], or if the leg is unavailable on
-    /// this host.
+    /// As [`PageDecodeCache::attend`].
     pub fn attend_with_leg(
         &mut self,
         lanes: &mut [AttendLane<'_>],
@@ -1277,7 +1277,6 @@ impl PageDecodeCache {
         pool: Option<&ThreadPool>,
         leg: SimdLeg,
     ) {
-        leg.assert_available();
         let Some(first) = lanes.first() else { return };
         let d = first.q.len();
         assert_eq!(d % n_heads, 0, "head split");

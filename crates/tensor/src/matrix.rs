@@ -25,7 +25,7 @@
 use core::fmt;
 use core::ops::{Index, IndexMut};
 
-use anda_fp::simd::{active_leg, SimdLeg};
+use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use rayon_lite::ThreadPool;
 
 use crate::tile::{self, Layout, Operands, OutBlock, TILE_COLS, TILE_ROWS};
@@ -237,10 +237,8 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics on any shape mismatch, or if the leg is unavailable on
-    /// this host.
+    /// Panics on any shape mismatch.
     pub fn matmul_into_serial_with_leg(&self, rhs: &Matrix, out: &mut Matrix, leg: SimdLeg) {
-        leg.assert_available();
         self.product_serial(rhs.as_rhs(Layout::RowMajor), out, leg);
     }
 
@@ -288,15 +286,13 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics on any shape mismatch, or if the leg is unavailable on
-    /// this host.
+    /// Panics on any shape mismatch.
     pub fn matmul_packed_into_serial_with_leg(
         &self,
         rhs: &PackedMatrix,
         out: &mut Matrix,
         leg: SimdLeg,
     ) {
-        leg.assert_available();
         self.product_serial(rhs.as_rhs(), out, leg);
     }
 
@@ -361,15 +357,13 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics on any shape mismatch, or if the leg is unavailable on
-    /// this host.
+    /// Panics on any shape mismatch.
     pub fn matmul_transposed_into_serial_with_leg(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
         leg: SimdLeg,
     ) {
-        leg.assert_available();
         self.product_serial(rhs.as_rhs(Layout::Transposed), out, leg);
     }
 
@@ -453,7 +447,7 @@ impl Matrix {
         let leg = active_leg();
         let threads = pool.threads();
         let tile_rows = streamed_tile_rows(leg);
-        if leg == SimdLeg::Scalar || self.rows >= tile_rows * threads {
+        if leg == SimdLeg::SCALAR || self.rows >= tile_rows * threads {
             let rows_per_chunk = self.rows.div_ceil(threads).next_multiple_of(tile_rows);
             pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
                 self.product_rows(rhs, chunk, idx * rows_per_chunk, leg);
@@ -474,8 +468,7 @@ impl Matrix {
                 // SAFETY: `out` is exclusively borrowed until the scope
                 // joins, holds `rows` rows of `n` (shapes checked above),
                 // and the jobs' column ranges are disjoint and start on
-                // strip boundaries; `leg` is the active one, which the CPU
-                // runs.
+                // strip boundaries.
                 s.spawn(move || unsafe { block_on_leg(ops, &block, leg) });
             }
         });
@@ -487,7 +480,7 @@ impl Matrix {
     /// what makes every sharding bit-identical to the full-range serial
     /// call.
     fn product_rows(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize, leg: SimdLeg) {
-        if leg == SimdLeg::Scalar {
+        if leg == SimdLeg::SCALAR {
             return match rhs.layout {
                 Layout::RowMajor => self.matmul_rows_scalar(rhs, out_rows, row0),
                 Layout::Transposed => self.matmul_transposed_rows_scalar(rhs, out_rows, row0),
@@ -502,8 +495,7 @@ impl Matrix {
         };
         // SAFETY: `out_rows` is exclusively borrowed and holds exactly
         // `rows` full output rows, so the block covers memory this call
-        // owns; the callers checked the shapes, and pass `active_leg()`
-        // or a leg a `_with_leg` entry asserted available.
+        // owns, and the callers checked the shapes.
         unsafe { block_on_leg(&self.operands(rhs), &block, leg) }
     }
 
@@ -899,9 +891,9 @@ struct Rhs<'a> {
 /// Rows of `leg`'s streamed register tile ([`tile::Leg::ROWS`]; the
 /// scalar loops shard in [`TILE_ROWS`] too).
 fn streamed_tile_rows(leg: SimdLeg) -> usize {
-    match leg {
+    match leg.kind() {
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx512 => <tile::Avx512 as tile::Leg>::ROWS,
+        LegKind::Avx512 => <tile::Avx512 as tile::Leg>::ROWS,
         _ => TILE_ROWS,
     }
 }
@@ -910,17 +902,17 @@ fn streamed_tile_rows(leg: SimdLeg) -> usize {
 ///
 /// # Safety
 ///
-/// [`tile::Leg::block`]'s contract — `ops` and `block` must describe
-/// memory the caller may read and exclusively write — and the CPU must run
-/// `leg`.
+/// [`tile::Leg::block`]'s contract: `ops` and `block` must describe
+/// memory the caller may read and exclusively write. The CPU runs `leg`,
+/// as a [`SimdLeg`] proves.
 unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
-    match leg {
+    match leg.kind() {
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx2 => <tile::Avx2 as tile::Leg>::block(ops, block),
+        LegKind::Avx2 => <tile::Avx2 as tile::Leg>::block(ops, block),
         #[cfg(target_arch = "x86_64")]
-        SimdLeg::Avx512 => <tile::Avx512 as tile::Leg>::block(ops, block),
+        LegKind::Avx512 => <tile::Avx512 as tile::Leg>::block(ops, block),
         #[cfg(target_arch = "aarch64")]
-        SimdLeg::Neon => <tile::Neon as tile::Leg>::block(ops, block),
+        LegKind::Neon => <tile::Neon as tile::Leg>::block(ops, block),
         #[allow(unreachable_patterns)]
         other => panic!("SIMD leg {} has no tiled kernel on this host", other.name()),
     }
@@ -987,9 +979,8 @@ impl<'a> Strided<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on a shape mismatch, if `out` cannot hold the product, if the
-    /// last row's window runs past `rhs`'s buffer, or if `leg` is
-    /// unavailable on this host.
+    /// Panics on a shape mismatch, if `out` cannot hold the product, or if
+    /// the last row's window runs past `rhs`'s buffer.
     pub fn matmul_batched_into(
         &self,
         rhs: Strided<'_>,
@@ -1014,7 +1005,6 @@ impl<'a> Strided<'a> {
             self.rows,
             rhs.data.len()
         );
-        leg.assert_available();
         let ops = Operands {
             lhs: self.data,
             lda: self.ld,
@@ -1027,7 +1017,7 @@ impl<'a> Strided<'a> {
             resident: true,
             rhs_stride,
         };
-        if leg == SimdLeg::Scalar {
+        if leg == SimdLeg::SCALAR {
             return tile::resident_block_scalar(&ops, self.rows, n, out);
         }
         let block = OutBlock {
@@ -1038,8 +1028,7 @@ impl<'a> Strided<'a> {
         };
         // SAFETY: `out` is exclusively borrowed and, as asserted, holds
         // the block's rows at stride `ldc`; `Strided::new` checked that
-        // both windows lie inside their buffers, and the shapes agree;
-        // `leg` was asserted available.
+        // both windows lie inside their buffers, and the shapes agree.
         unsafe { block_on_leg(&ops, &block, leg) }
     }
 }
@@ -1237,7 +1226,7 @@ mod tests {
             bt[(n / 2, k - 1)] = f32::NAN;
             bt[(n - 1, k / 2)] = f32::NEG_INFINITY;
             let mut reference = Matrix::zeros(m, n);
-            a.matmul_into_serial_with_leg(&b, &mut reference, anda_fp::SimdLeg::Scalar);
+            a.matmul_into_serial_with_leg(&b, &mut reference, anda_fp::SimdLeg::SCALAR);
             let mut reference_t = Matrix::zeros(m, n);
             for i in 0..m {
                 for j in 0..n {
@@ -1345,44 +1334,6 @@ mod tests {
     }
 
     #[test]
-    fn every_with_leg_entry_refuses_an_unavailable_leg() {
-        // The first leg the host lacks: Avx512 on aarch64 or on an x86-64
-        // CPU without it — where a missing check would be an illegal
-        // instruction from safe code — else Neon.
-        let leg = [SimdLeg::Avx512, SimdLeg::Avx2, SimdLeg::Neon]
-            .into_iter()
-            .find(|leg| !leg.is_available())
-            .expect("no host runs every vector leg");
-        let want = format!("SIMD leg {} unavailable on this host", leg.name());
-        let a = Matrix::identity(4);
-        type Entry<'a> = (&'a str, &'a dyn Fn());
-        let packed = PackedMatrix::pack(&a);
-        let entries: [Entry; 4] = [
-            ("matmul_into_serial_with_leg", &|| {
-                a.matmul_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
-            }),
-            ("matmul_packed_into_serial_with_leg", &|| {
-                a.matmul_packed_into_serial_with_leg(&packed, &mut Matrix::zeros(4, 4), leg)
-            }),
-            ("matmul_transposed_into_serial_with_leg", &|| {
-                a.matmul_transposed_into_serial_with_leg(&a, &mut Matrix::zeros(4, 4), leg)
-            }),
-            ("Strided::matmul_batched_into", &|| {
-                let (lhs, rhs) = (
-                    Strided::new(a.as_slice(), 4, 1, 4),
-                    Strided::new(a.as_slice(), 1, 4, 4),
-                );
-                lhs.matmul_batched_into(rhs, 4, &mut [0.0; 16], 4, false, leg)
-            }),
-        ];
-        for (name, entry) in entries {
-            let panic =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry)).expect_err(name);
-            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{name}");
-        }
-    }
-
-    #[test]
     fn multiplying_by_a_zero_equals_skipping_it() {
         // The scalar oracle skips `a == 0`; the register tiles multiply
         // through, over a row-major or a packed `rhs`. Accumulators start
@@ -1412,7 +1363,7 @@ mod tests {
             (0..k * n).map(|i| (i as f32 * 0.3).sin() * 1e3).collect(),
         );
         let mut oracle = Matrix::zeros(m, n);
-        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
+        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
         assert!(oracle.as_slice()[..2 * n].iter().all(|x| x.to_bits() == 0));
         let packed = PackedMatrix::pack(&b);
         for leg in available_legs() {

@@ -181,7 +181,7 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
                 let mut a = deterministic(m, k, 9);
                 a.map_inplace(|x| x.max(0.0));
                 let mut oracle = Matrix::zeros(m, n);
-                a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
+                a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
                 for leg in anda_fp::simd::available_legs() {
                     let mut out = Matrix::zeros(m, n);
                     out.as_mut_slice().fill(f32::NAN);
@@ -298,7 +298,7 @@ proptest! {
         let n = (16 * strips + [0, 1, 8, 15][tail]).max(1);
         let (a, b) = hostile_operands(m, k, n, seed);
         let mut oracle = Matrix::zeros(m, n);
-        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
+        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
         for leg in anda_fp::simd::available_legs() {
             let mut out = Matrix::zeros(m, n);
             out.as_mut_slice().fill(f32::NAN);

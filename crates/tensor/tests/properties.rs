@@ -134,9 +134,9 @@ proptest! {
         }
 
         let mut oracle = Matrix::zeros(m, n);
-        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::Scalar);
+        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
         let mut oracle_t = Matrix::zeros(m, n);
-        a.matmul_transposed_into_serial_with_leg(&bt, &mut oracle_t, anda_fp::SimdLeg::Scalar);
+        a.matmul_transposed_into_serial_with_leg(&bt, &mut oracle_t, anda_fp::SimdLeg::SCALAR);
         let bits = |mat: &Matrix| -> Vec<u32> {
             mat.as_slice().iter().map(|x| x.to_bits()).collect()
         };
