@@ -86,6 +86,9 @@ impl AlignedGroup {
     }
 
     /// Dequantizes the whole group.
+    ///
+    /// Not on the served path: the element-level oracle `properties.rs`
+    /// checks the streaming quantiser against.
     pub fn dequantize_all(&self) -> Vec<f32> {
         (0..self.elements.len())
             .map(|i| self.dequantize(i))
@@ -183,12 +186,6 @@ pub fn fake_quantize_in_place(values: &mut [f32], group_size: usize, mantissa_bi
     }
 }
 
-/// Upper bound on the absolute quantization error of any element in a group
-/// aligned with truncation: one mantissa ULP, `2^(E - 14 - M)`.
-pub fn truncation_error_bound(shared_exp: u16, mantissa_bits: u32) -> f32 {
-    exp2f(i32::from(shared_exp) - 14 - mantissa_bits as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,7 +230,7 @@ mod tests {
         let vals = f16s(&[3.1, 0.02, -1.7, 0.9]);
         for m in 1..=16 {
             let g = align_group(&vals, m).unwrap();
-            let bound = truncation_error_bound(g.shared_exp, m);
+            let bound = exp2f(i32::from(g.shared_exp) - 14 - m as i32);
             for (i, v) in vals.iter().enumerate() {
                 let err = (g.dequantize(i) - v.to_f32()).abs();
                 assert!(err <= bound, "m={m} i={i} err={err} bound={bound}");

@@ -127,6 +127,9 @@ impl AndaTensor {
 
     /// Converts FP16 activations to a one-row tensor (see
     /// [`AndaTensor::from_f32`]; every finite FP16 value is exact in `f32`).
+    ///
+    /// For callers holding FP16 activations: the constructor the crate
+    /// docs' example shows.
     pub fn from_f16(values: &[F16], config: AndaConfig) -> Self {
         let widened: Vec<f32> = values.iter().map(|v| v.to_f32()).collect();
         Self::from_f32(&widened, config)
@@ -150,6 +153,9 @@ impl AndaTensor {
     /// Heap bytes of the sign, exponent and plane buffers. Each group's
     /// exponent is held in a `u16`: 11 bits past the 5 that
     /// [`rowcodec::row_storage_bits`] accounts.
+    ///
+    /// Not on the served path: the KV accounting test in `anda-llm`'s
+    /// `kv.rs` reads it to pin a page's bits.
     pub fn heap_bytes(&self) -> usize {
         size_of_val(&*self.signs) + size_of_val(&*self.exps) + size_of_val(&*self.planes)
     }

@@ -62,6 +62,9 @@ impl<'a> BitPlaneGroup<'a> {
     /// Reconstructs the element-major [`AlignedGroup`] view — the bridge
     /// to the element-level oracles ([`crate::dot::dot_group_reference`],
     /// [`AlignedGroup::dequantize_all`]).
+    ///
+    /// Not on the served path: the format suites reach the element-level
+    /// oracles through it.
     pub fn to_aligned(&self) -> AlignedGroup {
         let m = self.planes.len() as u32;
         let elements = (0..self.len)

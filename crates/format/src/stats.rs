@@ -1,25 +1,5 @@
 //! Quantization-error metrics shared by the experiments.
 
-/// Mean squared error between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn mse(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "mse length mismatch");
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = f64::from(x) - f64::from(y);
-            d * d
-        })
-        .sum::<f64>()
-        / a.len() as f64
-}
-
 /// Maximum absolute elementwise error.
 ///
 /// # Panics
@@ -58,39 +38,9 @@ pub fn sqnr_db(signal: &[f32], quantized: &[f32]) -> f64 {
     }
 }
 
-/// Fraction of elements that became exactly zero in `b` while nonzero in `a`
-/// — the "shifted to zero" effect of aggressive mantissa truncation (Fig. 4).
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn zeroed_fraction(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "zeroed_fraction length mismatch");
-    let nonzero = a.iter().filter(|&&x| x != 0.0).count();
-    if nonzero == 0 {
-        return 0.0;
-    }
-    let zeroed = a
-        .iter()
-        .zip(b)
-        .filter(|(&x, &y)| x != 0.0 && y == 0.0)
-        .count();
-    zeroed as f64 / nonzero as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mse_of_identical_slices_is_zero() {
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        assert_eq!(mse(&[0.0, 0.0], &[1.0, -1.0]), 1.0);
-    }
 
     #[test]
     fn max_abs_err_picks_largest() {
@@ -112,15 +62,8 @@ mod tests {
     }
 
     #[test]
-    fn zeroed_fraction_counts_only_new_zeros() {
-        let a = [1.0f32, 0.0, 2.0, 3.0];
-        let b = [1.0f32, 0.0, 0.0, 3.0];
-        assert!((zeroed_fraction(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_slices() {
-        assert_eq!(mse(&[], &[]), 0.0);
-        assert_eq!(zeroed_fraction(&[], &[]), 0.0);
+        assert_eq!(max_abs_err(&[], &[]), 0.0);
+        assert!(sqnr_db(&[], &[]).is_infinite());
     }
 }

@@ -3,7 +3,7 @@
 //! — every encoder (owning, flat on every SIMD leg, the BPC model) and the
 //! streaming activation quantiser agree bit for bit.
 
-use anda_format::align::{align_group, fake_quantize_in_place, truncation_error_bound};
+use anda_format::align::{align_group, exp2f, fake_quantize_in_place};
 use anda_format::dot::{dot_group_int_flat_scalar, dot_group_reference};
 use anda_format::rowcodec::{
     decode_row_into_with_leg, encode_row_into_with_leg, groups_per_row, plane_words_per_row,
@@ -61,6 +61,12 @@ fn blank_a_group(row: &mut [f32], group_size: usize, seed: u64) {
         let end = ((g + 1) * group_size).min(row.len());
         row[g * group_size..end].fill(0.0);
     }
+}
+
+/// Upper bound on the absolute quantization error of any element in a group
+/// aligned with truncation: one mantissa ULP, `2^(E - 14 - M)`.
+fn truncation_error_bound(shared_exp: u16, mantissa_bits: u32) -> f32 {
+    exp2f(i32::from(shared_exp) - 14 - mantissa_bits as i32)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

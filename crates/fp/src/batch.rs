@@ -134,6 +134,9 @@ pub fn saturate_f16_widen_slice_with_leg(leg: SimdLeg, src: &[f32], dst: &mut [f
 }
 
 /// The scalar oracle of [`saturate_f16_widen_slice`].
+///
+/// Not on the served path: `tests/simd_equivalence.rs` pins every leg
+/// against it.
 pub fn saturate_f16_widen_scalar(src: &[f32], dst: &mut [f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = saturate_to_f16(s).to_f32();
@@ -158,6 +161,9 @@ pub fn saturate_f16_widen_in_place_with_leg(leg: SimdLeg, v: &mut [f32]) {
 }
 
 /// The scalar oracle of [`saturate_f16_widen_in_place`].
+///
+/// Not on the served path: `tests/simd_equivalence.rs` pins every leg
+/// against it.
 pub fn saturate_f16_widen_in_place_scalar(v: &mut [f32]) {
     for x in v.iter_mut() {
         *x = saturate_to_f16(*x).to_f32();

@@ -8,12 +8,8 @@ use crate::rounding::shift_right_round;
 
 /// Number of explicit fraction (mantissa-field) bits in binary16.
 pub const FRAC_BITS: u32 = 10;
-/// Number of significand bits including the hidden bit.
-pub const SIG_BITS: u32 = FRAC_BITS + 1;
 /// Exponent bias of binary16.
 pub const EXP_BIAS: i32 = 15;
-/// Maximum biased exponent of a finite binary16 value.
-pub const EXP_MAX: u16 = 30;
 
 const SIGN_MASK: u16 = 0x8000;
 const EXP_MASK: u16 = 0x7C00;
@@ -45,11 +41,15 @@ impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0x0000);
     /// Negative zero.
-    pub const NEG_ZERO: F16 = F16(0x8000);
+    #[cfg(test)]
+    const NEG_ZERO: F16 = F16(0x8000);
     /// One.
+    ///
+    /// Read by the binary16 suites (`tests/arithmetic.rs`).
     pub const ONE: F16 = F16(0x3C00);
     /// Negative one.
-    pub const NEG_ONE: F16 = F16(0xBC00);
+    #[cfg(test)]
+    const NEG_ONE: F16 = F16(0xBC00);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7C00);
     /// Negative infinity.
@@ -63,8 +63,12 @@ impl F16 {
     /// Smallest positive normal value (2^-14).
     pub const MIN_POSITIVE: F16 = F16(0x0400);
     /// Smallest positive subnormal value (2^-24).
+    ///
+    /// Read by the binary16 suites (`tests/arithmetic.rs`).
     pub const MIN_POSITIVE_SUBNORMAL: F16 = F16(0x0001);
     /// Machine epsilon (2^-10).
+    ///
+    /// Read by the binary16 suites (`tests/properties.rs`).
     pub const EPSILON: F16 = F16(0x1400);
 
     /// Creates an `F16` from its raw IEEE 754 binary16 bit pattern.
@@ -103,12 +107,6 @@ impl F16 {
         self.0 & SIGN_MASK != 0
     }
 
-    /// Returns `true` if the sign bit is clear.
-    #[inline]
-    pub const fn is_sign_positive(self) -> bool {
-        !self.is_sign_negative()
-    }
-
     /// Returns the biased exponent field (0..=31).
     #[inline]
     pub const fn biased_exponent(self) -> u16 {
@@ -140,12 +138,17 @@ impl F16 {
     }
 
     /// Returns `true` for subnormal values (biased exponent 0, fraction ≠ 0).
+    ///
+    /// Read by the binary16 suites (`tests/properties.rs`).
     #[inline]
     pub const fn is_subnormal(self) -> bool {
         self.0 & EXP_MASK == 0 && self.0 & FRAC_MASK != 0
     }
 
     /// Returns `true` for ±0.
+    ///
+    /// Read by the binary16 suites (`tests/arithmetic.rs`,
+    /// `tests/properties.rs`).
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 & !SIGN_MASK == 0
@@ -185,13 +188,6 @@ impl F16 {
             magnitude: sig,
             biased_exp: exp_eff,
         }
-    }
-
-    /// Reconstructs an `F16` from a significand view produced by
-    /// [`F16::significand`]. Lossless for all finite values.
-    pub fn from_significand(sig: Significand) -> Self {
-        let value = sig.to_f32();
-        Self::from_f32(value)
     }
 
     /// IEEE 754 `totalOrder`-style comparison usable for sorting.
@@ -499,8 +495,6 @@ mod tests {
             let s = x.significand();
             assert!(s.magnitude <= 2047);
             assert_eq!(s.to_f32(), x.to_f32(), "bits {bits:#06x}");
-            let back = F16::from_significand(s);
-            assert_eq!(back.to_f32(), x.to_f32());
         }
     }
 

@@ -69,18 +69,10 @@ impl ModelConfig {
         }
     }
 
-    /// Total parameter count of the dense weights (embeddings + blocks),
-    /// used for sanity checks on the real-dimension catalog. A token
-    /// meets every block weight in exactly one MAC, so the blocks hold
-    /// [`ModelConfig::fp_int_macs_per_token`] parameters.
-    pub fn param_count(&self) -> u64 {
-        (self.vocab * self.d_model) as u64 + self.fp_int_macs_per_token()
-    }
-
     /// FP-INT GeMM MAC count for one token passing through all blocks
     /// (the four quantized module types only) — the one sum of
     /// [`module_macs_all_layers`] over [`ModuleKind::ALL`], which
-    /// [`crate::opcount::decode_ops`] and [`ModelConfig::param_count`] read.
+    /// [`crate::opcount::decode_ops`] reads.
     pub fn fp_int_macs_per_token(&self) -> u64 {
         ModuleKind::ALL
             .iter()
@@ -92,6 +84,17 @@ impl ModelConfig {
     /// token attending over a prefix of `context` tokens: `QKᵀ` plus `P·V`.
     pub fn attention_macs_at(&self, context: u64) -> u64 {
         2 * self.d_model as u64 * context * self.n_layers as u64
+    }
+}
+
+#[cfg(test)]
+impl ModelConfig {
+    /// Total parameter count of the dense weights (embeddings + blocks),
+    /// used for sanity checks on the real-dimension catalog. A token
+    /// meets every block weight in exactly one MAC, so the blocks hold
+    /// [`ModelConfig::fp_int_macs_per_token`] parameters.
+    pub(crate) fn param_count(&self) -> u64 {
+        (self.vocab * self.d_model) as u64 + self.fp_int_macs_per_token()
     }
 }
 

@@ -5,10 +5,6 @@ use anda_tensor::ops;
 use crate::model::{ForwardScratch, Model};
 use crate::modules::CodecAssignment;
 
-/// Default evaluation window (the paper uses 2048 for real models; sim
-/// models use their own scale).
-pub const DEFAULT_WINDOW: usize = 256;
-
 /// Perplexity of `model` on `tokens` under the given activation codecs.
 ///
 /// The stream is split into non-overlapping windows of `window` tokens;

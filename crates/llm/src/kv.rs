@@ -172,15 +172,6 @@ impl KvPoolConfig {
     pub fn pages_for(&self, positions: usize) -> usize {
         positions.div_ceil(self.page_positions)
     }
-
-    /// Caps the pool at the number of whole pages that fit in a memory
-    /// budget of `budget_bits` for `dim`-wide rows — the knob that makes
-    /// FP16 and Anda pools comparable at equal memory. A compressed
-    /// policy yields proportionally more pages from the same budget.
-    pub fn with_memory_budget(mut self, budget_bits: usize, dim: usize) -> Self {
-        self.max_pages = Some(budget_bits / self.page_bits(dim));
-        self
-    }
 }
 
 /// One fixed-size block of KV storage: `page_positions` positions of one
@@ -538,6 +529,9 @@ impl Drop for SharedInner {
 impl SharedPage {
     /// Number of live leases of this page (1 = this handle is the sole
     /// owner).
+    ///
+    /// Not on the served path: `tests/page_pool.rs` pins lease counts with
+    /// it.
     pub fn ref_count(&self) -> usize {
         Arc::strong_count(&self.inner)
     }
@@ -694,6 +688,9 @@ impl PagePool {
     /// Creates up to `n` pages onto the free list (bounded by capacity),
     /// so subsequent leases allocate nothing — the warm-up knob behind
     /// the zero-allocation decode guarantee.
+    ///
+    /// For callers warming a pool: `tests/kv_alloc.rs` pins the
+    /// zero-allocation step behind it.
     pub fn preallocate(&self, n: usize, dim: usize) {
         let mut st = self.lock_for_width(dim);
         for _ in 0..n {
@@ -788,11 +785,6 @@ impl LayerKv {
     /// `true` when no positions are cached.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Pages currently in the page table.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
     }
 
     /// Pages in the table holding a shared (refcounted) lease.
@@ -1199,6 +1191,9 @@ impl PageDecodeCache {
     /// Projection GEMMs the model's steps dispatched through this cache
     /// (monotonic): one per weight per layer per step, however many
     /// entries and spans a step carries.
+    ///
+    /// Not on the served path: `tests/grouped_batch.rs` pins the per-step
+    /// GEMM count with `==`.
     pub fn gemm_dispatches(&self) -> u64 {
         self.rows.gemms
     }
@@ -1744,7 +1739,7 @@ mod tests {
             cache.append_row(0, r, r);
         }
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.layer(0).page_count(), 2);
+        assert_eq!(cache.layer(0).pages.len(), 2);
         for (i, r) in k.iter().enumerate() {
             for (a, &b) in cache.layer(0).key(i).iter().zip(r) {
                 assert!((a - b).abs() < 1e-3);
@@ -1953,10 +1948,9 @@ mod tests {
     fn memory_budget_holds_more_anda_pages_than_fp16() {
         let dim = 128;
         let budget = 4 * 1024 * 1024; // bits
-        let fp16 = KvPoolConfig::unbounded(KvStorage::Fp16).with_memory_budget(budget, dim);
-        let anda = KvPoolConfig::unbounded(KvStorage::Anda { mantissa_bits: 5 })
-            .with_memory_budget(budget, dim);
-        let (f, a) = (fp16.max_pages.unwrap(), anda.max_pages.unwrap());
+        let fp16 = KvPoolConfig::unbounded(KvStorage::Fp16);
+        let anda = KvPoolConfig::unbounded(KvStorage::Anda { mantissa_bits: 5 });
+        let (f, a) = (budget / fp16.page_bits(dim), budget / anda.page_bits(dim));
         assert!(
             a as f64 > f as f64 * 2.5,
             "anda pages {a} vs fp16 pages {f}"
@@ -2103,7 +2097,7 @@ mod tests {
     /// appends into its own tail without leasing, the donor's rows never
     /// change, and the two caches diverge only past the fork point.
     #[test]
-    fn copy_on_write_preserves_bits_and_isolates_streams() {
+    fn a_mid_page_fork_copies_its_tail_and_isolates_streams() {
         for storage in [
             KvStorage::Fp32,
             KvStorage::Fp16,

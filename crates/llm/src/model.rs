@@ -311,6 +311,8 @@ impl Model {
     /// many sequences (perplexity windows, calibration sweeps) should hold
     /// one scratch and use [`Model::forward_with_scratch`].
     ///
+    /// The solo reference a served step stays `f32::to_bits`-equal to.
+    ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty, exceeds `max_seq`, or contains an
@@ -519,7 +521,8 @@ impl Model {
     /// the final norm, but stops before the LM head, leaving the
     /// final-normed residual in `s` ([`DecodeScratch::hidden_state`]).
     /// Runs on the calling thread alone — the per-token solo oracle the
-    /// batched suites compare against, allocation-free once warmed.
+    /// batched suites compare against, allocation-free once warmed; the
+    /// served path batches through [`Model::decode_hidden_batch`].
     ///
     /// # Panics
     ///
@@ -855,6 +858,9 @@ impl Model {
     ///
     /// See [`Model::lm_head_batch_pool`] for an explicit pool (tests pin
     /// thread counts with it).
+    ///
+    /// For solo callers on the global pool; the scheduler calls
+    /// [`Model::lm_head_batch_pool`].
     ///
     /// # Panics
     ///

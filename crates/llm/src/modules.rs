@@ -77,11 +77,6 @@ impl PrecisionCombo {
         }
         out
     }
-
-    /// Sum of the four mantissa lengths (a cheap proxy ordering).
-    pub fn total_bits(&self) -> u32 {
-        self.0.iter().sum()
-    }
 }
 
 impl core::fmt::Display for PrecisionCombo {
@@ -130,16 +125,6 @@ impl CodecAssignment {
             o: ActivationCodec::anda(combo.0[1]),
             u: ActivationCodec::anda(combo.0[2]),
             d: ActivationCodec::anda(combo.0[3]),
-        }
-    }
-
-    /// The codec for a given module kind.
-    pub fn for_module(&self, kind: ModuleKind) -> &ActivationCodec {
-        match kind {
-            ModuleKind::Qkv => &self.qkv,
-            ModuleKind::OutProj => &self.o,
-            ModuleKind::Up => &self.u,
-            ModuleKind::Down => &self.d,
         }
     }
 
@@ -195,17 +180,16 @@ mod tests {
     #[test]
     fn assignment_from_combo() {
         let a = CodecAssignment::from_combo(PrecisionCombo([7, 6, 5, 4]));
-        assert_eq!(a.qkv.compute_mantissa_bits(), 7);
-        assert_eq!(a.o.compute_mantissa_bits(), 6);
-        assert_eq!(a.u.compute_mantissa_bits(), 5);
-        assert_eq!(a.d.compute_mantissa_bits(), 4);
+        assert_eq!(a.qkv, ActivationCodec::anda(7));
+        assert_eq!(a.o, ActivationCodec::anda(6));
+        assert_eq!(a.u, ActivationCodec::anda(5));
+        assert_eq!(a.d, ActivationCodec::anda(4));
     }
 
     #[test]
     fn with_module_replaces_single_codec() {
         let a = CodecAssignment::fp16().with_module(ModuleKind::Down, ActivationCodec::anda(5));
         assert_eq!(a.qkv, ActivationCodec::Fp16);
-        assert_eq!(a.d.compute_mantissa_bits(), 5);
-        assert_eq!(*a.for_module(ModuleKind::Down), ActivationCodec::anda(5));
+        assert_eq!(a.d, ActivationCodec::anda(5));
     }
 }

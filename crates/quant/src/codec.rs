@@ -69,16 +69,6 @@ impl ActivationCodec {
         Self::anda(VSQUANT_MANTISSA_BITS)
     }
 
-    /// Mantissa bits carried through the GeMM datapath, used by the BOPs
-    /// model: FP16 counts as 16 (11-bit significand padded to the FP16
-    /// datapath; one FP16×INT4 MAC ≈ 64 BOPs per the paper's convention).
-    pub fn compute_mantissa_bits(&self) -> u32 {
-        match self {
-            ActivationCodec::Exact | ActivationCodec::Fp16 => 16,
-            ActivationCodec::Grouped { mantissa_bits, .. } => *mantissa_bits,
-        }
-    }
-
     /// Storage bits per activation element in memory: for a grouped
     /// codec the mantissa, a sign bit and the group's share of its 5-bit
     /// shared exponent. This is the one definition of Anda's storage cost;
@@ -97,6 +87,9 @@ impl ActivationCodec {
 
     /// Applies the codec to a flat slice (quantize → dequantize).
     ///
+    /// Not on the served path: the per-row reference the in-place and
+    /// matrix entries are checked against.
+    ///
     /// # Panics
     ///
     /// As [`ActivationCodec::apply_matrix_in_place`].
@@ -104,17 +97,6 @@ impl ActivationCodec {
         let mut out = values.to_vec();
         self.apply_rows_in_place(&mut out, values.len());
         out
-    }
-
-    /// [`ActivationCodec::apply`] into a caller-provided buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != values.len()`.
-    pub fn apply_into(&self, values: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), values.len(), "apply_into length mismatch");
-        out.copy_from_slice(values);
-        self.apply_rows_in_place(out, values.len());
     }
 
     /// Applies the codec independently to every row of a matrix (groups
@@ -202,9 +184,6 @@ mod tests {
         let mut direct = vals.clone();
         fake_quantize_in_place(&mut direct, 64, 6);
         assert_eq!(codec.apply(&vals), direct);
-        let mut into = vec![0.0; vals.len()];
-        codec.apply_into(&vals, &mut into);
-        assert_eq!(into, direct);
     }
 
     #[test]
@@ -252,9 +231,8 @@ mod tests {
 
     #[test]
     fn baseline_parameters() {
-        assert_eq!(ActivationCodec::figna().compute_mantissa_bits(), 13);
-        assert_eq!(ActivationCodec::vs_quant().compute_mantissa_bits(), 4);
-        assert_eq!(ActivationCodec::Fp16.compute_mantissa_bits(), 16);
+        assert_eq!(ActivationCodec::figna(), ActivationCodec::anda(13));
+        assert_eq!(ActivationCodec::vs_quant(), ActivationCodec::anda(4));
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl IntWeightMatrix {
         self.scales[(k_index / self.config.group_size) * self.n + col]
     }
 
-    /// Number of k-direction groups.
-    pub fn k_groups(&self) -> usize {
-        self.k.div_ceil(self.config.group_size)
-    }
-
     /// Dequantizes back to a dense `f32` matrix.
     pub fn dequantize(&self) -> Matrix {
         let mut m = Matrix::zeros(self.k, self.n);
@@ -248,11 +243,6 @@ impl IntWeightMatrix {
     /// Storage footprint in bits: values at `bits` each plus FP16 scales.
     pub fn storage_bits(&self) -> usize {
         self.values.len() * self.config.bits as usize + self.scales.len() * 16
-    }
-
-    /// Extracts a column of quantized weights (one output neuron).
-    pub fn col_values(&self, col: usize) -> Vec<i8> {
-        (0..self.k).map(|r| self.value(r, col)).collect()
     }
 }
 
@@ -505,7 +495,6 @@ mod tests {
     fn partial_last_group_handled() {
         let w = random_weights(100, 4, 4); // 100 = 128·0 + remainder
         let q = IntWeightMatrix::quantize(&w, WeightQuantConfig::rtn(4, 64));
-        assert_eq!(q.k_groups(), 2);
         let d = q.dequantize();
         assert_eq!(d.shape(), (100, 4));
     }
@@ -522,15 +511,5 @@ mod tests {
         let w = random_weights(128, 4, 5);
         let q = IntWeightMatrix::quantize(&w, WeightQuantConfig::w4_g128());
         assert_eq!(q.storage_bits(), 128 * 4 * 4 + 4 * 16);
-    }
-
-    #[test]
-    fn col_values_matches_value() {
-        let w = random_weights(64, 3, 6);
-        let q = IntWeightMatrix::quantize(&w, WeightQuantConfig::rtn(4, 64));
-        let col = q.col_values(1);
-        for (r, &cv) in col.iter().enumerate() {
-            assert_eq!(cv, q.value(r, 1));
-        }
     }
 }

@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(first_accept.combo, PrecisionCombo::uniform(7));
         // And the search refines below the uniform solution.
         let best = out.best.unwrap();
-        assert!(best.total_bits() < 28, "best {best}");
+        assert!(best.0.iter().sum::<u32>() < 28, "best {best}");
     }
 
     #[test]

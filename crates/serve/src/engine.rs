@@ -181,6 +181,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Steps until no request is pending, suspended, or active.
+    ///
+    /// For callers that drive the engine to quiescence rather than awaiting
+    /// handles.
     pub fn run_until_idle(&self) {
         while !self.core.borrow().sched.is_idle() {
             self.step();
@@ -210,12 +213,6 @@ impl<'a> Engine<'a> {
     /// [`Engine::step`].
     pub fn scheduler(&self) -> Ref<'_, Scheduler<'a>> {
         Ref::map(self.core.borrow(), |core| &core.sched)
-    }
-
-    /// Runs `f` with mutable access to the underlying scheduler
-    /// (pinning prefixes, manual stepping).
-    pub fn with_scheduler<R>(&self, f: impl FnOnce(&mut Scheduler<'a>) -> R) -> R {
-        f(&mut self.core.borrow_mut().sched)
     }
 }
 
@@ -299,9 +296,9 @@ impl SubmitHandle<'_> {
     /// returns its results: `n` for a parallel request (sample order),
     /// the single winner for best-of, one otherwise. Returns the empty
     /// vector for a cancelled request, and for one whose results were
-    /// already collected (a second await, or a drain that bypassed the
-    /// engine) — without stepping. Other requests keep being served
-    /// while this one is awaited — steps advance everyone.
+    /// already collected by an earlier await — without stepping. Other
+    /// requests keep being served while this one is awaited — steps
+    /// advance everyone.
     pub fn await_finished(&mut self) -> Vec<FinishedRequest> {
         loop {
             let mut core = self.core.borrow_mut();

@@ -25,8 +25,7 @@ impl std::fmt::Display for RequestId {
 /// reclaim its KV pages ([`SchedulerStats::preemptions`]).
 ///
 /// Ordering: `High < Normal < Low`, i.e. the [`Ord`] minimum is the
-/// most urgent class ([`Priority::outranks`] reads better at call
-/// sites).
+/// most urgent class, so `a < b` reads "`a` outranks `b`".
 ///
 /// [`SchedulerStats::preemptions`]: crate::SchedulerStats::preemptions
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,9 +41,6 @@ pub enum Priority {
 }
 
 impl Priority {
-    /// Every class, most urgent first (also the queue index order).
-    pub const CLASSES: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
-
     /// Dense index of this class (`High = 0`, `Normal = 1`, `Low = 2`).
     pub fn index(self) -> usize {
         self as usize
@@ -59,12 +55,6 @@ impl Priority {
             Priority::Normal => 2,
             Priority::Low => 1,
         }
-    }
-
-    /// `true` when `self` is a strictly more urgent class than `other`
-    /// (only strictly-outranked streams may be preempted).
-    pub fn outranks(self, other: Priority) -> bool {
-        self < other
     }
 }
 
@@ -322,6 +312,8 @@ impl RequestBuilder {
 
     /// `n` parallel samples over one shared prompt cache; sample `i`
     /// decodes with seed `seed + i`.
+    ///
+    /// For callers: the parallel-sampling mode of a request.
     pub fn parallel(self, n: usize) -> Self {
         self.mode(SamplingMode::Parallel { n })
     }

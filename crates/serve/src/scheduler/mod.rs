@@ -823,6 +823,8 @@ impl<'a> Scheduler<'a> {
     /// cannot exhaust the pool mid-flight — *and* beside the worst
     /// pending work item's demand, so a pin can never strand work that
     /// was already accepted.
+    ///
+    /// For callers that keep a system prompt resident.
     pub fn pin_prefix(&mut self, tokens: &[usize]) -> Result<PrefixPin, SubmitError> {
         self.check_sequence(tokens, tokens.len())?;
         let pp = self.cfg.kv.page_positions;
@@ -899,6 +901,8 @@ impl<'a> Scheduler<'a> {
     /// queued request that was accepted on the pin's discount `s` still
     /// fits — `d − s ≤ capacity − pinned` at submit gives `d ≤ capacity
     /// − (pinned − s)` now — it just prefills the prefix itself.
+    ///
+    /// For callers that keep a system prompt resident.
     pub fn unpin_prefix(&mut self, pin: PrefixPin) -> usize {
         let Some(node) = pin.node else { return 0 };
         let before = self.radix.pinned_pages();
@@ -1081,6 +1085,9 @@ impl<'a> Scheduler<'a> {
 
     /// Drives [`Scheduler::step`] until idle and drains the finished
     /// requests (completion order).
+    ///
+    /// For callers that drive the scheduler directly rather than through an
+    /// engine.
     pub fn run_to_completion(&mut self) -> Vec<FinishedRequest> {
         while !self.is_idle() {
             self.step();
@@ -1101,11 +1108,15 @@ impl<'a> Scheduler<'a> {
 
     /// Work items queued but not holding a slot: unadmitted requests
     /// plus preemption-suspended streams awaiting resume.
+    ///
+    /// For callers watching queue depth.
     pub fn pending_len(&self) -> usize {
         self.pending.iter().count()
     }
 
     /// Preemption-suspended streams currently parked for resume.
+    ///
+    /// For callers watching preemption.
     pub fn suspended_len(&self) -> usize {
         self.pending.iter().filter(|item| item.resumed).count()
     }
@@ -1176,6 +1187,8 @@ impl<'a> Scheduler<'a> {
     /// holds and no pin protects), returning the pages freed. The tree
     /// keeps serving correctly afterwards — subsequent prompts simply
     /// miss and re-prefill.
+    ///
+    /// For callers that reclaim cached prefix pages on demand.
     pub fn flush_prefix_cache(&mut self) -> usize {
         self.radix.evict_all()
     }

@@ -133,6 +133,9 @@ impl Replay {
     }
 
     /// `true` once every arrival has been yielded.
+    ///
+    /// For callers driving a replay: its loop ends once this holds and the
+    /// engine is idle.
     pub fn exhausted(&self) -> bool {
         self.next == self.schedule.steps.len()
     }

@@ -236,12 +236,11 @@ fn llama_family_batched_decode_is_exact() {
 }
 
 /// EOS termination: the scheduler stops a stream exactly where the solo
-/// reference first emits the EOS token, and reports the right reason.
+/// reference first emits the EOS token, and reports the right reason —
+/// also when that is the very first generated token.
 #[test]
 fn eos_truncation_matches_reference() {
     let model = model();
-    // Pick, per seed, the token the reference actually generates third,
-    // and use it as EOS — guaranteeing the EOS path fires mid-stream.
     let base = Request::builder(vec![30, 60, 90])
         .max_new(10)
         .temperature(1.1)
@@ -249,30 +248,38 @@ fn eos_truncation_matches_reference() {
         .build()
         .unwrap();
     let solo = reference(model, &base);
-    let eos_tok = solo[base.prompt.len() + 2];
-    let req = Request {
-        eos: Some(eos_tok),
-        ..base.clone()
-    };
+    // Use as EOS the token the reference generates first, then the one
+    // it generates third — so the EOS path fires on the first sampled
+    // token and mid-stream.
+    for nth in [0, 2] {
+        let eos_tok = solo[base.prompt.len() + nth];
+        let req = Request {
+            eos: Some(eos_tok),
+            ..base.clone()
+        };
 
-    let mut sched = Scheduler::new(
-        model,
-        SchedulerConfig {
-            max_batch: 3,
-            kv: KvPoolConfig::default(),
-            ..SchedulerConfig::default()
-        },
-    );
-    // Run it alongside unrelated traffic to prove batching does not
-    // perturb the truncation point.
-    sched.submit(req.clone()).unwrap();
-    sched
-        .submit(Request::builder(vec![1, 2]).max_new(6).build().unwrap())
-        .unwrap();
-    let finished = sched.run_to_completion();
-    let hit = finished.iter().find(|f| f.id == RequestId(0)).unwrap();
-    assert_eq!(hit.tokens, reference(model, &req));
-    assert_eq!(*hit.tokens.last().unwrap(), eos_tok);
-    assert!(hit.generated().len() <= 3 + 1);
-    assert_eq!(hit.reason, FinishReason::Eos);
+        let mut sched = Scheduler::new(
+            model,
+            SchedulerConfig {
+                max_batch: 3,
+                kv: KvPoolConfig::default(),
+                ..SchedulerConfig::default()
+            },
+        );
+        // Run it alongside unrelated traffic to prove batching does not
+        // perturb the truncation point.
+        sched.submit(req.clone()).unwrap();
+        sched
+            .submit(Request::builder(vec![1, 2]).max_new(6).build().unwrap())
+            .unwrap();
+        let finished = sched.run_to_completion();
+        let hit = finished.iter().find(|f| f.id == RequestId(0)).unwrap();
+        assert_eq!(hit.tokens, reference(model, &req), "EOS = token {nth}");
+        assert_eq!(*hit.tokens.last().unwrap(), eos_tok);
+        assert!(hit.generated().len() <= nth + 1);
+        if nth == 0 {
+            assert_eq!(hit.generated(), [eos_tok]);
+        }
+        assert_eq!(hit.reason, FinishReason::Eos);
+    }
 }

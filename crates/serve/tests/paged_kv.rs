@@ -150,12 +150,12 @@ fn anda_pool_admits_a_batch_fp32_accounting_rejects() {
 
     // FP32 accounting over this budget cannot even hold two streams at
     // once; with a single-request budget it must reject at submit time.
-    let fp32_pool = KvPoolConfig {
+    let mut fp32_pool = KvPoolConfig {
         storage: KvStorage::Fp32,
         page_positions,
         max_pages: None,
-    }
-    .with_memory_budget(fp32_req_bits / 2, cfg.d_model);
+    };
+    fp32_pool.max_pages = Some(fp32_req_bits / 2 / fp32_pool.page_bits(cfg.d_model));
     let mut fp32_sched = Scheduler::new(
         model,
         SchedulerConfig {
@@ -171,12 +171,12 @@ fn anda_pool_admits_a_batch_fp32_accounting_rejects() {
     );
 
     // The same total budget under Anda holds the entire batch at once.
-    let anda_cfg = KvPoolConfig {
+    let mut anda_cfg = KvPoolConfig {
         storage: anda,
         page_positions,
         max_pages: None,
-    }
-    .with_memory_budget(budget_bits, cfg.d_model);
+    };
+    anda_cfg.max_pages = Some(budget_bits / anda_cfg.page_bits(cfg.d_model));
     let pages_per_req = cfg.n_layers * worst_positions.div_ceil(page_positions);
     assert!(
         anda_cfg.max_pages.unwrap() >= batch * pages_per_req,
@@ -187,12 +187,12 @@ fn anda_pool_admits_a_batch_fp32_accounting_rejects() {
     );
 
     // And under FP32, the same budget provably cannot:
-    let fp32_budget_cfg = KvPoolConfig {
+    let mut fp32_budget_cfg = KvPoolConfig {
         storage: KvStorage::Fp32,
         page_positions,
         max_pages: None,
-    }
-    .with_memory_budget(budget_bits, cfg.d_model);
+    };
+    fp32_budget_cfg.max_pages = Some(budget_bits / fp32_budget_cfg.page_bits(cfg.d_model));
     assert!(
         fp32_budget_cfg.max_pages.unwrap() < batch * pages_per_req,
         "the scenario must be out of reach for FP32 accounting"

@@ -53,12 +53,6 @@ impl Accelerator {
         self.array_dim * self.array_dim
     }
 
-    /// Peak MACs per cycle at the FP16 reference width (each unit retires
-    /// one 64-lane group dot per cycle).
-    pub fn peak_macs_per_cycle(&self) -> u64 {
-        (self.units() * self.lanes) as u64
-    }
-
     /// Activation storage bits per element for this architecture at the
     /// given Anda mantissa length (baselines always store FP16).
     pub fn act_bits_per_element(&self, mantissa_bits: u32) -> f64 {
@@ -92,7 +86,6 @@ mod tests {
     fn paper_configuration_constants() {
         let a = Accelerator::paper(PeKind::FpFp);
         assert_eq!(a.units(), 256);
-        assert_eq!(a.peak_macs_per_cycle(), 16384);
         assert_eq!(a.clock_hz, 285.0e6);
         assert_eq!(a.dram_pj_per_bit, 3.9);
     }

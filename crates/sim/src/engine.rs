@@ -144,6 +144,9 @@ fn dram_schedule(gemm: &Gemm, arch: &Accelerator, a_bits: f64) -> (f64, f64) {
 /// with activations carried at `mantissa_bits` (ignored by FP16-storing
 /// baselines except for datapath-width purposes on FIGNA-M variants).
 /// Output activations are BPC-compressed on Anda (the paper's default).
+///
+/// Not on the cost-model path (that is [`simulate_gemms`]): the
+/// paper-default entry the simulator's property suite pins.
 pub fn simulate_gemm(gemm: &Gemm, arch: &Accelerator, mantissa_bits: u32) -> GemmReport {
     simulate_gemm_opts(gemm, arch, mantissa_bits, true)
 }

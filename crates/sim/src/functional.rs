@@ -51,7 +51,9 @@ pub struct ActivationBuffer {
     exponents: Vec<u16>,
     /// Directory: one address record per stored group, in store order.
     directory: Vec<GroupAddress>,
-    /// Occupied lanes per group (trailing group may be partial).
+    /// Occupied lanes per group (trailing group may be partial); only
+    /// [`ActivationBuffer::load_group`] reads them.
+    #[cfg(test)]
     lane_counts: Vec<usize>,
 }
 
@@ -72,6 +74,7 @@ impl ActivationBuffer {
             planes: group.mantissa_bits(),
             exp_index: self.exponents.len() - 1,
         });
+        #[cfg(test)]
         self.lane_counts.push(group.len());
         self.directory.len() - 1
     }
@@ -86,7 +89,8 @@ impl ActivationBuffer {
     }
 
     /// Total occupied words (address depth consumed).
-    pub fn occupied_words(&self) -> usize {
+    #[cfg(test)]
+    fn occupied_words(&self) -> usize {
         self.words.len()
     }
 
@@ -106,7 +110,8 @@ impl ActivationBuffer {
     }
 
     /// A view of stored group `g`, in place (verification path).
-    pub fn load_group(&self, g: usize) -> BitPlaneGroup<'_> {
+    #[cfg(test)]
+    fn load_group(&self, g: usize) -> BitPlaneGroup<'_> {
         let a = self.directory[g];
         BitPlaneGroup::new(
             self.lane_counts[g],

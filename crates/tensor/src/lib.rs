@@ -7,8 +7,8 @@
 //!   element-wise combinators.
 //! - [`PackedMatrix`] — a `k × n` weight held as the GEMM kernel reads it,
 //!   sixteen-column strips back to back, multiplied by in place.
-//! - [`ops`] — row-wise softmax/log-softmax, LayerNorm, RMSNorm, activation
-//!   functions (ReLU, SiLU, GELU) and cross-entropy.
+//! - [`ops`] — row-wise log-softmax, LayerNorm, RMSNorm, activation
+//!   functions (ReLU, SiLU) and argmax.
 //! - [`rng`] — a deterministic pseudo-random source (xoshiro256**) with
 //!   normal/uniform sampling, so synthetic model weights are reproducible
 //!   without external crates.

@@ -82,6 +82,8 @@ impl Matrix {
 
     /// Creates a matrix from row slices.
     ///
+    /// For doc examples and test fixtures: a matrix written out literally.
+    ///
     /// # Panics
     ///
     /// Panics if the rows have unequal lengths.
@@ -175,21 +177,6 @@ impl Matrix {
             self.rows
         );
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Iterates over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Copies column `c` into a new vector.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        assert!(
-            c < self.cols,
-            "col {c} out of bounds for {} cols",
-            self.cols
-        );
-        (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
     /// Matrix multiplication `self · rhs`.
@@ -300,6 +287,9 @@ impl Matrix {
     /// sharding across its threads the way [`Matrix::matmul_into_pool`]
     /// does — column ranges on strip boundaries — (bit-exactness tests).
     ///
+    /// Not on the served path: a test seam that shards at every shape, so
+    /// `tests/parallel.rs` can pin the bits across thread counts.
+    ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
@@ -316,6 +306,10 @@ impl Matrix {
     /// the plain ascending-`k` dot `Σ_k self[i][k] · rhs[j][k]` from
     /// `+0.0`, bit for bit, on every input — non-finite `rhs` included —
     /// at every SIMD leg and thread count.
+    ///
+    /// Not on the served path (the LM head calls
+    /// [`Matrix::matmul_transposed_into`]): the allocating entry the tensor
+    /// suites pin.
     pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         self.matmul_transposed_into(rhs, &mut out);
@@ -630,6 +624,9 @@ impl Matrix {
     }
 
     /// Returns the transposed matrix.
+    ///
+    /// Not on the served path: the suites build the operands of their
+    /// transposed-GEMM oracles with it.
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -656,83 +653,11 @@ impl Matrix {
         }
     }
 
-    /// Element-wise binary combination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn zip_with(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "zip_with shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
-    /// Adds `bias` (length = cols) to every row.
-    pub fn add_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias length must equal cols");
-        for row in self.data.chunks_exact_mut(self.cols) {
-            for (x, &b) in row.iter_mut().zip(bias) {
-                *x += b;
-            }
-        }
-    }
-
     /// Scales all elements by `s`.
     pub fn scale(&mut self, s: f32) {
         for x in &mut self.data {
             *x *= s;
         }
-    }
-
-    /// Extracts the sub-matrix of columns `[start, start+width)`.
-    pub fn slice_cols(&self, start: usize, width: usize) -> Matrix {
-        assert!(
-            start + width <= self.cols,
-            "column slice {start}..{} out of bounds for {} cols",
-            start + width,
-            self.cols
-        );
-        let mut out = Matrix::zeros(self.rows, width);
-        for r in 0..self.rows {
-            out.row_mut(r)
-                .copy_from_slice(&self.row(r)[start..start + width]);
-        }
-        out
-    }
-
-    /// Concatenates matrices horizontally (same row count).
-    pub fn concat_cols(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "concat_cols needs at least one part");
-        let rows = parts[0].rows;
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let mut offset = 0;
-            for p in parts {
-                assert_eq!(p.rows, rows, "concat_cols row mismatch");
-                out.row_mut(r)[offset..offset + p.cols].copy_from_slice(p.row(r));
-                offset += p.cols;
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Maximum absolute element (0 for an empty matrix).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
     /// Mean of all elements (0 for an empty matrix).
@@ -809,6 +734,9 @@ impl PackedMatrix {
     }
 
     /// Floats held, the last strip's padding included: `k · 16 · ⌈n/16⌉`.
+    ///
+    /// Not on the served path: `tests/simulator_consistency.rs` pins the
+    /// held weight floats with `==`.
     #[inline]
     pub fn stored_len(&self) -> usize {
         self.data.len()
@@ -838,6 +766,8 @@ impl PackedMatrix {
     }
 
     /// The row-major matrix this one packs, bit for bit.
+    ///
+    /// Not on the served path: the suites' pack round-trip oracle.
     pub fn to_matrix(&self) -> Matrix {
         let mut m = Matrix::default();
         self.to_matrix_into(&mut m);
@@ -1128,43 +1058,15 @@ mod tests {
     }
 
     #[test]
-    fn add_bias_applies_per_row() {
-        let mut a = Matrix::zeros(2, 2);
-        a.add_bias(&[1.0, -1.0]);
-        assert_eq!(a, Matrix::from_rows(&[&[1.0, -1.0], &[1.0, -1.0]]));
-    }
-
-    #[test]
-    fn slice_and_concat_cols_round_trip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]]);
-        let left = a.slice_cols(0, 2);
-        let right = a.slice_cols(2, 2);
-        assert_eq!(Matrix::concat_cols(&[&left, &right]), a);
-    }
-
-    #[test]
-    fn map_and_zip() {
+    fn map_applies_per_element() {
         let a = Matrix::from_rows(&[&[1.0, -2.0]]);
         assert_eq!(a.map(f32::abs), Matrix::from_rows(&[&[1.0, 2.0]]));
-        let b = Matrix::from_rows(&[&[10.0, 10.0]]);
-        assert_eq!(
-            a.zip_with(&b, |x, y| x + y),
-            Matrix::from_rows(&[&[11.0, 8.0]])
-        );
     }
 
     #[test]
     fn reductions() {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]);
-        assert_eq!(a.frobenius_norm(), 5.0);
-        assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.mean(), -0.5);
-    }
-
-    #[test]
-    fn col_extraction() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.col(1), vec![2.0, 4.0]);
     }
 
     #[test]
@@ -1445,18 +1347,15 @@ mod tests {
     }
 
     #[test]
-    fn add_inplace_matches_zip_with() {
+    fn add_inplace_matches_an_element_loop() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]);
         let b = Matrix::from_rows(&[&[4.0, 1.0], &[-1.5, 2.0]]);
         let mut c = a.clone();
         c.add_inplace(&b);
-        assert_eq!(c, a.zip_with(&b, |x, y| x + y));
-    }
-
-    #[test]
-    fn rows_iter_yields_all_rows() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let rows: Vec<&[f32]> = a.rows_iter().collect();
-        assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
+        for r in 0..2 {
+            for j in 0..2 {
+                assert_eq!(c[(r, j)], a[(r, j)] + b[(r, j)]);
+            }
+        }
     }
 }

@@ -1,8 +1,11 @@
-//! Neural-network primitives: softmax, normalization, activations, losses.
+//! Neural-network primitives: log-softmax, normalization, activations, argmax.
 
 use crate::Matrix;
 
 /// Numerically-stable log-softmax of a single row, into a new vector.
+///
+/// Not on the served path: the form the suites read, e.g. `anda-llm`'s
+/// `kv_api.rs` rebuilding perplexity's NLL token by token.
 pub fn log_softmax(row: &[f32]) -> Vec<f32> {
     let mut out = Vec::new();
     log_softmax_into(row, &mut out);
@@ -68,12 +71,6 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// Tanh-approximated GELU.
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + ((0.797_884_6) * (x + 0.044_715 * x * x * x)).tanh())
-}
-
 /// Index of the maximum element (first on ties).
 ///
 /// # Panics
@@ -88,32 +85,6 @@ pub fn argmax(row: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Mean negative log-likelihood of `targets` under row-wise logits, in nats.
-///
-/// `logits` has one row per position; `targets[i]` is the class index for row
-/// `i`. Perplexity is `exp` of this value.
-///
-/// # Panics
-///
-/// Panics if lengths mismatch or a target is out of range.
-pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> f64 {
-    assert_eq!(
-        logits.rows(),
-        targets.len(),
-        "cross_entropy: {} logit rows vs {} targets",
-        logits.rows(),
-        targets.len()
-    );
-    let mut total = 0.0f64;
-    for (r, &t) in targets.iter().enumerate() {
-        let row = logits.row(r);
-        assert!(t < row.len(), "target {t} out of vocab range {}", row.len());
-        let ls = log_softmax(row);
-        total -= f64::from(ls[t]);
-    }
-    total / targets.len().max(1) as f64
 }
 
 #[cfg(test)]
@@ -133,8 +104,8 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[-5.0, 0.0, 5.0]]);
-        for row in m.rows_iter() {
-            assert_close(softmax(row).iter().sum(), 1.0, 1e-6);
+        for r in 0..m.rows() {
+            assert_close(softmax(m.row(r)).iter().sum(), 1.0, 1e-6);
         }
         // Monotone: larger logit → larger probability.
         let p = softmax(m.row(0));
@@ -197,9 +168,6 @@ mod tests {
         assert_eq!(relu(2.0), 2.0);
         assert_close(silu(0.0), 0.0, 1e-7);
         assert_close(silu(10.0), 10.0, 1e-3);
-        assert_close(gelu(0.0), 0.0, 1e-7);
-        assert_close(gelu(3.0), 3.0, 0.02);
-        assert!(gelu(-3.0).abs() < 0.01);
     }
 
     #[test]
@@ -208,18 +176,24 @@ mod tests {
         assert_eq!(argmax(&[-1.0]), 0);
     }
 
+    /// A target's cross-entropy, `-log_softmax(row)[target]` — the term
+    /// perplexity sums (`anda_llm::eval`).
+    fn nll(row: &[f32], target: usize) -> f32 {
+        -log_softmax(row)[target]
+    }
+
     #[test]
     fn cross_entropy_of_uniform_logits_is_log_vocab() {
-        let logits = Matrix::zeros(4, 8);
-        let nll = cross_entropy(&logits, &[0, 1, 2, 3]);
-        assert!((nll - (8.0f64).ln()).abs() < 1e-6);
+        for t in 0..8 {
+            assert_close(nll(&[0.0; 8], t), 8f32.ln(), 1e-6);
+        }
     }
 
     #[test]
     fn cross_entropy_rewards_correct_confidence() {
-        let mut logits = Matrix::zeros(1, 4);
-        logits[(0, 2)] = 10.0;
-        assert!(cross_entropy(&logits, &[2]) < 0.01);
-        assert!(cross_entropy(&logits, &[1]) > 5.0);
+        let mut logits = [0.0f32; 4];
+        logits[2] = 10.0;
+        assert!(nll(&logits, 2) < 0.01);
+        assert!(nll(&logits, 1) > 5.0);
     }
 }

@@ -92,20 +92,6 @@ impl Rng {
         mean + std * self.normal() as f32
     }
 
-    /// Student-t-like heavy-tailed sample: normal scaled by an inverse-chi
-    /// style factor. `tail` in (0, 1]: smaller = heavier tails. Used to model
-    /// activation outlier channels.
-    pub fn heavy_tailed(&mut self, scale: f32, tail: f32) -> f32 {
-        let z = self.normal() as f32;
-        let u = self.uniform() as f32;
-        // With probability `tail`, boost the magnitude substantially.
-        if u < tail {
-            z * scale * 8.0
-        } else {
-            z * scale
-        }
-    }
-
     /// Samples an index from a discrete probability distribution.
     ///
     /// # Panics
@@ -183,19 +169,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn heavy_tailed_has_larger_extremes_than_normal() {
-        let mut r = Rng::new(6);
-        let max_heavy = (0..5000)
-            .map(|_| r.heavy_tailed(1.0, 0.02).abs())
-            .fold(0.0f32, f32::max);
-        let mut r2 = Rng::new(6);
-        let max_norm = (0..5000)
-            .map(|_| r2.normal_with(0.0, 1.0).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_heavy > max_norm, "{max_heavy} vs {max_norm}");
     }
 
     #[test]
