@@ -216,15 +216,16 @@ fn threads(o: &Opts) -> Table {
     }
     let mut table = Table::new(header);
     let pools: Vec<ThreadPool> = o.threads.iter().map(|&t| ThreadPool::new(t)).collect();
-    // A row: `run(None)` is the serial kernel, `run(Some(pool))` always shards.
-    let mut row = |kernel: &str, (m, k, n), run: &mut dyn FnMut(Option<&ThreadPool>)| {
-        let serial = o.time(|| run(None));
+    // A row: `run(pool)` always shards across `pool`, so on the pool of
+    // one it is the serial kernel.
+    let mut row = |kernel: &str, (m, k, n), run: &mut dyn FnMut(&ThreadPool)| {
+        let serial = o.time(|| run(rayon_lite::serial()));
         let mut cells = vec![
             format!("{kernel} {m}x{k}x{n}"),
             format!("{:.2}", gflops(m, k, n, serial)),
         ];
         for pool in &pools {
-            let sharded = o.time(|| run(Some(pool)));
+            let sharded = o.time(|| run(pool));
             cells.push(format!("{:.2}", gflops(m, k, n, sharded)));
             cells.push(format!("{:.2}x", serial / sharded));
         }
@@ -243,14 +244,12 @@ fn threads(o: &Opts) -> Table {
         let a = random(m, k, 1, 1.0);
         let (b, bt) = (random(k, n, 2, 1.0), random(n, k, 3, 1.0));
         let mut out = Matrix::zeros(m, n);
-        row("matmul", (m, k, n), &mut |pool| match pool {
-            None => a.matmul_into_on(&b, &mut out, None),
-            Some(pool) => a.matmul_into_pool(&b, &mut out, pool),
+        row("matmul", (m, k, n), &mut |pool| {
+            a.matmul_into_pool(&b, &mut out, pool)
         });
         // The gap to the row above is the transposing pack.
-        row("matmul_t", (m, k, n), &mut |pool| match pool {
-            None => a.matmul_transposed_into_on(&bt, &mut out, None),
-            Some(pool) => a.matmul_transposed_into_pool(&bt, &mut out, pool),
+        row("matmul_t", (m, k, n), &mut |pool| {
+            a.matmul_transposed_into_pool(&bt, &mut out, pool)
         });
     }
 
@@ -260,9 +259,8 @@ fn threads(o: &Opts) -> Table {
     let (m, k, n) = (16 * scale, 256 * scale, 64 * scale);
     let (x, wq) = (random(m, k, 4, 1.0), int4_weights(k, n, 5));
     let mut out = Matrix::zeros(m, n);
-    let one = ThreadPool::new(1);
     row("gemm_anda M8", (m, k, n), &mut |pool| {
-        gemm_anda_into_pool(&x, &wq, 8, &mut out, pool.unwrap_or(&one))
+        gemm_anda_into_pool(&x, &wq, 8, &mut out, pool)
     });
     table
 }
@@ -531,7 +529,7 @@ fn attend(o: &Opts) -> Table {
                         out,
                     })
                     .collect();
-                walk.attend_with_leg(&mut lanes, n_heads, None, leg)
+                walk.attend_with_leg(&mut lanes, n_heads, rayon_lite::serial(), leg)
             });
             cells.push(format!("{:.1}", s * 1e6));
         }

@@ -965,7 +965,8 @@ impl LayerKv {
     /// Single-query multi-head attention over the cached positions into a
     /// caller buffer, allocation-free at steady state:
     /// softmax(q·Kᵀ/√d_head)·V per head, heads concatenated — one lane of
-    /// the page walk ([`PageDecodeCache`]), serial.
+    /// the page walk ([`PageDecodeCache`]) on [`rayon_lite::serial`], the
+    /// pool of one.
     ///
     /// # Panics
     ///
@@ -992,7 +993,9 @@ impl LayerKv {
             scores: &mut scratch.scores[..n_scores],
             out,
         };
-        scratch.pages.attend(&mut [lane], n_heads, None);
+        scratch
+            .pages
+            .attend(&mut [lane], n_heads, rayon_lite::serial());
     }
 
     /// [`LayerKv::attend_into`] with owned scratch and output
@@ -1186,6 +1189,9 @@ impl PageDecodeCache {
             self.jobs.push(WalkScratch::default());
         }
         self.jobs[0].order.reserve(rows);
+        // A solo step runs on the pool of one, which allocates when first
+        // used: make it now.
+        rayon_lite::serial();
     }
 
     /// Projection GEMMs the model's steps dispatched through this cache
@@ -1241,7 +1247,8 @@ impl PageDecodeCache {
     }
 
     /// Attends every lane (see the type docs), fanning column ranges
-    /// across `pool` when one is given and the work is large enough.
+    /// across `pool` when it has several threads and the work is large
+    /// enough.
     ///
     /// # Panics
     ///
@@ -1249,12 +1256,7 @@ impl PageDecodeCache {
     /// its window exceeds the layer, its buffers do not match `dim` /
     /// `n_heads × t`, the lanes' pages differ in policy or geometry, or
     /// `dim` is not divisible by `n_heads`.
-    pub fn attend(
-        &mut self,
-        lanes: &mut [AttendLane<'_>],
-        n_heads: usize,
-        pool: Option<&ThreadPool>,
-    ) {
+    pub fn attend(&mut self, lanes: &mut [AttendLane<'_>], n_heads: usize, pool: &ThreadPool) {
         self.attend_with_leg(lanes, n_heads, pool, active_leg());
     }
 
@@ -1269,7 +1271,7 @@ impl PageDecodeCache {
         &mut self,
         lanes: &mut [AttendLane<'_>],
         n_heads: usize,
-        pool: Option<&ThreadPool>,
+        pool: &ThreadPool,
         leg: SimdLeg,
     ) {
         let Some(first) = lanes.first() else { return };
@@ -1307,16 +1309,16 @@ impl PageDecodeCache {
             Some(_) => d,
         };
         let muladds: usize = lanes.iter().map(|lane| 2 * lane.t * d).sum();
-        let jobs = match pool {
-            Some(pool) if muladds >= ATTN_PAR_MIN_MULADDS => pool.threads().min(d / unit).max(1),
-            _ => 1,
+        let jobs = match muladds >= ATTN_PAR_MIN_MULADDS {
+            true => pool.threads().min(d / unit).max(1),
+            false => 1,
         };
         if self.jobs.len() < jobs {
             self.jobs.resize_with(jobs, WalkScratch::default);
         }
-        let (Some(pool), true) = (pool, jobs > 1) else {
+        if jobs == 1 {
             return walk(lanes, 0..d, dh, &mut self.jobs[0], leg);
-        };
+        }
         let bound = |j: usize| {
             if j == jobs {
                 d
@@ -1985,7 +1987,7 @@ mod tests {
             scores: &mut [0.0; 4],
             out: &mut [0.0; 64],
         };
-        PageDecodeCache::new().attend(&mut [lane], 4, None);
+        PageDecodeCache::new().attend(&mut [lane], 4, rayon_lite::serial());
     }
 
     #[test]

@@ -357,7 +357,7 @@ impl Model {
             cache,
             scratch: step,
         };
-        self.step_rows(&mut [span], &mut block, Some(pool), codecs, Finish::AllRows);
+        self.step_rows(&mut [span], &mut block, pool, codecs, Finish::AllRows);
         self.lm_head(&block.rows.x, logits, pool);
         step.pages = block;
         logits
@@ -482,7 +482,7 @@ impl Model {
     pub fn prefill(&self, tokens: &[usize], cache: &mut KvCache, s: &mut DecodeScratch) {
         assert!(!tokens.is_empty(), "prompt must not be empty");
         let pool = rayon_lite::global();
-        self.decode_span(tokens, cache.len(), cache, s, Some(pool));
+        self.decode_span(tokens, cache.len(), cache, s, pool);
         self.lm_head(&s.x, &mut s.logits, pool);
     }
 
@@ -513,16 +513,18 @@ impl Model {
         s: &mut DecodeScratch,
     ) {
         let pool = rayon_lite::global();
-        self.decode_span(&[token], pos, cache, s, Some(pool));
+        self.decode_span(&[token], pos, cache, s, pool);
         self.lm_head(&s.x, &mut s.logits, pool);
     }
 
     /// The hidden-state half of [`Model::decode_step`]: identical through
     /// the final norm, but stops before the LM head, leaving the
     /// final-normed residual in `s` ([`DecodeScratch::hidden_state`]).
-    /// Runs on the calling thread alone — the per-token solo oracle the
-    /// batched suites compare against, allocation-free once warmed; the
-    /// served path batches through [`Model::decode_hidden_batch`].
+    /// Runs on [`rayon_lite::serial`], the pool of one, so every kernel
+    /// stays on the calling thread — the per-token solo oracle the
+    /// batched suites compare against, allocation-free once warmed
+    /// ([`DecodeScratch::reserve`] creates the pool of one); the served
+    /// path batches through [`Model::decode_hidden_batch`].
     ///
     /// # Panics
     ///
@@ -534,7 +536,7 @@ impl Model {
         cache: &mut KvCache,
         s: &mut DecodeScratch,
     ) {
-        self.decode_span(&[token], pos, cache, s, None);
+        self.decode_span(&[token], pos, cache, s, rayon_lite::serial());
     }
 
     /// One stream's served span as a step of one entry, on the scratch's
@@ -545,7 +547,7 @@ impl Model {
         pos: usize,
         cache: &mut KvCache,
         s: &mut DecodeScratch,
-        pool: Option<&ThreadPool>,
+        pool: &ThreadPool,
     ) {
         let mut step = std::mem::take(&mut s.pages);
         let entry = BatchEntry {
@@ -611,19 +613,19 @@ impl Model {
         pool: &ThreadPool,
     ) {
         let fp16 = CodecAssignment::fp16();
-        self.step_rows(batch, decode_cache, Some(pool), &fp16, Finish::LastRows);
+        self.step_rows(batch, decode_cache, pool, &fp16, Finish::LastRows);
     }
 
     /// The one transformer body (see [`Model::decode_hidden_batch`]);
-    /// `pool = None` keeps every kernel on the calling thread. `codecs`
-    /// round the four GeMM inputs and `finish` says which rows the last
-    /// layer completes; the finished, final-normed rows are left in
-    /// `step.rows.x` and each entry's last one in its scratch.
+    /// [`rayon_lite::serial`] keeps every kernel on the calling thread.
+    /// `codecs` round the four GeMM inputs and `finish` says which rows
+    /// the last layer completes; the finished, final-normed rows are left
+    /// in `step.rows.x` and each entry's last one in its scratch.
     fn step_rows(
         &self,
         batch: &mut [BatchEntry<'_>],
         step: &mut PageDecodeCache,
-        pool: Option<&ThreadPool>,
+        pool: &ThreadPool,
         codecs: &CodecAssignment,
         finish: Finish,
     ) {
@@ -708,7 +710,7 @@ impl Model {
             codecs.qkv.apply_matrix_in_place(h);
             project(h, &layer.wqkv, qkv, pool, gemms);
             if self.config.family == Family::Llama {
-                for_chunks(pool, qkv.as_mut_slice(), 3 * d, |row, qkv_row| {
+                pool.par_chunks_mut(qkv.as_mut_slice(), 3 * d, |row, qkv_row| {
                     for head in qkv_row[..2 * d].chunks_exact_mut(dh) {
                         rope_in_place(head, positions[row]);
                     }
@@ -717,7 +719,7 @@ impl Model {
             // The cache's tail page encodes the rows under its storage
             // policy; an entry's rows land in position order.
             let qkv = &*qkv;
-            for_chunks(pool, batch, 1, |idx, entry| {
+            pool.par_chunks_mut(batch, 1, |idx, entry| {
                 let (kv_pool, kv_layers) = entry[0].cache.split_mut();
                 for row in offsets[idx]..offsets[idx + 1] {
                     let (k_row, v_row) = qkv.row(row)[d..].split_at(d);
@@ -814,7 +816,7 @@ impl Model {
         &self,
         layer: &Layer,
         r: &mut StepRows,
-        pool: Option<&ThreadPool>,
+        pool: &ThreadPool,
         codecs: &CodecAssignment,
     ) {
         let StepRows {
@@ -892,7 +894,7 @@ impl Model {
         if hidden.rows() == 0 {
             return;
         }
-        hidden.matmul_transposed_into_on(&self.embed, logits, Some(pool));
+        hidden.matmul_transposed_into_on(&self.embed, logits, pool);
         if self.logit_scale != 1.0 {
             logits.scale(self.logit_scale);
         }
@@ -1059,35 +1061,12 @@ impl StepRows {
     }
 }
 
-/// `out = a · w` across `pool` (on the calling thread without one),
-/// counted: the one place a step dispatches a projection GEMM.
-fn project(
-    a: &Matrix,
-    w: &PackedMatrix,
-    out: &mut Matrix,
-    pool: Option<&ThreadPool>,
-    gemms: &mut u64,
-) {
+/// `out = a · w` across `pool`, counted: the one place a step dispatches
+/// a projection GEMM.
+fn project(a: &Matrix, w: &PackedMatrix, out: &mut Matrix, pool: &ThreadPool, gemms: &mut u64) {
     out.resize(a.rows(), w.cols());
     a.matmul_packed_into_on(w, out, pool);
     *gemms += 1;
-}
-
-/// `f(index, chunk)` over the `chunk_len`-element chunks of `data`:
-/// claimed across `pool`, or in order on the calling thread without one.
-fn for_chunks<T: Send>(
-    pool: Option<&ThreadPool>,
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    match pool {
-        Some(pool) => pool.par_chunks_mut(data, chunk_len, f),
-        None => data
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .for_each(|(idx, chunk)| f(idx, chunk)),
-    }
 }
 
 /// One stream's slot in a [`Model::decode_hidden_batch`] call: the
@@ -1311,7 +1290,13 @@ mod tests {
                 cache: &mut cache,
                 scratch: &mut scratch,
             };
-            model.step_rows(&mut [entry], &mut step, None, codecs, Finish::AllRows);
+            model.step_rows(
+                &mut [entry],
+                &mut step,
+                rayon_lite::serial(),
+                codecs,
+                Finish::AllRows,
+            );
             assert_eq!(step.rows.x.rows(), span.len());
             hidden.extend(bits(step.rows.x.as_slice()));
             // The entry's scratch still receives the span's last row.

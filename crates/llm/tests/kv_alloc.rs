@@ -100,8 +100,9 @@ fn warmed_decode_steps_allocate_zero_kv_path_heap() {
 
         // Measured region: decode to the reserved maximum, crossing
         // several page boundaries and ending inside a partial page
-        // (serial kernels — the thread pool is not involved, so every
-        // count below is KV-path or scratch traffic).
+        // (on the pool of one, which `scratch.reserve` created and which
+        // runs every kernel inline, so every count below is KV-path or
+        // scratch traffic).
         let steps = max_len - prompt.len();
         let before = thread_allocs();
         for pos in prompt.len()..max_len {

@@ -161,7 +161,7 @@ fn check_walk_on(
         .collect();
 
     let pools: Vec<ThreadPool> = threads.iter().map(|&n| ThreadPool::new(n)).collect();
-    let widths = std::iter::once(None).chain(pools.iter().map(Some));
+    let widths = std::iter::once(rayon_lite::serial()).chain(&pools);
     let mut per_walk = None;
     for (workers, leg) in widths.flat_map(|w| available_legs().into_iter().map(move |l| (w, l))) {
         let mut walk = PageDecodeCache::new();
@@ -185,11 +185,7 @@ fn check_walk_on(
             .collect();
         let rows_before = rows_decoded();
         walk.attend_with_leg(&mut lanes, n_heads, workers, leg);
-        let at = format!(
-            "{} threads, leg {}",
-            workers.map_or(0, ThreadPool::threads),
-            leg.name()
-        );
+        let at = format!("{} threads, leg {}", workers.threads(), leg.name());
         for (i, (out, want)) in outs.iter().zip(&expect).enumerate() {
             assert_eq!(&bits(out), want, "{ctx}: lane {i}, {at}");
         }
@@ -392,7 +388,7 @@ fn warmed_walks_allocate_nothing() {
                     out: &mut out_b,
                 },
             ];
-            walk.attend(&mut lanes, n_heads, None);
+            walk.attend(&mut lanes, n_heads, rayon_lite::serial());
             if round == 1 {
                 assert_eq!(thread_allocs() - before, 0, "{storage:?}: warmed walk");
             }
@@ -428,7 +424,7 @@ fn warmed_walks_allocate_nothing() {
                 })
                 .collect();
             let before = thread_allocs();
-            walk.attend(&mut lanes, n_heads, None);
+            walk.attend(&mut lanes, n_heads, rayon_lite::serial());
             if span == 12 {
                 assert_eq!(thread_allocs() - before, 0, "{storage:?}: warmed span");
             }
@@ -449,7 +445,7 @@ fn a_window_past_the_layer_is_refused() {
         scores: &mut [0.0; 24],
         out: &mut [0.0; 64],
     };
-    PageDecodeCache::new().attend(&mut [lane], 4, None);
+    PageDecodeCache::new().attend(&mut [lane], 4, rayon_lite::serial());
 }
 
 /// Page sizes below, at and off the tile's sixteen columns; head widths

@@ -2,7 +2,7 @@
 //!
 //! `gemm_anda` shards output rows across the pool with per-shard
 //! conversion buffers; `gemm_fake_quant` rides on the parallel
-//! `matmul_into`.
+//! `Matrix::matmul`.
 //! In both cases every output element must be bit-identical
 //! (`f32::to_bits`) to the serial kernel at every thread count.
 
@@ -88,7 +88,7 @@ fn gemm_anda_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
 
 #[test]
 fn gemm_into_variants_match_allocating_paths_at_every_thread_count() {
-    // The fake-quant path is the codec, then `matmul_into` on the global
+    // The fake-quant path is the codec, then `matmul` on the global
     // pool: the same product sharded over every pool width must stay
     // bit-identical to it under every codec.
     for (m, k, n) in SHAPES {

@@ -43,7 +43,7 @@ use std::rc::Rc;
 
 use anda_llm::Model;
 
-use crate::request::{FinishedRequest, Request, RequestId};
+use crate::request::{FinishedRequest, Request, RequestId, SamplingMode};
 use crate::scheduler::{
     CancelError, Cancelled, Scheduler, SchedulerConfig, StreamStatus, SubmitError,
 };
@@ -164,10 +164,12 @@ impl<'a> Engine<'a> {
     /// ([`SubmitError`] distinguishes a request that can *never* fit
     /// from one blocked by currently pinned prefixes).
     pub fn submit(&self, request: Request) -> Result<SubmitHandle<'a>, SubmitError> {
+        let best_of = matches!(request.mode, SamplingMode::BestOf { .. });
         let id = self.core.borrow_mut().sched.submit(request)?;
         Ok(SubmitHandle {
             core: Rc::clone(&self.core),
             id,
+            best_of,
             cursor: 0,
             cancelled: false,
         })
@@ -223,6 +225,8 @@ impl<'a> Engine<'a> {
 pub struct SubmitHandle<'a> {
     core: Rc<RefCell<EngineCore<'a>>>,
     id: RequestId,
+    /// A best-of request: its winner is known only when it finishes.
+    best_of: bool,
     /// Generated tokens already reported by `try_next_tokens`.
     cursor: usize,
     cancelled: bool,
@@ -256,12 +260,15 @@ impl SubmitHandle<'_> {
     /// engine — empty when nothing new arrived (someone must call
     /// [`Engine::step`] for tokens to appear). Polls the request's
     /// primary (sample 0) stream while it is live and its sample-0
-    /// result once finished; for a best-of request the *winning*
-    /// candidate may differ from the polled one, so treat
-    /// [`SubmitHandle::await_finished`] as authoritative there.
+    /// result once finished. A best-of request's winner is chosen only
+    /// when its group finishes, so its handle polls nothing until then
+    /// and the winner whole after. Either way the polls concatenate to
+    /// the generated tokens of [`SubmitHandle::await_finished`]'s first
+    /// result.
     pub fn try_next_tokens(&mut self) -> Vec<usize> {
         let core = self.core.borrow();
-        let fresh = if let Some(tokens) = core.sched.stream_tokens(self.id) {
+        let live = core.sched.stream_tokens(self.id).filter(|_| !self.best_of);
+        let fresh = if let Some(tokens) = live {
             let generated = core
                 .sched
                 .generated_len(self.id)

@@ -120,6 +120,43 @@ fn await_finished_returns_ordered_results() {
     assert!(engine.is_idle());
 }
 
+/// A best-of handle polls nothing while its group runs and the winner
+/// whole once it finishes, so its polls concatenate to the awaited
+/// winner. The winner scores by cumulative log-probability, so it can be
+/// shorter than sample 0: this request's winner stops at `eos` after one
+/// token while sample 0 runs on, which a poll at sample 0's cursor would
+/// slice past.
+#[test]
+fn best_of_polls_concatenate_to_the_winner() {
+    let engine = Engine::new(model(), SchedulerConfig::default());
+    let mut best = engine
+        .submit(
+            Request::builder(vec![1, 5, 9])
+                .max_new(12)
+                .temperature(1.0)
+                .seed(0)
+                .eos(251)
+                .best_of(2)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+    let mut polls = Vec::new();
+    while !engine.is_idle() {
+        engine.step();
+        polls.push((best.state(), best.try_next_tokens()));
+    }
+    let winner = best.await_finished();
+    assert_eq!(winner.len(), 1);
+    for (state, fresh) in &polls {
+        if *state != RequestState::Finished {
+            assert!(fresh.is_empty(), "polled {fresh:?} before the winner");
+        }
+    }
+    let streamed: Vec<usize> = polls.into_iter().flat_map(|(_, fresh)| fresh).collect();
+    assert_eq!(streamed, winner[0].generated());
+}
+
 /// Awaiting a request whose results are already gone — a second await
 /// on the same handle — returns the empty vector at once instead of
 /// stepping an idle engine forever.

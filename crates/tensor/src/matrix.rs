@@ -2,13 +2,15 @@
 //!
 //! Every product — `lhs · rhs` over a row-major [`Matrix`] or a
 //! [`PackedMatrix`], and `lhs · rhsᵀ` — runs one kernel behind
-//! [`anda_fp::simd`]'s runtime dispatch: on the AVX2/NEON legs an
-//! output-stationary register tile (4 rows × 16 columns of accumulators
-//! walked over `k`, one walk order over `rhs` column-strip panels —
-//! `tile.rs`, whose panel source is the only code that knows how `rhs` is
-//! held: read in place when packed, copied or transposed per panel
-//! otherwise), on the scalar leg the oracles at the end of the `impl`. One
-//! sharding rule and one auto-dispatch threshold serve all three. Each
+//! [`anda_fp::simd`]'s runtime dispatch: on the vector legs an
+//! output-stationary register tile (16 columns of accumulators by 4 rows
+//! on AVX2 and NEON, by 8 on AVX-512, walked over `k`; one walk order over
+//! `rhs` column-strip panels — `tile.rs`, whose panel source is the only
+//! code that knows how `rhs` is held: read in place when packed, copied or
+//! transposed per panel otherwise), on the scalar leg the oracles at the
+//! end of the `impl`. One sharding rule and one auto-dispatch threshold
+//! serve all three, on whatever pool the caller passes —
+//! [`rayon_lite::serial`] keeps a product on the calling thread. Each
 //! vector lane owns one output element and accumulates over `k` in the
 //! same ascending order as the scalar kernel, with separate multiply and
 //! add (no FMA contraction) — so every leg is `f32::to_bits`-identical to
@@ -179,42 +181,33 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix multiplication `self · rhs`.
+    /// Matrix multiplication `self · rhs`, on the global [`rayon_lite`]
+    /// pool (sized by `ANDA_THREADS`).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
+        self.matmul_into_on(rhs, &mut out, rayon_lite::global());
         out
     }
 
-    /// Matrix multiplication writing into a preallocated output, on the
-    /// global [`rayon_lite`] pool (sized by `ANDA_THREADS`); see
-    /// [`Matrix::matmul_into_on`].
+    /// Matrix multiplication writing into a preallocated output on the
+    /// caller's pool: large products are sharded across it
+    /// ([`Matrix::matmul_into_pool`]), small ones — and everything on
+    /// [`rayon_lite::serial`] — run the serial kernel. Every output
+    /// element accumulates over k in the same order either way, so
+    /// results are bit-identical at every thread count.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into_on(rhs, out, Some(rayon_lite::global()));
-    }
-
-    /// [`Matrix::matmul_into`] on the caller's pool: large products are
-    /// sharded across it ([`Matrix::matmul_into_pool`]), small ones — and
-    /// everything when `pool` is `None` — run the serial kernel. Every
-    /// output element accumulates over k in the same order either way,
-    /// so results are bit-identical at every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: Option<&ThreadPool>) {
+    pub fn matmul_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         self.product_on(rhs.as_rhs(Layout::RowMajor), out, pool);
     }
 
-    /// The serial kernel behind [`Matrix::matmul_into`] on an explicit
+    /// The serial kernel behind [`Matrix::matmul_into_on`] on an explicit
     /// SIMD leg (oracle tests and the `kernels` bin; production code lets
     /// the dispatch layer pick): the register tile of `tile.rs` over
     /// panels copied contiguous on a vector leg, a blocked ikj axpy walk
@@ -229,7 +222,7 @@ impl Matrix {
         self.product_serial(rhs.as_rhs(Layout::RowMajor), out, leg);
     }
 
-    /// [`Matrix::matmul_into`] on an explicit pool, always sharding
+    /// [`Matrix::matmul_into_on`] on an explicit pool, always sharding
     /// across its threads (the cross-thread-count bit-exactness tests
     /// and the `kernels` bin call it directly). With at least one
     /// register tile of rows per thread the output is split into row
@@ -250,19 +243,14 @@ impl Matrix {
     /// [`Matrix::matmul_into_on`]'s rule — the product a model's
     /// projections run. The tile reads `rhs`'s strips where they lie, so
     /// nothing is packed per call; every output element is the same
-    /// ascending-`k` sum as [`Matrix::matmul_into`] over
+    /// ascending-`k` sum as [`Matrix::matmul_into_on`] over
     /// [`PackedMatrix::to_matrix`], bit for bit for finite `rhs`, at every
     /// SIMD leg and thread count.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
-    pub fn matmul_packed_into_on(
-        &self,
-        rhs: &PackedMatrix,
-        out: &mut Matrix,
-        pool: Option<&ThreadPool>,
-    ) {
+    pub fn matmul_packed_into_on(&self, rhs: &PackedMatrix, out: &mut Matrix, pool: &ThreadPool) {
         self.product_on(rhs.as_rhs(), out, pool);
     }
 
@@ -307,44 +295,29 @@ impl Matrix {
     /// `+0.0`, bit for bit, on every input — non-finite `rhs` included —
     /// at every SIMD leg and thread count.
     ///
-    /// Not on the served path (the LM head calls
-    /// [`Matrix::matmul_transposed_into`]): the allocating entry the tensor
-    /// suites pin.
+    /// Runs on the global [`rayon_lite`] pool. Not on the served path (the
+    /// LM head calls [`Matrix::matmul_transposed_into_on`]): the
+    /// allocating entry the tensor suites pin.
     pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_transposed_into(rhs, &mut out);
+        self.matmul_transposed_into_on(rhs, &mut out, rayon_lite::global());
         out
     }
 
-    /// `self · rhsᵀ` writing into a preallocated output, on the global
-    /// [`rayon_lite`] pool; see [`Matrix::matmul_transposed_into_on`].
+    /// `self · rhsᵀ` writing into a preallocated output on the caller's
+    /// pool, under [`Matrix::matmul_into_on`]'s rule: large products are
+    /// sharded ([`Matrix::matmul_transposed_into_pool`]), small ones — a
+    /// one-row LM head over a 512-token vocabulary — and everything on
+    /// [`rayon_lite::serial`] run serially. Bit-identical either way.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_transposed_into_on(rhs, out, Some(rayon_lite::global()));
-    }
-
-    /// [`Matrix::matmul_transposed_into`] on the caller's pool, under
-    /// [`Matrix::matmul_into_on`]'s rule: large products are sharded
-    /// ([`Matrix::matmul_transposed_into_pool`]), small ones — a one-row
-    /// LM head over a 512-token vocabulary — and everything when `pool`
-    /// is `None` run serially. Bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into_on(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        pool: Option<&ThreadPool>,
-    ) {
+    pub fn matmul_transposed_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         self.product_on(rhs.as_rhs(Layout::Transposed), out, pool);
     }
 
-    /// The serial kernel behind [`Matrix::matmul_transposed_into`] on an
+    /// The serial kernel behind [`Matrix::matmul_transposed_into_on`] on an
     /// explicit SIMD leg (oracle tests and the `kernels` bin): the
     /// register tile over transposing panel packs on a vector leg, plain
     /// per-element dots on the scalar one.
@@ -361,7 +334,7 @@ impl Matrix {
         self.product_serial(rhs.as_rhs(Layout::Transposed), out, leg);
     }
 
-    /// [`Matrix::matmul_transposed_into`] on an explicit pool, always
+    /// [`Matrix::matmul_transposed_into_on`] on an explicit pool, always
     /// sharding across its threads the way [`Matrix::matmul_into_pool`]
     /// does (bit-exactness tests and the `kernels` bin).
     ///
@@ -412,13 +385,11 @@ impl Matrix {
     }
 
     /// The one auto-dispatch rule of every layout.
-    fn product_on(&self, rhs: Rhs, out: &mut Matrix, pool: Option<&ThreadPool>) {
-        let muladds = self.len() * out.cols;
-        match pool {
-            Some(pool) if pool.threads() > 1 && muladds >= PAR_MIN_MULADDS => {
-                self.product_pool(rhs, out, pool)
-            }
-            _ => self.product_serial(rhs, out, active_leg()),
+    fn product_on(&self, rhs: Rhs, out: &mut Matrix, pool: &ThreadPool) {
+        if pool.threads() > 1 && self.len() * out.cols >= PAR_MIN_MULADDS {
+            self.product_pool(rhs, out, pool)
+        } else {
+            self.product_serial(rhs, out, active_leg())
         }
     }
 
@@ -690,7 +661,7 @@ impl Matrix {
 /// assert_eq!(packed.to_matrix(), w);
 /// let x = Matrix::from_rows(&[&[1.0, -1.0]]);
 /// let mut y = Matrix::zeros(1, 3);
-/// x.matmul_packed_into_on(&packed, &mut y, None);
+/// x.matmul_packed_into_on(&packed, &mut y, rayon_lite::serial());
 /// assert_eq!(y, x.matmul(&w));
 /// ```
 #[derive(Clone, PartialEq)]
@@ -1289,7 +1260,7 @@ mod tests {
         let b = Matrix::from_vec(6, 7, (0..42).map(|i| 2.0 - i as f32 * 0.1).collect());
         let mut out = Matrix::zeros(5, 7);
         out.as_mut_slice().fill(99.0); // stale contents must be overwritten
-        a.matmul_into(&b, &mut out);
+        a.matmul_into_on(&b, &mut out, rayon_lite::serial());
         assert_eq!(out, a.matmul(&b));
     }
 
@@ -1329,7 +1300,7 @@ mod tests {
             assert_eq!(packed.to_matrix(), Matrix::zeros(k, n));
             let mut out = Matrix::zeros(m, n);
             out.as_mut_slice().fill(1.0);
-            Matrix::zeros(m, k).matmul_packed_into_on(&packed, &mut out, None);
+            Matrix::zeros(m, k).matmul_packed_into_on(&packed, &mut out, rayon_lite::serial());
             assert_eq!(out, Matrix::zeros(m, n), "{m}x{k}x{n}");
         }
         assert_eq!(

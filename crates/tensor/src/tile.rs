@@ -429,6 +429,26 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
     }
 }
 
+/// [`Leg::block`]'s one body: the [`matmul_block`] instance for `ops`'s
+/// layout and residency. Each leg's `block` calls it with its CPU feature
+/// enabled, so the instance and the tile inline into that leg's copy.
+///
+/// # Safety
+///
+/// As [`Leg::block`].
+#[inline(always)]
+unsafe fn block_body<L: Leg>(ops: &Operands, block: &OutBlock) {
+    const ROW_MAJOR: u8 = Layout::RowMajor as u8;
+    const TRANSPOSED: u8 = Layout::Transposed as u8;
+    const PACKED: u8 = Layout::Packed as u8;
+    match (ops.layout, ops.resident) {
+        (Layout::RowMajor, false) => matmul_block::<L, ROW_MAJOR, false>(ops, block),
+        (Layout::RowMajor, true) => matmul_block::<L, ROW_MAJOR, true>(ops, block),
+        (Layout::Transposed, _) => matmul_block::<L, TRANSPOSED, false>(ops, block),
+        (Layout::Packed, _) => matmul_block::<L, PACKED, false>(ops, block),
+    }
+}
+
 /// `acc + Σ_k a[k] · b[k]` in ascending `k`, multiply then add: one output
 /// element of either layout, as every kernel accumulates it (from `+0.0`
 /// unless the product accumulates).
@@ -628,15 +648,7 @@ impl Leg for Avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
-        const ROW_MAJOR: u8 = Layout::RowMajor as u8;
-        const TRANSPOSED: u8 = Layout::Transposed as u8;
-        const PACKED: u8 = Layout::Packed as u8;
-        match (ops.layout, ops.resident) {
-            (Layout::RowMajor, false) => matmul_block::<Self, ROW_MAJOR, false>(ops, block),
-            (Layout::RowMajor, true) => matmul_block::<Self, ROW_MAJOR, true>(ops, block),
-            (Layout::Transposed, _) => matmul_block::<Self, TRANSPOSED, false>(ops, block),
-            (Layout::Packed, _) => matmul_block::<Self, PACKED, false>(ops, block),
-        }
+        block_body::<Self>(ops, block)
     }
 }
 
@@ -787,15 +799,7 @@ impl Leg for Avx512 {
 
     #[target_feature(enable = "avx512f")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
-        const ROW_MAJOR: u8 = Layout::RowMajor as u8;
-        const TRANSPOSED: u8 = Layout::Transposed as u8;
-        const PACKED: u8 = Layout::Packed as u8;
-        match (ops.layout, ops.resident) {
-            (Layout::RowMajor, false) => matmul_block::<Self, ROW_MAJOR, false>(ops, block),
-            (Layout::RowMajor, true) => matmul_block::<Self, ROW_MAJOR, true>(ops, block),
-            (Layout::Transposed, _) => matmul_block::<Self, TRANSPOSED, false>(ops, block),
-            (Layout::Packed, _) => matmul_block::<Self, PACKED, false>(ops, block),
-        }
+        block_body::<Self>(ops, block)
     }
 }
 
@@ -878,14 +882,6 @@ impl Leg for Neon {
 
     #[target_feature(enable = "neon")]
     unsafe fn block(ops: &Operands, block: &OutBlock) {
-        const ROW_MAJOR: u8 = Layout::RowMajor as u8;
-        const TRANSPOSED: u8 = Layout::Transposed as u8;
-        const PACKED: u8 = Layout::Packed as u8;
-        match (ops.layout, ops.resident) {
-            (Layout::RowMajor, false) => matmul_block::<Self, ROW_MAJOR, false>(ops, block),
-            (Layout::RowMajor, true) => matmul_block::<Self, ROW_MAJOR, true>(ops, block),
-            (Layout::Transposed, _) => matmul_block::<Self, TRANSPOSED, false>(ops, block),
-            (Layout::Packed, _) => matmul_block::<Self, PACKED, false>(ops, block),
-        }
+        block_body::<Self>(ops, block)
     }
 }

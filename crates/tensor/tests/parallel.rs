@@ -79,7 +79,7 @@ fn matmul_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
         let a = deterministic(m, k, 1);
         let b = deterministic(k, n, 2);
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_into_on(&b, &mut serial, None);
+        a.matmul_into_on(&b, &mut serial, rayon_lite::serial());
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);
@@ -96,7 +96,7 @@ fn matmul_transposed_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
         let a = deterministic(m, k, 3);
         let b = deterministic(n, k, 4);
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_transposed_into_on(&b, &mut serial, None);
+        a.matmul_transposed_into_on(&b, &mut serial, rayon_lite::serial());
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);
@@ -120,16 +120,16 @@ fn auto_dispatch_matches_serial_above_and_below_the_threshold() {
         let a = deterministic(m, k, 5);
         let b = deterministic(k, n, 6);
         let mut auto = Matrix::zeros(m, n);
-        a.matmul_into(&b, &mut auto);
+        a.matmul_into_on(&b, &mut auto, rayon_lite::global());
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_into_on(&b, &mut serial, None);
+        a.matmul_into_on(&b, &mut serial, rayon_lite::serial());
         assert_bits_eq(&auto, &serial, &format!("auto matmul {m}x{k}x{n}"));
 
         let bt = deterministic(n, k, 7);
         let mut auto_t = Matrix::zeros(m, n);
-        a.matmul_transposed_into(&bt, &mut auto_t);
+        a.matmul_transposed_into_on(&bt, &mut auto_t, rayon_lite::global());
         let mut serial_t = Matrix::zeros(m, n);
-        a.matmul_transposed_into_on(&bt, &mut serial_t, None);
+        a.matmul_transposed_into_on(&bt, &mut serial_t, rayon_lite::serial());
         assert_bits_eq(&auto_t, &serial_t, &format!("auto matmul_t {m}x{k}x{n}"));
     }
 }
@@ -362,7 +362,7 @@ proptest! {
         let a = deterministic(m, k, seed);
         let b = deterministic(k, n, seed.wrapping_add(1));
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_into_on(&b, &mut serial, None);
+        a.matmul_into_on(&b, &mut serial, rayon_lite::serial());
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);
@@ -382,7 +382,7 @@ proptest! {
         let a = deterministic(m, k, seed);
         let b = deterministic(n, k, seed.wrapping_add(2));
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_transposed_into_on(&b, &mut serial, None);
+        a.matmul_transposed_into_on(&b, &mut serial, rayon_lite::serial());
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut par = Matrix::zeros(m, n);

@@ -22,3 +22,5 @@ block $(find crates/format/src crates/quant/src crates/fp/src -name '*.rs' | sor
 block crates/llm/src/opcount.rs crates/llm/src/config.rs crates/sim/src/workload.rs \
     crates/sim/src/decode.rs crates/sim/src/system.rs crates/sim/src/engine.rs \
     crates/search/src/bops.rs
+# The vendored thread pool every parallel kernel above runs on.
+block $(find vendor/rayon-lite/src -name '*.rs' | sort)
