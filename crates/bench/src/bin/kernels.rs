@@ -26,8 +26,8 @@ use anda_bench::Table;
 use anda_format::align::align_group;
 use anda_format::dot::{dot_f16_int_reference, dot_group_int_flat_with_leg, dot_group_reference};
 use anda_format::rowcodec::{
-    decode_row_into_with_leg, decode_rows_transposed_into_with_leg, encode_row_into_scalar,
-    groups_per_row, plane_words_per_row,
+    decode_row_into_with_leg, decode_rows_into_with_leg, decode_rows_transposed_into_with_leg,
+    encode_row_into_scalar, groups_per_row, plane_words_per_row,
 };
 use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::{active_leg, available_legs, cpu_features, SimdLeg, F16};
@@ -69,8 +69,8 @@ const SECTIONS: [Section; 9] = [
     ),
     (
         "decode_row",
-        "ns to decode one 256-wide Anda row, and one 16 x 256 K page to position-minor keys, \
-         per leg and mantissa length",
+        "ns to decode one 256-wide Anda row, and one 16 x 256 page to position-minor keys \
+         (K) and to row-major values (V), per leg and mantissa length",
         decode_row,
     ),
     (
@@ -400,8 +400,9 @@ fn m_sweep(o: &Opts) -> Table {
 
 /// The KV read path's inner kernels: one 256-wide row (the serving
 /// model's `d_model`), and one 16-position page of them decoded
-/// position-minor as the walk's K tile, at a byte-lane (`M <= 8`) and a
-/// 16-bit-lane (`M > 8`) mantissa width on each side.
+/// position-minor as the walk's K tile and row-major as its V tile, at a
+/// byte-lane (`M <= 8`) and a 16-bit-lane (`M > 8`) mantissa width on
+/// each side.
 fn decode_row(o: &Opts) -> Table {
     const MANTISSAS: [u32; 3] = [5, 8, 11];
     const DIM: usize = 256;
@@ -409,9 +410,11 @@ fn decode_row(o: &Opts) -> Table {
     let vals = normals(POSITIONS * DIM, 4, 2.0);
     let headings = MANTISSAS.map(|m| format!("M={m}"));
     let k_page = MANTISSAS.map(|m| format!("K page M={m}"));
-    let mut table = columns("leg", headings.into_iter().chain(k_page));
+    let v_page = MANTISSAS.map(|m| format!("V page M={m}"));
+    let mut table = columns("leg", headings.into_iter().chain(k_page).chain(v_page));
     for leg in available_legs() {
         let (mut rows, mut pages) = (vec![leg.name().to_string()], Vec::new());
+        let mut v_pages = Vec::new();
         for m in MANTISSAS {
             let cfg = AndaConfig::hardware(m).expect("a hardware mantissa length");
             let (g, pw) = (groups_per_row(DIM, cfg), plane_words_per_row(DIM, cfg));
@@ -445,8 +448,14 @@ fn decode_row(o: &Opts) -> Table {
                 )
             });
             pages.push(format!("{:.0}", s * 1e9));
+            let mut tile = vec![0.0f32; POSITIONS * DIM];
+            let s = o.time(|| {
+                let (signs, tile) = (black_box(&signs), black_box(&mut tile));
+                decode_rows_into_with_leg(leg, cfg, signs, &exps, &planes, 0..g, DIM, tile)
+            });
+            v_pages.push(format!("{:.0}", s * 1e9));
         }
-        table.row(rows.into_iter().chain(pages));
+        table.row(rows.into_iter().chain(pages).chain(v_pages));
     }
     table
 }

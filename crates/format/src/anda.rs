@@ -215,7 +215,7 @@ impl AndaTensor {
     ///
     /// # Panics
     ///
-    /// As [`rowcodec::decode_rows_into`].
+    /// As [`rowcodec::decode_rows_into_with_leg`].
     pub fn decode_rows_into(&self, leg: SimdLeg, groups: std::ops::Range<usize>, tile: &mut [f32]) {
         rowcodec::decode_rows_into_with_leg(
             leg,

@@ -8,7 +8,8 @@
 //! decoded through [`crate::rowcodec::decode_row_into`] bumps a global
 //! counter that tests and benches can snapshot around a workload, and
 //! the KV page walk notes each page it decodes through
-//! [`crate::rowcodec::decode_rows_into`] with one add for all its rows.
+//! [`crate::rowcodec::decode_rows_into_with_leg`] with one add for all its
+//! rows.
 //!
 //! The counter is process-global and monotonic (there is deliberately no
 //! reset: concurrent test threads decode too, so the only robust pattern
@@ -29,8 +30,8 @@ static ROWS_DECODED: AtomicU64 = AtomicU64::new(0);
 
 /// Records `rows` rows decoded. The row codec calls this itself for
 /// every [`crate::rowcodec::decode_row_into`]; a caller of the page-level
-/// [`crate::rowcodec::decode_rows_into`] notes the page's rows once,
-/// however many column slices the page was decoded in.
+/// [`crate::rowcodec::decode_rows_into_with_leg`] notes the page's rows
+/// once, however many column slices the page was decoded in.
 #[inline]
 pub fn note_rows_decoded(rows: u64) {
     ROWS_DECODED.fetch_add(rows, Ordering::Relaxed);

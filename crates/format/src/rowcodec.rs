@@ -27,17 +27,20 @@
 //!
 //! Decode at `M <= 8` is an 8×8 bit-matrix transpose per lane byte, which
 //! GFNI does in one instruction, so the AVX-512 leg (AVX2 + AVX-512
-//! F/BW/VBMI + GFNI) has a body of its own there: a masked load of the
-//! group's `M` plane words, one `vpermb` that gathers byte `j` of every
-//! plane into qword `j` (zero-padded so that plane 0 lands as bit
+//! F/BW/VBMI + GFNI) has a group body of its own there: a masked load of
+//! the group's `M` plane words, one `vpermb` that gathers byte `j` of
+//! every plane into qword `j` (zero-padded so that plane 0 lands as bit
 //! `M − 1`), and one `vgf2p8affineqb` against the unit bytes
 //! `0x8040201008040201` turn the planes into 64 magnitude bytes in lane
 //! order; then per 16 lanes one widen, convert, multiply by the ULP,
-//! masked sign-bit XOR and (on a ragged group) masked store. On that leg
-//! [`decode_rows_into`] dispatches once per call into a page loop
-//! compiled with the leg's features, and [`decode_row_into`] is that loop
-//! over one row. Everything else (encode, and decode at `M` 9..=16) runs
-//! the AVX2 body under the AVX-512 leg.
+//! masked sign-bit XOR and (on a ragged group) masked store. Everything
+//! else (encode, and decode at `M` 9..=16) runs the AVX2 body under the
+//! AVX-512 leg.
+//!
+//! A row, a page and each group the position-minor fallback decodes (see
+//! below) all run one page loop, generic over a leg's group body: each
+//! vector leg enters it once per call from a function compiled with the
+//! leg's features, so the group body inlines into that leg's copy.
 //!
 //! Every vector leg is `f32::to_bits`-identical to the `*_scalar`
 //! twin (its oracle), which the property suites assert on every
@@ -45,10 +48,11 @@
 //!
 //! # Page-level decode
 //!
-//! [`decode_rows_into`] decodes a *column slice* (a range of groups) of
-//! consecutive encoded rows into a row-major tile — the KV page walk's
-//! V tile, once per page and pass — and lets parallel readers of a page
-//! split its decode by columns instead of repeating it.
+//! [`decode_rows_into_with_leg`] decodes a *column slice* (a range of
+//! groups) of consecutive encoded rows into a row-major tile — the KV page
+//! walk's V tile, once per page and pass — and lets parallel readers of a
+//! page split its decode by columns instead of repeating it.
+//! [`decode_row_into`] is that decode over a page of one row.
 //! [`decode_rows_transposed_into_with_leg`] decodes the same slice
 //! *position-minor* (column `c` of row `p` at `c · ld + p`), the order
 //! the walk's K product reads keys in, so no transpose follows it. At
@@ -60,9 +64,9 @@
 //! positions' ULPs (on the AVX-512 leg one `vpermb` into the mantissas of
 //! `2^23` and one fused multiply-subtract, exact alike), a sign-bit XOR
 //! and a store of sixteen keys. A block short of sixteen positions
-//! stores through a mask. Every other leg and
-//! `M` decodes each group on its row body and puts the values in place,
-//! which is also why its oracle is [`decode_rows_into`] permuted.
+//! stores through a mask. Every other leg and `M` decodes each group as
+//! a page of one group and puts the values in place, which is also why
+//! its oracle is [`decode_rows_into_with_leg`] permuted.
 
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use anda_fp::{saturate_to_f16, F16};
@@ -217,11 +221,12 @@ pub fn decode_row_into(
     planes: &[u64],
     out: &mut [f32],
 ) {
-    crate::metrics::note_rows_decoded(1);
-    decode_row_uncounted(active_leg(), cfg, signs, exps, planes, out);
+    decode_row_into_with_leg(active_leg(), cfg, signs, exps, planes, out);
 }
 
-/// [`decode_row_into`] on an explicit leg (oracle tests and benches).
+/// [`decode_row_into`] on an explicit leg (oracle tests and benches): the
+/// page decode of a page of one row, counted once in
+/// [`crate::metrics::rows_decoded`].
 ///
 /// # Panics
 ///
@@ -234,47 +239,21 @@ pub fn decode_row_into_with_leg(
     planes: &[u64],
     out: &mut [f32],
 ) {
+    check_decode_buffers(cfg, signs, exps, planes, out);
     crate::metrics::note_rows_decoded(1);
-    decode_row_uncounted(leg, cfg, signs, exps, planes, out);
+    let groups = 0..groups_per_row(out.len(), cfg);
+    Page::new(cfg, signs, exps, planes, groups, out.len()).decode_on(leg, out);
 }
 
-/// The dispatch of [`decode_row_into_with_leg`], not counted (the page
-/// decodes' per-row fallback).
-fn decode_row_uncounted(
-    leg: SimdLeg,
-    cfg: AndaConfig,
-    signs: &[u64],
-    exps: &[u16],
-    planes: &[u64],
-    out: &mut [f32],
-) {
-    match leg.kind() {
-        LegKind::Scalar => decode_row_into_scalar(cfg, signs, exps, planes, out),
-        // SAFETY (every leg): the CPU runs `leg` — a `SimdLeg` is that
-        // proof — and a CPU that runs `Avx512` runs `Avx2`.
-        #[cfg(target_arch = "x86_64")]
-        LegKind::Avx512 if cfg.mantissa_bits() <= 8 => unsafe {
-            avx512::decode_row(cfg, signs, exps, planes, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        LegKind::Avx2 | LegKind::Avx512 => unsafe {
-            avx2::decode_row(cfg, signs, exps, planes, out)
-        },
-        #[cfg(target_arch = "aarch64")]
-        LegKind::Neon => unsafe { neon::decode_row(cfg, signs, exps, planes, out) },
-        #[allow(unreachable_patterns)]
-        other => unreachable!("no host runs SIMD leg {}", other.name()),
-    }
-}
-
-/// Page-level decode: `signs`/`exps`/`planes` hold consecutive
+/// Page-level decode on `leg`: `signs`/`exps`/`planes` hold consecutive
 /// `row_len`-wide encoded rows (row `r`'s groups start at
 /// `r · groups_per_row`), `tile` is the matching row-major
 /// `rows × row_len` float tile (`rows = tile.len() / row_len`), and only
 /// the columns of groups `groups` of every row are decoded into it —
 /// bit-identical to the same columns of [`decode_row_into`]. Column
 /// slices are what lets parallel readers of one page split its decode
-/// instead of repeating it.
+/// instead of repeating it. The KV page walk's V decode, oracle tests
+/// and benches call it.
 ///
 /// Unlike [`decode_row_into`] this does **not** bump
 /// [`crate::metrics::rows_decoded`]: a page's rows may be decoded in
@@ -285,33 +264,6 @@ fn decode_row_uncounted(
 ///
 /// Panics if `tile` is not a whole number of rows, `groups` exceeds the
 /// row's groups, or a source slice is shorter than the rows require.
-pub fn decode_rows_into(
-    cfg: AndaConfig,
-    signs: &[u64],
-    exps: &[u16],
-    planes: &[u64],
-    groups: std::ops::Range<usize>,
-    row_len: usize,
-    tile: &mut [f32],
-) {
-    decode_rows_into_with_leg(
-        active_leg(),
-        cfg,
-        signs,
-        exps,
-        planes,
-        groups,
-        row_len,
-        tile,
-    );
-}
-
-/// [`decode_rows_into`] on an explicit leg: the KV page walk's V decode,
-/// oracle tests and benches.
-///
-/// # Panics
-///
-/// As [`decode_rows_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn decode_rows_into_with_leg(
     leg: SimdLeg,
@@ -323,46 +275,112 @@ pub fn decode_rows_into_with_leg(
     row_len: usize,
     tile: &mut [f32],
 ) {
-    let g = groups_per_row(row_len, cfg);
-    let m = cfg.mantissa_bits() as usize;
     assert!(
         tile.len().is_multiple_of(row_len),
         "tile must hold whole rows"
     );
-    assert!(
-        groups.start < groups.end && groups.end <= g,
-        "group range {groups:?} outside a {g}-group row"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if leg.kind() == LegKind::Avx512 && m <= 8 {
-        // SAFETY: the CPU runs `leg`, as a `SimdLeg` proves.
-        return unsafe { avx512::decode_rows(cfg, signs, exps, planes, groups, row_len, tile) };
-    }
-    let cols = groups.start * cfg.group_size()..(groups.end * cfg.group_size()).min(row_len);
-    for (r, row) in tile.chunks_exact_mut(row_len).enumerate() {
-        let (g0, g1) = (r * g + groups.start, r * g + groups.end);
-        decode_row_uncounted(
-            leg,
-            cfg,
-            &signs[g0..g1],
-            &exps[g0..g1],
-            &planes[g0 * m..g1 * m],
-            &mut row[cols.clone()],
+    Page::new(cfg, signs, exps, planes, groups, row_len).decode_on(leg, tile);
+}
+
+/// The encoded rows a page decode reads: `row_len`-wide rows back to
+/// back, of which the groups `groups` are decoded.
+struct Page<'a> {
+    cfg: AndaConfig,
+    signs: &'a [u64],
+    exps: &'a [u16],
+    planes: &'a [u64],
+    groups: std::ops::Range<usize>,
+    row_len: usize,
+}
+
+impl<'a> Page<'a> {
+    /// The groups `groups` of each of the `row_len`-wide rows held back to
+    /// back in `signs`, `exps` and `planes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` is empty or exceeds a row's groups.
+    #[inline(always)]
+    fn new(
+        cfg: AndaConfig,
+        signs: &'a [u64],
+        exps: &'a [u16],
+        planes: &'a [u64],
+        groups: std::ops::Range<usize>,
+        row_len: usize,
+    ) -> Self {
+        let g = groups_per_row(row_len, cfg);
+        assert!(
+            groups.start < groups.end && groups.end <= g,
+            "group range {groups:?} outside a {g}-group row"
         );
+        Page {
+            cfg,
+            signs,
+            exps,
+            planes,
+            groups,
+            row_len,
+        }
+    }
+
+    /// Decodes the page into the row-major `tile` (whole rows) on `leg`.
+    #[inline(always)]
+    fn decode_on(&self, leg: SimdLeg, tile: &mut [f32]) {
+        match leg.kind() {
+            LegKind::Scalar => self.decode_into(tile, decode_group_into_scalar),
+            // SAFETY (every leg): the CPU runs `leg` — a `SimdLeg` is that
+            // proof — and a CPU that runs `Avx512` runs `Avx2`.
+            #[cfg(target_arch = "x86_64")]
+            LegKind::Avx512 if self.cfg.mantissa_bits() <= 8 => unsafe {
+                avx512::decode_rows(self, tile)
+            },
+            #[cfg(target_arch = "x86_64")]
+            LegKind::Avx2 | LegKind::Avx512 => unsafe { avx2::decode_rows(self, tile) },
+            #[cfg(target_arch = "aarch64")]
+            LegKind::Neon => unsafe { neon::decode_rows(self, tile) },
+            #[allow(unreachable_patterns)]
+            other => unreachable!("no host runs SIMD leg {}", other.name()),
+        }
+    }
+
+    /// The one page loop of every leg's decode: per row of `tile`, per
+    /// group, `group(sign word, ULP, plane words, lanes)` decodes that
+    /// group's lanes. Each vector leg calls it from one function compiled
+    /// with its features, so its group body inlines into that leg's copy.
+    #[inline(always)]
+    fn decode_into(&self, tile: &mut [f32], mut group: impl FnMut(u64, f32, &[u64], &mut [f32])) {
+        let (gs, m) = (self.cfg.group_size(), self.cfg.mantissa_bits() as usize);
+        let (start, n) = (self.groups.start, self.groups.len());
+        let g = groups_per_row(self.row_len, self.cfg);
+        let cols = start * gs..(self.groups.end * gs).min(self.row_len);
+        // Index arithmetic rather than `chunks`: their lengths cost two
+        // divisions per row, measured at a third of this loop's time.
+        for (r, row) in tile.chunks_exact_mut(self.row_len).enumerate() {
+            let g0 = r * g + start;
+            let (signs, exps) = (&self.signs[g0..g0 + n], &self.exps[g0..g0 + n]);
+            let words = &self.planes[g0 * m..(g0 + n) * m];
+            let row = &mut row[cols.clone()];
+            for k in 0..n {
+                let out = &mut row[k * gs..((k + 1) * gs).min(cols.len())];
+                let ulp = exp2f(i32::from(exps[k]) - 14 - m as i32);
+                group(signs[k], ulp, &words[k * m..(k + 1) * m], out);
+            }
+        }
     }
 }
 
-/// Position-minor page decode on `leg`: [`decode_rows_into`] over the
-/// first `rows` encoded rows, written transposed — column `c` of row `p`
-/// lands at `keys[(c − cols.start) · ld + p]`, `cols` being the columns
-/// of groups `groups`. That is the order the KV page walk reads a page's
-/// keys in, so the walk's K tile is decoded straight into it. Each
+/// Position-minor page decode on `leg`: [`decode_rows_into_with_leg`]
+/// over the first `rows` encoded rows, written transposed — column `c` of
+/// row `p` lands at `keys[(c − cols.start) · ld + p]`, `cols` being the
+/// columns of groups `groups`. That is the order the KV page walk reads a
+/// page's keys in, so the walk's K tile is decoded straight into it. Each
 /// column's slots `rows..ld` are left alone. The values are
-/// [`decode_rows_into`]'s, bit for bit: only where they land differs.
-/// Not counted, like [`decode_rows_into`]. At `M <= 8` the AVX2 and
-/// AVX-512 legs decode sixteen positions at a time and transpose their
-/// magnitude bytes before they widen; everything else is the portable
-/// loop.
+/// [`decode_rows_into_with_leg`]'s, bit for bit: only where they land
+/// differs. Not counted, like [`decode_rows_into_with_leg`]. At `M <= 8`
+/// the AVX2 and AVX-512 legs decode sixteen positions at a time and
+/// transpose their magnitude bytes before they widen; everything else
+/// decodes each group as a page of one group and puts it in place.
 ///
 /// # Panics
 ///
@@ -414,16 +432,15 @@ pub fn decode_rows_transposed_into_with_leg(
             avx2::decode_rows_transposed(cfg, signs, exps, planes, groups, row_len, rows, keys, ld)
         },
         _ => {
-            // Each group of each row decoded on the leg's row body, then
-            // put in place: a permutation of `decode_rows_into`'s tile.
+            // Each group of each row decoded as a page of one group, then
+            // put in place: a permutation of the row-major page decode.
             let mut lanes = [0.0f32; LANES];
             for p in 0..rows {
                 for (k, col0) in groups.clone().zip((0..).step_by(gs)) {
                     let gi = p * g + k;
                     let out = &mut lanes[..(n_cols - col0).min(gs)];
-                    let (sign, exp) = (&signs[gi..gi + 1], &exps[gi..gi + 1]);
-                    let words = &planes[gi * m..(gi + 1) * m];
-                    decode_row_uncounted(leg, cfg, sign, exp, words, out);
+                    let (sign, exp, words) = (&signs[gi..], &exps[gi..], &planes[gi * m..]);
+                    Page::new(cfg, sign, exp, words, 0..1, out.len()).decode_on(leg, out);
                     for (c, &x) in out.iter().enumerate() {
                         keys[(col0 + c) * ld + p] = x;
                     }
@@ -433,7 +450,8 @@ pub fn decode_rows_transposed_into_with_leg(
     }
 }
 
-/// The scalar oracle of [`decode_row_into`].
+/// The scalar oracle of [`decode_row_into`], which the suites hold every
+/// leg's row and page decodes to (no production path calls it).
 ///
 /// # Panics
 ///
@@ -659,30 +677,18 @@ mod avx2 {
         }
     }
 
-    /// AVX2 leg of [`decode_row_into`].
+    /// AVX2 leg of [`decode_rows_into_with_leg`], after its checks:
+    /// [`Page::decode_into`] compiled with AVX2, so [`decode_group`] inlines
+    /// into it.
     ///
     /// # Safety
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn decode_row(
-        cfg: AndaConfig,
-        signs: &[u64],
-        exps: &[u16],
-        planes: &[u64],
-        out: &mut [f32],
-    ) {
-        check_decode_buffers(cfg, signs, exps, planes, out);
-        let m = cfg.mantissa_bits();
-        for (gi, chunk) in out.chunks_mut(cfg.group_size()).enumerate() {
-            let ulp = exp2f(i32::from(exps[gi]) - 14 - m as i32);
-            decode_group(
-                signs[gi],
-                ulp,
-                &planes[gi * m as usize..(gi + 1) * m as usize],
-                chunk,
-            );
-        }
+    pub unsafe fn decode_rows(page: &Page, tile: &mut [f32]) {
+        page.decode_into(tile, |sign, ulp, words, out| {
+            decode_group(sign, ulp, words, out)
+        });
     }
 
     /// AVX2 leg of [`decode_rows_transposed_into_with_leg`] at `M <= 8`,
@@ -1072,45 +1078,21 @@ mod avx512 {
         }
     }
 
-    /// AVX-512 leg of [`decode_rows_into`] at `M <= 8`, after its checks:
-    /// the whole page loop is compiled with the leg's features, so
-    /// [`decode_group`] inlines into it.
+    /// AVX-512 leg of [`decode_rows_into_with_leg`] at `M <= 8`, after its
+    /// checks: [`Page::decode_into`] compiled with the leg's features, so
+    /// [`decode_group`] inlines into it, `GATHER[M − 1]` loaded once.
     ///
     /// # Safety
     ///
     /// Requires AVX2, AVX-512 F/BW/VBMI and GFNI.
     #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
-    pub unsafe fn decode_rows(
-        cfg: AndaConfig,
-        signs: &[u64],
-        exps: &[u16],
-        planes: &[u64],
-        groups: std::ops::Range<usize>,
-        row_len: usize,
-        tile: &mut [f32],
-    ) {
-        let (g, gs, m) = (
-            groups_per_row(row_len, cfg),
-            cfg.group_size(),
-            cfg.mantissa_bits() as usize,
-        );
+    pub unsafe fn decode_rows(page: &Page, tile: &mut [f32]) {
+        let m = page.cfg.mantissa_bits() as usize;
         assert!(m <= 8, "the transpose holds at most 8 planes");
         let gather = _mm512_loadu_si512(GATHER[m - 1].as_ptr().cast());
-        let cols = groups.start * gs..(groups.end * gs).min(row_len);
-        let n = groups.len();
-        // Index arithmetic rather than `chunks`: their lengths cost two
-        // divisions per row, measured at a third of this loop's time.
-        for (r, row) in tile.chunks_exact_mut(row_len).enumerate() {
-            let g0 = r * g + groups.start;
-            let (signs, exps) = (&signs[g0..g0 + n], &exps[g0..g0 + n]);
-            let words = &planes[g0 * m..(g0 + n) * m];
-            let row = &mut row[cols.clone()];
-            for k in 0..n {
-                let out = &mut row[k * gs..((k + 1) * gs).min(cols.len())];
-                let ulp = exp2f(i32::from(exps[k]) - 14 - m as i32);
-                decode_group(signs[k], ulp, &words[k * m..(k + 1) * m], gather, out);
-            }
-        }
+        page.decode_into(tile, |sign, ulp, words, out| {
+            decode_group(sign, ulp, words, gather, out)
+        });
     }
 
     /// AVX-512 leg of [`decode_rows_transposed_into_with_leg`] at
@@ -1201,25 +1183,6 @@ mod avx512 {
                 }
             }
         }
-    }
-
-    /// AVX-512 leg of [`decode_row_into`] at `M <= 8`: the page loop over
-    /// one row.
-    ///
-    /// # Safety
-    ///
-    /// As [`decode_rows`].
-    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
-    pub unsafe fn decode_row(
-        cfg: AndaConfig,
-        signs: &[u64],
-        exps: &[u16],
-        planes: &[u64],
-        out: &mut [f32],
-    ) {
-        check_decode_buffers(cfg, signs, exps, planes, out);
-        let g = groups_per_row(out.len(), cfg);
-        decode_rows(cfg, signs, exps, planes, 0..g, out.len(), out);
     }
 }
 
@@ -1342,30 +1305,18 @@ mod neon {
         }
     }
 
-    /// NEON leg of [`decode_row_into`].
+    /// NEON leg of [`decode_rows_into_with_leg`], after its checks:
+    /// [`Page::decode_into`] compiled with NEON, so [`decode_group`] inlines
+    /// into it.
     ///
     /// # Safety
     ///
     /// Requires NEON.
     #[target_feature(enable = "neon")]
-    pub unsafe fn decode_row(
-        cfg: AndaConfig,
-        signs: &[u64],
-        exps: &[u16],
-        planes: &[u64],
-        out: &mut [f32],
-    ) {
-        check_decode_buffers(cfg, signs, exps, planes, out);
-        let m = cfg.mantissa_bits();
-        for (gi, chunk) in out.chunks_mut(cfg.group_size()).enumerate() {
-            let ulp = exp2f(i32::from(exps[gi]) - 14 - m as i32);
-            decode_group(
-                signs[gi],
-                ulp,
-                &planes[gi * m as usize..(gi + 1) * m as usize],
-                chunk,
-            );
-        }
+    pub unsafe fn decode_rows(page: &Page, tile: &mut [f32]) {
+        page.decode_into(tile, |sign, ulp, words, out| {
+            decode_group(sign, ulp, words, out)
+        });
     }
 
     /// NEON leg of [`encode_row_into`]: the 4-lane mirror of the AVX2
@@ -1667,10 +1618,20 @@ mod tests {
     }
 
     /// `(row width, group size, M)` of the page-decode tests: the serving
-    /// width at the served `M`, ragged last groups, group sizes off every
-    /// vector width, and `M` on both sides of the byte-lane bodies.
-    const PAGE_SHAPES: [(usize, usize, u32); 6] = [
+    /// width at the served `M` and at every `M` from 9 to 16 (the pages
+    /// the x86 legs decode a group at a time), ragged last groups, group
+    /// sizes off every vector width, and `M` on both sides of the
+    /// byte-lane bodies.
+    const PAGE_SHAPES: [(usize, usize, u32); 14] = [
         (256, 64, 8),
+        (256, 64, 9),
+        (256, 64, 10),
+        (256, 64, 11),
+        (256, 64, 12),
+        (256, 64, 13),
+        (256, 64, 14),
+        (256, 64, 15),
+        (256, 64, 16),
         (192, 64, 5),
         (100, 64, 11),
         (100, 33, 1),

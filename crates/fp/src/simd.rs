@@ -10,8 +10,9 @@
 //! FP16 in software.
 //!
 //! A fourth leg, [`LegKind::Avx512`], is the AVX2 leg plus AVX-512
-//! F/BW/VBMI and GFNI. It owns three kernel bodies: the `anda-format` row
-//! decode at `M <= 8`, where one `vpermb` and one `vgf2p8affineqb`
+//! F/BW/VBMI and GFNI. It owns three kernel bodies: the `anda-format` group
+//! decode at `M <= 8`, which its one page loop runs for every row and
+//! page decode, and where one `vpermb` and one `vgf2p8affineqb`
 //! transpose a group's bit planes into 64 magnitude bytes; the
 //! position-minor K-page decode at the same `M`; and the `anda-tensor`
 //! register tile, eight rows of one 512-bit vector each, that every GEMM
@@ -57,8 +58,9 @@ pub enum LegKind {
     /// 256-bit AVX2 integer/float vectors plus F16C conversions (x86-64).
     Avx2,
     /// The AVX2 leg plus AVX-512 F/BW/VBMI and GFNI (x86-64): its own
-    /// bodies are the `M <= 8` row and position-minor K-page decodes and
-    /// the eight-row register tile; every other kernel is the AVX2 one.
+    /// bodies are the `M <= 8` group decode (of every row and page
+    /// decode), the `M <= 8` position-minor K-page decode and the
+    /// eight-row register tile; every other kernel is the AVX2 one.
     Avx512,
     /// 128-bit NEON vectors (aarch64).
     Neon,

@@ -10,13 +10,16 @@
 # `anda_perf/src` outside `#[cfg(test)]` items, comment lines skipped (so
 # a doc mention cannot keep a dead item alive). A call site of `name` is
 # `.name`, `::name`, `name(`, `name<` or `name::<`; an upper-case
-# constant counts on any whole-word use. Definitions (`fn name`,
-# `const NAME`) are not uses.
+# constant counts on any whole-word use. A free function (a `pub fn`
+# in column 0) counts only a path or bare call, never a `.name` method
+# call. Definitions (`fn name`, `const NAME`) are not uses.
 #
-# Blind spot: names are matched as words, not resolved, so a dead item
-# that shares its name with a live one anywhere (`new`, `len`, a trait
-# method) is hidden. A function passed by bare name (`map(name)`) is
-# listed although it is called.
+# Blind spot: names are matched as words, not resolved, so a dead method
+# or nested function that shares its name with a live one anywhere
+# (`new`, `len`, a trait method) is hidden, and so is a dead free
+# function that shares its name with a live one called by path. A
+# function passed by bare name (`map(name)`) is listed although it is
+# called.
 cd "${1:-$(dirname "$0")/..}" || exit 1
 prod=$(find crates/*/src src examples anda_perf/src -name '*.rs' 2>/dev/null | sort)
 defs=$(find crates/*/src -name '*.rs' | sort)
@@ -44,9 +47,11 @@ pass == 1 {
         name = substr(s, RSTART, RLENGTH)
         before = substr(s, RSTART - 1, 1)
         after = substr(s, RSTART + RLENGTH, 3)
-        if (name ~ /^[A-Z][A-Z0-9_]*$/ || before == "." || before == ":" ||
-            after ~ /^[(<]/ || after == "::<")
+        if (name ~ /^[A-Z][A-Z0-9_]*$/ || before == ":" ||
+            (before != "." && (after ~ /^[(<]/ || after == "::<")))
             used[name] = 1
+        else if (before == ".")
+            method[name] = 1
         s = substr(s, RSTART + RLENGTH)
     }
     next
@@ -59,7 +64,10 @@ pass == 2 && /^[ \t]*pub[ \t]+(const[ \t]+|unsafe[ \t]+)*(fn[ \t]+)?[A-Za-z_]/ {
     sub(/^fn[ \t]+/, "", s)
     if (!match(s, /^[A-Za-z_][A-Za-z0-9_]*/)) next
     name = substr(s, 1, RLENGTH)
-    if (!(name in used)) { print FILENAME, name; dead++ }
+    if (!(name in used) && ($0 ~ /^pub/ || !(name in method))) {
+        print FILENAME, name
+        dead++
+    }
 }
 END { printf "%d public items with no production call site\n", dead }
 ' pass=1 $prod pass=2 $defs
