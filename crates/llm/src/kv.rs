@@ -764,12 +764,11 @@ impl TablePage {
 /// Entries are table pages: exclusively owned pages plus refcounted
 /// [`SharedPage`] leases installed by [`KvCache::fork_prefix`]. A table
 /// views every row of every page it holds: every page but the last is
-/// full, and the last holds the `len` positions past them. Only whole
-/// pages are shared, so a partial tail is always owned.
+/// full, so the pages' fill is the layer's length. Only whole pages are
+/// shared, so a partial tail is always owned.
 #[derive(Debug, Default)]
 pub struct LayerKv {
     pages: Vec<TablePage>,
-    len: usize,
     /// This layer's index in its owning cache (0 for a standalone
     /// `LayerKv::default()`), carried so misuse panics can name the
     /// layer instead of pointing at an anonymous table.
@@ -779,12 +778,14 @@ pub struct LayerKv {
 impl LayerKv {
     /// Number of cached positions in this layer.
     pub fn len(&self) -> usize {
-        self.len
+        self.pages.last().map_or(0, |tail| {
+            (self.pages.len() - 1) * self.page_positions() + tail.page().used()
+        })
     }
 
     /// `true` when no positions are cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pages.is_empty()
     }
 
     /// Pages in the table holding a shared (refcounted) lease.
@@ -814,7 +815,7 @@ impl LayerKv {
     /// (bounded pools are protected by admission-time reservation).
     pub(crate) fn push(&mut self, pool: &PagePool, key: &[f32], value: &[f32]) {
         assert_eq!(key.len(), value.len(), "key/value width mismatch");
-        if self.len == self.pages.len() * self.page_positions() {
+        if self.pages.last().is_none_or(|tail| tail.page().is_full()) {
             let page = pool
                 .try_alloc(key.len())
                 .expect("KV page pool exhausted (admission must reserve worst-case pages)");
@@ -824,18 +825,11 @@ impl LayerKv {
             unreachable!("a shared page is full, so a tail with room is owned");
         };
         tail.push_row(key, value);
-        let used = tail.used;
-        self.len += 1;
-        debug_assert_eq!(
-            used,
-            self.len - (self.pages.len() - 1) * self.page_positions(),
-            "a table views every row of its tail page"
-        );
     }
 
     /// Extends this table — which must end on a page boundary — to
     /// `positions` from `source`: the one fork primitive. Each of
-    /// `source`'s whole pages past `self.len` is sealed into a refcounted
+    /// `source`'s whole pages past `self.len()` is sealed into a refcounted
     /// [`SharedPage`] (a no-op if already shared) and leased
     /// ([`PagePool::fork_page`]), no rows copied. A partial last page's
     /// rows are copied bitwise into a page leased from `pool`
@@ -844,24 +838,23 @@ impl LayerKv {
     ///
     /// # Panics
     ///
-    /// Panics unless `self.len` is page-aligned and `self.len <=
-    /// positions <= source.len`, or if the pool is exhausted when a
+    /// Panics unless `self.len()` is page-aligned and `self.len() <=
+    /// positions <= source.len()`, or if the pool is exhausted when a
     /// partial page must be copied (admission reserves it among the
     /// fork's private pages).
     fn splice_tail(&mut self, pool: &PagePool, source: &mut LayerKv, positions: usize) {
-        let pp = pool.config().page_positions;
+        let (pp, len) = (pool.config().page_positions, self.len());
         assert!(
-            self.len.is_multiple_of(pp) && self.len <= positions && positions <= source.len,
-            "fork of positions {}..{positions} from a {}-position layer ({pp}-position pages)",
-            self.len,
-            source.len
+            len.is_multiple_of(pp) && len <= positions && positions <= source.len(),
+            "fork of positions {len}..{positions} from a {}-position layer ({pp}-position pages)",
+            source.len()
         );
         let whole = positions / pp;
         // One `extend` over the range, not a loop of pushes: a fork of 88
         // pages (4 layers × 22) and its drop took 1.6× as long with the
         // loop on a 2-vCPU Xeon.
         self.pages
-            .extend(source.pages[self.len / pp..whole].iter_mut().map(|entry| {
+            .extend(source.pages[len / pp..whole].iter_mut().map(|entry| {
                 if let TablePage::Owned(page) = entry {
                     // A zero-width page holds no buffer: the swap allocates nothing.
                     let page = std::mem::replace(page, Page::new(&KvPoolConfig::default(), 0));
@@ -880,7 +873,6 @@ impl LayerKv {
             page.copy_rows_from(source.pages[whole].page(), positions - whole * pp);
             self.pages.push(TablePage::Owned(page));
         }
-        self.len = positions;
     }
 
     /// Decodes the key row at `pos` into `out` (no allocation).
@@ -916,7 +908,7 @@ impl LayerKv {
     }
 
     fn row_into(&self, pos: usize, want_v: bool, out: &mut [f32]) {
-        assert!(pos < self.len, "position {pos} not cached");
+        assert!(pos < self.len(), "position {pos} not cached");
         let pp = self.page_positions();
         self.pages[pos / pp].page().row_into(pos % pp, want_v, out);
     }
@@ -931,16 +923,14 @@ impl LayerKv {
                 TablePage::Shared(shared) => pool.release_page(shared),
             }
         }
-        self.len = 0;
     }
 
     /// Bits occupied by the cached rows this table views under the
     /// layer's policy.
     pub fn storage_bits(&self) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        2 * self.len * self.pages[0].page().row_bits()
+        self.pages
+            .first()
+            .map_or(0, |page| 2 * self.len() * page.page().row_bits())
     }
 
     /// Validates that this layer can be attended at all: attention over
@@ -982,13 +972,14 @@ impl LayerKv {
         scratch: &mut KvReadScratch,
     ) {
         self.assert_attendable();
-        let n_scores = n_heads * self.len;
+        let t = self.len();
+        let n_scores = n_heads * t;
         if scratch.scores.len() < n_scores {
             scratch.scores.resize(n_scores, 0.0);
         }
         let lane = AttendLane {
             layer: self,
-            t: self.len,
+            t,
             q,
             scores: &mut scratch.scores[..n_scores],
             out,
@@ -1293,11 +1284,11 @@ impl PageDecodeCache {
             assert_eq!(lane.q.len(), d, "query width");
             assert_eq!(lane.out.len(), d, "output width");
             assert!(
-                (1..=lane.layer.len).contains(&lane.t),
+                (1..=lane.layer.len()).contains(&lane.t),
                 "attended window {} outside layer {}'s {} positions",
                 lane.t,
                 lane.layer.idx,
-                lane.layer.len
+                lane.layer.len()
             );
             assert_eq!(lane.scores.len(), n_heads * lane.t, "score lanes");
         }

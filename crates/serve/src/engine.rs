@@ -35,22 +35,23 @@
 //!
 //! [`SubmitHandle::state`] reports the current position in that
 //! diagram; cancellation is terminal from every non-finished state.
+//! The engine keeps no record of its own: lifecycle, results and
+//! cancellations are the scheduler's ([`Scheduler::status`],
+//! [`Scheduler::is_cancelled`]), and a finished request's results stay
+//! in the scheduler until its handle takes them.
 
 use std::cell::{Ref, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 use anda_llm::Model;
 
 use crate::request::{FinishedRequest, Request, RequestId, SamplingMode};
-use crate::scheduler::{
-    CancelError, Cancelled, Scheduler, SchedulerConfig, StreamStatus, SubmitError,
-};
+use crate::scheduler::{CancelError, Cancelled, Scheduler, SchedulerConfig, SubmitError};
 
 /// Where a submitted request currently is in the engine lifecycle.
-/// The scheduler-side states mirror [`StreamStatus`]; `Finished` and
-/// `Cancelled` are terminal and engine-tracked.
+/// [`Scheduler::status`] reports the live states; `Finished` and
+/// `Cancelled` are terminal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RequestState {
@@ -85,9 +86,6 @@ impl fmt::Display for RequestState {
 /// The engine internals every handle shares.
 struct EngineCore<'a> {
     sched: Scheduler<'a>,
-    /// Finished results by request id, drained from the scheduler after
-    /// every step and held until the owning handle collects them.
-    results: HashMap<RequestId, Vec<FinishedRequest>>,
     /// Virtual time: scheduler iterations executed so far.
     steps: u64,
 }
@@ -96,14 +94,6 @@ impl EngineCore<'_> {
     fn step(&mut self) {
         self.sched.step();
         self.steps += 1;
-        self.bank();
-    }
-
-    /// Moves the scheduler's finished results into the per-request bank.
-    fn bank(&mut self) {
-        for result in self.sched.take_finished() {
-            self.results.entry(result.id).or_default().push(result);
-        }
     }
 }
 
@@ -151,11 +141,7 @@ impl<'a> Engine<'a> {
     /// pool, pinned prefixes).
     pub fn over(sched: Scheduler<'a>) -> Self {
         Engine {
-            core: Rc::new(RefCell::new(EngineCore {
-                sched,
-                results: HashMap::new(),
-                steps: 0,
-            })),
+            core: Rc::new(RefCell::new(EngineCore { sched, steps: 0 })),
         }
     }
 
@@ -171,13 +157,12 @@ impl<'a> Engine<'a> {
             id,
             best_of,
             cursor: 0,
-            cancelled: false,
         })
     }
 
     /// Advances every active stream by one token (admitting, resuming,
-    /// and preempting as the scheduler sees fit) and banks any results
-    /// that finished this iteration.
+    /// and preempting as the scheduler sees fit). Results that finish
+    /// wait in the scheduler for their handles.
     pub fn step(&self) {
         self.core.borrow_mut().step();
     }
@@ -205,7 +190,10 @@ impl<'a> Engine<'a> {
 
     /// Cancels `id` wherever it currently lives (see
     /// [`Scheduler::cancel`]). [`SubmitHandle::cancel`] is the usual
-    /// path; this one is for callers that only kept the id.
+    /// path; this one is for callers that only kept the id. A finished
+    /// request whose results no handle has taken yet reports
+    /// [`CancelError::AlreadyFinished`] (the results stay collectable);
+    /// once they are taken, [`CancelError::Unknown`].
     pub fn cancel(&self, id: RequestId) -> Result<Cancelled, CancelError> {
         self.core.borrow_mut().sched.cancel(id)
     }
@@ -229,7 +217,6 @@ pub struct SubmitHandle<'a> {
     best_of: bool,
     /// Generated tokens already reported by `try_next_tokens`.
     cursor: usize,
-    cancelled: bool,
 }
 
 impl SubmitHandle<'_> {
@@ -240,18 +227,12 @@ impl SubmitHandle<'_> {
 
     /// Where the request is in the lifecycle right now.
     pub fn state(&self) -> RequestState {
-        if self.cancelled {
-            return RequestState::Cancelled;
-        }
-        let core = self.core.borrow();
-        match core.sched.status(self.id) {
-            Some(StreamStatus::Pending) => RequestState::Pending,
-            Some(StreamStatus::Prefilling) => RequestState::Prefilling,
-            Some(StreamStatus::Decoding) => RequestState::Decoding,
-            Some(StreamStatus::Suspended) => RequestState::Suspended,
-            None if core.sched.is_cancelled(self.id) => RequestState::Cancelled,
+        let sched = &self.core.borrow().sched;
+        match sched.status(self.id) {
+            Some(state) => state,
+            None if sched.is_cancelled(self.id) => RequestState::Cancelled,
             // Nothing of it is queued or running any more: every
-            // result is in (banked, or collected already).
+            // result is in (waiting in the scheduler, or taken already).
             None => RequestState::Finished,
         }
     }
@@ -264,24 +245,23 @@ impl SubmitHandle<'_> {
     /// when its group finishes, so its handle polls nothing until then
     /// and the winner whole after. Either way the polls concatenate to
     /// the generated tokens of [`SubmitHandle::await_finished`]'s first
-    /// result.
+    /// result. A cancelled request polls nothing, whatever samples of it
+    /// finished before the cancel.
     pub fn try_next_tokens(&mut self) -> Vec<usize> {
-        let core = self.core.borrow();
-        let live = core.sched.stream_tokens(self.id).filter(|_| !self.best_of);
+        let sched = &self.core.borrow().sched;
+        if sched.is_cancelled(self.id) {
+            return Vec::new();
+        }
+        let live = sched.stream_tokens(self.id).filter(|_| !self.best_of);
         let fresh = if let Some(tokens) = live {
-            let generated = core
-                .sched
+            let generated = sched
                 .generated_len(self.id)
                 .expect("stream_tokens and generated_len agree on liveness");
             tokens[tokens.len() - (generated - self.cursor)..].to_vec()
-        } else if let Some(results) = core.results.get(&self.id) {
-            let primary = results
-                .iter()
-                .find(|r| r.sample_index == 0)
-                .unwrap_or(&results[0]);
-            primary.generated()[self.cursor..].to_vec()
         } else {
-            Vec::new()
+            // Sample 0's result, or a best-of request's one winner.
+            let primary = sched.results(self.id).min_by_key(|r| r.sample_index);
+            primary.map_or_else(Vec::new, |r| r.generated()[self.cursor..].to_vec())
         };
         self.cursor += fresh.len();
         fresh
@@ -291,12 +271,12 @@ impl SubmitHandle<'_> {
     /// mid-decode (its pages are released this call; co-batched
     /// survivors never observe it). Terminal: the handle reports
     /// [`RequestState::Cancelled`] afterwards and no results arrive.
+    /// A finished request is not cancelled:
+    /// [`CancelError::AlreadyFinished`] while its results wait for
+    /// [`SubmitHandle::await_finished`] (which still returns them),
+    /// [`CancelError::Unknown`] once they are taken.
     pub fn cancel(&mut self) -> Result<Cancelled, CancelError> {
-        let outcome = self.core.borrow_mut().sched.cancel(self.id);
-        if outcome.is_ok() {
-            self.cancelled = true;
-        }
-        outcome
+        self.core.borrow_mut().sched.cancel(self.id)
     }
 
     /// Drives the engine until this request finishes, then removes and
@@ -309,17 +289,16 @@ impl SubmitHandle<'_> {
     pub fn await_finished(&mut self) -> Vec<FinishedRequest> {
         loop {
             let mut core = self.core.borrow_mut();
-            if self.cancelled || core.sched.is_cancelled(self.id) {
-                self.cancelled = true;
-                core.results.remove(&self.id);
-                return Vec::new();
-            }
             // Nothing of it live means every result it will ever have
             // is in — none at all if they were collected before:
-            // stepping on would spin an idle scheduler forever.
+            // stepping on would spin an idle scheduler forever. A
+            // cancelled request's samples that finished first are
+            // dropped here.
             if core.sched.status(self.id).is_none() {
-                core.bank();
-                let mut results = core.results.remove(&self.id).unwrap_or_default();
+                let mut results = core.sched.take_results(self.id);
+                if core.sched.is_cancelled(self.id) {
+                    results.clear();
+                }
                 results.sort_by_key(|r| r.sample_index);
                 return results;
             }

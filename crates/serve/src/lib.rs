@@ -124,6 +124,6 @@ pub use request::{
 };
 pub use scheduler::{
     CancelError, Cancelled, PoolSnapshot, PrefixCacheSnapshot, PrefixPin, Scheduler,
-    SchedulerConfig, SchedulerStats, StreamStatus, SubmitError,
+    SchedulerConfig, SchedulerStats, SubmitError,
 };
 pub use workload::{ArrivalSchedule, Replay};

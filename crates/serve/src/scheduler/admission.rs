@@ -150,7 +150,7 @@ impl Scheduler<'_> {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-            .filter(|(_, s)| s.done.is_none() && s.group.is_none())
+            .filter(|(_, s)| s.done.is_none() && !self.groups.contains_key(&s.seq.id.0))
             .filter(|(_, s)| s.seq.priority.index() > rank)
             .filter(|(_, s)| {
                 let resume = self.demand(s.seq.prompt_len, s.seq.max_new, 1, 0);
@@ -228,8 +228,7 @@ impl Scheduler<'_> {
     /// [`Scheduler::step`] works the prompt off as spans. The prompt is
     /// matched against the radix tree and its longest cached whole-page
     /// prefix — pinned or discovered — arrives as a fork of refcounted
-    /// shared pages; the prefill cursor starts past whatever the fork
-    /// covers. A multi-sample request places its `n - 1` siblings now
+    /// shared pages, and prefill starts past whatever the fork covers. A multi-sample request places its `n - 1` siblings now
     /// (slots held, caches empty) to fork the primary once its prompt
     /// has landed. A `max_new == 0` request finishes right here.
     ///
@@ -273,13 +272,12 @@ impl Scheduler<'_> {
         }
         let best_of = matches!(item.mode, SamplingMode::BestOf { .. });
         let seq = item.seq;
-        let cached = cache.len();
         debug_assert!(
-            cached < seq.tokens.len(),
+            cache.len() < seq.tokens.len(),
             "the fork leaves at least the last position to prefill"
         );
         self.ledger.reserve(demand);
-        let (group, member_reserved) = if n > 1 {
+        let member_reserved = if n > 1 {
             // The prompt's whole pages are charged once, to the group,
             // released when the last sibling retires; each member's own
             // reservation is only its private tail.
@@ -293,15 +291,15 @@ impl Scheduler<'_> {
                     collected: Vec::new(),
                 },
             );
-            (Some(seq.id.0), member_tail)
+            member_tail
         } else {
-            (None, demand)
+            demand
         };
         // Nothing to generate: finished before the first sample.
         let done = (seq.max_new == 0).then_some(FinishReason::Length);
         // The primary takes the first free slot, its siblings the next:
-        // the primary's cursor starts past whatever its fork covers, a
-        // sibling has no cursor and waits on the primary's slot.
+        // the primary prefills from whatever its fork covers, a sibling
+        // holds an empty cache and waits on the primary's slot.
         let primary_slot = self.free_slot();
         let radix_node = hit.map(|m| m.node);
         let member = |scratch, seq: Sequence, cache, sample_index| Stream {
@@ -311,12 +309,9 @@ impl Scheduler<'_> {
             scratch,
             reserved_pages: member_reserved,
             radix_node,
-            group,
             sample_index,
             cum_logprob: 0.0,
             awaits_primary: (sample_index > 0).then_some(primary_slot),
-            prefill_cursor: (sample_index == 0).then_some(cached),
-            step_chunk: 0,
             done,
         };
         let mut siblings = Vec::with_capacity(n - 1);

@@ -36,7 +36,7 @@
 //! *discovered*: with [`SchedulerConfig::auto_prefix`] every prompt is
 //! inserted the step it finishes prefilling, and under page pressure
 //! the admission loop evicts least-recently-used unreferenced leaves
-//! before giving up ([`SchedulerStats::radix_evictions`]).
+//! before giving up ([`PrefixCacheSnapshot::evictions`]).
 //!
 //! One watermark covers all of it, evaluated in one place (the
 //! `ledger` submodule): `pinned + reserved + resident + demand <=
@@ -45,7 +45,12 @@
 //! active streams' worst-case unshared demand. The `admission`
 //! submodule holds the class queues, victim choice and the admission
 //! of one work item; this file the public types, [`Scheduler::step`]
-//! and retirement.
+//! and retirement. Finished results wait in the scheduler until they
+//! are taken — by [`Scheduler::take_finished`], or one request's at a
+//! time by its [`Engine`](crate::Engine) handle — and the scheduler is
+//! the one record of every request's lifecycle
+//! ([`Scheduler::status`]) and cancellation
+//! ([`Scheduler::is_cancelled`]).
 //!
 //! The third consumer of the same fork mechanism is mid-stream:
 //! [`Parallel`](crate::SamplingMode::Parallel) /
@@ -66,7 +71,9 @@
 //! [`SchedulerConfig::prefill_chunk_tokens`] prompt tokens to
 //! still-prefilling streams (slot order) and packs them into the *same*
 //! grouped batch as every active stream's one-token decode, so chunk
-//! attention shares the per-step page-decode cache. Under a bounded
+//! attention shares the per-step page-decode cache. A stream's prefill
+//! progress is its cache length: a granted chunk starts there, and the
+//! stream prefills until the cache holds its whole prompt. Under a bounded
 //! budget no decode stream ever waits on a long prompt; `None` is the
 //! unbounded budget — every admitted prompt lands whole, in one span,
 //! the step it is admitted. A stream samples nothing until its final
@@ -119,6 +126,7 @@ use rayon_lite::ThreadPool;
 
 use self::admission::{ClassQueues, WorkItem};
 use self::ledger::PageLedger;
+use crate::engine::RequestState;
 use crate::radix::{NodeId, RadixTree};
 use crate::request::{FinishReason, FinishedRequest, Priority, Request, RequestId, SamplingParams};
 
@@ -331,26 +339,6 @@ pub enum Cancelled {
     Suspended,
 }
 
-/// Where a live request currently is in the engine lifecycle
-/// (`Pending → Prefilling → Decoding ⇄ Suspended → Finished`); see
-/// [`Scheduler::status`]. `Finished`/`Cancelled` are not *live* states
-/// — the scheduler reports `None` for them, and the [`Engine`] layers
-/// its own bookkeeping on top.
-///
-/// [`Engine`]: crate::Engine
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamStatus {
-    /// Queued, not yet admitted.
-    Pending,
-    /// Admitted and working off its prompt (or, for a resumed stream,
-    /// its whole generated-so-far sequence) under the per-step budget.
-    Prefilling,
-    /// Actively decoding one token per step.
-    Decoding,
-    /// Preempted: pages released, parked for resume.
-    Suspended,
-}
-
 /// One coherent view of the scheduler's page accounting
 /// ([`Scheduler::pool_snapshot`]), read at one instant. The three
 /// charges are disjoint summands: the admission watermark keeps
@@ -383,7 +371,8 @@ pub struct PoolSnapshot {
 
 /// One coherent view of the prefix store
 /// ([`Scheduler::prefix_cache_snapshot`]): radix-tree shape plus its
-/// hit and eviction counters.
+/// eviction counter (the hit counter is
+/// [`SchedulerStats::cache_hit_tokens`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrefixCacheSnapshot {
     /// Nodes currently in the radix tree.
@@ -391,11 +380,9 @@ pub struct PrefixCacheSnapshot {
     /// Pages the tree holds outside pinned paths — the same figure as
     /// [`PoolSnapshot::radix_resident_pages`].
     pub resident_pages: usize,
-    /// Nodes evicted (page pressure, unpins, flushes), cumulative.
+    /// Nodes evicted — LRU leaves with no live forks and no pin under
+    /// page pressure, an unpinned prefix's path, a flush — cumulative.
     pub evictions: u64,
-    /// Prompt positions served from the tree instead of prefilled,
-    /// cumulative.
-    pub hit_tokens: u64,
 }
 
 /// Aggregate counters, mostly for benches and capacity tests.
@@ -432,10 +419,6 @@ pub struct SchedulerStats {
     /// (cache_hit_tokens + prefill_tokens)` is the fraction of prompt
     /// work the tree absorbed.
     pub cache_hit_tokens: u64,
-    /// Radix-tree nodes evicted — LRU leaves with no live forks and no
-    /// pin under page pressure, an unpinned prefix's path, a flush —
-    /// cumulative.
-    pub radix_evictions: u64,
     /// Sibling streams admitted by forking a live cache at its decode
     /// position for [`Parallel`](crate::SamplingMode::Parallel) /
     /// [`BestOf`](crate::SamplingMode::BestOf) requests (the primary
@@ -505,15 +488,12 @@ struct Stream {
     /// sampling siblings, that its group's primary forked from); holds
     /// an acquire on the node so eviction cannot drop it mid-decode.
     radix_node: Option<NodeId>,
-    /// The sampling group this stream belongs to (keyed by the shared
-    /// request id), when it was admitted as one of `n > 1` samples.
-    group: Option<u64>,
     /// Which sample of its group this stream is (`0` for singles and
     /// group primaries); its RNG was seeded with `seed + sample_index`.
     sample_index: usize,
     /// Σ `ln softmax(logits)[token]` over generated tokens, accumulated
     /// in `f64` — the best-of selection score. Only maintained for
-    /// grouped streams (singles skip the log-softmax work).
+    /// members of a sampling group (singles skip the log-softmax work).
     cum_logprob: f64,
     /// A sampling sibling whose group primary (in this slot) is still
     /// prefilling: it holds its slot with an empty cache, forks the
@@ -521,22 +501,23 @@ struct Stream {
     /// token from the primary's hidden state. `None` for every other
     /// stream, and for siblings once forked.
     awaits_primary: Option<usize>,
-    /// Prefill cursor: positions `[0, cursor)` of `seq.tokens` are
-    /// cached (the fork depth at admission, then advanced by each
-    /// granted chunk); `None` once `prefill_target` is reached. A `Some`
-    /// stream decodes nothing and samples nothing; it only consumes
-    /// granted chunk budget.
-    prefill_cursor: Option<usize>,
-    /// Positions the cursor must reach before this stream samples:
+    /// Positions the cache must hold before this stream samples:
     /// `prompt_len` for a new request, the whole generated-so-far
     /// sequence for a resumed one (which must never re-enter the radix
-    /// tree — its "prompt" isn't one).
+    /// tree — its "prompt" isn't one). The cache length is the prefill
+    /// cursor: it starts at the fork depth and each granted chunk
+    /// advances it. Below the target the stream decodes nothing and
+    /// samples nothing; it only consumes granted chunk budget.
     prefill_target: usize,
-    /// Prompt tokens granted to this stream by the current step's budget
-    /// packing (chunk start is the cursor); 0 outside a step or when
-    /// budget-starved.
-    step_chunk: usize,
     done: Option<FinishReason>,
+}
+
+impl Stream {
+    /// Still working off its prompt — or, for an unforked sibling,
+    /// waiting on the primary's.
+    fn prefilling(&self) -> bool {
+        self.cache.len() < self.prefill_target
+    }
 }
 
 /// Shared bookkeeping of one multi-sample request's sibling streams.
@@ -926,39 +907,34 @@ impl<'a> Scheduler<'a> {
         let admitted = self.admit();
         self.decode_cache.lap(Phase::Admission, lap, admitted);
 
-        // Budget packing: grant this step's prompt-token budget to
-        // still-prefilling streams in slot order. A bounded budget is
+        // One span per stream with work this step, slot order: a
+        // prefilling stream's chunk — granted here from the step's
+        // prompt-token budget, starting at its cache length — or a
+        // decoding stream's last sampled token. A bounded budget is
         // clamped to at least 1 so the head of the prefill line always
-        // advances; decode streams are untouched — their one-token
-        // spans share the batch (and the page-decode cache) with the
-        // chunks below.
-        let mut chunk_budget = self
+        // advances; decode spans share the batch (and the page-decode
+        // cache) with the chunks. Budget-starved streams and unforked
+        // siblings sit the step out.
+        let mut budget = self
             .cfg
             .prefill_chunk_tokens
             .map_or(usize::MAX, |b| b.max(1));
-        let mut chunk_tokens = 0usize;
-        for stream in self.slots.iter_mut().flatten() {
-            let cursor = stream.prefill_cursor.unwrap_or(stream.prefill_target);
-            stream.step_chunk = (stream.prefill_target - cursor).min(chunk_budget);
-            chunk_budget -= stream.step_chunk;
-            chunk_tokens += stream.step_chunk;
-        }
-        if self.cfg.prefill_chunk_tokens.is_none() && self.active_len() > 1 {
-            self.stats.stalled_prefill_tokens += chunk_tokens as u64;
-        }
-
-        // One span per stream with work this step: the granted chunk of
-        // a prefilling stream, the last sampled token of a decoding one.
-        // Budget-starved streams and unforked siblings sit the step out.
+        let (mut chunk_tokens, mut chunks) = (0usize, 0u64);
         let mut entries: Vec<BatchEntry<'_>> = self
             .slots
             .iter_mut()
             .flatten()
+            .filter(|stream| stream.awaits_primary.is_none())
             .filter_map(|stream| {
-                let (pos, span) = match stream.prefill_cursor {
-                    Some(cursor) => (cursor, stream.step_chunk),
-                    None if stream.awaits_primary.is_some() => return None,
-                    None => (stream.seq.tokens.len() - 1, 1),
+                let pos = stream.cache.len();
+                let span = if stream.prefilling() {
+                    let chunk = (stream.prefill_target - pos).min(budget);
+                    budget -= chunk;
+                    chunk_tokens += chunk;
+                    chunks += u64::from(chunk > 0);
+                    chunk
+                } else {
+                    1
                 };
                 (span > 0).then_some(BatchEntry {
                     tokens: &stream.seq.tokens[pos..pos + span],
@@ -970,37 +946,27 @@ impl<'a> Scheduler<'a> {
             .collect();
         self.model
             .decode_hidden_batch(&mut entries, &mut self.decode_cache, self.pool);
+        self.stats.prefill_tokens += chunk_tokens as u64;
+        self.stats.prefill_chunks += chunks;
+        if self.cfg.prefill_chunk_tokens.is_none() && self.active_len() > 1 {
+            self.stats.stalled_prefill_tokens += chunk_tokens as u64;
+        }
 
-        // Advance the cursors for the chunks just landed. A stream
-        // whose final chunk completed flips to decode mode *this step*:
-        // its last prompt position's hidden state is already in
-        // scratch, so it flows into the batched LM head below and
-        // samples its first token now.
-        for stream in self.slots.iter_mut().flatten() {
-            let take = std::mem::take(&mut stream.step_chunk);
-            if take == 0 {
-                continue;
-            }
-            let cursor = stream
-                .prefill_cursor
-                .expect("granted budget implies a cursor")
-                + take;
-            self.stats.prefill_tokens += take as u64;
-            self.stats.prefill_chunks += 1;
-            if cursor < stream.prefill_target {
-                stream.prefill_cursor = Some(cursor);
-                continue;
-            }
-            stream.prefill_cursor = None;
-            // The completed prompt enters the prefix cache only now, so
-            // the tree never serves a partially prefilled prefix.
-            // Resumed streams (`prefill_target > prompt_len`) stay out:
-            // their re-prefilled sequence includes generated tokens,
-            // which are not a prompt.
-            let prompt_len = stream.seq.prompt_len;
-            if self.cfg.auto_prefix && stream.prefill_target == prompt_len {
-                self.radix
-                    .insert(&stream.seq.tokens[..prompt_len], &mut stream.cache);
+        // A stream whose cache is exactly at its target landed its prompt
+        // *this step* (one that landed earlier has decoded past it since):
+        // its last prompt position's hidden state is in scratch, so it
+        // samples below. The completed prompt enters the prefix cache
+        // only now, so the tree never serves a partially prefilled
+        // prefix. Resumed streams (`prefill_target > prompt_len`) stay
+        // out: their re-prefilled sequence includes generated tokens,
+        // which are not a prompt.
+        if self.cfg.auto_prefix {
+            for stream in self.slots.iter_mut().flatten() {
+                let prompt_len = stream.seq.prompt_len;
+                if stream.prefill_target == prompt_len && stream.cache.len() == prompt_len {
+                    self.radix
+                        .insert(&stream.seq.tokens[..prompt_len], &mut stream.cache);
+                }
             }
         }
 
@@ -1021,7 +987,7 @@ impl<'a> Scheduler<'a> {
             let source = self.slots[primary.unwrap_or(i)]
                 .as_mut()
                 .expect("a primary outlives its unforked siblings");
-            if source.prefill_cursor.is_some() {
+            if source.prefilling() {
                 continue;
             }
             self.batch.push_hidden(source.scratch.hidden_state());
@@ -1040,20 +1006,16 @@ impl<'a> Scheduler<'a> {
 
         // Sampling: every row's stream draws with its private RNG, so
         // the draw matches a solo `Model::generate`.
-        let sampling = self
-            .slots
-            .iter_mut()
-            .flatten()
-            .filter(|s| s.prefill_cursor.is_none() && s.awaits_primary.is_none());
+        let sampling = self.slots.iter_mut().flatten().filter(|s| !s.prefilling());
         for (row, stream) in sampling.enumerate() {
             let logits = self.batch.logits_row(row);
             let seq = &mut stream.seq;
             let next = stream
                 .scratch
                 .sample(logits, seq.sampling.temperature, &mut seq.rng);
-            if stream.group.is_some() {
+            if self.groups.contains_key(&seq.id.0) {
                 // Best-of scoring: the log-softmax of the drawn token,
-                // off the same logits the draw used. Grouped streams
+                // off the same logits the draw used. Group members
                 // only — singles skip the extra vocab pass.
                 stream.cum_logprob += logprob_of(logits, next);
             }
@@ -1099,6 +1061,18 @@ impl<'a> Scheduler<'a> {
     /// (completion order).
     pub fn take_finished(&mut self) -> Vec<FinishedRequest> {
         std::mem::take(&mut self.finished)
+    }
+
+    /// The finished, not yet taken results of request `id` (completion
+    /// order) — what an [`Engine`](crate::Engine) handle polls.
+    pub(crate) fn results(&self, id: RequestId) -> impl Iterator<Item = &FinishedRequest> {
+        self.finished.iter().filter(move |r| r.id == id)
+    }
+
+    /// Removes and returns the finished results of request `id`
+    /// (completion order), leaving every other request's.
+    pub(crate) fn take_results(&mut self, id: RequestId) -> Vec<FinishedRequest> {
+        self.finished.extract_if(.., |r| r.id == id).collect()
     }
 
     /// `true` when no request is pending, suspended, or active.
@@ -1157,24 +1131,25 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Lifecycle position of the live request `id` (of its lowest
-    /// sample still running, for a multi-sample one): `Pending`,
-    /// `Prefilling`, `Decoding` or `Suspended` — `None` once nothing of
-    /// it is queued or active: finished or cancelled (the
-    /// [`Engine`](crate::Engine) keeps that bookkeeping).
-    pub fn status(&self, id: RequestId) -> Option<StreamStatus> {
+    /// sample still running, for a multi-sample one):
+    /// [`RequestState::Pending`], `Prefilling`, `Decoding` or
+    /// `Suspended` — never `Finished` or `Cancelled`: `None` once
+    /// nothing of it is queued or active ([`Scheduler::is_cancelled`]
+    /// tells the two apart).
+    pub fn status(&self, id: RequestId) -> Option<RequestState> {
         let streams = self.slots.iter().flatten().filter(|s| s.seq.id == id);
         if let Some(s) = streams.min_by_key(|s| s.sample_index) {
-            return Some(if s.prefill_cursor.is_some() {
-                StreamStatus::Prefilling
+            return Some(if s.prefilling() {
+                RequestState::Prefilling
             } else {
-                StreamStatus::Decoding
+                RequestState::Decoding
             });
         }
         let item = self.pending.iter().find(|item| item.seq.id == id)?;
         Some(if item.resumed {
-            StreamStatus::Suspended
+            RequestState::Suspended
         } else {
-            StreamStatus::Pending
+            RequestState::Pending
         })
     }
 
@@ -1221,7 +1196,6 @@ impl<'a> Scheduler<'a> {
             nodes: self.radix.node_count(),
             resident_pages: self.radix.resident_pages(),
             evictions: self.radix.evictions(),
-            hit_tokens: self.stats.cache_hit_tokens,
         }
     }
 
@@ -1241,7 +1215,6 @@ impl<'a> Scheduler<'a> {
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             pages_decoded: self.decode_cache.pages_decoded(),
-            radix_evictions: self.radix.evictions(),
             ..self.stats
         }
     }
@@ -1342,25 +1315,22 @@ impl<'a> Scheduler<'a> {
     }
 
     fn finish(&mut self, stream: Stream, reason: FinishReason) {
-        let (sample_index, group, cum_logprob) =
-            (stream.sample_index, stream.group, stream.cum_logprob);
+        let (sample_index, cum_logprob) = (stream.sample_index, stream.cum_logprob);
         let seq = self.release(stream);
+        let gid = seq.id.0;
+        let group = self.groups.get_mut(&gid);
         let result = FinishedRequest {
             id: seq.id,
             tokens: seq.tokens,
             prompt_len: seq.prompt_len,
             reason,
             sample_index,
-            cumulative_logprob: group.map(|_| cum_logprob),
+            cumulative_logprob: group.is_some().then_some(cum_logprob),
         };
-        let Some(gid) = group else {
+        let Some(group) = group else {
             self.finished.push(result);
             return;
         };
-        let group = self
-            .groups
-            .get_mut(&gid)
-            .expect("groups outlive their members");
         group.remaining -= 1;
         if group.best_of {
             group.collected.push(result);

@@ -204,7 +204,7 @@ fn eviction_under_page_pressure_stays_bit_exact() {
         auto_done.extend(sched.run_to_completion());
     }
     assert!(
-        sched.stats().radix_evictions > 0,
+        sched.prefix_cache_snapshot().evictions > 0,
         "the pool is sized to force eviction"
     );
     assert!(sched.stats().cache_hit_tokens > 0, "waves share prefixes");
@@ -389,11 +389,16 @@ fn shared_prefix_shape_drains_a_half_sized_pool() {
                 sched.stats().steps
             );
         }
-        (sorted_outputs(sched.take_finished()), sched.stats())
+        let evictions = sched.prefix_cache_snapshot().evictions;
+        (
+            sorted_outputs(sched.take_finished()),
+            sched.stats(),
+            evictions,
+        )
     };
-    let (_, unbounded) = serve(None);
-    let (done, bounded) = serve(Some(unbounded.peak_pages_in_use / 2));
-    assert!(bounded.radix_evictions > 0, "the bound must bite");
+    let (_, unbounded, _) = serve(None);
+    let (done, _, evictions) = serve(Some(unbounded.peak_pages_in_use / 2));
+    assert!(evictions > 0, "the bound must bite");
     assert_eq!(done.len(), reqs.len());
     for (fin, req) in done.iter().zip(&reqs) {
         let mut cache = PagePool::new(KvPoolConfig {

@@ -11,7 +11,7 @@ use anda_llm::kv::KvPoolConfig;
 use anda_llm::zoo::opt_125m_sim;
 use anda_llm::Model;
 use anda_serve::{
-    CancelError, Cancelled, Priority, Request, RequestId, Scheduler, SchedulerConfig, StreamStatus,
+    CancelError, Cancelled, Priority, Request, RequestId, RequestState, Scheduler, SchedulerConfig,
 };
 
 fn model() -> &'static Model {
@@ -127,8 +127,8 @@ fn cancel_mid_decode_releases_pages_and_keeps_survivors_exact() {
 #[test]
 fn cancel_best_of_group_retires_the_whole_ledger() {
     for (budget, steps, status) in [
-        (None, 2, StreamStatus::Decoding),
-        (Some(2), 1, StreamStatus::Prefilling),
+        (None, 2, RequestState::Decoding),
+        (Some(2), 1, RequestState::Prefilling),
     ] {
         let mut sched = Scheduler::new(
             model(),

@@ -12,8 +12,8 @@ use anda_llm::kv::KvPoolConfig;
 use anda_llm::zoo::opt_125m_sim;
 use anda_llm::Model;
 use anda_serve::{
-    ArrivalSchedule, CancelError, Engine, Priority, Replay, Request, RequestState, Scheduler,
-    SchedulerConfig, SubmitHandle,
+    ArrivalSchedule, CancelError, Cancelled, Engine, Priority, Replay, Request, RequestState,
+    Scheduler, SchedulerConfig, SubmitHandle,
 };
 
 fn model() -> &'static Model {
@@ -263,6 +263,54 @@ fn handle_cancel_is_terminal() {
         reference(&[Request::builder(vec![1, 2, 3]).max_new(5).build().unwrap()])[0]
     );
     assert!(engine.is_idle());
+}
+
+/// A finished request is not cancelled, neither through its handle nor
+/// by bare id: both report it already finished while its result waits,
+/// and the result stays collectable.
+#[test]
+fn cancel_after_finish_reports_already_finished() {
+    let engine = Engine::new(model(), SchedulerConfig::default());
+    let mut h = engine
+        .submit(Request::builder(vec![1, 2, 3]).max_new(2).build().unwrap())
+        .unwrap();
+    while h.state() != RequestState::Finished {
+        engine.step();
+    }
+    let id = h.id();
+    assert_eq!(h.cancel(), Err(CancelError::AlreadyFinished(id)));
+    assert_eq!(engine.cancel(id), Err(CancelError::AlreadyFinished(id)));
+    let results = h.await_finished();
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].generated().len(), 2);
+}
+
+/// A cancelled handle polls nothing — not even a sample of its group
+/// that finished before the cancel — and awaits nothing.
+#[test]
+fn a_cancelled_handle_polls_nothing() {
+    let engine = Engine::new(model(), SchedulerConfig::default());
+    let mut h = engine
+        .submit(
+            Request::builder(vec![1, 2, 3])
+                .max_new(20)
+                .temperature(1.0)
+                .seed(7)
+                .eos(1)
+                .parallel(2)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+    for _ in 0..13 {
+        engine.step();
+    }
+    // Sample 1 stopped at EOS; sample 0 still decodes.
+    assert_eq!(engine.scheduler().active_len(), 1);
+    assert_eq!(h.cancel(), Ok(Cancelled::Active { streams: 1 }));
+    assert_eq!(h.state(), RequestState::Cancelled);
+    assert!(h.try_next_tokens().is_empty());
+    assert!(h.await_finished().is_empty());
 }
 
 /// Virtual time: `steps()` counts exactly the scheduler iterations the

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use anda_llm::kv::{KvPoolConfig, KvStorage};
 use anda_llm::zoo::opt_125m_sim;
 use anda_llm::Model;
-use anda_serve::{Priority, Request, RequestId, Scheduler, SchedulerConfig, StreamStatus};
+use anda_serve::{Priority, Request, RequestId, RequestState, Scheduler, SchedulerConfig};
 
 fn model() -> &'static Model {
     static MODEL: OnceLock<Model> = OnceLock::new();
@@ -110,8 +110,8 @@ fn page_pressure_preemption_is_bit_exact() {
         let stats = sched.stats();
         assert_eq!(stats.preemptions, 1, "{storage:?}: victim not suspended");
         assert_eq!(sched.suspended_len(), 1);
-        assert_eq!(sched.status(vid), Some(StreamStatus::Suspended));
-        assert_eq!(sched.status(hid), Some(StreamStatus::Decoding));
+        assert_eq!(sched.status(vid), Some(RequestState::Suspended));
+        assert_eq!(sched.status(hid), Some(RequestState::Decoding));
         // The suspend released the victim's pages this very step: only
         // the High stream's reservation remains.
         let snap = sched.pool_snapshot();
@@ -167,8 +167,8 @@ fn slot_pressure_parks_instead_of_preempting() {
         let hid = sched.submit(high.clone()).unwrap();
         sched.step();
         assert_eq!(sched.stats().preemptions, 0, "{storage:?}");
-        assert_eq!(sched.status(vid), Some(StreamStatus::Decoding));
-        assert_eq!(sched.status(hid), Some(StreamStatus::Pending));
+        assert_eq!(sched.status(vid), Some(RequestState::Decoding));
+        assert_eq!(sched.status(hid), Some(RequestState::Pending));
         let finished = sched.run_to_completion();
         assert_eq!(finished.len(), 2);
         // The incumbent kept its slot to the end; the High arrival took
@@ -222,13 +222,13 @@ fn mid_chunked_prefill_suspend_is_bit_exact() {
         let vid = sched.submit(victim.clone()).unwrap();
         sched.step();
         // One chunk in: the victim is still working off its prompt.
-        assert_eq!(sched.status(vid), Some(StreamStatus::Prefilling));
+        assert_eq!(sched.status(vid), Some(RequestState::Prefilling));
         assert_eq!(sched.generated_len(vid), Some(0));
 
         let hid = sched.submit(high.clone()).unwrap();
         sched.step();
         assert_eq!(sched.stats().preemptions, 1, "{storage:?}");
-        assert_eq!(sched.status(vid), Some(StreamStatus::Suspended));
+        assert_eq!(sched.status(vid), Some(RequestState::Suspended));
 
         let finished = sched.run_to_completion();
         assert_eq!(finished.len(), 2);
@@ -284,7 +284,7 @@ fn only_strictly_outranked_streams_are_preempted() {
         .unwrap();
     sched.step();
     assert_eq!(sched.stats().preemptions, 0);
-    assert_eq!(sched.status(second), Some(StreamStatus::Pending));
+    assert_eq!(sched.status(second), Some(RequestState::Pending));
     let finished = sched.run_to_completion();
     assert_eq!(
         finished.iter().map(|f| f.id).collect::<Vec<_>>(),
@@ -324,9 +324,9 @@ fn only_strictly_outranked_streams_are_preempted() {
         .unwrap();
     sched.step();
     assert_eq!(sched.stats().preemptions, 0);
-    assert_eq!(sched.status(incumbent), Some(StreamStatus::Decoding));
-    assert_eq!(sched.status(normal), Some(StreamStatus::Pending));
-    assert_eq!(sched.status(low), Some(StreamStatus::Pending));
+    assert_eq!(sched.status(incumbent), Some(RequestState::Decoding));
+    assert_eq!(sched.status(normal), Some(RequestState::Pending));
+    assert_eq!(sched.status(low), Some(RequestState::Pending));
     assert_eq!(sched.run_to_completion().len(), 3);
 }
 
@@ -358,8 +358,8 @@ fn preemption_gate_defaults_can_be_disabled() {
     let hid = sched.submit(high.clone()).unwrap();
     sched.step();
     assert_eq!(sched.stats().preemptions, 0);
-    assert_eq!(sched.status(vid), Some(StreamStatus::Decoding));
-    assert_eq!(sched.status(hid), Some(StreamStatus::Pending));
+    assert_eq!(sched.status(vid), Some(RequestState::Decoding));
+    assert_eq!(sched.status(hid), Some(RequestState::Pending));
     let finished = sched.run_to_completion();
     // FIFO outcome: the incumbent retired first.
     assert_eq!(

@@ -260,7 +260,7 @@ fn sampling_stays_exact_across_eviction_under_pressure() {
         waves.push((req, done));
     }
     assert!(
-        sched.stats().radix_evictions > 0,
+        sched.prefix_cache_snapshot().evictions > 0,
         "the cold family must evict the LRU one"
     );
     assert!(
