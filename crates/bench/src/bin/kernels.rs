@@ -81,8 +81,8 @@ const SECTIONS: [Section; 9] = [
     (
         "step",
         "ns, calls and exact count per decode_hidden_batch step and phase: 8 FP16-page streams \
-         from 112 positions, d 256 x 4 layers x 4 heads, FFN 1024, vocab 512 (1 thread, the \
-         dispatched leg)",
+         from 112 positions, and one stream's 64-token chunk on Anda{8} pages at 352, d 256 x 4 \
+         layers x 4 heads, FFN 1024, vocab 512 (1 thread, the dispatched leg)",
         step,
     ),
     (
@@ -521,20 +521,17 @@ fn attend(o: &Opts) -> Table {
     for (name, caches, views) in &scenes {
         let q = normals(dim, 14, 1.0);
         let mut outs = vec![vec![0.0f32; dim]; views.len()];
-        let mut scores: Vec<Vec<f32>> =
-            views.iter().map(|&(_, t)| vec![0.0; n_heads * t]).collect();
         let mut walk = PageDecodeCache::new();
         let mut cells = vec![name.to_string()];
         for &leg in &legs {
             let s = o.time(|| {
                 let mut lanes: Vec<AttendLane<'_>> = views
                     .iter()
-                    .zip(outs.iter_mut().zip(scores.iter_mut()))
-                    .map(|(&(cache, t), (out, scores))| AttendLane {
+                    .zip(outs.iter_mut())
+                    .map(|(&(cache, t), out)| AttendLane {
                         layer: caches[cache].layer(0),
                         t,
                         q: black_box(&q),
-                        scores,
                         out,
                     })
                     .collect();
@@ -550,24 +547,40 @@ fn attend(o: &Opts) -> Table {
 /// The serving model's shape, as `anda_perf` builds it: 256 wide, four
 /// layers of four heads, FFN 1024, vocab 512.
 const STEP_MODEL: (usize, usize, usize, usize, usize) = (256, 4, 4, 1024, 512);
-/// Streams of a step and the context each is prefilled to:
-/// `decode_steady`'s batch at its ladder context.
-const STEP_STREAMS: usize = 8;
-const STEP_CONTEXT: usize = 112;
+/// `(name, page storage, streams, context each is prefilled to, tokens
+/// per stream and step, steps per round)`: `decode_steady`'s batch at its
+/// ladder context, and a `prefill_shared` chunk at that workload's median
+/// context.
+type StepScene = (&'static str, KvStorage, usize, usize, usize, usize);
+const STEP_SCENES: [StepScene; 2] = [
+    ("decode_8x112_fp16", KvStorage::Fp16, 8, 112, 1, 8),
+    (
+        "chunk_64_at_352_anda8",
+        KvStorage::Anda { mantissa_bits: 8 },
+        1,
+        352,
+        64,
+        1,
+    ),
+];
 
-/// The phase ledger of a served decode step, outside the scheduler: eight
-/// FP16-page streams are prefilled to 112 positions once, then each round
-/// forks them there and times eight `Model::decode_hidden_batch` steps
-/// (contexts 112–119) on one thread and the dispatched leg. A row per
-/// phase the step charges — `Qkv` and `Finish` are the projection GEMMs
-/// with their per-row work, the walk's tiles and products are attention —
-/// with its wall ns, calls and exact count per step
-/// (`PageDecodeCache::phases().since(..)`), and last the step's own wall
-/// time, whose gap to the phases' sum is what no span covers. The LM head
-/// and sampling belong to the scheduler and are not run.
+/// The phase ledger of served steps, outside the scheduler, per scene of
+/// [`STEP_SCENES`]: its streams are prefilled once, then each round forks
+/// them there and times the round's `Model::decode_hidden_batch` steps
+/// (eight decode steps at contexts 112–119; one 64-token chunk at 352) on
+/// one thread and the dispatched leg. A row per phase the step charges —
+/// `Qkv` and `Finish` are the projection GEMMs with their per-row work,
+/// the walk's tiles and products are attention — with its wall ns, calls
+/// and exact count per step (`PageDecodeCache::phases().since(..)`), and
+/// last the step's own wall time, whose gap to the phases' sum is what no
+/// span covers. The LM head and sampling belong to the scheduler and are
+/// not run.
 fn step(o: &Opts) -> Table {
-    const STEPS: usize = 8;
     let (d_model, n_layers, n_heads, d_ffn, vocab) = STEP_MODEL;
+    let max_seq = STEP_SCENES
+        .iter()
+        .map(|&(_, _, _, context, tokens, steps)| context + tokens * steps)
+        .max();
     let config = ModelConfig {
         name: "step".into(),
         family: Family::Opt,
@@ -576,82 +589,93 @@ fn step(o: &Opts) -> Table {
         n_heads,
         d_ffn,
         vocab,
-        max_seq: STEP_CONTEXT + STEPS,
+        max_seq: max_seq.unwrap_or(0),
     };
     let model = Model::synthesize(config, &opt_125m_sim().profile, 4242);
     let pool = ThreadPool::new(1);
-    let pages = PagePool::new(KvPoolConfig::unbounded(KvStorage::Fp16));
     let mut rng = Rng::new(15);
-    let mut scratch: Vec<DecodeScratch> = (0..STEP_STREAMS).map(|_| DecodeScratch::new()).collect();
-    let mut walk = PageDecodeCache::new();
-    let mut donors: Vec<KvCache> = (0..STEP_STREAMS)
-        .map(|_| pages.new_cache(n_layers))
-        .collect();
-    for (cache, scratch) in donors.iter_mut().zip(&mut scratch) {
-        let prompt: Vec<usize> = (0..STEP_CONTEXT).map(|_| rng.below(vocab)).collect();
-        let entry = BatchEntry {
-            tokens: &prompt,
-            pos: 0,
-            cache,
-            scratch,
-        };
-        model.decode_hidden_batch(&mut [entry], &mut walk, &pool);
-    }
-    let tokens: Vec<[usize; 1]> = (0..STEP_STREAMS).map(|_| [rng.below(vocab)]).collect();
-    // One round: fork the donors, then `STEPS` steps; returns its wall
-    // seconds.
-    let mut round = |walk: &mut PageDecodeCache| {
-        let mut caches: Vec<KvCache> = donors
-            .iter_mut()
-            .map(|donor| donor.fork_prefix(STEP_CONTEXT))
+    let mut table = Table::new([
+        "scene",
+        "phase",
+        "ns/step",
+        "calls/step",
+        "count/step",
+        "share",
+    ]);
+    for (name, storage, streams, context, tokens, steps) in STEP_SCENES {
+        let pages = PagePool::new(KvPoolConfig::unbounded(storage));
+        let mut scratch: Vec<DecodeScratch> = (0..streams).map(|_| DecodeScratch::new()).collect();
+        let mut walk = PageDecodeCache::new();
+        let mut donors: Vec<KvCache> = (0..streams).map(|_| pages.new_cache(n_layers)).collect();
+        for (cache, scratch) in donors.iter_mut().zip(&mut scratch) {
+            let prompt: Vec<usize> = (0..context).map(|_| rng.below(vocab)).collect();
+            let entry = BatchEntry {
+                tokens: &prompt,
+                pos: 0,
+                cache,
+                scratch,
+            };
+            model.decode_hidden_batch(&mut [entry], &mut walk, &pool);
+        }
+        let chunks: Vec<Vec<usize>> = (0..streams)
+            .map(|_| (0..tokens).map(|_| rng.below(vocab)).collect())
             .collect();
-        let start = Instant::now();
-        for s in 0..STEPS {
-            let mut batch: Vec<BatchEntry<'_>> = caches
+        // One round: fork the donors, then `steps` steps; returns its wall
+        // seconds.
+        let mut round = |walk: &mut PageDecodeCache| {
+            let mut caches: Vec<KvCache> = donors
                 .iter_mut()
-                .zip(&mut scratch)
-                .zip(&tokens)
-                .map(|((cache, scratch), token)| BatchEntry {
-                    tokens: token,
-                    pos: STEP_CONTEXT + s,
-                    cache,
-                    scratch,
-                })
+                .map(|donor| donor.fork_prefix(context))
                 .collect();
-            model.decode_hidden_batch(&mut batch, walk, &pool);
-        }
-        start.elapsed().as_secs_f64()
-    };
-    round(&mut walk);
-    let before = walk.phases();
-    let rounds = if o.quick { 2 } else { 32 };
-    let wall: f64 = (0..rounds).map(|_| round(&mut walk)).sum();
-    let spans = walk.phases().since(&before);
-    let steps = (rounds * STEPS) as f64;
+            let start = Instant::now();
+            for s in 0..steps {
+                let mut batch: Vec<BatchEntry<'_>> = caches
+                    .iter_mut()
+                    .zip(&mut scratch)
+                    .zip(&chunks)
+                    .map(|((cache, scratch), chunk)| BatchEntry {
+                        tokens: chunk,
+                        pos: context + s * tokens,
+                        cache,
+                        scratch,
+                    })
+                    .collect();
+                model.decode_hidden_batch(&mut batch, walk, &pool);
+            }
+            start.elapsed().as_secs_f64()
+        };
+        round(&mut walk);
+        let before = walk.phases();
+        let rounds = if o.quick { 2 } else { 32 };
+        let wall: f64 = (0..rounds).map(|_| round(&mut walk)).sum();
+        let spans = walk.phases().since(&before);
+        let n = (rounds * steps) as f64;
 
-    let mut table = Table::new(["phase", "ns/step", "calls/step", "count/step", "share"]);
-    let per_step = |v: u64| v as f64 / steps;
-    for phase in Phase::ALL {
-        let span = spans.span(phase);
-        if span.calls == 0 {
-            continue;
+        let per_step = |v: u64| v as f64 / n;
+        for phase in Phase::ALL {
+            let span = spans.span(phase);
+            if span.calls == 0 {
+                continue;
+            }
+            let ns = per_step(span.wall_ns);
+            table.row([
+                name.to_string(),
+                format!("{phase:?}"),
+                format!("{ns:.0}"),
+                per_step(span.calls).to_string(),
+                per_step(span.count).to_string(),
+                format!("{:.1}%", 100.0 * ns / (wall / n * 1e9)),
+            ]);
         }
-        let ns = per_step(span.wall_ns);
         table.row([
-            format!("{phase:?}"),
-            format!("{ns:.0}"),
-            per_step(span.calls).to_string(),
-            per_step(span.count).to_string(),
-            format!("{:.1}%", 100.0 * ns / (wall / steps * 1e9)),
+            name.to_string(),
+            "step".to_string(),
+            format!("{:.0}", wall / n * 1e9),
+            "-".into(),
+            "-".into(),
+            "100%".into(),
         ]);
     }
-    table.row([
-        "step".to_string(),
-        format!("{:.0}", wall / steps * 1e9),
-        "-".into(),
-        "-".into(),
-        "100%".into(),
-    ]);
     table
 }
 

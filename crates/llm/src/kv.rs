@@ -32,9 +32,10 @@
 //! positions lie side by side — `f32` and FP16 pages store K that way,
 //! and an Anda page decodes its keys straight into it). What consumes a
 //! tile is the GEMM register tile (`anda_tensor::Strided`), reading it in
-//! place: each lane viewing a page runs one head-batched product on it per
-//! pass, the lane's heads the rows — however many lanes share the tile
-//! (chunk spans, forks of a prefix).
+//! place: the lanes viewing a page — one decode stream, a chunk span's
+//! lanes, the forks of a prefix — share its products, every head of every
+//! viewer a row, so one loaded key or value vector feeds up to eight
+//! viewers of the page.
 //! [`LayerKv::key_into`] / [`LayerKv::value_into`] remain as the
 //! single-row accessors (and the reference the walk is tested against).
 //!
@@ -364,7 +365,7 @@ impl Page {
     /// `leg` (`rowcodec::decode_rows_into_with_leg` /
     /// `rowcodec::decode_rows_transposed_into_with_leg`), where a K slot past
     /// `used` keeps what an earlier page of the walk left there, or zero
-    /// (the K product's scores there are dropped); `cols` must start on
+    /// (the K product's scores there are never read); `cols` must start on
     /// its group boundary.
     fn tile<'a>(
         &'a self,
@@ -972,16 +973,10 @@ impl LayerKv {
         scratch: &mut KvReadScratch,
     ) {
         self.assert_attendable();
-        let t = self.len();
-        let n_scores = n_heads * t;
-        if scratch.scores.len() < n_scores {
-            scratch.scores.resize(n_scores, 0.0);
-        }
         let lane = AttendLane {
             layer: self,
-            t,
+            t: self.len(),
             q,
-            scores: &mut scratch.scores[..n_scores],
             out,
         };
         scratch
@@ -999,12 +994,11 @@ impl LayerKv {
 }
 
 /// Reusable buffers for [`LayerKv::attend_into`]: the page walk's tile
-/// plus the per-head score lanes. One instance serves any number of
-/// calls with no steady-state allocation.
+/// and score rows. One instance serves any number of calls with no
+/// steady-state allocation.
 #[derive(Clone, Debug, Default)]
 pub struct KvReadScratch {
     pages: PageDecodeCache,
-    scores: Vec<f32>,
 }
 
 impl KvReadScratch {
@@ -1029,9 +1023,6 @@ pub struct AttendLane<'a> {
     pub t: usize,
     /// The query, `dim` wide.
     pub q: &'a [f32],
-    /// Per-head score lanes (`n_heads × t`, head-major): scratch for the
-    /// walk, left holding the softmax weights.
-    pub scores: &'a mut [f32],
     /// The head mix, `dim` wide (overwritten).
     pub out: &'a mut [f32],
 }
@@ -1053,12 +1044,21 @@ struct PageScratch {
 }
 
 /// One walk job's scratch: the page tiles, the page-group sort buffer and
-/// a lane's raw scores of one page. None scales with context.
+/// the lanes' blocks in the job's columns — queries, score rows (then
+/// softmax weights) and head mixes — stacked lane after lane, head after
+/// head, so that a run of consecutive lanes is rows at one stride.
 #[derive(Clone, Debug, Default)]
 struct WalkScratch {
     tiles: PageScratch,
     order: Vec<Viewer>,
-    raw: Vec<f32>,
+    q: Vec<f32>,
+    /// Lane `l`'s head `h` scores position `p` at `(l · heads + h) ·
+    /// stride + p`, `stride` the longest window in whole pages.
+    scores: Vec<f32>,
+    mix: Vec<f32>,
+    /// The lanes and window [`PageDecodeCache::reserve`] announced, which
+    /// size `scores` once the first walk knows the page size.
+    reserved: (usize, usize),
     /// Anda pages decoded by this job's K passes (monotonic).
     pages_decoded: u64,
     /// The walk's phase spans; job 0's are the ones read.
@@ -1093,30 +1093,36 @@ struct Viewer {
 /// an `f32` page's V rows and position-minor K are their own tiles, read
 /// in place. So the stored operand stays narrow until it is in L1, a page
 /// shared by N streams decodes once per pass however many attend through
-/// it, and no buffer scales with context × batch.
+/// it, and of the walk's buffers only the score rows scale with context ×
+/// lanes.
 ///
 /// A page decodes its full fill, not one lane's window of it: the lanes
 /// of a chunk span view different row counts of one page, and per-row
 /// decode is independent, so the union costs nothing in exactness.
 ///
 /// The products run on the register tile every GEMM of a step runs on,
-/// over the tiles where they lie — nothing in the walk packs. Each lane
-/// viewing the page runs one head-batched product per pass, its heads
-/// the rows, row `h` against head `h`'s own keys or values: the K pass
-/// multiplies the query by the position-minor keys, so the tile's sixteen
-/// columns are sixteen *positions* and four heads × sixteen positions are
-/// eight independent accumulator chains; the V pass accumulates `weights ·
-/// values` straight onto the lane's head mixes, a head's output columns
-/// staying in registers across the page's rows. Lanes sharing a page share
-/// its decode and its tile, not a product: a product with those lanes as
-/// its rows reuses each key load across four lanes but must gather their
-/// queries and weights, and it served no benchmark workload more than 2 %
-/// faster.
+/// over the tiles where they lie — nothing in the walk packs. The lanes
+/// viewing a page run one product per pass, every head of every viewer a
+/// row, row `h` of a lane against head `h`'s own keys or values: the K
+/// pass multiplies the queries by the position-minor keys, so the tile's
+/// sixteen columns are sixteen *positions*; the V pass accumulates
+/// `weights · values` onto the lanes' head mixes, a head's output columns
+/// staying in registers across the page's rows. The walk holds the lanes'
+/// queries, score rows and mixes stacked lane after lane, head after head,
+/// so a run of viewers with consecutive lane indices is a block of rows at
+/// one stride in each: a product takes such a run (in the V pass, of equal
+/// rows), reads and writes the blocks in place, and its rows `h`, `h +
+/// heads`, … read one window, so the tile gives each loaded `rhs` vector
+/// to up to eight of them (`anda_tensor::Strided::matmul_batched_into`).
+/// A lone viewer's heads are four independent products of one tile, as a
+/// decode stream's always were.
 ///
 /// Masking is structural: a lane's sums run over exactly the rows its
 /// window reaches, never over a masked row times zero, and never over a
 /// slot past a page's fill (a K product computes the scores of a page's
-/// every slot, each its own sum, and drops those past the window).
+/// every slot, each its own sum, into the lane's score rows, which are
+/// whole pages long; the softmax and the V product read them only up to
+/// the lane's window).
 ///
 /// Every output element keeps the per-head reference arithmetic — the
 /// ascending-`c` `q·k` sum (vectorised across positions, never within a
@@ -1170,16 +1176,20 @@ impl PageDecodeCache {
     /// Sizes the step-wide buffers for steps of up to `rows` token rows
     /// (decode streams plus chunk tokens) whose lanes attend up to
     /// `max_len` positions, so that after one warm-up step (the walk's
-    /// tile is sized by the first page it meets) a step of
+    /// tile and score rows are sized by the first page it meets) a step of
     /// [`crate::Model::decode_hidden_batch`] allocates nothing on the
     /// calling thread.
     pub fn reserve(&mut self, config: &ModelConfig, rows: usize, max_len: usize) {
-        self.rows.reserve(config, rows, max_len);
+        self.rows.reserve(config, rows);
         self.lanes.0.reserve(rows);
         if self.jobs.is_empty() {
             self.jobs.push(WalkScratch::default());
         }
-        self.jobs[0].order.reserve(rows);
+        let job = &mut self.jobs[0];
+        job.order.reserve(rows);
+        job.q.reserve(rows * config.d_model);
+        job.mix.reserve(rows * config.d_model);
+        job.reserved = (rows, max_len);
         // A solo step runs on the pool of one, which allocates when first
         // used: make it now.
         rayon_lite::serial();
@@ -1244,9 +1254,9 @@ impl PageDecodeCache {
     /// # Panics
     ///
     /// Panics if a lane's layer is empty ([`LayerKv::assert_attendable`]),
-    /// its window exceeds the layer, its buffers do not match `dim` /
-    /// `n_heads × t`, the lanes' pages differ in policy or geometry, or
-    /// `dim` is not divisible by `n_heads`.
+    /// its window exceeds the layer, its buffers are not `dim` wide, the
+    /// lanes' pages differ in policy or geometry, or `dim` is not divisible
+    /// by `n_heads`.
     pub fn attend(&mut self, lanes: &mut [AttendLane<'_>], n_heads: usize, pool: &ThreadPool) {
         self.attend_with_leg(lanes, n_heads, pool, active_leg());
     }
@@ -1290,7 +1300,6 @@ impl PageDecodeCache {
                 lane.layer.idx,
                 lane.layer.len()
             );
-            assert_eq!(lane.scores.len(), n_heads * lane.t, "score lanes");
         }
         // A job owns whole heads, and on Anda pages whole column groups.
         let unit = match first.layer.pages[0].page().storage.anda_config() {
@@ -1320,17 +1329,15 @@ impl PageDecodeCache {
         let mut parts: Vec<Vec<AttendLane<'_>>> =
             (0..jobs).map(|_| Vec::with_capacity(lanes.len())).collect();
         for lane in lanes.iter_mut() {
-            let (mut scores, mut out) = (&mut *lane.scores, &mut *lane.out);
+            let mut out = &mut *lane.out;
             for (j, part) in parts.iter_mut().enumerate() {
                 let cols = bound(j)..bound(j + 1);
-                let (scores_j, scores_rest) = scores.split_at_mut(cols.len() / dh * lane.t);
                 let (out_j, out_rest) = out.split_at_mut(cols.len());
-                (scores, out) = (scores_rest, out_rest);
+                out = out_rest;
                 part.push(AttendLane {
                     layer: lane.layer,
                     t: lane.t,
                     q: &lane.q[cols],
-                    scores: scores_j,
                     out: out_j,
                 });
             }
@@ -1345,9 +1352,8 @@ impl PageDecodeCache {
 }
 
 /// One job of the page walk: columns `cols` (whole heads of width `dh`)
-/// of every lane, whose `q` / `out` / `scores` are already narrowed to
-/// those columns. See [`PageDecodeCache`] for the traversal and the
-/// exactness argument.
+/// of every lane, whose `q` / `out` are already narrowed to those columns.
+/// See [`PageDecodeCache`] for the traversal and the exactness argument.
 fn walk(
     lanes: &mut [AttendLane<'_>],
     cols: std::ops::Range<usize>,
@@ -1355,28 +1361,53 @@ fn walk(
     s: &mut WalkScratch,
     leg: SimdLeg,
 ) {
-    let lap = visit_pages(lanes, false, &cols, dh, s, leg, Stamp::now());
+    let (pp, heads) = (lanes[0].layer.page_positions(), cols.len() / dh);
+    // A K product writes a page's every slot into its lanes' score rows.
+    let stride = lanes
+        .iter()
+        .map(|lane| lane.t)
+        .max()
+        .unwrap_or(0)
+        .div_ceil(pp)
+        * pp;
+    if s.scores.len() < lanes.len() * heads * stride {
+        let (rows, max_len) = s.reserved;
+        let reserved = rows * heads * max_len.div_ceil(pp) * pp;
+        s.scores
+            .resize(reserved.max(lanes.len() * heads * stride), 0.0);
+    }
+    s.q.clear();
+    lanes.iter().for_each(|lane| s.q.extend_from_slice(lane.q));
+    let lap = visit_pages(lanes, false, &cols, dh, stride, s, leg, Stamp::now());
     let mut scores = 0;
-    for lane in lanes.iter_mut() {
-        lane.scores.chunks_exact_mut(lane.t).for_each(softmax);
-        lane.out.fill(0.0);
+    for (l, lane) in lanes.iter().enumerate() {
+        let rows = s.scores[l * heads * stride..].chunks_mut(stride);
+        rows.take(heads).for_each(|row| softmax(&mut row[..lane.t]));
         scores += lane.layer.dim() / dh * lane.t;
     }
     let lap = s.phases.lap(Phase::Softmax, lap, scores as u64);
-    visit_pages(lanes, true, &cols, dh, s, leg, lap);
+    s.mix.clear();
+    s.mix.resize(lanes.len() * cols.len(), 0.0);
+    visit_pages(lanes, true, &cols, dh, stride, s, leg, lap);
+    for (lane, mix) in lanes.iter_mut().zip(s.mix.chunks_exact(cols.len())) {
+        lane.out.copy_from_slice(mix);
+    }
 }
 
-/// One pass of [`walk`] — K (`want_v = false`, fills the score lanes) or
+/// One pass of [`walk`] — K (`want_v = false`, fills the score rows) or
 /// V (accumulates the head mixes): page index ascending, the lanes
-/// reaching each index grouped by physical page, one tile per group. Its
-/// tiles (each with the grouping before it) and products are lapped into
-/// the pass's two phases from `lap` on, counted for every job's columns;
-/// returns the last lap.
+/// reaching each index grouped by physical page, one tile per group, one
+/// product per run of its viewers with consecutive lane indices (in the V
+/// pass, also with equal rows). Its tiles (each with the grouping before
+/// it) and products are lapped into the pass's two phases from `lap` on,
+/// counted for every job's columns; returns the last lap.
+#[allow(clippy::too_many_arguments)]
 fn visit_pages(
     lanes: &mut [AttendLane<'_>],
     want_v: bool,
     cols: &std::ops::Range<usize>,
     dh: usize,
+    stride: usize,
     s: &mut WalkScratch,
     leg: SimdLeg,
     mut lap: Stamp,
@@ -1421,12 +1452,15 @@ fn visit_pages(
                 base,
                 heads: cols.len() / dh,
                 dh,
+                stride,
                 leg,
             };
-            for v in viewers {
+            let stacks =
+                |a: &Viewer, b: &Viewer| b.lane == a.lane + 1 && (!want_v || a.rows == b.rows);
+            for run in viewers.chunk_by(stacks) {
                 match want_v {
-                    false => group.score(&mut lanes[v.lane], v.rows, &mut s.raw),
-                    true => group.mix(&mut lanes[v.lane], v.rows),
+                    false => group.score(run, &s.q, &mut s.scores),
+                    true => group.mix(run, &s.scores, &mut s.mix),
                 }
             }
             let muladds = viewers.iter().map(|v| v.rows * d).sum::<usize>();
@@ -1447,58 +1481,67 @@ struct PageGroup<'a> {
     /// Heads in the job's columns, each `dh` wide.
     heads: usize,
     dh: usize,
+    /// Length of a score row ([`WalkScratch::scores`]).
+    stride: usize,
     leg: SimdLeg,
 }
 
 impl PageGroup<'_> {
-    /// K pass of `lane` over the first `rows` positions it views: every
-    /// head's scores in one batched product — the query's heads are the
-    /// rows, each against its own keys, so the register tile runs four
-    /// heads × sixteen positions of independent sums — then scaled into
-    /// the lane's score rows. The product spans the page's every slot
-    /// (`ld` positions) into `raw`: on the page a lane's window ends in,
-    /// whole strips read in place cost less than packing each head's
-    /// ragged one, and the scores past `rows`, stale slots included, are
-    /// dropped.
-    fn score(&self, lane: &mut AttendLane<'_>, rows: usize, raw: &mut Vec<f32>) {
-        let (n, dh) = (self.ld, self.dh);
-        let scale = 1.0 / (dh as f32).sqrt();
-        raw.resize(self.heads * n, 0.0);
-        Strided::new(lane.q, self.heads, dh, dh).matmul_batched_into(
+    /// K pass of a `run` of viewers: every head of every viewer in one
+    /// product — the queries' heads are the rows, row `h` of a lane
+    /// against head `h`'s keys, so the register tile shares each key
+    /// vector between the viewers (four heads × sixteen positions of
+    /// independent sums for a lone one) — into the viewers' score rows,
+    /// then scaled there up to each viewer's rows. The product spans the
+    /// page's every slot (`ld` positions): on the page a lane's window
+    /// ends in, whole strips read in place cost less than packing each
+    /// head's ragged one, and what lands past the window, stale slots
+    /// included, is never read.
+    fn score(&self, run: &[Viewer], q: &[f32], scores: &mut [f32]) {
+        let (n, dh, heads, stride) = (self.ld, self.dh, self.heads, self.stride);
+        let first = run[0].lane * heads;
+        let scores = &mut scores[first * stride..];
+        Strided::new(&q[first * dh..], run.len() * heads, dh, dh).matmul_batched_into(
             Strided::new(self.tile, dh, n, n),
+            heads,
             dh * n,
-            raw,
-            n,
+            &mut scores[self.base..],
+            stride,
             false,
             self.leg,
         );
-        let scores = lane.scores[self.base..].chunks_mut(lane.t);
-        for (head, raw) in scores.zip(raw.chunks_exact(n)) {
-            for (score, &raw) in head[..rows].iter_mut().zip(raw) {
-                *score = raw * scale;
+        let scale = 1.0 / (dh as f32).sqrt();
+        for (v, rows) in run.iter().zip(scores.chunks_mut(heads * stride)) {
+            for row in rows.chunks_mut(stride) {
+                row[self.base..][..v.rows]
+                    .iter_mut()
+                    .for_each(|x| *x *= scale);
             }
         }
     }
 
-    /// V pass of `lane` over the first `rows` positions it views: `out +=
-    /// p · v` for every head in one batched product — head `h`'s weights
-    /// times its own `rows × dh` values, accumulated straight onto the
-    /// lane's mix of the pages before, so every output element adds its
-    /// `p · v` in position order and a weight of zero still multiplies.
-    fn mix(&self, lane: &mut AttendLane<'_>, rows: usize) {
-        let weights = Strided::new(&lane.scores[self.base..], self.heads, rows, lane.t);
-        weights.matmul_batched_into(
-            Strided::new(self.tile, rows, self.dh, self.ld),
-            self.dh,
-            lane.out,
-            self.dh,
+    /// V pass of a `run` of viewers of equal rows: `mix += p · v` for
+    /// every head of every viewer in one product — head `h`'s weights
+    /// times head `h`'s `rows × dh` values, accumulated straight onto the
+    /// mixes of the pages before, so every output element adds its `p · v`
+    /// in position order and a weight of zero still multiplies.
+    fn mix(&self, run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
+        let (rows, dh, heads, stride) = (run[0].rows, self.dh, self.heads, self.stride);
+        let first = run[0].lane * heads;
+        let weights = &scores[first * stride + self.base..];
+        Strided::new(weights, run.len() * heads, rows, stride).matmul_batched_into(
+            Strided::new(self.tile, rows, dh, self.ld),
+            heads,
+            dh,
+            &mut mix[first * dh..],
+            dh,
             true,
             self.leg,
         );
     }
 }
 
-/// Max-shifted softmax of one head's score lane in place: the same
+/// Max-shifted softmax of one head's score row in place: the same
 /// log-softmax-then-exp as `ops::log_softmax_into`, on a slice.
 fn softmax(scores: &mut [f32]) {
     let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
@@ -1975,7 +2018,6 @@ mod tests {
             layer: cache.layer(1),
             t: 1,
             q: &[0.0; 64],
-            scores: &mut [0.0; 4],
             out: &mut [0.0; 64],
         };
         PageDecodeCache::new().attend(&mut [lane], 4, rayon_lite::serial());

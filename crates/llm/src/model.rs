@@ -700,7 +700,6 @@ impl Model {
                 h,
                 qkv,
                 attn,
-                scores,
                 gemms,
                 ..
             } = &mut r;
@@ -742,13 +741,6 @@ impl Model {
                 entry.pos + first_lane(entry) + 1..=entry.pos + entry.tokens.len()
             };
             attn.resize(rows, d);
-            // Grown, never refilled: the walk's K pass writes every score
-            // before the softmax reads it.
-            let n_scores = heads * batch.iter().flat_map(windows).sum::<usize>();
-            if scores.len() < n_scores {
-                scores.resize(n_scores, 0.0);
-            }
-            let mut scores_rest = &mut scores[..n_scores];
             let mut outs = attn.as_mut_slice().chunks_exact_mut(d);
             let mut lanes = step.take_lanes();
             for (entry, &row0) in batch.iter().zip(offsets.iter()) {
@@ -757,14 +749,10 @@ impl Model {
                 let span_outs = outs.by_ref().take(entry.tokens.len());
                 let attended = span_outs.enumerate().skip(first_lane(entry));
                 for ((j, out), t) in attended.zip(windows(entry)) {
-                    let (lane_scores, rest) =
-                        std::mem::take(&mut scores_rest).split_at_mut(heads * t);
-                    scores_rest = rest;
                     lanes.push(AttendLane {
                         layer: kv,
                         t,
                         q: &qkv.row(row0 + j)[..d],
-                        scores: lane_scores,
                         out,
                     });
                 }
@@ -1033,16 +1021,13 @@ pub(crate) struct StepRows {
     gate: Matrix,
     /// FFN hidden activations (`rows × ffn`).
     hidden: Matrix,
-    /// Every lane's per-head score lanes, back to back.
-    scores: Vec<f32>,
     /// Projection GEMMs dispatched (monotonic).
     pub(crate) gemms: u64,
 }
 
 impl StepRows {
-    /// Sizes every buffer for steps of up to `rows` rows whose lanes
-    /// attend up to `max_len` positions each.
-    pub(crate) fn reserve(&mut self, config: &ModelConfig, rows: usize, max_len: usize) {
+    /// Sizes every buffer for steps of up to `rows` rows.
+    pub(crate) fn reserve(&mut self, config: &ModelConfig, rows: usize) {
         let (d, ffn) = (config.d_model, config.d_ffn);
         self.offsets.reserve(rows + 1);
         self.positions.reserve(rows);
@@ -1057,7 +1042,6 @@ impl StepRows {
         ] {
             m.reserve(rows, cols);
         }
-        self.scores.reserve(config.n_heads * rows * max_len);
     }
 }
 

@@ -165,23 +165,13 @@ fn check_walk_on(
     let mut per_walk = None;
     for (workers, leg) in widths.flat_map(|w| available_legs().into_iter().map(move |l| (w, l))) {
         let mut walk = PageDecodeCache::new();
-        // Stale garbage in the outputs and score lanes must not matter.
+        // Stale garbage in the outputs must not matter.
         let mut outs: Vec<Vec<f32>> = views.iter().map(|_| vec![f32::NAN; dim]).collect();
-        let mut scores: Vec<Vec<f32>> = views
-            .iter()
-            .map(|&(_, t)| vec![f32::NAN; n_heads * t])
-            .collect();
         let mut lanes: Vec<AttendLane<'_>> = views
             .iter()
             .zip(queries)
-            .zip(outs.iter_mut().zip(scores.iter_mut()))
-            .map(|((&(layer, t), q), (out, scores))| AttendLane {
-                layer,
-                t,
-                q,
-                scores,
-                out,
-            })
+            .zip(outs.iter_mut())
+            .map(|((&(layer, t), q), out)| AttendLane { layer, t, q, out })
             .collect();
         let rows_before = rows_decoded();
         walk.attend_with_leg(&mut lanes, n_heads, workers, leg);
@@ -369,7 +359,6 @@ fn warmed_walks_allocate_nothing() {
         // A serial multi-lane walk: tile and sort buffer are warm too.
         let mut walk = PageDecodeCache::new();
         let (mut out_a, mut out_b) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-        let (mut s_a, mut s_b) = (vec![0.0f32; n_heads * 40], vec![0.0f32; n_heads * 33]);
         for round in 0..2 {
             let before = thread_allocs();
             let mut lanes = [
@@ -377,14 +366,12 @@ fn warmed_walks_allocate_nothing() {
                     layer: a.layer(0),
                     t: 40,
                     q: &q,
-                    scores: &mut s_a,
                     out: &mut out_a,
                 },
                 AttendLane {
                     layer: b.layer(0),
                     t: 33,
                     q: &q,
-                    scores: &mut s_b,
                     out: &mut out_b,
                 },
             ];
@@ -394,9 +381,10 @@ fn warmed_walks_allocate_nothing() {
             }
         }
 
-        // A chunk span: `reserve` sizes the lane blocks of a page group's
-        // products for as many rows as a step may carry, so once a small
-        // walk has sized the tile a twelve-lane span allocates nothing.
+        // A chunk span: `reserve` sizes the blocks the walk stacks a
+        // step's lanes' queries, score rows and head mixes in (the score
+        // rows once the first walk knows the page size), so that a 64-lane
+        // span then allocates nothing.
         let config = ModelConfig {
             name: "walk".into(),
             family: Family::Opt,
@@ -405,27 +393,27 @@ fn warmed_walks_allocate_nothing() {
             n_heads,
             d_ffn: dim,
             vocab: 1,
-            max_seq: 40,
+            max_seq: 80,
         };
+        let mut c = pool.new_cache(1);
+        append(&mut c, &mut rng, 80, dim);
         let mut walk = PageDecodeCache::new();
-        walk.reserve(&config, 12, 40);
-        let mut outs = vec![vec![0.0f32; dim]; 12];
-        let mut scores: Vec<Vec<f32>> = (29..=40).map(|t| vec![0.0; n_heads * t]).collect();
-        for span in [1, 12] {
-            let mut lanes: Vec<AttendLane<'_>> = (29..=40)
-                .zip(outs.iter_mut().zip(scores.iter_mut()))
+        walk.reserve(&config, 64, 80);
+        let mut outs = vec![vec![0.0f32; dim]; 64];
+        for span in [1, 64] {
+            let mut lanes: Vec<AttendLane<'_>> = (17..=80)
+                .zip(outs.iter_mut())
                 .take(span)
-                .map(|(t, (out, scores))| AttendLane {
-                    layer: a.layer(0),
+                .map(|(t, out)| AttendLane {
+                    layer: c.layer(0),
                     t,
                     q: &q,
-                    scores,
                     out,
                 })
                 .collect();
             let before = thread_allocs();
             walk.attend(&mut lanes, n_heads, rayon_lite::serial());
-            if span == 12 {
+            if span == 64 {
                 assert_eq!(thread_allocs() - before, 0, "{storage:?}: warmed span");
             }
         }
@@ -442,7 +430,6 @@ fn a_window_past_the_layer_is_refused() {
         layer: cache.layer(0),
         t: 6,
         q: &[0.0; 64],
-        scores: &mut [0.0; 24],
         out: &mut [0.0; 64],
     };
     PageDecodeCache::new().attend(&mut [lane], 4, rayon_lite::serial());
@@ -572,6 +559,55 @@ proptest! {
                     let decoded = check_walk_on(&views, &queries, n_heads, &[1, 2, 3], &ctx);
                     prop_assert_eq!(decoded, leased_anda_pages(&pool), "{}", &ctx);
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn viewers_past_two_full_tiles_match_the_reference_on_poisoned_pages() {
+    // One walk of 69 lanes: a 64-lane chunk span whose windows end
+    // mid-page, four `fork_prefix` siblings of its cache (sharing its
+    // whole pages, each with a copy of the partial tail, some appended to)
+    // and one private decode lane. A shared page so has up to 68 viewers —
+    // products of several full shared tiles and a batched remainder, at
+    // one to eight heads a job — and its viewers' windows end at every
+    // row of it. Every page was first filled with ±inf and NaN, so a
+    // slot past a window or a fill that reached a sum would show.
+    for storage in [KvStorage::Fp32, POLICIES[0], POLICIES[1], POLICIES[3]] {
+        for pp in [5, 16] {
+            for (dim, n_heads) in SHAPES {
+                let ctx = format!("{storage:?} page {pp} dim {dim} heads {n_heads}");
+                let pool = pool(storage, pp);
+                let mut rng = Rng::new(20);
+                let (at, chunk) = (37, 64);
+                let mut poisoned = pool.new_cache(1);
+                let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+                for pos in 0..2 * pool.pages_for(at + chunk + 40) * pp {
+                    let (k, v) = (vec![poison[pos % 3]; dim], vec![poison[(pos + 1) % 3]; dim]);
+                    poisoned.append_row(0, &k, &v);
+                }
+                drop(poisoned);
+                let created = pool.pages_created();
+                let mut chunked = pool.new_cache(1);
+                append(&mut chunked, &mut rng, at + chunk, dim);
+                let mut siblings: Vec<KvCache> =
+                    (0..4).map(|_| chunked.fork_prefix(at + chunk)).collect();
+                for (sibling, extra) in siblings.iter_mut().zip([0usize, 1, 3, 9]) {
+                    append(sibling, &mut rng, extra, dim);
+                }
+                let mut private = pool.new_cache(1);
+                append(&mut private, &mut rng, 29, dim);
+                assert_eq!(pool.pages_created(), created, "{ctx}: recycles");
+
+                let mut views: Vec<_> = (at + 1..=at + chunk)
+                    .map(|t| (chunked.layer(0), t))
+                    .collect();
+                views.extend(siblings.iter().map(|c| (c.layer(0), c.len())));
+                views.push((private.layer(0), private.len()));
+                let queries: Vec<Vec<f32>> = views.iter().map(|_| floats(&mut rng, dim)).collect();
+                let decoded = check_walk_on(&views, &queries, n_heads, &[1, 2, 3], &ctx);
+                assert_eq!(decoded, leased_anda_pages(&pool), "{ctx}");
             }
         }
     }

@@ -19,10 +19,10 @@
 //! built on.
 //!
 //! [`Strided`] runs the same kernel over windows of buffers a caller owns
-//! for other reasons, with explicit row strides, an accumulate flag and a
-//! batch stride: the attention page walk's `q · K` and `p · V` blocks
-//! over position-minor keys and row-major values, per head or every head
-//! of a lane at once.
+//! for other reasons, with explicit row strides, an accumulate flag and
+//! the windows its rows cycle through: the attention page walk's `q · K`
+//! and `p · V` blocks over position-minor keys and row-major values, every
+//! head of every lane viewing a page at once.
 
 use core::fmt;
 use core::ops::{Index, IndexMut};
@@ -477,6 +477,7 @@ impl Matrix {
             ldc: rhs.n,
             accumulate: false,
             resident: false,
+            windows: 1,
             rhs_stride: 0,
         }
     }
@@ -822,9 +823,9 @@ unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
 /// A `rows × cols` row-major window of a longer buffer: row `r` is
 /// `data[r · ld ..][.. cols]`. The operand type of the products a caller
 /// runs over pieces of buffers it owns for other reasons — the attention
-/// page walk multiplies a query's heads each by its own keys or values of
-/// a cached page — where the window is small and cache-resident and the
-/// call count is high.
+/// page walk multiplies the heads of the queries viewing a cached page
+/// each by its head's keys or values there — where the window is small
+/// and cache-resident and the call count is high.
 ///
 /// The product runs the register tile of every [`Matrix`] product
 /// (`tile.rs`) at every row count, on one thread, with `rhs` read in
@@ -872,19 +873,23 @@ impl<'a> Strided<'a> {
     }
 
     /// A batch of one-row products, `out (+)= self · rhs` row by row: row
-    /// `r` of `self` times the window `rhs` describes moved `r ·
-    /// rhs_stride` elements further on (0: the same window for every row),
-    /// into row `r` of `out` — say one query's heads against their own
-    /// columns of a page. `out`'s rows lie `ldc` apart; sums start from
+    /// `r` of `self` times window `r % windows` of `rhs`, the window `rhs`
+    /// describes moved `(r % windows) · rhs_stride` elements further on,
+    /// into row `r` of `out` — say the heads of several queries, head `h`
+    /// of each against head `h`'s columns of one page (`windows` the head
+    /// count, at least one). Rows that share a window share the register
+    /// tile's loads of it. `out`'s rows lie `ldc` apart; sums start from
     /// `out`'s contents when `accumulate`.
     ///
     /// # Panics
     ///
-    /// Panics on a shape mismatch, if `out` cannot hold the product, or if
-    /// the last row's window runs past `rhs`'s buffer.
+    /// Panics on a shape mismatch, if `windows` is 0, if `out` cannot hold
+    /// the product, or if the last window runs past `rhs`'s buffer.
+    #[allow(clippy::too_many_arguments)]
     pub fn matmul_batched_into(
         &self,
         rhs: Strided<'_>,
+        windows: usize,
         rhs_stride: usize,
         out: &mut [f32],
         ldc: usize,
@@ -893,17 +898,18 @@ impl<'a> Strided<'a> {
     ) {
         let (k, n) = (rhs.rows, rhs.cols);
         assert_eq!(self.cols, k, "strided product shape mismatch");
+        assert!(windows > 0, "a batch reads at least one window");
         assert!(
             n <= ldc && strided_span(self.rows, n, ldc) <= out.len(),
             "a {}x{n} product of stride {ldc} does not fit {} elements",
             self.rows,
             out.len()
         );
-        let last_window = self.rows.saturating_sub(1) * rhs_stride;
+        let last_window = self.rows.min(windows).saturating_sub(1) * rhs_stride;
         assert!(
             last_window + strided_span(k, n, rhs.ld) <= rhs.data.len(),
             "a batch of {} windows {rhs_stride} apart does not fit {} elements",
-            self.rows,
+            self.rows.min(windows),
             rhs.data.len()
         );
         let ops = Operands {
@@ -916,6 +922,7 @@ impl<'a> Strided<'a> {
             ldc,
             accumulate,
             resident: true,
+            windows,
             rhs_stride,
         };
         if leg == SimdLeg::SCALAR {
@@ -1136,11 +1143,12 @@ mod tests {
     fn every_simd_leg_of_the_strided_products_matches_the_scalar_loops() {
         use anda_fp::simd::available_legs;
         // Windows of wider buffers (every stride exceeds its width), every
-        // tile height and its remainders, `k` off 4-blocks and past a
-        // batched panel's depth, widths around
-        // one strip, sums started from `+0.0` and from a non-zero `out`, and
-        // every row on one window or each on its own, further apart than
-        // wide.
+        // tile height and its remainders — up to two full shared 8-row
+        // tiles and one row more —, `k` off 4-blocks and past a batched
+        // panel's depth, widths around one strip, sums started from `+0.0`
+        // and from a non-zero `out`, and every row on one window, rows
+        // cycling through four (a walk's heads of several queries), or
+        // each row on its own, further apart than wide — or at one place.
         // Nothing may skip: a zero `lhs` element against a non-finite `rhs`
         // one is a NaN in the loops and in every leg, and what lies between
         // the windows' rows must never be read as data nor written. (NaNs
@@ -1154,7 +1162,7 @@ mod tests {
             let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x }.to_bits();
             v.iter().map(canonical).collect()
         };
-        for m in 1..=9usize {
+        for m in 1..=17usize {
             for (k, n) in [
                 (1usize, 1usize),
                 (5, 7),
@@ -1167,8 +1175,9 @@ mod tests {
                 let (lda, ldb, ldc) = (k + 3, n + 5, n + 1);
                 let mut a = wave(m * lda, 0.37);
                 a.iter_mut().step_by(3).for_each(|x| *x = 0.0);
-                for stride in [0, k * ldb + 9] {
-                    let mut b = wave((m - 1) * stride + k * ldb, 0.11);
+                let apart = k * ldb + 9;
+                for (windows, stride) in [(m, 0), (1, apart), (4, apart), (m, apart)] {
+                    let mut b = wave((m.min(windows) - 1) * stride + k * ldb, 0.11);
                     let len = b.len();
                     for at in [0, len / 2, len - 1] {
                         b[at] = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][at % 3];
@@ -1177,7 +1186,9 @@ mod tests {
                     for accumulate in [false, true] {
                         let run = |leg: SimdLeg| {
                             let mut out = wave(m * ldc, 0.71);
-                            lhs.matmul_batched_into(rhs, stride, &mut out, ldc, accumulate, leg);
+                            lhs.matmul_batched_into(
+                                rhs, windows, stride, &mut out, ldc, accumulate, leg,
+                            );
                             bits(&out)
                         };
                         // The loops themselves, spelled out once more.
@@ -1186,7 +1197,8 @@ mod tests {
                             for j in 0..n {
                                 let mut acc = if accumulate { want[i * ldc + j] } else { 0.0 };
                                 for kk in 0..k {
-                                    acc += a[i * lda + kk] * b[i * stride + kk * ldb + j];
+                                    let b = b[i % windows * stride + kk * ldb + j];
+                                    acc += a[i * lda + kk] * b;
                                 }
                                 want[i * ldc + j] = acc;
                             }
@@ -1196,7 +1208,8 @@ mod tests {
                             assert_eq!(
                                 run(leg),
                                 want,
-                                "leg={} {m}x{k}x{n} batch stride {stride} accumulate={accumulate}",
+                                "leg={} {m}x{k}x{n} {windows} windows {stride} apart \
+                                 accumulate={accumulate}",
                                 leg.name()
                             );
                         }

@@ -64,13 +64,16 @@
 //! transposing pack serves the LM head alone. A resident
 //! product can also **accumulate** (its sums start from the output's
 //! contents, which is how attention's `out += p · v` crosses a page
-//! boundary), and it is **batched** ([`Operands::rhs_stride`]): each row
-//! multiplies its own window — a lane's heads, each against its own keys —
-//! and a row tile is four independent products on every leg
-//! ([`Leg::tile_batched`]),
-//! whose accumulator chains hide the add latency a one-row product stalls
-//! on. Its ragged strips pack each row's window into a quarter of the
-//! panel.
+//! boundary), and it is **batched** ([`Operands::windows`]): row `i`
+//! multiplies window `i % windows` — the heads of several lanes, head `h`
+//! of each against head `h`'s keys, so rows `h`, `h + windows`, … share a
+//! window. Those rows' whole tiles of [`Leg::ROWS`] run on [`Leg::tile`],
+//! which loads each `rhs` vector once for all of them; the rest run four
+//! rows a tile on every leg, each row on its own window
+//! ([`Leg::tile_batched`]) — a lone lane's heads are such a tile, four
+//! independent products whose accumulator chains hide the add latency a
+//! one-row product stalls on. Its ragged strips pack a shared window once,
+//! and each batched row's window into a quarter of the panel.
 //!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
@@ -86,10 +89,11 @@
 
 use core::ops::Range;
 
-/// Output rows per register tile: a resident product's on every leg, and a
-/// streamed product's unless the leg says otherwise ([`Leg::ROWS`]).
+/// Output rows per register tile: a batched one's on every leg
+/// ([`Leg::tile_batched`]), and a [`Leg::tile`]'s unless the leg says
+/// otherwise ([`Leg::ROWS`]).
 pub(crate) const TILE_ROWS: usize = 4;
-/// The tallest streamed tile of any leg (AVX-512's), which sizes the
+/// The tallest [`Leg::tile`] of any leg (AVX-512's), which sizes the
 /// walk's edge buffer.
 const MAX_TILE_ROWS: usize = 8;
 /// Output columns per register tile (two AVX2 / four NEON / one AVX-512
@@ -140,9 +144,10 @@ pub(crate) struct Operands<'a> {
     /// where they lie instead of being copied, and nothing is prefetched.
     /// A resident product is batched.
     pub resident: bool,
-    /// Resident only: `lhs` row `i` multiplies its own `rhs` window,
-    /// `i · rhs_stride` elements after the first (0: one `rhs` for every
-    /// row; ignored by a streamed product).
+    /// Resident only (ignored by a streamed product): `lhs` row `i`
+    /// multiplies window `i % windows` of `rhs`, the windows
+    /// `rhs_stride` elements apart — rows `h`, `h + windows`, … share one.
+    pub windows: usize,
     pub rhs_stride: usize,
 }
 
@@ -164,12 +169,13 @@ pub(crate) struct OutBlock {
 unsafe impl Send for OutBlock {}
 unsafe impl Sync for OutBlock {}
 
-/// One vector leg: its two inner loops, its streamed tile height, its
+/// One vector leg: its two inner loops, its [`Leg::tile`] height, its
 /// prefetch hint, its transposing pack and the entry point compiled with
 /// its CPU feature.
 pub(crate) trait Leg {
-    /// Rows of a streamed tile ([`Leg::tile`]): the walk's row step, and
-    /// the multiple a pool shards a product's rows in.
+    /// Rows of a [`Leg::tile`] — a streamed product's, and a resident
+    /// one's over a shared window: the walk's row step, and the multiple a
+    /// pool shards a product's rows in.
     const ROWS: usize = TILE_ROWS;
 
     /// `c[r][0..16] (+)= Σ_kk a[r][kk] · b[kk][0..16]` for `r < rows`
@@ -285,6 +291,38 @@ unsafe fn pack_transposed_portable(
     }
 }
 
+/// Runs `tile` on the `rows` output rows from `c`, `ldc` apart: in place on
+/// a full strip, and through `edge`, sixteen wide, on a ragged one, of
+/// which only the strip's `width` columns are copied back (and, unless
+/// the sums start at `+0.0`, in first).
+///
+/// # Safety
+///
+/// `c` must be readable and writable at `r · ldc + 0..width` for `r <
+/// rows`, and `tile` sound on the output it is handed.
+#[inline(always)]
+unsafe fn on_strip(
+    rows: usize,
+    width: usize,
+    first: bool,
+    c: *mut f32,
+    ldc: usize,
+    edge: &mut [f32; MAX_TILE_ROWS * TILE_COLS],
+    tile: impl FnOnce(*mut f32, usize),
+) {
+    if width == TILE_COLS {
+        return tile(c, ldc);
+    }
+    let edge = edge.as_mut_ptr();
+    for i in 0..if first { 0 } else { rows } {
+        core::ptr::copy_nonoverlapping(c.add(i * ldc), edge.add(i * TILE_COLS), width);
+    }
+    tile(edge, TILE_COLS);
+    for i in 0..rows {
+        core::ptr::copy_nonoverlapping(edge.add(i * TILE_COLS), c.add(i * ldc), width);
+    }
+}
+
 /// Computes `block` of `ops.lhs · ops.rhs` (`rhs` read through `LAYOUT`,
 /// `ops.layout as u8`, and resident and batched when `RESIDENT`, which
 /// `ops.resident` repeats); see the module docs. Called through
@@ -297,9 +335,10 @@ unsafe fn pack_transposed_portable(
 /// elements during the call. `ops.lhs` must hold `ops.k` elements of rows
 /// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`, and
 /// `ops.rhs` its `k × block.cols.end` (transposed: `block.cols.end × k`)
-/// elements at stride `ops.ldb` — per row, `ops.rhs_stride` apart, for a
-/// resident product; packed, the strips covering `block.cols`, which
-/// starts on a strip boundary.
+/// elements at stride `ops.ldb` — each of `ops.windows` windows,
+/// `ops.rhs_stride` apart, for a resident product, whose block starts at
+/// row 0; packed, the strips covering `block.cols`, which starts on a
+/// strip boundary.
 #[inline(always)]
 unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
     ops: &Operands,
@@ -313,14 +352,15 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
         k,
         ldc,
         accumulate,
+        windows,
+        rhs_stride,
         ..
     } = ops;
     let transposed = LAYOUT == Layout::Transposed as u8;
     let packed = LAYOUT == Layout::Packed as u8;
-    let bs = if RESIDENT { ops.rhs_stride } else { 0 };
     debug_assert!(
-        !RESIDENT || LAYOUT == Layout::RowMajor as u8,
-        "a resident rhs is row-major"
+        !RESIDENT || (LAYOUT == Layout::RowMajor as u8 && block.row0 == 0 && windows > 0),
+        "a resident rhs is row-major windows, one block of them"
     );
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
     debug_assert!(
@@ -328,7 +368,7 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
         "packed blocks start on a strip"
     );
     let a = lhs.as_ptr().add(row0 * lda);
-    let b = rhs.as_ptr().add(row0 * bs);
+    let b = rhs.as_ptr();
     if k == 0 {
         // An empty sum is the value it starts from.
         for i in 0..if accumulate { 0 } else { rows } {
@@ -353,23 +393,76 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
             core::ptr::write_bytes(dst.add(width), 0, TILE_COLS - width);
         }
     };
-    // A batched product keeps four rows a tile on every leg.
-    let tile_rows = if RESIDENT { TILE_ROWS } else { L::ROWS };
     const { assert!(L::ROWS <= MAX_TILE_ROWS) };
     // A ragged strip's tiles compute into here, sixteen wide, and only the
     // strip's own columns are copied back.
     let mut edge = [0.0f32; MAX_TILE_ROWS * TILE_COLS];
+    // Resident rows `h + windows · g` share window `h`: the first `shared`
+    // rows are whole tiles of `L::ROWS` such rows per window.
+    let shared = match RESIDENT && rows >= L::ROWS * windows {
+        true => rows / windows / L::ROWS * L::ROWS * windows,
+        false => 0,
+    };
     for j0 in cols.clone().step_by(TILE_COLS) {
         let width = TILE_COLS.min(cols.end - j0);
         let full = width == TILE_COLS;
         for k0 in (0..k).step_by(kc_max) {
             let kc = kc_max.min(k - k0);
+            let first = k0 == 0 && !accumulate;
+            if RESIDENT {
+                // Where window `h` of this strip and panel starts.
+                let window = |h: usize| b.add(h * rhs_stride + k0 * ldb + j0);
+                // Shared tiles: every `rhs` vector loaded feeds `L::ROWS`
+                // rows, read in place or from the window packed once.
+                for h in 0..if shared > 0 { windows } else { 0 } {
+                    let (tile_b, tile_ldb) = match full {
+                        true => (window(h), ldb),
+                        false => {
+                            copy_strip(window(h), width, kc, panel);
+                            (panel.cast_const(), TILE_COLS)
+                        }
+                    };
+                    // The rows on window `h` lie a cycle of windows apart.
+                    let (lda_w, ldc_w) = (windows * lda, windows * ldc);
+                    for i in (h..shared).step_by(L::ROWS * windows) {
+                        let (a, c) = (a.add(i * lda + k0), out.add(i * ldc + j0));
+                        on_strip(L::ROWS, width, first, c, ldc_w, &mut edge, |c, ldc| {
+                            L::tile(L::ROWS, a, lda_w, tile_b, tile_ldb, kc, c, ldc, first, 0)
+                        });
+                    }
+                }
+                // The rest row by row, up to four a tile, each on its own
+                // window: tiles stay inside one cycle of the windows (with
+                // one window every row reads it). Row `i0` reads window `h`.
+                let (mut i0, mut h) = (shared, 0);
+                while i0 < rows {
+                    let (bs, cycle) = match windows {
+                        1 => (0, rows),
+                        _ => (rhs_stride, windows - h),
+                    };
+                    let r = TILE_ROWS.min(cycle).min(rows - i0);
+                    let (tile_b, tile_ldb, tile_bs) = match full {
+                        true => (window(h), ldb, bs),
+                        false => {
+                            for i in 0..r {
+                                let dst = panel.add(i * kc * TILE_COLS);
+                                copy_strip(window(h).add(i * bs), width, kc, dst);
+                            }
+                            (panel.cast_const(), TILE_COLS, kc * TILE_COLS)
+                        }
+                    };
+                    let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
+                    on_strip(r, width, first, c, ldc, &mut edge, |c, ldc| {
+                        L::tile_batched(r, a, lda, tile_b, tile_ldb, tile_bs, kc, c, ldc, first)
+                    });
+                    (i0, h) = (i0 + r, if h + r < windows { h + r } else { 0 });
+                }
+                continue;
+            }
             // Where the tiles read this panel, and how far apart its rows
-            // lie (a resident ragged strip is packed per row tile below).
+            // lie.
             let (tile_b, tile_ldb) = if packed {
                 (b.add(j0 * k + k0 * TILE_COLS), TILE_COLS)
-            } else if RESIDENT {
-                (b.add(k0 * ldb + j0), ldb)
             } else if transposed && full {
                 L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel);
                 (panel.cast_const(), TILE_COLS)
@@ -382,11 +475,9 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
                 copy_strip(b.add(k0 * ldb + j0), width, kc, panel);
                 (panel.cast_const(), TILE_COLS)
             };
-            let first = k0 == 0 && !accumulate;
-            for i0 in (0..rows).step_by(tile_rows) {
-                let r = tile_rows.min(rows - i0);
-                let a = a.add(i0 * lda + k0);
-                let c = out.add(i0 * ldc + j0);
+            for i0 in (0..rows).step_by(L::ROWS) {
+                let r = L::ROWS.min(rows - i0);
+                let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
                 // The first row tile streams the panel in; the rest find
                 // it in the L1.
                 let ahead = if packed && i0 == 0 {
@@ -394,23 +485,8 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
                 } else {
                     0
                 };
-                // This row tile's `rhs` windows and how far apart they lie.
-                let (tile_b, tile_ldb, tile_bs) = match (RESIDENT, full) {
-                    (false, _) => (tile_b, tile_ldb, 0),
-                    (true, true) => (tile_b.add(i0 * bs), tile_ldb, bs),
-                    (true, false) => {
-                        for i in 0..r {
-                            let dst = panel.add(i * kc * TILE_COLS);
-                            copy_strip(tile_b.add((i0 + i) * bs), width, kc, dst);
-                        }
-                        (panel.cast_const(), TILE_COLS, kc * TILE_COLS)
-                    }
-                };
-                let run = |c: *mut f32, ldc: usize| match RESIDENT {
-                    false => L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first, ahead),
-                    true => {
-                        L::tile_batched(r, a, lda, tile_b, tile_ldb, tile_bs, kc, c, ldc, first)
-                    }
+                let run = |c: *mut f32, ldc: usize| {
+                    L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first, ahead)
                 };
                 if full {
                     run(c, ldc);
@@ -463,7 +539,7 @@ pub(crate) fn dot(mut acc: f32, a: &[f32], b: &[f32]) -> f32 {
 /// The scalar oracle of a resident product ([`Operands::resident`]) — the
 /// loops every vector leg of [`crate::Strided`]'s products is pinned to,
 /// on every input: `out[i][j] += a[i][kk] · b[kk][j]` for ascending `kk`,
-/// skipping nothing, row `i` reading `b` from `i · rhs_stride` on.
+/// skipping nothing, row `i` reading `b` from window `i % windows` on.
 pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: &mut [f32]) {
     debug_assert!(
         ops.layout == Layout::RowMajor,
@@ -471,7 +547,7 @@ pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: 
     );
     for i in 0..rows {
         let a_row = &ops.lhs[i * ops.lda..][..ops.k];
-        let b = &ops.rhs[i * ops.rhs_stride..];
+        let b = &ops.rhs[i % ops.windows * ops.rhs_stride..];
         let out_row = &mut out[i * ops.ldc..][..n];
         if !ops.accumulate {
             out_row.fill(0.0);
@@ -652,7 +728,7 @@ impl Leg for Avx2 {
     }
 }
 
-/// The AVX-512 leg: a streamed tile is up to eight rows of one sixteen-wide
+/// The AVX-512 leg: a [`Leg::tile`] is up to eight rows of one sixteen-wide
 /// vector each — eight independent add chains, as many as [`Avx2`]'s four
 /// rows of two, in half the instructions. A batched tile keeps four rows.
 /// The prefetch hint and the transposing pack are [`Avx2`]'s.
@@ -709,7 +785,7 @@ unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>
     }
 }
 
-/// [`avx512_rows`] for a streamed tile of `R` rows, prefetching `ahead`
+/// [`avx512_rows`] for a [`Leg::tile`] of `R` rows, prefetching `ahead`
 /// when it is non-zero.
 ///
 /// # Safety
