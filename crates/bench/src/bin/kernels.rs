@@ -81,8 +81,8 @@ const SECTIONS: [Section; 9] = [
     (
         "step",
         "ns, calls and exact count per decode_hidden_batch step and phase: 8 FP16-page streams \
-         from 112 positions, and one stream's 64-token chunk on Anda{8} pages at 352, d 256 x 4 \
-         layers x 4 heads, FFN 1024, vocab 512 (1 thread, the dispatched leg)",
+         from 112 positions, and one stream's 64-token chunk on Anda{8} pages at 352 (OPT, then \
+         LLaMA), d 256 x 4 layers x 4 heads, FFN 1024, vocab 512 (1 thread, the dispatched leg)",
         step,
     ),
     (
@@ -547,15 +547,36 @@ fn attend(o: &Opts) -> Table {
 /// The serving model's shape, as `anda_perf` builds it: 256 wide, four
 /// layers of four heads, FFN 1024, vocab 512.
 const STEP_MODEL: (usize, usize, usize, usize, usize) = (256, 4, 4, 1024, 512);
-/// `(name, page storage, streams, context each is prefilled to, tokens
-/// per stream and step, steps per round)`: `decode_steady`'s batch at its
-/// ladder context, and a `prefill_shared` chunk at that workload's median
-/// context.
-type StepScene = (&'static str, KvStorage, usize, usize, usize, usize);
-const STEP_SCENES: [StepScene; 2] = [
-    ("decode_8x112_fp16", KvStorage::Fp16, 8, 112, 1, 8),
+/// `(name, model family, page storage, streams, context each is
+/// prefilled to, tokens per stream and step, steps per round)`:
+/// `decode_steady`'s batch at its ladder context, and a `prefill_shared`
+/// chunk at that workload's median context, both on the OPT family the
+/// benchmark builds; then that chunk on the LLaMA family (RMSNorm, RoPE in
+/// `Qkv`, the gated SiLU FFN in `Finish`), which no benchmark workload
+/// runs.
+type StepScene = (&'static str, Family, KvStorage, usize, usize, usize, usize);
+const STEP_SCENES: [StepScene; 3] = [
+    (
+        "decode_8x112_fp16",
+        Family::Opt,
+        KvStorage::Fp16,
+        8,
+        112,
+        1,
+        8,
+    ),
     (
         "chunk_64_at_352_anda8",
+        Family::Opt,
+        KvStorage::Anda { mantissa_bits: 8 },
+        1,
+        352,
+        64,
+        1,
+    ),
+    (
+        "llama_chunk_64_at_352_anda8",
+        Family::Llama,
         KvStorage::Anda { mantissa_bits: 8 },
         1,
         352,
@@ -567,9 +588,10 @@ const STEP_SCENES: [StepScene; 2] = [
 /// The phase ledger of served steps, outside the scheduler, per scene of
 /// [`STEP_SCENES`]: its streams are prefilled once, then each round forks
 /// them there and times the round's `Model::decode_hidden_batch` steps
-/// (eight decode steps at contexts 112–119; one 64-token chunk at 352) on
-/// one thread and the dispatched leg. A row per phase the step charges —
-/// `Qkv` and `Finish` are the projection GEMMs with their per-row work,
+/// (eight decode steps at contexts 112–119; one 64-token chunk at 352,
+/// once per family) on one thread and the dispatched leg. A row per
+/// phase the step charges — `Qkv` and `Finish` are the projection GEMMs
+/// with their per-row work,
 /// the walk's tiles and products are attention — with its wall ns, calls
 /// and exact count per step (`PageDecodeCache::phases().since(..)`), and
 /// last the step's own wall time, whose gap to the phases' sum is what no
@@ -579,19 +601,21 @@ fn step(o: &Opts) -> Table {
     let (d_model, n_layers, n_heads, d_ffn, vocab) = STEP_MODEL;
     let max_seq = STEP_SCENES
         .iter()
-        .map(|&(_, _, _, context, tokens, steps)| context + tokens * steps)
+        .map(|&(_, _, _, _, context, tokens, steps)| context + tokens * steps)
         .max();
-    let config = ModelConfig {
-        name: "step".into(),
-        family: Family::Opt,
-        d_model,
-        n_layers,
-        n_heads,
-        d_ffn,
-        vocab,
-        max_seq: max_seq.unwrap_or(0),
+    let model = |family| {
+        let config = ModelConfig {
+            name: "step".into(),
+            family,
+            d_model,
+            n_layers,
+            n_heads,
+            d_ffn,
+            vocab,
+            max_seq: max_seq.unwrap_or(0),
+        };
+        Model::synthesize(config, &opt_125m_sim().profile, 4242)
     };
-    let model = Model::synthesize(config, &opt_125m_sim().profile, 4242);
     let pool = ThreadPool::new(1);
     let mut rng = Rng::new(15);
     let mut table = Table::new([
@@ -602,7 +626,8 @@ fn step(o: &Opts) -> Table {
         "count/step",
         "share",
     ]);
-    for (name, storage, streams, context, tokens, steps) in STEP_SCENES {
+    for (name, family, storage, streams, context, tokens, steps) in STEP_SCENES {
+        let model = model(family);
         let pages = PagePool::new(KvPoolConfig::unbounded(storage));
         let mut scratch: Vec<DecodeScratch> = (0..streams).map(|_| DecodeScratch::new()).collect();
         let mut walk = PageDecodeCache::new();

@@ -4,21 +4,24 @@
 //! the batch FP16 conversions in this crate, the GeMM inner loops in
 //! `anda-tensor`/`anda-quant`) exists in two or three *legs*: a scalar
 //! reference implementation and `std::arch` vector implementations for
-//! AVX2 (x86-64) and NEON (aarch64). The AVX2 leg also requires F16C: its
-//! FP16 lane primitive (`x86::saturate_f32x8_to_f16`) narrows on F16C
-//! and is saturating, so the F16C widen never sees a NaN. NEON converts
-//! FP16 in software.
+//! AVX2 (x86-64) and NEON (aarch64). The AVX2 leg also requires F16C and
+//! FMA: its FP16 lane primitive (`x86::saturate_f32x8_to_f16`) narrows on
+//! F16C and is saturating, so the F16C widen never sees a NaN, and its
+//! `expf` body ([`crate::exp`]) runs the port's fused multiply-adds as
+//! `vfmadd`. NEON converts FP16 in software and runs the scalar `expf`
+//! port, whose `mul_add` is the baseline `fmadd` there.
 //!
 //! A fourth leg, [`LegKind::Avx512`], is the AVX2 leg plus AVX-512
-//! F/BW/VBMI and GFNI. It owns three kernel bodies: the `anda-format` group
+//! F/BW/VBMI and GFNI. It owns four kernel bodies: the `anda-format` group
 //! decode at `M <= 8`, which its one page loop runs for every row and
 //! page decode, and where one `vpermb` and one `vgf2p8affineqb`
 //! transpose a group's bit planes into 64 magnitude bytes; the
-//! position-minor K-page decode at the same `M`; and the `anda-tensor`
+//! position-minor K-page decode at the same `M`; the `anda-tensor`
 //! register tile, eight rows of one 512-bit vector each, that every GEMM
-//! and attention product runs on. Every other dispatch site runs its AVX2
-//! body under it, in the same match arm, and a host without VBMI + GFNI
-//! runs exactly the AVX2 leg's code.
+//! and attention product runs on; and the `expf` slice kernel, eight
+//! `f64` lanes per vector with its table held in registers. Every other
+//! dispatch site runs its AVX2 body under it, in the same match arm, and
+//! a host without VBMI + GFNI runs exactly the AVX2 leg's code.
 //!
 //! This module is the single place that decides which leg runs:
 //!
@@ -55,12 +58,14 @@ use std::sync::OnceLock;
 pub enum LegKind {
     /// Portable scalar Rust — the bit-exactness oracle, always available.
     Scalar,
-    /// 256-bit AVX2 integer/float vectors plus F16C conversions (x86-64).
+    /// 256-bit AVX2 integer/float vectors plus F16C conversions and FMA
+    /// (x86-64).
     Avx2,
     /// The AVX2 leg plus AVX-512 F/BW/VBMI and GFNI (x86-64): its own
     /// bodies are the `M <= 8` group decode (of every row and page
-    /// decode), the `M <= 8` position-minor K-page decode and the
-    /// eight-row register tile; every other kernel is the AVX2 one.
+    /// decode), the `M <= 8` position-minor K-page decode, the
+    /// eight-row register tile and the `expf` slice kernel; every other
+    /// kernel is the AVX2 one.
     Avx512,
     /// 128-bit NEON vectors (aarch64).
     Neon,
@@ -134,11 +139,14 @@ impl SimdLeg {
 }
 
 /// The AVX2 leg is AVX2 plus F16C (its FP16 conversions are `vcvtps2ph` /
-/// `vcvtph2ps`), so one check covers every instruction its kernels use.
+/// `vcvtph2ps`) and FMA (its `expf` is the port's fused multiply-adds),
+/// so one check covers every instruction its kernels use.
 fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("f16c")
+        std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("f16c")
+            && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -428,7 +436,7 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         let reports = |kind: LegKind| {
             use std::arch::is_x86_feature_detected as has;
-            let avx2 = has!("avx2") && has!("f16c");
+            let avx2 = has!("avx2") && has!("f16c") && has!("fma");
             match kind {
                 LegKind::Scalar => true,
                 LegKind::Avx2 => avx2,

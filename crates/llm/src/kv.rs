@@ -77,7 +77,7 @@ use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::batch::{narrow, widen, widen_with_leg};
 use anda_fp::simd::{active_leg, SimdLeg};
 use anda_fp::F16;
-use anda_tensor::Strided;
+use anda_tensor::{ops, Strided};
 use rayon_lite::ThreadPool;
 
 use crate::config::ModelConfig;
@@ -1126,7 +1126,9 @@ struct Viewer {
 ///
 /// Every output element keeps the per-head reference arithmetic — the
 /// ascending-`c` `q·k` sum (vectorised across positions, never within a
-/// sum), the max-shifted log-softmax, the position-ascending `p·v`
+/// sum), the max-shifted log-softmax (`ops::softmax_rows_in_place_with_leg`
+/// on the walk's leg, every `exp` the `anda_fp::exp` port), the
+/// position-ascending `p·v`
 /// accumulation, multiply then add, nothing skipped — so results are
 /// `f32::to_bits`-identical to a scalar loop over
 /// [`LayerKv::key_into`] / [`LayerKv::value_into`], on every SIMD leg and
@@ -1379,12 +1381,12 @@ fn walk(
     s.q.clear();
     lanes.iter().for_each(|lane| s.q.extend_from_slice(lane.q));
     let lap = visit_pages(lanes, false, &cols, dh, stride, s, leg, Stamp::now());
-    let mut scores = 0;
-    for (l, lane) in lanes.iter().enumerate() {
-        let rows = s.scores[l * heads * stride..].chunks_mut(stride);
-        rows.take(heads).for_each(|row| softmax(&mut row[..lane.t]));
-        scores += lane.layer.dim() / dh * lane.t;
-    }
+    let rows = &mut s.scores[..lanes.len() * heads * stride];
+    ops::softmax_rows_in_place_with_leg(leg, rows, stride, |row| lanes[row / heads].t);
+    let scores: usize = lanes
+        .iter()
+        .map(|lane| lane.layer.dim() / dh * lane.t)
+        .sum();
     let lap = s.phases.lap(Phase::Softmax, lap, scores as u64);
     s.mix.clear();
     s.mix.resize(lanes.len() * cols.len(), 0.0);
@@ -1538,16 +1540,6 @@ impl PageGroup<'_> {
             true,
             self.leg,
         );
-    }
-}
-
-/// Max-shifted softmax of one head's score row in place: the same
-/// log-softmax-then-exp as `ops::log_softmax_into`, on a slice.
-fn softmax(scores: &mut [f32]) {
-    let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    let log_sum: f32 = scores.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
-    for score in scores.iter_mut() {
-        *score = (*score - max - log_sum).exp();
     }
 }
 

@@ -26,6 +26,7 @@
 //! code requests run.
 
 use anda_fp::batch::saturate_f16_widen_in_place;
+use anda_fp::simd::active_leg;
 use anda_quant::{IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{ops, Matrix, PackedMatrix, Rng};
 use rayon_lite::ThreadPool;
@@ -710,9 +711,7 @@ impl Model {
             project(h, &layer.wqkv, qkv, pool, gemms);
             if self.config.family == Family::Llama {
                 pool.par_chunks_mut(qkv.as_mut_slice(), 3 * d, |row, qkv_row| {
-                    for head in qkv_row[..2 * d].chunks_exact_mut(dh) {
-                        rope_in_place(head, positions[row]);
-                    }
+                    rope_in_place(&mut qkv_row[..2 * d], dh, positions[row]);
                 });
             }
             // The cache's tail page encodes the rows under its storage
@@ -828,9 +827,11 @@ impl Model {
         match (&layer.wgate, self.config.family) {
             (Some(wgate), Family::Llama) => {
                 project(h, wgate, gate, pool, gemms);
-                for (u, &g) in hidden.as_mut_slice().iter_mut().zip(gate.as_slice()) {
-                    *u *= ops::silu(g);
-                }
+                ops::silu_mul_in_place_with_leg(
+                    active_leg(),
+                    hidden.as_mut_slice(),
+                    gate.as_slice(),
+                );
             }
             _ => hidden.map_inplace(ops::relu),
         }
@@ -935,8 +936,6 @@ pub struct DecodeScratch {
     x: Matrix,
     /// Next-token logits (`1 × vocab`).
     logits: Matrix,
-    /// Sampling staging: temperature-scaled logits (`vocab`).
-    scaled: Vec<f32>,
     /// Sampling staging: probabilities (`vocab`).
     probs: Vec<f32>,
     /// The solo decode path's step buffers and page-walk tile.
@@ -957,7 +956,6 @@ impl DecodeScratch {
     pub fn reserve(&mut self, config: &ModelConfig, max_len: usize) {
         self.x.reserve(1, config.d_model);
         self.logits.reserve(1, config.vocab);
-        self.scaled.reserve(config.vocab);
         self.probs.reserve(config.vocab);
         self.pages.reserve(config, 1, max_len);
     }
@@ -977,19 +975,14 @@ impl DecodeScratch {
     /// Samples from the scratch's own logits (the last decoded position).
     /// Greedy argmax when `temperature <= 0` (no RNG draw).
     pub fn sample_last(&mut self, temperature: f32, rng: &mut Rng) -> usize {
-        let DecodeScratch {
-            logits,
-            scaled,
-            probs,
-            ..
-        } = self;
-        sample_logits(logits.as_slice(), temperature, rng, scaled, probs)
+        let DecodeScratch { logits, probs, .. } = self;
+        sample_logits(logits.as_slice(), temperature, rng, probs)
     }
 
     /// Samples from caller-provided logits (a [`BatchOutput`] row), with
     /// the same staging reuse as [`DecodeScratch::sample_last`].
     pub fn sample(&mut self, logits: &[f32], temperature: f32, rng: &mut Rng) -> usize {
-        sample_logits(logits, temperature, rng, &mut self.scaled, &mut self.probs)
+        sample_logits(logits, temperature, rng, &mut self.probs)
     }
 }
 
@@ -1139,37 +1132,42 @@ impl BatchOutput {
     }
 }
 
-/// Applies rotary position embedding to one head row at position `pos`.
-fn rope_in_place(row: &mut [f32], pos: usize) {
-    let dh = row.len();
+/// Pairs of a head whose rotary angles [`rope_in_place`] takes at a time.
+const ROPE_PAIRS: usize = 32;
+
+/// Applies rotary position embedding at position `pos` to every head of
+/// `heads` (each `dh` wide), taking each pair's `(sin, cos)` once for
+/// all of them.
+fn rope_in_place(heads: &mut [f32], dh: usize, pos: usize) {
     let half = dh / 2;
-    for i in 0..half {
-        let theta = pos as f32 / 10000f32.powf(2.0 * i as f32 / dh as f32);
-        let (sin, cos) = theta.sin_cos();
-        let (a, b) = (row[2 * i], row[2 * i + 1]);
-        row[2 * i] = a * cos - b * sin;
-        row[2 * i + 1] = a * sin + b * cos;
+    let mut angles = [(0f32, 0f32); ROPE_PAIRS];
+    for first in (0..half).step_by(ROPE_PAIRS) {
+        let pairs = first..half.min(first + ROPE_PAIRS);
+        for (angle, i) in angles.iter_mut().zip(pairs.clone()) {
+            let theta = pos as f32 / 10000f32.powf(2.0 * i as f32 / dh as f32);
+            *angle = theta.sin_cos();
+        }
+        for head in heads.chunks_exact_mut(dh) {
+            let pairs = head[2 * pairs.start..2 * pairs.end].chunks_exact_mut(2);
+            for (pair, &(sin, cos)) in pairs.zip(&angles) {
+                let (a, b) = (pair[0], pair[1]);
+                pair[0] = a * cos - b * sin;
+                pair[1] = a * sin + b * cos;
+            }
+        }
     }
 }
 
-/// Samples a token from `logits / temperature`, staging the scaled logits
-/// and probabilities in caller-provided buffers (cleared and refilled).
-fn sample_logits(
-    logits: &[f32],
-    temperature: f32,
-    rng: &mut Rng,
-    scaled: &mut Vec<f32>,
-    probs: &mut Vec<f32>,
-) -> usize {
+/// Samples a token from `logits / temperature`, staging the
+/// probabilities in a caller-provided buffer (cleared and refilled).
+fn sample_logits(logits: &[f32], temperature: f32, rng: &mut Rng, probs: &mut Vec<f32>) -> usize {
     if temperature <= 0.0 {
         return ops::argmax(logits);
     }
-    scaled.clear();
-    scaled.extend(logits.iter().map(|&l| l / temperature));
-    ops::log_softmax_into(scaled, probs);
-    for p in probs.iter_mut() {
-        *p = p.exp();
-    }
+    probs.clear();
+    probs.extend(logits.iter().map(|&l| l / temperature));
+    let vocab = probs.len();
+    ops::softmax_rows_in_place_with_leg(active_leg(), probs, vocab, |_| vocab);
     rng.categorical(probs)
 }
 

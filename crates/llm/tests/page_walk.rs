@@ -1,8 +1,9 @@
 //! The page walk ([`PageDecodeCache::attend`]) against a scalar reference
 //! built from nothing but [`LayerKv::key_into`] / [`LayerKv::value_into`]
 //! and the per-head operation order the walk promises to keep: one
-//! ascending-`c` `q·k` sum per score, the max-shifted log-softmax, then
-//! `out += p·v` in position order. The walk runs those sums side by side
+//! ascending-`c` `q·k` sum per score, the max-shifted log-softmax (its
+//! `exp` the workspace's port, `anda_fp::exp::expf`), then `out += p·v`
+//! in position order. The walk runs those sums side by side
 //! on the GEMM register tile — sixteen positions of a page, four lanes of
 //! a group — and that must never show.
 //!
@@ -21,6 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use anda_format::metrics::rows_decoded;
+use anda_fp::exp::expf;
 use anda_fp::simd::available_legs;
 use anda_llm::config::{Family, ModelConfig};
 use anda_llm::kv::{AttendLane, KvPoolConfig, KvReadScratch, KvStorage, LayerKv, PagePool};
@@ -122,10 +124,10 @@ fn reference(layer: &LayerKv, t: usize, q: &[f32], n_heads: usize) -> Vec<f32> {
             *score = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum::<f32>() * scale;
         }
         let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let log_sum: f32 = scores.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+        let log_sum: f32 = scores.iter().map(|&x| expf(x - max)).sum::<f32>().ln();
         let log_probs: Vec<f32> = scores.iter().map(|&s| s - max - log_sum).collect();
         for (pos, l) in log_probs.iter().enumerate() {
-            let p = l.exp();
+            let p = expf(*l);
             layer.value_into(pos, &mut row);
             for (a, &vv) in out[cols.clone()].iter_mut().zip(&row[cols.clone()]) {
                 *a += p * vv;

@@ -7,8 +7,10 @@
 //!   element-wise combinators.
 //! - [`PackedMatrix`] — a `k × n` weight held as the GEMM kernel reads it,
 //!   sixteen-column strips back to back, multiplied by in place.
-//! - [`ops`] — row-wise log-softmax, LayerNorm, RMSNorm, activation
-//!   functions (ReLU, SiLU) and argmax.
+//! - [`ops`] — the one softmax (rows in place, its `exp` the
+//!   `anda-fp` port on a SIMD leg) and the log-softmax sharing its sum,
+//!   LayerNorm, RMSNorm, activation functions (ReLU, the gated SiLU) and
+//!   argmax.
 //! - [`rng`] — a deterministic pseudo-random source (xoshiro256**) with
 //!   normal/uniform sampling, so synthetic model weights are reproducible
 //!   without external crates.

@@ -16,9 +16,10 @@
 #   tools/perf_exact.sh --update   adopt the fresh extract as the baseline
 #
 # The fresh extract is left in target/perf_exact.txt either way. The
-# baseline is an x86-64 glibc statement: tokens are sampled through libm
-# `expf`/`logf`, so another libm may move a digest. CI's `neon` job does
-# not run this.
+# baseline is an x86-64 glibc statement: `expf` is the repo's own
+# (anda_fp::exp), but every softmax's log-sum goes through libm `logf`
+# and the synthesized weights through the `Rng`'s libm `ln`/`sin`/`cos`,
+# so another libm may move a digest. CI's `neon` job does not run this.
 set -eu
 cd "$(dirname "$0")/.."
 baseline=tools/perf_exact.txt
