@@ -6,15 +6,18 @@
 //! integer `k` and a remainder `r`, takes `2^(k/32)` from a 32-entry
 //! table of `f64` bit patterns, and `2^(r/32)` from a degree-3 polynomial,
 //! all in `f64`; each of its five multiply-adds is one fused, single-rounding
-//! `f64::mul_add`. That is the contracted build of the C source, and it
-//! equals x86-64 glibc's `expf` (`f32::exp`) `to_bits` on all 2³² inputs
-//! (the ignored `exhaustive_scan` test checks it). Without the fused ops
-//! two inputs differ (`32.564632` and `−63.09946`).
+//! `f64::mul_add`. That is the contracted build of the C source, the one
+//! x86-64 glibc (2.28+) selects on a CPU with FMA, and there it equals
+//! `f32::exp` `to_bits` on all 2³² inputs (the ignored `exhaustive_scan`
+//! test checks it). The unfused build, glibc's choice without FMA,
+//! differs at two inputs (`32.564632` and `−63.09946`).
 //!
 //! [`exp_in_place_with_leg`] runs it over a slice. The AVX2 leg (AVX2 +
 //! FMA) computes four `f64` lanes per `ymm` and gathers the table; the
 //! AVX-512 leg computes eight per `zmm` and holds the table in four
-//! registers (two `vpermt2q` and a blend on bit 4 of the index). The
+//! registers (two `vpermt2q` and a blend on bit 4 of the index), which
+//! runs the chunk scene's softmax 1.3× as fast as the AVX2 body on the
+//! same CPU (`kernels step`, 15 alternating runs). The
 //! scalar and NEON legs call [`expf`]. On aarch64 its `mul_add` is an
 //! `fmadd`; on x86-64, built for the baseline target, it is a libm `fma`
 //! call, so the scalar leg is slow there (about 20 ns per `exp`), and
@@ -49,8 +52,8 @@ const OVERFLOW: f32 = f32::from_bits(0x42b1_7217);
 /// `exp(x)` rounds to `+0` below this (`≈ −103.97`, `ln(2^−150)`).
 const UNDERFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
 
-/// `e^x`, `to_bits`-equal to x86-64 glibc's `expf` on every input (NaN
-/// payloads included): the oracle of every leg of
+/// `e^x`, `to_bits`-equal to x86-64 glibc's `expf` on an FMA CPU on every
+/// input (NaN payloads included): the oracle of every leg of
 /// [`exp_in_place_with_leg`].
 pub fn expf(x: f32) -> f32 {
     let bits = x.to_bits();
@@ -358,11 +361,11 @@ mod tests {
     /// Bit patterns per block of [`exhaustive_scan`].
     const BLOCK: u64 = 1 << 16;
 
-    /// All 2³² inputs: every leg against the port, and (on x86-64 glibc)
-    /// the port against the host's `f32::exp`. Takes minutes; CI runs it
-    /// in release (`cargo test --release -p anda-fp -- --ignored`). On
-    /// other targets it prints how many inputs the host libm answers
-    /// differently.
+    /// All 2³² inputs: every leg against the port, and (on x86-64 glibc
+    /// with FMA, see [`libm_is_the_port`]) the port against the host's
+    /// `f32::exp`. Takes minutes; CI runs it in release (`cargo test
+    /// --release -p anda-fp -- --ignored`). Elsewhere it prints how many
+    /// inputs the host libm answers differently.
     #[test]
     #[ignore]
     fn exhaustive_scan() {
@@ -384,8 +387,17 @@ mod tests {
                 .sum()
         });
         println!("inputs where the host libm's expf differs from the port: {libm_differs} of 2^32");
-        if cfg!(all(target_arch = "x86_64", target_env = "gnu")) {
+        if libm_is_the_port() {
             assert_eq!(libm_differs, 0);
         }
+    }
+
+    /// Whether the host's `f32::exp` is the port's build: glibc's x86-64
+    /// `expf` runs its fused build only where the CPU has FMA.
+    fn libm_is_the_port() -> bool {
+        #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+        return std::arch::is_x86_feature_detected!("fma");
+        #[allow(unreachable_code)]
+        false
     }
 }

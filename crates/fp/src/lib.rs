@@ -17,8 +17,8 @@
 //!   vector kernel in the workspace (F16C on the AVX2 leg, software on
 //!   NEON).
 //! - [`exp`] — `expf` owned: the optimized-routines port ([`exp::expf`],
-//!   `to_bits`-equal to x86-64 glibc's) and its slice kernel, one body per
-//!   SIMD leg, each pinned to the port.
+//!   `to_bits`-equal to x86-64 glibc's on a CPU with FMA) and its slice
+//!   kernel, one body per SIMD leg, each pinned to the port.
 //! - [`batch`] — dispatched whole-slice rounding of `f32` rows through
 //!   FP16 (the `Fp16` KV row policy, the FP16 activation codec), each with
 //!   a scalar twin as its bit-exactness oracle.

@@ -88,7 +88,7 @@ const CHUNK: usize = 64;
 /// terms after its own. No term is `−0`, so the padding changes no sum
 /// but an empty row's `−0`, and `ln` maps `±0` alike.
 fn max_and_log_sum<const N: usize>(leg: SimdLeg, rows: [&[f32]; N]) -> [(f32, f32); N] {
-    let max = rows.map(row_max);
+    let max = rows.map(|row| row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b)));
     let len = rows.iter().map(|row| row.len()).max().unwrap_or(0);
     let (mut sum, mut chunk) = ([-0f32; N], [[0f32; CHUNK]; N]);
     for start in (0..len).step_by(CHUNK) {
@@ -108,30 +108,6 @@ fn max_and_log_sum<const N: usize>(leg: SimdLeg, rows: [&[f32]; N]) -> [(f32, f3
         }
     }
     std::array::from_fn(|g| (max[g], sum[g].ln()))
-}
-
-/// The max of `row` as `row.iter().fold(−inf, f32::max)` gives it, bit
-/// for bit. That fold skips NaN, and so does keeping `x` only when
-/// `x > max`; both find the largest non-NaN value (or `−inf`) in any
-/// order, and a nonzero value has one bit pattern. Only a zero maximum's
-/// sign depends on the order, so a zero is folded again, as `f32::max`
-/// in order. Sixteen lanes of maxima make the search one vector `max`
-/// per lane group.
-fn row_max(row: &[f32]) -> f32 {
-    let greater = |m: f32, x: f32| if x > m { x } else { m };
-    let mut lanes = [f32::NEG_INFINITY; 16];
-    let mut chunks = row.chunks_exact(16);
-    for chunk in &mut chunks {
-        for (m, &x) in lanes.iter_mut().zip(chunk) {
-            *m = greater(*m, x);
-        }
-    }
-    let rest = chunks.remainder().iter().copied();
-    let max = rest.fold(lanes.into_iter().fold(f32::NEG_INFINITY, greater), greater);
-    match max == 0.0 {
-        true => row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b)),
-        false => max,
-    }
 }
 
 /// `hidden ← hidden · silu(gate)`, the LLaMA FFN's gated activation,
@@ -231,12 +207,21 @@ mod tests {
         p
     }
 
+    /// Whether the host's `f32::exp` is the port's build: glibc's x86-64
+    /// `expf` runs its fused build only where the CPU has FMA.
+    fn libm_is_the_port() -> bool {
+        #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+        return std::arch::is_x86_feature_detected!("fma");
+        #[allow(unreachable_code)]
+        false
+    }
+
     /// The softmax the walk and the sampler ran before they shared one:
-    /// `exp` of the log-softmax, two libm `exp`s per score. Off x86-64
-    /// glibc the host libm may round differently, so there the port
-    /// stands in for it.
+    /// `exp` of the log-softmax, two libm `exp`s per score. Where the host
+    /// libm may round differently from the port, the port stands in for
+    /// it.
     fn two_exp_softmax(row: &[f32]) -> Vec<f32> {
-        let exp = |x: f32| match cfg!(all(target_arch = "x86_64", target_env = "gnu")) {
+        let exp = |x: f32| match libm_is_the_port() {
             true => x.exp(),
             false => anda_fp::exp::expf(x),
         };

@@ -16,8 +16,8 @@
 # The fresh output is left in target/figures_quick.txt either way; what
 # the context built (contexts prepared, searches, calibration
 # perplexities) goes to stderr. The baseline is an x86-64 glibc
-# statement: perplexities go through libm `expf`/`logf`, so another libm
-# may move a digit. CI's `neon` job does not run this.
+# statement: perplexities go through libm `logf` and `exp`, so another
+# libm may move a digit. CI's `neon` job does not run this.
 set -eu
 cd "$(dirname "$0")/.."
 baseline=tools/figures_quick.txt
