@@ -3,7 +3,9 @@
 //! Two kernels, one per direction: [`narrow`] rounds `f32` to saturated
 //! binary16 bits and [`widen`] turns binary16 bits back into `f32`. The
 //! FP16 KV page policy (`Fp16` in `anda-llm`) narrows every row it caches
-//! and widens a page's rows into the walk's scratch; the FP16 activation
+//! and widens a single row it reads back (the page walk's products read a
+//! page's words in place and widen them in the register tile,
+//! `anda_tensor::Strided`, on the same input contract); the FP16 activation
 //! codec and model synthesis round through both
 //! ([`saturate_f16_widen_in_place`], [`saturate_f16_widen_slice`]). Each
 //! kernel has one body per leg, 8 (AVX2) or 4 (NEON) lanes a step. The

@@ -8,13 +8,15 @@
 //! rows), every [`KvCache`] is a per-layer page table over pages leased
 //! from a pool, and the storage policy ([`KvStorage`]) decides whether a
 //! page holds raw `f32` rows (the exact-reference policy, read in place),
-//! binary16 words (the paper's §V-A FP16 baseline, widened on read) or
-//! Anda bit-plane rows (one `anda_format::AndaTensor` each for K and V,
+//! binary16 words (the paper's §V-A FP16 baseline, read in place too: the
+//! products' register tile widens them as it loads them) or Anda
+//! bit-plane rows (one `anda_format::AndaTensor` each for K and V,
 //! decoded on read). Either way a page holds the bytes
 //! [`KvStorage::row_bits`] accounts, and reads allocate nothing per
-//! token. The FP16 narrow/widen and the Anda encode/decode all run
-//! through SIMD-dispatched kernels (`anda_fp::batch`, the row codec;
-//! scalar-oracle bit-exact on every leg).
+//! token. The FP16 narrow, the FP16 tile loads and the Anda encode/decode
+//! all run through SIMD-dispatched kernels (`anda_fp::batch`,
+//! `anda_tensor::Strided`, the row codec; scalar-oracle bit-exact on
+//! every leg).
 //!
 //! # One read path
 //!
@@ -23,11 +25,12 @@
 //! chunk spans and the full-sequence `Model::forward` (one span, every
 //! row a lane) all describe their work as [`AttendLane`]s (a query, the
 //! window it attends, where the result goes). The walk goes page by
-//! page, decodes each distinct physical FP16 or Anda page once into a
-//! page-sized tile that stays in L1 while every lane viewing it consumes
-//! it, and reads `f32` pages where they lie — the stored operand stays
-//! narrow until it is in L1, and no decoded copy of a context is ever
-//! materialised. Every tile is held in the order its product reads it:
+//! page, decodes each distinct physical Anda page once into a page-sized
+//! tile that stays in L1 while every lane viewing it consumes it, and
+//! reads `f32` and FP16 pages where they lie — the stored operand stays
+//! narrow until it is in L1 (an FP16 one until it is in a register), and
+//! no decoded copy of a context is ever materialised. Every tile is held
+//! in the order its product reads it:
 //! V row-major, K position-minor (`dim × positions`, so a page's
 //! positions lie side by side — `f32` and FP16 pages store K that way,
 //! and an Anda page decodes its keys straight into it). What consumes a
@@ -74,10 +77,10 @@ use std::sync::{Arc, Mutex};
 
 use anda_format::rowcodec;
 use anda_format::{AndaConfig, AndaTensor};
-use anda_fp::batch::{narrow, widen, widen_with_leg};
+use anda_fp::batch::{narrow, widen};
 use anda_fp::simd::{active_leg, SimdLeg};
 use anda_fp::F16;
-use anda_tensor::{ops, Strided};
+use anda_tensor::{ops, Element, Strided};
 use rayon_lite::ThreadPool;
 
 use crate::config::ModelConfig;
@@ -92,8 +95,8 @@ pub enum KvStorage {
     /// the compressed policies are measured against.
     Fp32,
     /// FP16 rows (the paper's §V-A baseline): each value saturated to a
-    /// binary16 word on append, 16 bits resident, and widened into the
-    /// page walk's scratch on read.
+    /// binary16 word on append, 16 bits resident, and read in place by the
+    /// page walk's products, which widen each word as they load it.
     Fp16,
     /// Anda-format rows with the given mantissa length, decoded on read.
     Anda {
@@ -195,6 +198,15 @@ pub struct Page {
     data: PageData,
 }
 
+/// A page's K or V as the walk's products read it ([`Page::tile`]): `f32`
+/// (a float page's own words, or an Anda page decoded), or an FP16 page's
+/// binary16 words.
+#[derive(Clone, Copy)]
+enum Tile<'a> {
+    F32(&'a [f32]),
+    F16(&'a [u16]),
+}
+
 /// A page's K and V, each holding the bits [`KvStorage::row_bits`]
 /// accounts per row (an Anda group keeps its 5-bit exponent in a `u16`).
 /// The float variants lie in the order the walk's products read them: V
@@ -205,8 +217,9 @@ enum PageData {
     /// [`KvStorage::Fp32`]: raw `f32` words, read in place.
     F32 { k: Vec<f32>, v: Vec<f32> },
     /// [`KvStorage::Fp16`]: saturated binary16 words ([`narrow`]'s
-    /// output), widened into the walk's scratch. A slot holds `narrow`
-    /// output or the zeros it was created with, never a NaN pattern.
+    /// output), read in place. A slot holds `narrow` output or the zeros
+    /// it was created with, never a NaN pattern — the input contract of
+    /// the products that widen them (`anda_tensor::Strided`).
     F16 { k: Vec<u16>, v: Vec<u16> },
     /// `positions × dim` Anda rows.
     Anda { k: AndaTensor, v: AndaTensor },
@@ -354,15 +367,14 @@ impl Page {
     /// it, starting at column `cols.start`, and its row stride: V
     /// row-major (position `p`, column `c` at `p · dim + c`), K
     /// position-minor (at `c · positions + p`). Only the first `used`
-    /// positions are data. An `f32` page is its own tile, read in place:
-    /// [`Page::push_row`] stored its K position-minor. Any other page
-    /// decodes into `scratch` (page-sized, so it stays in L1), once per
-    /// page and pass. An FP16 page widens those columns of its filled V
-    /// rows into `rows`, or the one position-minor run of its K columns
-    /// into `keys` — every slot, a stale one holding earlier `narrow`
-    /// output or zeros. An Anda page decodes those columns of its V rows
-    /// into `rows`, or of its K rows position-minor into `keys`, both on
-    /// `leg` (`rowcodec::decode_rows_into_with_leg` /
+    /// positions are data. A float page is its own tile, read in place —
+    /// [`Page::push_row`] stored its K position-minor — an FP16 one as
+    /// its binary16 words, which the product widens as it loads them
+    /// (`anda_tensor::Element`; a slot holds `narrow` output or zeros,
+    /// never a NaN pattern). An Anda page decodes into `scratch`
+    /// (page-sized, so it stays in L1), once per page and pass: those
+    /// columns of its V rows into `rows`, or of its K rows position-minor
+    /// into `keys`, both on `leg` (`rowcodec::decode_rows_into_with_leg` /
     /// `rowcodec::decode_rows_transposed_into_with_leg`), where a K slot past
     /// `used` keeps what an earlier page of the walk left there, or zero
     /// (the K product's scores there are never read); `cols` must start on
@@ -373,37 +385,25 @@ impl Page {
         cols: &std::ops::Range<usize>,
         scratch: &'a mut PageScratch,
         leg: SimdLeg,
-    ) -> (&'a [f32], usize) {
+    ) -> (Tile<'a>, usize) {
         let (dim, pp, filled) = (self.dim, self.positions, self.used * self.dim);
         let PageScratch { rows, keys } = scratch;
         match &self.data {
-            PageData::F32 { v, .. } if want_v => (&v[cols.start..filled], dim),
-            PageData::F32 { k, .. } => (&k[cols.start * pp..], pp),
-            PageData::F16 { v, .. } if want_v => {
-                rows.resize(pp * dim, 0.0);
-                for row in (0..filled).step_by(dim) {
-                    let run = row + cols.start..row + cols.end;
-                    widen_with_leg(leg, &v[run.clone()], &mut rows[run]);
-                }
-                (&rows[cols.start..filled], dim)
-            }
-            PageData::F16 { k, .. } => {
-                let run = cols.start * pp..cols.end * pp;
-                keys.resize(pp * dim, 0.0);
-                widen_with_leg(leg, &k[run.clone()], &mut keys[run.clone()]);
-                (&keys[run], pp)
-            }
+            PageData::F32 { v, .. } if want_v => (Tile::F32(&v[cols.start..filled]), dim),
+            PageData::F32 { k, .. } => (Tile::F32(&k[cols.start * pp..]), pp),
+            PageData::F16 { v, .. } if want_v => (Tile::F16(&v[cols.start..filled]), dim),
+            PageData::F16 { k, .. } => (Tile::F16(&k[cols.start * pp..]), pp),
             PageData::Anda { k, v } => {
                 let gs = k.config().group_size();
                 let groups = cols.start / gs..cols.end.div_ceil(gs);
                 if want_v {
                     rows.resize(pp * dim, 0.0);
                     v.decode_rows_into(leg, groups, &mut rows[..filled]);
-                    return (&rows[cols.start..filled], dim);
+                    return (Tile::F32(&rows[cols.start..filled]), dim);
                 }
                 keys.resize(pp * dim, 0.0);
                 k.decode_rows_transposed_into(leg, groups, self.used, keys, pp);
-                (keys, pp)
+                (Tile::F32(keys), pp)
             }
         }
     }
@@ -1033,9 +1033,10 @@ pub struct AttendLane<'a> {
 /// computes every output element with the same operation order.
 const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
 
-/// A decoded page's tiles ([`Page::tile`]): an FP16 or Anda page's rows
-/// as decoded, and its keys position-minor. Page-sized, so both stay in
-/// L1; sized by the first page decoded, so a warmed walk allocates
+/// A decoded page's tiles ([`Page::tile`]): an Anda page's rows as
+/// decoded, and its keys position-minor (a float page is its own tile, so
+/// a walk over float pages leaves both empty). Page-sized, so both stay
+/// in L1; sized by the first page decoded, so a warmed walk allocates
 /// nothing.
 #[derive(Clone, Debug, Default)]
 struct PageScratch {
@@ -1084,14 +1085,13 @@ struct Viewer {
 /// Per layer the walk visits logical page index `i` ascending, twice
 /// (a K pass, then a V pass after the per-lane softmax). At each index
 /// the lanes are grouped by *physical* page — forks of one prefix lease
-/// the same page at the same index — and each distinct FP16 or Anda page
-/// is decoded **once** per pass into a page-sized tile that stays in L1
-/// while every (lane, head) viewing it consumes it (`Page::tile`: an
-/// FP16 page's binary16 words widen, K already position-minor; an Anda
-/// page's V rows decode row-major and its K rows straight to
-/// position-minor);
-/// an `f32` page's V rows and position-minor K are their own tiles, read
-/// in place. So the stored operand stays narrow until it is in L1, a page
+/// the same page at the same index — and each distinct Anda page is
+/// decoded **once** per pass into a page-sized tile that stays in L1
+/// while every (lane, head) viewing it consumes it (`Page::tile`: its V
+/// rows decode row-major and its K rows straight to position-minor); a
+/// float page's V rows and position-minor K are their own tiles, read in
+/// place, an FP16 page's as binary16 words that the products widen in the
+/// register. So the stored operand stays narrow until it is in L1, a page
 /// shared by N streams decodes once per pass however many attend through
 /// it, and of the walk's buffers only the score rows scale with context ×
 /// lanes.
@@ -1224,10 +1224,11 @@ impl PageDecodeCache {
             .collect();
     }
 
-    /// Total Anda pages decoded through this cache (monotonic; an FP16
-    /// page's widen is not counted). Each distinct physical page counts
-    /// once per walk — per layer of a step — regardless of how many lanes
-    /// attend through it, of the K and V passes, and of the thread count.
+    /// Total Anda pages decoded through this cache (monotonic; a float
+    /// page is read in place and not counted). Each distinct physical page
+    /// counts once per walk — per layer of a step — regardless of how many
+    /// lanes attend through it, of the K and V passes, and of the thread
+    /// count.
     pub fn pages_decoded(&self) -> u64 {
         self.jobs.first().map_or(0, |job| job.pages_decoded)
     }
@@ -1263,9 +1264,9 @@ impl PageDecodeCache {
         self.attend_with_leg(lanes, n_heads, pool, active_leg());
     }
 
-    /// [`PageDecodeCache::attend`] with the walk's products, FP16 widens
-    /// and Anda decodes on an explicit SIMD leg (oracle tests and
-    /// benches).
+    /// [`PageDecodeCache::attend`] with the walk's products (and the FP16
+    /// widens in them) and Anda decodes on an explicit SIMD leg (oracle
+    /// tests and benches).
     ///
     /// # Panics
     ///
@@ -1444,12 +1445,11 @@ fn visit_pages(
             }
             let (tile, ld) = page.tile(want_v, cols, &mut s.tiles, leg);
             let ready = match page.data {
-                PageData::F32 { .. } => 0,
-                _ => page.used as u64,
+                PageData::Anda { .. } => page.used as u64,
+                _ => 0,
             };
             lap = s.phases.lap(tile_phase, lap, ready);
             let group = PageGroup {
-                tile,
                 ld,
                 base,
                 heads: cols.len() / dh,
@@ -1460,9 +1460,11 @@ fn visit_pages(
             let stacks =
                 |a: &Viewer, b: &Viewer| b.lane == a.lane + 1 && (!want_v || a.rows == b.rows);
             for run in viewers.chunk_by(stacks) {
-                match want_v {
-                    false => group.score(run, &s.q, &mut s.scores),
-                    true => group.mix(run, &s.scores, &mut s.mix),
+                match (want_v, tile) {
+                    (false, Tile::F32(keys)) => group.score(keys, run, &s.q, &mut s.scores),
+                    (false, Tile::F16(keys)) => group.score(keys, run, &s.q, &mut s.scores),
+                    (true, Tile::F32(values)) => group.mix(values, run, &s.scores, &mut s.mix),
+                    (true, Tile::F16(values)) => group.mix(values, run, &s.scores, &mut s.mix),
                 }
             }
             let muladds = viewers.iter().map(|v| v.rows * d).sum::<usize>();
@@ -1472,11 +1474,11 @@ fn visit_pages(
     lap
 }
 
-/// One physical page of a pass and what its lanes' products need to know.
-struct PageGroup<'a> {
-    /// The page's K (or V) in the job's columns, rows `ld` apart
-    /// ([`Page::tile`]): V row-major, K position-minor.
-    tile: &'a [f32],
+/// One physical page of a pass and what its lanes' products need to know
+/// besides its tile.
+struct PageGroup {
+    /// Row stride of the page's tile in the job's columns ([`Page::tile`]):
+    /// V row-major, K position-minor.
     ld: usize,
     /// Position of the page's first row.
     base: usize,
@@ -1488,8 +1490,9 @@ struct PageGroup<'a> {
     leg: SimdLeg,
 }
 
-impl PageGroup<'_> {
-    /// K pass of a `run` of viewers: every head of every viewer in one
+impl PageGroup {
+    /// K pass of a `run` of viewers over the page's `keys`: every head of
+    /// every viewer in one
     /// product — the queries' heads are the rows, row `h` of a lane
     /// against head `h`'s keys, so the register tile shares each key
     /// vector between the viewers (four heads × sixteen positions of
@@ -1499,12 +1502,12 @@ impl PageGroup<'_> {
     /// ends in, whole strips read in place cost less than packing each
     /// head's ragged one, and what lands past the window, stale slots
     /// included, is never read.
-    fn score(&self, run: &[Viewer], q: &[f32], scores: &mut [f32]) {
+    fn score<E: Element>(&self, keys: &[E], run: &[Viewer], q: &[f32], scores: &mut [f32]) {
         let (n, dh, heads, stride) = (self.ld, self.dh, self.heads, self.stride);
         let first = run[0].lane * heads;
         let scores = &mut scores[first * stride..];
         Strided::new(&q[first * dh..], run.len() * heads, dh, dh).matmul_batched_into(
-            Strided::new(self.tile, dh, n, n),
+            Strided::new(keys, dh, n, n),
             heads,
             dh * n,
             &mut scores[self.base..],
@@ -1522,17 +1525,18 @@ impl PageGroup<'_> {
         }
     }
 
-    /// V pass of a `run` of viewers of equal rows: `mix += p · v` for
-    /// every head of every viewer in one product — head `h`'s weights
+    /// V pass of a `run` of viewers of equal rows over the page's
+    /// `values`: `mix += p · v` for every head of every viewer in one
+    /// product — head `h`'s weights
     /// times head `h`'s `rows × dh` values, accumulated straight onto the
     /// mixes of the pages before, so every output element adds its `p · v`
     /// in position order and a weight of zero still multiplies.
-    fn mix(&self, run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
+    fn mix<E: Element>(&self, values: &[E], run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
         let (rows, dh, heads, stride) = (run[0].rows, self.dh, self.heads, self.stride);
         let first = run[0].lane * heads;
         let weights = &scores[first * stride + self.base..];
         Strided::new(weights, run.len() * heads, rows, stride).matmul_batched_into(
-            Strided::new(self.tile, rows, dh, self.ld),
+            Strided::new(values, rows, dh, self.ld),
             heads,
             dh,
             &mut mix[first * dh..],
@@ -1901,6 +1905,45 @@ mod tests {
                 .sum::<f64>()
         };
         assert!(err_at(12) < err_at(4));
+    }
+
+    #[test]
+    fn an_fp16_walk_reads_its_pages_in_place() {
+        // 200 positions of two 64-lane heads are enough work for two jobs,
+        // each with its own page scratch; an Anda walk of the same rows
+        // fills every job's, an FP16 one — warm, on every leg — none.
+        let (dim, heads) = (128, 2);
+        let data = rows(200, dim, 3);
+        let q = &rows(1, dim, 4)[0];
+        let pool = ThreadPool::new(2);
+        let mut out = vec![0.0; dim];
+        for (storage, decodes) in [
+            (KvStorage::Anda { mantissa_bits: 7 }, true),
+            (KvStorage::Fp16, false),
+        ] {
+            let mut cache = cache_with(storage, 16);
+            for r in &data {
+                cache.append_row(0, r, r);
+            }
+            let mut walk = PageDecodeCache::new();
+            for leg in anda_fp::simd::available_legs() {
+                for _ in 0..2 {
+                    let lane = AttendLane {
+                        layer: cache.layer(0),
+                        t: data.len(),
+                        q,
+                        out: &mut out,
+                    };
+                    walk.attend_with_leg(&mut [lane], heads, &pool, leg);
+                }
+                assert_eq!(walk.jobs.len(), 2);
+                for job in &walk.jobs {
+                    let PageScratch { rows, keys } = &job.tiles;
+                    assert_eq!(!rows.is_empty(), decodes, "{storage:?} {}", leg.name());
+                    assert_eq!(!keys.is_empty(), decodes, "{storage:?} {}", leg.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub enum Phase {
     /// Per layer: norm, `A_qkv` codec, the QKV GEMM, RoPE and the K/V
     /// append (an Anda page's row encode); counts rows appended.
     Qkv,
-    /// The walk's K tiles: a page's keys made ready, decoded (Anda) or
-    /// widened (FP16); counts the positions made ready (0 for an `f32`
-    /// page, read in place). Calls are tiles, one per physical page per
+    /// The walk's K tiles: a page's keys made ready, decoded (Anda);
+    /// counts the positions made ready (0 for a float page, `f32` or
+    /// FP16, read in place). Calls are tiles, one per physical page per
     /// layer.
     KTile,
     /// The walk's `q·k` products; counts multiply-adds, `t · d` per lane

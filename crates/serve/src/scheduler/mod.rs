@@ -409,9 +409,8 @@ pub struct SchedulerStats {
     /// read path, cumulative across steps. Each physical page counts at
     /// most once per layer per step regardless of how many streams attend
     /// through it — the decode-once guarantee the `grouped_attention`
-    /// tests pin. Stays 0 under `Fp32` and `Fp16`: an `f32` page is read
-    /// in place and an FP16 page's widen into the walk's scratch is not
-    /// counted.
+    /// tests pin. Stays 0 under `Fp32` and `Fp16`: float pages are read
+    /// in place.
     pub pages_decoded: u64,
     /// Prompt positions served from the radix tree instead of
     /// prefilled — hits on pinned prefixes and on discovered ones,

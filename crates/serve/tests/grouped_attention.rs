@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 use anda_llm::kv::{KvPoolConfig, KvStorage, PagePool};
 use anda_llm::zoo::{opt_125m_sim, sim_model};
 use anda_llm::{Model, Phase};
-use anda_serve::{Request, Scheduler, SchedulerConfig};
+use anda_serve::{PrefixPin, Request, Scheduler, SchedulerConfig};
 use anda_tensor::Rng;
 use rayon_lite::ThreadPool;
 
@@ -225,25 +225,12 @@ fn shared_prefix_pages_decode_once_per_step() {
 /// the scheduler reports.
 #[test]
 fn the_phase_ledger_counts_what_each_step_did() {
-    let prompts = [1usize, 3, 5, 8];
+    let prompts = LEDGER_PROMPTS;
     let cfg = model().config();
     let (d, heads, n_layers) = (cfg.d_model as u64, cfg.n_heads as u64, cfg.n_layers as u64);
 
     let pool = ThreadPool::new(4);
-    let sched_cfg = SchedulerConfig {
-        max_batch: 4,
-        kv: kv(KvStorage::Anda { mantissa_bits: 6 }, 8),
-        ..SchedulerConfig::default()
-    };
-    let mut sched = Scheduler::with_pool(model(), sched_cfg, &pool);
-    let _pin = sched.pin_prefix(&prefix()).unwrap();
-    for (i, &p) in prompts.iter().enumerate() {
-        let private = (0..p).map(|j| (i * 31 + j * 13 + 5) % 500);
-        let prompt: Vec<usize> = prefix().into_iter().chain(private).collect();
-        sched
-            .submit(Request::builder(prompt).max_new(6).build().unwrap())
-            .unwrap();
-    }
+    let (mut sched, _pin) = ledger_scheduler(KvStorage::Anda { mantissa_bits: 6 }, &pool);
     for s in 1..=6u64 {
         let (before, stats) = (sched.phases(), sched.stats());
         let sampled = sched.step() as u64;
@@ -305,6 +292,62 @@ fn the_phase_ledger_counts_what_each_step_did() {
     let total = sched.phases();
     assert!(Phase::ALL.iter().all(|&phase| total.span(phase).calls > 0));
     assert!(total.span(Phase::KTile).wall_ns > 0);
+}
+
+/// The FP16 twin of `the_phase_ledger_counts_what_each_step_did`: the
+/// walk still visits each physical page once per pass and layer, but an
+/// FP16 page is read where it lies, so its tiles make no position ready —
+/// as an `f32` page's — and nothing is decoded.
+#[test]
+fn the_phase_ledger_counts_fp16_pages_as_read_in_place() {
+    let n_layers = model().config().n_layers as u64;
+    let pool = ThreadPool::new(4);
+    let (mut sched, _pin) = ledger_scheduler(KvStorage::Fp16, &pool);
+    for s in 1..=6u64 {
+        let before = sched.phases();
+        sched.step();
+        let step = sched.phases().since(&before);
+        // The prefix's two pages are shared by all four streams, and each
+        // stream's private positions start a page of their own.
+        let private_pages: u64 = LEDGER_PROMPTS
+            .iter()
+            .map(|&p| (p as u64 + s - 1).div_ceil(8))
+            .sum();
+        for tile in [Phase::KTile, Phase::VTile] {
+            assert_eq!(
+                step.span(tile).calls,
+                n_layers * (2 + private_pages),
+                "step {s}"
+            );
+            assert_eq!(step.span(tile).count, 0, "step {s}");
+        }
+    }
+    assert!(sched.is_idle());
+    assert_eq!(sched.stats().pages_decoded, 0);
+}
+
+/// Private prompt lengths behind the pinned prefix in [`ledger_scheduler`].
+const LEDGER_PROMPTS: [usize; 4] = [1, 3, 5, 8];
+
+/// A scheduler of four streams over `storage` pages of eight positions:
+/// the 16-token prefix pinned, then [`LEDGER_PROMPTS`] private tokens each
+/// behind it, six tokens out.
+fn ledger_scheduler(storage: KvStorage, pool: &ThreadPool) -> (Scheduler<'_>, PrefixPin) {
+    let sched_cfg = SchedulerConfig {
+        max_batch: 4,
+        kv: kv(storage, 8),
+        ..SchedulerConfig::default()
+    };
+    let mut sched = Scheduler::with_pool(model(), sched_cfg, pool);
+    let pin = sched.pin_prefix(&prefix()).unwrap();
+    for (i, &p) in LEDGER_PROMPTS.iter().enumerate() {
+        let private = (0..p).map(|j| (i * 31 + j * 13 + 5) % 500);
+        let prompt: Vec<usize> = prefix().into_iter().chain(private).collect();
+        sched
+            .submit(Request::builder(prompt).max_new(6).build().unwrap())
+            .unwrap();
+    }
+    (sched, pin)
 }
 
 /// Float-policy pages are read in place: a grouped scheduler over FP16

@@ -26,3 +26,4 @@ mod tile;
 
 pub use matrix::{Matrix, PackedMatrix, Strided};
 pub use rng::Rng;
+pub use tile::Element;

@@ -30,7 +30,7 @@ use core::ops::{Index, IndexMut};
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use rayon_lite::ThreadPool;
 
-use crate::tile::{self, Layout, Operands, OutBlock, TILE_COLS, TILE_ROWS};
+use crate::tile::{self, Element, Layout, Operands, OutBlock, TILE_COLS, TILE_ROWS};
 
 /// Below this many multiply-adds a GeMM runs serially even when the
 /// pool has threads: dispatch overhead (a mutex push plus a condvar
@@ -807,7 +807,7 @@ fn streamed_tile_rows(leg: SimdLeg) -> usize {
 /// [`tile::Leg::block`]'s contract: `ops` and `block` must describe
 /// memory the caller may read and exclusively write. The CPU runs `leg`,
 /// as a [`SimdLeg`] proves.
-unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
+unsafe fn block_on_leg<E: Element>(ops: &Operands<E>, block: &OutBlock, leg: SimdLeg) {
     match leg.kind() {
         #[cfg(target_arch = "x86_64")]
         LegKind::Avx2 => <tile::Avx2 as tile::Leg>::block(ops, block),
@@ -835,9 +835,16 @@ unsafe fn block_on_leg(ops: &Operands, block: &OutBlock, leg: SimdLeg) {
 /// `f32::to_bits`-identical on every leg **and every input**, non-finite
 /// ones included. Output columns past the product's width are never
 /// written.
+///
+/// A view holds `E`, `f32` or binary16 words (`u16`, [`Element`]); an
+/// `rhs` may be either — an FP16 KV page is multiplied where it lies — and
+/// the product is the one over its [`anda_fp::F16::to_f32`] widening, bit
+/// for bit, on the same contract as [`anda_fp::batch::widen`]'s: no word
+/// may be a NaN pattern (F16C quietens a signalling NaN, which the scalar
+/// widen keeps). `lhs` and the output are `f32`.
 #[derive(Clone, Copy, Debug)]
-pub struct Strided<'a> {
-    data: &'a [f32],
+pub struct Strided<'a, E = f32> {
+    data: &'a [E],
     rows: usize,
     cols: usize,
     ld: usize,
@@ -852,13 +859,13 @@ fn strided_span(rows: usize, cols: usize, ld: usize) -> usize {
     }
 }
 
-impl<'a> Strided<'a> {
+impl<'a, E: Element> Strided<'a, E> {
     /// The window of `data` starting at its first element.
     ///
     /// # Panics
     ///
     /// Panics if `cols > ld` or the window runs past `data`.
-    pub fn new(data: &'a [f32], rows: usize, cols: usize, ld: usize) -> Self {
+    pub fn new(data: &'a [E], rows: usize, cols: usize, ld: usize) -> Self {
         assert!(
             cols <= ld && strided_span(rows, cols, ld) <= data.len(),
             "a {rows}x{cols} window of stride {ld} does not fit {} elements",
@@ -871,7 +878,9 @@ impl<'a> Strided<'a> {
             ld,
         }
     }
+}
 
+impl Strided<'_> {
     /// A batch of one-row products, `out (+)= self · rhs` row by row: row
     /// `r` of `self` times window `r % windows` of `rhs`, the window `rhs`
     /// describes moved `(r % windows) · rhs_stride` elements further on,
@@ -886,9 +895,9 @@ impl<'a> Strided<'a> {
     /// Panics on a shape mismatch, if `windows` is 0, if `out` cannot hold
     /// the product, or if the last window runs past `rhs`'s buffer.
     #[allow(clippy::too_many_arguments)]
-    pub fn matmul_batched_into(
+    pub fn matmul_batched_into<E: Element>(
         &self,
-        rhs: Strided<'_>,
+        rhs: Strided<'_, E>,
         windows: usize,
         rhs_stride: usize,
         out: &mut [f32],
@@ -1141,7 +1150,7 @@ mod tests {
 
     #[test]
     fn every_simd_leg_of_the_strided_products_matches_the_scalar_loops() {
-        use anda_fp::simd::available_legs;
+        use anda_fp::F16;
         // Windows of wider buffers (every stride exceeds its width), every
         // tile height and its remainders — up to two full shared 8-row
         // tiles and one row more —, `k` off 4-blocks and past a batched
@@ -1151,16 +1160,26 @@ mod tests {
         // each row on its own, further apart than wide — or at one place.
         // Nothing may skip: a zero `lhs` element against a non-finite `rhs`
         // one is a NaN in the loops and in every leg, and what lies between
-        // the windows' rows must never be read as data nor written. (NaNs
-        // compare as one value: which payload survives the sum of two
-        // different NaNs depends on the operand order the compiler picked
-        // for a commutative add, in the loops too.)
+        // the windows' rows must never be read as data nor written. Each
+        // shape runs on an `f32` `rhs` and on a binary16 one, whose words
+        // cover every class but NaN (±0, subnormals of both signs, normals,
+        // ±65504, ±inf) and which must equal the loops over its widening.
         let wave = |len: usize, f: f32| -> Vec<f32> {
             (0..len).map(|i| (i as f32 * f).sin() * 2.0).collect()
         };
-        let bits = |v: &[f32]| -> Vec<u32> {
-            let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x }.to_bits();
-            v.iter().map(canonical).collect()
+        let words = |len: usize| -> Vec<u16> {
+            let mut h: Vec<u16> = (0..len)
+                .map(|i| match i % 6 {
+                    0 => [0x0000, 0x8000][i / 6 % 2],
+                    1 => (i * 37 % 0x3ff + 1) as u16 | [0, 0x8000][i / 6 % 2],
+                    2 => [0x7bff, 0xfbff][i / 6 % 2],
+                    _ => F16::from_f32((i as f32 * 0.11).sin() * 2.0).to_bits(),
+                })
+                .collect();
+            for at in [0, len / 2, len - 1] {
+                h[at] = [0x7c00, 0xfc00, 0x7c00][at % 3];
+            }
+            h
         };
         for m in 1..=17usize {
             for (k, n) in [
@@ -1175,45 +1194,98 @@ mod tests {
                 let (lda, ldb, ldc) = (k + 3, n + 5, n + 1);
                 let mut a = wave(m * lda, 0.37);
                 a.iter_mut().step_by(3).for_each(|x| *x = 0.0);
+                let lhs = Strided::new(&a, m, k, lda);
                 let apart = k * ldb + 9;
                 for (windows, stride) in [(m, 0), (1, apart), (4, apart), (m, apart)] {
-                    let mut b = wave((m.min(windows) - 1) * stride + k * ldb, 0.11);
-                    let len = b.len();
+                    let len = (m.min(windows) - 1) * stride + k * ldb;
+                    let mut b = wave(len, 0.11);
                     for at in [0, len / 2, len - 1] {
                         b[at] = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][at % 3];
                     }
-                    let (lhs, rhs) = (Strided::new(&a, m, k, lda), Strided::new(&b, k, n, ldb));
-                    for accumulate in [false, true] {
-                        let run = |leg: SimdLeg| {
-                            let mut out = wave(m * ldc, 0.71);
-                            lhs.matmul_batched_into(
-                                rhs, windows, stride, &mut out, ldc, accumulate, leg,
-                            );
-                            bits(&out)
-                        };
-                        // The loops themselves, spelled out once more.
-                        let mut want = wave(m * ldc, 0.71);
-                        for i in 0..m {
-                            for j in 0..n {
-                                let mut acc = if accumulate { want[i * ldc + j] } else { 0.0 };
-                                for kk in 0..k {
-                                    let b = b[i % windows * stride + kk * ldb + j];
-                                    acc += a[i * lda + kk] * b;
-                                }
-                                want[i * ldc + j] = acc;
-                            }
+                    let h = words(len);
+                    let widened: Vec<f32> = h.iter().map(|&w| F16::from_bits(w).to_f32()).collect();
+                    let product = Product {
+                        lhs,
+                        k,
+                        n,
+                        ldb,
+                        windows,
+                        stride,
+                        ldc,
+                    };
+                    product.matches_the_loops(&b, &b);
+                    product.matches_the_loops(&h, &widened);
+                }
+            }
+        }
+    }
+
+    /// One shape of `every_simd_leg_of_the_strided_products_matches_the_scalar_loops`.
+    struct Product<'a> {
+        lhs: Strided<'a>,
+        k: usize,
+        n: usize,
+        ldb: usize,
+        windows: usize,
+        stride: usize,
+        ldc: usize,
+    }
+
+    impl Product<'_> {
+        /// Every leg's product over `rhs`, sums from `+0.0` and from `out`,
+        /// against the loops over `wide`, `rhs` as `f32`. NaNs compare as
+        /// one value: which payload survives the sum of two different NaNs
+        /// depends on the operand order the compiler picked for a
+        /// commutative add, in the loops too.
+        fn matches_the_loops<E: Element>(&self, rhs: &[E], wide: &[f32]) {
+            use anda_fp::simd::available_legs;
+            let Product {
+                lhs,
+                k,
+                n,
+                ldb,
+                windows,
+                stride,
+                ldc,
+            } = *self;
+            let m = lhs.rows;
+            let a = lhs.data;
+            let lda = lhs.ld;
+            let out0 = |len: usize| -> Vec<f32> {
+                (0..len).map(|i| (i as f32 * 0.71).sin() * 2.0).collect()
+            };
+            let bits = |v: &[f32]| -> Vec<u32> {
+                let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x }.to_bits();
+                v.iter().map(canonical).collect()
+            };
+            let rhs = Strided::new(rhs, k, n, ldb);
+            for accumulate in [false, true] {
+                let run = |leg: SimdLeg| {
+                    let mut out = out0(m * ldc);
+                    lhs.matmul_batched_into(rhs, windows, stride, &mut out, ldc, accumulate, leg);
+                    bits(&out)
+                };
+                // The loops themselves, spelled out once more.
+                let mut want = out0(m * ldc);
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = if accumulate { want[i * ldc + j] } else { 0.0 };
+                        for kk in 0..k {
+                            acc += a[i * lda + kk] * wide[i % windows * stride + kk * ldb + j];
                         }
-                        let want = bits(&want);
-                        for leg in available_legs() {
-                            assert_eq!(
-                                run(leg),
-                                want,
-                                "leg={} {m}x{k}x{n} {windows} windows {stride} apart \
-                                 accumulate={accumulate}",
-                                leg.name()
-                            );
-                        }
+                        want[i * ldc + j] = acc;
                     }
+                }
+                let want = bits(&want);
+                for leg in available_legs() {
+                    assert_eq!(
+                        run(leg),
+                        want,
+                        "leg={} {m}x{k}x{n} rhs of {} bytes, {windows} windows {stride} \
+                         apart accumulate={accumulate}",
+                        leg.name(),
+                        core::mem::size_of::<E>(),
+                    );
                 }
             }
         }

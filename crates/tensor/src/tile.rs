@@ -75,6 +75,20 @@
 //! one-row product stalls on. Its ragged strips pack a shared window once,
 //! and each batched row's window into a quarter of the panel.
 //!
+//! A resident `rhs` may be held in binary16 ([`Element`]: `u16` bit
+//! patterns, an FP16 KV page's words) as well as in `f32`. The walk, the
+//! panel source and the tiles are the same code, monomorphised over the
+//! element: a panel holds `rhs`'s element (a ragged strip's copy is a
+//! copy), and the tile's `rhs` load widens in the register — `vcvtph2ps`
+//! on AVX2 (the leg requires F16C) and on AVX-512, `anda_fp`'s lane
+//! primitive on NEON — where the scalar oracle widens each element with
+//! [`anda_fp::F16::to_f32`]. So an FP16 page is read where it lies, with
+//! no widened copy of it, and each product is `f32::to_bits`-identical to
+//! the one over that copy — for every `rhs` without a NaN pattern, since
+//! F16C quietens a signalling NaN the scalar widen keeps (an FP16 page
+//! holds none: `anda_fp::batch::narrow` writes none). Only resident
+//! products take binary16 today; a streamed one's `rhs` is `f32`.
+//!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
 //! multiply then add, never fused — the operation sequence of the scalar
@@ -107,6 +121,91 @@ const KC: usize = 256;
 /// 64-byte cache line, so 8 KiB ahead.
 const PREFETCH_LINES: usize = 128;
 
+/// The element a [`crate::Strided`] `rhs` is held in: `f32`, or binary16
+/// bit patterns (`u16`) that every leg widens exactly as
+/// [`anda_fp::F16::to_f32`] does, a signalling NaN pattern excepted (see
+/// the module docs). Sealed: these two are all.
+pub trait Element: Copy + element::Load {}
+
+impl Element for f32 {}
+impl Element for u16 {}
+
+/// How the tile reads an [`Element`], private so that no other type can
+/// be one.
+mod element {
+    #[cfg(target_arch = "aarch64")]
+    use core::arch::aarch64::*;
+    #[cfg(target_arch = "x86_64")]
+    use core::arch::x86_64::*;
+
+    /// The element as `f32`, one value or a tile row's vector of them
+    /// (eight or sixteen lanes on x86, four on NEON). The loads are
+    /// inlined into the tiles, so they compile with the leg's features.
+    ///
+    /// # Safety
+    ///
+    /// Every load needs its leg's CPU features (a binary16 one F16C, or
+    /// AVX-512F at sixteen lanes) and `p[0..lanes]` readable.
+    pub trait Load: Copy {
+        /// The element is `f32` (whose panels a leg's vector
+        /// [`super::Leg::pack_transposed`] may write).
+        const F32: bool;
+        fn to_f32(self) -> f32;
+        #[cfg(target_arch = "x86_64")]
+        unsafe fn load8(p: *const Self) -> __m256;
+        #[cfg(target_arch = "x86_64")]
+        unsafe fn load16(p: *const Self) -> __m512;
+        #[cfg(target_arch = "aarch64")]
+        unsafe fn load4(p: *const Self) -> float32x4_t;
+    }
+
+    impl Load for f32 {
+        const F32: bool = true;
+        #[inline(always)]
+        fn to_f32(self) -> f32 {
+            self
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        unsafe fn load8(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        unsafe fn load16(p: *const f32) -> __m512 {
+            _mm512_loadu_ps(p)
+        }
+        #[cfg(target_arch = "aarch64")]
+        #[inline(always)]
+        unsafe fn load4(p: *const f32) -> float32x4_t {
+            vld1q_f32(p)
+        }
+    }
+
+    impl Load for u16 {
+        const F32: bool = false;
+        #[inline(always)]
+        fn to_f32(self) -> f32 {
+            anda_fp::F16::from_bits(self).to_f32()
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        unsafe fn load8(p: *const u16) -> __m256 {
+            _mm256_cvtph_ps(_mm_loadu_si128(p.cast()))
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        unsafe fn load16(p: *const u16) -> __m512 {
+            _mm512_cvtph_ps(_mm256_loadu_si256(p.cast()))
+        }
+        #[cfg(target_arch = "aarch64")]
+        #[inline(always)]
+        unsafe fn load4(p: *const u16) -> float32x4_t {
+            anda_fp::simd::neon::f16_bits_to_f32x4(vmovl_u16(vld1_u16(p)))
+        }
+    }
+}
+
 /// How the `rhs` of a product lies in memory, and so where the walk's
 /// panels come from. Only the panel source reads `rhs`.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -127,11 +226,11 @@ pub(crate) enum Layout {
 /// [`crate::Matrix`] passes its widths; a [`crate::Strided`] view passes
 /// the strides of the buffer it is a window of. A packed `rhs` has no row
 /// stride of its own: strip `s` starts at `s · 16 · k` and its rows lie
-/// sixteen apart.
-pub(crate) struct Operands<'a> {
+/// sixteen apart. `rhs` is held in `E` (every streamed product's is `f32`).
+pub(crate) struct Operands<'a, E: Element = f32> {
     pub lhs: &'a [f32],
     pub lda: usize,
-    pub rhs: &'a [f32],
+    pub rhs: &'a [E],
     pub ldb: usize,
     pub layout: Layout,
     pub k: usize,
@@ -186,15 +285,15 @@ pub(crate) trait Leg {
     /// # Safety
     ///
     /// Needs the leg's CPU feature; `a` must be readable at
-    /// `r · lda + kk`, `b` (a panel row every `ldb` floats) at
+    /// `r · lda + kk`, `b` (a panel row every `ldb` elements) at
     /// `kk · ldb + 0..16`, and `c` readable and writable at
     /// `r · ldc + 0..16`. The prefetched addresses need not be readable.
     #[allow(clippy::too_many_arguments)]
-    unsafe fn tile(
+    unsafe fn tile<E: Element>(
         rows: usize,
         a: *const f32,
         lda: usize,
-        b: *const f32,
+        b: *const E,
         ldb: usize,
         kc: usize,
         c: *mut f32,
@@ -215,11 +314,11 @@ pub(crate) trait Leg {
     /// As [`Leg::tile`], with `b` readable at `r · bs + kk · ldb + 0..16`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn tile_batched(
+    unsafe fn tile_batched<E: Element>(
         rows: usize,
         a: *const f32,
         lda: usize,
-        b: *const f32,
+        b: *const E,
         ldb: usize,
         bs: usize,
         kc: usize,
@@ -232,7 +331,7 @@ pub(crate) trait Leg {
             for j in 0..TILE_COLS {
                 let mut acc = if first { 0.0 } else { *c.add(j) };
                 for kk in 0..kc {
-                    acc += *a.add(kk) * *b.add(kk * ldb + j);
+                    acc += *a.add(kk) * (*b.add(kk * ldb + j)).to_f32();
                 }
                 *c.add(j) = acc;
             }
@@ -243,7 +342,7 @@ pub(crate) trait Leg {
     /// be readable: a prefetch never faults. The default does nothing and
     /// leaves the stream to the hardware prefetchers.
     #[inline(always)]
-    fn prefetch(_p: *const f32) {}
+    fn prefetch<T>(_p: *const T) {}
 
     /// Transposes sixteen rows of `b` into `panel`: `panel[kk · 16 + j] =
     /// b[j · ldb + kk]` for `j < 16` and `kk < kc` — a strip panel of a
@@ -259,15 +358,15 @@ pub(crate) trait Leg {
         pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel)
     }
 
-    /// [`matmul_block`], monomorphised for `ops.layout` and for a resident
-    /// `rhs` and compiled with the leg's CPU feature enabled, so that the
-    /// panel source and the tile inline into the walk and the batched
-    /// branches are compiled out of every streamed product.
+    /// [`matmul_block`], monomorphised for `ops.layout`, for a resident
+    /// `rhs` and for its element, and compiled with the leg's CPU feature
+    /// enabled, so that the panel source and the tile inline into the walk
+    /// and the batched branches are compiled out of every streamed product.
     ///
     /// # Safety
     ///
     /// [`matmul_block`]'s contract, and the CPU must support the leg.
-    unsafe fn block(ops: &Operands, block: &OutBlock);
+    unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock);
 }
 
 /// Rows `kks` of [`Leg::pack_transposed`]'s panel for the strip's first
@@ -277,12 +376,12 @@ pub(crate) trait Leg {
 ///
 /// As [`Leg::pack_transposed`], for `j < width` and `kk` in `kks`.
 #[inline(always)]
-unsafe fn pack_transposed_portable(
-    b: *const f32,
+unsafe fn pack_transposed_portable<T: Copy>(
+    b: *const T,
     ldb: usize,
     width: usize,
     kks: Range<usize>,
-    panel: *mut f32,
+    panel: *mut T,
 ) {
     for j in 0..width {
         for kk in kks.clone() {
@@ -323,10 +422,10 @@ unsafe fn on_strip(
     }
 }
 
-/// Computes `block` of `ops.lhs · ops.rhs` (`rhs` read through `LAYOUT`,
-/// `ops.layout as u8`, and resident and batched when `RESIDENT`, which
-/// `ops.resident` repeats); see the module docs. Called through
-/// [`Leg::block`], which picks the instance.
+/// Computes `block` of `ops.lhs · ops.rhs` (`rhs` held in `E` and read
+/// through `LAYOUT`, `ops.layout as u8`, and resident and batched when
+/// `RESIDENT`, which `ops.resident` repeats); see the module docs. Called
+/// through [`Leg::block`], which picks the instance.
 ///
 /// # Safety
 ///
@@ -340,8 +439,8 @@ unsafe fn on_strip(
 /// row 0; packed, the strips covering `block.cols`, which starts on a
 /// strip boundary.
 #[inline(always)]
-unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
-    ops: &Operands,
+unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Element>(
+    ops: &Operands<E>,
     block: &OutBlock,
 ) {
     let &Operands {
@@ -378,15 +477,16 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
     }
 
     // Every element a tile reads from the panel was packed into it earlier
-    // in the same call.
-    let mut panel = core::mem::MaybeUninit::<[f32; KC * TILE_COLS]>::uninit();
-    let panel: *mut f32 = panel.as_mut_ptr().cast();
+    // in the same call. It holds `rhs`'s element: the tile widens it.
+    let mut panel = core::mem::MaybeUninit::<[E; KC * TILE_COLS]>::uninit();
+    let panel: *mut E = panel.as_mut_ptr().cast();
     // A batched product packs a ragged strip per row — a tile's rows each
     // own a panel — so its k panels are a quarter as deep.
     let kc_max = if RESIDENT { KC / TILE_ROWS } else { KC };
     // Copies `kc` rows of the `width`-column row-major strip at `src` into
-    // a panel at `dst`, zero-padded to sixteen columns.
-    let copy_strip = |src: *const f32, width, kc, dst: *mut f32| {
+    // a panel at `dst`, zero-padded to sixteen columns (all-zero bits are
+    // `+0.0` in either element).
+    let copy_strip = |src: *const E, width, kc, dst: *mut E| {
         for kk in 0..kc {
             let dst = dst.add(kk * TILE_COLS);
             core::ptr::copy_nonoverlapping(src.add(kk * ldb), dst, width);
@@ -463,8 +563,9 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
             // lie.
             let (tile_b, tile_ldb) = if packed {
                 (b.add(j0 * k + k0 * TILE_COLS), TILE_COLS)
-            } else if transposed && full {
-                L::pack_transposed(b.add(j0 * ldb + k0), ldb, kc, panel);
+            } else if transposed && full && E::F32 {
+                // `E` is `f32`, so the casts change no type.
+                L::pack_transposed(b.add(j0 * ldb + k0).cast(), ldb, kc, panel.cast());
                 (panel.cast_const(), TILE_COLS)
             } else if transposed {
                 core::ptr::write_bytes(panel, 0, kc * TILE_COLS);
@@ -513,15 +614,15 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool>(
 ///
 /// As [`Leg::block`].
 #[inline(always)]
-unsafe fn block_body<L: Leg>(ops: &Operands, block: &OutBlock) {
+unsafe fn block_body<L: Leg, E: Element>(ops: &Operands<E>, block: &OutBlock) {
     const ROW_MAJOR: u8 = Layout::RowMajor as u8;
     const TRANSPOSED: u8 = Layout::Transposed as u8;
     const PACKED: u8 = Layout::Packed as u8;
     match (ops.layout, ops.resident) {
-        (Layout::RowMajor, false) => matmul_block::<L, ROW_MAJOR, false>(ops, block),
-        (Layout::RowMajor, true) => matmul_block::<L, ROW_MAJOR, true>(ops, block),
-        (Layout::Transposed, _) => matmul_block::<L, TRANSPOSED, false>(ops, block),
-        (Layout::Packed, _) => matmul_block::<L, PACKED, false>(ops, block),
+        (Layout::RowMajor, false) => matmul_block::<L, ROW_MAJOR, false, E>(ops, block),
+        (Layout::RowMajor, true) => matmul_block::<L, ROW_MAJOR, true, E>(ops, block),
+        (Layout::Transposed, _) => matmul_block::<L, TRANSPOSED, false, E>(ops, block),
+        (Layout::Packed, _) => matmul_block::<L, PACKED, false, E>(ops, block),
     }
 }
 
@@ -539,8 +640,14 @@ pub(crate) fn dot(mut acc: f32, a: &[f32], b: &[f32]) -> f32 {
 /// The scalar oracle of a resident product ([`Operands::resident`]) — the
 /// loops every vector leg of [`crate::Strided`]'s products is pinned to,
 /// on every input: `out[i][j] += a[i][kk] · b[kk][j]` for ascending `kk`,
-/// skipping nothing, row `i` reading `b` from window `i % windows` on.
-pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: &mut [f32]) {
+/// skipping nothing, row `i` reading `b` from window `i % windows` on, each
+/// `b` element widened to `f32` ([`anda_fp::F16::to_f32`] for binary16).
+pub(crate) fn resident_block_scalar<E: Element>(
+    ops: &Operands<E>,
+    rows: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     debug_assert!(
         ops.layout == Layout::RowMajor,
         "a resident rhs is row-major"
@@ -554,7 +661,7 @@ pub(crate) fn resident_block_scalar(ops: &Operands, rows: usize, n: usize, out: 
         }
         for (kk, &av) in a_row.iter().enumerate() {
             for (o, &bv) in out_row.iter_mut().zip(&b[kk * ops.ldb..][..n]) {
-                *o += av * bv;
+                *o += av * bv.to_f32();
             }
         }
     }
@@ -572,12 +679,12 @@ pub(crate) struct Avx2;
 /// The contract of the one it implements.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,f16c")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>(
+unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E: Element>(
     a: *const f32,
     lda: usize,
-    b: *const f32,
+    b: *const E,
     ldb: usize,
     bs: usize,
     kc: usize,
@@ -599,13 +706,13 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>(
         if PREFETCH {
             <Avx2 as Leg>::prefetch(b_kk.wrapping_add(ahead));
         }
-        let shared = (_mm256_loadu_ps(b_kk), _mm256_loadu_ps(b_kk.add(8)));
+        let shared = (E::load8(b_kk), E::load8(b_kk.add(8)));
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let (b0, b1) = match BATCHED {
                 false => shared,
                 true => {
                     let b_r = b_kk.add(r * bs);
-                    (_mm256_loadu_ps(b_r), _mm256_loadu_ps(b_r.add(8)))
+                    (E::load8(b_r), E::load8(b_r.add(8)))
                 }
             };
             // mul then add, never fused: the scalar oracle rounds the
@@ -623,12 +730,12 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>(
 
 #[cfg(target_arch = "x86_64")]
 impl Leg for Avx2 {
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile(
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn tile<E: Element>(
         rows: usize,
         a: *const f32,
         lda: usize,
-        b: *const f32,
+        b: *const E,
         ldb: usize,
         kc: usize,
         c: *mut f32,
@@ -637,23 +744,31 @@ impl Leg for Avx2 {
         ahead: usize,
     ) {
         match (rows, ahead != 0) {
-            (4, false) => avx2_rows::<4, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (3, false) => avx2_rows::<3, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (2, false) => avx2_rows::<2, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (_, false) => avx2_rows::<1, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (4, true) => avx2_rows::<4, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
-            (3, true) => avx2_rows::<3, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
-            (2, true) => avx2_rows::<2, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
-            (_, true) => avx2_rows::<1, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
+            (4, false) => avx2_rows::<4, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (3, false) => avx2_rows::<3, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (2, false) => avx2_rows::<2, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (_, false) => avx2_rows::<1, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+            (4, true) => {
+                avx2_rows::<4, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
+            }
+            (3, true) => {
+                avx2_rows::<3, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
+            }
+            (2, true) => {
+                avx2_rows::<2, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
+            }
+            (_, true) => {
+                avx2_rows::<1, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
+            }
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile_batched(
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn tile_batched<E: Element>(
         rows: usize,
         a: *const f32,
         lda: usize,
-        b: *const f32,
+        b: *const E,
         ldb: usize,
         bs: usize,
         kc: usize,
@@ -662,15 +777,15 @@ impl Leg for Avx2 {
         first: bool,
     ) {
         match rows {
-            4 => avx2_rows::<4, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            3 => avx2_rows::<3, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            2 => avx2_rows::<2, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            _ => avx2_rows::<1, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            4 => avx2_rows::<4, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            3 => avx2_rows::<3, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            2 => avx2_rows::<2, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            _ => avx2_rows::<1, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
         }
     }
 
     #[inline(always)]
-    fn prefetch(p: *const f32) {
+    fn prefetch<T>(p: *const T) {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         // SAFETY: SSE is part of the x86_64 baseline and a prefetch has
         // no architectural effect whatever the address.
@@ -722,9 +837,9 @@ impl Leg for Avx2 {
         pack_transposed_portable(b, ldb, TILE_COLS, blocks_end..kc, panel);
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn block(ops: &Operands, block: &OutBlock) {
-        block_body::<Self>(ops, block)
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock) {
+        block_body::<Self, E>(ops, block)
     }
 }
 
@@ -744,10 +859,10 @@ pub(crate) struct Avx512;
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>(
+unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E: Element>(
     a: *const f32,
     lda: usize,
-    b: *const f32,
+    b: *const E,
     ldb: usize,
     bs: usize,
     kc: usize,
@@ -768,11 +883,11 @@ unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>
         if PREFETCH {
             <Avx2 as Leg>::prefetch(b_kk.wrapping_add(ahead));
         }
-        let shared = _mm512_loadu_ps(b_kk);
+        let shared = E::load16(b_kk);
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let bv = match BATCHED {
                 false => shared,
-                true => _mm512_loadu_ps(b_kk.add(r * bs)),
+                true => E::load16(b_kk.add(r * bs)),
             };
             // mul then add, never fused: the scalar oracle rounds the
             // product before the sum.
@@ -795,10 +910,10 @@ unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool>
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx512_streamed<const R: usize>(
+unsafe fn avx512_streamed<const R: usize, E: Element>(
     a: *const f32,
     lda: usize,
-    b: *const f32,
+    b: *const E,
     ldb: usize,
     kc: usize,
     c: *mut f32,
@@ -807,8 +922,8 @@ unsafe fn avx512_streamed<const R: usize>(
     ahead: usize,
 ) {
     match ahead {
-        0 => avx512_rows::<R, false, false>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-        _ => avx512_rows::<R, false, true>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
+        0 => avx512_rows::<R, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
+        _ => avx512_rows::<R, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
     }
 }
 
@@ -817,11 +932,11 @@ impl Leg for Avx512 {
     const ROWS: usize = MAX_TILE_ROWS;
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile(
+    unsafe fn tile<E: Element>(
         rows: usize,
         a: *const f32,
         lda: usize,
-        b: *const f32,
+        b: *const E,
         ldb: usize,
         kc: usize,
         c: *mut f32,
@@ -830,23 +945,23 @@ impl Leg for Avx512 {
         ahead: usize,
     ) {
         match rows {
-            8 => avx512_streamed::<8>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            7 => avx512_streamed::<7>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            6 => avx512_streamed::<6>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            5 => avx512_streamed::<5>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            4 => avx512_streamed::<4>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            3 => avx512_streamed::<3>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            2 => avx512_streamed::<2>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            _ => avx512_streamed::<1>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            8 => avx512_streamed::<8, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            7 => avx512_streamed::<7, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            6 => avx512_streamed::<6, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            5 => avx512_streamed::<5, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            4 => avx512_streamed::<4, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            3 => avx512_streamed::<3, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            2 => avx512_streamed::<2, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+            _ => avx512_streamed::<1, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
         }
     }
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile_batched(
+    unsafe fn tile_batched<E: Element>(
         rows: usize,
         a: *const f32,
         lda: usize,
-        b: *const f32,
+        b: *const E,
         ldb: usize,
         bs: usize,
         kc: usize,
@@ -855,15 +970,15 @@ impl Leg for Avx512 {
         first: bool,
     ) {
         match rows {
-            4 => avx512_rows::<4, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            3 => avx512_rows::<3, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            2 => avx512_rows::<2, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            _ => avx512_rows::<1, true, false>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            4 => avx512_rows::<4, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            3 => avx512_rows::<3, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            2 => avx512_rows::<2, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+            _ => avx512_rows::<1, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
         }
     }
 
     #[inline(always)]
-    fn prefetch(p: *const f32) {
+    fn prefetch<T>(p: *const T) {
         <Avx2 as Leg>::prefetch(p)
     }
 
@@ -874,8 +989,8 @@ impl Leg for Avx512 {
     }
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn block(ops: &Operands, block: &OutBlock) {
-        block_body::<Self>(ops, block)
+    unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock) {
+        block_body::<Self, E>(ops, block)
     }
 }
 
@@ -890,11 +1005,11 @@ pub(crate) struct Neon;
 #[cfg(target_arch = "aarch64")]
 impl Leg for Neon {
     #[target_feature(enable = "neon")]
-    unsafe fn tile(
+    unsafe fn tile<E: Element>(
         rows: usize,
         a: *const f32,
         lda: usize,
-        b: *const f32,
+        b: *const E,
         ldb: usize,
         kc: usize,
         c: *mut f32,
@@ -907,10 +1022,10 @@ impl Leg for Neon {
         #[inline]
         #[target_feature(enable = "neon")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn rows_n<const R: usize>(
+        unsafe fn rows_n<const R: usize, E: Element>(
             a: *const f32,
             lda: usize,
-            b: *const f32,
+            b: *const E,
             ldb: usize,
             kc: usize,
             c: *mut f32,
@@ -926,11 +1041,12 @@ impl Leg for Neon {
                 }
             }
             for kk in 0..kc {
+                let b_kk = b.add(kk * ldb);
                 let bv = [
-                    vld1q_f32(b.add(kk * ldb)),
-                    vld1q_f32(b.add(kk * ldb + 4)),
-                    vld1q_f32(b.add(kk * ldb + 8)),
-                    vld1q_f32(b.add(kk * ldb + 12)),
+                    E::load4(b_kk),
+                    E::load4(b_kk.add(4)),
+                    E::load4(b_kk.add(8)),
+                    E::load4(b_kk.add(12)),
                 ];
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     // vaddq + vmulq, not vfmaq: the scalar oracle rounds
@@ -949,15 +1065,15 @@ impl Leg for Neon {
         }
 
         match rows {
-            4 => rows_n::<4>(a, lda, b, ldb, kc, c, ldc, first),
-            3 => rows_n::<3>(a, lda, b, ldb, kc, c, ldc, first),
-            2 => rows_n::<2>(a, lda, b, ldb, kc, c, ldc, first),
-            _ => rows_n::<1>(a, lda, b, ldb, kc, c, ldc, first),
+            4 => rows_n::<4, _>(a, lda, b, ldb, kc, c, ldc, first),
+            3 => rows_n::<3, _>(a, lda, b, ldb, kc, c, ldc, first),
+            2 => rows_n::<2, _>(a, lda, b, ldb, kc, c, ldc, first),
+            _ => rows_n::<1, _>(a, lda, b, ldb, kc, c, ldc, first),
         }
     }
 
     #[target_feature(enable = "neon")]
-    unsafe fn block(ops: &Operands, block: &OutBlock) {
-        block_body::<Self>(ops, block)
+    unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock) {
+        block_body::<Self, E>(ops, block)
     }
 }
