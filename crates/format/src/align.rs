@@ -24,6 +24,7 @@
 //! dequantize where the values lie, no allocation — and the only thing the
 //! activation codecs call.
 
+use anda_fp::f16::exp2i;
 use anda_fp::{saturate_to_f16, F16};
 
 use crate::error::FormatError;
@@ -77,7 +78,7 @@ pub struct AlignedGroup {
 impl AlignedGroup {
     /// The power-of-two weight of one mantissa LSB: `2^(shared_exp - 14 - M)`.
     pub fn ulp(&self) -> f32 {
-        exp2f(i32::from(self.shared_exp) - 14 - self.mantissa_bits as i32)
+        exp2i(i32::from(self.shared_exp) - 14 - self.mantissa_bits as i32)
     }
 
     /// Dequantizes element `i` to `f32`.
@@ -94,12 +95,6 @@ impl AlignedGroup {
             .map(|i| self.dequantize(i))
             .collect()
     }
-}
-
-/// `2^e` as f32 for exponents representable in f32 (|e| ≤ 126 here).
-#[inline]
-pub fn exp2f(e: i32) -> f32 {
-    anda_fp::f16::exp2i(e)
 }
 
 /// Aligns a group of finite FP16 values to their shared maximum exponent and
@@ -178,7 +173,7 @@ pub fn fake_quantize_in_place(values: &mut [f32], group_size: usize, mantissa_bi
             .map(|&v| saturate_to_f16(v).significand().biased_exp)
             .max()
             .unwrap_or(1);
-        let ulp = exp2f(i32::from(shared_exp) - 14 - mantissa_bits as i32);
+        let ulp = exp2i(i32::from(shared_exp) - 14 - mantissa_bits as i32);
         for v in chunk {
             let sig = saturate_to_f16(*v).significand();
             *v = align_element(sig, shared_exp, mantissa_bits).dequantize(ulp);
@@ -230,7 +225,7 @@ mod tests {
         let vals = f16s(&[3.1, 0.02, -1.7, 0.9]);
         for m in 1..=16 {
             let g = align_group(&vals, m).unwrap();
-            let bound = exp2f(i32::from(g.shared_exp) - 14 - m as i32);
+            let bound = exp2i(i32::from(g.shared_exp) - 14 - m as i32);
             for (i, v) in vals.iter().enumerate() {
                 let err = (g.dequantize(i) - v.to_f32()).abs();
                 assert!(err <= bound, "m={m} i={i} err={err} bound={bound}");

@@ -18,64 +18,40 @@ use crate::bitplane::{BitPlaneGroup, LANES};
 use crate::error::FormatError;
 use crate::rowcodec;
 
-/// Configuration of an Anda conversion.
+/// Configuration of an Anda conversion: the mantissa length. The group is
+/// the hardware's, [`LANES`] elements sharing one exponent — one bit per
+/// lane of a plane word (Fig. 10) and one BPC lane's group (Fig. 12) —
+/// and a row's last group holds what is left of it.
 ///
 /// # Example
 ///
 /// ```
 /// use anda_format::AndaConfig;
 ///
-/// let cfg = AndaConfig::new(64, 7).unwrap();
-/// assert_eq!(cfg.group_size(), 64);
+/// let cfg = AndaConfig::hardware(7).unwrap();
 /// assert_eq!(cfg.mantissa_bits(), 7);
-/// assert!(AndaConfig::new(65, 7).is_err()); // beyond the 64-lane hardware
+/// assert!(AndaConfig::hardware(17).is_err()); // beyond the 16-bit magnitude
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AndaConfig {
-    group_size: usize,
     mantissa_bits: u32,
 }
 
 impl AndaConfig {
-    /// Creates a configuration: `group_size` lanes share an exponent and
-    /// every mantissa is truncated to `mantissa_bits`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `group_size` is 0 or exceeds the 64-lane
-    /// hardware word, or when `mantissa_bits` is outside 1..=16.
-    pub fn new(group_size: usize, mantissa_bits: u32) -> Result<Self, FormatError> {
-        if group_size == 0 || group_size > LANES {
-            return Err(FormatError::InvalidGroupSize {
-                requested: group_size,
-                max: LANES,
-            });
-        }
-        if !(1..=16).contains(&mantissa_bits) {
-            return Err(FormatError::InvalidMantissaBits {
-                requested: mantissa_bits,
-                range: (1, 16),
-            });
-        }
-        Ok(AndaConfig {
-            group_size,
-            mantissa_bits,
-        })
-    }
-
-    /// The paper's hardware configuration: 64 lanes, mantissa length `m`.
+    /// The paper's hardware configuration: 64-lane groups, mantissa
+    /// length `m`.
     ///
     /// # Errors
     ///
     /// Returns an error when `m` is outside 1..=16.
     pub fn hardware(m: u32) -> Result<Self, FormatError> {
-        Self::new(LANES, m)
-    }
-
-    /// Elements per shared-exponent group.
-    #[inline]
-    pub fn group_size(&self) -> usize {
-        self.group_size
+        if !(1..=16).contains(&m) {
+            return Err(FormatError::InvalidMantissaBits {
+                requested: m,
+                range: (1, 16),
+            });
+        }
+        Ok(AndaConfig { mantissa_bits: m })
     }
 
     /// Mantissa length in bits.
@@ -86,7 +62,7 @@ impl AndaConfig {
 }
 
 /// A `rows × width` tensor in the Anda format: row `r`'s
-/// `g = ceil(width / group_size)` groups own sign words and exponents
+/// `g = ceil(width / 64)` groups own sign words and exponents
 /// `r·g .. (r+1)·g` and plane words `r·g·M .. (r+1)·g·M`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AndaTensor {
@@ -278,15 +254,11 @@ impl AndaTensor {
 
     /// Every group, row-major: views into the tensor's words.
     pub fn groups(&self) -> impl ExactSizeIterator<Item = BitPlaneGroup<'_>> + '_ {
-        let (g, gs, m) = (
-            self.row_groups(),
-            self.config.group_size(),
-            self.config.mantissa_bits() as usize,
-        );
+        let (g, m) = (self.row_groups(), self.config.mantissa_bits() as usize);
         (0..self.rows * g).map(move |i| {
-            let start = (i % g) * gs;
+            let start = (i % g) * LANES;
             BitPlaneGroup::new(
-                gs.min(self.width - start),
+                LANES.min(self.width - start),
                 self.signs[i],
                 self.exps[i],
                 &self.planes[i * m..(i + 1) * m],
@@ -381,10 +353,9 @@ mod tests {
 
     #[test]
     fn config_rejects_hardware_violations() {
-        assert!(AndaConfig::new(0, 8).is_err());
-        assert!(AndaConfig::new(65, 8).is_err());
-        assert!(AndaConfig::new(64, 0).is_err());
-        assert!(AndaConfig::new(64, 17).is_err());
+        assert!(AndaConfig::hardware(0).is_err());
+        assert!(AndaConfig::hardware(17).is_err());
+        assert!(AndaConfig::hardware(1).is_ok());
         assert!(AndaConfig::hardware(16).is_ok());
     }
 
@@ -393,7 +364,7 @@ mod tests {
         let vals: Vec<f32> = (0..200)
             .map(|i| ((i * 13) % 41) as f32 * 0.21 - 4.0)
             .collect();
-        let cfg = AndaConfig::new(64, 8).unwrap();
+        let cfg = AndaConfig::hardware(8).unwrap();
         let t = AndaTensor::from_f32(&vals, cfg);
         assert_eq!(t.len(), 200);
         assert_eq!(t.groups().len(), 4);
@@ -410,7 +381,7 @@ mod tests {
     #[test]
     fn matches_bfp_semantics_at_same_parameters() {
         let vals: Vec<f32> = (0..128).map(|i| (i as f32 - 64.0) * 0.05).collect();
-        let anda = AndaTensor::from_f32(&vals, AndaConfig::new(64, 6).unwrap()).to_f32();
+        let anda = AndaTensor::from_f32(&vals, AndaConfig::hardware(6).unwrap()).to_f32();
         let mut streamed = vals;
         crate::align::fake_quantize_in_place(&mut streamed, 64, 6);
         assert_eq!(anda, streamed, "Anda is BFP + layout; values must agree");
@@ -420,7 +391,7 @@ mod tests {
     fn non_finite_inputs_saturate() {
         let t = AndaTensor::from_f32(
             &[f32::INFINITY, -1e30, 1.0],
-            AndaConfig::new(64, 11).unwrap(),
+            AndaConfig::hardware(11).unwrap(),
         );
         let deq = t.to_f32();
         assert!((deq[0] - 65504.0).abs() < 65504.0 * 0.01);
@@ -430,8 +401,8 @@ mod tests {
     #[test]
     fn storage_shrinks_with_mantissa_bits() {
         let vals = vec![1.0f32; 640];
-        let wide = AndaTensor::from_f32(&vals, AndaConfig::new(64, 12).unwrap());
-        let narrow = AndaTensor::from_f32(&vals, AndaConfig::new(64, 5).unwrap());
+        let wide = AndaTensor::from_f32(&vals, AndaConfig::hardware(12).unwrap());
+        let narrow = AndaTensor::from_f32(&vals, AndaConfig::hardware(5).unwrap());
         assert!(narrow.storage_bits() < wide.storage_bits());
         // M=5: ≈ 6.08 bits/element → ~2.6x compression vs FP16.
         assert!((narrow.bits_per_element() - (5.0 + 1.0 + 5.0 / 64.0)).abs() < 1e-9);
@@ -440,7 +411,7 @@ mod tests {
 
     #[test]
     fn empty_tensor_is_well_formed() {
-        let t = AndaTensor::from_f32(&[], AndaConfig::new(64, 8).unwrap());
+        let t = AndaTensor::from_f32(&[], AndaConfig::hardware(8).unwrap());
         assert!(t.is_empty());
         assert_eq!(t.groups().len(), 0);
         assert_eq!(t.compression_vs_f16(), 1.0);
@@ -451,13 +422,8 @@ mod tests {
     /// row's `from_f32` tensor holds — partial trailing groups included.
     #[test]
     fn multi_row_groups_are_each_rows_from_f32_groups() {
-        for (width, gs, m) in [
-            (100usize, 64usize, 7u32),
-            (64, 64, 1),
-            (65, 64, 16),
-            (9, 4, 5),
-        ] {
-            let cfg = AndaConfig::new(gs, m).unwrap();
+        for (width, m) in [(100usize, 7u32), (64, 1), (65, 16), (9, 5), (130, 3)] {
+            let cfg = AndaConfig::hardware(m).unwrap();
             let data = rows_of(3, width);
             let t = encoded(&data, width, cfg);
             let singles: Vec<AndaTensor> = data
@@ -466,7 +432,7 @@ mod tests {
                 .collect();
             let want: Vec<BitPlaneGroup> = singles.iter().flat_map(AndaTensor::groups).collect();
             let got: Vec<BitPlaneGroup> = t.groups().collect();
-            assert_eq!(got, want, "width={width} gs={gs} m={m}");
+            assert_eq!(got, want, "width={width} m={m}");
         }
     }
 
@@ -496,14 +462,14 @@ mod tests {
     /// columns of the leading rows, equal to `decode_row_into`'s.
     #[test]
     fn decode_rows_into_any_group_range_equals_those_columns_of_decode_row_into() {
-        for (width, gs) in [(200usize, 64usize), (33, 8)] {
-            let cfg = AndaConfig::new(gs, 9).unwrap();
+        for width in [200usize, 33] {
+            let cfg = AndaConfig::hardware(9).unwrap();
             let t = encoded(&rows_of(4, width), width, cfg);
-            let g = width.div_ceil(gs);
+            let g = width.div_ceil(LANES);
             let mut row = vec![0.0; width];
             for start in 0..g {
                 for end in start + 1..=g {
-                    let cols = start * gs..(end * gs).min(width);
+                    let cols = start * LANES..(end * LANES).min(width);
                     for rows in 1..=4 {
                         let mut tile = vec![f32::NAN; rows * width];
                         t.decode_rows_into(active_leg(), start..end, &mut tile);

@@ -124,7 +124,7 @@ impl<'a> BitPlaneGroup<'a> {
 
     /// The weight of one mantissa LSB for this group.
     pub fn ulp(&self) -> f32 {
-        crate::align::exp2f(i32::from(self.shared_exp) - 14 - self.mantissa_bits() as i32)
+        anda_fp::f16::exp2i(i32::from(self.shared_exp) - 14 - self.mantissa_bits() as i32)
     }
 
     /// Memory words occupied in the activation buffer: one sign word plus
@@ -149,9 +149,9 @@ mod tests {
         align_group(&f16s, m).unwrap()
     }
 
-    /// `vals` as one group at mantissa length `m`.
+    /// `vals` (at most 64) as one group at mantissa length `m`.
     fn tensor(vals: &[f32], m: u32) -> AndaTensor {
-        AndaTensor::from_f32(vals, AndaConfig::new(vals.len(), m).unwrap())
+        AndaTensor::from_f32(vals, AndaConfig::hardware(m).unwrap())
     }
 
     fn group(t: &AndaTensor) -> BitPlaneGroup<'_> {

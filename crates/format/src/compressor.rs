@@ -158,7 +158,7 @@ impl BitPlaneCompressor {
     /// statistics.
     pub fn compress(&self, values: &[F16]) -> (AndaTensor, CompressorReport) {
         let mut tensor = AndaTensor::zeros(1, values.len(), self.config);
-        let chunks = values.chunks(self.config.group_size());
+        let chunks = values.chunks(LANES);
         let n_groups = chunks.len();
         for (gi, chunk) in chunks.enumerate() {
             self.compress_group(chunk, tensor.group_mut(gi));
@@ -208,7 +208,7 @@ mod tests {
         // cycle 1 emits only element 1's MSB; cycle 2 emits elements 0,1;
         // cycle 3 emits all three.
         let vals = [1.0f32, 2.0, 0.5]; // exponents 15, 16, 14 → diffs 1,0,2
-        let bpc = BitPlaneCompressor::new(AndaConfig::new(64, 3).unwrap());
+        let bpc = BitPlaneCompressor::new(AndaConfig::hardware(3).unwrap());
         let (t, _) = bpc.compress(&f16s(&vals));
         // Mantissas are all 1.0…0 (sig = 0b10000000000).
         let g = t.groups().next().unwrap();

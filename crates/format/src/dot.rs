@@ -21,7 +21,9 @@
 //! correctness argument for the hardware schedule, and it is the oracle
 //! every SIMD leg of [`dot_group_int_flat`] is held to.
 
-use crate::align::{exp2f, AlignedGroup};
+use anda_fp::f16::exp2i;
+
+use crate::align::AlignedGroup;
 
 /// Reference integer dot product of an aligned group with INT weights:
 /// `Σ (-1)^{s_i} · m_i · w_i`.
@@ -217,7 +219,7 @@ pub fn rescale_int_dot(
     mantissa_bits: u32,
     weight_scale: f32,
 ) -> f32 {
-    int_dot as f32 * exp2f(i32::from(shared_exp) - 14 - mantissa_bits as i32) * weight_scale
+    int_dot as f32 * exp2i(i32::from(shared_exp) - 14 - mantissa_bits as i32) * weight_scale
 }
 
 /// FP16-activation reference dot product (the FP-FP baseline computation):
@@ -287,7 +289,7 @@ mod tests {
     fn group_of(vals: &[f32], m: u32) -> (AlignedGroup, AndaTensor) {
         let f16s: Vec<F16> = vals.iter().map(|&v| F16::from_f32(v)).collect();
         let g = align_group(&f16s, m).unwrap();
-        let t = AndaTensor::from_f32(vals, AndaConfig::new(vals.len(), m).unwrap());
+        let t = AndaTensor::from_f32(vals, AndaConfig::hardware(m).unwrap());
         (g, t)
     }
 

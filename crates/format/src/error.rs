@@ -6,13 +6,6 @@ use core::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FormatError {
-    /// A group size outside the supported range was requested.
-    InvalidGroupSize {
-        /// The requested group size.
-        requested: usize,
-        /// Largest supported group size for this format.
-        max: usize,
-    },
     /// A mantissa length outside the supported range was requested.
     InvalidMantissaBits {
         /// The requested mantissa length.
@@ -31,10 +24,6 @@ pub enum FormatError {
 impl fmt::Display for FormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FormatError::InvalidGroupSize { requested, max } => write!(
-                f,
-                "invalid group size {requested}: must be between 1 and {max}"
-            ),
             FormatError::InvalidMantissaBits { requested, range } => write!(
                 f,
                 "invalid mantissa length {requested}: must be between {} and {}",

@@ -8,11 +8,12 @@
 //!   (the block-floating-point design space of §II-B/§II-C, Figs. 5–7), as
 //!   an owning group ([`align::align_group`]) or streaming in place
 //!   ([`align::fake_quantize_in_place`], the activation codecs' path).
-//! - [`anda`] — the Anda format proper (§III): fixed hardware group size of
-//!   up to 64 lanes, variable mantissa length 1..=16, and [`AndaTensor`],
-//!   the one in-memory layout — `rows × width` over flat sign / exponent /
-//!   plane arrays — that KV pages, `gemm_anda`, the BPC model and the
-//!   functional datapath all hold.
+//! - [`anda`] — the Anda format proper (§III): the fixed 64-lane hardware
+//!   group ([`bitplane::LANES`]; a row's last group holds what is left),
+//!   variable mantissa length 1..=16 — [`AndaConfig`]'s one field — and
+//!   [`AndaTensor`], the one in-memory layout — `rows × width` over flat
+//!   sign / exponent / plane arrays — that KV pages, `gemm_anda`, the BPC
+//!   model and the functional datapath all hold.
 //! - [`bitplane`] — the bit-plane data layout scheme of Fig. 10 (sign
 //!   plane, shared exponent word and M mantissa planes of one 64-bit word
 //!   each) and [`BitPlaneGroup`], a borrowed view of one group in it.
@@ -37,7 +38,7 @@
 //! use anda_fp::F16;
 //!
 //! let xs: Vec<F16> = (0..64).map(|i| F16::from_f32((i as f32 - 32.0) * 0.25)).collect();
-//! let cfg = AndaConfig::new(64, 8).unwrap();
+//! let cfg = AndaConfig::hardware(8).unwrap();
 //! let tensor = AndaTensor::from_f16(&xs, cfg);
 //! let err = tensor
 //!     .to_f32()

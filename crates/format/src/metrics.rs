@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn decode_bumps_the_row_counter() {
-        let cfg = AndaConfig::new(64, 7).unwrap();
+        let cfg = AndaConfig::hardware(7).unwrap();
         let row: Vec<f32> = (0..64).map(|i| i as f32 * 0.5 - 16.0).collect();
         let mut signs = vec![0u64; 1];
         let mut exps = vec![0u16; 1];

@@ -1,7 +1,8 @@
 //! The Anda row codec: encode/decode of one fixed-width row over flat,
 //! caller-owned buffers.
 //!
-//! A row of `g = ceil(len / group_size)` groups occupies `g` sign words,
+//! A row of `g = ceil(len / 64)` groups of [`LANES`] lanes (the last one
+//! holding what is left) occupies `g` sign words,
 //! `g` shared-exponent entries and `g · M` mantissa-plane words, laid out
 //! group-major exactly like [`crate::bitplane`]'s transposed layout
 //! (plane 0 = MSB). [`crate::AndaTensor`] holds rows of that layout back
@@ -71,14 +72,17 @@
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use anda_fp::{saturate_to_f16, F16};
 
-use crate::align::{align_element, exp2f};
+use anda_fp::f16::exp2i;
+
+use crate::align::align_element;
 use crate::anda::AndaConfig;
 use crate::bitplane::LANES;
 
-/// Number of shared-exponent groups in a `len`-element row under `cfg`.
+/// Number of [`LANES`]-lane shared-exponent groups in a `len`-element row
+/// (the same under every `M`).
 #[inline]
-pub fn groups_per_row(len: usize, cfg: AndaConfig) -> usize {
-    len.div_ceil(cfg.group_size())
+pub fn groups_per_row(len: usize, _cfg: AndaConfig) -> usize {
+    len.div_ceil(LANES)
 }
 
 /// Mantissa-plane words a `len`-element row occupies under `cfg`
@@ -160,7 +164,7 @@ pub fn encode_row_into_scalar(
     check_encode_buffers(values, cfg, signs, exps, planes);
     let m = cfg.mantissa_bits();
     let mut f16s = [F16::from_bits(0); LANES];
-    for (gi, chunk) in values.chunks(cfg.group_size()).enumerate() {
+    for (gi, chunk) in values.chunks(LANES).enumerate() {
         let staged = &mut f16s[..chunk.len()];
         for (s, &v) in staged.iter_mut().zip(chunk) {
             *s = saturate_to_f16(v);
@@ -350,10 +354,10 @@ impl<'a> Page<'a> {
     /// with its features, so its group body inlines into that leg's copy.
     #[inline(always)]
     fn decode_into(&self, tile: &mut [f32], mut group: impl FnMut(u64, f32, &[u64], &mut [f32])) {
-        let (gs, m) = (self.cfg.group_size(), self.cfg.mantissa_bits() as usize);
+        let m = self.cfg.mantissa_bits() as usize;
         let (start, n) = (self.groups.start, self.groups.len());
         let g = groups_per_row(self.row_len, self.cfg);
-        let cols = start * gs..(self.groups.end * gs).min(self.row_len);
+        let cols = start * LANES..(self.groups.end * LANES).min(self.row_len);
         // Index arithmetic rather than `chunks`: their lengths cost two
         // divisions per row, measured at a third of this loop's time.
         for (r, row) in tile.chunks_exact_mut(self.row_len).enumerate() {
@@ -362,8 +366,8 @@ impl<'a> Page<'a> {
             let words = &self.planes[g0 * m..(g0 + n) * m];
             let row = &mut row[cols.clone()];
             for k in 0..n {
-                let out = &mut row[k * gs..((k + 1) * gs).min(cols.len())];
-                let ulp = exp2f(i32::from(exps[k]) - 14 - m as i32);
+                let out = &mut row[k * LANES..((k + 1) * LANES).min(cols.len())];
+                let ulp = exp2i(i32::from(exps[k]) - 14 - m as i32);
                 group(signs[k], ulp, &words[k * m..(k + 1) * m], out);
             }
         }
@@ -400,12 +404,12 @@ pub fn decode_rows_transposed_into_with_leg(
     keys: &mut [f32],
     ld: usize,
 ) {
-    let (g, gs) = (groups_per_row(row_len, cfg), cfg.group_size());
+    let g = groups_per_row(row_len, cfg);
     assert!(
         groups.start < groups.end && groups.end <= g,
         "group range {groups:?} outside a {g}-group row"
     );
-    let n_cols = (groups.end * gs).min(row_len) - groups.start * gs;
+    let n_cols = (groups.end * LANES).min(row_len) - groups.start * LANES;
     assert!(
         rows <= ld && (rows == 0 || (n_cols - 1) * ld + rows <= keys.len()),
         "{n_cols} columns of {rows} positions at stride {ld} do not fit {} elements",
@@ -436,9 +440,9 @@ pub fn decode_rows_transposed_into_with_leg(
             // put in place: a permutation of the row-major page decode.
             let mut lanes = [0.0f32; LANES];
             for p in 0..rows {
-                for (k, col0) in groups.clone().zip((0..).step_by(gs)) {
+                for (k, col0) in groups.clone().zip((0..).step_by(LANES)) {
                     let gi = p * g + k;
-                    let out = &mut lanes[..(n_cols - col0).min(gs)];
+                    let out = &mut lanes[..(n_cols - col0).min(LANES)];
                     let (sign, exp, words) = (&signs[gi..], &exps[gi..], &planes[gi * m..]);
                     Page::new(cfg, sign, exp, words, 0..1, out.len()).decode_on(leg, out);
                     for (c, &x) in out.iter().enumerate() {
@@ -465,8 +469,8 @@ pub fn decode_row_into_scalar(
 ) {
     check_decode_buffers(cfg, signs, exps, planes, out);
     let m = cfg.mantissa_bits();
-    for (gi, chunk) in out.chunks_mut(cfg.group_size()).enumerate() {
-        let ulp = exp2f(i32::from(exps[gi]) - 14 - m as i32);
+    for (gi, chunk) in out.chunks_mut(LANES).enumerate() {
+        let ulp = exp2i(i32::from(exps[gi]) - 14 - m as i32);
         decode_group_into_scalar(
             signs[gi],
             ulp,
@@ -717,20 +721,16 @@ mod avx2 {
         keys: &mut [f32],
         ld: usize,
     ) {
-        let (g, gs, m) = (
-            groups_per_row(row_len, cfg),
-            cfg.group_size(),
-            cfg.mantissa_bits() as usize,
-        );
-        let n_cols = (groups.end * gs).min(row_len) - groups.start * gs;
+        let (g, m) = (groups_per_row(row_len, cfg), cfg.mantissa_bits() as usize);
+        let n_cols = (groups.end * LANES).min(row_len) - groups.start * LANES;
         let sign_bit = _mm256_set1_epi32(i32::MIN);
-        for (k, col0) in groups.zip((0..).step_by(gs)) {
-            let width = (n_cols - col0).min(gs);
+        for (k, col0) in groups.zip((0..).step_by(LANES)) {
+            let width = (n_cols - col0).min(LANES);
             for p0 in (0..rows).step_by(16) {
                 let n = (rows - p0).min(16);
                 let (mut ulps, mut keep) = ([0.0f32; 16], [0i32; 16]);
                 for p in 0..n {
-                    ulps[p] = exp2f(i32::from(exps[(p0 + p) * g + k]) - 14 - m as i32);
+                    ulps[p] = exp2i(i32::from(exps[(p0 + p) * g + k]) - 14 - m as i32);
                     keep[p] = -1;
                 }
                 let ulp = [
@@ -829,7 +829,7 @@ mod avx2 {
         let m = cfg.mantissa_bits();
         let one = _mm256_set1_epi32(1);
         let m_v = _mm256_set1_epi32(m as i32);
-        for (gi, chunk) in values.chunks(cfg.group_size()).enumerate() {
+        for (gi, chunk) in values.chunks(LANES).enumerate() {
             let full = chunk.len() / 8;
             let mut mags = [0i32; LANES];
             let mut lane_exps = [0i32; LANES];
@@ -1123,19 +1123,15 @@ mod avx512 {
         keys: &mut [f32],
         ld: usize,
     ) {
-        let (g, gs, m) = (
-            groups_per_row(row_len, cfg),
-            cfg.group_size(),
-            cfg.mantissa_bits() as usize,
-        );
+        let (g, m) = (groups_per_row(row_len, cfg), cfg.mantissa_bits() as usize);
         assert!(m <= 8, "the transpose holds at most 8 planes");
         let gather = _mm512_loadu_si512(GATHER[m - 1].as_ptr().cast());
         let widen = WIDEN.map(|lane| _mm512_loadu_si512(lane.as_ptr().cast()));
         let magic = _mm512_set1_epi32(TWO_23.to_bits() as i32);
-        let n_cols = (groups.end * gs).min(row_len) - groups.start * gs;
+        let n_cols = (groups.end * LANES).min(row_len) - groups.start * LANES;
         let sign_bit = _mm512_set1_epi32(i32::MIN);
-        for (k, col0) in groups.zip((0..).step_by(gs)) {
-            let width = (n_cols - col0).min(gs);
+        for (k, col0) in groups.zip((0..).step_by(LANES)) {
+            let width = (n_cols - col0).min(LANES);
             for p0 in (0..rows).step_by(16) {
                 let n = (rows - p0).min(16);
                 let mut mags = [_mm512_setzero_si512(); 16];
@@ -1145,7 +1141,7 @@ mod avx512 {
                     // the caller checked every source slice holds.
                     let gi = (p0 + p) * g + k;
                     mags[p] = magnitudes(planes.get_unchecked(gi * m..(gi + 1) * m), gather);
-                    ulps[p] = exp2f(i32::from(*exps.get_unchecked(gi)) - 14 - m as i32);
+                    ulps[p] = exp2i(i32::from(*exps.get_unchecked(gi)) - 14 - m as i32);
                     words[p] = *signs.get_unchecked(gi);
                 }
                 let masks = sign_masks(&words);
@@ -1344,7 +1340,7 @@ mod neon {
             let w: [u32; 4] = [1, 2, 4, 8];
             vld1q_u32(w.as_ptr())
         };
-        for (gi, chunk) in values.chunks(cfg.group_size()).enumerate() {
+        for (gi, chunk) in values.chunks(LANES).enumerate() {
             let full = chunk.len() / 4;
             let mut mags = [0u32; LANES];
             let mut lane_exps = [0u32; LANES];
@@ -1535,29 +1531,21 @@ mod tests {
             .collect()
     }
 
-    /// Group sizes on both sides of every vector width a leg steps by
-    /// (8, 16 and 32 lanes) plus the hardware's 64.
-    const GROUP_SIZES: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
+    /// Row lengths of the sweeps: one group of every length — every
+    /// ragged tail 1..=63, so one on both sides of every vector width a
+    /// leg steps by (8, 16 and 32 lanes), and the whole 64 — then rows of
+    /// several groups: a one-lane second group, tails of 36 and 2 lanes
+    /// behind one and two whole groups, and the serving model's `d_model`.
+    fn row_lens() -> impl Iterator<Item = usize> {
+        (1..=LANES).chain([65, 100, 130, 256])
+    }
 
-    /// Row widths every group size meets: one lane, a ragged 16-lane step,
-    /// one lane short of and past a 64-lane group, a partial second group
-    /// and the serving model's `d_model`.
-    const ROW_WIDTHS: [usize; 6] = [1, 17, 63, 65, 100, 256];
-
-    /// Every `M` × group size × row length (one group, whole groups, a
-    /// partial trailing group where the group size allows one, and
-    /// [`ROW_WIDTHS`]): `M <= 8` runs the byte-lane transpose (the GF(2)
-    /// one on the AVX-512 leg), `M > 8` the 16-bit-lane one, and the
-    /// group sizes put a ragged tail behind every step width.
+    /// Every `M` × [`row_lens`]: `M <= 8` runs the byte-lane transpose
+    /// (the GF(2) one on the AVX-512 leg), `M > 8` the 16-bit-lane one.
     fn sweep(mut case: impl FnMut(AndaConfig, usize)) {
         for m in 1..=16 {
-            for gs in GROUP_SIZES {
-                let cfg = AndaConfig::new(gs, m).unwrap();
-                let lens = [gs, 3 * gs, 2 * gs + gs.div_ceil(2)];
-                for len in lens.into_iter().chain(ROW_WIDTHS) {
-                    case(cfg, len);
-                }
-            }
+            let cfg = AndaConfig::hardware(m).unwrap();
+            row_lens().for_each(|len| case(cfg, len));
         }
     }
 
@@ -1578,8 +1566,11 @@ mod tests {
 
                 let mut s_out = vec![0.0f32; len];
                 decode_row_into_scalar(cfg, &s.0, &s.1, &s.2, &mut s_out);
-                let mut v_out = vec![1.0f32; len];
-                decode_row_into_with_leg(leg, cfg, &s.0, &s.1, &s.2, &mut v_out);
+                // A lane past the row, which a store past its last group
+                // would reach.
+                let mut v_out = vec![1.0f32; len + 1];
+                decode_row_into_with_leg(leg, cfg, &s.0, &s.1, &s.2, &mut v_out[..len]);
+                s_out.push(1.0);
                 assert_eq!(bits(&s_out), bits(&v_out), "decode {ctx}");
             });
         }
@@ -1589,9 +1580,10 @@ mod tests {
     /// largest magnitude of each lane width, `2^M − 1`, bits set past the
     /// row's last lane too) and all-zero planes (every lane under a set
     /// sign bit is −0.0), all-negative and all-positive sign words, and
-    /// the smallest and largest shared exponents side by side.
+    /// the smallest and largest shared exponents side by side — behind
+    /// every ragged tail.
     #[test]
-    fn small_group_sizes_match_on_every_leg() {
+    fn raw_words_match_on_every_leg_and_tail() {
         for leg in available_legs() {
             sweep(|cfg, len| {
                 let g = groups_per_row(len, cfg);
@@ -1602,8 +1594,10 @@ mod tests {
                         let signs = vec![sign_word; g];
                         let mut s_out = vec![0.0f32; len];
                         decode_row_into_scalar(cfg, &signs, &exps, &planes, &mut s_out);
-                        let mut v_out = vec![1.0f32; len];
-                        decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut v_out);
+                        let mut v_out = vec![1.0f32; len + 1];
+                        let out = &mut v_out[..len];
+                        decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, out);
+                        s_out.push(1.0);
                         assert_eq!(
                             bits(&s_out),
                             bits(&v_out),
@@ -1616,28 +1610,6 @@ mod tests {
             });
         }
     }
-
-    /// `(row width, group size, M)` of the page-decode tests: the serving
-    /// width at the served `M` and at every `M` from 9 to 16 (the pages
-    /// the x86 legs decode a group at a time), ragged last groups, group
-    /// sizes off every vector width, and `M` on both sides of the
-    /// byte-lane bodies.
-    const PAGE_SHAPES: [(usize, usize, u32); 14] = [
-        (256, 64, 8),
-        (256, 64, 9),
-        (256, 64, 10),
-        (256, 64, 11),
-        (256, 64, 12),
-        (256, 64, 13),
-        (256, 64, 14),
-        (256, 64, 15),
-        (256, 64, 16),
-        (192, 64, 5),
-        (100, 64, 11),
-        (100, 33, 1),
-        (65, 9, 7),
-        (17, 7, 16),
-    ];
 
     /// A page's sign, exponent and plane words.
     type Words = (Vec<u64>, Vec<u16>, Vec<u64>);
@@ -1668,25 +1640,27 @@ mod tests {
     }
 
     /// Group ranges from the first group, the last, and mid-row, as the
-    /// walk's column split asks for them.
-    fn group_ranges(g: usize) -> [std::ops::Range<usize>; 5] {
-        [0..g, 0..1, g - 1..g, g / 2..g, g / 2..g / 2 + 1]
+    /// walk's column split asks for them; each once (the equal ones of a
+    /// short row are adjacent), so the one-group rows decode one range.
+    fn group_ranges(g: usize) -> Vec<std::ops::Range<usize>> {
+        let mut ranges = vec![0..g, 0..1, g - 1..g, g / 2..g, g / 2..g / 2 + 1];
+        ranges.dedup();
+        ranges
     }
 
     /// The page-level decode reproduces the scalar row decode bit for bit
-    /// on every leg, on the columns it is asked for — group ranges from
-    /// the first group or from mid-row, over a full or a partly filled
-    /// page — and leaves the others alone.
+    /// on every leg, row length and `M`, on the columns it is asked for —
+    /// group ranges from the first group or from mid-row, over a full or a
+    /// partly filled page — and leaves the others alone.
     #[test]
     fn page_decode_matches_row_decode_on_its_columns() {
-        for (dim, gs, m) in PAGE_SHAPES {
-            let cfg = AndaConfig::new(gs, m).unwrap();
+        sweep(|cfg, dim| {
             let rows = 5;
             let (page, expect) = page(dim, cfg, rows);
             let ranges = group_ranges(groups_per_row(dim, cfg));
             for leg in available_legs() {
                 for (groups, filled) in ranges.iter().flat_map(|gr| [(gr, rows), (gr, 2)]) {
-                    let cols = groups.start * gs..(groups.end * gs).min(dim);
+                    let cols = groups.start * LANES..(groups.end * LANES).min(dim);
                     let ctx = format!("leg={} {groups:?} filled={filled} {cfg:?}", leg.name());
                     let mut tile = vec![f32::NAN; filled * dim];
                     let (signs, exps, planes) = (&page.0, &page.1, &page.2);
@@ -1702,24 +1676,23 @@ mod tests {
                     }
                 }
             }
-        }
+        });
     }
 
     /// The position-minor twin of the test above: on every leg, over the
-    /// same shapes and group ranges, at page sizes 16 and 32 filled with
-    /// 1, 3, 8, 15, 16 or 17 positions (short of, at and past a block of
-    /// sixteen), each column's run holds the scalar row decode's column
-    /// bit for bit, and the slots past the fill and past the columns stay
-    /// untouched.
+    /// same rows, `M` and group ranges, at page sizes 16 and 32 filled
+    /// with 1, 3, 8, 15, 16 or 17 positions (short of, at and past a
+    /// block of sixteen), each column's run holds the scalar row decode's
+    /// column bit for bit, and the slots past the fill and past the
+    /// columns stay untouched.
     #[test]
     fn position_minor_page_decode_is_the_row_decode_transposed() {
-        for (dim, gs, m) in PAGE_SHAPES {
-            let cfg = AndaConfig::new(gs, m).unwrap();
+        sweep(|cfg, dim| {
             let (page, expect) = page(dim, cfg, 32);
             let (signs, exps, planes) = (&page.0, &page.1, &page.2);
             for leg in available_legs() {
                 for groups in group_ranges(groups_per_row(dim, cfg)) {
-                    let cols = groups.start * gs..(groups.end * gs).min(dim);
+                    let cols = groups.start * LANES..(groups.end * LANES).min(dim);
                     for (ld, rows) in [16, 32].into_iter().flat_map(|ld| {
                         [1, 3, 8, 15, 16, 17]
                             .into_iter()
@@ -1755,6 +1728,6 @@ mod tests {
                     }
                 }
             }
-        }
+        });
     }
 }

@@ -11,9 +11,10 @@ fn f16s(vals: &[f32]) -> Vec<F16> {
     vals.iter().map(|&v| F16::from_f32(v)).collect()
 }
 
-/// The bit-serial dot of `vals` as one group at mantissa length `m`.
+/// The bit-serial dot of `vals` (at most 64) as one group at mantissa
+/// length `m`.
 fn serial_dot(vals: &[f32], weights: &[i8], m: u32) -> i64 {
-    let t = AndaTensor::from_f32(vals, AndaConfig::new(vals.len(), m).unwrap());
+    let t = AndaTensor::from_f32(vals, AndaConfig::hardware(m).unwrap());
     let bp = t.groups().next().unwrap();
     dot_group_int_flat_scalar(bp.signs(), bp.planes(), weights)
 }
@@ -83,7 +84,7 @@ fn negative_zero_inputs() {
 #[test]
 fn single_lane_group() {
     for v in [0.0f32, -1.0, 42.5, 6.1e-5] {
-        let t = AndaTensor::from_f32(&[v], AndaConfig::new(1, 11).unwrap());
+        let t = AndaTensor::from_f32(&[v], AndaConfig::hardware(11).unwrap());
         let deq = t.to_f32();
         let expect = F16::from_f32(v).to_f32();
         assert!((deq[0] - expect).abs() <= expect.abs() * 2.0f32.powi(-10) + 1e-7);
@@ -123,7 +124,7 @@ fn extreme_weights_do_not_overflow() {
 fn plane_order_is_msb_first_for_power_pattern() {
     // Values 2^0 and 2^-1 in one group: after alignment the smaller value's
     // hidden bit appears exactly one plane later.
-    let t = AndaTensor::from_f32(&[1.0, 0.5], AndaConfig::new(2, 4).unwrap());
+    let t = AndaTensor::from_f32(&[1.0, 0.5], AndaConfig::hardware(4).unwrap());
     let g = t.groups().next().unwrap();
     assert_eq!(g.planes()[0] & 0b11, 0b01); // lane 0 MSB set
     assert_eq!(g.planes()[1] & 0b11, 0b10); // lane 1 one plane later

@@ -3,12 +3,13 @@
 //! — every encoder (owning, flat on every SIMD leg, the BPC model) and the
 //! streaming activation quantiser agree bit for bit.
 
-use anda_format::align::{align_group, exp2f, fake_quantize_in_place};
+use anda_format::align::{align_group, fake_quantize_in_place};
 use anda_format::dot::{dot_group_int_flat_scalar, dot_group_reference};
 use anda_format::rowcodec::{
     decode_row_into_with_leg, encode_row_into_with_leg, groups_per_row, plane_words_per_row,
 };
 use anda_format::{AndaConfig, AndaTensor, BitPlaneCompressor};
+use anda_fp::f16::exp2i;
 use anda_fp::{available_legs, saturate_to_f16, F16};
 use proptest::prelude::*;
 
@@ -53,20 +54,21 @@ fn adversarial_row(
     (prop::collection::vec(element, len), any::<u64>())
 }
 
-/// Zeroes one whole group of `row` (chosen by `seed`) three times in four.
-fn blank_a_group(row: &mut [f32], group_size: usize, seed: u64) {
+/// Zeroes one whole 64-lane group of `row` (chosen by `seed`) three times
+/// in four.
+fn blank_a_group(row: &mut [f32], seed: u64) {
     if !seed.is_multiple_of(4) {
-        let groups = row.len().div_ceil(group_size);
+        let groups = row.len().div_ceil(64);
         let g = (seed / 4) as usize % groups;
-        let end = ((g + 1) * group_size).min(row.len());
-        row[g * group_size..end].fill(0.0);
+        let end = ((g + 1) * 64).min(row.len());
+        row[g * 64..end].fill(0.0);
     }
 }
 
 /// Upper bound on the absolute quantization error of any element in a group
 /// aligned with truncation: one mantissa ULP, `2^(E - 14 - M)`.
 fn truncation_error_bound(shared_exp: u16, mantissa_bits: u32) -> f32 {
-    exp2f(i32::from(shared_exp) - 14 - mantissa_bits as i32)
+    exp2i(i32::from(shared_exp) - 14 - mantissa_bits as i32)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -113,7 +115,7 @@ proptest! {
     #[test]
     fn bitplane_round_trip(vals in finite_vals(64), m in 1u32..=16) {
         let g = align_group(&to_f16(&vals), m).unwrap();
-        let t = AndaTensor::from_f32(&vals, AndaConfig::new(vals.len(), m).unwrap());
+        let t = AndaTensor::from_f32(&vals, AndaConfig::hardware(m).unwrap());
         prop_assert_eq!(t.groups().next().unwrap().to_aligned(), g);
     }
 
@@ -126,7 +128,7 @@ proptest! {
         wseed in any::<u64>(),
     ) {
         let g = align_group(&to_f16(&vals), m).unwrap();
-        let t = AndaTensor::from_f32(&vals, AndaConfig::new(vals.len(), m).unwrap());
+        let t = AndaTensor::from_f32(&vals, AndaConfig::hardware(m).unwrap());
         let bp = t.groups().next().unwrap();
         // INT4 weights derived deterministically from the seed.
         let weights: Vec<i8> = (0..vals.len())
@@ -162,7 +164,7 @@ proptest! {
     #[test]
     fn streaming_quantiser_row_codec_and_align_group_are_one_format(input in adversarial_row(256)) {
         let (mut full, seed) = input;
-        blank_a_group(&mut full, 64, seed);
+        blank_a_group(&mut full, seed);
         for m in 1..=16u32 {
             let cfg = AndaConfig::hardware(m).unwrap();
             for width in [1usize, 7, 8, 9, 17, 63, 64, 65, 100, 130, 256] {
@@ -193,24 +195,22 @@ proptest! {
         }
     }
 
-    /// Every encoder of the format agrees for every constructible config:
-    /// the BPC's serial aligner, the tensor's row encode and the flat row
+    /// Every encoder of the format agrees for every mantissa length: the
+    /// BPC's serial aligner, the tensor's row encode and the flat row
     /// codec on every available leg produce the same signs, exponents and
-    /// planes — over every group size and mantissa length, on adversarial
-    /// inputs (NaN, ±inf, subnormals, ±65504, all-zero groups, ragged
-    /// tails).
+    /// planes — over row lengths with every ragged tail, on adversarial
+    /// inputs (NaN, ±inf, subnormals, ±65504, all-zero groups).
     #[test]
     fn every_encoder_produces_the_same_signs_exponents_and_planes(
         input in adversarial_row(1..=200),
         m in 1u32..=16,
-        gs in 1usize..=64,
     ) {
         let (mut vals, seed) = input;
-        blank_a_group(&mut vals, gs, seed);
-        let cfg = AndaConfig::new(gs, m).unwrap();
+        blank_a_group(&mut vals, seed);
+        let cfg = AndaConfig::hardware(m).unwrap();
         let direct = AndaTensor::from_f32(&vals, cfg);
         let (via_bpc, _) = BitPlaneCompressor::new(cfg).compress_f32(&vals);
-        prop_assert_eq!(&via_bpc, &direct, "BPC vs tensor, gs={gs} m={m}");
+        prop_assert_eq!(&via_bpc, &direct, "BPC vs tensor, m={m}");
 
         let (g, pw) = (groups_per_row(vals.len(), cfg), plane_words_per_row(vals.len(), cfg));
         prop_assert_eq!(direct.groups().len(), g);
@@ -219,7 +219,7 @@ proptest! {
                 (vec![!0u64; g], vec![!0u16; g], vec![!0u64; pw]);
             encode_row_into_with_leg(leg, &vals, cfg, &mut signs, &mut exps, &mut planes);
             for (gi, group) in direct.groups().enumerate() {
-                let ctx = format!("leg={} gs={gs} m={m} group {gi}", leg.name());
+                let ctx = format!("leg={} m={m} group {gi}", leg.name());
                 prop_assert_eq!(signs[gi], group.signs(), "signs {ctx}");
                 prop_assert_eq!(exps[gi], group.shared_exp(), "exponent {ctx}");
                 let words = &planes[gi * m as usize..(gi + 1) * m as usize];
@@ -228,18 +228,14 @@ proptest! {
         }
     }
 
-    /// The tensor and the streaming quantiser agree numerically at
-    /// identical (group size, mantissa) parameters: Anda is grouped
-    /// shared-exponent quantisation plus a layout.
+    /// The tensor and the streaming quantiser at 64 lanes agree
+    /// numerically at every mantissa length and row length: Anda is
+    /// grouped shared-exponent quantisation plus a layout.
     #[test]
-    fn anda_matches_bfp(
-        vals in finite_vals(200),
-        m in 1u32..=16,
-        gs in 1usize..=64,
-    ) {
-        let anda = AndaTensor::from_f32(&vals, AndaConfig::new(gs, m).unwrap());
+    fn anda_matches_bfp(vals in finite_vals(200), m in 1u32..=16) {
+        let anda = AndaTensor::from_f32(&vals, AndaConfig::hardware(m).unwrap());
         let mut streamed = vals.clone();
-        fake_quantize_in_place(&mut streamed, gs, m);
+        fake_quantize_in_place(&mut streamed, 64, m);
         prop_assert_eq!(anda.to_f32(), streamed);
     }
 

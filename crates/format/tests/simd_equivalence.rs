@@ -4,10 +4,9 @@
 //! encoded sign/exponent/plane words `==`-identical, decoded rows
 //! `f32::to_bits`-identical, integer dots exactly equal.
 //!
-//! Row lengths sweep across the group boundary (partial trailing groups
-//! included), group sizes sit on both sides of every vector step width
-//! (8, 16, 32 lanes) up to the hardware's 64, mantissa widths cover the
-//! full 1..=16 range — the byte-lane (`M <= 8`) and 16-bit-lane decode
+//! Row lengths sweep across the 64-lane group boundary, so a row's
+//! ragged last group sits on both sides of every vector step width (8,
+//! 16, 32 lanes); mantissa widths cover the full 1..=16 range — the byte-lane (`M <= 8`) and 16-bit-lane decode
 //! transposes both, and the AVX-512 leg's GF(2) one — and inputs include
 //! non-finite values (the codec saturates them like the scalar path must)
 //! as well as raw plane, sign and exponent words no encoder produces
@@ -15,6 +14,7 @@
 //! held to the same oracle on multi-row pages, partly filled, over group
 //! ranges starting mid-row.
 
+use anda_format::bitplane::LANES;
 use anda_format::dot::{dot_group_int_flat_scalar, dot_group_int_flat_with_leg};
 use anda_format::rowcodec::{
     decode_row_into_scalar, decode_row_into_with_leg, decode_rows_into_with_leg,
@@ -43,13 +43,10 @@ fn row() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(element, 1..=150)
 }
 
-/// Group sizes around every lane count a vector leg steps by.
-const GROUP_SIZES: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 63, 64];
-
-/// Row widths every group size meets: one lane, a ragged 16-lane step,
-/// one lane short of and past a 64-lane group, a partial second group and
-/// the serving model's `d_model`.
-const ROW_WIDTHS: [usize; 6] = [1, 17, 63, 65, 100, 256];
+/// Row widths drawn besides the random ones: one lane, a ragged 16-lane
+/// step, one lane short of and past a 64-lane group, partial second and
+/// third groups and the serving model's `d_model`.
+const ROW_WIDTHS: [usize; 7] = [1, 17, 63, 65, 100, 130, 256];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -61,9 +58,8 @@ proptest! {
     fn rowcodec_matches_scalar_on_all_legs(
         values in row(),
         m in 1u32..=16,
-        gs in 0..GROUP_SIZES.len(),
     ) {
-        let cfg = AndaConfig::new(GROUP_SIZES[gs], m).unwrap();
+        let cfg = AndaConfig::hardware(m).unwrap();
         let g = groups_per_row(values.len(), cfg);
         let pw = plane_words_per_row(values.len(), cfg);
 
@@ -104,14 +100,13 @@ proptest! {
     #[test]
     fn decode_of_raw_words_matches_scalar_on_all_legs(
         words in prop::collection::vec((any::<u64>(), 0u32..5), 17 * 3),
-        len in 1usize..=150,
+        len in 1usize..=200,
         width in 0..ROW_WIDTHS.len() + 1,
         m in 1u32..=16,
-        gs in 0..GROUP_SIZES.len(),
         page in (1usize..=17, 1usize..=17, any::<u64>()),
     ) {
-        let cfg = AndaConfig::new(GROUP_SIZES[gs], m).unwrap();
-        let len = ROW_WIDTHS.get(width).copied().unwrap_or(len.min(3 * GROUP_SIZES[gs]));
+        let cfg = AndaConfig::hardware(m).unwrap();
+        let len = ROW_WIDTHS.get(width).copied().unwrap_or(len);
         let (rows, filled, range_seed) = (page.0, page.0.min(page.1), page.2);
         let g = groups_per_row(len, cfg);
         let pw = plane_words_per_row(len, cfg);
@@ -138,13 +133,13 @@ proptest! {
         let out0 = &page0[..len];
         let start = (range_seed % g as u64) as usize;
         let end = start + 1 + ((range_seed >> 32) % (g - start) as u64) as usize;
-        let cols = start * GROUP_SIZES[gs]..(end * GROUP_SIZES[gs]).min(len);
+        let cols = start * LANES..(end * LANES).min(len);
         for leg in available_legs() {
             let mut out = vec![1.0f32; len];
             decode_row_into_with_leg(leg, cfg, &signs, &exps, &planes, &mut out);
             for (i, (a, b)) in out.iter().zip(out0).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(),
-                    "leg={} m={m} gs={} i={i}: {} vs {}", leg.name(), GROUP_SIZES[gs], a, b);
+                    "leg={} m={m} len={len} i={i}: {} vs {}", leg.name(), a, b);
             }
 
             let mut tile = vec![f32::NAN; filled * len];
@@ -152,8 +147,8 @@ proptest! {
             for (r, (got, want)) in tile.chunks(len).zip(page0.chunks(len)).enumerate() {
                 for i in cols.clone() {
                     prop_assert_eq!(got[i].to_bits(), want[i].to_bits(),
-                        "leg={} m={m} gs={} groups {start}..{end} row {r} i={i}",
-                        leg.name(), GROUP_SIZES[gs]);
+                        "leg={} m={m} len={len} groups {start}..{end} row {r} i={i}",
+                        leg.name());
                 }
                 let outside = got[..cols.start].iter().chain(&got[cols.end..]);
                 prop_assert!(outside.copied().all(f32::is_nan), "row {r} outside {cols:?}");
@@ -167,8 +162,8 @@ proptest! {
             for (run, c) in keys.chunks(ld).zip(cols.clone()) {
                 for (p, got) in run[..filled].iter().enumerate() {
                     prop_assert_eq!(got.to_bits(), page0[p * len + c].to_bits(),
-                        "position-minor leg={} m={m} gs={} groups {start}..{end} row {p} i={c}",
-                        leg.name(), GROUP_SIZES[gs]);
+                        "position-minor leg={} m={m} len={len} groups {start}..{end} row {p} i={c}",
+                        leg.name());
                 }
                 prop_assert!(run[filled].is_nan(), "column {c} past the fill");
             }
@@ -186,7 +181,7 @@ proptest! {
         let n = values.len().min(weights.len());
         let values = &values[..n];
         let weights = &weights[..n];
-        let cfg = AndaConfig::new(64, m).unwrap();
+        let cfg = AndaConfig::hardware(m).unwrap();
         let mut signs = vec![0u64; 1];
         let mut exps = vec![0u16; 1];
         let mut planes = vec![0u64; m as usize];

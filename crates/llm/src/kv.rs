@@ -75,6 +75,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use anda_format::bitplane::LANES;
 use anda_format::rowcodec;
 use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::batch::{narrow, widen};
@@ -373,37 +374,34 @@ impl Page {
     /// (`anda_tensor::Element`; a slot holds `narrow` output or zeros,
     /// never a NaN pattern). An Anda page decodes into `scratch`
     /// (page-sized, so it stays in L1), once per page and pass: those
-    /// columns of its V rows into `rows`, or of its K rows position-minor
-    /// into `keys`, both on `leg` (`rowcodec::decode_rows_into_with_leg` /
-    /// `rowcodec::decode_rows_transposed_into_with_leg`), where a K slot past
-    /// `used` keeps what an earlier page of the walk left there, or zero
-    /// (the K product's scores there are never read); `cols` must start on
-    /// its group boundary.
+    /// columns of its V rows row-major, or of its K rows position-minor,
+    /// on `leg` (`rowcodec::decode_rows_into_with_leg` /
+    /// `rowcodec::decode_rows_transposed_into_with_leg`). A K slot past
+    /// `used` keeps whatever an earlier tile of the walk left there, or
+    /// zero: the K product's scores there are never read. `cols` must
+    /// start on its group boundary.
     fn tile<'a>(
         &'a self,
         want_v: bool,
         cols: &std::ops::Range<usize>,
-        scratch: &'a mut PageScratch,
+        scratch: &'a mut Vec<f32>,
         leg: SimdLeg,
     ) -> (Tile<'a>, usize) {
         let (dim, pp, filled) = (self.dim, self.positions, self.used * self.dim);
-        let PageScratch { rows, keys } = scratch;
         match &self.data {
             PageData::F32 { v, .. } if want_v => (Tile::F32(&v[cols.start..filled]), dim),
             PageData::F32 { k, .. } => (Tile::F32(&k[cols.start * pp..]), pp),
             PageData::F16 { v, .. } if want_v => (Tile::F16(&v[cols.start..filled]), dim),
             PageData::F16 { k, .. } => (Tile::F16(&k[cols.start * pp..]), pp),
             PageData::Anda { k, v } => {
-                let gs = k.config().group_size();
-                let groups = cols.start / gs..cols.end.div_ceil(gs);
+                let groups = cols.start / LANES..cols.end.div_ceil(LANES);
+                scratch.resize(pp * dim, 0.0);
                 if want_v {
-                    rows.resize(pp * dim, 0.0);
-                    v.decode_rows_into(leg, groups, &mut rows[..filled]);
-                    return (Tile::F32(&rows[cols.start..filled]), dim);
+                    v.decode_rows_into(leg, groups, &mut scratch[..filled]);
+                    return (Tile::F32(&scratch[cols.start..filled]), dim);
                 }
-                keys.resize(pp * dim, 0.0);
-                k.decode_rows_transposed_into(leg, groups, self.used, keys, pp);
-                (Tile::F32(keys), pp)
+                k.decode_rows_transposed_into(leg, groups, self.used, scratch, pp);
+                (Tile::F32(scratch), pp)
             }
         }
     }
@@ -1033,24 +1031,18 @@ pub struct AttendLane<'a> {
 /// computes every output element with the same operation order.
 const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
 
-/// A decoded page's tiles ([`Page::tile`]): an Anda page's rows as
-/// decoded, and its keys position-minor (a float page is its own tile, so
-/// a walk over float pages leaves both empty). Page-sized, so both stay
-/// in L1; sized by the first page decoded, so a warmed walk allocates
-/// nothing.
-#[derive(Clone, Debug, Default)]
-struct PageScratch {
-    rows: Vec<f32>,
-    keys: Vec<f32>,
-}
-
-/// One walk job's scratch: the page tiles, the page-group sort buffer and
+/// One walk job's scratch: the page tile, the page-group sort buffer and
 /// the lanes' blocks in the job's columns — queries, score rows (then
 /// softmax weights) and head mixes — stacked lane after lane, head after
 /// head, so that a run of consecutive lanes is rows at one stride.
 #[derive(Clone, Debug, Default)]
 struct WalkScratch {
-    tiles: PageScratch,
+    /// An Anda page as decoded ([`Page::tile`]): its V rows in a V pass,
+    /// its keys position-minor in a K pass — the passes never overlap. A
+    /// float page is its own tile, so a walk over float pages leaves it
+    /// empty. Page-sized, so it stays in L1; sized by the first page
+    /// decoded, so a warmed walk allocates nothing.
+    tile: Vec<f32>,
     order: Vec<Viewer>,
     q: Vec<f32>,
     /// Lane `l`'s head `h` scores position `p` at `(l · heads + h) ·
@@ -1305,11 +1297,11 @@ impl PageDecodeCache {
             );
         }
         // A job owns whole heads, and on Anda pages whole column groups.
-        let unit = match first.layer.pages[0].page().storage.anda_config() {
-            None => dh,
-            Some(cfg) if dh.is_multiple_of(cfg.group_size()) => dh,
-            Some(cfg) if cfg.group_size().is_multiple_of(dh) => cfg.group_size(),
-            Some(_) => d,
+        let unit = match first.layer.pages[0].page().storage {
+            KvStorage::Fp32 | KvStorage::Fp16 => dh,
+            KvStorage::Anda { .. } if dh.is_multiple_of(LANES) => dh,
+            KvStorage::Anda { .. } if LANES.is_multiple_of(dh) => LANES,
+            KvStorage::Anda { .. } => d,
         };
         let muladds: usize = lanes.iter().map(|lane| 2 * lane.t * d).sum();
         let jobs = match muladds >= ATTN_PAR_MIN_MULADDS {
@@ -1443,7 +1435,7 @@ fn visit_pages(
                 s.pages_decoded += 1;
                 anda_format::metrics::note_rows_decoded(2 * page.used as u64);
             }
-            let (tile, ld) = page.tile(want_v, cols, &mut s.tiles, leg);
+            let (tile, ld) = page.tile(want_v, cols, &mut s.tile, leg);
             let ready = match page.data {
                 PageData::Anda { .. } => page.used as u64,
                 _ => 0,
@@ -1910,8 +1902,8 @@ mod tests {
     #[test]
     fn an_fp16_walk_reads_its_pages_in_place() {
         // 200 positions of two 64-lane heads are enough work for two jobs,
-        // each with its own page scratch; an Anda walk of the same rows
-        // fills every job's, an FP16 one — warm, on every leg — none.
+        // each with its own page tile; an Anda walk of the same rows fills
+        // every job's, an FP16 one — warm, on every leg — none.
         let (dim, heads) = (128, 2);
         let data = rows(200, dim, 3);
         let q = &rows(1, dim, 4)[0];
@@ -1938,9 +1930,7 @@ mod tests {
                 }
                 assert_eq!(walk.jobs.len(), 2);
                 for job in &walk.jobs {
-                    let PageScratch { rows, keys } = &job.tiles;
-                    assert_eq!(!rows.is_empty(), decodes, "{storage:?} {}", leg.name());
-                    assert_eq!(!keys.is_empty(), decodes, "{storage:?} {}", leg.name());
+                    assert_eq!(!job.tile.is_empty(), decodes, "{storage:?} {}", leg.name());
                 }
             }
         }

@@ -6,13 +6,9 @@
 //! hardware datapath computes.
 
 use anda_format::align::fake_quantize_in_place;
-use anda_format::anda::AndaConfig;
+use anda_format::bitplane::LANES;
 use anda_fp::batch::saturate_f16_widen_in_place;
 use anda_tensor::Matrix;
-
-/// Hardware group size shared by all grouped codecs (paper §V-A sets the
-/// BFP group size uniformly to 64).
-pub const GROUP_SIZE: usize = 64;
 
 /// Mantissa length used by the FIGNA baseline: wide enough to be
 /// near-lossless after alignment (Table I lists 14 bits of compute
@@ -42,7 +38,8 @@ pub enum ActivationCodec {
 }
 
 impl ActivationCodec {
-    /// The Anda codec at mantissa length `m` with the 64-lane hardware group.
+    /// The Anda codec at mantissa length `m` with the 64-lane hardware group
+    /// (paper §V-A sets the BFP group size uniformly to 64).
     ///
     /// # Panics
     ///
@@ -54,7 +51,7 @@ impl ActivationCodec {
         );
         ActivationCodec::Grouped {
             mantissa_bits: m,
-            group_size: GROUP_SIZE,
+            group_size: LANES,
         }
     }
 
@@ -144,18 +141,6 @@ impl ActivationCodec {
                     fake_quantize_in_place(row, group_size, mantissa_bits);
                 }
             }
-        }
-    }
-
-    /// The equivalent `AndaConfig` when the codec is hardware-realizable
-    /// (grouped with ≤ 64 lanes).
-    pub fn anda_config(&self) -> Option<AndaConfig> {
-        match self {
-            ActivationCodec::Grouped {
-                mantissa_bits,
-                group_size,
-            } if *group_size <= 64 => AndaConfig::new(*group_size, *mantissa_bits).ok(),
-            _ => None,
         }
     }
 }
@@ -252,16 +237,5 @@ mod tests {
         let out = codec.apply_matrix(&x);
         // Small row survives because it has its own group.
         assert!((out[(1, 0)] - 0.001).abs() < 1e-4);
-    }
-
-    #[test]
-    fn anda_config_only_for_hardware_groups() {
-        assert!(ActivationCodec::anda(8).anda_config().is_some());
-        let big = ActivationCodec::Grouped {
-            mantissa_bits: 8,
-            group_size: 128,
-        };
-        assert!(big.anda_config().is_none());
-        assert!(ActivationCodec::Fp16.anda_config().is_none());
     }
 }

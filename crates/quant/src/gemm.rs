@@ -14,6 +14,7 @@
 //!   rescale by shared exponent × weight scale, FP32 accumulation across
 //!   groups.
 
+use anda_format::bitplane::LANES;
 use anda_format::dot::{dot_group_int_flat, rescale_int_dot};
 use anda_format::{AndaConfig, AndaTensor};
 use anda_tensor::Matrix;
@@ -76,7 +77,7 @@ pub fn gemm_anda_into(x: &Matrix, w: &IntWeightMatrix, mantissa_bits: u32, out: 
         gemm_anda_into_pool(x, w, mantissa_bits, out, pool);
     } else {
         anda_check_shapes(x, w, out);
-        let cfg = AndaConfig::new(ANDA_LANES, mantissa_bits).expect("valid mantissa bits");
+        let cfg = AndaConfig::hardware(mantissa_bits).expect("valid mantissa bits");
         anda_rows(x, w, &cfg, out.as_mut_slice(), 0);
     }
 }
@@ -97,7 +98,7 @@ pub fn gemm_anda_into_pool(
     pool: &ThreadPool,
 ) {
     anda_check_shapes(x, w, out);
-    let cfg = AndaConfig::new(ANDA_LANES, mantissa_bits).expect("valid mantissa bits");
+    let cfg = AndaConfig::hardware(mantissa_bits).expect("valid mantissa bits");
     let n = w.n();
     if n == 0 {
         return;
@@ -108,15 +109,12 @@ pub fn gemm_anda_into_pool(
     });
 }
 
-/// The 64-lane Anda activation group width.
-const ANDA_LANES: usize = 64;
-
 fn anda_check_shapes(x: &Matrix, w: &IntWeightMatrix, out: &Matrix) {
     assert_eq!(x.cols(), w.k(), "gemm shape mismatch");
     assert_eq!(out.shape(), (x.rows(), w.n()), "gemm output shape mismatch");
     assert!(
-        w.config().group_size.is_multiple_of(ANDA_LANES),
-        "weight group size {} must be a multiple of the {ANDA_LANES}-lane Anda group",
+        w.config().group_size.is_multiple_of(LANES),
+        "weight group size {} must be a multiple of the {LANES}-lane Anda group",
         w.config().group_size
     );
 }
@@ -146,13 +144,13 @@ fn anda_rows(x: &Matrix, w: &IntWeightMatrix, cfg: &AndaConfig, out_rows: &mut [
     }
 
     let mut acts = AndaTensor::zeros(1, k, *cfg);
-    let mut weights: Vec<i8> = Vec::with_capacity(ANDA_LANES);
+    let mut weights: Vec<i8> = Vec::with_capacity(LANES);
     for (li, out_row) in out_rows.chunks_exact_mut(n).enumerate() {
         acts.encode_row(0, x.row(row0 + li));
         for (col, out_val) in out_row.iter_mut().enumerate() {
             let mut acc = 0.0f32;
             for (gi, group) in acts.groups().enumerate() {
-                let k_start = gi * ANDA_LANES;
+                let k_start = gi * LANES;
                 weights.clear();
                 weights.extend((k_start..k_start + group.len()).map(|r| w.value(r, col)));
                 let int_dot = dot_group_int_flat(group.signs(), group.planes(), &weights);
@@ -305,13 +303,13 @@ mod tests {
                 for i in 0..rows {
                     let acts: Vec<_> = x.row(i).iter().map(|&v| saturate_to_f16(v)).collect();
                     let groups: Vec<_> = acts
-                        .chunks(ANDA_LANES)
+                        .chunks(LANES)
                         .map(|chunk| align_group(chunk, m_bits).expect("finite"))
                         .collect();
                     for j in 0..n {
                         let mut acc = 0.0f32;
                         for (g, group) in groups.iter().enumerate() {
-                            let k_start = g * ANDA_LANES;
+                            let k_start = g * LANES;
                             let k_end = k_start + group.elements.len();
                             let weights: Vec<i8> =
                                 (k_start..k_end).map(|r| w.value(r, j)).collect();

@@ -586,21 +586,9 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                 } else {
                     0
                 };
-                let run = |c: *mut f32, ldc: usize| {
+                on_strip(r, width, first, c, ldc, &mut edge, |c, ldc| {
                     L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first, ahead)
-                };
-                if full {
-                    run(c, ldc);
-                    continue;
-                }
-                let edge = edge.as_mut_ptr();
-                for i in 0..if first { 0 } else { r } {
-                    core::ptr::copy_nonoverlapping(c.add(i * ldc), edge.add(i * TILE_COLS), width);
-                }
-                run(edge, TILE_COLS);
-                for i in 0..r {
-                    core::ptr::copy_nonoverlapping(edge.add(i * TILE_COLS), c.add(i * ldc), width);
-                }
+                });
             }
         }
     }

@@ -23,7 +23,7 @@
 //! use anda::fp::F16;
 //!
 //! let activations: Vec<F16> = (0..128).map(|i| F16::from_f32(i as f32 * 0.1)).collect();
-//! let cfg = AndaConfig::new(64, 8).unwrap();
+//! let cfg = AndaConfig::hardware(8).unwrap();
 //! let packed = AndaTensor::from_f16(&activations, cfg);
 //! let restored = packed.to_f32();
 //! assert_eq!(restored.len(), activations.len());

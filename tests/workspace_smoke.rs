@@ -21,7 +21,7 @@ fn umbrella_reexports_resolve_and_interoperate() {
     let acts: Vec<F16> = (0..128)
         .map(|i| F16::from_f32(i as f32 * 0.25 - 16.0))
         .collect();
-    let cfg = AndaConfig::new(64, 8).expect("valid Anda config");
+    let cfg = AndaConfig::hardware(8).expect("valid Anda config");
     let packed = AndaTensor::from_f16(&acts, cfg);
     assert_eq!(packed.to_f32().len(), acts.len());
 
