@@ -63,8 +63,9 @@ const SECTIONS: [Section; 9] = [
     (
         "m_sweep",
         "GFLOP/s of M per-row passes | one tiled GEMM | the same over the weight packed as a \
-         model's Layer holds it (serial, 4 rotating weight copies; wdown's lhs is ReLU-sparse; \
-         lm_head's rhs is held n x k and has no packed form)",
+         model's Layer holds it | that packed product over one L2-resident weight (serial, 4 \
+         rotating weight copies but in the last; wdown's lhs is ReLU-sparse; lm_head's rhs is \
+         held n x k and has no packed form)",
         m_sweep,
     ),
     (
@@ -81,8 +82,9 @@ const SECTIONS: [Section; 9] = [
     (
         "step",
         "ns, calls and exact count per decode_hidden_batch step and phase: 8 FP16-page streams \
-         from 112 positions, and one stream's 64-token chunk on Anda{8} pages at 352 (OPT, then \
-         LLaMA), d 256 x 4 layers x 4 heads, FFN 1024, vocab 512 (1 thread, the dispatched leg)",
+         from 112 positions, 4 Anda{8}-page streams from 528, and one stream's 64-token chunk on \
+         Anda{8} pages at 352 (OPT, then LLaMA), d 256 x 4 layers x 4 heads, FFN 1024, vocab 512 \
+         (1 thread, the dispatched leg)",
         step,
     ),
     (
@@ -341,7 +343,9 @@ fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 /// cross-row weight reuse has to show. Four weight copies rotate under the
 /// calls so that, as in a model, a weight has left the L2 by the time it
 /// is used again: a single hot matrix ranks packing strategies the wrong
-/// way round.
+/// way round. The fourth number is the packed product over one weight
+/// that stays in the L2: beside the third it says where the weight stream
+/// from the L3, not the tile, bounds the product.
 fn m_sweep(o: &Opts) -> Table {
     let mut table = columns("leg / k x n", SWEEP_M.map(|m| format!("M={m}")));
     for leg in available_legs() {
@@ -388,7 +392,9 @@ fn m_sweep(o: &Opts) -> Table {
                     let gemm = time(&|c, out| a.matmul_into_serial_with_leg(&copies[c], out, leg));
                     let in_place =
                         time(&|c, out| a.matmul_packed_into_serial_with_leg(&packed[c], out, leg));
-                    format!("{rows:.1} | {gemm:.1} | {in_place:.1}")
+                    let resident =
+                        time(&|_, out| a.matmul_packed_into_serial_with_leg(&packed[0], out, leg));
+                    format!("{rows:.1} | {gemm:.1} | {in_place:.1} | {resident:.1}")
                 };
                 cells.push(cell);
             }
@@ -549,19 +555,29 @@ fn attend(o: &Opts) -> Table {
 const STEP_MODEL: (usize, usize, usize, usize, usize) = (256, 4, 4, 1024, 512);
 /// `(name, model family, page storage, streams, context each is
 /// prefilled to, tokens per stream and step, steps per round)`:
-/// `decode_steady`'s batch at its ladder context, and a `prefill_shared`
-/// chunk at that workload's median context, both on the OPT family the
-/// benchmark builds; then that chunk on the LLaMA family (RMSNorm, RoPE in
-/// `Qkv`, the gated SiLU FFN in `Finish`), which no benchmark workload
-/// runs.
+/// `decode_steady`'s batch at its ladder context, `decode_longctx`'s at
+/// its (the workload with the largest attention share), and a
+/// `prefill_shared` chunk at that workload's median context, all on the
+/// OPT family the benchmark builds; then that chunk on the LLaMA family
+/// (RMSNorm, RoPE in `Qkv`, the gated SiLU FFN in `Finish`), which no
+/// benchmark workload runs.
 type StepScene = (&'static str, Family, KvStorage, usize, usize, usize, usize);
-const STEP_SCENES: [StepScene; 3] = [
+const STEP_SCENES: [StepScene; 4] = [
     (
         "decode_8x112_fp16",
         Family::Opt,
         KvStorage::Fp16,
         8,
         112,
+        1,
+        8,
+    ),
+    (
+        "decode_4x528_anda8",
+        Family::Opt,
+        KvStorage::Anda { mantissa_bits: 8 },
+        4,
+        528,
         1,
         8,
     ),
@@ -588,8 +604,8 @@ const STEP_SCENES: [StepScene; 3] = [
 /// The phase ledger of served steps, outside the scheduler, per scene of
 /// [`STEP_SCENES`]: its streams are prefilled once, then each round forks
 /// them there and times the round's `Model::decode_hidden_batch` steps
-/// (eight decode steps at contexts 112–119; one 64-token chunk at 352,
-/// once per family) on one thread and the dispatched leg. A row per
+/// (eight decode steps at contexts 112–119 or 528–535; one 64-token chunk
+/// at 352, once per family) on one thread and the dispatched leg. A row per
 /// phase the step charges — `Qkv` and `Finish` are the projection GEMMs
 /// with their per-row work,
 /// the walk's tiles and products are attention — with its wall ns, calls

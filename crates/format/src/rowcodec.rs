@@ -1651,7 +1651,10 @@ mod tests {
     /// The page-level decode reproduces the scalar row decode bit for bit
     /// on every leg, row length and `M`, on the columns it is asked for —
     /// group ranges from the first group or from mid-row, over a full or a
-    /// partly filled page — and leaves the others alone.
+    /// partly filled page — and leaves the others alone. The tile it
+    /// decodes into is the prefix of a buffer one group of guard lanes
+    /// longer, so a vector leg that stores past a ragged last group fails
+    /// here instead of corrupting the heap.
     #[test]
     fn page_decode_matches_row_decode_on_its_columns() {
         sweep(|cfg, dim| {
@@ -1662,12 +1665,13 @@ mod tests {
                 for (groups, filled) in ranges.iter().flat_map(|gr| [(gr, rows), (gr, 2)]) {
                     let cols = groups.start * LANES..(groups.end * LANES).min(dim);
                     let ctx = format!("leg={} {groups:?} filled={filled} {cfg:?}", leg.name());
-                    let mut tile = vec![f32::NAN; filled * dim];
+                    let mut guarded = vec![f32::NAN; filled * dim + LANES];
+                    let (tile, guard) = guarded.split_at_mut(filled * dim);
                     let (signs, exps, planes) = (&page.0, &page.1, &page.2);
                     let groups = groups.clone();
-                    decode_rows_into_with_leg(
-                        leg, cfg, signs, exps, planes, groups, dim, &mut tile,
-                    );
+                    decode_rows_into_with_leg(leg, cfg, signs, exps, planes, groups, dim, tile);
+                    let untouched = guard.iter().all(|x| x.to_bits() == f32::NAN.to_bits());
+                    assert!(untouched, "guard lanes past the tile written, {ctx}");
                     for (r, (got, want)) in tile.chunks(dim).zip(expect.chunks(dim)).enumerate() {
                         let (got_cols, want_cols) = (&got[cols.clone()], &want[cols.clone()]);
                         assert_eq!(bits(got_cols), bits(want_cols), "row {r} {ctx}");

@@ -30,7 +30,7 @@ use core::ops::{Index, IndexMut};
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use rayon_lite::ThreadPool;
 
-use crate::tile::{self, Element, Layout, Operands, OutBlock, TILE_COLS, TILE_ROWS};
+use crate::tile::{self, Element, Layout, Operands, OutBlock, STRIP_COLS, TILE_ROWS};
 
 /// Below this many multiply-adds a GeMM runs serially even when the
 /// pool has threads: dispatch overhead (a mutex push plus a condvar
@@ -227,9 +227,9 @@ impl Matrix {
     /// and the `kernels` bin call it directly). With at least one
     /// register tile of rows per thread the output is split into row
     /// ranges on tile boundaries; with fewer rows — a decode step — the
-    /// vector legs split it into column-strip ranges instead, so every
-    /// thread streams its own share of `rhs` once. Both are bit-identical
-    /// to the serial kernel.
+    /// vector legs split it into column ranges on tile boundaries (strip
+    /// pairs on AVX-512) instead, so every thread streams its own share of
+    /// `rhs` once. Both are bit-identical to the serial kernel.
     ///
     /// # Panics
     ///
@@ -411,7 +411,7 @@ impl Matrix {
         }
         let leg = active_leg();
         let threads = pool.threads();
-        let tile_rows = streamed_tile_rows(leg);
+        let (tile_rows, tile_cols) = streamed_tile(leg);
         if leg == SimdLeg::SCALAR || self.rows >= tile_rows * threads {
             let rows_per_chunk = self.rows.div_ceil(threads).next_multiple_of(tile_rows);
             pool.par_chunks_mut(&mut out.data, rows_per_chunk * n, |idx, chunk| {
@@ -419,7 +419,7 @@ impl Matrix {
             });
             return;
         }
-        let cols_per_job = n.div_ceil(threads).next_multiple_of(TILE_COLS);
+        let cols_per_job = n.div_ceil(threads).next_multiple_of(tile_cols);
         let ptr = out.data.as_mut_ptr();
         let ops = &self.operands(rhs);
         pool.scope(|s| {
@@ -530,10 +530,10 @@ impl Matrix {
         let k = rhs.k;
         for (li, out_row) in out_rows.chunks_exact_mut(rhs.n).enumerate() {
             let a_row = self.row(row0 + li);
-            for (s, out_strip) in out_row.chunks_mut(TILE_COLS).enumerate() {
-                let strip = &rhs.data[s * k * TILE_COLS..][..k * TILE_COLS];
+            for (s, out_strip) in out_row.chunks_mut(STRIP_COLS).enumerate() {
+                let strip = &rhs.data[s * k * STRIP_COLS..][..k * STRIP_COLS];
                 out_strip.fill(0.0);
-                for (&a, b_row) in a_row.iter().zip(strip.chunks_exact(TILE_COLS)) {
+                for (&a, b_row) in a_row.iter().zip(strip.chunks_exact(STRIP_COLS)) {
                     if a == 0.0 {
                         continue;
                     }
@@ -676,12 +676,12 @@ impl PackedMatrix {
     /// Packs a row-major `k × n` matrix, writing the strips in memory order.
     pub fn pack(m: &Matrix) -> Self {
         let (k, n) = m.shape();
-        let mut data = Vec::with_capacity(n.div_ceil(TILE_COLS) * k * TILE_COLS);
-        for j0 in (0..n).step_by(TILE_COLS) {
-            let width = TILE_COLS.min(n - j0);
+        let mut data = Vec::with_capacity(n.div_ceil(STRIP_COLS) * k * STRIP_COLS);
+        for j0 in (0..n).step_by(STRIP_COLS) {
+            let width = STRIP_COLS.min(n - j0);
             for row in m.data[j0..].chunks(n) {
                 data.extend_from_slice(&row[..width]);
-                data.extend_from_slice(&[0.0; TILE_COLS][width..]);
+                data.extend_from_slice(&[0.0; STRIP_COLS][width..]);
             }
         }
         PackedMatrix { k, n, data }
@@ -728,12 +728,12 @@ impl PackedMatrix {
     /// Panics if `c >= cols`.
     pub fn col_mut(&mut self, c: usize) -> impl Iterator<Item = &mut f32> {
         assert!(c < self.n, "col {c} out of bounds for {} cols", self.n);
-        let first = c / TILE_COLS * self.k * TILE_COLS + c % TILE_COLS;
+        let first = c / STRIP_COLS * self.k * STRIP_COLS + c % STRIP_COLS;
         let rows = self.k;
         self.data
             .iter_mut()
             .skip(first)
-            .step_by(TILE_COLS)
+            .step_by(STRIP_COLS)
             .take(rows)
     }
 
@@ -751,11 +751,11 @@ impl PackedMatrix {
     pub fn to_matrix_into(&self, out: &mut Matrix) {
         let (k, n) = self.shape();
         out.resize(k, n);
-        for (s, strip) in self.data.chunks_exact(k.max(1) * TILE_COLS).enumerate() {
-            let j0 = s * TILE_COLS;
-            let width = TILE_COLS.min(n - j0);
+        for (s, strip) in self.data.chunks_exact(k.max(1) * STRIP_COLS).enumerate() {
+            let j0 = s * STRIP_COLS;
+            let width = STRIP_COLS.min(n - j0);
             let rows = out.data[j0..].chunks_mut(n);
-            for (dst, src) in rows.zip(strip.chunks_exact(TILE_COLS)) {
+            for (dst, src) in rows.zip(strip.chunks_exact(STRIP_COLS)) {
                 dst[..width].copy_from_slice(&src[..width]);
             }
         }
@@ -765,7 +765,7 @@ impl PackedMatrix {
     fn as_rhs(&self) -> Rhs<'_> {
         Rhs {
             data: &self.data,
-            ld: TILE_COLS,
+            ld: STRIP_COLS,
             k: self.k,
             n: self.n,
             layout: Layout::Packed,
@@ -790,13 +790,15 @@ struct Rhs<'a> {
     layout: Layout,
 }
 
-/// Rows of `leg`'s streamed register tile ([`tile::Leg::ROWS`]; the
-/// scalar loops shard in [`TILE_ROWS`] too).
-fn streamed_tile_rows(leg: SimdLeg) -> usize {
+/// Rows and columns of `leg`'s streamed register tile ([`tile::Leg::ROWS`]
+/// and [`tile::Leg::STRIPS`] strips; the scalar loops shard in
+/// [`TILE_ROWS`] and strips too).
+fn streamed_tile(leg: SimdLeg) -> (usize, usize) {
+    use tile::Leg;
     match leg.kind() {
         #[cfg(target_arch = "x86_64")]
-        LegKind::Avx512 => <tile::Avx512 as tile::Leg>::ROWS,
-        _ => TILE_ROWS,
+        LegKind::Avx512 => (tile::Avx512::ROWS, tile::Avx512::STRIPS * STRIP_COLS),
+        _ => (TILE_ROWS, STRIP_COLS),
     }
 }
 
@@ -1153,17 +1155,21 @@ mod tests {
         use anda_fp::F16;
         // Windows of wider buffers (every stride exceeds its width), every
         // tile height and its remainders — up to two full shared 8-row
-        // tiles and one row more —, `k` off 4-blocks and past a batched
-        // panel's depth, widths around one strip, sums started from `+0.0`
-        // and from a non-zero `out`, and every row on one window, rows
-        // cycling through four (a walk's heads of several queries), or
-        // each row on its own, further apart than wide — or at one place.
-        // Nothing may skip: a zero `lhs` element against a non-finite `rhs`
-        // one is a NaN in the loops and in every leg, and what lies between
-        // the windows' rows must never be read as data nor written. Each
-        // shape runs on an `f32` `rhs` and on a binary16 one, whose words
-        // cover every class but NaN (±0, subnormals of both signs, normals,
-        // ±65504, ±inf) and which must equal the loops over its widening.
+        // tiles and one row more, and a 64-row chunk —, `k` off 4-blocks
+        // and past a batched panel's depth, widths of one strip and of
+        // strip pairs with no column, one column, fifteen or sixteen past
+        // them (an odd last strip, a ragged pair, a ragged single strip),
+        // sums started from `+0.0` and from a non-zero `out`, and every
+        // row on one window, rows cycling through four (a walk's heads of
+        // several queries), or each row on its own, further apart than
+        // wide — or at one place. Nothing may skip: a zero `lhs` element
+        // against a non-finite `rhs` one is a NaN in the loops and in every
+        // leg, and what lies between the windows' rows must never be read
+        // as data nor written — nor may the guard column past every output
+        // row (`ldc = n + 1`), which must keep its value. Each shape runs
+        // on an `f32` `rhs` and on a binary16 one, whose words cover every
+        // class but NaN (±0, subnormals of both signs, normals, ±65504,
+        // ±inf) and which must equal the loops over its widening.
         let wave = |len: usize, f: f32| -> Vec<f32> {
             (0..len).map(|i| (i as f32 * f).sin() * 2.0).collect()
         };
@@ -1181,16 +1187,12 @@ mod tests {
             }
             h
         };
-        for m in 1..=17usize {
-            for (k, n) in [
-                (1usize, 1usize),
-                (5, 7),
-                (16, 64),
-                (7, 16),
-                (13, 24),
-                (22, 37),
-                (70, 19),
-            ] {
+        let widths = [1usize, 7, 15, 16, 17, 31, 32, 33, 48, 49, 64, 65, 80, 100];
+        for m in (1..=9usize).chain([16, 17, 64]) {
+            for (k, n) in [1usize, 7, 22, 70]
+                .into_iter()
+                .flat_map(|k| widths.map(|n| (k, n)))
+            {
                 let (lda, ldb, ldc) = (k + 3, n + 5, n + 1);
                 let mut a = wave(m * lda, 0.37);
                 a.iter_mut().step_by(3).for_each(|x| *x = 0.0);

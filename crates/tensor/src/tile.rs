@@ -3,50 +3,58 @@
 //! [`crate::PackedMatrix`], and `lhs · rhsᵀ` — and of the
 //! [`crate::Strided`] view products the attention page walk is made of.
 //!
-//! Output-stationary: a tile of [`Leg::ROWS`]` × `[`TILE_COLS`] output
-//! elements lives in vector registers while `k` walks a panel, so every
-//! `rhs` vector loaded feeds every row of the tile and every `lhs` scalar
-//! sixteen columns, and the output is touched once per panel instead of
-//! once per `k`. The tile is four rows of two AVX2 / four NEON vectors, or
-//! eight rows of one AVX-512 vector: eight independent add chains on AVX2
-//! and on AVX-512 (sixteen on NEON), the AVX-512 ones in half AVX2's
-//! instructions. A panel is [`KC`] rows of one sixteen-column strip of
-//! `rhs`, `panel[kk · ldb + j] = b[k0 + kk][j0 + j]`.
+//! Output-stationary: a tile of [`Leg::ROWS`]` × `[`Leg::STRIPS`]` ·
+//! `[`STRIP_COLS`] output elements lives in vector registers while `k`
+//! walks a panel, so every `rhs` vector loaded feeds every row of the tile
+//! and every `lhs` scalar every column, and the output is touched once per
+//! panel instead of once per `k`. The tile is four rows of one strip — two
+//! AVX2 / four NEON vectors — or eight rows of two strips, one AVX-512
+//! vector each: eight independent add chains on AVX2, sixteen on NEON and
+//! on AVX-512, where each `lhs` broadcast feeds 32 columns. (Eight rows of
+//! one zmm ran a packed 64-row product no faster than AVX2's tile, a median
+//! 48 against 45 GFLOP/s over the serving projections in `kernels
+//! m_sweep`; the strip pair runs it at 69.) A panel is [`KC`] rows of a
+//! tile's strips of `rhs`, strip `s` at `panel + s · sb`, `panel[s · sb +
+//! kk · ldb + j] = b[k0 + kk][j0 + 16 s + j]`.
 //!
 //! There is **one walk order**, at every row count and for every `rhs`:
-//! column strip → `KC`-deep k panel → row tile. The output block is loaded
-//! and stored once per 256 `k`, and a panel, once in the L1, feeds every
-//! row tile of the block. A row tile runs at its own height (one row to
-//! the leg's `ROWS`), and a ragged last strip computes into a sixteen-wide
-//! edge buffer from which only the strip's own columns are copied out.
+//! column block of `STRIPS` strips → `KC`-deep k panel → row tile. The
+//! output block is loaded and stored once per 256 `k`, and a panel, once in
+//! the L1, feeds every row tile of the block. A row tile runs at its own
+//! height (one row to the leg's `ROWS`) and a last block at its own strip
+//! count (an odd last strip is a one-strip tile), and a ragged last block
+//! computes into an edge buffer of whole strips from which only the
+//! block's own columns are copied out.
 //! What differs between products is only **where a panel comes from**
 //! ([`Layout`], monomorphised into the walk, which exists once):
 //!
 //! * **In place**, [`Layout::Packed`]: a [`crate::PackedMatrix`] holds `rhs`
 //!   as ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded, so a
-//!   panel *is* `KC` consecutive sixteen-float rows and the walk reads the
-//!   matrix front to back. Every projection weight of a model is held so,
-//!   packed once when the model is built, and a served step packs nothing.
-//!   A few-row product has too little arithmetic to hide a miss behind, so
-//!   the first row tile of every panel prefetches [`PREFETCH_LINES`] cache
-//!   lines ahead of the panel row it reads — one line per `k`, across
-//!   panel and strip boundaries; the row tiles after it read the panel
-//!   from the L1. Without the hint a 4-row walk over the serving model's
+//!   panel *is* `KC` consecutive sixteen-float rows of each of its strips,
+//!   the strips `k · 16` floats apart, and the walk reads the matrix front
+//!   to back, a strip pair as two streams. Every projection weight of a
+//!   model is held so, packed once when the model is built, and a served
+//!   step packs nothing. A few-row product has too little arithmetic to
+//!   hide a miss behind, so the first row tile of every panel prefetches
+//!   [`PREFETCH_LINES`] cache lines ahead of the panel row it reads in
+//!   each of its strips — one line per `k` and strip, across panel and
+//!   strip boundaries; the row tiles after it read the panel from the
+//!   L1. Without the hint a 4-row walk over the serving model's
 //!   sixteen projections (one thread, AVX2, weights in the L3) ran at
 //!   0.69–0.77 of its speed, a 64-row one at 0.88–0.93; 32 to 128 lines
 //!   ahead read alike, 256 a little slower.
 //! * **Row-major pack**, [`Layout::RowMajor`], `rhs` a [`crate::Matrix`]
-//!   held `k × n`: each panel is first copied contiguous, sixteen floats of
-//!   each of its rows, zero-padded past a ragged strip. In place the panel
+//!   held `k × n`: each panel is first copied contiguous, strip by strip,
+//!   sixteen floats of each of its rows, zero-padded past a ragged strip. In place the panel
 //!   would stride by a whole `rhs` row — one cache line per `k`, each in a
 //!   different page, evicting itself from a power-of-two-strided L1 set —
 //!   whereas the copy is nothing but independent loads.
 //! * **Transposing pack**, [`Layout::Transposed`], `rhs` held `n × k` (the
 //!   tied LM head's embedding table, which is also the embedding lookup
 //!   and so is not held a second time): a strip is sixteen `rhs` rows, each
-//!   a contiguous stream along `k`, and the pack transposes them
-//!   ([`Leg::pack_transposed`]: 8×4 blocks in registers on AVX2, a portable
-//!   loop elsewhere). Walked strip-major that is the address order,
+//!   a contiguous stream along `k`, and the pack transposes them, strip by
+//!   strip of the block ([`Leg::pack_transposed`]: 8×4 blocks in registers
+//!   on AVX2, a portable loop elsewhere). Walked strip-major that is the address order,
 //!   sixteen ascending streams read end to end. For one to three rows the
 //!   pack is most of the cost, which is why AVX2 has a vector one (through
 //!   the portable loop a cold one-row 256 × 512 product took 57–79 µs
@@ -56,8 +64,9 @@
 //! [`crate::Strided`] view runs) multiplies by a window of a tile that is
 //! already in the L1 — one head's keys or values of a KV page, sixteen
 //! positions by 64 — thousands of times a step. Its `rhs` is row-major and
-//! read in place like a packed one (the tile takes the `rhs` row stride; a
-//! pack would copy each operand once per use), and nothing prefetches.
+//! read in place like a packed one (the tile takes the `rhs` row stride,
+//! and a window's second strip is its next sixteen columns; a pack would
+//! copy each operand once per use), and nothing prefetches.
 //! Attention stores its operands that way — a page's keys position-minor,
 //! so sixteen positions sit side by side, whether a float page holds them
 //! so or an Anda page decodes them so — and so packs nothing; the
@@ -72,7 +81,7 @@
 //! rows a tile on every leg, each row on its own window
 //! ([`Leg::tile_batched`]) — a lone lane's heads are such a tile, four
 //! independent products whose accumulator chains hide the add latency a
-//! one-row product stalls on. Its ragged strips pack a shared window once,
+//! one-row product stalls on. Its ragged blocks pack a shared window once,
 //! and each batched row's window into a quarter of the panel.
 //!
 //! A resident `rhs` may be held in binary16 ([`Element`]: `u16` bit
@@ -110,11 +119,14 @@ pub(crate) const TILE_ROWS: usize = 4;
 /// The tallest [`Leg::tile`] of any leg (AVX-512's), which sizes the
 /// walk's edge buffer.
 const MAX_TILE_ROWS: usize = 8;
-/// Output columns per register tile (two AVX2 / four NEON / one AVX-512
-/// vector), the width of a strip.
-pub(crate) const TILE_COLS: usize = 16;
-/// Depth of one k panel: a packed strip panel is `KC × TILE_COLS` f32
-/// (16 KiB, L1-resident).
+/// The widest [`Leg::tile`] of any leg in strips (AVX-512's), which sizes
+/// the edge buffer and the panel.
+const MAX_STRIPS: usize = 2;
+/// The width of a strip (two AVX2 / four NEON / one AVX-512 vector), the
+/// column unit of a tile, a panel and a [`crate::PackedMatrix`].
+pub(crate) const STRIP_COLS: usize = 16;
+/// Depth of one k panel: a packed strip panel is `KC × STRIP_COLS` f32
+/// (16 KiB, a strip pair's 32 KiB, L1-resident).
 const KC: usize = 256;
 /// How far ahead of the panel row it reads the first row tile of a packed
 /// panel prefetches, in panel rows: a panel row is sixteen floats, one
@@ -268,7 +280,7 @@ pub(crate) struct OutBlock {
 unsafe impl Send for OutBlock {}
 unsafe impl Sync for OutBlock {}
 
-/// One vector leg: its two inner loops, its [`Leg::tile`] height, its
+/// One vector leg: its two inner loops, its [`Leg::tile`] shape, its
 /// prefetch hint, its transposing pack and the entry point compiled with
 /// its CPU feature.
 pub(crate) trait Leg {
@@ -276,25 +288,35 @@ pub(crate) trait Leg {
     /// one's over a shared window: the walk's row step, and the multiple a
     /// pool shards a product's rows in.
     const ROWS: usize = TILE_ROWS;
+    /// Adjacent strips a tile spans (of [`Leg::tile`] and of
+    /// [`Leg::tile_batched`]): the walk's column step in strips, and the
+    /// multiple a pool shards a product's columns in.
+    const STRIPS: usize = 1;
 
-    /// `c[r][0..16] (+)= Σ_kk a[r][kk] · b[kk][0..16]` for `r < rows`
-    /// (`1..=Self::ROWS`) and `kk < kc`, ascending; accumulators start at
-    /// `+0.0` when `first`, else at `c`'s current contents. With `ahead`
-    /// non-zero, each `k` step also prefetches `b + kk · ldb + ahead`.
+    /// `c[r][0..w] (+)= Σ_kk a[r][kk] · B[kk][0..w]` for `r < rows`
+    /// (`1..=Self::ROWS`) and `kk < kc`, ascending, over `w = 16 · strips`
+    /// columns (`strips` in `1..=Self::STRIPS`), column `16 s + j` of `B`
+    /// being `b[s · sb + kk · ldb + j]`; accumulators start at `+0.0` when
+    /// `first`, else at `c`'s current contents. With `ahead` non-zero, each
+    /// `k` step also prefetches `b + s · sb + kk · ldb + ahead` for every
+    /// strip `s`.
     ///
     /// # Safety
     ///
     /// Needs the leg's CPU feature; `a` must be readable at
-    /// `r · lda + kk`, `b` (a panel row every `ldb` elements) at
-    /// `kk · ldb + 0..16`, and `c` readable and writable at
-    /// `r · ldc + 0..16`. The prefetched addresses need not be readable.
+    /// `r · lda + kk`, `b` (a panel row every `ldb` elements, a strip
+    /// every `sb`) at `s · sb + kk · ldb + 0..16`, and `c` readable and
+    /// writable at `r · ldc + 0..w`. The prefetched addresses need not be
+    /// readable.
     #[allow(clippy::too_many_arguments)]
     unsafe fn tile<E: Element>(
         rows: usize,
+        strips: usize,
         a: *const f32,
         lda: usize,
         b: *const E,
         ldb: usize,
+        sb: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -303,23 +325,27 @@ pub(crate) trait Leg {
     );
 
     /// [`Leg::tile`] with row `r` reading its own `b`, `r · bs` further
-    /// on: `c[r][0..16] (+)= Σ_kk a[r][kk] · b[r · bs + kk · ldb][0..16]`,
-    /// for `r < rows` (`1..=TILE_ROWS` on every leg). The rows of a tile
-    /// are then independent products, each with its own two (AVX2), four
-    /// (NEON) or one (AVX-512) accumulator chains. The default is the
-    /// portable loop, in the same operation order.
+    /// on: `c[r][0..w] (+)= Σ_kk a[r][kk] · B_r[kk][0..w]`, `B_r` at
+    /// `b + r · bs`, for `r < rows` (`1..=TILE_ROWS` on every leg). The
+    /// rows of a tile are then independent products, each with its own two
+    /// (AVX2), four (NEON) or two (AVX-512, one per strip) accumulator
+    /// chains. The default is the portable loop, in the same operation
+    /// order.
     ///
     /// # Safety
     ///
-    /// As [`Leg::tile`], with `b` readable at `r · bs + kk · ldb + 0..16`.
+    /// As [`Leg::tile`], with `b` readable at `r · bs + s · sb + kk · ldb +
+    /// 0..16`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     unsafe fn tile_batched<E: Element>(
         rows: usize,
+        strips: usize,
         a: *const f32,
         lda: usize,
         b: *const E,
         ldb: usize,
+        sb: usize,
         bs: usize,
         kc: usize,
         c: *mut f32,
@@ -327,11 +353,12 @@ pub(crate) trait Leg {
         first: bool,
     ) {
         for r in 0..rows {
-            let (a, b, c) = (a.add(r * lda), b.add(r * bs), c.add(r * ldc));
-            for j in 0..TILE_COLS {
+            let (a, c) = (a.add(r * lda), c.add(r * ldc));
+            for j in 0..strips * STRIP_COLS {
+                let b = b.add(r * bs + j / STRIP_COLS * sb + j % STRIP_COLS);
                 let mut acc = if first { 0.0 } else { *c.add(j) };
                 for kk in 0..kc {
-                    acc += *a.add(kk) * (*b.add(kk * ldb + j)).to_f32();
+                    acc += *a.add(kk) * (*b.add(kk * ldb)).to_f32();
                 }
                 *c.add(j) = acc;
             }
@@ -355,7 +382,7 @@ pub(crate) trait Leg {
     /// `0..kc · 16`.
     #[inline(always)]
     unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
-        pack_transposed_portable(b, ldb, TILE_COLS, 0..kc, panel)
+        pack_transposed_portable(b, ldb, STRIP_COLS, 0..kc, panel)
     }
 
     /// [`matmul_block`], monomorphised for `ops.layout`, for a resident
@@ -385,40 +412,41 @@ unsafe fn pack_transposed_portable<T: Copy>(
 ) {
     for j in 0..width {
         for kk in kks.clone() {
-            *panel.add(kk * TILE_COLS + j) = *b.add(j * ldb + kk);
+            *panel.add(kk * STRIP_COLS + j) = *b.add(j * ldb + kk);
         }
     }
 }
 
 /// Runs `tile` on the `rows` output rows from `c`, `ldc` apart: in place on
-/// a full strip, and through `edge`, sixteen wide, on a ragged one, of
-/// which only the strip's `width` columns are copied back (and, unless
-/// the sums start at `+0.0`, in first).
+/// a block of whole strips, and through `edge`, whole strips wide, on a
+/// ragged one, of which only the block's `width` columns are copied back
+/// (and, unless the sums start at `+0.0`, in first).
 ///
 /// # Safety
 ///
 /// `c` must be readable and writable at `r · ldc + 0..width` for `r <
 /// rows`, and `tile` sound on the output it is handed.
 #[inline(always)]
-unsafe fn on_strip(
+unsafe fn on_block(
     rows: usize,
     width: usize,
     first: bool,
     c: *mut f32,
     ldc: usize,
-    edge: &mut [f32; MAX_TILE_ROWS * TILE_COLS],
+    edge: &mut [f32; MAX_TILE_ROWS * MAX_STRIPS * STRIP_COLS],
     tile: impl FnOnce(*mut f32, usize),
 ) {
-    if width == TILE_COLS {
+    let ld = width.next_multiple_of(STRIP_COLS);
+    if width == ld {
         return tile(c, ldc);
     }
     let edge = edge.as_mut_ptr();
     for i in 0..if first { 0 } else { rows } {
-        core::ptr::copy_nonoverlapping(c.add(i * ldc), edge.add(i * TILE_COLS), width);
+        core::ptr::copy_nonoverlapping(c.add(i * ldc), edge.add(i * ld), width);
     }
-    tile(edge, TILE_COLS);
+    tile(edge, ld);
     for i in 0..rows {
-        core::ptr::copy_nonoverlapping(edge.add(i * TILE_COLS), c.add(i * ldc), width);
+        core::ptr::copy_nonoverlapping(edge.add(i * ld), c.add(i * ldc), width);
     }
 }
 
@@ -463,7 +491,7 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
     );
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
     debug_assert!(
-        !packed || cols.start % TILE_COLS == 0,
+        !packed || cols.start % STRIP_COLS == 0,
         "packed blocks start on a strip"
     );
     let a = lhs.as_ptr().add(row0 * lda);
@@ -478,56 +506,65 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
 
     // Every element a tile reads from the panel was packed into it earlier
     // in the same call. It holds `rhs`'s element: the tile widens it.
-    let mut panel = core::mem::MaybeUninit::<[E; KC * TILE_COLS]>::uninit();
+    let mut panel = core::mem::MaybeUninit::<[E; KC * MAX_STRIPS * STRIP_COLS]>::uninit();
     let panel: *mut E = panel.as_mut_ptr().cast();
-    // A batched product packs a ragged strip per row — a tile's rows each
+    let packed_b = panel.cast_const();
+    // A batched product packs a ragged block per row — a tile's rows each
     // own a panel — so its k panels are a quarter as deep.
     let kc_max = if RESIDENT { KC / TILE_ROWS } else { KC };
-    // Copies `kc` rows of the `width`-column row-major strip at `src` into
-    // a panel at `dst`, zero-padded to sixteen columns (all-zero bits are
-    // `+0.0` in either element).
-    let copy_strip = |src: *const E, width, kc, dst: *mut E| {
-        for kk in 0..kc {
-            let dst = dst.add(kk * TILE_COLS);
-            core::ptr::copy_nonoverlapping(src.add(kk * ldb), dst, width);
-            core::ptr::write_bytes(dst.add(width), 0, TILE_COLS - width);
+    // Copies `kc` rows of the `width`-column row-major block at `src` into
+    // a panel at `dst`, strip `s` at `dst + s · kc · 16`, zero-padded to
+    // whole strips (all-zero bits are `+0.0` in either element).
+    let copy_strips = |src: *const E, width: usize, kc, dst: *mut E| {
+        for s in 0..width.div_ceil(STRIP_COLS) {
+            let (src, dst) = (src.add(s * STRIP_COLS), dst.add(s * kc * STRIP_COLS));
+            let width = STRIP_COLS.min(width - s * STRIP_COLS);
+            for kk in 0..kc {
+                let dst = dst.add(kk * STRIP_COLS);
+                core::ptr::copy_nonoverlapping(src.add(kk * ldb), dst, width);
+                core::ptr::write_bytes(dst.add(width), 0, STRIP_COLS - width);
+            }
         }
     };
-    const { assert!(L::ROWS <= MAX_TILE_ROWS) };
-    // A ragged strip's tiles compute into here, sixteen wide, and only the
-    // strip's own columns are copied back.
-    let mut edge = [0.0f32; MAX_TILE_ROWS * TILE_COLS];
+    const { assert!(L::ROWS <= MAX_TILE_ROWS && L::STRIPS <= MAX_STRIPS) };
+    // A ragged block's tiles compute into here, whole strips wide, and only
+    // the block's own columns are copied back.
+    let mut edge = [0.0f32; MAX_TILE_ROWS * MAX_STRIPS * STRIP_COLS];
     // Resident rows `h + windows · g` share window `h`: the first `shared`
     // rows are whole tiles of `L::ROWS` such rows per window.
     let shared = match RESIDENT && rows >= L::ROWS * windows {
         true => rows / windows / L::ROWS * L::ROWS * windows,
         false => 0,
     };
-    for j0 in cols.clone().step_by(TILE_COLS) {
-        let width = TILE_COLS.min(cols.end - j0);
-        let full = width == TILE_COLS;
+    for j0 in cols.clone().step_by(L::STRIPS * STRIP_COLS) {
+        let width = (L::STRIPS * STRIP_COLS).min(cols.end - j0);
+        let strips = width.div_ceil(STRIP_COLS);
+        let full = width == strips * STRIP_COLS;
         for k0 in (0..k).step_by(kc_max) {
             let kc = kc_max.min(k - k0);
             let first = k0 == 0 && !accumulate;
+            // A panel this call packs: its strips lie `kc` rows apart.
+            let packed_sb = kc * STRIP_COLS;
             if RESIDENT {
-                // Where window `h` of this strip and panel starts.
+                // Where window `h` of this block and panel starts.
                 let window = |h: usize| b.add(h * rhs_stride + k0 * ldb + j0);
                 // Shared tiles: every `rhs` vector loaded feeds `L::ROWS`
                 // rows, read in place or from the window packed once.
                 for h in 0..if shared > 0 { windows } else { 0 } {
-                    let (tile_b, tile_ldb) = match full {
-                        true => (window(h), ldb),
+                    let (tile_b, tile_ldb, sb) = match full {
+                        true => (window(h), ldb, STRIP_COLS),
                         false => {
-                            copy_strip(window(h), width, kc, panel);
-                            (panel.cast_const(), TILE_COLS)
+                            copy_strips(window(h), width, kc, panel);
+                            (packed_b, STRIP_COLS, packed_sb)
                         }
                     };
                     // The rows on window `h` lie a cycle of windows apart.
                     let (lda_w, ldc_w) = (windows * lda, windows * ldc);
                     for i in (h..shared).step_by(L::ROWS * windows) {
                         let (a, c) = (a.add(i * lda + k0), out.add(i * ldc + j0));
-                        on_strip(L::ROWS, width, first, c, ldc_w, &mut edge, |c, ldc| {
-                            L::tile(L::ROWS, a, lda_w, tile_b, tile_ldb, kc, c, ldc, first, 0)
+                        on_block(L::ROWS, width, first, c, ldc_w, &mut edge, |c, ldc| {
+                            let (rows, lda, b, ldb) = (L::ROWS, lda_w, tile_b, tile_ldb);
+                            L::tile(rows, strips, a, lda, b, ldb, sb, kc, c, ldc, first, 0)
                         });
                     }
                 }
@@ -541,40 +578,45 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                         _ => (rhs_stride, windows - h),
                     };
                     let r = TILE_ROWS.min(cycle).min(rows - i0);
-                    let (tile_b, tile_ldb, tile_bs) = match full {
-                        true => (window(h), ldb, bs),
+                    let (tile_b, tile_ldb, sb, tile_bs) = match full {
+                        true => (window(h), ldb, STRIP_COLS, bs),
                         false => {
                             for i in 0..r {
-                                let dst = panel.add(i * kc * TILE_COLS);
-                                copy_strip(window(h).add(i * bs), width, kc, dst);
+                                let dst = panel.add(i * strips * packed_sb);
+                                copy_strips(window(h).add(i * bs), width, kc, dst);
                             }
-                            (panel.cast_const(), TILE_COLS, kc * TILE_COLS)
+                            (packed_b, STRIP_COLS, packed_sb, strips * packed_sb)
                         }
                     };
                     let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
-                    on_strip(r, width, first, c, ldc, &mut edge, |c, ldc| {
-                        L::tile_batched(r, a, lda, tile_b, tile_ldb, tile_bs, kc, c, ldc, first)
+                    on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
+                        let (b, ldb, bs) = (tile_b, tile_ldb, tile_bs);
+                        L::tile_batched(r, strips, a, lda, b, ldb, sb, bs, kc, c, ldc, first)
                     });
                     (i0, h) = (i0 + r, if h + r < windows { h + r } else { 0 });
                 }
                 continue;
             }
             // Where the tiles read this panel, and how far apart its rows
-            // lie.
-            let (tile_b, tile_ldb) = if packed {
-                (b.add(j0 * k + k0 * TILE_COLS), TILE_COLS)
-            } else if transposed && full && E::F32 {
-                // `E` is `f32`, so the casts change no type.
-                L::pack_transposed(b.add(j0 * ldb + k0).cast(), ldb, kc, panel.cast());
-                (panel.cast_const(), TILE_COLS)
+            // and its strips lie.
+            let (tile_b, sb) = if packed {
+                (b.add(j0 * k + k0 * STRIP_COLS), k * STRIP_COLS)
             } else if transposed {
-                core::ptr::write_bytes(panel, 0, kc * TILE_COLS);
-                let b = b.add(j0 * ldb + k0);
-                pack_transposed_portable(b, ldb, width, 0..kc, panel);
-                (panel.cast_const(), TILE_COLS)
+                for s in 0..strips {
+                    let (j, dst) = (j0 + s * STRIP_COLS, panel.add(s * packed_sb));
+                    let (b, width) = (b.add(j * ldb + k0), STRIP_COLS.min(cols.end - j));
+                    if width == STRIP_COLS && E::F32 {
+                        // `E` is `f32`, so the casts change no type.
+                        L::pack_transposed(b.cast(), ldb, kc, dst.cast());
+                    } else {
+                        core::ptr::write_bytes(dst, 0, kc * STRIP_COLS);
+                        pack_transposed_portable(b, ldb, width, 0..kc, dst);
+                    }
+                }
+                (packed_b, packed_sb)
             } else {
-                copy_strip(b.add(k0 * ldb + j0), width, kc, panel);
-                (panel.cast_const(), TILE_COLS)
+                copy_strips(b.add(k0 * ldb + j0), width, kc, panel);
+                (packed_b, packed_sb)
             };
             for i0 in (0..rows).step_by(L::ROWS) {
                 let r = L::ROWS.min(rows - i0);
@@ -582,12 +624,13 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                 // The first row tile streams the panel in; the rest find
                 // it in the L1.
                 let ahead = if packed && i0 == 0 {
-                    PREFETCH_LINES * TILE_COLS
+                    PREFETCH_LINES * STRIP_COLS
                 } else {
                     0
                 };
-                on_strip(r, width, first, c, ldc, &mut edge, |c, ldc| {
-                    L::tile(r, a, lda, tile_b, tile_ldb, kc, c, ldc, first, ahead)
+                on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
+                    let (b, ldb) = (tile_b, STRIP_COLS);
+                    L::tile(r, strips, a, lda, b, ldb, sb, kc, c, ldc, first, ahead)
                 });
             }
         }
@@ -721,16 +764,19 @@ impl Leg for Avx2 {
     #[target_feature(enable = "avx2,f16c")]
     unsafe fn tile<E: Element>(
         rows: usize,
+        strips: usize,
         a: *const f32,
         lda: usize,
         b: *const E,
         ldb: usize,
+        _sb: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
         first: bool,
         ahead: usize,
     ) {
+        debug_assert_eq!(strips, 1, "an AVX2 tile is one strip wide");
         match (rows, ahead != 0) {
             (4, false) => avx2_rows::<4, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
             (3, false) => avx2_rows::<3, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
@@ -754,16 +800,19 @@ impl Leg for Avx2 {
     #[target_feature(enable = "avx2,f16c")]
     unsafe fn tile_batched<E: Element>(
         rows: usize,
+        strips: usize,
         a: *const f32,
         lda: usize,
         b: *const E,
         ldb: usize,
+        _sb: usize,
         bs: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
         first: bool,
     ) {
+        debug_assert_eq!(strips, 1, "an AVX2 tile is one strip wide");
         match rows {
             4 => avx2_rows::<4, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
             3 => avx2_rows::<3, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
@@ -802,7 +851,7 @@ impl Leg for Avx2 {
                 if kk % 16 == 0 {
                     // The same cache line of every row of the next strip.
                     for j in 0..8 {
-                        Self::prefetch(src.wrapping_add((TILE_COLS + j) * ldb));
+                        Self::prefetch(src.wrapping_add((STRIP_COLS + j) * ldb));
                     }
                 }
                 let rows = |j: usize| {
@@ -815,14 +864,14 @@ impl Leg for Avx2 {
                 let t1 = _mm256_unpackhi_ps(r0, r1);
                 let t2 = _mm256_unpacklo_ps(r2, r3);
                 let t3 = _mm256_unpackhi_ps(r2, r3);
-                let dst = panel.add(kk * TILE_COLS + j0);
+                let dst = panel.add(kk * STRIP_COLS + j0);
                 _mm256_storeu_ps(dst, _mm256_shuffle_ps::<0x44>(t0, t2));
-                _mm256_storeu_ps(dst.add(TILE_COLS), _mm256_shuffle_ps::<0xEE>(t0, t2));
-                _mm256_storeu_ps(dst.add(2 * TILE_COLS), _mm256_shuffle_ps::<0x44>(t1, t3));
-                _mm256_storeu_ps(dst.add(3 * TILE_COLS), _mm256_shuffle_ps::<0xEE>(t1, t3));
+                _mm256_storeu_ps(dst.add(STRIP_COLS), _mm256_shuffle_ps::<0xEE>(t0, t2));
+                _mm256_storeu_ps(dst.add(2 * STRIP_COLS), _mm256_shuffle_ps::<0x44>(t1, t3));
+                _mm256_storeu_ps(dst.add(3 * STRIP_COLS), _mm256_shuffle_ps::<0xEE>(t1, t3));
             }
         }
-        pack_transposed_portable(b, ldb, TILE_COLS, blocks_end..kc, panel);
+        pack_transposed_portable(b, ldb, STRIP_COLS, blocks_end..kc, panel);
     }
 
     #[target_feature(enable = "avx2,f16c")]
@@ -831,14 +880,16 @@ impl Leg for Avx2 {
     }
 }
 
-/// The AVX-512 leg: a [`Leg::tile`] is up to eight rows of one sixteen-wide
-/// vector each — eight independent add chains, as many as [`Avx2`]'s four
-/// rows of two, in half the instructions. A batched tile keeps four rows.
-/// The prefetch hint and the transposing pack are [`Avx2`]'s.
+/// The AVX-512 leg: a [`Leg::tile`] is up to eight rows of two strips, one
+/// sixteen-wide vector each — sixteen independent add chains, every `lhs`
+/// broadcast feeding 32 columns and every `rhs` vector eight rows. A
+/// batched tile keeps four rows. The prefetch hint and the transposing
+/// pack are [`Avx2`]'s.
 #[cfg(target_arch = "x86_64")]
 pub(crate) struct Avx512;
 
-/// [`Avx512`]'s tile body for `R` rows, as [`avx2_rows`] is [`Avx2`]'s.
+/// [`Avx512`]'s tile body for `R` rows of `S` strips, as [`avx2_rows`] is
+/// [`Avx2`]'s.
 ///
 /// # Safety
 ///
@@ -847,11 +898,18 @@ pub(crate) struct Avx512;
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E: Element>(
+unsafe fn avx512_rows<
+    const R: usize,
+    const S: usize,
+    const BATCHED: bool,
+    const PREFETCH: bool,
+    E: Element,
+>(
     a: *const f32,
     lda: usize,
     b: *const E,
     ldb: usize,
+    sb: usize,
     bs: usize,
     kc: usize,
     c: *mut f32,
@@ -860,36 +918,47 @@ unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool,
     ahead: usize,
 ) {
     use core::arch::x86_64::*;
-    let mut acc = [_mm512_setzero_ps(); R];
+    let mut acc = [[_mm512_setzero_ps(); S]; R];
     if !first {
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            *acc_r = _mm512_loadu_ps(c.add(r * ldc));
+            for (s, acc_v) in acc_r.iter_mut().enumerate() {
+                *acc_v = _mm512_loadu_ps(c.add(r * ldc + s * STRIP_COLS));
+            }
         }
     }
     for kk in 0..kc {
         let b_kk = b.add(kk * ldb);
-        if PREFETCH {
-            <Avx2 as Leg>::prefetch(b_kk.wrapping_add(ahead));
+        let mut shared = [_mm512_setzero_ps(); S];
+        for (s, bv) in shared.iter_mut().enumerate() {
+            if PREFETCH {
+                <Avx2 as Leg>::prefetch(b_kk.wrapping_add(s * sb + ahead));
+            }
+            if !BATCHED {
+                *bv = E::load16(b_kk.add(s * sb));
+            }
         }
-        let shared = E::load16(b_kk);
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let bv = match BATCHED {
-                false => shared,
-                true => E::load16(b_kk.add(r * bs)),
-            };
             // mul then add, never fused: the scalar oracle rounds the
             // product before the sum.
             let av = _mm512_set1_ps(*a.add(r * lda + kk));
-            *acc_r = _mm512_add_ps(*acc_r, _mm512_mul_ps(av, bv));
+            for (s, acc_v) in acc_r.iter_mut().enumerate() {
+                let bv = match BATCHED {
+                    false => shared[s],
+                    true => E::load16(b_kk.add(r * bs + s * sb)),
+                };
+                *acc_v = _mm512_add_ps(*acc_v, _mm512_mul_ps(av, bv));
+            }
         }
     }
-    for (r, &acc_r) in acc.iter().enumerate() {
-        _mm512_storeu_ps(c.add(r * ldc), acc_r);
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (s, &acc_v) in acc_r.iter().enumerate() {
+            _mm512_storeu_ps(c.add(r * ldc + s * STRIP_COLS), acc_v);
+        }
     }
 }
 
-/// [`avx512_rows`] for a [`Leg::tile`] of `R` rows, prefetching `ahead`
-/// when it is non-zero.
+/// [`avx512_rows`] for a [`Leg::tile`] of `rows` rows of `S` strips,
+/// prefetching `ahead` when `PREFETCH`.
 ///
 /// # Safety
 ///
@@ -898,70 +967,85 @@ unsafe fn avx512_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool,
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx512_streamed<const R: usize, E: Element>(
+unsafe fn avx512_tile<const S: usize, const PREFETCH: bool, E: Element>(
+    rows: usize,
     a: *const f32,
     lda: usize,
     b: *const E,
     ldb: usize,
+    sb: usize,
     kc: usize,
     c: *mut f32,
     ldc: usize,
     first: bool,
     ahead: usize,
 ) {
-    match ahead {
-        0 => avx512_rows::<R, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-        _ => avx512_rows::<R, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead),
+    let p = ahead;
+    match rows {
+        8 => avx512_rows::<8, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        7 => avx512_rows::<7, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        6 => avx512_rows::<6, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        5 => avx512_rows::<5, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        4 => avx512_rows::<4, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        3 => avx512_rows::<3, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        2 => avx512_rows::<2, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        _ => avx512_rows::<1, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 impl Leg for Avx512 {
     const ROWS: usize = MAX_TILE_ROWS;
+    const STRIPS: usize = MAX_STRIPS;
 
     #[target_feature(enable = "avx512f")]
     unsafe fn tile<E: Element>(
         rows: usize,
+        strips: usize,
         a: *const f32,
         lda: usize,
         b: *const E,
         ldb: usize,
+        sb: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
         first: bool,
         ahead: usize,
     ) {
-        match rows {
-            8 => avx512_streamed::<8, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            7 => avx512_streamed::<7, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            6 => avx512_streamed::<6, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            5 => avx512_streamed::<5, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            4 => avx512_streamed::<4, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            3 => avx512_streamed::<3, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            2 => avx512_streamed::<2, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
-            _ => avx512_streamed::<1, _>(a, lda, b, ldb, kc, c, ldc, first, ahead),
+        match (strips, ahead) {
+            (2, 0) => avx512_tile::<2, false, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, 0),
+            (2, _) => avx512_tile::<2, true, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, ahead),
+            (_, 0) => avx512_tile::<1, false, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, 0),
+            _ => avx512_tile::<1, true, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, ahead),
         }
     }
 
     #[target_feature(enable = "avx512f")]
     unsafe fn tile_batched<E: Element>(
         rows: usize,
+        strips: usize,
         a: *const f32,
         lda: usize,
         b: *const E,
         ldb: usize,
+        sb: usize,
         bs: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
         first: bool,
     ) {
-        match rows {
-            4 => avx512_rows::<4, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            3 => avx512_rows::<3, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            2 => avx512_rows::<2, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            _ => avx512_rows::<1, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+        let (s, f) = (sb, first);
+        match (rows, strips) {
+            (4, 2) => avx512_rows::<4, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+            (3, 2) => avx512_rows::<3, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+            (2, 2) => avx512_rows::<2, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+            (_, 2) => avx512_rows::<1, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+            (4, _) => avx512_rows::<4, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+            (3, _) => avx512_rows::<3, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+            (2, _) => avx512_rows::<2, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+            _ => avx512_rows::<1, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
         }
     }
 
@@ -995,10 +1079,12 @@ impl Leg for Neon {
     #[target_feature(enable = "neon")]
     unsafe fn tile<E: Element>(
         rows: usize,
+        strips: usize,
         a: *const f32,
         lda: usize,
         b: *const E,
         ldb: usize,
+        _sb: usize,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -1006,6 +1092,7 @@ impl Leg for Neon {
         _ahead: usize,
     ) {
         use core::arch::aarch64::*;
+        debug_assert_eq!(strips, 1, "a NEON tile is one strip wide");
 
         #[inline]
         #[target_feature(enable = "neon")]

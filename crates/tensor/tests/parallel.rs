@@ -160,40 +160,60 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
 
 /// The packed product — the walk every projection of a served step runs —
 /// against the scalar oracle on the unpacked matrix, on every leg and
-/// every pool width: every tile height from one row to eight (so every
-/// tile of the four-row and the eight-row legs), a full tile of either
-/// followed by a ragged one, and row counts on both sides of the thread
-/// counts' tile multiples and of 32 and 64 (so row sharding and strip
-/// sharding both run), widths
-/// with no, one and fifteen columns past the last whole strip (the
-/// zero-padded strip read in place), and `k` below the prefetch distance,
-/// around one 256-deep panel and four panels deep. The lhs is
-/// ReLU-sparse, as the down projection's is.
+/// every pool width, and the row-major and transposed products at the same
+/// shapes against theirs: every tile height from one row to eight (so
+/// every tile of the four-row and the eight-row legs) and nine, row counts
+/// on both sides of the thread counts' tile multiples (so row sharding and
+/// column sharding both run: two threads split the columns of every
+/// product under 16 rows on AVX-512, under 8 on AVX2), widths of one
+/// strip and of strip pairs with no column, one column, fifteen or
+/// sixteen past them (an odd last strip, a ragged pair, a ragged single
+/// strip — the zero-padded strip read in place), and `k` below the
+/// prefetch distance, around one 256-deep panel and four panels deep. The
+/// lhs is ReLU-sparse, as the down projection's is.
 #[test]
 fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
     let pools: Vec<ThreadPool> = THREADS.iter().map(|&t| ThreadPool::new(t)).collect();
+    let scalar = anda_fp::SimdLeg::SCALAR;
     for k in [1usize, 7, 255, 256, 257, 1024] {
-        for n in [32usize, 33, 47] {
+        for n in [15usize, 16, 17, 31, 32, 33, 48, 49, 64, 65, 80, 100] {
             let b = deterministic(k, n, 8);
+            let bt = b.transposed();
             let packed = PackedMatrix::pack(&b);
             assert_bits_eq(&packed.to_matrix(), &b, &format!("pack round trip {k}x{n}"));
-            for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33, 64, 65] {
+            for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 33, 64, 65] {
                 let mut a = deterministic(m, k, 9);
                 a.map_inplace(|x| x.max(0.0));
                 let mut oracle = Matrix::zeros(m, n);
-                a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
-                for leg in anda_fp::simd::available_legs() {
+                a.matmul_into_serial_with_leg(&b, &mut oracle, scalar);
+                let mut oracle_t = Matrix::zeros(m, n);
+                a.matmul_transposed_into_serial_with_leg(&bt, &mut oracle_t, scalar);
+                // Every layout's product into `out`, on `leg` or `pool`,
+                // against its oracle; stale contents must be overwritten.
+                let check = |at: &str, run: &dyn Fn(&mut Matrix), oracle: &Matrix| {
                     let mut out = Matrix::zeros(m, n);
                     out.as_mut_slice().fill(f32::NAN);
-                    a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg);
-                    let at = format!("packed {m}x{k}x{n} leg {}", leg.name());
-                    assert_bits_eq(&out, &oracle, &at);
+                    run(&mut out);
+                    assert_bits_eq(&out, oracle, &format!("{at} {m}x{k}x{n}"));
+                };
+                for leg in anda_fp::simd::available_legs() {
+                    let name = leg.name();
+                    let run =
+                        |out: &mut Matrix| a.matmul_packed_into_serial_with_leg(&packed, out, leg);
+                    check(&format!("packed leg {name}"), &run, &oracle);
+                    let run = |out: &mut Matrix| a.matmul_into_serial_with_leg(&b, out, leg);
+                    check(&format!("row-major leg {name}"), &run, &oracle);
+                    let run =
+                        |out: &mut Matrix| a.matmul_transposed_into_serial_with_leg(&bt, out, leg);
+                    check(&format!("transposed leg {name}"), &run, &oracle_t);
                 }
                 for (threads, pool) in THREADS.iter().zip(&pools) {
-                    let mut out = Matrix::zeros(m, n);
-                    out.as_mut_slice().fill(f32::NAN);
-                    a.matmul_packed_into_pool(&packed, &mut out, pool);
-                    assert_bits_eq(&out, &oracle, &format!("packed {m}x{k}x{n} @ {threads}t"));
+                    let run = |out: &mut Matrix| a.matmul_packed_into_pool(&packed, out, pool);
+                    check(&format!("packed @ {threads}t"), &run, &oracle);
+                    let run = |out: &mut Matrix| a.matmul_into_pool(&b, out, pool);
+                    check(&format!("row-major @ {threads}t"), &run, &oracle);
+                    let run = |out: &mut Matrix| a.matmul_transposed_into_pool(&bt, out, pool);
+                    check(&format!("transposed @ {threads}t"), &run, &oracle_t);
                 }
             }
         }
