@@ -553,6 +553,11 @@ fn attend(o: &Opts) -> Table {
 /// The serving model's shape, as `anda_perf` builds it: 256 wide, four
 /// layers of four heads, FFN 1024, vocab 512.
 const STEP_MODEL: (usize, usize, usize, usize, usize) = (256, 4, 4, 1024, 512);
+/// The step model's position table, as `anda_perf` builds it. It is fixed,
+/// not the longest scene's reach: the table is drawn first from the model's
+/// seed, so its length picks every weight, and a scene added or dropped
+/// must not change the others'.
+const STEP_MAX_SEQ: usize = 1024;
 /// `(name, model family, page storage, streams, context each is
 /// prefilled to, tokens per stream and step, steps per round)`:
 /// `decode_steady`'s batch at its ladder context, `decode_longctx`'s at
@@ -615,10 +620,6 @@ const STEP_SCENES: [StepScene; 4] = [
 /// not run.
 fn step(o: &Opts) -> Table {
     let (d_model, n_layers, n_heads, d_ffn, vocab) = STEP_MODEL;
-    let max_seq = STEP_SCENES
-        .iter()
-        .map(|&(_, _, _, _, context, tokens, steps)| context + tokens * steps)
-        .max();
     let model = |family| {
         let config = ModelConfig {
             name: "step".into(),
@@ -628,12 +629,11 @@ fn step(o: &Opts) -> Table {
             n_heads,
             d_ffn,
             vocab,
-            max_seq: max_seq.unwrap_or(0),
+            max_seq: STEP_MAX_SEQ,
         };
         Model::synthesize(config, &opt_125m_sim().profile, 4242)
     };
     let pool = ThreadPool::new(1);
-    let mut rng = Rng::new(15);
     let mut table = Table::new([
         "scene",
         "phase",
@@ -644,6 +644,8 @@ fn step(o: &Opts) -> Table {
     ]);
     for (name, family, storage, streams, context, tokens, steps) in STEP_SCENES {
         let model = model(family);
+        // Each scene draws its own tokens, whatever scenes precede it.
+        let mut rng = Rng::new(15);
         let pages = PagePool::new(KvPoolConfig::unbounded(storage));
         let mut scratch: Vec<DecodeScratch> = (0..streams).map(|_| DecodeScratch::new()).collect();
         let mut walk = PageDecodeCache::new();

@@ -13,18 +13,18 @@
 //! on AVX-512, where each `lhs` broadcast feeds 32 columns. (Eight rows of
 //! one zmm ran a packed 64-row product no faster than AVX2's tile, a median
 //! 48 against 45 GFLOP/s over the serving projections in `kernels
-//! m_sweep`; the strip pair runs it at 69.) A panel is [`KC`] rows of a
-//! tile's strips of `rhs`, strip `s` at `panel + s · sb`, `panel[s · sb +
-//! kk · ldb + j] = b[k0 + kk][j0 + 16 s + j]`.
+//! m_sweep`; the strip pair runs it at 69.) A panel is up to [`KC`] rows
+//! of a tile's strips of `rhs`, strip `s` at `panel + s · sb`,
+//! `panel[s · sb + kk · ldb + j] = b[k0 + kk][j0 + 16 s + j]`.
 //!
 //! There is **one walk order**, at every row count and for every `rhs`:
-//! column block of `STRIPS` strips → `KC`-deep k panel → row tile. The
-//! output block is loaded and stored once per 256 `k`, and a panel, once in
-//! the L1, feeds every row tile of the block. A row tile runs at its own
-//! height (one row to the leg's `ROWS`) and a last block at its own strip
-//! count (an odd last strip is a one-strip tile), and a ragged last block
-//! computes into an edge buffer of whole strips from which only the
-//! block's own columns are copied out.
+//! column block of `STRIPS` strips → k panel → row tile. The output block
+//! is loaded and stored once per panel (256 `k` of a packed `rhs`), and a
+//! panel, once in the L1, feeds every row tile of the block. A row tile
+//! runs at its own height (one row to the leg's `ROWS`) and a last block
+//! at its own strip count (an odd last strip is a one-strip tile), and a
+//! ragged last block computes into an edge buffer of whole strips from
+//! which only the block's own columns are copied out.
 //! What differs between products is only **where a panel comes from**
 //! ([`Layout`], monomorphised into the walk, which exists once):
 //!
@@ -120,13 +120,15 @@ pub(crate) const TILE_ROWS: usize = 4;
 /// walk's edge buffer.
 const MAX_TILE_ROWS: usize = 8;
 /// The widest [`Leg::tile`] of any leg in strips (AVX-512's), which sizes
-/// the edge buffer and the panel.
+/// the edge buffer.
 const MAX_STRIPS: usize = 2;
 /// The width of a strip (two AVX2 / four NEON / one AVX-512 vector), the
 /// column unit of a tile, a panel and a [`crate::PackedMatrix`].
 pub(crate) const STRIP_COLS: usize = 16;
-/// Depth of one k panel: a packed strip panel is `KC × STRIP_COLS` f32
-/// (16 KiB, a strip pair's 32 KiB, L1-resident).
+/// Depth of one k panel of a [`crate::PackedMatrix`]: a strip of it is
+/// `KC × STRIP_COLS` f32 (16 KiB, a strip pair's 32 KiB, L1-resident). A
+/// pack holds `KC × STRIP_COLS` elements, so a pack of two strips is half
+/// as deep.
 const KC: usize = 256;
 /// How far ahead of the panel row it reads the first row tile of a packed
 /// panel prefetches, in panel rows: a panel row is sixteen floats, one
@@ -505,13 +507,13 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
     }
 
     // Every element a tile reads from the panel was packed into it earlier
-    // in the same call. It holds `rhs`'s element: the tile widens it.
-    let mut panel = core::mem::MaybeUninit::<[E; KC * MAX_STRIPS * STRIP_COLS]>::uninit();
+    // in the same call. It holds `rhs`'s element: the tile widens it. It
+    // is one strip `KC` deep on every leg: twice that, the larger stack
+    // frame alone slowed a 4 × 64 × 16 batched product on a 2-vCPU
+    // AVX-512 Xeon from 137–151 to 167–203 ns.
+    let mut panel = core::mem::MaybeUninit::<[E; KC * STRIP_COLS]>::uninit();
     let panel: *mut E = panel.as_mut_ptr().cast();
     let packed_b = panel.cast_const();
-    // A batched product packs a ragged block per row — a tile's rows each
-    // own a panel — so its k panels are a quarter as deep.
-    let kc_max = if RESIDENT { KC / TILE_ROWS } else { KC };
     // Copies `kc` rows of the `width`-column row-major block at `src` into
     // a panel at `dst`, strip `s` at `dst + s · kc · 16`, zero-padded to
     // whole strips (all-zero bits are `+0.0` in either element).
@@ -540,6 +542,14 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         let width = (L::STRIPS * STRIP_COLS).min(cols.end - j0);
         let strips = width.div_ceil(STRIP_COLS);
         let full = width == strips * STRIP_COLS;
+        // What is read in place goes `KC` deep. A pack holds the block's
+        // strips, and a batched product's a ragged block per row — a
+        // tile's rows each own one —, so their k panels are shallower.
+        let kc_max = match (packed || RESIDENT && full, RESIDENT) {
+            (true, _) => KC,
+            (false, false) => KC / L::STRIPS,
+            (false, true) => KC / TILE_ROWS / L::STRIPS,
+        };
         for k0 in (0..k).step_by(kc_max) {
             let kc = kc_max.min(k - k0);
             let first = k0 == 0 && !accumulate;

@@ -163,9 +163,10 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
 /// every pool width, and the row-major and transposed products at the same
 /// shapes against theirs: every tile height from one row to eight (so
 /// every tile of the four-row and the eight-row legs) and nine, row counts
-/// on both sides of the thread counts' tile multiples (so row sharding and
-/// column sharding both run: two threads split the columns of every
-/// product under 16 rows on AVX-512, under 8 on AVX2), widths of one
+/// on both sides of the thread counts' tile multiples and of 32 and 64 (so
+/// row sharding and column sharding both run: two threads split the
+/// columns of every product under 16 rows on AVX-512, under 8 on AVX2),
+/// widths of one
 /// strip and of strip pairs with no column, one column, fifteen or
 /// sixteen past them (an odd last strip, a ragged pair, a ragged single
 /// strip — the zero-padded strip read in place), and `k` below the
@@ -176,12 +177,12 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
     let pools: Vec<ThreadPool> = THREADS.iter().map(|&t| ThreadPool::new(t)).collect();
     let scalar = anda_fp::SimdLeg::SCALAR;
     for k in [1usize, 7, 255, 256, 257, 1024] {
-        for n in [15usize, 16, 17, 31, 32, 33, 48, 49, 64, 65, 80, 100] {
+        for n in [15usize, 16, 17, 31, 32, 33, 47, 48, 49, 64, 65, 80, 100] {
             let b = deterministic(k, n, 8);
             let bt = b.transposed();
             let packed = PackedMatrix::pack(&b);
             assert_bits_eq(&packed.to_matrix(), &b, &format!("pack round trip {k}x{n}"));
-            for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 33, 64, 65] {
+            for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33, 64, 65] {
                 let mut a = deterministic(m, k, 9);
                 a.map_inplace(|x| x.max(0.0));
                 let mut oracle = Matrix::zeros(m, n);
