@@ -52,7 +52,8 @@ type Section = (&'static str, &'static str, fn(&Opts) -> Table);
 const SECTIONS: [Section; 9] = [
     (
         "threads",
-        "GEMM GFLOP/s, serial vs sharded over a rayon-lite pool (matmul_t: rhs held n x k)",
+        "GEMM GFLOP/s, serial vs sharded over a rayon-lite pool (matmul: rhs row-major, \
+         matmul_packed: rhs packed once, as a model holds its weights and embedding)",
         threads,
     ),
     (
@@ -64,8 +65,7 @@ const SECTIONS: [Section; 9] = [
         "m_sweep",
         "GFLOP/s of M per-row passes | one tiled GEMM | the same over the weight packed as a \
          model's Layer holds it | that packed product over one L2-resident weight (serial, 4 \
-         rotating weight copies but in the last; wdown's lhs is ReLU-sparse; lm_head's rhs is \
-         held n x k and has no packed form)",
+         rotating weight copies but in the last; wdown's lhs is ReLU-sparse)",
         m_sweep,
     ),
     (
@@ -244,14 +244,15 @@ fn threads(o: &Opts) -> Table {
     ];
     for (m, k, n) in shapes.into_iter().take(if o.quick { 2 } else { 4 }) {
         let a = random(m, k, 1, 1.0);
-        let (b, bt) = (random(k, n, 2, 1.0), random(n, k, 3, 1.0));
+        let b = random(k, n, 2, 1.0);
+        let packed = PackedMatrix::pack_transposed(&random(n, k, 3, 1.0));
         let mut out = Matrix::zeros(m, n);
         row("matmul", (m, k, n), &mut |pool| {
             a.matmul_into_pool(&b, &mut out, pool)
         });
-        // The gap to the row above is the transposing pack.
-        row("matmul_t", (m, k, n), &mut |pool| {
-            a.matmul_transposed_into_pool(&bt, &mut out, pool)
+        // The gap to the row above is the per-panel copy.
+        row("matmul_packed", (m, k, n), &mut |pool| {
+            a.matmul_packed_into_pool(&packed, &mut out, pool)
         });
     }
 
@@ -271,7 +272,8 @@ fn simd(o: &Opts) -> Table {
     let leg = active_leg();
     let n = if o.quick { 256 } else { 512 };
     let a = random(n, n, 6, 1.0);
-    let (b, bt) = (random(n, n, 7, 1.0), random(n, n, 8, 1.0));
+    let b = random(n, n, 7, 1.0);
+    let packed = PackedMatrix::pack_transposed(&random(n, n, 8, 1.0));
     let mut out = Matrix::zeros(n, n);
     let mut table = Table::new([
         format!("kernel {n}x{n}x{n}"),
@@ -279,11 +281,11 @@ fn simd(o: &Opts) -> Table {
         format!("{} GF/s", leg.name()),
         "speedup".to_string(),
     ]);
-    for (kernel, rhs, transposed) in [("matmul", &b, false), ("matmul_t", &bt, true)] {
+    for (kernel, is_packed) in [("matmul", false), ("matmul_packed", true)] {
         let mut run = |leg| {
-            o.time(|| match transposed {
-                false => a.matmul_into_serial_with_leg(rhs, &mut out, leg),
-                true => a.matmul_transposed_into_serial_with_leg(rhs, &mut out, leg),
+            o.time(|| match is_packed {
+                false => a.matmul_into_serial_with_leg(&b, &mut out, leg),
+                true => a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg),
             })
         };
         let (scalar, vector) = (run(SimdLeg::SCALAR), run(leg));
@@ -301,15 +303,15 @@ fn simd(o: &Opts) -> Table {
 /// decode batch, a prefill chunk.
 const SWEEP_M: [usize; 6] = [1, 2, 4, 8, 16, 64];
 
-/// `(k, n, relu_sparse, transposed)` of the serving model's projections —
+/// `(name, k, n, relu_sparse)` of the serving model's projections —
 /// `wqkv`, `wup`, `wdown`; only `wdown` reads the post-ReLU block, the
 /// other two read normed (dense) activations — and of its tied LM head,
-/// whose `rhs` (the embedding table) is held `n × k`.
-const SWEEP_SHAPES: [(usize, usize, bool, bool); 4] = [
-    (256, 768, false, false),
-    (256, 1024, false, false),
-    (1024, 256, true, false),
-    (256, 512, false, true),
+/// whose `rhs` is the embedding, held packed as a projection's is.
+const SWEEP_SHAPES: [(&str, usize, usize, bool); 4] = [
+    ("wqkv", 256, 768, false),
+    ("wup", 256, 1024, false),
+    ("wdown", 1024, 256, true),
+    ("lm_head", 256, 512, false),
 ];
 
 /// The row-major baseline: one pass of the single-row axpy loop per row
@@ -331,16 +333,12 @@ fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 }
 
 /// The step-wide GEMMs against one pass per row: for each serving
-/// projection shape, then the LM head (the same tile through the
-/// transposing pack), and each SIMD leg, `M` rows through one tiled call
-/// versus `M` passes of the per-row loop (axpy; for the LM head plain
-/// ascending-`k` dots, the scalar leg of `matmul_transposed`). A
-/// projection's third number is the walk a served step runs: the same tile
-/// reading a [`PackedMatrix`] in place, where the middle one copies every
-/// panel out of a row-major `rhs` first. `M = 1` is the small-M guard (a
-/// solo decode step; the transposed LM head pays a whole pack for one row
-/// of arithmetic — this is where that cost is printed); `M ≥ 8` is where
-/// cross-row weight reuse has to show. Four weight copies rotate under the
+/// projection shape and the LM head, and each SIMD leg, `M` rows through
+/// one tiled call versus `M` passes of the per-row axpy loop. The third
+/// number is the walk a served step runs: the same tile reading a
+/// [`PackedMatrix`] in place, where the middle one copies every panel out
+/// of a row-major `rhs` first. `M = 1` is the small-M guard (a solo decode
+/// step); `M ≥ 8` is where cross-row weight reuse has to show. Four weight copies rotate under the
 /// calls so that, as in a model, a weight has left the L2 by the time it
 /// is used again: a single hot matrix ranks packing strategies the wrong
 /// way round. The fourth number is the packed product over one weight
@@ -349,17 +347,10 @@ fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 fn m_sweep(o: &Opts) -> Table {
     let mut table = columns("leg / k x n", SWEEP_M.map(|m| format!("M={m}")));
     for leg in available_legs() {
-        for (k, n, sparse, transposed) in SWEEP_SHAPES {
-            let (w_rows, w_cols) = if transposed { (n, k) } else { (k, n) };
-            let copies: Vec<Matrix> = (0..4)
-                .map(|c| random(w_rows, w_cols, 11 + c, 0.05))
-                .collect();
-            let packed: Vec<PackedMatrix> = match transposed {
-                false => copies.iter().map(PackedMatrix::pack).collect(),
-                true => Vec::new(),
-            };
-            let kind = if transposed { " lm_head" } else { "" };
-            let mut cells = vec![format!("{} {k}x{n}{kind}", leg.name())];
+        for (name, k, n, sparse) in SWEEP_SHAPES {
+            let copies: Vec<Matrix> = (0..4).map(|c| random(k, n, 11 + c, 0.05)).collect();
+            let packed: Vec<PackedMatrix> = copies.iter().map(PackedMatrix::pack).collect();
+            let mut cells = vec![format!("{} {k}x{n} {name}", leg.name())];
             for m in SWEEP_M {
                 // With `sparse` the negative half is zeroed — the sparsity
                 // the `a == 0` skip of the per-row loop feeds on and a
@@ -379,24 +370,15 @@ fn m_sweep(o: &Opts) -> Table {
                     });
                     gflops(m, k, n, rotation / calls as f64)
                 };
-                let cell = if transposed {
-                    let rows = time(&|c, out| {
-                        a.matmul_transposed_into_serial_with_leg(&copies[c], out, SimdLeg::SCALAR)
-                    });
-                    let gemm = time(&|c, out| {
-                        a.matmul_transposed_into_serial_with_leg(&copies[c], out, leg)
-                    });
-                    format!("{rows:.1} | {gemm:.1}")
-                } else {
-                    let rows = time(&|c, out| per_row_gemv(&a, &copies[c], out));
-                    let gemm = time(&|c, out| a.matmul_into_serial_with_leg(&copies[c], out, leg));
-                    let in_place =
-                        time(&|c, out| a.matmul_packed_into_serial_with_leg(&packed[c], out, leg));
-                    let resident =
-                        time(&|_, out| a.matmul_packed_into_serial_with_leg(&packed[0], out, leg));
-                    format!("{rows:.1} | {gemm:.1} | {in_place:.1} | {resident:.1}")
-                };
-                cells.push(cell);
+                let rows = time(&|c, out| per_row_gemv(&a, &copies[c], out));
+                let gemm = time(&|c, out| a.matmul_into_serial_with_leg(&copies[c], out, leg));
+                let in_place =
+                    time(&|c, out| a.matmul_packed_into_serial_with_leg(&packed[c], out, leg));
+                let resident =
+                    time(&|_, out| a.matmul_packed_into_serial_with_leg(&packed[0], out, leg));
+                cells.push(format!(
+                    "{rows:.1} | {gemm:.1} | {in_place:.1} | {resident:.1}"
+                ));
             }
             table.row(cells);
         }

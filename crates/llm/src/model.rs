@@ -101,8 +101,9 @@ pub struct LayerQuant {
 pub struct Model {
     config: ModelConfig,
     mode: WeightMode,
-    /// Token embedding, `vocab × d` (tied with the LM head).
-    embed: Matrix,
+    /// Token embedding, tied with the LM head: held once, packed as the
+    /// head's `d × vocab` `rhs` (token `t` is column `t`).
+    embed: PackedMatrix,
     /// Learned position embedding, `max_seq × d` (OPT family only).
     pos_embed: Option<Matrix>,
     layers: Vec<Layer>,
@@ -136,26 +137,33 @@ impl Model {
         let d = config.d_model;
         let ffn = config.d_ffn;
 
-        let mut embed = dense(config.vocab, d, profile.logit_sharpness, &mut rng);
+        // Every weight, the embedding first, is sampled row-major into one
+        // reused buffer and packed from it: the buffer is paged in once per
+        // model, not once per weight.
+        let mut sampled = Matrix::default();
+        dense_into(
+            &mut sampled,
+            config.vocab,
+            d,
+            profile.logit_sharpness,
+            &mut rng,
+        );
         // Renormalize embedding rows so logits reflect direction, not length.
         for r in 0..config.vocab {
-            let row = embed.row_mut(r);
+            let row = sampled.row_mut(r);
             let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
             let target = profile.logit_sharpness;
             for x in row.iter_mut() {
                 *x *= target / norm;
             }
         }
+        let embed = PackedMatrix::pack_transposed(&sampled);
 
         let pos_embed = match config.family {
             Family::Opt => Some(dense(config.max_seq, d, 0.3, &mut rng)),
             Family::Llama => None,
         };
 
-        // Every weight is sampled row-major into one reused buffer and
-        // packed from it: the buffer is paged in once per model, not once
-        // per weight.
-        let mut sampled = Matrix::default();
         let mut weight = |rows, cols, rng: &mut Rng| {
             dense_into(&mut sampled, rows, cols, profile.weight_std, rng);
             PackedMatrix::pack(&sampled)
@@ -680,7 +688,9 @@ impl Model {
         let tokens = batch.iter().flat_map(|entry| entry.tokens);
         let embedded = r.x.as_mut_slice().chunks_exact_mut(d);
         for ((&token, &pos), x_row) in tokens.zip(&r.positions).zip(embedded) {
-            x_row.copy_from_slice(self.embed.row(token));
+            for (xv, &ev) in x_row.iter_mut().zip(self.embed.col(token)) {
+                *xv = ev;
+            }
             if let Some(posm) = &self.pos_embed {
                 for (xv, &pv) in x_row.iter_mut().zip(posm.row(pos)) {
                     *xv += pv;
@@ -874,7 +884,8 @@ impl Model {
 
     /// Tied LM head, `logits = hidden · embedᵀ` times the logit scale
     /// (kept in FP, like the paper's non-GeMM operators), through
-    /// [`Matrix::matmul_transposed_into_on`] — sharded across `pool` only
+    /// [`Matrix::matmul_packed_into_on`] over the packed embedding, the
+    /// product every projection runs — sharded across `pool` only
     /// when the product is large enough to repay a dispatch, like every
     /// projection: the one LM head of [`Model::forward`], the solo entry
     /// points and the batched one.
@@ -883,7 +894,7 @@ impl Model {
         if hidden.rows() == 0 {
             return;
         }
-        hidden.matmul_transposed_into_on(&self.embed, logits, pool);
+        hidden.matmul_packed_into_on(&self.embed, logits, pool);
         if self.logit_scale != 1.0 {
             logits.scale(self.logit_scale);
         }
@@ -1392,66 +1403,92 @@ mod tests {
     /// The LM head's oracle: one scalar `.zip().map().sum()` dot per
     /// logit.
     fn dot_logit(model: &Model, tok: usize, x: &[f32]) -> f32 {
-        let dot: f32 = model
-            .embed
-            .row(tok)
-            .iter()
-            .zip(x)
-            .map(|(&e, &xv)| e * xv)
-            .sum();
+        let dot: f32 = model.embed.col(tok).zip(x).map(|(&e, &xv)| e * xv).sum();
         dot * model.logit_scale
+    }
+
+    /// [`tiny_spec`]'s model at another vocabulary size.
+    fn tiny_model_with_vocab(vocab: usize) -> Model {
+        let mut spec = tiny_spec();
+        spec.sim.vocab = vocab;
+        spec.build()
+    }
+
+    #[test]
+    fn the_model_holds_its_embedding_once() {
+        // Every field named, so a field added to hold a second copy of the
+        // embedding fails to compile here; the one copy is the packed
+        // table, its last strip zero-padded.
+        for vocab in [512, 500] {
+            let model = tiny_model_with_vocab(vocab);
+            let Model {
+                config,
+                mode: _,
+                embed,
+                pos_embed: _,
+                layers: _,
+                final_gain: _,
+                final_bias: _,
+                logit_scale: _,
+            } = &model;
+            let d = config.d_model;
+            assert_eq!(embed.shape(), (d, vocab));
+            assert_eq!(embed.stored_len(), vocab.next_multiple_of(16) * d);
+        }
     }
 
     #[test]
     fn lm_head_gemm_matches_the_per_element_dot_on_the_tied_embed() {
-        let mut model = tiny_spec().build();
-        model.logit_scale = 0.85;
-        let (d, vocab) = (model.config.d_model, model.config.vocab);
-        let mut rng = Rng::new(11);
-        // One to three rows run the tile at their own height and, like
-        // everything under 8 rows of this 128 × 512 head, stay below the
-        // pool threshold; 8 rows (a decode batch) reach it and shard by
-        // rows on two threads and by column strips on three and four;
-        // 128 (a `forward` window) shard by rows on every pool.
-        for rows in [1usize, 2, 3, 4, 7, 8, 9, 128] {
-            let mut batch = BatchOutput::new();
-            let mut row = vec![0.0f32; d];
-            for _ in 0..rows {
-                rng.fill_normal(&mut row, 1.5);
-                batch.push_hidden(&row);
-            }
-            for threads in [1usize, 2, 3, 4] {
-                model.lm_head_batch_pool(&mut batch, &ThreadPool::new(threads));
-                for i in 0..rows {
-                    for tok in 0..vocab {
-                        let want = dot_logit(&model, tok, batch.hidden.row(i));
-                        let got = batch.logits_row(i)[tok];
-                        assert_eq!(got.to_bits(), want.to_bits(), "row {i} tok {tok}");
+        // A vocabulary of whole strips, and one whose last strip holds
+        // four tokens and twelve zero-padded columns.
+        for vocab in [512, 500] {
+            let mut model = tiny_model_with_vocab(vocab);
+            model.logit_scale = 0.85;
+            let d = model.config.d_model;
+            let mut rng = Rng::new(11);
+            // One to three rows run the tile at their own height and, like
+            // everything under 8 rows of this 128 × 512 head, stay below
+            // the pool threshold; 8 rows (a decode batch) reach it and
+            // shard by rows on two threads and by column strips on three
+            // and four; 128 (a `forward` window) shard by rows on every
+            // pool.
+            for rows in [1usize, 2, 3, 4, 7, 8, 9, 128] {
+                let mut batch = BatchOutput::new();
+                let mut row = vec![0.0f32; d];
+                for _ in 0..rows {
+                    rng.fill_normal(&mut row, 1.5);
+                    batch.push_hidden(&row);
+                }
+                for threads in [1usize, 2, 3, 4] {
+                    model.lm_head_batch_pool(&mut batch, &ThreadPool::new(threads));
+                    for i in 0..rows {
+                        for tok in 0..vocab {
+                            let want = dot_logit(&model, tok, batch.hidden.row(i));
+                            let got = batch.logits_row(i)[tok];
+                            let at = format!("vocab {vocab} row {i} tok {tok} @ {threads}t");
+                            assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                        }
                     }
                 }
             }
-        }
 
-        // The one corner where the two differ, in the sign of a zero:
-        // `f32`'s `Sum` folds from -0.0, the kernel's accumulators from
-        // +0.0, so a logit whose every product is -0.0 was -0.0 and is
-        // now +0.0. One other product of any value makes both sums that
-        // value, and no consumer (argmax, softmax) tells the zeros apart.
-        let tok = 3;
-        let against: Vec<f32> = model
-            .embed
-            .row(tok)
-            .iter()
-            .map(|e| -0.0 * e.signum())
-            .collect();
-        assert_eq!(
-            dot_logit(&model, tok, &against).to_bits(),
-            (-0.0f32).to_bits()
-        );
-        let mut batch = BatchOutput::new();
-        batch.push_hidden(&against);
-        model.lm_head_batch(&mut batch);
-        assert_eq!(batch.logits_row(0)[tok].to_bits(), 0.0f32.to_bits());
+            // The one corner where the two differ, in the sign of a zero:
+            // `f32`'s `Sum` folds from -0.0, the kernel's accumulators from
+            // +0.0, so a logit whose every product is -0.0 was -0.0 and is
+            // now +0.0. One other product of any value makes both sums
+            // that value, and no consumer (argmax, softmax) tells the zeros
+            // apart.
+            let tok = 3;
+            let against: Vec<f32> = model.embed.col(tok).map(|e| -0.0 * e.signum()).collect();
+            assert_eq!(
+                dot_logit(&model, tok, &against).to_bits(),
+                (-0.0f32).to_bits()
+            );
+            let mut batch = BatchOutput::new();
+            batch.push_hidden(&against);
+            model.lm_head_batch(&mut batch);
+            assert_eq!(batch.logits_row(0)[tok].to_bits(), 0.0f32.to_bits());
+        }
     }
 
     #[test]

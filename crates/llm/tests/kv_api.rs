@@ -43,6 +43,17 @@ fn llama() -> &'static Model {
     MODEL.get_or_init(|| sim_model("LLaMA-7B").unwrap().build())
 }
 
+/// [`model`] at a vocabulary of 500: the packed embedding's last strip
+/// holds four tokens and twelve zero-padded columns.
+fn model_vocab_500() -> &'static Model {
+    static MODEL: OnceLock<Model> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let mut spec = opt_125m_sim();
+        spec.sim.vocab = 500;
+        spec.build()
+    })
+}
+
 fn bits<V: AsRef<[f32]>>(v: V) -> Vec<u32> {
     v.as_ref().iter().map(|x| x.to_bits()).collect()
 }
@@ -628,16 +639,18 @@ fn prefill_into_forked_cache_matches_contiguous_prefill() {
 
 #[test]
 fn forward_rows_equal_the_decode_step_loop_and_prefill() {
-    let tokens: Vec<usize> = (0..40).map(|i| (i * 61 + 5) % 512).collect();
-    for fp16_weights in [model(), llama()] {
+    for fp16_weights in [model(), llama(), model_vocab_500()] {
+        let vocab = fp16_weights.config().vocab;
+        let tokens: Vec<usize> = (0..40).map(|i| (i * 61 + 5) % vocab).collect();
         let w4 = fp16_weights.quantize_weights(WeightQuantConfig::w4_g128());
         for m in [fp16_weights, &w4] {
-            let name = format!("{} {:?}", m.config().name, m.mode());
+            let name = format!("{} vocab {vocab} {:?}", m.config().name, m.mode());
             let forward = m.forward(&tokens, &CodecAssignment::fp16());
             assert_eq!(forward.rows(), tokens.len());
 
             let mut cache = KvCache::new(m.config().n_layers);
             let mut scratch = DecodeScratch::new();
+            let mut batch = BatchOutput::new();
             for (pos, &token) in tokens.iter().enumerate() {
                 m.decode_step(token, pos, &mut cache, &mut scratch);
                 assert_eq!(
@@ -645,6 +658,19 @@ fn forward_rows_equal_the_decode_step_loop_and_prefill() {
                     bits(forward.row(pos)),
                     "{name}: forward row {pos} vs decode_step"
                 );
+                batch.push_hidden(scratch.hidden_state());
+            }
+            // The decode loop's hidden rows through one LM head, on pools
+            // of one to four threads.
+            for threads in 1..=4 {
+                m.lm_head_batch_pool(&mut batch, &ThreadPool::new(threads));
+                for pos in 0..tokens.len() {
+                    assert_eq!(
+                        bits(batch.logits_row(pos)),
+                        bits(forward.row(pos)),
+                        "{name}: forward row {pos} vs the batched LM head @ {threads}t"
+                    );
+                }
             }
 
             cache.reset();

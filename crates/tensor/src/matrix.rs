@@ -1,22 +1,22 @@
 //! Row-major `f32` matrices, and the [`PackedMatrix`] a weight is held as.
 //!
 //! Every product — `lhs · rhs` over a row-major [`Matrix`] or a
-//! [`PackedMatrix`], and `lhs · rhsᵀ` — runs one kernel behind
-//! [`anda_fp::simd`]'s runtime dispatch: on the vector legs an
-//! output-stationary register tile (16 columns of accumulators by 4 rows
-//! on AVX2 and NEON, by 8 on AVX-512, walked over `k`; one walk order over
-//! `rhs` column-strip panels — `tile.rs`, whose panel source is the only
-//! code that knows how `rhs` is held: read in place when packed, copied or
-//! transposed per panel otherwise), on the scalar leg the oracles at the
-//! end of the `impl`. One sharding rule and one auto-dispatch threshold
-//! serve all three, on whatever pool the caller passes —
-//! [`rayon_lite::serial`] keeps a product on the calling thread. Each
-//! vector lane owns one output element and accumulates over `k` in the
-//! same ascending order as the scalar kernel, with separate multiply and
-//! add (no FMA contraction) — so every leg is `f32::to_bits`-identical to
-//! the scalar oracle (row-major and packed: for finite `rhs`; transposed:
-//! always), preserving the bit-exactness invariant the serving stack is
-//! built on.
+//! [`PackedMatrix`] — runs one kernel behind [`anda_fp::simd`]'s runtime
+//! dispatch: on the vector legs an output-stationary register tile (16
+//! columns of accumulators by 4 rows on AVX2 and NEON, 32 by 8 on
+//! AVX-512, walked over `k`; one walk order over `rhs` column-strip panels
+//! — `tile.rs`, whose panel source is the only code that knows how `rhs`
+//! is held: read in place when packed, copied per panel when row-major),
+//! on the scalar leg the oracles at the end of the `impl`. One sharding
+//! rule and one auto-dispatch threshold serve both, on whatever pool the
+//! caller passes — [`rayon_lite::serial`] keeps a product on the calling
+//! thread. Each vector lane owns one output element and accumulates over
+//! `k` in the same ascending order as the scalar kernel, with separate
+//! multiply and add (no FMA contraction) — so every leg is
+//! `f32::to_bits`-identical to the scalar oracle for finite `rhs`,
+//! preserving the bit-exactness invariant the serving stack is built on.
+//! A product by a transpose (the tied LM head's `hidden · embedᵀ`) is the
+//! packed product over [`PackedMatrix::pack_transposed`].
 //!
 //! [`Strided`] runs the same kernel over windows of buffers a caller owns
 //! for other reasons, with explicit row strides, an accumulate flag and
@@ -204,7 +204,7 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_on(rhs.as_rhs(Layout::RowMajor), out, pool);
+        self.product_on(rhs.as_rhs(), out, pool);
     }
 
     /// The serial kernel behind [`Matrix::matmul_into_on`] on an explicit
@@ -219,7 +219,7 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_serial_with_leg(&self, rhs: &Matrix, out: &mut Matrix, leg: SimdLeg) {
-        self.product_serial(rhs.as_rhs(Layout::RowMajor), out, leg);
+        self.product_serial(rhs.as_rhs(), out, leg);
     }
 
     /// [`Matrix::matmul_into_on`] on an explicit pool, always sharding
@@ -235,7 +235,7 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_pool(rhs.as_rhs(Layout::RowMajor), out, pool);
+        self.product_pool(rhs.as_rhs(), out, pool);
     }
 
     /// `self · rhs` over a weight held packed, writing into a
@@ -285,78 +285,30 @@ impl Matrix {
         self.product_pool(rhs.as_rhs(), out, pool);
     }
 
-    /// Multiplication by the transpose of `rhs`: `self · rhsᵀ`, for a
-    /// weight matrix stored output-major — the tied LM head's embedding
-    /// table.
+    /// `self · rhsᵀ` on an explicit pool, for an `rhs` held `n × k`:
+    /// [`PackedMatrix::pack_transposed`] per call, then
+    /// [`Matrix::matmul_packed_into_pool`] over it. Every output element is
+    /// the ascending-`k` dot `Σ_k self[i][k] · rhs[j][k]` from `+0.0`, bit
+    /// for bit for finite `rhs`, at every SIMD leg and thread count.
     ///
-    /// It is the same kernel as [`Matrix::matmul`] with a transposing
-    /// panel pack, and nothing in it skips a zero: every output element is
-    /// the plain ascending-`k` dot `Σ_k self[i][k] · rhs[j][k]` from
-    /// `+0.0`, bit for bit, on every input — non-finite `rhs` included —
-    /// at every SIMD leg and thread count.
-    ///
-    /// Runs on the global [`rayon_lite`] pool. Not on the served path (the
-    /// LM head calls [`Matrix::matmul_transposed_into_on`]): the
-    /// allocating entry the tensor suites pin.
-    pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_transposed_into_on(rhs, &mut out, rayon_lite::global());
-        out
-    }
-
-    /// `self · rhsᵀ` writing into a preallocated output on the caller's
-    /// pool, under [`Matrix::matmul_into_on`]'s rule: large products are
-    /// sharded ([`Matrix::matmul_transposed_into_pool`]), small ones — a
-    /// one-row LM head over a 512-token vocabulary — and everything on
-    /// [`rayon_lite::serial`] run serially. Bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_on(rhs.as_rhs(Layout::Transposed), out, pool);
-    }
-
-    /// The serial kernel behind [`Matrix::matmul_transposed_into_on`] on an
-    /// explicit SIMD leg (oracle tests and the `kernels` bin): the
-    /// register tile over transposing panel packs on a vector leg, plain
-    /// per-element dots on the scalar one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into_serial_with_leg(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        leg: SimdLeg,
-    ) {
-        self.product_serial(rhs.as_rhs(Layout::Transposed), out, leg);
-    }
-
-    /// [`Matrix::matmul_transposed_into_on`] on an explicit pool, always
-    /// sharding across its threads the way [`Matrix::matmul_into_pool`]
-    /// does (bit-exactness tests and the `kernels` bin).
+    /// Not on the served path (the tied LM head holds its table packed
+    /// once): what `anda_perf`'s `tensor.matmul_t_gflops_lmhead` times.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_transposed_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_pool(rhs.as_rhs(Layout::Transposed), out, pool);
+        self.matmul_packed_into_pool(&PackedMatrix::pack_transposed(rhs), out, pool);
     }
 
-    /// `self` as the `rhs` of a product, read through `layout`.
-    fn as_rhs(&self, layout: Layout) -> Rhs<'_> {
-        let (k, n) = match layout {
-            Layout::Transposed => (self.cols, self.rows),
-            _ => (self.rows, self.cols),
-        };
+    /// `self` as the row-major `rhs` of a product.
+    fn as_rhs(&self) -> Rhs<'_> {
         Rhs {
             data: &self.data,
             ld: self.cols,
-            k,
-            n,
-            layout,
+            k: self.rows,
+            n: self.cols,
+            layout: Layout::RowMajor,
         }
     }
 
@@ -368,7 +320,6 @@ impl Matrix {
         // without allocating.
         let (name, shown) = match rhs.layout {
             Layout::RowMajor => ("matmul", format_args!("{k}x{n}")),
-            Layout::Transposed => ("matmul_transposed", format_args!("({n}x{k})ᵀ")),
             Layout::Packed => ("matmul_packed", format_args!("{k}x{n} packed")),
         };
         assert_eq!(
@@ -448,7 +399,6 @@ impl Matrix {
         if leg == SimdLeg::SCALAR {
             return match rhs.layout {
                 Layout::RowMajor => self.matmul_rows_scalar(rhs, out_rows, row0),
-                Layout::Transposed => self.matmul_transposed_rows_scalar(rhs, out_rows, row0),
                 Layout::Packed => self.matmul_packed_rows_scalar(rhs, out_rows, row0),
             };
         }
@@ -545,17 +495,6 @@ impl Matrix {
         }
     }
 
-    /// The scalar oracle of the transposed product: one plain
-    /// ascending-`k` dot per output element.
-    fn matmul_transposed_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
-        for (li, out_row) in out_rows.chunks_exact_mut(rhs.n).enumerate() {
-            let a_row = self.row(row0 + li);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = tile::dot(0.0, a_row, &rhs.data[j * rhs.k..][..rhs.k]);
-            }
-        }
-    }
-
     /// Reshapes in place to `rows × cols`, reusing the existing allocation
     /// when capacity allows. Contents are unspecified afterwards — callers
     /// must overwrite every element, which every kernel `_into` method
@@ -598,7 +537,7 @@ impl Matrix {
     /// Returns the transposed matrix.
     ///
     /// Not on the served path: the suites build the operands of their
-    /// transposed-GEMM oracles with it.
+    /// GEMM oracles with it.
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -647,10 +586,13 @@ impl Matrix {
 /// 16s + 16` row by row (`m[r][16s + j]` at `(s · k + r) · 16 + j`), the
 /// last strip zero-padded past column `n`.
 ///
-/// It is the one `f32` copy of every projection weight a model holds: each
-/// is sampled or dequantised row-major into a reused buffer and packed from
-/// it once, and every product over it ([`Matrix::matmul_packed_into_on`])
-/// reads its panels where they lie, walking the matrix front to back.
+/// It is the one `f32` copy of every projection weight and the tied
+/// embedding a model holds: each weight is sampled or dequantised
+/// row-major into a reused buffer and packed from it once, the embedding
+/// table packed transposed ([`PackedMatrix::pack_transposed`]: token `t`
+/// is column `t`, read by [`PackedMatrix::col`]), and every product over
+/// it ([`Matrix::matmul_packed_into_on`]) reads its panels where they lie,
+/// walking the matrix front to back.
 ///
 /// # Example
 ///
@@ -679,9 +621,27 @@ impl PackedMatrix {
         let mut data = Vec::with_capacity(n.div_ceil(STRIP_COLS) * k * STRIP_COLS);
         for j0 in (0..n).step_by(STRIP_COLS) {
             let width = STRIP_COLS.min(n - j0);
-            for row in m.data[j0..].chunks(n) {
-                data.extend_from_slice(&row[..width]);
+            for row in m.data.chunks_exact(n) {
+                data.extend_from_slice(&row[j0..][..width]);
                 data.extend_from_slice(&[0.0; STRIP_COLS][width..]);
+            }
+        }
+        PackedMatrix { k, n, data }
+    }
+
+    /// Packs the transpose of a row-major `n × k` matrix — the `k × n`
+    /// matrix whose column `j` is `m`'s row `j` —, writing the strips in
+    /// memory order: a strip is sixteen of `m`'s rows side by side.
+    pub fn pack_transposed(m: &Matrix) -> Self {
+        let (n, k) = m.shape();
+        let mut data = Vec::with_capacity(n.div_ceil(STRIP_COLS) * k * STRIP_COLS);
+        for rows in m.data.chunks(STRIP_COLS * k.max(1)) {
+            for r in 0..k {
+                let mut line = [0.0; STRIP_COLS];
+                for (x, row) in line.iter_mut().zip(rows.chunks_exact(k)) {
+                    *x = row[r];
+                }
+                data.extend_from_slice(&line);
             }
         }
         PackedMatrix { k, n, data }
@@ -721,20 +681,35 @@ impl PackedMatrix {
         &mut self.data
     }
 
-    /// Column `c`, top to bottom.
+    /// Column `c`, top to bottom: one element of each sixteen-float line
+    /// of its strip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c >= cols`.
+    pub fn col(&self, c: usize) -> impl Iterator<Item = &f32> {
+        let (strip, j) = self.strip_of(c);
+        let lines = self.data[strip].chunks_exact(STRIP_COLS);
+        lines.map(move |line| &line[j])
+    }
+
+    /// Column `c`, top to bottom, for writing.
     ///
     /// # Panics
     ///
     /// Panics if `c >= cols`.
     pub fn col_mut(&mut self, c: usize) -> impl Iterator<Item = &mut f32> {
+        let (strip, j) = self.strip_of(c);
+        let lines = self.data[strip].chunks_exact_mut(STRIP_COLS);
+        lines.map(move |line| &mut line[j])
+    }
+
+    /// Where column `c`'s strip is stored, and the column's place in it.
+    fn strip_of(&self, c: usize) -> (core::ops::Range<usize>, usize) {
         assert!(c < self.n, "col {c} out of bounds for {} cols", self.n);
-        let first = c / STRIP_COLS * self.k * STRIP_COLS + c % STRIP_COLS;
-        let rows = self.k;
-        self.data
-            .iter_mut()
-            .skip(first)
-            .step_by(STRIP_COLS)
-            .take(rows)
+        let len = self.k * STRIP_COLS;
+        let start = c / STRIP_COLS * len;
+        (start..start + len, c % STRIP_COLS)
     }
 
     /// The row-major matrix this one packs, bit for bit.
@@ -1023,11 +998,19 @@ mod tests {
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
+    /// `self · bᵀ` through [`Matrix::matmul_transposed_into_pool`] on a
+    /// pool of one.
+    fn matmul_transposed(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        a.matmul_transposed_into_pool(b, &mut out, rayon_lite::serial());
+        out
+    }
+
     #[test]
     fn matmul_transposed_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.5, -1.0], &[2.0, -2.0, 0.0]]);
-        assert_eq!(a.matmul_transposed(&b), a.matmul(&b.transposed()));
+        assert_eq!(matmul_transposed(&a, &b), a.matmul(&b.transposed()));
     }
 
     #[test]
@@ -1064,7 +1047,7 @@ mod tests {
         for (m, k, n) in [(1, 3, 1), (4, 8, 4), (5, 7, 6), (9, 16, 11)] {
             let a = Matrix::from_vec(m, k, (0..m * k).map(|i| (i as f32).sin()).collect());
             let b = Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32).cos()).collect());
-            let blocked = a.matmul_transposed(&b);
+            let blocked = matmul_transposed(&a, &b);
             let naive = a.matmul(&b.transposed());
             assert_eq!(blocked, naive, "shape {m}x{k}·({n}x{k})ᵀ");
         }
@@ -1108,14 +1091,10 @@ mod tests {
                 same_bits(&packed.to_matrix(), &b),
                 "pack round trip {k}x{n}"
             );
-            // The transposed form's oracle is the per-element dot, on
-            // every input: it skips no zero, so a non-finite `rhs` is
-            // within its contract (0 · ∞ is NaN in kernel and oracle).
-            let mut bt =
-                Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.23).sin()).collect());
-            bt[(0, 0)] = f32::INFINITY;
-            bt[(n / 2, k - 1)] = f32::NAN;
-            bt[(n - 1, k / 2)] = f32::NEG_INFINITY;
+            // A table held `n × k` and packed transposed, as the tied
+            // embedding is: its oracle is the per-element dot.
+            let bt = Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.23).sin()).collect());
+            let packed_t = PackedMatrix::pack_transposed(&bt);
             let mut reference = Matrix::zeros(m, n);
             a.matmul_into_serial_with_leg(&b, &mut reference, anda_fp::SimdLeg::SCALAR);
             let mut reference_t = Matrix::zeros(m, n);
@@ -1143,8 +1122,8 @@ mod tests {
                 assert!(same_bits(&out_p, &reference), "{at}");
 
                 let mut out_t = Matrix::zeros(m, n);
-                a.matmul_transposed_into_serial_with_leg(&bt, &mut out_t, leg);
-                let at = format!("matmul_t leg={} shape {m}x{k}x{n}", leg.name());
+                a.matmul_packed_into_serial_with_leg(&packed_t, &mut out_t, leg);
+                let at = format!("packed transposed leg={} shape {m}x{k}x{n}", leg.name());
                 assert!(same_bits(&out_t, &reference_t), "{at}");
             }
         }
@@ -1379,22 +1358,56 @@ mod tests {
             Matrix::zeros(0, 3).matmul(&Matrix::zeros(3, 4)).shape(),
             (0, 4)
         );
-        assert_eq!(a.matmul_transposed(&Matrix::zeros(0, 3)).shape(), (2, 0));
+        assert_eq!(matmul_transposed(&a, &Matrix::zeros(0, 3)).shape(), (2, 0));
         let empty_k = Matrix::zeros(2, 0);
         assert_eq!(empty_k.matmul(&Matrix::zeros(0, 4)), Matrix::zeros(2, 4));
-        // Packed: no strips, strips of no rows, no lhs rows.
-        for (m, k, n) in [(2, 3, 0), (2, 0, 4), (0, 3, 4)] {
-            let packed = PackedMatrix::pack(&Matrix::zeros(k, n));
-            assert_eq!(packed.to_matrix(), Matrix::zeros(k, n));
-            let mut out = Matrix::zeros(m, n);
-            out.as_mut_slice().fill(1.0);
-            Matrix::zeros(m, k).matmul_packed_into_on(&packed, &mut out, rayon_lite::serial());
-            assert_eq!(out, Matrix::zeros(m, n), "{m}x{k}x{n}");
+        // Packed, from `k × n` and transposed from `n × k`: no strips,
+        // strips of no rows (one, a ragged pair, three), no lhs rows.
+        for (m, k, n) in [(2, 3, 0), (2, 0, 4), (2, 0, 20), (2, 0, 33), (0, 3, 4)] {
+            let packs = [
+                PackedMatrix::pack(&Matrix::zeros(k, n)),
+                PackedMatrix::pack_transposed(&Matrix::zeros(n, k)),
+            ];
+            for packed in packs {
+                assert_eq!(packed.to_matrix(), Matrix::zeros(k, n));
+                let mut out = Matrix::zeros(m, n);
+                out.as_mut_slice().fill(1.0);
+                Matrix::zeros(m, k).matmul_packed_into_on(&packed, &mut out, rayon_lite::serial());
+                assert_eq!(out, Matrix::zeros(m, n), "{m}x{k}x{n}");
+            }
         }
         assert_eq!(
-            empty_k.matmul_transposed(&Matrix::zeros(5, 0)),
+            matmul_transposed(&empty_k, &Matrix::zeros(5, 0)),
             Matrix::zeros(2, 5)
         );
+    }
+
+    #[test]
+    fn a_transposed_pack_holds_the_transpose_and_reads_rows_as_columns() {
+        // Widths of one column, a strip and around it, two strips and past
+        // them, and a vocabulary whose last strip is zero-padded (500 =
+        // 31 strips + 4); depths of none, one, odd and a whole panel.
+        for n in [1usize, 15, 16, 17, 31, 33, 500] {
+            for k in [0usize, 1, 7, 256] {
+                let m =
+                    Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.29).sin()).collect());
+                let packed = PackedMatrix::pack_transposed(&m);
+                assert_eq!(packed.shape(), (k, n));
+                assert_eq!(packed.stored_len(), n.next_multiple_of(STRIP_COLS) * k);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let unpacked = packed.to_matrix();
+                assert_eq!(unpacked.shape(), (k, n), "{n}x{k}");
+                assert_eq!(
+                    bits(unpacked.as_slice()),
+                    bits(m.transposed().as_slice()),
+                    "{n}x{k}"
+                );
+                for t in 0..n {
+                    let col: Vec<f32> = packed.col(t).copied().collect();
+                    assert_eq!(bits(&col), bits(m.row(t)), "{n}x{k} column {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The register-tiled GEMM kernel behind the vector legs of every
 //! [`crate::Matrix`] product — `lhs · rhs` over a row-major `rhs` or a
-//! [`crate::PackedMatrix`], and `lhs · rhsᵀ` — and of the
-//! [`crate::Strided`] view products the attention page walk is made of.
+//! [`crate::PackedMatrix`] — and of the [`crate::Strided`] view products
+//! the attention page walk is made of.
 //!
 //! Output-stationary: a tile of [`Leg::ROWS`]` × `[`Leg::STRIPS`]` ·
 //! `[`STRIP_COLS`] output elements lives in vector registers while `k`
@@ -33,8 +33,9 @@
 //!   panel *is* `KC` consecutive sixteen-float rows of each of its strips,
 //!   the strips `k · 16` floats apart, and the walk reads the matrix front
 //!   to back, a strip pair as two streams. Every projection weight of a
-//!   model is held so, packed once when the model is built, and a served
-//!   step packs nothing. A few-row product has too little arithmetic to
+//!   model and its tied embedding (as the LM head's `d × vocab` `rhs`) are
+//!   held so, packed once when the model is built, and a served step
+//!   packs nothing. A few-row product has too little arithmetic to
 //!   hide a miss behind, so the first row tile of every panel prefetches
 //!   [`PREFETCH_LINES`] cache lines ahead of the panel row it reads in
 //!   each of its strips — one line per `k` and strip, across panel and
@@ -49,16 +50,6 @@
 //!   would stride by a whole `rhs` row — one cache line per `k`, each in a
 //!   different page, evicting itself from a power-of-two-strided L1 set —
 //!   whereas the copy is nothing but independent loads.
-//! * **Transposing pack**, [`Layout::Transposed`], `rhs` held `n × k` (the
-//!   tied LM head's embedding table, which is also the embedding lookup
-//!   and so is not held a second time): a strip is sixteen `rhs` rows, each
-//!   a contiguous stream along `k`, and the pack transposes them, strip by
-//!   strip of the block ([`Leg::pack_transposed`]: 8×4 blocks in registers
-//!   on AVX2, a portable loop elsewhere). Walked strip-major that is the address order,
-//!   sixteen ascending streams read end to end. For one to three rows the
-//!   pack is most of the cost, which is why AVX2 has a vector one (through
-//!   the portable loop a cold one-row 256 × 512 product took 57–79 µs
-//!   against 25–48).
 //!
 //! A **resident** product ([`Operands::resident`], what a
 //! [`crate::Strided`] view runs) multiplies by a window of a tile that is
@@ -69,8 +60,7 @@
 //! copy each operand once per use), and nothing prefetches.
 //! Attention stores its operands that way — a page's keys position-minor,
 //! so sixteen positions sit side by side, whether a float page holds them
-//! so or an Anda page decodes them so — and so packs nothing; the
-//! transposing pack serves the LM head alone. A resident
+//! so or an Anda page decodes them so — and so packs nothing. A resident
 //! product can also **accumulate** (its sums start from the output's
 //! contents, which is how attention's `out += p · v` crosses a page
 //! boundary), and it is **batched** ([`Operands::windows`]): row `i`
@@ -101,14 +91,13 @@
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
 //! multiply then add, never fused — the operation sequence of the scalar
-//! oracles (`Matrix::matmul_rows_scalar`,
-//! `Matrix::matmul_transposed_rows_scalar`, [`resident_block_scalar`]), so
+//! oracles (`Matrix::matmul_rows_scalar`, [`resident_block_scalar`]), so
 //! every leg, layout, tile boundary, panel and sharding is
 //! `f32::to_bits`-identical to them (a panel boundary only parks the
 //! accumulators in the output, an exact `f32` round trip). For a row-major
 //! or packed `rhs` that holds for finite `rhs`: the oracle's `a == 0` skip
 //! is not part of the contract (see its docs) and the tiles do not skip.
-//! Transposed or resident, nothing skips, so it holds on every input.
+//! Resident, nothing skips, so it holds on every input.
 
 use core::ops::Range;
 
@@ -161,9 +150,6 @@ mod element {
     /// Every load needs its leg's CPU features (a binary16 one F16C, or
     /// AVX-512F at sixteen lanes) and `p[0..lanes]` readable.
     pub trait Load: Copy {
-        /// The element is `f32` (whose panels a leg's vector
-        /// [`super::Leg::pack_transposed`] may write).
-        const F32: bool;
         fn to_f32(self) -> f32;
         #[cfg(target_arch = "x86_64")]
         unsafe fn load8(p: *const Self) -> __m256;
@@ -174,7 +160,6 @@ mod element {
     }
 
     impl Load for f32 {
-        const F32: bool = true;
         #[inline(always)]
         fn to_f32(self) -> f32 {
             self
@@ -197,7 +182,6 @@ mod element {
     }
 
     impl Load for u16 {
-        const F32: bool = false;
         #[inline(always)]
         fn to_f32(self) -> f32 {
             anda_fp::F16::from_bits(self).to_f32()
@@ -227,16 +211,14 @@ pub(crate) enum Layout {
     /// `k` rows of `n`: `lhs · rhs`, each panel copied contiguous (or, for
     /// a resident product, read in place).
     RowMajor,
-    /// `n` rows of `k`: `lhs · rhsᵀ`, each panel transposed.
-    Transposed,
     /// ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded:
     /// `lhs · rhs` with every panel read in place.
     Packed,
 }
 
 /// The inputs of one product and how all three operands lie in memory:
-/// row `i` of `lhs` starts at `i · lda`, row `r` of `rhs` (a `k` row, or an
-/// `n` row when transposed) at `r · ldb`, output row `i` at `i · ldc`. A
+/// row `i` of `lhs` starts at `i · lda`, row `r` of `rhs` at `r · ldb`,
+/// output row `i` at `i · ldc`. A
 /// [`crate::Matrix`] passes its widths; a [`crate::Strided`] view passes
 /// the strides of the buffer it is a window of. A packed `rhs` has no row
 /// stride of its own: strip `s` starts at `s · 16 · k` and its rows lie
@@ -283,8 +265,7 @@ unsafe impl Send for OutBlock {}
 unsafe impl Sync for OutBlock {}
 
 /// One vector leg: its two inner loops, its [`Leg::tile`] shape, its
-/// prefetch hint, its transposing pack and the entry point compiled with
-/// its CPU feature.
+/// prefetch hint and the entry point compiled with its CPU feature.
 pub(crate) trait Leg {
     /// Rows of a [`Leg::tile`] — a streamed product's, and a resident
     /// one's over a shared window: the walk's row step, and the multiple a
@@ -373,20 +354,6 @@ pub(crate) trait Leg {
     #[inline(always)]
     fn prefetch<T>(_p: *const T) {}
 
-    /// Transposes sixteen rows of `b` into `panel`: `panel[kk · 16 + j] =
-    /// b[j · ldb + kk]` for `j < 16` and `kk < kc` — a strip panel of a
-    /// transposed `rhs`. The default is the portable loop.
-    ///
-    /// # Safety
-    ///
-    /// Needs the leg's CPU feature; `b` must be readable at
-    /// `j · ldb + 0..kc` for `j < 16` and `panel` writable at
-    /// `0..kc · 16`.
-    #[inline(always)]
-    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
-        pack_transposed_portable(b, ldb, STRIP_COLS, 0..kc, panel)
-    }
-
     /// [`matmul_block`], monomorphised for `ops.layout`, for a resident
     /// `rhs` and for its element, and compiled with the leg's CPU feature
     /// enabled, so that the panel source and the tile inline into the walk
@@ -396,27 +363,6 @@ pub(crate) trait Leg {
     ///
     /// [`matmul_block`]'s contract, and the CPU must support the leg.
     unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock);
-}
-
-/// Rows `kks` of [`Leg::pack_transposed`]'s panel for the strip's first
-/// `width` columns, one `rhs` row (a contiguous stream) at a time.
-///
-/// # Safety
-///
-/// As [`Leg::pack_transposed`], for `j < width` and `kk` in `kks`.
-#[inline(always)]
-unsafe fn pack_transposed_portable<T: Copy>(
-    b: *const T,
-    ldb: usize,
-    width: usize,
-    kks: Range<usize>,
-    panel: *mut T,
-) {
-    for j in 0..width {
-        for kk in kks.clone() {
-            *panel.add(kk * STRIP_COLS + j) = *b.add(j * ldb + kk);
-        }
-    }
 }
 
 /// Runs `tile` on the `rows` output rows from `c`, `ldc` apart: in place on
@@ -463,11 +409,10 @@ unsafe fn on_block(
 /// `block.rows` rows `ops.ldc` apart, and nothing else may access those
 /// elements during the call. `ops.lhs` must hold `ops.k` elements of rows
 /// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`, and
-/// `ops.rhs` its `k × block.cols.end` (transposed: `block.cols.end × k`)
-/// elements at stride `ops.ldb` — each of `ops.windows` windows,
-/// `ops.rhs_stride` apart, for a resident product, whose block starts at
-/// row 0; packed, the strips covering `block.cols`, which starts on a
-/// strip boundary.
+/// `ops.rhs` its `k × block.cols.end` elements at stride `ops.ldb` — each
+/// of `ops.windows` windows, `ops.rhs_stride` apart, for a resident
+/// product, whose block starts at row 0; packed, the strips covering
+/// `block.cols`, which starts on a strip boundary.
 #[inline(always)]
 unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Element>(
     ops: &Operands<E>,
@@ -485,7 +430,6 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         rhs_stride,
         ..
     } = ops;
-    let transposed = LAYOUT == Layout::Transposed as u8;
     let packed = LAYOUT == Layout::Packed as u8;
     debug_assert!(
         !RESIDENT || (LAYOUT == Layout::RowMajor as u8 && block.row0 == 0 && windows > 0),
@@ -611,19 +555,6 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
             // and its strips lie.
             let (tile_b, sb) = if packed {
                 (b.add(j0 * k + k0 * STRIP_COLS), k * STRIP_COLS)
-            } else if transposed {
-                for s in 0..strips {
-                    let (j, dst) = (j0 + s * STRIP_COLS, panel.add(s * packed_sb));
-                    let (b, width) = (b.add(j * ldb + k0), STRIP_COLS.min(cols.end - j));
-                    if width == STRIP_COLS && E::F32 {
-                        // `E` is `f32`, so the casts change no type.
-                        L::pack_transposed(b.cast(), ldb, kc, dst.cast());
-                    } else {
-                        core::ptr::write_bytes(dst, 0, kc * STRIP_COLS);
-                        pack_transposed_portable(b, ldb, width, 0..kc, dst);
-                    }
-                }
-                (packed_b, packed_sb)
             } else {
                 copy_strips(b.add(k0 * ldb + j0), width, kc, panel);
                 (packed_b, packed_sb)
@@ -657,25 +588,12 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
 #[inline(always)]
 unsafe fn block_body<L: Leg, E: Element>(ops: &Operands<E>, block: &OutBlock) {
     const ROW_MAJOR: u8 = Layout::RowMajor as u8;
-    const TRANSPOSED: u8 = Layout::Transposed as u8;
     const PACKED: u8 = Layout::Packed as u8;
     match (ops.layout, ops.resident) {
         (Layout::RowMajor, false) => matmul_block::<L, ROW_MAJOR, false, E>(ops, block),
         (Layout::RowMajor, true) => matmul_block::<L, ROW_MAJOR, true, E>(ops, block),
-        (Layout::Transposed, _) => matmul_block::<L, TRANSPOSED, false, E>(ops, block),
         (Layout::Packed, _) => matmul_block::<L, PACKED, false, E>(ops, block),
     }
-}
-
-/// `acc + Σ_k a[k] · b[k]` in ascending `k`, multiply then add: one output
-/// element of either layout, as every kernel accumulates it (from `+0.0`
-/// unless the product accumulates).
-#[inline(always)]
-pub(crate) fn dot(mut acc: f32, a: &[f32], b: &[f32]) -> f32 {
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
 }
 
 /// The scalar oracle of a resident product ([`Operands::resident`]) — the
@@ -839,51 +757,6 @@ impl Leg for Avx2 {
         unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
     }
 
-    /// Four `k` of the strip's sixteen rows at a time, transposed in
-    /// registers as two 8×4 blocks: a vector is loaded as four `k` of row
-    /// `j` in its low lane and of row `j + 4` in its high lane, so the
-    /// in-lane unpack/shuffle ladder already leaves eight columns of one
-    /// `k` in every vector and no cross-lane permute follows. The `kc % 4`
-    /// tail is the portable loop. Meanwhile the next strip is prefetched: a
-    /// strip's rows are sixteen streams of `k` floats each — too short for
-    /// the hardware prefetchers to run ahead on — and under one to three
-    /// rows there is no arithmetic to hide the fetch behind (without the
-    /// hint a cold one-row 256 × 512 product took 1.06–1.9× as long, in
-    /// seven of seven alternating rounds).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
-        use core::arch::x86_64::*;
-        let blocks_end = kc - kc % 4;
-        for kk in (0..blocks_end).step_by(4) {
-            for j0 in [0, 8] {
-                let src = b.add(j0 * ldb + kk);
-                if kk % 16 == 0 {
-                    // The same cache line of every row of the next strip.
-                    for j in 0..8 {
-                        Self::prefetch(src.wrapping_add((STRIP_COLS + j) * ldb));
-                    }
-                }
-                let rows = |j: usize| {
-                    let lo = _mm_loadu_ps(src.add(j * ldb));
-                    let hi = _mm_loadu_ps(src.add((j + 4) * ldb));
-                    _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
-                };
-                let (r0, r1, r2, r3) = (rows(0), rows(1), rows(2), rows(3));
-                let t0 = _mm256_unpacklo_ps(r0, r1);
-                let t1 = _mm256_unpackhi_ps(r0, r1);
-                let t2 = _mm256_unpacklo_ps(r2, r3);
-                let t3 = _mm256_unpackhi_ps(r2, r3);
-                let dst = panel.add(kk * STRIP_COLS + j0);
-                _mm256_storeu_ps(dst, _mm256_shuffle_ps::<0x44>(t0, t2));
-                _mm256_storeu_ps(dst.add(STRIP_COLS), _mm256_shuffle_ps::<0xEE>(t0, t2));
-                _mm256_storeu_ps(dst.add(2 * STRIP_COLS), _mm256_shuffle_ps::<0x44>(t1, t3));
-                _mm256_storeu_ps(dst.add(3 * STRIP_COLS), _mm256_shuffle_ps::<0xEE>(t1, t3));
-            }
-        }
-        pack_transposed_portable(b, ldb, STRIP_COLS, blocks_end..kc, panel);
-    }
-
     #[target_feature(enable = "avx2,f16c")]
     unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock) {
         block_body::<Self, E>(ops, block)
@@ -893,8 +766,7 @@ impl Leg for Avx2 {
 /// The AVX-512 leg: a [`Leg::tile`] is up to eight rows of two strips, one
 /// sixteen-wide vector each — sixteen independent add chains, every `lhs`
 /// broadcast feeding 32 columns and every `rhs` vector eight rows. A
-/// batched tile keeps four rows. The prefetch hint and the transposing
-/// pack are [`Avx2`]'s.
+/// batched tile keeps four rows. The prefetch hint is [`Avx2`]'s.
 #[cfg(target_arch = "x86_64")]
 pub(crate) struct Avx512;
 
@@ -1064,12 +936,6 @@ impl Leg for Avx512 {
         <Avx2 as Leg>::prefetch(p)
     }
 
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn pack_transposed(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
-        <Avx2 as Leg>::pack_transposed(b, ldb, kc, panel)
-    }
-
     #[target_feature(enable = "avx512f")]
     unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock) {
         block_body::<Self, E>(ops, block)
@@ -1083,7 +949,7 @@ pub(crate) struct Neon;
 /// default (empty) `prefetch` — stable Rust has no aarch64 prefetch
 /// intrinsic, so a packed walk's `ahead` goes unused and the stream is left
 /// to the hardware prefetchers — and the default (portable)
-/// `pack_transposed` and `tile_batched`.
+/// `tile_batched`.
 #[cfg(target_arch = "aarch64")]
 impl Leg for Neon {
     #[target_feature(enable = "neon")]

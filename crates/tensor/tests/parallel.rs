@@ -18,11 +18,10 @@ const THREADS: [usize; 4] = [1, 2, 3, 7];
 
 /// Adversarial shapes `(m, k, n)`: single row, single column, single
 /// element, sizes around the i-tile (32) and k-tile (256) boundaries, and
-/// sizes not divisible by any tested thread count; then the LM-head shape
-/// and what the transposed pack adds — whole strips under one to three
-/// rows, a second k panel accumulating onto a whole strip (`k > 256`), a
-/// `k` of whole 4-wide transpose blocks, off them and below one, `k = 0`,
-/// and a tile of seven rows over a ragged strip across a second k panel.
+/// sizes not divisible by any tested thread count; then the LM-head shape,
+/// whole strips under one to three rows, a second k panel accumulating
+/// onto a whole strip (`k > 256`), small odd `k`, `k = 0`, and a tile of
+/// seven rows over a ragged strip across a second k panel.
 const SHAPES: [(usize, usize, usize); 18] = [
     (1, 64, 5),
     (5, 64, 1),
@@ -90,24 +89,42 @@ fn matmul_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
     }
 }
 
+/// A product by a transpose — the packed product over
+/// `PackedMatrix::pack_transposed` on every leg, and
+/// `matmul_transposed_into_pool` on every pool — against the per-element
+/// dot, on `rhs` held `n × k`.
 #[test]
 fn matmul_transposed_pool_is_bit_identical_to_serial_on_adversarial_shapes() {
     for (m, k, n) in SHAPES {
         let a = deterministic(m, k, 3);
         let b = deterministic(n, k, 4);
-        let mut serial = Matrix::zeros(m, n);
-        a.matmul_transposed_into_on(&b, &mut serial, rayon_lite::serial());
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let mut par = Matrix::zeros(m, n);
-            par.as_mut_slice().fill(f32::NAN);
-            a.matmul_transposed_into_pool(&b, &mut par, &pool);
-            assert_bits_eq(
-                &par,
-                &serial,
-                &format!("matmul_transposed {m}x{k}x{n} @ {threads}t"),
-            );
-        }
+        transposed_products_match_the_dots(&a, &b, &format!("{m}x{k}x{n}"));
+    }
+}
+
+/// `a · btᵀ` on every leg (packed over `bt`'s transposed pack, stale
+/// output overwritten) and through `matmul_transposed_into_pool` on every
+/// pool, against [`per_element_dots`].
+fn transposed_products_match_the_dots(a: &Matrix, bt: &Matrix, at: &str) {
+    let (m, n) = (a.rows(), bt.rows());
+    let oracle = per_element_dots(a, bt);
+    let packed = PackedMatrix::pack_transposed(bt);
+    for leg in anda_fp::simd::available_legs() {
+        let mut out = Matrix::zeros(m, n);
+        out.as_mut_slice().fill(f32::NAN);
+        a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg);
+        assert_bits_eq(
+            &out,
+            &oracle,
+            &format!("transposed {at} leg {}", leg.name()),
+        );
+    }
+    for threads in THREADS {
+        let pool = ThreadPool::new(threads);
+        let mut out = Matrix::zeros(m, n);
+        out.as_mut_slice().fill(f32::NAN);
+        a.matmul_transposed_into_pool(bt, &mut out, &pool);
+        assert_bits_eq(&out, &oracle, &format!("transposed {at} @ {threads}t"));
     }
 }
 
@@ -125,12 +142,13 @@ fn auto_dispatch_matches_serial_above_and_below_the_threshold() {
         a.matmul_into_on(&b, &mut serial, rayon_lite::serial());
         assert_bits_eq(&auto, &serial, &format!("auto matmul {m}x{k}x{n}"));
 
-        let bt = deterministic(n, k, 7);
+        // The LM head's product: packed over a table held `n × k`.
+        let bt = PackedMatrix::pack_transposed(&deterministic(n, k, 7));
         let mut auto_t = Matrix::zeros(m, n);
-        a.matmul_transposed_into_on(&bt, &mut auto_t, rayon_lite::global());
+        a.matmul_packed_into_on(&bt, &mut auto_t, rayon_lite::global());
         let mut serial_t = Matrix::zeros(m, n);
-        a.matmul_transposed_into_on(&bt, &mut serial_t, rayon_lite::serial());
-        assert_bits_eq(&auto_t, &serial_t, &format!("auto matmul_t {m}x{k}x{n}"));
+        a.matmul_packed_into_on(&bt, &mut serial_t, rayon_lite::serial());
+        assert_bits_eq(&auto_t, &serial_t, &format!("auto packed_t {m}x{k}x{n}"));
     }
 }
 
@@ -160,8 +178,8 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
 
 /// The packed product — the walk every projection of a served step runs —
 /// against the scalar oracle on the unpacked matrix, on every leg and
-/// every pool width, and the row-major and transposed products at the same
-/// shapes against theirs: every tile height from one row to eight (so
+/// every pool width, the row-major product at the same shapes against it
+/// and the products by a transpose against the per-element dot: every tile height from one row to eight (so
 /// every tile of the four-row and the eight-row legs) and nine, row counts
 /// on both sides of the thread counts' tile multiples and of 32 and 64 (so
 /// row sharding and column sharding both run: two threads split the
@@ -181,14 +199,14 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
             let b = deterministic(k, n, 8);
             let bt = b.transposed();
             let packed = PackedMatrix::pack(&b);
+            let packed_t = PackedMatrix::pack_transposed(&bt);
             assert_bits_eq(&packed.to_matrix(), &b, &format!("pack round trip {k}x{n}"));
             for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33, 64, 65] {
                 let mut a = deterministic(m, k, 9);
                 a.map_inplace(|x| x.max(0.0));
                 let mut oracle = Matrix::zeros(m, n);
                 a.matmul_into_serial_with_leg(&b, &mut oracle, scalar);
-                let mut oracle_t = Matrix::zeros(m, n);
-                a.matmul_transposed_into_serial_with_leg(&bt, &mut oracle_t, scalar);
+                let oracle_t = per_element_dots(&a, &bt);
                 // Every layout's product into `out`, on `leg` or `pool`,
                 // against its oracle; stale contents must be overwritten.
                 let check = |at: &str, run: &dyn Fn(&mut Matrix), oracle: &Matrix| {
@@ -204,8 +222,9 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
                     check(&format!("packed leg {name}"), &run, &oracle);
                     let run = |out: &mut Matrix| a.matmul_into_serial_with_leg(&b, out, leg);
                     check(&format!("row-major leg {name}"), &run, &oracle);
-                    let run =
-                        |out: &mut Matrix| a.matmul_transposed_into_serial_with_leg(&bt, out, leg);
+                    let run = |out: &mut Matrix| {
+                        a.matmul_packed_into_serial_with_leg(&packed_t, out, leg)
+                    };
                     check(&format!("transposed leg {name}"), &run, &oracle_t);
                 }
                 for (threads, pool) in THREADS.iter().zip(&pools) {
@@ -301,13 +320,9 @@ proptest! {
     /// sharding and column-strip sharding all run), `k` across the
     /// 256-deep panel boundary, and column counts with every kind of strip
     /// tail — with `rhs` held row-major (each panel copied) and packed
-    /// (read in place).
-    ///
-    /// The transposed product takes the same operands (`rhs` held
-    /// `n × k`) with an infinity or a NaN in every third `rhs` row: it
-    /// skips no zero, so it must equal the per-element dot on every
-    /// input — a zero `lhs` row against an infinity is NaN in both —
-    /// where the row-major contract stops at finite `rhs`.
+    /// (read in place). The same operands held `n × k` and packed
+    /// transposed, as the tied embedding is, must equal the per-element
+    /// dot.
     #[test]
     fn tiled_matmul_matches_the_scalar_oracle(
         m in 1usize..=70,
@@ -343,28 +358,7 @@ proptest! {
             a.matmul_packed_into_pool(&packed, &mut out, &pool);
             assert_bits_eq(&out, &oracle, &format!("packed {m}x{k}x{n} @ {threads}t"));
         }
-
-        // One non-finite element in every third `rhs` row (output column);
-        // the columns between stay finite and are compared bit for bit.
-        let mut bt = b.transposed();
-        for j in (seed as usize % 3..n).step_by(3) {
-            let at = (seed >> 8) as usize % k;
-            bt.row_mut(j)[(at + j) % k] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j / 3 % 3];
-        }
-        let oracle_t = per_element_dots(&a, &bt);
-        for leg in anda_fp::simd::available_legs() {
-            let mut out = Matrix::zeros(m, n);
-            out.as_mut_slice().fill(1.0);
-            a.matmul_transposed_into_serial_with_leg(&bt, &mut out, leg);
-            assert_bits_eq(&out, &oracle_t, &format!("t {m}x{k}x{n} leg {}", leg.name()));
-        }
-        for threads in 1..=4 {
-            let pool = ThreadPool::new(threads);
-            let mut out = Matrix::zeros(m, n);
-            out.as_mut_slice().fill(1.0);
-            a.matmul_transposed_into_pool(&bt, &mut out, &pool);
-            assert_bits_eq(&out, &oracle_t, &format!("t {m}x{k}x{n} @ {threads}t"));
-        }
+        transposed_products_match_the_dots(&a, &b.transposed(), &format!("{m}x{k}x{n}"));
     }
 }
 
@@ -392,7 +386,8 @@ proptest! {
         }
     }
 
-    /// Same property for the transposed kernel.
+    /// Same property for a product by a transpose, against the
+    /// per-element dot.
     #[test]
     fn random_matmul_transposed_bit_identical(
         m in 1usize..24,
@@ -402,13 +397,6 @@ proptest! {
     ) {
         let a = deterministic(m, k, seed);
         let b = deterministic(n, k, seed.wrapping_add(2));
-        let mut serial = Matrix::zeros(m, n);
-        a.matmul_transposed_into_on(&b, &mut serial, rayon_lite::serial());
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let mut par = Matrix::zeros(m, n);
-            a.matmul_transposed_into_pool(&b, &mut par, &pool);
-            assert_bits_eq(&par, &serial, &format!("random_t {m}x{k}x{n} @ {threads}t"));
-        }
+        transposed_products_match_the_dots(&a, &b, &format!("random {m}x{k}x{n}"));
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use anda_tensor::{ops, Matrix, Rng};
+use anda_tensor::{ops, Matrix, PackedMatrix, Rng};
 use proptest::prelude::*;
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -29,10 +29,11 @@ proptest! {
         prop_assert_eq!(i.matmul(&a), a);
     }
 
-    /// matmul_transposed(a, b) == a · bᵀ.
+    /// matmul_transposed_into_pool(a, b) == a · bᵀ.
     #[test]
     fn matmul_transposed_equivalence(a in matrix(3, 8), b in matrix(5, 8)) {
-        let fast = a.matmul_transposed(&b);
+        let mut fast = Matrix::zeros(3, 5);
+        a.matmul_transposed_into_pool(&b, &mut fast, rayon_lite::global());
         let slow = a.matmul(&b.transposed());
         for r in 0..3 {
             for c in 0..5 {
@@ -103,9 +104,10 @@ proptest! {
         }
     }
 
-    /// Both GEMM kernels are `to_bits`-identical across every available
-    /// SIMD dispatch leg, on arbitrary shapes crossing the vector-lane
-    /// boundaries (the scalar leg is the oracle).
+    /// The row-major product and the packed one over a transposed pack are
+    /// `to_bits`-identical across every available SIMD dispatch leg, on
+    /// arbitrary shapes crossing the vector-lane boundaries (the scalar
+    /// leg and the per-element dot are the oracles).
     #[test]
     fn gemm_legs_are_bit_identical(
         m in 1usize..10,
@@ -128,8 +130,15 @@ proptest! {
 
         let mut oracle = Matrix::zeros(m, n);
         a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
+        // A table held `n × k`, packed transposed: its oracle is the
+        // per-element ascending-`k` dot.
         let mut oracle_t = Matrix::zeros(m, n);
-        a.matmul_transposed_into_serial_with_leg(&bt, &mut oracle_t, anda_fp::SimdLeg::SCALAR);
+        for i in 0..m {
+            for j in 0..n {
+                oracle_t[(i, j)] = a.row(i).iter().zip(bt.row(j)).fold(0.0, |acc, (x, y)| acc + x * y);
+            }
+        }
+        let bt = PackedMatrix::pack_transposed(&bt);
         let bits = |mat: &Matrix| -> Vec<u32> {
             mat.as_slice().iter().map(|x| x.to_bits()).collect()
         };
@@ -137,8 +146,8 @@ proptest! {
             let mut out = Matrix::zeros(m, n);
             a.matmul_into_serial_with_leg(&b, &mut out, leg);
             prop_assert_eq!(bits(&out), bits(&oracle), "matmul leg={}", leg.name());
-            a.matmul_transposed_into_serial_with_leg(&bt, &mut out, leg);
-            prop_assert_eq!(bits(&out), bits(&oracle_t), "matmul_t leg={}", leg.name());
+            a.matmul_packed_into_serial_with_leg(&bt, &mut out, leg);
+            prop_assert_eq!(bits(&out), bits(&oracle_t), "packed_t leg={}", leg.name());
         }
     }
 }
