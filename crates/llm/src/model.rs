@@ -141,18 +141,12 @@ impl Model {
         // reused buffer and packed from it: the buffer is paged in once per
         // model, not once per weight.
         let mut sampled = Matrix::default();
-        dense_into(
-            &mut sampled,
-            config.vocab,
-            d,
-            profile.logit_sharpness,
-            &mut rng,
-        );
+        let target = profile.logit_sharpness;
+        dense_into(&mut sampled, config.vocab, d, target, &mut rng);
         // Renormalize embedding rows so logits reflect direction, not length.
         for r in 0..config.vocab {
             let row = sampled.row_mut(r);
             let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-            let target = profile.logit_sharpness;
             for x in row.iter_mut() {
                 *x *= target / norm;
             }
