@@ -338,9 +338,9 @@ fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 /// number is the walk a served step runs: the same tile reading a
 /// [`PackedMatrix`] in place, where the middle one copies every panel out
 /// of a row-major `rhs` first. `M = 1` is the small-M guard (a solo decode
-/// step); `M ≥ 8` is where cross-row weight reuse has to show. Four weight copies rotate under the
-/// calls so that, as in a model, a weight has left the L2 by the time it
-/// is used again: a single hot matrix ranks packing strategies the wrong
+/// step); `M ≥ 8` is where cross-row weight reuse has to show. Four weight
+/// copies rotate under the calls so that, as in a model, a weight has left
+/// the L2 by the time it is used again: a single hot matrix ranks packing strategies the wrong
 /// way round. The fourth number is the packed product over one weight
 /// that stays in the L2: beside the third it says where the weight stream
 /// from the L3, not the tile, bounds the product.

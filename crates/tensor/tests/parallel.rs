@@ -179,8 +179,9 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
 /// The packed product — the walk every projection of a served step runs —
 /// against the scalar oracle on the unpacked matrix, on every leg and
 /// every pool width, the row-major product at the same shapes against it
-/// and the products by a transpose against the per-element dot: every tile height from one row to eight (so
-/// every tile of the four-row and the eight-row legs) and nine, row counts
+/// and the products by a transpose against the per-element dot: every
+/// tile height from one row to eight (so every tile of the four-row and
+/// the eight-row legs) and nine, row counts
 /// on both sides of the thread counts' tile multiples and of 32 and 64 (so
 /// row sharding and column sharding both run: two threads split the
 /// columns of every product under 16 rows on AVX-512, under 8 on AVX2),

@@ -135,7 +135,8 @@ proptest! {
         let mut oracle_t = Matrix::zeros(m, n);
         for i in 0..m {
             for j in 0..n {
-                oracle_t[(i, j)] = a.row(i).iter().zip(bt.row(j)).fold(0.0, |acc, (x, y)| acc + x * y);
+                let products = a.row(i).iter().zip(bt.row(j)).map(|(x, y)| x * y);
+                oracle_t[(i, j)] = products.fold(0.0, |acc, p| acc + p);
             }
         }
         let bt = PackedMatrix::pack_transposed(&bt);
