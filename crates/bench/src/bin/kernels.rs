@@ -76,7 +76,8 @@ const SECTIONS: [Section; 9] = [
     ),
     (
         "attend",
-        "us per page walk at 256 wide x 4 heads, per lane set and leg",
+        "us per page walk at 256 wide x 4 heads, per lane set and leg (cold_: per layer of a \
+         4-layer step whose pages come from the L3)",
         attend,
     ),
     (
@@ -433,13 +434,14 @@ fn decode_row(o: &Opts) -> Table {
                     POSITIONS,
                     keys,
                     POSITIONS,
+                    None,
                 )
             });
             pages.push(format!("{:.0}", s * 1e9));
             let mut tile = vec![0.0f32; POSITIONS * DIM];
             let s = o.time(|| {
                 let (signs, tile) = (black_box(&signs), black_box(&mut tile));
-                decode_rows_into_with_leg(leg, cfg, signs, &exps, &planes, 0..g, DIM, tile)
+                decode_rows_into_with_leg(leg, cfg, signs, &exps, &planes, 0..g, DIM, tile, None)
             });
             v_pages.push(format!("{:.0}", s * 1e9));
         }
@@ -454,20 +456,29 @@ fn decode_row(o: &Opts) -> Table {
 /// and on Anda pages (`decode_longctx`), a batch of eight private streams
 /// at `decode_steady`'s ladder context, a 64-token chunk span at position
 /// 256 and four forks one token past a shared 256-position prefix
-/// (`prefill_shared`).
+/// (`prefill_shared`). Each of those walks one layer, whose pages stay in
+/// the L2 from one call to the next (a lane's 33 pages are about 0.3 MB).
+/// The `cold_` rows walk `decode_longctx`'s step instead: four lanes at 528
+/// positions in each of four layers, layer after layer as a served step
+/// meets them, about 4.5 MiB of Anda{8} pages or 8.5 MiB of FP16 ones, so
+/// a page comes from the L3 — the case the walk's page stream is for; they
+/// print µs per layer.
 fn attend(o: &Opts) -> Table {
     let (dim, n_heads) = (256, 4);
     let mut rng = Rng::new(13);
     let mut append = |cache: &mut KvCache, positions: usize| {
         let mut row = vec![0.0f32; 2 * dim];
-        for _ in 0..positions {
-            rng.fill_normal(&mut row, 1.0);
-            cache.append_row(0, &row[..dim], &row[dim..]);
+        for layer in 0..cache.n_layers() {
+            for _ in 0..positions {
+                rng.fill_normal(&mut row, 1.0);
+                cache.append_row(layer, &row[..dim], &row[dim..]);
+            }
         }
     };
     let anda8 = KvStorage::Anda { mantissa_bits: 8 };
     let pool = |storage| PagePool::new(KvPoolConfig::unbounded(storage));
-    // `(name, caches, one (cache, window) per lane)`.
+    // `(name, caches, one (cache, window) per lane)`, each cache's every
+    // layer walked in turn.
     type Scene = (&'static str, Vec<KvCache>, Vec<(usize, usize)>);
     let mut scenes: Vec<Scene> = Vec::new();
     for (name, storage) in [
@@ -503,6 +514,20 @@ fn attend(o: &Opts) -> Table {
         .collect();
     let past_prefix = (0..4).map(|i| (i, 257)).collect();
     scenes.push(("forks_4_past_256_anda8", forks, past_prefix));
+    for (name, storage) in [
+        ("cold_4x528x4layers_fp16", KvStorage::Fp16),
+        ("cold_4x528x4layers_anda8", anda8),
+    ] {
+        let pool = pool(storage);
+        let caches = (0..4)
+            .map(|_| {
+                let mut cache = pool.new_cache(4);
+                append(&mut cache, 528);
+                cache
+            })
+            .collect();
+        scenes.push((name, caches, (0..4).map(|i| (i, 528)).collect()));
+    }
 
     let legs = available_legs();
     let mut table = columns("lanes", legs.iter().map(|leg| leg.name().to_string()));
@@ -511,21 +536,24 @@ fn attend(o: &Opts) -> Table {
         let mut outs = vec![vec![0.0f32; dim]; views.len()];
         let mut walk = PageDecodeCache::new();
         let mut cells = vec![name.to_string()];
+        let layers = caches[0].n_layers();
         for &leg in &legs {
             let s = o.time(|| {
-                let mut lanes: Vec<AttendLane<'_>> = views
-                    .iter()
-                    .zip(outs.iter_mut())
-                    .map(|(&(cache, t), out)| AttendLane {
-                        layer: caches[cache].layer(0),
-                        t,
-                        q: black_box(&q),
-                        out,
-                    })
-                    .collect();
-                walk.attend_with_leg(&mut lanes, n_heads, rayon_lite::serial(), leg)
+                for layer in 0..layers {
+                    let mut lanes: Vec<AttendLane<'_>> = views
+                        .iter()
+                        .zip(outs.iter_mut())
+                        .map(|(&(cache, t), out)| AttendLane {
+                            layer: caches[cache].layer(layer),
+                            t,
+                            q: black_box(&q),
+                            out,
+                        })
+                        .collect();
+                    walk.attend_with_leg(&mut lanes, n_heads, rayon_lite::serial(), leg)
+                }
             });
-            cells.push(format!("{:.1}", s * 1e6));
+            cells.push(format!("{:.1}", s * 1e6 / layers as f64));
         }
         table.row(cells);
     }

@@ -187,12 +187,19 @@ impl AndaTensor {
     /// Decodes the columns of groups `groups` of the first
     /// `tile.len() / width` rows into the row-major `tile` on `leg`
     /// ([`rowcodec::decode_rows_into_with_leg`]; not counted — the caller
-    /// notes a page once, however many column slices read it).
+    /// notes a page once, however many column slices read it), streaming
+    /// `next`.
     ///
     /// # Panics
     ///
     /// As [`rowcodec::decode_rows_into_with_leg`].
-    pub fn decode_rows_into(&self, leg: SimdLeg, groups: std::ops::Range<usize>, tile: &mut [f32]) {
+    pub fn decode_rows_into(
+        &self,
+        leg: SimdLeg,
+        groups: std::ops::Range<usize>,
+        tile: &mut [f32],
+        next: Option<rowcodec::Words<'_>>,
+    ) {
         rowcodec::decode_rows_into_with_leg(
             leg,
             self.config,
@@ -202,13 +209,15 @@ impl AndaTensor {
             groups,
             self.width,
             tile,
+            next,
         );
     }
 
     /// Decodes the columns of groups `groups` of the first `rows` rows
     /// position-minor on `leg`: column `c` of row `p` at
     /// `keys[(c − first column) · ld + p]`
-    /// ([`rowcodec::decode_rows_transposed_into_with_leg`]; not counted).
+    /// ([`rowcodec::decode_rows_transposed_into_with_leg`]; not counted),
+    /// streaming `next`.
     ///
     /// # Panics
     ///
@@ -220,6 +229,7 @@ impl AndaTensor {
         rows: usize,
         keys: &mut [f32],
         ld: usize,
+        next: Option<rowcodec::Words<'_>>,
     ) {
         rowcodec::decode_rows_transposed_into_with_leg(
             leg,
@@ -232,7 +242,19 @@ impl AndaTensor {
             rows,
             keys,
             ld,
+            next,
         );
+    }
+
+    /// The words of the first `rows` rows, as a page decode streams them
+    /// ([`rowcodec::Words`]).
+    pub fn words(&self, rows: usize) -> rowcodec::Words<'_> {
+        let g = rows * self.row_groups();
+        rowcodec::Words {
+            signs: &self.signs[..g],
+            exps: &self.exps[..g],
+            planes: &self.planes[..g * self.config.mantissa_bits() as usize],
+        }
     }
 
     /// Copies the first `rows` rows of `src` bitwise — no decode/re-encode
@@ -293,7 +315,7 @@ impl AndaTensor {
     pub fn decode_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.len(), "decode width mismatch");
         if !self.is_empty() {
-            self.decode_rows_into(active_leg(), 0..self.row_groups(), out);
+            self.decode_rows_into(active_leg(), 0..self.row_groups(), out, None);
         }
     }
 
@@ -472,7 +494,7 @@ mod tests {
                     let cols = start * LANES..(end * LANES).min(width);
                     for rows in 1..=4 {
                         let mut tile = vec![f32::NAN; rows * width];
-                        t.decode_rows_into(active_leg(), start..end, &mut tile);
+                        t.decode_rows_into(active_leg(), start..end, &mut tile, None);
                         for (r, got) in tile.chunks(width).enumerate() {
                             t.decode_row_into(r, &mut row);
                             let ctx = format!("width={width} groups {start}..{end} row {r}");

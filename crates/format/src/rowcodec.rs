@@ -68,6 +68,17 @@
 //! stores through a mask. Every other leg and `M` decodes each group as
 //! a page of one group and puts the values in place, which is also why
 //! its oracle is [`decode_rows_into_with_leg`] permuted.
+//!
+//! Both page decodes take the words of the page decoded next ([`Words`]),
+//! which the AVX2 and AVX-512 bodies stream toward the cache while they
+//! decode their own: per (row, group) of the row-major loop or (group,
+//! position) of the position-minor ones, the same group's plane words of
+//! the next page and, at a row's first group, its sign and exponent words
+//! — one line at a time, spread over the decode. A KV page
+//! is a heap allocation of its own, where the hardware prefetchers stop,
+//! and a burst of a page's lines up front would wait on the L1's few fill
+//! buffers instead. A walk job streams only its own column groups. The
+//! scalar and NEON legs ignore the next page.
 
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use anda_fp::{saturate_to_f16, F16};
@@ -264,6 +275,9 @@ pub fn decode_row_into_with_leg(
 /// several column slices, so the caller notes them once per page
 /// ([`crate::metrics::note_rows_decoded`]).
 ///
+/// `next`, the rows decoded next in the same layout, is streamed toward
+/// the cache while these decode ([`Words`]); it changes no value.
+///
 /// # Panics
 ///
 /// Panics if `tile` is not a whole number of rows, `groups` exceeds the
@@ -278,16 +292,62 @@ pub fn decode_rows_into_with_leg(
     groups: std::ops::Range<usize>,
     row_len: usize,
     tile: &mut [f32],
+    next: Option<Words<'_>>,
 ) {
     assert!(
         tile.len().is_multiple_of(row_len),
         "tile must hold whole rows"
     );
-    Page::new(cfg, signs, exps, planes, groups, row_len).decode_on(leg, tile);
+    let page = Page::new(cfg, signs, exps, planes, groups, row_len);
+    Page { next, ..page }.decode_on(leg, tile);
+}
+
+/// The words of encoded rows held back to back, as a page decode reads
+/// them: the rows a walk decodes next, which a vector leg's page decode
+/// (not the scalar or NEON one) streams toward the cache while it decodes
+/// its own — per (row, group) or (group, position) it decodes, the same
+/// group's plane words of these rows and, at a row's first group, that
+/// row's sign and exponent words: one line at a time. A prefetch never
+/// faults and reads only inside these slices; no value depends on what it
+/// streams.
+#[derive(Clone, Copy, Debug)]
+pub struct Words<'a> {
+    pub signs: &'a [u64],
+    pub exps: &'a [u16],
+    pub planes: &'a [u64],
+}
+
+impl Words<'_> {
+    /// Streams group `gi`'s plane words (`m` a group) and, when it opens a
+    /// row, that row's sign and exponent words.
+    #[inline(always)]
+    fn stream(&self, gi: usize, m: usize, opens_row: bool) {
+        prefetch(self.planes, gi * m);
+        if opens_row {
+            prefetch(self.signs, gi);
+            prefetch(self.exps, gi);
+        }
+    }
+}
+
+/// Hints that `words[i]`'s cache line is about to be read, when `words`
+/// holds it: a prefetch on x86-64, nothing elsewhere (stable Rust has no
+/// aarch64 one, so there the arguments go unused).
+#[inline(always)]
+fn prefetch<T>(_words: &[T], _i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if _i < _words.len() {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: SSE is baseline x86-64, and a prefetch of an address
+        // inside `words` reads nothing architecturally.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(_words.as_ptr().wrapping_add(_i).cast()) }
+    }
 }
 
 /// The encoded rows a page decode reads: `row_len`-wide rows back to
-/// back, of which the groups `groups` are decoded.
+/// back, of which the groups `groups` are decoded, and the page decoded
+/// next, which a vector leg streams.
+#[derive(Clone)]
 struct Page<'a> {
     cfg: AndaConfig,
     signs: &'a [u64],
@@ -295,11 +355,12 @@ struct Page<'a> {
     planes: &'a [u64],
     groups: std::ops::Range<usize>,
     row_len: usize,
+    next: Option<Words<'a>>,
 }
 
 impl<'a> Page<'a> {
     /// The groups `groups` of each of the `row_len`-wide rows held back to
-    /// back in `signs`, `exps` and `planes`.
+    /// back in `signs`, `exps` and `planes`, with no next page.
     ///
     /// # Panics
     ///
@@ -325,6 +386,7 @@ impl<'a> Page<'a> {
             planes,
             groups,
             row_len,
+            next: None,
         }
     }
 
@@ -332,7 +394,13 @@ impl<'a> Page<'a> {
     #[inline(always)]
     fn decode_on(&self, leg: SimdLeg, tile: &mut [f32]) {
         match leg.kind() {
-            LegKind::Scalar => self.decode_into(tile, decode_group_into_scalar),
+            LegKind::Scalar => {
+                let page = Page {
+                    next: None,
+                    ..self.clone()
+                };
+                page.decode_into(tile, decode_group_into_scalar)
+            }
             // SAFETY (every leg): the CPU runs `leg` — a `SimdLeg` is that
             // proof — and a CPU that runs `Avx512` runs `Avx2`.
             #[cfg(target_arch = "x86_64")]
@@ -350,8 +418,9 @@ impl<'a> Page<'a> {
 
     /// The one page loop of every leg's decode: per row of `tile`, per
     /// group, `group(sign word, ULP, plane words, lanes)` decodes that
-    /// group's lanes. Each vector leg calls it from one function compiled
-    /// with its features, so its group body inlines into that leg's copy.
+    /// group's lanes, and the next page's same row and group stream in.
+    /// Each vector leg calls it from one function compiled with its
+    /// features, so its group body inlines into that leg's copy.
     #[inline(always)]
     fn decode_into(&self, tile: &mut [f32], mut group: impl FnMut(u64, f32, &[u64], &mut [f32])) {
         let m = self.cfg.mantissa_bits() as usize;
@@ -366,6 +435,9 @@ impl<'a> Page<'a> {
             let words = &self.planes[g0 * m..(g0 + n) * m];
             let row = &mut row[cols.clone()];
             for k in 0..n {
+                if let Some(next) = &self.next {
+                    next.stream(g0 + k, m, k == 0);
+                }
                 let out = &mut row[k * LANES..((k + 1) * LANES).min(cols.len())];
                 let ulp = exp2i(i32::from(exps[k]) - 14 - m as i32);
                 group(signs[k], ulp, &words[k * m..(k + 1) * m], out);
@@ -384,7 +456,9 @@ impl<'a> Page<'a> {
 /// differs. Not counted, like [`decode_rows_into_with_leg`]. At `M <= 8`
 /// the AVX2 and AVX-512 legs decode sixteen positions at a time and
 /// transpose their magnitude bytes before they widen; everything else
-/// decodes each group as a page of one group and puts it in place.
+/// decodes each group as a page of one group and puts it in place. The
+/// AVX2 and AVX-512 bodies stream `next` as [`decode_rows_into_with_leg`]
+/// does; the rest ignore it.
 ///
 /// # Panics
 ///
@@ -403,12 +477,10 @@ pub fn decode_rows_transposed_into_with_leg(
     rows: usize,
     keys: &mut [f32],
     ld: usize,
+    next: Option<Words<'_>>,
 ) {
     let g = groups_per_row(row_len, cfg);
-    assert!(
-        groups.start < groups.end && groups.end <= g,
-        "group range {groups:?} outside a {g}-group row"
-    );
+    let page = Page::new(cfg, signs, exps, planes, groups.clone(), row_len);
     let n_cols = (groups.end * LANES).min(row_len) - groups.start * LANES;
     assert!(
         rows <= ld && (rows == 0 || (n_cols - 1) * ld + rows <= keys.len()),
@@ -427,13 +499,11 @@ pub fn decode_rows_transposed_into_with_leg(
         // the bodies' bounds.
         #[cfg(target_arch = "x86_64")]
         LegKind::Avx512 if m <= 8 => unsafe {
-            avx512::decode_rows_transposed(
-                cfg, signs, exps, planes, groups, row_len, rows, keys, ld,
-            )
+            avx512::decode_rows_transposed(&Page { next, ..page }, rows, keys, ld)
         },
         #[cfg(target_arch = "x86_64")]
         LegKind::Avx2 | LegKind::Avx512 if m <= 8 => unsafe {
-            avx2::decode_rows_transposed(cfg, signs, exps, planes, groups, row_len, rows, keys, ld)
+            avx2::decode_rows_transposed(&Page { next, ..page }, rows, keys, ld)
         },
         _ => {
             // Each group of each row decoded as a page of one group, then
@@ -708,29 +778,22 @@ mod avx2 {
     /// # Safety
     ///
     /// Requires AVX2; the caller checked the bounds.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn decode_rows_transposed(
-        cfg: AndaConfig,
-        signs: &[u64],
-        exps: &[u16],
-        planes: &[u64],
-        groups: std::ops::Range<usize>,
-        row_len: usize,
-        rows: usize,
-        keys: &mut [f32],
-        ld: usize,
-    ) {
+    pub unsafe fn decode_rows_transposed(page: &Page, rows: usize, keys: &mut [f32], ld: usize) {
+        let (cfg, groups, row_len, next) = (page.cfg, &page.groups, page.row_len, page.next);
         let (g, m) = (groups_per_row(row_len, cfg), cfg.mantissa_bits() as usize);
         let n_cols = (groups.end * LANES).min(row_len) - groups.start * LANES;
         let sign_bit = _mm256_set1_epi32(i32::MIN);
-        for (k, col0) in groups.zip((0..).step_by(LANES)) {
+        for (k, col0) in groups.clone().zip((0..).step_by(LANES)) {
             let width = (n_cols - col0).min(LANES);
             for p0 in (0..rows).step_by(16) {
                 let n = (rows - p0).min(16);
                 let (mut ulps, mut keep) = ([0.0f32; 16], [0i32; 16]);
                 for p in 0..n {
-                    ulps[p] = exp2i(i32::from(exps[(p0 + p) * g + k]) - 14 - m as i32);
+                    if let Some(next) = &next {
+                        next.stream((p0 + p) * g + k, m, k == groups.start);
+                    }
+                    ulps[p] = exp2i(i32::from(page.exps[(p0 + p) * g + k]) - 14 - m as i32);
                     keep[p] = -1;
                 }
                 let ulp = [
@@ -746,11 +809,11 @@ mod avx2 {
                     let mut words = [0u32; 16];
                     for p in 0..n {
                         let gi = (p0 + p) * g + k;
-                        for &plane in &planes[gi * m..(gi + 1) * m] {
+                        for &plane in &page.planes[gi * m..(gi + 1) * m] {
                             let hit = byte_hits(plane, half);
                             mags[p] = _mm256_sub_epi8(_mm256_add_epi8(mags[p], mags[p]), hit);
                         }
-                        words[p] = (signs[gi] >> (32 * half)) as u32;
+                        words[p] = (page.signs[gi] >> (32 * half)) as u32;
                     }
                     #[rustfmt::skip]
                     transpose_lanes!(
@@ -1110,19 +1173,9 @@ mod avx512 {
     /// # Safety
     ///
     /// As [`decode_rows`]; the caller checked the bounds.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
-    pub unsafe fn decode_rows_transposed(
-        cfg: AndaConfig,
-        signs: &[u64],
-        exps: &[u16],
-        planes: &[u64],
-        groups: std::ops::Range<usize>,
-        row_len: usize,
-        rows: usize,
-        keys: &mut [f32],
-        ld: usize,
-    ) {
+    pub unsafe fn decode_rows_transposed(page: &Page, rows: usize, keys: &mut [f32], ld: usize) {
+        let (cfg, groups, row_len, next) = (page.cfg, &page.groups, page.row_len, page.next);
         let (g, m) = (groups_per_row(row_len, cfg), cfg.mantissa_bits() as usize);
         assert!(m <= 8, "the transpose holds at most 8 planes");
         let gather = _mm512_loadu_si512(GATHER[m - 1].as_ptr().cast());
@@ -1130,7 +1183,7 @@ mod avx512 {
         let magic = _mm512_set1_epi32(TWO_23.to_bits() as i32);
         let n_cols = (groups.end * LANES).min(row_len) - groups.start * LANES;
         let sign_bit = _mm512_set1_epi32(i32::MIN);
-        for (k, col0) in groups.zip((0..).step_by(LANES)) {
+        for (k, col0) in groups.clone().zip((0..).step_by(LANES)) {
             let width = (n_cols - col0).min(LANES);
             for p0 in (0..rows).step_by(16) {
                 let n = (rows - p0).min(16);
@@ -1140,9 +1193,12 @@ mod avx512 {
                     // SAFETY: `gi` is a group of a row below `rows`, which
                     // the caller checked every source slice holds.
                     let gi = (p0 + p) * g + k;
-                    mags[p] = magnitudes(planes.get_unchecked(gi * m..(gi + 1) * m), gather);
-                    ulps[p] = exp2i(i32::from(*exps.get_unchecked(gi)) - 14 - m as i32);
-                    words[p] = *signs.get_unchecked(gi);
+                    if let Some(next) = &next {
+                        next.stream(gi, m, k == groups.start);
+                    }
+                    mags[p] = magnitudes(page.planes.get_unchecked(gi * m..(gi + 1) * m), gather);
+                    ulps[p] = exp2i(i32::from(*page.exps.get_unchecked(gi)) - 14 - m as i32);
+                    words[p] = *page.signs.get_unchecked(gi);
                 }
                 let masks = sign_masks(&words);
                 #[rustfmt::skip]
@@ -1612,11 +1668,11 @@ mod tests {
     }
 
     /// A page's sign, exponent and plane words.
-    type Words = (Vec<u64>, Vec<u16>, Vec<u64>);
+    type PageWords = (Vec<u64>, Vec<u16>, Vec<u64>);
 
     /// `rows` adversarial rows of `dim` encoded back to back, as a page
     /// holds them, and their scalar row decode (row-major).
-    fn page(dim: usize, cfg: AndaConfig, rows: usize) -> (Words, Vec<f32>) {
+    fn page(dim: usize, cfg: AndaConfig, rows: usize) -> (PageWords, Vec<f32>) {
         let (g, pw) = (groups_per_row(dim, cfg), plane_words_per_row(dim, cfg));
         let mut page = (
             vec![0u64; rows * g],
@@ -1669,7 +1725,9 @@ mod tests {
                     let (tile, guard) = guarded.split_at_mut(filled * dim);
                     let (signs, exps, planes) = (&page.0, &page.1, &page.2);
                     let groups = groups.clone();
-                    decode_rows_into_with_leg(leg, cfg, signs, exps, planes, groups, dim, tile);
+                    decode_rows_into_with_leg(
+                        leg, cfg, signs, exps, planes, groups, dim, tile, None,
+                    );
                     let untouched = guard.iter().all(|x| x.to_bits() == f32::NAN.to_bits());
                     assert!(untouched, "guard lanes past the tile written, {ctx}");
                     for (r, (got, want)) in tile.chunks(dim).zip(expect.chunks(dim)).enumerate() {
@@ -1716,6 +1774,7 @@ mod tests {
                             rows,
                             &mut keys,
                             ld,
+                            None,
                         );
                         for (i, run) in keys.chunks(ld).enumerate() {
                             let Some(c) = cols.clone().nth(i) else {
@@ -1729,6 +1788,55 @@ mod tests {
                                 "column {c} past the fill, {ctx}"
                             );
                         }
+                    }
+                }
+            }
+        });
+    }
+
+    /// What a page decode streams changes no bit: both page decodes, on
+    /// every leg, `M`, row length and group range, come out `to_bits`-equal
+    /// with no next page, with one of fewer rows, with one whose words end
+    /// inside its first row (a different group range than the decode's)
+    /// and with one of more rows.
+    #[test]
+    fn streaming_the_next_page_changes_no_bit() {
+        sweep(|cfg, dim| {
+            let (g, m) = (groups_per_row(dim, cfg), cfg.mantissa_bits() as usize);
+            let ((this, _), (other, _)) = (page(dim, cfg, 17), page(dim, cfg, 20));
+            let (signs, exps, planes) = (&this.0, &this.1, &this.2);
+            let rows_of = |rows: usize, groups: usize| Words {
+                signs: &other.0[..rows * g + groups],
+                exps: &other.1[..rows * g + groups],
+                planes: &other.2[..(rows * g + groups) * m],
+            };
+            let nexts = [
+                None,
+                Some(rows_of(3, 0)),
+                Some(rows_of(0, g / 2)),
+                Some(rows_of(20, 0)),
+            ];
+            for leg in available_legs() {
+                for groups in group_ranges(g) {
+                    let n_cols = (groups.end * LANES).min(dim) - groups.start * LANES;
+                    let decode = |next: Option<Words>| {
+                        let mut tile = vec![f32::NAN; 17 * dim];
+                        let gr = groups.clone();
+                        decode_rows_into_with_leg(
+                            leg, cfg, signs, exps, planes, gr, dim, &mut tile, next,
+                        );
+                        let mut keys = vec![f32::NAN; n_cols * 32];
+                        let (gr, ld) = (groups.clone(), 32);
+                        decode_rows_transposed_into_with_leg(
+                            leg, cfg, signs, exps, planes, gr, dim, 17, &mut keys, ld, next,
+                        );
+                        (bits(&tile), bits(&keys))
+                    };
+                    let alone = decode(None);
+                    for next in nexts {
+                        let streams = next.map(|n| n.planes.len());
+                        let ctx = format!("leg={} {groups:?} {cfg:?} next {streams:?}", leg.name());
+                        assert!(decode(next) == alone, "{ctx}");
                     }
                 }
             }

@@ -19,7 +19,7 @@ use anda_format::dot::{dot_group_int_flat_scalar, dot_group_int_flat_with_leg};
 use anda_format::rowcodec::{
     decode_row_into_scalar, decode_row_into_with_leg, decode_rows_into_with_leg,
     decode_rows_transposed_into_with_leg, encode_row_into_scalar, encode_row_into_with_leg,
-    groups_per_row, plane_words_per_row,
+    groups_per_row, plane_words_per_row, Words,
 };
 use anda_format::AndaConfig;
 use anda_fp::available_legs;
@@ -142,8 +142,13 @@ proptest! {
                     "leg={} m={m} len={len} i={i}: {} vs {}", leg.name(), a, b);
             }
 
+            // Both page decodes stream the page's own words as the next
+            // page's, which must change nothing.
+            let next = Some(Words { signs: &signs, exps: &exps, planes: &planes });
             let mut tile = vec![f32::NAN; filled * len];
-            decode_rows_into_with_leg(leg, cfg, &signs, &exps, &planes, start..end, len, &mut tile);
+            decode_rows_into_with_leg(
+                leg, cfg, &signs, &exps, &planes, start..end, len, &mut tile, next,
+            );
             for (r, (got, want)) in tile.chunks(len).zip(page0.chunks(len)).enumerate() {
                 for i in cols.clone() {
                     prop_assert_eq!(got[i].to_bits(), want[i].to_bits(),
@@ -157,7 +162,7 @@ proptest! {
             let ld = filled + 1;
             let mut keys = vec![f32::NAN; cols.len() * ld];
             decode_rows_transposed_into_with_leg(
-                leg, cfg, &signs, &exps, &planes, start..end, len, filled, &mut keys, ld,
+                leg, cfg, &signs, &exps, &planes, start..end, len, filled, &mut keys, ld, next,
             );
             for (run, c) in keys.chunks(ld).zip(cols.clone()) {
                 for (p, got) in run[..filled].iter().enumerate() {

@@ -201,12 +201,16 @@ pub struct Page {
 
 /// A page's K or V as the walk's products read it ([`Page::tile`]): `f32`
 /// (a float page's own words, or an Anda page decoded), or an FP16 page's
-/// binary16 words.
+/// binary16 words; each with the words from the same column of the page
+/// the walk reads next, which the products stream (an FP16 page's only).
 #[derive(Clone, Copy)]
 enum Tile<'a> {
-    F32(&'a [f32]),
-    F16(&'a [u16]),
+    F32(Rhs<'a, f32>),
+    F16(Rhs<'a, u16>),
 }
+
+/// A page's words as a product reads them, and the next page's to stream.
+type Rhs<'a, E> = (&'a [E], Option<&'a [E]>);
 
 /// A page's K and V, each holding the bits [`KvStorage::row_bits`]
 /// accounts per row (an Anda group keeps its 5-bit exponent in a `u16`).
@@ -380,28 +384,48 @@ impl Page {
     /// `used` keeps whatever an earlier tile of the walk left there, or
     /// zero: the K product's scores there are never read. `cols` must
     /// start on its group boundary.
+    ///
+    /// `next` is the page of the same pool the pass reads after this one:
+    /// an Anda decode streams its words in as it goes, and an FP16 page's
+    /// tile carries them — the same half, from the same column on, to the
+    /// end of its buffer — for the products to stream. No value depends
+    /// on it (an `f32` page, the exact reference, streams nothing).
     fn tile<'a>(
         &'a self,
         want_v: bool,
         cols: &std::ops::Range<usize>,
         scratch: &'a mut Vec<f32>,
         leg: SimdLeg,
+        next: Option<&'a Page>,
     ) -> (Tile<'a>, usize) {
         let (dim, pp, filled) = (self.dim, self.positions, self.used * self.dim);
+        // An FP16 page's V (row-major) or K (position-minor) words from
+        // column `cols.start` on.
+        let f16 = |page: &'a Page| match (&page.data, want_v) {
+            (PageData::F16 { v, .. }, true) => Some(&v[cols.start..]),
+            (PageData::F16 { k, .. }, false) => Some(&k[cols.start * pp..]),
+            _ => None,
+        };
         match &self.data {
-            PageData::F32 { v, .. } if want_v => (Tile::F32(&v[cols.start..filled]), dim),
-            PageData::F32 { k, .. } => (Tile::F32(&k[cols.start * pp..]), pp),
-            PageData::F16 { v, .. } if want_v => (Tile::F16(&v[cols.start..filled]), dim),
-            PageData::F16 { k, .. } => (Tile::F16(&k[cols.start * pp..]), pp),
+            PageData::F32 { v, .. } if want_v => (Tile::F32((&v[cols.start..filled], None)), dim),
+            PageData::F32 { k, .. } => (Tile::F32((&k[cols.start * pp..], None)), pp),
+            PageData::F16 { .. } => {
+                let words = (f16(self).expect("an FP16 page"), next.and_then(f16));
+                (Tile::F16(words), if want_v { dim } else { pp })
+            }
             PageData::Anda { k, v } => {
+                let next = next.and_then(|page| match &page.data {
+                    PageData::Anda { k, v } => Some(if want_v { v } else { k }.words(page.used)),
+                    _ => None,
+                });
                 let groups = cols.start / LANES..cols.end.div_ceil(LANES);
                 scratch.resize(pp * dim, 0.0);
                 if want_v {
-                    v.decode_rows_into(leg, groups, &mut scratch[..filled]);
-                    return (Tile::F32(&scratch[cols.start..filled]), dim);
+                    v.decode_rows_into(leg, groups, &mut scratch[..filled], next);
+                    return (Tile::F32((&scratch[cols.start..filled], None)), dim);
                 }
-                k.decode_rows_transposed_into(leg, groups, self.used, scratch, pp);
-                (Tile::F32(scratch), pp)
+                k.decode_rows_transposed_into(leg, groups, self.used, scratch, pp, next);
+                (Tile::F32((scratch, None)), pp)
             }
         }
     }
@@ -1092,6 +1116,20 @@ struct Viewer {
 /// of a chunk span view different row counts of one page, and per-row
 /// decode is independent, so the union costs nothing in exactness.
 ///
+/// Each pass **streams the page it reads next** while it works on this
+/// one: every page is a heap allocation of its own, where the hardware
+/// prefetchers stop, and a step's pages and weights overflow the L2, so
+/// a tile would otherwise start by waiting on the L3. A group streams the
+/// page its furthest-reaching viewer reads at the next index — a lone
+/// decode lane its own next page, so `n` private lanes look `n` tiles
+/// ahead — and the page where a window ends streams nothing. An Anda
+/// decode streams the next page's encoded words line by line as it
+/// decodes this page's (`anda_format::rowcodec::Words`; a job only its
+/// own column groups); an FP16 page's products stream the next page's
+/// same windows as they read these (`Strided::matmul_batched_into`'s
+/// `next`). A prefetch changes no value and allocates nothing; the scalar
+/// and NEON legs stream nothing.
+///
 /// The products run on the register tile every GEMM of a step runs on,
 /// over the tiles where they lie — nothing in the walk packs. The lanes
 /// viewing a page run one product per pass, every head of every viewer a
@@ -1435,7 +1473,12 @@ fn visit_pages(
                 s.pages_decoded += 1;
                 anda_format::metrics::note_rows_decoded(2 * page.used as u64);
             }
-            let (tile, ld) = page.tile(want_v, cols, &mut s.tile, leg);
+            // What the group streams: the page its furthest-reaching viewer
+            // reads at the next index, if its window reaches one.
+            let far = viewers.iter().max_by_key(|v| lanes[v.lane].t);
+            let far = &lanes[far.expect("a group has a viewer").lane];
+            let next = (far.t > base + pp).then(|| far.layer.pages[i + 1].page());
+            let (tile, ld) = page.tile(want_v, cols, &mut s.tile, leg, next);
             let ready = match page.data {
                 PageData::Anda { .. } => page.used as u64,
                 _ => 0,
@@ -1493,18 +1536,20 @@ impl PageGroup {
     /// page's every slot (`ld` positions): on the page a lane's window
     /// ends in, whole strips read in place cost less than packing each
     /// head's ragged one, and what lands past the window, stale slots
-    /// included, is never read.
-    fn score<E: Element>(&self, keys: &[E], run: &[Viewer], q: &[f32], scores: &mut [f32]) {
+    /// included, is never read. The product streams `keys.1`, the words of
+    /// the page read next from the same column on ([`Page::tile`]).
+    fn score<E: Element>(&self, keys: Rhs<E>, run: &[Viewer], q: &[f32], scores: &mut [f32]) {
         let (n, dh, heads, stride) = (self.ld, self.dh, self.heads, self.stride);
         let first = run[0].lane * heads;
         let scores = &mut scores[first * stride..];
         Strided::new(&q[first * dh..], run.len() * heads, dh, dh).matmul_batched_into(
-            Strided::new(keys, dh, n, n),
+            Strided::new(keys.0, dh, n, n),
             heads,
             dh * n,
             &mut scores[self.base..],
             stride,
             false,
+            keys.1,
             self.leg,
         );
         let scale = 1.0 / (dh as f32).sqrt();
@@ -1522,18 +1567,20 @@ impl PageGroup {
     /// product — head `h`'s weights
     /// times head `h`'s `rows × dh` values, accumulated straight onto the
     /// mixes of the pages before, so every output element adds its `p · v`
-    /// in position order and a weight of zero still multiplies.
-    fn mix<E: Element>(&self, values: &[E], run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
+    /// in position order and a weight of zero still multiplies. Streams
+    /// `values.1` as [`PageGroup::score`] does.
+    fn mix<E: Element>(&self, values: Rhs<E>, run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
         let (rows, dh, heads, stride) = (run[0].rows, self.dh, self.heads, self.stride);
         let first = run[0].lane * heads;
         let weights = &scores[first * stride + self.base..];
         Strided::new(weights, run.len() * heads, rows, stride).matmul_batched_into(
-            Strided::new(values, rows, dh, self.ld),
+            Strided::new(values.0, rows, dh, self.ld),
             heads,
             dh,
             &mut mix[first * dh..],
             dh,
             true,
+            values.1,
             self.leg,
         );
     }

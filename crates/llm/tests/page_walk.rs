@@ -335,6 +335,54 @@ fn chunk_span_lanes_attend_causal_windows() {
     });
 }
 
+/// Each pass streams the page it reads next — a group's furthest-reaching
+/// viewer's page at the next index — while it works on this one, and what
+/// it streams must never show. Under every storage policy, on every leg, at pools of
+/// one to four threads (jobs of four, two and one heads, so the batched
+/// tiles run one to four rows): a one-page layer; a lane whose window
+/// ends on its table's last page, a whole one, and one whose window ends
+/// a page short of it; forks past a shared prefix, one private tail
+/// partial and one running onto a second page; and a chunk span of ten
+/// lanes over them, whose shared windows run whole tiles. Each lane is
+/// walked alone too, with nothing but its own pages to stream.
+#[test]
+fn what_the_walk_streams_never_shows() {
+    let (dim, n_heads) = (256, 4);
+    for storage in [KvStorage::Fp32].into_iter().chain(POLICIES) {
+        let pool = pool(storage, 16);
+        let mut rng = Rng::new(18);
+        let mut one_page = pool.new_cache(1);
+        append(&mut one_page, &mut rng, 9, dim);
+        let mut whole = pool.new_cache(1);
+        append(&mut whole, &mut rng, 48, dim);
+        let mut donor = pool.new_cache(1);
+        append(&mut donor, &mut rng, 32, dim);
+        let forks: Vec<KvCache> = [5, 21]
+            .into_iter()
+            .map(|tail| {
+                let mut fork = donor.fork_prefix(32);
+                append(&mut fork, &mut rng, tail, dim);
+                fork
+            })
+            .collect();
+        let mut views = vec![
+            (one_page.layer(0), 9),
+            (whole.layer(0), 48),
+            (whole.layer(0), 31),
+        ];
+        views.extend(forks.iter().map(|fork| (fork.layer(0), fork.len())));
+        views.extend((44..=53).map(|t| (forks[1].layer(0), t)));
+        let queries: Vec<Vec<f32>> = views.iter().map(|_| floats(&mut rng, dim)).collect();
+        let threads = [1, 2, 3, 4];
+        let ctx = format!("{storage:?}, every lane");
+        check_walk_on(&views, &queries, n_heads, &threads, &ctx);
+        for (lane, (view, q)) in views.iter().zip(&queries).enumerate() {
+            let ctx = format!("{storage:?}, lane {lane} alone");
+            check_walk_on(&[*view], std::slice::from_ref(q), n_heads, &threads, &ctx);
+        }
+    }
+}
+
 #[test]
 fn warmed_walks_allocate_nothing() {
     let (dim, n_heads) = (256, 4);

@@ -429,6 +429,7 @@ impl Matrix {
             resident: false,
             windows: 1,
             rhs_stride: 0,
+            ahead: 0,
         }
     }
 
@@ -865,7 +866,10 @@ impl Strided<'_> {
     /// of each against head `h`'s columns of one page (`windows` the head
     /// count, at least one). Rows that share a window share the register
     /// tile's loads of it. `out`'s rows lie `ldc` apart; sums start from
-    /// `out`'s contents when `accumulate`.
+    /// `out`'s contents when `accumulate`. `next`, a buffer laid out as
+    /// `rhs`'s — the page a walk multiplies by next —, has its same windows
+    /// streamed into the cache as these are read, when they fit it; it
+    /// changes no value.
     ///
     /// # Panics
     ///
@@ -880,6 +884,7 @@ impl Strided<'_> {
         out: &mut [f32],
         ldc: usize,
         accumulate: bool,
+        next: Option<&[E]>,
         leg: SimdLeg,
     ) {
         let (k, n) = (rhs.rows, rhs.cols);
@@ -891,13 +896,20 @@ impl Strided<'_> {
             self.rows,
             out.len()
         );
-        let last_window = self.rows.min(windows).saturating_sub(1) * rhs_stride;
+        let reach =
+            self.rows.min(windows).saturating_sub(1) * rhs_stride + strided_span(k, n, rhs.ld);
         assert!(
-            last_window + strided_span(k, n, rhs.ld) <= rhs.data.len(),
+            reach <= rhs.data.len(),
             "a batch of {} windows {rhs_stride} apart does not fit {} elements",
             self.rows.min(windows),
             rhs.data.len()
         );
+        // The element offset to `next`'s same windows, when they fit it
+        // (two buffers of `E` lie a whole number of elements apart).
+        let ahead = next.filter(|next| reach <= next.len()).map_or(0, |next| {
+            let bytes = (next.as_ptr() as isize).wrapping_sub(rhs.data.as_ptr() as isize);
+            (bytes / core::mem::size_of::<E>() as isize) as usize
+        });
         let ops = Operands {
             lhs: self.data,
             lda: self.ld,
@@ -910,6 +922,7 @@ impl Strided<'_> {
             resident: true,
             windows,
             rhs_stride,
+            ahead,
         };
         if leg == SimdLeg::SCALAR {
             return tile::resident_block_scalar(&ops, self.rows, n, out);
@@ -1240,11 +1253,15 @@ mod tests {
                 let canonical = |x: &f32| if x.is_nan() { f32::NAN } else { *x }.to_bits();
                 v.iter().map(canonical).collect()
             };
+            // What a product streams changes nothing: the page read next
+            // (a copy of `rhs`), one too short to hold the windows, or none.
+            let (copy, short) = (rhs.to_vec(), &rhs[..rhs.len() / 2]);
             let rhs = Strided::new(rhs, k, n, ldb);
             for accumulate in [false, true] {
-                let run = |leg: SimdLeg| {
+                let run = |leg: SimdLeg, next| {
                     let mut out = out0(m * ldc);
-                    lhs.matmul_batched_into(rhs, windows, stride, &mut out, ldc, accumulate, leg);
+                    let (w, s, acc) = (windows, stride, accumulate);
+                    lhs.matmul_batched_into(rhs, w, s, &mut out, ldc, acc, next, leg);
                     bits(&out)
                 };
                 // The loops themselves, spelled out once more.
@@ -1259,14 +1276,18 @@ mod tests {
                     }
                 }
                 let want = bits(&want);
-                for leg in available_legs() {
+                for (leg, next) in available_legs()
+                    .into_iter()
+                    .flat_map(|leg| [None, Some(&copy[..]), Some(short)].map(|next| (leg, next)))
+                {
                     assert_eq!(
-                        run(leg),
+                        run(leg, next),
                         want,
                         "leg={} {m}x{k}x{n} rhs of {} bytes, {windows} windows {stride} \
-                         apart accumulate={accumulate}",
+                         apart accumulate={accumulate}, streaming {:?} elements",
                         leg.name(),
                         core::mem::size_of::<E>(),
+                        next.map(<[E]>::len),
                     );
                 }
             }

@@ -57,7 +57,15 @@
 //! positions by 64 — thousands of times a step. Its `rhs` is row-major and
 //! read in place like a packed one (the tile takes the `rhs` row stride,
 //! and a window's second strip is its next sixteen columns; a pack would
-//! copy each operand once per use), and nothing prefetches.
+//! copy each operand once per use). What it prefetches is the *next*
+//! product's `rhs` ([`Operands::ahead`]: the page the walk multiplies by
+//! next, laid out alike, `ahead` elements on): each tile that reads a
+//! window in place — a batched tile, or the first row tile of a shared
+//! window — prefetches, per `k` step, the same line of that window there,
+//! one line per row and strip, spread over the product as the packed walk
+//! spreads its stream. A page the walk meets next is a heap allocation of
+//! its own, so the hardware prefetchers, which stop at the end of this
+//! one, would not fetch it.
 //! Attention stores its operands that way — a page's keys position-minor,
 //! so sixteen positions sit side by side, whether a float page holds them
 //! so or an Anda page decodes them so — and so packs nothing. A resident
@@ -236,14 +244,19 @@ pub(crate) struct Operands<'a, E: Element = f32> {
     pub accumulate: bool,
     /// Row-major only: `rhs` is a window of a cache-resident tile rather
     /// than a weight matrix streaming from memory, so full strips are read
-    /// where they lie instead of being copied, and nothing is prefetched.
-    /// A resident product is batched.
+    /// where they lie instead of being copied, and nothing of it is
+    /// prefetched (only, with `ahead`, the next product's). A resident
+    /// product is batched.
     pub resident: bool,
     /// Resident only (ignored by a streamed product): `lhs` row `i`
     /// multiplies window `i % windows` of `rhs`, the windows
     /// `rhs_stride` elements apart — rows `h`, `h + windows`, … share one.
     pub windows: usize,
     pub rhs_stride: usize,
+    /// Resident only: non-zero, the element offset (wrapping) from `rhs`
+    /// to the `rhs` read next, laid out alike, whose same windows the
+    /// tiles stream in as they read these.
+    pub ahead: usize,
 }
 
 /// A `rows × cols` block of a row-major output, addressed through a raw
@@ -312,8 +325,9 @@ pub(crate) trait Leg {
     /// `b + r · bs`, for `r < rows` (`1..=TILE_ROWS` on every leg). The
     /// rows of a tile are then independent products, each with its own two
     /// (AVX2), four (NEON) or two (AVX-512, one per strip) accumulator
-    /// chains. The default is the portable loop, in the same operation
-    /// order.
+    /// chains. With `ahead` non-zero, each `k` step also prefetches every
+    /// row's `b + r · bs + s · sb + kk · ldb + ahead`. The default is the
+    /// portable loop, in the same operation order, and prefetches nothing.
     ///
     /// # Safety
     ///
@@ -334,6 +348,7 @@ pub(crate) trait Leg {
         c: *mut f32,
         ldc: usize,
         first: bool,
+        _ahead: usize,
     ) {
         for r in 0..rows {
             let (a, c) = (a.add(r * lda), c.add(r * ldc));
@@ -428,6 +443,7 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         accumulate,
         windows,
         rhs_stride,
+        ahead,
         ..
     } = ops;
     let packed = LAYOUT == Layout::Packed as u8;
@@ -516,9 +532,11 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                     let (lda_w, ldc_w) = (windows * lda, windows * ldc);
                     for i in (h..shared).step_by(L::ROWS * windows) {
                         let (a, c) = (a.add(i * lda + k0), out.add(i * ldc + j0));
+                        // The window's first row tile streams the next one.
+                        let ahead = if full && i == h { ahead } else { 0 };
                         on_block(L::ROWS, width, first, c, ldc_w, &mut edge, |c, ldc| {
                             let (rows, lda, b, ldb) = (L::ROWS, lda_w, tile_b, tile_ldb);
-                            L::tile(rows, strips, a, lda, b, ldb, sb, kc, c, ldc, first, 0)
+                            L::tile(rows, strips, a, lda, b, ldb, sb, kc, c, ldc, first, ahead)
                         });
                     }
                 }
@@ -543,9 +561,10 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                         }
                     };
                     let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
+                    let ahead = if full { ahead } else { 0 };
                     on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
-                        let (b, ldb, bs) = (tile_b, tile_ldb, tile_bs);
-                        L::tile_batched(r, strips, a, lda, b, ldb, sb, bs, kc, c, ldc, first)
+                        let (b, ldb, bs, f) = (tile_b, tile_ldb, tile_bs, first);
+                        L::tile_batched(r, strips, a, lda, b, ldb, sb, bs, kc, c, ldc, f, ahead)
                     });
                     (i0, h) = (i0 + r, if h + r < windows { h + r } else { 0 });
                 }
@@ -630,8 +649,8 @@ pub(crate) fn resident_block_scalar<E: Element>(
 pub(crate) struct Avx2;
 
 /// [`Avx2`]'s tile body for `R` rows: [`Leg::tile`] with every row reading
-/// one `b` (`BATCHED` false, `bs` ignored; prefetching `ahead` when
-/// `PREFETCH`), or [`Leg::tile_batched`].
+/// one `b` (`BATCHED` false, `bs` ignored), or [`Leg::tile_batched`];
+/// prefetching `ahead` when `PREFETCH`.
 ///
 /// # Safety
 ///
@@ -653,7 +672,8 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E
     ahead: usize,
 ) {
     use core::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_ps(); 2]; R];
+    // A batched tile's rows each read a `b` of their own.
+    let (mut acc, own_b) = ([[_mm256_setzero_ps(); 2]; R], if BATCHED { R } else { 1 });
     if !first {
         for (r, acc_r) in acc.iter_mut().enumerate() {
             acc_r[0] = _mm256_loadu_ps(c.add(r * ldc));
@@ -662,8 +682,8 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E
     }
     for kk in 0..kc {
         let b_kk = b.add(kk * ldb);
-        if PREFETCH {
-            <Avx2 as Leg>::prefetch(b_kk.wrapping_add(ahead));
+        for r in 0..if PREFETCH { own_b } else { 0 } {
+            <Avx2 as Leg>::prefetch(b_kk.wrapping_add(r * bs).wrapping_add(ahead));
         }
         let shared = (E::load8(b_kk), E::load8(b_kk.add(8)));
         for (r, acc_r) in acc.iter_mut().enumerate() {
@@ -705,23 +725,16 @@ impl Leg for Avx2 {
         ahead: usize,
     ) {
         debug_assert_eq!(strips, 1, "an AVX2 tile is one strip wide");
+        let (f, p) = (first, ahead);
         match (rows, ahead != 0) {
-            (4, false) => avx2_rows::<4, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (3, false) => avx2_rows::<3, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (2, false) => avx2_rows::<2, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (_, false) => avx2_rows::<1, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, first, 0),
-            (4, true) => {
-                avx2_rows::<4, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
-            }
-            (3, true) => {
-                avx2_rows::<3, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
-            }
-            (2, true) => {
-                avx2_rows::<2, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
-            }
-            (_, true) => {
-                avx2_rows::<1, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, first, ahead)
-            }
+            (4, false) => avx2_rows::<4, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
+            (3, false) => avx2_rows::<3, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
+            (2, false) => avx2_rows::<2, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
+            (_, false) => avx2_rows::<1, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
+            (4, true) => avx2_rows::<4, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
+            (3, true) => avx2_rows::<3, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
+            (2, true) => avx2_rows::<2, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
+            (_, true) => avx2_rows::<1, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
         }
     }
 
@@ -739,13 +752,19 @@ impl Leg for Avx2 {
         c: *mut f32,
         ldc: usize,
         first: bool,
+        ahead: usize,
     ) {
         debug_assert_eq!(strips, 1, "an AVX2 tile is one strip wide");
-        match rows {
-            4 => avx2_rows::<4, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            3 => avx2_rows::<3, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            2 => avx2_rows::<2, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
-            _ => avx2_rows::<1, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, first, 0),
+        let (f, p) = (first, ahead);
+        match (rows, ahead != 0) {
+            (4, false) => avx2_rows::<4, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
+            (3, false) => avx2_rows::<3, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
+            (2, false) => avx2_rows::<2, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
+            (_, false) => avx2_rows::<1, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
+            (4, true) => avx2_rows::<4, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
+            (3, true) => avx2_rows::<3, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
+            (2, true) => avx2_rows::<2, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
+            (_, true) => avx2_rows::<1, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
         }
     }
 
@@ -800,7 +819,8 @@ unsafe fn avx512_rows<
     ahead: usize,
 ) {
     use core::arch::x86_64::*;
-    let mut acc = [[_mm512_setzero_ps(); S]; R];
+    // A batched tile's rows each read a `b` of their own.
+    let (mut acc, own_b) = ([[_mm512_setzero_ps(); S]; R], if BATCHED { R } else { 1 });
     if !first {
         for (r, acc_r) in acc.iter_mut().enumerate() {
             for (s, acc_v) in acc_r.iter_mut().enumerate() {
@@ -812,8 +832,9 @@ unsafe fn avx512_rows<
         let b_kk = b.add(kk * ldb);
         let mut shared = [_mm512_setzero_ps(); S];
         for (s, bv) in shared.iter_mut().enumerate() {
-            if PREFETCH {
-                <Avx2 as Leg>::prefetch(b_kk.wrapping_add(s * sb + ahead));
+            for r in 0..if PREFETCH { own_b } else { 0 } {
+                let b_rs = b_kk.wrapping_add(r * bs + s * sb);
+                <Avx2 as Leg>::prefetch(b_rs.wrapping_add(ahead));
             }
             if !BATCHED {
                 *bv = E::load16(b_kk.add(s * sb));
@@ -839,39 +860,41 @@ unsafe fn avx512_rows<
     }
 }
 
-/// [`avx512_rows`] for a [`Leg::tile`] of `rows` rows of `S` strips,
-/// prefetching `ahead` when `PREFETCH`.
+/// [`avx512_rows`] for a tile of `rows` rows of `S` strips, a
+/// [`Leg::tile`] or (`BATCHED`) a [`Leg::tile_batched`], prefetching
+/// `ahead` when `PREFETCH`.
 ///
 /// # Safety
 ///
-/// [`Leg::tile`]'s contract.
+/// The contract of the [`Leg`] tile it implements.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx512_tile<const S: usize, const PREFETCH: bool, E: Element>(
+unsafe fn avx512_tile<const S: usize, const BATCHED: bool, const PREFETCH: bool, E: Element>(
     rows: usize,
     a: *const f32,
     lda: usize,
     b: *const E,
     ldb: usize,
     sb: usize,
+    bs: usize,
     kc: usize,
     c: *mut f32,
     ldc: usize,
     first: bool,
     ahead: usize,
 ) {
-    let p = ahead;
+    let (s, f, p) = (sb, first, ahead);
     match rows {
-        8 => avx512_rows::<8, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
-        7 => avx512_rows::<7, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
-        6 => avx512_rows::<6, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
-        5 => avx512_rows::<5, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
-        4 => avx512_rows::<4, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
-        3 => avx512_rows::<3, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
-        2 => avx512_rows::<2, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
-        _ => avx512_rows::<1, S, false, PREFETCH, _>(a, lda, b, ldb, sb, 0, kc, c, ldc, first, p),
+        8 => avx512_rows::<8, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        7 => avx512_rows::<7, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        6 => avx512_rows::<6, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        5 => avx512_rows::<5, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        4 => avx512_rows::<4, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        3 => avx512_rows::<3, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        2 => avx512_rows::<2, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        _ => avx512_rows::<1, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
     }
 }
 
@@ -895,11 +918,18 @@ impl Leg for Avx512 {
         first: bool,
         ahead: usize,
     ) {
+        let (s, f, p) = (sb, first, ahead);
         match (strips, ahead) {
-            (2, 0) => avx512_tile::<2, false, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, 0),
-            (2, _) => avx512_tile::<2, true, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, ahead),
-            (_, 0) => avx512_tile::<1, false, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, 0),
-            _ => avx512_tile::<1, true, _>(rows, a, lda, b, ldb, sb, kc, c, ldc, first, ahead),
+            (2, 0) => {
+                avx512_tile::<2, false, false, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, 0)
+            }
+            (2, _) => {
+                avx512_tile::<2, false, true, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, p)
+            }
+            (_, 0) => {
+                avx512_tile::<1, false, false, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, 0)
+            }
+            _ => avx512_tile::<1, false, true, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, p),
         }
     }
 
@@ -917,17 +947,20 @@ impl Leg for Avx512 {
         c: *mut f32,
         ldc: usize,
         first: bool,
+        ahead: usize,
     ) {
-        let (s, f) = (sb, first);
-        match (rows, strips) {
-            (4, 2) => avx512_rows::<4, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
-            (3, 2) => avx512_rows::<3, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
-            (2, 2) => avx512_rows::<2, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
-            (_, 2) => avx512_rows::<1, 2, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
-            (4, _) => avx512_rows::<4, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
-            (3, _) => avx512_rows::<3, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
-            (2, _) => avx512_rows::<2, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
-            _ => avx512_rows::<1, 1, true, false, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, 0),
+        let (s, f, p) = (sb, first, ahead);
+        match (strips, ahead) {
+            (2, 0) => {
+                avx512_tile::<2, true, false, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, 0)
+            }
+            (2, _) => {
+                avx512_tile::<2, true, true, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, p)
+            }
+            (_, 0) => {
+                avx512_tile::<1, true, false, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, 0)
+            }
+            _ => avx512_tile::<1, true, true, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
         }
     }
 
@@ -947,9 +980,9 @@ pub(crate) struct Neon;
 
 /// The 4-lane mirror of [`Avx2`]: four vectors per tile row. It keeps the
 /// default (empty) `prefetch` — stable Rust has no aarch64 prefetch
-/// intrinsic, so a packed walk's `ahead` goes unused and the stream is left
-/// to the hardware prefetchers — and the default (portable)
-/// `tile_batched`.
+/// intrinsic, so a packed walk's `ahead` and a resident product's next
+/// page go unused and the stream is left to the hardware prefetchers — and
+/// the default (portable) `tile_batched`.
 #[cfg(target_arch = "aarch64")]
 impl Leg for Neon {
     #[target_feature(enable = "neon")]
