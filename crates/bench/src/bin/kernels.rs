@@ -63,9 +63,10 @@ const SECTIONS: [Section; 9] = [
     ),
     (
         "m_sweep",
-        "GFLOP/s of M per-row passes | one tiled GEMM | the same over the weight packed as a \
-         model's Layer holds it | that packed product over one L2-resident weight (serial, 4 \
-         rotating weight copies but in the last; wdown's lhs is ReLU-sparse)",
+        "GFLOP/s of M per-row passes | one tiled GEMM | the same over the weight packed as an \
+         FP16 model's Layer holds it | that packed product over one L2-resident weight | over \
+         the weight's W4 quantisation held as a W4 model's Layer holds it, INT4 codes (serial, \
+         4 rotating weight copies but in the fourth; wdown's lhs is ReLU-sparse)",
         m_sweep,
     ),
     (
@@ -84,8 +85,9 @@ const SECTIONS: [Section; 9] = [
         "step",
         "ns, calls and exact count per decode_hidden_batch step and phase: 8 FP16-page streams \
          from 112 positions, 4 Anda{8}-page streams from 528, and one stream's 64-token chunk on \
-         Anda{8} pages at 352 (OPT, then LLaMA), d 256 x 4 layers x 4 heads, FFN 1024, vocab 512 \
-         (1 thread, the dispatched leg)",
+         Anda{8} pages at 352 (OPT, then LLaMA), d 256 x 4 layers x 4 heads, FFN 1024, vocab 512, \
+         W4 weights held as INT4 codes, as served (1 thread, the dispatched leg; last, the bytes \
+         the projections hold)",
         step,
     ),
     (
@@ -344,13 +346,21 @@ fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 /// the L2 by the time it is used again: a single hot matrix ranks packing strategies the wrong
 /// way round. The fourth number is the packed product over one weight
 /// that stays in the L2: beside the third it says where the weight stream
-/// from the L3, not the tile, bounds the product.
+/// from the L3, not the tile, bounds the product. The fifth is the packed
+/// product over each copy's W4 quantisation held as INT4 codes, the tile
+/// dequantizing them as it loads them — a W4 model's projections, an
+/// eighth of the third's bytes (the LM head's embedding stays `f32` in a
+/// model).
 fn m_sweep(o: &Opts) -> Table {
     let mut table = columns("leg / k x n", SWEEP_M.map(|m| format!("M={m}")));
     for leg in available_legs() {
         for (name, k, n, sparse) in SWEEP_SHAPES {
             let copies: Vec<Matrix> = (0..4).map(|c| random(k, n, 11 + c, 0.05)).collect();
             let packed: Vec<PackedMatrix> = copies.iter().map(PackedMatrix::pack).collect();
+            let w4 = WeightQuantConfig::w4_sim();
+            let int4: Vec<PackedMatrix> = (copies.iter())
+                .map(|w| IntWeightMatrix::quantize(w, w4).pack())
+                .collect();
             let mut cells = vec![format!("{} {k}x{n} {name}", leg.name())];
             for m in SWEEP_M {
                 // With `sparse` the negative half is zeroed — the sparsity
@@ -377,8 +387,9 @@ fn m_sweep(o: &Opts) -> Table {
                     time(&|c, out| a.matmul_packed_into_serial_with_leg(&packed[c], out, leg));
                 let resident =
                     time(&|_, out| a.matmul_packed_into_serial_with_leg(&packed[0], out, leg));
+                let w4 = time(&|c, out| a.matmul_packed_into_serial_with_leg(&int4[c], out, leg));
                 cells.push(format!(
-                    "{rows:.1} | {gemm:.1} | {in_place:.1} | {resident:.1}"
+                    "{rows:.1} | {gemm:.1} | {in_place:.1} | {resident:.1} | {w4:.1}"
                 ));
             }
             table.row(cells);
@@ -624,10 +635,12 @@ const STEP_SCENES: [StepScene; 4] = [
 /// phase the step charges — `Qkv` and `Finish` are the projection GEMMs
 /// with their per-row work,
 /// the walk's tiles and products are attention — with its wall ns, calls
-/// and exact count per step (`PageDecodeCache::phases().since(..)`), and
-/// last the step's own wall time, whose gap to the phases' sum is what no
-/// span covers. The LM head and sampling belong to the scheduler and are
-/// not run.
+/// and exact count per step (`PageDecodeCache::phases().since(..)`), then
+/// the step's own wall time, whose gap to the phases' sum is what no span
+/// covers, and last the bytes the projections hold. The model is the
+/// served one: W4-quantised (`w4_sim`), each projection held as INT4 codes
+/// the tile dequantizes as it loads them. The LM head and sampling belong
+/// to the scheduler and are not run.
 fn step(o: &Opts) -> Table {
     let (d_model, n_layers, n_heads, d_ffn, vocab) = STEP_MODEL;
     let model = |family| {
@@ -641,7 +654,8 @@ fn step(o: &Opts) -> Table {
             vocab,
             max_seq: STEP_MAX_SEQ,
         };
-        Model::synthesize(config, &opt_125m_sim().profile, 4242)
+        let fp16 = Model::synthesize(config, &opt_125m_sim().profile, 4242);
+        fp16.quantize_weights(WeightQuantConfig::w4_sim())
     };
     let pool = ThreadPool::new(1);
     let mut table = Table::new([
@@ -727,6 +741,24 @@ fn step(o: &Opts) -> Table {
             "-".into(),
             "-".into(),
             "100%".into(),
+        ]);
+        let weight_bytes: usize = (model.layers().iter())
+            .flat_map(|l| {
+                [&l.wqkv, &l.wo, &l.wup, &l.wdown]
+                    .into_iter()
+                    .chain(&l.wgate)
+            })
+            .map(PackedMatrix::resident_bytes)
+            .sum();
+        let dash = || "-".to_string();
+        let bytes = weight_bytes.to_string();
+        table.row([
+            name.to_string(),
+            "weight bytes".into(),
+            dash(),
+            dash(),
+            bytes,
+            dash(),
         ]);
     }
     table

@@ -1,12 +1,14 @@
 //! The transformer inference engine.
 //!
-//! [`Model`] holds effective (`f32`) weights — each projection once, as
-//! the [`PackedMatrix`] its GEMM reads in place — plus, in
-//! [`WeightMode::Int4`] mode, the quantized [`IntWeightMatrix`] handles.
-//! Nothing in the workspace reads those handles: the served and
-//! `forward` GEMMs run on the dequantised packed weights, and the
-//! simulator and storage accounting count from shapes. Their one reader
-//! is the benchmark's `quant.gemm_anda_gmacs` probe. A per-module
+//! [`Model`] holds each projection once, as the [`PackedMatrix`] its GEMM
+//! reads in place: `f32` strips in [`WeightMode::Fp16`] mode, INT4 codes
+//! and `f32` group scales in [`WeightMode::Int4`] mode, which the GEMM's
+//! register tile dequantizes as it loads them (no `f32` copy of a W4
+//! weight exists). An Int4 model also keeps the quantized
+//! [`IntWeightMatrix`] handles. Nothing in the workspace reads those: the
+//! served and `forward` GEMMs run on the packed weights, and the simulator
+//! and storage accounting count from shapes. Their one reader is the
+//! benchmark's `quant.gemm_anda_gmacs` probe. A per-module
 //! [`CodecAssignment`] is applied to the four FP-INT GeMM activations — all other arithmetic (attention
 //! scores, softmax, norms, residuals) stays in floating point, matching
 //! the paper's methodology (§V-A keeps non-GeMM operators and the KV
@@ -52,7 +54,8 @@ pub enum WeightMode {
 
 /// One transformer block's weights. Each projection is held once, packed
 /// the way its GEMM reads it ([`PackedMatrix`], packed once while the model
-/// is built and never again); nothing holds a row-major copy.
+/// is built and never again: `f32` strips, or a W4 model's INT4 codes and
+/// scales); nothing holds a row-major copy.
 #[derive(Clone, Debug)]
 pub struct Layer {
     /// Pre-attention norm gain.
@@ -74,10 +77,11 @@ pub struct Layer {
     /// Down projection, `ffn × d`.
     pub wdown: PackedMatrix,
     /// Quantized handles (Int4 mode only), in module order
-    /// `[wqkv, wo, wgate?, wup, wdown]`. No GEMM, simulator or accounting
-    /// in the workspace reads them; the benchmark's
-    /// `quant.gemm_anda_gmacs` probe does, so they stay until that probe
-    /// quantises its own weight.
+    /// `[wqkv, wo, wgate?, wup, wdown]`: the integers and scales the
+    /// projections above hold packed, kept as a second, row-major copy.
+    /// No GEMM, simulator or accounting in the workspace reads them; the
+    /// benchmark's `quant.gemm_anda_gmacs` probe does — its only reader —,
+    /// so they stay until that probe quantises its own weight.
     pub quantized: Option<LayerQuant>,
 }
 
@@ -229,13 +233,20 @@ impl Model {
     }
 
     /// Produces the weight-only quantized (W4A16-style) version of this
-    /// model: GeMM weights are group-wise INT4; effective weights become the
-    /// dequantized values, packed as they are dequantized; quantized
-    /// handles are retained. Built from `&self` without copying the `f32`
+    /// model: each GeMM weight is quantized group-wise and held as its INT4
+    /// codes and `f32` group scales ([`IntWeightMatrix::pack`]), which the
+    /// GEMM's register tile dequantizes as it loads them — no `f32` copy of
+    /// a weight is made. The quantized handles are kept as
+    /// [`Layer::quantized`]. Built from `&self` without copying the `f32`
     /// weights it replaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qcfg` quantizes to more than 4 bits.
     pub fn quantize_weights(&self, qcfg: WeightQuantConfig) -> Model {
-        // One row-major buffer carries every weight: unpacked for the
-        // quantiser, then dequantised and packed.
+        assert!(qcfg.bits <= 4, "a W{} model has no INT4 form", qcfg.bits);
+        // One row-major buffer carries every weight, unpacked for the
+        // quantiser.
         let mut rows = Matrix::default();
         let mut layers = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
@@ -250,20 +261,16 @@ impl Model {
                 wup: quantize(&layer.wup),
                 wdown: quantize(&layer.wdown),
             };
-            let mut dequantize = |q: &IntWeightMatrix| {
-                q.dequantize_into(&mut rows);
-                PackedMatrix::pack(&rows)
-            };
             layers.push(Layer {
                 attn_gain: layer.attn_gain.clone(),
                 attn_bias: layer.attn_bias.clone(),
                 ffn_gain: layer.ffn_gain.clone(),
                 ffn_bias: layer.ffn_bias.clone(),
-                wqkv: dequantize(&q.wqkv),
-                wo: dequantize(&q.wo),
-                wgate: q.wgate.as_ref().map(&mut dequantize),
-                wup: dequantize(&q.wup),
-                wdown: dequantize(&q.wdown),
+                wqkv: q.wqkv.pack(),
+                wo: q.wo.pack(),
+                wgate: q.wgate.as_ref().map(IntWeightMatrix::pack),
+                wup: q.wup.pack(),
+                wdown: q.wdown.pack(),
                 quantized: Some(q),
             });
         }
@@ -1429,6 +1436,64 @@ mod tests {
             assert_eq!(embed.shape(), (d, vocab));
             assert_eq!(embed.stored_len(), vocab.next_multiple_of(16) * d);
         }
+    }
+
+    #[test]
+    fn a_w4_model_holds_its_projections_as_int4_codes_and_scales() {
+        // Every field of `Layer` named, so a field added to hold a second
+        // copy of a weight fails to compile here. A W4 projection holds
+        // `k · n / 2` code bytes and one `f32` scale per (group, column) —
+        // no `f32` copy, which the FP16 model's four bytes a weight are —
+        // and is its quantized handle's dequantisation, bit for bit.
+        let llama = zoo::sim_models()
+            .into_iter()
+            .find(|s| s.sim.family == Family::Llama)
+            .unwrap();
+        let qcfg = WeightQuantConfig::w4_sim();
+        for spec in [tiny_spec(), llama] {
+            let fp16 = spec.build();
+            let w4 = fp16.quantize_weights(qcfg);
+            for (layer, fp16_layer) in w4.layers().iter().zip(fp16.layers()) {
+                let Layer {
+                    attn_gain: _,
+                    attn_bias: _,
+                    ffn_gain: _,
+                    ffn_bias: _,
+                    wqkv,
+                    wo,
+                    wgate,
+                    wup,
+                    wdown,
+                    quantized,
+                } = layer;
+                let q = quantized.as_ref().expect("a W4 layer keeps its handles");
+                let fp16_gate = fp16_layer.wgate.as_ref();
+                let weights = [
+                    (wqkv, &q.wqkv, &fp16_layer.wqkv),
+                    (wo, &q.wo, &fp16_layer.wo),
+                    (wup, &q.wup, &fp16_layer.wup),
+                    (wdown, &q.wdown, &fp16_layer.wdown),
+                ];
+                let gate = wgate.as_ref().zip(q.wgate.as_ref()).zip(fp16_gate);
+                assert_eq!(gate.is_some(), spec.sim.family == Family::Llama);
+                for (w, q, fp16_w) in weights.into_iter().chain(gate.map(|((w, q), f)| (w, q, f))) {
+                    let (k, n) = w.shape();
+                    let scales = k.div_ceil(qcfg.group_size) * n;
+                    assert_eq!(w.resident_bytes(), k * n / 2 + 4 * scales, "{k}x{n}");
+                    assert_eq!(fp16_w.resident_bytes(), 4 * k * n, "{k}x{n}");
+                    let dequantized = q.dequantize();
+                    assert_eq!(bits(w.to_matrix().as_slice()), bits(dequantized.as_slice()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no INT4 form")]
+    fn quantize_weights_refuses_more_than_four_bits() {
+        tiny_spec()
+            .build()
+            .quantize_weights(WeightQuantConfig::rtn(8, 64));
     }
 
     #[test]

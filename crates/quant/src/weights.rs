@@ -19,7 +19,7 @@
 //! [`f32::round`]'s half-away-from-zero done in two float adds instead of
 //! a libm call, so the loops vectorise.
 
-use anda_tensor::Matrix;
+use anda_tensor::{Matrix, PackedMatrix};
 
 /// Configuration for weight quantization.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -218,18 +218,11 @@ impl IntWeightMatrix {
         self.scales[(k_index / self.config.group_size) * self.n + col]
     }
 
-    /// Dequantizes back to a dense `f32` matrix.
+    /// Dequantizes back to a dense `f32` matrix, `f32::from(v) · s` per
+    /// element: the values every product over [`IntWeightMatrix::pack`]
+    /// multiplies by.
     pub fn dequantize(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.k, self.n);
-        self.dequantize_into(&mut m);
-        m
-    }
-
-    /// Dequantizes into a caller-provided matrix, resizing it to `k × n`
-    /// while reusing its allocation. Hot GeMM paths use this to avoid a
-    /// fresh `k × n` buffer per call.
-    pub fn dequantize_into(&self, out: &mut Matrix) {
-        out.resize(self.k, self.n);
+        let mut out = Matrix::zeros(self.k, self.n);
         let group_size = self.config.group_size;
         for r in 0..self.k {
             let scales = &self.scales[(r / group_size) * self.n..(r / group_size + 1) * self.n];
@@ -238,6 +231,21 @@ impl IntWeightMatrix {
                 *slot = f32::from(v) * s;
             }
         }
+        out
+    }
+
+    /// The weight as a model holds it: its codes and scales in the
+    /// register tile's strip order ([`PackedMatrix::pack_int4`]), no `f32`
+    /// copy. Every product over it equals, bit for bit, the one over
+    /// [`IntWeightMatrix::dequantize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the values are wider than 4 bits.
+    pub fn pack(&self) -> PackedMatrix {
+        let (k, n, bits) = (self.k, self.n, self.config.bits);
+        assert!(bits <= 4, "a {bits}-bit weight does not pack as INT4");
+        PackedMatrix::pack_int4(k, n, self.config.group_size, &self.values, &self.scales)
     }
 
     /// Storage footprint in bits: values at `bits` each plus FP16 scales.

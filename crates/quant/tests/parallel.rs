@@ -6,6 +6,7 @@
 //! In both cases every output element must be bit-identical
 //! (`f32::to_bits`) to the serial kernel at every thread count.
 
+use anda_fp::simd::{available_legs, SimdLeg};
 use anda_quant::gemm::{gemm_anda, gemm_anda_into, gemm_anda_into_pool, gemm_fake_quant};
 use anda_quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{Matrix, Rng};
@@ -30,7 +31,7 @@ fn random_case(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, IntWeightMat
     let mut rng = Rng::new(seed);
     let mut x = Matrix::zeros(m, k);
     rng.fill_normal(x.as_mut_slice(), 1.0);
-    // Sprinkle exact zeros: the dense kernels skip a == 0 terms.
+    // Sprinkle exact zeros, which the dense kernels multiply through.
     for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
         if i % 13 == 0 {
             *v = 0.0;
@@ -50,6 +51,57 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, ctx: &str) {
             y.to_bits(),
             "{ctx}: element {i} differs: {x} vs {y}"
         );
+    }
+}
+
+/// A W4 weight held as INT4 codes ([`IntWeightMatrix::pack`]), which the
+/// register tile dequantizes as it loads them, multiplies as the `f32`
+/// matrix [`IntWeightMatrix::dequantize`] makes, bit for bit: on every leg
+/// (the scalar one dequantizes a panel, then runs the packed walk) and at
+/// pools of 1, 2 and 4 threads, against the scalar oracle over that matrix.
+/// Rows from one to seventeen cross the four- and eight-row tiles and the
+/// first row tile's panel fill (a tile follows it), 64 is a prefill chunk;
+/// `k` is odd, below, on and across a group and a panel, 1024 four panels
+/// deep; `n` one column, ragged strips and strip pairs, and a projection's
+/// width; the group sizes divide the panel depth or do not (96).
+#[test]
+fn an_int4_weight_multiplies_as_its_dequantisation() {
+    let pools = [1, 2, 4].map(ThreadPool::new);
+    for group in [64, 128, 96] {
+        for k in [1usize, 2, 63, 64, 130, 256, 257, 1024] {
+            for n in [1usize, 15, 17, 33, 768] {
+                let mut rng = Rng::new((group * k * n) as u64);
+                let mut w = Matrix::zeros(k, n);
+                rng.fill_normal(w.as_mut_slice(), 0.05);
+                let q = IntWeightMatrix::quantize(&w, WeightQuantConfig::rtn(4, group));
+                let (dequantized, packed) = (q.dequantize(), q.pack());
+                let at = format!("{k}x{n} in groups of {group}");
+                assert_bits_eq(&packed.to_matrix(), &dequantized, &at);
+                for m in (1..=17).chain([64]) {
+                    let mut x = Matrix::zeros(m, k);
+                    rng.fill_normal(x.as_mut_slice(), 1.0);
+                    x.map_inplace(|v| if v < -1.0 { 0.0 } else { v });
+                    let mut oracle = Matrix::zeros(m, n);
+                    x.matmul_into_serial_with_leg(&dequantized, &mut oracle, SimdLeg::SCALAR);
+                    let check = |run: &dyn Fn(&mut Matrix), on: &str| {
+                        let mut out = Matrix::zeros(m, n);
+                        out.as_mut_slice().fill(f32::NAN);
+                        run(&mut out);
+                        assert_bits_eq(&out, &oracle, &format!("{m} rows · {at} {on}"));
+                    };
+                    for leg in available_legs() {
+                        let run = |out: &mut Matrix| {
+                            x.matmul_packed_into_serial_with_leg(&packed, out, leg)
+                        };
+                        check(&run, &format!("leg {}", leg.name()));
+                    }
+                    for pool in &pools {
+                        let run = |out: &mut Matrix| x.matmul_packed_into_pool(&packed, out, pool);
+                        check(&run, &format!("@ {}t", pool.threads()));
+                    }
+                }
+            }
+        }
     }
 }
 

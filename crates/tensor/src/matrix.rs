@@ -12,9 +12,11 @@
 //! caller passes — [`rayon_lite::serial`] keeps a product on the calling
 //! thread. Each vector lane owns one output element and accumulates over
 //! `k` in the same ascending order as the scalar kernel, with separate
-//! multiply and add (no FMA contraction) — so every leg is
-//! `f32::to_bits`-identical to the scalar oracle for finite `rhs`,
-//! preserving the bit-exactness invariant the serving stack is built on.
+//! multiply and add (no FMA contraction), and no kernel skips a zero — so
+//! every leg is `f32::to_bits`-identical to the scalar oracle, non-finite
+//! `rhs` included (which payload survives where two different NaNs meet
+//! in one sum is the compiler's pick of operand order), preserving the
+//! bit-exactness invariant the serving stack is built on.
 //! A product by a transpose (the tied LM head's `hidden · embedᵀ`) is the
 //! packed product over [`PackedMatrix::pack_transposed`].
 //!
@@ -30,7 +32,7 @@ use core::ops::{Index, IndexMut};
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use rayon_lite::ThreadPool;
 
-use crate::tile::{self, Element, Layout, Operands, OutBlock, STRIP_COLS, TILE_ROWS};
+use crate::tile::{self, Element, Int4, Layout, Operands, OutBlock, STRIP_COLS, TILE_ROWS};
 
 /// Below this many multiply-adds a GeMM runs serially even when the
 /// pool has threads: dispatch overhead (a mutex push plus a condvar
@@ -213,7 +215,7 @@ impl Matrix {
     /// panels copied contiguous on a vector leg, a blocked ikj axpy walk
     /// on the scalar one. Every output element accumulates over `k` in
     /// ascending order, so results are bit-identical to the naive ikj
-    /// kernel for finite `rhs`.
+    /// kernel.
     ///
     /// # Panics
     ///
@@ -244,8 +246,8 @@ impl Matrix {
     /// projections run. The tile reads `rhs`'s strips where they lie, so
     /// nothing is packed per call; every output element is the same
     /// ascending-`k` sum as [`Matrix::matmul_into_on`] over
-    /// [`PackedMatrix::to_matrix`], bit for bit for finite `rhs`, at every
-    /// SIMD leg and thread count.
+    /// [`PackedMatrix::to_matrix`] — an INT4 weight's dequantisation — bit
+    /// for bit, at every SIMD leg and thread count.
     ///
     /// # Panics
     ///
@@ -289,7 +291,7 @@ impl Matrix {
     /// [`PackedMatrix::pack_transposed`] per call, then
     /// [`Matrix::matmul_packed_into_pool`] over it. Every output element is
     /// the ascending-`k` dot `Σ_k self[i][k] · rhs[j][k]` from `+0.0`, bit
-    /// for bit for finite `rhs`, at every SIMD leg and thread count.
+    /// for bit, at every SIMD leg and thread count.
     ///
     /// Not on the served path (the tied LM head holds its table packed
     /// once): what `anda_perf`'s `tensor.matmul_t_gflops_lmhead` times.
@@ -309,6 +311,7 @@ impl Matrix {
             k: self.rows,
             n: self.cols,
             layout: Layout::RowMajor,
+            int4: Int4::default(),
         }
     }
 
@@ -321,6 +324,7 @@ impl Matrix {
         let (name, shown) = match rhs.layout {
             Layout::RowMajor => ("matmul", format_args!("{k}x{n}")),
             Layout::Packed => ("matmul_packed", format_args!("{k}x{n} packed")),
+            Layout::Int4 => ("matmul_packed", format_args!("{k}x{n} INT4")),
         };
         assert_eq!(
             self.cols, k,
@@ -399,7 +403,9 @@ impl Matrix {
         if leg == SimdLeg::SCALAR {
             return match rhs.layout {
                 Layout::RowMajor => self.matmul_rows_scalar(rhs, out_rows, row0),
-                Layout::Packed => self.matmul_packed_rows_scalar(rhs, out_rows, row0),
+                Layout::Packed | Layout::Int4 => {
+                    self.matmul_packed_rows_scalar(rhs, out_rows, row0)
+                }
             };
         }
         let block = OutBlock {
@@ -430,19 +436,15 @@ impl Matrix {
             windows: 1,
             rhs_stride: 0,
             ahead: 0,
+            int4: rhs.int4,
         }
     }
 
     /// The scalar oracle every vector leg of the row-major product is
     /// pinned to: a blocked ikj axpy walk, `out[i][j] += a[i][k] · b[k][j]`
-    /// for ascending `k`, one rounding per multiply and per add.
-    ///
-    /// It skips `a == 0`. That is an optimisation, not part of the
-    /// contract the legs share: an accumulator that starts at `+0.0`
-    /// never becomes `-0.0` under round-to-nearest (a sum is `-0.0` only
-    /// when both addends are), so adding `0 · b = ±0` is the identity
-    /// for every finite `rhs` and a kernel that does not skip produces
-    /// the same bits.
+    /// for ascending `k`, one rounding per multiply and per add, skipping
+    /// nothing — so a zero `a` against a non-finite `b` is a NaN here as
+    /// in every tile.
     fn matmul_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
         // Tile sizes: an i-tile of output rows shares one pass over a
         // KB-row panel of rhs (≈ KB·cols f32 ≤ a few hundred KiB, L2-sized).
@@ -461,9 +463,6 @@ impl Matrix {
                     let out_row = &mut out_rows[li * n..(li + 1) * n];
                     let b_panel = rhs.data[k0 * n..k1 * n].chunks_exact(n);
                     for (&a, b_row) in a_row.iter().zip(b_panel) {
-                        if a == 0.0 {
-                            continue;
-                        }
                         for (o, &b) in out_row.iter_mut().zip(b_row) {
                             *o += a * b;
                         }
@@ -473,22 +472,20 @@ impl Matrix {
         }
     }
 
-    /// The scalar leg of the packed product: the oracle's axpy walk, `a ==
-    /// 0` skip included, one strip at a time — the same operations on
-    /// every output element as [`Matrix::matmul_rows_scalar`] over the
-    /// unpacked matrix, so the two agree on every input.
+    /// The scalar leg of the packed product: the oracle's axpy walk, one
+    /// strip and one row of it at a time — the same operations on every
+    /// output element as [`Matrix::matmul_rows_scalar`] over the unpacked
+    /// matrix, so the two agree on every input. An INT4 row is dequantized
+    /// first, into the values [`PackedMatrix::to_matrix`] holds.
     fn matmul_packed_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
-        let k = rhs.k;
-        for (li, out_row) in out_rows.chunks_exact_mut(rhs.n).enumerate() {
-            let a_row = self.row(row0 + li);
-            for (s, out_strip) in out_row.chunks_mut(STRIP_COLS).enumerate() {
-                let strip = &rhs.data[s * k * STRIP_COLS..][..k * STRIP_COLS];
-                out_strip.fill(0.0);
-                for (&a, b_row) in a_row.iter().zip(strip.chunks_exact(STRIP_COLS)) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (o, &b) in out_strip.iter_mut().zip(b_row) {
+        let n = rhs.n;
+        out_rows.fill(0.0);
+        for (s, j0) in (0..n).step_by(STRIP_COLS).enumerate() {
+            for kk in 0..rhs.k {
+                let line = rhs.line(s, kk);
+                for (li, out_row) in out_rows.chunks_exact_mut(n).enumerate() {
+                    let a = self.data[(row0 + li) * self.cols + kk];
+                    for (o, &b) in out_row[j0..].iter_mut().take(STRIP_COLS).zip(&line) {
                         *o += a * b;
                     }
                 }
@@ -587,13 +584,24 @@ impl Matrix {
 /// 16s + 16` row by row (`m[r][16s + j]` at `(s · k + r) · 16 + j`), the
 /// last strip zero-padded past column `n`.
 ///
-/// It is the one `f32` copy of every projection weight and the tied
-/// embedding a model holds: each weight is sampled or dequantised
-/// row-major into a reused buffer and packed from it once, the embedding
-/// table packed transposed ([`PackedMatrix::pack_transposed`]: token `t`
-/// is column `t`, read by [`PackedMatrix::col`]), and every product over
-/// it ([`Matrix::matmul_packed_into_on`]) reads its panels where they lie,
-/// walking the matrix front to back.
+/// It is the one copy of every projection weight and the tied embedding a
+/// model holds, in one of two forms in that strip order:
+///
+/// * **`f32`** ([`PackedMatrix::pack`]): each weight of an FP16-mode model
+///   is sampled row-major into a reused buffer and packed from it once,
+///   the embedding table packed transposed
+///   ([`PackedMatrix::pack_transposed`]: token `t` is column `t`, read by
+///   [`PackedMatrix::col`]).
+/// * **INT4** ([`PackedMatrix::pack_int4`]): a W4 weight is its signed
+///   4-bit integers, biased by 8 and two to a byte, and one `f32` scale
+///   per (group of rows, column) — an eighth of the bytes. The tile
+///   dequantizes each element as it loads it, to `f32::from(v) · scale`,
+///   so no `f32` copy of the weight exists and every product is the one
+///   over the dequantised matrix ([`PackedMatrix::to_matrix`]), bit for
+///   bit.
+///
+/// Every product over it ([`Matrix::matmul_packed_into_on`]) reads its
+/// panels where they lie, walking the matrix front to back.
 ///
 /// # Example
 ///
@@ -607,12 +615,27 @@ impl Matrix {
 /// let mut y = Matrix::zeros(1, 3);
 /// x.matmul_packed_into_on(&packed, &mut y, rayon_lite::serial());
 /// assert_eq!(y, x.matmul(&w));
+///
+/// // The same shape as INT4 codes, one scale per column (a group of 2 rows).
+/// let q = PackedMatrix::pack_int4(2, 3, 2, &[1, -2, 7, -8, 0, 3], &[0.5, 1.0, 0.25]);
+/// assert_eq!(q.to_matrix(), Matrix::from_rows(&[&[0.5, -2.0, 1.75], &[-4.0, 0.0, 0.75]]));
+/// x.matmul_packed_into_on(&q, &mut y, rayon_lite::serial());
+/// assert_eq!(y, x.matmul(&q.to_matrix()));
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct PackedMatrix {
     k: usize,
     n: usize,
-    data: Vec<f32>,
+    form: Form,
+}
+
+/// The form a [`PackedMatrix`] holds its strips in.
+#[derive(Clone, PartialEq)]
+enum Form {
+    /// The values.
+    F32(Vec<f32>),
+    /// [`crate::tile::Int4`]'s codes, scales and group size, owned.
+    Int4(Vec<u8>, Vec<f32>, usize),
 }
 
 impl PackedMatrix {
@@ -627,7 +650,11 @@ impl PackedMatrix {
                 data.extend_from_slice(&[0.0; STRIP_COLS][width..]);
             }
         }
-        PackedMatrix { k, n, data }
+        PackedMatrix {
+            k,
+            n,
+            form: Form::F32(data),
+        }
     }
 
     /// Packs the transpose of a row-major `n × k` matrix — the `k × n`
@@ -645,7 +672,48 @@ impl PackedMatrix {
                 data.extend_from_slice(&line);
             }
         }
-        PackedMatrix { k, n, data }
+        PackedMatrix {
+            k,
+            n,
+            form: Form::F32(data),
+        }
+    }
+
+    /// Packs the `k × n` matrix whose element `(r, c)` is `f32::from(v) ·
+    /// s` for the signed 4-bit `v = values[r · n + c]` and `s = scales[r /
+    /// group · n + c]` — a group-wise quantised weight — as its INT4 form:
+    /// the codes `v + 8`, two to a byte, and the scales, each in strip
+    /// order. A padding column is code 8 at scale 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is 0, if `values` does not hold `k · n` integers in
+    /// `-8..=7` or `scales` `⌈k / group⌉ · n` scales.
+    pub fn pack_int4(k: usize, n: usize, group: usize, values: &[i8], scales: &[f32]) -> Self {
+        assert!(group > 0, "an INT4 group holds at least one row");
+        let groups = k.div_ceil(group);
+        assert_eq!(values.len(), k * n, "INT4 values of a {k}x{n} matrix");
+        assert_eq!(scales.len(), groups * n, "INT4 scales of {groups} groups");
+        let (mut codes, mut strip_scales) = (Vec::new(), Vec::new());
+        for j0 in (0..n).step_by(STRIP_COLS) {
+            let width = STRIP_COLS.min(n - j0);
+            for row in values.chunks_exact(n) {
+                // Every code 8 to start with: a padding column's.
+                let mut word = 0x8888_8888_8888_8888u64;
+                for (j, &v) in row[j0..][..width].iter().enumerate() {
+                    assert!((-8..=7).contains(&v), "{v} is not a signed 4-bit integer");
+                    let shift = 4 * tile::code_nibble(j);
+                    word = word & !(0xf << shift) | ((v + 8) as u64) << shift;
+                }
+                codes.extend(word.to_le_bytes());
+            }
+            for group_scales in scales.chunks_exact(n) {
+                strip_scales.extend_from_slice(&group_scales[j0..][..width]);
+                strip_scales.extend_from_slice(&[0.0; STRIP_COLS][width..]);
+            }
+        }
+        let form = Form::Int4(codes, strip_scales, group);
+        PackedMatrix { k, n, form }
     }
 
     /// Number of rows, `k`.
@@ -666,20 +734,52 @@ impl PackedMatrix {
         (self.k, self.n)
     }
 
-    /// Floats held, the last strip's padding included: `k · 16 · ⌈n/16⌉`.
+    /// Elements held, the last strip's padding included: `k · 16 ·
+    /// ⌈n/16⌉`, in either form.
     ///
     /// Not on the served path: `tests/simulator_consistency.rs` pins the
-    /// held weight floats with `==`.
+    /// held weight elements with `==`.
     #[inline]
     pub fn stored_len(&self) -> usize {
-        self.data.len()
+        match &self.form {
+            Form::F32(data) => data.len(),
+            Form::Int4(codes, ..) => codes.len() * 2,
+        }
+    }
+
+    /// Bytes the matrix holds: four per element in the `f32` form; half
+    /// a byte per element plus four per scale in the INT4 form.
+    pub fn resident_bytes(&self) -> usize {
+        match &self.form {
+            Form::F32(data) => core::mem::size_of_val(&data[..]),
+            Form::Int4(codes, scales, _) => codes.len() + core::mem::size_of_val(&scales[..]),
+        }
+    }
+
+    /// The `f32` form's values.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the INT4 form, which holds none.
+    fn values(&self) -> &[f32] {
+        match &self.form {
+            Form::F32(data) => data,
+            Form::Int4(..) => panic!("an INT4 PackedMatrix holds no f32 values"),
+        }
     }
 
     /// Every stored value in packed order, the zero padding included: for
     /// element-wise updates, which the layout does not change.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the INT4 form, which holds no `f32` values.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        match &mut self.form {
+            Form::F32(data) => data,
+            Form::Int4(..) => panic!("an INT4 PackedMatrix holds no f32 values"),
+        }
     }
 
     /// Column `c`, top to bottom: one element of each sixteen-float line
@@ -687,10 +787,10 @@ impl PackedMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `c >= cols`.
+    /// Panics if `c >= cols`, or on the INT4 form.
     pub fn col(&self, c: usize) -> impl Iterator<Item = &f32> {
         let (strip, j) = self.strip_of(c);
-        let lines = self.data[strip].chunks_exact(STRIP_COLS);
+        let lines = self.values()[strip].chunks_exact(STRIP_COLS);
         lines.map(move |line| &line[j])
     }
 
@@ -698,10 +798,10 @@ impl PackedMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `c >= cols`.
+    /// Panics if `c >= cols`, or on the INT4 form.
     pub fn col_mut(&mut self, c: usize) -> impl Iterator<Item = &mut f32> {
         let (strip, j) = self.strip_of(c);
-        let lines = self.data[strip].chunks_exact_mut(STRIP_COLS);
+        let lines = self.as_mut_slice()[strip].chunks_exact_mut(STRIP_COLS);
         lines.map(move |line| &mut line[j])
     }
 
@@ -713,7 +813,8 @@ impl PackedMatrix {
         (start..start + len, c % STRIP_COLS)
     }
 
-    /// The row-major matrix this one packs, bit for bit.
+    /// The row-major matrix this one packs, bit for bit — of the INT4 form,
+    /// the dequantised values every product multiplies by.
     ///
     /// Not on the served path: the suites' pack round-trip oracle.
     pub fn to_matrix(&self) -> Matrix {
@@ -727,24 +828,39 @@ impl PackedMatrix {
     pub fn to_matrix_into(&self, out: &mut Matrix) {
         let (k, n) = self.shape();
         out.resize(k, n);
-        for (s, strip) in self.data.chunks_exact(k.max(1) * STRIP_COLS).enumerate() {
-            let j0 = s * STRIP_COLS;
+        if k == 0 {
+            return;
+        }
+        let rhs = self.as_rhs();
+        for (s, j0) in (0..n).step_by(STRIP_COLS).enumerate() {
             let width = STRIP_COLS.min(n - j0);
-            let rows = out.data[j0..].chunks_mut(n);
-            for (dst, src) in rows.zip(strip.chunks_exact(STRIP_COLS)) {
-                dst[..width].copy_from_slice(&src[..width]);
+            for (r, dst) in out.data[j0..].chunks_mut(n).take(k).enumerate() {
+                dst[..width].copy_from_slice(&rhs.line(s, r)[..width]);
             }
         }
     }
 
     /// `self` as the `rhs` of a product: panel rows lie sixteen apart.
     fn as_rhs(&self) -> Rhs<'_> {
+        let (data, layout, int4) = match &self.form {
+            Form::F32(data) => (&data[..], Layout::Packed, Int4::default()),
+            Form::Int4(codes, scales, group) => {
+                let int4 = Int4 {
+                    codes,
+                    scales,
+                    group: *group,
+                    k: self.k,
+                };
+                (&[][..], Layout::Int4, int4)
+            }
+        };
         Rhs {
-            data: &self.data,
+            data,
             ld: STRIP_COLS,
             k: self.k,
             n: self.n,
-            layout: Layout::Packed,
+            layout,
+            int4,
         }
     }
 }
@@ -756,7 +872,8 @@ impl fmt::Debug for PackedMatrix {
 }
 
 /// The `rhs` of a [`Matrix`] product as the kernels read it: a `k × n`
-/// operand held in `data` through `layout`, rows `ld` apart.
+/// operand held in `data` (or, [`Layout::Int4`], in `int4`) through
+/// `layout`, rows `ld` apart.
 #[derive(Clone, Copy)]
 struct Rhs<'a> {
     data: &'a [f32],
@@ -764,6 +881,20 @@ struct Rhs<'a> {
     k: usize,
     n: usize,
     layout: Layout,
+    int4: Int4<'a>,
+}
+
+impl Rhs<'_> {
+    /// Row `r` of strip `s` of a packed `rhs`, as `f32`: an INT4 one's
+    /// dequantized.
+    fn line(&self, s: usize, r: usize) -> [f32; STRIP_COLS] {
+        match self.layout {
+            Layout::Int4 => self.int4.line(s, r),
+            _ => self.data[(s * self.k + r) * STRIP_COLS..][..STRIP_COLS]
+                .try_into()
+                .expect("a row"),
+        }
+    }
 }
 
 /// Rows and columns of `leg`'s streamed register tile ([`tile::Leg::ROWS`]
@@ -923,6 +1054,7 @@ impl Strided<'_> {
             windows,
             rhs_stride,
             ahead,
+            int4: Int4::default(),
         };
         if leg == SimdLeg::SCALAR {
             return tile::resident_block_scalar(&ops, self.rows, n, out);
@@ -1070,9 +1202,11 @@ mod tests {
     fn every_simd_leg_matches_the_scalar_oracle() {
         use anda_fp::simd::available_legs;
         // Adversarial shapes: below one vector width, exact multiples,
-        // ragged tails in every dimension, and a zero-heavy A (exercises
-        // the sparsity skip). The row-major `rhs` also runs packed, and
-        // packs and unpacks bit for bit.
+        // ragged tails in every dimension, and a zero-heavy A against an
+        // `rhs` with an infinity of either sign and a NaN, each alone in
+        // its column: nothing skips a zero, so `0 · ∞` is a NaN in the
+        // oracle and in every leg. The row-major `rhs` also runs packed,
+        // and packs and unpacks bit for bit.
         let same_bits = |x: &Matrix, y: &Matrix| {
             x.shape() == y.shape()
                 && (x.as_slice().iter())
@@ -1098,7 +1232,11 @@ mod tests {
             for i in (0..m * k).step_by(3) {
                 a.as_mut_slice()[i] = 0.0;
             }
-            let b = Matrix::from_vec(k, n, (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect());
+            let mut b =
+                Matrix::from_vec(k, n, (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect());
+            b[(0, 0)] = f32::INFINITY;
+            b[(k - 1, n / 2)] = f32::NAN;
+            b[(k / 2, n - 1)] = f32::NEG_INFINITY;
             let packed = PackedMatrix::pack(&b);
             assert!(
                 same_bits(&packed.to_matrix(), &b),
@@ -1106,7 +1244,11 @@ mod tests {
             );
             // A table held `n × k` and packed transposed, as the tied
             // embedding is: its oracle is the per-element dot.
-            let bt = Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.23).sin()).collect());
+            let mut bt =
+                Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.23).sin()).collect());
+            bt[(0, 0)] = f32::INFINITY;
+            bt[(n / 2, k - 1)] = f32::NAN;
+            bt[(n - 1, k / 2)] = f32::NEG_INFINITY;
             let packed_t = PackedMatrix::pack_transposed(&bt);
             let mut reference = Matrix::zeros(m, n);
             a.matmul_into_serial_with_leg(&b, &mut reference, anda_fp::SimdLeg::SCALAR);
@@ -1296,12 +1438,11 @@ mod tests {
 
     #[test]
     fn multiplying_by_a_zero_equals_skipping_it() {
-        // The scalar oracle skips `a == 0`; the register tiles multiply
-        // through, over a row-major or a packed `rhs`. Accumulators start
-        // at +0.0 and can never become -0.0, so `acc + 0·b` is `acc` for
-        // every finite `b`: all-zero rows of either sign give +0.0
-        // everywhere, and zeros scattered through a dense row change
-        // nothing.
+        // No leg skips `a == 0`, the scalar oracle included, over a
+        // row-major or a packed `rhs`. Accumulators start at +0.0 and can
+        // never become -0.0, so `acc + 0·b` is `acc` for every finite `b`:
+        // all-zero rows of either sign give +0.0 everywhere, and zeros
+        // scattered through a dense row change nothing.
         use anda_fp::simd::available_legs;
         let (m, k, n) = (6, 40, 33);
         let mut a = Matrix::from_vec(

@@ -32,10 +32,10 @@
 //!   as ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded, so a
 //!   panel *is* `KC` consecutive sixteen-float rows of each of its strips,
 //!   the strips `k · 16` floats apart, and the walk reads the matrix front
-//!   to back, a strip pair as two streams. Every projection weight of a
-//!   model and its tied embedding (as the LM head's `d × vocab` `rhs`) are
-//!   held so, packed once when the model is built, and a served step
-//!   packs nothing. A few-row product has too little arithmetic to
+//!   to back, a strip pair as two streams. Every projection weight of an
+//!   FP16-mode model and every model's tied embedding (as the LM head's
+//!   `d × vocab` `rhs`) are held so, packed once when the model is built,
+//!   and a served step packs nothing. A few-row product has too little arithmetic to
 //!   hide a miss behind, so the first row tile of every panel prefetches
 //!   [`PREFETCH_LINES`] cache lines ahead of the panel row it reads in
 //!   each of its strips — one line per `k` and strip, across panel and
@@ -50,6 +50,26 @@
 //!   would stride by a whole `rhs` row — one cache line per `k`, each in a
 //!   different page, evicting itself from a power-of-two-strided L1 set —
 //!   whereas the copy is nothing but independent loads.
+//! * **Dequantized in the register**, [`Layout::Int4`]: a
+//!   [`crate::PackedMatrix`] in its INT4 form ([`Int4`]) holds the strips
+//!   of a W4 weight as 4-bit codes, biased by 8, two to a byte, and one
+//!   `f32` scale per (k group, column) — an eighth of the `f32` strips'
+//!   bytes, which is what a W4 model's projections are. The first row tile
+//!   of each (column block, k panel) reads the codes in place, one scale
+//!   group's rows at a time ([`Codes`], a [`Panel`] the tiles read as they
+//!   read `rhs` elements, [`Strips`]): it widens each to `cvt(code) − 8.0`, the
+//!   integer exactly (AVX-512 looks it up with one `vpermps` in the table
+//!   of the sixteen), and multiplies by its group's scale — the
+//!   dequantisation's one rounding, `f32::from(v) · s` — so every weight,
+//!   product and sum keeps the bits of the product over the dequantised
+//!   matrix. Only when another row tile follows does it also store the
+//!   panel it made into the walk's stack panel, which the later tiles read
+//!   from the L1, so a decode product (up to [`Leg::ROWS`] rows) writes no
+//!   panel and a 64-row chunk dequantizes each weight once. Its code
+//!   stream is prefetched as a packed one is, [`INT4_AHEAD`] bytes ahead,
+//!   one line per eight panel rows. (A prototype that dequantized in a
+//!   separate pass before the `f32` tile ran four rows slower than the
+//!   `f32` weight it replaced: the widen has to ride in the register.)
 //!
 //! A **resident** product ([`Operands::resident`], what a
 //! [`crate::Strided`] view runs) multiplies by a window of a tile that is
@@ -99,13 +119,14 @@
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
 //! multiply then add, never fused — the operation sequence of the scalar
-//! oracles (`Matrix::matmul_rows_scalar`, [`resident_block_scalar`]), so
-//! every leg, layout, tile boundary, panel and sharding is
-//! `f32::to_bits`-identical to them (a panel boundary only parks the
-//! accumulators in the output, an exact `f32` round trip). For a row-major
-//! or packed `rhs` that holds for finite `rhs`: the oracle's `a == 0` skip
-//! is not part of the contract (see its docs) and the tiles do not skip.
-//! Resident, nothing skips, so it holds on every input.
+//! oracles (`Matrix::matmul_rows_scalar`, [`resident_block_scalar`]; an
+//! INT4 `rhs`'s dequantizes a panel and runs the packed one), so every
+//! leg, layout, tile boundary, panel and sharding is `f32::to_bits`-
+//! identical to them (a panel boundary only parks the accumulators in the
+//! output, an exact `f32` round trip). Nothing skips a zero, the oracles
+//! included, so that holds on every input, non-finite ones too (where two
+//! different NaNs meet in one sum, which payload survives is the
+//! compiler's pick of operand order).
 
 use core::ops::Range;
 
@@ -131,6 +152,15 @@ const KC: usize = 256;
 /// panel prefetches, in panel rows: a panel row is sixteen floats, one
 /// 64-byte cache line, so 8 KiB ahead.
 const PREFETCH_LINES: usize = 128;
+/// How far ahead of the code line it reads an INT4 tile prefetches, in
+/// bytes: the packed walk's distance, eight panel rows to a cache line.
+const INT4_AHEAD: usize = PREFETCH_LINES * 64;
+/// Where an INT4 tile leaves strip `s` of the panel it dequantized: at
+/// `s · FILL_SB`. A two-strip leg's panel is `KC / 2` rows deep, so its
+/// strips fit; a one-strip leg's strip 0 may run the whole panel.
+const FILL_SB: usize = KC / MAX_STRIPS * STRIP_COLS;
+/// Bytes of INT4 codes in one panel row of a strip.
+const CODE_ROW: usize = STRIP_COLS / 2;
 
 /// The element a [`crate::Strided`] `rhs` is held in: `f32`, or binary16
 /// bit patterns (`u16`) that every leg widens exactly as
@@ -222,6 +252,264 @@ pub(crate) enum Layout {
     /// ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded:
     /// `lhs · rhs` with every panel read in place.
     Packed,
+    /// The strips of [`Layout::Packed`] held as INT4 codes and group
+    /// scales ([`Int4`]), dequantized in the register as they are read.
+    Int4,
+}
+
+/// An INT4 `rhs` ([`Layout::Int4`]): the strips of a packed one, each
+/// element a 4-bit code and a scale shared by `group` consecutive rows of
+/// its column. Element `(r, 16 s + j)` is `(code − 8) · scale`, exactly the
+/// `f32::from(v) · s` of a dequantised signed 4-bit `v = code − 8`.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Int4<'a> {
+    /// Two codes to a byte, each biased by 8, a strip row one
+    /// little-endian 64-bit word: strip `s`'s row `r` at byte `(s · k + r)
+    /// · 8`, column `16 s + j`'s code its nibble [`code_nibble`]`(j)`.
+    pub codes: &'a [u8],
+    /// Sixteen scales per strip and group: strip `s`'s group `g` at
+    /// `(s · ⌈k / group⌉ + g) · 16`.
+    pub scales: &'a [f32],
+    /// Rows of a column that share one scale.
+    pub group: usize,
+    /// Rows, `k`.
+    pub k: usize,
+}
+
+/// The nibble of a strip row's 64-bit code word that holds column `j`'s
+/// code: the even columns fill the low 32 bits, the odd ones the high, in
+/// column order. A vector holding the word in every 64-bit lane then finds
+/// lane `j`'s code in its own 32-bit lane, `4 · (j / 2)` bits up.
+pub(crate) const fn code_nibble(j: usize) -> usize {
+    j % 2 * 8 + j / 2
+}
+
+impl Int4<'_> {
+    /// The rows of `rows` of the strips from column `j0` on that share the
+    /// first one's scale group: how many, and the panel a tile reads them
+    /// through, leaving them dequantized at `fill`.
+    ///
+    /// # Safety
+    ///
+    /// `j0` must start a strip and `rows` lie within `k`.
+    #[inline(always)]
+    unsafe fn run(&self, j0: usize, rows: Range<usize>, fill: *mut f32) -> (usize, Codes<true>) {
+        let (k, at, g) = (self.k, rows.start, rows.start / self.group);
+        let groups = k.div_ceil(self.group);
+        let codes = self.codes.as_ptr().add((j0 * k + at * STRIP_COLS) / 2);
+        let scales = self.scales.as_ptr().add(j0 * groups + g * STRIP_COLS);
+        let b = Codes::new(codes, k * CODE_ROW, scales, groups * STRIP_COLS, fill);
+        (rows.end.min((g + 1) * self.group) - at, b)
+    }
+
+    /// Row `r` of strip `s`, dequantized: `(code − 8) · scale`, the values
+    /// every leg's tile widens it to.
+    pub(crate) fn line(&self, s: usize, r: usize) -> [f32; STRIP_COLS] {
+        let k = self.k;
+        let at = (s * k + r) * CODE_ROW;
+        let word = u64::from_le_bytes(self.codes[at..][..CODE_ROW].try_into().expect("a row"));
+        let at = s * k.div_ceil(self.group) + r / self.group;
+        let scales = &self.scales[at * STRIP_COLS..][..STRIP_COLS];
+        core::array::from_fn(|j| {
+            let code = (word >> (4 * code_nibble(j)) & 0x0f) as u8;
+            (f32::from(code) - 8.0) * scales[j]
+        })
+    }
+}
+
+/// Where a [`Leg::tile`] reads `B`, the `rhs` rows of one k panel, row
+/// `kk` of strip `s` sixteen `f32` columns: `rhs` elements where they lie
+/// or where the walk copied them ([`Strips`]), or INT4 codes dequantized
+/// in the register ([`Codes`]). The loads inline into the tiles, so they
+/// compile with the leg's features.
+pub(crate) trait Panel: Copy {
+    /// The panel `off` elements on: a batched tile's row `r` reads its
+    /// `rhs` `r · bs` on. Only [`Strips`] are batched; every other panel
+    /// is asked for its row 0 alone.
+    #[inline(always)]
+    fn offset(self, off: usize) -> Self {
+        debug_assert_eq!(off, 0, "only strips are batched");
+        self
+    }
+    /// Hints that row `kk` of strip `s`, `ahead` of the source's units on,
+    /// is about to be read.
+    fn prefetch<L: Leg>(self, kk: usize, s: usize, ahead: usize);
+    /// Columns `8 h .. 8 h + 8` of row `kk` of strip `s`.
+    ///
+    /// # Safety
+    ///
+    /// The leg's CPU features (AVX2 and F16C, or AVX-512F at sixteen lanes,
+    /// or NEON), and the row readable (and a [`Codes`] fill writable).
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load8(self, kk: usize, s: usize, h: usize) -> core::arch::x86_64::__m256;
+    /// Row `kk` of strip `s`. As [`Panel::load8`].
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load16(self, kk: usize, s: usize) -> core::arch::x86_64::__m512;
+    /// Columns `4 v .. 4 v + 4` of row `kk` of strip `s`. As
+    /// [`Panel::load8`].
+    #[cfg(target_arch = "aarch64")]
+    unsafe fn load4(self, kk: usize, s: usize, v: usize) -> core::arch::aarch64::float32x4_t;
+}
+
+/// `rhs` elements of `E`, widened as they load: row `kk` of strip `s` at
+/// `b + kk · ldb + s · sb`.
+#[derive(Clone, Copy)]
+pub(crate) struct Strips<E> {
+    b: *const E,
+    ldb: usize,
+    sb: usize,
+}
+
+impl<E: Element> Strips<E> {
+    #[inline(always)]
+    fn new(b: *const E, ldb: usize, sb: usize) -> Self {
+        Strips { b, ldb, sb }
+    }
+
+    #[inline(always)]
+    fn at(self, kk: usize, s: usize) -> *const E {
+        self.b.wrapping_add(kk * self.ldb + s * self.sb)
+    }
+}
+
+impl<E: Element> Panel for Strips<E> {
+    #[inline(always)]
+    fn offset(self, off: usize) -> Self {
+        Strips::new(self.b.wrapping_add(off), self.ldb, self.sb)
+    }
+    #[inline(always)]
+    fn prefetch<L: Leg>(self, kk: usize, s: usize, ahead: usize) {
+        L::prefetch(self.at(kk, s).wrapping_add(ahead))
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load8(self, kk: usize, s: usize, h: usize) -> core::arch::x86_64::__m256 {
+        E::load8(self.at(kk, s).add(8 * h))
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load16(self, kk: usize, s: usize) -> core::arch::x86_64::__m512 {
+        E::load16(self.at(kk, s))
+    }
+    #[cfg(target_arch = "aarch64")]
+    #[inline(always)]
+    unsafe fn load4(self, kk: usize, s: usize, v: usize) -> core::arch::aarch64::float32x4_t {
+        E::load4(self.at(kk, s).add(4 * v))
+    }
+}
+
+/// Rows of one scale group of an INT4 `rhs`, from a block's first strip:
+/// row `kk` of strip `s` is the code word at `codes + s · cb + kk · 8`,
+/// each code widened in the register to `cvt(code) − 8.0` — the integer
+/// exactly — and multiplied by its column's scale at `scales + s · sb`:
+/// the one rounding of `f32::from(v) · s`, so each element is the `f32` a
+/// dequantised copy holds, bit for bit. With `FILL`, each row loaded is
+/// also stored at `fill + s · FILL_SB + kk · 16`, the panel the row
+/// tiles after this one read as [`Strips`]. `FILL` is a type parameter
+/// because a store behind a run-time test in the loads halved a one-row
+/// product (`kernels m_sweep`, `wqkv`, `avx512`: 15 against 27–29
+/// GFLOP/s). A prefetch streams the code line `ahead` bytes on once per
+/// eight rows, a cache line's worth.
+#[derive(Clone, Copy)]
+pub(crate) struct Codes<const FILL: bool> {
+    codes: *const u8,
+    cb: usize,
+    scales: *const f32,
+    sb: usize,
+    fill: *mut f32,
+}
+
+impl<const FILL: bool> Codes<FILL> {
+    #[inline(always)]
+    fn new(codes: *const u8, cb: usize, scales: *const f32, sb: usize, fill: *mut f32) -> Self {
+        Codes {
+            codes,
+            cb,
+            scales,
+            sb,
+            fill,
+        }
+    }
+
+    /// Row `kk` of strip `s`: its code word, and its scales from column
+    /// `j` on.
+    #[inline(always)]
+    unsafe fn row(self, kk: usize, s: usize, j: usize) -> (i64, *const f32) {
+        let word = self.codes.add(s * self.cb + kk * CODE_ROW).cast::<i64>();
+        (word.read_unaligned(), self.scales.add(s * self.sb + j))
+    }
+
+    /// `w`, columns `j..` of row `kk` of strip `s` dequantized, left in the
+    /// fill panel too when `FILL`.
+    #[inline(always)]
+    unsafe fn keep<V: Copy>(self, kk: usize, s: usize, j: usize, w: V) -> V {
+        if FILL {
+            let at = self.fill.add(s * FILL_SB + kk * STRIP_COLS + j);
+            at.cast::<V>().write_unaligned(w);
+        }
+        w
+    }
+
+    /// This panel storing nothing.
+    #[inline(always)]
+    fn unfilled(self) -> Codes<false> {
+        Codes::new(self.codes, self.cb, self.scales, self.sb, self.fill)
+    }
+}
+
+impl<const FILL: bool> Panel for Codes<FILL> {
+    #[inline(always)]
+    fn prefetch<L: Leg>(self, kk: usize, s: usize, ahead: usize) {
+        if kk.is_multiple_of(8) {
+            L::prefetch(self.codes.wrapping_add(s * self.cb + kk * CODE_ROW + ahead));
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load8(self, kk: usize, s: usize, h: usize) -> core::arch::x86_64::__m256 {
+        use core::arch::x86_64::*;
+        // Lane `j`'s code sits `4 · (j / 2)` bits up in its own half of
+        // the word ([`code_nibble`]); the strip's second eight lanes 16
+        // bits further.
+        let (word, scales) = self.row(kk, s, 8 * h);
+        let shift = _mm256_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12);
+        let shift = _mm256_add_epi32(shift, _mm256_set1_epi32(16 * h as i32));
+        let codes = _mm256_srlv_epi32(_mm256_set1_epi64x(word), shift);
+        let codes = _mm256_and_si256(codes, _mm256_set1_epi32(0x0f));
+        let v = _mm256_sub_ps(_mm256_cvtepi32_ps(codes), _mm256_set1_ps(8.0));
+        self.keep(kk, s, 8 * h, _mm256_mul_ps(v, _mm256_loadu_ps(scales)))
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load16(self, kk: usize, s: usize) -> core::arch::x86_64::__m512 {
+        use core::arch::x86_64::*;
+        // `vpermps` reads the low four bits of each lane's index: shifted
+        // to its code, the lane looks up `cvt(code) − 8`.
+        let (word, scales) = self.row(kk, s, 0);
+        let shift = _mm512_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28);
+        let values = _mm512_setr_ps(
+            -8.0, -7.0, -6.0, -5.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
+        );
+        let v = _mm512_permutexvar_ps(_mm512_srlv_epi32(_mm512_set1_epi64(word), shift), values);
+        self.keep(kk, s, 0, _mm512_mul_ps(v, _mm512_loadu_ps(scales)))
+    }
+    #[cfg(target_arch = "aarch64")]
+    #[inline(always)]
+    unsafe fn load4(self, kk: usize, s: usize, v: usize) -> core::arch::aarch64::float32x4_t {
+        use core::arch::aarch64::*;
+        // The low nibbles' byte `b` holds column `4b` (`b < 4`) or
+        // `4(b − 4) + 1`, the high ones' `4b + 2` or `4(b − 4) + 3`: one
+        // table lookup puts them in column order.
+        const ORDER: [u8; 16] = [0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15];
+        let (word, scales) = self.row(kk, s, 4 * v);
+        let word = vcreate_u8(word as u64);
+        let nibbles = vcombine_u8(vand_u8(word, vdup_n_u8(0x0f)), vshr_n_u8::<4>(word));
+        let codes = vqtbl1q_u8(nibbles, vld1q_u8(ORDER.as_ptr()));
+        let half = vmovl_u8([vget_low_u8(codes), vget_high_u8(codes)][v / 2]);
+        let quarter = [vget_low_u16(half), vget_high_u16(half)][v % 2];
+        let values = vsubq_f32(vcvtq_f32_u32(vmovl_u16(quarter)), vdupq_n_f32(8.0));
+        self.keep(kk, s, 4 * v, vmulq_f32(values, vld1q_f32(scales)))
+    }
 }
 
 /// The inputs of one product and how all three operands lie in memory:
@@ -257,6 +545,8 @@ pub(crate) struct Operands<'a, E: Element = f32> {
     /// to the `rhs` read next, laid out alike, whose same windows the
     /// tiles stream in as they read these.
     pub ahead: usize,
+    /// [`Layout::Int4`] only, where `rhs` is empty: the codes and scales.
+    pub int4: Int4<'a>,
 }
 
 /// A `rows × cols` block of a row-major output, addressed through a raw
@@ -292,27 +582,24 @@ pub(crate) trait Leg {
     /// `c[r][0..w] (+)= Σ_kk a[r][kk] · B[kk][0..w]` for `r < rows`
     /// (`1..=Self::ROWS`) and `kk < kc`, ascending, over `w = 16 · strips`
     /// columns (`strips` in `1..=Self::STRIPS`), column `16 s + j` of `B`
-    /// being `b[s · sb + kk · ldb + j]`; accumulators start at `+0.0` when
-    /// `first`, else at `c`'s current contents. With `ahead` non-zero, each
-    /// `k` step also prefetches `b + s · sb + kk · ldb + ahead` for every
-    /// strip `s`.
+    /// being column `j` of `b`'s row `kk` of strip `s` ([`Panel`]);
+    /// accumulators start at `+0.0` when `first`, else at `c`'s current
+    /// contents. With `ahead` non-zero, each `k` step also has `b` prefetch
+    /// row `kk` of every strip `ahead` on.
     ///
     /// # Safety
     ///
     /// Needs the leg's CPU feature; `a` must be readable at
-    /// `r · lda + kk`, `b` (a panel row every `ldb` elements, a strip
-    /// every `sb`) at `s · sb + kk · ldb + 0..16`, and `c` readable and
-    /// writable at `r · ldc + 0..w`. The prefetched addresses need not be
-    /// readable.
+    /// `r · lda + kk`, `b`'s rows `kk` of strips `s` as [`Panel`] says, and
+    /// `c` readable and writable at `r · ldc + 0..w`. The prefetched
+    /// addresses need not be readable.
     #[allow(clippy::too_many_arguments)]
-    unsafe fn tile<E: Element>(
+    unsafe fn tile<P: Panel>(
         rows: usize,
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: *const E,
-        ldb: usize,
-        sb: usize,
+        b: P,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -320,9 +607,9 @@ pub(crate) trait Leg {
         ahead: usize,
     );
 
-    /// [`Leg::tile`] with row `r` reading its own `b`, `r · bs` further
-    /// on: `c[r][0..w] (+)= Σ_kk a[r][kk] · B_r[kk][0..w]`, `B_r` at
-    /// `b + r · bs`, for `r < rows` (`1..=TILE_ROWS` on every leg). The
+    /// [`Leg::tile`] over [`Strips`] with row `r` reading its own `b`,
+    /// `r · bs` further on: `c[r][0..w] (+)= Σ_kk a[r][kk] · B_r[kk][0..w]`,
+    /// `B_r` at `b + r · bs`, for `r < rows` (`1..=TILE_ROWS` on every leg). The
     /// rows of a tile are then independent products, each with its own two
     /// (AVX2), four (NEON) or two (AVX-512, one per strip) accumulator
     /// chains. With `ahead` non-zero, each `k` step also prefetches every
@@ -331,8 +618,8 @@ pub(crate) trait Leg {
     ///
     /// # Safety
     ///
-    /// As [`Leg::tile`], with `b` readable at `r · bs + s · sb + kk · ldb +
-    /// 0..16`.
+    /// As [`Leg::tile`], with `b.b` readable at `r · bs + s · sb + kk · ldb
+    /// + 0..16`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     unsafe fn tile_batched<E: Element>(
@@ -340,9 +627,7 @@ pub(crate) trait Leg {
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: *const E,
-        ldb: usize,
-        sb: usize,
+        b: Strips<E>,
         bs: usize,
         kc: usize,
         c: *mut f32,
@@ -353,10 +638,10 @@ pub(crate) trait Leg {
         for r in 0..rows {
             let (a, c) = (a.add(r * lda), c.add(r * ldc));
             for j in 0..strips * STRIP_COLS {
-                let b = b.add(r * bs + j / STRIP_COLS * sb + j % STRIP_COLS);
+                let b_j = b.b.add(r * bs + j / STRIP_COLS * b.sb + j % STRIP_COLS);
                 let mut acc = if first { 0.0 } else { *c.add(j) };
                 for kk in 0..kc {
-                    acc += *a.add(kk) * (*b.add(kk * ldb)).to_f32();
+                    acc += *a.add(kk) * (*b_j.add(kk * b.ldb)).to_f32();
                 }
                 *c.add(j) = acc;
             }
@@ -447,6 +732,7 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         ..
     } = ops;
     let packed = LAYOUT == Layout::Packed as u8;
+    let int4 = LAYOUT == Layout::Int4 as u8;
     debug_assert!(
         !RESIDENT || (LAYOUT == Layout::RowMajor as u8 && block.row0 == 0 && windows > 0),
         "a resident rhs is row-major windows, one block of them"
@@ -503,8 +789,9 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         let strips = width.div_ceil(STRIP_COLS);
         let full = width == strips * STRIP_COLS;
         // What is read in place goes `KC` deep. A pack holds the block's
-        // strips, and a batched product's a ragged block per row — a
-        // tile's rows each own one —, so their k panels are shallower.
+        // strips (copied, or dequantized from INT4 codes), and a batched
+        // product's a ragged block per row — a tile's rows each own one —,
+        // so their k panels are shallower.
         let kc_max = match (packed || RESIDENT && full, RESIDENT) {
             (true, _) => KC,
             (false, false) => KC / L::STRIPS,
@@ -535,8 +822,8 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                         // The window's first row tile streams the next one.
                         let ahead = if full && i == h { ahead } else { 0 };
                         on_block(L::ROWS, width, first, c, ldc_w, &mut edge, |c, ldc| {
-                            let (rows, lda, b, ldb) = (L::ROWS, lda_w, tile_b, tile_ldb);
-                            L::tile(rows, strips, a, lda, b, ldb, sb, kc, c, ldc, first, ahead)
+                            let b = Strips::new(tile_b, tile_ldb, sb);
+                            L::tile(L::ROWS, strips, a, lda_w, b, kc, c, ldc, first, ahead)
                         });
                     }
                 }
@@ -563,17 +850,21 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                     let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
                     let ahead = if full { ahead } else { 0 };
                     on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
-                        let (b, ldb, bs, f) = (tile_b, tile_ldb, tile_bs, first);
-                        L::tile_batched(r, strips, a, lda, b, ldb, sb, bs, kc, c, ldc, f, ahead)
+                        let (b, bs, f) = (Strips::new(tile_b, tile_ldb, sb), tile_bs, first);
+                        L::tile_batched(r, strips, a, lda, b, bs, kc, c, ldc, f, ahead)
                     });
                     (i0, h) = (i0 + r, if h + r < windows { h + r } else { 0 });
                 }
                 continue;
             }
             // Where the tiles read this panel, and how far apart its rows
-            // and its strips lie.
+            // and its strips lie. The first row tile over an INT4 one
+            // dequantizes it in the register and, only when another row
+            // tile follows, leaves it in `panel` for the rest.
             let (tile_b, sb) = if packed {
                 (b.add(j0 * k + k0 * STRIP_COLS), k * STRIP_COLS)
+            } else if int4 {
+                (packed_b, FILL_SB)
             } else {
                 copy_strips(b.add(k0 * ldb + j0), width, kc, panel);
                 (packed_b, packed_sb)
@@ -589,8 +880,22 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                     0
                 };
                 on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
-                    let (b, ldb) = (tile_b, STRIP_COLS);
-                    L::tile(r, strips, a, lda, b, ldb, sb, kc, c, ldc, first, ahead)
+                    // One scale group's rows at a time.
+                    let mut kk = 0;
+                    while int4 && i0 == 0 && kk < kc {
+                        let fill = panel.cast::<f32>().add(kk * STRIP_COLS);
+                        let (run, b) = ops.int4.run(j0, k0 + kk..k0 + kc, fill);
+                        let (a, f, p) = (a.add(kk), first && kk == 0, INT4_AHEAD);
+                        match rows > L::ROWS {
+                            true => L::tile(r, strips, a, lda, b, run, c, ldc, f, p),
+                            false => L::tile(r, strips, a, lda, b.unfilled(), run, c, ldc, f, p),
+                        }
+                        kk += run;
+                    }
+                    if !int4 || i0 > 0 {
+                        let b = Strips::new(tile_b, STRIP_COLS, sb);
+                        L::tile(r, strips, a, lda, b, kc, c, ldc, first, ahead)
+                    }
                 });
             }
         }
@@ -608,10 +913,17 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
 unsafe fn block_body<L: Leg, E: Element>(ops: &Operands<E>, block: &OutBlock) {
     const ROW_MAJOR: u8 = Layout::RowMajor as u8;
     const PACKED: u8 = Layout::Packed as u8;
+    const INT4: u8 = Layout::Int4 as u8;
     match (ops.layout, ops.resident) {
         (Layout::RowMajor, false) => matmul_block::<L, ROW_MAJOR, false, E>(ops, block),
         (Layout::RowMajor, true) => matmul_block::<L, ROW_MAJOR, true, E>(ops, block),
         (Layout::Packed, _) => matmul_block::<L, PACKED, false, E>(ops, block),
+        // The walk's panel holds `E`, and an INT4 panel is dequantized to
+        // `f32`: only a streamed (`f32`) product has an INT4 `rhs`.
+        (Layout::Int4, _) if core::mem::size_of::<E>() == 4 => {
+            matmul_block::<L, INT4, false, E>(ops, block)
+        }
+        (Layout::Int4, _) => unreachable!("an INT4 rhs is dequantized to f32"),
     }
 }
 
@@ -659,11 +971,10 @@ pub(crate) struct Avx2;
 #[inline]
 #[target_feature(enable = "avx2,f16c")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E: Element>(
+unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, P: Panel>(
     a: *const f32,
     lda: usize,
-    b: *const E,
-    ldb: usize,
+    b: P,
     bs: usize,
     kc: usize,
     c: *mut f32,
@@ -681,17 +992,16 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E
         }
     }
     for kk in 0..kc {
-        let b_kk = b.add(kk * ldb);
         for r in 0..if PREFETCH { own_b } else { 0 } {
-            <Avx2 as Leg>::prefetch(b_kk.wrapping_add(r * bs).wrapping_add(ahead));
+            b.offset(r * bs).prefetch::<Avx2>(kk, 0, ahead);
         }
-        let shared = (E::load8(b_kk), E::load8(b_kk.add(8)));
+        let shared = (b.load8(kk, 0, 0), b.load8(kk, 0, 1));
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let (b0, b1) = match BATCHED {
                 false => shared,
                 true => {
-                    let b_r = b_kk.add(r * bs);
-                    (E::load8(b_r), E::load8(b_r.add(8)))
+                    let b_r = b.offset(r * bs);
+                    (b_r.load8(kk, 0, 0), b_r.load8(kk, 0, 1))
                 }
             };
             // mul then add, never fused: the scalar oracle rounds the
@@ -710,14 +1020,12 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, E
 #[cfg(target_arch = "x86_64")]
 impl Leg for Avx2 {
     #[target_feature(enable = "avx2,f16c")]
-    unsafe fn tile<E: Element>(
+    unsafe fn tile<P: Panel>(
         rows: usize,
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: *const E,
-        ldb: usize,
-        _sb: usize,
+        b: P,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -727,14 +1035,14 @@ impl Leg for Avx2 {
         debug_assert_eq!(strips, 1, "an AVX2 tile is one strip wide");
         let (f, p) = (first, ahead);
         match (rows, ahead != 0) {
-            (4, false) => avx2_rows::<4, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
-            (3, false) => avx2_rows::<3, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
-            (2, false) => avx2_rows::<2, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
-            (_, false) => avx2_rows::<1, false, false, _>(a, lda, b, ldb, 0, kc, c, ldc, f, 0),
-            (4, true) => avx2_rows::<4, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
-            (3, true) => avx2_rows::<3, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
-            (2, true) => avx2_rows::<2, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
-            (_, true) => avx2_rows::<1, false, true, _>(a, lda, b, ldb, 0, kc, c, ldc, f, p),
+            (4, false) => avx2_rows::<4, false, false, _>(a, lda, b, 0, kc, c, ldc, f, 0),
+            (3, false) => avx2_rows::<3, false, false, _>(a, lda, b, 0, kc, c, ldc, f, 0),
+            (2, false) => avx2_rows::<2, false, false, _>(a, lda, b, 0, kc, c, ldc, f, 0),
+            (_, false) => avx2_rows::<1, false, false, _>(a, lda, b, 0, kc, c, ldc, f, 0),
+            (4, true) => avx2_rows::<4, false, true, _>(a, lda, b, 0, kc, c, ldc, f, p),
+            (3, true) => avx2_rows::<3, false, true, _>(a, lda, b, 0, kc, c, ldc, f, p),
+            (2, true) => avx2_rows::<2, false, true, _>(a, lda, b, 0, kc, c, ldc, f, p),
+            (_, true) => avx2_rows::<1, false, true, _>(a, lda, b, 0, kc, c, ldc, f, p),
         }
     }
 
@@ -744,9 +1052,7 @@ impl Leg for Avx2 {
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: *const E,
-        ldb: usize,
-        _sb: usize,
+        b: Strips<E>,
         bs: usize,
         kc: usize,
         c: *mut f32,
@@ -757,14 +1063,14 @@ impl Leg for Avx2 {
         debug_assert_eq!(strips, 1, "an AVX2 tile is one strip wide");
         let (f, p) = (first, ahead);
         match (rows, ahead != 0) {
-            (4, false) => avx2_rows::<4, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
-            (3, false) => avx2_rows::<3, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
-            (2, false) => avx2_rows::<2, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
-            (_, false) => avx2_rows::<1, true, false, _>(a, lda, b, ldb, bs, kc, c, ldc, f, 0),
-            (4, true) => avx2_rows::<4, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
-            (3, true) => avx2_rows::<3, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
-            (2, true) => avx2_rows::<2, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
-            (_, true) => avx2_rows::<1, true, true, _>(a, lda, b, ldb, bs, kc, c, ldc, f, p),
+            (4, false) => avx2_rows::<4, true, false, _>(a, lda, b, bs, kc, c, ldc, f, 0),
+            (3, false) => avx2_rows::<3, true, false, _>(a, lda, b, bs, kc, c, ldc, f, 0),
+            (2, false) => avx2_rows::<2, true, false, _>(a, lda, b, bs, kc, c, ldc, f, 0),
+            (_, false) => avx2_rows::<1, true, false, _>(a, lda, b, bs, kc, c, ldc, f, 0),
+            (4, true) => avx2_rows::<4, true, true, _>(a, lda, b, bs, kc, c, ldc, f, p),
+            (3, true) => avx2_rows::<3, true, true, _>(a, lda, b, bs, kc, c, ldc, f, p),
+            (2, true) => avx2_rows::<2, true, true, _>(a, lda, b, bs, kc, c, ldc, f, p),
+            (_, true) => avx2_rows::<1, true, true, _>(a, lda, b, bs, kc, c, ldc, f, p),
         }
     }
 
@@ -804,13 +1110,11 @@ unsafe fn avx512_rows<
     const S: usize,
     const BATCHED: bool,
     const PREFETCH: bool,
-    E: Element,
+    P: Panel,
 >(
     a: *const f32,
     lda: usize,
-    b: *const E,
-    ldb: usize,
-    sb: usize,
+    b: P,
     bs: usize,
     kc: usize,
     c: *mut f32,
@@ -829,15 +1133,13 @@ unsafe fn avx512_rows<
         }
     }
     for kk in 0..kc {
-        let b_kk = b.add(kk * ldb);
         let mut shared = [_mm512_setzero_ps(); S];
         for (s, bv) in shared.iter_mut().enumerate() {
             for r in 0..if PREFETCH { own_b } else { 0 } {
-                let b_rs = b_kk.wrapping_add(r * bs + s * sb);
-                <Avx2 as Leg>::prefetch(b_rs.wrapping_add(ahead));
+                b.offset(r * bs).prefetch::<Avx2>(kk, s, ahead);
             }
             if !BATCHED {
-                *bv = E::load16(b_kk.add(s * sb));
+                *bv = b.load16(kk, s);
             }
         }
         for (r, acc_r) in acc.iter_mut().enumerate() {
@@ -847,7 +1149,7 @@ unsafe fn avx512_rows<
             for (s, acc_v) in acc_r.iter_mut().enumerate() {
                 let bv = match BATCHED {
                     false => shared[s],
-                    true => E::load16(b_kk.add(r * bs + s * sb)),
+                    true => b.offset(r * bs).load16(kk, s),
                 };
                 *acc_v = _mm512_add_ps(*acc_v, _mm512_mul_ps(av, bv));
             }
@@ -871,13 +1173,11 @@ unsafe fn avx512_rows<
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn avx512_tile<const S: usize, const BATCHED: bool, const PREFETCH: bool, E: Element>(
+unsafe fn avx512_tile<const S: usize, const BATCHED: bool, const PREFETCH: bool, P: Panel>(
     rows: usize,
     a: *const f32,
     lda: usize,
-    b: *const E,
-    ldb: usize,
-    sb: usize,
+    b: P,
     bs: usize,
     kc: usize,
     c: *mut f32,
@@ -885,16 +1185,16 @@ unsafe fn avx512_tile<const S: usize, const BATCHED: bool, const PREFETCH: bool,
     first: bool,
     ahead: usize,
 ) {
-    let (s, f, p) = (sb, first, ahead);
+    let (f, p) = (first, ahead);
     match rows {
-        8 => avx512_rows::<8, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
-        7 => avx512_rows::<7, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
-        6 => avx512_rows::<6, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
-        5 => avx512_rows::<5, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
-        4 => avx512_rows::<4, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
-        3 => avx512_rows::<3, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
-        2 => avx512_rows::<2, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
-        _ => avx512_rows::<1, S, BATCHED, PREFETCH, _>(a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+        8 => avx512_rows::<8, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        7 => avx512_rows::<7, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        6 => avx512_rows::<6, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        5 => avx512_rows::<5, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        4 => avx512_rows::<4, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        3 => avx512_rows::<3, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        2 => avx512_rows::<2, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        _ => avx512_rows::<1, S, BATCHED, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
     }
 }
 
@@ -904,32 +1204,24 @@ impl Leg for Avx512 {
     const STRIPS: usize = MAX_STRIPS;
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile<E: Element>(
+    unsafe fn tile<P: Panel>(
         rows: usize,
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: *const E,
-        ldb: usize,
-        sb: usize,
+        b: P,
         kc: usize,
         c: *mut f32,
         ldc: usize,
         first: bool,
         ahead: usize,
     ) {
-        let (s, f, p) = (sb, first, ahead);
+        let (f, p) = (first, ahead);
         match (strips, ahead) {
-            (2, 0) => {
-                avx512_tile::<2, false, false, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, 0)
-            }
-            (2, _) => {
-                avx512_tile::<2, false, true, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, p)
-            }
-            (_, 0) => {
-                avx512_tile::<1, false, false, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, 0)
-            }
-            _ => avx512_tile::<1, false, true, _>(rows, a, lda, b, ldb, s, 0, kc, c, ldc, f, p),
+            (2, 0) => avx512_tile::<2, false, false, _>(rows, a, lda, b, 0, kc, c, ldc, f, 0),
+            (2, _) => avx512_tile::<2, false, true, _>(rows, a, lda, b, 0, kc, c, ldc, f, p),
+            (_, 0) => avx512_tile::<1, false, false, _>(rows, a, lda, b, 0, kc, c, ldc, f, 0),
+            _ => avx512_tile::<1, false, true, _>(rows, a, lda, b, 0, kc, c, ldc, f, p),
         }
     }
 
@@ -939,9 +1231,7 @@ impl Leg for Avx512 {
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: *const E,
-        ldb: usize,
-        sb: usize,
+        b: Strips<E>,
         bs: usize,
         kc: usize,
         c: *mut f32,
@@ -949,18 +1239,12 @@ impl Leg for Avx512 {
         first: bool,
         ahead: usize,
     ) {
-        let (s, f, p) = (sb, first, ahead);
+        let (f, p) = (first, ahead);
         match (strips, ahead) {
-            (2, 0) => {
-                avx512_tile::<2, true, false, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, 0)
-            }
-            (2, _) => {
-                avx512_tile::<2, true, true, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, p)
-            }
-            (_, 0) => {
-                avx512_tile::<1, true, false, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, 0)
-            }
-            _ => avx512_tile::<1, true, true, _>(rows, a, lda, b, ldb, s, bs, kc, c, ldc, f, p),
+            (2, 0) => avx512_tile::<2, true, false, _>(rows, a, lda, b, bs, kc, c, ldc, f, 0),
+            (2, _) => avx512_tile::<2, true, true, _>(rows, a, lda, b, bs, kc, c, ldc, f, p),
+            (_, 0) => avx512_tile::<1, true, false, _>(rows, a, lda, b, bs, kc, c, ldc, f, 0),
+            _ => avx512_tile::<1, true, true, _>(rows, a, lda, b, bs, kc, c, ldc, f, p),
         }
     }
 
@@ -986,14 +1270,12 @@ pub(crate) struct Neon;
 #[cfg(target_arch = "aarch64")]
 impl Leg for Neon {
     #[target_feature(enable = "neon")]
-    unsafe fn tile<E: Element>(
+    unsafe fn tile<P: Panel>(
         rows: usize,
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: *const E,
-        ldb: usize,
-        _sb: usize,
+        b: P,
         kc: usize,
         c: *mut f32,
         ldc: usize,
@@ -1006,11 +1288,10 @@ impl Leg for Neon {
         #[inline]
         #[target_feature(enable = "neon")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn rows_n<const R: usize, E: Element>(
+        unsafe fn rows_n<const R: usize, P: Panel>(
             a: *const f32,
             lda: usize,
-            b: *const E,
-            ldb: usize,
+            b: P,
             kc: usize,
             c: *mut f32,
             ldc: usize,
@@ -1025,12 +1306,11 @@ impl Leg for Neon {
                 }
             }
             for kk in 0..kc {
-                let b_kk = b.add(kk * ldb);
                 let bv = [
-                    E::load4(b_kk),
-                    E::load4(b_kk.add(4)),
-                    E::load4(b_kk.add(8)),
-                    E::load4(b_kk.add(12)),
+                    b.load4(kk, 0, 0),
+                    b.load4(kk, 0, 1),
+                    b.load4(kk, 0, 2),
+                    b.load4(kk, 0, 3),
                 ];
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     // vaddq + vmulq, not vfmaq: the scalar oracle rounds
@@ -1049,10 +1329,10 @@ impl Leg for Neon {
         }
 
         match rows {
-            4 => rows_n::<4, _>(a, lda, b, ldb, kc, c, ldc, first),
-            3 => rows_n::<3, _>(a, lda, b, ldb, kc, c, ldc, first),
-            2 => rows_n::<2, _>(a, lda, b, ldb, kc, c, ldc, first),
-            _ => rows_n::<1, _>(a, lda, b, ldb, kc, c, ldc, first),
+            4 => rows_n::<4, _>(a, lda, b, kc, c, ldc, first),
+            3 => rows_n::<3, _>(a, lda, b, kc, c, ldc, first),
+            2 => rows_n::<2, _>(a, lda, b, kc, c, ldc, first),
+            _ => rows_n::<1, _>(a, lda, b, kc, c, ldc, first),
         }
     }
 

@@ -44,7 +44,7 @@ const SHAPES: [(usize, usize, usize); 18] = [
 ];
 
 fn deterministic(rows: usize, cols: usize, seed: u32) -> Matrix {
-    // Mix of magnitudes, signs, and exact zeros (the kernel skips a == 0).
+    // Mix of magnitudes, signs, and exact zeros (which no kernel skips).
     let data = (0..rows * cols)
         .map(|i| {
             let x = ((i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 8) as f32;
@@ -243,7 +243,7 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
 
 /// A hostile `m × k` lhs and finite `k × n` rhs for the tiled kernel,
 /// drawn from `seed`. Row `i` of the lhs is one of: dense; zero-heavy
-/// (nine in ten exact zeros of either sign — the oracle skips them, the
+/// (nine in ten exact zeros of either sign — the oracle and the
 /// tiles multiply them); subnormal-scaled; or *cancelling* — `+x` and
 /// `-x` against two identical rhs rows and zeros elsewhere, so the exact
 /// result is `+0.0` in every column. The rhs mixes magnitudes, both
@@ -323,7 +323,10 @@ proptest! {
     /// tail — with `rhs` held row-major (each panel copied) and packed
     /// (read in place). The same operands held `n × k` and packed
     /// transposed, as the tied embedding is, must equal the per-element
-    /// dot.
+    /// dot. Every third `rhs` column holds an infinity or a NaN: nothing
+    /// skips a zero, the oracles included, so every product equals its
+    /// oracle on every input — a zero `lhs` row against an infinity is a
+    /// NaN in both.
     #[test]
     fn tiled_matmul_matches_the_scalar_oracle(
         m in 1usize..=70,
@@ -333,7 +336,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let n = (16 * strips + [0, 1, 8, 15][tail]).max(1);
-        let (a, b) = hostile_operands(m, k, n, seed);
+        let (a, mut b) = hostile_operands(m, k, n, seed);
+        // One non-finite element in every third column; the columns
+        // between stay finite.
+        for j in (seed as usize % 3..n).step_by(3) {
+            let at = (seed >> 8) as usize % k;
+            b[((at + j) % k, j)] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j / 3 % 3];
+        }
         let mut oracle = Matrix::zeros(m, n);
         a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
         for leg in anda_fp::simd::available_legs() {
