@@ -78,7 +78,8 @@ const SECTIONS: [Section; 9] = [
     (
         "attend",
         "us per page walk at 256 wide x 4 heads, per lane set and leg (cold_: per layer of a \
-         4-layer step whose pages come from the L3)",
+         4-layer step whose pages come from the L3); avx512 reads Anda{8} pages in place, the \
+         register tile widening their bit planes, the other legs decode them to a tile first",
         attend,
     ),
     (
@@ -87,7 +88,8 @@ const SECTIONS: [Section; 9] = [
          from 112 positions, 4 Anda{8}-page streams from 528, and one stream's 64-token chunk on \
          Anda{8} pages at 352 (OPT, then LLaMA), d 256 x 4 layers x 4 heads, FFN 1024, vocab 512, \
          W4 weights held as INT4 codes, as served (1 thread, the dispatched leg; last, the bytes \
-         the projections hold)",
+         the projections hold); on avx512 an Anda{8} page is read in place, so its widen is \
+         timed in KProduct / VProduct and KTile / VTile keep only the page's set-up",
         step,
     ),
     (

@@ -33,10 +33,18 @@
 //! every plane into qword `j` (zero-padded so that plane 0 lands as bit
 //! `M − 1`), and one `vgf2p8affineqb` against the unit bytes
 //! `0x8040201008040201` turn the planes into 64 magnitude bytes in lane
-//! order; then per 16 lanes one widen, convert, multiply by the ULP,
-//! masked sign-bit XOR and (on a ragged group) masked store. Everything
-//! else (encode, and decode at `M` 9..=16) runs the AVX2 body under the
-//! AVX-512 leg.
+//! order; then per 16 lanes one `vpermb` into the mantissas of `2^23`, one
+//! fused multiply-subtract by the ULP (`(2^23 + mag)·ulp − 2^23·ulp`, the
+//! exact `mag·ulp`), a masked sign-bit XOR and (on a ragged group) a
+//! masked store. Everything else (encode, and decode at `M` 9..=16) runs
+//! the AVX2 body under the AVX-512 leg.
+//!
+//! Those AVX-512 steps, the scalar lane rule ([`decode_group_into_scalar`]
+//! is it over a group) and the byte transposes are `anda_fp::planes`'
+//! lane primitives, not this module's: the KV page walk's register tile
+//! (`anda_tensor`) widens an Anda page's bit planes with the same bodies
+//! as it loads them, so a page read in place and a page decoded here
+//! hold the same `f32`, bit for bit.
 //!
 //! A row, a page and each group the position-minor fallback decodes (see
 //! below) all run one page loop, generic over a leg's group body: each
@@ -65,7 +73,10 @@
 //! positions' ULPs (on the AVX-512 leg one `vpermb` into the mantissas of
 //! `2^23` and one fused multiply-subtract, exact alike), a sign-bit XOR
 //! and a store of sixteen keys. A block short of sixteen positions
-//! stores through a mask. Every other leg and `M` decodes each group as
+//! stores through a mask. The AVX-512 body's first half is
+//! `anda_fp::planes::avx512::columns`, from which the register tile
+//! writes the position-minor block it widens a K page from when the page
+//! walk reads the page in place. Every other leg and `M` decodes each group as
 //! a page of one group and puts the values in place, which is also why
 //! its oracle is [`decode_rows_into_with_leg`] permuted.
 //!
@@ -83,7 +94,7 @@
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use anda_fp::{saturate_to_f16, F16};
 
-use anda_fp::f16::exp2i;
+use anda_fp::planes::group_ulp;
 
 use crate::align::align_element;
 use crate::anda::AndaConfig;
@@ -439,7 +450,7 @@ impl<'a> Page<'a> {
                     next.stream(g0 + k, m, k == 0);
                 }
                 let out = &mut row[k * LANES..((k + 1) * LANES).min(cols.len())];
-                let ulp = exp2i(i32::from(exps[k]) - 14 - m as i32);
+                let ulp = group_ulp(exps[k], m);
                 group(signs[k], ulp, &words[k * m..(k + 1) * m], out);
             }
         }
@@ -540,7 +551,7 @@ pub fn decode_row_into_scalar(
     check_decode_buffers(cfg, signs, exps, planes, out);
     let m = cfg.mantissa_bits();
     for (gi, chunk) in out.chunks_mut(LANES).enumerate() {
-        let ulp = exp2i(i32::from(exps[gi]) - 14 - m as i32);
+        let ulp = group_ulp(exps[gi], m as usize);
         decode_group_into_scalar(
             signs[gi],
             ulp,
@@ -569,50 +580,9 @@ fn check_decode_buffers(cfg: AndaConfig, signs: &[u64], exps: &[u16], planes: &[
 /// Panics if `out` holds more than [`LANES`] elements.
 pub fn decode_group_into_scalar(sign_word: u64, ulp: f32, planes: &[u64], out: &mut [f32]) {
     assert!(out.len() <= LANES, "a group holds at most {LANES} lanes");
-    let m = planes.len();
     for (i, o) in out.iter_mut().enumerate() {
-        let mut mag = 0u16;
-        for (b, plane) in planes.iter().enumerate() {
-            mag |= (((plane >> i) & 1) as u16) << (m - 1 - b);
-        }
-        // Same sign/magnitude dequant rule as `SignMag::dequantize`.
-        let v = f32::from(mag) * ulp;
-        *o = if (sign_word >> i) & 1 == 1 { -v } else { v };
+        *o = anda_fp::planes::lane(sign_word, ulp, planes, i);
     }
-}
-
-/// The in-lane 16 × 16 byte transpose of the position-minor decodes:
-/// `$x[p]` holds position `p`'s magnitude bytes, one per column, and
-/// afterwards `$x[c]` holds in its 128-bit lane `L` the bytes of column
-/// `16·L + c`, positions 0 to 15. Four rounds of sixteen interleaves —
-/// bytes, words, dwords, qwords — each halving the runs still apart;
-/// the idents name the leg's low and high unpack of each width.
-#[cfg(target_arch = "x86_64")]
-macro_rules! transpose_lanes {
-    ($x:ident, $lo8:ident, $hi8:ident, $lo16:ident, $hi16:ident,
-     $lo32:ident, $hi32:ident, $lo64:ident, $hi64:ident) => {{
-        let mut t = $x;
-        for i in 0..8 {
-            t[i] = $lo8($x[2 * i], $x[2 * i + 1]);
-            t[i + 8] = $hi8($x[2 * i], $x[2 * i + 1]);
-        }
-        for i in 0..4 {
-            for o in [0, 8] {
-                $x[o + i] = $lo16(t[o + 2 * i], t[o + 2 * i + 1]);
-                $x[o + i + 4] = $hi16(t[o + 2 * i], t[o + 2 * i + 1]);
-            }
-        }
-        for b in (0..16).step_by(4) {
-            t[b] = $lo32($x[b], $x[b + 1]);
-            t[b + 1] = $lo32($x[b + 2], $x[b + 3]);
-            t[b + 2] = $hi32($x[b], $x[b + 1]);
-            t[b + 3] = $hi32($x[b + 2], $x[b + 3]);
-        }
-        for b in (0..16).step_by(2) {
-            $x[b] = $lo64(t[b], t[b + 1]);
-            $x[b + 1] = $hi64(t[b], t[b + 1]);
-        }
-    }};
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -768,7 +738,8 @@ mod avx2 {
     /// AVX2 leg of [`decode_rows_transposed_into_with_leg`] at `M <= 8`,
     /// after its checks. Per group, 32 columns and sixteen positions: each
     /// position's magnitudes fold into 32 bytes as in [`decode_group`],
-    /// [`transpose_lanes!`] turns the sixteen vectors into one lane of
+    /// `anda_fp::planes::avx2::transpose_bytes` turns the sixteen vectors
+    /// into one lane of
     /// sixteen positions per column, and each column's lane widens eight
     /// positions at a time, converts, multiplies by those positions' ULPs
     /// and flips sign bits: the column's bit of the positions' sign words,
@@ -793,7 +764,7 @@ mod avx2 {
                     if let Some(next) = &next {
                         next.stream((p0 + p) * g + k, m, k == groups.start);
                     }
-                    ulps[p] = exp2i(i32::from(page.exps[(p0 + p) * g + k]) - 14 - m as i32);
+                    ulps[p] = group_ulp(page.exps[(p0 + p) * g + k], m);
                     keep[p] = -1;
                 }
                 let ulp = [
@@ -815,14 +786,7 @@ mod avx2 {
                         }
                         words[p] = (page.signs[gi] >> (32 * half)) as u32;
                     }
-                    #[rustfmt::skip]
-                    transpose_lanes!(
-                        mags,
-                        _mm256_unpacklo_epi8, _mm256_unpackhi_epi8,
-                        _mm256_unpacklo_epi16, _mm256_unpackhi_epi16,
-                        _mm256_unpacklo_epi32, _mm256_unpackhi_epi32,
-                        _mm256_unpacklo_epi64, _mm256_unpackhi_epi64
-                    );
+                    anda_fp::planes::avx2::transpose_bytes(&mut mags);
                     let words = [
                         _mm256_loadu_si256(words.as_ptr().cast()),
                         _mm256_loadu_si256(words[8..].as_ptr().cast()),
@@ -964,138 +928,20 @@ mod avx2 {
     }
 }
 
-/// The AVX-512 leg's one body: the `M <= 8` decode as a GF(2) bit-matrix
-/// transpose (see the module docs).
+/// The AVX-512 leg's bodies: the `M <= 8` decodes as a GF(2) bit-matrix
+/// transpose, over `anda_fp::planes::avx512`'s primitives (see the module
+/// docs).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::*;
+    use anda_fp::planes::avx512::{columns, gather, magnitudes, quarter, widen};
     use core::arch::x86_64::*;
 
-    /// `vpermb` indices per `M` (row `M − 1`): byte `b` of qword `j` of
-    /// the gathered vector is byte `j` of plane `b − (8 − M)`, so the
-    /// transpose puts plane 0 at magnitude bit `M − 1`; the `8 − M` low
-    /// bytes read byte 63, in qword 7, which the masked load zeroed.
-    const GATHER: [[u8; 64]; 8] = {
-        let mut table = [[63u8; 64]; 8];
-        let mut m = 1;
-        while m <= 8 {
-            let mut i = 0;
-            while i < 64 {
-                let (j, b) = (i / 8, i % 8);
-                if b + m >= 8 {
-                    table[m - 1][i] = (8 * (b + m - 8) + j) as u8;
-                }
-                i += 1;
-            }
-            m += 1;
-        }
-        table
-    };
-
-    /// `vpermb` indices that put byte `j` of word `7 − b` at byte `8j + b`:
-    /// eight sign words laid out as [`sign_masks`]' GF(2) transpose wants
-    /// its matrix.
-    const SIGN_GATHER: [u8; 64] = {
-        let mut table = [0u8; 64];
-        let mut i = 0;
-        while i < 64 {
-            table[i] = (8 * (7 - i % 8) + i / 8) as u8;
-            i += 1;
-        }
-        table
-    };
-
-    /// `vpermt2b` indices interleaving two vectors' bytes into 16-bit
-    /// lanes, low byte from the first: lanes 0..32, then lanes 32..64.
-    const ZIP: [[u8; 64]; 2] = {
-        let mut table = [[0u8; 64]; 2];
-        let mut i = 0;
-        while i < 64 {
-            table[0][i] = (i / 2 + 64 * (i % 2)) as u8;
-            table[1][i] = table[0][i] + 32;
-            i += 1;
-        }
-        table
-    };
-
-    /// `vpermb` indices that put byte `16·L + i` of a vector in the low
-    /// byte of dword `i`: with [`WIDEN_BYTES`] as the write mask, lane `L`
-    /// of sixteen magnitude bytes widens into the mantissa of `2^23`.
-    const WIDEN: [[u8; 64]; 4] = {
-        let mut table = [[0u8; 64]; 4];
-        let mut i = 0;
-        while i < 256 {
-            table[i / 64][i % 64] = (16 * (i / 64) + i % 64 / 4) as u8;
-            i += 1;
-        }
-        table
-    };
-
-    /// The low byte of every dword.
-    const WIDEN_BYTES: u64 = 0x1111_1111_1111_1111;
-
-    /// `2^23`: an integer below it, written into its mantissa, reads as
-    /// `2^23` plus that integer.
-    const TWO_23: f32 = 8_388_608.0;
-
-    /// The unit bytes `0x8040201008040201`: as the byte operand of
-    /// `vgf2p8affineqb`, they make it an 8 × 8 bit-matrix transpose per
-    /// qword — bit `i` of result byte `k` is bit `k` of matrix byte
-    /// `7 − i`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn unit() -> __m512i {
-        _mm512_set1_epi64(0x8040_2010_0804_0201u64 as i64)
-    }
-
-    /// One group's magnitudes as bytes, lane `j` in byte `j`: `words` are
-    /// its `M <= 8` plane words (MSB first), `gather` is `GATHER[M − 1]`,
-    /// and the transpose puts bit `k` of plane byte `j`'s qword in
-    /// magnitude byte `8j + k`.
-    ///
-    /// # Safety
-    ///
-    /// As [`decode_rows`]; `words` must hold 1..=8 words (memory is only
-    /// touched through `words`).
-    #[inline]
-    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
-    unsafe fn magnitudes(words: &[u64], gather: __m512i) -> __m512i {
-        // The mask reads `words.len()` words, all of them inside `words`.
-        let planes = _mm512_maskz_loadu_epi64(u8::MAX >> (8 - words.len()), words.as_ptr().cast());
-        _mm512_gf2p8affine_epi64_epi8::<0>(unit(), _mm512_permutexvar_epi8(gather, planes))
-    }
-
-    /// Sixteen positions' sign words as one mask per lane: bit `p` of
-    /// `masks[c]` is bit `c` of `words[p]`. Each half of the words is one
-    /// GF(2) transpose per qword (byte `c` of the result holds the eight
-    /// positions' bits of lane `c`), and the halves interleave into
-    /// 16-bit lanes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512 F/BW/VBMI and GFNI.
-    #[inline]
-    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
-    unsafe fn sign_masks(words: &[u64; 16]) -> [u16; 64] {
-        let gather = _mm512_loadu_si512(SIGN_GATHER.as_ptr().cast());
-        let lo = _mm512_loadu_si512(words.as_ptr().cast());
-        let hi = _mm512_loadu_si512(words[8..].as_ptr().cast());
-        let lo = _mm512_gf2p8affine_epi64_epi8::<0>(unit(), _mm512_permutexvar_epi8(gather, lo));
-        let hi = _mm512_gf2p8affine_epi64_epi8::<0>(unit(), _mm512_permutexvar_epi8(gather, hi));
-        let mut masks = [0u16; 64];
-        for (half, zip) in ZIP.iter().enumerate() {
-            let lanes = _mm512_permutex2var_epi8(lo, _mm512_loadu_si512(zip.as_ptr().cast()), hi);
-            _mm512_storeu_si512(masks[32 * half..].as_mut_ptr().cast(), lanes);
-        }
-        masks
-    }
-
     /// One group: `words` are the group's `M <= 8` plane words, `gather`
-    /// is `GATHER[M − 1]`, `out` holds at most 64 lanes. Per 16 lanes of
-    /// its [`magnitudes`]: widen, exact `i32→f32` convert, multiply by the
-    /// ULP, and a masked sign-bit XOR (so a zero magnitude under a set
-    /// sign bit is −0.0, as the scalar negation gives); a masked store
-    /// writes only `out`'s lanes.
+    /// is `gather(M)`, `out` holds at most 64 lanes. Per 16 lanes of its
+    /// [`magnitudes`]: the mantissas of `2^23` ([`quarter`]), [`widen`] by
+    /// the ULP and the lanes' sign bits, and a masked store that writes
+    /// only `out`'s lanes.
     ///
     /// # Safety
     ///
@@ -1110,40 +956,26 @@ mod avx512 {
         gather: __m512i,
         out: &mut [f32],
     ) {
-        let mags = magnitudes(words, gather);
-        let blocks = [
-            _mm512_castsi512_si128(mags),
-            _mm512_extracti32x4_epi32::<1>(mags),
-            _mm512_extracti32x4_epi32::<2>(mags),
-            _mm512_extracti32x4_epi32::<3>(mags),
-        ];
-        let (ulp, sign_bit) = (_mm512_set1_ps(ulp), _mm512_set1_epi32(i32::MIN));
+        let mags = magnitudes(words.as_ptr(), words.len(), gather);
+        let ulp = _mm512_set1_ps(ulp);
         let keep = match out.len() {
             n @ 0..64 => (1u64 << n) - 1,
             _ => u64::MAX,
         };
-        for (c, block) in blocks.into_iter().enumerate() {
-            let lanes = (keep >> (16 * c)) as u16;
+        for q in 0..4 {
+            let lanes = (keep >> (16 * q)) as u16;
             if lanes == 0 {
                 break;
             }
-            let v = _mm512_castps_si512(_mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(block)),
-                ulp,
-            ));
-            let signed = _mm512_mask_xor_epi32(v, (sign_word >> (16 * c)) as u16, v, sign_bit);
-            // Lane 16·c is inside `out`, and the mask stops at its end.
-            _mm512_mask_storeu_ps(
-                out.as_mut_ptr().add(16 * c),
-                lanes,
-                _mm512_castsi512_ps(signed),
-            );
+            let v = widen(quarter(mags, q), ulp, (sign_word >> (16 * q)) as u16);
+            // Lane 16·q is inside `out`, and the mask stops at its end.
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add(16 * q), lanes, v);
         }
     }
 
     /// AVX-512 leg of [`decode_rows_into_with_leg`] at `M <= 8`, after its
     /// checks: [`Page::decode_into`] compiled with the leg's features, so
-    /// [`decode_group`] inlines into it, `GATHER[M − 1]` loaded once.
+    /// [`decode_group`] inlines into it, `gather(M)` loaded once.
     ///
     /// # Safety
     ///
@@ -1152,23 +984,20 @@ mod avx512 {
     pub unsafe fn decode_rows(page: &Page, tile: &mut [f32]) {
         let m = page.cfg.mantissa_bits() as usize;
         assert!(m <= 8, "the transpose holds at most 8 planes");
-        let gather = _mm512_loadu_si512(GATHER[m - 1].as_ptr().cast());
+        let gather = gather(m);
         page.decode_into(tile, |sign, ulp, words, out| {
             decode_group(sign, ulp, words, gather, out)
         });
     }
 
     /// AVX-512 leg of [`decode_rows_transposed_into_with_leg`] at
-    /// `M <= 8`, after its checks. Per group and sixteen positions: each
-    /// position's [`magnitudes`], [`transpose_lanes!`] so that each
-    /// 128-bit lane holds one column's sixteen positions, the sign words
-    /// as one mask per column ([`sign_masks`]) and the positions' ULPs as
-    /// one vector; then per column one merge-masked `vpermb` writes its
-    /// sixteen bytes into the mantissas of `2^23` ([`WIDEN`]), one
-    /// `vfmsub` takes `(2^23 + mag)·ulp − 2^23·ulp` — the exact `mag·ulp`
-    /// the convert-and-multiply gives, `+0.0` for a zero magnitude — and a
-    /// masked sign-bit XOR and a store masked to the block's positions
-    /// finish it.
+    /// `M <= 8`, after its checks. Per group and sixteen positions, their
+    /// [`columns`] — each position's GF(2) magnitudes transposed in
+    /// registers so that each 128-bit lane holds one column's sixteen
+    /// positions, a sign mask per column, the positions' ULPs — then per
+    /// column [`quarter`] writes its sixteen bytes into the mantissas of
+    /// `2^23`, [`widen`] takes the exact `mag·ulp` and flips the sign bits,
+    /// and a store masked to the block's positions finishes it.
     ///
     /// # Safety
     ///
@@ -1178,59 +1007,38 @@ mod avx512 {
         let (cfg, groups, row_len, next) = (page.cfg, &page.groups, page.row_len, page.next);
         let (g, m) = (groups_per_row(row_len, cfg), cfg.mantissa_bits() as usize);
         assert!(m <= 8, "the transpose holds at most 8 planes");
-        let gather = _mm512_loadu_si512(GATHER[m - 1].as_ptr().cast());
-        let widen = WIDEN.map(|lane| _mm512_loadu_si512(lane.as_ptr().cast()));
-        let magic = _mm512_set1_epi32(TWO_23.to_bits() as i32);
         let n_cols = (groups.end * LANES).min(row_len) - groups.start * LANES;
-        let sign_bit = _mm512_set1_epi32(i32::MIN);
+        let (mut mags, mut masks) = ([_mm512_setzero_si512(); 16], [0u16; LANES]);
         for (k, col0) in groups.clone().zip((0..).step_by(LANES)) {
             let width = (n_cols - col0).min(LANES);
             for p0 in (0..rows).step_by(16) {
                 let n = (rows - p0).min(16);
-                let mut mags = [_mm512_setzero_si512(); 16];
-                let (mut ulps, mut words) = ([0.0f32; 16], [0u64; 16]);
                 for p in 0..n {
-                    // SAFETY: `gi` is a group of a row below `rows`, which
-                    // the caller checked every source slice holds.
-                    let gi = (p0 + p) * g + k;
                     if let Some(next) = &next {
-                        next.stream(gi, m, k == groups.start);
+                        next.stream((p0 + p) * g + k, m, k == groups.start);
                     }
-                    mags[p] = magnitudes(page.planes.get_unchecked(gi * m..(gi + 1) * m), gather);
-                    ulps[p] = exp2i(i32::from(*page.exps.get_unchecked(gi)) - 14 - m as i32);
-                    words[p] = *page.signs.get_unchecked(gi);
                 }
-                let masks = sign_masks(&words);
-                #[rustfmt::skip]
-                transpose_lanes!(
-                    mags,
-                    _mm512_unpacklo_epi8, _mm512_unpackhi_epi8,
-                    _mm512_unpacklo_epi16, _mm512_unpackhi_epi16,
-                    _mm512_unpacklo_epi32, _mm512_unpackhi_epi32,
-                    _mm512_unpacklo_epi64, _mm512_unpackhi_epi64
-                );
+                // SAFETY: `gi` is a group of a row below `rows`, which the
+                // caller checked every source slice holds.
+                let group = |p| {
+                    let gi = (p0 + p) * g + k;
+                    let sign = *page.signs.get_unchecked(gi);
+                    let exp = *page.exps.get_unchecked(gi);
+                    (sign, exp, page.planes.as_ptr().add(gi * m))
+                };
+                let ulp = columns(n, m, group, &mut mags, &mut masks);
                 let keep = (u32::MAX >> (32 - n)) as u16;
-                let ulp = _mm512_loadu_ps(ulps.as_ptr());
-                let bias = _mm512_mul_ps(ulp, _mm512_set1_ps(TWO_23));
-                for (cc, &lanes) in mags.iter().enumerate() {
-                    for (lane, widen) in widen.iter().enumerate() {
+                for (cc, &bytes) in mags.iter().enumerate() {
+                    for lane in 0..4 {
                         let c = 16 * lane + cc;
                         if c >= width {
                             break;
                         }
-                        // `2^23 + mag` as floats, then `(2^23 + mag)·ulp −
-                        // 2^23·ulp`: one rounding of the exact `mag·ulp`.
-                        let x = _mm512_mask_permutexvar_epi8(magic, WIDEN_BYTES, *widen, lanes);
-                        let v = _mm512_fmsub_ps(_mm512_castsi512_ps(x), ulp, bias);
-                        let v = _mm512_castps_si512(v);
-                        let signed = _mm512_mask_xor_epi32(v, masks[c], v, sign_bit);
+                        let v = widen(quarter(bytes, lane), ulp, masks[c]);
                         // Position `p0` of column `col0 + c` is in `keys`
                         // (the caller's bounds), and the mask stops at `n`.
-                        _mm512_mask_storeu_ps(
-                            keys.as_mut_ptr().add((col0 + c) * ld + p0),
-                            keep,
-                            _mm512_castsi512_ps(signed),
-                        );
+                        let dst = keys.as_mut_ptr().add((col0 + c) * ld + p0);
+                        _mm512_mask_storeu_ps(dst, keep, v);
                     }
                 }
             }
@@ -1629,6 +1437,98 @@ mod tests {
                 s_out.push(1.0);
                 assert_eq!(bits(&s_out), bits(&v_out), "decode {ctx}");
             });
+        }
+    }
+
+    /// The bit-plane primitives the row codec and the register tile share
+    /// (`anda_fp::planes::avx512`), pinned to the scalar group rule on
+    /// their own, at every `M` 1..=8 and shared exponent 0..=31, under
+    /// all-zero, all-one and mixed sign words, over random, all-zero (a
+    /// lane under a set sign is −0.0) and all-one planes: a group's four
+    /// row-major quarters (`magnitudes` → `quarter` → `widen`) and, for
+    /// sixteen such groups as the positions of a position-minor block, every
+    /// column of the block (`write_block` → `block_column`), with all
+    /// sixteen positions, fifteen or one (the rest zero, with clear signs);
+    /// partial last groups compare their prefix. Needs the AVX-512 leg.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_shared_plane_primitives_are_the_scalar_group_rule() {
+        use anda_fp::planes::avx512::{block_column, gather, magnitudes, quarter};
+        use anda_fp::planes::avx512::{widen, write_block};
+        use anda_fp::planes::BLOCK_BYTES;
+        use core::arch::x86_64::*;
+        if !available_legs().iter().any(|l| l.kind() == LegKind::Avx512) {
+            return;
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for m in 1..=8 {
+            // `(sign word, exponent, planes)` of every case at this `M`.
+            let mut groups = Vec::new();
+            for exp in 0..=31u16 {
+                for signs in [0, !0, next()] {
+                    for fill in [None, Some(0), Some(!0)] {
+                        let planes: Vec<u64> =
+                            (0..m).map(|_| fill.unwrap_or_else(&mut next)).collect();
+                        groups.push((signs, exp, planes));
+                    }
+                }
+            }
+            for (signs, exp, planes) in &groups {
+                let ulp = group_ulp(*exp, m);
+                let mut got = [0.0f32; LANES];
+                // SAFETY: the host runs the AVX-512 leg (checked above),
+                // `planes` holds `m` words and `got` four quarters.
+                unsafe {
+                    let mags = magnitudes(planes.as_ptr(), m, gather(m));
+                    for q in 0..4 {
+                        let v = widen(
+                            quarter(mags, q),
+                            _mm512_set1_ps(ulp),
+                            (signs >> (16 * q)) as u16,
+                        );
+                        _mm512_storeu_ps(got[16 * q..].as_mut_ptr(), v);
+                    }
+                }
+                for n in [1, 17, LANES] {
+                    let mut want = vec![0.0f32; n];
+                    decode_group_into_scalar(*signs, ulp, planes, &mut want);
+                    let ctx =
+                        format!("M {m} exp {exp} signs {signs:#x} planes {planes:x?} lanes {n}");
+                    assert_eq!(bits(&got[..n]), bits(&want), "row-major, {ctx}");
+                }
+            }
+            for (b, block) in groups.chunks_exact(16).enumerate() {
+                for n in [16, 15, 1] {
+                    let mut words = [0u8; BLOCK_BYTES];
+                    let mut got = [[0.0f32; 16]; LANES];
+                    // SAFETY: as above; `words` holds a block, and each
+                    // position's planes `m` words.
+                    unsafe {
+                        write_block(words.as_mut_ptr(), n, m, |p| {
+                            let (sign, exp, planes) = &block[p];
+                            (*sign, *exp, planes.as_ptr())
+                        });
+                        for (c, column) in got.iter_mut().enumerate() {
+                            _mm512_storeu_ps(column.as_mut_ptr(), block_column(words.as_ptr(), c));
+                        }
+                    }
+                    for (p, (signs, exp, planes)) in block.iter().enumerate() {
+                        let mut want = [0.0f32; LANES];
+                        if p < n {
+                            decode_group_into_scalar(*signs, group_ulp(*exp, m), planes, &mut want);
+                        }
+                        let column: Vec<f32> = got.iter().map(|column| column[p]).collect();
+                        let ctx = format!("M {m} block {b} of {n} positions, position {p}");
+                        assert_eq!(bits(&column), bits(&want), "position-minor, {ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -19,6 +19,10 @@
 //! - [`exp`] — `expf` owned: the optimized-routines port ([`exp::expf`],
 //!   `to_bits`-equal to x86-64 glibc's on a CPU with FMA) and its slice
 //!   kernel, one body per SIMD leg, each pinned to the port.
+//! - [`planes`] — the bit-plane lane primitives of an Anda group decode:
+//!   the scalar lane rule and the AVX-512 GF(2) transpose and widen, one
+//!   body shared by `anda-format`'s row codec and `anda-tensor`'s register
+//!   tile, which reads a KV page's planes in place.
 //! - [`batch`] — dispatched whole-slice rounding of `f32` rows through
 //!   FP16 (the `Fp16` KV row policy, the FP16 activation codec), each with
 //!   a scalar twin as its bit-exactness oracle.
@@ -36,6 +40,7 @@
 pub mod batch;
 pub mod exp;
 pub mod f16;
+pub mod planes;
 pub mod rounding;
 pub mod simd;
 

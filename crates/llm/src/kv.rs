@@ -25,15 +25,17 @@
 //! chunk spans and the full-sequence `Model::forward` (one span, every
 //! row a lane) all describe their work as [`AttendLane`]s (a query, the
 //! window it attends, where the result goes). The walk goes page by
-//! page, decodes each distinct physical Anda page once into a page-sized
-//! tile that stays in L1 while every lane viewing it consumes it, and
-//! reads `f32` and FP16 pages where they lie — the stored operand stays
-//! narrow until it is in L1 (an FP16 one until it is in a register), and
-//! no decoded copy of a context is ever materialised. Every tile is held
-//! in the order its product reads it:
+//! page and widens each distinct physical Anda page once per pass — in
+//! the products' register tile, which reads its bit planes where they
+//! lie (the AVX-512 leg at `M <= 8`), or into a page-sized tile that
+//! stays in L1 while every lane viewing it consumes it — and reads `f32`
+//! and FP16 pages where they lie: the stored operand stays narrow until
+//! it is in L1 (an FP16 one, and an Anda one read in place, until it is
+//! in a register), and no decoded copy of a context is ever materialised.
+//! Every tile is held in the order its product reads it:
 //! V row-major, K position-minor (`dim × positions`, so a page's
 //! positions lie side by side — `f32` and FP16 pages store K that way,
-//! and an Anda page decodes its keys straight into it). What consumes a
+//! and an Anda page decodes or widens its keys straight into it). What consumes a
 //! tile is the GEMM register tile (`anda_tensor::Strided`), reading it in
 //! place: the lanes viewing a page — one decode stream, a chunk span's
 //! lanes, the forks of a prefix — share its products, every head of every
@@ -79,9 +81,9 @@ use anda_format::bitplane::LANES;
 use anda_format::rowcodec;
 use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::batch::{narrow, widen};
-use anda_fp::simd::{active_leg, SimdLeg};
+use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use anda_fp::F16;
-use anda_tensor::{ops, Element, Strided};
+use anda_tensor::{ops, BitPlanes, PlaneWindows, Strided};
 use rayon_lite::ThreadPool;
 
 use crate::config::ModelConfig;
@@ -200,13 +202,17 @@ pub struct Page {
 }
 
 /// A page's K or V as the walk's products read it ([`Page::tile`]): `f32`
-/// (a float page's own words, or an Anda page decoded), or an FP16 page's
-/// binary16 words; each with the words from the same column of the page
-/// the walk reads next, which the products stream (an FP16 page's only).
+/// (a float page's own words, or an Anda page decoded), an FP16 page's
+/// binary16 words, or an Anda page's bit-plane words; each with the words
+/// of the page the walk reads next, which the products stream (an FP16 or
+/// an in-place Anda page's only).
 #[derive(Clone, Copy)]
 enum Tile<'a> {
     F32(Rhs<'a, f32>),
     F16(Rhs<'a, u16>),
+    /// An Anda page's K or V words, which the product widens in the
+    /// register as it loads them, and the next page's to stream.
+    Planes(PlaneWindows<'a>, Option<BitPlanes<'a>>),
 }
 
 /// A page's words as a product reads them, and the next page's to stream.
@@ -376,24 +382,37 @@ impl Page {
     /// [`Page::push_row`] stored its K position-minor — an FP16 one as
     /// its binary16 words, which the product widens as it loads them
     /// (`anda_tensor::Element`; a slot holds `narrow` output or zeros,
-    /// never a NaN pattern). An Anda page decodes into `scratch`
-    /// (page-sized, so it stays in L1), once per page and pass: those
+    /// never a NaN pattern). An Anda page is widened once per pass, in the
+    /// register or into the tile, and this is the one place that chooses:
+    /// when `few` viewers read the page in this pass (one product, of at
+    /// most [`IN_PLACE_VIEWERS`] lanes), on the AVX-512 leg at `M <= 8`,
+    /// with pages of whole blocks of sixteen positions and heads of `dh`
+    /// columns that are whole strips and whole or quarter or half groups,
+    /// its words are handed to the product ([`Tile::Planes`],
+    /// `anda_tensor::Strided::matmul_planes_into`), whose register tile
+    /// widens each window once as it loads it. Otherwise it
+    /// decodes into `scratch` (page-sized, so it stays in L1): those
     /// columns of its V rows row-major, or of its K rows position-minor,
     /// on `leg` (`rowcodec::decode_rows_into_with_leg` /
     /// `rowcodec::decode_rows_transposed_into_with_leg`). A K slot past
     /// `used` keeps whatever an earlier tile of the walk left there, or
-    /// zero: the K product's scores there are never read. `cols` must
-    /// start on its group boundary.
+    /// zero (a page read in place reads its own stale words there): the K
+    /// product's scores there are never read. `cols` must start on its
+    /// group boundary.
     ///
     /// `next` is the page of the same pool the pass reads after this one:
-    /// an Anda decode streams its words in as it goes, and an FP16 page's
-    /// tile carries them — the same half, from the same column on, to the
-    /// end of its buffer — for the products to stream. No value depends
-    /// on it (an `f32` page, the exact reference, streams nothing).
+    /// an Anda decode, or a product over Anda words, streams its words in
+    /// as it goes, and an FP16 page's tile carries them — the same half,
+    /// from the same column on, to the end of its buffer — for the
+    /// products to stream. No value depends on it (an `f32` page, the
+    /// exact reference, streams nothing).
+    #[allow(clippy::too_many_arguments)]
     fn tile<'a>(
         &'a self,
         want_v: bool,
         cols: &std::ops::Range<usize>,
+        dh: usize,
+        few: bool,
         scratch: &'a mut Vec<f32>,
         leg: SimdLeg,
         next: Option<&'a Page>,
@@ -414,12 +433,47 @@ impl Page {
                 (Tile::F16(words), if want_v { dim } else { pp })
             }
             PageData::Anda { k, v } => {
+                // Sized at the first Anda page, whichever route it takes,
+                // so a warmed walk allocates nothing when a later page
+                // needs the tile.
+                scratch.resize(pp * dim, 0.0);
+                // The page's K or V words: a K product reads every slot.
+                let words = |page: &'a Page| match &page.data {
+                    PageData::Anda { k, v } => {
+                        let w = if want_v { v } else { k }.words(pp);
+                        Some(BitPlanes {
+                            signs: w.signs,
+                            exps: w.exps,
+                            planes: w.planes,
+                        })
+                    }
+                    _ => None,
+                };
+                let m = k.config().mantissa_bits() as usize;
+                let strips = |x: usize| x.is_multiple_of(16);
+                let in_place = few
+                    && leg.kind() == LegKind::Avx512
+                    && m <= 8
+                    && strips(pp)
+                    && strips(dh)
+                    && (dh.is_multiple_of(LANES) || LANES.is_multiple_of(dh));
+                if in_place {
+                    let windows = PlaneWindows {
+                        words: words(self).expect("an Anda page"),
+                        mantissa_bits: m,
+                        width: dim,
+                        rows: if want_v { self.used } else { pp },
+                        col0: cols.start,
+                        cols: dh,
+                        position_minor: !want_v,
+                    };
+                    return (Tile::Planes(windows, next.and_then(words)), pp);
+                }
                 let next = next.and_then(|page| match &page.data {
                     PageData::Anda { k, v } => Some(if want_v { v } else { k }.words(page.used)),
                     _ => None,
                 });
                 let groups = cols.start / LANES..cols.end.div_ceil(LANES);
-                scratch.resize(pp * dim, 0.0);
                 if want_v {
                     v.decode_rows_into(leg, groups, &mut scratch[..filled], next);
                     return (Tile::F32((&scratch[cols.start..filled], None)), dim);
@@ -1055,6 +1109,13 @@ pub struct AttendLane<'a> {
 /// computes every output element with the same operation order.
 const ATTN_PAR_MIN_MULADDS: usize = 16 * 1024;
 
+/// The most lanes that read an Anda page in place in one product: one
+/// register tile of the AVX-512 leg per head. A page that more lanes view
+/// (a chunk span's), or that several products read, is decoded once into
+/// the walk's tile instead: re-widened per tile or per product, a 64-lane
+/// chunk span walked 5 % slower than over its decoded pages.
+const IN_PLACE_VIEWERS: usize = 8;
+
 /// One walk job's scratch: the page tile, the page-group sort buffer and
 /// the lanes' blocks in the job's columns — queries, score rows (then
 /// softmax weights) and head mixes — stacked lane after lane, head after
@@ -1064,8 +1125,9 @@ struct WalkScratch {
     /// An Anda page as decoded ([`Page::tile`]): its V rows in a V pass,
     /// its keys position-minor in a K pass — the passes never overlap. A
     /// float page is its own tile, so a walk over float pages leaves it
-    /// empty. Page-sized, so it stays in L1; sized by the first page
-    /// decoded, so a warmed walk allocates nothing.
+    /// empty (and one over Anda pages read in place, sized). Page-sized,
+    /// so it stays in L1; sized by the first Anda page met, so a warmed
+    /// walk allocates nothing.
     tile: Vec<f32>,
     order: Vec<Viewer>,
     q: Vec<f32>,
@@ -1102,19 +1164,24 @@ struct Viewer {
 /// (a K pass, then a V pass after the per-lane softmax). At each index
 /// the lanes are grouped by *physical* page — forks of one prefix lease
 /// the same page at the same index — and each distinct Anda page is
-/// decoded **once** per pass into a page-sized tile that stays in L1
-/// while every (lane, head) viewing it consumes it (`Page::tile`: its V
-/// rows decode row-major and its K rows straight to position-minor); a
-/// float page's V rows and position-minor K are their own tiles, read in
-/// place, an FP16 page's as binary16 words that the products widen in the
-/// register. So the stored operand stays narrow until it is in L1, a page
-/// shared by N streams decodes once per pass however many attend through
-/// it, and of the walk's buffers only the score rows scale with context ×
-/// lanes.
+/// **widened once per pass, in the register or into the tile**
+/// (`Page::tile` chooses): on the AVX-512 leg at `M <= 8`, when one
+/// product of at most `IN_PLACE_VIEWERS` lanes reads it, its words go
+/// to the products, whose register tile widens its bit planes as it
+/// loads them (each window once); otherwise
+/// it decodes into a page-sized tile that stays in L1 while every (lane,
+/// head) viewing it consumes it (its V rows row-major, its K rows
+/// straight to position-minor). A float page's V rows and
+/// position-minor K are their own tiles, read in place, an FP16 page's as
+/// binary16 words that the products widen in the register. So the stored
+/// operand stays narrow until it is in L1, a page shared by N streams is
+/// widened once per pass however many attend through it, and of the
+/// walk's buffers only the score rows scale with context × lanes.
 ///
-/// A page decodes its full fill, not one lane's window of it: the lanes
-/// of a chunk span view different row counts of one page, and per-row
-/// decode is independent, so the union costs nothing in exactness.
+/// A decoded page decodes its full fill, not one lane's window of it: the
+/// lanes of a chunk span view different row counts of one page, and
+/// per-row decode is independent, so the union costs nothing in
+/// exactness.
 ///
 /// Each pass **streams the page it reads next** while it works on this
 /// one: every page is a heap allocation of its own, where the hardware
@@ -1125,8 +1192,10 @@ struct Viewer {
 /// ahead — and the page where a window ends streams nothing. An Anda
 /// decode streams the next page's encoded words line by line as it
 /// decodes this page's (`anda_format::rowcodec::Words`; a job only its
-/// own column groups); an FP16 page's products stream the next page's
-/// same windows as they read these (`Strided::matmul_batched_into`'s
+/// own column groups), and so does a product over an Anda page's words
+/// (`Strided::matmul_planes_into`'s `next`: the same groups of the next
+/// page as it widens these); an FP16 page's products stream the next
+/// page's same windows as they read these (`Strided::matmul_batched_into`'s
 /// `next`). A prefetch changes no value and allocates nothing; the scalar
 /// and NEON legs stream nothing.
 ///
@@ -1478,7 +1547,11 @@ fn visit_pages(
             let far = viewers.iter().max_by_key(|v| lanes[v.lane].t);
             let far = &lanes[far.expect("a group has a viewer").lane];
             let next = (far.t > base + pp).then(|| far.layer.pages[i + 1].page());
-            let (tile, ld) = page.tile(want_v, cols, &mut s.tile, leg, next);
+            let stacks =
+                |a: &Viewer, b: &Viewer| b.lane == a.lane + 1 && (!want_v || a.rows == b.rows);
+            let few =
+                viewers.len() <= IN_PLACE_VIEWERS && viewers.chunk_by(stacks).nth(1).is_none();
+            let (tile, ld) = page.tile(want_v, cols, dh, few, &mut s.tile, leg, next);
             let ready = match page.data {
                 PageData::Anda { .. } => page.used as u64,
                 _ => 0,
@@ -1492,14 +1565,10 @@ fn visit_pages(
                 stride,
                 leg,
             };
-            let stacks =
-                |a: &Viewer, b: &Viewer| b.lane == a.lane + 1 && (!want_v || a.rows == b.rows);
             for run in viewers.chunk_by(stacks) {
-                match (want_v, tile) {
-                    (false, Tile::F32(keys)) => group.score(keys, run, &s.q, &mut s.scores),
-                    (false, Tile::F16(keys)) => group.score(keys, run, &s.q, &mut s.scores),
-                    (true, Tile::F32(values)) => group.mix(values, run, &s.scores, &mut s.mix),
-                    (true, Tile::F16(values)) => group.mix(values, run, &s.scores, &mut s.mix),
+                match want_v {
+                    false => group.score(tile, run, &s.q, &mut s.scores),
+                    true => group.mix(tile, run, &s.scores, &mut s.mix),
                 }
             }
             let muladds = viewers.iter().map(|v| v.rows * d).sum::<usize>();
@@ -1536,22 +1605,27 @@ impl PageGroup {
     /// page's every slot (`ld` positions): on the page a lane's window
     /// ends in, whole strips read in place cost less than packing each
     /// head's ragged one, and what lands past the window, stale slots
-    /// included, is never read. The product streams `keys.1`, the words of
-    /// the page read next from the same column on ([`Page::tile`]).
-    fn score<E: Element>(&self, keys: Rhs<E>, run: &[Viewer], q: &[f32], scores: &mut [f32]) {
+    /// included, is never read. The product streams the page read next
+    /// from the same column on ([`Page::tile`]).
+    fn score(&self, keys: Tile, run: &[Viewer], q: &[f32], scores: &mut [f32]) {
         let (n, dh, heads, stride) = (self.ld, self.dh, self.heads, self.stride);
         let first = run[0].lane * heads;
         let scores = &mut scores[first * stride..];
-        Strided::new(&q[first * dh..], run.len() * heads, dh, dh).matmul_batched_into(
-            Strided::new(keys.0, dh, n, n),
-            heads,
-            dh * n,
-            &mut scores[self.base..],
-            stride,
-            false,
-            keys.1,
-            self.leg,
-        );
+        let q = Strided::new(&q[first * dh..], run.len() * heads, dh, dh);
+        let (out, leg) = (&mut scores[self.base..], self.leg);
+        match keys {
+            Tile::F32((keys, next)) => {
+                let keys = Strided::new(keys, dh, n, n);
+                q.matmul_batched_into(keys, heads, dh * n, out, stride, false, next, leg)
+            }
+            Tile::F16((keys, next)) => {
+                let keys = Strided::new(keys, dh, n, n);
+                q.matmul_batched_into(keys, heads, dh * n, out, stride, false, next, leg)
+            }
+            Tile::Planes(keys, next) => {
+                q.matmul_planes_into(keys, heads, out, stride, false, next, leg)
+            }
+        }
         let scale = 1.0 / (dh as f32).sqrt();
         for (v, rows) in run.iter().zip(scores.chunks_mut(heads * stride)) {
             for row in rows.chunks_mut(stride) {
@@ -1568,21 +1642,26 @@ impl PageGroup {
     /// times head `h`'s `rows × dh` values, accumulated straight onto the
     /// mixes of the pages before, so every output element adds its `p · v`
     /// in position order and a weight of zero still multiplies. Streams
-    /// `values.1` as [`PageGroup::score`] does.
-    fn mix<E: Element>(&self, values: Rhs<E>, run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
+    /// the next page as [`PageGroup::score`] does.
+    fn mix(&self, values: Tile, run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
         let (rows, dh, heads, stride) = (run[0].rows, self.dh, self.heads, self.stride);
         let first = run[0].lane * heads;
         let weights = &scores[first * stride + self.base..];
-        Strided::new(weights, run.len() * heads, rows, stride).matmul_batched_into(
-            Strided::new(values.0, rows, dh, self.ld),
-            heads,
-            dh,
-            &mut mix[first * dh..],
-            dh,
-            true,
-            values.1,
-            self.leg,
-        );
+        let p = Strided::new(weights, run.len() * heads, rows, stride);
+        let (out, leg) = (&mut mix[first * dh..], self.leg);
+        match values {
+            Tile::F32((values, next)) => {
+                let values = Strided::new(values, rows, dh, self.ld);
+                p.matmul_batched_into(values, heads, dh, out, dh, true, next, leg)
+            }
+            Tile::F16((values, next)) => {
+                let values = Strided::new(values, rows, dh, self.ld);
+                p.matmul_batched_into(values, heads, dh, out, dh, true, next, leg)
+            }
+            Tile::Planes(values, next) => {
+                p.matmul_planes_into(values, heads, out, dh, true, next, leg)
+            }
+        }
     }
 }
 

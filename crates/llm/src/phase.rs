@@ -30,19 +30,25 @@ pub enum Phase {
     /// Per layer: norm, `A_qkv` codec, the QKV GEMM, RoPE and the K/V
     /// append (an Anda page's row encode); counts rows appended.
     Qkv,
-    /// The walk's K tiles: a page's keys made ready, decoded (Anda);
-    /// counts the positions made ready (0 for a float page, `f32` or
-    /// FP16, read in place). Calls are tiles, one per physical page per
-    /// layer.
+    /// The walk's K tiles: a page's keys made ready, decoded (an Anda
+    /// page the walk decodes into its tile); counts the positions made
+    /// ready, an Anda page's once per pass whichever route widens them (0
+    /// for a float page, `f32` or FP16, read in place). An Anda page read
+    /// in place (the AVX-512 leg at `M <= 8`) is widened inside its
+    /// products, so its widen is timed in [`Phase::KProduct`]. Calls are
+    /// tiles, one per physical page per layer.
     KTile,
-    /// The walk's `q·k` products; counts multiply-adds, `t · d` per lane
-    /// over the positions `t` it attends.
+    /// The walk's `q·k` products, with the widen of an Anda page read in
+    /// place; counts multiply-adds, `t · d` per lane over the positions
+    /// `t` it attends.
     KProduct,
     /// The per-head softmax; counts score elements, `heads · t` per lane.
     Softmax,
-    /// The walk's V tiles, as [`Phase::KTile`] for values.
+    /// The walk's V tiles, as [`Phase::KTile`] for values (an in-place
+    /// page's widen is timed in [`Phase::VProduct`]).
     VTile,
-    /// The walk's `p·v` products; counts multiply-adds, `t · d` per lane.
+    /// The walk's `p·v` products, with the widen of an Anda page read in
+    /// place; counts multiply-adds, `t · d` per lane.
     VProduct,
     /// Per layer: the `A_o` codec, output projection, FFN GEMMs and
     /// residuals; counts rows finished.

@@ -383,6 +383,70 @@ fn what_the_walk_streams_never_shows() {
     }
 }
 
+/// On the AVX-512 leg at `M <= 8` an Anda page is read in place — the
+/// products' register tile widens its bit planes as it loads them — and
+/// at `M > 8`, and on every other leg, it is decoded into the walk's tile
+/// first. Every route must keep every bit: `M` 1, 6 and 8 in place, 9, 11
+/// and 16 through the tile, heads of 64 columns, of 32 (two to a group)
+/// and of 128 (two groups, two k panels), each against the scalar
+/// reference on every leg and at pools of one to four threads, lane by
+/// lane and all at once: lanes whose last page holds one and fifteen of
+/// its sixteen slots, on pages recycled from a retired stream, so that
+/// their stale tails hold that stream's words; forks of a shared prefix
+/// with private tails; chunk spans of eight lanes (read in place, one
+/// eight-row tile per window), nine and 64 (their pages decoded once).
+#[test]
+fn anda_pages_read_in_place_keep_every_bit() {
+    for (m, (dim, n_heads)) in [1, 6, 8, 9, 11, 16]
+        .into_iter()
+        .flat_map(|m| [(256, 4), (128, 4), (256, 2)].map(|shape| (m, shape)))
+    {
+        let ctx = format!("M {m} dim {dim} heads {n_heads}");
+        let pool = pool(KvStorage::Anda { mantissa_bits: m }, 16);
+        let mut rng = Rng::new(19);
+        let mut retired = pool.new_cache(1);
+        append(&mut retired, &mut rng, 64, dim);
+        retired.reset();
+        let mut one = pool.new_cache(1);
+        append(&mut one, &mut rng, 33, dim);
+        let mut fifteen = pool.new_cache(1);
+        append(&mut fifteen, &mut rng, 47, dim);
+        let mut donor = pool.new_cache(1);
+        append(&mut donor, &mut rng, 48, dim);
+        let forks: Vec<KvCache> = [3, 21]
+            .into_iter()
+            .map(|tail| {
+                let mut fork = donor.fork_prefix(48);
+                append(&mut fork, &mut rng, tail, dim);
+                fork
+            })
+            .collect();
+        let mut views = vec![(one.layer(0), 33), (fifteen.layer(0), 47)];
+        views.extend(forks.iter().map(|fork| (fork.layer(0), fork.len())));
+        views.push((donor.layer(0), 48));
+        let mut chunked = pool.new_cache(1);
+        append(&mut chunked, &mut rng, 320, dim);
+        let mut check = |views: &[(&LayerKv, usize)], at: &str| {
+            let queries: Vec<Vec<f32>> = views.iter().map(|_| floats(&mut rng, dim)).collect();
+            check_walk_on(
+                views,
+                &queries,
+                n_heads,
+                &[1, 2, 3, 4],
+                &format!("{ctx}, {at}"),
+            );
+        };
+        for (lane, view) in views.iter().enumerate() {
+            check(&[*view], &format!("lane {lane} alone"));
+        }
+        check(&views, "every lane");
+        for lanes in [8, 9, 64] {
+            let span: Vec<_> = (321 - lanes..=320).map(|t| (chunked.layer(0), t)).collect();
+            check(&span, &format!("a {lanes}-lane chunk span"));
+        }
+    }
+}
+
 #[test]
 fn warmed_walks_allocate_nothing() {
     let (dim, n_heads) = (256, 4);

@@ -24,6 +24,6 @@ pub mod ops;
 pub mod rng;
 mod tile;
 
-pub use matrix::{Matrix, PackedMatrix, Strided};
+pub use matrix::{Matrix, PackedMatrix, PlaneWindows, Strided};
 pub use rng::Rng;
-pub use tile::Element;
+pub use tile::{BitPlanes, Element};

@@ -32,7 +32,9 @@ use core::ops::{Index, IndexMut};
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use rayon_lite::ThreadPool;
 
-use crate::tile::{self, Element, Int4, Layout, Operands, OutBlock, STRIP_COLS, TILE_ROWS};
+use crate::tile::{
+    self, BitPlanes, Element, Int4, Layout, Operands, OutBlock, Planes, STRIP_COLS, TILE_ROWS,
+};
 
 /// Below this many multiply-adds a GeMM runs serially even when the
 /// pool has threads: dispatch overhead (a mutex push plus a condvar
@@ -325,6 +327,7 @@ impl Matrix {
             Layout::RowMajor => ("matmul", format_args!("{k}x{n}")),
             Layout::Packed => ("matmul_packed", format_args!("{k}x{n} packed")),
             Layout::Int4 => ("matmul_packed", format_args!("{k}x{n} INT4")),
+            Layout::Planes => unreachable!("a bit-plane rhs is resident"),
         };
         assert_eq!(
             self.cols, k,
@@ -406,6 +409,7 @@ impl Matrix {
                 Layout::Packed | Layout::Int4 => {
                     self.matmul_packed_rows_scalar(rhs, out_rows, row0)
                 }
+                Layout::Planes => unreachable!("a bit-plane rhs is resident"),
             };
         }
         let block = OutBlock {
@@ -431,12 +435,9 @@ impl Matrix {
             layout: rhs.layout,
             k: self.cols,
             ldc: rhs.n,
-            accumulate: false,
-            resident: false,
             windows: 1,
-            rhs_stride: 0,
-            ahead: 0,
             int4: rhs.int4,
+            ..Operands::default()
         }
     }
 
@@ -1054,7 +1055,7 @@ impl Strided<'_> {
             windows,
             rhs_stride,
             ahead,
-            int4: Int4::default(),
+            ..Operands::default()
         };
         if leg == SimdLeg::SCALAR {
             return tile::resident_block_scalar(&ops, self.rows, n, out);
@@ -1069,6 +1070,142 @@ impl Strided<'_> {
         // the block's rows at stride `ldc`; `Strided::new` checked that
         // both windows lie inside their buffers, and the shapes agree.
         unsafe { block_on_leg(&ops, &block, leg) }
+    }
+}
+
+/// Windows of Anda bit-plane rows — a KV page's keys or values as they
+/// are stored — as the `rhs` of [`Strided::matmul_planes_into`]: window `w`
+/// is the page columns `col0 + w · cols ..` of the first `rows` rows of
+/// `words`, each row `width` lanes. Row-major, `rhs` row `kk` is page row
+/// `kk` and its columns the window's (a V page). Position-minor, `rhs` row
+/// `kk` is the window's column `kk` and its columns the page rows `0 ..
+/// rows` (a K page: sixteen positions side by side).
+#[derive(Clone, Copy, Debug)]
+pub struct PlaneWindows<'a> {
+    pub words: BitPlanes<'a>,
+    /// Mantissa planes per group, 1..=8.
+    pub mantissa_bits: usize,
+    pub width: usize,
+    pub rows: usize,
+    pub col0: usize,
+    pub cols: usize,
+    pub position_minor: bool,
+}
+
+impl Strided<'_> {
+    /// [`Strided::matmul_batched_into`] over bit-plane windows read where
+    /// they lie, on the AVX-512 leg: the register tile widens each `rhs`
+    /// row as it loads it, to the `f32` the row codec's decode writes
+    /// (`anda_fp::planes`), so the product is `f32::to_bits`-identical to
+    /// the one over the decoded page. Window `w` is `rhs.cols` page columns
+    /// on from window `w − 1`. A row-major product reads the first
+    /// `self.cols` rows of its windows (`n = rhs.cols`), a position-minor
+    /// one all `rhs.rows` (`k = rhs.cols`, `n = rhs.rows`). `next`, the
+    /// page multiplied by next, laid out alike, streams in as these words
+    /// are read; it changes no value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a leg other than AVX-512, if `rhs.mantissa_bits` is not in
+    /// 1..=8, if a window's columns or `n` are not whole strips of sixteen,
+    /// if a position-minor window crosses a group other than whole groups,
+    /// if the windows run past the rows' words, if `windows` is 0, or if
+    /// `out` cannot hold the product.
+    #[allow(clippy::too_many_arguments)]
+    pub fn matmul_planes_into(
+        &self,
+        rhs: PlaneWindows<'_>,
+        windows: usize,
+        out: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        next: Option<BitPlanes<'_>>,
+        leg: SimdLeg,
+    ) {
+        const GROUP: usize = anda_fp::planes::LANES;
+        assert!(
+            leg.kind() == LegKind::Avx512,
+            "bit planes are read in place on the AVX-512 leg only"
+        );
+        let (m, cols, col0) = (rhs.mantissa_bits, rhs.cols, rhs.col0);
+        assert!(
+            (1..=8).contains(&m),
+            "bit planes are read in place at M <= 8"
+        );
+        let (k, n) = match rhs.position_minor {
+            true => (cols, rhs.rows),
+            false => (self.cols, cols),
+        };
+        assert_eq!(self.cols, k, "bit-plane product shape mismatch");
+        assert!(windows > 0, "a batch reads at least one window");
+        let whole = |x: usize| x.is_multiple_of(STRIP_COLS);
+        assert!(
+            whole(col0) && whole(cols) && whole(n),
+            "bit-plane windows are whole strips"
+        );
+        assert!(
+            !rhs.position_minor
+                || cols.is_multiple_of(GROUP) && col0.is_multiple_of(GROUP)
+                || GROUP.is_multiple_of(cols) && col0.is_multiple_of(cols),
+            "a position-minor window's panel lies in one group"
+        );
+        let groups = rhs.width.div_ceil(GROUP);
+        let positions = if rhs.position_minor { rhs.rows } else { k };
+        let fits = |w: &BitPlanes| {
+            let g = positions * groups;
+            w.signs.len() >= g && w.exps.len() >= g && w.planes.len() >= g * m
+        };
+        assert!(
+            positions <= rhs.rows
+                && col0 + self.rows.min(windows) * cols <= rhs.width
+                && fits(&rhs.words),
+            "{windows} windows of {cols} columns from {col0} run past {} rows of {}",
+            rhs.rows,
+            rhs.width
+        );
+        assert!(
+            n <= ldc && strided_span(self.rows, n, ldc) <= out.len(),
+            "a {}x{n} product of stride {ldc} does not fit {} elements",
+            self.rows,
+            out.len()
+        );
+        let ops = Operands::<f32> {
+            lhs: self.data,
+            lda: self.ld,
+            layout: Layout::Planes,
+            k,
+            ldc,
+            accumulate,
+            resident: true,
+            windows,
+            rhs_stride: cols,
+            planes: Planes {
+                words: rhs.words,
+                next: next.filter(fits),
+                m,
+                groups,
+                col0,
+                keys: rhs.position_minor,
+            },
+            ..Operands::default()
+        };
+        let block = OutBlock {
+            ptr: out.as_mut_ptr(),
+            row0: 0,
+            rows: self.rows,
+            cols: 0..n,
+        };
+        // SAFETY: `out` is exclusively borrowed and, as asserted, holds
+        // the block's rows at stride `ldc`; the windows' rows and columns
+        // lie inside the words, as asserted, `Strided::new` checked `lhs`,
+        // and the leg is AVX-512 (a `SimdLeg` proves the CPU runs it), the
+        // one whose tile reads bit planes.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            tile::planes_block(&ops, &block)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (ops, block);
     }
 }
 
@@ -1352,6 +1489,154 @@ mod tests {
                     };
                     product.matches_the_loops(&b, &b);
                     product.matches_the_loops(&h, &widened);
+                }
+            }
+        }
+    }
+
+    /// A bit-plane `rhs` read in place ([`Strided::matmul_planes_into`],
+    /// AVX-512) is the scalar loops over its decoded page, bit for bit: at
+    /// every `M` 1..=8, pages of 16 and 32 positions, every window width
+    /// the walk reads in place (heads of 16, 32, 64 and 128 columns) from
+    /// each window start that keeps them inside the page, one to four
+    /// windows, row counts through batched tiles and one to three shared
+    /// ones per window, K
+    /// (position-minor) and V (row-major, one to all positions) products,
+    /// streaming a next page or none. Words hold every shared exponent
+    /// 0..=31, all-one sign words and groups of zero magnitudes, and the
+    /// sums start from `−0.0`, so a zero read under a set sign bit as
+    /// `+0.0` instead of `−0.0` shows; a guard column past every output
+    /// row keeps its value.
+    #[test]
+    fn a_bit_plane_rhs_multiplies_as_its_decoded_page() {
+        use anda_fp::planes::{group_ulp, lane, LANES};
+        use anda_fp::simd::available_legs;
+        let Some(leg) = available_legs()
+            .into_iter()
+            .find(|l| l.kind() == LegKind::Avx512)
+        else {
+            return;
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for m in 1..=8 {
+            for (width, rows) in [(256, 16), (128, 32)] {
+                let g = rows * width / LANES;
+                let mut page = || {
+                    let signs: Vec<u64> = (0..g)
+                        .map(|i| [!0, next()][usize::from(i % 5 > 0)])
+                        .collect();
+                    let exps: Vec<u16> = (0..g).map(|i| (i % 32) as u16).collect();
+                    let planes: Vec<u64> = (0..g * m)
+                        .map(|i| [0, next()][usize::from(i / m % 7 != 3)])
+                        .collect();
+                    (signs, exps, planes)
+                };
+                let (words, other) = (page(), page());
+                let words = BitPlanes {
+                    signs: &words.0,
+                    exps: &words.1,
+                    planes: &words.2,
+                };
+                let ahead = BitPlanes {
+                    signs: &other.0,
+                    exps: &other.1,
+                    planes: &other.2,
+                };
+                let decoded: Vec<f32> = (0..rows * width)
+                    .map(|i| {
+                        let (p, c) = (i / width, i % width);
+                        let gi = p * width / LANES + c / LANES;
+                        let ulp = group_ulp(words.exps[gi], m);
+                        lane(
+                            words.signs[gi],
+                            ulp,
+                            &words.planes[gi * m..][..m],
+                            c % LANES,
+                        )
+                    })
+                    .collect();
+                let keys: Vec<f32> = (0..rows * width)
+                    .map(|i| decoded[i % rows * width + i / rows])
+                    .collect();
+                for (cols, col0) in [16, 32, 64, 128].into_iter().flat_map(|cols| {
+                    (0..width)
+                        .step_by(cols.max(LANES))
+                        .chain([cols % LANES])
+                        .map(move |c| (cols, c))
+                }) {
+                    let fit = (width - col0.min(width)) / cols;
+                    for windows in 1..=fit.min(4) {
+                        for (lhs_rows, position_minor, k) in [1, 4, 5, 9, 16, 24]
+                            .into_iter()
+                            .map(|r| r * windows)
+                            .flat_map(|r| {
+                                [
+                                    (r, true, cols),
+                                    (r, false, 1),
+                                    (r, false, 7),
+                                    (r, false, rows),
+                                ]
+                            })
+                        {
+                            let n = if position_minor { rows } else { cols };
+                            let a: Vec<f32> = (0..lhs_rows * k)
+                                .map(|i| [0.0, 0.5 + (i % 9) as f32][usize::from(i % 4 > 0)])
+                                .collect();
+                            let lhs = Strided::new(&a, lhs_rows, k, k);
+                            let ldc = n + 1;
+                            let windows_in = PlaneWindows {
+                                words,
+                                mantissa_bits: m,
+                                width,
+                                rows,
+                                col0,
+                                cols,
+                                position_minor,
+                            };
+                            let (tile, ld, stride) = match position_minor {
+                                true => (&keys[col0 * rows..], rows, cols * rows),
+                                false => (&decoded[col0..], width, cols),
+                            };
+                            let rhs = Strided::new(tile, k, n, ld);
+                            for accumulate in [false, true] {
+                                let mut want = vec![-0.0f32; lhs_rows * ldc];
+                                let mut got = want.clone();
+                                lhs.matmul_batched_into(
+                                    rhs,
+                                    windows,
+                                    stride,
+                                    &mut want,
+                                    ldc,
+                                    accumulate,
+                                    None,
+                                    SimdLeg::SCALAR,
+                                );
+                                let nexts = [None, Some(ahead)];
+                                for next in nexts {
+                                    got.fill(-0.0);
+                                    lhs.matmul_planes_into(
+                                        windows_in, windows, &mut got, ldc, accumulate, next, leg,
+                                    );
+                                    let bits = |v: &[f32]| {
+                                        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                                    };
+                                    assert_eq!(
+                                        bits(&got),
+                                        bits(&want),
+                                        "M {m} {rows}x{width} cols {cols} from {col0} windows {windows} rows {lhs_rows} k {k} \
+                                         position-minor {position_minor} accumulate {accumulate} next {}",
+                                        next.is_some()
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -70,6 +70,37 @@
 //!   one line per eight panel rows. (A prototype that dequantized in a
 //!   separate pass before the `f32` tile ran four rows slower than the
 //!   `f32` weight it replaced: the widen has to ride in the register.)
+//! * **Widened from bit planes in the register**, [`Layout::Planes`]: an
+//!   Anda KV page's keys or values as the page holds them ([`Planes`]:
+//!   per group of 64 lanes a sign word, a shared exponent and `M <= 8`
+//!   plane words), a resident `rhs` on the AVX-512 leg. A V page is read
+//!   row-major ([`Values`]): a tile's load of a panel row — one position's
+//!   group, both strips of it — runs `anda_fp::planes`' GF(2) transpose of
+//!   its plane words, writes the lanes' magnitudes into the mantissas of
+//!   `2^23`, takes one `fmsub` by the group's ULP and flips the sign bits,
+//!   which is the `f32` the row codec's decode writes, bit for bit, and
+//!   multiplies at once; the load streams the next page's same group. A K
+//!   page is read position-minor ([`Keys`]): first, per window and block
+//!   of sixteen positions, the prologue the position-minor decode runs —
+//!   the positions' magnitudes transposed so that each column's sixteen
+//!   lie side by side, a sign mask per column, the positions' ULPs — goes
+//!   into the walk's stack panel ([`key_blocks`], which streams the next
+//!   page), and each row load widens one column of it. Rows that share a
+//!   window run one tile per window (up to [`Leg::ROWS`] rows), so a
+//!   window of a few viewers is widened once; each further tile widens it
+//!   again, which is why the page walk sends a page that more viewers
+//!   share to its decoded tile instead (`anda_llm::kv`'s `Page::tile`
+//!   chooses). So no decoded copy of the page is written. The other legs,
+//!   and `M > 8`, have no such load: the walk decodes those pages into a
+//!   tile and multiplies by the tile.
+//!
+//! Where each `rhs` is read, by leg:
+//!
+//! | `rhs` | AVX-512 | AVX2, NEON | scalar |
+//! |---|---|---|---|
+//! | packed `f32`, INT4, row-major `f32` or binary16 | tile | tile | loops |
+//! | Anda page, `M <= 8` | tile, planes in place | tile, decoded page | loops, decoded page |
+//! | Anda page, `M > 8` | tile, decoded page | tile, decoded page | loops, decoded page |
 //!
 //! A **resident** product ([`Operands::resident`], what a
 //! [`crate::Strided`] view runs) multiplies by a window of a tile that is
@@ -88,7 +119,8 @@
 //! one, would not fetch it.
 //! Attention stores its operands that way — a page's keys position-minor,
 //! so sixteen positions sit side by side, whether a float page holds them
-//! so or an Anda page decodes them so — and so packs nothing. A resident
+//! so, an Anda page decodes them so or the bit-plane panel widens them so
+//! — and so packs nothing. A resident
 //! product can also **accumulate** (its sums start from the output's
 //! contents, which is how attention's `out += p · v` crosses a page
 //! boundary), and it is **batched** ([`Operands::windows`]): row `i`
@@ -166,7 +198,7 @@ const CODE_ROW: usize = STRIP_COLS / 2;
 /// bit patterns (`u16`) that every leg widens exactly as
 /// [`anda_fp::F16::to_f32`] does, a signalling NaN pattern excepted (see
 /// the module docs). Sealed: these two are all.
-pub trait Element: Copy + element::Load {}
+pub trait Element: Copy + Default + element::Load {}
 
 impl Element for f32 {}
 impl Element for u16 {}
@@ -244,10 +276,11 @@ mod element {
 
 /// How the `rhs` of a product lies in memory, and so where the walk's
 /// panels come from. Only the panel source reads `rhs`.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Layout {
     /// `k` rows of `n`: `lhs · rhs`, each panel copied contiguous (or, for
     /// a resident product, read in place).
+    #[default]
     RowMajor,
     /// ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded:
     /// `lhs · rhs` with every panel read in place.
@@ -255,6 +288,9 @@ pub(crate) enum Layout {
     /// The strips of [`Layout::Packed`] held as INT4 codes and group
     /// scales ([`Int4`]), dequantized in the register as they are read.
     Int4,
+    /// An Anda KV page's bit-plane rows ([`Planes`]), widened in the
+    /// register as they are read: a resident `rhs`, AVX-512 only.
+    Planes,
 }
 
 /// An INT4 `rhs` ([`Layout::Int4`]): the strips of a packed one, each
@@ -317,15 +353,73 @@ impl Int4<'_> {
     }
 }
 
+/// The words of Anda bit-plane rows held back to back, each row `groups`
+/// groups of 64 lanes: group `gi` has sign word `signs[gi]`,
+/// exponent `exps[gi]` and plane words `planes[gi · M ..][.. M]`, MSB first
+/// (`anda_fp::planes`). A KV page holds its keys and its values so.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BitPlanes<'a> {
+    pub signs: &'a [u64],
+    pub exps: &'a [u16],
+    pub planes: &'a [u64],
+}
+
+/// Lanes of an Anda group.
+const GROUP: usize = anda_fp::planes::LANES;
+/// Bytes of one position-minor block of a K page ([`key_blocks`]).
+const BLOCK_BYTES: usize = anda_fp::planes::BLOCK_BYTES;
+
+/// A bit-plane `rhs` ([`Layout::Planes`]): windows of the rows of
+/// [`BitPlanes`], `M <= 8`, window `w` the columns `col0 + w · extent ..`,
+/// `extent` a window's width in page columns (`n`, or `k` when `keys`).
+/// Read row-major, `rhs` row `kk` is page row (position) `kk` and its
+/// column `j` page column `col0 + j` — a V page. With `keys`, position-minor:
+/// `rhs` row `kk` is page column `col0 + kk` and its column `j` position
+/// `j` — a K page, the order the walk's `q·k` reads. Element `(kk, j)` is
+/// the group rule's `±mag · ulp` ([`anda_fp::planes::lane`]), bit for bit.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Planes<'a> {
+    pub words: BitPlanes<'a>,
+    /// The page read next, laid out alike: its same groups stream in as
+    /// these are read.
+    pub next: Option<BitPlanes<'a>>,
+    /// Mantissa planes per group, 1..=8.
+    pub m: usize,
+    /// Groups per row: position `p`'s group `c / 64` is `p · groups + c / 64`.
+    pub groups: usize,
+    pub col0: usize,
+    pub keys: bool,
+}
+
+impl Planes<'_> {
+    /// Group index of column `c` of position `p`.
+    #[inline(always)]
+    fn group(&self, p: usize, c: usize) -> usize {
+        p * self.groups + c / GROUP
+    }
+
+    /// Hints that group `gi` of the next page, its plane words and its sign
+    /// and exponent words, is about to be read.
+    #[inline(always)]
+    fn stream<L: Leg>(&self, gi: usize) {
+        if let Some(next) = &self.next {
+            L::prefetch(next.planes.as_ptr().wrapping_add(gi * self.m));
+            L::prefetch(next.signs.as_ptr().wrapping_add(gi));
+            L::prefetch(next.exps.as_ptr().wrapping_add(gi));
+        }
+    }
+}
+
 /// Where a [`Leg::tile`] reads `B`, the `rhs` rows of one k panel, row
 /// `kk` of strip `s` sixteen `f32` columns: `rhs` elements where they lie
 /// or where the walk copied them ([`Strips`]), or INT4 codes dequantized
 /// in the register ([`Codes`]). The loads inline into the tiles, so they
 /// compile with the leg's features.
 pub(crate) trait Panel: Copy {
-    /// The panel `off` elements on: a batched tile's row `r` reads its
-    /// `rhs` `r · bs` on. Only [`Strips`] are batched; every other panel
-    /// is asked for its row 0 alone.
+    /// The panel `off` of its units on: a batched tile's row `r` reads its
+    /// `rhs` `r · bs` on — elements of [`Strips`], windows of a bit-plane
+    /// page ([`Values`], [`Keys`]). An INT4 panel is never batched, and is
+    /// asked for its row 0 alone.
     #[inline(always)]
     fn offset(self, off: usize) -> Self {
         debug_assert_eq!(off, 0, "only strips are batched");
@@ -334,21 +428,41 @@ pub(crate) trait Panel: Copy {
     /// Hints that row `kk` of strip `s`, `ahead` of the source's units on,
     /// is about to be read.
     fn prefetch<L: Leg>(self, kk: usize, s: usize, ahead: usize);
-    /// Columns `8 h .. 8 h + 8` of row `kk` of strip `s`.
+    /// Column `j` of row `kk` of strip `s`, widened: the load of the
+    /// portable [`Leg::tile_batched`], which only ever reads [`Strips`].
+    ///
+    /// # Safety
+    ///
+    /// The row readable.
+    unsafe fn element(self, _kk: usize, _s: usize, _j: usize) -> f32 {
+        unreachable!("only strips are read element by element")
+    }
+    /// Columns `8 h .. 8 h + 8` of row `kk` of strip `s`. A bit-plane panel
+    /// has no such load, nor a four-lane one: only the AVX-512 tile reads it.
     ///
     /// # Safety
     ///
     /// The leg's CPU features (AVX2 and F16C, or AVX-512F at sixteen lanes,
     /// or NEON), and the row readable (and a [`Codes`] fill writable).
     #[cfg(target_arch = "x86_64")]
-    unsafe fn load8(self, kk: usize, s: usize, h: usize) -> core::arch::x86_64::__m256;
+    unsafe fn load8(self, _kk: usize, _s: usize, _h: usize) -> core::arch::x86_64::__m256 {
+        unreachable!("only the AVX-512 tile reads bit planes")
+    }
     /// Row `kk` of strip `s`. As [`Panel::load8`].
     #[cfg(target_arch = "x86_64")]
     unsafe fn load16(self, kk: usize, s: usize) -> core::arch::x86_64::__m512;
+    /// Row `kk` of strips `0..S`, [`Panel::load16`] each.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load_row<const S: usize>(self, kk: usize) -> [core::arch::x86_64::__m512; S] {
+        core::array::from_fn(|s| self.load16(kk, s))
+    }
     /// Columns `4 v .. 4 v + 4` of row `kk` of strip `s`. As
     /// [`Panel::load8`].
     #[cfg(target_arch = "aarch64")]
-    unsafe fn load4(self, kk: usize, s: usize, v: usize) -> core::arch::aarch64::float32x4_t;
+    unsafe fn load4(self, _kk: usize, _s: usize, _v: usize) -> core::arch::aarch64::float32x4_t {
+        unreachable!("only the AVX-512 tile reads bit planes")
+    }
 }
 
 /// `rhs` elements of `E`, widened as they load: row `kk` of strip `s` at
@@ -380,6 +494,10 @@ impl<E: Element> Panel for Strips<E> {
     #[inline(always)]
     fn prefetch<L: Leg>(self, kk: usize, s: usize, ahead: usize) {
         L::prefetch(self.at(kk, s).wrapping_add(ahead))
+    }
+    #[inline(always)]
+    unsafe fn element(self, kk: usize, s: usize, j: usize) -> f32 {
+        (*self.at(kk, s).add(j)).to_f32()
     }
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
@@ -512,6 +630,166 @@ impl<const FILL: bool> Panel for Codes<FILL> {
     }
 }
 
+/// Rows `p0 ..` of a V page's window read in place ([`Planes`], row-major;
+/// AVX-512 only): row `kk` of strip `s` is position `p0 + kk`'s sixteen
+/// lanes from page column `col + 16 s`, both strips in one group. A row
+/// load widens them from the group's plane words — the GF(2) transpose,
+/// the lanes' `2^23 + mag` mantissas, one `fmsub` by the ULP, the sign XOR
+/// (`anda_fp::planes::avx512`) — to the `f32` the row decode writes, bit
+/// for bit. A batched row reads the window `w` windows on
+/// ([`Panel::offset`]), `extent` columns a window. Its prefetch streams
+/// the next page's same group, once per row.
+#[derive(Clone, Copy)]
+pub(crate) struct Values<'a> {
+    rhs: &'a Planes<'a>,
+    p0: usize,
+    col: usize,
+    extent: usize,
+    /// Position `p0`'s group of column `col`: its index, so position
+    /// `p0 + kk`'s is `kk · groups` on.
+    gi: usize,
+}
+
+impl<'a> Values<'a> {
+    #[inline(always)]
+    fn new(rhs: &'a Planes<'a>, p0: usize, col: usize, extent: usize) -> Self {
+        let gi = rhs.group(p0, col);
+        Values {
+            rhs,
+            p0,
+            col,
+            extent,
+            gi,
+        }
+    }
+}
+
+impl Panel for Values<'_> {
+    #[inline(always)]
+    fn offset(self, w: usize) -> Self {
+        Values::new(self.rhs, self.p0, self.col + w * self.extent, self.extent)
+    }
+    #[inline(always)]
+    fn prefetch<L: Leg>(self, kk: usize, s: usize, _ahead: usize) {
+        if s == 0 {
+            self.rhs.stream::<L>(self.gi + kk * self.rhs.groups);
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load16(self, kk: usize, s: usize) -> core::arch::x86_64::__m512 {
+        self.load_row::<2>(kk)[s]
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load_row<const S: usize>(self, kk: usize) -> [core::arch::x86_64::__m512; S] {
+        use anda_fp::planes::{avx512::*, group_ulp};
+        use core::arch::x86_64::*;
+        let (m, words, q) = (self.rhs.m, &self.rhs.words, self.col % GROUP / STRIP_COLS);
+        debug_assert!(
+            q + S <= GROUP / STRIP_COLS,
+            "a row's strips lie in one group"
+        );
+        let gi = self.gi + kk * self.rhs.groups;
+        let mags = magnitudes(words.planes.as_ptr().add(gi * m), m, gather(m));
+        let ulp = _mm512_set1_ps(group_ulp(*words.exps.get_unchecked(gi), m));
+        let sign = *words.signs.get_unchecked(gi) >> (self.col % GROUP);
+        core::array::from_fn(|s| {
+            widen(quarter(mags, q + s), ulp, (sign >> (STRIP_COLS * s)) as u16)
+        })
+    }
+}
+
+/// Rows of a K page's window read in place ([`Planes`], position-minor;
+/// AVX-512 only), from the position-minor blocks [`key_blocks`] wrote for
+/// its group: row `kk` of strip `s` is page column `col + kk`'s sixteen
+/// positions of the block at `block + s · BLOCK_BYTES`, widened as
+/// [`Values`] widens (`anda_fp::planes::avx512::block_column`). A batched
+/// row reads the window `w` windows on, whose blocks follow, `strips` of
+/// them a window.
+#[derive(Clone, Copy)]
+pub(crate) struct Keys {
+    block: *const u8,
+    col: usize,
+    extent: usize,
+    strips: usize,
+}
+
+impl Panel for Keys {
+    #[inline(always)]
+    fn offset(self, w: usize) -> Self {
+        Keys {
+            block: self.block.wrapping_add(w * self.strips * BLOCK_BYTES),
+            col: (self.col + w * self.extent) % GROUP,
+            ..self
+        }
+    }
+    #[inline(always)]
+    fn prefetch<L: Leg>(self, _kk: usize, _s: usize, _ahead: usize) {}
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load16(self, kk: usize, s: usize) -> core::arch::x86_64::__m512 {
+        use anda_fp::planes::avx512::block_column;
+        block_column(self.block.add(s * BLOCK_BYTES), self.col + kk)
+    }
+}
+
+/// Writes the position-minor blocks of `count` windows of a K page from
+/// window `w0` on ([`Planes`], `keys`) to `dst`, window after window, each
+/// `strips` blocks: the k panel's rows `k0 .. k0 + 64` at most, which lie
+/// in one group, at positions `j0 + 16 s ..` for strip `s`
+/// (`anda_fp::planes::avx512::write_block`), streaming the next page's
+/// same groups; and returns the [`Keys`] that read them.
+///
+/// # Safety
+///
+/// AVX-512 F/BW/VBMI and GFNI; `dst` writable for `count · strips` blocks,
+/// and the windows' rows and positions inside the page.
+#[inline]
+#[cfg_attr(
+    target_arch = "x86_64",
+    target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")
+)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+#[allow(clippy::too_many_arguments)]
+unsafe fn key_blocks<L: Leg>(
+    rhs: &Planes,
+    w0: usize,
+    count: usize,
+    extent: usize,
+    k0: usize,
+    j0: usize,
+    strips: usize,
+    dst: *mut u8,
+) -> Keys {
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("only the AVX-512 tile reads bit planes");
+    #[cfg(target_arch = "x86_64")]
+    for w in 0..count {
+        let (m, words, c) = (rhs.m, &rhs.words, rhs.col0 + (w0 + w) * extent + k0);
+        for s in 0..strips {
+            let p0 = j0 + STRIP_COLS * s;
+            for p in p0..p0 + STRIP_COLS {
+                rhs.stream::<L>(rhs.group(p, c));
+            }
+            let block = dst.add((w * strips + s) * BLOCK_BYTES);
+            anda_fp::planes::avx512::write_block(block, STRIP_COLS, m, |p| {
+                let gi = rhs.group(p0 + p, c);
+                let sign = *words.signs.get_unchecked(gi);
+                let exp = *words.exps.get_unchecked(gi);
+                (sign, exp, words.planes.as_ptr().add(gi * m))
+            });
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    Keys {
+        block: dst,
+        col: (rhs.col0 + w0 * extent + k0) % GROUP,
+        extent,
+        strips,
+    }
+}
+
 /// The inputs of one product and how all three operands lie in memory:
 /// row `i` of `lhs` starts at `i · lda`, row `r` of `rhs` at `r · ldb`,
 /// output row `i` at `i · ldc`. A
@@ -519,6 +797,7 @@ impl<const FILL: bool> Panel for Codes<FILL> {
 /// the strides of the buffer it is a window of. A packed `rhs` has no row
 /// stride of its own: strip `s` starts at `s · 16 · k` and its rows lie
 /// sixteen apart. `rhs` is held in `E` (every streamed product's is `f32`).
+#[derive(Default)]
 pub(crate) struct Operands<'a, E: Element = f32> {
     pub lhs: &'a [f32],
     pub lda: usize,
@@ -547,6 +826,8 @@ pub(crate) struct Operands<'a, E: Element = f32> {
     pub ahead: usize,
     /// [`Layout::Int4`] only, where `rhs` is empty: the codes and scales.
     pub int4: Int4<'a>,
+    /// [`Layout::Planes`] only, where `rhs` is empty: the page's words.
+    pub planes: Planes<'a>,
 }
 
 /// A `rows × cols` block of a row-major output, addressed through a raw
@@ -607,27 +888,27 @@ pub(crate) trait Leg {
         ahead: usize,
     );
 
-    /// [`Leg::tile`] over [`Strips`] with row `r` reading its own `b`,
-    /// `r · bs` further on: `c[r][0..w] (+)= Σ_kk a[r][kk] · B_r[kk][0..w]`,
+    /// [`Leg::tile`] with row `r` reading its own `b`, `r · bs` further on
+    /// ([`Panel::offset`]): `c[r][0..w] (+)= Σ_kk a[r][kk] · B_r[kk][0..w]`,
     /// `B_r` at `b + r · bs`, for `r < rows` (`1..=TILE_ROWS` on every leg). The
     /// rows of a tile are then independent products, each with its own two
     /// (AVX2), four (NEON) or two (AVX-512, one per strip) accumulator
     /// chains. With `ahead` non-zero, each `k` step also prefetches every
-    /// row's `b + r · bs + s · sb + kk · ldb + ahead`. The default is the
-    /// portable loop, in the same operation order, and prefetches nothing.
+    /// row's `B_r` row `kk`, `ahead` on. The default is the portable loop
+    /// over [`Strips`] ([`Panel::element`]), in the same operation order,
+    /// and prefetches nothing.
     ///
     /// # Safety
     ///
-    /// As [`Leg::tile`], with `b.b` readable at `r · bs + s · sb + kk · ldb
-    /// + 0..16`.
+    /// As [`Leg::tile`], with each `B_r` readable as [`Panel`] says.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn tile_batched<E: Element>(
+    unsafe fn tile_batched<P: Panel>(
         rows: usize,
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: Strips<E>,
+        b: P,
         bs: usize,
         kc: usize,
         c: *mut f32,
@@ -636,12 +917,11 @@ pub(crate) trait Leg {
         _ahead: usize,
     ) {
         for r in 0..rows {
-            let (a, c) = (a.add(r * lda), c.add(r * ldc));
+            let (a, b, c) = (a.add(r * lda), b.offset(r * bs), c.add(r * ldc));
             for j in 0..strips * STRIP_COLS {
-                let b_j = b.b.add(r * bs + j / STRIP_COLS * b.sb + j % STRIP_COLS);
                 let mut acc = if first { 0.0 } else { *c.add(j) };
                 for kk in 0..kc {
-                    acc += *a.add(kk) * (*b_j.add(kk * b.ldb)).to_f32();
+                    acc += *a.add(kk) * b.element(kk, j / STRIP_COLS, j % STRIP_COLS);
                 }
                 *c.add(j) = acc;
             }
@@ -733,9 +1013,13 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
     } = ops;
     let packed = LAYOUT == Layout::Packed as u8;
     let int4 = LAYOUT == Layout::Int4 as u8;
+    let planes = LAYOUT == Layout::Planes as u8;
     debug_assert!(
-        !RESIDENT || (LAYOUT == Layout::RowMajor as u8 && block.row0 == 0 && windows > 0),
-        "a resident rhs is row-major windows, one block of them"
+        !RESIDENT
+            || (LAYOUT != Layout::Packed as u8 && LAYOUT != Layout::Int4 as u8)
+                && block.row0 == 0
+                && windows > 0,
+        "a resident rhs is row-major or bit-plane windows, one block of them"
     );
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
     debug_assert!(
@@ -779,8 +1063,11 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
     // the block's own columns are copied back.
     let mut edge = [0.0f32; MAX_TILE_ROWS * MAX_STRIPS * STRIP_COLS];
     // Resident rows `h + windows · g` share window `h`: the first `shared`
-    // rows are whole tiles of `L::ROWS` such rows per window.
+    // rows are whole tiles of `L::ROWS` such rows per window — or, over
+    // bit planes, every row whose window another row reads too, so that
+    // each tile widens its window once for all its rows.
     let shared = match RESIDENT && rows >= L::ROWS * windows {
+        _ if planes && rows >= 2 * windows => rows / windows * windows,
         true => rows / windows / L::ROWS * L::ROWS * windows,
         false => 0,
     };
@@ -793,6 +1080,8 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         // product's a ragged block per row — a tile's rows each own one —,
         // so their k panels are shallower.
         let kc_max = match (packed || RESIDENT && full, RESIDENT) {
+            // A K page's panel lies in one group.
+            _ if planes && ops.planes.keys => GROUP,
             (true, _) => KC,
             (false, false) => KC / L::STRIPS,
             (false, true) => KC / TILE_ROWS / L::STRIPS,
@@ -805,8 +1094,15 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
             if RESIDENT {
                 // Where window `h` of this block and panel starts.
                 let window = |h: usize| b.add(h * rhs_stride + k0 * ldb + j0);
+                // A bit-plane window's tiles: see `plane_tile`.
+                let plane_tile = |h, bs, rows, a, lda, c, ldc| {
+                    let (panel, extent) = (panel.cast::<u8>(), rhs_stride);
+                    let at = (h, extent, k0, kc, j0, strips, first);
+                    plane_tile::<L>(&ops.planes, at, bs, rows, a, lda, c, ldc, panel)
+                };
                 // Shared tiles: every `rhs` vector loaded feeds `L::ROWS`
-                // rows, read in place or from the window packed once.
+                // rows, read in place or from the window packed once — or,
+                // a bit-plane window, widened by each tile.
                 for h in 0..if shared > 0 { windows } else { 0 } {
                     let (tile_b, tile_ldb, sb) = match full {
                         true => (window(h), ldb, STRIP_COLS),
@@ -819,11 +1115,19 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                     let (lda_w, ldc_w) = (windows * lda, windows * ldc);
                     for i in (h..shared).step_by(L::ROWS * windows) {
                         let (a, c) = (a.add(i * lda + k0), out.add(i * ldc + j0));
+                        // A bit-plane window's last tile may be short.
+                        let r = match planes {
+                            true => L::ROWS.min((shared - i).div_ceil(windows)),
+                            false => L::ROWS,
+                        };
                         // The window's first row tile streams the next one.
                         let ahead = if full && i == h { ahead } else { 0 };
-                        on_block(L::ROWS, width, first, c, ldc_w, &mut edge, |c, ldc| {
+                        on_block(r, width, first, c, ldc_w, &mut edge, |c, ldc| {
+                            if planes {
+                                return plane_tile(h, None, r, a, lda_w, c, ldc);
+                            }
                             let b = Strips::new(tile_b, tile_ldb, sb);
-                            L::tile(L::ROWS, strips, a, lda_w, b, kc, c, ldc, first, ahead)
+                            L::tile(r, strips, a, lda_w, b, kc, c, ldc, first, ahead)
                         });
                     }
                 }
@@ -837,6 +1141,17 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                         _ => (rhs_stride, windows - h),
                     };
                     let r = TILE_ROWS.min(cycle).min(rows - i0);
+                    if planes {
+                        // Row `i` reads the window `i` windows on, if more
+                        // than one.
+                        let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
+                        let bs = windows.min(2) - 1;
+                        on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
+                            plane_tile(h, Some(bs), r, a, lda, c, ldc)
+                        });
+                        (i0, h) = (i0 + r, if h + r < windows { h + r } else { 0 });
+                        continue;
+                    }
                     let (tile_b, tile_ldb, sb, tile_bs) = match full {
                         true => (window(h), ldb, STRIP_COLS, bs),
                         false => {
@@ -902,6 +1217,51 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
     }
 }
 
+/// One resident tile over bit-plane windows ([`Layout::Planes`]): `rows`
+/// rows from `a` onto `c`, the k panel `k0 .. k0 + kc` and the strips from
+/// column `j0` of window `h` on, windows `extent` page columns apart — on
+/// [`Leg::tile`], or with `bs`, on [`Leg::tile_batched`], row `r` on the
+/// window `r · bs` on. A K page's windows are first written as
+/// position-minor blocks into `panel` ([`key_blocks`]); a V page's are
+/// read where they lie ([`Values`]), streaming the next page.
+///
+/// # Safety
+///
+/// As [`matmul_block`], on the AVX-512 leg; `panel` is the walk's panel.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn plane_tile<L: Leg>(
+    rhs: &Planes,
+    (h, extent, k0, kc, j0, strips, first): (usize, usize, usize, usize, usize, usize, bool),
+    bs: Option<usize>,
+    rows: usize,
+    a: *const f32,
+    lda: usize,
+    c: *mut f32,
+    ldc: usize,
+    panel: *mut u8,
+) {
+    macro_rules! run {
+        ($b:expr, $ahead:expr) => {
+            match bs {
+                Some(bs) => {
+                    L::tile_batched(rows, strips, a, lda, $b, bs, kc, c, ldc, first, $ahead)
+                }
+                None => L::tile(rows, strips, a, lda, $b, kc, c, ldc, first, $ahead),
+            }
+        };
+    }
+    if rhs.keys {
+        let count = if bs == Some(1) { rows } else { 1 };
+        return run!(
+            key_blocks::<L>(rhs, h, count, extent, k0, j0, strips, panel),
+            0
+        );
+    }
+    let (col, stream) = (rhs.col0 + h * extent + j0, usize::from(rhs.next.is_some()));
+    run!(Values::new(rhs, k0, col, extent), stream)
+}
+
 /// [`Leg::block`]'s one body: the [`matmul_block`] instance for `ops`'s
 /// layout and residency. Each leg's `block` calls it with its CPU feature
 /// enabled, so the instance and the tile inline into that leg's copy.
@@ -924,7 +1284,21 @@ unsafe fn block_body<L: Leg, E: Element>(ops: &Operands<E>, block: &OutBlock) {
             matmul_block::<L, INT4, false, E>(ops, block)
         }
         (Layout::Int4, _) => unreachable!("an INT4 rhs is dequantized to f32"),
+        (Layout::Planes, _) => unreachable!("bit planes have their own entry, planes_block"),
     }
+}
+
+/// [`matmul_block`] over bit-plane windows ([`Layout::Planes`]) on the
+/// AVX-512 leg, the one whose tile reads them: an entry of its own, so
+/// that no other product's instance carries it.
+///
+/// # Safety
+///
+/// [`matmul_block`]'s contract, and the CPU must run the AVX-512 leg.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
+pub(crate) unsafe fn planes_block(ops: &Operands, block: &OutBlock) {
+    matmul_block::<Avx512, { Layout::Planes as u8 }, true, f32>(ops, block)
 }
 
 /// The scalar oracle of a resident product ([`Operands::resident`]) — the
@@ -1047,12 +1421,12 @@ impl Leg for Avx2 {
     }
 
     #[target_feature(enable = "avx2,f16c")]
-    unsafe fn tile_batched<E: Element>(
+    unsafe fn tile_batched<P: Panel>(
         rows: usize,
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: Strips<E>,
+        b: P,
         bs: usize,
         kc: usize,
         c: *mut f32,
@@ -1103,7 +1477,7 @@ pub(crate) struct Avx512;
 /// The contract of the one it implements.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn avx512_rows<
     const R: usize,
@@ -1132,25 +1506,27 @@ unsafe fn avx512_rows<
             }
         }
     }
+    // Each row's panel, found once.
+    let b_r: [P; R] = core::array::from_fn(|r| if BATCHED { b.offset(r * bs) } else { b });
     for kk in 0..kc {
-        let mut shared = [_mm512_setzero_ps(); S];
-        for (s, bv) in shared.iter_mut().enumerate() {
-            for r in 0..if PREFETCH { own_b } else { 0 } {
-                b.offset(r * bs).prefetch::<Avx2>(kk, s, ahead);
-            }
-            if !BATCHED {
-                *bv = b.load16(kk, s);
+        for s in 0..S {
+            for b in &b_r[..if PREFETCH { own_b } else { 0 }] {
+                b.prefetch::<Avx2>(kk, s, ahead);
             }
         }
+        let shared = match BATCHED {
+            false => b.load_row::<S>(kk),
+            true => [_mm512_setzero_ps(); S],
+        };
         for (r, acc_r) in acc.iter_mut().enumerate() {
             // mul then add, never fused: the scalar oracle rounds the
             // product before the sum.
             let av = _mm512_set1_ps(*a.add(r * lda + kk));
-            for (s, acc_v) in acc_r.iter_mut().enumerate() {
-                let bv = match BATCHED {
-                    false => shared[s],
-                    true => b.offset(r * bs).load16(kk, s),
-                };
+            let bv = match BATCHED {
+                false => shared,
+                true => b_r[r].load_row::<S>(kk),
+            };
+            for (acc_v, bv) in acc_r.iter_mut().zip(bv) {
                 *acc_v = _mm512_add_ps(*acc_v, _mm512_mul_ps(av, bv));
             }
         }
@@ -1171,7 +1547,7 @@ unsafe fn avx512_rows<
 /// The contract of the [`Leg`] tile it implements.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn avx512_tile<const S: usize, const BATCHED: bool, const PREFETCH: bool, P: Panel>(
     rows: usize,
@@ -1203,7 +1579,7 @@ impl Leg for Avx512 {
     const ROWS: usize = MAX_TILE_ROWS;
     const STRIPS: usize = MAX_STRIPS;
 
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
     unsafe fn tile<P: Panel>(
         rows: usize,
         strips: usize,
@@ -1225,13 +1601,13 @@ impl Leg for Avx512 {
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    unsafe fn tile_batched<E: Element>(
+    #[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
+    unsafe fn tile_batched<P: Panel>(
         rows: usize,
         strips: usize,
         a: *const f32,
         lda: usize,
-        b: Strips<E>,
+        b: P,
         bs: usize,
         kc: usize,
         c: *mut f32,
@@ -1253,7 +1629,7 @@ impl Leg for Avx512 {
         <Avx2 as Leg>::prefetch(p)
     }
 
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
     unsafe fn block<E: Element>(ops: &Operands<E>, block: &OutBlock) {
         block_body::<Self, E>(ops, block)
     }
