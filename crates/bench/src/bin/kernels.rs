@@ -52,21 +52,21 @@ type Section = (&'static str, &'static str, fn(&Opts) -> Table);
 const SECTIONS: [Section; 9] = [
     (
         "threads",
-        "GEMM GFLOP/s, serial vs sharded over a rayon-lite pool (matmul: rhs row-major, \
-         matmul_packed: rhs packed once, as a model holds its weights and embedding)",
+        "GEMM GFLOP/s, serial vs sharded over a rayon-lite pool (matmul_packed: rhs packed \
+         once, as a model holds its weights and embedding)",
         threads,
     ),
     (
         "simd",
-        "serial GEMM GFLOP/s, the dispatched leg vs the scalar oracle",
+        "serial GEMM GFLOP/s, the dispatched leg vs the scalar leg",
         simd,
     ),
     (
         "m_sweep",
-        "GFLOP/s of M per-row passes | one tiled GEMM | the same over the weight packed as an \
-         FP16 model's Layer holds it | that packed product over one L2-resident weight | over \
-         the weight's W4 quantisation held as a W4 model's Layer holds it, INT4 codes (serial, \
-         4 rotating weight copies but in the fourth; wdown's lhs is ReLU-sparse)",
+        "GFLOP/s of M per-row passes | one tiled GEMM over the weight packed as an FP16 \
+         model's Layer holds it | that packed product over one L2-resident weight | over the \
+         weight's W4 quantisation held as a W4 model's Layer holds it, INT4 codes (serial, 4 \
+         rotating weight copies but in the third; wdown's lhs is ReLU-sparse)",
         m_sweep,
     ),
     (
@@ -214,8 +214,9 @@ fn gflops(m: usize, k: usize, n: usize, seconds: f64) -> f64 {
     2.0 * (m * k * n) as f64 / seconds / 1e9
 }
 
-/// The acceptance bar of the threading work is > 1.5x on `matmul` at 4
-/// threads on 512x512x512 (with at least 4 physical cores, of course).
+/// The acceptance bar of the threading work is > 1.5x on `matmul_packed`
+/// at 4 threads on 512x512x512 (with at least 4 physical cores, of
+/// course).
 fn threads(o: &Opts) -> Table {
     let mut header = vec!["kernel / shape".to_string(), "serial GF/s".to_string()];
     for t in &o.threads {
@@ -249,13 +250,8 @@ fn threads(o: &Opts) -> Table {
     ];
     for (m, k, n) in shapes.into_iter().take(if o.quick { 2 } else { 4 }) {
         let a = random(m, k, 1, 1.0);
-        let b = random(k, n, 2, 1.0);
         let packed = PackedMatrix::pack_transposed(&random(n, k, 3, 1.0));
         let mut out = Matrix::zeros(m, n);
-        row("matmul", (m, k, n), &mut |pool| {
-            a.matmul_into_pool(&b, &mut out, pool)
-        });
-        // The gap to the row above is the per-panel copy.
         row("matmul_packed", (m, k, n), &mut |pool| {
             a.matmul_packed_into_pool(&packed, &mut out, pool)
         });
@@ -277,7 +273,6 @@ fn simd(o: &Opts) -> Table {
     let leg = active_leg();
     let n = if o.quick { 256 } else { 512 };
     let a = random(n, n, 6, 1.0);
-    let b = random(n, n, 7, 1.0);
     let packed = PackedMatrix::pack_transposed(&random(n, n, 8, 1.0));
     let mut out = Matrix::zeros(n, n);
     let mut table = Table::new([
@@ -286,21 +281,14 @@ fn simd(o: &Opts) -> Table {
         format!("{} GF/s", leg.name()),
         "speedup".to_string(),
     ]);
-    for (kernel, is_packed) in [("matmul", false), ("matmul_packed", true)] {
-        let mut run = |leg| {
-            o.time(|| match is_packed {
-                false => a.matmul_into_serial_with_leg(&b, &mut out, leg),
-                true => a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg),
-            })
-        };
-        let (scalar, vector) = (run(SimdLeg::SCALAR), run(leg));
-        table.row([
-            kernel.to_string(),
-            format!("{:.2}", gflops(n, n, n, scalar)),
-            format!("{:.2}", gflops(n, n, n, vector)),
-            format!("{:.2}x", scalar / vector),
-        ]);
-    }
+    let mut run = |leg| o.time(|| a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg));
+    let (scalar, vector) = (run(SimdLeg::SCALAR), run(leg));
+    table.row([
+        "matmul_packed".to_string(),
+        format!("{:.2}", gflops(n, n, n, scalar)),
+        format!("{:.2}", gflops(n, n, n, vector)),
+        format!("{:.2}x", scalar / vector),
+    ]);
     table
 }
 
@@ -339,19 +327,18 @@ fn per_row_gemv(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 
 /// The step-wide GEMMs against one pass per row: for each serving
 /// projection shape and the LM head, and each SIMD leg, `M` rows through
-/// one tiled call versus `M` passes of the per-row axpy loop. The third
-/// number is the walk a served step runs: the same tile reading a
-/// [`PackedMatrix`] in place, where the middle one copies every panel out
-/// of a row-major `rhs` first. `M = 1` is the small-M guard (a solo decode
+/// one tiled call versus `M` passes of the per-row axpy loop. The second
+/// number is the walk a served step runs: the tile reading a
+/// [`PackedMatrix`] in place. `M = 1` is the small-M guard (a solo decode
 /// step); `M ≥ 8` is where cross-row weight reuse has to show. Four weight
 /// copies rotate under the calls so that, as in a model, a weight has left
 /// the L2 by the time it is used again: a single hot matrix ranks packing strategies the wrong
-/// way round. The fourth number is the packed product over one weight
-/// that stays in the L2: beside the third it says where the weight stream
-/// from the L3, not the tile, bounds the product. The fifth is the packed
+/// way round. The third number is the packed product over one weight
+/// that stays in the L2: beside the second it says where the weight stream
+/// from the L3, not the tile, bounds the product. The fourth is the packed
 /// product over each copy's W4 quantisation held as INT4 codes, the tile
 /// dequantizing them as it loads them — a W4 model's projections, an
-/// eighth of the third's bytes (the LM head's embedding stays `f32` in a
+/// eighth of the second's bytes (the LM head's embedding stays `f32` in a
 /// model).
 fn m_sweep(o: &Opts) -> Table {
     let mut table = columns("leg / k x n", SWEEP_M.map(|m| format!("M={m}")));
@@ -384,14 +371,13 @@ fn m_sweep(o: &Opts) -> Table {
                     gflops(m, k, n, rotation / calls as f64)
                 };
                 let rows = time(&|c, out| per_row_gemv(&a, &copies[c], out));
-                let gemm = time(&|c, out| a.matmul_into_serial_with_leg(&copies[c], out, leg));
                 let in_place =
                     time(&|c, out| a.matmul_packed_into_serial_with_leg(&packed[c], out, leg));
                 let resident =
                     time(&|_, out| a.matmul_packed_into_serial_with_leg(&packed[0], out, leg));
                 let w4 = time(&|c, out| a.matmul_packed_into_serial_with_leg(&int4[c], out, leg));
                 cells.push(format!(
-                    "{rows:.1} | {gemm:.1} | {in_place:.1} | {resident:.1} | {w4:.1}"
+                    "{rows:.1} | {in_place:.1} | {resident:.1} | {w4:.1}"
                 ));
             }
             table.row(cells);

@@ -6,7 +6,7 @@
 //! In both cases every output element must be bit-identical
 //! (`f32::to_bits`) to the serial kernel at every thread count.
 
-use anda_fp::simd::{available_legs, SimdLeg};
+use anda_fp::simd::available_legs;
 use anda_quant::gemm::{gemm_anda, gemm_anda_into, gemm_anda_into_pool, gemm_fake_quant};
 use anda_quant::{ActivationCodec, IntWeightMatrix, WeightQuantConfig};
 use anda_tensor::{Matrix, Rng};
@@ -43,6 +43,24 @@ fn random_case(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, IntWeightMat
     (x, wq)
 }
 
+/// `a · b` as the naive loop: element `(i, j)` is the ascending-`k` sum
+/// of `a[i][k] · b[k][j]` from `+0.0`, multiply then add.
+fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+    // Column `j` of `b` is row `j` of its transpose, read in `k` order.
+    let bt = b.transposed();
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0f32;
+            for (&x, &y) in a.row(i).iter().zip(bt.row(j)) {
+                acc += x * y;
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
 fn assert_bits_eq(a: &Matrix, b: &Matrix, ctx: &str) {
     assert_eq!(a.shape(), b.shape(), "{ctx}: shape");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -57,8 +75,9 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, ctx: &str) {
 /// A W4 weight held as INT4 codes ([`IntWeightMatrix::pack`]), which the
 /// register tile dequantizes as it loads them, multiplies as the `f32`
 /// matrix [`IntWeightMatrix::dequantize`] makes, bit for bit: on every leg
-/// (the scalar one dequantizes a panel, then runs the packed walk) and at
-/// pools of 1, 2 and 4 threads, against the scalar oracle over that matrix.
+/// (the scalar one dequantizes a row, then runs the packed walk) and at
+/// pools of 1, 2 and 4 threads, against the naive ascending-`k` loop over
+/// that matrix.
 /// Rows from one to seventeen cross the four- and eight-row tiles and the
 /// first row tile's panel fill (a tile follows it), 64 is a prefill chunk;
 /// `k` is odd, below, on and across a group and a panel, 1024 four panels
@@ -81,8 +100,7 @@ fn an_int4_weight_multiplies_as_its_dequantisation() {
                     let mut x = Matrix::zeros(m, k);
                     rng.fill_normal(x.as_mut_slice(), 1.0);
                     x.map_inplace(|v| if v < -1.0 { 0.0 } else { v });
-                    let mut oracle = Matrix::zeros(m, n);
-                    x.matmul_into_serial_with_leg(&dequantized, &mut oracle, SimdLeg::SCALAR);
+                    let oracle = naive(&x, &dequantized);
                     let check = |run: &dyn Fn(&mut Matrix), on: &str| {
                         let mut out = Matrix::zeros(m, n);
                         out.as_mut_slice().fill(f32::NAN);

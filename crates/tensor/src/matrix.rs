@@ -1,22 +1,26 @@
 //! Row-major `f32` matrices, and the [`PackedMatrix`] a weight is held as.
 //!
-//! Every product — `lhs · rhs` over a row-major [`Matrix`] or a
-//! [`PackedMatrix`] — runs one kernel behind [`anda_fp::simd`]'s runtime
-//! dispatch: on the vector legs an output-stationary register tile (16
-//! columns of accumulators by 4 rows on AVX2 and NEON, 32 by 8 on
-//! AVX-512, walked over `k`; one walk order over `rhs` column-strip panels
-//! — `tile.rs`, whose panel source is the only code that knows how `rhs`
-//! is held: read in place when packed, copied per panel when row-major),
-//! on the scalar leg the oracles at the end of the `impl`. One sharding
-//! rule and one auto-dispatch threshold serve both, on whatever pool the
-//! caller passes — [`rayon_lite::serial`] keeps a product on the calling
-//! thread. Each vector lane owns one output element and accumulates over
-//! `k` in the same ascending order as the scalar kernel, with separate
-//! multiply and add (no FMA contraction), and no kernel skips a zero — so
-//! every leg is `f32::to_bits`-identical to the scalar oracle, non-finite
-//! `rhs` included (which payload survives where two different NaNs meet
-//! in one sum is the compiler's pick of operand order), preserving the
-//! bit-exactness invariant the serving stack is built on.
+//! Every [`Matrix`] product multiplies by a [`PackedMatrix`]: a served
+//! model holds its weights packed once, and the `Matrix · Matrix` entries
+//! ([`Matrix::matmul`], [`Matrix::matmul_into_on`],
+//! [`Matrix::matmul_into_pool`]) pack their `rhs` per call. The product
+//! runs one kernel behind [`anda_fp::simd`]'s runtime dispatch: on the
+//! vector legs an output-stationary register tile (16 columns of
+//! accumulators by 4 rows on AVX2 and NEON, 32 by 8 on AVX-512, walked
+//! over `k`; one walk order over `rhs` column-strip panels — `tile.rs`,
+//! whose panel source is the only code that knows how `rhs` is held:
+//! `f32` strips read in place, INT4 codes dequantized in the register),
+//! on the scalar leg an axpy loop over the same strips. One sharding
+//! rule and one auto-dispatch threshold serve both forms, on whatever
+//! pool the caller passes — [`rayon_lite::serial`] keeps a product on the
+//! calling thread. Each vector lane owns one output element and
+//! accumulates over `k` in the same ascending order as the scalar loop,
+//! with separate multiply and add (no FMA contraction), and no kernel
+//! skips a zero — so every leg is `f32::to_bits`-identical to the naive
+//! ascending-`k` loop the suites hold, non-finite `rhs` included (which
+//! payload survives where two different NaNs meet in one sum is the
+//! compiler's pick of operand order), preserving the bit-exactness
+//! invariant the serving stack is built on.
 //! A product by a transpose (the tied LM head's `hidden · embedᵀ`) is the
 //! packed product over [`PackedMatrix::pack_transposed`].
 //!
@@ -186,7 +190,7 @@ impl Matrix {
     }
 
     /// Matrix multiplication `self · rhs`, on the global [`rayon_lite`]
-    /// pool (sized by `ANDA_THREADS`).
+    /// pool (sized by `ANDA_THREADS`): [`Matrix::matmul_into_on`].
     ///
     /// # Panics
     ///
@@ -198,70 +202,58 @@ impl Matrix {
     }
 
     /// Matrix multiplication writing into a preallocated output on the
-    /// caller's pool: large products are sharded across it
-    /// ([`Matrix::matmul_into_pool`]), small ones — and everything on
-    /// [`rayon_lite::serial`] — run the serial kernel. Every output
-    /// element accumulates over k in the same order either way, so
-    /// results are bit-identical at every thread count.
+    /// caller's pool: [`PackedMatrix::pack`] per call, then
+    /// [`Matrix::matmul_packed_into_on`] over it. Served code holds its
+    /// weights packed and packs nothing per call; this entry is for an
+    /// operand made on the fly (the fake-quant GeMM's dequantised weight).
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_on(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_on(rhs.as_rhs(), out, pool);
+        self.matmul_packed_into_on(&PackedMatrix::pack(rhs), out, pool);
     }
 
-    /// The serial kernel behind [`Matrix::matmul_into_on`] on an explicit
-    /// SIMD leg (oracle tests and the `kernels` bin; production code lets
-    /// the dispatch layer pick): the register tile of `tile.rs` over
-    /// panels copied contiguous on a vector leg, a blocked ikj axpy walk
-    /// on the scalar one. Every output element accumulates over `k` in
-    /// ascending order, so results are bit-identical to the naive ikj
-    /// kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_into_serial_with_leg(&self, rhs: &Matrix, out: &mut Matrix, leg: SimdLeg) {
-        self.product_serial(rhs.as_rhs(), out, leg);
-    }
-
-    /// [`Matrix::matmul_into_on`] on an explicit pool, always sharding
-    /// across its threads (the cross-thread-count bit-exactness tests
-    /// and the `kernels` bin call it directly). With at least one
-    /// register tile of rows per thread the output is split into row
-    /// ranges on tile boundaries; with fewer rows — a decode step — the
-    /// vector legs split it into column ranges on tile boundaries (strip
-    /// pairs on AVX-512) instead, so every thread streams its own share of
-    /// `rhs` once. Both are bit-identical to the serial kernel.
+    /// [`Matrix::matmul_into_on`] always sharding across `pool`'s threads:
+    /// [`PackedMatrix::pack`] per call, then
+    /// [`Matrix::matmul_packed_into_pool`] over it. Served code holds its
+    /// weights packed; this entry is what `anda_perf`'s
+    /// `tensor.matmul_gflops_*` probes time.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_pool(rhs.as_rhs(), out, pool);
+        self.matmul_packed_into_pool(&PackedMatrix::pack(rhs), out, pool);
     }
 
     /// `self · rhs` over a weight held packed, writing into a
-    /// preallocated output on the caller's pool under
-    /// [`Matrix::matmul_into_on`]'s rule — the product a model's
-    /// projections run. The tile reads `rhs`'s strips where they lie, so
-    /// nothing is packed per call; every output element is the same
-    /// ascending-`k` sum as [`Matrix::matmul_into_on`] over
-    /// [`PackedMatrix::to_matrix`] — an INT4 weight's dequantisation — bit
-    /// for bit, at every SIMD leg and thread count.
+    /// preallocated output on the caller's pool — the product a model's
+    /// projections run. Large products are sharded across the pool
+    /// ([`Matrix::matmul_packed_into_pool`]); small ones, and everything
+    /// on [`rayon_lite::serial`], run the serial kernel. The tile reads
+    /// `rhs`'s strips where they lie, so nothing is packed per call. Every
+    /// output element is the ascending-`k` sum `Σ_k self[i][k] · rhs[k][j]`
+    /// from `+0.0`, multiply then add, over [`PackedMatrix::to_matrix`] —
+    /// an INT4 weight's dequantisation — bit for bit, at every SIMD leg and
+    /// thread count.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_packed_into_on(&self, rhs: &PackedMatrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_on(rhs.as_rhs(), out, pool);
+        if pool.threads() > 1 && self.len() * out.cols >= PAR_MIN_MULADDS {
+            self.matmul_packed_into_pool(rhs, out, pool)
+        } else {
+            self.matmul_packed_into_serial_with_leg(rhs, out, active_leg())
+        }
     }
 
     /// The serial kernel behind [`Matrix::matmul_packed_into_on`] on an
-    /// explicit SIMD leg (oracle tests and the `kernels` bin): the register
-    /// tile over the strips in place on a vector leg, an axpy walk over
-    /// the strips on the scalar one.
+    /// explicit SIMD leg (oracle tests and the `kernels` bin; production
+    /// code lets the dispatch layer pick): the register tile of `tile.rs`
+    /// over the strips in place on a vector leg, an axpy walk over the
+    /// strips on the scalar one.
     ///
     /// # Panics
     ///
@@ -272,86 +264,6 @@ impl Matrix {
         out: &mut Matrix,
         leg: SimdLeg,
     ) {
-        self.product_serial(rhs.as_rhs(), out, leg);
-    }
-
-    /// [`Matrix::matmul_packed_into_on`] on an explicit pool, always
-    /// sharding across its threads the way [`Matrix::matmul_into_pool`]
-    /// does — column ranges on strip boundaries — (bit-exactness tests).
-    ///
-    /// Not on the served path: a test seam that shards at every shape, so
-    /// `tests/parallel.rs` can pin the bits across thread counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_packed_into_pool(&self, rhs: &PackedMatrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.product_pool(rhs.as_rhs(), out, pool);
-    }
-
-    /// `self · rhsᵀ` on an explicit pool, for an `rhs` held `n × k`:
-    /// [`PackedMatrix::pack_transposed`] per call, then
-    /// [`Matrix::matmul_packed_into_pool`] over it. Every output element is
-    /// the ascending-`k` dot `Σ_k self[i][k] · rhs[j][k]` from `+0.0`, bit
-    /// for bit, at every SIMD leg and thread count.
-    ///
-    /// Not on the served path (the tied LM head holds its table packed
-    /// once): what `anda_perf`'s `tensor.matmul_t_gflops_lmhead` times.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_transposed_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
-        self.matmul_packed_into_pool(&PackedMatrix::pack_transposed(rhs), out, pool);
-    }
-
-    /// `self` as the row-major `rhs` of a product.
-    fn as_rhs(&self) -> Rhs<'_> {
-        Rhs {
-            data: &self.data,
-            ld: self.cols,
-            k: self.rows,
-            n: self.cols,
-            layout: Layout::RowMajor,
-            int4: Int4::default(),
-        }
-    }
-
-    /// Checks the shapes of `out = self · rhs` and returns the output
-    /// width `n`.
-    fn product_check_shapes(&self, rhs: Rhs, out: &Matrix) -> usize {
-        let (k, n) = (rhs.k, rhs.n);
-        // Formatted only on a mismatch: a served step checks its shapes
-        // without allocating.
-        let (name, shown) = match rhs.layout {
-            Layout::RowMajor => ("matmul", format_args!("{k}x{n}")),
-            Layout::Packed => ("matmul_packed", format_args!("{k}x{n} packed")),
-            Layout::Int4 => ("matmul_packed", format_args!("{k}x{n} INT4")),
-            Layout::Planes => unreachable!("a bit-plane rhs is resident"),
-        };
-        assert_eq!(
-            self.cols, k,
-            "{name} shape mismatch: {}x{} · {shown}",
-            self.rows, self.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, n),
-            "{name} output shape mismatch"
-        );
-        n
-    }
-
-    /// The one auto-dispatch rule of every layout.
-    fn product_on(&self, rhs: Rhs, out: &mut Matrix, pool: &ThreadPool) {
-        if pool.threads() > 1 && self.len() * out.cols >= PAR_MIN_MULADDS {
-            self.product_pool(rhs, out, pool)
-        } else {
-            self.product_serial(rhs, out, active_leg())
-        }
-    }
-
-    fn product_serial(&self, rhs: Rhs, out: &mut Matrix, leg: SimdLeg) {
         if self.product_check_shapes(rhs, out) == 0 {
             // Degenerate m×0 output: nothing to accumulate (and the
             // kernels divide by the width).
@@ -360,9 +272,19 @@ impl Matrix {
         self.product_rows(rhs, &mut out.data, 0, leg);
     }
 
-    /// The one sharding rule of every layout; see
-    /// [`Matrix::matmul_into_pool`].
-    fn product_pool(&self, rhs: Rhs, out: &mut Matrix, pool: &ThreadPool) {
+    /// [`Matrix::matmul_packed_into_on`] on an explicit pool, always
+    /// sharding across its threads (the cross-thread-count bit-exactness
+    /// tests and the `kernels` bin call it directly). With at least one
+    /// register tile of rows per thread the output is split into row
+    /// ranges on tile boundaries; with fewer rows — a decode step — the
+    /// vector legs split it into column ranges on tile boundaries (strip
+    /// pairs on AVX-512) instead, so every thread streams its own share of
+    /// `rhs` once. Both are bit-identical to the serial kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_packed_into_pool(&self, rhs: &PackedMatrix, out: &mut Matrix, pool: &ThreadPool) {
         let n = self.product_check_shapes(rhs, out);
         if n == 0 {
             return;
@@ -397,20 +319,53 @@ impl Matrix {
         });
     }
 
+    /// `self · rhsᵀ` on an explicit pool, for an `rhs` held `n × k`:
+    /// [`PackedMatrix::pack_transposed`] per call, then
+    /// [`Matrix::matmul_packed_into_pool`] over it. Every output element is
+    /// the ascending-`k` dot `Σ_k self[i][k] · rhs[j][k]` from `+0.0`, bit
+    /// for bit, at every SIMD leg and thread count.
+    ///
+    /// Not on the served path (the tied LM head holds its table packed
+    /// once): what `anda_perf`'s `tensor.matmul_t_gflops_lmhead` times.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn matmul_transposed_into_pool(&self, rhs: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
+        self.matmul_packed_into_pool(&PackedMatrix::pack_transposed(rhs), out, pool);
+    }
+
+    /// Checks the shapes of `out = self · rhs` and returns the output
+    /// width `n`.
+    fn product_check_shapes(&self, rhs: &PackedMatrix, out: &Matrix) -> usize {
+        let (k, n) = rhs.shape();
+        // Formatted only on a mismatch: a served step checks its shapes
+        // without allocating.
+        let form = match rhs.form {
+            Form::F32(..) => "packed",
+            Form::Int4(..) => "INT4",
+        };
+        assert_eq!(
+            self.cols, k,
+            "matmul_packed shape mismatch: {}x{} · {k}x{n} {form}",
+            self.rows, self.cols
+        );
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, n),
+            "matmul_packed output shape mismatch"
+        );
+        n
+    }
+
     /// Output rows `[row0, row0 + out_rows.len() / n)` on `leg`, `n` being
     /// `rhs`'s width. Each output element accumulates over k in ascending
     /// order regardless of `row0`, the leg or any tile boundary, which is
     /// what makes every sharding bit-identical to the full-range serial
     /// call.
-    fn product_rows(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize, leg: SimdLeg) {
+    fn product_rows(&self, rhs: &PackedMatrix, out_rows: &mut [f32], row0: usize, leg: SimdLeg) {
         if leg == SimdLeg::SCALAR {
-            return match rhs.layout {
-                Layout::RowMajor => self.matmul_rows_scalar(rhs, out_rows, row0),
-                Layout::Packed | Layout::Int4 => {
-                    self.matmul_packed_rows_scalar(rhs, out_rows, row0)
-                }
-                Layout::Planes => unreachable!("a bit-plane rhs is resident"),
-            };
+            return self.matmul_packed_rows_scalar(rhs, out_rows, row0);
         }
         let block = OutBlock {
             ptr: out_rows.as_mut_ptr(),
@@ -425,60 +380,32 @@ impl Matrix {
     }
 
     /// `self · rhs` as the kernel takes it: `self`'s stride is its width,
-    /// every sum starts at `+0.0`, and `rhs` streams from memory.
-    fn operands<'a>(&'a self, rhs: Rhs<'a>) -> Operands<'a> {
+    /// every sum starts at `+0.0`, and `rhs` streams from memory, its `f32`
+    /// strips read in place or its INT4 codes dequantized as they load.
+    fn operands<'a>(&'a self, rhs: &'a PackedMatrix) -> Operands<'a> {
+        let (data, layout) = match &rhs.form {
+            Form::F32(data) => (&data[..], Layout::Packed),
+            Form::Int4(..) => (&[][..], Layout::Int4),
+        };
         Operands {
             lhs: &self.data,
             lda: self.cols,
-            rhs: rhs.data,
-            ldb: rhs.ld,
-            layout: rhs.layout,
+            rhs: data,
+            layout,
             k: self.cols,
             ldc: rhs.n,
-            windows: 1,
-            int4: rhs.int4,
+            int4: rhs.int4(),
             ..Operands::default()
         }
     }
 
-    /// The scalar oracle every vector leg of the row-major product is
-    /// pinned to: a blocked ikj axpy walk, `out[i][j] += a[i][k] · b[k][j]`
-    /// for ascending `k`, one rounding per multiply and per add, skipping
-    /// nothing — so a zero `a` against a non-finite `b` is a NaN here as
-    /// in every tile.
-    fn matmul_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
-        // Tile sizes: an i-tile of output rows shares one pass over a
-        // KB-row panel of rhs (≈ KB·cols f32 ≤ a few hundred KiB, L2-sized).
-        const IB: usize = 32;
-        const KB: usize = 256;
-        let n = rhs.n;
-        let rows_here = out_rows.len() / n;
-        out_rows.fill(0.0);
-        for li0 in (0..rows_here).step_by(IB) {
-            let li1 = (li0 + IB).min(rows_here);
-            for k0 in (0..self.cols).step_by(KB) {
-                let k1 = (k0 + KB).min(self.cols);
-                for li in li0..li1 {
-                    let i = row0 + li;
-                    let a_row = &self.data[i * self.cols + k0..i * self.cols + k1];
-                    let out_row = &mut out_rows[li * n..(li + 1) * n];
-                    let b_panel = rhs.data[k0 * n..k1 * n].chunks_exact(n);
-                    for (&a, b_row) in a_row.iter().zip(b_panel) {
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The scalar leg of the packed product: the oracle's axpy walk, one
-    /// strip and one row of it at a time — the same operations on every
-    /// output element as [`Matrix::matmul_rows_scalar`] over the unpacked
-    /// matrix, so the two agree on every input. An INT4 row is dequantized
-    /// first, into the values [`PackedMatrix::to_matrix`] holds.
-    fn matmul_packed_rows_scalar(&self, rhs: Rhs, out_rows: &mut [f32], row0: usize) {
+    /// The scalar leg of every `Matrix` product: an axpy walk, one strip of
+    /// `rhs` and one row of it at a time, `out[i][j] += a[i][k] · b[k][j]`
+    /// for ascending `k` from `+0.0`, one rounding per multiply and per
+    /// add, skipping nothing — so a zero `a` against a non-finite `b` is a
+    /// NaN here as in every tile. An INT4 row is dequantized first, into
+    /// the values [`PackedMatrix::to_matrix`] holds.
+    fn matmul_packed_rows_scalar(&self, rhs: &PackedMatrix, out_rows: &mut [f32], row0: usize) {
         let n = rhs.n;
         out_rows.fill(0.0);
         for (s, j0) in (0..n).step_by(STRIP_COLS).enumerate() {
@@ -832,36 +759,34 @@ impl PackedMatrix {
         if k == 0 {
             return;
         }
-        let rhs = self.as_rhs();
         for (s, j0) in (0..n).step_by(STRIP_COLS).enumerate() {
             let width = STRIP_COLS.min(n - j0);
             for (r, dst) in out.data[j0..].chunks_mut(n).take(k).enumerate() {
-                dst[..width].copy_from_slice(&rhs.line(s, r)[..width]);
+                dst[..width].copy_from_slice(&self.line(s, r)[..width]);
             }
         }
     }
 
-    /// `self` as the `rhs` of a product: panel rows lie sixteen apart.
-    fn as_rhs(&self) -> Rhs<'_> {
-        let (data, layout, int4) = match &self.form {
-            Form::F32(data) => (&data[..], Layout::Packed, Int4::default()),
-            Form::Int4(codes, scales, group) => {
-                let int4 = Int4 {
-                    codes,
-                    scales,
-                    group: *group,
-                    k: self.k,
-                };
-                (&[][..], Layout::Int4, int4)
-            }
-        };
-        Rhs {
-            data,
-            ld: STRIP_COLS,
-            k: self.k,
-            n: self.n,
-            layout,
-            int4,
+    /// The INT4 form as the tile reads it; of the `f32` form, no codes.
+    fn int4(&self) -> Int4<'_> {
+        match &self.form {
+            Form::F32(..) => Int4::default(),
+            Form::Int4(codes, scales, group) => Int4 {
+                codes,
+                scales,
+                group: *group,
+                k: self.k,
+            },
+        }
+    }
+
+    /// Row `r` of strip `s`, as `f32`: an INT4 one's dequantized.
+    fn line(&self, s: usize, r: usize) -> [f32; STRIP_COLS] {
+        match &self.form {
+            Form::F32(data) => data[(s * self.k + r) * STRIP_COLS..][..STRIP_COLS]
+                .try_into()
+                .expect("a row"),
+            Form::Int4(..) => self.int4().line(s, r),
         }
     }
 }
@@ -869,32 +794,6 @@ impl PackedMatrix {
 impl fmt::Debug for PackedMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PackedMatrix {}x{}", self.k, self.n)
-    }
-}
-
-/// The `rhs` of a [`Matrix`] product as the kernels read it: a `k × n`
-/// operand held in `data` (or, [`Layout::Int4`], in `int4`) through
-/// `layout`, rows `ld` apart.
-#[derive(Clone, Copy)]
-struct Rhs<'a> {
-    data: &'a [f32],
-    ld: usize,
-    k: usize,
-    n: usize,
-    layout: Layout,
-    int4: Int4<'a>,
-}
-
-impl Rhs<'_> {
-    /// Row `r` of strip `s` of a packed `rhs`, as `f32`: an INT4 one's
-    /// dequantized.
-    fn line(&self, s: usize, r: usize) -> [f32; STRIP_COLS] {
-        match self.layout {
-            Layout::Int4 => self.int4.line(s, r),
-            _ => self.data[(s * self.k + r) * STRIP_COLS..][..STRIP_COLS]
-                .try_into()
-                .expect("a row"),
-        }
     }
 }
 
@@ -1047,11 +946,10 @@ impl Strided<'_> {
             lda: self.ld,
             rhs: rhs.data,
             ldb: rhs.ld,
-            layout: Layout::RowMajor,
+            layout: Layout::Strided,
             k,
             ldc,
             accumulate,
-            resident: true,
             windows,
             rhs_stride,
             ahead,
@@ -1176,7 +1074,6 @@ impl Strided<'_> {
             k,
             ldc,
             accumulate,
-            resident: true,
             windows,
             rhs_stride: cols,
             planes: Planes {
@@ -1335,6 +1232,25 @@ mod tests {
         }
     }
 
+    /// The oracle of every `Matrix` product: element `(i, j)` is the naive
+    /// ascending-`k` sum of `a[i][k] · b[k][j]` from `+0.0`, multiply then
+    /// add.
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        // Column `j` of `b` is row `j` of its transpose, read in `k` order.
+        let bt = b.transposed();
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0f32;
+                for (&x, &y) in a.row(i).iter().zip(bt.row(j)) {
+                    acc += x * y;
+                }
+                out[(i, j)] = acc;
+            }
+        }
+        out
+    }
+
     #[test]
     fn every_simd_leg_matches_the_scalar_oracle() {
         use anda_fp::simd::available_legs;
@@ -1342,8 +1258,8 @@ mod tests {
         // ragged tails in every dimension, and a zero-heavy A against an
         // `rhs` with an infinity of either sign and a NaN, each alone in
         // its column: nothing skips a zero, so `0 · ∞` is a NaN in the
-        // oracle and in every leg. The row-major `rhs` also runs packed,
-        // and packs and unpacks bit for bit.
+        // oracle and in every leg. The `rhs` packs and unpacks bit for bit,
+        // and `matmul` (a pack per call) equals the oracle too.
         let same_bits = |x: &Matrix, y: &Matrix| {
             x.shape() == y.shape()
                 && (x.as_slice().iter())
@@ -1380,34 +1296,17 @@ mod tests {
                 "pack round trip {k}x{n}"
             );
             // A table held `n × k` and packed transposed, as the tied
-            // embedding is: its oracle is the per-element dot.
+            // embedding is: its oracle is the loop over its transpose.
             let mut bt =
                 Matrix::from_vec(n, k, (0..n * k).map(|i| (i as f32 * 0.23).sin()).collect());
             bt[(0, 0)] = f32::INFINITY;
             bt[(n / 2, k - 1)] = f32::NAN;
             bt[(n - 1, k / 2)] = f32::NEG_INFINITY;
             let packed_t = PackedMatrix::pack_transposed(&bt);
-            let mut reference = Matrix::zeros(m, n);
-            a.matmul_into_serial_with_leg(&b, &mut reference, anda_fp::SimdLeg::SCALAR);
-            let mut reference_t = Matrix::zeros(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a.row(i).iter().zip(bt.row(j)) {
-                        acc += x * y;
-                    }
-                    reference_t[(i, j)] = acc;
-                }
-            }
+            let reference = naive(&a, &b);
+            let reference_t = naive(&a, &bt.transposed());
+            assert!(same_bits(&a.matmul(&b), &reference), "matmul {m}x{k}x{n}");
             for leg in available_legs() {
-                let mut out = Matrix::zeros(m, n);
-                a.matmul_into_serial_with_leg(&b, &mut out, leg);
-                assert!(
-                    same_bits(&out, &reference),
-                    "matmul leg={} shape {m}x{k}x{n}",
-                    leg.name()
-                );
-
                 let mut out_p = Matrix::zeros(m, n);
                 a.matmul_packed_into_serial_with_leg(&packed, &mut out_p, leg);
                 let at = format!("matmul_packed leg={} shape {m}x{k}x{n}", leg.name());
@@ -1723,11 +1622,11 @@ mod tests {
 
     #[test]
     fn multiplying_by_a_zero_equals_skipping_it() {
-        // No leg skips `a == 0`, the scalar oracle included, over a
-        // row-major or a packed `rhs`. Accumulators start at +0.0 and can
-        // never become -0.0, so `acc + 0·b` is `acc` for every finite `b`:
-        // all-zero rows of either sign give +0.0 everywhere, and zeros
-        // scattered through a dense row change nothing.
+        // No leg skips `a == 0`, the scalar one included. Accumulators
+        // start at +0.0 and can never become -0.0, so `acc + 0·b` is `acc`
+        // for every finite `b`: all-zero rows of either sign give +0.0
+        // everywhere, and zeros scattered through a dense row change
+        // nothing.
         use anda_fp::simd::available_legs;
         let (m, k, n) = (6, 40, 33);
         let mut a = Matrix::from_vec(
@@ -1749,22 +1648,18 @@ mod tests {
             n,
             (0..k * n).map(|i| (i as f32 * 0.3).sin() * 1e3).collect(),
         );
-        let mut oracle = Matrix::zeros(m, n);
-        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
+        let oracle = naive(&a, &b);
         assert!(oracle.as_slice()[..2 * n].iter().all(|x| x.to_bits() == 0));
         let packed = PackedMatrix::pack(&b);
         for leg in available_legs() {
-            let (mut out, mut out_p) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
-            a.matmul_into_serial_with_leg(&b, &mut out, leg);
-            a.matmul_packed_into_serial_with_leg(&packed, &mut out_p, leg);
-            for (name, out) in [("row-major", out), ("packed", out_p)] {
-                let same = out
-                    .as_slice()
-                    .iter()
-                    .zip(oracle.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "{name} leg {}", leg.name());
-            }
+            let mut out = Matrix::zeros(m, n);
+            a.matmul_packed_into_serial_with_leg(&packed, &mut out, leg);
+            let same = out
+                .as_slice()
+                .iter()
+                .zip(oracle.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "leg {}", leg.name());
         }
     }
 

@@ -1,7 +1,7 @@
 //! The register-tiled GEMM kernel behind the vector legs of every
-//! [`crate::Matrix`] product — `lhs · rhs` over a row-major `rhs` or a
-//! [`crate::PackedMatrix`] — and of the [`crate::Strided`] view products
-//! the attention page walk is made of.
+//! [`crate::Matrix`] product — `lhs · rhs` over a [`crate::PackedMatrix`],
+//! which a row-major `rhs` is packed into per call — and of the
+//! [`crate::Strided`] view products the attention page walk is made of.
 //!
 //! Output-stationary: a tile of [`Leg::ROWS`]` × `[`Leg::STRIPS`]` ·
 //! `[`STRIP_COLS`] output elements lives in vector registers while `k`
@@ -43,13 +43,12 @@
 //!   L1. Without the hint a 4-row walk over the serving model's
 //!   sixteen projections (one thread, AVX2, weights in the L3) ran at
 //!   0.69–0.77 of its speed, a 64-row one at 0.88–0.93; 32 to 128 lines
-//!   ahead read alike, 256 a little slower.
-//! * **Row-major pack**, [`Layout::RowMajor`], `rhs` a [`crate::Matrix`]
-//!   held `k × n`: each panel is first copied contiguous, strip by strip,
-//!   sixteen floats of each of its rows, zero-padded past a ragged strip. In place the panel
-//!   would stride by a whole `rhs` row — one cache line per `k`, each in a
-//!   different page, evicting itself from a power-of-two-strided L1 set —
-//!   whereas the copy is nothing but independent loads.
+//!   ahead read alike, 256 a little slower. A row-major `rhs` of a
+//!   `Matrix · Matrix` product is packed so per call
+//!   ([`crate::PackedMatrix::pack`]), which no served step runs.
+//! * **Row-major windows in place**, [`Layout::Strided`]: a
+//!   [`crate::Strided`] `rhs`, windows of a cache-resident buffer read
+//!   where they lie at their own row stride (see *resident* below).
 //! * **Dequantized in the register**, [`Layout::Int4`]: a
 //!   [`crate::PackedMatrix`] in its INT4 form ([`Int4`]) holds the strips
 //!   of a W4 weight as 4-bit codes, biased by 8, two to a byte, and one
@@ -98,17 +97,18 @@
 //!
 //! | `rhs` | AVX-512 | AVX2, NEON | scalar |
 //! |---|---|---|---|
-//! | packed `f32`, INT4, row-major `f32` or binary16 | tile | tile | loops |
+//! | packed `f32` or INT4 | tile | tile | loops |
+//! | row-major windows, `f32` or binary16 | tile | tile | loops |
 //! | Anda page, `M <= 8` | tile, planes in place | tile, decoded page | loops, decoded page |
 //! | Anda page, `M > 8` | tile, decoded page | tile, decoded page | loops, decoded page |
 //!
-//! A **resident** product ([`Operands::resident`], what a
-//! [`crate::Strided`] view runs) multiplies by a window of a tile that is
+//! A **resident** product ([`Layout::Strided`] or [`Layout::Planes`], what
+//! a [`crate::Strided`] view runs) multiplies by a window of a tile that is
 //! already in the L1 — one head's keys or values of a KV page, sixteen
-//! positions by 64 — thousands of times a step. Its `rhs` is row-major and
-//! read in place like a packed one (the tile takes the `rhs` row stride,
-//! and a window's second strip is its next sixteen columns; a pack would
-//! copy each operand once per use). What it prefetches is the *next*
+//! positions by 64 — thousands of times a step. A row-major window is
+//! read in place like a packed `rhs` (the tile takes its row stride, and
+//! a window's second strip is its next sixteen columns; a pack would copy
+//! each operand once per use). What it prefetches is the *next*
 //! product's `rhs` ([`Operands::ahead`]: the page the walk multiplies by
 //! next, laid out alike, `ahead` elements on): each tile that reads a
 //! window in place — a batched tile, or the first row tile of a shared
@@ -140,7 +140,7 @@
 //! element: a panel holds `rhs`'s element (a ragged strip's copy is a
 //! copy), and the tile's `rhs` load widens in the register — `vcvtph2ps`
 //! on AVX2 (the leg requires F16C) and on AVX-512, `anda_fp`'s lane
-//! primitive on NEON — where the scalar oracle widens each element with
+//! primitive on NEON — where the scalar loops widen each element with
 //! [`anda_fp::F16::to_f32`]. So an FP16 page is read where it lies, with
 //! no widened copy of it, and each product is `f32::to_bits`-identical to
 //! the one over that copy — for every `rhs` without a NaN pattern, since
@@ -150,15 +150,15 @@
 //!
 //! Whatever the path, element `(i, j)` is `Σ_k a[i][k] · b[k][j]`
 //! accumulated in ascending `k` from `+0.0` (or the output's value),
-//! multiply then add, never fused — the operation sequence of the scalar
-//! oracles (`Matrix::matmul_rows_scalar`, [`resident_block_scalar`]; an
-//! INT4 `rhs`'s dequantizes a panel and runs the packed one), so every
-//! leg, layout, tile boundary, panel and sharding is `f32::to_bits`-
-//! identical to them (a panel boundary only parks the accumulators in the
-//! output, an exact `f32` round trip). Nothing skips a zero, the oracles
-//! included, so that holds on every input, non-finite ones too (where two
-//! different NaNs meet in one sum, which payload survives is the
-//! compiler's pick of operand order).
+//! multiply then add, never fused — the operation sequence of the naive
+//! ascending-`k` loop the suites hold and of the scalar legs (the packed
+//! axpy walk in `matrix.rs`, which dequantizes an INT4 row first, and
+//! [`resident_block_scalar`]), so every leg, layout, tile boundary, panel
+//! and sharding is `f32::to_bits`-identical to that loop (a panel boundary
+//! only parks the accumulators in the output, an exact `f32` round trip).
+//! Nothing skips a zero, the scalar legs included, so that holds on every
+//! input, non-finite ones too (where two different NaNs meet in one sum,
+//! which payload survives is the compiler's pick of operand order).
 
 use core::ops::Range;
 
@@ -278,18 +278,19 @@ mod element {
 /// panels come from. Only the panel source reads `rhs`.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Layout {
-    /// `k` rows of `n`: `lhs · rhs`, each panel copied contiguous (or, for
-    /// a resident product, read in place).
+    /// Row-major windows of a cache-resident buffer, `k` rows of `n` at
+    /// stride `ldb` (a [`crate::Strided`] `rhs`): resident, batched, each
+    /// window read in place.
     #[default]
-    RowMajor,
+    Strided,
     /// ⌈n/16⌉ contiguous `k × 16` strips, the last one zero-padded:
-    /// `lhs · rhs` with every panel read in place.
+    /// streamed from memory, every panel read in place.
     Packed,
     /// The strips of [`Layout::Packed`] held as INT4 codes and group
     /// scales ([`Int4`]), dequantized in the register as they are read.
     Int4,
     /// An Anda KV page's bit-plane rows ([`Planes`]), widened in the
-    /// register as they are read: a resident `rhs`, AVX-512 only.
+    /// register as they are read: resident and batched, AVX-512 only.
     Planes,
 }
 
@@ -412,9 +413,12 @@ impl Planes<'_> {
 
 /// Where a [`Leg::tile`] reads `B`, the `rhs` rows of one k panel, row
 /// `kk` of strip `s` sixteen `f32` columns: `rhs` elements where they lie
-/// or where the walk copied them ([`Strips`]), or INT4 codes dequantized
-/// in the register ([`Codes`]). The loads inline into the tiles, so they
-/// compile with the leg's features.
+/// — packed strips, row-major windows — or where the walk left them in its
+/// panel (a ragged window's copy, an INT4 panel's fill) ([`Strips`]); INT4
+/// codes dequantized in the register ([`Codes`]); or an Anda page's bit
+/// planes widened in the register, a V page's rows ([`Values`]) or a K
+/// page's position-minor blocks ([`Keys`]). The loads inline into the
+/// tiles, so they compile with the leg's features.
 pub(crate) trait Panel: Copy {
     /// The panel `off` of its units on: a batched tile's row `r` reads its
     /// `rhs` `r · bs` on — elements of [`Strips`], windows of a bit-plane
@@ -793,10 +797,10 @@ unsafe fn key_blocks<L: Leg>(
 /// The inputs of one product and how all three operands lie in memory:
 /// row `i` of `lhs` starts at `i · lda`, row `r` of `rhs` at `r · ldb`,
 /// output row `i` at `i · ldc`. A
-/// [`crate::Matrix`] passes its widths; a [`crate::Strided`] view passes
-/// the strides of the buffer it is a window of. A packed `rhs` has no row
-/// stride of its own: strip `s` starts at `s · 16 · k` and its rows lie
-/// sixteen apart. `rhs` is held in `E` (every streamed product's is `f32`).
+/// [`crate::Matrix`] product passes its widths; a [`crate::Strided`] view
+/// passes the strides of the buffer it is a window of. A packed `rhs` has
+/// no row stride of its own: strip `s` starts at `s · 16 · k` and its rows
+/// lie sixteen apart. `rhs` is held in `E` (every streamed product's is `f32`).
 #[derive(Default)]
 pub(crate) struct Operands<'a, E: Element = f32> {
     pub lhs: &'a [f32],
@@ -809,20 +813,17 @@ pub(crate) struct Operands<'a, E: Element = f32> {
     /// Every sum starts from the output's current contents instead of
     /// `+0.0`.
     pub accumulate: bool,
-    /// Row-major only: `rhs` is a window of a cache-resident tile rather
-    /// than a weight matrix streaming from memory, so full strips are read
-    /// where they lie instead of being copied, and nothing of it is
-    /// prefetched (only, with `ahead`, the next product's). A resident
-    /// product is batched.
-    pub resident: bool,
-    /// Resident only (ignored by a streamed product): `lhs` row `i`
-    /// multiplies window `i % windows` of `rhs`, the windows
-    /// `rhs_stride` elements apart — rows `h`, `h + windows`, … share one.
+    /// [`Layout::Strided`] and [`Layout::Planes`] only — the resident
+    /// layouts, whose `rhs` is windows of a cache-resident buffer (a packed
+    /// or INT4 `rhs` streams from memory and ignores these): `lhs` row `i`
+    /// multiplies window `i % windows` of `rhs`, the windows `rhs_stride`
+    /// elements apart — rows `h`, `h + windows`, … share one.
     pub windows: usize,
     pub rhs_stride: usize,
-    /// Resident only: non-zero, the element offset (wrapping) from `rhs`
-    /// to the `rhs` read next, laid out alike, whose same windows the
-    /// tiles stream in as they read these.
+    /// [`Layout::Strided`] only: non-zero, the element offset (wrapping)
+    /// from `rhs` to the `rhs` read next, laid out alike, whose same
+    /// windows the tiles stream in as they read these. Nothing of `rhs`
+    /// itself is prefetched.
     pub ahead: usize,
     /// [`Layout::Int4`] only, where `rhs` is empty: the codes and scales.
     pub int4: Int4<'a>,
@@ -934,10 +935,11 @@ pub(crate) trait Leg {
     #[inline(always)]
     fn prefetch<T>(_p: *const T) {}
 
-    /// [`matmul_block`], monomorphised for `ops.layout`, for a resident
-    /// `rhs` and for its element, and compiled with the leg's CPU feature
-    /// enabled, so that the panel source and the tile inline into the walk
-    /// and the batched branches are compiled out of every streamed product.
+    /// [`matmul_block`], monomorphised for `ops.layout` and for `rhs`'s
+    /// element, and compiled with the leg's CPU feature enabled, so that
+    /// the panel source and the tile inline into the walk and the batched
+    /// branches are compiled out of every streamed (packed or INT4)
+    /// product.
     ///
     /// # Safety
     ///
@@ -979,25 +981,23 @@ unsafe fn on_block(
 }
 
 /// Computes `block` of `ops.lhs · ops.rhs` (`rhs` held in `E` and read
-/// through `LAYOUT`, `ops.layout as u8`, and resident and batched when
-/// `RESIDENT`, which `ops.resident` repeats); see the module docs. Called
-/// through [`Leg::block`], which picks the instance.
+/// through `LAYOUT`, `ops.layout as u8`: resident and batched when that
+/// is [`Layout::Strided`] or [`Layout::Planes`]); see the module docs.
+/// Called through [`Leg::block`], which picks the instance.
 ///
 /// # Safety
 ///
 /// `block.ptr` must be valid for reads and writes of `block.cols` of
 /// `block.rows` rows `ops.ldc` apart, and nothing else may access those
 /// elements during the call. `ops.lhs` must hold `ops.k` elements of rows
-/// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`, and
-/// `ops.rhs` its `k × block.cols.end` elements at stride `ops.ldb` — each
-/// of `ops.windows` windows, `ops.rhs_stride` apart, for a resident
-/// product, whose block starts at row 0; packed, the strips covering
+/// `block.row0 .. block.row0 + block.rows` at stride `ops.lda`. Row-major,
+/// `ops.rhs` must hold `k × block.cols.end` elements at stride `ops.ldb` in
+/// each of `ops.windows` windows, `ops.rhs_stride` apart, and the block
+/// start at row 0 (as a bit-plane one, whose windows `ops.planes` holds);
+/// packed or INT4, `ops.rhs` or `ops.int4` the strips covering
 /// `block.cols`, which starts on a strip boundary.
 #[inline(always)]
-unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Element>(
-    ops: &Operands<E>,
-    block: &OutBlock,
-) {
+unsafe fn matmul_block<L: Leg, const LAYOUT: u8, E: Element>(ops: &Operands<E>, block: &OutBlock) {
     let &Operands {
         lhs,
         lda,
@@ -1014,12 +1014,12 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
     let packed = LAYOUT == Layout::Packed as u8;
     let int4 = LAYOUT == Layout::Int4 as u8;
     let planes = LAYOUT == Layout::Planes as u8;
+    // Row-major and bit-plane windows are cache-resident and batched; a
+    // packed or INT4 `rhs` streams from memory.
+    let resident = !packed && !int4;
     debug_assert!(
-        !RESIDENT
-            || (LAYOUT != Layout::Packed as u8 && LAYOUT != Layout::Int4 as u8)
-                && block.row0 == 0
-                && windows > 0,
-        "a resident rhs is row-major or bit-plane windows, one block of them"
+        !resident || block.row0 == 0 && windows > 0,
+        "a resident product is one block of its windows"
     );
     let (out, row0, rows, cols) = (block.ptr, block.row0, block.rows, &block.cols);
     debug_assert!(
@@ -1036,14 +1036,15 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         return;
     }
 
-    // Every element a tile reads from the panel was packed into it earlier
-    // in the same call. It holds `rhs`'s element: the tile widens it. It
-    // is one strip `KC` deep on every leg: twice that, the larger stack
-    // frame alone slowed a 4 × 64 × 16 batched product on a 2-vCPU
-    // AVX-512 Xeon from 137–151 to 167–203 ns.
+    // Every element a tile reads from the panel was copied (a ragged
+    // window) or dequantized (an INT4 panel) into it earlier in the same
+    // call. It holds `rhs`'s element: the tile widens it. It is one strip
+    // `KC` deep on every leg: twice that, the larger stack frame alone
+    // slowed a 4 × 64 × 16 batched product on a 2-vCPU AVX-512 Xeon from
+    // 137–151 to 167–203 ns. A K page's position-minor blocks go here too.
     let mut panel = core::mem::MaybeUninit::<[E; KC * STRIP_COLS]>::uninit();
     let panel: *mut E = panel.as_mut_ptr().cast();
-    let packed_b = panel.cast_const();
+    let panel_b = panel.cast_const();
     // Copies `kc` rows of the `width`-column row-major block at `src` into
     // a panel at `dst`, strip `s` at `dst + s · kc · 16`, zero-padded to
     // whole strips (all-zero bits are `+0.0` in either element).
@@ -1066,7 +1067,7 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
     // rows are whole tiles of `L::ROWS` such rows per window — or, over
     // bit planes, every row whose window another row reads too, so that
     // each tile widens its window once for all its rows.
-    let shared = match RESIDENT && rows >= L::ROWS * windows {
+    let shared = match resident && rows >= L::ROWS * windows {
         _ if planes && rows >= 2 * windows => rows / windows * windows,
         true => rows / windows / L::ROWS * L::ROWS * windows,
         false => 0,
@@ -1075,23 +1076,24 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
         let width = (L::STRIPS * STRIP_COLS).min(cols.end - j0);
         let strips = width.div_ceil(STRIP_COLS);
         let full = width == strips * STRIP_COLS;
-        // What is read in place goes `KC` deep. A pack holds the block's
-        // strips (copied, or dequantized from INT4 codes), and a batched
-        // product's a ragged block per row — a tile's rows each own one —,
-        // so their k panels are shallower.
-        let kc_max = match (packed || RESIDENT && full, RESIDENT) {
+        // What is read in place goes `KC` deep. The panel holds an INT4
+        // block's dequantized strips, or a batched product's ragged block
+        // per row — a tile's rows each own one —, so their k panels are
+        // shallower.
+        let kc_max = match () {
             // A K page's panel lies in one group.
             _ if planes && ops.planes.keys => GROUP,
-            (true, _) => KC,
-            (false, false) => KC / L::STRIPS,
-            (false, true) => KC / TILE_ROWS / L::STRIPS,
+            _ if packed || resident && full => KC,
+            _ if int4 => KC / L::STRIPS,
+            _ => KC / TILE_ROWS / L::STRIPS,
         };
         for k0 in (0..k).step_by(kc_max) {
             let kc = kc_max.min(k - k0);
             let first = k0 == 0 && !accumulate;
-            // A panel this call packs: its strips lie `kc` rows apart.
-            let packed_sb = kc * STRIP_COLS;
-            if RESIDENT {
+            if resident {
+                // A ragged window copied into the panel: its strips lie
+                // `kc` rows apart.
+                let panel_sb = kc * STRIP_COLS;
                 // Where window `h` of this block and panel starts.
                 let window = |h: usize| b.add(h * rhs_stride + k0 * ldb + j0);
                 // A bit-plane window's tiles: see `plane_tile`.
@@ -1108,7 +1110,7 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                         true => (window(h), ldb, STRIP_COLS),
                         false => {
                             copy_strips(window(h), width, kc, panel);
-                            (packed_b, STRIP_COLS, packed_sb)
+                            (panel_b, STRIP_COLS, panel_sb)
                         }
                     };
                     // The rows on window `h` lie a cycle of windows apart.
@@ -1156,10 +1158,10 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                         true => (window(h), ldb, STRIP_COLS, bs),
                         false => {
                             for i in 0..r {
-                                let dst = panel.add(i * strips * packed_sb);
+                                let dst = panel.add(i * strips * panel_sb);
                                 copy_strips(window(h).add(i * bs), width, kc, dst);
                             }
-                            (packed_b, STRIP_COLS, packed_sb, strips * packed_sb)
+                            (panel_b, STRIP_COLS, panel_sb, strips * panel_sb)
                         }
                     };
                     let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
@@ -1172,17 +1174,13 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, const RESIDENT: bool, E: Elemen
                 }
                 continue;
             }
-            // Where the tiles read this panel, and how far apart its rows
-            // and its strips lie. The first row tile over an INT4 one
-            // dequantizes it in the register and, only when another row
-            // tile follows, leaves it in `panel` for the rest.
-            let (tile_b, sb) = if packed {
-                (b.add(j0 * k + k0 * STRIP_COLS), k * STRIP_COLS)
-            } else if int4 {
-                (packed_b, FILL_SB)
-            } else {
-                copy_strips(b.add(k0 * ldb + j0), width, kc, panel);
-                (packed_b, packed_sb)
+            // Where the tiles read this panel, and how far apart its strips
+            // lie. The first row tile over an INT4 one dequantizes it in the
+            // register and, only when another row tile follows, leaves it in
+            // `panel` for the rest.
+            let (tile_b, sb) = match int4 {
+                true => (panel_b, FILL_SB),
+                false => (b.add(j0 * k + k0 * STRIP_COLS), k * STRIP_COLS),
             };
             for i0 in (0..rows).step_by(L::ROWS) {
                 let r = L::ROWS.min(rows - i0);
@@ -1263,28 +1261,30 @@ unsafe fn plane_tile<L: Leg>(
 }
 
 /// [`Leg::block`]'s one body: the [`matmul_block`] instance for `ops`'s
-/// layout and residency. Each leg's `block` calls it with its CPU feature
-/// enabled, so the instance and the tile inline into that leg's copy.
+/// layout. Each leg's `block` calls it with its CPU feature enabled, so
+/// the instance and the tile inline into that leg's copy.
 ///
 /// # Safety
 ///
 /// As [`Leg::block`].
 #[inline(always)]
 unsafe fn block_body<L: Leg, E: Element>(ops: &Operands<E>, block: &OutBlock) {
-    const ROW_MAJOR: u8 = Layout::RowMajor as u8;
+    const STRIDED: u8 = Layout::Strided as u8;
     const PACKED: u8 = Layout::Packed as u8;
     const INT4: u8 = Layout::Int4 as u8;
-    match (ops.layout, ops.resident) {
-        (Layout::RowMajor, false) => matmul_block::<L, ROW_MAJOR, false, E>(ops, block),
-        (Layout::RowMajor, true) => matmul_block::<L, ROW_MAJOR, true, E>(ops, block),
-        (Layout::Packed, _) => matmul_block::<L, PACKED, false, E>(ops, block),
-        // The walk's panel holds `E`, and an INT4 panel is dequantized to
-        // `f32`: only a streamed (`f32`) product has an INT4 `rhs`.
-        (Layout::Int4, _) if core::mem::size_of::<E>() == 4 => {
-            matmul_block::<L, INT4, false, E>(ops, block)
+    match ops.layout {
+        Layout::Strided => matmul_block::<L, STRIDED, E>(ops, block),
+        Layout::Packed => matmul_block::<L, PACKED, E>(ops, block),
+        Layout::Int4 => {
+            // The walk's panel holds `E`, and an INT4 panel is dequantized
+            // to `f32`: only an `f32` product has an INT4 `rhs`.
+            assert!(
+                core::mem::size_of::<E>() == 4,
+                "an INT4 rhs is dequantized to f32"
+            );
+            matmul_block::<L, INT4, E>(ops, block)
         }
-        (Layout::Int4, _) => unreachable!("an INT4 rhs is dequantized to f32"),
-        (Layout::Planes, _) => unreachable!("bit planes have their own entry, planes_block"),
+        Layout::Planes => unreachable!("bit planes have their own entry, planes_block"),
     }
 }
 
@@ -1298,12 +1298,12 @@ unsafe fn block_body<L: Leg, E: Element>(ops: &Operands<E>, block: &OutBlock) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
 pub(crate) unsafe fn planes_block(ops: &Operands, block: &OutBlock) {
-    matmul_block::<Avx512, { Layout::Planes as u8 }, true, f32>(ops, block)
+    matmul_block::<Avx512, { Layout::Planes as u8 }, f32>(ops, block)
 }
 
-/// The scalar oracle of a resident product ([`Operands::resident`]) — the
-/// loops every vector leg of [`crate::Strided`]'s products is pinned to,
-/// on every input: `out[i][j] += a[i][kk] · b[kk][j]` for ascending `kk`,
+/// The scalar leg of a [`Layout::Strided`] product — the loops every
+/// vector leg of [`crate::Strided`]'s products is pinned to, on every
+/// input: `out[i][j] += a[i][kk] · b[kk][j]` for ascending `kk`,
 /// skipping nothing, row `i` reading `b` from window `i % windows` on, each
 /// `b` element widened to `f32` ([`anda_fp::F16::to_f32`] for binary16).
 pub(crate) fn resident_block_scalar<E: Element>(
@@ -1313,8 +1313,8 @@ pub(crate) fn resident_block_scalar<E: Element>(
     out: &mut [f32],
 ) {
     debug_assert!(
-        ops.layout == Layout::RowMajor,
-        "a resident rhs is row-major"
+        ops.layout == Layout::Strided,
+        "the scalar loops read row-major windows"
     );
     for i in 0..rows {
         let a_row = &ops.lhs[i * ops.lda..][..ops.k];

@@ -177,9 +177,9 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
 }
 
 /// The packed product — the walk every projection of a served step runs —
-/// against the scalar oracle on the unpacked matrix, on every leg and
-/// every pool width, the row-major product at the same shapes against it
-/// and the products by a transpose against the per-element dot: every
+/// against the naive ascending-`k` dot on the unpacked matrix, on every
+/// leg and every pool width, and the row-major entry (a pack per call)
+/// and the products by a transpose against the same dot: every
 /// tile height from one row to eight (so every tile of the four-row and
 /// the eight-row legs) and nine, row counts
 /// on both sides of the thread counts' tile multiples and of 32 and 64 (so
@@ -194,7 +194,6 @@ fn degenerate_zero_dimension_shapes_survive_every_thread_count() {
 #[test]
 fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
     let pools: Vec<ThreadPool> = THREADS.iter().map(|&t| ThreadPool::new(t)).collect();
-    let scalar = anda_fp::SimdLeg::SCALAR;
     for k in [1usize, 7, 255, 256, 257, 1024] {
         for n in [15usize, 16, 17, 31, 32, 33, 47, 48, 49, 64, 65, 80, 100] {
             let b = deterministic(k, n, 8);
@@ -205,9 +204,7 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
             for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33, 64, 65] {
                 let mut a = deterministic(m, k, 9);
                 a.map_inplace(|x| x.max(0.0));
-                let mut oracle = Matrix::zeros(m, n);
-                a.matmul_into_serial_with_leg(&b, &mut oracle, scalar);
-                let oracle_t = per_element_dots(&a, &bt);
+                let oracle = per_element_dots(&a, &bt);
                 // Every layout's product into `out`, on `leg` or `pool`,
                 // against its oracle; stale contents must be overwritten.
                 let check = |at: &str, run: &dyn Fn(&mut Matrix), oracle: &Matrix| {
@@ -221,12 +218,10 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
                     let run =
                         |out: &mut Matrix| a.matmul_packed_into_serial_with_leg(&packed, out, leg);
                     check(&format!("packed leg {name}"), &run, &oracle);
-                    let run = |out: &mut Matrix| a.matmul_into_serial_with_leg(&b, out, leg);
-                    check(&format!("row-major leg {name}"), &run, &oracle);
                     let run = |out: &mut Matrix| {
                         a.matmul_packed_into_serial_with_leg(&packed_t, out, leg)
                     };
-                    check(&format!("transposed leg {name}"), &run, &oracle_t);
+                    check(&format!("transposed leg {name}"), &run, &oracle);
                 }
                 for (threads, pool) in THREADS.iter().zip(&pools) {
                     let run = |out: &mut Matrix| a.matmul_packed_into_pool(&packed, out, pool);
@@ -234,7 +229,7 @@ fn packed_matmul_matches_the_scalar_oracle_on_every_leg_and_pool() {
                     let run = |out: &mut Matrix| a.matmul_into_pool(&b, out, pool);
                     check(&format!("row-major @ {threads}t"), &run, &oracle);
                     let run = |out: &mut Matrix| a.matmul_transposed_into_pool(&bt, out, pool);
-                    check(&format!("transposed @ {threads}t"), &run, &oracle_t);
+                    check(&format!("transposed @ {threads}t"), &run, &oracle);
                 }
             }
         }
@@ -295,8 +290,9 @@ fn hostile_operands(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix)
     (a, b)
 }
 
-/// The oracle of the transposed product: element `(i, j)` is the plain
-/// ascending-`k` dot of `a`'s row `i` and `bt`'s row `j`.
+/// The oracle of every product: element `(i, j)` is the plain
+/// ascending-`k` dot of `a`'s row `i` and `bt`'s row `j` — `a · btᵀ`, so
+/// over a `k × n` `rhs` `b` it is called with `b.transposed()`.
 fn per_element_dots(a: &Matrix, bt: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), bt.rows());
     for i in 0..a.rows() {
@@ -314,19 +310,19 @@ fn per_element_dots(a: &Matrix, bt: &Matrix) -> Matrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The register-tiled GEMM against the scalar oracle: every
+    /// The register-tiled GEMM against the naive ascending-`k` dot: every
     /// available leg of the serial kernel and every pool width, over row
     /// counts on both sides of the tile height and of `4 × threads` (so
     /// tile interiors, the partial last tile, one- to three-row tiles, row
     /// sharding and column-strip sharding all run), `k` across the
     /// 256-deep panel boundary, and column counts with every kind of strip
-    /// tail — with `rhs` held row-major (each panel copied) and packed
-    /// (read in place). The same operands held `n × k` and packed
-    /// transposed, as the tied embedding is, must equal the per-element
-    /// dot. Every third `rhs` column holds an infinity or a NaN: nothing
-    /// skips a zero, the oracles included, so every product equals its
-    /// oracle on every input — a zero `lhs` row against an infinity is a
-    /// NaN in both.
+    /// tail — with `rhs` packed once (read in place) and through the
+    /// row-major entry (a pack per call). The same operands held `n × k`
+    /// and packed transposed, as the tied embedding is, must equal the dot
+    /// too. Every third `rhs` column holds an infinity or a NaN: nothing
+    /// skips a zero, the scalar leg included, so every product equals the
+    /// dot on every input — a zero `lhs` row against an infinity is a NaN
+    /// in both.
     #[test]
     fn tiled_matmul_matches_the_scalar_oracle(
         m in 1usize..=70,
@@ -343,14 +339,7 @@ proptest! {
             let at = (seed >> 8) as usize % k;
             b[((at + j) % k, j)] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j / 3 % 3];
         }
-        let mut oracle = Matrix::zeros(m, n);
-        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
-        for leg in anda_fp::simd::available_legs() {
-            let mut out = Matrix::zeros(m, n);
-            out.as_mut_slice().fill(f32::NAN);
-            a.matmul_into_serial_with_leg(&b, &mut out, leg);
-            assert_bits_eq(&out, &oracle, &format!("{m}x{k}x{n} leg {}", leg.name()));
-        }
+        let oracle = per_element_dots(&a, &b.transposed());
         let packed = PackedMatrix::pack(&b);
         for leg in anda_fp::simd::available_legs() {
             let mut out = Matrix::zeros(m, n);

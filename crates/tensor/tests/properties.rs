@@ -104,10 +104,10 @@ proptest! {
         }
     }
 
-    /// The row-major product and the packed one over a transposed pack are
-    /// `to_bits`-identical across every available SIMD dispatch leg, on
-    /// arbitrary shapes crossing the vector-lane boundaries (the scalar
-    /// leg and the per-element dot are the oracles).
+    /// The packed product, over a pack and over a transposed pack, is
+    /// `to_bits`-identical on every available SIMD dispatch leg to the
+    /// naive ascending-`k` loop, on arbitrary shapes crossing the
+    /// vector-lane boundaries.
     #[test]
     fn gemm_legs_are_bit_identical(
         m in 1usize..10,
@@ -121,32 +121,35 @@ proptest! {
         Rng::new(seed ^ 1).fill_normal(b.as_mut_slice(), 1.0);
         let mut bt = Matrix::zeros(n, k);
         Rng::new(seed ^ 2).fill_normal(bt.as_mut_slice(), 1.0);
-        // Zero-heavy A exercises the skip-zero fast path on every leg.
+        // Zero-heavy A: no leg skips a zero.
         for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
             if i % 3 == 0 {
                 *v = 0.0;
             }
         }
 
-        let mut oracle = Matrix::zeros(m, n);
-        a.matmul_into_serial_with_leg(&b, &mut oracle, anda_fp::SimdLeg::SCALAR);
-        // A table held `n × k`, packed transposed: its oracle is the
-        // per-element ascending-`k` dot.
-        let mut oracle_t = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let products = a.row(i).iter().zip(bt.row(j)).map(|(x, y)| x * y);
-                oracle_t[(i, j)] = products.fold(0.0, |acc, p| acc + p);
+        // The oracle: the per-element ascending-`k` dot of `a`'s row `i`
+        // and `b`'s column `j` — of a table held `n × k` and packed
+        // transposed, its row `j`.
+        let dots = |bt: &Matrix| {
+            let mut out = Matrix::zeros(m, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let products = a.row(i).iter().zip(bt.row(j)).map(|(x, y)| x * y);
+                    out[(i, j)] = products.fold(0.0, |acc, p| acc + p);
+                }
             }
-        }
-        let bt = PackedMatrix::pack_transposed(&bt);
+            out
+        };
+        let (oracle, oracle_t) = (dots(&b.transposed()), dots(&bt));
+        let (b, bt) = (PackedMatrix::pack(&b), PackedMatrix::pack_transposed(&bt));
         let bits = |mat: &Matrix| -> Vec<u32> {
             mat.as_slice().iter().map(|x| x.to_bits()).collect()
         };
         for leg in anda_fp::available_legs() {
             let mut out = Matrix::zeros(m, n);
-            a.matmul_into_serial_with_leg(&b, &mut out, leg);
-            prop_assert_eq!(bits(&out), bits(&oracle), "matmul leg={}", leg.name());
+            a.matmul_packed_into_serial_with_leg(&b, &mut out, leg);
+            prop_assert_eq!(bits(&out), bits(&oracle), "packed leg={}", leg.name());
             a.matmul_packed_into_serial_with_leg(&bt, &mut out, leg);
             prop_assert_eq!(bits(&out), bits(&oracle_t), "packed_t leg={}", leg.name());
         }
