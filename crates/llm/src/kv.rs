@@ -83,7 +83,7 @@ use anda_format::{AndaConfig, AndaTensor};
 use anda_fp::batch::{narrow, widen};
 use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use anda_fp::F16;
-use anda_tensor::{ops, BitPlanes, PlaneWindows, Strided};
+use anda_tensor::{ops, BitPlanes, PlaneWindows, RowClass, Strided};
 use rayon_lite::ThreadPool;
 
 use crate::config::ModelConfig;
@@ -201,14 +201,19 @@ pub struct Page {
     data: PageData,
 }
 
-/// A page's K or V as the walk's products read it ([`Page::tile`]): `f32`
-/// (a float page's own words, or an Anda page decoded), an FP16 page's
-/// binary16 words, or an Anda page's bit-plane words; each with the words
-/// of the page the walk reads next, which the products stream (an FP16 or
-/// an in-place Anda page's only).
+/// A page's K or V as the walk's products read it ([`Page::tile`]): an
+/// `f32` page's own words, an Anda page decoded, an FP16 page's binary16
+/// words, or an Anda page's bit-plane words; each with the words of the
+/// page the walk reads next, which the products stream (an FP16 or an
+/// in-place Anda page's only). Every variant but `F32` holds finite values
+/// only (an FP16 page holds [`narrow`]'s saturated words, and the row
+/// codec saturates), which the V pass's skip of a row of zero weights
+/// relies on ([`PageGroup::mix`]).
 #[derive(Clone, Copy)]
 enum Tile<'a> {
     F32(Rhs<'a, f32>),
+    /// An Anda page decoded into the walk's tile.
+    Decoded(&'a [f32]),
     F16(Rhs<'a, u16>),
     /// An Anda page's K or V words, which the product widens in the
     /// register as it loads them, and the next page's to stream.
@@ -476,10 +481,10 @@ impl Page {
                 let groups = cols.start / LANES..cols.end.div_ceil(LANES);
                 if want_v {
                     v.decode_rows_into(leg, groups, &mut scratch[..filled], next);
-                    return (Tile::F32((&scratch[cols.start..filled], None)), dim);
+                    return (Tile::Decoded(&scratch[cols.start..filled]), dim);
                 }
                 k.decode_rows_transposed_into(leg, groups, self.used, scratch, pp, next);
-                (Tile::F32((scratch, None)), pp)
+                (Tile::Decoded(scratch), pp)
             }
         }
     }
@@ -1135,6 +1140,8 @@ struct WalkScratch {
     /// stride + p`, `stride` the longest window in whole pages.
     scores: Vec<f32>,
     mix: Vec<f32>,
+    /// A V product's rows' classes ([`PageGroup::mix`]).
+    classes: Vec<RowClass>,
     /// The lanes and window [`PageDecodeCache::reserve`] announced, which
     /// size `scores` once the first walk knows the page size.
     reserved: (usize, usize),
@@ -1228,7 +1235,7 @@ struct Viewer {
 /// sum), the max-shifted log-softmax (`ops::softmax_rows_in_place_with_leg`
 /// on the walk's leg, every `exp` the `anda_fp::exp` port), the
 /// position-ascending `p·v`
-/// accumulation, multiply then add, nothing skipped — so results are
+/// accumulation, multiply then add — so results are
 /// `f32::to_bits`-identical to a scalar loop over
 /// [`LayerKv::key_into`] / [`LayerKv::value_into`], on every SIMD leg and
 /// at every thread count: parallel jobs split the *columns* (whole heads,
@@ -1236,7 +1243,15 @@ struct Viewer {
 /// every page, so no decode work is duplicated either. (One bit is
 /// representational: a score sums from `+0.0`, where `Iterator::sum`
 /// starts at `-0.0`, so a score whose every product is `-0.0` is `+0.0`
-/// here — which the max-shifted softmax maps to the same weight.)
+/// here — which the max-shifted softmax maps to the same weight.) The V
+/// pass runs each lane-head's weights for a page by their class
+/// (`anda_tensor::RowClass`, `PageGroup::mix`) on the AVX2 and AVX-512
+/// legs: a row whose every weight is zero is skipped on FP16 and Anda
+/// pages, whose values are finite, since it would add only zeros to a mix
+/// that is never `−0.0`; a row holding a weight below `2^-102` takes
+/// those steps' products in `f64`, so no x86 assist on a subnormal
+/// product slows it; both give the loop's bits, and an `f32` page is
+/// multiplied by every weight.
 #[derive(Clone, Debug, Default)]
 pub struct PageDecodeCache {
     /// One scratch per parallel job; job 0 owns column 0 and the counts.
@@ -1290,6 +1305,7 @@ impl PageDecodeCache {
         job.order.reserve(rows);
         job.q.reserve(rows * config.d_model);
         job.mix.reserve(rows * config.d_model);
+        job.classes.reserve(rows * config.n_heads);
         job.reserved = (rows, max_len);
         // A solo step runs on the pool of one, which allocates when first
         // used: make it now.
@@ -1568,7 +1584,7 @@ fn visit_pages(
             for run in viewers.chunk_by(stacks) {
                 match want_v {
                     false => group.score(tile, run, &s.q, &mut s.scores),
-                    true => group.mix(tile, run, &s.scores, &mut s.mix),
+                    true => group.mix(tile, run, &s.scores, &mut s.classes, &mut s.mix),
                 }
             }
             let muladds = viewers.iter().map(|v| v.rows * d).sum::<usize>();
@@ -1616,14 +1632,18 @@ impl PageGroup {
         match keys {
             Tile::F32((keys, next)) => {
                 let keys = Strided::new(keys, dh, n, n);
-                q.matmul_batched_into(keys, heads, dh * n, out, stride, false, next, leg)
+                q.matmul_batched_into(keys, heads, dh * n, out, stride, false, next, &[], leg)
+            }
+            Tile::Decoded(keys) => {
+                let keys = Strided::new(keys, dh, n, n);
+                q.matmul_batched_into(keys, heads, dh * n, out, stride, false, None, &[], leg)
             }
             Tile::F16((keys, next)) => {
                 let keys = Strided::new(keys, dh, n, n);
-                q.matmul_batched_into(keys, heads, dh * n, out, stride, false, next, leg)
+                q.matmul_batched_into(keys, heads, dh * n, out, stride, false, next, &[], leg)
             }
             Tile::Planes(keys, next) => {
-                q.matmul_planes_into(keys, heads, out, stride, false, next, leg)
+                q.matmul_planes_into(keys, heads, out, stride, false, next, &[], leg)
             }
         }
         let scale = 1.0 / (dh as f32).sqrt();
@@ -1641,25 +1661,52 @@ impl PageGroup {
     /// product — head `h`'s weights
     /// times head `h`'s `rows × dh` values, accumulated straight onto the
     /// mixes of the pages before, so every output element adds its `p · v`
-    /// in position order and a weight of zero still multiplies. Streams
-    /// the next page as [`PageGroup::score`] does.
-    fn mix(&self, values: Tile, run: &[Viewer], scores: &[f32], mix: &mut [f32]) {
+    /// in position order. Streams the next page as [`PageGroup::score`]
+    /// does.
+    ///
+    /// Each lane-head's weights for the page are classed first
+    /// ([`RowClass::of`], into `classes`), and the AVX2 and AVX-512 tiles
+    /// run each row by its class, with the same bits. A row whose every
+    /// weight is zero is not multiplied: its steps would add a zero times
+    /// a finite value — every tile but an `f32` page's holds finite values
+    /// only ([`Tile`]) — to a mix that started at `+0.0` and so is never
+    /// `−0.0`. A row with a weight below `2^-102`, whose product with a
+    /// value can fall below `2^-126`, takes that step's products in `f64`,
+    /// where no subnormal meets the vector unit. An `f32` page, which may
+    /// hold `±∞`, is multiplied by every weight as it is.
+    fn mix(
+        &self,
+        values: Tile,
+        run: &[Viewer],
+        scores: &[f32],
+        classes: &mut Vec<RowClass>,
+        mix: &mut [f32],
+    ) {
         let (rows, dh, heads, stride) = (run[0].rows, self.dh, self.heads, self.stride);
         let first = run[0].lane * heads;
         let weights = &scores[first * stride + self.base..];
         let p = Strided::new(weights, run.len() * heads, rows, stride);
-        let (out, leg) = (&mut mix[first * dh..], self.leg);
+        classes.clear();
+        if !matches!(values, Tile::F32(_)) {
+            let row = |r: usize| RowClass::of(&weights[r * stride..][..rows]);
+            classes.extend((0..run.len() * heads).map(row));
+        }
+        let (out, leg, classes) = (&mut mix[first * dh..], self.leg, &classes[..]);
         match values {
             Tile::F32((values, next)) => {
                 let values = Strided::new(values, rows, dh, self.ld);
-                p.matmul_batched_into(values, heads, dh, out, dh, true, next, leg)
+                p.matmul_batched_into(values, heads, dh, out, dh, true, next, classes, leg)
+            }
+            Tile::Decoded(values) => {
+                let values = Strided::new(values, rows, dh, self.ld);
+                p.matmul_batched_into(values, heads, dh, out, dh, true, None, classes, leg)
             }
             Tile::F16((values, next)) => {
                 let values = Strided::new(values, rows, dh, self.ld);
-                p.matmul_batched_into(values, heads, dh, out, dh, true, next, leg)
+                p.matmul_batched_into(values, heads, dh, out, dh, true, next, classes, leg)
             }
             Tile::Planes(values, next) => {
-                p.matmul_planes_into(values, heads, out, dh, true, next, leg)
+                p.matmul_planes_into(values, heads, out, dh, true, next, classes, leg)
             }
         }
     }

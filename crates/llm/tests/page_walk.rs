@@ -105,6 +105,44 @@ fn append(cache: &mut KvCache, rng: &mut Rng, positions: usize, dim: usize) {
     }
 }
 
+/// The classes of softmax weights the reference met on this thread, which
+/// the V pass runs each row of a page by (`anda_tensor::RowClass`): heads'
+/// blocks of sixteen positions whose every weight is `+0.0`, `+0.0`
+/// weights in other blocks, the subnormal binades, and normal weights
+/// below `2^-102`.
+#[derive(Default)]
+struct Tally {
+    zero_blocks: usize,
+    scattered_zeros: usize,
+    binades: std::collections::BTreeSet<u32>,
+    tiny_normals: usize,
+}
+
+thread_local! {
+    static TALLY: std::cell::RefCell<Tally> = std::cell::RefCell::default();
+}
+
+/// Adds one head's weights to this thread's [`Tally`].
+fn tally(weights: &[f32]) {
+    TALLY.with_borrow_mut(|tally| {
+        for block in weights.chunks(16) {
+            let zeros = block.iter().filter(|&&p| p.to_bits() == 0).count();
+            match zeros == block.len() {
+                true => tally.zero_blocks += 1,
+                false => tally.scattered_zeros += zeros,
+            }
+        }
+        for &p in weights {
+            match p.to_bits() {
+                0 => {}
+                b if b < 1 << 23 => _ = tally.binades.insert(b.ilog2()),
+                b if b < 25 << 23 => tally.tiny_normals += 1,
+                _ => {}
+            }
+        }
+    })
+}
+
 /// One head at a time, one row at a time: the operation order of the
 /// per-head kernel the walk replaced, reading rows only through the
 /// public single-row accessors.
@@ -126,6 +164,7 @@ fn reference(layer: &LayerKv, t: usize, q: &[f32], n_heads: usize) -> Vec<f32> {
         let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
         let log_sum: f32 = scores.iter().map(|&x| expf(x - max)).sum::<f32>().ln();
         let log_probs: Vec<f32> = scores.iter().map(|&s| s - max - log_sum).collect();
+        tally(&log_probs.iter().map(|&l| expf(l)).collect::<Vec<_>>());
         for (pos, l) in log_probs.iter().enumerate() {
             let p = expf(*l);
             layer.value_into(pos, &mut row);
@@ -147,8 +186,38 @@ fn check_walk(views: &[(&LayerKv, usize)], n_heads: usize, rng: &mut Rng, ctx: &
     check_walk_on(views, &queries, n_heads, &THREADS, ctx)
 }
 
-/// [`check_walk`] with the lanes' queries and the pool widths given.
+/// How much [`check_walk_on`] scales its queries up by for its second
+/// round: scores spread over hundreds, so that a head's softmax weights
+/// hold whole pages of `+0.0`, scattered zeros, subnormals and normal
+/// weights below `2^-102` beside its large ones — every class of row the
+/// V pass runs by.
+const WIDE_SCORES: f32 = 150.0;
+
+/// [`check_walk`] with the lanes' queries and the pool widths given, and
+/// again with the queries scaled by [`WIDE_SCORES`].
 fn check_walk_on(
+    views: &[(&LayerKv, usize)],
+    queries: &[Vec<f32>],
+    n_heads: usize,
+    threads: &[usize],
+    ctx: &str,
+) -> u64 {
+    let wide: Vec<Vec<f32>> = queries
+        .iter()
+        .map(|q| q.iter().map(|&x| x * WIDE_SCORES).collect())
+        .collect();
+    let decoded = check_walk_once(views, queries, n_heads, threads, ctx);
+    let ctx = format!("{ctx}, queries scaled by {WIDE_SCORES}");
+    assert_eq!(
+        check_walk_once(views, &wide, n_heads, threads, &ctx),
+        decoded,
+        "{ctx}: pages decoded must not depend on the weights"
+    );
+    decoded
+}
+
+/// One round of [`check_walk_on`].
+fn check_walk_once(
     views: &[(&LayerKv, usize)],
     queries: &[Vec<f32>],
     n_heads: usize,
@@ -445,6 +514,15 @@ fn anda_pages_read_in_place_keep_every_bit() {
             check(&span, &format!("a {lanes}-lane chunk span"));
         }
     }
+    // The scaled queries gave the V pass every class of row to run.
+    TALLY.with_borrow(|tally| {
+        assert!(tally.zero_blocks > 0 && tally.scattered_zeros > 0);
+        assert!(
+            tally.tiny_normals > 0 && tally.binades.len() >= 16,
+            "{:?}",
+            tally.binades
+        );
+    });
 }
 
 #[test]
@@ -770,28 +848,32 @@ fn rows_past_a_window_never_reach_its_lane() {
 
 #[test]
 fn a_zero_weight_still_multiplies_its_value_row() {
-    // Inside the window nothing is skipped either: a softmax weight that
-    // underflowed to exactly 0 against an infinite V element is a NaN in
-    // the reference's `out += p * v`, so it is one in the walk — the GEMM
-    // kernels' zero-skipping row walk is not the one attention runs.
+    // Inside the window nothing is skipped on an `f32` page either: a
+    // softmax weight that underflowed to exactly 0 against an infinite V
+    // element is a NaN in the reference's `out += p * v`, so it is one in
+    // the walk — also where the page's every weight is `+0.0` (one
+    // position a page), which the V pass skips on the pages that hold
+    // finite values only.
     let (dim, n_heads) = (8, 1);
     let key = |x: f32| [vec![x], vec![0.0; dim - 1]].concat();
     let mut v1 = vec![1.0; dim];
     (v1[0], v1[3]) = (f32::INFINITY, f32::NEG_INFINITY);
-    let cache = fp32_rows(&[(key(20.0), vec![0.5; dim]), (key(-20.0), v1)], 4);
-    let q = key(20.0);
-    let out = reference(cache.layer(0), 2, &q, n_heads);
-    assert!(
-        out[0].is_nan() && out[3].is_nan() && out[1] == 0.5,
-        "{out:?}"
-    );
-    check_walk_on(
-        &[(cache.layer(0), 2)],
-        &[q],
-        n_heads,
-        &THREADS,
-        "zero weight",
-    );
+    for pp in [4, 1] {
+        let cache = fp32_rows(&[(key(20.0), vec![0.5; dim]), (key(-20.0), v1.clone())], pp);
+        let q = key(20.0);
+        let out = reference(cache.layer(0), 2, &q, n_heads);
+        assert!(
+            out[0].is_nan() && out[3].is_nan() && out[1] == 0.5,
+            "{out:?}"
+        );
+        check_walk_on(
+            &[(cache.layer(0), 2)],
+            &[q],
+            n_heads,
+            &THREADS,
+            &format!("zero weight, page {pp}"),
+        );
+    }
 }
 
 #[test]

@@ -26,4 +26,4 @@ mod tile;
 
 pub use matrix::{Matrix, PackedMatrix, PlaneWindows, Strided};
 pub use rng::Rng;
-pub use tile::{BitPlanes, Element};
+pub use tile::{BitPlanes, Element, RowClass};

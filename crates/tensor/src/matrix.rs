@@ -37,7 +37,8 @@ use anda_fp::simd::{active_leg, LegKind, SimdLeg};
 use rayon_lite::ThreadPool;
 
 use crate::tile::{
-    self, BitPlanes, Element, Int4, Layout, Operands, OutBlock, Planes, STRIP_COLS, TILE_ROWS,
+    self, BitPlanes, Element, Int4, Layout, Operands, OutBlock, Planes, RowClass, STRIP_COLS,
+    TILE_ROWS,
 };
 
 /// Below this many multiply-adds a GeMM runs serially even when the
@@ -900,12 +901,16 @@ impl Strided<'_> {
     /// `out`'s contents when `accumulate`. `next`, a buffer laid out as
     /// `rhs`'s — the page a walk multiplies by next —, has its same windows
     /// streamed into the cache as these are read, when they fit it; it
-    /// changes no value.
+    /// changes no value. `classes` is empty, or one [`RowClass`] per row of
+    /// `self` — say each row's softmax weights' — which the AVX2 and
+    /// AVX-512 tiles run each row by; on the contract [`RowClass::Zero`]
+    /// states, it changes no value either.
     ///
     /// # Panics
     ///
     /// Panics on a shape mismatch, if `windows` is 0, if `out` cannot hold
-    /// the product, or if the last window runs past `rhs`'s buffer.
+    /// the product, if the last window runs past `rhs`'s buffer, or if
+    /// `classes` is neither empty nor one per row.
     #[allow(clippy::too_many_arguments)]
     pub fn matmul_batched_into<E: Element>(
         &self,
@@ -916,11 +921,13 @@ impl Strided<'_> {
         ldc: usize,
         accumulate: bool,
         next: Option<&[E]>,
+        classes: &[RowClass],
         leg: SimdLeg,
     ) {
         let (k, n) = (rhs.rows, rhs.cols);
         assert_eq!(self.cols, k, "strided product shape mismatch");
         assert!(windows > 0, "a batch reads at least one window");
+        self.check_classes(classes);
         assert!(
             n <= ldc && strided_span(self.rows, n, ldc) <= out.len(),
             "a {}x{n} product of stride {ldc} does not fit {} elements",
@@ -953,6 +960,7 @@ impl Strided<'_> {
             windows,
             rhs_stride,
             ahead,
+            classes,
             ..Operands::default()
         };
         if leg == SimdLeg::SCALAR {
@@ -968,6 +976,16 @@ impl Strided<'_> {
         // the block's rows at stride `ldc`; `Strided::new` checked that
         // both windows lie inside their buffers, and the shapes agree.
         unsafe { block_on_leg(&ops, &block, leg) }
+    }
+
+    /// Asserts that `classes` is empty or classes every row.
+    fn check_classes(&self, classes: &[RowClass]) {
+        assert!(
+            classes.is_empty() || classes.len() == self.rows,
+            "{} classes for {} rows",
+            classes.len(),
+            self.rows
+        );
     }
 }
 
@@ -1000,15 +1018,18 @@ impl Strided<'_> {
     /// `self.cols` rows of its windows (`n = rhs.cols`), a position-minor
     /// one all `rhs.rows` (`k = rhs.cols`, `n = rhs.rows`). `next`, the
     /// page multiplied by next, laid out alike, streams in as these words
-    /// are read; it changes no value.
+    /// are read; it changes no value, nor do `classes`, as there. A
+    /// row-major product over windows of whole groups runs tiles of four
+    /// strips, so each position's group is widened once per window.
     ///
     /// # Panics
     ///
     /// Panics on a leg other than AVX-512, if `rhs.mantissa_bits` is not in
     /// 1..=8, if a window's columns or `n` are not whole strips of sixteen,
     /// if a position-minor window crosses a group other than whole groups,
-    /// if the windows run past the rows' words, if `windows` is 0, or if
-    /// `out` cannot hold the product.
+    /// if the windows run past the rows' words, if `windows` is 0, if
+    /// `out` cannot hold the product, or if `classes` is neither empty nor
+    /// one per row.
     #[allow(clippy::too_many_arguments)]
     pub fn matmul_planes_into(
         &self,
@@ -1018,8 +1039,10 @@ impl Strided<'_> {
         ldc: usize,
         accumulate: bool,
         next: Option<BitPlanes<'_>>,
+        classes: &[RowClass],
         leg: SimdLeg,
     ) {
+        self.check_classes(classes);
         const GROUP: usize = anda_fp::planes::LANES;
         assert!(
             leg.kind() == LegKind::Avx512,
@@ -1084,6 +1107,7 @@ impl Strided<'_> {
                 col0,
                 keys: rhs.position_minor,
             },
+            classes,
             ..Operands::default()
         };
         let block = OutBlock {
@@ -1368,6 +1392,20 @@ mod tests {
                 let mut a = wave(m * lda, 0.37);
                 a.iter_mut().step_by(3).for_each(|x| *x = 0.0);
                 let lhs = Strided::new(&a, m, k, lda);
+                let weights = class_weights(m, k, lda);
+                let classes: Vec<RowClass> = (0..m)
+                    .map(|i| RowClass::of(&weights[i * lda..][..k]))
+                    .collect();
+                let tiny_only: Vec<RowClass> = classes
+                    .iter()
+                    .map(|&c| {
+                        if c == RowClass::Zero {
+                            RowClass::Plain
+                        } else {
+                            c
+                        }
+                    })
+                    .collect();
                 let apart = k * ldb + 9;
                 for (windows, stride) in [(m, 0), (1, apart), (4, apart), (m, apart)] {
                     let len = (m.min(windows) - 1) * stride + k * ldb;
@@ -1386,8 +1424,37 @@ mod tests {
                         stride,
                         ldc,
                     };
-                    product.matches_the_loops(&b, &b);
-                    product.matches_the_loops(&h, &widened);
+                    product.matches_the_loops(&b, &b, &[]);
+                    product.matches_the_loops(&h, &widened, &[]);
+                    // Weights of every class, rows run by their classes:
+                    // over finite values each window's first row of which
+                    // rounds their products across 2^-126, and, without
+                    // the skip of a zero row, over the non-finite ones —
+                    // at the shapes up to a page deep (the loops' own
+                    // subnormal products are slow).
+                    if m > 17 || k > 22 {
+                        continue;
+                    }
+                    let classed = Product {
+                        lhs: Strided::new(&weights, m, k, lda),
+                        ..product
+                    };
+                    let mut finite = wave(len, 0.11);
+                    let mut half: Vec<u16> =
+                        h.iter().map(|&w| w.min(0x7bff) | w & 0x8000).collect();
+                    for w in 0..m.min(windows) {
+                        for j in 0..n {
+                            let sign = if j % 4 < 2 { 1.0 } else { -1.0 };
+                            finite[w * stride + j] = sign * ACROSS_F32[j % 2].1;
+                            half[w * stride + j] = ACROSS_F16.1 | [0, 0x8000][j % 4 / 2];
+                        }
+                    }
+                    let half_wide: Vec<f32> =
+                        half.iter().map(|&w| F16::from_bits(w).to_f32()).collect();
+                    classed.matches_the_loops(&finite, &finite, &classes);
+                    classed.matches_the_loops(&half, &half_wide, &classes);
+                    classed.matches_the_loops(&b, &b, &tiny_only);
+                    classed.matches_the_loops(&h, &widened, &tiny_only);
                 }
             }
         }
@@ -1487,7 +1554,16 @@ mod tests {
                             let a: Vec<f32> = (0..lhs_rows * k)
                                 .map(|i| [0.0, 0.5 + (i % 9) as f32][usize::from(i % 4 > 0)])
                                 .collect();
-                            let lhs = Strided::new(&a, lhs_rows, k, k);
+                            // A V product's rows also by their classes,
+                            // sums from `+0.0` (a `−0.0` one meets no zero
+                            // row's skip).
+                            let weights = class_weights(lhs_rows, k, k);
+                            let classes: Vec<RowClass> =
+                                weights.chunks(k).map(RowClass::of).collect();
+                            let mut inputs = vec![(&a, &[][..], -0.0f32)];
+                            if !position_minor {
+                                inputs.push((&weights, &classes, 0.0));
+                            }
                             let ldc = n + 1;
                             let windows_in = PlaneWindows {
                                 words,
@@ -1503,8 +1579,12 @@ mod tests {
                                 false => (&decoded[col0..], width, cols),
                             };
                             let rhs = Strided::new(tile, k, n, ld);
-                            for accumulate in [false, true] {
-                                let mut want = vec![-0.0f32; lhs_rows * ldc];
+                            for ((a, classes, start), accumulate) in inputs
+                                .into_iter()
+                                .flat_map(|input| [false, true].map(|acc| (input, acc)))
+                            {
+                                let lhs = Strided::new(a, lhs_rows, k, k);
+                                let mut want = vec![start; lhs_rows * ldc];
                                 let mut got = want.clone();
                                 lhs.matmul_batched_into(
                                     rhs,
@@ -1514,13 +1594,15 @@ mod tests {
                                     ldc,
                                     accumulate,
                                     None,
+                                    &[],
                                     SimdLeg::SCALAR,
                                 );
                                 let nexts = [None, Some(ahead)];
                                 for next in nexts {
-                                    got.fill(-0.0);
+                                    got.fill(start);
                                     lhs.matmul_planes_into(
-                                        windows_in, windows, &mut got, ldc, accumulate, next, leg,
+                                        windows_in, windows, &mut got, ldc, accumulate, next,
+                                        classes, leg,
                                     );
                                     let bits = |v: &[f32]| {
                                         v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -1529,7 +1611,7 @@ mod tests {
                                         bits(&got),
                                         bits(&want),
                                         "M {m} {rows}x{width} cols {cols} from {col0} windows {windows} rows {lhs_rows} k {k} \
-                                         position-minor {position_minor} accumulate {accumulate} next {}",
+                                         position-minor {position_minor} accumulate {accumulate} next {} classes {classes:?}",
                                         next.is_some()
                                     );
                                 }
@@ -1539,6 +1621,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A weight and a value whose product lies below `2^-126` and rounds
+    /// up to it — across the boundary the tiny rows' `f64` route narrows
+    /// through: `2^-126 · (1 + 2^-11 + 2^-22) · (1 − 2^-11)` for binary16
+    /// values (`0x3bff`), and `2^-126 · (1 − 2^-24)` (a tie, to even) and
+    /// `2^-126 · (1 + 2^-23) · (1 − 2^-23)` for `f32` ones.
+    const ACROSS_F16: (u32, u16) = (0x0080_1002, 0x3bff);
+    const ACROSS_F32: [(u32, f32); 2] = [
+        (0x0080_0000, 1.0 - 1.0 / 16_777_216.0),
+        (0x0080_0001, 1.0 - 1.0 / 8_388_608.0),
+    ];
+
+    /// Tiny weights ([`RowClass::Tiny`]): two in every subnormal binade,
+    /// the largest subnormal, `2^-126` and one ulp above, one ulp below
+    /// `2^-102`, and one in every normal binade below it.
+    fn tiny_weights() -> Vec<f32> {
+        let subnormals = (0..23).flat_map(|b| [1u32 << b, 1 << b | 0x5a_5a5a & ((1 << b) - 1)]);
+        let edges = [0x007f_ffff, 0x0080_0000, 0x0080_0001, TINY - 1];
+        let normals = (1..25).map(|e| e << 23 | 0x2b_cdef);
+        subnormals
+            .chain(edges)
+            .chain(normals)
+            .map(f32::from_bits)
+            .collect()
+    }
+
+    /// `2^-102`'s bits, the least weight that is not tiny.
+    const TINY: u32 = 25 << 23;
+
+    /// `rows` rows of `k` weights at stride `ld`, row `r` by `r % 4`: 0 plain
+    /// (normal weights, `2^-102` and one ulp above it, zeros scattered), 1
+    /// all `+0.0`, 2 tiny only (sums that land subnormal), 3 tiny, zero
+    /// and normal mixed; rows 2 and 3 start with a weight of
+    /// [`ACROSS_F16`] or [`ACROSS_F32`], whose product with the first
+    /// value row the suites give them rounds across `2^-126`.
+    fn class_weights(rows: usize, k: usize, ld: usize) -> Vec<f32> {
+        let tiny = tiny_weights();
+        let across = [ACROSS_F16.0, ACROSS_F32[0].0, ACROSS_F32[1].0].map(f32::from_bits);
+        let mut w = vec![f32::NAN; rows * ld];
+        for (r, row) in w.chunks_mut(ld).enumerate() {
+            for (kk, x) in row[..k].iter_mut().enumerate() {
+                let t = tiny[(r * 7 + kk * 5) % tiny.len()];
+                let normal = 0.25 + (kk % 5) as f32 / 8.0;
+                *x = match (r % 4, kk % 6) {
+                    (0, 0) | (1, _) | (3, 1) => 0.0,
+                    (0, 1) => f32::from_bits(TINY),
+                    (0, 2) => f32::from_bits(TINY + 1),
+                    (0, _) | (3, 2) => normal,
+                    _ if kk == 0 => across[r % 3],
+                    _ => t,
+                };
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn the_class_inputs_cover_what_they_say() {
+        let v16 = anda_fp::F16::from_bits(ACROSS_F16.1).to_f32();
+        for (p, v) in [(ACROSS_F16.0, v16), ACROSS_F32[0], ACROSS_F32[1]] {
+            let (p, v) = (f32::from_bits(p), v);
+            assert!(f64::from(p) * f64::from(v) < f64::from(f32::MIN_POSITIVE));
+            assert_eq!(p * v, f32::MIN_POSITIVE, "{p:e} · {v}");
+        }
+        let w = class_weights(4, 40, 41);
+        let classes: Vec<RowClass> = w.chunks(41).map(|r| RowClass::of(&r[..40])).collect();
+        use RowClass::*;
+        assert_eq!(classes, [Plain, Zero, Tiny, Tiny]);
+        let binades = tiny_weights()
+            .iter()
+            .filter(|w| !w.is_normal())
+            .map(|w| w.to_bits().ilog2())
+            .collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(binades.len(), 23, "every subnormal binade");
+        assert_eq!(RowClass::of(&[f32::from_bits(TINY), 0.0]), Plain);
+        assert_eq!(RowClass::of(&[f32::from_bits(TINY - 1), 1.0]), Tiny);
+        assert_eq!(RowClass::of(&[-0.0, 0.0]), Zero);
+        assert_eq!(RowClass::of(&[f32::NAN, 0.0]), Plain);
     }
 
     /// One shape of `every_simd_leg_of_the_strided_products_matches_the_scalar_loops`.
@@ -1558,7 +1719,7 @@ mod tests {
         /// one value: which payload survives the sum of two different NaNs
         /// depends on the operand order the compiler picked for a
         /// commutative add, in the loops too.
-        fn matches_the_loops<E: Element>(&self, rhs: &[E], wide: &[f32]) {
+        fn matches_the_loops<E: Element>(&self, rhs: &[E], wide: &[f32], classes: &[RowClass]) {
             use anda_fp::simd::available_legs;
             let Product {
                 lhs,
@@ -1587,7 +1748,7 @@ mod tests {
                 let run = |leg: SimdLeg, next| {
                     let mut out = out0(m * ldc);
                     let (w, s, acc) = (windows, stride, accumulate);
-                    lhs.matmul_batched_into(rhs, w, s, &mut out, ldc, acc, next, leg);
+                    lhs.matmul_batched_into(rhs, w, s, &mut out, ldc, acc, next, classes, leg);
                     bits(&out)
                 };
                 // The loops themselves, spelled out once more.
@@ -1610,10 +1771,11 @@ mod tests {
                         run(leg, next),
                         want,
                         "leg={} {m}x{k}x{n} rhs of {} bytes, {windows} windows {stride} \
-                         apart accumulate={accumulate}, streaming {:?} elements",
+                         apart accumulate={accumulate}, streaming {:?} elements, classes {:?}",
                         leg.name(),
                         core::mem::size_of::<E>(),
                         next.map(<[E]>::len),
+                        classes,
                     );
                 }
             }

@@ -78,7 +78,10 @@
 //!   its plane words, writes the lanes' magnitudes into the mantissas of
 //!   `2^23`, takes one `fmsub` by the group's ULP and flips the sign bits,
 //!   which is the `f32` the row codec's decode writes, bit for bit, and
-//!   multiplies at once; the load streams the next page's same group. A K
+//!   multiplies at once; the load streams the next page's same group. A
+//!   lone viewer's heads over windows of whole groups run batched tiles of
+//!   four strips, the window's 64 columns, so one transpose serves a
+//!   position's whole group ([`Leg::tile_batched`] at four strips). A K
 //!   page is read position-minor ([`Keys`]): first, per window and block
 //!   of sixteen positions, the prologue the position-minor decode runs —
 //!   the positions' magnitudes transposed so that each column's sixteen
@@ -159,6 +162,18 @@
 //! Nothing skips a zero, the scalar legs included, so that holds on every
 //! input, non-finite ones too (where two different NaNs meet in one sum,
 //! which payload survives is the compiler's pick of operand order).
+//!
+//! A resident product may be given one [`RowClass`] per `lhs` row — the
+//! attention walk's V pass classes each lane-head's softmax weights for a
+//! page — and the AVX2 and AVX-512 tiles then run each row by it
+//! ([`by_class`]): a tile of plain rows, almost every tile, runs as
+//! above; a row of zeros is not multiplied (exact when its `rhs` is finite
+//! and its sum is not `−0.0`, which the caller vouches for); a row with a
+//! weight below `2^-102` runs a one-row loop ([`Leg::row_tiny`]) that
+//! multiplies each such weight in `f64` and narrows the exact product
+//! once — the bits of the `f32` multiply without its x86 microcode assist
+//! on a subnormal operand or result — and adds as the tile adds. NEON and
+//! the scalar loops multiply every row as it is.
 
 use core::ops::Range;
 
@@ -202,6 +217,65 @@ pub trait Element: Copy + Default + element::Load {}
 
 impl Element for f32 {}
 impl Element for u16 {}
+
+/// What a resident product's vector tile may do with one `lhs` row — one
+/// lane-head's softmax weights for a KV page, in the attention walk's V
+/// pass — given as one class per row ([`crate::Strided::matmul_batched_into`]'s
+/// `classes`; [`RowClass::of`] finds it). Every class keeps the loops'
+/// bits; they differ in how the AVX2 and AVX-512 tiles get there.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RowClass {
+    /// No weight is tiny: the row runs the plain tile, whose every product
+    /// of a weight and a binary16-range value (zero, or at least `2^-24` in
+    /// magnitude) is zero or normal.
+    #[default]
+    Plain,
+    /// Every weight is `±0.0`: the row is not multiplied at all, unless its
+    /// sums start at `+0.0` in this call, where it is written `+0.0`
+    /// by the plain tile. Each skipped step would have added `±0.0` (a
+    /// zero times a finite value) to a sum that, as the caller vouches,
+    /// is not `−0.0` — which leaves the sum as it is. So a caller passes
+    /// this class only when every `rhs` element the row meets is finite
+    /// and no output it accumulates onto holds `−0.0` (a sum started at
+    /// `+0.0` never becomes `−0.0`: `x + y` is `−0.0` only when both are).
+    Zero,
+    /// Some weight is tiny, `0 < |w| < 2^-102`: a product with a
+    /// binary16-range value can then fall below `2^-126`, where an x86
+    /// vector multiply takes a microcode assist (so does one whose operand
+    /// is subnormal). The row runs a one-row loop that multiplies each tiny
+    /// weight in `f64` instead — the exact product, rounded once to `f32`
+    /// by the narrowing conversion, which takes no assist — and adds it as
+    /// the plain tile adds. Exact on every input, non-finite ones included.
+    Tiny,
+}
+
+/// `2^-102`'s bits: a weight below it is tiny ([`RowClass::Tiny`]).
+const TINY_BITS: u32 = (127 - 102) << 23;
+
+/// Whether `w` is a tiny weight, `0 < |w| < 2^-102` (NaN is not).
+#[inline(always)]
+fn is_tiny(w: f32) -> bool {
+    (w.to_bits() & 0x7fff_ffff).wrapping_sub(1) < TINY_BITS - 1
+}
+
+impl RowClass {
+    /// The class of a row of weights: [`RowClass::Zero`] when every one
+    /// compares equal to zero, else [`RowClass::Tiny`] when one is tiny,
+    /// else [`RowClass::Plain`]. Branch-free over the row, so a page's
+    /// sixteen weights are two sixteen-lane compares.
+    pub fn of(weights: &[f32]) -> RowClass {
+        let (mut nonzero, mut tiny) = (false, false);
+        for &w in weights {
+            nonzero |= w != 0.0;
+            tiny |= is_tiny(w);
+        }
+        match (nonzero, tiny) {
+            (false, _) => RowClass::Zero,
+            (true, true) => RowClass::Tiny,
+            (true, false) => RowClass::Plain,
+        }
+    }
+}
 
 /// How the tile reads an [`Element`], private so that no other type can
 /// be one.
@@ -825,6 +899,9 @@ pub(crate) struct Operands<'a, E: Element = f32> {
     /// windows the tiles stream in as they read these. Nothing of `rhs`
     /// itself is prefetched.
     pub ahead: usize,
+    /// The resident layouts only: empty, or one [`RowClass`] per `lhs`
+    /// row, which the AVX2 and AVX-512 tiles run each row by.
+    pub classes: &'a [RowClass],
     /// [`Layout::Int4`] only, where `rhs` is empty: the codes and scales.
     pub int4: Int4<'a>,
     /// [`Layout::Planes`] only, where `rhs` is empty: the page's words.
@@ -891,7 +968,8 @@ pub(crate) trait Leg {
 
     /// [`Leg::tile`] with row `r` reading its own `b`, `r · bs` further on
     /// ([`Panel::offset`]): `c[r][0..w] (+)= Σ_kk a[r][kk] · B_r[kk][0..w]`,
-    /// `B_r` at `b + r · bs`, for `r < rows` (`1..=TILE_ROWS` on every leg). The
+    /// `B_r` at `b + r · bs`, for `r < rows` (`1..=TILE_ROWS` on every leg;
+    /// on AVX-512 `strips` may also be four, over a bit-plane V window). The
     /// rows of a tile are then independent products, each with its own two
     /// (AVX2), four (NEON) or two (AVX-512, one per strip) accumulator
     /// chains. With `ahead` non-zero, each `k` step also prefetches every
@@ -927,6 +1005,32 @@ pub(crate) trait Leg {
                 *c.add(j) = acc;
             }
         }
+    }
+
+    /// Whether the leg runs a resident product's rows by their
+    /// [`RowClass`] (AVX2 and AVX-512); the others multiply every row as
+    /// it is.
+    const CLASSES: bool = false;
+
+    /// One row of a tile whose weights hold tiny ones ([`RowClass::Tiny`]):
+    /// `c[0..w] (+)= Σ_kk a[kk] · B[kk][0..w]` as [`Leg::tile`] sums it,
+    /// each tiny `a[kk]`'s products taken in `f64` and narrowed once, so no
+    /// vector multiply meets a subnormal operand or result. `strips` is 1
+    /// or [`Leg::STRIPS`], or 4 over a bit-plane V window. Only a leg with
+    /// [`Leg::CLASSES`] is asked.
+    ///
+    /// # Safety
+    ///
+    /// As [`Leg::tile`], for one row.
+    unsafe fn row_tiny<P: Panel>(
+        _strips: usize,
+        _a: *const f32,
+        _b: P,
+        _kc: usize,
+        _c: *mut f32,
+        _first: bool,
+    ) {
+        unreachable!("only a leg that runs rows by class has a tiny row")
     }
 
     /// Hints that the cache line at `p` is about to be read. `p` need not
@@ -977,6 +1081,62 @@ unsafe fn on_block(
     tile(edge, ld);
     for i in 0..rows {
         core::ptr::copy_nonoverlapping(edge.add(i * ld), c.add(i * ldc), width);
+    }
+}
+
+/// Runs the `rows` rows of one tile by their classes ([`RowClass`]; tile
+/// row `t` is `lhs` row `row(t)`, whose class is `classes[row(t)]`): all
+/// of them on `plain(0, rows)` when `classes` is empty or every one is
+/// [`RowClass::Plain`] — the tile as it always ran, which is what almost
+/// every tile is; otherwise each run of plain rows on `plain(t0, count)`,
+/// each tiny row on `tiny(t)`, and no row of zeros, unless its sums start
+/// at `+0.0` here (`first`), where the plain tile writes them.
+#[inline(always)]
+fn by_class(
+    rows: usize,
+    first: bool,
+    classes: &[RowClass],
+    row: impl Fn(usize) -> usize,
+    mut plain: impl FnMut(usize, usize),
+    tiny: impl FnMut(usize),
+) {
+    if classes.is_empty() || (0..rows).all(|t| classes[row(t)] == RowClass::Plain) {
+        return plain(0, rows);
+    }
+    by_class_mixed(rows, first, classes, row, plain, tiny)
+}
+
+/// [`by_class`] over a tile whose rows are not all plain, out of line: only
+/// a tile with a zero or a tiny row comes here.
+#[inline(never)]
+fn by_class_mixed(
+    rows: usize,
+    first: bool,
+    classes: &[RowClass],
+    row: impl Fn(usize) -> usize,
+    mut plain: impl FnMut(usize, usize),
+    mut tiny: impl FnMut(usize),
+) {
+    let class = |t| match classes[row(t)] {
+        RowClass::Zero if first => RowClass::Plain,
+        c => c,
+    };
+    let mut t = 0;
+    while t < rows {
+        match class(t) {
+            RowClass::Zero => t += 1,
+            RowClass::Tiny => {
+                tiny(t);
+                t += 1;
+            }
+            RowClass::Plain => {
+                let end = (t + 1..rows)
+                    .find(|&u| class(u) != RowClass::Plain)
+                    .unwrap_or(rows);
+                plain(t, end - t);
+                t = end;
+            }
+        }
     }
 }
 
@@ -1072,8 +1232,27 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, E: Element>(ops: &Operands<E>, 
         true => rows / windows / L::ROWS * L::ROWS * windows,
         false => 0,
     };
-    for j0 in cols.clone().step_by(L::STRIPS * STRIP_COLS) {
-        let width = (L::STRIPS * STRIP_COLS).min(cols.end - j0);
+    // The rows' classes, on a leg that runs rows by them.
+    let classes = if L::CLASSES { ops.classes } else { &[] };
+    debug_assert!(
+        classes.is_empty() || resident && classes.len() >= row0 + rows,
+        "a resident product classes every row"
+    );
+    // A V page's windows read in place, group-aligned, by batched tiles
+    // only: a tile of four strips widens each position's group once for
+    // its whole 64 columns.
+    let whole_groups = |x: usize| x.is_multiple_of(GROUP);
+    let step = match planes && !ops.planes.keys && shared == 0 {
+        true if whole_groups(cols.len())
+            && whole_groups(ops.planes.col0)
+            && whole_groups(rhs_stride) =>
+        {
+            GROUP
+        }
+        _ => L::STRIPS * STRIP_COLS,
+    };
+    for j0 in cols.clone().step_by(step) {
+        let width = step.min(cols.end - j0);
         let strips = width.div_ceil(STRIP_COLS);
         let full = width == strips * STRIP_COLS;
         // What is read in place goes `KC` deep. The panel holds an INT4
@@ -1102,6 +1281,11 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, E: Element>(ops: &Operands<E>, 
                     let at = (h, extent, k0, kc, j0, strips, first);
                     plane_tile::<L>(&ops.planes, at, bs, rows, a, lda, c, ldc, panel)
                 };
+                // A V window's rows read in place, for a tiny row's loop.
+                let values = |h: usize| {
+                    let col = ops.planes.col0 + h * rhs_stride + j0;
+                    Values::new(&ops.planes, k0, col, rhs_stride)
+                };
                 // Shared tiles: every `rhs` vector loaded feeds `L::ROWS`
                 // rows, read in place or from the window packed once — or,
                 // a bit-plane window, widened by each tile.
@@ -1124,12 +1308,26 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, E: Element>(ops: &Operands<E>, 
                         };
                         // The window's first row tile streams the next one.
                         let ahead = if full && i == h { ahead } else { 0 };
+                        let b = Strips::new(tile_b, tile_ldb, sb);
+                        let row = |t| row0 + i + t * windows;
                         on_block(r, width, first, c, ldc_w, &mut edge, |c, ldc| {
-                            if planes {
-                                return plane_tile(h, None, r, a, lda_w, c, ldc);
-                            }
-                            let b = Strips::new(tile_b, tile_ldb, sb);
-                            L::tile(r, strips, a, lda_w, b, kc, c, ldc, first, ahead)
+                            let plain = |t0, n| {
+                                let (a, c) = (a.add(t0 * lda_w), c.add(t0 * ldc));
+                                match planes {
+                                    true => plane_tile(h, None, n, a, lda_w, c, ldc),
+                                    false => {
+                                        L::tile(n, strips, a, lda_w, b, kc, c, ldc, first, ahead)
+                                    }
+                                }
+                            };
+                            let tiny = |t| {
+                                let (a, c) = (a.add(t * lda_w), c.add(t * ldc));
+                                match planes {
+                                    true => L::row_tiny(strips, a, values(h), kc, c, first),
+                                    false => L::row_tiny(strips, a, b, kc, c, first),
+                                }
+                            };
+                            by_class(r, first, classes, row, plain, tiny)
                         });
                     }
                 }
@@ -1143,13 +1341,23 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, E: Element>(ops: &Operands<E>, 
                         _ => (rhs_stride, windows - h),
                     };
                     let r = TILE_ROWS.min(cycle).min(rows - i0);
+                    let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
+                    let row = |t| row0 + i0 + t;
                     if planes {
                         // Row `i` reads the window `i` windows on, if more
                         // than one.
-                        let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
                         let bs = windows.min(2) - 1;
                         on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
-                            plane_tile(h, Some(bs), r, a, lda, c, ldc)
+                            let plain = |t0, n| {
+                                let (a, c) = (a.add(t0 * lda), c.add(t0 * ldc));
+                                plane_tile(h + t0 * bs, Some(bs), n, a, lda, c, ldc)
+                            };
+                            let tiny = |t| {
+                                let (a, c, b) =
+                                    (a.add(t * lda), c.add(t * ldc), values(h + t * bs));
+                                L::row_tiny(strips, a, b, kc, c, first)
+                            };
+                            by_class(r, first, classes, row, plain, tiny)
                         });
                         (i0, h) = (i0 + r, if h + r < windows { h + r } else { 0 });
                         continue;
@@ -1164,11 +1372,19 @@ unsafe fn matmul_block<L: Leg, const LAYOUT: u8, E: Element>(ops: &Operands<E>, 
                             (panel_b, STRIP_COLS, panel_sb, strips * panel_sb)
                         }
                     };
-                    let (a, c) = (a.add(i0 * lda + k0), out.add(i0 * ldc + j0));
                     let ahead = if full { ahead } else { 0 };
+                    let b = Strips::new(tile_b, tile_ldb, sb);
                     on_block(r, width, first, c, ldc, &mut edge, |c, ldc| {
-                        let (b, bs, f) = (Strips::new(tile_b, tile_ldb, sb), tile_bs, first);
-                        L::tile_batched(r, strips, a, lda, b, bs, kc, c, ldc, f, ahead)
+                        let plain = |t0, n| {
+                            let (a, b, c) =
+                                (a.add(t0 * lda), b.offset(t0 * tile_bs), c.add(t0 * ldc));
+                            L::tile_batched(n, strips, a, lda, b, tile_bs, kc, c, ldc, first, ahead)
+                        };
+                        let tiny = |t| {
+                            let (a, b, c) = (a.add(t * lda), b.offset(t * tile_bs), c.add(t * ldc));
+                            L::row_tiny(strips, a, b, kc, c, first)
+                        };
+                        by_class(r, first, classes, row, plain, tiny)
                     });
                     (i0, h) = (i0 + r, if h + r < windows { h + r } else { 0 });
                 }
@@ -1391,6 +1607,60 @@ unsafe fn avx2_rows<const R: usize, const BATCHED: bool, const PREFETCH: bool, P
     }
 }
 
+/// `fl32(p · v)` in each of `v`'s lanes, `p` a tiny weight held in `f64`
+/// ([`RowClass::Tiny`]): the product is exact in `f64` (24 + 24 bits, far
+/// above its least normal) and the narrowing rounds it once, into the
+/// subnormals too, where an `f32` multiply would take an assist. A NaN
+/// lane narrows to the NaN an `f32` multiply gives.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn tiny8(
+    p: core::arch::x86_64::__m256d,
+    v: core::arch::x86_64::__m256,
+) -> core::arch::x86_64::__m256 {
+    use core::arch::x86_64::*;
+    let lo = _mm256_cvtpd_ps(_mm256_mul_pd(p, _mm256_cvtps_pd(_mm256_castps256_ps128(v))));
+    let hi = _mm256_cvtpd_ps(_mm256_mul_pd(
+        p,
+        _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)),
+    ));
+    _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
+}
+
+/// [`Avx2`]'s [`Leg::row_tiny`]: one row of one strip, a tiny weight's
+/// step through [`tiny8`], every other one the tile's multiply and add.
+///
+/// # Safety
+///
+/// As [`Leg::row_tiny`].
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn avx2_row_tiny<P: Panel>(a: *const f32, b: P, kc: usize, c: *mut f32, first: bool) {
+    use core::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_ps(); 2];
+    if !first {
+        acc = [_mm256_loadu_ps(c), _mm256_loadu_ps(c.add(8))];
+    }
+    for kk in 0..kc {
+        let (w, bv) = (*a.add(kk), [b.load8(kk, 0, 0), b.load8(kk, 0, 1)]);
+        let q = match is_tiny(w) {
+            true => {
+                // The weight widened by the vector unit: no assist.
+                let p = _mm256_cvtps_pd(_mm_set1_ps(w));
+                bv.map(|v| tiny8(p, v))
+            }
+            false => bv.map(|v| _mm256_mul_ps(_mm256_set1_ps(w), v)),
+        };
+        for (acc, q) in acc.iter_mut().zip(q) {
+            *acc = _mm256_add_ps(*acc, q);
+        }
+    }
+    _mm256_storeu_ps(c, acc[0]);
+    _mm256_storeu_ps(c.add(8), acc[1]);
+}
+
 #[cfg(target_arch = "x86_64")]
 impl Leg for Avx2 {
     #[target_feature(enable = "avx2,f16c")]
@@ -1446,6 +1716,21 @@ impl Leg for Avx2 {
             (2, true) => avx2_rows::<2, true, true, _>(a, lda, b, bs, kc, c, ldc, f, p),
             (_, true) => avx2_rows::<1, true, true, _>(a, lda, b, bs, kc, c, ldc, f, p),
         }
+    }
+
+    const CLASSES: bool = true;
+
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn row_tiny<P: Panel>(
+        strips: usize,
+        a: *const f32,
+        b: P,
+        kc: usize,
+        c: *mut f32,
+        first: bool,
+    ) {
+        debug_assert_eq!(strips, 1, "an AVX2 tile is one strip wide");
+        avx2_row_tiny(a, b, kc, c, first)
     }
 
     #[inline(always)]
@@ -1574,6 +1859,93 @@ unsafe fn avx512_tile<const S: usize, const BATCHED: bool, const PREFETCH: bool,
     }
 }
 
+/// [`tiny8`] on sixteen lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
+unsafe fn tiny16(
+    p: core::arch::x86_64::__m512d,
+    v: core::arch::x86_64::__m512,
+) -> core::arch::x86_64::__m512 {
+    use core::arch::x86_64::*;
+    let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+    let lo = _mm512_cvtpd_ps(_mm512_mul_pd(p, _mm512_cvtps_pd(_mm512_castps512_ps256(v))));
+    let hi = _mm512_cvtpd_ps(_mm512_mul_pd(p, _mm512_cvtps_pd(hi)));
+    let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo));
+    _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
+}
+
+/// [`Avx512`]'s [`Leg::row_tiny`] over `S` strips, as [`avx2_row_tiny`]
+/// is [`Avx2`]'s.
+///
+/// # Safety
+///
+/// As [`Leg::row_tiny`].
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
+unsafe fn avx512_row_tiny<const S: usize, P: Panel>(
+    a: *const f32,
+    b: P,
+    kc: usize,
+    c: *mut f32,
+    first: bool,
+) {
+    use core::arch::x86_64::*;
+    let mut acc = [_mm512_setzero_ps(); S];
+    if !first {
+        acc = core::array::from_fn(|s| _mm512_loadu_ps(c.add(s * STRIP_COLS)));
+    }
+    for kk in 0..kc {
+        let (w, bv) = (*a.add(kk), b.load_row::<S>(kk));
+        let q = match is_tiny(w) {
+            true => {
+                // The weight widened by the vector unit: no assist.
+                let p = _mm512_cvtps_pd(_mm256_set1_ps(w));
+                bv.map(|v| tiny16(p, v))
+            }
+            false => bv.map(|v| _mm512_mul_ps(_mm512_set1_ps(w), v)),
+        };
+        for (acc, q) in acc.iter_mut().zip(q) {
+            *acc = _mm512_add_ps(*acc, q);
+        }
+    }
+    for (s, &acc) in acc.iter().enumerate() {
+        _mm512_storeu_ps(c.add(s * STRIP_COLS), acc);
+    }
+}
+
+/// [`avx512_rows`] for a batched tile of `rows` (at most four) rows of
+/// four strips: a bit-plane V window's 64 columns, one widen per position.
+///
+/// # Safety
+///
+/// The contract of [`Leg::tile_batched`].
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn avx512_quad<const PREFETCH: bool, P: Panel>(
+    rows: usize,
+    a: *const f32,
+    lda: usize,
+    b: P,
+    bs: usize,
+    kc: usize,
+    c: *mut f32,
+    ldc: usize,
+    first: bool,
+    ahead: usize,
+) {
+    let (f, p) = (first, ahead);
+    match rows {
+        4 => avx512_rows::<4, 4, true, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        3 => avx512_rows::<3, 4, true, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        2 => avx512_rows::<2, 4, true, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+        _ => avx512_rows::<1, 4, true, PREFETCH, _>(a, lda, b, bs, kc, c, ldc, f, p),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 impl Leg for Avx512 {
     const ROWS: usize = MAX_TILE_ROWS;
@@ -1617,10 +1989,30 @@ impl Leg for Avx512 {
     ) {
         let (f, p) = (first, ahead);
         match (strips, ahead) {
+            (4, 0) => avx512_quad::<false, _>(rows, a, lda, b, bs, kc, c, ldc, f, 0),
+            (4, _) => avx512_quad::<true, _>(rows, a, lda, b, bs, kc, c, ldc, f, p),
             (2, 0) => avx512_tile::<2, true, false, _>(rows, a, lda, b, bs, kc, c, ldc, f, 0),
             (2, _) => avx512_tile::<2, true, true, _>(rows, a, lda, b, bs, kc, c, ldc, f, p),
             (_, 0) => avx512_tile::<1, true, false, _>(rows, a, lda, b, bs, kc, c, ldc, f, 0),
             _ => avx512_tile::<1, true, true, _>(rows, a, lda, b, bs, kc, c, ldc, f, p),
+        }
+    }
+
+    const CLASSES: bool = true;
+
+    #[target_feature(enable = "avx2,f16c,avx512f,avx512bw,avx512vbmi,gfni")]
+    unsafe fn row_tiny<P: Panel>(
+        strips: usize,
+        a: *const f32,
+        b: P,
+        kc: usize,
+        c: *mut f32,
+        first: bool,
+    ) {
+        match strips {
+            4 => avx512_row_tiny::<4, _>(a, b, kc, c, first),
+            2 => avx512_row_tiny::<2, _>(a, b, kc, c, first),
+            _ => avx512_row_tiny::<1, _>(a, b, kc, c, first),
         }
     }
 
